@@ -154,9 +154,9 @@ func BenchmarkUpdateMatrix(b *testing.B) {
 }
 
 // BenchmarkAblationIndirection compares JVOLVE's zero-cost steady state
-// with a simulated lazy-update VM that pays an indirection plus an
-// is-updated check on every field access (the paper §5's JDrums/DVM
-// comparison).
+// with a lazy-update VM's: the on-touch read barrier armed with nothing
+// pending, so every dereference pays the hook check plus the header-bit
+// test (the paper §5's JDrums/DVM comparison).
 func BenchmarkAblationIndirection(b *testing.B) {
 	app := apps.Webserver()
 	for i := 0; i < b.N; i++ {

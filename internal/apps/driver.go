@@ -28,8 +28,6 @@ type LaunchOptions struct {
 	HeapWords int
 	Version   int
 	Out       io.Writer
-	// IndirectionCheck enables the ablation VM mode.
-	IndirectionCheck bool
 	// GCWorkers selects the parallel collector (0/1 = serial).
 	GCWorkers int
 	// GCConcurrentMark runs updated-instance discovery concurrently with
@@ -49,7 +47,6 @@ func Launch(app *App, opts LaunchOptions) (*Server, error) {
 	machine, err := vm.New(vm.Options{
 		HeapWords:        opts.HeapWords,
 		Out:              opts.Out,
-		IndirectionCheck: opts.IndirectionCheck,
 		GCWorkers:        opts.GCWorkers,
 		GCConcurrentMark: opts.GCConcurrentMark,
 	})

@@ -33,6 +33,8 @@ func TestAbortPathsLeaveVMServiceable(t *testing.T) {
 		// but heap-dependent serviceability (invariant sweep, follow-up
 		// update) is replaced by fatal-OOM assertions.
 		heapDead bool
+		// fixture overrides the default stop-the-world VM.
+		fixture func(t *testing.T) *fixture
 	}{
 		{
 			name: "timeout",
@@ -169,6 +171,43 @@ class JvolveTransformers {
 			},
 		},
 		{
+			name:     "follow-up update after a failed forced drain",
+			heapDead: true,
+			fixture:  func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, 2, false, false) },
+			drive: func(t *testing.T, f *fixture, v1 *fixtureProgs) {
+				// Update 1 triples Pair on a crowded heap: its pause fits, its
+				// relocation drain cannot. Update 2's handler force-completes
+				// that drain first, which is where the exhaustion surfaces —
+				// and the handler must stop there: installing classes and
+				// flipping a heap whose slots still hold from-space addresses
+				// would spread the damage.
+				crowdHeap(f, f.vm.Reg.LookupClass("Pair"))
+				wide := strings.Replace(abortV1, "field w I", "field w I\n  field g0 I\n  field g1 I\n  field g2 I\n  field g3 I\n  field g4 I\n  field g5 I\n  field g6 I\n  field g7 I", 1)
+				v2 := f.prog(wide)
+				f.mustApply("1", v1.prog, v2, "")
+				flips := f.vm.GC.Collections
+				v3 := f.prog(wide + "\nclass Followup {\n  static method ok()I {\n    const 7\n    return\n  }\n}\n")
+				res, err := f.update("2", v2, v3, "", core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Outcome != core.Failed || !errors.Is(res.Err, gc.ErrToSpaceExhausted) {
+					t.Fatalf("outcome = %v err = %v, want Failed via the drain's exhaustion", res.Outcome, res.Err)
+				}
+				if f.vm.GC.Collections != flips {
+					t.Fatalf("follow-up flipped a dead heap (%d → %d collections)", flips, f.vm.GC.Collections)
+				}
+				if f.vm.Reg.LookupClass("Followup") != nil || res.Stats.PauseTotal != 0 {
+					t.Fatalf("follow-up installed on a dead heap (pause %v)", res.Stats.PauseTotal)
+				}
+				// From here on requests are refused before anything stops.
+				if _, err := f.update("3", v2, v3, "", core.Options{}); err == nil ||
+					!errors.Is(err, gc.ErrToSpaceExhausted) {
+					t.Fatalf("request on a dead heap: err = %v, want refusal naming the cause", err)
+				}
+			},
+		},
+		{
 			name: "transformer rejected by verifier",
 			drive: func(t *testing.T, f *fixture, v1 *fixtureProgs) {
 				// The transformer underflows the operand stack — illegal
@@ -195,6 +234,9 @@ class JvolveTransformers {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, 1<<16)
+			if tc.fixture != nil {
+				f = tc.fixture(t)
+			}
 			v1 := &fixtureProgs{prog: f.load(abortV1)}
 			f.spawn("App")
 			f.vm.Step(8)

@@ -17,15 +17,17 @@ import (
 // install modified classes and metadata → OSR category-(2) frames (and
 // active-method rewrites) → DSU garbage collection → class transformers →
 // object transformers → class initializers of brand-new classes → resume.
-func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *Result {
+//
+// It returns nil when the update committed; any error means Failed.
+func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) error {
 	spec := p.Spec
 	reg := e.VM.Reg
 	totalStart := time.Now()
 
-	// cleanup is assigned once the install phase has loaded the new code
-	// (see below); fail runs it on every post-install failure path. Before
+	// resid is built once the install phase has loaded the new code (see
+	// below); fail retires it on every post-install failure path. Before
 	// that it is nil and fail only stamps the pause accounting.
-	var cleanup func()
+	var resid *residue
 	var curPhase string
 	var phaseStart time.Time
 
@@ -55,7 +57,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 	var invalidated []codeInval
 	flipped := false
 
-	fail := func(err error) *Result {
+	fail := func(err error) error {
 		// A failed update stopped the world just like an applied one; the
 		// pause histograms must see its true cost, not zero. Fill in the
 		// in-progress phase duration (its normal stamp is unreachable on
@@ -64,19 +66,19 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 		el := time.Since(phaseStart)
 		switch curPhase {
 		case "install":
-			if p.stats.PauseInstall == 0 {
-				p.stats.PauseInstall = el
+			if p.res.Stats.PauseInstall == 0 {
+				p.res.Stats.PauseInstall = el
 			}
 		case "gc":
-			if p.stats.PauseGC == 0 {
-				p.stats.PauseGC = el
+			if p.res.Stats.PauseGC == 0 {
+				p.res.Stats.PauseGC = el
 			}
 		case "transform":
-			if p.stats.PauseTransform == 0 {
-				p.stats.PauseTransform = el
+			if p.res.Stats.PauseTransform == 0 {
+				p.res.Stats.PauseTransform = el
 			}
 		}
-		p.stats.PauseTotal = time.Since(totalStart)
+		p.res.Stats.PauseTotal = time.Since(totalStart)
 		if !flipped {
 			for _, bs := range bodySwaps {
 				bs.m.Def = bs.def
@@ -94,10 +96,10 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 				ci.m.Compiled = ci.cm
 			}
 		}
-		if cleanup != nil {
-			cleanup()
+		if resid != nil {
+			resid.retire()
 		}
-		return &Result{Outcome: Failed, Err: err}
+		return err
 	}
 
 	// The stop-the-world window: every live thread is parked at a VM safe
@@ -225,8 +227,8 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 			m.Compiled = nil
 		}
 		m.Invocations = 0 // profiles are invalidated (paper §3.3)
-		p.stats.InvalidatedMethods++
-		p.stats.InvalidatedBody++
+		p.res.Stats.InvalidatedMethods++
+		p.res.Stats.InvalidatedBody++
 	}
 	// Refresh whole definitions of body-updated classes so later diffs and
 	// verification see current code.
@@ -270,11 +272,11 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 			invalidated = append(invalidated, codeInval{m: m, cm: cm})
 			cm.Invalid = true
 			m.Compiled = nil
-			p.stats.InvalidatedMethods++
+			p.res.Stats.InvalidatedMethods++
 			if inline {
-				p.stats.InvalidatedInline++
+				p.res.Stats.InvalidatedInline++
 			} else {
-				p.stats.InvalidatedLayout++
+				p.res.Stats.InvalidatedLayout++
 			}
 		}
 	}
@@ -290,7 +292,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 	// rollback entry is recorded.
 	for _, m := range reg.Methods() {
 		if cm := m.Compiled; cm != nil {
-			p.stats.ICFlushed += cm.FlushICs()
+			p.res.Stats.ICFlushed += cm.FlushICs()
 		}
 	}
 
@@ -303,28 +305,14 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 	if err != nil {
 		return fail(fmt.Errorf("core: loading transformers: %w", err))
 	}
-	p.stats.PauseInstall = time.Since(tInstall)
+	p.res.Stats.PauseInstall = time.Since(tInstall)
 
-	// cleanup unlinks the renamed old versions and the transformer class so
-	// the next collection can reclaim them. It runs on the success path AND
-	// on every post-install failure path (via fail): once the new code is
-	// installed a failed update must still leave the VM with consistent
-	// metadata. The documented failure mode for a transformer error is data
-	// loss — some objects keep default field values — never dangling
-	// old-version classes, stale UpdatedTo links, or a live scratch region
-	// (§3.4). Idempotent: in lazy mode a drain finishing during the clinit
-	// phase runs it before the success path does.
-	cleanupDone := false
-	cleanup = func() {
-		if cleanupDone {
-			return
-		}
-		cleanupDone = true
-		for _, r := range renames {
-			r.old.UpdatedTo = nil
-			reg.Unregister(r.old)
-		}
-		reg.Unregister(transformers)
+	// From here on the residue owns the teardown (see residue.retire): it
+	// runs on the success path AND on every post-install failure path (via
+	// fail), so a failed update still leaves the VM with consistent metadata.
+	resid = &residue{e: e, spec: spec, opts: p.Opts, transformers: transformers, stats: &p.res.Stats}
+	for _, r := range renames {
+		resid.renamed = append(resid.renamed, r.old)
 	}
 
 	// --- OSR ---------------------------------------------------------------
@@ -358,7 +346,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 			if err := e.VM.OSRRewrite(f, cm, newPC, job.active.Locals); err != nil {
 				return fail(fmt.Errorf("core: active-method update: %w", err))
 			}
-			p.stats.ActiveRewrites++
+			p.res.Stats.ActiveRewrites++
 			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, 1, target.FullName())
 		} else {
 			if err := e.VM.OSRReplace(f, cm); err != nil {
@@ -366,11 +354,11 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 			}
 			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, 0, target.FullName())
 		}
-		p.stats.OSRFrames++
+		p.res.Stats.OSRFrames++
 		if wasFused {
 			// The frame was resting in trace-promoted fused code; the
 			// identity pc-map let the rewrite land at the fused pc.
-			p.stats.OSRFusedFrames++
+			p.res.Stats.OSRFusedFrames++
 		}
 	}
 
@@ -387,8 +375,8 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 		// instances (or, composed with LazyTransform, defer even the pairs
 		// to the drain), and remap roots. The world resumes with from-space
 		// still live behind the self-healing load barrier; rl is the drain
-		// the engine starts after the transformer phase and finalizes once
-		// the background workers run it dry.
+		// the residue starts at the end of the pause and finishes once the
+		// background workers run it dry.
 		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM, e.VM.LazyTransform)
 	case e.VM.GC.MarkReady():
 		// A sealed concurrent mark is waiting: the pause only drains the
@@ -417,273 +405,59 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) *
 		return fail(fmt.Errorf("core: DSU collection: %w", err))
 	}
 	flipped = true
-	p.stats.PauseGC = time.Since(tGC)
-	p.stats.PauseGCMark = gcRes.PauseMark
-	p.stats.PauseGCRescan = gcRes.PauseRescan
-	p.stats.PauseGCCopy = gcRes.PauseCopy
-	p.stats.GCMarkConcurrent = gcRes.MarkConcurrent
-	p.stats.GCMarkOutside = gcRes.MarkOutside
-	p.stats.GCMarkSetup = gcRes.MarkSetup
-	p.stats.GCMarkedObjects = gcRes.MarkedObjects
-	p.stats.GCSATBDrained = gcRes.SATBDrained
-	p.stats.GCRescanMarked = gcRes.RescanMarked
-	p.stats.CopiedObjects = gcRes.CopiedObjects
-	p.stats.CopiedWords = gcRes.CopiedWords
-	p.stats.ScratchWords = gcRes.ScratchWords
-	p.stats.GCWorkers = gcRes.Workers
-	p.stats.GCWorkerWords = gcRes.WorkerWords
-	p.stats.GCSteals = gcRes.Steals
-	p.stats.PairsLogged = gcRes.PairsLogged
-	p.stats.RelocConcurrent = gcRes.Relocated
+	p.res.Stats.PauseGC = time.Since(tGC)
+	p.res.Stats.PauseGCMark = gcRes.PauseMark
+	p.res.Stats.PauseGCRescan = gcRes.PauseRescan
+	p.res.Stats.PauseGCCopy = gcRes.PauseCopy
+	p.res.Stats.GCMarkConcurrent = gcRes.MarkConcurrent
+	p.res.Stats.GCMarkOutside = gcRes.MarkOutside
+	p.res.Stats.GCMarkSetup = gcRes.MarkSetup
+	p.res.Stats.GCMarkedObjects = gcRes.MarkedObjects
+	p.res.Stats.GCSATBDrained = gcRes.SATBDrained
+	p.res.Stats.GCRescanMarked = gcRes.RescanMarked
+	p.res.Stats.CopiedObjects = gcRes.CopiedObjects
+	p.res.Stats.CopiedWords = gcRes.CopiedWords
+	p.res.Stats.ScratchWords = gcRes.ScratchWords
+	p.res.Stats.GCWorkers = gcRes.Workers
+	p.res.Stats.GCWorkerWords = gcRes.WorkerWords
+	p.res.Stats.GCSteals = gcRes.Steals
+	p.res.Stats.PairsLogged = gcRes.PairsLogged
+	p.res.Stats.RelocConcurrent = gcRes.Relocated
 
-	// The relocation drain's engine-side handle. The force hook installs
-	// immediately — before the transformer phase — because a clinit-
-	// triggered collection must be able to force-complete the drain (a flip
-	// cannot run with the load barrier armed and from-space held). The tick
-	// hook and the background workers only start on the success path below.
-	var rh *relocHandle
-	if rl != nil {
-		rh = &relocHandle{e: e, rl: rl, stats: &p.stats, cleanup: cleanup,
-			scratch: gcRes.ScratchWords > 0 || (e.VM.LazyTransform && e.VM.Heap.HasScratch())}
-		e.reloc = rh
-		e.VM.DSURelocForce = rh.force
-	}
+	resid.attach(gcRes, rl)
 
 	// --- Transformers --------------------------------------------------------
 	phase("transform")
 	tTr := time.Now()
-	var ld *lazyDrain
-	if e.VM.LazyTransform {
-		if rl != nil {
-			// Full deferral (ConcurrentReloc ∧ LazyTransform): the pause made
-			// (almost) no pairs — the drain creates them as it evacuates, and
-			// the lazy residue adopts them on first touch or at finalize.
-			ld, err = e.prepareLazyDeferred(p, spec, transformers, rl, cleanup)
-			if err != nil {
-				rh.failApply()
-				return fail(err)
-			}
-			rh.ld = ld
-		} else {
-			// Lazy mode: class transformers still run here, but the object
-			// log is tagged for on-first-touch transformation instead of
-			// walked — the transform share of the pause collapses to the
-			// class pass.
-			ld, err = e.prepareLazy(p, spec, transformers, gcRes, cleanup)
-			if err != nil {
-				if gcRes.ScratchWords > 0 {
-					e.VM.Heap.ResetScratch()
-				}
-				return fail(err)
-			}
-			if ld == nil && gcRes.ScratchWords > 0 {
-				// The class transformers forced every pair inside the pause;
-				// no drain window, so the scratch region retires now.
-				e.VM.Heap.ResetScratch()
-			}
-		}
-	} else {
-		if err := e.runTransformers(p, spec, transformers, gcRes); err != nil {
-			// Partially transformed objects keep default field values (data
-			// loss), but the metadata must come back consistent (fail runs
-			// cleanup) so the VM stays serviceable.
-			if rh != nil {
-				rh.failApply()
-			} else if gcRes.ScratchWords > 0 {
-				e.VM.Heap.ResetScratch()
-			}
-			return fail(err)
-		}
-		p.stats.TransformedObjects = len(gcRes.Log)
-		if gcRes.ScratchWords > 0 && rh == nil {
-			// Old copies lived in the scratch region; reclaim it immediately
-			// (§3.5: "reclaim it when the collection completes") instead of
-			// waiting for the next collection to sweep them from to-space.
-			// (Under concurrent relocation the drain still scans the scratch
-			// copies, so reclamation waits for drain finalize.)
-			e.VM.Heap.ResetScratch()
-		}
+	if err := resid.runPause(); err != nil {
+		// Partially transformed objects keep default field values (data
+		// loss), but the metadata must come back consistent (fail retires
+		// the residue) so the VM stays serviceable.
+		return fail(err)
 	}
-	p.stats.PauseTransform = time.Since(tTr)
+	p.res.Stats.PauseTransform = time.Since(tTr)
 
 	// --- Class initializers of brand-new classes -----------------------------
-	// In lazy mode the barrier is already armed here, deliberately: a clinit
-	// that touches updated-class instances transforms them on first use,
-	// keeping its observable behaviour identical to eager mode.
+	// The residue hook is still installed here, deliberately: with on-touch
+	// transformation a clinit that touches updated-class instances transforms
+	// them on first use, keeping its observable behaviour identical to eager
+	// mode, and a clinit-triggered collection can force the residue.
 	phase("clinit")
 	for _, name := range spec.AddedClasses {
 		if cls := reg.LookupClass(name); cls != nil {
 			if err := e.VM.RunClinit(cls); err != nil {
-				if rh != nil {
-					// Force-complete the drain inline before unwinding: the
-					// world must not resume with from-space held and no
-					// engine handle left to retire it. (Runs before
-					// abortPause — abortPause reclaims the scratch region the
-					// forced drain still reads.)
-					rh.failApply()
-				}
-				if ld != nil {
-					ld.abortPause()
-				}
 				return fail(fmt.Errorf("core: <clinit> of added class %s: %w", name, err))
 			}
 		}
 	}
 
-	// --- Cleanup --------------------------------------------------------------
-	// The old class versions and the transformer class have done their
-	// job; unregistering them lets the next collection reclaim everything
-	// (the update log is dropped with gcRes). In lazy mode with a live
-	// drain both must survive the pause — the drain resolves old-copy
-	// class ids through the renamed versions and runs transformer methods
-	// — so finishDrain runs cleanup when pending hits zero instead. (A
-	// drain completing during the clinit phase already ran it; cleanup is
-	// idempotent, and ld.done marks that case.) Under concurrent relocation
-	// cleanup is deferred to drain finalize in EVERY mode: the drain sizes
-	// old copies by their old class ids, so the renamed versions must stay
-	// registered until from-space is fully evacuated.
-	if rh == nil && (ld == nil || ld.done) {
-		cleanup()
-	}
+	// The old class versions and the transformer class have done their job
+	// unless something is still outstanding — tagged pairs (the drain
+	// resolves old-copy class ids through the renamed versions and runs
+	// transformer methods) or an unfinished relocation (it sizes old copies
+	// by their old class ids) — in which case the residue outlives the pause.
+	resid.leavePause()
 
-	// Start the relocation drain last, still inside the pause: background
-	// workers spawn here, and from the first post-pause slice the scheduler
-	// polls rh.tick to finalize the moment they run from-space dry. (If a
-	// clinit-triggered collection already forced the drain, Start and the
-	// tick hook are skipped — finalize already ran.)
-	if rh != nil && !rh.finalized {
-		rl.Start()
-		e.VM.DSURelocTick = rh.tick
-	}
-
-	p.stats.PauseTotal = time.Since(totalStart)
-	return &Result{Outcome: Applied}
-}
-
-// Transformation status of one update-log pair, keyed by the new object.
-const (
-	stNone = iota
-	stInProgress
-	stDone
-)
-
-// runTransformers executes class transformers for every updated class, then
-// object transformers over the update log. Transformers run on synchronous
-// VM threads with collection disabled (the log holds raw addresses). The
-// Jvolve.forceTransform native lets a transformer eagerly transform an
-// object it must dereference; cycles abort the update (paper §3.4).
-//
-// With FastDefaults, pairs whose class carries a UPT-generated default
-// transformer are bulk-copied natively — and, when the collector is
-// configured with multiple workers, fanned out across a worker pool before
-// the serial log walk (each bulk transform touches only its own disjoint
-// pair, so the fan-out is race-free). Custom bytecode transformers always
-// run serially on the VM, which is not re-entrant.
-func (e *Engine) runTransformers(p *Pending, spec *upt.Spec, transformers *rt.Class, gcRes *gc.Result) error {
-	v := e.VM
-	v.GCDisabled = true
-	defer func() { v.GCDisabled = false }()
-
-	status := make(map[rt.Addr]int, len(gcRes.Log))
-
-	var transform func(newAddr rt.Addr) error
-	transform = func(newAddr rt.Addr) error {
-		if newAddr == rt.Null {
-			return nil
-		}
-		switch status[newAddr] {
-		case stDone:
-			return nil
-		case stInProgress:
-			return fmt.Errorf("core: transformer cycle detected at object @%d; aborting update", newAddr)
-		}
-		oldCopy, updated := gcRes.OldForNew[newAddr]
-		if !updated {
-			return nil // not an updated object: nothing to do
-		}
-		status[newAddr] = stInProgress
-		newCls := v.Reg.ClassByID(v.Heap.ClassID(newAddr))
-		oldCls := v.Reg.ClassByID(v.Heap.ClassID(oldCopy))
-		if newCls == nil || oldCls == nil {
-			return fmt.Errorf("core: transformer: unknown class for pair @%d/@%d", newAddr, oldCopy)
-		}
-		if p.Opts.FastDefaults && spec.DefaultObjectTransformers[newCls.Name] {
-			// A generated default is a pure copy of unchanged fields;
-			// run it as a bulk copy, skipping interpretation entirely.
-			nativeObjectTransform(v, newCls, oldCls, spec.OldFlatDefs[oldCls.Name], newAddr, oldCopy)
-			status[newAddr] = stDone
-			p.stats.BulkTransformed++
-			v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "default:"+newCls.Name)
-			return nil
-		}
-		sig := classfile.Sig("(L" + newCls.Name + ";L" + oldCls.Name + ";)V")
-		tm := transformers.Method("jvolveObject", sig)
-		if tm == nil {
-			return fmt.Errorf("core: no object transformer jvolveObject%s", sig)
-		}
-		if err := v.RunSynchronous("jvolveObject:"+newCls.Name, tm,
-			[]rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
-			return fmt.Errorf("core: object transformer for %s: %w", newCls.Name, err)
-		}
-		status[newAddr] = stDone
-		p.stats.BytecodeTransformed++
-		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "jvolveObject:"+newCls.Name)
-		return nil
-	}
-
-	v.DSUForceTransform = transform
-	defer func() { v.DSUForceTransform = nil }()
-
-	// Class transformers first, then objects (paper §3.4).
-	if err := e.runClassTransformers(p, spec, transformers); err != nil {
-		return err
-	}
-	// Parallel bulk pass: default-transformer pairs not already force-
-	// transformed by a class transformer are pure disjoint field copies —
-	// fan them out before the serial walk. Pairs it completes are marked
-	// stDone, so the walk below skips them.
-	if p.Opts.FastDefaults {
-		e.bulkTransformObjects(p, spec, gcRes, status)
-	}
-	for _, pair := range gcRes.Log {
-		if err := transform(pair.New); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runClassTransformers executes the class transformer for every updated
-// class — the UPT-generated default as a native static copy under
-// FastDefaults, interpreted jvolveClass otherwise. Shared by the eager
-// transform phase and the lazy prepare phase (class transformers always run
-// inside the pause: statics must be correct before the program resumes).
-// The caller installs v.DSUForceTransform first so a class transformer can
-// force-transform the objects it dereferences.
-func (e *Engine) runClassTransformers(p *Pending, spec *upt.Spec, transformers *rt.Class) error {
-	v := e.VM
-	for _, name := range spec.ClassUpdates {
-		cls := v.Reg.LookupClass(name)
-		if cls == nil {
-			continue
-		}
-		if p.Opts.FastDefaults && spec.DefaultClassTransformers[name] {
-			oldCls := v.Reg.LookupClass(spec.RenamedName(name))
-			if oldCls != nil {
-				nativeClassTransform(v, cls, oldCls, spec.OldFlatDefs[oldCls.Name])
-				v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "defaultClass:"+name)
-			}
-			continue
-		}
-		sig := classfile.Sig("(L" + name + ";)V")
-		tm := transformers.Method("jvolveClass", sig)
-		if tm == nil {
-			continue // class never loaded old-side or no statics to carry
-		}
-		if err := v.RunSynchronous("jvolveClass:"+name, tm, []rt.Value{rt.NullVal}); err != nil {
-			return fmt.Errorf("core: class transformer for %s: %w", name, err)
-		}
-		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "jvolveClass:"+name)
-	}
+	p.res.Stats.PauseTotal = time.Since(totalStart)
 	return nil
 }

@@ -246,11 +246,15 @@ type Options struct {
 
 // Pending tracks an in-flight update request.
 type Pending struct {
-	Spec    *upt.Spec
-	Opts    Options
-	start   time.Time
-	result  *Result
-	stats   Stats
+	Spec  *upt.Spec
+	Opts  Options
+	start time.Time
+	// res is the request's Result from the start, so everything that books
+	// statistics — including a residue that outlives the pause — writes to
+	// the one address the caller will read. It is published (Result returns
+	// it) once done is set.
+	res     *Result
+	done    bool
 	barrier map[*vm.Frame]bool
 
 	// mark is the in-flight (or sealed) concurrent marker when the collector
@@ -266,10 +270,15 @@ type Pending struct {
 }
 
 // Done reports whether the request has finished.
-func (p *Pending) Done() bool { return p.result != nil }
+func (p *Pending) Done() bool { return p.done }
 
 // Result returns the terminal result, or nil while in flight.
-func (p *Pending) Result() *Result { return p.result }
+func (p *Pending) Result() *Result {
+	if !p.done {
+		return nil
+	}
+	return p.res
+}
 
 // Engine drives updates against one VM.
 type Engine struct {
@@ -291,12 +300,9 @@ type Engine struct {
 	GatePolicy GatePolicy
 
 	pending *Pending
-	// lazy is the in-flight post-pause drain of the most recent
-	// LazyTransform update, nil outside a drain window.
-	lazy *lazyDrain
-	// reloc is the in-flight concurrent relocation drain of the most recent
-	// ConcurrentReloc update, nil outside a drain window.
-	reloc *relocHandle
+	// residue is what the most recent update's collection left outstanding
+	// (tagged pairs, an in-flight relocation), nil outside a drain window.
+	residue *residue
 	// halt holds the FAIL verdict that tripped GateHalt; while set,
 	// RequestUpdate refuses new updates.
 	halt *obs.Verdict
@@ -339,13 +345,16 @@ func (e *Engine) RequestUpdate(spec *upt.Spec, opts Options) (*Pending, error) {
 	if e.halt != nil {
 		return nil, fmt.Errorf("core: updates halted by gate policy (%s); ClearHalt to resume", e.halt)
 	}
+	if err := e.VM.FatalHeap; err != nil {
+		return nil, fmt.Errorf("core: update refused: %w", err)
+	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 15 * time.Second
 	}
 	if err := e.verifyUpdate(spec); err != nil {
 		return nil, err
 	}
-	p := &Pending{Spec: spec, Opts: opts, start: time.Now(), barrier: make(map[*vm.Frame]bool)}
+	p := &Pending{Spec: spec, Opts: opts, start: time.Now(), res: &Result{}, barrier: make(map[*vm.Frame]bool)}
 	if e.Gate != nil {
 		// Open the gate window on fresh numbers: publish the VM's own
 		// deltas, then snapshot.
@@ -556,21 +565,22 @@ func (e *Engine) handle() bool {
 	if p == nil || p.Done() {
 		return true
 	}
-	if e.reloc != nil {
-		// A follow-up update arrived with the previous update's relocation
-		// drain still holding from-space: force-complete it first — this
-		// update's collection cannot flip a heap with an armed load barrier,
-		// and in deferred-pair mode the forced finalize is what hands the
-		// drain-created pairs to the lazy residue forced just below.
-		_ = e.reloc.force()
-	}
-	if e.lazy != nil {
+	if e.residue != nil {
 		// A follow-up update arrived mid-drain: force-complete the previous
-		// update's residue first, so its pair log, scratch region and
-		// renamed old versions retire before this update builds its own.
-		// Transformer errors during the forced drain are the affected
-		// objects' data loss, not this update's failure.
-		_ = e.lazy.forceAll()
+		// update's residue first, so its pair log, scratch region, renamed
+		// old versions and from-space hold retire before this update builds
+		// its own (this update's collection cannot flip a heap with an armed
+		// load barrier). Transformer errors during the forced drain are the
+		// affected objects' data loss, not this update's failure.
+		_ = e.residue.force()
+	}
+	if err := e.VM.FatalHeap; err != nil {
+		// A failed drain (just now, or any earlier collection failure) left
+		// slots holding from-space addresses: installing classes and flipping
+		// such a heap would only spread the damage. Nothing has been done
+		// yet, so nothing needs rolling back.
+		e.finish(p, Failed, fmt.Errorf("core: update refused: %w", err))
+		return true
 	}
 	if e.VM.GC.Opts.ConcurrentMark && !(e.VM.GC.Opts.ConcurrentReloc && e.VM.LazyTransform) {
 		// (With ConcurrentReloc ∧ LazyTransform the mark would be wasted
@@ -585,7 +595,7 @@ func (e *Engine) handle() bool {
 			return p.Done() // stepMark may abort the update on timeout
 		}
 	}
-	p.stats.Attempts++
+	p.res.Stats.Attempts++
 
 	cat1, updatedOld := e.restrictedSets(p.Spec)
 	active := e.activeMaps(p.Spec)
@@ -632,9 +642,9 @@ func (e *Engine) handle() bool {
 			if !topBlocking.Barrier {
 				topBlocking.Barrier = true
 				p.barrier[topBlocking] = true
-				p.stats.BarriersInstalled++
+				p.res.Stats.BarriersInstalled++
 				e.VM.Rec.Emit(obs.KBarrierInstalled, obs.LaneThread(t.ID),
-					int64(p.stats.Attempts), topBlocking.CM.Method.FullName())
+					int64(p.res.Stats.Attempts), topBlocking.CM.Method.FullName())
 				e.VM.ReleaseUpdateWaiters() // let other threads run on
 			} else if t.State == vm.UpdateWait {
 				// The thread parked when an inner frame's barrier fired, but
@@ -647,30 +657,32 @@ func (e *Engine) handle() bool {
 			}
 		}
 	}
-	e.VM.Rec.Emit(obs.KSafePointAttempt, obs.LaneEngine, int64(p.stats.Attempts), blockingMethod)
+	e.VM.Rec.Emit(obs.KSafePointAttempt, obs.LaneEngine, int64(p.res.Stats.Attempts), blockingMethod)
 
 	if blocked {
 		timedOut := time.Since(p.start) > p.Opts.Timeout ||
-			(p.Opts.MaxAttempts > 0 && p.stats.Attempts >= p.Opts.MaxAttempts)
+			(p.Opts.MaxAttempts > 0 && p.res.Stats.Attempts >= p.Opts.MaxAttempts)
 		if timedOut {
-			e.finish(p, &Result{Outcome: Aborted,
-				Err: fmt.Errorf("core: no DSU safe point within %v (%d attempts)",
-					p.Opts.Timeout, p.stats.Attempts)})
+			e.finish(p, Aborted, fmt.Errorf("core: no DSU safe point within %v (%d attempts)",
+				p.Opts.Timeout, p.res.Stats.Attempts))
 			return true
 		}
 		return false // keep running; barriers or the next attempt will retry
 	}
 
 	// DSU safe point reached.
-	p.stats.Immediate = p.stats.Attempts == 1 && p.stats.BarriersInstalled == 0
-	p.stats.SafePointDelay = time.Since(p.start)
-	e.VM.Rec.Emit(obs.KSafePointReached, obs.LaneEngine, int64(p.stats.Attempts),
-		p.stats.SafePointDelay.String())
+	p.res.Stats.Immediate = p.res.Stats.Attempts == 1 && p.res.Stats.BarriersInstalled == 0
+	p.res.Stats.SafePointDelay = time.Since(p.start)
+	e.VM.Rec.Emit(obs.KSafePointReached, obs.LaneEngine, int64(p.res.Stats.Attempts),
+		p.res.Stats.SafePointDelay.String())
 	if e.Gate != nil {
 		p.gateDuring = e.VM.Metrics.TakeSnapshot()
 	}
-	res := e.apply(p, osrJobs, cat1)
-	e.finish(p, res)
+	if err := e.apply(p, osrJobs, cat1); err != nil {
+		e.finish(p, Failed, err)
+	} else {
+		e.finish(p, Applied, nil)
+	}
 	return true
 }
 
@@ -690,7 +702,7 @@ const maxMarkRestarts = 3
 // detect via p.Done().
 func (e *Engine) stepMark(p *Pending) bool {
 	gcc := e.VM.GC
-	p.stats.GCMarkRestarts = p.markRestarts
+	p.res.Stats.GCMarkRestarts = p.markRestarts
 	if p.mark == nil {
 		if p.markRestarts > maxMarkRestarts {
 			return true // fall back to fused STW discovery
@@ -715,8 +727,7 @@ func (e *Engine) stepMark(p *Pending) bool {
 		if time.Since(p.start) > p.Opts.Timeout {
 			gcc.AbortMark()
 			p.mark = nil
-			e.finish(p, &Result{Outcome: Aborted,
-				Err: fmt.Errorf("core: concurrent mark did not complete within %v", p.Opts.Timeout)})
+			e.finish(p, Aborted, fmt.Errorf("core: concurrent mark did not complete within %v", p.Opts.Timeout))
 			return false
 		}
 		runtime.Gosched() // cede the processor to the markers
@@ -753,7 +764,7 @@ func (e *Engine) updatedClassIDs(spec *upt.Spec) map[int]bool {
 }
 
 // finish seals the request, clears barriers, and releases parked threads.
-func (e *Engine) finish(p *Pending, res *Result) {
+func (e *Engine) finish(p *Pending, outcome Outcome, err error) {
 	// Discard any snapshot the update did not consume (aborted or failed
 	// before the collection ran): the marker must not outlive its request.
 	// No-op when CollectWithMark already took it or no mark ever started.
@@ -762,16 +773,9 @@ func (e *Engine) finish(p *Pending, res *Result) {
 	for f := range p.barrier {
 		f.Barrier = false
 	}
-	res.Stats = p.stats
-	if e.lazy != nil && e.lazy.stats == &p.stats {
-		// Post-pause drain accounting must land in the sealed Result the
-		// caller reads, not the dead Pending's copy.
-		e.lazy.stats = &res.Stats
-	}
-	if e.reloc != nil && e.reloc.stats == &p.stats {
-		e.reloc.stats = &res.Stats
-	}
-	p.result = res
+	res := p.res
+	res.Outcome, res.Err = outcome, err
+	p.done = true
 	e.Updates = append(e.Updates, res)
 	e.emitTerminal(res)
 	e.observeUpdate(res)

@@ -121,29 +121,3 @@ func TestGateHaltPolicyBlocksUpdatesUntilCleared(t *testing.T) {
 		t.Fatalf("answer = %q, want 3", got)
 	}
 }
-
-func TestGateForceDrainPolicySettlesLazyResidue(t *testing.T) {
-	f := newLazyFixture(t, 1<<16, 1<<12)
-	armGates(f, failingPauseGate(), core.GateForceDrain)
-	v1 := f.load(lazyV1)
-	v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
-		"class Box {\n  field pad LString;\n  field v I", 1))
-	f.spawn("App")
-	f.vm.Step(1)
-
-	res := f.mustApply("1", v1, v2, "")
-	if res.Verdict == nil || res.Verdict.Pass {
-		t.Fatalf("verdict %s, want FAIL", res.Verdict)
-	}
-	// The FAIL triggered a force drain inside judge: no lazy residue survives
-	// the verdict even though the update itself deferred every pair.
-	if res.Stats.LazyPending == 0 {
-		t.Fatal("update deferred nothing; test needs a lazy residue")
-	}
-	if f.vm.LazyDrainActive() {
-		t.Fatal("force-drain policy left the lazy drain active")
-	}
-	if got := f.engine.LazyBacklog(); got != 0 {
-		t.Fatalf("lazy backlog %d after force-drain policy", got)
-	}
-}

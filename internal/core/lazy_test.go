@@ -7,7 +7,6 @@ import (
 
 	"govolve/internal/core"
 	"govolve/internal/storm"
-	"govolve/internal/upt"
 	"govolve/internal/vm"
 )
 
@@ -115,7 +114,7 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 	if res.Stats.TransformedObjects != 0 {
 		t.Fatalf("pause transformed %d objects in lazy mode, want 0", res.Stats.TransformedObjects)
 	}
-	if !f.vm.LazyDrainActive() {
+	if !f.vm.DrainActive() {
 		t.Fatal("drain not active after lazy update")
 	}
 	// Mid-drain the renamed old version and the scratch region must
@@ -137,7 +136,7 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 	if res.Stats.LazyDrained != 1 {
 		t.Fatalf("LazyDrained = %d, want 1 (only a was touched)", res.Stats.LazyDrained)
 	}
-	if !f.vm.LazyDrainActive() {
+	if !f.vm.DrainActive() {
 		t.Fatal("drain retired early: b was never touched")
 	}
 
@@ -150,24 +149,10 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 	if res.Stats.TransformedObjects != 2 {
 		t.Fatalf("TransformedObjects = %d after drain, want 2 (eager count)", res.Stats.TransformedObjects)
 	}
-	if f.vm.LazyDrainActive() {
-		t.Fatal("drain still active after ForceDrain")
-	}
-	// Post-drain the VM must be indistinguishable from an eager update:
-	// no renamed old version, no transformer class, empty scratch, and the
-	// untouched object's field carried by the (forced) default transformer.
-	if f.vm.Reg.LookupClass("v1_Box") != nil {
-		t.Fatal("drain completion left the renamed old version registered")
-	}
-	if f.vm.Reg.LookupClass(upt.TransformersClassName) != nil {
-		t.Fatal("drain completion left the transformer class registered")
-	}
-	if f.vm.Heap.ScratchUsed() != 0 {
-		t.Fatal("drain completion left the scratch region populated")
-	}
-	if err := storm.CheckVM(f.vm); err != nil {
-		t.Fatalf("post-drain invariant sweep: %v", err)
-	}
+	// Post-drain the VM must be indistinguishable from an eager update, and
+	// the untouched object's field carried by the (forced) default
+	// transformer.
+	assertRetired(t, f, false)
 	if got := rawBoxV(t, f, "b"); got != 9 {
 		t.Fatalf("b.v = %d after forced drain, want 9", got)
 	}
@@ -305,19 +290,11 @@ class JvolveTransformers {
 
 	// The cycle unwound done-with-defaults: both chain members retired, so
 	// the drain completed and the VM is clean.
-	if f.vm.LazyDrainActive() {
-		t.Fatal("drain still active after cycle unwound the whole chain")
-	}
+	assertRetired(t, f, false)
 	// The error was already delivered to the touching thread; the retired
 	// drain makes ForceDrain a no-op.
 	if err := f.engine.ForceDrain(); err != nil {
 		t.Fatalf("ForceDrain after retired drain: %v", err)
-	}
-	if f.vm.Reg.LookupClass("v1_Pair") != nil || f.vm.Reg.LookupClass(upt.TransformersClassName) != nil {
-		t.Fatal("cycle abort left update debris registered")
-	}
-	if err := storm.CheckVM(f.vm); err != nil {
-		t.Fatalf("invariant sweep after barrier cycle: %v", err)
 	}
 
 	// A benign follow-up update still applies.
@@ -367,47 +344,7 @@ func TestLazySecondUpdateForcesDrain(t *testing.T) {
 	if got := rawBoxV(t, f, "b"); got != 9 {
 		t.Fatalf("b.v = %d after two lazy updates, want 9", got)
 	}
-	if err := storm.CheckVM(f.vm); err != nil {
-		t.Fatalf("invariant sweep: %v", err)
-	}
-	if got := strings.TrimSpace(f.finish()); got != "7" {
-		t.Fatalf("output = %q, want 7", got)
-	}
-}
-
-// TestLazyDrainForcedByCollection: a collection arriving mid-drain would
-// invalidate the pair log's raw addresses and reclaim the old copies, so
-// CollectGarbage must force-complete the residue first.
-func TestLazyDrainForcedByCollection(t *testing.T) {
-	f := newLazyFixture(t, 1<<16, 1<<12)
-	v1 := f.load(lazyV1)
-	v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
-		"class Box {\n  field pad LString;\n  field v I", 1))
-	f.spawn("App")
-	f.vm.Step(1)
-
-	res := f.mustApply("1", v1, v2, "")
-	if res.Stats.LazyPending != 2 {
-		t.Fatalf("LazyPending = %d, want 2", res.Stats.LazyPending)
-	}
-	if _, err := f.vm.CollectGarbage(); err != nil {
-		t.Fatalf("collection mid-drain: %v", err)
-	}
-	if f.vm.LazyDrainActive() {
-		t.Fatal("collection ran without forcing the drain")
-	}
-	if res.Stats.LazyForced != 2 {
-		t.Fatalf("LazyForced = %d after collection, want 2", res.Stats.LazyForced)
-	}
-	if got := rawBoxV(t, f, "a"); got != 7 {
-		t.Fatalf("a.v = %d after collection-forced drain, want 7", got)
-	}
-	if got := rawBoxV(t, f, "b"); got != 9 {
-		t.Fatalf("b.v = %d after collection-forced drain, want 9", got)
-	}
-	if err := storm.CheckVM(f.vm); err != nil {
-		t.Fatalf("invariant sweep: %v", err)
-	}
+	assertRetired(t, f, false)
 	if got := strings.TrimSpace(f.finish()); got != "7" {
 		t.Fatalf("output = %q, want 7", got)
 	}

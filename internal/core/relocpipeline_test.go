@@ -369,15 +369,7 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 				t.Fatalf("%s workers=%d: sealed-mark reloc pause reports in-pause discovery %v",
 					m.name, workers, c.PauseGCMark)
 			}
-			if rf.vm.RelocDrainActive() {
-				t.Fatalf("%s workers=%d: drain still active after ForceDrain", m.name, workers)
-			}
-			if rf.vm.Heap.RelocArmed() {
-				t.Fatalf("%s workers=%d: load barrier left armed after drain", m.name, workers)
-			}
-			if rf.vm.LazyDrainActive() {
-				t.Fatalf("%s workers=%d: lazy drain left active after ForceDrain", m.name, workers)
-			}
+			assertRetired(t, rf, false)
 			// The VM must remain collectable and updatable after the drain.
 			if _, err := rf.vm.CollectGarbage(); err != nil {
 				t.Fatalf("%s workers=%d: post-drain collection: %v", m.name, workers, err)
@@ -386,41 +378,9 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRelocDrainForcedByCollection pins the from-space hold lifecycle: a
-// collection requested while the relocation drain is in flight must
-// force-complete the drain first (a flip cannot run with the barrier armed),
-// then collect normally on a fully healed heap.
-func TestRelocDrainForcedByCollection(t *testing.T) {
-	f := newRelocFixture(t, 1<<16, 2, false, false)
-	v1 := f.load(relocV1)
-	v2 := f.prog(relocV2)
-	f.spawn("App")
-	f.vm.Step(10)
-	res := f.mustApply("1", v1, v2, "")
-
-	// Collect immediately: on 1 vCPU the background workers have likely not
-	// even been scheduled yet, so this exercises the forced drain for real.
-	if _, err := f.vm.CollectGarbage(); err != nil {
-		t.Fatalf("collection during drain: %v", err)
-	}
-	if f.vm.RelocDrainActive() {
-		t.Fatal("drain still active after forced collection")
-	}
-	if f.vm.Heap.RelocArmed() {
-		t.Fatal("load barrier left armed after forced collection")
-	}
-	if out := f.finish(); out == "" {
-		t.Fatal("program did not finish after forced drain")
-	}
-	if !res.Stats.RelocConcurrent || res.Stats.RelocObjects == 0 {
-		t.Fatalf("drain stats not stamped: %+v", res.Stats)
-	}
-}
-
 // TestRelocFollowUpUpdate pins the update-during-drain path: a second update
 // arriving while the first one's relocation drain is in flight must
-// force-complete that drain (handle() forces reloc before lazy) and then
-// apply cleanly. The program output must match a VM that took both updates
+// force-complete that drain and then apply cleanly. The program output must match a VM that took both updates
 // stop-the-world.
 func TestRelocFollowUpUpdate(t *testing.T) {
 	run := func(f *fixture) string {
@@ -443,9 +403,7 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 	if outSTW != outRel {
 		t.Fatalf("output diverged across chained updates: STW %q, reloc %q", outSTW, outRel)
 	}
-	if rel.vm.RelocDrainActive() || rel.vm.Heap.RelocArmed() {
-		t.Fatal("drain residue after chained updates")
-	}
+	assertRetired(t, rel, false)
 }
 
 // TestRelocLazyDeferredPairs pins full deferral end to end: composed with
@@ -481,7 +439,5 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 		t.Fatalf("conservation broken after terminal drain: transformed %d != pairs logged %d",
 			st.TransformedObjects, st.PairsLogged)
 	}
-	if f.vm.RelocDrainActive() || f.vm.LazyDrainActive() {
-		t.Fatal("drain residue after force-complete")
-	}
+	assertRetired(t, f, false)
 }

@@ -1,0 +1,479 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"govolve/internal/classfile"
+	"govolve/internal/gc"
+	"govolve/internal/obs"
+	"govolve/internal/rt"
+	"govolve/internal/upt"
+	"govolve/internal/vm"
+)
+
+// Transformation status of one update-log pair, keyed by the new object.
+const (
+	stNone = iota
+	stInProgress
+	stDone
+)
+
+// residue is everything one update leaves behind that must outlive its DSU
+// collection: the pair log with the per-pair transformation status, the
+// in-flight relocation (vm.Options.ConcurrentReloc), and what both still need
+// from the install phase — the renamed old class versions (old copies are
+// sized and typed through their class ids), the transformer class, and the
+// scratch region holding old copies. The paper has one transformer phase and
+// one teardown (§3.4–3.5); where the transformers run is a placement, data on
+// this object, not a separate code path:
+//
+//   - eager (default): runPause walks the whole log inside the pause and the
+//     first transformer error fails the update;
+//   - on touch (LazyTransform, the §5 on-first-use hybrid): runPause tags
+//     every pair instead, and the read barrier (vm.VM.Residue) transforms each
+//     on first touch — an error there is the object's data loss, since the
+//     program already resumed on the new version;
+//   - adopted (ConcurrentReloc ∧ LazyTransform): the pause made (almost) no
+//     pairs; the relocation creates and tags them as it evacuates, and the
+//     log adopts them on first touch or when the relocation finishes.
+//
+// Lifecycle: apply builds it once the install phase has loaded the new code
+// and attaches it to the VM when the collection succeeds. It retires — one
+// teardown for every placement and every failure path — as soon as nothing is
+// outstanding: at the end of the pause (eager), when the last tagged pair
+// transforms, when the relocation's workers run from-space dry (tick), or
+// when a collection, a follow-up update, a gate policy or the harness forces
+// it (force).
+//
+// Everything here runs on the mutator goroutine — barrier hits, forced
+// drains and collections all happen inside VM.Step — so no locking.
+type residue struct {
+	e            *Engine
+	spec         *upt.Spec
+	opts         Options
+	transformers *rt.Class
+	renamed      []*rt.Class // old versions, unregistered at retire
+	stats        *Stats
+
+	log       []gc.Pair
+	oldForNew map[rt.Addr]rt.Addr
+	status    map[rt.Addr]int
+	pending   int // tagged pairs still awaiting their transformer
+
+	onTouch   bool           // transformers run on first touch, not in the pause
+	rl        *gc.Relocation // nil without ConcurrentReloc
+	relocDone bool           // rl finished: from-space released, pair log final
+
+	sealed   time.Time // transformer phase end; drain latency is measured from here
+	forcing  bool      // inside force: classify completions as LazyForced
+	retired  bool
+	firstErr error // first transformer error outside the pause (data loss)
+	fatal    error // the relocation drain failed: the heap is unusable
+}
+
+// attach hands the residue what the DSU collection produced and installs it
+// as the VM's residue hook — before the transformer phase, because a
+// transformer (Jvolve.forceTransform) or a clinit-triggered collection must
+// be able to reach it while the pause is still open.
+func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
+	r.log, r.oldForNew, r.rl = gcRes.Log, gcRes.OldForNew, rl
+	r.status = make(map[rt.Addr]int, len(r.log))
+	r.onTouch = r.e.VM.LazyTransform
+	if r.adopts() {
+		// The pairs the pause itself forced (root-remap evacuations of
+		// updated-class instances).
+		r.adopt(rl.DeferredPairs())
+	}
+	r.e.residue = r
+	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.onTouch, Transform: r.transform, Tick: r.tick, Force: r.force}
+}
+
+// adopts reports the adopted placement: pairs come from the relocation.
+func (r *residue) adopts() bool { return r.onTouch && r.rl != nil }
+
+// adopt takes over pairs the relocation created and tagged. Pairs the log
+// already holds are skipped. PairsLogged tracks the pair log wherever pairs
+// are created — here rather than in the pause — keeping the chain-wide
+// conservation law (TransformedObjects == PairsLogged after the terminal
+// drain) mode-blind.
+func (r *residue) adopt(pairs []gc.Pair) {
+	h := r.e.VM.Heap
+	for _, pair := range pairs {
+		if _, ok := r.oldForNew[pair.New]; ok {
+			continue
+		}
+		r.log = append(r.log, pair)
+		r.oldForNew[pair.New] = pair.OldCopy
+		r.stats.PairsLogged++
+		if r.status[pair.New] == stNone && h.Untransformed(pair.New) {
+			r.pending++
+		}
+	}
+	r.stats.LazyPending = r.stats.LazyDrained + r.stats.LazyForced + r.pending
+}
+
+// runPause is the transformer phase inside the DSU pause. Class transformers
+// always run here (statics must be correct before the program resumes), then
+// the object log is walked (eager) or tagged (on touch). Transformers run on
+// synchronous VM threads with collection disabled — the log holds raw
+// addresses. An error fails the update; tagging happens after the only
+// fallible step, so a failed on-touch update leaves no tag of its own.
+//
+// With FastDefaults, eager pairs whose class carries a UPT-generated default
+// transformer are bulk-copied natively — and, when the collector is
+// configured with multiple workers, fanned out across a worker pool before
+// the serial log walk. Custom bytecode transformers always run serially on
+// the VM, which is not re-entrant.
+func (r *residue) runPause() error {
+	v := r.e.VM
+	v.GCDisabled = true
+	defer func() { v.GCDisabled = false }()
+
+	// Class transformers first, then objects (paper §3.4).
+	if err := r.runClassTransformers(); err != nil {
+		return err
+	}
+	switch {
+	case !r.onTouch:
+		if r.opts.FastDefaults {
+			r.bulkTransform()
+		}
+		for _, pair := range r.log {
+			if err := r.transform(pair.New); err != nil {
+				return err
+			}
+		}
+	case r.rl == nil:
+		// Tag what the class transformers did not already force. (In the
+		// adopted placement the relocation tags the shells it creates.)
+		for _, pair := range r.log {
+			if r.status[pair.New] != stDone {
+				v.Heap.MarkUntransformed(pair.New)
+				r.pending++
+			}
+		}
+		r.stats.LazyPending = r.pending
+	}
+	r.sealed = time.Now()
+	r.stats.TransformedObjects = len(r.log) - r.pending
+	return nil
+}
+
+// runClassTransformers executes the class transformer for every updated
+// class — the UPT-generated default as a native static copy under
+// FastDefaults, interpreted jvolveClass otherwise.
+func (r *residue) runClassTransformers() error {
+	v := r.e.VM
+	for _, name := range r.spec.ClassUpdates {
+		cls := v.Reg.LookupClass(name)
+		if cls == nil {
+			continue
+		}
+		if r.opts.FastDefaults && r.spec.DefaultClassTransformers[name] {
+			oldCls := v.Reg.LookupClass(r.spec.RenamedName(name))
+			if oldCls != nil {
+				nativeClassTransform(v, cls, oldCls, r.spec.OldFlatDefs[oldCls.Name])
+				v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "defaultClass:"+name)
+			}
+			continue
+		}
+		sig := classfile.Sig("(L" + name + ";)V")
+		tm := r.transformers.Method("jvolveClass", sig)
+		if tm == nil {
+			continue // class never loaded old-side or no statics to carry
+		}
+		if err := v.RunSynchronous("jvolveClass:"+name, tm, []rt.Value{rt.NullVal}); err != nil {
+			return fmt.Errorf("core: class transformer for %s: %w", name, err)
+		}
+		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "jvolveClass:"+name)
+	}
+	return nil
+}
+
+// transform retires one pair: the pause's log walk, the read barrier's slow
+// path, the Jvolve.forceTransform native (a transformer eagerly transforming
+// an object it must dereference) and the forced drain are all this function.
+// Cycles are errors (paper §3.4). Inside the pause the caller fails the
+// update on the first error. After it a transformer error cannot — the
+// program already resumed on the new version — so the policy is
+// done-with-defaults: the object keeps whatever fields the collector
+// initialized (the §3.4 data-loss failure mode), the error is recorded and
+// returned, and the touching thread is killed by the caller.
+func (r *residue) transform(newAddr rt.Addr) error {
+	if newAddr == rt.Null {
+		return nil
+	}
+	switch r.status[newAddr] {
+	case stDone:
+		return nil
+	case stInProgress:
+		return fmt.Errorf("core: transformer cycle detected at object @%d; aborting update", newAddr)
+	}
+	oldCopy, updated := r.oldForNew[newAddr]
+	if !updated && r.adopts() {
+		// The relocation creates pairs the pause never saw. Adopt on first
+		// touch — the pair joins the log and the pending count exactly as if
+		// the pause had tagged it.
+		if oc, ok := r.rl.DeferredOldFor(newAddr); ok {
+			oldCopy, updated = oc, true
+			r.adopt([]gc.Pair{{New: newAddr, OldCopy: oc}})
+		}
+	}
+	if !updated {
+		return nil // not an updated object: nothing to do
+	}
+	r.status[newAddr] = stInProgress
+	// Clear the tag before running the transformer: its own reads and
+	// writes of the half-built object must not re-fire the barrier (the
+	// cycle check above still catches true cycles via forceTransform).
+	h := r.e.VM.Heap
+	tagged := h.Untransformed(newAddr)
+	if tagged {
+		h.ClearUntransformed(newAddr)
+	}
+	err := r.run(newAddr, oldCopy)
+	r.status[newAddr] = stDone
+	if err != nil && r.firstErr == nil {
+		r.firstErr = err
+	}
+	if tagged {
+		// Only tagged pairs count against pending; a pair the pause walked,
+		// or a class transformer forced before tagging, went through here
+		// untagged and is accounted by runPause.
+		r.completed()
+	}
+	return err
+}
+
+// run executes one object transformer — the native bulk copy for generated
+// defaults under FastDefaults, interpreted jvolveObject otherwise. The log
+// and the scratch-resident old copies hold raw addresses, so collection is
+// disabled around every (possibly nested) transformer run; the flag nests
+// because a barrier-invoked transformer can force-transform its neighbors.
+func (r *residue) run(newAddr, oldCopy rt.Addr) error {
+	v := r.e.VM
+	wasDisabled := v.GCDisabled
+	v.GCDisabled = true
+	defer func() { v.GCDisabled = wasDisabled }()
+
+	if r.adopts() {
+		// Heal the old copy's slots to canonical addresses before the
+		// transformer reads them: the native bulk path copies raw words, and
+		// a stale from-space reference copied into an already-scanned shell
+		// would never be healed again. (Pairs the pause itself evacuated need
+		// no heal: their shells are still ahead of the relocation's region
+		// cursor, so the scan heals whatever is written now.)
+		r.rl.HealObject(oldCopy)
+	}
+	newCls := v.Reg.ClassByID(v.Heap.ClassID(newAddr))
+	oldCls := v.Reg.ClassByID(v.Heap.ClassID(oldCopy))
+	if newCls == nil || oldCls == nil {
+		return fmt.Errorf("core: transformer: unknown class for pair @%d/@%d", newAddr, oldCopy)
+	}
+	if r.opts.FastDefaults && r.spec.DefaultObjectTransformers[newCls.Name] {
+		// A generated default is a pure copy of unchanged fields; run it as
+		// a bulk copy, skipping interpretation entirely.
+		nativeObjectTransform(v, newCls, oldCls, r.spec.OldFlatDefs[oldCls.Name], newAddr, oldCopy)
+		r.stats.BulkTransformed++
+		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "default:"+newCls.Name)
+		return nil
+	}
+	sig := classfile.Sig("(L" + newCls.Name + ";L" + oldCls.Name + ";)V")
+	tm := r.transformers.Method("jvolveObject", sig)
+	if tm == nil {
+		return fmt.Errorf("core: no object transformer jvolveObject%s", sig)
+	}
+	if err := v.RunSynchronous("jvolveObject:"+newCls.Name, tm,
+		[]rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
+		return fmt.Errorf("core: object transformer for %s: %w", newCls.Name, err)
+	}
+	r.stats.BytecodeTransformed++
+	v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "jvolveObject:"+newCls.Name)
+	return nil
+}
+
+// completed books one retired tagged pair and settles the residue.
+func (r *residue) completed() {
+	r.stats.TransformedObjects++
+	if r.forcing {
+		r.stats.LazyForced++
+	} else {
+		r.stats.LazyDrained++
+	}
+	if m := r.e.VM.Metrics; m != nil {
+		if r.forcing {
+			m.Counter(obs.MLazyForced).Add(1)
+		} else {
+			m.Counter(obs.MLazyDrained).Add(1)
+		}
+		m.Histogram(obs.MLazyDrainLatency, obs.DurationBuckets()).Observe(time.Since(r.sealed).Seconds())
+	}
+	r.pending--
+	r.settle()
+}
+
+// settle retires the residue once nothing is outstanding: no tagged pair,
+// and no relocation that could still add pairs or hold from-space (pending
+// may transiently hit zero before the relocation's log is final). A failed
+// relocation settles at once — nothing more can drain on a dead heap.
+func (r *residue) settle() {
+	if r.fatal != nil || (r.pending == 0 && (r.rl == nil || r.relocDone)) {
+		r.retire()
+	}
+}
+
+// leavePause ends the in-pause phase on the success path: retire on the spot
+// when the pause left nothing outstanding (always, for the plain eager
+// placement), otherwise start the relocation's background workers — last,
+// so the transformer and clinit phases' allocations land below its region
+// snapshot. From the first post-pause slice the scheduler polls tick.
+func (r *residue) leavePause() {
+	r.settle()
+	if !r.retired && r.rl != nil && !r.relocDone {
+		r.rl.Start()
+	}
+}
+
+// tick is the scheduler's between-slices poll. While the relocation runs it
+// costs two atomic loads; termination (or failure) finishes it on the
+// mutator goroutine.
+func (r *residue) tick() {
+	if r.rl != nil && !r.relocDone && r.rl.Done() {
+		r.finishReloc()
+		r.settle()
+	}
+}
+
+// finishReloc joins the relocation's workers (force-completing the drain on
+// this goroutine if they have not run from-space dry), disarms the load
+// barrier, and stamps the drain statistics. From-space is dead afterwards.
+// With the relocation done the pair log is final: the adopted placement
+// takes over whatever the mutator never touched.
+func (r *residue) finishReloc() {
+	if r.rl == nil || r.relocDone {
+		return
+	}
+	r.relocDone = true
+	st, err := r.rl.Finish()
+	s := r.stats
+	s.RelocObjects = st.Objects
+	s.RelocWords = st.Words
+	s.RelocScratchWords = st.ScratchWords
+	s.RelocHealedSlots = st.HealedSlots
+	s.RelocDeferredPairs = st.DeferredPairs
+	s.RelocSteals = st.Steals
+	s.RelocDrain = st.Drain
+	if m := r.e.VM.Metrics; m != nil {
+		m.Counter(obs.MRelocObjects).Add(int64(st.Objects))
+		m.Counter(obs.MRelocHealedSlots).Add(int64(st.HealedSlots))
+		m.Gauge(obs.MRelocBacklog).Set(0)
+		m.Histogram(obs.MRelocDrainLatency, obs.DurationBuckets()).Observe(st.Drain.Seconds())
+	}
+	// The drain failing post-flip (to-space exhausted mid-evacuation) means
+	// from-space was never fully evacuated: some slots still hold from-space
+	// addresses and the barrier that made them readable is now gone.
+	r.fatal = err
+	if r.adopts() {
+		r.adopt(r.rl.DeferredPairs())
+	}
+}
+
+// force completes everything outstanding on the mutator goroutine and
+// retires. Callers: vm.CollectGarbage (a flip cannot run with from-space
+// held, and would invalidate the log's raw addresses), Engine.handle on a
+// follow-up update (the new pause must not find a half-drained heap), and
+// Engine.ForceDrain. This is the one place that orders the two drains: the
+// relocation first, because the transformers read old copies whose slots the
+// relocation heals, and in the adopted placement finishing the relocation is
+// what makes the pair log final. Individual transformer errors do not stop
+// the drain — affected objects keep defaults. Returns the relocation's
+// failure if it failed (fatal to the heap), else the first transformer error
+// recorded (data loss).
+func (r *residue) force() error {
+	if !r.retired {
+		r.finishReloc()
+		if r.fatal == nil {
+			r.forcing = true
+			for _, pair := range r.log {
+				if r.retired {
+					break
+				}
+				if r.e.VM.Heap.Untransformed(pair.New) {
+					_ = r.transform(pair.New) // recorded in firstErr; drain must finish
+				}
+			}
+			r.forcing = false
+		}
+		r.retire()
+	}
+	if r.fatal != nil {
+		return r.fatal
+	}
+	return r.firstErr
+}
+
+// retire is the one teardown. It finishes the relocation if that is still in
+// flight (the world must never resume, and no collection may flip, with
+// from-space held), marks the heap unusable if the drain failed, clears the
+// tags of pairs an in-pause failure or a failed drain leaves untransformed,
+// uninstalls the hook, unlinks the renamed old versions and the transformer
+// class so the next collection can reclaim them, and reclaims the scratch
+// region (§3.5: "reclaim it when the collection completes"). After this the
+// VM is indistinguishable from one that updated eagerly. It runs on success
+// AND on every failure path once the new code is installed: the documented
+// failure mode for a transformer error is data loss — some objects keep
+// default field values — never dangling old-version classes, stale UpdatedTo
+// links, a live scratch region or a held from-space (§3.4). Idempotent.
+func (r *residue) retire() {
+	if r.retired {
+		return
+	}
+	r.retired = true
+	v := r.e.VM
+	r.finishReloc()
+	if r.fatal != nil {
+		v.MarkHeapUnusable(r.fatal)
+	}
+	if r.pending > 0 {
+		for _, pair := range r.log {
+			v.Heap.ClearUntransformed(pair.New)
+		}
+	}
+	r.e.residue, v.Residue = nil, nil
+	for _, old := range r.renamed {
+		old.UpdatedTo = nil
+		v.Reg.Unregister(old)
+	}
+	v.Reg.Unregister(r.transformers)
+	v.Heap.ResetScratch()
+}
+
+// LazyBacklog reports how many pairs are still tagged behind the read
+// barrier — the drain backlog — or 0 outside a drain window. It is the
+// gauge the stream obs plane samples after every chain step.
+func (e *Engine) LazyBacklog() int {
+	if e.residue == nil {
+		return 0
+	}
+	return e.residue.pending
+}
+
+// RelocBacklog reports how many words of live data the in-flight relocation
+// drain still has to evacuate or scan — 0 outside a drain window. The stream
+// obs plane samples it after every chain step, next to LazyBacklog.
+func (e *Engine) RelocBacklog() int {
+	if e.residue == nil {
+		return 0
+	}
+	return e.residue.rl.Backlog()
+}
+
+// ForceDrain force-completes the in-flight residue of the last update (see
+// residue.force for order and error contract). No-op outside a drain window.
+func (e *Engine) ForceDrain() error {
+	if e.residue == nil {
+		return nil
+	}
+	return e.residue.force()
+}

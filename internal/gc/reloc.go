@@ -850,7 +850,7 @@ func (rl *Relocation) Backlog() int {
 // ForceDrain completes the drain on the mutator goroutine: the mutator runs
 // a worker-equivalent loop (bracketing each item with the busy counter) until
 // global termination. Collections, follow-up updates, and Engine.ForceDrain
-// use it — the drain-contract mirror of the lazy pipeline's forceAll. Safe
+// use it through the engine's residue (core.residue.force). Safe
 // before Start (it begins the drain itself, with zero background workers).
 func (rl *Relocation) ForceDrain() error {
 	if !rl.started {

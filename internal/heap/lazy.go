@@ -27,7 +27,7 @@ import (
 // touch.
 //
 // Arm/disarm discipline mirrors satb.go: the barrier's armed state is the
-// VM-level touch hook (vm.DSULazyTouch), a single pointer nil-check on the
+// VM-level residue hook (vm.VM.Residue), a single pointer nil-check on the
 // disabled path. The heap only owns the per-object tag bit. All three
 // accessors run on the mutator goroutine only, like every other header
 // access — except while a concurrent relocation drain is armed, when the

@@ -38,23 +38,22 @@ const maxDeadErrorsGauge = 128
 func CheckVM(v *vm.VM) error {
 	reg, h := v.Reg, v.Heap
 	pending := v.UpdatePending()
-	// During a lazy-transform drain the renamed old class versions, their
-	// UpdatedTo links, the transformer class and the scratch region all
-	// legitimately outlive the pause — the drain needs them to resolve
-	// old-copy class ids and run transformer methods. The affected gauges
-	// relax until the drain finishes; the heap walk stays strict (no
-	// REACHABLE object may ever type as a renamed old version — old copies
-	// live only in the unreachable scratch region / pair log).
-	//
-	// A concurrent-relocation drain relaxes the same gauges for the same
-	// reason (its finalize owns the metadata cleanup), and needs nothing
-	// more from the walk itself: the walk reads every slot through the
-	// heap's accessors, so with the load barrier armed each reference it
-	// sees is healed to its canonical to-space address before the
-	// InCurrentSpace / forwarding-pointer checks run. The walk is therefore
-	// exactly as strict mid-drain — it just rides the barrier like any
-	// other reader (and, as a side effect, evacuates whatever it visits).
-	drain := v.LazyDrainActive() || v.RelocDrainActive()
+	// While an update's residue is outstanding — tagged pairs awaiting
+	// their transformer, a relocation holding from-space — the renamed old
+	// class versions, their UpdatedTo links, the transformer class and the
+	// scratch region all legitimately outlive the pause: the drain needs
+	// them to resolve old-copy class ids and run transformer methods, and
+	// its single teardown owns the metadata cleanup. The affected gauges
+	// relax until it retires; the heap walk stays strict (no REACHABLE
+	// object may ever type as a renamed old version — old copies live only
+	// in the unreachable scratch region / pair log). The walk reads every
+	// slot through the heap's accessors, so with the relocation load
+	// barrier armed each reference it sees is healed to its canonical
+	// to-space address before the InCurrentSpace / forwarding-pointer
+	// checks run: it is exactly as strict mid-drain — it just rides the
+	// barrier like any other reader (and, as a side effect, evacuates
+	// whatever it visits).
+	drain := v.DrainActive()
 
 	// --- registry metadata -------------------------------------------------
 	for _, cls := range reg.Classes() {

@@ -62,7 +62,7 @@ func TestStreamMatrix(t *testing.T) {
 						return fmt.Errorf("step %d: RelocConcurrent=%v in mode %s",
 							step, s.RelocConcurrent, mode.Name)
 					}
-					if !mode.ConcurrentReloc && (rec.RelocBacklog != 0 || d.VM().RelocDrainActive()) {
+					if !mode.ConcurrentReloc && (rec.RelocBacklog != 0 || d.VM().Heap.RelocArmed()) {
 						return fmt.Errorf("step %d: relocation residue in mode %s (backlog %d)",
 							step, mode.Name, rec.RelocBacklog)
 					}

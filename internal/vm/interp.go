@@ -290,8 +290,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: index %d out of bounds (len %d) in %s", i, v.Heap.ArrayLen(a), f.Method().FullName()))
 				return
 			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(a) {
-				if err := v.DSULazyTouch(a); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (aget) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
 				}
@@ -312,8 +312,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: index %d out of bounds (len %d) in %s", i, v.Heap.ArrayLen(a), f.Method().FullName()))
 				return
 			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(a) {
-				if err := v.DSULazyTouch(a); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (aset) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
 				}
@@ -327,11 +327,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if v.IndirectionCheck {
-				v.indirectionProbe(a)
-			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(a) {
-				if err := v.DSULazyTouch(a); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
 				}
@@ -346,11 +343,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (putfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if v.IndirectionCheck {
-				v.indirectionProbe(a)
-			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(a) {
-				if err := v.DSULazyTouch(a); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (putfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
 				}
@@ -405,8 +399,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 			// Dispatch itself would be correct without the barrier (the shell
 			// already carries the new class id), but the callee is about to
 			// read stale fields — transform the receiver before entry.
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(recv.Ref()) {
-				if err := v.DSULazyTouch(recv.Ref()); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(recv.Ref()) {
+				if err := r.Transform(recv.Ref()); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
 					return
 				}
@@ -747,11 +741,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if v.IndirectionCheck {
-				v.indirectionProbe(a)
-			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(a) {
-				if err := v.DSULazyTouch(a); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
 				}
@@ -765,11 +756,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if v.IndirectionCheck {
-				v.indirectionProbe(mid)
-			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(mid) {
-				if err := v.DSULazyTouch(mid); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(mid) {
+				if err := r.Transform(mid); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", mid, f.Method().FullName(), err))
 					return
 				}
@@ -793,8 +781,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
 				return
 			}
-			if v.DSULazyTouch != nil && v.Heap.Untransformed(recv.Ref()) {
-				if err := v.DSULazyTouch(recv.Ref()); err != nil {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(recv.Ref()) {
+				if err := r.Transform(recv.Ref()); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
 					return
 				}
@@ -933,22 +921,4 @@ func (v *VM) vdispatch(ins *rt.Ins, recv rt.Addr) (*rt.Method, bool) {
 		}
 	}
 	return target, true
-}
-
-// indirectionProbe simulates the per-dereference cost of lazy-update DSU
-// systems. JDrums "traps all object pointer dereferences to apply VM object
-// transformer function(s) when the object's class changes": an out-of-line
-// call per access that reads the object header, resolves its class, and
-// tests whether it needs transformation. It exists only for the ablation
-// experiment; JVOLVE's eager design has no analog on the hot path.
-//
-//go:noinline
-func (v *VM) indirectionProbe(a rt.Addr) {
-	v.indirections++
-	cls := v.Reg.ClassByID(v.Heap.ClassID(a))
-	if cls != nil && cls.UpdatedTo != nil {
-		// A lazy system would transform here; the eager system never
-		// reaches this line during steady state.
-		v.indirections++
-	}
 }

@@ -76,7 +76,7 @@ class Hot {
 
 // newLoadDispatchVM builds a VM running the ref-load loop and warms it past
 // recompilation, with the lazy-transform read barrier in its production
-// steady state: compiled in and disabled (no touch hook installed).
+// steady state: compiled in and disabled (no residue hook installed).
 func newLoadDispatchVM(tb testing.TB) *VM {
 	tb.Helper()
 	var out bytes.Buffer
@@ -98,14 +98,26 @@ func newLoadDispatchVM(tb testing.TB) *VM {
 	return v
 }
 
-// armLazyStub installs a touch hook that should never fire: no object is
-// tagged, so an armed-clean run pays only the per-load header-bit test.
+// stubResidue is an installed residue with nothing pending: its Transform
+// must never fire, its scheduler poll and forced drain do nothing.
+func stubResidue(tb testing.TB, onTouch bool) *DSUResidue {
+	return &DSUResidue{
+		OnTouch: onTouch,
+		Transform: func(a rt.Addr) error {
+			tb.Fatalf("residue touch hook fired at @%d with no tagged objects", a)
+			return nil
+		},
+		Tick:  func() {},
+		Force: func() error { return nil },
+	}
+}
+
+// armLazyStub installs an on-touch residue hook that should never fire: no
+// object is tagged, so an armed-clean run pays only the per-load header-bit
+// test.
 func armLazyStub(tb testing.TB, v *VM) {
 	tb.Helper()
-	v.DSULazyTouch = func(a rt.Addr) error {
-		tb.Fatalf("lazy touch hook fired at @%d with no tagged objects", a)
-		return nil
-	}
+	v.Residue = stubResidue(tb, true)
 }
 
 // BenchmarkLazyDisabledDispatch measures the load-heavy dispatch loop with
@@ -169,7 +181,7 @@ func TestLazyDisabledZeroAlloc(t *testing.T) {
 }
 
 // TestLazyDisabledOverheadGate bounds the read barrier's dispatch cost.
-// The disabled path (no touch hook installed — the state every instruction
+// The disabled path (no residue hook installed — the state every instruction
 // between updates runs in) is a single pointer nil-check; its ≤2% claim is
 // enforced by the zero-alloc test above plus the printed benchmark pair,
 // since the check is compiled in unconditionally and has no in-binary

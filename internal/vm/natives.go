@@ -146,10 +146,10 @@ func (v *VM) registerNatives() {
 
 	// --- Jvolve (transformer intrinsics) ---------------------------------
 	v.BindNative("Jvolve", "forceTransform(LObject;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		if v.DSUForceTransform == nil {
+		if v.Residue == nil {
 			return rt.Value{}, nil, fmt.Errorf("Jvolve.forceTransform outside an update")
 		}
-		if err := v.DSUForceTransform(args[0].Ref()); err != nil {
+		if err := v.Residue.Transform(args[0].Ref()); err != nil {
 			return rt.Value{}, nil, err
 		}
 		return rt.Value{}, nil, nil

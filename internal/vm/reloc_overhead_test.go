@@ -11,21 +11,23 @@ import (
 // lazy-transform gates in lazy_overhead_test.go and reusing their
 // ref-load-heavy dispatch loop (loadLoopSrc / newLoadDispatchVM). Two states
 // matter: disabled (no drain in flight — one nil check on the heap's access
-// paths and one nil check per slice for the tick hook) and armed-but-drained
-// (barrier armed, from-space interval already empty — every reference load
-// pays the atomic word load plus the interval test but never heals).
+// paths and one nil check per slice for the residue hook) and
+// armed-but-drained (barrier armed, from-space interval already empty —
+// every reference load pays the atomic word load plus the interval test but
+// never heals, and the installed eager residue adds its flag test per
+// dereference).
 
 // armRelocDrained arms the relocation barrier with an empty from-space
-// interval and a heal hook that must never fire, plus a no-op scheduler
-// tick: the steady state of a drain that the workers have already run dry
-// but that has not yet been finalized.
+// interval and a heal hook that must never fire, plus an idle residue hook
+// (no-op scheduler tick, not on-touch): the steady state of a drain that
+// the workers have already run dry but that has not yet been retired.
 func armRelocDrained(tb testing.TB, v *VM) {
 	tb.Helper()
 	v.Heap.ArmReloc(1, 1, func(a rt.Addr) rt.Addr {
 		tb.Fatalf("reloc heal hook fired at @%d with an empty from-space", a)
 		return a
 	})
-	v.DSURelocTick = func() {}
+	v.Residue = stubResidue(tb, false)
 }
 
 // BenchmarkRelocDisabledDispatch measures the load-heavy dispatch loop with
@@ -92,8 +94,8 @@ func TestRelocArmedDrainedZeroAlloc(t *testing.T) {
 }
 
 // TestRelocDisabledOverheadGate bounds the relocation barrier's dispatch
-// cost. As with the lazy gate, the disabled path (barrier disarmed, no tick
-// hook) is nil checks compiled in unconditionally, with no in-binary
+// cost. As with the lazy gate, the disabled path (barrier disarmed, no
+// residue hook) is nil checks compiled in unconditionally, with no in-binary
 // baseline to diff against — its ≤2% claim rides on the zero-alloc tests and
 // the printed benchmark pair. What this gate pins is the armed-but-drained
 // tax: atomic loads plus an interval test on every reference load. The 95%

@@ -73,11 +73,6 @@ type Options struct {
 	// NoInlineCache disables inline caches in fused/opt code; the dispatch
 	// benchmark uses it to separate the fusion win from the IC win.
 	NoInlineCache bool
-	// IndirectionCheck enables the ablation mode: every field access pays
-	// a handle-space indirection plus an is-updated check, simulating
-	// JDrums/DVM-style lazy-update VMs (paper §5). Steady-state overhead
-	// becomes nonzero; JVOLVE's eager approach keeps it zero.
-	IndirectionCheck bool
 	// LazyTransform defers object transformation out of the DSU pause: the
 	// pause copies objects and tags each updated-class instance, and a read
 	// barrier on the interpreter's access fast paths transforms an object
@@ -170,10 +165,6 @@ type VM struct {
 	icHits   int64
 	icMisses int64
 
-	// IndirectionCheck is the ablation switch (see Options).
-	IndirectionCheck bool
-	indirections     int64
-
 	// stats holds the cheap steady-state counters exposed via Stats().
 	stats statCounters
 
@@ -233,47 +224,47 @@ type VM struct {
 	// heap; threads die with it and the OOM is flagged in DeadErrors.
 	FatalHeap error
 
-	// DSUForceTransform is installed by the DSU engine while transformers
-	// run; the Jvolve.forceTransform native calls it. In LazyTransform mode
-	// it stays installed for the whole drain window so transformers invoked
-	// from barrier context keep their force-transform (and cycle-detection)
-	// semantics.
-	DSUForceTransform func(rt.Addr) error
-
 	// LazyTransform is the lazy-mode switch (see Options); the DSU engine
 	// reads it to pick eager or lazy transformation at apply time.
 	LazyTransform bool
 
-	// DSULazyTouch is the lazy read barrier's slow path, installed by the
-	// DSU engine between an applied LazyTransform update and the end of its
-	// drain. Non-nil is the armed state: the interpreter's access fast
-	// paths call it for objects whose header carries the untransformed tag.
-	// Disabled (nil) costs one pointer nil-check — the SATB discipline.
-	DSULazyTouch func(rt.Addr) error
-
-	// DSULazyDrain force-completes the lazy-transform residue; collections
-	// call it first because a flip would invalidate the pair log's raw
-	// addresses and reclaim the scratch-region old copies.
-	DSULazyDrain func() error
-
-	// DSURelocTick is installed by the DSU engine while a concurrent
-	// relocation drain is in flight; the scheduler calls it between slices
-	// so the engine can finalize (disarm the load barrier, release
-	// from-space) the moment the background workers run it dry. Nil is the
-	// disabled state: one pointer nil-check per slice.
-	DSURelocTick func()
-
-	// DSURelocForce force-completes an in-flight concurrent relocation
-	// drain; collections call it first (before DSULazyDrain) because a flip
-	// cannot run with the load barrier armed and from-space held, and the
-	// lazy residue's old copies want their slots healed before transformers
-	// read them.
-	DSURelocForce func() error
+	// Residue is installed by the DSU engine from the moment an update's
+	// collection succeeds until everything that collection left behind — the
+	// pair log, the relocation's from-space hold, the renamed old class
+	// versions — has been retired. Nil is the disabled state: the
+	// interpreter's access fast paths, the scheduler and CollectGarbage each
+	// pay one nil-check.
+	Residue *DSUResidue
 
 	// Bootstrap class caches.
 	strCls      *rt.Class
 	strCharsOff int
 	objectCls   *rt.Class
+}
+
+// DSUResidue is the one hook the DSU engine installs on the VM (VM.Residue).
+// The vm package cannot import the engine, so the three things the VM needs
+// from an update's post-collection residue are spelled as functions; the
+// engine sets all three.
+type DSUResidue struct {
+	// OnTouch arms the lazy read barrier: objects carrying the
+	// untransformed header tag may exist, so the interpreter's access fast
+	// paths test the tag and call Transform on a hit. False (eager
+	// transformation, possibly with a relocation still draining) keeps the
+	// fast paths at this one flag test.
+	OnTouch bool
+	// Transform runs the object transformer of one updated-class instance if
+	// it has not run yet: the read barrier's slow path and the
+	// Jvolve.forceTransform native. An error kills the calling thread.
+	Transform func(rt.Addr) error
+	// Tick is the scheduler's between-slices poll; the engine retires a
+	// concurrent relocation here the moment its workers run from-space dry.
+	Tick func()
+	// Force completes and retires the whole residue on the mutator
+	// goroutine. It returns the first error recorded; the caller reads
+	// VM.FatalHeap to tell a failed relocation drain from transformer data
+	// loss.
+	Force func() error
 }
 
 // ObjectClass returns the bootstrap root class.
@@ -303,14 +294,13 @@ func New(opts Options) (*VM, error) {
 			ConcurrentMark:  opts.GCConcurrentMark,
 			ConcurrentReloc: opts.ConcurrentReloc,
 		}),
-		JIT:              jit.New(reg),
-		Net:              NewNetSim(),
-		Out:              opts.Out,
-		Quantum:          opts.Quantum,
-		natives:          make(map[string]NativeFunc),
-		IndirectionCheck: opts.IndirectionCheck,
-		LazyTransform:    opts.LazyTransform,
-		created:          time.Now(),
+		JIT:           jit.New(reg),
+		Net:           NewNetSim(),
+		Out:           opts.Out,
+		Quantum:       opts.Quantum,
+		natives:       make(map[string]NativeFunc),
+		LazyTransform: opts.LazyTransform,
+		created:       time.Now(),
 	}
 	if opts.OptThreshold > 0 {
 		v.JIT.OptThreshold = opts.OptThreshold
@@ -567,8 +557,8 @@ func (v *VM) ReleaseUpdateWaiters() {
 func (v *VM) Step(maxSlices int) int {
 	ran := 0
 	for s := 0; s < maxSlices; s++ {
-		if v.DSURelocTick != nil {
-			v.DSURelocTick()
+		if v.Residue != nil {
+			v.Residue.Tick()
 		}
 		if v.updatePending && v.UpdateHandler != nil {
 			if v.UpdateHandler() {
@@ -589,8 +579,8 @@ func (v *VM) Step(maxSlices int) int {
 // ErrDeadlock if live threads remain but none can run.
 func (v *VM) Run() error {
 	for {
-		if v.DSURelocTick != nil {
-			v.DSURelocTick()
+		if v.Residue != nil {
+			v.Residue.Tick()
 		}
 		if v.updatePending && v.UpdateHandler != nil {
 			if v.UpdateHandler() {
@@ -903,44 +893,34 @@ func (v *VM) RootChunks(n int) []gc.Roots {
 // The VM is the parallel collector's partitioned root provider.
 var _ gc.ChunkedRoots = (*VM)(nil)
 
-// LazyDrainActive reports whether a lazy-transform drain is in flight: the
-// window between an applied LazyTransform update and the moment its last
-// tagged object has been transformed (or force-completed). During this
-// window the renamed old class versions, UpdatedTo links, transformer class
-// and scratch region legitimately outlive the pause.
-func (v *VM) LazyDrainActive() bool { return v.DSULazyTouch != nil }
-
-// RelocDrainActive reports whether a concurrent relocation drain is in
-// flight: the window between an applied ConcurrentReloc update and drain
-// finalize, during which from-space is held live behind the load barrier
-// and (as with the lazy drain) the renamed old class versions, transformer
-// class and scratch region legitimately outlive the pause.
-func (v *VM) RelocDrainActive() bool { return v.DSURelocForce != nil }
+// DrainActive reports whether a DSU residue is installed: the window between
+// an update's collection and the retirement of everything it left behind (a
+// lazy-transform drain with tagged objects outstanding, a concurrent
+// relocation holding from-space live behind the load barrier, or both).
+// During this window the renamed old class versions, UpdatedTo links,
+// transformer class and scratch region legitimately outlive the pause.
+func (v *VM) DrainActive() bool { return v.Residue != nil }
 
 // CollectGarbage runs a non-DSU collection. A collection error is fatal:
 // the heap is left unusable (see gc.ErrToSpaceExhausted) and the VM is
-// marked accordingly.
+// marked accordingly; an unusable heap is never collected again.
 func (v *VM) CollectGarbage() (*gc.Result, error) {
-	if v.DSURelocForce != nil {
+	if v.FatalHeap != nil {
+		return nil, v.FatalHeap
+	}
+	if v.Residue != nil {
 		// A flip cannot run with the relocation load barrier armed and
-		// from-space held; force-complete the drain first. It runs before
-		// the lazy drain below: the lazy transformers read old copies whose
-		// slots the relocation heals, and in deferred-pair mode the forced
-		// finalize is what makes the lazy pair log final. A drain failure is
-		// a failed collection — the heap is already marked unusable.
-		if err := v.DSURelocForce(); err != nil {
-			v.MarkHeapUnusable(err)
+		// from-space held, and it would invalidate the pair log's raw
+		// addresses and reclaim the old copies: force-complete the residue
+		// first. Individual transformer failures during the forced drain are
+		// data loss on the affected objects (they keep default field values,
+		// the documented lazy failure mode) and the collection proceeds on
+		// the consistent, fully drained heap; a failed relocation drain is a
+		// failed collection — the residue has marked the heap unusable.
+		_ = v.Residue.Force()
+		if v.FatalHeap != nil {
 			return nil, v.FatalHeap
 		}
-	}
-	if v.DSULazyDrain != nil {
-		// A flip would invalidate the lazy pair log's raw addresses and
-		// reclaim the old copies, so the residue is force-completed first.
-		// Individual transformer failures during the forced drain are data
-		// loss on the affected objects (they keep default field values, the
-		// documented lazy failure mode); the collection itself then proceeds
-		// on the consistent, fully drained heap.
-		_ = v.DSULazyDrain()
 	}
 	res, err := v.GC.Collect(v, false)
 	if err != nil {
@@ -1197,9 +1177,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.ICMisses -= prev.ICMisses
 	return d
 }
-
-// Indirections reports the ablation counter.
-func (v *VM) Indirections() int64 { return v.indirections }
 
 // tracef emits one scheduler/DSU diagnostic line. The line goes to the
 // legacy Trace writer (when set) and, consistently, into the flight
