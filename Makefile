@@ -99,14 +99,18 @@ stream-gate:
 # storm reports byte-identical, stale ICs flushed when the class behind a
 # hot monomorphic site is replaced, and updates that land on threads pinned
 # in fused loops deopting through the fused pc-map (core + hostile stream).
-# Prints the dispatch benchmark so tier regressions are visible.
+# The native boundary rides here too: a native call, the read-only String
+# natives and concat/substring stay free of Go allocations, every String
+# native agrees with the Go reference (in place, under collection, with the
+# relocation barrier armed), and native bindings follow class updates.
+# Prints the dispatch and native-boundary benchmarks so regressions are visible.
 dispatch-gate:
-	$(GO) test -race -run 'TestFusedDispatchZeroAlloc|TestInterpFastPathZeroAlloc|TestFusedSpeedupRatio' -count=1 ./internal/vm/
+	$(GO) test -race -run 'TestFusedDispatchZeroAlloc|TestInterpFastPathZeroAlloc|TestFusedSpeedupRatio|TestNativeCallZeroAlloc|TestStringNatives|TestStringWordsAreOpaqueInPlace|TestNativeBindingAcrossClassUpdate|TestUnboundNativeFailsAtCall' -count=1 ./internal/vm/
 	$(GO) test -race -run 'TestStormTierEquivalence|TestStormStaleICCoverage' -count=1 ./internal/storm/
 	$(GO) test -race -run 'TestFusedFrameOSRUpdate|TestStaleICFlushOnClassReplacement' -count=1 ./internal/core/
 	$(GO) test -race -run 'TestStreamFusedFrameOSR' -count=1 ./internal/stream/
 	$(GO) test -run 'TestFusedSpeedupRatio' -count=1 ./internal/vm/
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch' -benchtime 200ms ./internal/vm/
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkNativeCall|BenchmarkStringNatives' -benchtime 200ms ./internal/vm/
 
 # Long-running randomized soak (reproduce failures with -seed).
 storm:
@@ -131,8 +135,8 @@ bench-obs:
 bench-stream:
 	$(GO) run ./cmd/jvolve-bench -exp stream -stream-out BENCH_stream.json
 
-# Interpreter dispatch tiers (base / fused / fused+ic over arith and
-# virtual-call mixes); writes BENCH_dispatch.json.
+# Interpreter dispatch tiers (base / fused / fused+ic over the arith,
+# virtual-call and native/string mixes); writes BENCH_dispatch.json.
 bench-dispatch:
 	$(GO) run ./cmd/jvolve-bench -exp dispatch -dispatch-out BENCH_dispatch.json
 

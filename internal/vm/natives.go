@@ -2,48 +2,101 @@ package vm
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"govolve/internal/rt"
 )
 
 // NativeFunc implements a native method. It receives the argument values
-// (receiver first for instance methods) and returns the result. A non-nil
-// block function parks the thread until the condition holds, then the call
-// retries. A non-nil error kills the thread.
-type NativeFunc func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error)
+// (receiver first for instance methods) and returns the result. args is a
+// slice of the caller's operand stack: the collector keeps it current, so a
+// native that allocates re-reads its operands from it afterwards (strings.go
+// states the rule). A non-nil wake predicate parks the thread until it holds,
+// then the call retries. A non-nil error kills the thread.
+type NativeFunc func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error)
 
-// nativeKey identifies a native binding: "Class.name(sig)". Bindings are by
-// name, so a class update that keeps a native method re-binds automatically.
-func nativeKey(m *rt.Method) string {
-	return m.Class.Name + "." + m.Def.ID()
+// WakeFunc is a parked thread's wake predicate. It is a plain function of
+// the VM and the thread, not a closure, so blocking allocates nothing: what
+// the thread waits for is already on the thread — a blocked native's
+// arguments stay on its caller's operand stack until the call retries.
+type WakeFunc func(v *VM, t *Thread) bool
+
+// nativeBinding is what a native call needs, resolved once per rt.Method and
+// cached in rt.Method.Native: the implementation and whether the call leaves
+// a result on the operand stack.
+type nativeBinding struct {
+	fn   NativeFunc
+	void bool
 }
 
 // BindNative registers a native implementation for Class.name(sig)ret.
+// Rebinding a name updates the binding in place, so methods that already
+// cached it follow.
 func (v *VM) BindNative(class, nameSig string, fn NativeFunc) {
-	v.natives[class+"."+nameSig] = fn
+	key := class + "." + nameSig
+	if b := v.natives[key]; b != nil {
+		b.fn = fn
+		return
+	}
+	v.natives[key] = &nativeBinding{fn: fn, void: strings.HasSuffix(nameSig, ")V")}
+}
+
+// bindNative resolves m's binding by name — "Class.name(sig)ret", so a class
+// update that keeps or adds a native method binds its fresh rt.Method to the
+// same implementation — and caches it on the method. An unbound native is not
+// cached: it fails at each call until someone binds it.
+func (v *VM) bindNative(m *rt.Method) *nativeBinding {
+	b := v.natives[m.Class.Name+"."+m.Def.ID()]
+	if b != nil {
+		m.Native = b
+	}
+	return b
+}
+
+// retStr is the tail of every String-returning native.
+func retStr(a rt.Addr, err error) (rt.Value, WakeFunc, error) {
+	if err != nil {
+		return rt.Value{}, nil, err
+	}
+	return rt.RefVal(a), nil, nil
+}
+
+// Wake predicates of the blocking natives. A parked call's arguments stay on
+// its caller's operand stack, the last one on top, whatever their number; so
+// connPending and lineReady poll the parked native's LAST argument. That is
+// the slot accept(port) and recvLine(conn) block on because each takes exactly
+// one; a native that blocks on any other argument needs its own predicate.
+func sleepOver(v *VM, t *Thread) bool   { return v.TotalSteps >= t.SleepUntil }
+func connPending(v *VM, t *Thread) bool { return v.Net.hasPending(parkedLastArg(t)) }
+func lineReady(v *VM, t *Thread) bool   { return v.Net.hasLine(parkedLastArg(t)) }
+
+func parkedLastArg(t *Thread) int64 {
+	st := t.Frames[len(t.Frames)-1].Stack
+	return st[len(st)-1].Int()
 }
 
 func (v *VM) registerNatives() {
 	// --- System ---------------------------------------------------------
-	v.BindNative("System", "print(LString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("System", "print(LString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, _ := v.GoString(args[0].Ref())
 		fmt.Fprint(v.Out, s)
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("System", "println(LString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("System", "println(LString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, _ := v.GoString(args[0].Ref())
 		fmt.Fprintln(v.Out, s)
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("System", "printInt(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("System", "printInt(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		fmt.Fprintln(v.Out, args[0].Int())
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("System", "time()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("System", "time()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		return rt.IntVal(v.SimMillis()), nil, nil
 	})
-	v.BindNative("System", "exit(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("System", "exit(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		v.Exited = true
 		v.ExitCode = int(args[0].Int())
 		for _, th := range v.Threads {
@@ -53,7 +106,7 @@ func (v *VM) registerNatives() {
 	})
 
 	// --- Thread ---------------------------------------------------------
-	v.BindNative("Thread", "spawn(LObject;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Thread", "spawn(LObject;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		obj := args[0].Ref()
 		if obj == rt.Null {
 			return rt.Value{}, nil, fmt.Errorf("Thread.spawn(null)")
@@ -62,18 +115,21 @@ func (v *VM) registerNatives() {
 		if cls == nil {
 			return rt.Value{}, nil, fmt.Errorf("Thread.spawn: bad object")
 		}
-		run := cls.Method("run", "()V")
+		run := cls.MethodByID("run()V")
 		if run == nil {
 			return rt.Value{}, nil, fmt.Errorf("Thread.spawn: %s has no run()V", cls.Name)
 		}
-		nt := v.newThread(cls.Name + ".run")
+		if cls.SpawnName == "" {
+			cls.SpawnName = cls.Name + ".run"
+		}
+		nt := v.newThread(cls.SpawnName)
 		if err := v.callOn(nt, run, []rt.Value{args[0]}); err != nil {
 			return rt.Value{}, nil, err
 		}
 		v.addThread(nt)
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("Thread", "sleep(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Thread", "sleep(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		// Blocking natives are retried wholesale on wake, so the
 		// deadline is stashed on the thread across retries.
 		if t.SleepUntil == 0 {
@@ -83,22 +139,21 @@ func (v *VM) registerNatives() {
 			t.SleepUntil = 0
 			return rt.Value{}, nil, nil
 		}
-		wake := t.SleepUntil
-		return rt.Value{}, func() bool { return v.TotalSteps >= wake }, nil
+		return rt.Value{}, sleepOver, nil
 	})
 
 	// --- Net ------------------------------------------------------------
-	v.BindNative("Net", "listen(I)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Net", "listen(I)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		port, err := v.Net.listen(args[0].Int())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
 		return rt.IntVal(port), nil, nil
 	})
-	v.BindNative("Net", "accept(I)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		port := args[0].Int()
+	v.BindNative("Net", "accept(I)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		port := args[len(args)-1].Int() // the slot connPending polls
 		if !v.Net.hasPending(port) {
-			return rt.Value{}, func() bool { return v.Net.hasPending(port) }, nil
+			return rt.Value{}, connPending, nil
 		}
 		// accept's contract is (id, done): done=false means "open but
 		// empty backlog" — unreachable here because hasPending held and
@@ -108,30 +163,26 @@ func (v *VM) registerNatives() {
 		// rather than as a connection.
 		id, done := v.Net.accept(port)
 		if !done {
-			return rt.Value{}, func() bool { return v.Net.hasPending(port) }, nil
+			return rt.Value{}, connPending, nil
 		}
 		return rt.IntVal(id), nil, nil
 	})
-	v.BindNative("Net", "unlisten(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Net", "unlisten(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		v.Net.unlisten(args[0].Int())
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("Net", "recvLine(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		id := args[0].Int()
+	v.BindNative("Net", "recvLine(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		id := args[len(args)-1].Int() // the slot lineReady polls
 		if !v.Net.hasLine(id) {
-			return rt.Value{}, func() bool { return v.Net.hasLine(id) }, nil
+			return rt.Value{}, lineReady, nil
 		}
 		line, ok := v.Net.recvLine(id)
 		if !ok {
 			return rt.NullVal, nil, nil // connection closed
 		}
-		a, err := v.NewString(line)
-		if err != nil {
-			return rt.Value{}, nil, err
-		}
-		return rt.RefVal(a), nil, nil
+		return retStr(v.NewString(line))
 	})
-	v.BindNative("Net", "send(ILString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Net", "send(ILString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		line, ok := v.GoString(args[1].Ref())
 		if !ok {
 			return rt.Value{}, nil, fmt.Errorf("Net.send: null line")
@@ -139,13 +190,13 @@ func (v *VM) registerNatives() {
 		v.Net.send(args[0].Int(), line)
 		return rt.Value{}, nil, nil
 	})
-	v.BindNative("Net", "close(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Net", "close(I)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		v.Net.close(args[0].Int())
 		return rt.Value{}, nil, nil
 	})
 
 	// --- Jvolve (transformer intrinsics) ---------------------------------
-	v.BindNative("Jvolve", "forceTransform(LObject;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
+	v.BindNative("Jvolve", "forceTransform(LObject;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		if v.Residue == nil {
 			return rt.Value{}, nil, fmt.Errorf("Jvolve.forceTransform outside an update")
 		}
@@ -156,183 +207,207 @@ func (v *VM) registerNatives() {
 	})
 
 	// --- String ----------------------------------------------------------
-	str := func(a rt.Value) (string, error) {
-		s, ok := v.GoString(a.Ref())
-		if !ok {
-			return "", fmt.Errorf("null String receiver")
-		}
-		return s, nil
-	}
-	ret := func(s string) (rt.Value, func() bool, error) {
-		a, err := v.NewString(s)
+	//
+	// In place on the guest heap (strings.go): the readers below make no Go
+	// allocation and no guest one; the builders allocate the char array, then
+	// the String object, and re-read their operands from args in between.
+	v.BindNative("String", "length()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return rt.RefVal(a), nil, nil
-	}
-	v.BindNative("String", "length()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
-		if err != nil {
-			return rt.Value{}, nil, err
-		}
-		return rt.IntVal(int64(len([]rune(s)))), nil, nil
+		return rt.IntVal(int64(len(s))), nil, nil
 	})
-	v.BindNative("String", "charAt(I)C", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "charAt(I)C", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		r := []rune(s)
 		i := args[1].Int()
-		if i < 0 || int(i) >= len(r) {
-			return rt.Value{}, nil, fmt.Errorf("String.charAt(%d) out of range (len %d)", i, len(r))
+		if i < 0 || i >= int64(len(s)) {
+			return rt.Value{}, nil, fmt.Errorf("String.charAt(%d) out of range (len %d)", i, len(s))
 		}
-		return rt.IntVal(int64(r[i])), nil, nil
+		return rt.IntVal(int64(s[i])), nil, nil
 	})
-	v.BindNative("String", "equals(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		a, err := str(args[0])
+	v.BindNative("String", "equals(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		a, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		b, ok := v.GoString(args[1].Ref())
-		return rt.BoolVal(ok && a == b), nil, nil
+		b, err := v.strWords(args[1].Ref())
+		return rt.BoolVal(err == nil && slices.Equal(a, b)), nil, nil
 	})
-	v.BindNative("String", "concat(LString;)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		a, err := str(args[0])
+	v.BindNative("String", "concat(LString;)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		a, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		b, err := str(args[1])
+		b, err := v.strWords(args[1].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return ret(a + b)
+		na, nb := len(a), len(b)
+		arr, err := v.allocArray(false, na+nb)
+		if err != nil {
+			return rt.Value{}, nil, err
+		}
+		v.Heap.CopyElems(arr, 0, v.strChars(args[0].Ref()), 0, na)
+		v.Heap.CopyElems(arr, na, v.strChars(args[1].Ref()), 0, nb)
+		return retStr(v.wrapChars(arr))
 	})
-	v.BindNative("String", "substring(II)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "substring(II)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		r := []rune(s)
 		from, to := args[1].Int(), args[2].Int()
-		if from < 0 || to > int64(len(r)) || from > to {
-			return rt.Value{}, nil, fmt.Errorf("String.substring(%d,%d) out of range (len %d)", from, to, len(r))
+		if from < 0 || to > int64(len(s)) || from > to {
+			return rt.Value{}, nil, fmt.Errorf("String.substring(%d,%d) out of range (len %d)", from, to, len(s))
 		}
-		return ret(string(r[from:to]))
+		return retStr(v.substr(&args[0], int(from), int(to-from)))
 	})
-	v.BindNative("String", "indexOf(CI)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "indexOf(CI)I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		r := []rune(s)
-		ch := rune(args[1].Int())
-		from := int(args[2].Int())
-		if from < 0 {
-			from = 0
-		}
-		for i := from; i < len(r); i++ {
-			if r[i] == ch {
-				return rt.IntVal(int64(i)), nil, nil
+		from := max(args[2].Int(), 0)
+		if from < int64(len(s)) {
+			if i := slices.Index(s[from:], uint64(args[1].Int())); i >= 0 {
+				return rt.IntVal(from + int64(i)), nil, nil
 			}
 		}
 		return rt.IntVal(-1), nil, nil
 	})
-	v.BindNative("String", "startsWith(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		a, err := str(args[0])
+	v.BindNative("String", "startsWith(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		a, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		b, err := str(args[1])
+		b, err := v.strWords(args[1].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return rt.BoolVal(strings.HasPrefix(a, b)), nil, nil
+		return rt.BoolVal(len(a) >= len(b) && slices.Equal(a[:len(b)], b)), nil, nil
 	})
-	v.BindNative("String", "endsWith(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		a, err := str(args[0])
+	v.BindNative("String", "endsWith(LString;)Z", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		a, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		b, err := str(args[1])
+		b, err := v.strWords(args[1].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return rt.BoolVal(strings.HasSuffix(a, b)), nil, nil
+		return rt.BoolVal(len(a) >= len(b) && slices.Equal(a[len(a)-len(b):], b)), nil, nil
 	})
-	v.BindNative("String", "trim()LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "trim()LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return ret(strings.TrimSpace(s))
+		lo, hi := trimBounds(s)
+		return retStr(v.substr(&args[0], lo, hi-lo))
 	})
-	v.BindNative("String", "toLowerCase()LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "toLowerCase()LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		return ret(strings.ToLower(s))
+		arr, err := v.allocArray(false, len(s))
+		if err != nil {
+			return rt.Value{}, nil, err
+		}
+		s, _ = v.strWords(args[0].Ref())
+		dst := v.Heap.ElemWords(arr)
+		for i, c := range s {
+			dst[i] = lowerWord(c)
+		}
+		return retStr(v.wrapChars(arr))
 	})
-	v.BindNative("String", "hashCode()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "hashCode()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
 		var h int64
-		for _, r := range s {
-			h = h*31 + int64(r)
+		for _, c := range s {
+			h = h*31 + int64(c)
 		}
 		return rt.IntVal(h), nil, nil
 	})
-	v.BindNative("String", "toInt()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "toInt()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		var n int64
-		neg := false
-		s = strings.TrimSpace(s)
-		if strings.HasPrefix(s, "-") {
-			neg = true
+		lo, hi := trimBounds(s)
+		s = s[lo:hi]
+		neg := len(s) > 0 && s[0] == '-'
+		if neg {
 			s = s[1:]
 		}
-		for _, r := range s {
-			if r < '0' || r > '9' {
+		var n int64
+		for _, c := range s {
+			if c < '0' || c > '9' {
 				break
 			}
-			n = n*10 + int64(r-'0')
+			n = n*10 + int64(c-'0')
 		}
 		if neg {
 			n = -n
 		}
 		return rt.IntVal(n), nil, nil
 	})
-	v.BindNative("String", "fromInt(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		return ret(fmt.Sprintf("%d", args[0].Int()))
+	v.BindNative("String", "fromInt(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		var buf [20]byte // len("-9223372036854775808")
+		digits := strconv.AppendInt(buf[:0], args[0].Int(), 10)
+		arr, err := v.allocArray(false, len(digits))
+		if err != nil {
+			return rt.Value{}, nil, err
+		}
+		w := v.Heap.ElemWords(arr)
+		for i, d := range digits {
+			w[i] = uint64(d)
+		}
+		return retStr(v.wrapChars(arr))
 	})
-	v.BindNative("String", "split(C)[LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, func() bool, error) {
-		s, err := str(args[0])
+	v.BindNative("String", "split(C)[LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
+		s, err := v.strWords(args[0].Ref())
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		parts := strings.Split(s, string(rune(args[1].Int())))
-		arr, err := v.allocArray(true, len(parts))
+		sep := uint64(args[1].Int())
+		parts := 1
+		for _, c := range s {
+			if c == sep {
+				parts++
+			}
+		}
+		arr, err := v.allocArray(true, parts)
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		h := v.PushHandle(arr)
-		for i, p := range parts {
-			sa, err := v.NewString(p)
+		// The handle is read through its index: PushHandle's pointer dies if
+		// substr's own handle grows the table.
+		slot := len(v.Handles)
+		v.PushHandle(arr)
+		defer v.PopHandle(1)
+		pos := 0
+		for i := 0; i < parts; i++ {
+			s, _ = v.strWords(args[0].Ref()) // the last round's allocations may have moved it
+			n := slices.Index(s[pos:], sep)
+			if n < 0 {
+				n = len(s) - pos
+			}
+			part, err := v.substr(&args[0], pos, n)
 			if err != nil {
-				v.PopHandle(1)
 				return rt.Value{}, nil, err
 			}
-			v.Heap.SetElem(h.Ref(), i, rt.RefVal(sa))
+			v.Heap.SetElem(v.Handles[slot].Ref(), i, rt.RefVal(part))
+			pos += n + 1
 		}
-		arr = h.Ref()
-		v.PopHandle(1)
-		return rt.RefVal(arr), nil, nil
+		return rt.RefVal(v.Handles[slot].Ref()), nil, nil
 	})
 }
 

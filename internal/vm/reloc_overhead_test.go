@@ -98,40 +98,10 @@ func TestRelocArmedDrainedZeroAlloc(t *testing.T) {
 // residue hook) is nil checks compiled in unconditionally, with no in-binary
 // baseline to diff against — its ≤2% claim rides on the zero-alloc tests and
 // the printed benchmark pair. What this gate pins is the armed-but-drained
-// tax: atomic loads plus an interval test on every reference load. The 95%
-// floor is a tripwire for something accidentally expensive (a map lookup, an
-// allocation, a lock) creeping into the armed fast path. Interleaved
-// best-of rounds, retried, ride out scheduler noise on loaded 1-vCPU CI
-// boxes and under -race.
+// tax: atomic loads plus an interval test on every reference load. Same
+// estimator and floor as the lazy gate (armedDispatchRatio).
 func TestRelocDisabledOverheadGate(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	disabled := newLoadDispatchVM(t)
-	armed := newLoadDispatchVM(t)
-	armRelocDrained(t, armed)
-
-	const (
-		slices   = 400
-		rounds   = 5
-		attempts = 4
-		floor    = 0.95 // armed-drained must hold ≥95% of disabled throughput
-	)
-	var lastRatio float64
-	for attempt := 0; attempt < attempts; attempt++ {
-		disBest, armBest := 0.0, 0.0
-		for r := 0; r < rounds; r++ {
-			// Interleave so clock drift and background load hit both sides.
-			if d := dispatchRate(t, disabled, slices); d > disBest {
-				disBest = d
-			}
-			if a := dispatchRate(t, armed, slices); a > armBest {
-				armBest = a
-			}
-		}
-		lastRatio = armBest / disBest
-		if lastRatio >= floor {
-			return
-		}
+	if r := armedDispatchRatio(t, armRelocDrained); r < armedOverheadFloor {
+		t.Fatalf("armed-drained dispatch at %.1f%% of disabled, want ≥%.0f%%", r*100, armedOverheadFloor*100)
 	}
-	t.Fatalf("armed-drained dispatch at %.1f%% of disabled after %d attempts, want ≥%.0f%%",
-		lastRatio*100, attempts, floor*100)
 }

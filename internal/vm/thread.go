@@ -64,7 +64,7 @@ type Thread struct {
 	Frames []*Frame
 
 	// WakeWhen is the wake predicate for Blocked threads.
-	WakeWhen func() bool
+	WakeWhen WakeFunc
 
 	// SleepUntil is Thread.sleep's deadline (simulated steps). Blocking
 	// natives retry their whole call on wake, so the deadline must live

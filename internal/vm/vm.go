@@ -147,7 +147,9 @@ type VM struct {
 	// drivers across allocations.
 	Handles []rt.Value
 
-	natives map[string]NativeFunc
+	// natives holds the native bindings by "Class.name(sig)ret"; calls reach
+	// them through the per-method cache (rt.Method.Native), not this map.
+	natives map[string]*nativeBinding
 
 	// Clock is the simulated millisecond clock, advanced by execution.
 	Clock int64
@@ -298,7 +300,7 @@ func New(opts Options) (*VM, error) {
 		Net:           NewNetSim(),
 		Out:           opts.Out,
 		Quantum:       opts.Quantum,
-		natives:       make(map[string]NativeFunc),
+		natives:       make(map[string]*nativeBinding),
 		LazyTransform: opts.LazyTransform,
 		created:       time.Now(),
 	}
@@ -709,7 +711,7 @@ func (v *VM) pickThread() *Thread {
 		for _, t := range v.blocked {
 			if t.State == Blocked && t.WakeWhen != nil {
 				v.stats.WakeChecks++
-				if t.WakeWhen() {
+				if t.WakeWhen(v, t) {
 					t.State = Runnable
 					t.WakeWhen = nil
 					v.enqueue(t)
