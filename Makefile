@@ -78,8 +78,11 @@ satb-gate:
 # with from-space already drained (range test per load) — the tripwire for a
 # from-space hold that outlives its drain. The engine-side lifecycle (every
 # placement × every retire path ends in the same torn-down state) is pinned
-# next to them. Prints the disabled/armed load benchmarks so the costs stay
-# visible. race-gc above already runs the relocation drain packages (gc,
+# next to them, and so is the transformer phase itself: its per-object path
+# makes no Go allocation (recorder off; ≤ 1 with it on), a force chain runs on
+# resident threads, a trap mid-walk leaves no pair word behind, and the
+# header's word-1 protocol is pinned beside word 0's. Prints the disabled/armed
+# load benchmarks so the costs stay visible. race-gc above already runs the relocation drain packages (gc,
 # heap) with -race -count=4.
 drain-gate:
 	$(GO) test -run 'TestLazy|TestReloc|TestResidue' -count=1 ./internal/vm/ ./internal/heap/ ./internal/gc/ ./internal/core/

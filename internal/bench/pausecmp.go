@@ -58,7 +58,12 @@ type PauseCmpRow struct {
 	RescanMillis      Summary `json:"rescan_ms"`
 	CopyMillis        Summary `json:"copy_ms"`
 	TransformMillis   Summary `json:"transform_ms"`
-	MarkOutsideMillis Summary `json:"mark_outside_ms"`
+	// TransformNsPerObject is the median transformer time per logged pair,
+	// wherever the transformers ran: inside the pause (transform_ms) or in
+	// the forced post-pause drain (drain_ms, lazy rows — an upper bound on
+	// reloc-lazy rows, whose drain also force-completes the relocation).
+	TransformNsPerObject float64 `json:"transform_ns_per_object"`
+	MarkOutsideMillis    Summary `json:"mark_outside_ms"`
 
 	// Lazy rows: the transform work leaves the pause entirely —
 	// transform_ms ≈ 0, lazy_pending pairs stay tagged behind the read
@@ -190,6 +195,9 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 					RescanMarked:  last.RescanMarked,
 					PairsLogged:   last.PairsLogged,
 				}
+				if row.PairsLogged > 0 {
+					row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(row.PairsLogged)
+				}
 				if mode == "stw" {
 					stwMedian = row.PauseTotalMillis.Median
 				}
@@ -222,13 +230,13 @@ func WritePauseCmpJSON(path string, rep *PauseCmpReport) error {
 func PrintPauseCmp(w io.Writer, rep *PauseCmpReport) {
 	fmt.Fprintf(w, "DSU pause: STW vs concurrent mark / lazy transform / concurrent reloc (gomaxprocs=%d, cpus=%d)\n",
 		rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Fprintf(w, "%9s %6s %16s %10s %9s %9s %9s %11s %10s %9s %10s %9s\n",
-		"objects", "frac", "mode", "pause(ms)", "mark(ms)", "rescan", "copy(ms)", "transf(ms)", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
+	fmt.Fprintf(w, "%9s %6s %16s %10s %9s %9s %9s %11s %7s %10s %9s %10s %9s\n",
+		"objects", "frac", "mode", "pause(ms)", "mark(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%9d %5.0f%% %16s %10.2f %9.2f %9.2f %9.2f %11.2f %10.2f %9.2f %10.2f %8.2fx\n",
+		fmt.Fprintf(w, "%9d %5.0f%% %16s %10.2f %9.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
 			r.Objects, r.FracUpdated*100, r.Mode,
 			r.PauseTotalMillis.Median, r.MarkInPauseMillis.Median, r.RescanMillis.Median,
-			r.CopyMillis.Median, r.TransformMillis.Median, r.MarkOutsideMillis.Median,
+			r.CopyMillis.Median, r.TransformMillis.Median, r.TransformNsPerObject, r.MarkOutsideMillis.Median,
 			r.DrainMillis.Median, r.RelocDrainMillis.Median, r.SpeedupPause)
 	}
 	fmt.Fprintf(w, "note: %s\n", rep.Note)

@@ -98,7 +98,7 @@ class JvolveTransformers {
 					t.Fatal(err)
 				}
 				if res.Outcome != core.Failed || res.Err == nil ||
-					!strings.Contains(res.Err.Error(), "cycle") {
+					!strings.Contains(res.Err.Error(), "transformer cycle detected") {
 					t.Fatalf("outcome = %v err = %v, want transformer cycle failure", res.Outcome, res.Err)
 				}
 			},
@@ -373,6 +373,58 @@ class JvolveTransformers {
 		t.Fatalf("PauseTotal %v < install %v + gc %v + transform %v",
 			s.PauseTotal, s.PauseInstall, s.PauseGC, s.PauseTransform)
 	}
+}
+
+// TestResidueTrapAtObjectK: an object transformer trapping in the middle of
+// the pause's log walk fails the update with pairs on both sides of it — some
+// transformed, one in progress, the rest pending. The one teardown must leave
+// no pair word behind on any of them (assertRetired's invariant sweep walks
+// every reachable object) and the VM serviceable: the program runs on with
+// the untransformed objects at their defaults, and the next update applies.
+func TestResidueTrapAtObjectK(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := f.load(consV1)
+	f.spawn("App")
+	f.vm.Step(8)
+	const trapAt7 = `
+class JvolveTransformers {
+  static method jvolveObject(LBox;Lv1_Box;)V {
+    load 1
+    getfield v1_Box.v I
+    const 7
+    if_icmpne copy
+    trap "box 7"
+  copy:
+    load 0
+    load 1
+    getfield v1_Box.v I
+    putfield Box.v I
+    load 0
+    load 1
+    getfield v1_Box.next LBox;
+    putfield Box.next LBox;
+    return
+  }
+}
+`
+	v2 := f.prog(consV2(false))
+	res, err := f.update("1", v1, v2, trapAt7, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != core.Failed || res.Err == nil || !strings.Contains(res.Err.Error(), "box 7") {
+		t.Fatalf("outcome = %v err = %v, want Failed via the trap", res.Outcome, res.Err)
+	}
+	if n := res.Stats.BytecodeTransformed; n == 0 || n >= 19 || res.Stats.PairsLogged != 20 {
+		t.Fatalf("%d of %d pairs transformed before the trap, want some on both sides of it",
+			n, res.Stats.PairsLogged)
+	}
+	assertRetired(t, f, false)
+
+	v3 := f.prog(consV2(false) + "\nclass Followup {\n  static method ok()I {\n    const 7\n    return\n  }\n}\n")
+	f.mustApply("2", v2, v3, "")
+	assertRetired(t, f, false)
+	f.finish()
 }
 
 // fixtureProgs bundles the loaded v1 program for the table cases.

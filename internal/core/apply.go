@@ -314,6 +314,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	for _, r := range renames {
 		resid.renamed = append(resid.renamed, r.old)
 	}
+	resid.buildPlans()
 
 	// --- OSR ---------------------------------------------------------------
 	phase("osr")

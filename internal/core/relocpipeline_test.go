@@ -416,10 +416,13 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 	v2 := f.prog(relocV2)
 	f.spawn("App")
 	f.vm.Step(10)
-	res := f.mustApply("1", v1, v2, "")
 	// The pause itself creates no pairs beyond those the root remap forced;
 	// everything else is discovered and paired by the drain afterwards.
-	applyPairs := res.Stats.PairsLogged
+	// Sampled as the pause ends: the first touch after it adopts whatever the
+	// relocators have created by then.
+	applyPairs := -1
+	f.engine.AfterUpdate = func(res *core.Result) { applyPairs = res.Stats.PairsLogged }
+	res := f.mustApply("1", v1, v2, "")
 	out := f.finish()
 	f.drain()
 	if out == "" {

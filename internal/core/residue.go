@@ -2,31 +2,36 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"govolve/internal/classfile"
 	"govolve/internal/gc"
+	"govolve/internal/heap"
 	"govolve/internal/obs"
 	"govolve/internal/rt"
 	"govolve/internal/upt"
 	"govolve/internal/vm"
 )
 
-// Transformation status of one update-log pair, keyed by the new object.
-const (
-	stNone = iota
-	stInProgress
-	stDone
-)
+// plan is how the instances of one updated class transform, resolved once per
+// update: the per-object path builds no string and looks nothing up by name.
+type plan struct {
+	newCls, oldCls *rt.Class
+	flat           *classfile.Class // flat old def, what the native copy matches against
+	native         bool             // FastDefaults ∧ UPT-generated default: a bulk word copy
+	tm             *rt.Method       // interpreted jvolveObject; nil is an error at the first instance
+	label          string           // recorder label and synchronous thread name
+}
 
 // residue is everything one update leaves behind that must outlive its DSU
-// collection: the pair log with the per-pair transformation status, the
-// in-flight relocation (vm.Options.ConcurrentReloc), and what both still need
-// from the install phase — the renamed old class versions (old copies are
-// sized and typed through their class ids), the transformer class, and the
-// scratch region holding old copies. The paper has one transformer phase and
-// one teardown (§3.4–3.5); where the transformers run is a placement, data on
-// this object, not a separate code path:
+// collection: the pair log (a pair's transformation status is its shell's pair
+// word, heap/bits.go), the in-flight relocation (vm.Options.ConcurrentReloc),
+// and what both still need from the install phase — the renamed old class
+// versions (old copies are sized and typed through their class ids), the
+// transformer class, and the scratch region holding old copies. The paper has
+// one transformer phase and one teardown (§3.4–3.5); where the transformers
+// run is a placement, data on this object, not a separate code path:
 //
 //   - eager (default): runPause walks the whole log inside the pause and the
 //     first transformer error fails the update;
@@ -54,12 +59,13 @@ type residue struct {
 	opts         Options
 	transformers *rt.Class
 	renamed      []*rt.Class // old versions, unregistered at retire
+	plans        []plan      // indexed by new class id - planBase
+	planBase     int
 	stats        *Stats
 
-	log       []gc.Pair
-	oldForNew map[rt.Addr]rt.Addr
-	status    map[rt.Addr]int
-	pending   int // tagged pairs still awaiting their transformer
+	log     []gc.Pair
+	pending int // pairs whose pair word is still set: transformer not finished
+	adopted int // how many of rl.Deferred() the log has taken over
 
 	onTouch   bool           // transformers run on first touch, not in the pause
 	rl        *gc.Relocation // nil without ConcurrentReloc
@@ -77,40 +83,75 @@ type residue struct {
 // transformer (Jvolve.forceTransform) or a clinit-triggered collection must
 // be able to reach it while the pause is still open.
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
-	r.log, r.oldForNew, r.rl = gcRes.Log, gcRes.OldForNew, rl
-	r.status = make(map[rt.Addr]int, len(r.log))
+	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
 	r.onTouch = r.e.VM.LazyTransform
-	if r.adopts() {
-		// The pairs the pause itself forced (root-remap evacuations of
-		// updated-class instances).
-		r.adopt(rl.DeferredPairs())
-	}
+	r.adopt() // the pairs the pause itself forced (root-remap evacuations)
 	r.e.residue = r
-	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.onTouch, Transform: r.transform, Tick: r.tick, Force: r.force}
+	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.onTouch, Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
 }
 
 // adopts reports the adopted placement: pairs come from the relocation.
 func (r *residue) adopts() bool { return r.onTouch && r.rl != nil }
 
-// adopt takes over pairs the relocation created and tagged. Pairs the log
-// already holds are skipped. PairsLogged tracks the pair log wherever pairs
-// are created — here rather than in the pause — keeping the chain-wide
-// conservation law (TransformedObjects == PairsLogged after the terminal
-// drain) mode-blind.
-func (r *residue) adopt(pairs []gc.Pair) {
-	h := r.e.VM.Heap
-	for _, pair := range pairs {
-		if _, ok := r.oldForNew[pair.New]; ok {
-			continue
+// adopt takes over, in shell-address order, the pairs the relocation created and
+// tagged since the last call (adopted placement only). PairsLogged counts pairs
+// where they join the log — here, not in the pause — so the chain-wide law
+// (TransformedObjects == PairsLogged after the terminal drain) stays mode-blind.
+func (r *residue) adopt() {
+	if !r.adopts() {
+		return
+	}
+	fresh := r.rl.Deferred()[r.adopted:]
+	if len(fresh) == 0 {
+		return
+	}
+	n := len(r.log)
+	r.log = append(r.log, fresh...)
+	sort.Slice(r.log[n:], func(i, j int) bool { return r.log[n+i].New < r.log[n+j].New })
+	r.adopted += len(fresh)
+	r.pending += len(fresh)
+	r.stats.PairsLogged += len(fresh)
+	r.stats.LazyPending = r.stats.LazyDrained + r.stats.LazyForced + r.pending
+}
+
+// pairs is the log plus what the relocation created and the log has not adopted yet.
+func (r *residue) pairs() []gc.Pair {
+	if !r.adopts() {
+		return r.log
+	}
+	return append(r.log[:len(r.log):len(r.log)], r.rl.Deferred()[r.adopted:]...)
+}
+
+// buildPlans resolves every renamed old version's transformer. Class ids follow
+// load order and the transformer class is loaded last, so the table is short.
+func (r *residue) buildPlans() {
+	lo := r.transformers.ID
+	for _, old := range r.renamed {
+		lo = min(lo, old.UpdatedTo.ID)
+	}
+	r.planBase, r.plans = lo, make([]plan, r.transformers.ID-lo)
+	for _, old := range r.renamed {
+		newCls := old.UpdatedTo
+		p := plan{newCls: newCls, oldCls: old, flat: r.spec.OldFlatDefs[old.Name]}
+		if r.opts.FastDefaults && r.spec.DefaultObjectTransformers[newCls.Name] {
+			p.native, p.label = true, "default:"+newCls.Name
+		} else {
+			sig := classfile.Sig("(L" + newCls.Name + ";L" + old.Name + ";)V")
+			p.tm, p.label = r.transformers.Method("jvolveObject", sig), "jvolveObject:"+newCls.Name
 		}
-		r.log = append(r.log, pair)
-		r.oldForNew[pair.New] = pair.OldCopy
-		r.stats.PairsLogged++
-		if r.status[pair.New] == stNone && h.Untransformed(pair.New) {
-			r.pending++
+		r.plans[newCls.ID-lo] = p
+	}
+}
+
+// planFor returns a pair's plan; nil unless it is an updated class's shell and old-version copy.
+func (r *residue) planFor(newAddr, oldCopy rt.Addr) *plan {
+	h := r.e.VM.Heap
+	if i := h.ClassID(newAddr) - r.planBase; i >= 0 && i < len(r.plans) {
+		if p := &r.plans[i]; p.oldCls != nil && p.oldCls.ID == h.ClassID(oldCopy) {
+			return p
 		}
 	}
-	r.stats.LazyPending = r.stats.LazyDrained + r.stats.LazyForced + r.pending
+	return nil
 }
 
 // runPause is the transformer phase inside the DSU pause. Class transformers
@@ -148,9 +189,8 @@ func (r *residue) runPause() error {
 		// Tag what the class transformers did not already force. (In the
 		// adopted placement the relocation tags the shells it creates.)
 		for _, pair := range r.log {
-			if r.status[pair.New] != stDone {
+			if v.Heap.PairWord(pair.New) != 0 {
 				v.Heap.MarkUntransformed(pair.New)
-				r.pending++
 			}
 		}
 		r.stats.LazyPending = r.pending
@@ -174,7 +214,9 @@ func (r *residue) runClassTransformers() error {
 			oldCls := v.Reg.LookupClass(r.spec.RenamedName(name))
 			if oldCls != nil {
 				nativeClassTransform(v, cls, oldCls, r.spec.OldFlatDefs[oldCls.Name])
-				v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "defaultClass:"+name)
+				if v.Rec.Enabled() {
+					v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "defaultClass:"+name)
+				}
 			}
 			continue
 		}
@@ -183,10 +225,11 @@ func (r *residue) runClassTransformers() error {
 		if tm == nil {
 			continue // class never loaded old-side or no statics to carry
 		}
-		if err := v.RunSynchronous("jvolveClass:"+name, tm, []rt.Value{rt.NullVal}); err != nil {
+		label := "jvolveClass:" + name
+		if err := v.RunSynchronous(label, tm, []rt.Value{rt.NullVal}); err != nil {
 			return fmt.Errorf("core: class transformer for %s: %w", name, err)
 		}
-		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "jvolveClass:"+name)
+		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, label)
 	}
 	return nil
 }
@@ -201,45 +244,32 @@ func (r *residue) runClassTransformers() error {
 // initialized (the §3.4 data-loss failure mode), the error is recorded and
 // returned, and the touching thread is killed by the caller.
 func (r *residue) transform(newAddr rt.Addr) error {
-	if newAddr == rt.Null {
-		return nil
+	h := r.e.VM.Heap
+	if newAddr == rt.Null || h.IsArray(newAddr) || h.PairWord(newAddr) == 0 {
+		return nil // an array (word 1 is its length), transformed already, or not an updated object
 	}
-	switch r.status[newAddr] {
-	case stDone:
-		return nil
-	case stInProgress:
+	w := h.PairWord(newAddr)
+	if w == heap.Transforming {
 		return fmt.Errorf("core: transformer cycle detected at object @%d; aborting update", newAddr)
 	}
-	oldCopy, updated := r.oldForNew[newAddr]
-	if !updated && r.adopts() {
-		// The relocation creates pairs the pause never saw. Adopt on first
-		// touch — the pair joins the log and the pending count exactly as if
-		// the pause had tagged it.
-		if oc, ok := r.rl.DeferredOldFor(newAddr); ok {
-			oldCopy, updated = oc, true
-			r.adopt([]gc.Pair{{New: newAddr, OldCopy: oc}})
-		}
-	}
-	if !updated {
-		return nil // not an updated object: nothing to do
-	}
-	r.status[newAddr] = stInProgress
+	r.adopt() // pairs the pause never saw join the log as if it had tagged them
+	h.SetPairWord(newAddr, heap.Transforming)
 	// Clear the tag before running the transformer: its own reads and
 	// writes of the half-built object must not re-fire the barrier (the
 	// cycle check above still catches true cycles via forceTransform).
-	h := r.e.VM.Heap
 	tagged := h.Untransformed(newAddr)
 	if tagged {
 		h.ClearUntransformed(newAddr)
 	}
-	err := r.run(newAddr, oldCopy)
-	r.status[newAddr] = stDone
+	err := r.run(newAddr, rt.Addr(w))
+	h.SetPairWord(newAddr, 0)
+	r.pending--
 	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 	}
 	if tagged {
-		// Only tagged pairs count against pending; a pair the pause walked,
-		// or a class transformer forced before tagging, went through here
+		// Only tagged pairs are drain work; a pair the pause walked, or a
+		// class transformer forced before tagging, went through here
 		// untagged and is accounted by runPause.
 		r.completed()
 	}
@@ -266,30 +296,24 @@ func (r *residue) run(newAddr, oldCopy rt.Addr) error {
 		// cursor, so the scan heals whatever is written now.)
 		r.rl.HealObject(oldCopy)
 	}
-	newCls := v.Reg.ClassByID(v.Heap.ClassID(newAddr))
-	oldCls := v.Reg.ClassByID(v.Heap.ClassID(oldCopy))
-	if newCls == nil || oldCls == nil {
+	p := r.planFor(newAddr, oldCopy)
+	switch {
+	case p == nil:
 		return fmt.Errorf("core: transformer: unknown class for pair @%d/@%d", newAddr, oldCopy)
-	}
-	if r.opts.FastDefaults && r.spec.DefaultObjectTransformers[newCls.Name] {
+	case p.native:
 		// A generated default is a pure copy of unchanged fields; run it as
 		// a bulk copy, skipping interpretation entirely.
-		nativeObjectTransform(v, newCls, oldCls, r.spec.OldFlatDefs[oldCls.Name], newAddr, oldCopy)
+		nativeObjectTransform(v, p, newAddr, oldCopy)
 		r.stats.BulkTransformed++
-		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "default:"+newCls.Name)
-		return nil
+	case p.tm == nil:
+		return fmt.Errorf("core: no object transformer jvolveObject(L%s;L%s;)V", p.newCls.Name, p.oldCls.Name)
+	default:
+		if err := v.RunSynchronous(p.label, p.tm, []rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
+			return fmt.Errorf("core: object transformer for %s: %w", p.newCls.Name, err)
+		}
+		r.stats.BytecodeTransformed++
 	}
-	sig := classfile.Sig("(L" + newCls.Name + ";L" + oldCls.Name + ";)V")
-	tm := r.transformers.Method("jvolveObject", sig)
-	if tm == nil {
-		return fmt.Errorf("core: no object transformer jvolveObject%s", sig)
-	}
-	if err := v.RunSynchronous("jvolveObject:"+newCls.Name, tm,
-		[]rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
-		return fmt.Errorf("core: object transformer for %s: %w", newCls.Name, err)
-	}
-	r.stats.BytecodeTransformed++
-	v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, "jvolveObject:"+newCls.Name)
+	v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, p.label)
 	return nil
 }
 
@@ -309,7 +333,6 @@ func (r *residue) completed() {
 		}
 		m.Histogram(obs.MLazyDrainLatency, obs.DurationBuckets()).Observe(time.Since(r.sealed).Seconds())
 	}
-	r.pending--
 	r.settle()
 }
 
@@ -374,9 +397,7 @@ func (r *residue) finishReloc() {
 	// from-space was never fully evacuated: some slots still hold from-space
 	// addresses and the barrier that made them readable is now gone.
 	r.fatal = err
-	if r.adopts() {
-		r.adopt(r.rl.DeferredPairs())
-	}
+	r.adopt()
 }
 
 // force completes everything outstanding on the mutator goroutine and
@@ -438,6 +459,7 @@ func (r *residue) retire() {
 	if r.pending > 0 {
 		for _, pair := range r.log {
 			v.Heap.ClearUntransformed(pair.New)
+			v.Heap.SetPairWord(pair.New, 0)
 		}
 	}
 	r.e.residue, v.Residue = nil, nil

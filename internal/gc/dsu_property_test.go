@@ -176,8 +176,8 @@ func TestDSUCollectRandomGraphsProperty(t *testing.T) {
 				}
 				// The paired old copy preserves the value and forwards
 				// its references to the new copies.
-				oldCopy, ok := res.OldForNew[a]
-				if !ok || h.ClassID(oldCopy) != upCls.ID {
+				oldCopy := rt.Addr(h.PairWord(a))
+				if oldCopy == rt.Null || h.ClassID(oldCopy) != upCls.ID {
 					return false
 				}
 				if h.FieldValue(oldCopy, offVal, false).Int() != vals[i] {

@@ -65,13 +65,9 @@ type Pair struct {
 // Result reports one collection.
 type Result struct {
 	// Log is the update log (empty for non-DSU collections), in
-	// first-encounter order.
+	// first-encounter order. Each shell also caches its old copy's address
+	// in its pair word (heap/bits.go), as in the paper (§3.4).
 	Log []Pair
-	// OldForNew caches the old copy for each new object, so a transformer
-	// that dereferences a not-yet-transformed object can locate its old
-	// version without scanning the log (paper §3.4: "we instead cache a
-	// pointer to the old version in the new version").
-	OldForNew map[rt.Addr]rt.Addr
 
 	CopiedObjects int
 	CopiedWords   int
@@ -182,6 +178,9 @@ type Collector struct {
 	// copied-words and steal summary. Nil disables emission entirely.
 	Rec *obs.Recorder
 
+	// lastPairs, the previous DSU collection's pair count, sizes the next one's log.
+	lastPairs int
+
 	// mark is the in-flight concurrent marker (nil when none — the common
 	// case; every STW entry point pays one nil check). pool keeps the mark
 	// bitmap, SATB buffer, and worker deques alive across collections so
@@ -246,9 +245,6 @@ func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 		c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
 		c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc copy/scan")
 	}()
-	if dsu {
-		res.OldForNew = make(map[rt.Addr]rt.Addr)
-	}
 	h.Flip()
 
 	// With a scratch region configured, DSU old copies go there instead of
@@ -259,6 +255,12 @@ func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 	// the paper's implementation.
 	useScratch := dsu && h.HasScratch()
 	var scratchObjs []rt.Addr
+	if dsu {
+		res.Log = make([]Pair, 0, c.lastPairs)
+	}
+	if useScratch {
+		scratchObjs = make([]rt.Addr, 0, c.lastPairs)
+	}
 
 	var gcErr error
 	forward := func(v *rt.Value) {
@@ -295,8 +297,8 @@ func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 					return
 				}
 				h.SetForward(a, shell)
+				h.SetPairWord(shell, uint64(oldCopy))
 				res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
-				res.OldForNew[shell] = oldCopy
 				res.CopiedObjects += 2
 				res.CopiedWords += size + newCls.Size
 				res.PairsLogged++
@@ -373,6 +375,9 @@ func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 	}
 	if gcErr != nil {
 		return nil, gcErr
+	}
+	if dsu {
+		c.lastPairs = res.PairsLogged
 	}
 	c.Collections++
 	c.CopiedObjects += res.CopiedObjects

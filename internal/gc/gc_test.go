@@ -199,12 +199,10 @@ func TestDSUCollectTransformsPairs(t *testing.T) {
 		if h.ClassID(pair.New) != newCls.ID {
 			t.Fatal("new shell has wrong class")
 		}
-		if res.OldForNew[pair.New] != pair.OldCopy {
-			t.Fatal("OldForNew cache wrong")
-		}
 	}
+	checkPairWords(t, h, res.Log)
 	// Old copy of a: val=10, left points to b's NEW shell.
-	oldA := res.OldForNew[na]
+	oldA := rt.Addr(h.PairWord(na))
 	if h.FieldValue(oldA, offVal, false).Int() != 10 {
 		t.Fatal("old copy lost field value")
 	}

@@ -33,8 +33,8 @@ import (
 //     to an unforwarded object means the SATB invariant was violated; the
 //     collection fails loudly rather than corrupting the heap.
 //
-// The result is bit-compatible with the STW collectors' (same Pair/
-// OldForNew contract, update log sorted by new-shell address) plus the
+// The result is bit-compatible with the STW collectors' (same Pair and
+// pair-word contract, update log sorted by new-shell address) plus the
 // pause decomposition: PauseRescan + PauseCopy ≈ Duration, PauseMark = 0,
 // with the concurrent trace's wall time reported outside the pause in
 // MarkOutside.
@@ -66,9 +66,6 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 		SATBDrained:          len(m.satb),
 		MarkUpdatedInstances: m.updatedInstances,
 		Steals:               m.steals,
-	}
-	if dsu {
-		res.OldForNew = make(map[rt.Addr]rt.Addr)
 	}
 
 	// --- 1. rescan ---------------------------------------------------------
@@ -146,9 +143,6 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 	c.pool.entries = entries[:0] // recycle the live list for the next cycle
 
 	sort.Slice(res.Log, func(i, j int) bool { return res.Log[i].New < res.Log[j].New })
-	for _, p := range res.Log {
-		res.OldForNew[p.New] = p.OldCopy
-	}
 	res.PairsLogged = len(res.Log)
 
 	c.Collections++
@@ -275,6 +269,7 @@ func (c *Collector) sweepSerial(entries []sweepEntry, dsu, useScratch bool, res 
 				return fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
 			}
 			h.SetForward(e.addr, shell)
+			h.SetPairWord(shell, uint64(oldCopy))
 			e.new, e.oldCopy = shell, oldCopy
 			res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
 			res.CopiedObjects += 2
@@ -355,6 +350,7 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu, useScratch bool, re
 					h.SetWord(shell, uint64(e.newCls.ID))
 					h.CopyWords(oldCopy, e.addr, size)
 					h.SetForward(e.addr, shell)
+					h.SetPairWord(shell, uint64(oldCopy))
 					e.new, e.oldCopy = shell, oldCopy
 					w.log = append(w.log, Pair{OldCopy: oldCopy, New: shell})
 					w.copiedObjects += 2

@@ -30,7 +30,7 @@ import (
 //     on the global bump pointer per object.
 //   - Grey objects drain through per-worker deques with work-stealing:
 //     owners pop LIFO (cache-hot), thieves steal FIFO (coarse-grained).
-//   - DSU pair logging and OldForNew are per-worker and merged
+//   - DSU pair logging is per-worker and merged
 //     deterministically — sorted by the new shell's to-space address — so
 //     Result.Log order is a pure function of the final heap layout, not of
 //     scheduling interleavings.
@@ -232,6 +232,7 @@ func (w *pworker) copyClaimed(a rt.Addr, hw uint64) (rt.Addr, bool) {
 				h.CopyWords(oldCopy+1, a+1, size-1)
 			}
 			h.SetWord(oldCopy, hw)
+			h.SetPairWord(shell, uint64(oldCopy))
 			h.PublishForward(a, shell)
 			w.log = append(w.log, Pair{OldCopy: oldCopy, New: shell})
 			w.copiedObjects += 2
@@ -448,7 +449,6 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 	}
 	if dsu {
 		res.Log = make([]Pair, 0, total)
-		res.OldForNew = make(map[rt.Addr]rt.Addr, total)
 	}
 	for i, w := range ws {
 		res.Log = append(res.Log, w.log...)
@@ -458,9 +458,6 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 		res.WorkerWords[i] = w.copiedWords
 	}
 	sort.Slice(res.Log, func(i, j int) bool { return res.Log[i].New < res.Log[j].New })
-	for _, p := range res.Log {
-		res.OldForNew[p.New] = p.OldCopy
-	}
 	res.PairsLogged = len(res.Log)
 
 	c.Collections++

@@ -13,7 +13,7 @@ import (
 // The serial/parallel equivalence suite: the parallel copy/scan collector
 // must produce a heap observationally identical to the serial Cheney
 // collector's — an isomorphic reachable graph with identical values,
-// identical DSU pair sets, and a consistent OldForNew cache — differing
+// identical DSU pair sets, and pair words consistent with the log — differing
 // only in physical addresses (TLAB carving makes to-space placement
 // scheduling-dependent).
 
@@ -100,9 +100,12 @@ func addUpdatedTo(t testing.TB, w *world) *rt.Class {
 // roots, requiring a graph isomorphism: same kinds, same class IDs, same
 // non-reference words, same null-ness, and a bijective address pairing
 // (sharing preserved both ways). With dsu set it additionally pairs each
-// reachable new object's old copy through the two OldForNew caches.
+// reachable new object's old copy through the pointer cached in the shell
+// (the pair word), which must agree with the side's update log: set on
+// exactly the logged shells, to exactly the logged old copy.
 func isoCheck(t *testing.T, wa, wb *world, ra, rb *Result, dsu bool) {
 	t.Helper()
+	logA, logB := pairMap(ra.Log), pairMap(rb.Log)
 	aToB := make(map[rt.Addr]rt.Addr)
 	bToA := make(map[rt.Addr]rt.Addr)
 	var compare func(a, b rt.Addr)
@@ -158,13 +161,16 @@ func isoCheck(t *testing.T, wa, wb *world, ra, rb *Result, dsu bool) {
 			}
 		}
 		if dsu {
-			oa, oka := ra.OldForNew[a]
-			ob, okb := rb.OldForNew[b]
-			if oka != okb {
+			oa, ob := ha.PairWord(a), hb.PairWord(b)
+			if oa != uint64(logA[a]) || ob != uint64(logB[b]) {
+				t.Fatalf("pair word disagrees with the log: @%d holds %d (log %d), @%d holds %d (log %d)",
+					a, oa, logA[a], b, ob, logB[b])
+			}
+			if (oa != 0) != (ob != 0) {
 				t.Fatalf("pair-ness mismatch @%d/@%d", a, b)
 			}
-			if oka {
-				compare(oa, ob)
+			if oa != 0 {
+				compare(rt.Addr(oa), rt.Addr(ob))
 			}
 		}
 	}
@@ -173,6 +179,26 @@ func isoCheck(t *testing.T, wa, wb *world, ra, rb *Result, dsu bool) {
 	}
 	for i := range wa.roots {
 		compare(wa.roots[i].Ref(), wb.roots[i].Ref())
+	}
+}
+
+// pairMap indexes an update log by shell address.
+func pairMap(log []Pair) map[rt.Addr]rt.Addr {
+	m := make(map[rt.Addr]rt.Addr, len(log))
+	for _, p := range log {
+		m[p.New] = p.OldCopy
+	}
+	return m
+}
+
+// checkPairWords requires every logged shell to cache exactly its old copy's
+// address in its pair word (paper §3.4).
+func checkPairWords(t *testing.T, h *heap.Heap, log []Pair) {
+	t.Helper()
+	for _, p := range log {
+		if got := h.PairWord(p.New); got != uint64(p.OldCopy) {
+			t.Fatalf("shell @%d: pair word %d, log says old copy @%d", p.New, got, p.OldCopy)
+		}
 	}
 }
 
@@ -224,11 +250,7 @@ func runEquivalence(t *testing.T, seed int64, dsu bool, scratch int, workers int
 			t.Fatal("merged log not sorted by new-shell address")
 		}
 	}
-	for _, p := range rb.Log {
-		if rb.OldForNew[p.New] != p.OldCopy {
-			t.Fatal("OldForNew inconsistent with merged log")
-		}
-	}
+	checkPairWords(t, wb.h, rb.Log)
 	isoCheck(t, wa, wb, ra, rb, dsu)
 }
 

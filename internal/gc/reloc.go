@@ -128,7 +128,7 @@ type Relocation struct {
 	err   error
 
 	mu       sync.Mutex
-	deferred map[rt.Addr]rt.Addr // shell → old copy (deferPairs mode)
+	deferred []Pair // drain-created pairs (deferPairs mode), in creation order
 
 	objects, words, scratchWords atomic.Int64
 	healed                       atomic.Int64 // drain-side slot heals
@@ -186,7 +186,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	start := time.Now()
 	h := c.Heap
 	workers := c.EffectiveWorkers()
-	res := &Result{Workers: workers, Relocated: true, OldForNew: make(map[rt.Addr]rt.Addr)}
+	res := &Result{Workers: workers, Relocated: true}
 
 	// --- discovery ---------------------------------------------------------
 	var addrs []rt.Addr
@@ -234,7 +234,6 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		regionStart: h.ScanStart(),
 		workers:     workers,
 		deques:      make([]*deque, workers),
-		deferred:    make(map[rt.Addr]rt.Addr),
 	}
 	for i := range rl.deques {
 		rl.deques[i] = &deque{}
@@ -273,6 +272,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 			return nil, nil, fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
 		}
 		h.SetForward(a, shell)
+		h.SetPairWord(shell, uint64(oldCopy))
 		res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
 		res.CopiedObjects += 2
 		res.CopiedWords += size + newCls.Size
@@ -307,9 +307,6 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	res.PauseCopy = time.Since(tCopy)
 
 	sort.Slice(res.Log, func(i, j int) bool { return res.Log[i].New < res.Log[j].New })
-	for _, p := range res.Log {
-		res.OldForNew[p.New] = p.OldCopy
-	}
 	res.PairsLogged = len(res.Log)
 
 	// Arm the self-healing load barrier before the world (and the in-pause
@@ -756,8 +753,8 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 // deferredPair builds a shell + old copy for an updated-class instance the
 // drain discovered (deferPairs mode), tags the shell untransformed for the
 // lazy read barrier, and registers the pair for the lazy drain to adopt. The
-// shell and its tag are written before PublishForward, so no other goroutine
-// ever sees a half-built pair.
+// shell, its tag and its pair word are written before PublishForward, so no
+// other goroutine ever sees a half-built pair.
 func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Class, al *relocAllocator) (rt.Addr, bool) {
 	h := rl.h
 	shell, ok1 := al.allocShell(newCls.Size)
@@ -777,12 +774,13 @@ func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Cl
 	}
 	h.SetWord(shell, uint64(newCls.ID))
 	h.MarkUntransformed(shell)
+	h.SetPairWord(shell, uint64(oldCopy))
 	if size > 1 {
 		h.CopyWords(oldCopy+1, a+1, size-1)
 	}
 	h.SetWord(oldCopy, hw)
 	rl.mu.Lock()
-	rl.deferred[shell] = oldCopy
+	rl.deferred = append(rl.deferred, Pair{OldCopy: oldCopy, New: shell})
 	rl.mu.Unlock()
 	h.PublishForward(a, shell)
 	rl.objects.Add(2)
@@ -923,25 +921,11 @@ func (rl *Relocation) Finish() (RelocStats, error) {
 	return st, nil
 }
 
-// DeferredOldFor looks up the old copy of a drain-created pair mid-drain —
-// the lazy transform's fallback when a touched shell is not in its adopted
-// log yet.
-func (rl *Relocation) DeferredOldFor(shell rt.Addr) (rt.Addr, bool) {
+// Deferred returns the drain-created pairs so far, in creation order. The
+// list only grows and a pair is listed before its shell is published, so the
+// lazy drain adopts by position: everything past what it took last time.
+func (rl *Relocation) Deferred() []Pair {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	oc, ok := rl.deferred[shell]
-	return oc, ok
-}
-
-// DeferredPairs returns the drain-created pairs sorted by shell address —
-// the adoption set the lazy drain takes over at finalize.
-func (rl *Relocation) DeferredPairs() []Pair {
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	ps := make([]Pair, 0, len(rl.deferred))
-	for sh, oc := range rl.deferred {
-		ps = append(ps, Pair{OldCopy: oc, New: sh})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].New < ps[j].New })
-	return ps
+	return rl.deferred[:len(rl.deferred):len(rl.deferred)]
 }

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
@@ -97,11 +98,7 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers in
 			t.Fatal("reloc pair log not sorted by new-shell address")
 		}
 	}
-	for _, p := range rb.Log {
-		if rb.OldForNew[p.New] != p.OldCopy {
-			t.Fatal("OldForNew inconsistent with pair log")
-		}
-	}
+	checkPairWords(t, wb.h, rb.Log)
 	isoCheck(t, wa, wb, ra, rb, dsu)
 }
 
@@ -291,14 +288,19 @@ func TestRelocDeferredPairs(t *testing.T) {
 			t.Fatal("scratch configured but no old-copy words placed there")
 		}
 
-		pairs := rl.DeferredPairs()
-		if len(pairs) != n {
-			t.Fatalf("DeferredPairs returned %d, want %d", len(pairs), n)
+		// Creation order, the root remap's pair first; each shell caches its
+		// old copy.
+		pairs := append([]Pair(nil), rl.Deferred()...)
+		if len(pairs) != n || pairs[0].New != w.roots[0].Ref() {
+			t.Fatalf("Deferred returned %d pairs (want %d), first shell @%d (want the root's @%d)",
+				len(pairs), n, pairs[0].New, w.roots[0].Ref())
 		}
+		checkPairWords(t, w.h, pairs)
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].New < pairs[j].New })
 		oldFor := make(map[rt.Addr]rt.Addr, n)
 		for i, p := range pairs {
-			if i > 0 && pairs[i-1].New >= p.New {
-				t.Fatal("DeferredPairs not sorted by shell address")
+			if i > 0 && pairs[i-1].New == p.New {
+				t.Fatalf("shell @%d listed twice", p.New)
 			}
 			if w.h.ClassID(p.New) != newCls.ID {
 				t.Fatalf("shell @%d has class %d, want %d", p.New, w.h.ClassID(p.New), newCls.ID)
@@ -311,9 +313,6 @@ func TestRelocDeferredPairs(t *testing.T) {
 			}
 			if scratch > 0 && !w.h.InScratch(p.OldCopy) && rl.useScratch {
 				t.Fatalf("old copy @%d not in scratch", p.OldCopy)
-			}
-			if oc, ok := rl.DeferredOldFor(p.New); !ok || oc != p.OldCopy {
-				t.Fatal("DeferredOldFor disagrees with DeferredPairs")
 			}
 			oldFor[p.New] = p.OldCopy
 		}

@@ -27,6 +27,18 @@ package heap
 // set on TO-space shells (freshly created by a DSU collection or relocation
 // drain), and forwarding headers are only ever installed on FROM-space
 // originals. TestHeaderBitLayout pins these disjointness claims.
+//
+// Header word 1 is an array's length. On a scalar object it is the DSU pair
+// word — the paper's "we instead cache a pointer to the old version in the
+// new version" (§3.4) — which doubles as the transformation status: the old
+// copy's address on a shell whose transformer has not run, Transforming while
+// it runs (the §3.4 cycle check), 0 afterwards and on every object that is
+// half of no pair. The collector that creates a pair writes the address (the
+// relocation before it publishes the shell's forwarding pointer); the engine's
+// residue moves it on, and zeroes whatever a failed update or drain leaves
+// pending. The two uses never meet: updated-class instances are never arrays,
+// and the residue is forced before any flip, so the word is 0 whenever a
+// collector may copy the object and no stale pointer is ever carried along.
 const (
 	// classIDMask covers the class id of a scalar object's header.
 	classIDMask = uint64(1)<<32 - 1
@@ -57,3 +69,6 @@ const (
 	// distinguishable from forwarded.
 	claimedWord = forwardBit | forwardMask
 )
+
+// Transforming is the pair word's in-progress sentinel; no 32-bit rt.Addr equals it.
+const Transforming = ^uint64(0)

@@ -1,6 +1,10 @@
 package heap
 
-import "testing"
+import (
+	"testing"
+
+	"govolve/internal/rt"
+)
 
 // TestHeaderBitLayout pins the disjointness claims documented in bits.go: no
 // two protocols claim overlapping bits on a live header, forwarding's
@@ -67,5 +71,25 @@ func TestHeaderBitLayout(t *testing.T) {
 	aw := arrayBit | arrayRefBit
 	if !HeaderIsArray(aw) || HeaderClassID(aw) != 0 {
 		t.Errorf("array flags corrupt class id decode")
+	}
+
+	// Word 1: the pair word's in-progress sentinel is no address — not even
+	// the widest rt.Addr — and not 0 (done); a pending old-copy address
+	// round-trips; a fresh object starts at 0; an array keeps its length there.
+	if Transforming <= uint64(^rt.Addr(0)) || Transforming == 0 {
+		t.Errorf("Transforming = %#x collides with an address or with done", Transforming)
+	}
+	h := New(64)
+	obj, _ := h.AllocObject(&rt.Class{ID: classID, Size: rt.HeaderWords + 1})
+	if h.PairWord(obj) != 0 {
+		t.Errorf("fresh object carries pair word %#x", h.PairWord(obj))
+	}
+	h.SetPairWord(obj, uint64(^rt.Addr(0)))
+	if h.PairWord(obj) != uint64(^rt.Addr(0)) || h.ClassID(obj) != classID || h.IsArray(obj) {
+		t.Errorf("pair word does not round-trip beside word 0")
+	}
+	arr, _ := h.AllocArray(false, 3)
+	if h.PairWord(arr) != 3 {
+		t.Errorf("array word 1 = %d, want its length 3", h.PairWord(arr))
 	}
 }

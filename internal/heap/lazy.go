@@ -62,3 +62,9 @@ func (h *Heap) Untransformed(a rt.Addr) bool {
 	}
 	return h.words[a]&untransformedBit != 0
 }
+
+// PairWord reads a scalar object's pair word (bits.go); mid-relocation too, only the mutator touches it.
+func (h *Heap) PairWord(a rt.Addr) uint64 { return h.words[a+1] }
+
+// SetPairWord writes a scalar object's pair word.
+func (h *Heap) SetPairWord(a rt.Addr, w uint64) { h.words[a+1] = w }

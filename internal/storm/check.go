@@ -28,7 +28,11 @@ const maxDeadErrorsGauge = 128
 //     object carries a forwarding pointer or lives outside the current
 //     semi-space (enforced by gc.WalkReachable), and no reachable instance
 //     belongs to a renamed old version or to stale class metadata shadowed
-//     by a newer registration of the same name;
+//     by a newer registration of the same name; the pair word (header word
+//     1 of a scalar, heap/bits.go) is 0 on every object when no residue is
+//     attached, and with one attached is set only on a shell of the pair
+//     log, to that pair's old copy — an instance, in scratch or the current
+//     space, of the shell class's renamed old version;
 //   - stacks: no frame executes invalidated compiled code, every pc is in
 //     range, no frame's compiled code bakes in offsets of a renamed or
 //     unregistered class, and no return barrier survives outside an update;
@@ -69,9 +73,35 @@ func CheckVM(v *vm.VM) error {
 	}
 
 	// --- heap walk ---------------------------------------------------------
+	// The pair log as the residue reports it. Mid-relocation the walk's own
+	// healing loads make the drain create pairs, so a miss re-reads the
+	// report's tail (it only grows while no transformer runs).
+	logged := map[rt.Addr]rt.Addr{}
+	seen := 0
+	oldCopyOf := func(shell rt.Addr) (rt.Addr, bool) {
+		if _, ok := logged[shell]; !ok && drain {
+			ps := v.Residue.Pairs()
+			for _, p := range ps[seen:] {
+				logged[p.New] = p.OldCopy
+			}
+			seen = len(ps)
+		}
+		old, ok := logged[shell]
+		return old, ok
+	}
 	err := gc.WalkReachable(h, reg, v, func(a rt.Addr, cls *rt.Class) error {
 		if cls == nil {
 			return nil // array; structure validated by the walk itself
+		}
+		if w := h.PairWord(a); w != 0 {
+			old, ok := oldCopyOf(a)
+			if !ok || w != uint64(old) {
+				return fmt.Errorf("heap: @%d of %s carries pair word %#x, but the pair log holds no such pair (drain active: %v)", a, cls.Name, w, drain)
+			}
+			oc := reg.ClassByID(h.ClassID(old))
+			if oc == nil || !oc.Renamed || oc.UpdatedTo != cls || !(h.InScratch(old) || h.InCurrentSpace(old)) {
+				return fmt.Errorf("heap: shell @%d of %s: pair word @%d is not an old-version instance in scratch or the current space", a, cls.Name, old)
+			}
 		}
 		if cls.Renamed {
 			return fmt.Errorf("heap: reachable old-version instance @%d of %s", a, cls.Name)

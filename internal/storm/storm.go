@@ -86,6 +86,10 @@ type Config struct {
 	// transformer of every update with an empty body, simulating a broken
 	// transformer; the shadow oracle must catch it.
 	InjectTransformerBug bool
+	// InjectStalePairWord (test-only) leaves a pointer in one specimen's pair
+	// word (heap/bits.go) after every applied update, simulating a residue
+	// teardown that forgot a pair; CheckVM's heap walk must catch it.
+	InjectStalePairWord bool
 
 	// EventTail is how many flight-recorder events a failure report embeds
 	// alongside the reproducing seed (default 40; negative disables the
@@ -687,6 +691,10 @@ func (r *runner) update() error {
 		r.syncStatics()
 		if err := r.ensureSpecimens(); err != nil {
 			return err
+		}
+		if r.cfg.InjectStalePairWord {
+			a := r.addrOf(r.specs[0].handle)
+			r.v.Heap.SetPairWord(a, uint64(a))
 		}
 	case core.Aborted:
 		r.rep.Aborted++

@@ -123,6 +123,22 @@ func TestStormCatchesInjectedTransformerBug(t *testing.T) {
 	}
 }
 
+// TestStormCatchesStalePairWord gives the word-1 invariant the same teeth: a
+// pair word left behind after the residue retired (eager) or on an object the
+// pair log does not hold (mid-drain, lazy) fails the heap walk at the next
+// check, with the reproducing seed.
+func TestStormCatchesStalePairWord(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		rep, err := Run(Config{Seed: 3, Updates: 10, Lazy: lazy, InjectStalePairWord: true})
+		if err == nil {
+			t.Fatalf("lazy=%v: stale pair word escaped the checker (report %+v)", lazy, rep)
+		}
+		if !strings.Contains(err.Error(), "seed=3") || !strings.Contains(err.Error(), "pair word") {
+			t.Fatalf("lazy=%v: failure lacks the reproducing seed or the violated invariant: %v", lazy, err)
+		}
+	}
+}
+
 // TestStormDeterministic re-runs the same seed and requires identical
 // reports — the reproducibility contract behind printing the seed on
 // failure.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"govolve/internal/bytecode"
@@ -242,12 +243,18 @@ type VM struct {
 	strCls      *rt.Class
 	strCharsOff int
 	objectCls   *rt.Class
+
+	// syncThreads are RunSynchronous's resident threads by nesting depth (a
+	// transformer forcing a neighbour); syncDepth of them are running, and in
+	// Threads. An idle one is not, so it is no root.
+	syncThreads []*syncThread
+	syncDepth   int
 }
 
 // DSUResidue is the one hook the DSU engine installs on the VM (VM.Residue).
-// The vm package cannot import the engine, so the three things the VM needs
+// The vm package cannot import the engine, so the things the VM needs
 // from an update's post-collection residue are spelled as functions; the
-// engine sets all three.
+// engine sets them all.
 type DSUResidue struct {
 	// OnTouch arms the lazy read barrier: objects carrying the
 	// untransformed header tag may exist, so the interpreter's access fast
@@ -267,6 +274,8 @@ type DSUResidue struct {
 	// VM.FatalHeap to tell a failed relocation drain from transformer data
 	// loss.
 	Force func() error
+	// Pairs lists every pair the update created so far, transformed or not: the oracle's view.
+	Pairs func() []gc.Pair
 }
 
 // ObjectClass returns the bootstrap root class.
@@ -401,34 +410,54 @@ func (v *VM) RunClinit(cls *rt.Class) error {
 	return v.RunSynchronous("<clinit:"+cls.Name+">", m, nil)
 }
 
-// RunSynchronous executes a method to completion on a temporary thread
-// registered with the VM (so its frames are GC roots), with the yield flag
+// RunSynchronous executes a method to completion on a resident thread registered
+// with the VM for the duration (so its frames are GC roots), with the yield flag
 // suspended — the DSU engine uses it for class initializers and transformer
-// functions, which run while application threads are stopped.
+// functions, which run while application threads are stopped. The thread, its
+// root frame, locals and operand stack outlive the run; only its id is fresh.
 func (v *VM) RunSynchronous(name string, m *rt.Method, args []rt.Value) error {
-	t := v.newThread(name)
-	if err := v.callOn(t, m, args); err != nil {
+	if v.syncDepth == len(v.syncThreads) {
+		v.syncThreads = append(v.syncThreads, new(syncThread))
+	}
+	st := v.syncThreads[v.syncDepth]
+	t, f, frames := &st.Thread, &st.root, st.Frames[:0]
+	*t = *v.newThread(name)
+	cm, err := v.resolveCompiled(m)
+	if err != nil {
 		return err
 	}
+	*f = Frame{CM: cm, Locals: slices.Grow(f.Locals[:0], cm.MaxLocals)[:cm.MaxLocals], Stack: f.Stack[:0]}
+	clear(f.Locals)
+	copy(f.Locals, args)
+	t.Frames = append(frames, f)
+
 	v.Threads = append(v.Threads, t)
-	defer func() {
-		for i, th := range v.Threads {
-			if th == t {
-				v.Threads = append(v.Threads[:i], v.Threads[i+1:]...)
-				break
-			}
-		}
-	}()
+	v.syncDepth++
 	saved := v.yieldFlag
 	v.yieldFlag = false
-	defer func() { v.yieldFlag = saved }()
 	for t.State == Runnable {
 		v.interpret(t, 1<<30)
-		if t.State == Blocked {
-			return fmt.Errorf("vm: synchronous thread %s blocked:\n%s", name, t.Backtrace())
-		}
 	}
-	return t.Err
+	v.yieldFlag = saved
+	v.syncDepth--
+	n := len(v.Threads) - 1
+	for v.Threads[n] != t { // runs nest: the first probe hits unless the guest spawned threads
+		n--
+	}
+	v.Threads = append(v.Threads[:n], v.Threads[n+1:]...)
+	err = t.Err
+	if t.State == Blocked {
+		err = fmt.Errorf("vm: synchronous thread %s blocked:\n%s", name, t.Backtrace())
+	}
+	clear(t.Frames)
+	f.CM = nil
+	return err
+}
+
+// syncThread is one resident synchronous thread with its root frame.
+type syncThread struct {
+	Thread
+	root Frame
 }
 
 // Spawn creates a thread running a static method with the given arguments.

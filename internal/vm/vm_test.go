@@ -565,3 +565,103 @@ class T {
 	}
 	var _ = classfile.Desc("I")
 }
+
+// TestRunSynchronousResidentThread: synchronous runs reuse one resident
+// thread per nesting depth under a fresh id each, leave the thread table as
+// they found it whatever the outcome — a clean return, a trap with frames
+// still stacked, a blocking native (an error: nothing can wake it), or guest
+// code that registered a thread of its own behind the run's — and a run after
+// a failed one starts from cleared locals and an empty operand stack.
+func TestRunSynchronousResidentThread(t *testing.T) {
+	v, out := newTestVM(t, 1<<14)
+	loadSrc(t, v, `
+class Child {
+  method <init>()V {
+    load 0
+    invokespecial Object.<init>()V
+    return
+  }
+  method run()V {
+    const 7
+    invokestatic System.printInt(I)V
+    return
+  }
+}
+class S {
+  static method sum(II)V {
+    load 0
+    load 1
+    add
+    store 2
+    load 2
+    invokestatic System.printInt(I)V
+    return
+  }
+  static method deep()V {
+    const 1
+    invokestatic S.boom()I
+    add
+    invokestatic System.printInt(I)V
+    return
+  }
+  static method boom()I {
+    trap "boom"
+  }
+  static method sleeper()V {
+    const 1000
+    invokestatic Thread.sleep(I)V
+    return
+  }
+  static method spawner()V {
+    new Child
+    dup
+    invokespecial Child.<init>()V
+    invokestatic Thread.spawn(LObject;)V
+    return
+  }
+}`)
+	s := v.Reg.LookupClass("S")
+	run := func(name, sig string, args ...rt.Value) error {
+		t.Helper()
+		before, spawned := len(v.Threads), v.Stats().ThreadsSpawned
+		err := v.RunSynchronous(name, s.Method(name, classfile.Sig(sig)), args)
+		want := before
+		if name == "spawner" {
+			want, spawned = want+1, spawned+1 // the child, and nothing else
+		}
+		if len(v.Threads) != want || v.syncDepth != 0 {
+			t.Fatalf("%s: %d threads registered (want %d), depth %d", name, len(v.Threads), want, v.syncDepth)
+		}
+		if got := v.Stats().ThreadsSpawned; got != spawned+1 {
+			t.Fatalf("%s: ThreadsSpawned moved %d → %d, want one per run", name, spawned, got)
+		}
+		return err
+	}
+	if err := run("sum", "(II)V", rt.IntVal(2), rt.IntVal(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("deep", "()V"); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("trap under a stacked frame: err = %v", err)
+	}
+	if err := run("sleeper", "()V"); err == nil || !strings.Contains(err.Error(), "synchronous thread sleeper blocked") {
+		t.Fatalf("blocking native: err = %v", err)
+	}
+	if err := run("spawner", "()V"); err != nil {
+		t.Fatal(err)
+	}
+	if child := v.Threads[len(v.Threads)-1]; child.Name != "Child.run" || child == &v.syncThreads[0].Thread {
+		t.Fatalf("the run removed the wrong thread: %s is last", child.Name)
+	}
+	if err := run("sum", "(II)V", rt.IntVal(40)); err != nil { // one argument: local 1 must read 0
+		t.Fatal(err)
+	}
+	if len(v.syncThreads) != 1 || v.syncThreads[0].root.CM != nil || len(v.syncThreads[0].Frames) != 0 {
+		t.Fatalf("%d resident threads, idle one holding code or frames", len(v.syncThreads))
+	}
+	if err := v.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "5\n40\n7\n" {
+		t.Fatalf("output = %q, want 5, 40, 7", out.String())
+	}
+}
