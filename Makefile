@@ -121,7 +121,7 @@ storm:
 
 # GC-phase pause vs collection workers; writes BENCH_gc.json.
 bench-gc:
-	$(GO) run ./cmd/jvolve-bench -exp gcpause -gc-out BENCH_gc.json
+	$(GO) run ./cmd/jvolve-bench -exp gcpause -runs 7 -gc-out BENCH_gc.json
 
 # STW vs concurrent-mark DSU pause over sizes × updated fractions; writes
 # BENCH_pause.json.

@@ -18,10 +18,10 @@ import (
 // update: the per-object path builds no string and looks nothing up by name.
 type plan struct {
 	newCls, oldCls *rt.Class
-	flat           *classfile.Class // flat old def, what the native copy matches against
-	native         bool             // FastDefaults ∧ UPT-generated default: a bulk word copy
-	tm             *rt.Method       // interpreted jvolveObject; nil is an error at the first instance
-	label          string           // recorder label and synchronous thread name
+	native         bool       // FastDefaults ∧ UPT-generated default: a bulk word copy
+	moves          []move     // the native copy, resolved to (old offset → new offset) runs
+	tm             *rt.Method // interpreted jvolveObject; nil is an error at the first instance
+	label          string     // recorder label and synchronous thread name
 }
 
 // residue is everything one update leaves behind that must outlive its DSU
@@ -132,9 +132,10 @@ func (r *residue) buildPlans() {
 	r.planBase, r.plans = lo, make([]plan, r.transformers.ID-lo)
 	for _, old := range r.renamed {
 		newCls := old.UpdatedTo
-		p := plan{newCls: newCls, oldCls: old, flat: r.spec.OldFlatDefs[old.Name]}
+		p := plan{newCls: newCls, oldCls: old}
 		if r.opts.FastDefaults && r.spec.DefaultObjectTransformers[newCls.Name] {
 			p.native, p.label = true, "default:"+newCls.Name
+			p.moves = resolveMoves(newCls, old, r.spec.OldFlatDefs[old.Name])
 		} else {
 			sig := classfile.Sig("(L" + newCls.Name + ";L" + old.Name + ";)V")
 			p.tm, p.label = r.transformers.Method("jvolveObject", sig), "jvolveObject:"+newCls.Name

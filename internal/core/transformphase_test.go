@@ -234,9 +234,10 @@ class NoChange {
 `
 
 // microUpdate pins n objects, half of them Change, behind one array and
-// returns a function applying the update with the interpreted default
-// transformer. In lazy mode the pause only tags; the caller drains.
-func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder) (*core.Engine, func() *core.Result) {
+// returns a function applying the update with the default transformer —
+// interpreted, or the plan's word moves under opts.FastDefaults. In lazy mode
+// the pause only tags; the caller drains.
+func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, opts core.Options) (*core.Engine, func() *core.Result) {
 	tb.Helper()
 	v, err := vm.New(vm.Options{HeapWords: 5 * 9 * n, LazyTransform: lazy, Out: io.Discard, Recorder: rec})
 	if err != nil {
@@ -267,7 +268,7 @@ func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder) (*core.Engi
 	}
 	e := core.NewEngine(v)
 	return e, func() *core.Result {
-		res, err := e.ApplyNow(spec, core.Options{})
+		res, err := e.ApplyNow(spec, opts)
 		if err != nil || res.Outcome != core.Applied {
 			tb.Fatalf("update: %v / %+v", err, res)
 		}
@@ -297,7 +298,7 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 		{"recorder off", nil, 0.01},
 		{"recorder on", obs.NewRecorder(1 << 10), 1},
 	} {
-		e, apply := microUpdate(t, n, true, tc.rec)
+		e, apply := microUpdate(t, n, true, tc.rec, core.Options{})
 		res := apply()
 		if res.Stats.LazyPending != n/2 {
 			t.Fatalf("%s: pause left %d pending, want %d", tc.name, res.Stats.LazyPending, n/2)
@@ -319,23 +320,35 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTransformPhase: the eager transformer phase of a 20 000-object
-// update, half updated, interpreted default transformer — the figure the
-// bench of record reports as core.transform_ns_per_object. allocs/object is
-// the whole update's Go allocations (install, collection and teardown
-// included) over the transformed objects.
+// update, half updated. interpreted runs the default transformer as bytecode
+// — the figure the bench of record reports as core.transform_ns_per_object;
+// native runs it as the plan's word moves (Options.FastDefaults, one worker),
+// which must stay ≥2× ahead to earn the option its place (EXPERIMENTS.md E7).
+// allocs/object is the whole update's Go allocations (install, collection and
+// teardown included) over the transformed objects.
 func BenchmarkTransformPhase(b *testing.B) {
 	const n = 20000
-	var ns, allocs float64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		_, apply := microUpdate(b, n, false, nil)
-		m0 := mallocs()
-		b.StartTimer()
-		res := apply()
-		b.StopTimer()
-		allocs += float64(mallocs()-m0) / float64(n/2)
-		ns += float64(res.Stats.PauseTransform.Nanoseconds()) / float64(res.Stats.TransformedObjects)
+	for _, bc := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"interpreted", core.Options{}},
+		{"native", core.Options{FastDefaults: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var ns, allocs float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				_, apply := microUpdate(b, n, false, nil, bc.opts)
+				m0 := mallocs()
+				b.StartTimer()
+				res := apply()
+				b.StopTimer()
+				allocs += float64(mallocs()-m0) / float64(n/2)
+				ns += float64(res.Stats.PauseTransform.Nanoseconds()) / float64(res.Stats.TransformedObjects)
+			}
+			b.ReportMetric(ns/float64(b.N), "ns/object")
+			b.ReportMetric(allocs/float64(b.N), "allocs/object")
+		})
 	}
-	b.ReportMetric(ns/float64(b.N), "ns/object")
-	b.ReportMetric(allocs/float64(b.N), "allocs/object")
 }

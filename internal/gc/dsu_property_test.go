@@ -10,6 +10,114 @@ import (
 	"govolve/internal/rt"
 )
 
+// dsuGraph is one seeded object graph mixing an updated class and a stable
+// one, with the model TestDSUCollectRandomGraphsProperty checks against.
+type dsuGraph struct {
+	reg                      *rt.Registry
+	h                        *heap.Heap
+	upCls, stableCls, newCls *rt.Class
+	isUp                     []bool
+	vals                     []int64
+	peer, other              []int // model index of the referent, -1 = null
+	roots                    []rt.Value
+	rootIdx                  []int
+}
+
+const (
+	dsuOffVal   = rt.HeaderWords // Up.val / Stable.val
+	dsuOffPeer  = rt.HeaderWords + 1
+	dsuOffOther = rt.HeaderWords + 2
+)
+
+func (g *dsuGraph) ForEachRoot(fn func(*rt.Value)) {
+	for i := range g.roots {
+		fn(&g.roots[i])
+	}
+}
+
+// buildDSUGraph builds the graph for a seed, with old copies going to
+// to-space (the paper's layout) or to a scratch region (§3.5).
+func buildDSUGraph(seed int64, scratch bool) *dsuGraph {
+	rng := rand.New(rand.NewSource(seed))
+	g := &dsuGraph{reg: rt.NewRegistry()}
+	if scratch {
+		g.h = heap.NewWithScratch(1<<15, 1<<14)
+	} else {
+		g.h = heap.New(1 << 15)
+	}
+	load := func(b *classfile.ClassBuilder) *rt.Class {
+		cls, err := g.reg.Load(b.MustBuild())
+		if err != nil {
+			panic(err)
+		}
+		return cls
+	}
+	g.upCls = load(classfile.NewClass("Up", "").
+		Field("val", "I").
+		Field("peer", "LUp;").
+		Field("other", "LStable;"))
+	g.stableCls = load(classfile.NewClass("Stable", "").
+		Field("val", "I").
+		Field("peer", "LUp;"))
+	g.newCls = load(classfile.NewClass("UpV2", "").
+		Field("added", "I").
+		Field("val", "I").
+		Field("peer", "LUpV2;").
+		Field("other", "LStable;"))
+	g.upCls.UpdatedTo = g.newCls
+	h := g.h
+
+	n := rng.Intn(40) + 2
+	addrs := make([]rt.Addr, n)
+	g.isUp = make([]bool, n)
+	g.vals = make([]int64, n)
+	for i := range addrs {
+		g.isUp[i] = rng.Intn(2) == 0
+		cls := g.stableCls
+		if g.isUp[i] {
+			cls = g.upCls
+		}
+		a, ok := h.AllocObject(cls)
+		if !ok {
+			panic("alloc failed")
+		}
+		g.vals[i] = rng.Int63n(1 << 20)
+		h.SetFieldValue(a, dsuOffVal, rt.IntVal(g.vals[i]))
+		addrs[i] = a
+	}
+	g.peer = make([]int, n)
+	g.other = make([]int, n)
+	for i := range addrs {
+		g.peer[i] = -1
+		g.other[i] = -1
+		// peer must point at an Up object, other at a Stable one
+		// (type-correct graphs only).
+		if rng.Intn(3) > 0 {
+			j := rng.Intn(n)
+			if g.isUp[j] {
+				g.peer[i] = j
+				h.SetFieldValue(addrs[i], dsuOffPeer, rt.RefVal(addrs[j]))
+			}
+		}
+		if g.isUp[i] && rng.Intn(3) > 0 {
+			j := rng.Intn(n)
+			if !g.isUp[j] {
+				g.other[i] = j
+				h.SetFieldValue(addrs[i], dsuOffOther, rt.RefVal(addrs[j]))
+			}
+		}
+	}
+
+	// Roots: a random non-empty subset.
+	for i := range addrs {
+		if i == 0 || rng.Intn(3) == 0 {
+			g.roots = append(g.roots, rt.RefVal(addrs[i]))
+			g.rootIdx = append(g.rootIdx, i)
+		}
+	}
+	return g
+}
+
 // TestDSUCollectRandomGraphsProperty: random object graphs mixing an
 // updated class and a stable class. After a DSU collection:
 //
@@ -21,108 +129,15 @@ import (
 //   - sharing is preserved (two paths to one object reach one copy).
 func TestDSUCollectRandomGraphsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		reg := rt.NewRegistry()
 		// Alternate between the paper's old-copies-in-to-space layout and
 		// the §3.5 scratch-region variant; the invariants are identical.
-		var h *heap.Heap
-		if seed%2 == 0 {
-			h = heap.New(1 << 15)
-		} else {
-			h = heap.NewWithScratch(1<<15, 1<<14)
-		}
-
-		oldDef := classfile.NewClass("Up", "").
-			Field("val", "I").
-			Field("peer", "LUp;").
-			Field("other", "LStable;").
-			MustBuild()
-		upCls, err := reg.Load(oldDef)
-		if err != nil {
-			return false
-		}
-		stableCls, err := reg.Load(classfile.NewClass("Stable", "").
-			Field("val", "I").
-			Field("peer", "LUp;").
-			MustBuild())
-		if err != nil {
-			return false
-		}
-		newDef := classfile.NewClass("UpV2", "").
-			Field("added", "I").
-			Field("val", "I").
-			Field("peer", "LUpV2;").
-			Field("other", "LStable;").
-			MustBuild()
-		newCls, err := reg.Load(newDef)
-		if err != nil {
-			return false
-		}
-		upCls.UpdatedTo = newCls
-
-		const (
-			offVal   = rt.HeaderWords // Up.val / Stable.val
-			offPeer  = rt.HeaderWords + 1
-			offOther = rt.HeaderWords + 2
-		)
-
-		n := rng.Intn(40) + 2
-		addrs := make([]rt.Addr, n)
-		isUp := make([]bool, n)
-		vals := make([]int64, n)
-		for i := range addrs {
-			isUp[i] = rng.Intn(2) == 0
-			cls := stableCls
-			if isUp[i] {
-				cls = upCls
-			}
-			a, ok := h.AllocObject(cls)
-			if !ok {
-				return false
-			}
-			vals[i] = rng.Int63n(1 << 20)
-			h.SetFieldValue(a, offVal, rt.IntVal(vals[i]))
-			addrs[i] = a
-		}
-		peer := make([]int, n) // -1 = null
-		other := make([]int, n)
-		for i := range addrs {
-			peer[i] = -1
-			other[i] = -1
-			// peer must point at an Up object, other at a Stable one
-			// (type-correct graphs only).
-			if rng.Intn(3) > 0 {
-				j := rng.Intn(n)
-				if isUp[j] {
-					peer[i] = j
-					h.SetFieldValue(addrs[i], offPeer, rt.RefVal(addrs[j]))
-				}
-			}
-			if isUp[i] && rng.Intn(3) > 0 {
-				j := rng.Intn(n)
-				if !isUp[j] {
-					other[i] = j
-					h.SetFieldValue(addrs[i], offOther, rt.RefVal(addrs[j]))
-				}
-			}
-		}
-
-		// Roots: a random non-empty subset.
-		roots := []rt.Value{}
-		rootIdx := []int{}
-		for i := range addrs {
-			if i == 0 || rng.Intn(3) == 0 {
-				roots = append(roots, rt.RefVal(addrs[i]))
-				rootIdx = append(rootIdx, i)
-			}
-		}
+		g := buildDSUGraph(seed, seed%2 != 0)
+		h, reg, upCls, stableCls, newCls := g.h, g.reg, g.upCls, g.stableCls, g.newCls
+		isUp, vals, peer, other, roots, rootIdx := g.isUp, g.vals, g.peer, g.other, g.roots, g.rootIdx
+		const offVal, offPeer, offOther = dsuOffVal, dsuOffPeer, dsuOffOther
 
 		col := New(h, reg)
-		res, err := col.Collect(RootsFunc(func(fn func(*rt.Value)) {
-			for i := range roots {
-				fn(&roots[i])
-			}
-		}), true)
+		res, err := col.Collect(g, true)
 		if err != nil {
 			return false
 		}

@@ -111,12 +111,12 @@ type Result struct {
 	// Concurrent-mark bookkeeping (zero unless MarkConcurrent). MarkOutside
 	// is the concurrent trace's wall time — work that PR 5 moved *out* of
 	// the pause; MarkSetup is the snapshot capture + barrier arm mini-stop.
-	MarkConcurrent       bool
-	MarkOutside          time.Duration
-	MarkSetup            time.Duration
-	MarkedObjects int // objects greyed by the concurrent trace (roots included)
-	RescanMarked  int // objects the pause rescan additionally marked
-	SATBDrained   int // deletion-log entries drained at the pause
+	MarkConcurrent bool
+	MarkOutside    time.Duration
+	MarkSetup      time.Duration
+	MarkedObjects  int // objects greyed by the concurrent trace (roots included)
+	RescanMarked   int // objects the pause rescan additionally marked
+	SATBDrained    int // deletion-log entries drained at the pause
 	// MarkUpdatedInstances counts updated-class instances attributed by the
 	// concurrent trace (root captures included). Instances the pause itself
 	// discovers — rescan marks and the allocate-black walk — are not
@@ -219,7 +219,7 @@ func (c *Collector) EffectiveWorkers() int {
 // and the VM treats it as fatal OOM (vm.MarkHeapUnusable).
 //
 // With Opts.Workers > 1 the parallel copy/scan collector runs instead; the
-// serial path below is byte-for-byte the original Cheney loop.
+// serial path is a Cheney scan driven by the copy/scan kernel (kernel.go).
 func (c *Collector) Collect(roots Roots, dsu bool) (*Result, error) {
 	if c.mark != nil {
 		// A concurrent mark is in flight but a collection must run now
@@ -238,143 +238,16 @@ func (c *Collector) Collect(roots Roots, dsu bool) (*Result, error) {
 
 func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 	start := time.Now()
-	h := c.Heap
 	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(0), 0, "gc copy/scan")
+	c.Heap.Flip()
 	res := &Result{Workers: 1}
-	defer func() {
-		c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
-		c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc copy/scan")
-	}()
-	h.Flip()
-
-	// With a scratch region configured, DSU old copies go there instead of
-	// to-space and are reclaimed right after the transformer phase — the
-	// paper's §3.5 alternative ("copy the old versions to a special block
-	// of memory and reclaim it when the collection completes"). Without
-	// one, old copies live in to-space until the next collection, as in
-	// the paper's implementation.
-	useScratch := dsu && h.HasScratch()
-	var scratchObjs []rt.Addr
-	if dsu {
-		res.Log = make([]Pair, 0, c.lastPairs)
-	}
-	if useScratch {
-		scratchObjs = make([]rt.Addr, 0, c.lastPairs)
-	}
-
-	var gcErr error
-	forward := func(v *rt.Value) {
-		if gcErr != nil || !v.IsRef || v.Bits == 0 {
-			return
-		}
-		a := v.Ref()
-		if h.InCurrentSpace(a) || h.InScratch(a) {
-			return // already copied (to-space object, shell, or old copy)
-		}
-		if to, ok := h.Forwarded(a); ok {
-			v.Bits = uint64(to)
-			return
-		}
-		size := h.ObjectSize(a, c.Reg.ClassByID)
-		if dsu && !h.IsArray(a) {
-			cls := c.Reg.ClassByID(h.ClassID(a))
-			if cls != nil && cls.UpdatedTo != nil {
-				newCls := cls.UpdatedTo
-				shell, ok1 := h.AllocObject(newCls)
-				var oldCopy rt.Addr
-				var ok2 bool
-				if useScratch {
-					oldCopy, ok2 = h.ScratchCopy(a, size)
-					if ok2 {
-						scratchObjs = append(scratchObjs, oldCopy)
-						res.ScratchWords += size
-					}
-				} else {
-					oldCopy, ok2 = h.Copy(a, size)
-				}
-				if !ok1 || !ok2 {
-					gcErr = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
-					return
-				}
-				h.SetForward(a, shell)
-				h.SetPairWord(shell, uint64(oldCopy))
-				res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
-				res.CopiedObjects += 2
-				res.CopiedWords += size + newCls.Size
-				res.PairsLogged++
-				v.Bits = uint64(shell)
-				return
-			}
-		}
-		to, ok := h.Copy(a, size)
-		if !ok {
-			gcErr = ErrToSpaceExhausted
-			return
-		}
-		h.SetForward(a, to)
-		res.CopiedObjects++
-		res.CopiedWords += size
-		v.Bits = uint64(to)
-	}
-
-	// scanObj forwards every reference inside one object.
-	scanObj := func(a rt.Addr) error {
-		if h.IsArray(a) {
-			if h.ArrayElemIsRef(a) {
-				for i := 0; i < h.ArrayLen(a); i++ {
-					v := h.Elem(a, i)
-					forward(&v)
-					h.SetElem(a, i, v)
-				}
-			}
-			return nil
-		}
-		cls := c.Reg.ClassByID(h.ClassID(a))
-		if cls == nil {
-			return fmt.Errorf("gc: object @%d with unknown class id %d", a, h.ClassID(a))
-		}
-		for i, isRef := range cls.RefMap {
-			if !isRef {
-				continue
-			}
-			v := h.FieldValue(a, rt.HeaderWords+i, true)
-			forward(&v)
-			h.SetFieldValue(a, rt.HeaderWords+i, v)
-		}
-		return nil
-	}
-
-	// Roots first, then a Cheney scan of to-space interleaved with the
-	// scratch old copies. Old copies are scanned like ordinary objects —
-	// that is what lets transformers dereference an old object's fields
-	// and see transformed referents. New shells scan trivially (all
-	// fields are zero).
-	scan := h.ScanStart()
-	scratchCursor := 0
-	roots.ForEachRoot(forward)
-	for gcErr == nil {
-		progressed := false
-		for scan < h.AllocPointer() && gcErr == nil {
-			size := h.ObjectSize(scan, c.Reg.ClassByID)
-			if err := scanObj(scan); err != nil {
-				return nil, err
-			}
-			scan += rt.Addr(size)
-			progressed = true
-		}
-		for scratchCursor < len(scratchObjs) && gcErr == nil {
-			if err := scanObj(scratchObjs[scratchCursor]); err != nil {
-				return nil, err
-			}
-			scratchCursor++
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-	if gcErr != nil {
-		return nil, gcErr
+	k := c.newKernel(dsu)
+	err := k.cheney(roots)
+	k.commit(c.Heap, res)
+	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
+	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc copy/scan")
+	if err != nil {
+		return nil, err
 	}
 	if dsu {
 		c.lastPairs = res.PairsLogged

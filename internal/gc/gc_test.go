@@ -261,71 +261,86 @@ func TestCollectToSpaceExhaustion(t *testing.T) {
 	}
 }
 
+// randomGraph is one seeded object graph over the Node class with the model
+// the property tests check a collection against.
+type randomGraph struct {
+	w         *world
+	vals      []int64
+	edges     []graphEdge
+	idxOfRoot []int        // model index of each root, in w.roots order
+	reach     map[int]bool // model indices reachable from the roots
+}
+
+type graphEdge struct{ from, slot, to int }
+
+func buildRandomGraph(t testing.TB, seed int64) *randomGraph {
+	rng := rand.New(rand.NewSource(seed))
+	g := &randomGraph{w: newWorld(t, 1<<14), reach: map[int]bool{}}
+	w := g.w
+	n := rng.Intn(60) + 2
+	addrs := make([]rt.Addr, n)
+	g.vals = make([]int64, n)
+	for i := range addrs {
+		g.vals[i] = rng.Int63n(1 << 30)
+		addrs[i] = w.alloc(t, g.vals[i])
+	}
+	for i := range addrs {
+		if rng.Intn(2) == 0 {
+			to := rng.Intn(n)
+			w.h.SetFieldValue(addrs[i], offLeft, rt.RefVal(addrs[to]))
+			g.edges = append(g.edges, graphEdge{i, offLeft, to})
+		}
+		if rng.Intn(2) == 0 {
+			to := rng.Intn(n)
+			w.h.SetFieldValue(addrs[i], offRight, rt.RefVal(addrs[to]))
+			g.edges = append(g.edges, graphEdge{i, offRight, to})
+		}
+	}
+	// Roots: a random subset.
+	rootIdx := map[int]bool{}
+	for i := range addrs {
+		if rng.Intn(3) == 0 {
+			rootIdx[i] = true
+		}
+	}
+	rootIdx[0] = true
+	for i := range addrs {
+		if rootIdx[i] {
+			w.roots = append(w.roots, rt.RefVal(addrs[i]))
+			g.idxOfRoot = append(g.idxOfRoot, i)
+		}
+	}
+	// Expected reachable set.
+	var mark func(int)
+	mark = func(i int) {
+		if g.reach[i] {
+			return
+		}
+		g.reach[i] = true
+		for _, e := range g.edges {
+			if e.from == i {
+				mark(e.to)
+			}
+		}
+	}
+	for i := range rootIdx {
+		mark(i)
+	}
+	return g
+}
+
 // Property test: random object graphs survive collection with isomorphic
 // structure and identical values, and garbage never survives.
 func TestCollectRandomGraphsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w := newWorld(t, 1<<14)
-		n := rng.Intn(60) + 2
-		addrs := make([]rt.Addr, n)
-		vals := make([]int64, n)
-		for i := range addrs {
-			vals[i] = rng.Int63n(1 << 30)
-			addrs[i] = w.alloc(t, vals[i])
-		}
-		type edge struct{ from, slot, to int }
-		var edges []edge
-		for i := range addrs {
-			if rng.Intn(2) == 0 {
-				to := rng.Intn(n)
-				w.h.SetFieldValue(addrs[i], offLeft, rt.RefVal(addrs[to]))
-				edges = append(edges, edge{i, offLeft, to})
-			}
-			if rng.Intn(2) == 0 {
-				to := rng.Intn(n)
-				w.h.SetFieldValue(addrs[i], offRight, rt.RefVal(addrs[to]))
-				edges = append(edges, edge{i, offRight, to})
-			}
-		}
-		// Roots: a random subset.
-		rootIdx := map[int]bool{}
-		for i := range addrs {
-			if rng.Intn(3) == 0 {
-				rootIdx[i] = true
-			}
-		}
-		rootIdx[0] = true
-		idxOfRoot := []int{}
-		for i := range addrs {
-			if rootIdx[i] {
-				w.roots = append(w.roots, rt.RefVal(addrs[i]))
-				idxOfRoot = append(idxOfRoot, i)
-			}
-		}
-		// Expected reachable set.
-		reach := map[int]bool{}
-		var mark func(int)
-		mark = func(i int) {
-			if reach[i] {
-				return
-			}
-			reach[i] = true
-			for _, e := range edges {
-				if e.from == i {
-					mark(e.to)
-				}
-			}
-		}
-		for i := range rootIdx {
-			mark(i)
-		}
+		g := buildRandomGraph(t, seed)
+		w, vals, edges := g.w, g.vals, g.edges
 
 		res, err := New(w.h, w.reg).Collect(w, false)
 		if err != nil {
 			return false
 		}
-		if res.CopiedObjects != len(reach) {
+		if res.CopiedObjects != len(g.reach) {
 			return false
 		}
 		// Walk the new graph from each root and compare values via BFS
@@ -354,7 +369,7 @@ func TestCollectRandomGraphsProperty(t *testing.T) {
 			}
 			return true
 		}
-		for k, i := range idxOfRoot {
+		for k, i := range g.idxOfRoot {
 			if !walk(i, w.roots[k].Ref()) {
 				return false
 			}

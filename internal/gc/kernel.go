@@ -1,0 +1,233 @@
+package gc
+
+import (
+	"fmt"
+
+	"govolve/internal/heap"
+	"govolve/internal/rt"
+)
+
+// The copy/scan kernel: the one word-level implementation of "evacuate this
+// object" and "forward every reference in that one" under every
+// stop-the-world collection (DESIGN.md §8.1). It works on heap.Raw — the
+// word array and the to-space/scratch regions — and on the per-class scan
+// descriptor rt.Class.RefOffsets, so a slot costs a load, a null test and,
+// only for a reference that still points into from-space, a call. No
+// rt.Value is built and no barrier is consulted: the world is stopped and
+// both barriers are disarmed for as long as a Raw view may exist.
+//
+// The serial collector (collectSerial, sweepSerial) drives a kernel; the
+// parallel workers keep their CAS claim protocol and TLABs and share the
+// descriptor loops' shape and the pair primitive.
+
+// errUnknownClass is the structural error every tracer reports for a header
+// whose class id the registry cannot resolve.
+func errUnknownClass(a rt.Addr, hw uint64) error {
+	return fmt.Errorf("gc: object @%d with unknown class id %d", a, heap.HeaderClassID(hw))
+}
+
+// errPairExhausted is ErrToSpaceExhausted met while making a DSU pair.
+var errPairExhausted = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
+
+// forwardRoots rewrites every non-null reference root through fwd.
+func forwardRoots(roots Roots, fwd func(uint64) uint64) {
+	roots.ForEachRoot(func(v *rt.Value) {
+		if v.IsRef && v.Bits != 0 {
+			v.Bits = fwd(v.Bits)
+		}
+	})
+}
+
+// writePair builds one DSU pair in space the caller has reserved and returns
+// its log entry: the zeroed shell of newCls with the old copy's address cached
+// in its pair word (header word 1, heap/bits.go), and the old version — saved
+// header hw, body from a — at oldCopy. The source header is never read: under
+// the claim protocol it holds the sentinel. The caller installs the forwarding
+// pointer (to the shell) with whatever ordering its protocol needs.
+func writePair(words []uint64, a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class, shell, oldCopy rt.Addr) Pair {
+	clear(words[shell : shell+rt.Addr(newCls.Size)])
+	words[shell] = uint64(newCls.ID)
+	words[shell+1] = uint64(oldCopy)
+	words[oldCopy] = hw
+	copy(words[oldCopy+1:oldCopy+size], words[a+1:a+size])
+	return Pair{OldCopy: oldCopy, New: shell}
+}
+
+// kernel is one serial collection's state. The bump pointers live in its Raw
+// copy for the whole collection; commit hands them back to the heap, with the
+// counters, on every exit path.
+type kernel struct {
+	heap.Raw
+	reg *rt.Registry
+	dsu bool
+	// old is where DSU old copies go: the scratch region when the heap has
+	// one (the paper's §3.5 alternative — they are reclaimed right after the
+	// transformer phase), else to-space (they die at the next collection).
+	old *heap.Region
+
+	log            []Pair
+	objects, words int // copied, shells included
+	scratchWords   int // of those, old-copy words that went to scratch
+
+	// err is the first failure. Once set, evacuate refuses further work and
+	// references are left as they were; the heap is unusable either way.
+	err error
+}
+
+// newKernel opens the kernel over the just-flipped heap.
+func (c *Collector) newKernel(dsu bool) *kernel {
+	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu}
+	k.old = &k.To
+	if dsu {
+		k.log = make([]Pair, 0, c.lastPairs)
+		if k.Scratch.Hi > k.Scratch.Lo {
+			k.old = &k.Scratch
+		}
+	}
+	return k
+}
+
+// commit writes the bump pointers back to the heap and the counters into res.
+func (k *kernel) commit(h *heap.Heap, res *Result) {
+	allocs := k.objects // to-space allocations: everything but scratch old copies
+	if k.old == &k.Scratch {
+		allocs -= len(k.log)
+	}
+	h.CommitRaw(&k.Raw, int64(allocs))
+	res.Log = k.log
+	res.CopiedObjects += k.objects
+	res.CopiedWords += k.words
+	res.PairsLogged += len(k.log)
+	res.ScratchWords += k.scratchWords
+}
+
+// forward returns where the object a non-null reference word points at lives
+// after this collection, evacuating it on first encounter. A failed
+// evacuation leaves the reference as it was.
+func (k *kernel) forward(w uint64) uint64 {
+	a := rt.Addr(w)
+	if k.To.Contains(a) || k.Scratch.Contains(a) {
+		return w // already copied: a to-space object, a shell, or an old copy
+	}
+	hw := k.Words[a]
+	if hw&heap.ForwardBit != 0 {
+		return hw & heap.ForwardMask
+	}
+	if to := k.evacuate(a, hw); to != rt.Null {
+		return uint64(to)
+	}
+	return w
+}
+
+// evacuate moves the from-space object at a (header hw, not forwarded) and
+// returns its new address — the shell's, for an instance of an updated class
+// — or null with err set.
+func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
+	if k.err != nil {
+		return rt.Null
+	}
+	if hw&heap.ArrayBit != 0 {
+		return k.copy(a, rt.HeaderWords+rt.Addr(k.Words[a+1]))
+	}
+	cls := k.reg.ClassByID(heap.HeaderClassID(hw))
+	if cls == nil {
+		k.err = errUnknownClass(a, hw)
+		return rt.Null
+	}
+	if k.dsu && cls.UpdatedTo != nil {
+		return k.pair(a, hw, rt.Addr(cls.Size), cls.UpdatedTo).New
+	}
+	return k.copy(a, rt.Addr(cls.Size))
+}
+
+// copy block-copies size words to the bump pointer ("the GC uses memcopy,
+// which is highly optimized", §3.4) and leaves the forwarding pointer behind.
+func (k *kernel) copy(a, size rt.Addr) rt.Addr {
+	to := k.To.Alloc
+	if to+size > k.To.Hi {
+		k.err = ErrToSpaceExhausted
+		return rt.Null
+	}
+	k.To.Alloc = to + size
+	copy(k.Words[to:to+size], k.Words[a:a+size])
+	k.Words[a] = heap.ForwardBit | uint64(to)
+	k.objects++
+	k.words += int(size)
+	return to
+}
+
+// pair evacuates an instance of an updated class: shell first, then the old
+// copy (behind it in to-space, or in scratch), the log entry, and the
+// forwarding pointer to the shell. The zero Pair means err is set.
+func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair {
+	shell := k.To.Alloc
+	k.To.Alloc += rt.Addr(newCls.Size)
+	oldCopy := k.old.Alloc
+	k.old.Alloc += size
+	if k.To.Alloc > k.To.Hi || k.old.Alloc > k.old.Hi {
+		// Nothing was written. This order: old may be To itself.
+		k.old.Alloc = oldCopy
+		k.To.Alloc = shell
+		k.err = errPairExhausted
+		return Pair{}
+	}
+	p := writePair(k.Words, a, hw, size, newCls, shell, oldCopy)
+	k.log = append(k.log, p)
+	k.Words[a] = heap.ForwardBit | uint64(shell)
+	k.objects += 2
+	k.words += int(size) + newCls.Size
+	if k.old == &k.Scratch {
+		k.scratchWords += int(size)
+	}
+	return p
+}
+
+// scan forwards every reference inside the copied object at a and returns its
+// size, 0 on a structural error. Old copies are scanned like any object —
+// that is what lets a transformer dereference an old object's fields and see
+// transformed referents; shells scan trivially (all fields are zero).
+func (k *kernel) scan(a rt.Addr) rt.Addr {
+	words := k.Words
+	hw := words[a]
+	if hw&heap.ArrayBit != 0 {
+		n := rt.Addr(words[a+1])
+		if hw&heap.ArrayRefBit != 0 {
+			elems := words[a+rt.HeaderWords : a+rt.HeaderWords+n]
+			for i, w := range elems {
+				if w != 0 {
+					elems[i] = k.forward(w)
+				}
+			}
+		}
+		return rt.HeaderWords + n
+	}
+	cls := k.reg.ClassByID(heap.HeaderClassID(hw))
+	if cls == nil {
+		k.err = errUnknownClass(a, hw)
+		return 0
+	}
+	for _, off := range cls.RefOffsets {
+		if w := words[a+off]; w != 0 {
+			words[a+off] = k.forward(w)
+		}
+	}
+	return rt.Addr(cls.Size)
+}
+
+// cheney is the collection proper: the roots in enumeration order, then a
+// Cheney scan of to-space interleaved with the scratch old copies until
+// neither grows. Copy order is an invariant — every to-space address, the
+// log order and the storm/stream fingerprints are functions of it.
+func (k *kernel) cheney(roots Roots) error {
+	scan, oldScan := k.To.Alloc, k.Scratch.Alloc
+	forwardRoots(roots, k.forward)
+	for k.err == nil && (scan < k.To.Alloc || oldScan < k.Scratch.Alloc) {
+		for scan < k.To.Alloc && k.err == nil {
+			scan += k.scan(scan)
+		}
+		for oldScan < k.Scratch.Alloc && k.err == nil {
+			oldScan += k.scan(oldScan)
+		}
+	}
+	return k.err
+}

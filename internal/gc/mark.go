@@ -475,11 +475,8 @@ func (mw *markWorker) scan(a rt.Addr) {
 		m.fail(fmt.Errorf("gc: concurrent mark: object @%d with unknown class id %d", a, h.ClassID(a)))
 		return
 	}
-	for i, isRef := range cls.RefMap {
-		if !isRef {
-			continue
-		}
-		mw.grey(rt.Addr(h.RefSlotLoad(a + rt.HeaderWords + rt.Addr(i))))
+	for _, off := range cls.RefOffsets {
+		mw.grey(rt.Addr(h.RefSlotLoad(a + off)))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"govolve/internal/heap"
 	"govolve/internal/obs"
 	"govolve/internal/rt"
 )
@@ -103,10 +102,8 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 		if cls == nil {
 			return nil, preFlipErr(fmt.Errorf("gc: rescan: object @%d with unknown class id %d", a, h.ClassID(a)))
 		}
-		for i, isRef := range cls.RefMap {
-			if isRef {
-				pushIf(h.FieldValue(a, rt.HeaderWords+i, true).Ref())
-			}
+		for _, off := range cls.RefOffsets {
+			pushIf(h.FieldValue(a, int(off), true).Ref())
 		}
 	}
 	res.PauseRescan = time.Since(tRescan)
@@ -120,11 +117,10 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 		return nil, preFlipErr(err)
 	}
 	h.Flip()
-	useScratch := dsu && h.HasScratch()
 	if res.Workers > 1 {
-		err = c.sweepParallel(entries, dsu, useScratch, res)
+		err = c.sweepParallel(entries, dsu, res)
 	} else {
-		err = c.sweepSerial(entries, dsu, useScratch, res)
+		err = c.sweepSerial(entries, dsu, res)
 	}
 	if err != nil {
 		return nil, err // flip happened: heap unusable, caller marks it fatal
@@ -239,61 +235,39 @@ func (c *Collector) resolvePair(e *sweepEntry, dsu bool) {
 	}
 }
 
-// sweepSerial copies the entry list with the global bump pointer — address
+// sweepSerial copies the entry list with the kernel's bump pointer — address
 // order in, address order out, so the to-space layout is as compact and
 // deterministic as the serial Cheney path's.
-func (c *Collector) sweepSerial(entries []sweepEntry, dsu, useScratch bool, res *Result) error {
-	h := c.Heap
+func (c *Collector) sweepSerial(entries []sweepEntry, dsu bool, res *Result) error {
 	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(0), 0, "gc sweep/fixup")
-	defer func() {
-		c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
-		c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc sweep/fixup")
-	}()
+	k := c.newKernel(dsu)
 	for i := range entries {
 		e := &entries[i]
 		c.resolvePair(e, dsu)
-		size := int(e.size)
 		if e.newCls != nil {
-			shell, ok1 := h.AllocObject(e.newCls)
-			var oldCopy rt.Addr
-			var ok2 bool
-			if useScratch {
-				oldCopy, ok2 = h.ScratchCopy(e.addr, size)
-				if ok2 {
-					res.ScratchWords += size
-				}
-			} else {
-				oldCopy, ok2 = h.Copy(e.addr, size)
-			}
-			if !ok1 || !ok2 {
-				return fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
-			}
-			h.SetForward(e.addr, shell)
-			h.SetPairWord(shell, uint64(oldCopy))
-			e.new, e.oldCopy = shell, oldCopy
-			res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
-			res.CopiedObjects += 2
-			res.CopiedWords += size + e.newCls.Size
-			continue
+			p := k.pair(e.addr, k.Words[e.addr], rt.Addr(e.size), e.newCls)
+			e.new, e.oldCopy = p.New, p.OldCopy
+		} else {
+			e.new = k.copy(e.addr, rt.Addr(e.size))
 		}
-		to, ok := h.Copy(e.addr, size)
-		if !ok {
-			return ErrToSpaceExhausted
+		if k.err != nil {
+			break
 		}
-		h.SetForward(e.addr, to)
-		e.new = to
-		res.CopiedObjects++
-		res.CopiedWords += size
 	}
-	return nil
+	k.commit(c.Heap, res)
+	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
+	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc sweep/fixup")
+	return k.err
 }
 
 // sweepParallel fans the copy out over the PR 3 TLAB machinery. The entry
 // list is dealt in contiguous chunks, one per worker; every object is owned
 // by exactly one worker, so forwarding pointers are plain stores and the
 // only shared state is the heap's block carve (under its mutex).
-func (c *Collector) sweepParallel(entries []sweepEntry, dsu, useScratch bool, res *Result) error {
+func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) error {
 	h := c.Heap
+	words := h.Raw().Words
+	useScratch := dsu && h.HasScratch()
 	workers := res.Workers
 	tlabSize := c.tlabWords(workers)
 	per := (len(entries) + workers - 1) / workers
@@ -323,56 +297,47 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu, useScratch bool, re
 			w := &ws[i]
 			c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(i), 0, "gc sweep")
 			tlab := h.NewTLAB(tlabSize, false)
-			var stlab *heap.TLAB
+			old := tlab // where old copies go
 			if useScratch {
-				stlab = h.NewTLAB(tlabSize, true)
+				old = h.NewTLAB(tlabSize, true)
 			}
 			for j := range chunk {
 				e := &chunk[j]
 				c.resolvePair(e, dsu)
-				size := int(e.size)
+				size := rt.Addr(e.size)
 				if e.newCls != nil {
-					shell, ok1 := tlab.AllocZeroed(e.newCls.Size)
-					var oldCopy rt.Addr
-					var ok2 bool
-					if useScratch {
-						oldCopy, ok2 = stlab.Alloc(size)
-						if ok2 {
-							w.scratchWords += size
-						}
-					} else {
-						oldCopy, ok2 = tlab.Alloc(size)
-					}
+					shell, ok1 := tlab.Alloc(e.newCls.Size)
+					oldCopy, ok2 := old.Alloc(int(size))
 					if !ok1 || !ok2 {
-						w.err = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
+						w.err = errPairExhausted
 						break
 					}
-					h.SetWord(shell, uint64(e.newCls.ID))
-					h.CopyWords(oldCopy, e.addr, size)
+					w.log = append(w.log, writePair(words, e.addr, words[e.addr], size, e.newCls, shell, oldCopy))
 					h.SetForward(e.addr, shell)
-					h.SetPairWord(shell, uint64(oldCopy))
 					e.new, e.oldCopy = shell, oldCopy
-					w.log = append(w.log, Pair{OldCopy: oldCopy, New: shell})
 					w.copiedObjects += 2
-					w.copiedWords += size + e.newCls.Size
+					w.copiedWords += int(size) + e.newCls.Size
+					if old != tlab {
+						w.scratchWords += int(size)
+					}
 					continue
 				}
-				to, ok := tlab.Alloc(size)
+				to, ok := tlab.Alloc(int(size))
 				if !ok {
 					w.err = ErrToSpaceExhausted
 					break
 				}
-				h.CopyWords(to, e.addr, size)
+				copy(words[to:to+size], words[e.addr:e.addr+size])
 				h.SetForward(e.addr, to)
 				e.new = to
 				w.copiedObjects++
-				w.copiedWords += size
+				w.copiedWords += int(size)
 			}
 			tlab.Retire()
 			w.waste += tlab.Waste
-			if stlab != nil {
-				stlab.Retire()
-				w.waste += stlab.Waste
+			if old != tlab {
+				old.Retire()
+				w.waste += old.Waste
 			}
 			c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(i), int64(w.copiedWords), "")
 			c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(i), int64(w.copiedWords), "gc sweep")
@@ -437,15 +402,12 @@ func (c *Collector) fixupObj(a rt.Addr) error {
 	if cls == nil {
 		return fmt.Errorf("gc: fixup: object @%d with unknown class id %d", a, h.ClassID(a))
 	}
-	for i, isRef := range cls.RefMap {
-		if !isRef {
-			continue
-		}
-		to, err := fix(h.FieldValue(a, rt.HeaderWords+i, true).Ref())
+	for _, off := range cls.RefOffsets {
+		to, err := fix(h.FieldValue(a, int(off), true).Ref())
 		if err != nil {
 			return err
 		}
-		h.SetFieldValue(a, rt.HeaderWords+i, rt.RefVal(to))
+		h.SetFieldValue(a, int(off), rt.RefVal(to))
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -142,11 +141,11 @@ type pworker struct {
 	ps *pstate
 	id int
 
-	dsu        bool
-	useScratch bool
+	dsu bool
+	raw heap.Raw // bounds and words only: workers allocate through their TLABs
 
-	tlab  *heap.TLAB
-	stlab *heap.TLAB // scratch TLAB (old copies), nil unless useScratch
+	tlab *heap.TLAB
+	old  *heap.TLAB // where old copies go: a scratch TLAB, or tlab itself
 
 	dq *deque
 
@@ -157,137 +156,112 @@ type pworker struct {
 	steals        int64
 }
 
-// forward evacuates (or adopts the evacuation of) the reference in v,
-// rewriting it in place. It is the parallel analog of the serial closure in
-// collectSerial, with the header CAS protocol replacing the unsynchronized
-// forwarded-check.
-func (w *pworker) forward(v *rt.Value) {
-	if w.ps.failed.Load() || !v.IsRef || v.Bits == 0 {
-		return
+// forward is kernel.forward under the header CAS protocol: it returns where
+// the object behind a non-null reference word lives after this collection,
+// evacuating it or adopting another worker's evacuation. A failing
+// collection leaves the reference as it was.
+func (w *pworker) forward(ref uint64) uint64 {
+	a := rt.Addr(ref)
+	if w.raw.To.Contains(a) || w.raw.Scratch.Contains(a) {
+		return ref // already copied (to-space object, shell, or old copy)
 	}
 	h := w.c.Heap
-	a := v.Ref()
-	if h.InCurrentSpace(a) || h.InScratch(a) {
-		return // already copied (to-space object, shell, or old copy)
-	}
-	for {
+	for !w.ps.failed.Load() {
 		hw := h.HeaderLoad(a)
 		if to, forwarded, claimed := heap.HeaderForwarded(hw); forwarded {
-			v.Bits = uint64(to)
-			return
+			return uint64(to)
 		} else if claimed {
-			// Another worker is mid-copy; wait for it to publish.
-			if w.ps.failed.Load() {
-				return
-			}
-			runtime.Gosched()
+			runtime.Gosched() // another worker is mid-copy; wait for it to publish
 			continue
 		}
 		if !h.TryForward(a, hw) {
 			continue // lost the claim race; re-read the header
 		}
-		to, ok := w.copyClaimed(a, hw)
-		if !ok {
-			h.RestoreHeader(a, hw) // release spinners; collection is failing
-			return
+		if to := w.copyClaimed(a, hw); to != rt.Null {
+			return uint64(to)
 		}
-		v.Bits = uint64(to)
-		return
+		h.RestoreHeader(a, hw) // release spinners; collection is failing
 	}
+	return ref
 }
 
-// copyClaimed evacuates an object this worker has claimed. It must either
-// publish a forwarding pointer and return true, or fail the collection and
-// return false (the caller restores the header).
-func (w *pworker) copyClaimed(a rt.Addr, hw uint64) (rt.Addr, bool) {
-	h, reg := w.c.Heap, w.c.Reg
-	size := h.SizeFromHeader(a, hw, reg.ClassByID)
-	if size < 0 {
-		w.ps.fail(fmt.Errorf("gc: object @%d with unknown class id %d", a, heap.HeaderClassID(hw)))
-		return 0, false
-	}
-	if w.dsu && !heap.HeaderIsArray(hw) {
-		cls := reg.ClassByID(heap.HeaderClassID(hw))
-		if cls != nil && cls.UpdatedTo != nil {
-			newCls := cls.UpdatedTo
-			shell, ok1 := w.tlab.AllocZeroed(newCls.Size)
-			var oldCopy rt.Addr
-			var ok2 bool
-			if w.useScratch {
-				oldCopy, ok2 = w.stlab.Alloc(size)
-				if ok2 {
-					w.scratchWords += size
-				}
-			} else {
-				oldCopy, ok2 = w.tlab.Alloc(size)
-			}
+// copyClaimed evacuates an object this worker has claimed (its header word
+// holds the sentinel; hw is the saved original). It either publishes a
+// forwarding pointer and returns the new address, or fails the collection and
+// returns null (the caller restores the header).
+func (w *pworker) copyClaimed(a rt.Addr, hw uint64) rt.Addr {
+	words := w.raw.Words
+	var size rt.Addr
+	if heap.HeaderIsArray(hw) {
+		size = rt.HeaderWords + rt.Addr(words[a+1]) // only word 0 is ever CASed
+	} else {
+		cls := w.c.Reg.ClassByID(heap.HeaderClassID(hw))
+		if cls == nil {
+			w.ps.fail(errUnknownClass(a, hw))
+			return rt.Null
+		}
+		size = rt.Addr(cls.Size)
+		if newCls := cls.UpdatedTo; w.dsu && newCls != nil {
+			shell, ok1 := w.tlab.Alloc(newCls.Size)
+			oldCopy, ok2 := w.old.Alloc(int(size))
 			if !ok1 || !ok2 {
-				w.ps.fail(fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted))
-				return 0, false
+				w.ps.fail(errPairExhausted)
+				return rt.Null
 			}
-			h.SetWord(shell, uint64(newCls.ID))
-			// Skip the source header word — it holds the claim sentinel;
-			// write the saved original instead.
-			if size > 1 {
-				h.CopyWords(oldCopy+1, a+1, size-1)
-			}
-			h.SetWord(oldCopy, hw)
-			h.SetPairWord(shell, uint64(oldCopy))
-			h.PublishForward(a, shell)
-			w.log = append(w.log, Pair{OldCopy: oldCopy, New: shell})
+			w.log = append(w.log, writePair(words, a, hw, size, newCls, shell, oldCopy))
+			w.c.Heap.PublishForward(a, shell)
 			w.copiedObjects += 2
-			w.copiedWords += size + newCls.Size
+			w.copiedWords += int(size) + newCls.Size
+			if w.old != w.tlab {
+				w.scratchWords += int(size)
+			}
 			// The shell is all zeros — nothing to scan; the old copy is
 			// scanned like any live object so transformers can dereference
 			// forwarded referents.
 			w.dq.push(oldCopy)
-			return shell, true
+			return shell
 		}
 	}
-	to, ok := w.tlab.Alloc(size)
+	to, ok := w.tlab.Alloc(int(size))
 	if !ok {
 		w.ps.fail(ErrToSpaceExhausted)
-		return 0, false
+		return rt.Null
 	}
-	if size > 1 {
-		h.CopyWords(to+1, a+1, size-1)
-	}
-	h.SetWord(to, hw)
-	h.PublishForward(a, to)
+	words[to] = hw // the source header holds the claim sentinel
+	copy(words[to+1:to+size], words[a+1:a+size])
+	w.c.Heap.PublishForward(a, to)
 	w.copiedObjects++
-	w.copiedWords += size
+	w.copiedWords += int(size)
 	w.dq.push(to)
-	return to, true
+	return to
 }
 
 // scan forwards every reference inside one grey object (a to-space copy or
-// a scratch old copy — never a from-space object, so plain header reads are
-// safe: nobody CASes current-space headers).
+// a scratch old copy — never a from-space object, so plain reads are safe:
+// nobody CASes current-space headers, and each grey object has one scanner).
 func (w *pworker) scan(a rt.Addr) {
-	h := w.c.Heap
-	if h.IsArray(a) {
-		if h.ArrayElemIsRef(a) {
-			n := h.ArrayLen(a)
-			for i := 0; i < n; i++ {
-				v := h.Elem(a, i)
-				w.forward(&v)
-				h.SetElem(a, i, v)
+	words := w.raw.Words
+	hw := words[a]
+	if heap.HeaderIsArray(hw) {
+		if heap.HeaderArrayElemIsRef(hw) {
+			elems := words[a+rt.HeaderWords : a+rt.HeaderWords+rt.Addr(words[a+1])]
+			for i, ref := range elems {
+				if ref != 0 {
+					elems[i] = w.forward(ref)
+				}
 			}
 		}
 		return
 	}
-	cls := w.c.Reg.ClassByID(h.ClassID(a))
+	cls := w.c.Reg.ClassByID(heap.HeaderClassID(hw))
 	if cls == nil {
-		w.ps.fail(fmt.Errorf("gc: object @%d with unknown class id %d", a, h.ClassID(a)))
+		w.ps.fail(errUnknownClass(a, hw))
 		return
 	}
-	for i, isRef := range cls.RefMap {
-		if !isRef {
-			continue
+	for _, off := range cls.RefOffsets {
+		if ref := words[a+off]; ref != 0 {
+			words[a+off] = w.forward(ref)
 		}
-		v := h.FieldValue(a, rt.HeaderWords+i, true)
-		w.forward(&v)
-		h.SetFieldValue(a, rt.HeaderWords+i, v)
 	}
 }
 
@@ -375,6 +349,7 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 	start := time.Now()
 	h := c.Heap
 	h.Flip()
+	raw := h.Raw()
 	useScratch := dsu && h.HasScratch()
 
 	// Partition the roots. The VM hands out disjoint per-worker chunks;
@@ -393,12 +368,13 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 		ps.deques[i] = &deque{}
 		ws[i] = &pworker{
 			c: c, ps: ps, id: i,
-			dsu: dsu, useScratch: useScratch,
+			dsu: dsu, raw: raw,
 			tlab: h.NewTLAB(tlabSize, false),
 			dq:   ps.deques[i],
 		}
+		ws[i].old = ws[i].tlab
 		if useScratch {
-			ws[i].stlab = h.NewTLAB(tlabSize, true)
+			ws[i].old = h.NewTLAB(tlabSize, true)
 		}
 	}
 
@@ -412,7 +388,7 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 			// protected, so concurrent emission is safe).
 			c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(i), 0, "gc copy/scan")
 			if i < len(chunks) && chunks[i] != nil {
-				chunks[i].ForEachRoot(w.forward)
+				forwardRoots(chunks[i], w.forward)
 			}
 			w.drain()
 			c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(i), int64(w.copiedWords), "")
@@ -428,9 +404,9 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 	for _, w := range ws {
 		w.tlab.Retire()
 		waste += w.tlab.Waste
-		if w.stlab != nil {
-			w.stlab.Retire()
-			waste += w.stlab.Waste
+		if w.old != w.tlab {
+			w.old.Retire()
+			waste += w.old.Waste
 		}
 	}
 

@@ -245,37 +245,26 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	// --- eager pair evacuation ---------------------------------------------
 	// Only the updated-class instances the transformer pipeline needs right
 	// now; everything else stays in from-space for the drain.
-	useScratch := h.HasScratch()
+	k := c.newKernel(true)
 	for _, a := range addrs {
 		cls := c.Reg.ClassByID(h.ClassID(a))
 		if cls == nil || cls.UpdatedTo == nil {
 			continue
 		}
-		newCls := cls.UpdatedTo
-		size := cls.Size
-		shell, ok1 := h.AllocObject(newCls)
-		var oldCopy rt.Addr
-		var ok2 bool
-		if useScratch {
-			oldCopy, ok2 = h.ScratchCopy(a, size)
-			if ok2 {
-				res.ScratchWords += size
-				// Scratch lies outside the region scan: seed the old copy
-				// explicitly so the drain heals its stale slots (to-space
-				// old copies are covered by the region cursor).
-				rl.mutAl.push(oldCopy)
-			}
-		} else {
-			oldCopy, ok2 = h.Copy(a, size)
+		p := k.pair(a, k.Words[a], rt.Addr(cls.Size), cls.UpdatedTo)
+		if k.err != nil {
+			break
 		}
-		if !ok1 || !ok2 {
-			return nil, nil, fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
+		if k.Scratch.Contains(p.OldCopy) {
+			// Scratch lies outside the region scan: seed the old copy
+			// explicitly so the drain heals its stale slots (to-space
+			// old copies are covered by the region cursor).
+			rl.mutAl.push(p.OldCopy)
 		}
-		h.SetForward(a, shell)
-		h.SetPairWord(shell, uint64(oldCopy))
-		res.Log = append(res.Log, Pair{OldCopy: oldCopy, New: shell})
-		res.CopiedObjects += 2
-		res.CopiedWords += size + newCls.Size
+	}
+	k.commit(h, res)
+	if k.err != nil {
+		return nil, nil, k.err
 	}
 
 	// --- root remap --------------------------------------------------------
@@ -373,10 +362,8 @@ func (c *Collector) relocDiscover(roots Roots) ([]rt.Addr, error) {
 			continue
 		}
 		cls := c.Reg.ClassByID(h.ClassID(a)) // non-nil: checked at push time
-		for i, isRef := range cls.RefMap {
-			if isRef {
-				push(h.FieldValue(a, rt.HeaderWords+i, true).Ref())
-			}
+		for _, off := range cls.RefOffsets {
+			push(h.FieldValue(a, int(off), true).Ref())
 		}
 	}
 	return addrs, walkErr
@@ -441,10 +428,8 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 		if cls == nil {
 			return nil, preFlipErr(fmt.Errorf("gc: rescan: object @%d with unknown class id %d", a, h.ClassID(a)))
 		}
-		for i, isRef := range cls.RefMap {
-			if isRef {
-				pushIf(h.FieldValue(a, rt.HeaderWords+i, true).Ref())
-			}
+		for _, off := range cls.RefOffsets {
+			pushIf(h.FieldValue(a, int(off), true).Ref())
 		}
 	}
 	res.PauseRescan = time.Since(tRescan)
@@ -654,10 +639,8 @@ func (rl *Relocation) scanObj(a rt.Addr, al *relocAllocator) {
 		rl.fail(fmt.Errorf("gc: reloc drain: object @%d with unknown class id %d", a, heap.HeaderClassID(hw)))
 		return
 	}
-	for i, isRef := range cls.RefMap {
-		if isRef {
-			rl.healWordSlot(a+rt.HeaderWords+rt.Addr(i), al)
-		}
+	for _, off := range cls.RefOffsets {
+		rl.healWordSlot(a+off, al)
 	}
 }
 

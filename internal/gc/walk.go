@@ -69,7 +69,7 @@ func WalkReachable(h *heap.Heap, reg *rt.Registry, roots Roots, visit func(a rt.
 			if n < 0 {
 				return fmt.Errorf("heap walk: array @%d has negative length %d", a, n)
 			}
-			if end := a + rt.Addr(h.ObjectSize(a, reg.ClassByID)); end > h.AllocPointer() {
+			if end := a + rt.HeaderWords + rt.Addr(n); end > h.AllocPointer() {
 				return fmt.Errorf("heap walk: array @%d (len %d) extends past allocation pointer", a, n)
 			}
 			if err := visit(a, nil); err != nil {
@@ -93,12 +93,9 @@ func WalkReachable(h *heap.Heap, reg *rt.Registry, roots Roots, visit func(a rt.
 		if err := visit(a, cls); err != nil {
 			return err
 		}
-		for i, isRef := range cls.RefMap {
-			if !isRef {
-				continue
-			}
-			push(h.FieldValue(a, rt.HeaderWords+i, true),
-				fmt.Sprintf("object @%d (%s) slot %d", a, cls.Name, i))
+		for _, off := range cls.RefOffsets {
+			push(h.FieldValue(a, int(off), true),
+				fmt.Sprintf("object @%d (%s) slot %d", a, cls.Name, off-rt.HeaderWords))
 		}
 	}
 	return walkErr

@@ -11,18 +11,18 @@ package heap
 //	bit 63       forwarded flag                         — gc forwarding
 //
 // Forwarding (bit 63) repurposes bits 0..60 as the forwarding address
-// (forwardMask), destroying the class id and the lazy tag — legal because a
+// (ForwardMask), destroying the class id and the lazy tag — legal because a
 // forwarded header only ever appears on a FROM-space object, whose identity
 // has already moved to the copy. The CAS claim/publish protocol (parallel
 // collection and concurrent relocation) uses one sentinel, claimedWord =
-// forwardBit|forwardMask: an address no semispace can reach, marking an
+// ForwardBit|ForwardMask: an address no semispace can reach, marking an
 // object as claimed-but-not-yet-published. Both the parallel STW copy and
 // the concurrent relocation drain speak exactly this protocol, so a header
 // is always in one of four states: plain (class id + flags), lazily tagged
 // (plain | untransformedBit), claimed (claimedWord), or forwarded
-// (forwardBit | to).
+// (ForwardBit | to).
 //
-// The lazy tag (bit 60) lies inside forwardMask. That is sound because the
+// The lazy tag (bit 60) lies inside ForwardMask. That is sound because the
 // two protocols never meet on one object: the untransformed tag is only ever
 // set on TO-space shells (freshly created by a DSU collection or relocation
 // drain), and forwarding headers are only ever installed on FROM-space
@@ -40,34 +40,34 @@ package heap
 // and the residue is forced before any flip, so the word is 0 whenever a
 // collector may copy the object and no stale pointer is ever carried along.
 const (
-	// classIDMask covers the class id of a scalar object's header.
-	classIDMask = uint64(1)<<32 - 1
+	// ClassIDMask covers the class id of a scalar object's header.
+	ClassIDMask = uint64(1)<<32 - 1
 
 	// untransformedBit tags a DSU shell whose object transformer has not run
 	// yet (vm.Options.LazyTransform); the interpreter's read barrier tests it
 	// on every access fast path. See lazy.go for the full protocol.
 	untransformedBit = uint64(1) << 60
 
-	// arrayRefBit marks an array whose elements are references.
-	arrayRefBit = uint64(1) << 61
+	// ArrayRefBit marks an array whose elements are references.
+	ArrayRefBit = uint64(1) << 61
 
-	// arrayBit marks an array header (class id is then 0 and word 1 holds
+	// ArrayBit marks an array header (class id is then 0 and word 1 holds
 	// the length).
-	arrayBit = uint64(1) << 62
+	ArrayBit = uint64(1) << 62
 
-	// forwardBit marks a forwarded (or claimed) from-space header; bits
+	// ForwardBit marks a forwarded (or claimed) from-space header; bits
 	// 0..60 then hold the forwarding address.
-	forwardBit = uint64(1) << 63
+	ForwardBit = uint64(1) << 63
 
-	// forwardMask extracts the forwarding address from a forwarded header.
-	forwardMask = uint64(1)<<61 - 1
+	// ForwardMask extracts the forwarding address from a forwarded header.
+	ForwardMask = uint64(1)<<61 - 1
 
 	// claimedWord is the claim sentinel of the CAS forwarding protocol: a
 	// worker that wins TryForward holds the object's saved header privately
 	// and publishes the real forwarding pointer once the copy is complete.
-	// No valid forwarding address equals forwardMask, so claimed is
+	// No valid forwarding address equals ForwardMask, so claimed is
 	// distinguishable from forwarded.
-	claimedWord = forwardBit | forwardMask
+	claimedWord = ForwardBit | ForwardMask
 )
 
 // Transforming is the pair word's in-progress sentinel; no 32-bit rt.Addr equals it.

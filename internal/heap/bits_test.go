@@ -16,11 +16,11 @@ func TestHeaderBitLayout(t *testing.T) {
 		name string
 		mask uint64
 	}{
-		{"classIDMask", classIDMask},
+		{"ClassIDMask", ClassIDMask},
 		{"untransformedBit", untransformedBit},
-		{"arrayRefBit", arrayRefBit},
-		{"arrayBit", arrayBit},
-		{"forwardBit", forwardBit},
+		{"ArrayRefBit", ArrayRefBit},
+		{"ArrayBit", ArrayBit},
+		{"ForwardBit", ForwardBit},
 	}
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
@@ -35,21 +35,21 @@ func TestHeaderBitLayout(t *testing.T) {
 	// exception: forwarding only on from-space originals, tags only on
 	// to-space shells); the flags that must survive alongside the forward
 	// bit do not.
-	if classIDMask&^forwardMask != 0 {
-		t.Errorf("class id bits %#x escape forwardMask — forwarding addresses cannot be encoded", classIDMask&^forwardMask)
+	if ClassIDMask&^ForwardMask != 0 {
+		t.Errorf("class id bits %#x escape ForwardMask — forwarding addresses cannot be encoded", ClassIDMask&^ForwardMask)
 	}
-	if untransformedBit&forwardMask == 0 {
-		t.Errorf("lazy tag moved outside forwardMask — update the bits.go layout doc")
+	if untransformedBit&ForwardMask == 0 {
+		t.Errorf("lazy tag moved outside ForwardMask — update the bits.go layout doc")
 	}
-	if forwardMask&(forwardBit|arrayBit|arrayRefBit) != 0 {
-		t.Errorf("forwardMask %#x claims flag bits — a forwarding target would corrupt them", forwardMask)
+	if ForwardMask&(ForwardBit|ArrayBit|ArrayRefBit) != 0 {
+		t.Errorf("ForwardMask %#x claims flag bits — a forwarding target would corrupt them", ForwardMask)
 	}
 
 	// The CAS claim sentinel: carries the forward bit (so HeaderForwarded
 	// sees a forwarded-family word) with an all-ones target no real
 	// forwarding pointer can equal (the heap is word-indexed far below 2^61).
-	if claimedWord != forwardBit|forwardMask {
-		t.Errorf("claimedWord = %#x, want forwardBit|forwardMask = %#x", claimedWord, forwardBit|forwardMask)
+	if claimedWord != ForwardBit|ForwardMask {
+		t.Errorf("claimedWord = %#x, want ForwardBit|ForwardMask = %#x", claimedWord, ForwardBit|ForwardMask)
 	}
 	if to, forwarded, claimed := HeaderForwarded(claimedWord); forwarded || !claimed || to != 0 {
 		t.Errorf("HeaderForwarded(claimedWord) = (%d, %v, %v), want (0, false, true)", to, forwarded, claimed)
@@ -68,7 +68,7 @@ func TestHeaderBitLayout(t *testing.T) {
 	if _, forwarded, claimed := HeaderForwarded(w); forwarded || claimed {
 		t.Errorf("tagged live header reads as forwarded/claimed")
 	}
-	aw := arrayBit | arrayRefBit
+	aw := ArrayBit | ArrayRefBit
 	if !HeaderIsArray(aw) || HeaderClassID(aw) != 0 {
 		t.Errorf("array flags corrupt class id decode")
 	}

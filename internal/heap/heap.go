@@ -6,7 +6,6 @@
 package heap
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,18 +126,6 @@ func (h *Heap) scratchBase() rt.Addr { return 1 + 2*h.semi }
 // HasScratch reports whether a scratch region exists.
 func (h *Heap) HasScratch() bool { return h.scratchSize > 0 }
 
-// ScratchCopy copies an object into the scratch region, returning its new
-// address, or (0, false) if no scratch exists or it is full.
-func (h *Heap) ScratchCopy(src rt.Addr, size int) (rt.Addr, bool) {
-	if h.scratchSize == 0 || h.scratchAlloc+rt.Addr(size) > h.scratchBase()+h.scratchSize {
-		return 0, false
-	}
-	a := h.scratchAlloc
-	h.scratchAlloc += rt.Addr(size)
-	copy(h.words[a:a+rt.Addr(size)], h.words[src:src+rt.Addr(size)])
-	return a, true
-}
-
 // ResetScratch discards the scratch region's contents (the DSU engine calls
 // it after the transformer phase — the paper's "reclaim it when the
 // collection completes").
@@ -203,7 +190,7 @@ func (h *Heap) Alloc(size int) (rt.Addr, bool) {
 	a := h.alloc
 	h.alloc += rt.Addr(size)
 	// clear compiles to a memclr, unlike the equivalent index loop. Copy
-	// paths (Copy, CopyWords, TLAB old-copy allocation) skip zeroing
+	// paths (the collector's kernel, TLAB allocation) skip zeroing
 	// entirely — they overwrite every word immediately.
 	clear(h.words[a:h.alloc])
 	h.Allocs++
@@ -244,9 +231,9 @@ func (h *Heap) AllocArray(elemIsRef bool, length int) (rt.Addr, bool) {
 	if !ok {
 		return 0, false
 	}
-	hdr := arrayBit
+	hdr := ArrayBit
 	if elemIsRef {
-		hdr |= arrayRefBit
+		hdr |= ArrayRefBit
 	}
 	h.words[a] = hdr
 	h.words[a+1] = uint64(length)
@@ -261,51 +248,38 @@ func (h *Heap) SetWord(a rt.Addr, v uint64) { h.words[a] = v }
 
 // ClassID returns the object's class ID (0 for arrays).
 func (h *Heap) ClassID(a rt.Addr) int {
-	return int(h.words[a] & classIDMask)
+	return int(h.words[a] & ClassIDMask)
 }
 
 // SetClassID rewrites the object's class ID — the DSU collector points
 // transformed objects at their new class ("initializes the new object to
 // point to the TIB of the new type").
 func (h *Heap) SetClassID(a rt.Addr, id int) {
-	h.words[a] = (h.words[a] &^ classIDMask) | uint64(id)
+	h.words[a] = (h.words[a] &^ ClassIDMask) | uint64(id)
 }
 
 // IsArray reports whether the object is an array.
-func (h *Heap) IsArray(a rt.Addr) bool { return h.words[a]&arrayBit != 0 }
+func (h *Heap) IsArray(a rt.Addr) bool { return h.words[a]&ArrayBit != 0 }
 
 // ArrayElemIsRef reports whether the array's elements are references.
-func (h *Heap) ArrayElemIsRef(a rt.Addr) bool { return h.words[a]&arrayRefBit != 0 }
+func (h *Heap) ArrayElemIsRef(a rt.Addr) bool { return h.words[a]&ArrayRefBit != 0 }
 
 // ArrayLen returns the array length.
 func (h *Heap) ArrayLen(a rt.Addr) int { return int(h.words[a+1]) }
-
-// ObjectSize returns the object's total size in words, using the class
-// registry for scalar objects.
-func (h *Heap) ObjectSize(a rt.Addr, classByID func(int) *rt.Class) int {
-	if h.IsArray(a) {
-		return rt.HeaderWords + h.ArrayLen(a)
-	}
-	c := classByID(h.ClassID(a))
-	if c == nil {
-		panic(fmt.Sprintf("heap: object @%d has unknown class id %d", a, h.ClassID(a)))
-	}
-	return c.Size
-}
 
 // Forwarded returns the forwarding target if the object has been moved by
 // the current collection.
 func (h *Heap) Forwarded(a rt.Addr) (rt.Addr, bool) {
 	w := h.words[a]
-	if w&forwardBit == 0 {
+	if w&ForwardBit == 0 {
 		return 0, false
 	}
-	return rt.Addr(w & forwardMask), true
+	return rt.Addr(w & ForwardMask), true
 }
 
 // SetForward installs a forwarding pointer in the header, destroying it.
 func (h *Heap) SetForward(a, to rt.Addr) {
-	h.words[a] = forwardBit | uint64(to)
+	h.words[a] = ForwardBit | uint64(to)
 }
 
 // InCurrentSpace reports whether the address lies in the current
@@ -326,21 +300,6 @@ func (h *Heap) Flip() {
 	// The space we are about to refill is empty again: its recorded holes
 	// (from the parallel collection two flips ago) died with its contents.
 	h.holes[h.cur] = h.holes[h.cur][:0]
-}
-
-// Copy block-copies size words from src to a fresh allocation, returning
-// the new address. Used by the collector's scan/copy loop ("the GC uses
-// memcopy, which is highly optimized" — ours is a Go copy).
-func (h *Heap) Copy(src rt.Addr, size int) (rt.Addr, bool) {
-	if h.alloc+rt.Addr(size) > h.limit(h.cur) {
-		return 0, false
-	}
-	a := h.alloc
-	h.alloc += rt.Addr(size)
-	copy(h.words[a:a+rt.Addr(size)], h.words[src:src+rt.Addr(size)])
-	h.Allocs++
-	h.AllocWords += int64(size)
-	return a, true
 }
 
 // FieldValue reads a tagged field value given the offset and ref-ness that
@@ -384,7 +343,7 @@ func (h *Heap) SetFieldValue(a rt.Addr, offset int, v rt.Value) {
 func (h *Heap) Elem(a rt.Addr, i int) rt.Value {
 	idx := a + rt.HeaderWords + rt.Addr(i)
 	if r := h.reloc; r != nil {
-		isRef := h.words[a]&arrayRefBit != 0
+		isRef := h.words[a]&ArrayRefBit != 0
 		w := atomic.LoadUint64(&h.words[idx])
 		if isRef && r.inFrom(rt.Addr(w)) {
 			w = h.healSlot(r, idx, w)
@@ -398,7 +357,7 @@ func (h *Heap) Elem(a rt.Addr, i int) rt.Value {
 // the relocation barrier (atomic) when either is armed.
 func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
 	idx := a + rt.HeaderWords + rt.Addr(i)
-	if s := h.satb; s != nil && h.words[a]&arrayRefBit != 0 {
+	if s := h.satb; s != nil && h.words[a]&ArrayRefBit != 0 {
 		h.satbStore(s, idx, v.Bits)
 		return
 	}

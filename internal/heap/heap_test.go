@@ -100,9 +100,9 @@ func TestForwarding(t *testing.T) {
 		t.Fatal("fresh object claims forwarded")
 	}
 	h.Flip()
-	to, ok := h.Copy(a, 4)
+	to, ok := h.Alloc(4)
 	if !ok {
-		t.Fatal("copy failed")
+		t.Fatal("to-space allocation failed")
 	}
 	h.SetForward(a, to)
 	got, fwd := h.Forwarded(a)

@@ -16,7 +16,7 @@ import (
 // actually dereferenced.
 //
 // Bit choice: untransformedBit is bit 60 (see bits.go for the full header
-// map). The bit lies inside forwardMask, but a tagged object is never
+// map). The bit lies inside ForwardMask, but a tagged object is never
 // simultaneously forwarded: the tag only ever lands on to-space shells, and
 // the engine force-completes the drain before any collection runs
 // (vm.CollectGarbage consults the drain hook), so no tagged header survives

@@ -37,25 +37,25 @@ func (h *Heap) HeaderLoad(a rt.Addr) uint64 {
 // evacuated. A claimed (in-progress) header reports forwarded=false,
 // claimed=true — the caller must re-load until the winner publishes.
 func HeaderForwarded(w uint64) (to rt.Addr, forwarded, claimed bool) {
-	if w&forwardBit == 0 {
+	if w&ForwardBit == 0 {
 		return 0, false, false
 	}
 	if w == claimedWord {
 		return 0, false, true
 	}
-	return rt.Addr(w & forwardMask), true, false
+	return rt.Addr(w & ForwardMask), true, false
 }
 
 // HeaderIsArray reports whether a (non-forwarded) header word describes an
 // array.
-func HeaderIsArray(w uint64) bool { return w&arrayBit != 0 }
+func HeaderIsArray(w uint64) bool { return w&ArrayBit != 0 }
 
 // HeaderArrayElemIsRef reports whether a (non-forwarded) array header word
 // describes an array of references.
-func HeaderArrayElemIsRef(w uint64) bool { return w&arrayRefBit != 0 }
+func HeaderArrayElemIsRef(w uint64) bool { return w&ArrayRefBit != 0 }
 
 // HeaderClassID extracts the class ID from a (non-forwarded) header word.
-func HeaderClassID(w uint64) int { return int(w & classIDMask) }
+func HeaderClassID(w uint64) int { return int(w & ClassIDMask) }
 
 // TryForward attempts to claim the evacuation of the object at a by
 // CAS-ing its header from old (a non-forwarded value the caller read via
@@ -71,7 +71,7 @@ func (h *Heap) TryForward(a rt.Addr, old uint64) bool {
 // PublishForward atomically installs the final forwarding pointer,
 // releasing workers spinning on the claim sentinel.
 func (h *Heap) PublishForward(a, to rt.Addr) {
-	atomic.StoreUint64(&h.words[a], forwardBit|uint64(to))
+	atomic.StoreUint64(&h.words[a], ForwardBit|uint64(to))
 }
 
 // RestoreHeader atomically rewrites a claimed header back to its original
@@ -88,7 +88,7 @@ func (h *Heap) RestoreHeader(a rt.Addr, w uint64) {
 // length at word 1 is safe to read directly). It returns -1 when the class
 // ID does not resolve.
 func (h *Heap) SizeFromHeader(a rt.Addr, w uint64, classByID func(int) *rt.Class) int {
-	if w&arrayBit != 0 {
+	if w&ArrayBit != 0 {
 		return rt.HeaderWords + int(h.words[a+1])
 	}
 	c := classByID(HeaderClassID(w))

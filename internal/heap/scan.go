@@ -17,3 +17,58 @@ func (h *Heap) AllocPointer() rt.Addr {
 	}
 	return h.alloc
 }
+
+// Region is one bump-allocated address range: [Lo, Hi) with Alloc the next
+// free word.
+type Region struct{ Lo, Alloc, Hi rt.Addr }
+
+// Contains reports whether a lies in [Lo, Hi) — one unsigned compare, false
+// for every address when the region is empty.
+func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
+
+// Raw is the collector's view of the heap for the length of one
+// stop-the-world flip: the word array itself plus the two regions a
+// collection allocates in. It exists so the copy/scan kernel (internal/gc)
+// can test, copy and rewrite words without a call, a barrier check or a
+// tagged rt.Value per slot. Nothing else may use it, and it may not outlive
+// the collection that took it:
+//
+//   - It is legal only between Flip and the end of the same pause. The world
+//     is stopped and neither barrier is armed (Raw panics otherwise), so the
+//     barrier-checked accessors would take their plain branch on every word
+//     anyway; Raw is that branch, hoisted.
+//   - To and Scratch are copies. A serial collection bumps them privately
+//     and hands the pointers back with CommitRaw on every exit path; a
+//     parallel one allocates through TLABs as before and reads them only for
+//     the "already copied" range test.
+//   - From-space header words raced over by parallel workers still go
+//     through HeaderLoad/TryForward/PublishForward; plain Words access is
+//     for headers a worker owns (claimed, or in its own copy) and for
+//     bodies, which a collection never mutates in from-space.
+type Raw struct {
+	Words   []uint64
+	To      Region // the allocation space (to-space after Flip)
+	Scratch Region // empty (Lo == Hi) when the heap has no scratch region
+}
+
+// Raw opens the collector's word-level view; see the type for the contract.
+func (h *Heap) Raw() Raw {
+	if h.satb != nil || h.reloc != nil {
+		panic("heap: Raw with a barrier armed — the word-level view is stop-the-world only")
+	}
+	sb := h.scratchBase()
+	return Raw{
+		Words:   h.words,
+		To:      Region{Lo: h.base(h.cur), Alloc: h.alloc, Hi: h.limit(h.cur)},
+		Scratch: Region{Lo: sb, Alloc: h.scratchAlloc, Hi: sb + h.scratchSize},
+	}
+}
+
+// CommitRaw hands back the bump pointers a serial collection advanced in its
+// Raw view and books the to-space allocations behind them: allocs objects,
+// and every word the pointer moved (scratch copies are not counted).
+func (h *Heap) CommitRaw(r *Raw, allocs int64) {
+	h.Allocs += allocs
+	h.AllocWords += int64(r.To.Alloc - h.alloc)
+	h.alloc, h.scratchAlloc = r.To.Alloc, r.Scratch.Alloc
+}

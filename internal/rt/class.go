@@ -86,9 +86,14 @@ type Class struct {
 	// offsets. Size is the total instance size in words (header included).
 	Fields []FieldSlot
 	Size   int
-	// RefMap[i] reports whether word HeaderWords+i holds a reference; the
-	// GC traces objects with it.
+	// RefMap[i] reports whether word HeaderWords+i holds a reference: the
+	// declarative form of the layout's reference-ness.
 	RefMap []bool
+	// RefOffsets is the scan descriptor every tracer iterates: the word
+	// offsets (from the object's base, header included) of the reference
+	// fields, ascending — RefMap's true entries, resolved once at link time
+	// so a scan touches reference slots only.
+	RefOffsets []Addr
 
 	// Statics are this class's declared static fields with JTOC slots.
 	Statics []StaticSlot

@@ -185,7 +185,9 @@ func (r *Registry) link(def *classfile.Class, super *Class) *Class {
 	c.RefMap = make([]bool, len(c.Fields))
 	for i := range c.Fields {
 		c.fieldByName[c.Fields[i].Name] = &c.Fields[i]
-		c.RefMap[i] = c.Fields[i].Desc.IsRef()
+		if c.RefMap[i] = c.Fields[i].Desc.IsRef(); c.RefMap[i] {
+			c.RefOffsets = append(c.RefOffsets, Addr(c.Fields[i].Offset))
+		}
 	}
 
 	// Static slots: fresh JTOC entries, zero-initialized with ref tags.

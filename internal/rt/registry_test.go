@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"slices"
 	"testing"
 
 	"govolve/internal/classfile"
@@ -48,6 +49,27 @@ func TestFieldLayoutInheritance(t *testing.T) {
 	}
 	if dog.Field("tricks").Offset != HeaderWords+1 {
 		t.Fatalf("tricks offset = %d", dog.Field("tricks").Offset)
+	}
+}
+
+// TestScanDescriptor: RefOffsets lists the reference fields' word offsets,
+// inherited ones first — what every collector iterates instead of RefMap.
+func TestScanDescriptor(t *testing.T) {
+	reg := NewRegistry()
+	base := load(t, reg, classfile.NewClass("Base", "").
+		Field("n", "I").Field("next", "LBase;").MustBuild())
+	sub := load(t, reg, classfile.NewClass("Sub", "Base").
+		Field("m", "I").Field("a", "LBase;").Field("b", "LSub;").MustBuild())
+	for _, tc := range []struct {
+		cls  *Class
+		want []Addr
+	}{
+		{base, []Addr{HeaderWords + 1}},
+		{sub, []Addr{HeaderWords + 1, HeaderWords + 3, HeaderWords + 4}},
+	} {
+		if !slices.Equal(tc.cls.RefOffsets, tc.want) {
+			t.Errorf("%s: RefOffsets = %v, want %v (RefMap %v)", tc.cls.Name, tc.cls.RefOffsets, tc.want, tc.cls.RefMap)
+		}
 	}
 }
 

@@ -181,7 +181,8 @@ func CheckVM(v *vm.VM) error {
 // checkClassLayout validates one class's internal consistency: ref map
 // sized to the instance layout, every field offset in range and agreeing
 // with the ref map about reference-ness, no two fields sharing an offset,
-// and every static slot inside the JTOC.
+// the collectors' scan descriptor agreeing with the ref map, and every
+// static slot inside the JTOC.
 func checkClassLayout(cls *rt.Class, jtocLen int) error {
 	if cls.Size < rt.HeaderWords {
 		return fmt.Errorf("class %s: size %d smaller than header", cls.Name, cls.Size)
@@ -201,6 +202,21 @@ func checkClassLayout(cls *rt.Class, jtocLen int) error {
 		if cls.RefMap[f.Offset-rt.HeaderWords] != f.Desc.IsRef() {
 			return fmt.Errorf("class %s: field %s (%s) disagrees with ref map at offset %d", cls.Name, f.Name, f.Desc, f.Offset)
 		}
+	}
+	// The scan descriptor every tracer iterates is exactly the ref map's true
+	// entries, ascending.
+	next := 0
+	for i, isRef := range cls.RefMap {
+		if !isRef {
+			continue
+		}
+		if next >= len(cls.RefOffsets) || cls.RefOffsets[next] != rt.Addr(rt.HeaderWords+i) {
+			return fmt.Errorf("class %s: scan descriptor %v misses the reference at offset %d", cls.Name, cls.RefOffsets, rt.HeaderWords+i)
+		}
+		next++
+	}
+	if next != len(cls.RefOffsets) {
+		return fmt.Errorf("class %s: scan descriptor %v lists %d offsets for %d references", cls.Name, cls.RefOffsets, len(cls.RefOffsets), next)
 	}
 	for _, s := range cls.Statics {
 		if s.Slot < 0 || s.Slot >= jtocLen {
