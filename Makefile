@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate storm bench-gc bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate loc storm bench-gc bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
 verify: build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate
 
@@ -115,6 +115,14 @@ dispatch-gate:
 	$(GO) test -run 'TestFusedSpeedupRatio' -count=1 ./internal/vm/
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkNativeCall|BenchmarkStringNatives' -benchtime 200ms ./internal/vm/
 
+# Non-test line counts of the four packages the size budget is kept on
+# (ROADMAP aim 2; every CHANGES.md entry reports them before and after).
+loc:
+	@total=0; for d in gc core heap vm; do \
+		n=$$(cat $$(ls internal/$$d/*.go | grep -v _test.go) | wc -l); \
+		echo "$$d $$n"; total=$$((total + n)); \
+	done; echo "total $$total"
+
 # Long-running randomized soak (reproduce failures with -seed).
 storm:
 	$(GO) run ./cmd/jvolve-bench -exp storm -updates 500
@@ -124,9 +132,11 @@ bench-gc:
 	$(GO) run ./cmd/jvolve-bench -exp gcpause -runs 7 -gc-out BENCH_gc.json
 
 # STW vs concurrent-mark DSU pause over sizes × updated fractions; writes
-# BENCH_pause.json.
+# BENCH_pause.json. Every cell is measured with the generated default
+# transformer (moved by the collector) and with its hand-written equivalent
+# (pairs + interpreted calls: what the lazy pipelines place).
 bench-pause:
-	$(GO) run ./cmd/jvolve-bench -exp pausecmp -pause-out BENCH_pause.json
+	$(GO) run ./cmd/jvolve-bench -exp pausecmp -runs 7 -pause-out BENCH_pause.json
 
 # DSU pause-decomposition histograms (E1 webserver, E10 micro); writes
 # BENCH_obs.json.

@@ -67,8 +67,7 @@ func BenchmarkGCPauseParallel(b *testing.B) {
 			var gcT, trT time.Duration
 			for i := 0; i < b.N; i++ {
 				res, err := bench.RunMicro(bench.MicroConfig{
-					Objects: 35_000, FracUpdated: 0.2,
-					FastDefaults: true, Workers: workers,
+					Objects: 35_000, FracUpdated: 0.2, Workers: workers,
 				})
 				if err != nil {
 					b.Fatal(err)

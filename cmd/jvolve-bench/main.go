@@ -7,7 +7,7 @@
 //	jvolve-bench -exp tables234 # UPT summaries for all three apps (Tables 2–4)
 //	jvolve-bench -exp matrix    # the §4 "20 of 22 updates" experience
 //	jvolve-bench -exp ablation  # eager vs lazy-indirection steady-state cost
-//	jvolve-bench -exp transformers # §4.1: interpreted vs native default transformers
+//	jvolve-bench -exp transformers # §4.1: hand-written (interpreted) vs generated (moved by the collector) transformers
 //	jvolve-bench -exp scratch   # §3.5: old-copy scratch region memory pressure
 //	jvolve-bench -exp active    # §3.5: UpStare-style active-method updates
 //	jvolve-bench -exp storm     # randomized update-storm soak with invariant checking
@@ -20,6 +20,12 @@
 //
 // -scale divides the microbenchmark object counts (1 = the paper's full
 // 280k–3.67M objects; the default 8 finishes quickly on a laptop).
+//
+// -handwritten runs table1 and fig6 with the hand-written equivalent of the
+// microbenchmark's default transformer: pairs, old copies and one interpreted
+// jvolveObject call per updated object — the paper's configuration. Without
+// it the generated default is a pure field copy the collector performs while
+// it copies the object. (pausecmp and transformers measure both.)
 //
 // The storm soak is reproducible: a failure prints its seed, and
 // `jvolve-bench -exp storm -seed N -updates K` replays the exact run.
@@ -53,6 +59,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig6|fig5|tables234|matrix|ablation|transformers|scratch|active|gcpause|pausecmp|storm|stream|obs|dispatch|all")
 	scale := flag.Int("scale", 8, "divide microbenchmark object counts by this factor (1 = paper scale)")
+	handWritten := flag.Bool("handwritten", false, "table1/fig6: use the hand-written equivalent of the default transformer (pairs + interpreted calls, the paper's configuration)")
 	runs := flag.Int("runs", 3, "runs per measurement cell (paper: 21 for fig5)")
 	duration := flag.Duration("duration", 500*time.Millisecond, "measurement window per fig5/ablation run (paper: 60s)")
 	seed := flag.Int64("seed", 1, "storm: PRNG seed (failures print the seed to replay)")
@@ -124,8 +131,11 @@ func main() {
 		} else {
 			microSizes = bench.ScaledSizes(*scale)
 		}
-		fmt.Printf("Microbenchmark sweep: %d sizes × %d fractions × %d run(s)\n",
-			len(microSizes), len(fractions), *runs)
+		for i := range microSizes {
+			microSizes[i].HandWritten = *handWritten
+		}
+		fmt.Printf("Microbenchmark sweep: %d sizes × %d fractions × %d run(s), handwritten=%v\n",
+			len(microSizes), len(fractions), *runs, *handWritten)
 		cells, err := bench.RunSweep(bench.MicroSweep{
 			Sizes: microSizes, Fractions: fractions, Runs: *runs,
 		}, os.Stderr)
@@ -205,7 +215,7 @@ func main() {
 		return nil
 	})
 	run("transformers", func() error {
-		fmt.Println("=== Extension: transformer execution strategy (§4.1 optimization) ===")
+		fmt.Println("=== Extension: transformer execution strategy (§4.1: interpreted pairs vs moves in the collector) ===")
 		objects := 280_000 / *scale
 		if *scale <= 1 {
 			objects = 280_000
@@ -255,7 +265,7 @@ func main() {
 		}
 		rep, err := bench.RunGCPause(bench.GCPauseSweep{
 			Sizes: sizes, WorkerCounts: []int{1, 2, 4, 8},
-			Runs: *runs, FastDefaults: true,
+			Runs: *runs,
 		}, os.Stderr)
 		if err != nil {
 			return err
@@ -278,7 +288,7 @@ func main() {
 			sizes = []int{240_000, 960_000}
 		}
 		rep, err := bench.RunPauseCmp(bench.PauseCmpSweep{
-			Sizes: sizes, Runs: *runs, FastDefaults: true,
+			Sizes: sizes, Runs: *runs,
 		}, os.Stderr)
 		if err != nil {
 			return err
@@ -315,11 +325,11 @@ func main() {
 		fmt.Println("=== Extension: randomized update-storm soak (whole-VM invariant checking) ===")
 		cfgs := []storm.Config{
 			{Seed: *seed, Updates: *updates},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, FastDefaults: true, OSROpt: true},
-			{Seed: *seed, Updates: *updates, FastDefaults: true, Workers: 4},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, FastDefaults: true, Lazy: true},
-			{Seed: *seed, Updates: *updates, FastDefaults: true, ConcurrentReloc: true},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, FastDefaults: true, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true},
+			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, OSROpt: true},
+			{Seed: *seed, Updates: *updates, Workers: 4},
+			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, Lazy: true},
+			{Seed: *seed, Updates: *updates, ConcurrentReloc: true},
+			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true},
 		}
 		if *pauseBudget >= 0 {
 			for i := range cfgs {
@@ -336,9 +346,9 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("seed=%d updates=%d scratch=%v fastdefaults=%v osropt=%v workers=%d lazy=%v cmark=%v reloc=%v: "+
+			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v workers=%d lazy=%v cmark=%v reloc=%v: "+
 				"applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
-				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.FastDefaults, cfg.OSROpt, cfg.Workers, cfg.Lazy,
+				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Workers, cfg.Lazy,
 				cfg.ConcurrentMark, cfg.ConcurrentReloc,
 				rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
 		}
@@ -349,7 +359,7 @@ func main() {
 	run("stream", func() error {
 		fmt.Println("=== Extension: long-horizon update streams (multi-release chain replay) ===")
 		rep, err := bench.RunStream(bench.StreamSweep{
-			Seed: *seed, Hostile: true, FastDefaults: true,
+			Seed: *seed, Hostile: true,
 		}, os.Stderr)
 		if err != nil {
 			return err

@@ -11,8 +11,13 @@ import (
 // phases are disjoint slices of the total pause, so
 //
 //	PauseTotal >= PauseInstall + PauseGC + PauseTransform
-//	PauseTransform >= PauseTransformBulk
 //	PauseGC >= PauseGCMark + PauseGCRescan + PauseGCCopy
+//
+// and every updated instance was transformed exactly once, by a transformer
+// run over its pair or by the collector's move (the RunMatrix pipelines are
+// eager, so the law holds as the pause ends):
+//
+//	TransformedObjects == PairsLogged + MovedObjects
 //
 // A violation means a timer was started in the wrong place or a phase is
 // being double-counted — exactly the kind of bug that would silently skew
@@ -24,9 +29,9 @@ func checkPauseIdentity(t *testing.T, mode string, e MatrixEntry) {
 		t.Errorf("%s %s %s→%s: PauseTotal %v < install %v + gc %v + transform %v",
 			mode, e.App, e.From, e.To, s.PauseTotal, s.PauseInstall, s.PauseGC, s.PauseTransform)
 	}
-	if s.PauseTransform < s.PauseTransformBulk {
-		t.Errorf("%s %s %s→%s: PauseTransform %v < bulk slice %v",
-			mode, e.App, e.From, e.To, s.PauseTransform, s.PauseTransformBulk)
+	if s.TransformedObjects != s.PairsLogged+s.MovedObjects {
+		t.Errorf("%s %s %s→%s: transformed %d != pairs logged %d + moved %d",
+			mode, e.App, e.From, e.To, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 	}
 	if s.PauseGC < s.PauseGCMark+s.PauseGCRescan+s.PauseGCCopy {
 		t.Errorf("%s %s %s→%s: PauseGC %v < mark %v + rescan %v + copy %v",

@@ -35,9 +35,6 @@ type GCPauseSweep struct {
 	WorkerCounts []int
 	// Runs per cell; the median is reported (default 3).
 	Runs int
-	// FastDefaults enables the native bulk transformer path (and, with
-	// workers>1, its parallel fan-out), so the transform column scales too.
-	FastDefaults bool
 }
 
 // DefaultGCPauseSizes returns the object-count axis. The larger size puts
@@ -104,11 +101,10 @@ func RunGCPause(sw GCPauseSweep, progress io.Writer) (*GCPauseReport, error) {
 			var last *MicroResult
 			for r := 0; r < sw.Runs; r++ {
 				res, err := RunMicro(MicroConfig{
-					Objects:      objects,
-					FracUpdated:  sw.FracUpdated,
-					HeapLabel:    fmt.Sprintf("%d objects", objects),
-					FastDefaults: sw.FastDefaults,
-					Workers:      workers,
+					Objects:     objects,
+					FracUpdated: sw.FracUpdated,
+					HeapLabel:   fmt.Sprintf("%d objects", objects),
+					Workers:     workers,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("bench: gcpause objects=%d workers=%d: %w", objects, workers, err)

@@ -20,7 +20,7 @@ import (
 // experiment naming:
 //
 //	E1  — the webserver updated 5.1.5→5.1.6 under synthetic load (the
-//	      fig5 "updated" row), serial collector, FastDefaults. The full
+//	      fig5 "updated" row), serial collector. The full
 //	      decomposition comes from the engine's own instrumentation.
 //	E10 — the Table 1 microbenchmark update at increasing collection
 //	      worker counts (the gcpause axis), pauses observed into the same
@@ -158,7 +158,7 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 				return nil, fmt.Errorf("bench: obs E1 warmup: %w", err)
 			}
 		}
-		res, err := s.ApplyNext(core.Options{MaxAttempts: 500, FastDefaults: true}, true)
+		res, err := s.ApplyNext(core.Options{MaxAttempts: 500}, true)
 		if err != nil {
 			return nil, fmt.Errorf("bench: obs E1 update: %w", err)
 		}
@@ -173,7 +173,7 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 	install := obsHistMs(reg.Histogram(obs.MPauseInstall, obs.DurationBuckets()))
 	delay := obsHistMs(reg.Histogram(obs.MSafePointDelay, obs.DurationBuckets()))
 	row := &ObsPauseRow{
-		Config:           "E1 webserver 5.1.5→5.1.6 under load (serial, FastDefaults)",
+		Config:           "E1 webserver 5.1.5→5.1.6 under load (serial)",
 		Workers:          1,
 		Updates:          applied,
 		InstallMs:        &install,
@@ -211,12 +211,11 @@ func runObsE10(opts ObsPauseOptions, workers int, progress io.Writer) (*ObsPause
 		// instrumentation fills the pause histograms (same plane as E1)
 		// and the gate engine judges every update.
 		res, err := RunMicro(MicroConfig{
-			Objects:      opts.MicroObjects,
-			FracUpdated:  0.2,
-			HeapLabel:    fmt.Sprintf("%d objects", opts.MicroObjects),
-			FastDefaults: true,
-			Workers:      workers,
-			Metrics:      reg,
+			Objects:     opts.MicroObjects,
+			FracUpdated: 0.2,
+			HeapLabel:   fmt.Sprintf("%d objects", opts.MicroObjects),
+			Workers:     workers,
+			Metrics:     reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: obs E10 workers=%d: %w", workers, err)

@@ -40,8 +40,6 @@ type PauseCmpSweep struct {
 	Workers int
 	// Runs per cell; the median is reported (default 3).
 	Runs int
-	// FastDefaults enables the native bulk transformer path in both modes.
-	FastDefaults bool
 }
 
 // PauseCmpRow is one measured cell in one mode.
@@ -51,6 +49,12 @@ type PauseCmpRow struct {
 	FracUpdated float64 `json:"frac_updated"`
 	Workers     int     `json:"workers"`
 	Mode        string  `json:"mode"` // "stw", "cmark", "lazy", "reloc", "cmark-reloc" or "cmark-reloc-lazy"
+	// Transformer is "moved" — the generated default, a pure field copy the
+	// collector performs while it copies the object — or "handwritten": the
+	// same copies plus an explicit store (MicroConfig.HandWritten), one pair
+	// and one interpreted call per updated object, which is what the lazy
+	// pipelines have to place.
+	Transformer string `json:"transformer"`
 
 	PauseTotalMillis  Summary `json:"pause_total_ms"`
 	GCMillis          Summary `json:"gc_ms"`
@@ -58,7 +62,8 @@ type PauseCmpRow struct {
 	RescanMillis      Summary `json:"rescan_ms"`
 	CopyMillis        Summary `json:"copy_ms"`
 	TransformMillis   Summary `json:"transform_ms"`
-	// TransformNsPerObject is the median transformer time per logged pair,
+	// TransformNsPerObject is the median transformer time per transformed
+	// object (logged pairs + moved_objects, for which it is 0 by construction),
 	// wherever the transformers ran: inside the pause (transform_ms) or in
 	// the forced post-pause drain (drain_ms, lazy rows — an upper bound on
 	// reloc-lazy rows, whose drain also force-completes the relocation).
@@ -81,6 +86,9 @@ type PauseCmpRow struct {
 	MarkedObjects int `json:"marked_objects,omitempty"`
 	RescanMarked  int `json:"rescan_marked,omitempty"`
 	PairsLogged   int `json:"pairs_logged"`
+	// MovedObjects is how many updated instances the collector (or the
+	// relocation drain) wrote directly in their new layout.
+	MovedObjects int `json:"moved_objects"`
 
 	// SpeedupPause is the stw row's median total pause divided by this
 	// row's, for the same size × fraction (1.0 on stw rows).
@@ -116,11 +124,12 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Note: "speedup_pause is stw-median / row-median total pause for the same " +
-			"size and fraction. The decomposition is uniform across modes: " +
+			"size, fraction and transformer. The decomposition is uniform across modes: " +
 			"mark_in_pause_ms is in-pause discovery only (stw's fused trace+copy is " +
 			"all copy_ms). cmark rows must show mark_in_pause_ms = 0 with the trace " +
 			"wall time in mark_outside_ms; lazy rows transform_ms = 0 with " +
-			"lazy_pending pairs drained post-pause in drain_ms; reloc rows keep only " +
+			"lazy_pending pairs drained post-pause in drain_ms (transformer = handwritten; " +
+			"moved objects are never pairs, so there lazy has nothing to defer); reloc rows keep only " +
 			"the eager evacuation of updated instances in copy_ms with the bulk copy " +
 			"in reloc_drain_ms (composed with lazy, copy_ms = 0). Pause shrinkage is " +
 			"a decomposition property and holds on any host; wall-clock overlap of " +
@@ -128,85 +137,89 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 	}
 	for _, objects := range sw.Sizes {
 		for _, frac := range sw.Fractions {
-			stwMedian := 0.0
-			for _, mode := range []string{"stw", "cmark", "lazy", "reloc", "cmark-reloc", "cmark-reloc-lazy"} {
-				cmark := strings.Contains(mode, "cmark")
-				lazy := strings.Contains(mode, "lazy")
-				reloc := strings.Contains(mode, "reloc")
-				var tots, gcs, marks, rescans, copies, trs, outs, drains, rdrains []float64
-				var last *MicroResult
-				for r := 0; r < sw.Runs; r++ {
-					res, err := RunMicro(MicroConfig{
-						Objects:         objects,
-						FracUpdated:     frac,
-						HeapLabel:       fmt.Sprintf("%d objects", objects),
-						FastDefaults:    sw.FastDefaults,
-						Workers:         sw.Workers,
-						ConcurrentMark:  cmark,
-						Lazy:            lazy,
-						ConcurrentReloc: reloc,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s: %w",
-							objects, frac, mode, err)
+			for _, transformer := range []string{"moved", "handwritten"} {
+				stwMedian := 0.0
+				for _, mode := range []string{"stw", "cmark", "lazy", "reloc", "cmark-reloc", "cmark-reloc-lazy"} {
+					cmark := strings.Contains(mode, "cmark")
+					lazy := strings.Contains(mode, "lazy")
+					reloc := strings.Contains(mode, "reloc")
+					var tots, gcs, marks, rescans, copies, trs, outs, drains, rdrains []float64
+					var last *MicroResult
+					for r := 0; r < sw.Runs; r++ {
+						res, err := RunMicro(MicroConfig{
+							Objects:         objects,
+							FracUpdated:     frac,
+							HeapLabel:       fmt.Sprintf("%d objects", objects),
+							Workers:         sw.Workers,
+							ConcurrentMark:  cmark,
+							Lazy:            lazy,
+							ConcurrentReloc: reloc,
+							HandWritten:     transformer == "handwritten",
+						})
+						if err != nil {
+							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s transformer=%s: %w",
+								objects, frac, mode, transformer, err)
+						}
+						// cmark+reloc+lazy skips the pre-pause trace by design
+						// (discovery rides the drain), so the fallback check only
+						// applies where the mark actually runs.
+						if cmark && !(reloc && lazy) && !res.GCMarkConcurrent {
+							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent mark fell back to STW",
+								objects, frac)
+						}
+						if reloc && !res.RelocConcurrent {
+							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent relocation fell back to STW",
+								objects, frac)
+						}
+						tots = append(tots, Millis(res.Total))
+						gcs = append(gcs, Millis(res.GC))
+						marks = append(marks, Millis(res.PauseMark))
+						rescans = append(rescans, Millis(res.PauseRescan))
+						copies = append(copies, Millis(res.PauseCopy))
+						trs = append(trs, Millis(res.Transform))
+						outs = append(outs, Millis(res.MarkOutside))
+						drains = append(drains, Millis(res.Drain))
+						rdrains = append(rdrains, Millis(res.RelocDrain))
+						last = res
 					}
-					// cmark+reloc+lazy skips the pre-pause trace by design
-					// (discovery rides the drain), so the fallback check only
-					// applies where the mark actually runs.
-					if cmark && !(reloc && lazy) && !res.GCMarkConcurrent {
-						return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent mark fell back to STW",
-							objects, frac)
-					}
-					if reloc && !res.RelocConcurrent {
-						return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent relocation fell back to STW",
-							objects, frac)
-					}
-					tots = append(tots, Millis(res.Total))
-					gcs = append(gcs, Millis(res.GC))
-					marks = append(marks, Millis(res.PauseMark))
-					rescans = append(rescans, Millis(res.PauseRescan))
-					copies = append(copies, Millis(res.PauseCopy))
-					trs = append(trs, Millis(res.Transform))
-					outs = append(outs, Millis(res.MarkOutside))
-					drains = append(drains, Millis(res.Drain))
-					rdrains = append(rdrains, Millis(res.RelocDrain))
-					last = res
-				}
-				row := PauseCmpRow{
-					Objects:     objects,
-					HeapWords:   5 * (objects*8 + objects + 2*2 + 64),
-					FracUpdated: frac,
-					Workers:     sw.Workers,
-					Mode:        mode,
+					row := PauseCmpRow{
+						Objects:     objects,
+						HeapWords:   5 * (objects*8 + objects + 2*2 + 64),
+						FracUpdated: frac,
+						Workers:     sw.Workers,
+						Mode:        mode,
+						Transformer: transformer,
 
-					PauseTotalMillis:  Summarize(tots),
-					GCMillis:          Summarize(gcs),
-					MarkInPauseMillis: Summarize(marks),
-					RescanMillis:      Summarize(rescans),
-					CopyMillis:        Summarize(copies),
-					TransformMillis:   Summarize(trs),
-					MarkOutsideMillis: Summarize(outs),
-					DrainMillis:       Summarize(drains),
-					LazyPending:       last.LazyPending,
-					RelocDrainMillis:  Summarize(rdrains),
-					RelocObjects:      last.RelocObjects,
+						PauseTotalMillis:  Summarize(tots),
+						GCMillis:          Summarize(gcs),
+						MarkInPauseMillis: Summarize(marks),
+						RescanMillis:      Summarize(rescans),
+						CopyMillis:        Summarize(copies),
+						TransformMillis:   Summarize(trs),
+						MarkOutsideMillis: Summarize(outs),
+						DrainMillis:       Summarize(drains),
+						LazyPending:       last.LazyPending,
+						RelocDrainMillis:  Summarize(rdrains),
+						RelocObjects:      last.RelocObjects,
 
-					MarkedObjects: last.MarkedObjects,
-					RescanMarked:  last.RescanMarked,
-					PairsLogged:   last.PairsLogged,
-				}
-				if row.PairsLogged > 0 {
-					row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(row.PairsLogged)
-				}
-				if mode == "stw" {
-					stwMedian = row.PauseTotalMillis.Median
-				}
-				if stwMedian > 0 && row.PauseTotalMillis.Median > 0 {
-					row.SpeedupPause = stwMedian / row.PauseTotalMillis.Median
-				}
-				rep.Rows = append(rep.Rows, row)
-				if progress != nil {
-					fmt.Fprintf(progress, ".")
+						MarkedObjects: last.MarkedObjects,
+						RescanMarked:  last.RescanMarked,
+						PairsLogged:   last.PairsLogged,
+						MovedObjects:  last.MovedObjects,
+					}
+					if last.Transformed > 0 {
+						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.Transformed)
+					}
+					if mode == "stw" {
+						stwMedian = row.PauseTotalMillis.Median
+					}
+					if stwMedian > 0 && row.PauseTotalMillis.Median > 0 {
+						row.SpeedupPause = stwMedian / row.PauseTotalMillis.Median
+					}
+					rep.Rows = append(rep.Rows, row)
+					if progress != nil {
+						fmt.Fprintf(progress, ".")
+					}
 				}
 			}
 		}
@@ -230,11 +243,11 @@ func WritePauseCmpJSON(path string, rep *PauseCmpReport) error {
 func PrintPauseCmp(w io.Writer, rep *PauseCmpReport) {
 	fmt.Fprintf(w, "DSU pause: STW vs concurrent mark / lazy transform / concurrent reloc (gomaxprocs=%d, cpus=%d)\n",
 		rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Fprintf(w, "%9s %6s %16s %10s %9s %9s %9s %11s %7s %10s %9s %10s %9s\n",
-		"objects", "frac", "mode", "pause(ms)", "mark(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
+	fmt.Fprintf(w, "%9s %6s %11s %16s %10s %9s %9s %9s %11s %7s %10s %9s %10s %9s\n",
+		"objects", "frac", "transformer", "mode", "pause(ms)", "mark(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%9d %5.0f%% %16s %10.2f %9.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
-			r.Objects, r.FracUpdated*100, r.Mode,
+		fmt.Fprintf(w, "%9d %5.0f%% %11s %16s %10.2f %9.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
+			r.Objects, r.FracUpdated*100, r.Transformer, r.Mode,
 			r.PauseTotalMillis.Median, r.MarkInPauseMillis.Median, r.RescanMillis.Median,
 			r.CopyMillis.Median, r.TransformMillis.Median, r.TransformNsPerObject, r.MarkOutsideMillis.Median,
 			r.DrainMillis.Median, r.RelocDrainMillis.Median, r.SpeedupPause)

@@ -9,25 +9,42 @@ import (
 // pins the uniform decomposition contract the JSON report advertises:
 // cmark rows carry no in-pause mark, lazy rows no in-pause transform, reloc
 // rows almost no in-pause copy (the bulk copy appears in reloc_drain_ms),
-// and the full composition shrinks the pause to flip preparation.
+// and the full composition shrinks the pause to flip preparation. Each mode is
+// measured under both transformers: moved rows log no pair, tag nothing and
+// leave the transformer phase empty; handwritten rows pair every updated object.
 func TestPauseCmpAllModes(t *testing.T) {
 	rep, err := RunPauseCmp(PauseCmpSweep{
-		Sizes: []int{4000}, Fractions: []float64{0.2}, Runs: 1, FastDefaults: true,
+		Sizes: []int{4000}, Fractions: []float64{0.2}, Runs: 1,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"stw", "cmark", "lazy", "reloc", "cmark-reloc", "cmark-reloc-lazy"}
-	if len(rep.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), len(want))
+	if len(rep.Rows) != 2*len(want) {
+		t.Fatalf("got %d rows, want %d", len(rep.Rows), 2*len(want))
+	}
+	for i := range rep.Rows[:len(want)] {
+		r := &rep.Rows[i]
+		if r.Mode != want[i] || r.Transformer != "moved" {
+			t.Fatalf("row %d is %s/%s, want %s/moved", i, r.Mode, r.Transformer, want[i])
+		}
+		if r.MovedObjects != 800 || r.PairsLogged != 0 || r.LazyPending != 0 {
+			t.Fatalf("%s/moved: %d moved, %d pairs, %d tagged", r.Mode, r.MovedObjects, r.PairsLogged, r.LazyPending)
+		}
 	}
 	rows := map[string]*PauseCmpRow{}
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		if r.Mode != want[i] {
-			t.Fatalf("row %d mode %q, want %q", i, r.Mode, want[i])
+	for i := range rep.Rows[len(want):] {
+		r := &rep.Rows[len(want)+i]
+		if r.Mode != want[i] || r.Transformer != "handwritten" {
+			t.Fatalf("row %d is %s/%s, want %s/handwritten", len(want)+i, r.Mode, r.Transformer, want[i])
+		}
+		if r.MovedObjects != 0 || r.PairsLogged != 800 {
+			t.Fatalf("%s/handwritten: %d moved, %d pairs", r.Mode, r.MovedObjects, r.PairsLogged)
 		}
 		rows[r.Mode] = r
+	}
+	if lazy := rows["lazy"]; lazy.LazyPending != 800 || lazy.DrainMillis.Median == 0 {
+		t.Fatalf("lazy/handwritten: %d tagged, drain %v", lazy.LazyPending, lazy.DrainMillis)
 	}
 	// STW: fused trace+copy is all copy_ms under the uniform decomposition.
 	if stw := rows["stw"]; stw.MarkInPauseMillis.Median != 0 || stw.CopyMillis.Median == 0 {

@@ -11,7 +11,9 @@ import (
 // block of memory and reclaim it when the collection completes." This
 // measures that pressure: to-space words consumed by the DSU collection
 // with old copies kept in to-space (the paper's implementation) vs.
-// diverted to a scratch block, across update fractions.
+// diverted to a scratch block, across update fractions. Only pairs have old
+// copies, so the rows run the hand-written transformer (MicroConfig.HandWritten);
+// under the generated default neither column holds an old copy at all.
 type ScratchRow struct {
 	Fraction       float64
 	LiveWords      int // approximate live set (objects + array)
@@ -28,12 +30,12 @@ func RunScratchPressure(objects int, fractions []float64, progress io.Writer) ([
 	live := objects*8 + objects + 4
 	var rows []ScratchRow
 	for _, frac := range fractions {
-		plain, err := RunMicro(MicroConfig{Objects: objects, FracUpdated: frac, FastDefaults: true})
+		plain, err := RunMicro(MicroConfig{Objects: objects, FracUpdated: frac, HandWritten: true})
 		if err != nil {
 			return nil, err
 		}
 		scratch, err := RunMicro(MicroConfig{
-			Objects: objects, FracUpdated: frac, FastDefaults: true,
+			Objects: objects, FracUpdated: frac, HandWritten: true,
 			ScratchWords: objects*8 + 64,
 		})
 		if err != nil {

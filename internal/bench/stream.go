@@ -33,8 +33,6 @@ type StreamSweep struct {
 	// Hostile schedules back-to-back updates and drain overlaps instead of
 	// the benign era cadence (default true — the operator's bad day).
 	Hostile bool
-	// FastDefaults enables the native bulk transformer path.
-	FastDefaults bool
 }
 
 // StreamRow is one replayed chain in one mode.
@@ -125,7 +123,6 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 				Length:       length,
 				Mode:         mode,
 				Hostile:      sw.Hostile,
-				FastDefaults: sw.FastDefaults,
 				ScratchWords: 1 << 14,
 			})
 			if err != nil {

@@ -145,10 +145,12 @@ class JvolveTransformers {
 			name:     "OOM during DSU copy",
 			heapDead: true,
 			drive: func(t *testing.T, f *fixture, v1 *fixtureProgs) {
-				// Pin live Pair objects past ~70% of the semispace. The DSU
-				// collection must copy each one twice (old copy + wider
-				// shell, ~2.25x its size), so to-space exhausts mid-flight
-				// and the update fails with the typed OOM.
+				// Pin live Pair objects past ~70% of the semispace. With a
+				// hand-written transformer the DSU collection must copy each
+				// one twice (old copy + wider shell, ~2.25x its size), so
+				// to-space exhausts mid-flight and the update fails with the
+				// typed OOM. (As a move it would cost 1.25x and fit.)
+				f.editSpec = handWrite
 				cls := f.vm.Reg.LookupClass("Pair")
 				for f.vm.Heap.UsedWords()*10 < f.vm.Heap.SemiWords()*7 {
 					a, ok := f.vm.Heap.AllocObject(cls)
@@ -415,8 +417,9 @@ class JvolveTransformers {
 	if res.Outcome != core.Failed || res.Err == nil || !strings.Contains(res.Err.Error(), "box 7") {
 		t.Fatalf("outcome = %v err = %v, want Failed via the trap", res.Outcome, res.Err)
 	}
-	if n := res.Stats.BytecodeTransformed; n == 0 || n >= 19 || res.Stats.PairsLogged != 20 {
-		t.Fatalf("%d of %d pairs transformed before the trap, want some on both sides of it",
+	// TransformedObjects counts every transformer that ran, the trapping one included.
+	if n := res.Stats.TransformedObjects; n <= 1 || n >= 20 || res.Stats.PairsLogged != 20 {
+		t.Fatalf("%d of %d transformers ran up to the trap, want pairs on both sides of it",
 			n, res.Stats.PairsLogged)
 	}
 	assertRetired(t, f, false)

@@ -310,7 +310,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	// From here on the residue owns the teardown (see residue.retire): it
 	// runs on the success path AND on every post-install failure path (via
 	// fail), so a failed update still leaves the VM with consistent metadata.
-	resid = &residue{e: e, spec: spec, opts: p.Opts, transformers: transformers, stats: &p.res.Stats}
+	resid = &residue{e: e, spec: spec, transformers: transformers, stats: &p.res.Stats}
 	for _, r := range renames {
 		resid.renamed = append(resid.renamed, r.old)
 	}

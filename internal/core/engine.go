@@ -99,19 +99,19 @@ type Stats struct {
 	// (nil when serial) — the load-balance evidence behind the gcpause
 	// experiment. GCSteals counts work-stealing deque pops. PairsLogged is
 	// the pairs the collection scheduled for transformation (it can exceed
-	// TransformedObjects only if the update fails mid-phase).
+	// TransformedObjects - MovedObjects only if the update fails mid-phase).
 	GCWorkers     int
 	GCWorkerWords []int
 	GCSteals      int64
 	PairsLogged   int
 
-	// Transformer-phase decomposition: BulkTransformed objects went through
-	// the native bulk-copy path (FastDefaults), BytecodeTransformed through
-	// the interpreted jvolveObject path. TransformWorkers is the fan-out
-	// width of the parallel bulk pass (0 when no bulk pass ran).
-	BulkTransformed     int
-	BytecodeTransformed int
-	TransformWorkers    int
+	// MovedObjects counts updated-class instances whose transformer is a
+	// move transformer (upt.Spec.ObjectMoves): the collector wrote them once,
+	// in their new layout, as it copied them — no pair, no transformer run.
+	// TransformedObjects == PairsLogged + MovedObjects once every pair has
+	// been transformed (at the end of the pause, eager; after the drain
+	// otherwise). A concurrent relocation adds its drain's share when it ends.
+	MovedObjects int
 
 	// Concurrent-mark decomposition. GCMarkConcurrent records that instance
 	// discovery ran as a concurrent snapshot-at-the-beginning trace outside
@@ -141,10 +141,7 @@ type Stats struct {
 	PauseGCRescan  time.Duration
 	PauseGCCopy    time.Duration
 	PauseTransform time.Duration
-	// PauseTransformBulk is the slice of PauseTransform spent inside the
-	// parallel bulk fan-out.
-	PauseTransformBulk time.Duration
-	PauseTotal         time.Duration
+	PauseTotal     time.Duration
 
 	// Lazy-transform decomposition (vm.Options.LazyTransform). LazyPending
 	// is the pair count left tagged when the pause ended; LazyDrained were
@@ -232,12 +229,6 @@ type Options struct {
 	// MaxAttempts, if positive, bounds safe-point attempts — a
 	// deterministic alternative to the wall-clock timeout for tests.
 	MaxAttempts int
-	// FastDefaults runs UPT-generated default transformers as native bulk
-	// field copies instead of interpreted bytecode — the optimization the
-	// paper sketches in §4.1 (interpreted field-by-field copy is much
-	// slower than the collector's copying loop). Custom transformers
-	// always run as bytecode.
-	FastDefaults bool
 	// OSROpt extends on-stack replacement to opt-compiled category-(2)
 	// frames whose pc lies outside any inlined region (the paper's "we
 	// plan to support OSR on opt-compiled methods as well").
@@ -859,7 +850,6 @@ func (e *Engine) observeUpdate(res *Result) {
 			m.Histogram(obs.MMarkOutside, obs.DurationBuckets()).Observe(s.GCMarkOutside.Seconds())
 		}
 		m.Histogram(obs.MPauseTransform, obs.DurationBuckets()).Observe(s.PauseTransform.Seconds())
-		m.Histogram(obs.MPauseBulk, obs.DurationBuckets()).Observe(s.PauseTransformBulk.Seconds())
 		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())
 		m.Counter(obs.MPairsLogged).Add(int64(s.PairsLogged))
 		m.Counter(obs.MGCSteals).Add(s.GCSteals)

@@ -9,6 +9,7 @@ import (
 	"govolve/internal/classfile"
 	"govolve/internal/core"
 	"govolve/internal/upt"
+	"govolve/internal/upt/upttest"
 	"govolve/internal/vm"
 )
 
@@ -17,7 +18,14 @@ type fixture struct {
 	vm     *vm.VM
 	out    *bytes.Buffer
 	engine *core.Engine
+	// editSpec, if set, gets every prepared spec last (after the custom
+	// transformers): handWrite, or a test's own edit of spec.Transformers.
+	editSpec func(*upt.Spec)
 }
+
+// handWrite makes every generated object transformer of a spec hand-written,
+// so the update builds pairs and interprets it (see upttest.HandWrite).
+var handWrite = upttest.HandWrite
 
 func newFixture(t *testing.T, heapWords int) *fixture {
 	t.Helper()
@@ -71,6 +79,9 @@ func (f *fixture) update(tag string, old, new_ *classfile.Program, custom string
 		for _, m := range classes[0].Methods {
 			spec.OverrideTransformer(m)
 		}
+	}
+	if f.editSpec != nil {
+		f.editSpec(spec)
 	}
 	return f.engine.ApplyNow(spec, opts)
 }

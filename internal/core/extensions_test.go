@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"govolve/internal/asm"
+	"govolve/internal/bytecode"
 	"govolve/internal/core"
 	"govolve/internal/rt"
 	"govolve/internal/upt"
@@ -154,41 +156,44 @@ func TestOptOSREnabledRewritesFrame(t *testing.T) {
 	}
 }
 
-// TestFastDefaultTransformers checks that the native bulk-copy path
-// produces the same heap state as interpreted default transformers.
-func TestFastDefaultTransformers(t *testing.T) {
-	for _, fast := range []bool{false, true} {
+// TestMovedDefaultMatchesInterpreted: a generated default transformer is a
+// move the collector performs while it copies (no pair, no transformer run);
+// the same body made hand-written runs interpreted over pairs. Both leave the
+// same heap behind.
+func TestMovedDefaultMatchesInterpreted(t *testing.T) {
+	for _, moved := range []bool{true, false} {
 		f := newFixture(t, 1<<17)
+		if !moved {
+			f.editSpec = handWrite
+		}
 		v1 := f.load(arrayV1)
 		v2 := f.prog(strings.Replace(arrayV1, "class P {\n  field v I",
 			"class P {\n  field pad LString;\n  field v I", 1))
 		f.spawn("App")
 		f.vm.Step(2)
-		res, err := f.update("1", v1, v2, "", core.Options{FastDefaults: fast})
+		res, err := f.update("1", v1, v2, "", core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Outcome != core.Applied {
-			t.Fatalf("fast=%v: %v (%v)", fast, res.Outcome, res.Err)
+			t.Fatalf("moved=%v: %v (%v)", moved, res.Outcome, res.Err)
 		}
-		if res.Stats.TransformedObjects != 8 {
-			t.Fatalf("fast=%v: transformed %d", fast, res.Stats.TransformedObjects)
+		wantMoved, wantPairs := 8, 0
+		if !moved {
+			wantMoved, wantPairs = 0, 8
+		}
+		if s := res.Stats; s.TransformedObjects != 8 || s.MovedObjects != wantMoved || s.PairsLogged != wantPairs {
+			t.Fatalf("moved=%v: transformed %d = %d pairs + %d moved, want 8 = %d + %d",
+				moved, s.TransformedObjects, s.PairsLogged, s.MovedObjects, wantPairs, wantMoved)
 		}
 		if got := strings.TrimSpace(f.finish()); got != "28" {
-			t.Fatalf("fast=%v: sum = %q, want 28", fast, got)
+			t.Fatalf("moved=%v: sum = %q, want 28", moved, got)
 		}
 	}
 }
 
-// TestFastDefaultsRespectsCustomTransformers: a user override must still
-// run as bytecode even in fast mode.
-func TestFastDefaultsRespectsCustomTransformers(t *testing.T) {
-	f := newFixture(t, 1<<16)
-	v1 := f.load(counterLike)
-	v2 := f.prog(strings.Replace(counterLike, "field count I", "field count I\n  field boost I", 1))
-	f.spawn("CApp")
-	f.vm.Step(2)
-	custom := `
+// boostCount is a custom transformer: the old count plus 1000.
+const boostCount = `
 class JvolveTransformers {
   static method jvolveObject(LCtr;Lv1_Ctr;)V {
     load 0
@@ -201,22 +206,89 @@ class JvolveTransformers {
   }
 }
 `
-	res, err := f.update("1", v1, v2, custom, core.Options{FastDefaults: true})
+
+// TestCustomTransformerIsNeverAMove: user code that is not a pure field copy
+// runs as bytecode, however it got into the spec — through
+// OverrideTransformer, or by replacing the method in the exported
+// Spec.Transformers directly. (The second used to be silently ignored by the
+// native path: the record of which transformers were still the generated
+// defaults lived beside the class and only OverrideTransformer kept it.)
+func TestCustomTransformerIsNeverAMove(t *testing.T) {
+	for _, direct := range []bool{false, true} {
+		f := newFixture(t, 1<<16)
+		v1 := f.load(counterLike)
+		v2 := f.prog(strings.Replace(counterLike, "field count I", "field count I\n  field boost I", 1))
+		f.spawn("CApp")
+		f.vm.Step(2)
+		custom := boostCount
+		if direct {
+			custom = ""
+			f.editSpec = func(spec *upt.Spec) {
+				classes, err := asm.Assemble("custom.jva", boostCount)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := classes[0].Methods[0]
+				for i, generated := range spec.Transformers.Methods {
+					if generated.ID() == m.ID() {
+						spec.Transformers.Methods[i] = m
+						return
+					}
+				}
+				t.Fatalf("spec has no %s to replace", m.ID())
+			}
+		}
+		res, err := f.update("1", v1, v2, custom, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != core.Applied {
+			t.Fatalf("direct=%v: %v (%v)", direct, res.Outcome, res.Err)
+		}
+		if res.Stats.MovedObjects != 0 || res.Stats.PairsLogged != 1 {
+			t.Fatalf("direct=%v: %d moved, %d pairs; the one Ctr must be a pair", direct, res.Stats.MovedObjects, res.Stats.PairsLogged)
+		}
+		out := strings.TrimSpace(f.finish())
+		// The transformer added 1000 to whatever the count was at update
+		// time; a move would have carried it unchanged and the final count
+		// would be exactly 9000.
+		if out != "10000" {
+			t.Fatalf("direct=%v: count = %q, want 10000 (9000 bumps + the transformer's 1000)", direct, out)
+		}
+	}
+}
+
+// TestConstantStoreIsVisible: the smallest direct edit — one generated
+// transformer replaced by a body that stores a constant — runs interpreted
+// and the program sees the constant.
+func TestConstantStoreIsVisible(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := f.load(counterLike)
+	v2 := f.prog(strings.Replace(counterLike, "field count I", "field count I\n  field boost I", 1))
+	f.spawn("CApp")
+	f.vm.Step(2)
+	f.editSpec = func(spec *upt.Spec) {
+		for _, m := range spec.Transformers.Methods {
+			if m.Name == "jvolveObject" {
+				m.Code = []bytecode.Ins{
+					{Op: bytecode.LOAD, A: 0},
+					{Op: bytecode.CONST, A: 500000},
+					{Op: bytecode.PUTFIELD, Sym: "Ctr.count", Desc: "I"},
+					{Op: bytecode.RETURN},
+				}
+			}
+		}
+	}
+	res, err := f.update("1", v1, v2, "", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != core.Applied {
-		t.Fatalf("%v (%v)", res.Outcome, res.Err)
+	if res.Outcome != core.Applied || res.Stats.MovedObjects != 0 || res.Stats.PairsLogged != 1 {
+		t.Fatalf("%v (%v): %d moved, %d pairs", res.Outcome, res.Err, res.Stats.MovedObjects, res.Stats.PairsLogged)
 	}
 	out := strings.TrimSpace(f.finish())
-	// The custom transformer added 1000 to whatever the count was at
-	// update time; a fast-path default would have copied it unchanged and
-	// the final count would be exactly 9000.
-	if out == "9000" {
-		t.Fatal("custom transformer was bypassed by the fast-defaults path")
-	}
-	if !strings.HasSuffix(out, "000") || len(out) != 5 {
-		t.Fatalf("count = %q, want 1e4-ish boosted value", out)
+	if len(out) != 6 || !strings.HasPrefix(out, "50") {
+		t.Fatalf("count = %q, want 500000 plus the bumps after the update", out)
 	}
 }
 

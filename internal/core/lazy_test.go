@@ -23,7 +23,10 @@ func newLazyFixture(t *testing.T, heapWords, scratchWords int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v)}
+	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// every generated transformer is made hand-written; moved defaults under
+	// the same pipelines are TestMovesMatchInterpreter's.
+	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
 }
 
 // lazyV1: two Box instances pinned in statics, set to 7 and 9, a long spin

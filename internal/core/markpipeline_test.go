@@ -28,7 +28,10 @@ func newMarkFixture(t *testing.T, heapWords, gcWorkers int, concurrent bool) *fi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v)}
+	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// every generated transformer is made hand-written; moved defaults under
+	// the same pipelines are TestMovesMatchInterpreter's.
+	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
 }
 
 // ringV1 builds a 200-node ring, then spends 60000 slices rotating the head

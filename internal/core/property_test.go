@@ -19,8 +19,8 @@ import (
 // versions — populates an instance with known values, applies the update
 // with UPT's generated default transformer, and checks the paper's default
 // semantics field by field: unchanged name+type ⇒ value preserved; added
-// or retyped ⇒ zero. Runs both the interpreted and the native bulk-copy
-// strategies.
+// or retyped ⇒ zero. Runs both ways a default can execute: moved by the
+// collector, and — made hand-written — interpreted over pairs.
 func TestDefaultTransformerProperty(t *testing.T) {
 	type fieldSpec struct {
 		name string
@@ -131,9 +131,16 @@ class Holder {
 			t.Logf("seed %d: prepare: %v", seed, err)
 			return false
 		}
-		res, err := f.engine.ApplyNow(spec, core.Options{FastDefaults: fast})
+		if !fast {
+			handWrite(spec)
+		}
+		res, err := f.engine.ApplyNow(spec, core.Options{})
 		if err != nil || res.Outcome != core.Applied {
 			t.Logf("seed %d: apply: %v / %v", seed, err, res)
+			return false
+		}
+		if (res.Stats.MovedObjects == 1) != fast || res.Stats.TransformedObjects != 1 {
+			t.Logf("seed %d fast=%v: %d moved of %d transformed", seed, fast, res.Stats.MovedObjects, res.Stats.TransformedObjects)
 			return false
 		}
 

@@ -36,7 +36,10 @@ func newRelocFixture(t *testing.T, heapWords, gcWorkers int, cmark, lazy bool) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v)}
+	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// every generated transformer is made hand-written; moved defaults under
+	// the same pipelines are TestMovesMatchInterpreter's.
+	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
 }
 
 // drain force-completes any in-flight relocation/lazy residue so the final

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"govolve/internal/classfile"
@@ -14,13 +15,13 @@ import (
 	"govolve/internal/vm"
 )
 
-// plan is how the instances of one updated class transform, resolved once per
+// plan is how the pairs of one updated class transform, resolved once per
 // update: the per-object path builds no string and looks nothing up by name.
+// A class whose transformer is a move (rt.Class.Moves) has no plan — the
+// collector transformed its instances as it copied them and made no pair.
 type plan struct {
 	newCls, oldCls *rt.Class
-	native         bool       // FastDefaults ∧ UPT-generated default: a bulk word copy
-	moves          []move     // the native copy, resolved to (old offset → new offset) runs
-	tm             *rt.Method // interpreted jvolveObject; nil is an error at the first instance
+	tm             *rt.Method // jvolveObject; nil is an error at the first instance
 	label          string     // recorder label and synchronous thread name
 }
 
@@ -43,6 +44,12 @@ type plan struct {
 //     pairs; the relocation creates and tags them as it evacuates, and the
 //     log adopts them on first touch or when the relocation finishes.
 //
+// Only transformers that have to run make pairs. One that is a pure field copy
+// (every generated default: upt.Spec.ObjectMoves) is resolved here, before the
+// collection, to word runs on the old class (rt.Class.Moves), and the
+// collector — or, in the adopted placement, the relocation — performs it while
+// it copies the object; the residue only books the count (moved).
+//
 // Lifecycle: apply builds it once the install phase has loaded the new code
 // and attaches it to the VM when the collection succeeds. It retires — one
 // teardown for every placement and every failure path — as soon as nothing is
@@ -56,7 +63,6 @@ type plan struct {
 type residue struct {
 	e            *Engine
 	spec         *upt.Spec
-	opts         Options
 	transformers *rt.Class
 	renamed      []*rt.Class // old versions, unregistered at retire
 	plans        []plan      // indexed by new class id - planBase
@@ -84,6 +90,7 @@ type residue struct {
 // be able to reach it while the pause is still open.
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
+	r.moved(gcRes.Moved)
 	r.onTouch = r.e.VM.LazyTransform
 	r.adopt() // the pairs the pause itself forced (root-remap evacuations)
 	r.e.residue = r
@@ -96,7 +103,8 @@ func (r *residue) adopts() bool { return r.onTouch && r.rl != nil }
 // adopt takes over, in shell-address order, the pairs the relocation created and
 // tagged since the last call (adopted placement only). PairsLogged counts pairs
 // where they join the log — here, not in the pause — so the chain-wide law
-// (TransformedObjects == PairsLogged after the terminal drain) stays mode-blind.
+// (TransformedObjects == PairsLogged + MovedObjects after the terminal drain)
+// stays mode-blind.
 func (r *residue) adopt() {
 	if !r.adopts() {
 		return
@@ -122,8 +130,56 @@ func (r *residue) pairs() []gc.Pair {
 	return append(r.log[:len(r.log):len(r.log)], r.rl.Deferred()[r.adopted:]...)
 }
 
-// buildPlans resolves every renamed old version's transformer. Class ids follow
-// load order and the transformer class is loaded last, so the table is short.
+// moved books n instances the collector (or the relocation drain) wrote in
+// their new layout: transformed, by a transformer that was a copy.
+func (r *residue) moved(n int) {
+	if n == 0 {
+		return
+	}
+	r.stats.MovedObjects += n
+	r.stats.TransformedObjects += n
+	v := r.e.VM
+	v.Metrics.Counter(obs.MMovedObjects).Add(int64(n))
+	if v.Rec.Enabled() {
+		var names []string
+		for _, old := range r.renamed {
+			if old.Moves != nil {
+				names = append(names, old.UpdatedTo.Name)
+			}
+		}
+		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, int64(n), "moved:"+strings.Join(names, ","))
+	}
+}
+
+// resolveMoves compiles a move transformer — the field pairs upt proved the
+// body of jvolveObject to be (Spec.ObjectMoves) — into word runs, adjacent
+// fields coalesced, in body order. nil when the body is not one, or names a
+// field the linker does not know: the bytecode path then runs, and reports it.
+func resolveMoves(spec *upt.Spec, newCls, old *rt.Class) []rt.Move {
+	fields, ok := spec.ObjectMoves(newCls.Name)
+	if !ok {
+		return nil
+	}
+	moves := make([]rt.Move, 0, len(fields))
+	for _, f := range fields {
+		of, nf := old.Field(f.From), newCls.Field(f.To)
+		if of == nil || nf == nil || of.Desc.IsRef() != nf.Desc.IsRef() {
+			return nil
+		}
+		from, to := rt.Addr(of.Offset), rt.Addr(nf.Offset)
+		if k := len(moves) - 1; k >= 0 && moves[k].From+moves[k].N == from && moves[k].To+moves[k].N == to {
+			moves[k].N++
+			continue
+		}
+		moves = append(moves, rt.Move{From: from, To: to, N: 1})
+	}
+	return moves
+}
+
+// buildPlans resolves every renamed old version's transformer: to word runs
+// the collector performs itself when it is a move, to the jvolveObject method
+// the pair walk interprets otherwise. Class ids follow load order and the
+// transformer class is loaded last, so the table is short.
 func (r *residue) buildPlans() {
 	lo := r.transformers.ID
 	for _, old := range r.renamed {
@@ -132,15 +188,14 @@ func (r *residue) buildPlans() {
 	r.planBase, r.plans = lo, make([]plan, r.transformers.ID-lo)
 	for _, old := range r.renamed {
 		newCls := old.UpdatedTo
-		p := plan{newCls: newCls, oldCls: old}
-		if r.opts.FastDefaults && r.spec.DefaultObjectTransformers[newCls.Name] {
-			p.native, p.label = true, "default:"+newCls.Name
-			p.moves = resolveMoves(newCls, old, r.spec.OldFlatDefs[old.Name])
-		} else {
-			sig := classfile.Sig("(L" + newCls.Name + ";L" + old.Name + ";)V")
-			p.tm, p.label = r.transformers.Method("jvolveObject", sig), "jvolveObject:"+newCls.Name
+		if old.Moves = resolveMoves(r.spec, newCls, old); old.Moves != nil {
+			continue
 		}
-		r.plans[newCls.ID-lo] = p
+		sig := classfile.Sig("(L" + newCls.Name + ";L" + old.Name + ";)V")
+		r.plans[newCls.ID-lo] = plan{
+			newCls: newCls, oldCls: old,
+			tm: r.transformers.Method("jvolveObject", sig), label: "jvolveObject:" + newCls.Name,
+		}
 	}
 }
 
@@ -161,12 +216,6 @@ func (r *residue) planFor(newAddr, oldCopy rt.Addr) *plan {
 // synchronous VM threads with collection disabled — the log holds raw
 // addresses. An error fails the update; tagging happens after the only
 // fallible step, so a failed on-touch update leaves no tag of its own.
-//
-// With FastDefaults, eager pairs whose class carries a UPT-generated default
-// transformer are bulk-copied natively — and, when the collector is
-// configured with multiple workers, fanned out across a worker pool before
-// the serial log walk. Custom bytecode transformers always run serially on
-// the VM, which is not re-entrant.
 func (r *residue) runPause() error {
 	v := r.e.VM
 	v.GCDisabled = true
@@ -178,9 +227,6 @@ func (r *residue) runPause() error {
 	}
 	switch {
 	case !r.onTouch:
-		if r.opts.FastDefaults {
-			r.bulkTransform()
-		}
 		for _, pair := range r.log {
 			if err := r.transform(pair.New); err != nil {
 				return err
@@ -197,13 +243,12 @@ func (r *residue) runPause() error {
 		r.stats.LazyPending = r.pending
 	}
 	r.sealed = time.Now()
-	r.stats.TransformedObjects = len(r.log) - r.pending
 	return nil
 }
 
-// runClassTransformers executes the class transformer for every updated
-// class — the UPT-generated default as a native static copy under
-// FastDefaults, interpreted jvolveClass otherwise.
+// runClassTransformers executes the class transformer of every updated
+// class: as slot-to-slot copies when upt proves jvolveClass a pure static copy
+// (Spec.ClassMoves — every generated default is one), interpreted otherwise.
 func (r *residue) runClassTransformers() error {
 	v := r.e.VM
 	for _, name := range r.spec.ClassUpdates {
@@ -211,13 +256,9 @@ func (r *residue) runClassTransformers() error {
 		if cls == nil {
 			continue
 		}
-		if r.opts.FastDefaults && r.spec.DefaultClassTransformers[name] {
-			oldCls := v.Reg.LookupClass(r.spec.RenamedName(name))
-			if oldCls != nil {
-				nativeClassTransform(v, cls, oldCls, r.spec.OldFlatDefs[oldCls.Name])
-				if v.Rec.Enabled() {
-					v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "defaultClass:"+name)
-				}
+		if r.moveStatics(cls, v.Reg.LookupClass(r.spec.RenamedName(name))) {
+			if v.Rec.Enabled() {
+				v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, "moved statics:"+name)
 			}
 			continue
 		}
@@ -233,6 +274,24 @@ func (r *residue) runClassTransformers() error {
 		v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 0, label)
 	}
 	return nil
+}
+
+// moveStatics runs newCls's class transformer as JTOC slot copies if it is a
+// pure static copy the linker can resolve; false leaves it to the bytecode.
+func (r *residue) moveStatics(newCls, old *rt.Class) bool {
+	fields, ok := r.spec.ClassMoves(newCls.Name)
+	if !ok || old == nil {
+		return false
+	}
+	jtoc := r.e.VM.Reg.JTOC
+	for _, f := range fields {
+		os, ns := old.StaticField(f.From), newCls.StaticField(f.To)
+		if os == nil || ns == nil || os.Desc.IsRef() != ns.Desc.IsRef() {
+			return false // the bytecode redoes the copies made so far, in the same order
+		}
+		jtoc[ns.Slot] = jtoc[os.Slot]
+	}
+	return true
 }
 
 // transform retires one pair: the pause's log walk, the read barrier's slow
@@ -265,6 +324,7 @@ func (r *residue) transform(newAddr rt.Addr) error {
 	err := r.run(newAddr, rt.Addr(w))
 	h.SetPairWord(newAddr, 0)
 	r.pending--
+	r.stats.TransformedObjects++ // its transformer ran; on an error the object keeps defaults
 	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 	}
@@ -277,8 +337,7 @@ func (r *residue) transform(newAddr rt.Addr) error {
 	return err
 }
 
-// run executes one object transformer — the native bulk copy for generated
-// defaults under FastDefaults, interpreted jvolveObject otherwise. The log
+// run executes one pair's object transformer, interpreted jvolveObject. The log
 // and the scratch-resident old copies hold raw addresses, so collection is
 // disabled around every (possibly nested) transformer run; the flag nests
 // because a barrier-invoked transformer can force-transform its neighbors.
@@ -290,29 +349,21 @@ func (r *residue) run(newAddr, oldCopy rt.Addr) error {
 
 	if r.adopts() {
 		// Heal the old copy's slots to canonical addresses before the
-		// transformer reads them: the native bulk path copies raw words, and
-		// a stale from-space reference copied into an already-scanned shell
-		// would never be healed again. (Pairs the pause itself evacuated need
-		// no heal: their shells are still ahead of the relocation's region
-		// cursor, so the scan heals whatever is written now.)
+		// transformer reads them: a stale from-space reference stored into an
+		// already-scanned shell would never be healed again. (Pairs the pause
+		// itself evacuated need no heal: their shells are still ahead of the
+		// relocation's region cursor, so the scan heals whatever is written now.)
 		r.rl.HealObject(oldCopy)
 	}
 	p := r.planFor(newAddr, oldCopy)
-	switch {
-	case p == nil:
+	if p == nil {
 		return fmt.Errorf("core: transformer: unknown class for pair @%d/@%d", newAddr, oldCopy)
-	case p.native:
-		// A generated default is a pure copy of unchanged fields; run it as
-		// a bulk copy, skipping interpretation entirely.
-		nativeObjectTransform(v, p, newAddr, oldCopy)
-		r.stats.BulkTransformed++
-	case p.tm == nil:
+	}
+	if p.tm == nil {
 		return fmt.Errorf("core: no object transformer jvolveObject(L%s;L%s;)V", p.newCls.Name, p.oldCls.Name)
-	default:
-		if err := v.RunSynchronous(p.label, p.tm, []rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
-			return fmt.Errorf("core: object transformer for %s: %w", p.newCls.Name, err)
-		}
-		r.stats.BytecodeTransformed++
+	}
+	if err := v.RunSynchronous(p.label, p.tm, []rt.Value{rt.RefVal(newAddr), rt.RefVal(oldCopy)}); err != nil {
+		return fmt.Errorf("core: object transformer for %s: %w", p.newCls.Name, err)
 	}
 	v.Rec.Emit(obs.KTransformerApplied, obs.LaneEngine, 1, p.label)
 	return nil
@@ -320,7 +371,6 @@ func (r *residue) run(newAddr, oldCopy rt.Addr) error {
 
 // completed books one retired tagged pair and settles the residue.
 func (r *residue) completed() {
-	r.stats.TransformedObjects++
 	if r.forcing {
 		r.stats.LazyForced++
 	} else {
@@ -388,6 +438,7 @@ func (r *residue) finishReloc() {
 	s.RelocDeferredPairs = st.DeferredPairs
 	s.RelocSteals = st.Steals
 	s.RelocDrain = st.Drain
+	r.moved(st.Moved)
 	if m := r.e.VM.Metrics; m != nil {
 		m.Counter(obs.MRelocObjects).Add(int64(st.Objects))
 		m.Counter(obs.MRelocHealedSlots).Add(int64(st.HealedSlots))
@@ -465,7 +516,7 @@ func (r *residue) retire() {
 	}
 	r.e.residue, v.Residue = nil, nil
 	for _, old := range r.renamed {
-		old.UpdatedTo = nil
+		old.UpdatedTo, old.Moves = nil, nil
 		v.Reg.Unregister(old)
 	}
 	v.Reg.Unregister(r.transformers)

@@ -81,7 +81,9 @@ var scratchAppV2 = strings.Replace(scratchApp,
 	"class Blob {\n  field a I",
 	"class Blob {\n  field z I\n  field a I", 1)
 
-// runScratchScenario builds a tightly-sized heap and applies the update.
+// runScratchScenario builds a tightly-sized heap and applies the update with a
+// hand-written transformer: only pairs have old copies for scratch to hold (as
+// a move, Blob's default would need 9 words per object and no scratch at all).
 func runScratchScenario(t *testing.T, scratchWords int) (*core.Result, *vm.VM, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
@@ -95,7 +97,7 @@ func runScratchScenario(t *testing.T, scratchWords int) (*core.Result, *vm.VM, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{t: t, vm: machine, out: &out, engine: core.NewEngine(machine)}
+	f := &fixture{t: t, vm: machine, out: &out, engine: core.NewEngine(machine), editSpec: handWrite}
 	v1 := f.load(scratchApp)
 	v2 := f.prog(scratchAppV2)
 	f.spawn("App")

@@ -178,8 +178,8 @@ func TestResidueForceChainResidentThreads(t *testing.T) {
 	before := len(f.vm.Threads)
 
 	res := f.mustApply("1", v1, f.prog(src2), chainTransformer("v1_Link", "d1"))
-	if res.Stats.BytecodeTransformed != 3 {
-		t.Fatalf("BytecodeTransformed = %d, want 3", res.Stats.BytecodeTransformed)
+	if res.Stats.TransformedObjects != 3 || res.Stats.MovedObjects != 0 {
+		t.Fatalf("transformed %d (%d of them moved), want the 3 links as pairs", res.Stats.TransformedObjects, res.Stats.MovedObjects)
 	}
 	if len(snaps) != 3 || snaps[0] == snaps[1] || snaps[1] == snaps[2] || snaps[0] == snaps[2] {
 		t.Fatalf("three nested transformer runs used threads %p, want three distinct ones", snaps)
@@ -234,10 +234,11 @@ class NoChange {
 `
 
 // microUpdate pins n objects, half of them Change, behind one array and
-// returns a function applying the update with the default transformer —
-// interpreted, or the plan's word moves under opts.FastDefaults. In lazy mode
-// the pause only tags; the caller drains.
-func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, opts core.Options) (*core.Engine, func() *core.Result) {
+// returns a function applying the update with the default transformer — which
+// the collector performs as a move while it copies, or, handWritten, the same
+// body as an interpreted transformer over pairs. In lazy mode the pause only
+// tags the pairs; the caller drains.
+func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, handWritten bool) (*core.Engine, func() *core.Result) {
 	tb.Helper()
 	v, err := vm.New(vm.Options{HeapWords: 5 * 9 * n, LazyTransform: lazy, Out: io.Discard, Recorder: rec})
 	if err != nil {
@@ -266,9 +267,12 @@ func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, opts core.O
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if handWritten {
+		handWrite(spec)
+	}
 	e := core.NewEngine(v)
 	return e, func() *core.Result {
-		res, err := e.ApplyNow(spec, opts)
+		res, err := e.ApplyNow(spec, core.Options{})
 		if err != nil || res.Outcome != core.Applied {
 			tb.Fatalf("update: %v / %+v", err, res)
 		}
@@ -298,7 +302,7 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 		{"recorder off", nil, 0.01},
 		{"recorder on", obs.NewRecorder(1 << 10), 1},
 	} {
-		e, apply := microUpdate(t, n, true, tc.rec, core.Options{})
+		e, apply := microUpdate(t, n, true, tc.rec, true)
 		res := apply()
 		if res.Stats.LazyPending != n/2 {
 			t.Fatalf("%s: pause left %d pending, want %d", tc.name, res.Stats.LazyPending, n/2)
@@ -308,9 +312,9 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		per := float64(mallocs()-m0) / float64(n/2)
-		if res.Stats.BytecodeTransformed != n/2 || res.Stats.TransformedObjects != n/2 {
-			t.Fatalf("%s: transformed %d (%d interpreted), want %d", tc.name,
-				res.Stats.TransformedObjects, res.Stats.BytecodeTransformed, n/2)
+		if res.Stats.PairsLogged != n/2 || res.Stats.TransformedObjects != n/2 {
+			t.Fatalf("%s: transformed %d of %d pairs, want %d", tc.name,
+				res.Stats.TransformedObjects, res.Stats.PairsLogged, n/2)
 		}
 		if per > tc.max {
 			t.Fatalf("%s: %.3f Go allocations per transformed object, want ≤ %v", tc.name, per, tc.max)
@@ -319,35 +323,43 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkTransformPhase: the eager transformer phase of a 20 000-object
-// update, half updated. interpreted runs the default transformer as bytecode
-// — the figure the bench of record reports as core.transform_ns_per_object;
-// native runs it as the plan's word moves (Options.FastDefaults, one worker),
-// which must stay ≥2× ahead to earn the option its place (EXPERIMENTS.md E7).
-// allocs/object is the whole update's Go allocations (install, collection and
-// teardown included) over the transformed objects.
+// BenchmarkTransformPhase: the eager update of 20 000 objects, half updated,
+// under the two ways a transformer executes. handwritten builds a pair per
+// object and interprets jvolveObject on each; moved is the generated default,
+// which the collector performs while it copies, so nothing is left for the
+// transformer phase. ns/object is that phase per transformed object (the
+// figure the bench of record reports as core.transform_ns_per_object);
+// pause-ns/object adds the DSU collection, where the moves went
+// (EXPERIMENTS.md E7). allocs/object is the whole update's Go allocations
+// (install, collection and teardown included) over the transformed objects.
 func BenchmarkTransformPhase(b *testing.B) {
 	const n = 20000
 	for _, bc := range []struct {
-		name string
-		opts core.Options
+		name        string
+		handWritten bool
 	}{
-		{"interpreted", core.Options{}},
-		{"native", core.Options{FastDefaults: true}},
+		{"handwritten", true},
+		{"moved", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var ns, allocs float64
+			var ns, pause, allocs float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				_, apply := microUpdate(b, n, false, nil, bc.opts)
+				_, apply := microUpdate(b, n, false, nil, bc.handWritten)
 				m0 := mallocs()
 				b.StartTimer()
 				res := apply()
 				b.StopTimer()
+				s := res.Stats
+				if s.TransformedObjects != n/2 || (s.MovedObjects == 0) != bc.handWritten {
+					b.Fatalf("transformed %d, moved %d", s.TransformedObjects, s.MovedObjects)
+				}
 				allocs += float64(mallocs()-m0) / float64(n/2)
-				ns += float64(res.Stats.PauseTransform.Nanoseconds()) / float64(res.Stats.TransformedObjects)
+				ns += float64(s.PauseTransform.Nanoseconds()) / float64(n/2)
+				pause += float64((s.PauseGC + s.PauseTransform).Nanoseconds()) / float64(n/2)
 			}
 			b.ReportMetric(ns/float64(b.N), "ns/object")
+			b.ReportMetric(pause/float64(b.N), "pause-ns/object")
 			b.ReportMetric(allocs/float64(b.N), "allocs/object")
 		})
 	}

@@ -36,8 +36,9 @@ func (g *dsuGraph) ForEachRoot(fn func(*rt.Value)) {
 }
 
 // buildDSUGraph builds the graph for a seed, with old copies going to
-// to-space (the paper's layout) or to a scratch region (§3.5).
-func buildDSUGraph(seed int64, scratch bool) *dsuGraph {
+// to-space (the paper's layout) or to a scratch region (§3.5) — or with no old
+// copies at all: moved makes Up's transformer a move of its three fields.
+func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
 	rng := rand.New(rand.NewSource(seed))
 	g := &dsuGraph{reg: rt.NewRegistry()}
 	if scratch {
@@ -65,6 +66,9 @@ func buildDSUGraph(seed int64, scratch bool) *dsuGraph {
 		Field("peer", "LUpV2;").
 		Field("other", "LStable;"))
 	g.upCls.UpdatedTo = g.newCls
+	if moved {
+		g.upCls.Moves = []rt.Move{{From: dsuOffVal, To: dsuOffVal + 1, N: 3}}
+	}
 	h := g.h
 
 	n := rng.Intn(40) + 2
@@ -127,11 +131,15 @@ func buildDSUGraph(seed int64, scratch bool) *dsuGraph {
 //     forwarded into to-space;
 //   - stable objects are copied normally with values intact;
 //   - sharing is preserved (two paths to one object reach one copy).
+//
+// When the updated class's transformer is a move there is no pair: the one
+// copy has the new class, the added field zero, the value carried and the
+// references carried and forwarded, and its pair word is 0.
 func TestDSUCollectRandomGraphsProperty(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, moved bool) bool {
 		// Alternate between the paper's old-copies-in-to-space layout and
 		// the §3.5 scratch-region variant; the invariants are identical.
-		g := buildDSUGraph(seed, seed%2 != 0)
+		g := buildDSUGraph(seed, seed%2 != 0, moved)
 		h, reg, upCls, stableCls, newCls := g.h, g.reg, g.upCls, g.stableCls, g.newCls
 		isUp, vals, peer, other, roots, rootIdx := g.isUp, g.vals, g.peer, g.other, g.roots, g.rootIdx
 		const offVal, offPeer, offOther = dsuOffVal, dsuOffPeer, dsuOffOther
@@ -166,8 +174,12 @@ func TestDSUCollectRandomGraphsProperty(t *testing.T) {
 				wantPairs++
 			}
 		}
-		if len(res.Log) != wantPairs {
-			t.Logf("seed %d: %d pairs, want %d", seed, len(res.Log), wantPairs)
+		wantMoved := 0
+		if moved {
+			wantPairs, wantMoved = 0, wantPairs
+		}
+		if len(res.Log) != wantPairs || res.Moved != wantMoved {
+			t.Logf("seed %d: %d pairs and %d moved, want %d and %d", seed, len(res.Log), res.Moved, wantPairs, wantMoved)
 			return false
 		}
 
@@ -182,6 +194,21 @@ func TestDSUCollectRandomGraphsProperty(t *testing.T) {
 			if isUp[i] {
 				if h.ClassID(a) != newCls.ID {
 					return false
+				}
+				if moved {
+					// UpV2 is (added, val, peer, other): Up's fields one word up.
+					if h.PairWord(a) != 0 || h.FieldValue(a, offVal, false).Int() != 0 ||
+						h.FieldValue(a, offVal+1, false).Int() != vals[i] {
+						return false
+					}
+					if peer[i] >= 0 && !walk(peer[i], h.FieldValue(a, offPeer+1, true).Ref()) {
+						return false
+					}
+					if other[i] >= 0 && !walk(other[i], h.FieldValue(a, offOther+1, true).Ref()) {
+						return false
+					}
+					return (peer[i] >= 0 || h.FieldValue(a, offPeer+1, true).Ref() == rt.Null) &&
+						(other[i] >= 0 || h.FieldValue(a, offOther+1, true).Ref() == rt.Null)
 				}
 				// Shell fields zeroed.
 				for w := 0; w < newCls.Size-rt.HeaderWords; w++ {

@@ -8,6 +8,11 @@
 // After the collection the DSU engine runs object transformers over the log;
 // dropping the log then makes the old copies unreachable, so the next
 // collection reclaims them.
+//
+// When the class's transformer is a pure field copy (rt.Class.Moves) the
+// collector performs it instead: one object, written in the new layout as it
+// is copied, forwarded to and scanned like any other — no pair, no log entry
+// (kernel.go: writeMoved).
 package gc
 
 import (
@@ -79,7 +84,11 @@ type Result struct {
 	// ScratchWords counts old-copy words placed in the scratch region
 	// (zero when the heap has none and old copies burn to-space instead).
 	ScratchWords int
-	Duration     time.Duration
+	// Moved counts instances of updated classes the collection wrote directly
+	// in their new layout (rt.Class.Moves): transformed as they were copied,
+	// so they are in CopiedObjects once and in neither Log nor PairsLogged.
+	Moved    int
+	Duration time.Duration
 
 	// Workers is how many copy/scan workers ran (1 for the serial path).
 	Workers int

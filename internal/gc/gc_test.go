@@ -38,7 +38,41 @@ type world struct {
 	reg   *rt.Registry
 	h     *heap.Heap
 	cls   *rt.Class
+	leaf  *rt.Class // buildWorld's second class (nil elsewhere); its update is a move
 	roots []rt.Value
+}
+
+// updatedIDs is what the engine hands the concurrent marker: the ids of the
+// classes an update is pending for.
+func (w *world) updatedIDs() map[int]bool {
+	ids := map[int]bool{}
+	for _, cls := range []*rt.Class{w.cls, w.leaf} {
+		if cls != nil && cls.UpdatedTo != nil {
+			ids[cls.ID] = true
+		}
+	}
+	return ids
+}
+
+// fieldMoves is the move transformer that carries the named fields of old
+// into new's fields of the same names, in that order, adjacent runs coalesced
+// — what core resolves from a transformer body upt proved a pure field copy.
+func fieldMoves(t testing.TB, old, new *rt.Class, names ...string) []rt.Move {
+	t.Helper()
+	moves := []rt.Move{}
+	for _, name := range names {
+		of, nf := old.Field(name), new.Field(name)
+		if of == nil || nf == nil {
+			t.Fatalf("fieldMoves: no field %s in %s/%s", name, old.Name, new.Name)
+		}
+		from, to := rt.Addr(of.Offset), rt.Addr(nf.Offset)
+		if k := len(moves) - 1; k >= 0 && moves[k].From+moves[k].N == from && moves[k].To+moves[k].N == to {
+			moves[k].N++
+			continue
+		}
+		moves = append(moves, rt.Move{From: from, To: to, N: 1})
+	}
+	return moves
 }
 
 func newWorld(t testing.TB, semi int) *world {

@@ -53,6 +53,22 @@ func writePair(words []uint64, a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Cl
 	return Pair{OldCopy: oldCopy, New: shell}
 }
 
+// writeMoved performs a move transformer (rt.Class.Moves, DESIGN.md §8.4) as
+// a copy with a layout permutation: the instance of old at a — body only, its
+// header may hold a claim sentinel — is written, once and in the new version's
+// layout, into the newCls.Size words the caller reserved at to. Fields no run
+// carries keep their defaults and word 1, the pair word, is 0 from the start:
+// the object is finished, and whoever scans it forwards its references under
+// the new class's RefOffsets like any copied object's.
+func writeMoved(words []uint64, a rt.Addr, old *rt.Class, to rt.Addr) {
+	newCls := old.UpdatedTo
+	clear(words[to : to+rt.Addr(newCls.Size)])
+	words[to] = uint64(newCls.ID)
+	for _, m := range old.Moves {
+		copy(words[to+m.To:to+m.To+m.N], words[a+m.From:a+m.From+m.N])
+	}
+}
+
 // kernel is one serial collection's state. The bump pointers live in its Raw
 // copy for the whole collection; commit hands them back to the heap, with the
 // counters, on every exit path.
@@ -68,6 +84,7 @@ type kernel struct {
 	log            []Pair
 	objects, words int // copied, shells included
 	scratchWords   int // of those, old-copy words that went to scratch
+	moved          int // of objects, instances written in their new layout
 
 	// err is the first failure. Once set, evacuate refuses further work and
 	// references are left as they were; the heap is unusable either way.
@@ -99,6 +116,7 @@ func (k *kernel) commit(h *heap.Heap, res *Result) {
 	res.CopiedWords += k.words
 	res.PairsLogged += len(k.log)
 	res.ScratchWords += k.scratchWords
+	res.Moved += k.moved
 }
 
 // forward returns where the object a non-null reference word points at lives
@@ -135,6 +153,9 @@ func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 		return rt.Null
 	}
 	if k.dsu && cls.UpdatedTo != nil {
+		if cls.Moves != nil {
+			return k.move(a, cls)
+		}
 		return k.pair(a, hw, rt.Addr(cls.Size), cls.UpdatedTo).New
 	}
 	return k.copy(a, rt.Addr(cls.Size))
@@ -156,7 +177,26 @@ func (k *kernel) copy(a, size rt.Addr) rt.Addr {
 	return to
 }
 
-// pair evacuates an instance of an updated class: shell first, then the old
+// move is copy for an instance of an updated class whose transformer is a move
+// transformer: no shell, no old copy, no log entry — one object of the new
+// size, and nothing is written unless it fits.
+func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
+	to, size := k.To.Alloc, rt.Addr(old.UpdatedTo.Size)
+	if to+size > k.To.Hi {
+		k.err = ErrToSpaceExhausted
+		return rt.Null
+	}
+	k.To.Alloc = to + size
+	writeMoved(k.Words, a, old, to)
+	k.Words[a] = heap.ForwardBit | uint64(to)
+	k.objects++
+	k.words += int(size)
+	k.moved++
+	return to
+}
+
+// pair evacuates an instance of an updated class whose transformer has to run
+// (hand-written, or anything ObjectMoves cannot prove): shell first, then the old
 // copy (behind it in to-space, or in scratch), the log entry, and the
 // forwarding pointer to the shell. The zero Pair means err is set.
 func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair {

@@ -63,6 +63,26 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 		size := objectSize(a)
 		if dsu && !h.IsArray(a) {
 			cls := c.Reg.ClassByID(h.ClassID(a))
+			if cls != nil && cls.UpdatedTo != nil && cls.Moves != nil {
+				// A move transformer, the slow way: a zeroed instance of the
+				// new class, each carried word through the accessors.
+				to, ok := h.AllocObject(cls.UpdatedTo)
+				if !ok {
+					gcErr = ErrToSpaceExhausted
+					return
+				}
+				for _, m := range cls.Moves {
+					for i := rt.Addr(0); i < m.N; i++ {
+						h.SetWord(to+m.To+i, h.Word(a+m.From+i))
+					}
+				}
+				h.SetForward(a, to)
+				res.CopiedObjects++
+				res.CopiedWords += cls.UpdatedTo.Size
+				res.Moved++
+				v.Bits = uint64(to)
+				return
+			}
 			if cls != nil && cls.UpdatedTo != nil {
 				newCls := cls.UpdatedTo
 				shell, ok1 := h.AllocObject(newCls)
@@ -193,15 +213,21 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 
 		for _, scratch := range []bool{false, true} {
 			for _, dsu := range []bool{true, false} { // an update pending but a plain collection: no pairs
-				d, rd := buildDSUGraph(seed, scratch), buildDSUGraph(seed, scratch)
-				res, err := New(d.h, d.reg).Collect(d, dsu)
-				rres, rerr := refCollectSerial(New(rd.h, rd.reg), rd, dsu)
-				if err != nil || rerr != nil {
-					t.Fatalf("seed %d: kernel err %v, reference err %v", seed, err, rerr)
-				}
-				sameCollection(t, fmt.Sprintf("seed %d dsu=%v scratch=%v", seed, dsu, scratch), d.h, rd.h, res, rres)
-				if !slices.Equal(d.roots, rd.roots) {
-					t.Fatalf("seed %d: roots differ", seed)
+				for _, moved := range []bool{false, true} { // Up's transformer runs, or is a move
+					d, rd := buildDSUGraph(seed, scratch, moved), buildDSUGraph(seed, scratch, moved)
+					res, err := New(d.h, d.reg).Collect(d, dsu)
+					rres, rerr := refCollectSerial(New(rd.h, rd.reg), rd, dsu)
+					if err != nil || rerr != nil {
+						t.Fatalf("seed %d: kernel err %v, reference err %v", seed, err, rerr)
+					}
+					what := fmt.Sprintf("seed %d dsu=%v scratch=%v moved=%v", seed, dsu, scratch, moved)
+					sameCollection(t, what, d.h, rd.h, res, rres)
+					if !slices.Equal(d.roots, rd.roots) {
+						t.Fatalf("%s: roots differ", what)
+					}
+					if dsu && moved && (res.PairsLogged != 0 || res.ScratchWords != 0) {
+						t.Fatalf("%s: a moved class made %d pairs, %d scratch words", what, res.PairsLogged, res.ScratchWords)
+					}
 				}
 			}
 		}
@@ -218,8 +244,14 @@ type benchWorld struct {
 	root   rt.Value
 }
 
-// update makes every Change instance an instance of an updated class.
-func (w *benchWorld) update(tb testing.TB) { w.change.UpdatedTo = w.load(tb, "ChangeV2", true) }
+// update makes every Change instance an instance of an updated class — one
+// whose transformer is a move of all six fields, if moved.
+func (w *benchWorld) update(tb testing.TB, moved bool) {
+	w.change.UpdatedTo = w.load(tb, "ChangeV2", true)
+	if moved {
+		w.change.Moves = fieldMoves(tb, w.change, w.change.UpdatedTo, "a", "b", "c", "x", "y", "z")
+	}
+}
 
 func (w *benchWorld) load(tb testing.TB, name string, extra bool) *rt.Class {
 	b := classfile.NewClass(name, "").
@@ -237,13 +269,13 @@ func (w *benchWorld) load(tb testing.TB, name string, extra bool) *rt.Class {
 
 func (w *benchWorld) ForEachRoot(fn func(*rt.Value)) { fn(&w.root) }
 
-func newBenchWorld(tb testing.TB, n, semi, scratch int, updated bool) *benchWorld {
+func newBenchWorld(tb testing.TB, n, semi, scratch int, updated, moved bool) *benchWorld {
 	tb.Helper()
 	w := &benchWorld{reg: rt.NewRegistry(), h: heap.NewWithScratch(semi, scratch)}
 	var noChange *rt.Class
 	w.change, noChange = w.load(tb, "Change", false), w.load(tb, "NoChange", false)
 	if updated {
-		w.update(tb)
+		w.update(tb, moved)
 	}
 	arr, ok := w.h.AllocArray(true, n)
 	if !ok {
@@ -272,21 +304,27 @@ func newBenchWorld(tb testing.TB, n, semi, scratch int, updated bool) *benchWorl
 // The graph is a 6-word array over Change, NoChange, Change, NoChange (8 words
 // each, 38 in from-space); a DSU collection copies it in that order and a
 // Change costs a 9-word shell plus its 8-word old copy, so to-space fills
-// 6, 15, 23, 31, 40, 48, 56.
+// 6, 15, 23, 31, 40, 48, 56. When Change's transformer is a move it costs its
+// 9 new words and nothing else: 6, 15, 23, 32, 40 — and with a fifth object,
+// a Change, under a 7-word array: 7, 16, 24, 33, 41, 50.
 func TestCollectExhaustion(t *testing.T) {
 	cases := []struct {
 		name              string
+		n                 int
+		moved             bool
 		semi, scratch     int
 		used, scratchUsed int // at the failure: nothing of the failed allocation is kept
 	}{
-		{"plain copy", 55, 0, 48, 0},
-		{"shell", 39, 0, 31, 0},
-		{"old copy in to-space", 47, 0, 31, 0},
-		{"scratch full", 64, 15, 6 + 9 + 8, 8},
+		{"plain copy", 4, false, 55, 0, 48, 0},
+		{"shell", 4, false, 39, 0, 31, 0},
+		{"old copy in to-space", 4, false, 47, 0, 31, 0},
+		{"scratch full", 4, false, 64, 15, 6 + 9 + 8, 8},
+		{"moved copy", 5, true, 49, 0, 41, 0},
+		{"plain copy after a moved one", 4, true, 39, 0, 32, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newBenchWorld(t, 4, tc.semi, tc.scratch, true)
+			w := newBenchWorld(t, tc.n, tc.semi, tc.scratch, true, tc.moved)
 			_, err := New(w.h, w.reg).Collect(w, true)
 			if !errors.Is(err, ErrToSpaceExhausted) {
 				t.Fatalf("err = %v, want ErrToSpaceExhausted", err)
@@ -299,6 +337,15 @@ func TestCollectExhaustion(t *testing.T) {
 			if w.h.UsedWords() != tc.used || w.h.ScratchUsed() != tc.scratchUsed {
 				t.Fatalf("used %d to-space / %d scratch words, want %d / %d",
 					w.h.UsedWords(), w.h.ScratchUsed(), tc.used, tc.scratchUsed)
+			}
+			// Nothing half-written: past the bump pointers both spaces are
+			// as the flip left them (never allocated in: zero).
+			for _, r := range []heap.Region{raw.To, raw.Scratch} {
+				for a := r.Alloc; a < r.Hi; a++ {
+					if raw.Words[a] != 0 {
+						t.Fatalf("word @%d past the bump pointer %d was written: %#x", a, r.Alloc, raw.Words[a])
+					}
+				}
 			}
 		})
 	}
@@ -335,7 +382,7 @@ func TestCollectUnknownClassIsAnError(t *testing.T) {
 // nothing is queued.
 func TestCollectSerialAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		w := newBenchWorld(t, n, 16*n, 0, false)
+		w := newBenchWorld(t, n, 16*n, 0, false, false)
 		c := New(w.h, w.reg)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := c.Collect(w, false); err != nil {
@@ -359,13 +406,14 @@ func TestCollectSerialAllocs(t *testing.T) {
 func BenchmarkCollectSerial(b *testing.B) {
 	const n = 100000
 	for _, bc := range []struct {
-		name    string
-		dsu     bool
-		scratch int
+		name       string
+		dsu, moved bool
+		scratch    int
 	}{
-		{"plain", false, 0},
-		{"dsu-f0.5", true, 0},
-		{"dsu-f0.5-scratch", true, n / 2 * 8},
+		{"plain", false, false, 0},
+		{"dsu-f0.5", true, false, 0},
+		{"dsu-f0.5-scratch", true, false, n / 2 * 8},
+		{"dsu-moved-f0.5", true, true, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -376,7 +424,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 				// the new class), so every iteration gets a fresh world; two
 				// untimed plain collections fault both semispaces in first.
 				b.StopTimer()
-				w := newBenchWorld(b, n, 2*n*8, bc.scratch, false)
+				w := newBenchWorld(b, n, 2*n*8, bc.scratch, false, false)
 				c := New(w.h, w.reg)
 				for range 2 {
 					if _, err := c.Collect(w, false); err != nil {
@@ -384,7 +432,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 					}
 				}
 				if bc.dsu {
-					w.update(b)
+					w.update(b, bc.moved)
 				}
 				b.StartTimer()
 				res, err := c.Collect(w, bc.dsu)

@@ -64,7 +64,7 @@ func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
-		updatedIDs = map[int]bool{wb.cls.ID: true}
+		updatedIDs = wb.updatedIDs()
 	}
 
 	ra, err := New(wa.h, wa.reg).Collect(wa, dsu)
@@ -82,6 +82,9 @@ func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int
 	}
 	if ra.PairsLogged != rb.PairsLogged {
 		t.Fatalf("pairs: STW %d, concurrent %d", ra.PairsLogged, rb.PairsLogged)
+	}
+	if ra.Moved != rb.Moved || (ra.Moved > 0) != dsu {
+		t.Fatalf("moved: STW %d, concurrent %d (dsu=%v)", ra.Moved, rb.Moved, dsu)
 	}
 	for i := 1; i < len(rb.Log); i++ {
 		if rb.Log[i-1].New >= rb.Log[i].New {
@@ -190,7 +193,7 @@ func runMutationEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
-		updatedIDs = map[int]bool{wa.cls.ID: true}
+		updatedIDs = wa.updatedIDs()
 	}
 
 	ca := NewWithOptions(wa.h, wa.reg, Options{Workers: workers, ConcurrentMark: true})
@@ -207,8 +210,9 @@ func runMutationEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 		t.Fatalf("concurrent copied %d < STW %d: live objects escaped the mark",
 			ra.CopiedObjects, rb.CopiedObjects)
 	}
-	if dsu && ra.PairsLogged < rb.PairsLogged {
-		t.Fatalf("concurrent paired %d < STW %d instances", ra.PairsLogged, rb.PairsLogged)
+	if dsu && (ra.PairsLogged < rb.PairsLogged || ra.Moved < rb.Moved) {
+		t.Fatalf("concurrent paired %d and moved %d, STW %d and %d instances",
+			ra.PairsLogged, ra.Moved, rb.PairsLogged, rb.Moved)
 	}
 	isoCheck(t, wa, wb, ra, rb, dsu)
 }

@@ -154,7 +154,8 @@ type sweepEntry struct {
 	addr rt.Addr
 	size int32
 	// newCls is non-nil for a DSU pair (old class's UpdatedTo); new is then
-	// the shell and oldCopy the preserved old version. For plain objects
+	// the shell and oldCopy the preserved old version. For plain objects —
+	// and for instances a move transformer rewrote into their new layout —
 	// new is the evacuated copy and oldCopy is 0.
 	newCls  *rt.Class
 	new     rt.Addr
@@ -222,17 +223,19 @@ func (c *Collector) sweepList(m *Marker) ([]sweepEntry, error) {
 	return entries, nil
 }
 
-// resolvePair fills e.newCls when the entry is an instance of an updated
-// class (UpdatedTo is set during the install phase, which precedes the
-// collection inside the same pause).
-func (c *Collector) resolvePair(e *sweepEntry, dsu bool) {
+// updatedClass returns the entry's class when a DSU collection has to
+// transform the entry — it is an instance of a class with UpdatedTo set (by
+// the install phase, which precedes the collection inside the same pause) —
+// and nil for everything else. With Moves the entry is copied like a plain
+// one, in the new layout and size; without, it becomes a pair (e.newCls).
+func (c *Collector) updatedClass(e *sweepEntry, dsu bool) *rt.Class {
 	if !dsu || c.Heap.IsArray(e.addr) {
-		return
+		return nil
 	}
-	cls := c.Reg.ClassByID(c.Heap.ClassID(e.addr))
-	if cls != nil && cls.UpdatedTo != nil {
-		e.newCls = cls.UpdatedTo
+	if cls := c.Reg.ClassByID(c.Heap.ClassID(e.addr)); cls != nil && cls.UpdatedTo != nil {
+		return cls
 	}
+	return nil
 }
 
 // sweepSerial copies the entry list with the kernel's bump pointer — address
@@ -243,12 +246,15 @@ func (c *Collector) sweepSerial(entries []sweepEntry, dsu bool, res *Result) err
 	k := c.newKernel(dsu)
 	for i := range entries {
 		e := &entries[i]
-		c.resolvePair(e, dsu)
-		if e.newCls != nil {
+		switch old := c.updatedClass(e, dsu); {
+		case old == nil:
+			e.new = k.copy(e.addr, rt.Addr(e.size))
+		case old.Moves != nil:
+			e.new = k.move(e.addr, old)
+		default:
+			e.newCls = old.UpdatedTo
 			p := k.pair(e.addr, k.Words[e.addr], rt.Addr(e.size), e.newCls)
 			e.new, e.oldCopy = p.New, p.OldCopy
-		} else {
-			e.new = k.copy(e.addr, rt.Addr(e.size))
 		}
 		if k.err != nil {
 			break
@@ -277,6 +283,7 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) e
 		copiedObjects int
 		copiedWords   int
 		scratchWords  int
+		moved         int
 		err           error
 		waste         int
 	}
@@ -303,8 +310,14 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) e
 			}
 			for j := range chunk {
 				e := &chunk[j]
-				c.resolvePair(e, dsu)
 				size := rt.Addr(e.size)
+				upd := c.updatedClass(e, dsu)
+				moved := upd != nil && upd.Moves != nil
+				if moved {
+					size = rt.Addr(upd.UpdatedTo.Size) // the plain copy below, in the new layout
+				} else if upd != nil {
+					e.newCls = upd.UpdatedTo
+				}
 				if e.newCls != nil {
 					shell, ok1 := tlab.Alloc(e.newCls.Size)
 					oldCopy, ok2 := old.Alloc(int(size))
@@ -327,7 +340,12 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) e
 					w.err = ErrToSpaceExhausted
 					break
 				}
-				copy(words[to:to+size], words[e.addr:e.addr+size])
+				if moved {
+					writeMoved(words, e.addr, upd, to)
+					w.moved++
+				} else {
+					copy(words[to:to+size], words[e.addr:e.addr+size])
+				}
 				h.SetForward(e.addr, to)
 				e.new = to
 				w.copiedObjects++
@@ -355,6 +373,7 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) e
 		res.CopiedObjects += w.copiedObjects
 		res.CopiedWords += w.copiedWords
 		res.ScratchWords += w.scratchWords
+		res.Moved += w.moved
 		res.TLABWaste += w.waste
 		res.WorkerWords[i] = w.copiedWords
 	}
@@ -362,8 +381,9 @@ func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) e
 }
 
 // fixTarget decides which copy of an entry needs its ref slots rewritten:
-// the evacuated object for plain entries, the old copy for DSU pairs (the
-// shell is all zeros — its transformer fills it in).
+// the evacuated object for plain and moved entries (a moved one under its new
+// class's descriptor), the old copy for DSU pairs (the shell is all zeros —
+// its transformer fills it in).
 func (e *sweepEntry) fixTarget() rt.Addr {
 	if e.newCls != nil {
 		return e.oldCopy

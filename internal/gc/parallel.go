@@ -153,6 +153,7 @@ type pworker struct {
 	copiedObjects int
 	copiedWords   int
 	scratchWords  int
+	moved         int
 	steals        int64
 }
 
@@ -192,6 +193,7 @@ func (w *pworker) forward(ref uint64) uint64 {
 func (w *pworker) copyClaimed(a rt.Addr, hw uint64) rt.Addr {
 	words := w.raw.Words
 	var size rt.Addr
+	var moved *rt.Class // the object's old version, when the copy is a move
 	if heap.HeaderIsArray(hw) {
 		size = rt.HeaderWords + rt.Addr(words[a+1]) // only word 0 is ever CASed
 	} else {
@@ -201,7 +203,7 @@ func (w *pworker) copyClaimed(a rt.Addr, hw uint64) rt.Addr {
 			return rt.Null
 		}
 		size = rt.Addr(cls.Size)
-		if newCls := cls.UpdatedTo; w.dsu && newCls != nil {
+		if newCls := cls.UpdatedTo; w.dsu && newCls != nil && cls.Moves == nil {
 			shell, ok1 := w.tlab.Alloc(newCls.Size)
 			oldCopy, ok2 := w.old.Alloc(int(size))
 			if !ok1 || !ok2 {
@@ -220,6 +222,9 @@ func (w *pworker) copyClaimed(a rt.Addr, hw uint64) rt.Addr {
 			// forwarded referents.
 			w.dq.push(oldCopy)
 			return shell
+		} else if w.dsu && newCls != nil {
+			// A move transformer: the plain copy below, in the new layout.
+			moved, size = cls, rt.Addr(newCls.Size)
 		}
 	}
 	to, ok := w.tlab.Alloc(int(size))
@@ -227,8 +232,13 @@ func (w *pworker) copyClaimed(a rt.Addr, hw uint64) rt.Addr {
 		w.ps.fail(ErrToSpaceExhausted)
 		return rt.Null
 	}
-	words[to] = hw // the source header holds the claim sentinel
-	copy(words[to+1:to+size], words[a+1:a+size])
+	if moved != nil {
+		writeMoved(words, a, moved, to)
+		w.moved++
+	} else {
+		words[to] = hw // the source header holds the claim sentinel
+		copy(words[to+1:to+size], words[a+1:a+size])
+	}
 	w.c.Heap.PublishForward(a, to)
 	w.copiedObjects++
 	w.copiedWords += int(size)
@@ -431,6 +441,7 @@ func (c *Collector) collectParallel(roots Roots, dsu bool, workers int) (*Result
 		res.CopiedObjects += w.copiedObjects
 		res.CopiedWords += w.copiedWords
 		res.ScratchWords += w.scratchWords
+		res.Moved += w.moved
 		res.WorkerWords[i] = w.copiedWords
 	}
 	sort.Slice(res.Log, func(i, j int) bool { return res.Log[i].New < res.Log[j].New })

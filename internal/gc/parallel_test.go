@@ -19,7 +19,9 @@ import (
 
 // buildWorld deterministically builds a random object graph from seed:
 // Node instances (2 refs + 1 int), arrays of both kinds, shared structure
-// and cycles, plus unreachable garbage. Two calls with the same seed
+// and cycles, plus unreachable garbage, and a rooted array of Leaf instances
+// (1 int + 2 refs: a Node and another Leaf) — the class whose update
+// addUpdatedTo makes a move. Two calls with the same seed
 // produce word-for-word identical heaps, so one can be collected serially
 // and the other in parallel and the results compared.
 func buildWorld(t testing.TB, seed int64, semi int, scratch int) *world {
@@ -73,12 +75,75 @@ func buildWorld(t testing.TB, seed int64, semi int, scratch int) *world {
 		}
 	}
 	w.roots = append(w.roots, rt.RefVal(addrs[0]))
+	// Leaves, pinned by one array; some never linked in (garbage).
+	w.leaf = leafClass(t, reg)
+	leaves := make([]rt.Addr, 6+rng.Intn(20))
+	larr, ok := w.h.AllocArray(true, len(leaves))
+	if !ok {
+		t.Fatal("leaf array alloc")
+	}
+	for i := range leaves {
+		a, ok := w.h.AllocObject(w.leaf)
+		if !ok {
+			t.Fatal("leaf alloc")
+		}
+		leaves[i] = a
+		w.h.SetFieldValue(a, leafOffTag, rt.IntVal(rng.Int63n(1<<30)))
+		if rng.Intn(3) != 0 {
+			w.h.SetFieldValue(a, leafOffNode, rt.RefVal(addrs[rng.Intn(n)]))
+		}
+		if rng.Intn(2) == 0 {
+			w.h.SetFieldValue(a, leafOffTwin, rt.RefVal(leaves[rng.Intn(i+1)]))
+		}
+		if rng.Intn(4) != 0 {
+			w.h.SetElem(larr, i, rt.RefVal(a))
+		}
+	}
+	w.roots = append(w.roots, rt.RefVal(larr))
 	return w
 }
 
+// leafClass loads Leaf: tag I, node LNode;, twin LLeaf;.
+func leafClass(t testing.TB, reg *rt.Registry) *rt.Class {
+	t.Helper()
+	def, err := classfile.NewClass("Leaf", "").
+		Field("tag", "I").Field("node", "LNode;").Field("twin", "LLeaf;").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := reg.Load(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cls
+}
+
+const (
+	leafOffTag  = rt.HeaderWords + 0
+	leafOffNode = rt.HeaderWords + 1
+	leafOffTwin = rt.HeaderWords + 2
+)
+
 // addUpdatedTo marks the Node class as updated to a wider NodeV2 in w's
-// registry, mirroring what the DSU engine's install phase does.
+// registry, mirroring what the DSU engine's install phase does: Node's
+// transformer has to run (pairs), and Leaf's — where the world has leaves — is
+// a move into LeafV2's reordered, wider layout, so the collector under test
+// writes those instances itself.
 func addUpdatedTo(t testing.TB, w *world) *rt.Class {
+	if w.leaf != nil {
+		leafDef, err := classfile.NewClass("LeafV2", "").
+			Field("twin", "LLeafV2;").Field("pad", "I").
+			Field("tag", "I").Field("node", "LNodeV2;").Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		newLeaf, err := w.reg.Load(leafDef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.leaf.UpdatedTo = newLeaf
+		w.leaf.Moves = fieldMoves(t, w.leaf, newLeaf, "tag", "node", "twin")
+	}
 	newDef, err := classfile.NewClass("NodeV2", "").
 		Field("val", "I").
 		Field("left", "LNodeV2;").
@@ -231,6 +296,9 @@ func runEquivalence(t *testing.T, seed int64, dsu bool, scratch int, workers int
 	}
 	if ra.PairsLogged != rb.PairsLogged || len(ra.Log) != len(rb.Log) {
 		t.Fatalf("pair counts: serial %d, parallel %d", len(ra.Log), len(rb.Log))
+	}
+	if ra.Moved != rb.Moved || (ra.Moved > 0) != dsu {
+		t.Fatalf("moved: serial %d, parallel %d (dsu=%v)", ra.Moved, rb.Moved, dsu)
 	}
 	// Per-worker accounting must fold back to the totals, and the merged
 	// log must come out sorted by new-shell address (the deterministic

@@ -78,6 +78,9 @@ type RelocStats struct {
 	// DeferredPairs is the number of shell/old-copy pairs created by the
 	// drain (deferPairs mode) for the lazy pipeline to adopt.
 	DeferredPairs int
+	// Moved counts updated-class instances the drain wrote directly in their
+	// new layout (deferPairs mode; rt.Class.Moves) — Result.Moved's drain half.
+	Moved int
 	// Steals counts drain-worker deque steals.
 	Steals int64
 	// Drain is the wall-clock time from Start (or the first forced work)
@@ -131,6 +134,7 @@ type Relocation struct {
 	deferred []Pair // drain-created pairs (deferPairs mode), in creation order
 
 	objects, words, scratchWords atomic.Int64
+	moved                        atomic.Int64 // of objects, written in their new layout
 	healed                       atomic.Int64 // drain-side slot heals
 	steals                       atomic.Int64
 
@@ -249,6 +253,14 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	for _, a := range addrs {
 		cls := c.Reg.ClassByID(h.ClassID(a))
 		if cls == nil || cls.UpdatedTo == nil {
+			continue
+		}
+		if cls.Moves != nil {
+			// Written in its new layout, in to-space: the region cursor
+			// heals its slots like any pause evacuation's.
+			if k.move(a, cls) == rt.Null {
+				break
+			}
 			continue
 		}
 		p := k.pair(a, k.Words[a], rt.Addr(cls.Size), cls.UpdatedTo)
@@ -712,7 +724,10 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 				rl.fail(fmt.Errorf("gc: reloc drain: undiscovered updated-class instance @%d (%s)", a, cls.Name))
 				return 0, false
 			}
-			return rl.deferredPair(a, hw, size, cls.UpdatedTo, al)
+			if cls.Moves == nil {
+				return rl.deferredPair(a, hw, size, cls.UpdatedTo, al)
+			}
+			return rl.movedCopy(a, cls, al)
 		}
 	}
 	to, ok := al.allocCopy(size)
@@ -729,6 +744,30 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 	h.PublishForward(a, to)
 	rl.objects.Add(1)
 	rl.words.Add(int64(size))
+	al.push(to)
+	return to, true
+}
+
+// movedCopy is the plain evacuation above for an instance the drain met whose
+// transformer is a move (deferPairs mode): one zeroed object of the new size,
+// the new class id, the carried runs straight out of the claimed from-space
+// object — finished before PublishForward, never tagged, never a pair. It is
+// pushed like any copy, so the scan heals its slots.
+func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (rt.Addr, bool) {
+	h, newCls := rl.h, old.UpdatedTo
+	to, ok := al.allocShell(newCls.Size)
+	if !ok {
+		rl.fail(ErrToSpaceExhausted)
+		return 0, false
+	}
+	h.SetWord(to, uint64(newCls.ID))
+	for _, m := range old.Moves {
+		h.CopyWords(to+m.To, a+m.From, int(m.N))
+	}
+	h.PublishForward(a, to)
+	rl.objects.Add(1)
+	rl.words.Add(int64(newCls.Size))
+	rl.moved.Add(1)
 	al.push(to)
 	return to, true
 }
@@ -894,6 +933,7 @@ func (rl *Relocation) Finish() (RelocStats, error) {
 		ScratchWords:  int(rl.scratchWords.Load()),
 		HealedSlots:   uint64(rl.healed.Load()) + mutHealed,
 		DeferredPairs: len(rl.deferred),
+		Moved:         int(rl.moved.Load()),
 		Steals:        rl.steals.Load(),
 		Drain:         time.Duration(rl.drainNS.Load()),
 	}

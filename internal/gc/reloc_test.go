@@ -93,6 +93,9 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers in
 	if stats.DeferredPairs != 0 {
 		t.Fatalf("eager mode created %d deferred pairs", stats.DeferredPairs)
 	}
+	if ra.Moved != rb.Moved || stats.Moved != 0 || (ra.Moved > 0) != dsu {
+		t.Fatalf("moved: serial %d, reloc pause %d + drain %d (dsu=%v)", ra.Moved, rb.Moved, stats.Moved, dsu)
+	}
 	for i := 1; i < len(rb.Log); i++ {
 		if rb.Log[i-1].New >= rb.Log[i].New {
 			t.Fatal("reloc pair log not sorted by new-shell address")
@@ -137,7 +140,7 @@ func runRelocMarkEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
-		updatedIDs = map[int]bool{wb.cls.ID: true}
+		updatedIDs = wb.updatedIDs()
 	}
 
 	ra, err := New(wa.h, wa.reg).Collect(wa, dsu)
@@ -339,6 +342,72 @@ func TestRelocDeferredPairs(t *testing.T) {
 			}
 			shell = next
 		}
+	}
+}
+
+// TestRelocDeferredMoves: under full deferral an updated-class instance whose
+// transformer is a move is no pair at all. Whoever evacuates it — the root
+// remap for the chain's head, the drain for the rest — writes the one finished
+// copy: new class, carried fields in their new places, never tagged, pair word
+// 0, and references healed like any evacuated object's.
+func TestRelocDeferredMoves(t *testing.T) {
+	w := &world{reg: rt.NewRegistry(), h: heap.New(1 << 12)}
+	w.cls = nodeClass(t, w.reg, "Node")
+	w.leaf = leafClass(t, w.reg)
+	const n = 10
+	var leaves [n]rt.Addr
+	for i := range leaves {
+		a, ok := w.h.AllocObject(w.leaf)
+		if !ok {
+			t.Fatal("leaf alloc")
+		}
+		leaves[i] = a
+		w.h.SetFieldValue(a, leafOffTag, rt.IntVal(int64(100+i)))
+		w.h.SetFieldValue(a, leafOffNode, rt.RefVal(w.alloc(t, int64(200+i))))
+		if i > 0 {
+			w.h.SetFieldValue(leaves[i-1], leafOffTwin, rt.RefVal(a))
+		}
+	}
+	w.roots = []rt.Value{rt.RefVal(leaves[0])}
+	newNode := addUpdatedTo(t, w)
+	newLeaf := w.leaf.UpdatedTo
+
+	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentReloc: true})
+	res, stats := runRelocCycle(t, w, c, true, nil)
+	if len(res.Log) != 0 || res.Moved != 0 {
+		t.Fatalf("deferred pause logged %d pairs and moved %d before the root remap", len(res.Log), res.Moved)
+	}
+	if stats.Moved != n || stats.DeferredPairs != n {
+		t.Fatalf("drain moved %d leaves and paired %d nodes, want %d and %d", stats.Moved, stats.DeferredPairs, n, n)
+	}
+	tagOff, nodeOff, twinOff := newLeaf.Field("tag").Offset, newLeaf.Field("node").Offset, newLeaf.Field("twin").Offset
+	a := w.roots[0].Ref()
+	for i := 0; i < n; i++ {
+		if !w.h.InCurrentSpace(a) || w.h.ClassID(a) != newLeaf.ID {
+			t.Fatalf("leaf %d @%d: not a to-space LeafV2 (class %d)", i, a, w.h.ClassID(a))
+		}
+		if w.h.Untransformed(a) || w.h.PairWord(a) != 0 {
+			t.Fatalf("leaf %d @%d: tagged %v, pair word %d — a moved object is finished", i, a, w.h.Untransformed(a), w.h.PairWord(a))
+		}
+		if got := w.h.FieldValue(a, tagOff, false).Int(); got != int64(100+i) {
+			t.Fatalf("leaf %d: tag %d, want %d", i, got, 100+i)
+		}
+		if got := w.h.FieldValue(a, newLeaf.Field("pad").Offset, false).Int(); got != 0 {
+			t.Fatalf("leaf %d: new field pad = %d", i, got)
+		}
+		// Its node is a pair the drain deferred: a tagged NodeV2 shell.
+		node := w.h.FieldValue(a, nodeOff, true).Ref()
+		if !w.h.InCurrentSpace(node) || w.h.ClassID(node) != newNode.ID || !w.h.Untransformed(node) {
+			t.Fatalf("leaf %d: node @%d not healed to a tagged NodeV2 shell", i, node)
+		}
+		if old := rt.Addr(w.h.PairWord(node)); w.h.FieldValue(old, offVal, false).Int() != int64(200+i) {
+			t.Fatalf("leaf %d: node's old copy lost its value", i)
+		}
+		next := w.h.FieldValue(a, twinOff, true).Ref()
+		if (next == rt.Null) != (i == n-1) {
+			t.Fatalf("leaf %d: twin @%d", i, next)
+		}
+		a = next
 	}
 }
 

@@ -381,7 +381,6 @@ const (
 	MPauseInstall     = "govolve_dsu_pause_install_seconds"
 	MPauseGC          = "govolve_dsu_pause_gc_seconds"
 	MPauseTransform   = "govolve_dsu_pause_transform_seconds"
-	MPauseBulk        = "govolve_dsu_pause_transform_bulk_seconds"
 	MPauseTotal       = "govolve_dsu_pause_total_seconds"
 	MPauseGCMark      = "govolve_dsu_pause_gc_mark_seconds"
 	MPauseGCRescan    = "govolve_dsu_pause_gc_rescan_seconds"
@@ -399,6 +398,7 @@ const (
 	MLazyDrainLatency = "govolve_dsu_lazy_drain_latency_seconds"
 	MObjectsCopied    = "govolve_gc_copied_objects_total"
 	MPairsLogged      = "govolve_gc_dsu_pairs_logged_total"
+	MMovedObjects     = "govolve_gc_dsu_moved_objects_total"
 	MGCSteals         = "govolve_gc_steals_total"
 	MRequestLatency   = "govolve_request_latency_seconds"
 	MInstructions     = "govolve_vm_instructions_total"
@@ -473,7 +473,6 @@ var metricHelp = map[string]string{
 	MPauseInstall:     "Install phase share of the DSU pause.",
 	MPauseGC:          "GC phase share of the DSU pause.",
 	MPauseTransform:   "Transform phase share of the DSU pause.",
-	MPauseBulk:        "Bulk-transformer share of the DSU pause.",
 	MPauseTotal:       "Total stop-the-world DSU pause duration.",
 	MPauseGCMark:      "Mark sub-phase of the DSU pause's GC share.",
 	MPauseGCRescan:    "Rescan sub-phase of the DSU pause's GC share.",
@@ -491,6 +490,7 @@ var metricHelp = map[string]string{
 	MLazyDrainLatency: "Wall-clock latency of lazy-transform drains.",
 	MObjectsCopied:    "Objects copied by collections.",
 	MPairsLogged:      "Old/new object pairs logged for DSU transforms.",
+	MMovedObjects:     "Updated objects the collector wrote directly in their new layout.",
 	MGCSteals:         "Work-stealing deque steals by collection workers.",
 	MRequestLatency:   "End-to-end request latency of the served app.",
 	MInstructions:     "Bytecode instructions interpreted.",

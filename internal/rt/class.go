@@ -73,6 +73,10 @@ func (m *Method) FullName() string {
 // IsVirtual reports whether the method dispatches through the TIB.
 func (m *Method) IsVirtual() bool { return m.TIBSlot >= 0 }
 
+// Move is one run of a move transformer: N words from offset From of the old
+// instance land at offset To of the new one (offsets from the object's base).
+type Move struct{ From, To, N Addr }
+
 // Class is the resolved runtime representation of a loaded class — the
 // analog of Jikes RVM's RVMClass meta-object. It owns the instance layout,
 // the static slots, and the TIB.
@@ -117,6 +121,13 @@ type Class struct {
 	// UpdatedTo points at the replacement class while an update is being
 	// applied; the collector transforms instances whose class has it set.
 	UpdatedTo *Class
+	// Moves is set, next to UpdatedTo, when the class's object transformer is
+	// a move transformer — a pure field copy (upt.Spec.ObjectMoves): the word
+	// runs that carry an old instance into UpdatedTo's layout. The collector
+	// then writes such an instance once, in the new layout, as it copies it;
+	// nil means instances get the shell + old-copy pair and a transformer run.
+	// A move transformer that carries nothing is the empty non-nil slice.
+	Moves []Move
 	// Renamed marks an old version that was renamed (User → v131_User)
 	// and stripped of methods; it exists only to type transformer code.
 	Renamed bool

@@ -33,11 +33,10 @@ type DriverConfig struct {
 	Seed      int64
 	Specimens int // tracked live instances per generated class (default 3)
 
-	HeapWords    int // semi-space words (default 1<<16)
-	ScratchWords int // DSU scratch region words (default 0)
-	MaxAttempts  int // safe-point attempts before abort (default 400)
-	FastDefaults bool
-	OSROpt       bool
+	HeapWords       int // semi-space words (default 1<<16)
+	ScratchWords    int // DSU scratch region words (default 0)
+	MaxAttempts     int // safe-point attempts before abort (default 400)
+	OSROpt          bool
 	Workers         int  // parallel copy/scan width (<=1 serial)
 	ConcurrentMark  bool // SATB concurrent discovery outside the pause
 	ConcurrentReloc bool // self-healing concurrent relocation drain
@@ -70,7 +69,6 @@ func NewDriver(cfg DriverConfig, v0 Version) (*Driver, error) {
 		HeapWords:       cfg.HeapWords,
 		ScratchWords:    cfg.ScratchWords,
 		MaxAttempts:     cfg.MaxAttempts,
-		FastDefaults:    cfg.FastDefaults,
 		OSROpt:          cfg.OSROpt,
 		Workers:         cfg.Workers,
 		ConcurrentMark:  cfg.ConcurrentMark,
@@ -152,10 +150,9 @@ func (d *Driver) ApplyStep(st *StepSpec, opts ApplyOpts) (*core.Result, error) {
 		r.conns = r.conns[:0]
 	}
 	pending, err := r.eng.RequestUpdate(st.Spec, core.Options{
-		Timeout:      time.Hour, // determinism: only MaxAttempts aborts
-		MaxAttempts:  maxAttempts,
-		FastDefaults: r.cfg.FastDefaults,
-		OSROpt:       r.cfg.OSROpt,
+		Timeout:     time.Hour, // determinism: only MaxAttempts aborts
+		MaxAttempts: maxAttempts,
+		OSROpt:      r.cfg.OSROpt,
 	})
 	if err != nil {
 		return nil, r.failf("update rejected by verifier: %v", err)

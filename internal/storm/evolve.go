@@ -2,11 +2,13 @@ package storm
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
 	"govolve/internal/upt"
+	"govolve/internal/upt/upttest"
 )
 
 // This file is the multi-release façade over the storm generator: the
@@ -102,6 +104,7 @@ func NextVersion(cur Version, rng *rand.Rand, maxMutations int, tag string) (*St
 		if len(sp.Diffs) == 0 && len(sp.AddedClasses) == 0 && len(sp.DeletedClasses) == 0 {
 			continue // mutations cancelled out; not a real update
 		}
+		shipHandWritten(sp)
 		st.Spec = sp
 		st.Next = Version{model: next, prog: np}
 		st.Mutations = descs
@@ -109,20 +112,40 @@ func NextVersion(cur Version, rng *rand.Rand, maxMutations int, tag string) (*St
 	}
 }
 
+// shipHandWritten makes the object transformers of about half a release's
+// updated classes hand-written: the generated body with a nop before its
+// return, which upt's move proof rejects. A generated default is a pure field
+// copy the collector performs while it copies the object; left alone, a storm
+// would never build a shell + old-copy pair, tag one, put an old copy in
+// scratch or run jvolveObject at all. Which classes is a hash of tag and class
+// name — no draw from the generator's rng, so trajectories do not depend on
+// it — and what the program computes is the same either way.
+func shipHandWritten(spec *upt.Spec) {
+	for _, name := range spec.ClassUpdates {
+		if crc32.ChecksumIEEE([]byte(spec.OldTag+"/"+name))&1 == 0 {
+			continue
+		}
+		sig := classfile.Sig("(L" + name + ";L" + spec.RenamedName(name) + ";)V")
+		if m := spec.Transformers.Method("jvolveObject", sig); m != nil {
+			upttest.HandWriteMethod(m)
+		}
+	}
+}
+
 // InjectEmptyTransformer (test-only) overrides the spec's first default
 // object transformer with an empty body — the deliberate fault a chain
-// oracle must catch — and reports whether the spec had one to break.
-// OverrideTransformer clears the class's FastDefaults flag, so the broken
-// bytecode body runs even when the engine is in native bulk-copy mode.
+// oracle must catch — and reports whether the spec had one to break. The
+// empty body is itself a move transformer, one that carries nothing, so the
+// collector performs the fault exactly as the interpreter would.
 func InjectEmptyTransformer(spec *upt.Spec) bool {
 	return injectEmptyTransformer(spec) != ""
 }
 
 // injectEmptyTransformer does the override and returns the class name it
-// broke, or "" if the spec has no default object transformer.
+// broke, or "" if no updated class's object transformer is a pure field copy.
 func injectEmptyTransformer(spec *upt.Spec) string {
 	for _, name := range spec.ClassUpdates {
-		if !spec.DefaultObjectTransformers[name] {
+		if _, ok := spec.ObjectMoves(name); !ok {
 			continue
 		}
 		sig := classfile.Sig("(L" + name + ";L" + spec.RenamedName(name) + ";)V")

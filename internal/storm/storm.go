@@ -29,7 +29,6 @@ type Config struct {
 	HeapWords    int // semi-space words (default 1<<16)
 	ScratchWords int // DSU scratch region words (default 0: old copies burn to-space)
 	MaxAttempts  int // safe-point attempts before abort (default 400)
-	FastDefaults bool
 	OSROpt       bool
 	// Workers selects the collection strategy (<=1 serial, N>1 the
 	// parallel copy/scan collector). The storm's invariants are
@@ -649,6 +648,7 @@ func (r *runner) update() error {
 		if len(sp.Diffs) == 0 && len(sp.AddedClasses) == 0 && len(sp.DeletedClasses) == 0 {
 			continue // mutations cancelled out; not a real update
 		}
+		shipHandWritten(sp)
 		spec, newProg = sp, np
 		r.logf("update %d: %v (class updates %v, bodies %d, +%d/-%d classes)",
 			r.updateIdx+1, descs, sp.ClassUpdates, len(sp.MethodBodyUpdates),
@@ -661,10 +661,9 @@ func (r *runner) update() error {
 	}
 
 	pending, err := r.eng.RequestUpdate(spec, core.Options{
-		Timeout:      time.Hour, // determinism: only MaxAttempts aborts
-		MaxAttempts:  r.cfg.MaxAttempts,
-		FastDefaults: r.cfg.FastDefaults,
-		OSROpt:       r.cfg.OSROpt,
+		Timeout:     time.Hour, // determinism: only MaxAttempts aborts
+		MaxAttempts: r.cfg.MaxAttempts,
+		OSROpt:      r.cfg.OSROpt,
 	})
 	if err != nil {
 		return r.failf("update rejected by verifier: %v", err)
@@ -709,8 +708,9 @@ func (r *runner) update() error {
 	return r.checkAll()
 }
 
-// injectBug overrides the first default object transformer with an empty
-// body — the deliberate fault the checker must catch (tests only).
+// injectBug overrides the first object transformer that is still a pure
+// field copy with an empty body — the deliberate fault the checker must catch
+// (tests only).
 func (r *runner) injectBug(spec *upt.Spec) {
 	if name := injectEmptyTransformer(spec); name != "" {
 		r.logf("update %d: injected empty transformer for %s", r.updateIdx+1, name)

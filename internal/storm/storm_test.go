@@ -39,19 +39,21 @@ func TestStormShort(t *testing.T) {
 }
 
 // TestStormConfigs exercises the orthogonal engine options: a DSU scratch
-// region for old copies, the FastDefaults native bulk-copy transformer
-// path, and opt-tier OSR. Each must satisfy the same invariants.
+// region for old copies, the collection strategies, the pause-shaping
+// pipelines and opt-tier OSR. Each must satisfy the same invariants — over
+// releases that ship about half their transformers hand-written (pairs,
+// interpreted) and leave the rest to the collector (moves).
 func TestStormConfigs(t *testing.T) {
 	cfgs := []struct {
 		name string
 		cfg  Config
 	}{
 		{"scratch", Config{Seed: 21, Updates: 25, ScratchWords: 1 << 14}},
-		{"fastdefaults", Config{Seed: 22, Updates: 25, FastDefaults: true}},
+		{"defaults", Config{Seed: 22, Updates: 25}},
 		{"osropt", Config{Seed: 23, Updates: 25, OSROpt: true}},
-		{"all", Config{Seed: 24, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, OSROpt: true}},
+		{"all", Config{Seed: 24, Updates: 25, ScratchWords: 1 << 14, OSROpt: true}},
 		{"parallel", Config{Seed: 25, Updates: 25, Workers: 4}},
-		{"parallel-scratch-fast", Config{Seed: 26, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, Workers: 4}},
+		{"parallel-scratch-fast", Config{Seed: 26, Updates: 25, ScratchWords: 1 << 14, Workers: 4}},
 		// Concurrent snapshot-at-the-beginning discovery. The mark races the
 		// mutator for real here (goroutine scheduling decides how many slices
 		// each trace overlaps), so these runs exercise the barrier, the
@@ -59,17 +61,17 @@ func TestStormConfigs(t *testing.T) {
 		// fallback under the full invariant sweep after every update.
 		{"cmark", Config{Seed: 27, Updates: 25, ConcurrentMark: true}},
 		{"cmark-parallel", Config{Seed: 28, Updates: 25, Workers: 4, ConcurrentMark: true}},
-		{"cmark-all", Config{Seed: 29, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, OSROpt: true, Workers: 4, ConcurrentMark: true}},
+		{"cmark-all", Config{Seed: 29, Updates: 25, ScratchWords: 1 << 14, OSROpt: true, Workers: 4, ConcurrentMark: true}},
 		// Lazy per-object transformation: every update resolves with tagged
 		// objects behind the armed read barrier, AfterUpdate's CheckVM runs
 		// mid-drain, the probe pass drains specimens through real bytecode,
 		// and ForceDrain retires the residue before the raw oracle reads.
 		{"lazy", Config{Seed: 30, Updates: 25, ScratchWords: 1 << 14, Lazy: true}},
-		{"lazy-parallel", Config{Seed: 31, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, Workers: 4, Lazy: true}},
+		{"lazy-parallel", Config{Seed: 31, Updates: 25, ScratchWords: 1 << 14, Workers: 4, Lazy: true}},
 		// Both orthogonal pause-shrinking paths composed: discovery runs
 		// concurrently before the pause, transformation drains lazily after
 		// it — the pause itself is down to rescan + copy + install.
-		{"cmark-lazy", Config{Seed: 32, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, ConcurrentMark: true, Lazy: true}},
+		{"cmark-lazy", Config{Seed: 32, Updates: 25, ScratchWords: 1 << 14, ConcurrentMark: true, Lazy: true}},
 		// Concurrent relocation: every update resolves with from-space still
 		// live behind the self-healing load barrier, AfterUpdate's CheckVM
 		// and the shadow oracle ride the barrier mid-drain, and the drain
@@ -81,7 +83,7 @@ func TestStormConfigs(t *testing.T) {
 		// it, relocation and transformation both draining after it — pair
 		// creation itself deferred behind the read barrier.
 		{"reloc-lazy", Config{Seed: 36, Updates: 25, ScratchWords: 1 << 14, ConcurrentReloc: true, Lazy: true}},
-		{"cmark-reloc-lazy", Config{Seed: 37, Updates: 25, ScratchWords: 1 << 14, FastDefaults: true, Workers: 4, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true}},
+		{"cmark-reloc-lazy", Config{Seed: 37, Updates: 25, ScratchWords: 1 << 14, Workers: 4, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true}},
 	}
 	for _, tc := range cfgs {
 		tc := tc
@@ -166,11 +168,11 @@ func TestStormDeterministic(t *testing.T) {
 // counts, probe counts, step counts) to be collection-strategy-blind.
 func TestStormSerialParallelEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		serial, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true})
+		serial, err := Run(Config{Seed: seed, Updates: 20})
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
-		parallel, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true, Workers: 4})
+		parallel, err := Run(Config{Seed: seed, Updates: 20, Workers: 4})
 		if err != nil {
 			t.Fatalf("seed %d parallel: %v", seed, err)
 		}
@@ -190,11 +192,11 @@ func TestStormSerialParallelEquivalent(t *testing.T) {
 // invisible and the whole Report must come out equal.
 func TestStormRelocEagerEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		eager, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true})
+		eager, err := Run(Config{Seed: seed, Updates: 20})
 		if err != nil {
 			t.Fatalf("seed %d eager: %v", seed, err)
 		}
-		reloc, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true, ConcurrentReloc: true})
+		reloc, err := Run(Config{Seed: seed, Updates: 20, ConcurrentReloc: true})
 		if err != nil {
 			t.Fatalf("seed %d reloc: %v", seed, err)
 		}
@@ -220,11 +222,11 @@ func TestStormRelocEagerEquivalent(t *testing.T) {
 // property of inlining, not a tier-honesty bug.)
 func TestStormTierEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		fused, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true, FusedOnly: true})
+		fused, err := Run(Config{Seed: seed, Updates: 20, FusedOnly: true})
 		if err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}
-		base, err := Run(Config{Seed: seed, Updates: 20, FastDefaults: true, BaseTierOnly: true})
+		base, err := Run(Config{Seed: seed, Updates: 20, BaseTierOnly: true})
 		if err != nil {
 			t.Fatalf("seed %d base-only: %v", seed, err)
 		}
@@ -244,7 +246,7 @@ func TestStormTierEquivalence(t *testing.T) {
 // the old method body and show up as a probe-oracle mismatch.
 func TestStormStaleICCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
-	rep, err := Run(Config{Seed: 11, Updates: 30, FastDefaults: true, OptThreshold: 4, Metrics: reg})
+	rep, err := Run(Config{Seed: 11, Updates: 30, OptThreshold: 4, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +273,11 @@ func TestStormStaleICCoverage(t *testing.T) {
 // transformation timing must be observationally invisible.
 func TestStormLazyEagerEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		eager, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14, FastDefaults: true})
+		eager, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14})
 		if err != nil {
 			t.Fatalf("seed %d eager: %v", seed, err)
 		}
-		lazy, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14, FastDefaults: true, Lazy: true})
+		lazy, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14, Lazy: true})
 		if err != nil {
 			t.Fatalf("seed %d lazy: %v", seed, err)
 		}

@@ -29,7 +29,6 @@ func FuzzStreamChain(f *testing.F) {
 			Mutations:    2,
 			Mode:         mode,
 			Hostile:      true,
-			FastDefaults: seed%2 == 0,
 			ScratchWords: 1 << 13,
 		})
 		if err != nil {

@@ -22,6 +22,10 @@ func TestStreamMatrix(t *testing.T) {
 			t.Parallel()
 			var eng *core.Engine
 			applied := 0
+			// The generator ships about half of every release's transformers
+			// hand-written (storm.shipHandWritten), so each mode places pairs —
+			// tagged, drained, forced, relocated — next to objects the
+			// collector moved, and the laws below cover the mix.
 			rep, err := Replay(Config{
 				Seed:         7,
 				Length:       50,
@@ -36,8 +40,11 @@ func TestStreamMatrix(t *testing.T) {
 						return fmt.Errorf("step %d: PauseTotal %v < install %v + gc %v + transform %v",
 							step, s.PauseTotal, s.PauseInstall, s.PauseGC, s.PauseTransform)
 					}
-					if s.PauseTransform < s.PauseTransformBulk {
-						return fmt.Errorf("step %d: PauseTransform %v < bulk %v", step, s.PauseTransform, s.PauseTransformBulk)
+					// Every updated instance is a pair or was moved; eager modes
+					// have transformed them all when the pause ends.
+					if n := s.PairsLogged + s.MovedObjects; s.TransformedObjects > n || (!mode.Lazy && s.TransformedObjects != n) {
+						return fmt.Errorf("step %d: transformed %d of %d pairs + %d moved",
+							step, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 					}
 					if s.PauseGC < s.PauseGCMark+s.PauseGCRescan+s.PauseGCCopy {
 						return fmt.Errorf("step %d: PauseGC %v < mark %v + rescan %v + copy %v",
@@ -96,9 +103,9 @@ func TestStreamMatrix(t *testing.T) {
 					t.Errorf("mode %s update %d: drained %d + forced %d != pending %d",
 						mode.Name, i, s.LazyDrained, s.LazyForced, s.LazyPending)
 				}
-				if s.TransformedObjects != s.PairsLogged {
-					t.Errorf("mode %s update %d: transformed %d != pairs logged %d",
-						mode.Name, i, s.TransformedObjects, s.PairsLogged)
+				if s.TransformedObjects != s.PairsLogged+s.MovedObjects {
+					t.Errorf("mode %s update %d: transformed %d != pairs logged %d + moved %d",
+						mode.Name, i, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 				}
 			}
 		})
@@ -113,8 +120,7 @@ func TestStreamGate(t *testing.T) {
 		t.Run(mode.Name, func(t *testing.T) {
 			t.Parallel()
 			rep, err := Replay(Config{
-				Seed: 1, Length: 12, Mode: mode, Hostile: true,
-				FastDefaults: true, ScratchWords: 1 << 14,
+				Seed: 1, Length: 12, Mode: mode, Hostile: true, ScratchWords: 1 << 14,
 			})
 			if err != nil {
 				t.Fatalf("mode %s: %v", mode.Name, err)
@@ -228,7 +234,7 @@ func TestStreamDeltaConservation(t *testing.T) {
 		sumPairs += rep.Records[i].PairsLogged
 		sumPending += rep.Records[i].LazyPending
 	}
-	var engPairs, engPending, engDrained, engForced, engTransformed int
+	var engPairs, engPending, engDrained, engForced, engTransformed, engMoved int
 	for _, res := range eng.Updates {
 		if res.Outcome != core.Applied {
 			continue
@@ -238,6 +244,11 @@ func TestStreamDeltaConservation(t *testing.T) {
 		engDrained += res.Stats.LazyDrained
 		engForced += res.Stats.LazyForced
 		engTransformed += res.Stats.TransformedObjects
+		engMoved += res.Stats.MovedObjects
+	}
+	// A generated chain ships about half its transformers hand-written.
+	if engMoved == 0 || engPairs == 0 {
+		t.Errorf("chain moved %d objects and paired %d: want both kinds of transformer exercised", engMoved, engPairs)
 	}
 
 	checks := []struct {
@@ -255,7 +266,8 @@ func TestStreamDeltaConservation(t *testing.T) {
 		{"lazy drained (registry)", reg.Counter(obs.MLazyDrained).Value(), int64(engDrained)},
 		{"lazy forced (registry)", reg.Counter(obs.MLazyForced).Value(), int64(engForced)},
 		{"drain conservation", int64(engDrained + engForced), int64(engPending)},
-		{"transform conservation", int64(engTransformed), int64(engPairs)},
+		{"moved objects (registry)", reg.Counter(obs.MMovedObjects).Value(), int64(engMoved)},
+		{"transform conservation", int64(engTransformed), int64(engPairs + engMoved)},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -425,8 +437,7 @@ func TestStreamFusedFrameOSR(t *testing.T) {
 	mode, _ := ModeByName("serial")
 	reg := obs.NewRegistry()
 	rep, err := Replay(Config{
-		Seed: 9, Length: 25, Mode: mode, Hostile: true,
-		FastDefaults: true, ScratchWords: 1 << 14, Metrics: reg,
+		Seed: 9, Length: 25, Mode: mode, Hostile: true, ScratchWords: 1 << 14, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

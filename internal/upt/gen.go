@@ -15,8 +15,6 @@ import (
 // identities include the full signature, so overloading just works.
 func generateTransformers(s *Spec) (*classfile.Class, error) {
 	b := classfile.NewClass(TransformersClassName, "Object")
-	s.DefaultObjectTransformers = make(map[string]bool)
-	s.DefaultClassTransformers = make(map[string]bool)
 	for _, name := range s.ClassUpdates {
 		odef := s.Old.Classes[name]
 		ndef := s.New.Classes[name]
@@ -55,8 +53,6 @@ func generateTransformers(s *Spec) (*classfile.Class, error) {
 			ob.PutField(name, nf.Name, nf.Desc)
 		}
 		b = ob.Ret().Done()
-		s.DefaultObjectTransformers[name] = true
-		s.DefaultClassTransformers[name] = true
 	}
 	return b.Build()
 }

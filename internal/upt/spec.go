@@ -51,18 +51,10 @@ type Spec struct {
 	OldFlatDefs map[string]*classfile.Class
 
 	// Transformers is the JvolveTransformers class: generated defaults,
-	// optionally overridden by user-supplied methods.
+	// optionally overridden by user-supplied methods. Whether one of them is
+	// a pure field copy the collector can perform itself is decided from its
+	// body when the update is applied (ObjectMoves, ClassMoves).
 	Transformers *classfile.Class
-
-	// DefaultObjectTransformers and DefaultClassTransformers record which
-	// classes still use the UPT-generated defaults (not user-overridden).
-	// The DSU engine's fast-transformer mode exploits this: a default is
-	// a pure field-by-field copy, so it can run as a native bulk copy
-	// instead of interpreted bytecode — the optimization the paper
-	// sketches in §4.1 ("a naively compiled field-by-field copy is much
-	// slower than the collector's highly-optimized copying loop").
-	DefaultObjectTransformers map[string]bool
-	DefaultClassTransformers  map[string]bool
 
 	// ActiveUpdates enables updating a *changed* method while it runs —
 	// the UpStare-style extension the paper sketches in §3.5: "the user
@@ -193,15 +185,6 @@ func (s *Spec) AddBlacklist(refs ...MethodRef) { s.Blacklist = append(s.Blacklis
 // transformers". The method must be a static member intended for the
 // JvolveTransformers class.
 func (s *Spec) OverrideTransformer(m *classfile.Method) {
-	if args, _, err := classfile.ParseSig(m.Sig); err == nil && len(args) > 0 {
-		cls := args[0].ClassName()
-		switch m.Name {
-		case "jvolveObject":
-			delete(s.DefaultObjectTransformers, cls)
-		case "jvolveClass":
-			delete(s.DefaultClassTransformers, cls)
-		}
-	}
 	for i, existing := range s.Transformers.Methods {
 		if existing.ID() == m.ID() {
 			s.Transformers.Methods[i] = m
