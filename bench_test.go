@@ -56,34 +56,6 @@ func BenchmarkFig6PauseDecomposition(b *testing.B) {
 	}
 }
 
-// BenchmarkGCPauseParallel measures the DSU collection pause under the
-// serial collector and the parallel copy/scan collector at increasing
-// worker counts — the gcpause experiment's inner loop at a scaled size.
-// Wall-clock speedup requires hardware parallelism (GOMAXPROCS>1); on a
-// single CPU the parallel rows measure pure coordination overhead.
-func BenchmarkGCPauseParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("objects=35k/frac=20%%/workers=%d", workers), func(b *testing.B) {
-			var gcT, trT time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunMicro(bench.MicroConfig{
-					Objects: 35_000, FracUpdated: 0.2, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.GCWorkers != workers {
-					b.Fatalf("ran %d workers, want %d", res.GCWorkers, workers)
-				}
-				gcT += res.GC
-				trT += res.Transform
-			}
-			b.ReportMetric(bench.Millis(gcT)/float64(b.N), "gc-ms")
-			b.ReportMetric(bench.Millis(trT)/float64(b.N), "transform-ms")
-		})
-	}
-}
-
 // BenchmarkFig5SteadyState measures webserver throughput in the paper's
 // three configurations: stock VM, DSU-capable VM, and dynamically updated
 // VM. The paper's claim — and this reproduction's — is that the three are

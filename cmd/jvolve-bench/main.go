@@ -12,7 +12,6 @@
 //	jvolve-bench -exp active    # §3.5: UpStare-style active-method updates
 //	jvolve-bench -exp storm     # randomized update-storm soak with invariant checking
 //	jvolve-bench -exp stream    # long-horizon version-chain replay (writes BENCH_stream.json)
-//	jvolve-bench -exp gcpause   # GC-phase pause vs collection workers (writes BENCH_gc.json)
 //	jvolve-bench -exp pausecmp  # STW vs concurrent-mark DSU pause (writes BENCH_pause.json)
 //	jvolve-bench -exp obs       # pause decomposition via obs histograms (writes BENCH_obs.json)
 //	jvolve-bench -exp dispatch  # interpreter tier throughput grid (writes BENCH_dispatch.json)
@@ -57,7 +56,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig6|fig5|tables234|matrix|ablation|transformers|scratch|active|gcpause|pausecmp|storm|stream|obs|dispatch|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig6|fig5|tables234|matrix|ablation|transformers|scratch|active|pausecmp|storm|stream|obs|dispatch|all")
 	scale := flag.Int("scale", 8, "divide microbenchmark object counts by this factor (1 = paper scale)")
 	handWritten := flag.Bool("handwritten", false, "table1/fig6: use the hand-written equivalent of the default transformer (pairs + interpreted calls, the paper's configuration)")
 	runs := flag.Int("runs", 3, "runs per measurement cell (paper: 21 for fig5)")
@@ -65,7 +64,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "storm: PRNG seed (failures print the seed to replay)")
 	updates := flag.Int("updates", 500, "storm: applied updates to drive per run")
 	pauseBudget := flag.Float64("pause-budget", -1, "storm: arm a pause-budget health gate at this many seconds under the halt policy (-1 disables; 0 is a deterministic injected regression — a real pause is always > 0)")
-	gcOut := flag.String("gc-out", "BENCH_gc.json", "gcpause: output JSON path (empty disables the file)")
 	pauseOut := flag.String("pause-out", "BENCH_pause.json", "pausecmp: output JSON path (empty disables the file)")
 	obsOut := flag.String("obs-out", "BENCH_obs.json", "obs: output JSON path (empty disables the file)")
 	streamOut := flag.String("stream-out", "BENCH_stream.json", "stream: output JSON path (empty disables the file)")
@@ -257,30 +255,6 @@ func main() {
 		return nil
 	})
 
-	run("gcpause", func() error {
-		fmt.Println("=== Extension: parallel DSU collection (GC-phase pause vs workers) ===")
-		sizes := []int{240_000 / *scale, 960_000 / *scale}
-		if *scale <= 1 {
-			sizes = []int{240_000, 960_000}
-		}
-		rep, err := bench.RunGCPause(bench.GCPauseSweep{
-			Sizes: sizes, WorkerCounts: []int{1, 2, 4, 8},
-			Runs: *runs,
-		}, os.Stderr)
-		if err != nil {
-			return err
-		}
-		bench.PrintGCPause(os.Stdout, rep)
-		if *gcOut != "" {
-			if err := bench.WriteGCPauseJSON(*gcOut, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *gcOut)
-		}
-		fmt.Println()
-		return nil
-	})
-
 	run("pausecmp", func() error {
 		fmt.Println("=== Extension: concurrent mark / lazy transform / concurrent reloc (STW vs concurrent DSU pause) ===")
 		sizes := []int{240_000 / *scale, 960_000 / *scale}
@@ -326,7 +300,6 @@ func main() {
 		cfgs := []storm.Config{
 			{Seed: *seed, Updates: *updates},
 			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, OSROpt: true},
-			{Seed: *seed, Updates: *updates, Workers: 4},
 			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, Lazy: true},
 			{Seed: *seed, Updates: *updates, ConcurrentReloc: true},
 			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true},
@@ -346,9 +319,9 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v workers=%d lazy=%v cmark=%v reloc=%v: "+
+			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v lazy=%v cmark=%v reloc=%v: "+
 				"applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
-				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Workers, cfg.Lazy,
+				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Lazy,
 				cfg.ConcurrentMark, cfg.ConcurrentReloc,
 				rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
 		}
@@ -393,7 +366,7 @@ func main() {
 	})
 
 	switch *exp {
-	case "table1", "fig6", "fig5", "tables234", "matrix", "ablation", "transformers", "scratch", "active", "gcpause", "pausecmp", "storm", "stream", "obs", "dispatch", "all":
+	case "table1", "fig6", "fig5", "tables234", "matrix", "ablation", "transformers", "scratch", "active", "pausecmp", "storm", "stream", "obs", "dispatch", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "jvolve-bench: unknown experiment %q\n", *exp)
 		flag.Usage()

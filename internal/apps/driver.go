@@ -28,8 +28,6 @@ type LaunchOptions struct {
 	HeapWords int
 	Version   int
 	Out       io.Writer
-	// GCWorkers selects the parallel collector (0/1 = serial).
-	GCWorkers int
 	// GCConcurrentMark runs updated-instance discovery concurrently with
 	// the mutator (SATB) instead of inside the DSU pause.
 	GCConcurrentMark bool
@@ -47,7 +45,6 @@ func Launch(app *App, opts LaunchOptions) (*Server, error) {
 	machine, err := vm.New(vm.Options{
 		HeapWords:        opts.HeapWords,
 		Out:              opts.Out,
-		GCWorkers:        opts.GCWorkers,
 		GCConcurrentMark: opts.GCConcurrentMark,
 	})
 	if err != nil {
@@ -304,7 +301,7 @@ func RunMatrix(app *App, heapWords int, checks ...func(*vm.VM) error) ([]MatrixE
 }
 
 // RunMatrixOpts is RunMatrix with full control over the VM configuration —
-// the concurrent-mark and parallel-GC matrix runs use it.
+// the concurrent-mark matrix run uses it.
 func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) ([]MatrixEntry, error) {
 	s, err := Launch(app, opts)
 	if err != nil {
@@ -401,7 +398,11 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 			}
 			entry.ProbeOK = true
 		default:
-			entry.Note = fmt.Sprintf("unexpected outcome: %v (%v)", res.Outcome, res.Err)
+			// Not an outcome this release's history expects. Stop here with the
+			// update's own error: carrying on would leave the server one release
+			// behind and fail the next warm-up on a response mismatch instead.
+			return nil, fmt.Errorf("%s update to %s: unexpected outcome %v after %d attempts: %v",
+				app.Name, target.Name, res.Outcome, res.Stats.Attempts, res.Err)
 		}
 		for _, check := range checks {
 			if err := check(s.VM); err != nil {

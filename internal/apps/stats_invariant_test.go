@@ -84,56 +84,52 @@ func TestPauseDecompositionInvariant(t *testing.T) {
 }
 
 // TestPauseDecompositionInvariantConcurrentMark re-runs the full matrix with
-// the concurrent SATB mark enabled (serial and parallel collection). Updates
-// that complete a concurrent trace must report all mark time outside the
-// pause; the bounded-restart fallback (GCMarkConcurrent=false despite the
+// the concurrent SATB mark enabled. Updates that complete a concurrent trace
+// must report all mark time outside the pause; the bounded-restart fallback (GCMarkConcurrent=false despite the
 // option) must satisfy the fused decomposition instead.
 func TestPauseDecompositionInvariantConcurrentMark(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		applied, concurrent := 0, 0
-		for _, app := range All() {
-			entries, err := RunMatrixOpts(app, LaunchOptions{
-				HeapWords:        1 << 20,
-				GCWorkers:        workers,
-				GCConcurrentMark: true,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, app.Name, err)
+	applied, concurrent := 0, 0
+	for _, app := range All() {
+		entries, err := RunMatrixOpts(app, LaunchOptions{
+			HeapWords:        1 << 20,
+			GCConcurrentMark: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		for _, e := range entries {
+			if e.Outcome != core.Applied {
+				continue
 			}
-			for _, e := range entries {
-				if e.Outcome != core.Applied {
-					continue
+			applied++
+			checkPauseIdentity(t, "cmark", e)
+			s := e.Stats
+			if s.GCMarkConcurrent {
+				concurrent++
+				if s.PauseGCMark != 0 {
+					t.Errorf("cmark %s %s→%s: concurrent run reports in-pause mark %v",
+						e.App, e.From, e.To, s.PauseGCMark)
 				}
-				applied++
-				checkPauseIdentity(t, "cmark", e)
-				s := e.Stats
-				if s.GCMarkConcurrent {
-					concurrent++
-					if s.PauseGCMark != 0 {
-						t.Errorf("cmark %s %s→%s: concurrent run reports in-pause mark %v",
-							e.App, e.From, e.To, s.PauseGCMark)
-					}
-					if s.GCMarkOutside <= 0 {
-						t.Errorf("cmark %s %s→%s: concurrent run reports no outside-pause mark time",
-							e.App, e.From, e.To)
-					}
-					if s.GCMarkedObjects <= 0 {
-						t.Errorf("cmark %s %s→%s: concurrent trace marked nothing", e.App, e.From, e.To)
-					}
-				} else {
-					// STW fallback after mark restarts exhausted: fused rules.
-					if s.PauseGCCopy <= 0 || s.PauseGCMark != 0 || s.GCMarkOutside != 0 {
-						t.Errorf("cmark %s %s→%s: fallback run has wrong decomposition: %+v",
-							e.App, e.From, e.To, s)
-					}
+				if s.GCMarkOutside <= 0 {
+					t.Errorf("cmark %s %s→%s: concurrent run reports no outside-pause mark time",
+						e.App, e.From, e.To)
+				}
+				if s.GCMarkedObjects <= 0 {
+					t.Errorf("cmark %s %s→%s: concurrent trace marked nothing", e.App, e.From, e.To)
+				}
+			} else {
+				// STW fallback after mark restarts exhausted: fused rules.
+				if s.PauseGCCopy <= 0 || s.PauseGCMark != 0 || s.GCMarkOutside != 0 {
+					t.Errorf("cmark %s %s→%s: fallback run has wrong decomposition: %+v",
+						e.App, e.From, e.To, s)
 				}
 			}
 		}
-		if applied == 0 {
-			t.Fatalf("workers=%d: matrix produced no applied updates", workers)
-		}
-		if concurrent == 0 {
-			t.Fatalf("workers=%d: no update completed a concurrent mark; the pipeline never engaged", workers)
-		}
+	}
+	if applied == 0 {
+		t.Fatal("matrix produced no applied updates")
+	}
+	if concurrent == 0 {
+		t.Fatal("no update completed a concurrent mark; the pipeline never engaged")
 	}
 }

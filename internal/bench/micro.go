@@ -78,11 +78,6 @@ type MicroConfig struct {
 	// ScratchWords reserves a scratch region so DSU old copies bypass
 	// to-space (the §3.5 alternative).
 	ScratchWords int
-	// Workers selects the collection strategy: <=1 the serial Cheney
-	// collector, N>1 the parallel copy/scan collector with N workers
-	// (gc.AutoWorkers picks one per CPU). The parallel transformer bulk
-	// pass uses the same width.
-	Workers int
 	// ConcurrentMark discovers updated-class instances with the SATB
 	// concurrent mark before the pause; the stop-the-world window then
 	// runs only rescan + copy + transform.
@@ -100,8 +95,8 @@ type MicroConfig struct {
 	// ConcurrentReloc moves the DSU copy itself out of the pause: the
 	// pause shrinks to flip preparation (discovery, flip, eager evacuation
 	// of updated-class instances only — or none at all with Lazy), and the
-	// remaining live set is evacuated afterwards by background relocator
-	// workers and the self-healing load barrier. The measured pause then
+	// remaining live set is evacuated afterwards by the background
+	// relocator and the self-healing load barrier. The measured pause then
 	// excludes the bulk copy; the relocation drain is reported separately.
 	ConcurrentReloc bool
 }
@@ -125,12 +120,8 @@ type MicroResult struct {
 	// MicroConfig.Metrics armed the gate engine).
 	Verdict *obs.Verdict
 
-	// Parallel-collection decomposition (gcpause experiment).
-	GCWorkers     int   // copy/scan workers the DSU collection ran
-	GCWorkerWords []int // words copied per worker (nil when serial)
-	GCSteals      int64 // work-stealing deque pops
-	PairsLogged   int   // pairs the collection scheduled for transformation
-	MovedObjects  int   // updated instances the collector wrote in their new layout
+	PairsLogged  int // pairs the collection scheduled for transformation
+	MovedObjects int // updated instances the collector wrote in their new layout
 
 	// Mark decomposition (pausecmp experiment). The decomposition is
 	// uniform across modes: PauseMark is in-pause discovery only (zero for
@@ -167,10 +158,10 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	live := cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64
 	machine, err := vm.New(vm.Options{
 		HeapWords: 5 * live, ScratchWords: cfg.ScratchWords,
-		GCWorkers: cfg.Workers, GCConcurrentMark: cfg.ConcurrentMark,
-		LazyTransform:   cfg.Lazy,
-		ConcurrentReloc: cfg.ConcurrentReloc,
-		Out:             io.Discard,
+		GCConcurrentMark: cfg.ConcurrentMark,
+		LazyTransform:    cfg.Lazy,
+		ConcurrentReloc:  cfg.ConcurrentReloc,
+		Out:              io.Discard,
 	})
 	if err != nil {
 		return nil, err
@@ -272,20 +263,17 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 		return nil, fmt.Errorf("bench: transformed %d, want %d", res.Stats.TransformedObjects, nChange)
 	}
 	return &MicroResult{
-		Config:        cfg,
-		GC:            res.Stats.PauseGC,
-		Transform:     res.Stats.PauseTransform,
-		Total:         res.Stats.PauseTotal,
-		Transformed:   res.Stats.TransformedObjects,
-		CopiedWords:   res.Stats.CopiedWords - res.Stats.ScratchWords,
-		ScratchWords:  res.Stats.ScratchWords,
-		LazyPending:   res.Stats.LazyPending,
-		Drain:         drain,
-		GCWorkers:     res.Stats.GCWorkers,
-		GCWorkerWords: res.Stats.GCWorkerWords,
-		GCSteals:      res.Stats.GCSteals,
-		PairsLogged:   res.Stats.PairsLogged,
-		MovedObjects:  res.Stats.MovedObjects,
+		Config:       cfg,
+		GC:           res.Stats.PauseGC,
+		Transform:    res.Stats.PauseTransform,
+		Total:        res.Stats.PauseTotal,
+		Transformed:  res.Stats.TransformedObjects,
+		CopiedWords:  res.Stats.CopiedWords - res.Stats.ScratchWords,
+		ScratchWords: res.Stats.ScratchWords,
+		LazyPending:  res.Stats.LazyPending,
+		Drain:        drain,
+		PairsLogged:  res.Stats.PairsLogged,
+		MovedObjects: res.Stats.MovedObjects,
 
 		GCMarkConcurrent: res.Stats.GCMarkConcurrent,
 		MarkOutside:      res.Stats.GCMarkOutside,

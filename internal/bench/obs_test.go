@@ -74,20 +74,19 @@ func TestFig5TraceCapturesUpdateLifecycle(t *testing.T) {
 }
 
 // TestRunObsPauseSmall exercises the obs experiment end to end at a tiny
-// size: both the E1 (webserver under the engine) and E10 (micro) rows must
+// size: both the E1 (webserver under the engine) and micro rows must
 // populate their histograms.
 func TestRunObsPauseSmall(t *testing.T) {
 	rep, err := RunObsPause(ObsPauseOptions{
 		Runs:         1,
 		MicroObjects: 5000,
-		MicroWorkers: []int{1},
 		Heap:         1 << 20,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (E1 + one E10)", len(rep.Rows))
+		t.Fatalf("rows = %d, want 2 (E1 + micro)", len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
 		if row.Updates == 0 {

@@ -19,25 +19,17 @@ import (
 // back out of those histograms. Two configurations, mirroring the repo's
 // experiment naming:
 //
-//	E1  — the webserver updated 5.1.5→5.1.6 under synthetic load (the
-//	      fig5 "updated" row), serial collector. The full
-//	      decomposition comes from the engine's own instrumentation.
-//	E10 — the Table 1 microbenchmark update at increasing collection
-//	      worker counts (the gcpause axis), pauses observed into the same
-//	      histogram shapes.
-//
-// Interpretation caveat (inherited from the gcpause experiment): wall-clock
-// benefit from workers > 1 requires hardware parallelism. On a 1-vCPU host
-// (GOMAXPROCS=1) the workers are time-sliced and the parallel rows only
-// measure coordination overhead; the JSON records gomaxprocs/cpus so the
-// numbers are judged in context.
+//	E1    — the webserver updated 5.1.5→5.1.6 under synthetic load (the
+//	        fig5 "updated" row). The full decomposition comes from the
+//	        engine's own instrumentation.
+//	micro — the Table 1 microbenchmark update, pauses observed into the
+//	        same histogram shapes.
 
 // ObsPauseOptions sizes the experiment.
 type ObsPauseOptions struct {
-	Runs         int   // updates sampled per configuration (default 5)
-	MicroObjects int   // E10 heap population (default 30_000)
-	MicroWorkers []int // E10 worker axis (default 1, 4)
-	Heap         int   // E1 webserver heap words (default 1<<20)
+	Runs         int // updates sampled per configuration (default 5)
+	MicroObjects int // micro heap population (default 30_000)
+	Heap         int // E1 webserver heap words (default 1<<20)
 }
 
 // ObsHist is one histogram's report form: sample count plus the bucket-
@@ -61,7 +53,6 @@ func obsHistMs(h *obs.Histogram) ObsHist {
 // where interpreter time went while the updates landed.
 type ObsPauseRow struct {
 	Config  string `json:"config"`
-	Workers int    `json:"workers"`
 	Updates int    `json:"updates"`
 
 	InstallMs        *ObsHist `json:"install_ms,omitempty"`
@@ -100,9 +91,6 @@ func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, err
 	if opts.MicroObjects <= 0 {
 		opts.MicroObjects = 30_000
 	}
-	if len(opts.MicroWorkers) == 0 {
-		opts.MicroWorkers = []int{1, 4}
-	}
 	if opts.Heap <= 0 {
 		opts.Heap = 1 << 20
 	}
@@ -111,10 +99,7 @@ func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, err
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Note: "p50/p99 are bucket-interpolated from fixed-bucket histograms " +
-			"(obs.DurationBuckets), so they quantize to the bucket grid; " +
-			"worker counts > 1 only help wall-clock with gomaxprocs > 1 — " +
-			"on a 1-vCPU host the parallel rows measure coordination " +
-			"overhead, which is the expected honest result there",
+			"(obs.DurationBuckets), so they quantize to the bucket grid",
 	}
 
 	// --- E1: webserver update under load, engine-instrumented --------------
@@ -124,14 +109,12 @@ func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, err
 	}
 	rep.Rows = append(rep.Rows, *e1)
 
-	// --- E10: microbenchmark update across worker counts --------------------
-	for _, w := range opts.MicroWorkers {
-		row, err := runObsE10(opts, w, progress)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, *row)
+	// --- micro: the Table 1 microbenchmark update ----------------------------
+	micro, err := runObsMicro(opts, progress)
+	if err != nil {
+		return nil, err
 	}
+	rep.Rows = append(rep.Rows, *micro)
 	if progress != nil {
 		fmt.Fprintln(progress)
 	}
@@ -173,8 +156,7 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 	install := obsHistMs(reg.Histogram(obs.MPauseInstall, obs.DurationBuckets()))
 	delay := obsHistMs(reg.Histogram(obs.MSafePointDelay, obs.DurationBuckets()))
 	row := &ObsPauseRow{
-		Config:           "E1 webserver 5.1.5→5.1.6 under load (serial)",
-		Workers:          1,
+		Config:           "E1 webserver 5.1.5→5.1.6 under load",
 		Updates:          applied,
 		InstallMs:        &install,
 		GCMs:             obsHistMs(reg.Histogram(obs.MPauseGC, obs.DurationBuckets())),
@@ -196,14 +178,13 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 	return row, nil
 }
 
-func runObsE10(opts ObsPauseOptions, workers int, progress io.Writer) (*ObsPauseRow, error) {
+func runObsMicro(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 	reg := obs.NewRegistry()
 	gcH := reg.Histogram(obs.MPauseGC, obs.DurationBuckets())
 	trH := reg.Histogram(obs.MPauseTransform, obs.DurationBuckets())
 	totH := reg.Histogram(obs.MPauseTotal, obs.DurationBuckets())
 	row := &ObsPauseRow{
-		Config:  fmt.Sprintf("E10 micro %d objects, 20%% updated, workers=%d", opts.MicroObjects, workers),
-		Workers: workers,
+		Config:  fmt.Sprintf("micro %d objects, 20%% updated", opts.MicroObjects),
 		Updates: opts.Runs,
 	}
 	for r := 0; r < opts.Runs; r++ {
@@ -214,11 +195,10 @@ func runObsE10(opts ObsPauseOptions, workers int, progress io.Writer) (*ObsPause
 			Objects:     opts.MicroObjects,
 			FracUpdated: 0.2,
 			HeapLabel:   fmt.Sprintf("%d objects", opts.MicroObjects),
-			Workers:     workers,
 			Metrics:     reg,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("bench: obs E10 workers=%d: %w", workers, err)
+			return nil, fmt.Errorf("bench: obs micro: %w", err)
 		}
 		if v := res.Verdict; v != nil {
 			if v.Pass {

@@ -23,8 +23,8 @@ import (
 // wall time in reloc_drain_ms; cmark-reloc-lazy rows show all three at once,
 // the pause down to flip preparation.
 //
-// Interpretation caveat (same as gcpause): concurrent phases only overlap
-// mutator work if the host has a spare CPU. On GOMAXPROCS=1 they are
+// Interpretation caveat: concurrent phases only overlap mutator work if the
+// host has a spare CPU. On GOMAXPROCS=1 they are
 // time-sliced with everything else — the *pause* still excludes them (the
 // decomposition claim holds), but total wall-clock improves only with
 // hardware parallelism. The JSON records gomaxprocs/cpus.
@@ -32,12 +32,12 @@ import (
 // PauseCmpSweep configures the grid.
 type PauseCmpSweep struct {
 	// Sizes is the object-count axis (heap sized 5× live, as in RunMicro).
+	// The default, 30 000 and 120 000, ends past 1M live heap words (each
+	// object is 8 words plus its array slot), the regime the paper's Table 1
+	// covers.
 	Sizes []int
 	// Fractions is the updated-instance fraction axis (default .05/.2/.5).
 	Fractions []float64
-	// Workers is the in-pause copy width for BOTH modes (default 4) so the
-	// comparison isolates where marking runs, not how wide the copy is.
-	Workers int
 	// Runs per cell; the median is reported (default 3).
 	Runs int
 }
@@ -47,7 +47,6 @@ type PauseCmpRow struct {
 	Objects     int     `json:"objects"`
 	HeapWords   int     `json:"heap_words"`
 	FracUpdated float64 `json:"frac_updated"`
-	Workers     int     `json:"workers"`
 	Mode        string  `json:"mode"` // "stw", "cmark", "lazy", "reloc", "cmark-reloc" or "cmark-reloc-lazy"
 	// Transformer is "moved" — the generated default, a pure field copy the
 	// collector performs while it copies the object — or "handwritten": the
@@ -108,13 +107,10 @@ type PauseCmpReport struct {
 // first (the baseline for speedup_pause), then the cmark row.
 func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) {
 	if len(sw.Sizes) == 0 {
-		sw.Sizes = DefaultGCPauseSizes()
+		sw.Sizes = []int{30_000, 120_000}
 	}
 	if len(sw.Fractions) == 0 {
 		sw.Fractions = []float64{0.05, 0.2, 0.5}
-	}
-	if sw.Workers <= 0 {
-		sw.Workers = 4
 	}
 	if sw.Runs <= 0 {
 		sw.Runs = 3
@@ -150,7 +146,6 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 							Objects:         objects,
 							FracUpdated:     frac,
 							HeapLabel:       fmt.Sprintf("%d objects", objects),
-							Workers:         sw.Workers,
 							ConcurrentMark:  cmark,
 							Lazy:            lazy,
 							ConcurrentReloc: reloc,
@@ -186,7 +181,6 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 						Objects:     objects,
 						HeapWords:   5 * (objects*8 + objects + 2*2 + 64),
 						FracUpdated: frac,
-						Workers:     sw.Workers,
 						Mode:        mode,
 						Transformer: transformer,
 

@@ -377,7 +377,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		// to the drain), and remap roots. The world resumes with from-space
 		// still live behind the self-healing load barrier; rl is the drain
 		// the residue starts at the end of the pause and finishes once the
-		// background workers run it dry.
+		// background relocator runs it dry.
 		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM, e.VM.LazyTransform)
 	case e.VM.GC.MarkReady():
 		// A sealed concurrent mark is waiting: the pause only drains the
@@ -419,9 +419,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	p.res.Stats.CopiedObjects = gcRes.CopiedObjects
 	p.res.Stats.CopiedWords = gcRes.CopiedWords
 	p.res.Stats.ScratchWords = gcRes.ScratchWords
-	p.res.Stats.GCWorkers = gcRes.Workers
-	p.res.Stats.GCWorkerWords = gcRes.WorkerWords
-	p.res.Stats.GCSteals = gcRes.Steals
 	p.res.Stats.PairsLogged = gcRes.PairsLogged
 	p.res.Stats.RelocConcurrent = gcRes.Relocated
 

@@ -94,16 +94,10 @@ type Stats struct {
 	CopiedWords  int
 	ScratchWords int
 
-	// GCWorkers is how many copy/scan workers the DSU collection ran (1 for
-	// the serial Cheney path); GCWorkerWords is the words copied per worker
-	// (nil when serial) — the load-balance evidence behind the gcpause
-	// experiment. GCSteals counts work-stealing deque pops. PairsLogged is
-	// the pairs the collection scheduled for transformation (it can exceed
-	// TransformedObjects - MovedObjects only if the update fails mid-phase).
-	GCWorkers     int
-	GCWorkerWords []int
-	GCSteals      int64
-	PairsLogged   int
+	// PairsLogged is the pairs the collection scheduled for transformation
+	// (it can exceed TransformedObjects - MovedObjects only if the update
+	// fails mid-phase).
+	PairsLogged int
 
 	// MovedObjects counts updated-class instances whose transformer is a
 	// move transformer (upt.Spec.ObjectMoves): the collector wrote them once,
@@ -158,8 +152,8 @@ type Stats struct {
 	// RelocConcurrent records that the DSU copy ran as a concurrent
 	// relocation: the pause stopped at flip preparation (discovery, flip,
 	// eager evacuation of updated-class instances only, root remap) and the
-	// remaining live set was evacuated after the world resumed — by
-	// background relocator workers and by the mutator through the
+	// remaining live set was evacuated after the world resumed — by the
+	// background relocator and by the mutator through the
 	// self-healing load barrier. RelocObjects/RelocWords count those
 	// post-pause evacuations (the in-pause share stays in CopiedObjects/
 	// CopiedWords); RelocHealedSlots counts stale slots rewritten to
@@ -174,7 +168,6 @@ type Stats struct {
 	RelocScratchWords  int
 	RelocHealedSlots   uint64
 	RelocDeferredPairs int
-	RelocSteals        int64
 	RelocDrain         time.Duration
 }
 
@@ -679,7 +672,7 @@ func (e *Engine) handle() bool {
 
 // maxMarkRestarts bounds how many times a concurrent-mark snapshot may be
 // invalidated (by an allocation-triggered collection flipping the heap under
-// the tracers) before the engine gives up and falls back to fused
+// the tracer) before the engine gives up and falls back to fused
 // stop-the-world discovery. Each restart re-traces from scratch, so under
 // allocation pressure heavy enough to trigger back-to-back collections the
 // STW path is the faster choice anyway.
@@ -689,7 +682,7 @@ const maxMarkRestarts = 3
 // true when the safe-point attempt should proceed — either a sealed mark
 // result is waiting for the pause, or the engine has fallen back to
 // stop-the-world discovery — and false when the mutator should keep running
-// while the markers trace. It may finish p (timeout abort), which callers
+// while the tracer runs. It may finish p (timeout abort), which callers
 // detect via p.Done().
 func (e *Engine) stepMark(p *Pending) bool {
 	gcc := e.VM.GC
@@ -699,7 +692,7 @@ func (e *Engine) stepMark(p *Pending) bool {
 			return true // fall back to fused STW discovery
 		}
 		p.mark = gcc.StartMark(e.VM, e.updatedClassIDs(p.Spec))
-		// Let threads run full slices while the markers trace; the yield
+		// Let threads run full slices while the tracer runs; the yield
 		// flag comes back on the moment the trace completes. The scheduler
 		// still calls the handler between slices (updatePending is set), so
 		// the poll cadence is unchanged.
@@ -721,11 +714,11 @@ func (e *Engine) stepMark(p *Pending) bool {
 			e.finish(p, Aborted, fmt.Errorf("core: concurrent mark did not complete within %v", p.Opts.Timeout))
 			return false
 		}
-		runtime.Gosched() // cede the processor to the markers
+		runtime.Gosched() // cede the processor to the tracer
 		return false
 	}
-	// Trace complete. Seal immediately — sealing joins the workers and
-	// merges their statistics. The write barrier stays armed until the
+	// Trace complete. Seal immediately — sealing joins the tracer and
+	// takes over its statistics. The write barrier stays armed until the
 	// pause: trace completion alone does not re-establish the SATB
 	// invariant (objects hidden behind logged deletions are unmarked until
 	// the pause drains the log, and an unlogged severing during a blocked
@@ -852,7 +845,6 @@ func (e *Engine) observeUpdate(res *Result) {
 		m.Histogram(obs.MPauseTransform, obs.DurationBuckets()).Observe(s.PauseTransform.Seconds())
 		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())
 		m.Counter(obs.MPairsLogged).Add(int64(s.PairsLogged))
-		m.Counter(obs.MGCSteals).Add(s.GCSteals)
 		m.Counter(obs.MLazyPending).Add(int64(s.LazyPending))
 		m.Counter(obs.MJITInvalidationsBody).Add(int64(s.InvalidatedBody))
 		m.Counter(obs.MJITInvalidationsInline).Add(int64(s.InvalidatedInline))

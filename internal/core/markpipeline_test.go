@@ -11,18 +11,17 @@ import (
 
 // End-to-end coverage of the concurrent-mark update pipeline: the engine
 // starts a snapshot-at-the-beginning trace on the update request, lets the
-// program keep mutating the heap while the markers run, and consumes the
+// program keep mutating the heap while the tracer runs, and consumes the
 // sealed result at the safe point. The observable outcome (program output,
 // update success, transformed state) must be identical to the fused
 // stop-the-world pipeline's; only the pause decomposition differs.
 
-func newMarkFixture(t *testing.T, heapWords, gcWorkers int, concurrent bool) *fixture {
+func newMarkFixture(t *testing.T, heapWords int, concurrent bool) *fixture {
 	t.Helper()
 	var out bytes.Buffer
 	v, err := vm.New(vm.Options{
 		HeapWords:        heapWords,
 		Out:              &out,
-		GCWorkers:        gcWorkers,
 		GCConcurrentMark: concurrent,
 	})
 	if err != nil {
@@ -209,58 +208,56 @@ func runRingUpdate(f *fixture) (string, *core.Result) {
 }
 
 func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		stw := newMarkFixture(t, 1<<16, workers, false)
-		outSTW, resSTW := runRingUpdate(stw)
+	stw := newMarkFixture(t, 1<<16, false)
+	outSTW, resSTW := runRingUpdate(stw)
 
-		cm := newMarkFixture(t, 1<<16, workers, true)
-		outCM, resCM := runRingUpdate(cm)
+	cm := newMarkFixture(t, 1<<16, true)
+	outCM, resCM := runRingUpdate(cm)
 
-		if outSTW != outCM {
-			t.Fatalf("workers=%d: output diverged: STW %q, concurrent %q", workers, outSTW, outCM)
-		}
-		if outCM == "" {
-			t.Fatalf("workers=%d: empty program output", workers)
-		}
+	if outSTW != outCM {
+		t.Fatalf("output diverged: STW %q, concurrent %q", outSTW, outCM)
+	}
+	if outCM == "" {
+		t.Fatal("empty program output")
+	}
 
-		s, c := resSTW.Stats, resCM.Stats
-		if s.GCMarkConcurrent {
-			t.Fatalf("workers=%d: STW run flagged GCMarkConcurrent", workers)
-		}
-		// Uniform decomposition: the STW collectors' fused trace+copy is
-		// reported as copy time, with the mark slice reserved for collections
-		// that run a distinct in-pause trace.
-		if s.PauseGCMark != 0 || s.PauseGCCopy == 0 || s.GCMarkOutside != 0 || s.GCRescanMarked != 0 {
-			t.Fatalf("workers=%d: STW decomposition wrong: %+v", workers, s)
-		}
-		if !c.GCMarkConcurrent {
-			t.Fatalf("workers=%d: concurrent run fell back to STW discovery", workers)
-		}
-		if c.PauseGCMark != 0 {
-			t.Fatalf("workers=%d: concurrent run reports in-pause mark %v", workers, c.PauseGCMark)
-		}
-		if c.GCMarkOutside == 0 {
-			t.Fatalf("workers=%d: concurrent run reports no outside-pause mark time", workers)
-		}
-		if c.GCMarkedObjects == 0 {
-			t.Fatalf("workers=%d: concurrent mark discovered nothing", workers)
-		}
-		if c.TransformedObjects == 0 || s.TransformedObjects == 0 {
-			t.Fatalf("workers=%d: no objects transformed (STW %d, concurrent %d)",
-				workers, s.TransformedObjects, c.TransformedObjects)
-		}
-		// The concurrent trace may additionally pair floating garbage — dead
-		// ring nodes that died mid-trace — but never fewer than the ~200 live
-		// nodes plus the ring's survivors.
-		if c.PairsLogged < 1 {
-			t.Fatalf("workers=%d: concurrent run paired nothing", workers)
-		}
-		if got := c.PauseGCRescan + c.PauseGCCopy; got > c.PauseGC {
-			t.Fatalf("workers=%d: rescan+copy %v exceeds PauseGC %v", workers, got, c.PauseGC)
-		}
-		if cm.vm.Heap.SATBArmed() {
-			t.Fatalf("workers=%d: barrier left armed after update", workers)
-		}
+	s, c := resSTW.Stats, resCM.Stats
+	if s.GCMarkConcurrent {
+		t.Fatal("STW run flagged GCMarkConcurrent")
+	}
+	// Uniform decomposition: the STW collectors' fused trace+copy is
+	// reported as copy time, with the mark slice reserved for collections
+	// that run a distinct in-pause trace.
+	if s.PauseGCMark != 0 || s.PauseGCCopy == 0 || s.GCMarkOutside != 0 || s.GCRescanMarked != 0 {
+		t.Fatalf("STW decomposition wrong: %+v", s)
+	}
+	if !c.GCMarkConcurrent {
+		t.Fatal("concurrent run fell back to STW discovery")
+	}
+	if c.PauseGCMark != 0 {
+		t.Fatalf("concurrent run reports in-pause mark %v", c.PauseGCMark)
+	}
+	if c.GCMarkOutside == 0 {
+		t.Fatal("concurrent run reports no outside-pause mark time")
+	}
+	if c.GCMarkedObjects == 0 {
+		t.Fatal("concurrent mark discovered nothing")
+	}
+	if c.TransformedObjects == 0 || s.TransformedObjects == 0 {
+		t.Fatalf("no objects transformed (STW %d, concurrent %d)",
+			s.TransformedObjects, c.TransformedObjects)
+	}
+	// The concurrent trace may additionally pair floating garbage — dead
+	// ring nodes that died mid-trace — but never fewer than the ~200 live
+	// nodes plus the ring's survivors.
+	if c.PairsLogged < 1 {
+		t.Fatal("concurrent run paired nothing")
+	}
+	if got := c.PauseGCRescan + c.PauseGCCopy; got > c.PauseGC {
+		t.Fatalf("rescan+copy %v exceeds PauseGC %v", got, c.PauseGC)
+	}
+	if cm.vm.Heap.SATBArmed() {
+		t.Fatal("barrier left armed after update")
 	}
 }
 
@@ -269,7 +266,7 @@ func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
 // with the snapshot discarded and the write barrier disarmed, leaving the
 // program to finish on the old version unharmed.
 func TestConcurrentMarkAbortDisarms(t *testing.T) {
-	f := newMarkFixture(t, 1<<16, 2, true)
+	f := newMarkFixture(t, 1<<16, true)
 	v1 := f.load(ringV1)
 	v2 := f.prog(ringV2)
 	f.spawn("App")
@@ -294,7 +291,7 @@ func TestConcurrentMarkAbortDisarms(t *testing.T) {
 	}
 	// The VM must remain updatable: the same update without the blacklist
 	// applies cleanly, concurrent mark and all.
-	f2 := newMarkFixture(t, 1<<16, 2, true)
+	f2 := newMarkFixture(t, 1<<16, true)
 	outSTW, res2 := runRingUpdate(f2)
 	if res2.Outcome != core.Applied || outSTW == "" {
 		t.Fatalf("follow-up update failed: %v", res2.Err)

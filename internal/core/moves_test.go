@@ -159,12 +159,11 @@ var movesModes = []struct {
 	opts vm.Options
 }{
 	{"stw", vm.Options{}},
-	{"parallel", vm.Options{GCWorkers: 4}},
 	{"scratch", vm.Options{ScratchWords: 1 << 12}},
-	{"cmark", vm.Options{GCWorkers: 2, GCConcurrentMark: true}},
+	{"cmark", vm.Options{GCConcurrentMark: true}},
 	{"lazy", vm.Options{LazyTransform: true, ScratchWords: 1 << 12}},
-	{"reloc", vm.Options{GCWorkers: 2, ConcurrentReloc: true}},
-	{"cmark-reloc-lazy", vm.Options{GCWorkers: 2, GCConcurrentMark: true, ConcurrentReloc: true, LazyTransform: true, ScratchWords: 1 << 12}},
+	{"reloc", vm.Options{ConcurrentReloc: true}},
+	{"cmark-reloc-lazy", vm.Options{GCConcurrentMark: true, ConcurrentReloc: true, LazyTransform: true, ScratchWords: 1 << 12}},
 }
 
 // TestMovesMatchInterpreter is the differential test that the collector's

@@ -11,20 +11,19 @@ import (
 // End-to-end coverage of the concurrent-relocation update pipeline: the DSU
 // pause stops at flip preparation, the world resumes with from-space still
 // live behind the self-healing load barrier, and the remaining live set is
-// evacuated by background relocator workers racing the mutator. The
+// evacuated by the background relocator racing the mutator. The
 // observable outcome (program output, update success, transformed state)
 // must be identical to the fused stop-the-world pipeline's; only the pause
 // decomposition and the drain-side stats differ.
 
 // newRelocFixture builds a fixture with concurrent relocation enabled,
 // optionally composed with concurrent marking and lazy transformation.
-func newRelocFixture(t *testing.T, heapWords, gcWorkers int, cmark, lazy bool) *fixture {
+func newRelocFixture(t *testing.T, heapWords int, cmark, lazy bool) *fixture {
 	t.Helper()
 	var out bytes.Buffer
 	opts := vm.Options{
 		HeapWords:        heapWords,
 		Out:              &out,
-		GCWorkers:        gcWorkers,
 		GCConcurrentMark: cmark,
 		ConcurrentReloc:  true,
 		LazyTransform:    lazy,
@@ -55,7 +54,7 @@ func (f *fixture) drain() {
 // NOT touch) are linked into a static list before the Node ring is built.
 // At the update's safe point the live set is therefore a mix — the pause
 // eagerly evacuates only the Nodes, and the Pads are exactly the population
-// the concurrent drain (workers + load barrier) must move afterwards.
+// the concurrent drain (relocator + load barrier) must move afterwards.
 const relocV1 = `
 class Pad {
   field a I
@@ -305,78 +304,76 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		{"cmark-reloc-lazy", true, true},
 	}
 	for _, m := range modes {
-		for _, workers := range []int{0, 4} {
-			stw := newMarkFixture(t, 1<<16, workers, false)
-			outSTW, resSTW := runRelocUpdate(stw)
+		stw := newMarkFixture(t, 1<<16, false)
+		outSTW, resSTW := runRelocUpdate(stw)
 
-			rf := newRelocFixture(t, 1<<16, workers, m.cmark, m.lazy)
-			outRel, resRel := runRelocUpdate(rf)
-			// The program may finish before the background workers run the
-			// drain dry; force-complete so the stats below are final.
-			rf.drain()
+		rf := newRelocFixture(t, 1<<16, m.cmark, m.lazy)
+		outRel, resRel := runRelocUpdate(rf)
+		// The program may finish before the background relocator runs the
+		// drain dry; force-complete so the stats below are final.
+		rf.drain()
 
-			if outSTW != outRel {
-				t.Fatalf("%s workers=%d: output diverged: STW %q, reloc %q",
-					m.name, workers, outSTW, outRel)
-			}
-			if outRel == "" {
-				t.Fatalf("%s workers=%d: empty program output", m.name, workers)
-			}
+		if outSTW != outRel {
+			t.Fatalf("%s: output diverged: STW %q, reloc %q",
+				m.name, outSTW, outRel)
+		}
+		if outRel == "" {
+			t.Fatalf("%s: empty program output", m.name)
+		}
 
-			s, c := resSTW.Stats, resRel.Stats
-			if s.RelocConcurrent {
-				t.Fatalf("%s workers=%d: STW run flagged RelocConcurrent", m.name, workers)
+		s, c := resSTW.Stats, resRel.Stats
+		if s.RelocConcurrent {
+			t.Fatalf("%s: STW run flagged RelocConcurrent", m.name)
+		}
+		if !c.RelocConcurrent {
+			t.Fatalf("%s: reloc run fell back to STW copy", m.name)
+		}
+		// The Pad ballast is live but not updated: it must have moved in
+		// the concurrent drain, not in the pause.
+		if c.RelocObjects == 0 {
+			t.Fatalf("%s: concurrent drain relocated nothing: %+v",
+				m.name, c)
+		}
+		if c.RelocDrain == 0 {
+			t.Fatalf("%s: no drain time recorded", m.name)
+		}
+		if m.lazy {
+			// Full deferral: the pause copies nothing; pairs are created by
+			// the drain and adopted into the pair log one-for-one.
+			if c.CopiedObjects != 0 {
+				t.Fatalf("%s: deferred-pair pause still copied eagerly: %+v",
+					m.name, c)
 			}
-			if !c.RelocConcurrent {
-				t.Fatalf("%s workers=%d: reloc run fell back to STW copy", m.name, workers)
+			if c.RelocDeferredPairs == 0 {
+				t.Fatalf("%s: drain registered no deferred pairs", m.name)
 			}
-			// The Pad ballast is live but not updated: it must have moved in
-			// the concurrent drain, not in the pause.
-			if c.RelocObjects == 0 {
-				t.Fatalf("%s workers=%d: concurrent drain relocated nothing: %+v",
-					m.name, workers, c)
+			if c.PairsLogged != c.RelocDeferredPairs {
+				t.Fatalf("%s: adopted %d pairs for %d deferred",
+					m.name, c.PairsLogged, c.RelocDeferredPairs)
 			}
-			if c.RelocDrain == 0 {
-				t.Fatalf("%s workers=%d: no drain time recorded", m.name, workers)
+		} else {
+			// Eager pair evacuation: the pause copies exactly shell +
+			// old copy per pair, never the whole live set.
+			if c.PairsLogged < 1 {
+				t.Fatalf("%s: eager pause paired nothing", m.name)
 			}
-			if m.lazy {
-				// Full deferral: the pause copies nothing; pairs are created by
-				// the drain and adopted into the pair log one-for-one.
-				if c.CopiedObjects != 0 {
-					t.Fatalf("%s workers=%d: deferred-pair pause still copied eagerly: %+v",
-						m.name, workers, c)
-				}
-				if c.RelocDeferredPairs == 0 {
-					t.Fatalf("%s workers=%d: drain registered no deferred pairs", m.name, workers)
-				}
-				if c.PairsLogged != c.RelocDeferredPairs {
-					t.Fatalf("%s workers=%d: adopted %d pairs for %d deferred",
-						m.name, workers, c.PairsLogged, c.RelocDeferredPairs)
-				}
-			} else {
-				// Eager pair evacuation: the pause copies exactly shell +
-				// old copy per pair, never the whole live set.
-				if c.PairsLogged < 1 {
-					t.Fatalf("%s workers=%d: eager pause paired nothing", m.name, workers)
-				}
-				if c.CopiedObjects != 2*c.PairsLogged {
-					t.Fatalf("%s workers=%d: pause copied %d objects for %d pairs",
-						m.name, workers, c.CopiedObjects, c.PairsLogged)
-				}
-				if c.CopiedObjects >= s.CopiedObjects {
-					t.Fatalf("%s workers=%d: reloc pause copied %d ≥ STW's %d — copy never left the pause",
-						m.name, workers, c.CopiedObjects, s.CopiedObjects)
-				}
+			if c.CopiedObjects != 2*c.PairsLogged {
+				t.Fatalf("%s: pause copied %d objects for %d pairs",
+					m.name, c.CopiedObjects, c.PairsLogged)
 			}
-			if m.cmark && c.PauseGCMark != 0 {
-				t.Fatalf("%s workers=%d: sealed-mark reloc pause reports in-pause discovery %v",
-					m.name, workers, c.PauseGCMark)
+			if c.CopiedObjects >= s.CopiedObjects {
+				t.Fatalf("%s: reloc pause copied %d ≥ STW's %d — copy never left the pause",
+					m.name, c.CopiedObjects, s.CopiedObjects)
 			}
-			assertRetired(t, rf, false)
-			// The VM must remain collectable and updatable after the drain.
-			if _, err := rf.vm.CollectGarbage(); err != nil {
-				t.Fatalf("%s workers=%d: post-drain collection: %v", m.name, workers, err)
-			}
+		}
+		if m.cmark && c.PauseGCMark != 0 {
+			t.Fatalf("%s: sealed-mark reloc pause reports in-pause discovery %v",
+				m.name, c.PauseGCMark)
+		}
+		assertRetired(t, rf, false)
+		// The VM must remain collectable and updatable after the drain.
+		if _, err := rf.vm.CollectGarbage(); err != nil {
+			t.Fatalf("%s: post-drain collection: %v", m.name, err)
 		}
 	}
 }
@@ -399,8 +396,8 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 		f.drain()
 		return out
 	}
-	stw := newMarkFixture(t, 1<<16, 2, false)
-	rel := newRelocFixture(t, 1<<16, 2, false, false)
+	stw := newMarkFixture(t, 1<<16, false)
+	rel := newRelocFixture(t, 1<<16, false, false)
 	outSTW := run(stw)
 	outRel := run(rel)
 	if outSTW != outRel {
@@ -414,7 +411,7 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 // the drain and the read barrier, and every touched instance comes out
 // transformed.
 func TestRelocLazyDeferredPairs(t *testing.T) {
-	f := newRelocFixture(t, 1<<16, 2, false, true)
+	f := newRelocFixture(t, 1<<16, false, true)
 	v1 := f.load(relocV1)
 	v2 := f.prog(relocV2)
 	f.spawn("App")

@@ -54,7 +54,7 @@ type plan struct {
 // and attaches it to the VM when the collection succeeds. It retires — one
 // teardown for every placement and every failure path — as soon as nothing is
 // outstanding: at the end of the pause (eager), when the last tagged pair
-// transforms, when the relocation's workers run from-space dry (tick), or
+// transforms, when the relocation's drain runs from-space dry (tick), or
 // when a collection, a follow-up update, a gate policy or the harness forces
 // it (force).
 //
@@ -399,7 +399,7 @@ func (r *residue) settle() {
 
 // leavePause ends the in-pause phase on the success path: retire on the spot
 // when the pause left nothing outstanding (always, for the plain eager
-// placement), otherwise start the relocation's background workers — last,
+// placement), otherwise start the relocation's background relocator — last,
 // so the transformer and clinit phases' allocations land below its region
 // snapshot. From the first post-pause slice the scheduler polls tick.
 func (r *residue) leavePause() {
@@ -419,8 +419,8 @@ func (r *residue) tick() {
 	}
 }
 
-// finishReloc joins the relocation's workers (force-completing the drain on
-// this goroutine if they have not run from-space dry), disarms the load
+// finishReloc joins the relocation's relocator (force-completing the drain on
+// this goroutine if it has not run from-space dry), disarms the load
 // barrier, and stamps the drain statistics. From-space is dead afterwards.
 // With the relocation done the pair log is final: the adopted placement
 // takes over whatever the mutator never touched.
@@ -436,7 +436,6 @@ func (r *residue) finishReloc() {
 	s.RelocScratchWords = st.ScratchWords
 	s.RelocHealedSlots = st.HealedSlots
 	s.RelocDeferredPairs = st.DeferredPairs
-	s.RelocSteals = st.Steals
 	s.RelocDrain = st.Drain
 	r.moved(st.Moved)
 	if m := r.e.VM.Metrics; m != nil {

@@ -238,11 +238,11 @@ func TestResidueTeardownConservation(t *testing.T) {
 	}{
 		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false},
 		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16, 1<<12) }, true, false, false},
-		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, 2, false, false) }, false, true, false},
-		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, 2, true, true) }, true, true, false},
+		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false, false) }, false, true, false},
+		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true, true) }, true, true, false},
 		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true},
-		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, 2, false, false)) }, false, true, true},
-		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, 2, true, true)) }, false, true, true},
+		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, false, false)) }, false, true, true},
+		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, true, true)) }, false, true, true},
 	}
 
 	// A class transformer that traps: the one in-pause transformer failure
@@ -297,7 +297,7 @@ class JvolveTransformers {
 		{name: "drain ran dry", drive: func(t *testing.T, r *run, lazy bool) {
 			applied(t, r)
 			// The program's closing walk touches every Box; the scheduler's
-			// poll retires a relocation once its workers are done.
+			// poll retires a relocation once its drain is done.
 			r.f.finish()
 			for deadline := time.Now().Add(10 * time.Second); r.f.vm.DrainActive(); {
 				if time.Now().After(deadline) {
@@ -314,7 +314,7 @@ class JvolveTransformers {
 			// A flip would invalidate the pair log's raw addresses, reclaim
 			// the old copies, and cannot run with from-space held. Collecting
 			// at once exercises the forced drain for real: on 1 vCPU the
-			// relocation's workers have likely not even been scheduled yet.
+			// relocator has likely not even been scheduled yet.
 			applied(t, r)
 			if _, err := r.f.vm.CollectGarbage(); err != nil {
 				t.Fatalf("collection mid-drain: %v", err)

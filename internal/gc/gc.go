@@ -12,13 +12,12 @@
 // When the class's transformer is a pure field copy (rt.Class.Moves) the
 // collector performs it instead: one object, written in the new layout as it
 // is copied, forwarded to and scanned like any other — no pair, no log entry
-// (kernel.go: writeMoved).
+// (kernel.go: kernel.move).
 package gc
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"govolve/internal/heap"
@@ -54,12 +53,6 @@ type Roots interface {
 	ForEachRoot(fn func(*rt.Value))
 }
 
-// RootsFunc adapts a function to Roots.
-type RootsFunc func(fn func(*rt.Value))
-
-// ForEachRoot implements Roots.
-func (f RootsFunc) ForEachRoot(fn func(*rt.Value)) { f(fn) }
-
 // Pair is one update-log entry: the to-space copy of the old object and the
 // uninitialized new-class object.
 type Pair struct {
@@ -90,18 +83,6 @@ type Result struct {
 	Moved    int
 	Duration time.Duration
 
-	// Workers is how many copy/scan workers ran (1 for the serial path).
-	Workers int
-	// WorkerWords is the words copied per worker (nil for the serial path)
-	// — the load-balance evidence behind the gcpause experiment.
-	WorkerWords []int
-	// TLABWaste is the to-space/scratch words abandoned in TLAB tails by a
-	// parallel collection (0 for the serial path).
-	TLABWaste int
-	// Steals counts work-stealing deque pops that took another worker's
-	// grey object.
-	Steals int64
-
 	// Pause decomposition — uniform across every mode so pausecmp rows
 	// compare like with like. The measured phases are disjoint slices of
 	// Duration: PauseMark is in-pause instance discovery (the concurrent-
@@ -109,7 +90,7 @@ type Result struct {
 	// the pause), PauseRescan is the SATB deletion-log drain + root re-scan
 	// a concurrent-mark collection still does inside the pause, and
 	// PauseCopy is the in-pause copy work — the whole fused trace+copy for
-	// the STW collectors (PauseCopy = Duration there), the sweep+fixup for
+	// the STW collector (PauseCopy = Duration there), the sweep+fixup for
 	// CollectWithMark, and only the eager pair evacuation + root remap for
 	// CollectReloc (whose bulk copy runs in the concurrent drain, reported
 	// by RelocStats.Drain instead).
@@ -118,7 +99,7 @@ type Result struct {
 	PauseCopy   time.Duration
 
 	// Concurrent-mark bookkeeping (zero unless MarkConcurrent). MarkOutside
-	// is the concurrent trace's wall time — work that PR 5 moved *out* of
+	// is the concurrent trace's wall time — work moved *out* of
 	// the pause; MarkSetup is the snapshot capture + barrier arm mini-stop.
 	MarkConcurrent bool
 	MarkOutside    time.Duration
@@ -139,35 +120,22 @@ type Result struct {
 	Relocated bool
 }
 
-// Options tunes a collector.
+// Options selects what a DSU collection moves out of the pause. Every
+// collection runs on one collector thread; plain Collect calls are unaffected
+// by either field.
 type Options struct {
-	// Workers selects the collection strategy. <=0 or 1 runs the exact
-	// serial Cheney path (the default); N>1 runs the parallel copy/scan
-	// collector with N workers; AutoWorkers picks runtime.GOMAXPROCS.
-	Workers int
-	// TLABWords overrides the per-worker allocation-buffer carve size for
-	// parallel collections (default 4096, clamped so the worker buffers
-	// cannot strand more than ~1/8 of a semispace).
-	TLABWords int
 	// ConcurrentMark opts the DSU engine into the snapshot-at-the-beginning
 	// concurrent mark phase (mark.go): updated-instance discovery runs
 	// overlapped with the mutator and the update pause shrinks to
-	// rescan + copy + transform. The collector itself only consults it in
-	// the engine-facing helpers; plain Collect calls are unaffected, so
-	// ConcurrentMark=false preserves today's serial and parallel paths
-	// exactly.
+	// rescan + copy + transform.
 	ConcurrentMark bool
 	// ConcurrentReloc opts the DSU engine into concurrent relocation
 	// (reloc.go): the pause shrinks to discovery + eager pair evacuation +
 	// root remap, the world resumes with from-space still live, and the
-	// remaining live set is evacuated by background relocator workers plus
-	// the mutator's self-healing load barrier. Plain Collect calls are
-	// unaffected.
+	// remaining live set is evacuated by one background relocator plus the
+	// mutator's self-healing load barrier.
 	ConcurrentReloc bool
 }
-
-// AutoWorkers selects one collection worker per available CPU.
-const AutoWorkers = -1
 
 // Collector is the collection machinery bound to one heap and registry.
 type Collector struct {
@@ -182,9 +150,9 @@ type Collector struct {
 	// metric (per-collection numbers live in Result).
 	CopiedObjects int
 
-	// Rec, when attached (vm.AttachObs), receives per-worker flight-
-	// recorder events: one phase span per copy/scan worker plus a
-	// copied-words and steal summary. Nil disables emission entirely.
+	// Rec, when attached (vm.AttachObs), receives the collector's flight-
+	// recorder events: one phase span per copy/scan, mark and drain plus a
+	// copied-words summary. Nil disables emission entirely.
 	Rec *obs.Recorder
 
 	// lastPairs, the previous DSU collection's pair count, sizes the next one's log.
@@ -192,33 +160,20 @@ type Collector struct {
 
 	// mark is the in-flight concurrent marker (nil when none — the common
 	// case; every STW entry point pays one nil check). pool keeps the mark
-	// bitmap, SATB buffer, and worker deques alive across collections so
+	// bitmap, SATB buffer, and grey stack alive across collections so
 	// repeated updates allocate no per-cycle scratch.
 	mark *Marker
 	pool markPool
 }
 
-// New builds a serial collector.
+// New builds a collector with no phase moved out of the pause.
 func New(h *heap.Heap, reg *rt.Registry) *Collector {
 	return &Collector{Heap: h, Reg: reg}
 }
 
-// NewWithOptions builds a collector with an explicit strategy.
+// NewWithOptions builds a collector with explicit options.
 func NewWithOptions(h *heap.Heap, reg *rt.Registry, opts Options) *Collector {
 	return &Collector{Heap: h, Reg: reg, Opts: opts}
-}
-
-// EffectiveWorkers resolves Opts.Workers to the worker count a collection
-// will actually use.
-func (c *Collector) EffectiveWorkers() int {
-	w := c.Opts.Workers
-	if w == AutoWorkers {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Collect runs a full collection. With dsu set, instances of classes whose
@@ -227,34 +182,30 @@ func (c *Collector) EffectiveWorkers() int {
 // unusable — the flip already happened and roots are partially forwarded —
 // and the VM treats it as fatal OOM (vm.MarkHeapUnusable).
 //
-// With Opts.Workers > 1 the parallel copy/scan collector runs instead; the
-// serial path is a Cheney scan driven by the copy/scan kernel (kernel.go).
+// The collection is a Cheney scan driven by the copy/scan kernel (kernel.go).
 func (c *Collector) Collect(roots Roots, dsu bool) (*Result, error) {
 	if c.mark != nil {
 		// A concurrent mark is in flight but a collection must run now
 		// (e.g. the mutator exhausted the heap mid-mark). The flip would
-		// move memory under the tracers and invalidate every marked
-		// address, so the snapshot is stale: join the workers and discard
+		// move memory under the tracer and invalidate every marked
+		// address, so the snapshot is stale: join the tracer and discard
 		// it before touching anything. The engine observes the abort and
 		// restarts the mark against the post-collection heap.
 		c.AbortMark()
-	}
-	if w := c.EffectiveWorkers(); w > 1 {
-		return c.collectParallel(roots, dsu, w)
 	}
 	return c.collectSerial(roots, dsu)
 }
 
 func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 	start := time.Now()
-	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(0), 0, "gc copy/scan")
+	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGC, 0, "gc copy/scan")
 	c.Heap.Flip()
-	res := &Result{Workers: 1}
+	res := &Result{}
 	k := c.newKernel(dsu)
 	err := k.cheney(roots)
 	k.commit(c.Heap, res)
-	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
-	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc copy/scan")
+	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGC, int64(res.CopiedWords), "")
+	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGC, int64(res.CopiedWords), "gc copy/scan")
 	if err != nil {
 		return nil, err
 	}

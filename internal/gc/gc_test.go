@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -292,6 +293,34 @@ func TestCollectToSpaceExhaustion(t *testing.T) {
 	_, err = New(w.h, w.reg).Collect(w, true)
 	if err == nil {
 		t.Fatal("expected to-space exhaustion error")
+	}
+}
+
+// TestSerialCollectTypedOOM pins the typed error: a DSU collection that cannot
+// fit old copy + shell fails with ErrToSpaceExhausted.
+func TestSerialCollectTypedOOM(t *testing.T) {
+	w := newWorld(t, 64)
+	var prev rt.Addr
+	for {
+		a, ok := w.h.AllocObject(w.cls)
+		if !ok {
+			break
+		}
+		w.h.SetFieldValue(a, offLeft, rt.RefVal(prev))
+		prev = a
+	}
+	w.roots = []rt.Value{rt.RefVal(prev)}
+	newDef, _ := classfile.NewClass("Node2", "").
+		Field("val", "I").Field("left", "LNode2;").Field("right", "LNode2;").
+		Build()
+	newCls, err := w.reg.Load(newDef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.cls.UpdatedTo = newCls
+	_, err = New(w.h, w.reg).Collect(w, true)
+	if !errors.Is(err, ErrToSpaceExhausted) {
+		t.Fatalf("serial DSU OOM %v is not ErrToSpaceExhausted", err)
 	}
 }
 

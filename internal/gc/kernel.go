@@ -16,9 +16,8 @@ import (
 // rt.Value is built and no barrier is consulted: the world is stopped and
 // both barriers are disarmed for as long as a Raw view may exist.
 //
-// The serial collector (collectSerial, sweepSerial) drives a kernel; the
-// parallel workers keep their CAS claim protocol and TLABs and share the
-// descriptor loops' shape and the pair primitive.
+// collectSerial, sweepSerial and the relocation pause's eager evacuation each
+// drive a kernel.
 
 // errUnknownClass is the structural error every tracer reports for a header
 // whose class id the registry cannot resolve.
@@ -28,46 +27,6 @@ func errUnknownClass(a rt.Addr, hw uint64) error {
 
 // errPairExhausted is ErrToSpaceExhausted met while making a DSU pair.
 var errPairExhausted = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
-
-// forwardRoots rewrites every non-null reference root through fwd.
-func forwardRoots(roots Roots, fwd func(uint64) uint64) {
-	roots.ForEachRoot(func(v *rt.Value) {
-		if v.IsRef && v.Bits != 0 {
-			v.Bits = fwd(v.Bits)
-		}
-	})
-}
-
-// writePair builds one DSU pair in space the caller has reserved and returns
-// its log entry: the zeroed shell of newCls with the old copy's address cached
-// in its pair word (header word 1, heap/bits.go), and the old version — saved
-// header hw, body from a — at oldCopy. The source header is never read: under
-// the claim protocol it holds the sentinel. The caller installs the forwarding
-// pointer (to the shell) with whatever ordering its protocol needs.
-func writePair(words []uint64, a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class, shell, oldCopy rt.Addr) Pair {
-	clear(words[shell : shell+rt.Addr(newCls.Size)])
-	words[shell] = uint64(newCls.ID)
-	words[shell+1] = uint64(oldCopy)
-	words[oldCopy] = hw
-	copy(words[oldCopy+1:oldCopy+size], words[a+1:a+size])
-	return Pair{OldCopy: oldCopy, New: shell}
-}
-
-// writeMoved performs a move transformer (rt.Class.Moves, DESIGN.md §8.4) as
-// a copy with a layout permutation: the instance of old at a — body only, its
-// header may hold a claim sentinel — is written, once and in the new version's
-// layout, into the newCls.Size words the caller reserved at to. Fields no run
-// carries keep their defaults and word 1, the pair word, is 0 from the start:
-// the object is finished, and whoever scans it forwards its references under
-// the new class's RefOffsets like any copied object's.
-func writeMoved(words []uint64, a rt.Addr, old *rt.Class, to rt.Addr) {
-	newCls := old.UpdatedTo
-	clear(words[to : to+rt.Addr(newCls.Size)])
-	words[to] = uint64(newCls.ID)
-	for _, m := range old.Moves {
-		copy(words[to+m.To:to+m.To+m.N], words[a+m.From:a+m.From+m.N])
-	}
-}
 
 // kernel is one serial collection's state. The bump pointers live in its Raw
 // copy for the whole collection; commit hands them back to the heap, with the
@@ -106,11 +65,7 @@ func (c *Collector) newKernel(dsu bool) *kernel {
 
 // commit writes the bump pointers back to the heap and the counters into res.
 func (k *kernel) commit(h *heap.Heap, res *Result) {
-	allocs := k.objects // to-space allocations: everything but scratch old copies
-	if k.old == &k.Scratch {
-		allocs -= len(k.log)
-	}
-	h.CommitRaw(&k.Raw, int64(allocs))
+	h.CommitRaw(&k.Raw)
 	res.Log = k.log
 	res.CopiedObjects += k.objects
 	res.CopiedWords += k.words
@@ -178,17 +133,28 @@ func (k *kernel) copy(a, size rt.Addr) rt.Addr {
 }
 
 // move is copy for an instance of an updated class whose transformer is a move
-// transformer: no shell, no old copy, no log entry — one object of the new
-// size, and nothing is written unless it fits.
+// transformer (rt.Class.Moves, DESIGN.md §8.4) — a copy with a layout
+// permutation: no shell, no old copy, no log entry — one object of the new
+// size, written once and in the new version's layout, and nothing is written
+// unless it fits. Fields no run carries keep their defaults and word 1, the
+// pair word, is 0 from the start: the object is finished, and the scan
+// forwards its references under the new class's RefOffsets like any copied
+// object's.
 func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
-	to, size := k.To.Alloc, rt.Addr(old.UpdatedTo.Size)
+	newCls := old.UpdatedTo
+	to, size := k.To.Alloc, rt.Addr(newCls.Size)
 	if to+size > k.To.Hi {
 		k.err = ErrToSpaceExhausted
 		return rt.Null
 	}
 	k.To.Alloc = to + size
-	writeMoved(k.Words, a, old, to)
-	k.Words[a] = heap.ForwardBit | uint64(to)
+	words := k.Words
+	clear(words[to : to+size])
+	words[to] = uint64(newCls.ID)
+	for _, m := range old.Moves {
+		copy(words[to+m.To:to+m.To+m.N], words[a+m.From:a+m.From+m.N])
+	}
+	words[a] = heap.ForwardBit | uint64(to)
 	k.objects++
 	k.words += int(size)
 	k.moved++
@@ -198,7 +164,10 @@ func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
 // pair evacuates an instance of an updated class whose transformer has to run
 // (hand-written, or anything ObjectMoves cannot prove): shell first, then the old
 // copy (behind it in to-space, or in scratch), the log entry, and the
-// forwarding pointer to the shell. The zero Pair means err is set.
+// forwarding pointer to the shell: the zeroed shell of newCls with the old
+// copy's address cached in its pair word (header word 1, heap/bits.go), and
+// the old version — header hw, body from a — at oldCopy. The zero Pair means
+// err is set.
 func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair {
 	shell := k.To.Alloc
 	k.To.Alloc += rt.Addr(newCls.Size)
@@ -211,9 +180,15 @@ func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair
 		k.err = errPairExhausted
 		return Pair{}
 	}
-	p := writePair(k.Words, a, hw, size, newCls, shell, oldCopy)
+	words := k.Words
+	clear(words[shell : shell+rt.Addr(newCls.Size)])
+	words[shell] = uint64(newCls.ID)
+	words[shell+1] = uint64(oldCopy)
+	words[oldCopy] = hw
+	copy(words[oldCopy+1:oldCopy+size], words[a+1:a+size])
+	p := Pair{OldCopy: oldCopy, New: shell}
 	k.log = append(k.log, p)
-	k.Words[a] = heap.ForwardBit | uint64(shell)
+	words[a] = heap.ForwardBit | uint64(shell)
 	k.objects += 2
 	k.words += int(size) + newCls.Size
 	if k.old == &k.Scratch {
@@ -260,7 +235,11 @@ func (k *kernel) scan(a rt.Addr) rt.Addr {
 // log order and the storm/stream fingerprints are functions of it.
 func (k *kernel) cheney(roots Roots) error {
 	scan, oldScan := k.To.Alloc, k.Scratch.Alloc
-	forwardRoots(roots, k.forward)
+	roots.ForEachRoot(func(v *rt.Value) {
+		if v.IsRef && v.Bits != 0 {
+			v.Bits = k.forward(v.Bits)
+		}
+	})
 	for k.err == nil && (scan < k.To.Alloc || oldScan < k.Scratch.Alloc) {
 		for scan < k.To.Alloc && k.err == nil {
 			scan += k.scan(scan)

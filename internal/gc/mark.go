@@ -2,7 +2,6 @@ package gc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +12,12 @@ import (
 
 // The concurrent snapshot-at-the-beginning (SATB) mark phase. JVOLVE's
 // update pause is a full collection that *finds* every instance of an
-// updated class before copying and transforming it; PR 3 parallelized the
-// copy inside the window, but discovery still ran in the pause. The Marker
+// updated class before copying and transforming it. The Marker
 // moves discovery out: when an update request arrives, the engine takes a
 // logical heap snapshot (root values captured while the mutator is parked
 // between slices, allocation watermark recorded, heap.ArmSATB deletion
-// barrier armed) and mark workers trace the snapshot graph concurrently
-// with the mutator, on the same work-stealing deques and ChunkedRoots
-// partitioning as the PR 3 collector. At the DSU safe point the collector
+// barrier armed) and one tracer goroutine traces the snapshot graph
+// concurrently with the mutator. At the DSU safe point the collector
 // consumes the mark result (CollectWithMark): it drains the SATB deletion
 // log and re-scans roots — the only tracing left inside the pause — then
 // copies exactly the marked ∪ post-watermark objects.
@@ -57,66 +54,55 @@ import (
 // Lifecycle discipline: StartMark / SealMark / AbortMark / CollectWithMark
 // all run on the mutator goroutine (the VM is a green-thread machine —
 // exactly one OS goroutine mutates the heap, and the DSU engine runs on
-// it). Only the mark workers are concurrent, and they are joined (wg.Wait)
-// before any pause-time code touches the bitmap, so the race detector sees
-// clean happens-before edges everywhere.
+// it). Only the tracer is concurrent, and it is joined (wg.Wait) before any
+// pause-time code touches the bitmap, the grey stack or the counters, so the
+// race detector sees clean happens-before edges everywhere.
 
 // Marker is one in-flight (or completed) concurrent mark.
 type Marker struct {
 	c          *Collector
-	lo         rt.Addr // current-space base at snapshot time
-	watermark  rt.Addr // allocation pointer at snapshot time
-	workers    []*markWorker
-	deques     []*deque
+	lo         rt.Addr      // current-space base at snapshot time
+	watermark  rt.Addr      // allocation pointer at snapshot time
 	updatedIDs map[int]bool // old-class IDs named by the pending update
 
-	bitmap []uint32 // one bit per heap word address < watermark; CAS-set
+	// bitmap holds one bit per heap word address in [lo, watermark); grey is
+	// the stack of marked, unscanned objects. Both have one owner at a time:
+	// StartMark until the tracer spawns, the tracer until it is joined, the
+	// pause afterwards.
+	bitmap []uint32
+	grey   []rt.Addr
 
 	// collectAddrs (set from Opts.ConcurrentReloc) makes the trace record
-	// the addresses of updated-class instances, not just their counts — the
+	// the addresses of updated-class instances, not just their count — the
 	// CollectReloc pause evacuates exactly that set eagerly instead of
 	// sweeping the whole marked list.
 	collectAddrs bool
 
-	idle  atomic.Int32
 	done  atomic.Bool
 	abort atomic.Bool
 	wg    sync.WaitGroup
 
-	// failErr records a structural error found by a worker (unknown class
+	// failErr records a structural error found by the tracer (unknown class
 	// ID); the marker aborts itself and the engine falls back to STW.
 	failMu  sync.Mutex
 	failErr error
 
 	start   time.Time
 	setup   time.Duration // snapshot + arm + spawn (a mini-pause)
-	traceNS atomic.Int64  // wall-clock mark time, stored by the finisher
-	sealed  bool          // mutator goroutine: workers joined, stats merged
+	trace   time.Duration // wall-clock mark time, stored by the tracer at completion
+	sealed  bool          // mutator goroutine: tracer joined, result consumable
 	aborted bool          // mutator goroutine: result must not be consumed
 	satb    []rt.Addr     // deletion log, stashed at pause/abort disarm time
 
-	// Merged at seal time. updatedByClass is the concurrent trace's
-	// per-class instance attribution (root captures included — the root
-	// loop greys through the same worker path); instances the *pause*
-	// discovers (SATB/rescan marks, allocate-black walk) are not attributed
-	// here. The authoritative copied set is Result.PairsLogged.
+	// The trace's counters, under the same ownership as the bitmap.
+	// updatedInstances is the concurrent trace's instance attribution (root
+	// captures included — the root loop greys through the same path);
+	// instances the *pause* discovers (SATB/rescan marks, allocate-black
+	// walk) are not attributed here. The authoritative copied set is
+	// Result.PairsLogged.
 	markedObjects    int
 	updatedInstances int
-	updatedByClass   map[int]int
-	updatedAddrs     []rt.Addr // merged per-worker addrs (collectAddrs only)
-	steals           int64
-}
-
-// markWorker is one concurrent tracer.
-type markWorker struct {
-	m  *Marker
-	id int
-	dq *deque
-
-	marked       int
-	updated      map[int]int // old-class ID → instances discovered (lazy)
-	updatedAddrs []rt.Addr   // their addresses, when the marker collects them
-	steals       int64
+	updatedAddrs     []rt.Addr // their addresses (collectAddrs only)
 }
 
 // markBitmapFor returns a cleared bitmap covering the snapshot region
@@ -136,62 +122,30 @@ func (c *Collector) markBitmapFor(lo, watermark rt.Addr) []uint32 {
 }
 
 // markPool holds the per-collection scratch the marker reuses across
-// updates: the mark bitmap, the SATB deletion-log buffer, and the worker
-// deques (whose grey-stack backing arrays persist).
+// updates: the mark bitmap, the SATB deletion-log buffer, and the grey stack.
 type markPool struct {
 	bitmap  []uint32
 	satb    []rt.Addr
-	deques  []*deque
+	grey    []rt.Addr
 	entries []sweepEntry // sweep-phase live list (CollectWithMark)
 }
 
 // recycleMark returns a marker's scratch to the pool. Callers guarantee the
-// workers have been joined; a stale *Marker held by the engine only ever
+// tracer has been joined; a stale *Marker held by the engine only ever
 // reads its aborted/sealed flags afterwards.
 func (c *Collector) recycleMark(m *Marker) {
 	c.pool.bitmap = m.bitmap[:0]
 	if m.satb != nil {
 		c.pool.satb = m.satb[:0]
 	}
-	c.pool.deques = m.deques
-	for _, d := range c.pool.deques {
-		d.buf = d.buf[:0]
-		d.head = 0
-		d.size.Store(0)
-	}
+	c.pool.grey = m.grey[:0]
 }
 
-// markDeques returns w empty deques, pooled.
-func (c *Collector) markDeques(w int) []*deque {
-	ds := c.pool.deques
-	c.pool.deques = nil
-	for len(ds) < w {
-		ds = append(ds, &deque{})
-	}
-	return ds[:w]
-}
-
-// trySetMark CAS-sets the mark bit for a, returning true if this call
-// transitioned it (a CAS loop rather than atomic.Or keeps the word-level
-// protocol portable). Exactly one marker greys each object. Bit indexes are
-// relative to the snapshot base; callers bounds-check [lo, watermark) first.
-func (m *Marker) trySetMark(a rt.Addr) bool {
-	a -= m.lo
-	w := &m.bitmap[a>>5]
-	bit := uint32(1) << (a & 31)
-	for {
-		old := atomic.LoadUint32(w)
-		if old&bit != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(w, old, old|bit) {
-			return true
-		}
-	}
-}
-
-// setMarkSerial is the pause-time (single-threaded) bit set; isMarked the
-// pause-time query. The workers were joined before either is called.
+// setMarkSerial sets the mark bit for a, returning true if this call
+// transitioned it; isMarked is the query. The bitmap has one writer at a time
+// (the tracer, then the pause — which joins the tracer first), so neither is
+// atomic. Bit indexes are relative to the snapshot base; callers bounds-check
+// [lo, watermark) first.
 func (m *Marker) setMarkSerial(a rt.Addr) bool {
 	a -= m.lo
 	w := &m.bitmap[a>>5]
@@ -209,67 +163,56 @@ func (m *Marker) isMarked(a rt.Addr) bool {
 }
 
 // StartMark snapshots the heap and begins a concurrent mark: root values
-// are captured into the worker deques (the mutator is parked between
+// are captured into the grey stack (the mutator is parked between
 // scheduling slices at this instant, so the capture is a consistent
-// snapshot), the SATB deletion barrier is armed, and EffectiveWorkers mark
-// workers start tracing concurrently with the mutator. updatedIDs names the
-// old-class IDs of the pending update so the mark can report the per-class
-// instance set it discovers. Any previous marker is aborted first.
+// snapshot), the SATB deletion barrier is armed, and the tracer starts
+// tracing concurrently with the mutator. updatedIDs names the old-class IDs
+// of the pending update so the mark can report the instance set it
+// discovers. Any previous marker is aborted first.
 func (c *Collector) StartMark(roots Roots, updatedIDs map[int]bool) *Marker {
 	if c.mark != nil {
 		c.AbortMark()
 	}
 	start := time.Now()
 	h := c.Heap
-	w := c.EffectiveWorkers()
 	m := &Marker{
 		c:            c,
 		lo:           h.ScanStart(),
 		updatedIDs:   updatedIDs,
-		deques:       c.markDeques(w),
+		grey:         c.pool.grey[:0],
 		start:        start,
 		collectAddrs: c.Opts.ConcurrentReloc,
 	}
+	c.pool.grey = nil
 	m.watermark = h.ArmSATB(c.pool.satb)
 	c.pool.satb = nil
 	m.bitmap = c.markBitmapFor(m.lo, m.watermark)
-	m.workers = make([]*markWorker, w)
-	for i := range m.workers {
-		m.workers[i] = &markWorker{m: m, id: i, dq: m.deques[i]}
-	}
 
 	// Capture the root snapshot: every non-null snapshot-region root value
-	// is greyed and dealt round-robin across the worker deques. Greying
-	// goes through the workers' grey() — not a bare trySetMark — so
-	// root-referenced instances of updated classes get the same per-class
-	// attribution as trace-discovered ones (the workers have not spawned
-	// yet, so these single-threaded calls are race-free; SealMark merges
-	// the counters after the join).
-	i := 0
+	// is greyed. Greying goes through the tracer's grey() — not a bare bit
+	// set — so root-referenced instances of updated classes get the same
+	// attribution as trace-discovered ones (the tracer has not spawned yet,
+	// so these calls are race-free).
 	roots.ForEachRoot(func(v *rt.Value) {
-		if !v.IsRef {
-			return
+		if v.IsRef {
+			m.markGrey(v.Ref())
 		}
-		m.workers[i%w].grey(v.Ref())
-		i++
 	})
 
-	c.Rec.Emit(obs.KPhaseBegin, obs.LaneMark, int64(w), "concurrent mark")
-	m.wg.Add(w)
-	for _, mw := range m.workers {
-		go mw.run()
-	}
+	c.Rec.Emit(obs.KPhaseBegin, obs.LaneMark, 0, "concurrent mark")
+	m.wg.Add(1)
+	go m.run()
 	m.setup = time.Since(start)
 	c.mark = m
 	return m
 }
 
 // Done reports whether the concurrent trace has terminated (successfully or
-// via abort). Safe from the mutator goroutine while workers run.
+// via abort). Safe from the mutator goroutine while the tracer runs.
 func (m *Marker) Done() bool { return m.done.Load() || m.abort.Load() }
 
 // Aborted reports whether the marker's result is unusable (a collection
-// intervened, a worker failed, or the engine gave up). Mutator goroutine.
+// intervened, the tracer failed, or the engine gave up). Mutator goroutine.
 func (m *Marker) Aborted() bool { return m.aborted || m.abort.Load() }
 
 // Err returns the structural error that aborted the mark, if any.
@@ -288,9 +231,9 @@ func (m *Marker) fail(err error) {
 	m.abort.Store(true)
 }
 
-// SealMark finalizes a completed mark: joins the workers and merges
-// per-worker statistics. It is idempotent and is called from the mutator
-// goroutine the moment Done() is observed.
+// SealMark finalizes a completed mark: joins the tracer, which hands its
+// bitmap and counters over to the pause. It is idempotent and is called from
+// the mutator goroutine the moment Done() is observed.
 //
 // The SATB barrier stays ARMED. Until the pause drains the deletion log
 // and rescans roots, "reachable ⊆ marked ∪ post-watermark" does not hold:
@@ -318,26 +261,14 @@ func (c *Collector) SealMark(m *Marker) bool {
 		}
 		return false
 	}
-	for _, mw := range m.workers {
-		m.markedObjects += mw.marked
-		m.steals += mw.steals
-		m.updatedAddrs = append(m.updatedAddrs, mw.updatedAddrs...)
-		for id, n := range mw.updated {
-			if m.updatedByClass == nil {
-				m.updatedByClass = make(map[int]int)
-			}
-			m.updatedByClass[id] += n
-			m.updatedInstances += n
-		}
-	}
 	m.sealed = true
 	return true
 }
 
-// AbortMark discards the active marker: workers are signalled and joined,
+// AbortMark discards the active marker: the tracer is signalled and joined,
 // the barrier is disarmed, and the pooled scratch is recycled. It is called
 // by Collect when a collection must run while a mark is in flight (the flip
-// would invalidate every marked address and move memory under the tracers),
+// would invalidate every marked address and move memory under the tracer),
 // and by the engine when an update resolves without consuming its snapshot
 // — the "discard a stale snapshot" abort path.
 func (c *Collector) AbortMark() {
@@ -354,7 +285,7 @@ func (c *Collector) AbortMark() {
 	// from c.mark, so it never reaches here.)
 	m.satb = c.Heap.DisarmSATB()
 	if !m.done.Load() {
-		// The finisher worker closes the span at trace completion; only an
+		// The tracer closes the span at trace completion; only an
 		// interrupted trace needs its span closed here. done is stable after
 		// wg.Wait.
 		c.Rec.Emit(obs.KPhaseEnd, obs.LaneMark, int64(m.markedObjects), "concurrent mark")
@@ -370,102 +301,42 @@ func (c *Collector) MarkActive() bool { return c.mark != nil }
 // CollectWithMark.
 func (c *Collector) MarkReady() bool { return c.mark != nil && c.mark.sealed }
 
-// run is one worker's trace loop: drain the local deque, steal when empty,
-// terminate via the PR 3 idle-counter protocol. Every popped address has
-// its mark bit already set (the bit is set at grey time), so each object is
-// scanned exactly once across all workers.
-func (mw *markWorker) run() {
-	m := mw.m
+// run is the tracer: pop, scan, until the grey stack is empty. Every popped
+// address has its mark bit already set (the bit is set at grey time), so each
+// object is scanned exactly once. Only the tracer pushes (the mutator's
+// deletions go to the SATB log, which the pause drains), so an empty stack is
+// the end of the trace.
+func (m *Marker) run() {
 	defer m.wg.Done()
-	n := len(m.deques)
-	for {
-		if m.abort.Load() || m.done.Load() {
-			return
-		}
-		if a, ok := mw.dq.pop(); ok {
-			mw.scan(a)
-			continue
-		}
-		if a, ok := mw.steal(); ok {
-			mw.scan(a)
-			continue
-		}
-		m.idle.Add(1)
-		for {
-			if m.abort.Load() || m.done.Load() {
-				return
-			}
-			if mw.anyWork() {
-				m.idle.Add(-1)
-				break
-			}
-			if m.idle.Load() == int32(n) {
-				// Last worker idle: the trace is complete. Record the
-				// wall-clock mark time and the end of the Perfetto "mark"
-				// lane span here, at the true completion instant, not when
-				// the engine happens to poll. Reading the other workers'
-				// plain counters is safe: every worker is idle (its counter
-				// writes happen-before its idle.Add, which this goroutine
-				// observed), and no worker can leave idle once all deques
-				// are empty.
-				m.traceNS.Store(int64(time.Since(m.start)))
-				m.emitEnd()
-				m.done.Store(true)
-				return
-			}
-			runtime.Gosched()
-		}
+	for len(m.grey) > 0 && !m.abort.Load() {
+		a := m.grey[len(m.grey)-1]
+		m.grey = m.grey[:len(m.grey)-1]
+		m.scan(a)
 	}
-}
-
-// emitEnd closes the mark-lane span (recorder is mutex-protected, so a
-// worker-goroutine emission is safe).
-func (m *Marker) emitEnd() {
-	total := 0
-	for _, mw := range m.workers {
-		total += mw.marked
+	if m.abort.Load() {
+		return // interrupted, or the last scan failed: the aborter closes the span
 	}
-	m.c.Rec.Emit(obs.KPhaseEnd, obs.LaneMark, int64(total), "concurrent mark")
-}
-
-func (mw *markWorker) steal() (rt.Addr, bool) {
-	m := mw.m
-	n := len(m.deques)
-	for k := 1; k < n; k++ {
-		d := m.deques[(mw.id+k)%n]
-		if d.size.Load() == 0 {
-			continue
-		}
-		if a, ok := d.steal(); ok {
-			mw.steals++
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-func (mw *markWorker) anyWork() bool {
-	for _, d := range mw.m.deques {
-		if d.size.Load() > 0 {
-			return true
-		}
-	}
-	return false
+	// The trace is complete. Record the wall-clock mark time and the end of
+	// the Perfetto "mark" lane span here, at the true completion instant, not
+	// when the engine happens to poll (the recorder is mutex-protected, so a
+	// tracer-goroutine emission is safe).
+	m.trace = time.Since(m.start)
+	m.c.Rec.Emit(obs.KPhaseEnd, obs.LaneMark, int64(m.markedObjects), "concurrent mark")
+	m.done.Store(true)
 }
 
 // scan greys every snapshot-region object referenced by a. Headers and
 // array lengths of snapshot-region objects are immutable during the mark
-// (written before the workers spawned), so plain reads are safe; ref slots
+// (written before the tracer spawned), so plain reads are safe; ref slots
 // are concurrently written by the mutator's armed barrier, so they go
 // through the atomic RefSlotLoad.
-func (mw *markWorker) scan(a rt.Addr) {
-	m := mw.m
+func (m *Marker) scan(a rt.Addr) {
 	h := m.c.Heap
 	if h.IsArray(a) {
 		if h.ArrayElemIsRef(a) {
 			n := h.ArrayLen(a)
 			for i := 0; i < n; i++ {
-				mw.grey(rt.Addr(h.RefSlotLoad(a + rt.HeaderWords + rt.Addr(i))))
+				m.markGrey(rt.Addr(h.RefSlotLoad(a + rt.HeaderWords + rt.Addr(i))))
 			}
 		}
 		return
@@ -476,34 +347,28 @@ func (mw *markWorker) scan(a rt.Addr) {
 		return
 	}
 	for _, off := range cls.RefOffsets {
-		mw.grey(rt.Addr(h.RefSlotLoad(a + off)))
+		m.markGrey(rt.Addr(h.RefSlotLoad(a + off)))
 	}
 }
 
-// grey marks and enqueues one snapshot-region address. References at or
+// markGrey marks and pushes one snapshot-region address. References at or
 // above the watermark are allocate-black (never scanned — the pause walks
 // that region wholesale), and everything outside the current space (null,
 // or a scratch address, which cannot occur between updates) is ignored.
-func (mw *markWorker) grey(a rt.Addr) {
-	m := mw.m
+func (m *Marker) markGrey(a rt.Addr) {
 	if a == 0 || a < m.lo || a >= m.watermark {
 		return
 	}
-	if !m.trySetMark(a) {
+	if !m.setMarkSerial(a) {
 		return
 	}
-	mw.marked++
+	m.markedObjects++
 	h := m.c.Heap
-	if m.updatedIDs != nil && !h.IsArray(a) {
-		if id := h.ClassID(a); m.updatedIDs[id] {
-			if mw.updated == nil {
-				mw.updated = make(map[int]int)
-			}
-			mw.updated[id]++
-			if m.collectAddrs {
-				mw.updatedAddrs = append(mw.updatedAddrs, a)
-			}
+	if m.updatedIDs != nil && !h.IsArray(a) && m.updatedIDs[h.ClassID(a)] {
+		m.updatedInstances++
+		if m.collectAddrs {
+			m.updatedAddrs = append(m.updatedAddrs, a)
 		}
 	}
-	mw.dq.push(a)
+	m.grey = append(m.grey, a)
 }

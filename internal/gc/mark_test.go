@@ -10,7 +10,7 @@ import (
 )
 
 // The concurrent-mark equivalence suite. CollectWithMark must produce a heap
-// observationally identical to the STW collectors' — isomorphic reachable
+// observationally identical to the STW collector's — isomorphic reachable
 // graph, identical DSU pair treatment for every reachable object — for any
 // interleaving of mutator activity with the concurrent trace. With the
 // mutator quiescent during the mark the copy counts must match exactly; with
@@ -55,7 +55,7 @@ func runMarkCycle(t *testing.T, w *world, c *Collector, dsu bool, updatedIDs map
 // runMarkEquivalence compares a quiescent concurrent-mark collection against
 // the serial Cheney collector on identical worlds. Quiescence means no
 // floating garbage, so even the copy counts must match.
-func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int) {
+func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, scratch)
@@ -71,7 +71,7 @@ func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int
 	if err != nil {
 		t.Fatalf("serial collect: %v", err)
 	}
-	cb := NewWithOptions(wb.h, wb.reg, Options{Workers: workers, ConcurrentMark: true})
+	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentMark: true})
 	rb := runMarkCycle(t, wb, cb, dsu, updatedIDs, nil)
 
 	if ra.CopiedObjects != rb.CopiedObjects {
@@ -99,29 +99,20 @@ func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int
 
 func TestConcurrentMarkEquivalenceSerialSweep(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runMarkEquivalence(t, seed, false, 0, 1)
-	}
-}
-
-func TestConcurrentMarkEquivalenceParallelSweep(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		runMarkEquivalence(t, seed, false, 0, 4)
+		runMarkEquivalence(t, seed, false, 0)
 	}
 }
 
 func TestConcurrentMarkDSUEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runMarkEquivalence(t, seed, true, 0, 1)
-		runMarkEquivalence(t, seed, true, 0, 4)
+		runMarkEquivalence(t, seed, true, 0)
 	}
 }
 
 func TestConcurrentMarkDSUEquivalenceScratch(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		runMarkEquivalence(t, seed, true, 1<<13, 4)
+	for _, seed := range []int64{1, 2, 3, 11, 12} {
+		runMarkEquivalence(t, seed, true, 1<<13)
 	}
-	runMarkEquivalence(t, 11, true, 1<<13, 2)
-	runMarkEquivalence(t, 12, true, 1<<13, 7)
 }
 
 // mutationScript applies a deterministic in-flight mutation to a buildWorld
@@ -184,7 +175,7 @@ func mutationScript(t *testing.T, w *world) func() {
 // plain STW collection — and requires isomorphic post-collection graphs.
 // Copy counts are NOT compared: the concurrent path may copy floating
 // garbage the STW path never sees.
-func runMutationEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
+func runMutationEquivalence(t *testing.T, seed int64, dsu bool) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, 0)
@@ -196,11 +187,11 @@ func runMutationEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 		updatedIDs = wa.updatedIDs()
 	}
 
-	ca := NewWithOptions(wa.h, wa.reg, Options{Workers: workers, ConcurrentMark: true})
+	ca := NewWithOptions(wa.h, wa.reg, Options{ConcurrentMark: true})
 	ra := runMarkCycle(t, wa, ca, dsu, updatedIDs, mutationScript(t, wa))
 
 	mutationScript(t, wb)()
-	rb, err := NewWithOptions(wb.h, wb.reg, Options{Workers: workers}).Collect(wb, dsu)
+	rb, err := New(wb.h, wb.reg).Collect(wb, dsu)
 	if err != nil {
 		t.Fatalf("STW collect: %v", err)
 	}
@@ -219,25 +210,23 @@ func runMutationEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 
 func TestConcurrentMarkInFlightMutation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runMutationEquivalence(t, seed, false, 1)
-		runMutationEquivalence(t, seed, false, 4)
+		runMutationEquivalence(t, seed, false)
 	}
 }
 
 func TestConcurrentMarkInFlightMutationDSU(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runMutationEquivalence(t, seed, true, 1)
-		runMutationEquivalence(t, seed, true, 4)
+		runMutationEquivalence(t, seed, true)
 	}
 }
 
 // TestCollectAbortsInFlightMark pins the safety interlock: an ordinary
 // collection (the allocation-pressure path) aborts an in-flight mark — the
-// flip would move memory under the tracers — and the collection itself
+// flip would move memory under the tracer — and the collection itself
 // stays correct. CollectWithMark afterwards falls back to plain Collect.
 func TestCollectAbortsInFlightMark(t *testing.T) {
 	w := buildWorld(t, 42, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentMark: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
 	m := c.StartMark(w, nil)
 	res, err := c.Collect(w, false)
 	if err != nil {
@@ -296,49 +285,47 @@ func (r rootsView) ForEachRoot(fn func(*rt.Value)) {
 // With the barrier armed until the pause, the severed edge is logged and
 // z survives.
 func TestBarrierArmedBetweenSealAndPause(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		w := newWorld(t, 4096)
-		b := w.alloc(t, 1)
-		x := w.alloc(t, 2)
-		z := w.alloc(t, 3)
-		w.h.SetFieldValue(x, offLeft, rt.RefVal(z))
-		w.roots = []rt.Value{rt.RefVal(b), rt.RefVal(x)}
+	w := newWorld(t, 4096)
+	b := w.alloc(t, 1)
+	x := w.alloc(t, 2)
+	z := w.alloc(t, 3)
+	w.h.SetFieldValue(x, offLeft, rt.RefVal(z))
+	w.roots = []rt.Value{rt.RefVal(b), rt.RefVal(x)}
 
-		c := NewWithOptions(w.h, w.reg, Options{Workers: workers, ConcurrentMark: true})
-		m := c.StartMark(rootsView{[]*rt.Value{&w.roots[0]}}, nil)
-		deadline := time.Now().Add(10 * time.Second)
-		for !m.Done() {
-			if time.Now().After(deadline) {
-				t.Fatal("concurrent mark did not terminate")
-			}
-			time.Sleep(10 * time.Microsecond)
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	m := c.StartMark(rootsView{[]*rt.Value{&w.roots[0]}}, nil)
+	deadline := time.Now().Add(10 * time.Second)
+	for !m.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("concurrent mark did not terminate")
 		}
-		if !c.SealMark(m) {
-			t.Fatalf("workers=%d: mark aborted: %v", workers, m.Err())
-		}
-		if !w.h.SATBArmed() {
-			t.Fatalf("workers=%d: barrier disarmed at seal", workers)
-		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	if !c.SealMark(m) {
+		t.Fatalf("mark aborted: %v", m.Err())
+	}
+	if !w.h.SATBArmed() {
+		t.Fatal("barrier disarmed at seal")
+	}
 
-		// The blocked-wait mutations: hide z behind black b, sever x → z.
-		w.h.SetFieldValue(b, offLeft, rt.RefVal(z))
-		w.h.SetFieldValue(x, offLeft, rt.NullVal)
+	// The blocked-wait mutations: hide z behind black b, sever x → z.
+	w.h.SetFieldValue(b, offLeft, rt.RefVal(z))
+	w.h.SetFieldValue(x, offLeft, rt.NullVal)
 
-		res, err := c.CollectWithMark(w, false)
-		if err != nil {
-			t.Fatalf("workers=%d: hidden object lost: %v", workers, err)
-		}
-		if w.h.SATBArmed() {
-			t.Fatalf("workers=%d: barrier still armed after the pause", workers)
-		}
-		if res.SATBDrained == 0 {
-			t.Fatalf("workers=%d: severed edge was not logged", workers)
-		}
-		nb := w.roots[0].Ref()
-		nz := w.h.FieldValue(nb, offLeft, true).Ref()
-		if nz == 0 || w.h.FieldValue(nz, offVal, false).Int() != 3 {
-			t.Fatalf("workers=%d: z not preserved through b.left", workers)
-		}
+	res, err := c.CollectWithMark(w, false)
+	if err != nil {
+		t.Fatalf("hidden object lost: %v", err)
+	}
+	if w.h.SATBArmed() {
+		t.Fatal("barrier still armed after the pause")
+	}
+	if res.SATBDrained == 0 {
+		t.Fatal("severed edge was not logged")
+	}
+	nb := w.roots[0].Ref()
+	nz := w.h.FieldValue(nb, offLeft, true).Ref()
+	if nz == 0 || w.h.FieldValue(nz, offVal, false).Int() != 3 {
+		t.Fatal("z not preserved through b.left")
 	}
 }
 
@@ -403,23 +390,52 @@ func TestAbortMarkIdempotent(t *testing.T) {
 	}
 }
 
-// TestMarkScratchPooled asserts the mark-phase scratch (bitmap, deques, SATB
-// buffer) is reused across collections — the storm harness applies hundreds
-// of updates against one VM and must not re-allocate per cycle.
+// TestMarkScratchPooled asserts the mark-phase scratch (bitmap, grey stack,
+// SATB buffer) is reused across collections — the storm harness applies
+// hundreds of updates against one VM and must not re-allocate per cycle.
 func TestMarkScratchPooled(t *testing.T) {
 	w := buildWorld(t, 3, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentMark: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
 
 	runMarkCycle(t, w, c, false, nil, nil)
 	bitmap0 := c.pool.bitmap[:1]
-	deques0 := c.pool.deques
+	grey0 := c.pool.grey[:1]
 
 	runMarkCycle(t, w, c, false, nil, nil)
 	if &c.pool.bitmap[:1][0] != &bitmap0[0] {
 		t.Fatal("mark bitmap re-allocated on second cycle")
 	}
-	if len(deques0) == 0 || len(c.pool.deques) == 0 || c.pool.deques[0] != deques0[0] {
-		t.Fatal("mark deques re-allocated on second cycle")
+	if &c.pool.grey[:1][0] != &grey0[0] {
+		t.Fatal("grey stack re-allocated on second cycle")
+	}
+}
+
+// TestMarkWithNoHeapRoots pins the one edge the single tracer has that the
+// worker pool did not: a snapshot whose roots hold no heap reference hands the
+// tracer an empty grey stack. It must still reach Done and seal, with nothing
+// marked, and the pause that consumes it copies exactly the allocate-black
+// region — the objects allocated (and rooted) after the snapshot.
+func TestMarkWithNoHeapRoots(t *testing.T) {
+	w := newWorld(t, 4096)
+	w.alloc(t, 1) // garbage: allocated before the snapshot, never rooted
+	w.roots = []rt.Value{rt.NullVal, rt.IntVal(7)}
+
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	res := runMarkCycle(t, w, c, false, nil, func() {
+		black := w.alloc(t, 2)
+		w.h.SetFieldValue(black, offLeft, rt.RefVal(w.alloc(t, 3)))
+		w.roots[0] = rt.RefVal(black)
+	})
+	if res.MarkedObjects != 0 || res.RescanMarked != 0 {
+		t.Fatalf("marked %d + %d objects from roots that hold no reference", res.MarkedObjects, res.RescanMarked)
+	}
+	if res.CopiedObjects != 2 || res.CopiedWords != 2*w.cls.Size {
+		t.Fatalf("copied %d objects (%d words), want the 2 allocate-black ones", res.CopiedObjects, res.CopiedWords)
+	}
+	black := w.roots[0].Ref()
+	if w.h.FieldValue(black, offVal, false).Int() != 2 ||
+		w.h.FieldValue(w.h.FieldValue(black, offLeft, true).Ref(), offVal, false).Int() != 3 {
+		t.Fatal("allocate-black chain not preserved")
 	}
 }
 
@@ -430,7 +446,7 @@ func TestMarkScratchPooled(t *testing.T) {
 func BenchmarkConcurrentMarkCycle(b *testing.B) {
 	b.ReportAllocs()
 	w := buildWorld(b, 5, 1<<15, 0)
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentMark: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := c.StartMark(w, nil)

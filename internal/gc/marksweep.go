@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"govolve/internal/obs"
@@ -12,7 +11,7 @@ import (
 
 // CollectWithMark is the pause half of a concurrent-mark DSU collection: it
 // consumes the sealed Marker and runs only the work that cannot overlap the
-// mutator. Where the STW collectors trace the whole heap inside the pause,
+// mutator. Where the STW collector traces the whole heap inside the pause,
 // this path:
 //
 //  1. rescan  — drains the SATB deletion log and re-scans the root set,
@@ -24,15 +23,13 @@ import (
 //     (allocate-black), in address order. Then flips and copies exactly
 //     that list: updated-class instances get the usual pair treatment
 //     (shell + old copy, forwarding pointer to the shell), everything else
-//     a plain evacuation. With Workers > 1 the copy fans out over the PR 3
-//     TLAB machinery — no CAS is needed because the entry list is
-//     partitioned, so no two workers ever touch the same object.
+//     a plain evacuation.
 //  3. fixup   — rewrites every ref slot of the copies (and the scratch old
 //     copies) and every root through the forwarding pointers. A live ref
 //     to an unforwarded object means the SATB invariant was violated; the
 //     collection fails loudly rather than corrupting the heap.
 //
-// The result is bit-compatible with the STW collectors' (same Pair and
+// The result is bit-compatible with the STW collector's (same Pair and
 // pair-word contract, update log sorted by new-shell address) plus the
 // pause decomposition: PauseRescan + PauseCopy ≈ Duration, PauseMark = 0,
 // with the concurrent trace's wall time reported outside the pause in
@@ -57,14 +54,12 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 	// is in it, which is exactly what makes the rescan below sound.
 	m.satb = h.DisarmSATB()
 	res := &Result{
-		Workers:              c.EffectiveWorkers(),
 		MarkConcurrent:       true,
-		MarkOutside:          time.Duration(m.traceNS.Load()),
+		MarkOutside:          m.trace,
 		MarkSetup:            m.setup,
 		MarkedObjects:        m.markedObjects,
 		SATBDrained:          len(m.satb),
 		MarkUpdatedInstances: m.updatedInstances,
-		Steals:               m.steals,
 	}
 
 	// --- 1. rescan ---------------------------------------------------------
@@ -117,22 +112,12 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 		return nil, preFlipErr(err)
 	}
 	h.Flip()
-	if res.Workers > 1 {
-		err = c.sweepParallel(entries, dsu, res)
-	} else {
-		err = c.sweepSerial(entries, dsu, res)
-	}
-	if err != nil {
+	if err := c.sweepSerial(entries, dsu, res); err != nil {
 		return nil, err // flip happened: heap unusable, caller marks it fatal
 	}
 
 	// --- 3. fixup: rewrite refs through the forwarding pointers ------------
-	if res.Workers > 1 {
-		err = c.fixupParallel(entries, roots, res.Workers)
-	} else {
-		err = c.fixupSerial(entries, roots)
-	}
-	if err != nil {
+	if err := c.fixupSerial(entries, roots); err != nil {
 		return nil, err
 	}
 	res.PauseCopy = time.Since(tCopy)
@@ -148,8 +133,7 @@ func (c *Collector) CollectWithMark(roots Roots, dsu bool) (*Result, error) {
 }
 
 // sweepEntry is one object scheduled for evacuation, with its copy
-// destinations filled in during the copy phase (disjoint indices, so the
-// parallel sweep needs no synchronization on the slice).
+// destinations filled in during the copy phase.
 type sweepEntry struct {
 	addr rt.Addr
 	size int32
@@ -164,9 +148,9 @@ type sweepEntry struct {
 
 // sweepList walks from-space linearly and returns, in address order, every
 // marked object plus the whole allocate-black region [watermark, alloc).
-// A bump region is self-parsing except for the dead gaps earlier parallel
-// collections left behind (abandoned TLAB tails) — the walk consults the
-// heap's hole list to step over those. It runs before the flip and mutates
+// A bump region is self-parsing except for the dead gaps an earlier relocation
+// drain left behind (the relocator's abandoned TLAB tails) — the walk consults
+// the heap's hole list to step over those. It runs before the flip and mutates
 // nothing, so any error here leaves the heap fully usable (the caller falls
 // back or fails the update cleanly).
 func (c *Collector) sweepList(m *Marker) ([]sweepEntry, error) {
@@ -240,9 +224,9 @@ func (c *Collector) updatedClass(e *sweepEntry, dsu bool) *rt.Class {
 
 // sweepSerial copies the entry list with the kernel's bump pointer — address
 // order in, address order out, so the to-space layout is as compact and
-// deterministic as the serial Cheney path's.
+// deterministic as the Cheney path's.
 func (c *Collector) sweepSerial(entries []sweepEntry, dsu bool, res *Result) error {
-	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(0), 0, "gc sweep/fixup")
+	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGC, 0, "gc sweep/fixup")
 	k := c.newKernel(dsu)
 	for i := range entries {
 		e := &entries[i]
@@ -261,123 +245,9 @@ func (c *Collector) sweepSerial(entries []sweepEntry, dsu bool, res *Result) err
 		}
 	}
 	k.commit(c.Heap, res)
-	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(0), int64(res.CopiedWords), "")
-	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(0), int64(res.CopiedWords), "gc sweep/fixup")
+	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGC, int64(res.CopiedWords), "")
+	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGC, int64(res.CopiedWords), "gc sweep/fixup")
 	return k.err
-}
-
-// sweepParallel fans the copy out over the PR 3 TLAB machinery. The entry
-// list is dealt in contiguous chunks, one per worker; every object is owned
-// by exactly one worker, so forwarding pointers are plain stores and the
-// only shared state is the heap's block carve (under its mutex).
-func (c *Collector) sweepParallel(entries []sweepEntry, dsu bool, res *Result) error {
-	h := c.Heap
-	words := h.Raw().Words
-	useScratch := dsu && h.HasScratch()
-	workers := res.Workers
-	tlabSize := c.tlabWords(workers)
-	per := (len(entries) + workers - 1) / workers
-
-	type swWorker struct {
-		log           []Pair
-		copiedObjects int
-		copiedWords   int
-		scratchWords  int
-		moved         int
-		err           error
-		waste         int
-	}
-	ws := make([]swWorker, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(entries) {
-			lo = len(entries)
-		}
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		wg.Add(1)
-		go func(i int, chunk []sweepEntry) {
-			defer wg.Done()
-			w := &ws[i]
-			c.Rec.Emit(obs.KPhaseBegin, obs.LaneGCWorker(i), 0, "gc sweep")
-			tlab := h.NewTLAB(tlabSize, false)
-			old := tlab // where old copies go
-			if useScratch {
-				old = h.NewTLAB(tlabSize, true)
-			}
-			for j := range chunk {
-				e := &chunk[j]
-				size := rt.Addr(e.size)
-				upd := c.updatedClass(e, dsu)
-				moved := upd != nil && upd.Moves != nil
-				if moved {
-					size = rt.Addr(upd.UpdatedTo.Size) // the plain copy below, in the new layout
-				} else if upd != nil {
-					e.newCls = upd.UpdatedTo
-				}
-				if e.newCls != nil {
-					shell, ok1 := tlab.Alloc(e.newCls.Size)
-					oldCopy, ok2 := old.Alloc(int(size))
-					if !ok1 || !ok2 {
-						w.err = errPairExhausted
-						break
-					}
-					w.log = append(w.log, writePair(words, e.addr, words[e.addr], size, e.newCls, shell, oldCopy))
-					h.SetForward(e.addr, shell)
-					e.new, e.oldCopy = shell, oldCopy
-					w.copiedObjects += 2
-					w.copiedWords += int(size) + e.newCls.Size
-					if old != tlab {
-						w.scratchWords += int(size)
-					}
-					continue
-				}
-				to, ok := tlab.Alloc(int(size))
-				if !ok {
-					w.err = ErrToSpaceExhausted
-					break
-				}
-				if moved {
-					writeMoved(words, e.addr, upd, to)
-					w.moved++
-				} else {
-					copy(words[to:to+size], words[e.addr:e.addr+size])
-				}
-				h.SetForward(e.addr, to)
-				e.new = to
-				w.copiedObjects++
-				w.copiedWords += int(size)
-			}
-			tlab.Retire()
-			w.waste += tlab.Waste
-			if old != tlab {
-				old.Retire()
-				w.waste += old.Waste
-			}
-			c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGCWorker(i), int64(w.copiedWords), "")
-			c.Rec.Emit(obs.KPhaseEnd, obs.LaneGCWorker(i), int64(w.copiedWords), "gc sweep")
-		}(i, entries[lo:hi])
-	}
-	wg.Wait()
-
-	res.WorkerWords = make([]int, workers)
-	for i := range ws {
-		w := &ws[i]
-		if w.err != nil {
-			return w.err
-		}
-		res.Log = append(res.Log, w.log...)
-		res.CopiedObjects += w.copiedObjects
-		res.CopiedWords += w.copiedWords
-		res.ScratchWords += w.scratchWords
-		res.Moved += w.moved
-		res.TLABWaste += w.waste
-		res.WorkerWords[i] = w.copiedWords
-	}
-	return nil
 }
 
 // fixTarget decides which copy of an entry needs its ref slots rewritten:
@@ -456,57 +326,4 @@ func (c *Collector) fixupSerial(entries []sweepEntry, roots Roots) error {
 		}
 	}
 	return c.fixupRoots(roots)
-}
-
-// fixupParallel rewrites refs with the same entry partitioning as the
-// parallel sweep plus the VM's disjoint root chunks. All forwarding
-// pointers were installed before the sweep's wg.Wait barrier, so plain
-// header reads are ordered; writes stay disjoint per chunk.
-func (c *Collector) fixupParallel(entries []sweepEntry, roots Roots, workers int) error {
-	var chunks []Roots
-	if cr, ok := roots.(ChunkedRoots); ok {
-		chunks = cr.RootChunks(workers)
-	} else {
-		chunks = splitRoots(roots, workers)
-	}
-	per := (len(entries) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(entries) {
-			lo = len(entries)
-		}
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		wg.Add(1)
-		go func(i int, chunk []sweepEntry, rts Roots) {
-			defer wg.Done()
-			for j := range chunk {
-				if err := c.fixupObj(chunk[j].fixTarget()); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			if rts != nil {
-				errs[i] = c.fixupRoots(rts)
-			}
-		}(i, entries[lo:hi], pickChunk(chunks, i))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func pickChunk(chunks []Roots, i int) Roots {
-	if i < len(chunks) {
-		return chunks[i]
-	}
-	return nil
 }

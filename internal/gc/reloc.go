@@ -27,19 +27,21 @@ import (
 //	          leaves the pause canonical. Arm the heap's self-healing load
 //	          barrier over the old semispace and resume the world with
 //	          from-space still live.
-//	drain   — background relocator workers evacuate the remaining live set:
+//	drain   — one background relocator evacuates the remaining live set:
 //	          a CAS cursor parses to-space [flip base, drain start) — every
 //	          object the pause and the in-pause transformers created — and
-//	          each evacuated copy is pushed on the PR 3 work-stealing deques
-//	          for scanning. Scanning heals stale slots (SlotCAS) and
-//	          evacuates their targets through the same TryForward/
-//	          PublishForward claim protocol the parallel STW copy uses.
-//	          Mutators help: the heap's load barrier calls back into
-//	          mutatorHeal, so every from-space reference the program touches
-//	          is evacuated-or-adopted on the spot and the slot healed — each
-//	          slot pays the barrier at most once.
-//	retire  — when the drain terminates (all workers idle, region cursor
-//	          exhausted, no mutator mid-evacuation, all deques empty),
+//	          each evacuated copy is pushed on the drain's queue for
+//	          scanning. Scanning heals stale slots (SlotCAS) and evacuates
+//	          their targets through the TryForward/PublishForward claim
+//	          protocol (heap/reloc.go). The mutator helps: the heap's load
+//	          barrier calls back into mutatorHeal, so every from-space
+//	          reference the program touches is evacuated-or-adopted on the
+//	          spot and the slot healed — each slot pays the barrier at most
+//	          once. Relocator and mutator race for the same objects and the
+//	          same slots, which is why the claim protocol and the slot CAS
+//	          are there with a single relocator.
+//	retire  — when the drain terminates (relocator idle, region cursor
+//	          exhausted, no mutator mid-evacuation, queue empty),
 //	          from-space holds no live data. The engine finalizes on the
 //	          mutator goroutine: disarm the barrier, run the deferred class
 //	          cleanup, reclaim scratch. Collections, follow-up updates, and
@@ -55,10 +57,10 @@ import (
 // never scanned.
 //
 // deferPairs (vm.Options.LazyTransform ∧ ConcurrentReloc) is full deferral:
-// the pause creates no pairs except those the root remap forces. Drain
-// workers discover updated-class instances during evacuation, build the
-// shell + old copy right there, tag the shell untransformed for the PR 6
-// read barrier, and register the pair for the lazy drain to adopt. Class
+// the pause creates no pairs except those the root remap forces. The drain
+// discovers updated-class instances during evacuation, builds the
+// shell + old copy right there, tags the shell untransformed for the lazy
+// read barrier, and registers the pair for the lazy drain to adopt. Class
 // cleanup (unregistering the renamed old classes) is deferred to drain
 // finalize in every reloc mode, because the drain sizes old copies by their
 // old class ids.
@@ -66,7 +68,7 @@ import (
 // RelocStats summarizes a completed (or failed) relocation drain.
 type RelocStats struct {
 	// Objects/Words count evacuations performed after the eager pause work:
-	// drain workers, the mutator load barrier, forced drains, and the
+	// the relocator, the mutator load barrier, forced drains, and the
 	// pause's own root-remap evacuations (which flow through the same path).
 	Objects int
 	Words   int
@@ -81,8 +83,6 @@ type RelocStats struct {
 	// Moved counts updated-class instances the drain wrote directly in their
 	// new layout (deferPairs mode; rt.Class.Moves) — Result.Moved's drain half.
 	Moved int
-	// Steals counts drain-worker deque steals.
-	Steals int64
 	// Drain is the wall-clock time from Start (or the first forced work)
 	// to termination — the copy cost that no longer sits in the pause.
 	Drain time.Duration
@@ -106,22 +106,24 @@ type Relocation struct {
 	// The scan region [regionStart, regionEnd) is to-space from the flip to
 	// the Start snapshot: pause evacuations, shells, old copies, and
 	// everything the in-pause transformers allocated. It is hole-free (all
-	// pause allocation is bump-serial), so a CAS cursor parses it without
-	// coordination.
+	// pause allocation is bump-serial), so a CAS cursor — relocator and
+	// forcing mutator both claim from it — parses it without coordination.
 	regionStart rt.Addr
 	regionEnd   rt.Addr
 	cursor      atomic.Int64
 
-	workers int // deque/worker count (fixed at creation)
-	spawned int // workers actually running (0 until Start)
+	spawned bool // the relocator goroutine is running (false until Start)
 	wg      sync.WaitGroup
 
-	deques []*deque
+	// dq holds the evacuated copies awaiting their scan. Relocator and
+	// mutator both push; the relocator pops the newest, a forcing mutator
+	// steals the oldest.
+	dq deque
 
-	idle atomic.Int32
+	idle atomic.Bool // the relocator found nothing to take
 	// mutatorBusy guards the window between a mutator-side evacuation and
-	// the push of its copy: termination checks it before re-checking deque
-	// emptiness, so a worker can never declare the drain done while the
+	// the push of its copy: termination checks it before re-checking queue
+	// emptiness, so the relocator can never declare the drain done while the
 	// mutator holds an unscanned copy.
 	mutatorBusy atomic.Int32
 	done        atomic.Bool
@@ -136,7 +138,6 @@ type Relocation struct {
 	objects, words, scratchWords atomic.Int64
 	moved                        atomic.Int64 // of objects, written in their new layout
 	healed                       atomic.Int64 // drain-side slot heals
-	steals                       atomic.Int64
 
 	started   bool // beginDrain ran (mutator goroutine)
 	finished  bool // Finish ran (mutator goroutine)
@@ -146,15 +147,14 @@ type Relocation struct {
 	mutAl *relocAllocator // mutator-side allocator (global, no TLAB)
 }
 
-// relocAllocator abstracts where an evacuation's memory comes from: drain
-// workers own TLABs; the mutator (load barrier, root remap, forced drains)
-// allocates under the heap mutex. dq is where evacuated copies are pushed
-// for scanning.
+// relocAllocator abstracts where an evacuation's memory comes from: the
+// relocator owns TLABs (a locked bump per object instead cost ≈15 % on a
+// full-heap drain); the mutator (load barrier, root remap, forced drains)
+// allocates under the heap mutex.
 type relocAllocator struct {
 	rl    *Relocation
 	tlab  *heap.TLAB // nil → global locked allocation
 	stlab *heap.TLAB // scratch TLAB; nil → global scratch block
-	dq    *deque
 }
 
 func (al *relocAllocator) allocCopy(size int) (rt.Addr, bool) {
@@ -178,8 +178,6 @@ func (al *relocAllocator) allocScratch(size int) (rt.Addr, bool) {
 	return al.rl.h.AllocScratchBlock(size)
 }
 
-func (al *relocAllocator) push(a rt.Addr) { al.dq.push(a) }
-
 // CollectReloc is the pause half of a concurrent-relocation DSU collection.
 // It returns the pause Result (eager pairs only — the pause decomposition's
 // PauseCopy is pair evacuation + root remap) plus the live Relocation the
@@ -189,8 +187,7 @@ func (al *relocAllocator) push(a rt.Addr) { al.dq.push(a) }
 func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Relocation, error) {
 	start := time.Now()
 	h := c.Heap
-	workers := c.EffectiveWorkers()
-	res := &Result{Workers: workers, Relocated: true}
+	res := &Result{Relocated: true}
 
 	// --- discovery ---------------------------------------------------------
 	var addrs []rt.Addr
@@ -221,8 +218,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		res.PauseMark = time.Since(tMark)
 	}
 	// Sorted evacuation order makes the pair log a pure function of the
-	// pre-flip heap layout — same determinism contract as the parallel
-	// collector's merge.
+	// pre-flip heap layout.
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
 	// --- flip preparation --------------------------------------------------
@@ -236,13 +232,8 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		fromLo:      fromLo,
 		fromHi:      fromHi,
 		regionStart: h.ScanStart(),
-		workers:     workers,
-		deques:      make([]*deque, workers),
 	}
-	for i := range rl.deques {
-		rl.deques[i] = &deque{}
-	}
-	rl.mutAl = &relocAllocator{rl: rl, dq: rl.deques[0]}
+	rl.mutAl = &relocAllocator{rl: rl}
 
 	tCopy := time.Now()
 
@@ -271,7 +262,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 			// Scratch lies outside the region scan: seed the old copy
 			// explicitly so the drain heals its stale slots (to-space
 			// old copies are covered by the region cursor).
-			rl.mutAl.push(p.OldCopy)
+			rl.dq.push(p.OldCopy)
 		}
 	}
 	k.commit(h, res)
@@ -393,12 +384,11 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 	h := c.Heap
 	m.satb = h.DisarmSATB()
 	res.MarkConcurrent = true
-	res.MarkOutside = time.Duration(m.traceNS.Load())
+	res.MarkOutside = m.trace
 	res.MarkSetup = m.setup
 	res.MarkedObjects = m.markedObjects
 	res.SATBDrained = len(m.satb)
 	res.MarkUpdatedInstances = m.updatedInstances
-	res.Steals = m.steals
 	addrs := m.updatedAddrs
 
 	tRescan := time.Now()
@@ -478,7 +468,60 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 
 // --- the drain -------------------------------------------------------------
 
-// Start launches the background relocator workers. Called by the engine at
+// deque is the drain's queue of copies awaiting their scan. The relocator
+// pushes and pops at the tail (cache-hot); the mutator pushes at the tail and,
+// while forcing the drain, steals from the head. A mutex is plenty here:
+// pushes and pops are amortized over whole-object scans, and the size counter
+// lets the idle relocator poll emptiness without taking the lock.
+type deque struct {
+	mu   sync.Mutex
+	buf  []rt.Addr
+	head int
+	size atomic.Int32
+}
+
+func (d *deque) push(a rt.Addr) {
+	d.mu.Lock()
+	d.buf = append(d.buf, a)
+	d.size.Store(int32(len(d.buf) - d.head))
+	d.mu.Unlock()
+}
+
+// pop takes the newest entry (relocator side).
+func (d *deque) pop() (rt.Addr, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.head == len(d.buf) {
+		d.buf = d.buf[:0]
+		d.head = 0
+		d.size.Store(0)
+		return 0, false
+	}
+	a := d.buf[len(d.buf)-1]
+	d.buf = d.buf[:len(d.buf)-1]
+	d.size.Store(int32(len(d.buf) - d.head))
+	return a, true
+}
+
+// steal takes the oldest entry (mutator side).
+func (d *deque) steal() (rt.Addr, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.head == len(d.buf) {
+		return 0, false
+	}
+	a := d.buf[d.head]
+	d.head++
+	if d.head > 64 && d.head*2 >= len(d.buf) {
+		n := copy(d.buf, d.buf[d.head:])
+		d.buf = d.buf[:n]
+		d.head = 0
+	}
+	d.size.Store(int32(len(d.buf) - d.head))
+	return a, true
+}
+
+// Start launches the background relocator. Called by the engine at
 // the end of the pause, after the transformer and clinit phases — their
 // allocations land below the region snapshot and get scanned like everything
 // else the pause created.
@@ -487,12 +530,10 @@ func (rl *Relocation) Start() {
 		return
 	}
 	rl.beginDrain()
-	rl.spawned = rl.workers
-	rl.c.Rec.Emit(obs.KPhaseBegin, obs.LaneReloc, int64(rl.workers), "reloc drain")
-	rl.wg.Add(rl.workers)
-	for i := 0; i < rl.workers; i++ {
-		go rl.runWorker(i)
-	}
+	rl.spawned = true
+	rl.c.Rec.Emit(obs.KPhaseBegin, obs.LaneReloc, 0, "reloc drain")
+	rl.wg.Add(1)
+	go rl.run()
 }
 
 func (rl *Relocation) beginDrain() {
@@ -502,30 +543,27 @@ func (rl *Relocation) beginDrain() {
 	rl.started = true
 }
 
-// runWorker is one relocator's drain loop: local deque, steal, region
-// cursor, then the idle-termination protocol. The termination condition
-// checks mutatorBusy BEFORE re-checking deque emptiness — a mutator mid-
-// evacuation increments busy before claiming, so either the worker sees
-// busy > 0 and stays, or the mutator's push is already visible.
-func (rl *Relocation) runWorker(id int) {
+// relocTLABWords is the relocator's preferred carve size, clamped so its
+// abandoned tails cannot strand more than ~1/8 of a small semispace.
+func relocTLABWords(h *heap.Heap) int {
+	return max(64, min(4096, h.SemiWords()/8))
+}
+
+// run is the relocator's drain loop: its queue, the region cursor, then the
+// idle-termination protocol. The termination condition checks mutatorBusy
+// BEFORE re-checking queue emptiness — a mutator mid-evacuation increments
+// busy before claiming, so either the relocator sees busy > 0 and stays, or
+// the mutator's push is already visible.
+func (rl *Relocation) run() {
 	defer rl.wg.Done()
 	h := rl.h
-	tlab := h.NewTLAB(rl.c.tlabWords(rl.workers), false)
-	var stlab *heap.TLAB
+	al := &relocAllocator{rl: rl, tlab: h.NewTLAB(relocTLABWords(h), false)}
 	if rl.useScratch {
-		stlab = h.NewTLAB(rl.c.tlabWords(rl.workers), true)
+		al.stlab = h.NewTLAB(relocTLABWords(h), true)
 	}
-	al := &relocAllocator{rl: rl, tlab: tlab, stlab: stlab, dq: rl.deques[id]}
 loop:
-	for {
-		if rl.done.Load() || rl.failed.Load() {
-			break
-		}
-		if a, ok := rl.deques[id].pop(); ok {
-			rl.scanObj(a, al)
-			continue
-		}
-		if a, ok := rl.stealWork(id); ok {
+	for !rl.done.Load() && !rl.failed.Load() {
+		if a, ok := rl.dq.pop(); ok {
 			rl.scanObj(a, al)
 			continue
 		}
@@ -533,52 +571,29 @@ loop:
 			rl.scanObj(a, al)
 			continue
 		}
-		rl.idle.Add(1)
-		for {
-			if rl.done.Load() || rl.failed.Load() {
-				break loop
-			}
-			if rl.anyWork() || rl.regionRemaining() {
-				rl.idle.Add(-1)
+		rl.idle.Store(true)
+		for !rl.done.Load() && !rl.failed.Load() {
+			if rl.workQueued() {
+				rl.idle.Store(false)
 				continue loop
 			}
-			if rl.idle.Load() == int32(rl.spawned) &&
-				rl.mutatorBusy.Load() == 0 &&
-				!rl.anyWork() && !rl.regionRemaining() {
+			if rl.mutatorBusy.Load() == 0 && !rl.workQueued() {
 				rl.completeDrain()
 				break loop
 			}
 			runtime.Gosched()
 		}
 	}
-	tlab.Retire()
-	if stlab != nil {
-		stlab.Retire()
+	al.tlab.Retire()
+	if al.stlab != nil {
+		al.stlab.Retire()
 	}
 }
 
-func (rl *Relocation) stealWork(id int) (rt.Addr, bool) {
-	n := len(rl.deques)
-	for k := 1; k < n; k++ {
-		d := rl.deques[(id+k)%n]
-		if d.size.Load() == 0 {
-			continue
-		}
-		if a, ok := d.steal(); ok {
-			rl.steals.Add(1)
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-func (rl *Relocation) anyWork() bool {
-	for _, d := range rl.deques {
-		if d.size.Load() > 0 {
-			return true
-		}
-	}
-	return false
+// workQueued reports whether an unscanned copy or an unclaimed region object
+// is waiting.
+func (rl *Relocation) workQueued() bool {
+	return rl.dq.size.Load() > 0 || rl.regionRemaining()
 }
 
 func (rl *Relocation) regionRemaining() bool {
@@ -744,7 +759,7 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 	h.PublishForward(a, to)
 	rl.objects.Add(1)
 	rl.words.Add(int64(size))
-	al.push(to)
+	rl.dq.push(to)
 	return to, true
 }
 
@@ -768,7 +783,7 @@ func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (r
 	rl.objects.Add(1)
 	rl.words.Add(int64(newCls.Size))
 	rl.moved.Add(1)
-	al.push(to)
+	rl.dq.push(to)
 	return to, true
 }
 
@@ -807,7 +822,7 @@ func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Cl
 	h.PublishForward(a, shell)
 	rl.objects.Add(2)
 	rl.words.Add(int64(size + newCls.Size))
-	al.push(oldCopy)
+	rl.dq.push(oldCopy)
 	return shell, true
 }
 
@@ -829,7 +844,7 @@ func (rl *Relocation) mutatorHeal(a rt.Addr) rt.Addr {
 // HealObject canonicalizes every reference slot of one object immediately —
 // the lazy-transform pipeline calls it on an old copy before running its
 // transformer, so bulk field copies read canonical addresses. Safe mid-drain
-// (idempotent against a concurrent worker scan of the same object) and
+// (idempotent against a concurrent relocator scan of the same object) and
 // in-pause (before Start).
 func (rl *Relocation) HealObject(a rt.Addr) {
 	if rl == nil || a == 0 {
@@ -855,10 +870,7 @@ func (rl *Relocation) Backlog() int {
 	if rl == nil || rl.Done() {
 		return 0
 	}
-	n := 0
-	for _, d := range rl.deques {
-		n += int(d.size.Load())
-	}
+	n := int(rl.dq.size.Load())
 	if rl.started {
 		if rem := int64(rl.regionEnd) - rl.cursor.Load(); rem > 0 {
 			n += int(rem)
@@ -868,10 +880,10 @@ func (rl *Relocation) Backlog() int {
 }
 
 // ForceDrain completes the drain on the mutator goroutine: the mutator runs
-// a worker-equivalent loop (bracketing each item with the busy counter) until
-// global termination. Collections, follow-up updates, and Engine.ForceDrain
+// the relocator's loop (bracketing each item with the busy counter) until
+// termination. Collections, follow-up updates, and Engine.ForceDrain
 // use it through the engine's residue (core.residue.force). Safe
-// before Start (it begins the drain itself, with zero background workers).
+// before Start (it begins the drain itself, with no relocator running).
 func (rl *Relocation) ForceDrain() error {
 	if !rl.started {
 		rl.beginDrain()
@@ -882,8 +894,7 @@ func (rl *Relocation) ForceDrain() error {
 		a, ok := rl.takeAny()
 		if !ok {
 			rl.mutatorBusy.Add(-1)
-			if rl.idle.Load() == int32(rl.spawned) &&
-				!rl.anyWork() && !rl.regionRemaining() {
+			if (!rl.spawned || rl.idle.Load()) && !rl.workQueued() {
 				rl.completeDrain()
 				break
 			}
@@ -899,20 +910,19 @@ func (rl *Relocation) ForceDrain() error {
 	return nil
 }
 
-// takeAny claims work from any deque or the region cursor (mutator side).
+// takeAny claims work from the queue or the region cursor (mutator side).
+// The size test keeps a mutator that is only waiting for the relocator to go
+// idle off the queue's mutex.
 func (rl *Relocation) takeAny() (rt.Addr, bool) {
-	for _, d := range rl.deques {
-		if d.size.Load() == 0 {
-			continue
-		}
-		if a, ok := d.steal(); ok {
+	if rl.dq.size.Load() > 0 {
+		if a, ok := rl.dq.steal(); ok {
 			return a, true
 		}
 	}
 	return rl.nextRegion()
 }
 
-// Finish joins the workers, disarms the load barrier, and returns the drain
+// Finish joins the relocator, disarms the load barrier, and returns the drain
 // statistics. Mutator goroutine, once Done (it force-completes defensively
 // otherwise). From-space is dead after this — the next Flip may reuse it.
 // The engine still owns the mode-level finalization (class cleanup, scratch
@@ -934,7 +944,6 @@ func (rl *Relocation) Finish() (RelocStats, error) {
 		HealedSlots:   uint64(rl.healed.Load()) + mutHealed,
 		DeferredPairs: len(rl.deferred),
 		Moved:         int(rl.moved.Load()),
-		Steals:        rl.steals.Load(),
 		Drain:         time.Duration(rl.drainNS.Load()),
 	}
 	if rl.failed.Load() {

@@ -13,7 +13,7 @@ import (
 
 // The stw/reloc equivalence suite. A concurrent-relocation collection —
 // short pause (eager pairs + root remap), then a drain that evacuates the
-// rest of the live set with background workers and the self-healing load
+// rest of the live set with the background relocator and the self-healing load
 // barrier — must end in a heap observationally identical to the serial
 // Cheney collector's: isomorphic reachable graph, identical values,
 // identical DSU pair treatment. With the mutator quiescent during the drain
@@ -60,7 +60,7 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate
 
 // runRelocEquivalence compares a quiescent reloc collection against the
 // serial collector on identical worlds, with exact copy accounting.
-func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers int) {
+func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, scratch)
@@ -74,7 +74,7 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers in
 	if err != nil {
 		t.Fatalf("serial collect: %v", err)
 	}
-	cb := NewWithOptions(wb.h, wb.reg, Options{Workers: workers, ConcurrentReloc: true})
+	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentReloc: true})
 	rb, stats := runRelocCycle(t, wb, cb, false, nil)
 
 	if got := rb.CopiedObjects + stats.Objects; got != ra.CopiedObjects {
@@ -107,31 +107,27 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch, workers in
 
 func TestRelocCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runRelocEquivalence(t, seed, false, 0, 1)
-		runRelocEquivalence(t, seed, false, 0, 4)
+		runRelocEquivalence(t, seed, false, 0)
 	}
 }
 
 func TestRelocDSUCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runRelocEquivalence(t, seed, true, 0, 1)
-		runRelocEquivalence(t, seed, true, 0, 4)
+		runRelocEquivalence(t, seed, true, 0)
 	}
 }
 
 func TestRelocDSUCollectEquivalenceScratch(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		runRelocEquivalence(t, seed, true, 1<<13, 4)
+	for _, seed := range []int64{1, 2, 3, 4, 11, 12} {
+		runRelocEquivalence(t, seed, true, 1<<13)
 	}
-	runRelocEquivalence(t, 11, true, 1<<13, 2)
-	runRelocEquivalence(t, 12, true, 1<<13, 7)
 }
 
 // runRelocMarkEquivalence layers the sealed concurrent mark under the reloc
 // pause (cmark-reloc mode): discovery comes from the consumed snapshot, so
 // the pause runs no trace at all — PauseMark must be zero — and the result
 // must still be exactly equivalent.
-func runRelocMarkEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
+func runRelocMarkEquivalence(t *testing.T, seed int64, dsu bool) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, 0)
@@ -148,7 +144,7 @@ func runRelocMarkEquivalence(t *testing.T, seed int64, dsu bool, workers int) {
 		t.Fatalf("serial collect: %v", err)
 	}
 
-	cb := NewWithOptions(wb.h, wb.reg, Options{Workers: workers, ConcurrentMark: true, ConcurrentReloc: true})
+	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentMark: true, ConcurrentReloc: true})
 	m := cb.StartMark(wb, updatedIDs)
 	waitMark(t, m)
 	if !cb.SealMark(m) {
@@ -187,9 +183,8 @@ func waitMark(t testing.TB, m *Marker) {
 
 func TestRelocConsumesConcurrentMark(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runRelocMarkEquivalence(t, seed, false, 2)
-		runRelocMarkEquivalence(t, seed, true, 1)
-		runRelocMarkEquivalence(t, seed, true, 4)
+		runRelocMarkEquivalence(t, seed, false)
+		runRelocMarkEquivalence(t, seed, true)
 	}
 }
 
@@ -204,45 +199,43 @@ func TestRelocConsumesConcurrentMark(t *testing.T) {
 // (floating garbage, reclaimed by the next collection).
 func TestRelocInFlightMutation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		for _, workers := range []int{1, 4} {
-			for _, dsu := range []bool{false, true} {
-				const semi = 1 << 13
-				wa := buildWorld(t, seed, semi, 0)
-				wb := buildWorld(t, seed, semi, 0)
-				if dsu {
-					addUpdatedTo(t, wa)
-					addUpdatedTo(t, wb)
-				}
-
-				ca := NewWithOptions(wa.h, wa.reg, Options{Workers: workers, ConcurrentReloc: true})
-				res, rl, err := ca.CollectReloc(wa, false)
-				if err != nil {
-					t.Fatalf("CollectReloc: %v", err)
-				}
-				rl.Start()
-				// Built AFTER the pause: the script captures the remapped
-				// (canonical) root addresses — in DSU mode those are the new
-				// shells, exactly as on the baseline below. Its logic depends
-				// only on root order and graph shape, so it lands identically.
-				mutationScript(t, wa)()
-				if err := rl.ForceDrain(); err != nil {
-					t.Fatalf("ForceDrain: %v", err)
-				}
-				if _, err := rl.Finish(); err != nil {
-					t.Fatalf("Finish: %v", err)
-				}
-
-				rbs, err := New(wb.h, wb.reg).Collect(wb, dsu)
-				if err != nil {
-					t.Fatalf("STW collect: %v", err)
-				}
-				mutationScript(t, wb)()
-				// Both sides paired the identical pre-mutation live set.
-				if dsu && res.PairsLogged != rbs.PairsLogged {
-					t.Fatalf("pairs: reloc %d, STW %d", res.PairsLogged, rbs.PairsLogged)
-				}
-				isoCheck(t, wa, wb, res, rbs, dsu)
+		for _, dsu := range []bool{false, true} {
+			const semi = 1 << 13
+			wa := buildWorld(t, seed, semi, 0)
+			wb := buildWorld(t, seed, semi, 0)
+			if dsu {
+				addUpdatedTo(t, wa)
+				addUpdatedTo(t, wb)
 			}
+
+			ca := NewWithOptions(wa.h, wa.reg, Options{ConcurrentReloc: true})
+			res, rl, err := ca.CollectReloc(wa, false)
+			if err != nil {
+				t.Fatalf("CollectReloc: %v", err)
+			}
+			rl.Start()
+			// Built AFTER the pause: the script captures the remapped
+			// (canonical) root addresses — in DSU mode those are the new
+			// shells, exactly as on the baseline below. Its logic depends
+			// only on root order and graph shape, so it lands identically.
+			mutationScript(t, wa)()
+			if err := rl.ForceDrain(); err != nil {
+				t.Fatalf("ForceDrain: %v", err)
+			}
+			if _, err := rl.Finish(); err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+
+			rbs, err := New(wb.h, wb.reg).Collect(wb, dsu)
+			if err != nil {
+				t.Fatalf("STW collect: %v", err)
+			}
+			mutationScript(t, wb)()
+			// Both sides paired the identical pre-mutation live set.
+			if dsu && res.PairsLogged != rbs.PairsLogged {
+				t.Fatalf("pairs: reloc %d, STW %d", res.PairsLogged, rbs.PairsLogged)
+			}
+			isoCheck(t, wa, wb, res, rbs, dsu)
 		}
 	}
 }
@@ -266,7 +259,7 @@ func TestRelocDeferredPairs(t *testing.T) {
 		w.roots = []rt.Value{rt.RefVal(addrs[0])}
 		newCls := addUpdatedTo(t, w)
 
-		c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentReloc: true})
+		c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
 		res, rl, err := c.CollectReloc(w, true)
 		if err != nil {
 			t.Fatalf("CollectReloc: %v", err)
@@ -372,7 +365,7 @@ func TestRelocDeferredMoves(t *testing.T) {
 	newNode := addUpdatedTo(t, w)
 	newLeaf := w.leaf.UpdatedTo
 
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentReloc: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
 	res, stats := runRelocCycle(t, w, c, true, nil)
 	if len(res.Log) != 0 || res.Moved != 0 {
 		t.Fatalf("deferred pause logged %d pairs and moved %d before the root remap", len(res.Log), res.Moved)
@@ -443,7 +436,7 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 	}
 	special.UpdatedTo = newCls
 
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 2, ConcurrentReloc: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
 	_, rl, err := c.CollectReloc(w, false)
 	if err != nil {
 		// Acceptable variant: the pause itself hits the wall (post-flip
@@ -468,11 +461,11 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 
 // TestRelocForceDrainBeforeStart: a collection or follow-up update can land
 // between the pause and Start — ForceDrain must complete the whole drain on
-// the mutator with zero background workers.
+// the mutator with no relocator running.
 func TestRelocForceDrainBeforeStart(t *testing.T) {
 	w := buildWorld(t, 21, 1<<13, 0)
 	addUpdatedTo(t, w)
-	c := NewWithOptions(w.h, w.reg, Options{Workers: 4, ConcurrentReloc: true})
+	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
 	res, rl, err := c.CollectReloc(w, false)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
@@ -523,13 +516,13 @@ func TestRelocFlipGuard(t *testing.T) {
 }
 
 // FuzzRelocDrain fuzzes the quiescent equivalence property over world
-// seeds, worker counts, and DSU-ness.
+// seeds and DSU-ness.
 func FuzzRelocDrain(f *testing.F) {
-	f.Add(int64(1), uint8(1), false)
-	f.Add(int64(2), uint8(4), true)
-	f.Add(int64(3), uint8(2), true)
-	f.Add(int64(17), uint8(7), false)
-	f.Fuzz(func(t *testing.T, seed int64, workers uint8, dsu bool) {
-		runRelocEquivalence(t, seed, dsu, 0, int(workers%8)+1)
+	f.Add(int64(1), false)
+	f.Add(int64(2), true)
+	f.Add(int64(3), true)
+	f.Add(int64(17), false)
+	f.Fuzz(func(t *testing.T, seed int64, dsu bool) {
+		runRelocEquivalence(t, seed, dsu, 0)
 	})
 }

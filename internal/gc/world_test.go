@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,20 +9,18 @@ import (
 	"govolve/internal/rt"
 )
 
-// The serial/parallel equivalence suite: the parallel copy/scan collector
-// must produce a heap observationally identical to the serial Cheney
-// collector's — an isomorphic reachable graph with identical values,
-// identical DSU pair sets, and pair words consistent with the log — differing
-// only in physical addresses (TLAB carving makes to-space placement
-// scheduling-dependent).
+// The worlds the equivalence suites (mark_test.go, reloc_test.go) collect two
+// ways and compare: a seeded random object graph, its DSU variant, and the
+// lockstep isomorphism check.
 
 // buildWorld deterministically builds a random object graph from seed:
 // Node instances (2 refs + 1 int), arrays of both kinds, shared structure
 // and cycles, plus unreachable garbage, and a rooted array of Leaf instances
 // (1 int + 2 refs: a Node and another Leaf) — the class whose update
 // addUpdatedTo makes a move. Two calls with the same seed
-// produce word-for-word identical heaps, so one can be collected serially
-// and the other in parallel and the results compared.
+// produce word-for-word identical heaps, so one can be collected by the
+// stop-the-world collector and the other by the pipeline under test and the
+// results compared.
 func buildWorld(t testing.TB, seed int64, semi int, scratch int) *world {
 	rng := rand.New(rand.NewSource(seed))
 	reg := rt.NewRegistry()
@@ -264,153 +261,5 @@ func checkPairWords(t *testing.T, h *heap.Heap, log []Pair) {
 		if got := h.PairWord(p.New); got != uint64(p.OldCopy) {
 			t.Fatalf("shell @%d: pair word %d, log says old copy @%d", p.New, got, p.OldCopy)
 		}
-	}
-}
-
-func runEquivalence(t *testing.T, seed int64, dsu bool, scratch int, workers int) {
-	const semi = 1 << 13
-	wa := buildWorld(t, seed, semi, scratch)
-	wb := buildWorld(t, seed, semi, scratch)
-	if dsu {
-		addUpdatedTo(t, wa)
-		addUpdatedTo(t, wb)
-	}
-
-	ra, err := New(wa.h, wa.reg).Collect(wa, dsu)
-	if err != nil {
-		t.Fatalf("serial collect: %v", err)
-	}
-	rb, err := NewWithOptions(wb.h, wb.reg, Options{Workers: workers}).Collect(wb, dsu)
-	if err != nil {
-		t.Fatalf("parallel collect: %v", err)
-	}
-
-	if ra.Workers != 1 || rb.Workers != workers {
-		t.Fatalf("worker counts: serial %d, parallel %d (want 1, %d)", ra.Workers, rb.Workers, workers)
-	}
-	if ra.CopiedObjects != rb.CopiedObjects {
-		t.Fatalf("copied objects: serial %d, parallel %d", ra.CopiedObjects, rb.CopiedObjects)
-	}
-	if ra.CopiedWords != rb.CopiedWords {
-		t.Fatalf("copied words: serial %d, parallel %d", ra.CopiedWords, rb.CopiedWords)
-	}
-	if ra.PairsLogged != rb.PairsLogged || len(ra.Log) != len(rb.Log) {
-		t.Fatalf("pair counts: serial %d, parallel %d", len(ra.Log), len(rb.Log))
-	}
-	if ra.Moved != rb.Moved || (ra.Moved > 0) != dsu {
-		t.Fatalf("moved: serial %d, parallel %d (dsu=%v)", ra.Moved, rb.Moved, dsu)
-	}
-	// Per-worker accounting must fold back to the totals, and the merged
-	// log must come out sorted by new-shell address (the deterministic
-	// merge contract).
-	if len(rb.WorkerWords) != workers {
-		t.Fatalf("WorkerWords has %d entries, want %d", len(rb.WorkerWords), workers)
-	}
-	sum := 0
-	for _, ww := range rb.WorkerWords {
-		sum += ww
-	}
-	if sum != rb.CopiedWords {
-		t.Fatalf("per-worker words sum %d != CopiedWords %d", sum, rb.CopiedWords)
-	}
-	for i := 1; i < len(rb.Log); i++ {
-		if rb.Log[i-1].New >= rb.Log[i].New {
-			t.Fatal("merged log not sorted by new-shell address")
-		}
-	}
-	checkPairWords(t, wb.h, rb.Log)
-	isoCheck(t, wa, wb, ra, rb, dsu)
-}
-
-func TestParallelCollectEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		runEquivalence(t, seed, false, 0, 4)
-	}
-}
-
-func TestParallelDSUCollectEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		runEquivalence(t, seed, true, 0, 4)
-	}
-}
-
-func TestParallelDSUCollectEquivalenceScratch(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		runEquivalence(t, seed, true, 1<<13, 4)
-	}
-	// And at other worker counts, to exercise the chunking edges.
-	runEquivalence(t, 11, true, 1<<13, 2)
-	runEquivalence(t, 12, true, 1<<13, 7)
-}
-
-// TestParallelCollectToSpaceExhaustion mirrors the serial OOM test: a DSU
-// collection that cannot fit old copy + shell must fail with the typed
-// error — and terminate (claim-spinners observe the failure flag instead of
-// hanging on the sentinel).
-func TestParallelCollectToSpaceExhaustion(t *testing.T) {
-	w := newWorld(t, 64)
-	var prev rt.Addr
-	for {
-		a, ok := w.h.AllocObject(w.cls)
-		if !ok {
-			break
-		}
-		w.h.SetFieldValue(a, offLeft, rt.RefVal(prev))
-		prev = a
-	}
-	w.roots = []rt.Value{rt.RefVal(prev)}
-	newDef, _ := classfile.NewClass("Node2", "").
-		Field("val", "I").Field("left", "LNode2;").Field("right", "LNode2;").
-		Build()
-	newCls, err := w.reg.Load(newDef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.cls.UpdatedTo = newCls
-	_, err = NewWithOptions(w.h, w.reg, Options{Workers: 4}).Collect(w, true)
-	if err == nil {
-		t.Fatal("expected to-space exhaustion error")
-	}
-	if !errors.Is(err, ErrToSpaceExhausted) {
-		t.Fatalf("error %v is not ErrToSpaceExhausted", err)
-	}
-}
-
-// TestSerialCollectTypedOOM pins the serial path to the same typed error.
-func TestSerialCollectTypedOOM(t *testing.T) {
-	w := newWorld(t, 64)
-	var prev rt.Addr
-	for {
-		a, ok := w.h.AllocObject(w.cls)
-		if !ok {
-			break
-		}
-		w.h.SetFieldValue(a, offLeft, rt.RefVal(prev))
-		prev = a
-	}
-	w.roots = []rt.Value{rt.RefVal(prev)}
-	newDef, _ := classfile.NewClass("Node2", "").
-		Field("val", "I").Field("left", "LNode2;").Field("right", "LNode2;").
-		Build()
-	newCls, err := w.reg.Load(newDef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.cls.UpdatedTo = newCls
-	_, err = New(w.h, w.reg).Collect(w, true)
-	if !errors.Is(err, ErrToSpaceExhausted) {
-		t.Fatalf("serial DSU OOM %v is not ErrToSpaceExhausted", err)
-	}
-}
-
-// TestAutoWorkers pins the AutoWorkers resolution.
-func TestAutoWorkers(t *testing.T) {
-	c := NewWithOptions(heap.New(1024), rt.NewRegistry(), Options{Workers: AutoWorkers})
-	if c.EffectiveWorkers() < 1 {
-		t.Fatal("AutoWorkers resolved below 1")
-	}
-	c2 := New(heap.New(1024), rt.NewRegistry())
-	if c2.EffectiveWorkers() != 1 {
-		t.Fatal("default collector is not serial")
 	}
 }

@@ -13,14 +13,13 @@ package heap
 // Forwarding (bit 63) repurposes bits 0..60 as the forwarding address
 // (ForwardMask), destroying the class id and the lazy tag — legal because a
 // forwarded header only ever appears on a FROM-space object, whose identity
-// has already moved to the copy. The CAS claim/publish protocol (parallel
-// collection and concurrent relocation) uses one sentinel, claimedWord =
+// has already moved to the copy. The CAS claim/publish protocol of the
+// concurrent relocation drain (reloc.go) uses one sentinel, claimedWord =
 // ForwardBit|ForwardMask: an address no semispace can reach, marking an
-// object as claimed-but-not-yet-published. Both the parallel STW copy and
-// the concurrent relocation drain speak exactly this protocol, so a header
-// is always in one of four states: plain (class id + flags), lazily tagged
-// (plain | untransformedBit), claimed (claimedWord), or forwarded
-// (ForwardBit | to).
+// object as claimed-but-not-yet-published. A stop-the-world collection writes
+// the forwarded form directly. So a header is always in one of four states:
+// plain (class id + flags), lazily tagged (plain | untransformedBit), claimed
+// (claimedWord), or forwarded (ForwardBit | to).
 //
 // The lazy tag (bit 60) lies inside ForwardMask. That is sound because the
 // two protocols never meet on one object: the untransformed tag is only ever
@@ -62,8 +61,8 @@ const (
 	// ForwardMask extracts the forwarding address from a forwarded header.
 	ForwardMask = uint64(1)<<61 - 1
 
-	// claimedWord is the claim sentinel of the CAS forwarding protocol: a
-	// worker that wins TryForward holds the object's saved header privately
+	// claimedWord is the claim sentinel of the CAS forwarding protocol:
+	// whoever wins TryForward holds the object's saved header privately
 	// and publishes the real forwarding pointer once the copy is complete.
 	// No valid forwarding address equals ForwardMask, so claimed is
 	// distinguishable from forwarded.
@@ -72,3 +71,14 @@ const (
 
 // Transforming is the pair word's in-progress sentinel; no 32-bit rt.Addr equals it.
 const Transforming = ^uint64(0)
+
+// HeaderIsArray reports whether a (non-forwarded) header word describes an
+// array.
+func HeaderIsArray(w uint64) bool { return w&ArrayBit != 0 }
+
+// HeaderArrayElemIsRef reports whether a (non-forwarded) array header word
+// describes an array of references.
+func HeaderArrayElemIsRef(w uint64) bool { return w&ArrayRefBit != 0 }
+
+// HeaderClassID extracts the class ID from a (non-forwarded) header word.
+func HeaderClassID(w uint64) int { return int(w & ClassIDMask) }

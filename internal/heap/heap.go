@@ -23,19 +23,21 @@ import (
 // of memory and reclaim it when the collection completes" — old copies live
 // there only for the duration of the transformer phase, so they never
 // consume to-space. Mutator access is not synchronized; the VM scheduler
-// serializes it (the VM is a green-thread machine). During a stop-the-world
-// parallel collection, workers allocate through TLABs (carved under mu) and
-// synchronize header-word forwarding with TryForward/PublishForward — those
-// entry points, and only those, are safe for concurrent use.
+// serializes it (the VM is a green-thread machine), and a stop-the-world
+// collection runs on that same goroutine. Two goroutines ever share the heap
+// with it: the concurrent marker's tracer (satb.go) and the relocation drain's
+// relocator (reloc.go); the entry points documented there, and only those,
+// are safe for concurrent use.
 type Heap struct {
 	words []uint64
 	semi  rt.Addr // words per semispace
 	cur   int     // current allocation space, 0 or 1
 	alloc rt.Addr // next free word (absolute)
 
-	// mu guards the bump pointers (alloc, scratchAlloc) during parallel
-	// collections: TLAB refills and retires take it. The serial mutator
-	// and serial collector never do.
+	// mu guards the bump pointers (alloc, scratchAlloc) and the hole list
+	// while a relocation drain is live: the relocator's TLAB refills and
+	// retires take it, and so does the mutator's allocation (allocLocked).
+	// Outside a drain nobody does.
 	mu sync.Mutex
 
 	scratchSize  rt.Addr
@@ -50,25 +52,21 @@ type Heap struct {
 	// reloc, when non-nil, is the armed self-healing load barrier for an
 	// in-flight concurrent relocation drain (see reloc.go): loads of
 	// from-space references evacuate-or-adopt and heal the slot; stores go
-	// atomic because drain workers CAS-heal the same slots. Disarmed it
+	// atomic because the relocator CAS-heals the same slots. Disarmed it
 	// costs the access paths one nil check.
 	reloc *relocState
 
-	// holes records the dead gaps parallel collections leave in each
-	// semispace (TLAB block tails abandoned at refill/retire). A bump
-	// region is self-parsing only while it is gap-free; the concurrent-mark
-	// sweep walks from-space linearly and skips these. Indexed by
-	// semispace; Flip clears the list of the space it starts refilling.
+	// holes records the dead gaps a relocation drain leaves in each
+	// semispace (the relocator's TLAB block tails abandoned at
+	// refill/retire). A bump region is self-parsing only while it is
+	// gap-free; the concurrent-mark sweep walks from-space linearly and
+	// skips these. Indexed by semispace; Flip clears the list of the space
+	// it starts refilling.
 	holes [2][]Hole
-
-	// Allocs and AllocWords count allocations since construction, for the
-	// benchmark harness.
-	Allocs     int64
-	AllocWords int64
 }
 
 // Hole is one unparseable gap inside a semispace: a TLAB block tail
-// abandoned during a parallel collection. The words are dead (never
+// abandoned during a relocation drain. The words are dead (never
 // referenced) but contain stale bits, so linear heap walks must skip them.
 type Hole struct {
 	Addr rt.Addr
@@ -155,7 +153,7 @@ func (h *Heap) SemiWords() int { return int(h.semi) }
 
 // UsedWords returns the words allocated in the current space. Like
 // AllocPointer it takes the heap mutex while a relocation drain is live
-// (workers bump the same pointer); disabled, it is a plain load.
+// (the relocator bumps the same pointer); disabled, it is a plain load.
 func (h *Heap) UsedWords() int {
 	if h.reloc != nil {
 		h.mu.Lock()
@@ -193,13 +191,11 @@ func (h *Heap) Alloc(size int) (rt.Addr, bool) {
 	// paths (the collector's kernel, TLAB allocation) skip zeroing
 	// entirely — they overwrite every word immediately.
 	clear(h.words[a:h.alloc])
-	h.Allocs++
-	h.AllocWords += int64(size)
 	return a, true
 }
 
 // allocLocked is Alloc under the heap mutex — the mutator's allocation path
-// while a concurrent relocation drain is live, when relocator workers carve
+// while a concurrent relocation drain is live, when the relocator carves
 // TLAB blocks off the same bump pointer.
 func (h *Heap) allocLocked(size int) (rt.Addr, bool) {
 	h.mu.Lock()
@@ -210,8 +206,6 @@ func (h *Heap) allocLocked(size int) (rt.Addr, bool) {
 	a := h.alloc
 	h.alloc += rt.Addr(size)
 	clear(h.words[a:h.alloc])
-	h.Allocs++
-	h.AllocWords += int64(size)
 	return a, true
 }
 
@@ -298,7 +292,7 @@ func (h *Heap) Flip() {
 	h.cur ^= 1
 	h.alloc = h.base(h.cur)
 	// The space we are about to refill is empty again: its recorded holes
-	// (from the parallel collection two flips ago) died with its contents.
+	// (from the relocation drain two flips ago) died with its contents.
 	h.holes[h.cur] = h.holes[h.cur][:0]
 }
 
@@ -322,7 +316,7 @@ func (h *Heap) FieldValue(a rt.Addr, offset int, isRef bool) rt.Value {
 // SetFieldValue writes a field word. With the SATB barrier armed (concurrent
 // DSU mark in flight) a reference store additionally logs the overwritten
 // value and goes atomic; with the relocation barrier armed the store goes
-// atomic because drain workers CAS-heal the same slots. The disarmed path is
+// atomic because the relocator CAS-heals the same slots. The disarmed path is
 // the plain store plus the nil checks.
 func (h *Heap) SetFieldValue(a rt.Addr, offset int, v rt.Value) {
 	idx := a + rt.Addr(offset)
@@ -371,9 +365,9 @@ func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
 // ElemWords returns the element words of a NON-reference array as a window
 // onto the heap: no copy, no allocation. It is legal only on arrays whose
 // elements are not references, which is why it may skip both barriers even
-// while one is armed: the SATB barrier logs overwritten references and mark
-// workers read reference slots only, and relocation workers neither read nor
-// write the elements of a to-space array once its copy is published (the
+// while one is armed: the SATB barrier logs overwritten references and the
+// tracer reads reference slots only, and the relocator neither reads nor
+// writes the elements of a to-space array once its copy is published (the
 // mutator never holds a from-space address — its loads heal). The window is
 // dead after the next guest allocation: a collection moves the array.
 func (h *Heap) ElemWords(a rt.Addr) []uint64 {

@@ -31,9 +31,9 @@ import (
 // disabled path. The heap only owns the per-object tag bit. All three
 // accessors run on the mutator goroutine only, like every other header
 // access — except while a concurrent relocation drain is armed, when the
-// drain's workers read to-space headers for sizing: the mutator's tag
+// relocator reads to-space headers for sizing: the mutator's tag
 // read-modify-writes then go through atomic load+store (sound because the
-// mutator is the only header WRITER in to-space; workers only read).
+// mutator is the only header WRITER in to-space; the relocator only reads).
 
 // MarkUntransformed tags an object as copied-but-not-yet-transformed.
 func (h *Heap) MarkUntransformed(a rt.Addr) {

@@ -30,9 +30,9 @@ import (
 //   - The VM is a green-thread machine: exactly one OS goroutine mutates the
 //     heap. Arm/Disarm and every store below run on that goroutine; the SATB
 //     buffer is therefore single-writer and needs no lock.
-//   - While armed, ref-slot stores go through atomic.StoreUint64 and mark
-//     workers read ref slots through RefSlotLoad (atomic). Headers and array
-//     lengths are written before the workers are spawned (happens-before via
+//   - While armed, ref-slot stores go through atomic.StoreUint64 and the
+//     tracer reads ref slots through RefSlotLoad (atomic). Headers and array
+//     lengths are written before the tracer is spawned (happens-before via
 //     goroutine creation), so plain reads of those stay legal.
 //   - Disarmed (satb == nil), every store compiles back to the plain word
 //     write — the fast path costs one pointer nil-check, the same discipline
@@ -57,7 +57,7 @@ func (h *Heap) ArmSATB(buf []rt.Addr) rt.Addr {
 }
 
 // DisarmSATB removes the barrier and returns the deletion log (possibly
-// nil). Mutator goroutine only — mark workers must have been joined, or must
+// nil). Mutator goroutine only — the tracer must have been joined, or must
 // not yet be reading the slots the now-plain stores touch.
 func (h *Heap) DisarmSATB() []rt.Addr {
 	s := h.satb
@@ -72,7 +72,7 @@ func (h *Heap) DisarmSATB() []rt.Addr {
 func (h *Heap) SATBArmed() bool { return h.satb != nil }
 
 // satbStore is the armed ref-slot store: log the overwritten value if it
-// lies inside the snapshot region, then store atomically (mark workers read
+// lies inside the snapshot region, then store atomically (the tracer reads
 // the slot concurrently).
 func (h *Heap) satbStore(s *satbState, idx rt.Addr, bits uint64) {
 	old := h.words[idx] // single-writer: plain read of our own last store
@@ -82,7 +82,7 @@ func (h *Heap) satbStore(s *satbState, idx rt.Addr, bits uint64) {
 	atomic.StoreUint64(&h.words[idx], bits)
 }
 
-// RefSlotLoad atomically reads one word. Mark workers use it for every ref
+// RefSlotLoad atomically reads one word. The tracer uses it for every ref
 // slot of a snapshot-region object, because the mutator may be storing to
 // the same slot concurrently (the armed store above is atomic for exactly
 // this pairing).

@@ -7,7 +7,7 @@ import "govolve/internal/rt"
 func (h *Heap) ScanStart() rt.Addr { return h.base(h.cur) }
 
 // AllocPointer returns the bump pointer: one past the last allocated word
-// in the current space. While a relocation drain is live the workers carve
+// in the current space. While a relocation drain is live the relocator carves
 // TLAB blocks off the same pointer under the heap mutex, so the read takes
 // it too (whole-VM audits run mid-drain); disabled, it is a plain load.
 func (h *Heap) AllocPointer() rt.Addr {
@@ -37,14 +37,8 @@ func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
 //     is stopped and neither barrier is armed (Raw panics otherwise), so the
 //     barrier-checked accessors would take their plain branch on every word
 //     anyway; Raw is that branch, hoisted.
-//   - To and Scratch are copies. A serial collection bumps them privately
-//     and hands the pointers back with CommitRaw on every exit path; a
-//     parallel one allocates through TLABs as before and reads them only for
-//     the "already copied" range test.
-//   - From-space header words raced over by parallel workers still go
-//     through HeaderLoad/TryForward/PublishForward; plain Words access is
-//     for headers a worker owns (claimed, or in its own copy) and for
-//     bodies, which a collection never mutates in from-space.
+//   - To and Scratch are copies. The collection bumps them privately and
+//     hands the pointers back with CommitRaw on every exit path.
 type Raw struct {
 	Words   []uint64
 	To      Region // the allocation space (to-space after Flip)
@@ -64,11 +58,8 @@ func (h *Heap) Raw() Raw {
 	}
 }
 
-// CommitRaw hands back the bump pointers a serial collection advanced in its
-// Raw view and books the to-space allocations behind them: allocs objects,
-// and every word the pointer moved (scratch copies are not counted).
-func (h *Heap) CommitRaw(r *Raw, allocs int64) {
-	h.Allocs += allocs
-	h.AllocWords += int64(r.To.Alloc - h.alloc)
+// CommitRaw hands back the bump pointers a collection advanced in its Raw
+// view.
+func (h *Heap) CommitRaw(r *Raw) {
 	h.alloc, h.scratchAlloc = r.To.Alloc, r.Scratch.Alloc
 }

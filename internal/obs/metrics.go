@@ -15,8 +15,8 @@ import (
 // The metrics registry: named counters (monotonic), gauges (point-in-time),
 // and fixed-bucket histograms, snapshotted as JSON or Prometheus text
 // exposition. Construction is lock-guarded and idempotent (get-or-create);
-// updates are lock-free atomics so the VM and the parallel collector can
-// record without contending.
+// updates are lock-free atomics so the VM and the collector's concurrent
+// phases can record without contending.
 //
 // Every accessor is nil-receiver safe: a nil *Registry hands back nil
 // instruments whose update methods no-op, so instrumentation sites read
@@ -399,7 +399,6 @@ const (
 	MObjectsCopied    = "govolve_gc_copied_objects_total"
 	MPairsLogged      = "govolve_gc_dsu_pairs_logged_total"
 	MMovedObjects     = "govolve_gc_dsu_moved_objects_total"
-	MGCSteals         = "govolve_gc_steals_total"
 	MRequestLatency   = "govolve_request_latency_seconds"
 	MInstructions     = "govolve_vm_instructions_total"
 	MSlices           = "govolve_vm_slices_total"
@@ -491,7 +490,6 @@ var metricHelp = map[string]string{
 	MObjectsCopied:    "Objects copied by collections.",
 	MPairsLogged:      "Old/new object pairs logged for DSU transforms.",
 	MMovedObjects:     "Updated objects the collector wrote directly in their new layout.",
-	MGCSteals:         "Work-stealing deque steals by collection workers.",
 	MRequestLatency:   "End-to-end request latency of the served app.",
 	MInstructions:     "Bytecode instructions interpreted.",
 	MSlices:           "Scheduler slices executed.",

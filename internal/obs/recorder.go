@@ -47,15 +47,12 @@ const (
 	KOSRRecompile
 	// KPhaseBegin/KPhaseEnd bracket a named span (Str = phase name) on a
 	// lane; the timeline renders them as duration slices. KPhaseEnd may
-	// carry a payload in Arg (e.g. words copied by a GC worker).
+	// carry a payload in Arg (e.g. words copied by a collection).
 	KPhaseBegin
 	KPhaseEnd
-	// KGCWorkerCopy summarizes one collection worker's copy work
-	// (Lane = worker lane, Arg = words copied).
+	// KGCWorkerCopy summarizes one collection's in-pause copy work
+	// (Lane = LaneGC, Arg = words copied).
 	KGCWorkerCopy
-	// KGCWorkerSteal summarizes one worker's work-stealing deque pops
-	// (Lane = worker lane, Arg = steals).
-	KGCWorkerSteal
 	// KTransformerApplied marks transformer work: Str is the class (or a
 	// pass label), Arg the object count covered by the event.
 	KTransformerApplied
@@ -81,7 +78,6 @@ var kindNames = [...]string{
 	KPhaseBegin:         "phase-begin",
 	KPhaseEnd:           "phase-end",
 	KGCWorkerCopy:       "gc-worker-copy",
-	KGCWorkerSteal:      "gc-worker-steal",
 	KTransformerApplied: "transformer-applied",
 	KThreadStop:         "thread-stop",
 	KThreadResume:       "thread-resume",
@@ -98,18 +94,16 @@ func (k Kind) String() string {
 }
 
 // Lane conventions: the timeline draws one track per lane. Lane 0 is the
-// DSU engine/scheduler; 1..997 are GC workers; 998 is the concurrent
-// relocation drain; 999 is the concurrent DSU marker; 1000+ are VM threads.
+// DSU engine/scheduler; 1 is the collector's in-pause work; 998 is the
+// concurrent relocation drain; 999 is the concurrent DSU marker; 1000+ are
+// VM threads.
 const (
 	LaneEngine     int32 = 0
-	laneGCBase     int32 = 1
+	LaneGC         int32 = 1
 	LaneReloc      int32 = 998
 	LaneMark       int32 = 999
 	laneThreadBase int32 = 1000
 )
-
-// LaneGCWorker returns the lane of collection worker i (0-based).
-func LaneGCWorker(i int) int32 { return laneGCBase + int32(i) }
 
 // LaneThread returns the lane of VM thread id tid.
 func LaneThread(tid int) int32 { return laneThreadBase + int32(tid) }
@@ -119,6 +113,8 @@ func LaneName(lane int32) string {
 	switch {
 	case lane == LaneEngine:
 		return "DSU engine"
+	case lane == LaneGC:
+		return "GC"
 	case lane == LaneMark:
 		return "DSU marker"
 	case lane == LaneReloc:
@@ -126,7 +122,7 @@ func LaneName(lane int32) string {
 	case lane >= laneThreadBase:
 		return fmt.Sprintf("VM thread %d", lane-laneThreadBase)
 	default:
-		return fmt.Sprintf("GC worker %d", lane-laneGCBase)
+		return fmt.Sprintf("lane %d", lane)
 	}
 }
 
@@ -152,7 +148,8 @@ func (e Event) String() string {
 }
 
 // Recorder is the flight recorder: a fixed-capacity ring of events. All
-// methods are safe for concurrent use (GC workers emit from goroutines),
+// methods are safe for concurrent use (the tracer and the relocator emit from
+// their goroutines),
 // and every method is safe on a nil receiver — a nil *Recorder is the
 // canonical "recording disabled" value.
 type Recorder struct {

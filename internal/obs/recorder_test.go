@@ -113,7 +113,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Emit(KGCWorkerCopy, LaneGCWorker(w), int64(i), "")
+				r.Emit(KGCWorkerCopy, LaneThread(w), int64(i), "")
 			}
 		}(w)
 	}
@@ -128,11 +128,12 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 
 func TestLaneNames(t *testing.T) {
 	cases := map[int32]string{
-		LaneEngine:      "DSU engine",
-		LaneGCWorker(0): "GC worker 0",
-		LaneGCWorker(3): "GC worker 3",
-		LaneThread(1):   "VM thread 1",
-		LaneThread(42):  "VM thread 42",
+		LaneEngine:     "DSU engine",
+		LaneGC:         "GC",
+		LaneMark:       "DSU marker",
+		LaneReloc:      "DSU relocator",
+		LaneThread(1):  "VM thread 1",
+		LaneThread(42): "VM thread 42",
 	}
 	for lane, want := range cases {
 		if got := LaneName(lane); got != want {

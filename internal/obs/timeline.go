@@ -10,7 +10,7 @@ import (
 // Timeline export: flight-recorder events rendered as Chrome trace-event
 // JSON (the "JSON Array Format" with a traceEvents envelope), loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing. One track (tid) per lane:
-// the DSU engine, each GC worker, and each VM thread that took part in a
+// the DSU engine, the collector, and each VM thread that took part in a
 // stop-the-world window.
 //
 // Span events (KPhaseBegin/KPhaseEnd, KThreadStop/KThreadResume) are paired
@@ -123,9 +123,7 @@ func BuildTrace(events []Event) *TraceDoc {
 			}
 			instant(e, name, map[string]any{"method": e.Str})
 		case KGCWorkerCopy:
-			instant(e, "worker copied", map[string]any{"words": e.Arg})
-		case KGCWorkerSteal:
-			instant(e, "worker steals", map[string]any{"steals": e.Arg})
+			instant(e, "copied", map[string]any{"words": e.Arg})
 		case KTransformerApplied:
 			instant(e, "transformer", map[string]any{"what": e.Str, "objects": e.Arg})
 		case KUpdateRequested:

@@ -22,8 +22,8 @@ func TestBuildTracePairsSpans(t *testing.T) {
 		ev(2*time.Millisecond, KPhaseBegin, LaneEngine, 0, "install"),
 		ev(3*time.Millisecond, KPhaseEnd, LaneEngine, 0, "install"),
 		ev(3*time.Millisecond, KPhaseBegin, LaneEngine, 0, "gc"),
-		ev(3*time.Millisecond, KPhaseBegin, LaneGCWorker(0), 0, "gc copy/scan"),
-		ev(5*time.Millisecond, KPhaseEnd, LaneGCWorker(0), 900, "gc copy/scan"),
+		ev(3*time.Millisecond, KPhaseBegin, LaneGC, 0, "gc copy/scan"),
+		ev(5*time.Millisecond, KPhaseEnd, LaneGC, 900, "gc copy/scan"),
 		ev(5*time.Millisecond, KPhaseEnd, LaneEngine, 0, "gc"),
 		ev(6*time.Millisecond, KPhaseEnd, LaneEngine, 0, "update pause"),
 		ev(6*time.Millisecond, KThreadResume, LaneThread(1), 0, "dsu pause"),
@@ -85,7 +85,7 @@ func TestBuildTracePairsSpans(t *testing.T) {
 	}
 
 	// Metadata: process name plus one thread_name per lane used.
-	lanes := map[int32]bool{LaneEngine: true, LaneGCWorker(0): true, LaneThread(1): true}
+	lanes := map[int32]bool{LaneEngine: true, LaneGC: true, LaneThread(1): true}
 	named := map[int32]bool{}
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "M" && e.Name == "thread_name" {

@@ -37,7 +37,6 @@ type DriverConfig struct {
 	ScratchWords    int // DSU scratch region words (default 0)
 	MaxAttempts     int // safe-point attempts before abort (default 400)
 	OSROpt          bool
-	Workers         int  // parallel copy/scan width (<=1 serial)
 	ConcurrentMark  bool // SATB concurrent discovery outside the pause
 	ConcurrentReloc bool // self-healing concurrent relocation drain
 	Lazy            bool // lazy per-object transformation behind the read barrier
@@ -70,7 +69,6 @@ func NewDriver(cfg DriverConfig, v0 Version) (*Driver, error) {
 		ScratchWords:    cfg.ScratchWords,
 		MaxAttempts:     cfg.MaxAttempts,
 		OSROpt:          cfg.OSROpt,
-		Workers:         cfg.Workers,
 		ConcurrentMark:  cfg.ConcurrentMark,
 		ConcurrentReloc: cfg.ConcurrentReloc,
 		Lazy:            cfg.Lazy,

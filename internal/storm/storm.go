@@ -30,11 +30,6 @@ type Config struct {
 	ScratchWords int // DSU scratch region words (default 0: old copies burn to-space)
 	MaxAttempts  int // safe-point attempts before abort (default 400)
 	OSROpt       bool
-	// Workers selects the collection strategy (<=1 serial, N>1 the
-	// parallel copy/scan collector). The storm's invariants are
-	// strategy-blind, so running the same seed at different worker counts
-	// is an end-to-end serial/parallel equivalence check.
-	Workers int
 	// ConcurrentMark moves updated-instance discovery out of each update's
 	// pause (the SATB concurrent mark). The storm's invariants are also
 	// discovery-strategy-blind: every applied update still runs the full
@@ -42,7 +37,7 @@ type Config struct {
 	ConcurrentMark bool
 	// ConcurrentReloc moves the DSU copy itself out of each update's pause:
 	// the world resumes with from-space still live behind the self-healing
-	// load barrier while relocator workers drain it. AfterUpdate's CheckVM
+	// load barrier while the relocator drains it. AfterUpdate's CheckVM
 	// then runs with the drain in flight (the walk heals as it reads), the
 	// shadow oracle reads ride the same barrier, and the drain finishes on
 	// its own during the following era — no step of the drive sequence
@@ -275,7 +270,6 @@ func (r *runner) bootVM(metrics *obs.Registry) error {
 	opts := vm.Options{
 		HeapWords:        r.cfg.HeapWords,
 		ScratchWords:     r.cfg.ScratchWords,
-		GCWorkers:        r.cfg.Workers,
 		GCConcurrentMark: r.cfg.ConcurrentMark,
 		ConcurrentReloc:  r.cfg.ConcurrentReloc,
 		LazyTransform:    r.cfg.Lazy,

@@ -39,8 +39,8 @@ func TestStormShort(t *testing.T) {
 }
 
 // TestStormConfigs exercises the orthogonal engine options: a DSU scratch
-// region for old copies, the collection strategies, the pause-shaping
-// pipelines and opt-tier OSR. Each must satisfy the same invariants — over
+// region for old copies, the pause-shaping pipelines and opt-tier OSR. Each
+// must satisfy the same invariants — over
 // releases that ship about half their transformers hand-written (pairs,
 // interpreted) and leave the rest to the collector (moves).
 func TestStormConfigs(t *testing.T) {
@@ -52,22 +52,18 @@ func TestStormConfigs(t *testing.T) {
 		{"defaults", Config{Seed: 22, Updates: 25}},
 		{"osropt", Config{Seed: 23, Updates: 25, OSROpt: true}},
 		{"all", Config{Seed: 24, Updates: 25, ScratchWords: 1 << 14, OSROpt: true}},
-		{"parallel", Config{Seed: 25, Updates: 25, Workers: 4}},
-		{"parallel-scratch-fast", Config{Seed: 26, Updates: 25, ScratchWords: 1 << 14, Workers: 4}},
 		// Concurrent snapshot-at-the-beginning discovery. The mark races the
 		// mutator for real here (goroutine scheduling decides how many slices
 		// each trace overlaps), so these runs exercise the barrier, the
 		// SATB rescan, allocate-black sweeping, and the abort/restart
 		// fallback under the full invariant sweep after every update.
 		{"cmark", Config{Seed: 27, Updates: 25, ConcurrentMark: true}},
-		{"cmark-parallel", Config{Seed: 28, Updates: 25, Workers: 4, ConcurrentMark: true}},
-		{"cmark-all", Config{Seed: 29, Updates: 25, ScratchWords: 1 << 14, OSROpt: true, Workers: 4, ConcurrentMark: true}},
+		{"cmark-all", Config{Seed: 29, Updates: 25, ScratchWords: 1 << 14, OSROpt: true, ConcurrentMark: true}},
 		// Lazy per-object transformation: every update resolves with tagged
 		// objects behind the armed read barrier, AfterUpdate's CheckVM runs
 		// mid-drain, the probe pass drains specimens through real bytecode,
 		// and ForceDrain retires the residue before the raw oracle reads.
 		{"lazy", Config{Seed: 30, Updates: 25, ScratchWords: 1 << 14, Lazy: true}},
-		{"lazy-parallel", Config{Seed: 31, Updates: 25, ScratchWords: 1 << 14, Workers: 4, Lazy: true}},
 		// Both orthogonal pause-shrinking paths composed: discovery runs
 		// concurrently before the pause, transformation drains lazily after
 		// it — the pause itself is down to rescan + copy + install.
@@ -77,13 +73,12 @@ func TestStormConfigs(t *testing.T) {
 		// and the shadow oracle ride the barrier mid-drain, and the drain
 		// races real mutator traffic through the following era.
 		{"reloc", Config{Seed: 33, Updates: 25, ConcurrentReloc: true}},
-		{"reloc-parallel", Config{Seed: 34, Updates: 25, Workers: 4, ConcurrentReloc: true}},
-		{"cmark-reloc", Config{Seed: 35, Updates: 25, Workers: 4, ConcurrentMark: true, ConcurrentReloc: true}},
+		{"cmark-reloc", Config{Seed: 35, Updates: 25, ConcurrentMark: true, ConcurrentReloc: true}},
 		// Everything out of the pause at once: discovery concurrent before
 		// it, relocation and transformation both draining after it — pair
 		// creation itself deferred behind the read barrier.
 		{"reloc-lazy", Config{Seed: 36, Updates: 25, ScratchWords: 1 << 14, ConcurrentReloc: true, Lazy: true}},
-		{"cmark-reloc-lazy", Config{Seed: 37, Updates: 25, ScratchWords: 1 << 14, Workers: 4, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true}},
+		{"cmark-reloc-lazy", Config{Seed: 37, Updates: 25, ScratchWords: 1 << 14, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true}},
 	}
 	for _, tc := range cfgs {
 		tc := tc
@@ -156,30 +151,6 @@ func TestStormDeterministic(t *testing.T) {
 	}
 	if *a != *b {
 		t.Fatalf("same seed, different runs:\n  a=%+v\n  b=%+v", *a, *b)
-	}
-}
-
-// TestStormSerialParallelEquivalent runs the same seeds under the serial
-// collector and the 4-worker parallel collector. The storm's shadow oracle
-// checks every post-transform field value, every static, every array, and
-// every probe after each update, so both runs passing already proves
-// observational equivalence object-by-object; requiring the two reports to
-// be identical additionally pins the whole trajectory (applied/aborted
-// counts, probe counts, step counts) to be collection-strategy-blind.
-func TestStormSerialParallelEquivalent(t *testing.T) {
-	for _, seed := range []int64{5, 6} {
-		serial, err := Run(Config{Seed: seed, Updates: 20})
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
-		}
-		parallel, err := Run(Config{Seed: seed, Updates: 20, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
-		}
-		if *serial != *parallel {
-			t.Fatalf("seed %d: collection strategy changed the trajectory:\n  serial=%+v\n  parallel=%+v",
-				seed, *serial, *parallel)
-		}
 	}
 }
 

@@ -35,11 +35,6 @@ type Options struct {
 	// Quantum is the number of instructions a thread runs before the
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
-	// GCWorkers selects the collection strategy: 0 or 1 runs the serial
-	// collector (default), N>1 the parallel copy/scan collector with N
-	// workers, gc.AutoWorkers one worker per CPU. Parallelism shortens the
-	// stop-the-world DSU pause; application threads stay green either way.
-	GCWorkers int
 	// GCConcurrentMark opts the DSU engine into concurrent snapshot-at-the-
 	// beginning marking: updated-instance discovery runs as a concurrent
 	// trace between the update request and the safe point, and the pause
@@ -50,8 +45,8 @@ type Options struct {
 	// ConcurrentReloc opts the DSU engine into concurrent relocation: the
 	// pause stops at flip preparation (discovery, flip, eager evacuation of
 	// updated-class instances only, root remap) and the remaining live set
-	// is evacuated after the world resumes — by background relocator
-	// workers and by the mutator through a self-healing load barrier on the
+	// is evacuated after the world resumes — by one background relocator
+	// and by the mutator through a self-healing load barrier on the
 	// heap's reference read paths. From-space stays live until the drain
 	// completes; collections and follow-up updates force-complete it first.
 	// Composes with GCConcurrentMark (discovery leaves the pause too) and
@@ -81,7 +76,7 @@ type Options struct {
 	// barrier's disabled state costs one nil-check, like the SATB barrier.
 	LazyTransform bool
 	// Recorder, if non-nil, is the flight recorder every VM layer emits
-	// typed events into (scheduler, DSU engine, GC workers). A nil
+	// typed events into (scheduler, DSU engine, collector). A nil
 	// recorder is fully disabled: emission sites pay one nil check.
 	Recorder *obs.Recorder
 	// Metrics, if non-nil, receives counter/gauge/histogram updates; see
@@ -267,7 +262,7 @@ type DSUResidue struct {
 	// Jvolve.forceTransform native. An error kills the calling thread.
 	Transform func(rt.Addr) error
 	// Tick is the scheduler's between-slices poll; the engine retires a
-	// concurrent relocation here the moment its workers run from-space dry.
+	// concurrent relocation here the moment its drain runs from-space dry.
 	Tick func()
 	// Force completes and retires the whole residue on the mutator
 	// goroutine. It returns the first error recorded; the caller reads
@@ -301,7 +296,6 @@ func New(opts Options) (*VM, error) {
 		Reg:  reg,
 		Heap: h,
 		GC: gc.NewWithOptions(h, reg, gc.Options{
-			Workers:         opts.GCWorkers,
 			ConcurrentMark:  opts.GCConcurrentMark,
 			ConcurrentReloc: opts.ConcurrentReloc,
 		}),
@@ -338,8 +332,8 @@ func New(opts Options) (*VM, error) {
 }
 
 // AttachObs attaches a flight recorder and/or metrics registry to the VM
-// and propagates the recorder to the collector (whose workers emit
-// per-worker copy/steal events). Either argument may be nil; attaching nil
+// and propagates the recorder to the collector (whose tracer and relocator
+// emit from their own goroutines). Either argument may be nil; attaching nil
 // detaches that plane.
 func (v *VM) AttachObs(rec *obs.Recorder, metrics *obs.Registry) {
 	v.Rec = rec
@@ -855,14 +849,6 @@ func (v *VM) maybePromote(t *Thread) {
 // ForEachRoot enumerates every root: JTOC reference slots, interned
 // strings, pinned handles, and all frame locals and operand stacks.
 func (v *VM) ForEachRoot(fn func(*rt.Value)) {
-	v.forEachGlobalRoot(fn)
-	for _, t := range v.Threads {
-		forEachThreadRoot(t, fn)
-	}
-}
-
-// forEachGlobalRoot covers the non-stack roots: JTOC, interns, handles.
-func (v *VM) forEachGlobalRoot(fn func(*rt.Value)) {
 	for i := range v.Reg.JTOC {
 		if v.Reg.JTOC[i].IsRef {
 			fn(&v.Reg.JTOC[i])
@@ -878,51 +864,21 @@ func (v *VM) forEachGlobalRoot(fn func(*rt.Value)) {
 			fn(&v.Handles[i])
 		}
 	}
-}
-
-// forEachThreadRoot covers one thread's frame locals and operand stacks.
-func forEachThreadRoot(t *Thread, fn func(*rt.Value)) {
-	for _, f := range t.Frames {
-		for i := range f.Locals {
-			if f.Locals[i].IsRef {
-				fn(&f.Locals[i])
+	for _, t := range v.Threads {
+		for _, f := range t.Frames {
+			for i := range f.Locals {
+				if f.Locals[i].IsRef {
+					fn(&f.Locals[i])
+				}
+			}
+			for i := range f.Stack {
+				if f.Stack[i].IsRef {
+					fn(&f.Stack[i])
+				}
 			}
 		}
-		for i := range f.Stack {
-			if f.Stack[i].IsRef {
-				fn(&f.Stack[i])
-			}
-		}
 	}
 }
-
-// RootChunks implements gc.ChunkedRoots: it splits the root set into n
-// disjoint enumerators for the parallel collector. Chunk 0 takes the
-// global tables (JTOC, interns, handles); thread stacks — in a server the
-// bulk of the slot count — are dealt round-robin across all n chunks. The
-// chunks only partition existing slots, so they are safe to enumerate
-// concurrently while the world is stopped.
-func (v *VM) RootChunks(n int) []gc.Roots {
-	if n <= 1 {
-		return []gc.Roots{gc.RootsFunc(v.ForEachRoot)}
-	}
-	chunks := make([]gc.Roots, n)
-	for i := 0; i < n; i++ {
-		i := i
-		chunks[i] = gc.RootsFunc(func(fn func(*rt.Value)) {
-			if i == 0 {
-				v.forEachGlobalRoot(fn)
-			}
-			for ti := i; ti < len(v.Threads); ti += n {
-				forEachThreadRoot(v.Threads[ti], fn)
-			}
-		})
-	}
-	return chunks
-}
-
-// The VM is the parallel collector's partitioned root provider.
-var _ gc.ChunkedRoots = (*VM)(nil)
 
 // DrainActive reports whether a DSU residue is installed: the window between
 // an update's collection and the retirement of everything it left behind (a
