@@ -24,10 +24,14 @@ test:
 # The bench of record is a module of its own (benchmark/go.mod), so the
 # three targets above do not see it: vet it and run its smoke sizes here, so
 # a refactor that breaks its pinned API surface (benchmark/README.md) fails
-# tier-1 instead of the bench run.
+# tier-1 instead of the bench run. The control plane's own benchmarks (the
+# verifier and the assembler over all 25 app releases: ns/ins, ns/line,
+# allocations per unit) run once each here so they cannot rot; their gates
+# are the allocation counts in internal/apps/layers_test.go, under `test`.
 bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+	$(GO) test -run '^$$' -bench 'AllReleases' -benchtime 1x ./internal/apps/
 
 race:
 	$(GO) test -race ./...
@@ -64,11 +68,12 @@ obs-verdict-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkProfDisabledOverhead|BenchmarkInterpDispatch' -benchtime 200ms ./internal/vm/
 
 # Write-barrier cost gate: the disarmed SATB barrier must add zero
-# allocations and ≤2% overhead to a dispatch-shaped store loop, and the
-# armed barrier must stay within its tripwire bound. race-gc above already
-# runs the mark/barrier packages (gc, heap) with -race -count=4; this target
-# pins the gates by name and prints the three store benchmarks so the
-# bare/disarmed/armed costs stay visible.
+# allocations to a dispatch-shaped store loop and hold its tripwire ratio
+# against the bare store (median of 101 interleaved pairs, floor recorded in
+# the test), and the armed barrier must stay within its tripwire bound.
+# race-gc above already runs the mark/barrier packages (gc, heap) with -race
+# -count=4; this target pins the gates by name and prints the three store
+# benchmarks so the bare/disarmed/armed costs stay visible.
 satb-gate:
 	$(GO) test -run 'TestSATB' -count=1 ./internal/vm/ ./internal/heap/
 	$(GO) test -run '^$$' -bench 'BenchmarkSATBStore|BenchmarkSATBDisarmedDispatch|BenchmarkSATBArmedDispatch' -benchtime 200ms ./internal/heap/ ./internal/vm/

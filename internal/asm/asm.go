@@ -49,11 +49,12 @@ func (e *Error) Error() string {
 // Assemble parses source text into a set of classes. The file name is used
 // only for error messages.
 func Assemble(file, src string) ([]*classfile.Class, error) {
-	p := &parser{file: file, lines: strings.Split(src, "\n")}
+	p := &parser{file: file, lines: strings.Split(src, "\n"), labels: make(map[string]int)}
 	var classes []*classfile.Class
 	for {
-		p.skipBlank()
-		if p.eof() {
+		if fields, err := p.next(); err != nil {
+			return nil, err
+		} else if fields == nil {
 			break
 		}
 		c, err := p.parseClass()
@@ -81,6 +82,23 @@ type parser struct {
 	file  string
 	lines []string
 	pos   int // current line index
+
+	// fields is the current line split once, into storage every line
+	// reuses: what next returns is good until the next advance. split
+	// says the current line has been.
+	fields []string
+	split  bool
+
+	// Per-body tables, emptied and reused from method to method.
+	labels map[string]int
+	fixups []fixup
+}
+
+// fixup is a branch waiting for its label.
+type fixup struct {
+	insIdx int
+	label  string
+	line   int
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.lines) }
@@ -89,33 +107,47 @@ func (p *parser) errf(format string, args ...any) error {
 	return &Error{File: p.file, Line: p.pos + 1, Msg: fmt.Sprintf(format, args...)}
 }
 
-// next returns the current line's fields (comment stripped, quoted strings
-// kept as single fields) and advances. Blank lines are skipped.
+// next skips blank lines and returns the current line's fields (comment
+// stripped, quoted strings kept as single fields), or nil at end of file. It
+// does not move past the line: the caller advances once it has used it.
 func (p *parser) next() ([]string, error) {
 	for !p.eof() {
-		fields, err := splitFields(p.lines[p.pos])
-		if err != nil {
-			return nil, p.errf("%v", err)
+		if !p.split {
+			fields, err := splitFields(p.fields[:0], p.lines[p.pos])
+			if err != nil {
+				return nil, p.errf("%v", err)
+			}
+			p.fields, p.split = fields, true
 		}
-		if len(fields) == 0 {
-			p.pos++
-			continue
+		if len(p.fields) > 0 {
+			return p.fields, nil
 		}
-		return fields, nil
+		p.advance()
 	}
 	return nil, nil
 }
 
-func (p *parser) advance() { p.pos++ }
+func (p *parser) advance() { p.pos, p.split = p.pos+1, false }
 
-func (p *parser) skipBlank() {
-	for !p.eof() {
-		fields, err := splitFields(p.lines[p.pos])
-		if err != nil || len(fields) > 0 {
-			return
+// codeLines counts the lines between the current one and the body's closing
+// brace that are not blank, a comment or a label: the instructions. It sizes
+// m.Code once; a miscount costs an append, nothing else.
+func (p *parser) codeLines() int {
+	n := 0
+	for _, line := range p.lines[p.pos:] {
+		i := 0
+		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+			i++
 		}
-		p.pos++
+		switch {
+		case i == len(line) || line[i] == '/' || line[len(line)-1] == ':':
+		case line[i] == '}':
+			return n
+		default:
+			n++
+		}
 	}
+	return n
 }
 
 func (p *parser) parseClass() (*classfile.Class, error) {
@@ -243,13 +275,11 @@ modifiers:
 }
 
 func (p *parser) parseBody(className string, m *classfile.Method) error {
-	labels := make(map[string]int)
-	type fixup struct {
-		insIdx int
-		label  string
-		line   int
+	clear(p.labels)
+	p.fixups = p.fixups[:0]
+	if n := p.codeLines(); n > 0 {
+		m.Code = make([]bytecode.Ins, 0, n)
 	}
-	var fixups []fixup
 
 	nargs := m.Sig.NumArgs()
 	if nargs < 0 {
@@ -275,10 +305,10 @@ func (p *parser) parseBody(className string, m *classfile.Method) error {
 		// Label line: "name:".
 		if len(fields) == 1 && strings.HasSuffix(fields[0], ":") {
 			label := strings.TrimSuffix(fields[0], ":")
-			if _, dup := labels[label]; dup {
+			if _, dup := p.labels[label]; dup {
 				return p.errf("method %s.%s: duplicate label %q", className, m.Name, label)
 			}
-			labels[label] = len(m.Code)
+			p.labels[label] = len(m.Code)
 			p.advance()
 			continue
 		}
@@ -339,7 +369,7 @@ func (p *parser) parseBody(className string, m *classfile.Method) error {
 				if len(args) != 1 {
 					return p.errf("%s wants a label", op)
 				}
-				fixups = append(fixups, fixup{len(m.Code), args[0], p.pos + 1})
+				p.fixups = append(p.fixups, fixup{len(m.Code), args[0], p.pos + 1})
 			} else if len(args) != 0 {
 				return p.errf("%s takes no operands", op)
 			}
@@ -347,8 +377,8 @@ func (p *parser) parseBody(className string, m *classfile.Method) error {
 		m.Code = append(m.Code, ins)
 		p.advance()
 	}
-	for _, f := range fixups {
-		target, ok := labels[f.label]
+	for _, f := range p.fixups {
+		target, ok := p.labels[f.label]
 		if !ok {
 			return &Error{File: p.file, Line: f.line,
 				Msg: fmt.Sprintf("method %s.%s: undefined label %q", className, m.Name, f.label)}
@@ -373,9 +403,9 @@ func splitNameSig(s string) (string, classfile.Sig, error) {
 }
 
 // splitFields splits a line on whitespace, keeping double-quoted strings
-// (with Go escape syntax) as single fields and stripping '//' comments.
-func splitFields(line string) ([]string, error) {
-	var fields []string
+// (with Go escape syntax) as single fields and stripping '//' comments. The
+// fields are appended to the slice it is given.
+func splitFields(fields []string, line string) ([]string, error) {
 	i := 0
 	for i < len(line) {
 		switch {

@@ -20,22 +20,27 @@ type Ins struct {
 	Str  string
 }
 
+// SplitSym splits a "Class.member" symbol at its last dot; a symbol without
+// one is a bare class name and has no member part.
+func SplitSym(sym string) (class, member string) {
+	if dot := strings.LastIndexByte(sym, '.'); dot >= 0 {
+		return sym[:dot], sym[dot+1:]
+	}
+	return sym, ""
+}
+
 // SymClass returns the class-name part of a "Class.member" symbol, or the
 // whole symbol if it has no member part.
 func (i Ins) SymClass() string {
-	if dot := strings.LastIndexByte(i.Sym, '.'); dot >= 0 {
-		return i.Sym[:dot]
-	}
-	return i.Sym
+	class, _ := SplitSym(i.Sym)
+	return class
 }
 
 // SymMember returns the member-name part of a "Class.member" symbol, or ""
 // if the symbol is a bare class name.
 func (i Ins) SymMember() string {
-	if dot := strings.LastIndexByte(i.Sym, '.'); dot >= 0 {
-		return i.Sym[dot+1:]
-	}
-	return ""
+	_, member := SplitSym(i.Sym)
+	return member
 }
 
 // String renders the instruction in assembler syntax.

@@ -112,10 +112,17 @@ type Sig string
 // ParseSig splits a signature into argument descriptors and return
 // descriptor. The return descriptor may be V.
 func ParseSig(s Sig) (args []Desc, ret Desc, err error) {
-	if _, ret, err = s.scan(&args); err != nil {
+	return s.AppendArgs(nil)
+}
+
+// AppendArgs is ParseSig into the caller's storage: the argument descriptors
+// are appended to dst. Every descriptor is a substring of s, so a caller that
+// hands back the slice it got (cut to length 0) parses without allocating.
+func (s Sig) AppendArgs(dst []Desc) (args []Desc, ret Desc, err error) {
+	if _, ret, err = s.scan(&dst); err != nil {
 		return nil, "", err
 	}
-	return args, ret, nil
+	return dst, ret, nil
 }
 
 // scan walks a signature once, counting its argument descriptors (appending

@@ -377,8 +377,9 @@ func (e *Engine) ApplyNow(spec *upt.Spec, opts Options) (*Result, error) {
 // classes shadow loaded ones, flattened old versions are visible for
 // transformer code, and deleted classes are gone.
 type updateEnv struct {
-	reg  *rt.Registry
-	spec *upt.Spec
+	reg     *rt.Registry
+	spec    *upt.Spec
+	deleted map[string]bool // spec.DeletedClasses, resolved once
 }
 
 func (u updateEnv) LookupClass(name string) *classfile.Class {
@@ -388,10 +389,8 @@ func (u updateEnv) LookupClass(name string) *classfile.Class {
 	if def, ok := u.spec.OldFlatDefs[name]; ok {
 		return def
 	}
-	for _, d := range u.spec.DeletedClasses {
-		if d == name {
-			return nil
-		}
+	if u.deleted[name] {
+		return nil
 	}
 	if name == upt.TransformersClassName {
 		return u.spec.Transformers
@@ -402,7 +401,10 @@ func (u updateEnv) LookupClass(name string) *classfile.Class {
 // verifyUpdate statically type-checks the whole new version and the
 // transformer class (the latter in relaxed mode — the JastAdd special case).
 func (e *Engine) verifyUpdate(spec *upt.Spec) error {
-	env := updateEnv{e.VM.Reg, spec}
+	env := updateEnv{e.VM.Reg, spec, make(map[string]bool, len(spec.DeletedClasses))}
+	for _, name := range spec.DeletedClasses {
+		env.deleted[name] = true
+	}
 	strict := verifier.New(env, verifier.Strict)
 	for _, def := range spec.New.Sorted() {
 		if err := def.Validate(); err != nil {
@@ -412,11 +414,10 @@ func (e *Engine) verifyUpdate(spec *upt.Spec) error {
 			return fmt.Errorf("core: update rejected: %w", err)
 		}
 	}
-	relaxed := verifier.New(env, verifier.Relaxed)
 	if err := spec.Transformers.Validate(); err != nil {
 		return fmt.Errorf("core: transformers rejected: %w", err)
 	}
-	if err := relaxed.VerifyClass(spec.Transformers); err != nil {
+	if err := strict.WithMode(verifier.Relaxed).VerifyClass(spec.Transformers); err != nil {
 		return fmt.Errorf("core: transformers rejected: %w", err)
 	}
 	return nil

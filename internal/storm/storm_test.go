@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"govolve/internal/asm"
+	"govolve/internal/classfile"
 	"govolve/internal/obs"
+	"govolve/internal/vm"
 )
 
 // TestStormShort is the bounded tier-1 configuration: three seeds, ~70
@@ -256,5 +259,68 @@ func TestStormLazyEagerEquivalent(t *testing.T) {
 			t.Fatalf("seed %d: transformation timing changed the trajectory:\n  eager=%+v\n  lazy=%+v",
 				seed, *eager, *lazy)
 		}
+	}
+}
+
+// TestBootstrapDefsSharedUnchanged pins what lets vm.New assemble the
+// bootstrap classes once per process: every VM is handed the same
+// definitions, and neither 40 storm updates (loads, renames of old versions,
+// JIT compiles, transformer runs) nor a LoadProgram writes to them. Printed
+// before and after, they read byte for byte like a fresh assembly.
+func TestBootstrapDefsSharedUnchanged(t *testing.T) {
+	fresh, err := asm.Assemble("bootstrap.jva", vm.BootstrapSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := asm.Print(fresh)
+	loaded := func() []*classfile.Class {
+		v, err := vm.New(vm.Options{HeapWords: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs := make([]*classfile.Class, len(fresh))
+		for i, c := range fresh {
+			defs[i] = v.Reg.LookupDef(c.Name)
+		}
+		return defs
+	}
+	before := loaded()
+	if got := asm.Print(before); got != want {
+		t.Fatalf("bootstrap definitions differ from a fresh assembly before anything ran:\n%s", got)
+	}
+
+	if _, err := Run(Config{Seed: 7, Updates: 40}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := vm.New(vm.Options{HeapWords: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.AssembleProgram("user.jva", `
+class Greeter extends Object {
+  static field greeting LString;
+  static method <clinit>()V {
+    ldc "hello"
+    ldc " world"
+    invokevirtual String.concat(LString;)LString;
+    putstatic Greeter.greeting LString;
+    return
+  }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+
+	after := loaded()
+	for i := range before {
+		if before[i] != after[i] {
+			t.Errorf("class %s: a later VM got a different definition: bootstrap is assembled more than once", fresh[i].Name)
+		}
+	}
+	if got := asm.Print(after); got != want {
+		t.Fatalf("bootstrap definitions changed under a storm run and a LoadProgram:\n%s", got)
 	}
 }

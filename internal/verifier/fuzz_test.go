@@ -134,10 +134,12 @@ func stackEffect(ins bytecode.Ins) (pops, pushes int) {
 	return 0, 0
 }
 
-// FuzzVerifier feeds adversarial bytecode to the verifier. Properties:
-// the verifier never panics, and — for straight-line code, where depth is
-// a simple linear fold — it never accepts a method that underflows the
-// operand stack or falls off the end of the code.
+// FuzzVerifier feeds adversarial bytecode to the verifier. Properties: the
+// verifier never panics; on any code, branching included, it gives the
+// reference model's verdict and, on reject, the reference model's error; and
+// — for straight-line code, where depth is a simple linear fold — it never
+// accepts a method that underflows the operand stack or falls off the end
+// of the code.
 func FuzzVerifier(f *testing.F) {
 	f.Add([]byte{})
 	// load 0; return — minimal valid body.
@@ -166,6 +168,29 @@ func FuzzVerifier(f *testing.F) {
 	f.Add([]byte{byte(bytecode.FLOADINVOKE), 1, byte(bytecode.FGETGET), 2})
 	f.Add([]byte{byte(bytecode.FLOADLOADARITH), 0, byte(bytecode.FCONSTARITH2), 9})
 	f.Add([]byte{byte(bytecode.GETFIELD_R), 0, byte(bytecode.RETURN), 0})
+	// Joins, for the differential half of the oracle. A loop whose head
+	// widens local 1 from int to unset (the back edge carries a T), read
+	// after the loop: rejected only on the head's second visit.
+	f.Add([]byte{byte(bytecode.CONST), 128, byte(bytecode.STORE), 1,
+		byte(bytecode.LOAD), 0, byte(bytecode.IFEQ), 7,
+		byte(bytecode.NEW), 0, byte(bytecode.STORE), 1, byte(bytecode.GOTO), 2,
+		byte(bytecode.LOAD), 1, byte(bytecode.RETURN), 0})
+	// Stack depth 0 on the branch, 1 on the fall-through, at the same join.
+	f.Add([]byte{byte(bytecode.LOAD), 0, byte(bytecode.IFEQ), 3,
+		byte(bytecode.CONST), 129, byte(bytecode.LOAD), 0, byte(bytecode.RETURN), 0})
+	// A backward branch into the middle of what was straight-line code: pc 1
+	// is a leader only because of the ifne at pc 3.
+	f.Add([]byte{byte(bytecode.NOP), 0, byte(bytecode.NOP), 0,
+		byte(bytecode.LOAD), 0, byte(bytecode.IFNE), 1,
+		byte(bytecode.CONST), 128, byte(bytecode.RETURN), 0})
+	// An aget site reached first with a null receiver (fall-through), then
+	// with an int array: the one order-dependent verdict, pinned to the
+	// reference's (DESIGN.md §16).
+	f.Add([]byte{byte(bytecode.LOAD), 0, byte(bytecode.IFEQ), 4,
+		byte(bytecode.NULL), 0, byte(bytecode.GOTO), 6,
+		byte(bytecode.CONST), 129, byte(bytecode.NEWARRAY), 0,
+		byte(bytecode.CONST), 128, byte(bytecode.AGET), 0, byte(bytecode.POP), 0,
+		byte(bytecode.CONST), 128, byte(bytecode.RETURN), 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		code := decodeFuzzMethod(data)
@@ -173,23 +198,26 @@ func FuzzVerifier(f *testing.F) {
 		if err != nil {
 			t.Fatalf("building fixed env: %v", err)
 		}
-		verr := VerifyProgram(prog) // must not panic
+		// Must not panic; only T can fail, Object and String are fixed.
+		verr, diff := VerifyBoth(ProgramEnv{prog}, Strict, prog.Classes["T"])
+		if diff != "" {
+			t.Fatalf("%s\n%s", diff, bytecode.Disassemble(code))
+		}
 		if verr != nil {
 			return
 		}
-		// Accepted. JIT-internal opcodes (resolved forms and fused
-		// superinstructions) must never get this far.
+		// Accepted. For straight-line code reachability and the stack
+		// depth at each pc are exact; replay it and reject any accepted
+		// underflow or reachable JIT-internal opcode (resolved forms and
+		// fused superinstructions; code after a return or trap is never
+		// verified, so what sits there is not the verifier's to reject).
+		depth := 0
 		for pc, ins := range code {
 			if ins.Op.IsResolved() {
 				t.Fatalf("verifier accepted JIT-internal opcode %s at pc %d: %v", ins.Op, pc, code)
 			}
-		}
-		// For straight-line code the stack depth at each pc is
-		// exact; replay it and reject any accepted underflow.
-		depth := 0
-		for pc, ins := range code {
 			if ins.Op.IsBranch() {
-				return // oracle only covers linear code
+				return // beyond here only the reference model judges
 			}
 			if ins.Op == bytecode.RETURN {
 				if depth < 1 {

@@ -12,6 +12,7 @@ package verifier
 
 import (
 	"fmt"
+	"slices"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
@@ -72,9 +73,11 @@ const (
 )
 
 var (
-	intT   = vtype{kind: tInt}
-	nullT  = vtype{kind: tNull}
-	unsetT = vtype{}
+	intT    = vtype{kind: tInt}
+	nullT   = vtype{kind: tNull}
+	unsetT  = vtype{}
+	objectT = refT("LObject;")
+	stringT = refT("LString;")
 )
 
 func refT(d classfile.Desc) vtype { return vtype{kind: tRef, desc: d} }
@@ -102,15 +105,38 @@ func typeForDesc(d classfile.Desc) vtype {
 	return intT
 }
 
-// Verifier checks methods of a class against an environment.
+// Verifier checks methods of a class against an environment. It owns the
+// scratch storage the dataflow runs in, reused from method to method, so it
+// is not safe for concurrent use.
 type Verifier struct {
 	env  Env
 	mode Mode
+	*scratch
 }
 
-// New builds a Verifier.
+// New builds a Verifier. Its scratch starts out sized for the methods real
+// programs mostly have (of the three apps' 537, nine in ten are under 30
+// instructions; the largest is 101, with 6 locals), so that a Verifier used
+// for one small program neither spends its life growing slices nor pays for
+// room it will not use; anything larger grows them.
 func New(env Env, mode Mode) *Verifier {
-	return &Verifier{env: env, mode: mode}
+	return &Verifier{env: env, mode: mode, scratch: &scratch{
+		points: make([]point, 0, 32),
+		slab:   make([]vtype, 0, 64),
+		work:   make([]int32, 0, 8),
+		locals: make([]vtype, 0, 8),
+		stack:  make([]vtype, 0, 8),
+		args:   make([]classfile.Desc, 0, 4),
+		refs:   make(map[string]classfile.Desc, 32),
+		seen:   make(map[string]bool, 8),
+	}}
+}
+
+// WithMode returns a Verifier for the same environment, on the same scratch
+// storage, that checks in the given mode: an update verifies its classes
+// strictly and its transformers relaxed out of one set of buffers.
+func (v *Verifier) WithMode(mode Mode) *Verifier {
+	return &Verifier{env: v.env, mode: mode, scratch: v.scratch}
 }
 
 // VerifyProgram verifies every method of every class in the program against
@@ -127,23 +153,8 @@ func VerifyProgram(p *classfile.Program) error {
 
 // VerifyClass verifies every non-native method of the class.
 func (v *Verifier) VerifyClass(c *classfile.Class) error {
-	if c.Super != "" {
-		if v.env.LookupClass(c.Super) == nil {
-			return fmt.Errorf("verifier: class %s extends unknown class %s", c.Name, c.Super)
-		}
-		// Reject hierarchy cycles.
-		seen := map[string]bool{c.Name: true}
-		for s := c.Super; s != ""; {
-			if seen[s] {
-				return fmt.Errorf("verifier: class %s: superclass cycle through %s", c.Name, s)
-			}
-			seen[s] = true
-			sc := v.env.LookupClass(s)
-			if sc == nil {
-				return fmt.Errorf("verifier: class %s: unknown superclass %s", c.Name, s)
-			}
-			s = sc.Super
-		}
+	if err := v.checkHierarchy(c); err != nil {
+		return err
 	}
 	for _, m := range c.Methods {
 		if m.Native {
@@ -156,368 +167,394 @@ func (v *Verifier) VerifyClass(c *classfile.Class) error {
 	return nil
 }
 
-// state is the abstract machine state at one program point.
-type state struct {
-	locals []vtype
+// checkHierarchy rejects an unknown superclass and a superclass cycle.
+func (v *Verifier) checkHierarchy(c *classfile.Class) error {
+	if c.Super == "" {
+		return nil
+	}
+	if v.env.LookupClass(c.Super) == nil {
+		return fmt.Errorf("verifier: class %s extends unknown class %s", c.Name, c.Super)
+	}
+	clear(v.seen)
+	v.seen[c.Name] = true
+	for s := c.Super; s != ""; {
+		if v.seen[s] {
+			return fmt.Errorf("verifier: class %s: superclass cycle through %s", c.Name, s)
+		}
+		v.seen[s] = true
+		sc := v.env.LookupClass(s)
+		if sc == nil {
+			return fmt.Errorf("verifier: class %s: unknown superclass %s", c.Name, s)
+		}
+		s = sc.Super
+	}
+	return nil
+}
+
+// point is what the dataflow keeps per instruction. Only leaders hold an
+// in-state; every other instruction has one predecessor, the instruction
+// before it, and sees the working state that one left.
+type point struct {
+	// leader marks pc 0 and every branch target.
+	leader bool
+	// nullAget marks an aget that has pushed null for a null receiver.
+	nullAget bool
+	// off is where a leader's in-state starts in scratch.slab (its locals,
+	// then depth stack slots), or -1 while the leader is unreached.
+	off, depth int32
+}
+
+// scratch is the storage one method's dataflow runs in. Nothing in it
+// outlives VerifyMethod except capacity, and refs.
+type scratch struct {
+	// The method being verified and the instruction being checked: where
+	// fail points.
+	c   *classfile.Class
+	m   *classfile.Method
+	pc  int
+	err error // the method's first failure
+
+	points []point // one per instruction
+	slab   []vtype // in-states of the reached leaders, back to back
+	work   []int32 // leaders whose in-state changed, taken last in first out
+	locals []vtype // the working state, carried through straight-line code
 	stack  []vtype
+	args   []classfile.Desc // arguments of the signature being walked
+
+	// refs memoises "L"+name+";" per class name.
+	refs map[string]classfile.Desc
+	// seen is the superclass chain checkHierarchy has walked.
+	seen map[string]bool
 }
 
-func (s *state) clone() *state {
-	c := &state{
-		locals: append([]vtype(nil), s.locals...),
-		stack:  append([]vtype(nil), s.stack...),
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// classT is the verification type of a reference to the named class.
+func (v *Verifier) classT(name string) vtype {
+	d, ok := v.refs[name]
+	if !ok {
+		d = classfile.RefOf(name)
+		v.refs[name] = d
 	}
-	return c
+	return refT(d)
 }
 
-// VerifyMethod runs the dataflow analysis over one method body.
+// fail records the method's first failure and returns it. A transfer
+// function carries on past a failed pop with an unset value; whatever it
+// reports after that is a consequence, and is dropped here.
+func (v *Verifier) fail(format string, args ...any) error {
+	if v.err == nil {
+		v.err = &Error{Class: v.c.Name, Method: v.m.ID(), PC: v.pc, Msg: fmt.Sprintf(format, args...)}
+	}
+	return v.err
+}
+
+// op is the opcode being checked, for messages.
+func (v *Verifier) op() bytecode.Op { return v.m.Code[v.pc].Op }
+
+func (v *Verifier) push(t vtype) { v.stack = append(v.stack, t) }
+
+func (v *Verifier) pop() vtype {
+	n := len(v.stack)
+	if n == 0 {
+		v.fail("%s: operand stack underflow", v.op())
+		return unsetT
+	}
+	t := v.stack[n-1]
+	v.stack = v.stack[:n-1]
+	return t
+}
+
+func (v *Verifier) popInt() {
+	if t := v.pop(); t.kind != tInt {
+		v.fail("%s: want int, have %s", v.op(), t)
+	}
+}
+
+func (v *Verifier) popRef() vtype {
+	t := v.pop()
+	if !t.isRefLike() {
+		v.fail("%s: want reference, have %s", v.op(), t)
+		return unsetT
+	}
+	return t
+}
+
+// VerifyMethod runs the dataflow analysis over one method body: abstract
+// interpretation over basic blocks. An in-state is stored only at leaders;
+// one working state is carried from a leader through the straight-line code
+// after it and joined, in place, into every leader it reaches, and a leader
+// whose in-state that raised goes back on the worklist. Between leaders the
+// state is a function of the leader's in-state, so storing it — as the
+// per-instruction reference model in reference_test.go does — buys nothing.
+// DESIGN.md §16 has the argument.
 func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
-	fail := func(pc int, format string, args ...any) error {
-		return &Error{Class: c.Name, Method: m.ID(), PC: pc, Msg: fmt.Sprintf(format, args...)}
+	v.c, v.m, v.pc, v.err = c, m, 0, nil
+	code := m.Code
+	if len(code) == 0 {
+		return v.fail("empty method body")
 	}
-	if len(m.Code) == 0 {
-		return fail(0, "empty method body")
-	}
-	args, ret, err := classfile.ParseSig(m.Sig)
+	args, ret, err := m.Sig.AppendArgs(v.args[:0])
 	if err != nil {
-		return fail(0, "bad signature: %v", err)
+		return v.fail("bad signature: %v", err)
 	}
+	v.args = args
 
-	entry := &state{locals: make([]vtype, m.MaxLocals)}
+	v.locals, v.stack = zeroed(v.locals, m.MaxLocals), v.stack[:0]
 	slot := 0
 	if !m.Static {
 		if slot >= m.MaxLocals {
-			return fail(0, "MaxLocals %d too small for receiver", m.MaxLocals)
+			return v.fail("MaxLocals %d too small for receiver", m.MaxLocals)
 		}
-		entry.locals[slot] = refT(classfile.RefOf(c.Name))
+		v.locals[slot] = v.classT(c.Name)
 		slot++
 	}
 	for _, a := range args {
 		if slot >= m.MaxLocals {
-			return fail(0, "MaxLocals %d too small for %d args", m.MaxLocals, len(args))
+			return v.fail("MaxLocals %d too small for %d args", m.MaxLocals, len(args))
 		}
-		entry.locals[slot] = typeForDesc(a)
+		v.locals[slot] = typeForDesc(a)
 		slot++
 	}
 
-	in := make([]*state, len(m.Code))
-	in[0] = entry
-	work := []int{0}
+	v.points = zeroed(v.points, len(code))
+	v.points[0].leader = true
+	for i := range code {
+		v.points[i].off = -1
+		if code[i].Op.IsBranch() && code[i].A >= 0 && code[i].A < int64(len(code)) {
+			v.points[code[i].A].leader = true
+		}
+	}
+	v.slab, v.work = v.slab[:0], v.work[:0]
+	v.flow(0)
+
 	steps := 0
-	maxSteps := 64 * (len(m.Code) + 4) * (m.MaxLocals + 4)
-	for len(work) > 0 {
-		if steps++; steps > maxSteps {
-			return fail(0, "dataflow did not converge")
-		}
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := in[pc].clone()
-		ins := m.Code[pc]
+	maxSteps := 64 * (len(code) + 4) * (m.MaxLocals + 4)
+	for len(v.work) > 0 {
+		pc := int(v.work[len(v.work)-1])
+		v.work = v.work[:len(v.work)-1]
+		in := v.slab[v.points[pc].off:]
+		copy(v.locals, in)
+		v.stack = append(v.stack[:0], in[len(v.locals):len(v.locals)+int(v.points[pc].depth)]...)
 
-		push := func(t vtype) { st.stack = append(st.stack, t) }
-		pop := func() (vtype, error) {
-			if len(st.stack) == 0 {
-				return unsetT, fail(pc, "%s: operand stack underflow", ins.Op)
+		for { // one instruction of straight-line code per turn
+			if steps++; steps > maxSteps {
+				v.pc = 0
+				return v.fail("dataflow did not converge")
 			}
-			t := st.stack[len(st.stack)-1]
-			st.stack = st.stack[:len(st.stack)-1]
-			return t, nil
-		}
-		popInt := func() error {
-			t, err := pop()
-			if err != nil {
-				return err
-			}
-			if t.kind != tInt {
-				return fail(pc, "%s: want int, have %s", ins.Op, t)
-			}
-			return nil
-		}
-		popRef := func() (vtype, error) {
-			t, err := pop()
-			if err != nil {
-				return unsetT, err
-			}
-			if !t.isRefLike() {
-				return unsetT, fail(pc, "%s: want reference, have %s", ins.Op, t)
-			}
-			return t, nil
-		}
+			v.pc = pc
+			ins := &code[pc]
+			falls := true
 
-		var nexts []int
-		fallthrough_ := true
-
-		switch ins.Op {
-		case bytecode.NOP, bytecode.YIELD:
-		case bytecode.CONST:
-			push(intT)
-		case bytecode.NULL:
-			push(nullT)
-		case bytecode.LDC:
-			push(refT(classfile.RefOf("String")))
-		case bytecode.LOAD:
-			idx := int(ins.A)
-			if idx < 0 || idx >= m.MaxLocals {
-				return fail(pc, "load %d out of range (MaxLocals %d)", idx, m.MaxLocals)
-			}
-			t := st.locals[idx]
-			if t.kind == tUnset {
-				return fail(pc, "load %d: local not definitely assigned", idx)
-			}
-			push(t)
-		case bytecode.STORE:
-			idx := int(ins.A)
-			if idx < 0 || idx >= m.MaxLocals {
-				return fail(pc, "store %d out of range (MaxLocals %d)", idx, m.MaxLocals)
-			}
-			t, err := pop()
-			if err != nil {
-				return err
-			}
-			st.locals[idx] = t
-		case bytecode.POP:
-			if _, err := pop(); err != nil {
-				return err
-			}
-		case bytecode.DUP:
-			t, err := pop()
-			if err != nil {
-				return err
-			}
-			push(t)
-			push(t)
-		case bytecode.DUP_X1:
-			a, err := pop()
-			if err != nil {
-				return err
-			}
-			b, err := pop()
-			if err != nil {
-				return err
-			}
-			push(a)
-			push(b)
-			push(a)
-		case bytecode.SWAP:
-			a, err := pop()
-			if err != nil {
-				return err
-			}
-			b, err := pop()
-			if err != nil {
-				return err
-			}
-			push(a)
-			push(b)
-		case bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.DIV, bytecode.REM,
-			bytecode.AND, bytecode.OR, bytecode.XOR, bytecode.SHL, bytecode.SHR:
-			if err := popInt(); err != nil {
-				return err
-			}
-			if err := popInt(); err != nil {
-				return err
-			}
-			push(intT)
-		case bytecode.NEG:
-			if err := popInt(); err != nil {
-				return err
-			}
-			push(intT)
-		case bytecode.GOTO:
-			nexts = []int{int(ins.A)}
-			fallthrough_ = false
-		case bytecode.IFEQ, bytecode.IFNE, bytecode.IFLT, bytecode.IFLE,
-			bytecode.IFGT, bytecode.IFGE:
-			if err := popInt(); err != nil {
-				return err
-			}
-			nexts = []int{int(ins.A)}
-		case bytecode.IF_ICMPEQ, bytecode.IF_ICMPNE, bytecode.IF_ICMPLT,
-			bytecode.IF_ICMPLE, bytecode.IF_ICMPGT, bytecode.IF_ICMPGE:
-			if err := popInt(); err != nil {
-				return err
-			}
-			if err := popInt(); err != nil {
-				return err
-			}
-			nexts = []int{int(ins.A)}
-		case bytecode.IF_ACMPEQ, bytecode.IF_ACMPNE:
-			if _, err := popRef(); err != nil {
-				return err
-			}
-			if _, err := popRef(); err != nil {
-				return err
-			}
-			nexts = []int{int(ins.A)}
-		case bytecode.IFNULL, bytecode.IFNONNULL:
-			if _, err := popRef(); err != nil {
-				return err
-			}
-			nexts = []int{int(ins.A)}
-		case bytecode.NEW:
-			if v.env.LookupClass(ins.Sym) == nil {
-				return fail(pc, "new: unknown class %s", ins.Sym)
-			}
-			push(refT(classfile.RefOf(ins.Sym)))
-		case bytecode.INSTANCEOF:
-			if v.env.LookupClass(ins.Sym) == nil {
-				return fail(pc, "instanceof: unknown class %s", ins.Sym)
-			}
-			if _, err := popRef(); err != nil {
-				return err
-			}
-			push(intT)
-		case bytecode.CHECKCAST:
-			if v.env.LookupClass(ins.Sym) == nil {
-				return fail(pc, "checkcast: unknown class %s", ins.Sym)
-			}
-			if _, err := popRef(); err != nil {
-				return err
-			}
-			push(refT(classfile.RefOf(ins.Sym)))
-		case bytecode.NEWARRAY:
-			elem := classfile.Desc(ins.Desc)
-			if !elem.Valid() {
-				return fail(pc, "newarray: bad element descriptor %q", ins.Desc)
-			}
-			if err := popInt(); err != nil {
-				return err
-			}
-			push(refT(classfile.ArrayOf(elem)))
-		case bytecode.ARRAYLEN:
-			t, err := popRef()
-			if err != nil {
-				return err
-			}
-			if t.kind == tRef && t.desc.Kind() != classfile.KArray {
-				return fail(pc, "arraylen: want array, have %s", t)
-			}
-			push(intT)
-		case bytecode.AGET:
-			if err := popInt(); err != nil {
-				return err
-			}
-			t, err := popRef()
-			if err != nil {
-				return err
-			}
-			if t.kind == tNull {
-				// Will trap at runtime; element type unknowable, treat as
-				// the bottom-most usable assumption.
-				push(nullT)
-				break
-			}
-			if t.desc.Kind() != classfile.KArray {
-				return fail(pc, "aget: want array, have %s", t)
-			}
-			push(typeForDesc(t.desc.Elem()))
-		case bytecode.ASET:
-			val, err := pop()
-			if err != nil {
-				return err
-			}
-			if err := popInt(); err != nil {
-				return err
-			}
-			t, err := popRef()
-			if err != nil {
-				return err
-			}
-			if t.kind == tNull {
-				break
-			}
-			if t.desc.Kind() != classfile.KArray {
-				return fail(pc, "aset: want array, have %s", t)
-			}
-			if err := v.checkAssignable(val, typeForDesc(t.desc.Elem())); err != nil {
-				return fail(pc, "aset: %v", err)
-			}
-		case bytecode.GETFIELD, bytecode.PUTFIELD, bytecode.GETSTATIC, bytecode.PUTSTATIC:
-			if err := v.checkFieldAccess(c, m, st, pc, ins, fail); err != nil {
-				return err
-			}
-		case bytecode.INVOKEVIRTUAL, bytecode.INVOKESTATIC, bytecode.INVOKESPECIAL:
-			if err := v.checkInvoke(c, st, pc, ins, fail); err != nil {
-				return err
-			}
-		case bytecode.RETURN:
-			if ret != "V" {
-				t, err := pop()
-				if err != nil {
-					return err
+			switch ins.Op {
+			case bytecode.NOP, bytecode.YIELD:
+			case bytecode.CONST:
+				v.push(intT)
+			case bytecode.NULL:
+				v.push(nullT)
+			case bytecode.LDC:
+				v.push(stringT)
+			case bytecode.LOAD, bytecode.STORE:
+				idx := int(ins.A)
+				if idx < 0 || idx >= m.MaxLocals {
+					return v.fail("%s %d out of range (MaxLocals %d)", ins.Op, idx, m.MaxLocals)
 				}
-				if err := v.checkAssignable(t, typeForDesc(ret)); err != nil {
-					return fail(pc, "return: %v", err)
+				if ins.Op == bytecode.STORE {
+					v.locals[idx] = v.pop()
+				} else if t := v.locals[idx]; t.kind == tUnset {
+					v.fail("load %d: local not definitely assigned", idx)
+				} else {
+					v.push(t)
+				}
+			case bytecode.POP:
+				v.pop()
+			case bytecode.DUP:
+				t := v.pop()
+				v.push(t)
+				v.push(t)
+			case bytecode.DUP_X1, bytecode.SWAP:
+				a, b := v.pop(), v.pop()
+				v.push(a)
+				v.push(b)
+				if ins.Op == bytecode.DUP_X1 {
+					v.push(a)
+				}
+			case bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.DIV, bytecode.REM,
+				bytecode.AND, bytecode.OR, bytecode.XOR, bytecode.SHL, bytecode.SHR:
+				v.popInt()
+				v.popInt()
+				v.push(intT)
+			case bytecode.NEG:
+				v.popInt()
+				v.push(intT)
+			case bytecode.GOTO:
+				falls = false
+			case bytecode.IFEQ, bytecode.IFNE, bytecode.IFLT, bytecode.IFLE,
+				bytecode.IFGT, bytecode.IFGE:
+				v.popInt()
+			case bytecode.IF_ICMPEQ, bytecode.IF_ICMPNE, bytecode.IF_ICMPLT,
+				bytecode.IF_ICMPLE, bytecode.IF_ICMPGT, bytecode.IF_ICMPGE:
+				v.popInt()
+				v.popInt()
+			case bytecode.IF_ACMPEQ, bytecode.IF_ACMPNE:
+				v.popRef()
+				v.popRef()
+			case bytecode.IFNULL, bytecode.IFNONNULL:
+				v.popRef()
+			case bytecode.NEW, bytecode.INSTANCEOF, bytecode.CHECKCAST:
+				if v.env.LookupClass(ins.Sym) == nil {
+					return v.fail("%s: unknown class %s", ins.Op, ins.Sym)
+				}
+				if ins.Op != bytecode.NEW {
+					v.popRef()
+				}
+				if ins.Op == bytecode.INSTANCEOF {
+					v.push(intT)
+				} else {
+					v.push(v.classT(ins.Sym))
+				}
+			case bytecode.NEWARRAY:
+				elem := classfile.Desc(ins.Desc)
+				if !elem.Valid() {
+					return v.fail("newarray: bad element descriptor %q", ins.Desc)
+				}
+				v.popInt()
+				v.push(refT(classfile.ArrayOf(elem)))
+			case bytecode.ARRAYLEN:
+				if t := v.popRef(); t.kind == tRef && t.desc.Kind() != classfile.KArray {
+					v.fail("arraylen: want array, have %s", t)
+				}
+				v.push(intT)
+			case bytecode.AGET:
+				v.popInt()
+				t := v.popRef()
+				elem := typeForDesc(t.desc.Elem())
+				switch {
+				case t.kind == tNull:
+					// Will trap at runtime; element type unknowable, treat as
+					// the bottom-most usable assumption.
+					v.points[pc].nullAget = true
+					v.push(nullT)
+				case t.desc.Kind() != classfile.KArray:
+					v.fail("aget: want array, have %s", t)
+				case elem.kind == tInt && v.points[pc].nullAget && pc+1 < len(code):
+					// The one transfer that is not monotone: null is below
+					// every array type, but the null it made this site push is
+					// not below a word. The site is rejected as the join of
+					// its two results, which is where the per-instruction
+					// engine met them (in the in-state of pc+1).
+					v.fail("merge into %d: incompatible stack slot %d (%s vs %s)",
+						pc+1, len(v.stack), nullT, elem)
+				default:
+					v.push(elem)
+				}
+			case bytecode.ASET:
+				val := v.pop()
+				v.popInt()
+				if t := v.popRef(); t.kind == tNull {
+					// Traps at runtime, like aget.
+				} else if t.desc.Kind() != classfile.KArray {
+					v.fail("aset: want array, have %s", t)
+				} else if err := v.checkAssignable(val, typeForDesc(t.desc.Elem())); err != nil {
+					v.fail("aset: %v", err)
+				}
+			case bytecode.GETFIELD, bytecode.PUTFIELD, bytecode.GETSTATIC, bytecode.PUTSTATIC:
+				v.checkFieldAccess(ins)
+			case bytecode.INVOKEVIRTUAL, bytecode.INVOKESTATIC, bytecode.INVOKESPECIAL:
+				v.checkInvoke(ins)
+			case bytecode.RETURN:
+				if ret != "V" {
+					if err := v.checkAssignable(v.pop(), typeForDesc(ret)); err != nil {
+						v.fail("return: %v", err)
+					}
+				}
+				if len(v.stack) != 0 {
+					v.fail("return with %d values left on stack", len(v.stack))
+				}
+				falls = false
+			case bytecode.TRAP:
+				falls = false
+			default:
+				if ins.Op.IsFused() {
+					// Fused superinstructions exist only in JIT-compiled
+					// streams; class-file code carrying one is forged.
+					return v.fail("fused superinstruction %s is JIT-internal and illegal in class files", ins.Op)
+				}
+				return v.fail("unexpected opcode %s (resolved form in class file?)", ins.Op)
+			}
+
+			if v.err != nil {
+				return v.err
+			}
+			if falls && pc+1 >= len(code) {
+				return v.fail("control falls off end of method")
+			}
+			if ins.Op.IsBranch() {
+				n := int(ins.A)
+				if n < 0 || n >= len(code) {
+					return v.fail("branch target %d out of range [0,%d)", n, len(code))
+				}
+				if v.flow(n) != nil {
+					return v.err
 				}
 			}
-			if len(st.stack) != 0 {
-				return fail(pc, "return with %d values left on stack", len(st.stack))
+			if !falls {
+				break
 			}
-			fallthrough_ = false
-		case bytecode.TRAP:
-			fallthrough_ = false
-		default:
-			if ins.Op.IsFused() {
-				// Fused superinstructions exist only in JIT-compiled
-				// streams; class-file code carrying one is forged.
-				return fail(pc, "fused superinstruction %s is JIT-internal and illegal in class files", ins.Op)
-			}
-			return fail(pc, "unexpected opcode %s (resolved form in class file?)", ins.Op)
-		}
-
-		if fallthrough_ {
-			if pc+1 >= len(m.Code) {
-				return fail(pc, "control falls off end of method")
-			}
-			nexts = append(nexts, pc+1)
-		}
-		for _, n := range nexts {
-			if n < 0 || n >= len(m.Code) {
-				return fail(pc, "branch target %d out of range [0,%d)", n, len(m.Code))
-			}
-			merged, changed, err := v.merge(in[n], st)
-			if err != nil {
-				return fail(pc, "merge into %d: %v", n, err)
-			}
-			if changed {
-				in[n] = merged
-				work = append(work, n)
+			if pc++; v.points[pc].leader {
+				if v.flow(pc) != nil {
+					return v.err
+				}
+				break
 			}
 		}
 	}
 	return nil
 }
 
-// merge joins two states pointwise; nil old means the point was unreached.
-func (v *Verifier) merge(old *state, new_ *state) (*state, bool, error) {
-	if old == nil {
-		return new_.clone(), true, nil
+// flow joins the working state into leader n's in-state, in place, and puts
+// n on the worklist if that raised it (a first arrival always does). A failed
+// join may leave the in-state half raised: the method is rejected, nothing
+// reads it again.
+func (v *Verifier) flow(n int) error {
+	p := &v.points[n]
+	if p.off < 0 {
+		p.off, p.depth = int32(len(v.slab)), int32(len(v.stack))
+		v.slab = append(append(v.slab, v.locals...), v.stack...)
+		v.work = append(v.work, int32(n))
+		return nil
 	}
-	if len(old.stack) != len(new_.stack) {
-		return nil, false, fmt.Errorf("operand stack depth mismatch (%d vs %d)",
-			len(old.stack), len(new_.stack))
+	if int(p.depth) != len(v.stack) {
+		return v.fail("merge into %d: operand stack depth mismatch (%d vs %d)", n, p.depth, len(v.stack))
 	}
-	out := old.clone()
+	in := v.slab[p.off:]
 	changed := false
-	for i := range out.locals {
-		t := v.lub(out.locals[i], new_.locals[i])
-		if t != out.locals[i] {
-			out.locals[i] = t
+	for i, t := range v.locals {
+		if u := v.lub(in[i], t); u != in[i] {
+			in[i] = u
 			changed = true
 		}
 	}
-	for i := range out.stack {
-		t := v.lub(out.stack[i], new_.stack[i])
-		if t.kind == tUnset {
-			return nil, false, fmt.Errorf("incompatible stack slot %d (%s vs %s)",
-				i, old.stack[i], new_.stack[i])
+	in = in[len(v.locals):]
+	for i, t := range v.stack {
+		u := v.lub(in[i], t)
+		if u.kind == tUnset {
+			return v.fail("merge into %d: incompatible stack slot %d (%s vs %s)", n, i, in[i], t)
 		}
-		if t != out.stack[i] {
-			out.stack[i] = t
+		if u != in[i] {
+			in[i] = u
 			changed = true
 		}
 	}
-	return out, changed, nil
+	if changed {
+		v.work = append(v.work, int32(n))
+	}
+	return nil
 }
 
 // lub computes the least upper bound of two verification types. Unmergeable
@@ -541,11 +578,11 @@ func (v *Verifier) lub(a, b vtype) vtype {
 		if a.desc == b.desc {
 			return a
 		}
-		return refT(classfile.RefOf("Object"))
+		return objectT
 	}
 	for an := a.desc.ClassName(); an != ""; {
 		if v.isSubclass(b.desc.ClassName(), an) {
-			return refT(classfile.RefOf(an))
+			return v.classT(an)
 		}
 		cls := v.env.LookupClass(an)
 		if cls == nil {
@@ -553,7 +590,7 @@ func (v *Verifier) lub(a, b vtype) vtype {
 		}
 		an = cls.Super
 	}
-	return refT(classfile.RefOf("Object"))
+	return objectT
 }
 
 // isSubclass reports whether class sub is name or a descendant of name.
@@ -574,6 +611,9 @@ func (v *Verifier) isSubclass(sub, name string) bool {
 // checkAssignable verifies that a value of type have may flow into a slot
 // declared as want.
 func (v *Verifier) checkAssignable(have, want vtype) error {
+	if have == want && (have.kind == tInt || have.kind == tRef) {
+		return nil // the common case: no descriptor to take apart, no class to look up
+	}
 	switch want.kind {
 	case tInt:
 		if have.kind != tInt {
@@ -608,6 +648,22 @@ func (v *Verifier) checkAssignable(have, want vtype) error {
 	}
 }
 
+// checkReceiver is checkAssignable against a reference to the named class,
+// which it builds (for the message) only to reject.
+func (v *Verifier) checkReceiver(have vtype, class string) error {
+	switch {
+	case have.kind == tNull:
+		return nil
+	case have.kind == tRef && have.desc.Kind() == classfile.KArray:
+		if class == "Object" {
+			return nil
+		}
+	case have.kind == tRef && v.isSubclass(have.desc.ClassName(), class):
+		return nil
+	}
+	return v.checkAssignable(have, v.classT(class))
+}
+
 // resolveField searches the class chain for the named field, matching how
 // the JIT resolves field references.
 func (v *Verifier) resolveField(className, fieldName string) (*classfile.Class, *classfile.Field) {
@@ -639,111 +695,81 @@ func (v *Verifier) resolveMethod(className, name string, sig classfile.Sig) (*cl
 	return nil, nil
 }
 
-type failf func(pc int, format string, args ...any) error
-
-func (v *Verifier) checkFieldAccess(c *classfile.Class, m *classfile.Method, st *state, pc int, ins bytecode.Ins, fail failf) error {
-	owner, f := v.resolveField(ins.SymClass(), ins.SymMember())
+func (v *Verifier) checkFieldAccess(ins *bytecode.Ins) {
+	c, m := v.c, v.m
+	class, member := bytecode.SplitSym(ins.Sym)
+	owner, f := v.resolveField(class, member)
 	if f == nil {
-		return fail(pc, "%s: unknown field %s", ins.Op, ins.Sym)
+		v.fail("%s: unknown field %s", ins.Op, ins.Sym)
+		return
 	}
 	if classfile.Desc(ins.Desc) != f.Desc {
-		return fail(pc, "%s: field %s has type %s, instruction says %s",
-			ins.Op, ins.Sym, f.Desc, ins.Desc)
+		v.fail("%s: field %s has type %s, instruction says %s", ins.Op, ins.Sym, f.Desc, ins.Desc)
 	}
 	if v.mode == Strict && f.Access == classfile.Private && owner.Name != c.Name {
-		return fail(pc, "%s: field %s is private to %s", ins.Op, ins.Sym, owner.Name)
+		v.fail("%s: field %s is private to %s", ins.Op, ins.Sym, owner.Name)
 	}
 	isStatic := ins.Op == bytecode.GETSTATIC || ins.Op == bytecode.PUTSTATIC
 	if isStatic != f.Static {
-		return fail(pc, "%s: static mismatch on field %s", ins.Op, ins.Sym)
+		v.fail("%s: static mismatch on field %s", ins.Op, ins.Sym)
 	}
 	isPut := ins.Op == bytecode.PUTFIELD || ins.Op == bytecode.PUTSTATIC
 	if v.mode == Strict && isPut && f.Final {
 		okCtx := owner.Name == c.Name &&
 			((f.Static && m.IsClinit()) || (!f.Static && m.IsInit()))
 		if !okCtx {
-			return fail(pc, "%s: write to final field %s outside its initializer", ins.Op, ins.Sym)
+			v.fail("%s: write to final field %s outside its initializer", ins.Op, ins.Sym)
 		}
 	}
 
-	pop := func() (vtype, error) {
-		if len(st.stack) == 0 {
-			return unsetT, fail(pc, "%s: operand stack underflow", ins.Op)
-		}
-		t := st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
-		return t, nil
-	}
 	if isPut {
-		val, err := pop()
-		if err != nil {
-			return err
-		}
-		if err := v.checkAssignable(val, typeForDesc(f.Desc)); err != nil {
-			return fail(pc, "%s %s: %v", ins.Op, ins.Sym, err)
+		if err := v.checkAssignable(v.pop(), typeForDesc(f.Desc)); err != nil {
+			v.fail("%s %s: %v", ins.Op, ins.Sym, err)
 		}
 	}
 	if !isStatic {
-		recv, err := pop()
-		if err != nil {
-			return err
-		}
-		if err := v.checkAssignable(recv, refT(classfile.RefOf(owner.Name))); err != nil {
-			return fail(pc, "%s %s: receiver: %v", ins.Op, ins.Sym, err)
+		if err := v.checkReceiver(v.pop(), owner.Name); err != nil {
+			v.fail("%s %s: receiver: %v", ins.Op, ins.Sym, err)
 		}
 	}
 	if !isPut {
-		st.stack = append(st.stack, typeForDesc(f.Desc))
+		v.push(typeForDesc(f.Desc))
 	}
-	return nil
 }
 
-func (v *Verifier) checkInvoke(c *classfile.Class, st *state, pc int, ins bytecode.Ins, fail failf) error {
+func (v *Verifier) checkInvoke(ins *bytecode.Ins) {
 	sig := classfile.Sig(ins.Desc)
-	owner, callee := v.resolveMethod(ins.SymClass(), ins.SymMember(), sig)
+	class, member := bytecode.SplitSym(ins.Sym)
+	owner, callee := v.resolveMethod(class, member, sig)
 	if callee == nil {
-		return fail(pc, "%s: unknown method %s%s", ins.Op, ins.Sym, ins.Desc)
+		v.fail("%s: unknown method %s%s", ins.Op, ins.Sym, ins.Desc)
+		return
 	}
-	if v.mode == Strict && callee.Access == classfile.Private && owner.Name != c.Name {
-		return fail(pc, "%s: method %s is private to %s", ins.Op, ins.Sym, owner.Name)
+	if v.mode == Strict && callee.Access == classfile.Private && owner.Name != v.c.Name {
+		v.fail("%s: method %s is private to %s", ins.Op, ins.Sym, owner.Name)
 	}
 	isStatic := ins.Op == bytecode.INVOKESTATIC
 	if isStatic != callee.Static {
-		return fail(pc, "%s: static mismatch on %s%s", ins.Op, ins.Sym, ins.Desc)
+		v.fail("%s: static mismatch on %s%s", ins.Op, ins.Sym, ins.Desc)
 	}
-	args, ret, err := classfile.ParseSig(sig)
+	args, ret, err := sig.AppendArgs(v.args[:0])
 	if err != nil {
-		return fail(pc, "%s: bad signature %q", ins.Op, ins.Desc)
+		v.fail("%s: bad signature %q", ins.Op, ins.Desc)
+		return
 	}
-	pop := func() (vtype, error) {
-		if len(st.stack) == 0 {
-			return unsetT, fail(pc, "%s: operand stack underflow", ins.Op)
-		}
-		t := st.stack[len(st.stack)-1]
-		st.stack = st.stack[:len(st.stack)-1]
-		return t, nil
-	}
+	v.args = args
 	// Arguments are pushed left to right, so pop right to left.
 	for i := len(args) - 1; i >= 0; i-- {
-		val, err := pop()
-		if err != nil {
-			return err
-		}
-		if err := v.checkAssignable(val, typeForDesc(args[i])); err != nil {
-			return fail(pc, "%s %s: arg %d: %v", ins.Op, ins.Sym, i, err)
+		if err := v.checkAssignable(v.pop(), typeForDesc(args[i])); err != nil {
+			v.fail("%s %s: arg %d: %v", ins.Op, ins.Sym, i, err)
 		}
 	}
 	if !isStatic {
-		recv, err := pop()
-		if err != nil {
-			return err
-		}
-		if err := v.checkAssignable(recv, refT(classfile.RefOf(owner.Name))); err != nil {
-			return fail(pc, "%s %s: receiver: %v", ins.Op, ins.Sym, err)
+		if err := v.checkReceiver(v.pop(), owner.Name); err != nil {
+			v.fail("%s %s: receiver: %v", ins.Op, ins.Sym, err)
 		}
 	}
 	if ret != "V" {
-		st.stack = append(st.stack, typeForDesc(ret))
+		v.push(typeForDesc(ret))
 	}
-	return nil
 }

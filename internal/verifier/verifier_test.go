@@ -56,12 +56,24 @@ func mustEnv(t *testing.T, extra string) *classfile.Program {
 	return p
 }
 
+// verifyBoth returns the engine's verdict on the class and fails the test if
+// the reference model (reference_test.go) gives a different one: every
+// program in this file, the single-fault tables included, is a differential
+// case as well.
+func verifyBoth(t *testing.T, env Env, mode Mode, c *classfile.Class) error {
+	t.Helper()
+	verdict, diff := VerifyBoth(env, mode, c)
+	if diff != "" {
+		t.Error(diff)
+	}
+	return verdict
+}
+
 // verifyOne assembles a class body and verifies the named class.
 func verifyOne(t *testing.T, extra, class string, mode Mode) error {
 	t.Helper()
 	p := mustEnv(t, extra)
-	v := New(ProgramEnv{p}, mode)
-	return v.VerifyClass(p.Classes[class])
+	return verifyBoth(t, ProgramEnv{p}, mode, p.Classes[class])
 }
 
 func TestAcceptsValidPrograms(t *testing.T) {
@@ -310,7 +322,7 @@ func TestLocalNotAssigned(t *testing.T) {
 	cls := &classfile.Class{Name: "T", Super: "Object", Methods: []*classfile.Method{m}}
 	p := mustEnv(t, "")
 	_ = p.Add(cls)
-	err := New(ProgramEnv{p}, Strict).VerifyMethod(cls, m)
+	err := verifyBoth(t, ProgramEnv{p}, Strict, cls)
 	if err == nil || !strings.Contains(err.Error(), "definitely assigned") {
 		t.Fatalf("err = %v", err)
 	}
@@ -365,7 +377,7 @@ func TestHierarchyChecks(t *testing.T) {
 	// Unknown superclass.
 	bad := &classfile.Class{Name: "X", Super: "Nowhere"}
 	_ = p.Add(bad)
-	if err := New(ProgramEnv{p}, Strict).VerifyClass(bad); err == nil {
+	if err := verifyBoth(t, ProgramEnv{p}, Strict, bad); err == nil {
 		t.Error("unknown superclass accepted")
 	}
 	// Cycle.
@@ -374,7 +386,7 @@ func TestHierarchyChecks(t *testing.T) {
 	b := &classfile.Class{Name: "B", Super: "A"}
 	_ = p2.Add(a)
 	_ = p2.Add(b)
-	if err := New(ProgramEnv{p2}, Strict).VerifyClass(a); err == nil {
+	if err := verifyBoth(t, ProgramEnv{p2}, Strict, a); err == nil {
 		t.Error("superclass cycle accepted")
 	}
 }
@@ -402,16 +414,12 @@ func TestStackDisciplineProperty(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw%16) + 1
 		cls := &classfile.Class{Name: "Q", Super: "Object"}
-		ok := build(n, false)
-		cls.Methods = []*classfile.Method{ok}
-		if err := New(ProgramEnv{p}, Strict).VerifyMethod(cls, ok); err != nil {
+		cls.Methods = []*classfile.Method{build(n, false)}
+		if err := verifyBoth(t, ProgramEnv{p}, Strict, cls); err != nil {
 			return false
 		}
-		bad := build(n, true)
-		if err := New(ProgramEnv{p}, Strict).VerifyMethod(cls, bad); err == nil {
-			return false
-		}
-		return true
+		cls.Methods = []*classfile.Method{build(n, true)}
+		return verifyBoth(t, ProgramEnv{p}, Strict, cls) != nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

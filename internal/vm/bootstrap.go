@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"govolve/internal/asm"
 	"govolve/internal/classfile"
@@ -64,10 +65,12 @@ class Jvolve {
 }
 `
 
-// bootstrapClasses parses the bootstrap source.
-func bootstrapClasses() ([]*classfile.Class, error) {
+// bootstrapClasses parses the bootstrap source, once per process: every VM
+// loads the same definitions, and nothing downstream writes to a loaded
+// definition (the registry clones before it renames).
+var bootstrapClasses = sync.OnceValues(func() ([]*classfile.Class, error) {
 	return asm.Assemble("bootstrap.jva", BootstrapSource)
-}
+})
 
 // bootstrap loads the bootstrap classes and binds natives.
 func (v *VM) bootstrap() error {

@@ -147,9 +147,9 @@ func TestSATBDisarmedZeroAlloc(t *testing.T) {
 }
 
 // TestSATBArmedOverheadBound is the dispatch-level companion to the heap
-// package's ≤2% disarmed gate (TestSATBDisarmedStoreOverheadGate, which
-// diffs the disarmed store path against the verbatim pre-barrier store on a
-// dispatch-shaped loop). The ARMED barrier is deliberately not held to 2% —
+// package's disarmed gate (TestSATBDisarmedStoreOverheadGate, which diffs
+// the disarmed store path against the verbatim pre-barrier store on a
+// dispatch-shaped loop). The ARMED barrier is not expected to be free —
 // it logs every overwritten in-snapshot ref and makes every ref store
 // atomic, a real tax (~25% on this worst-case all-stores loop) paid only
 // while a concurrent mark is in flight. This bound is a tripwire: if the
