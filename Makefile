@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate loc storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
 verify: build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate
 
@@ -45,16 +45,18 @@ race-gc:
 	$(GO) test -race -count=4 ./internal/gc/ ./internal/heap/
 
 # Observability cost gate: a disabled flight recorder must add zero
-# allocations and ≤2% dispatch overhead, including under the race detector
-# (also covered by `test`/`race`; this target pins it by name and prints the
-# benchmark so regressions are visible, not just pass/fail).
+# allocations and hold its dispatch tripwire (median of interleaved
+# bare/attached pairs; floor and recorded runs in the test), including under
+# the race detector (also covered by `test`/`race`; this target pins it by
+# name and prints the benchmark so regressions are visible, not just pass/fail).
 obs-gate:
 	$(GO) test -race -run 'TestObsDisabled' -count=1 ./internal/vm/ ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabledOverhead|BenchmarkInterpDispatch' -benchtime 200ms ./internal/vm/
 
 # Verdict/profiler gate: the sampling profiler must add zero allocations
-# (disabled AND enabled steady state) and, off-race, ≤2% dispatch overhead
-# (the throughput gate self-skips under -race, where tsan would dominate);
+# (disabled AND enabled steady state) and, off-race, hold the same dispatch
+# tripwire as the recorder (the throughput gate self-skips under -race, where
+# tsan would dominate);
 # the gate engine's comparator/window tables, the engine's verdict path
 # (all-green PASS, injected-regression FAIL, halt/force-drain policies),
 # and the stream/storm verdict determinism tests are pinned by name so the
@@ -105,7 +107,9 @@ drain-gate:
 stream-gate:
 	$(GO) test -race -run 'TestStreamGate' -count=1 ./internal/stream/
 
-# Interpreter-tier gate: the fused fast path must stay allocation-free, the
+# Interpreter-tier gate: the fused fast path must stay allocation-free, a
+# guest call must cost exactly one Go allocation from base, fused and opt code
+# (the activation record; no frame's operand stack regrown), the
 # fused/base speedup ratio must hold (off-race; the ratio test self-skips
 # under -race), and the tier's DSU honesty is pinned by name — base-vs-fused
 # storm reports byte-identical, stale ICs flushed when the class behind a
@@ -117,7 +121,7 @@ stream-gate:
 # relocation barrier armed), and native bindings follow class updates.
 # Prints the dispatch and native-boundary benchmarks so regressions are visible.
 dispatch-gate:
-	$(GO) test -race -run 'TestFusedDispatchZeroAlloc|TestInterpFastPathZeroAlloc|TestFusedSpeedupRatio|TestNativeCallZeroAlloc|TestStringNatives|TestStringWordsAreOpaqueInPlace|TestNativeBindingAcrossClassUpdate|TestUnboundNativeFailsAtCall' -count=1 ./internal/vm/
+	$(GO) test -race -run 'TestFusedDispatchZeroAlloc|TestInterpFastPathZeroAlloc|TestCallAllocsPerCall|TestFusedSpeedupRatio|TestNativeCallZeroAlloc|TestStringNatives|TestStringWordsAreOpaqueInPlace|TestNativeBindingAcrossClassUpdate|TestUnboundNativeFailsAtCall' -count=1 ./internal/vm/
 	$(GO) test -race -run 'TestStormTierEquivalence|TestStormStaleICCoverage' -count=1 ./internal/storm/
 	$(GO) test -race -run 'TestFusedFrameOSRUpdate|TestStaleICFlushOnClassReplacement' -count=1 ./internal/core/
 	$(GO) test -race -run 'TestStreamFusedFrameOSR' -count=1 ./internal/stream/
@@ -133,6 +137,14 @@ loc:
 		echo "$$d $$n"; total=$$((total + n)); \
 		case $$d in gc|heap) sub=$$((sub + n));; esac; \
 	done; echo "gc+heap $$sub"; echo "total $$total"
+
+# N alternating pairs of one bench-of-record workload, BASE against the
+# working tree, on consecutive seeds from SEED0: per-pair values, per-side
+# median [q1-q3], wins/N and the ratio of the medians for the four end-to-end
+# metrics (scripts/pairs.sh; SECS overrides BENCHMARK.json's run length).
+#   make pairs W=guest-compute N=10 BASE=HEAD~1
+pairs:
+	W=$(W) N=$(N) BASE=$(BASE) SEED0=$(SEED0) SECS=$(SECS) bash scripts/pairs.sh
 
 # Long-running randomized soak (reproduce failures with -seed).
 storm:
@@ -158,7 +170,7 @@ bench-stream:
 # Interpreter dispatch tiers (base / fused / fused+ic over the arith,
 # virtual-call and native/string mixes); writes BENCH_dispatch.json.
 bench-dispatch:
-	$(GO) run ./cmd/jvolve-bench -exp dispatch -dispatch-out BENCH_dispatch.json
+	$(GO) run ./cmd/jvolve-bench -exp dispatch -runs 9 -dispatch-out BENCH_dispatch.json
 
 # Demo: record one fig5 updated run and export the DSU timeline as a
 # Chrome trace — open trace.json in https://ui.perfetto.dev.

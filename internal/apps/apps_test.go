@@ -10,6 +10,7 @@ import (
 	"govolve/internal/storm"
 	"govolve/internal/verifier"
 	"govolve/internal/vm"
+	"govolve/internal/vm/vmtest"
 )
 
 // bootEnv merges the VM bootstrap classes with a program for verification.
@@ -100,8 +101,18 @@ func TestServersServeEveryVersion(t *testing.T) {
 // on the real servers as well as on generated storm programs.
 func TestUpdateMatrix(t *testing.T) {
 	applied, aborted, total := 0, 0, 0
+	// Every VM of the walk has its frames' operand stacks held to the
+	// compile-time bound from the first update on: no frame regrows one.
+	watched := make(map[*vm.VM]func() error)
+	stackBound := func(v *vm.VM) error {
+		if check, ok := watched[v]; ok {
+			return check()
+		}
+		watched[v] = vmtest.WatchStacks(v)
+		return nil
+	}
 	for _, app := range All() {
-		entries, err := RunMatrix(app, 1<<20, storm.CheckVM)
+		entries, err := RunMatrix(app, 1<<20, storm.CheckVM, stackBound)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -132,6 +143,11 @@ func TestUpdateMatrix(t *testing.T) {
 			if target.NeedsQuiesce && !e.Quiesced {
 				t.Errorf("%s %s→%s: expected quiesce-then-apply behaviour", e.App, e.From, e.To)
 			}
+		}
+	}
+	for _, check := range watched {
+		if err := check(); err != nil {
+			t.Error(err)
 		}
 	}
 	if total != 22 {

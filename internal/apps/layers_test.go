@@ -1,13 +1,16 @@
 package apps
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"govolve/internal/asm"
 	"govolve/internal/classfile"
+	"govolve/internal/rt"
 	"govolve/internal/verifier"
 	"govolve/internal/vm"
+	"govolve/internal/vm/vmtest"
 )
 
 // The control plane's two text-to-bytecode layers, measured on their real
@@ -116,4 +119,130 @@ func BenchmarkAssembleAllReleases(b *testing.B) {
 	perLine := float64(b.N) * float64(lines)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
 	b.ReportMetric(testing.AllocsPerRun(1, func() { assembleAll(b, srcs) })/float64(lines), "allocs/line")
+}
+
+// loadedEnv resolves names among the classes a registry has loaded.
+type loadedEnv struct{ reg *rt.Registry }
+
+func (e loadedEnv) LookupClass(name string) *classfile.Class { return e.reg.LookupDef(name) }
+
+// TestMaxStackMatchesVerifier holds the JIT's operand-stack bound to an oracle
+// that shares no code with it, on every method the system really compiles:
+// each of the 25 releases with the bootstrap classes it is loaded over, and
+// the transformer class of each of the 22 updates loaded the way an update
+// installs it (new classes, flattened old versions, then the transformers).
+// Base code's MaxStack is the deepest stack the verifier's abstract
+// interpretation of the same bytecode reaches; fused code's equals base's, so
+// a frame moves between the two in place. Opt code is other code (bodies
+// inlined, constants folded) and has no static oracle: each release then
+// serves requests with every method recompiled at the opt level on its third
+// call, and no frame regrows its operand stack — the bound is at least the
+// depth really reached.
+func TestMaxStackMatchesVerifier(t *testing.T) {
+	methods := 0
+	hold := func(what string, v *vm.VM, mode verifier.Mode, only string) {
+		t.Helper()
+		ver := verifier.New(loadedEnv{v.Reg}, mode)
+		for _, cls := range v.Reg.Classes() {
+			def := v.Reg.LookupDef(cls.Name)
+			if only != "" && cls.Name != only {
+				continue
+			}
+			for _, m := range def.Methods {
+				if m.Native {
+					continue
+				}
+				if err := ver.VerifyMethod(def, m); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				want := ver.MaxStack()
+				var tier [3]*rt.CompiledMethod
+				for _, level := range []rt.OptLevel{rt.Base, rt.Fused, rt.Opt} {
+					cm, err := v.JIT.Compile(cls.Method(m.Name, m.Sig), level)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					tier[level] = cm
+				}
+				base, fused, opt := tier[rt.Base], tier[rt.Fused], tier[rt.Opt]
+				if base.MaxStack != want {
+					t.Errorf("%s: %s.%s: base MaxStack %d, the verifier reaches %d", what, cls.Name, m.ID(), base.MaxStack, want)
+				}
+				if fused.MaxStack != base.MaxStack || fused.MaxLocals != base.MaxLocals {
+					t.Errorf("%s: %s.%s: fused code bounded at %d locals, %d operands; base at %d, %d",
+						what, cls.Name, m.ID(), fused.MaxLocals, fused.MaxStack, base.MaxLocals, base.MaxStack)
+				}
+				if opt.MaxLocals < base.MaxLocals {
+					t.Errorf("%s: %s.%s: opt code has %d locals, base %d", what, cls.Name, m.ID(), opt.MaxLocals, base.MaxLocals)
+				}
+				methods++
+			}
+		}
+	}
+	newVM := func() *vm.VM {
+		v, err := vm.New(vm.Options{HeapWords: 1 << 12, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	releases, transformers := 0, 0
+	for _, app := range All() {
+		for i, ver := range app.Versions {
+			p, err := app.Program(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := newVM()
+			if _, err := v.Reg.LoadProgram(p); err != nil {
+				t.Fatal(err)
+			}
+			hold(app.Name+" "+ver.Name, v, verifier.Strict, "")
+			releases++
+
+			s, err := Launch(app, LaunchOptions{HeapWords: 1 << 18, Version: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.VM.JIT.OptThreshold = 3
+			check := vmtest.WatchStacks(s.VM)
+			for b := 0; b < 4; b++ {
+				if _, err := s.DoBatch(); err != nil {
+					t.Fatalf("%s %s: %v", app.Name, ver.Name, err)
+				}
+			}
+			if err := check(); err != nil {
+				t.Errorf("%s %s: %v", app.Name, ver.Name, err)
+			}
+			if s.VM.JIT.OptCompiles == 0 {
+				t.Errorf("%s %s: nothing reached the opt tier", app.Name, ver.Name)
+			}
+
+			if i == app.UpdateCount() {
+				continue
+			}
+			spec, err := app.Spec(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v = newVM()
+			if _, err := v.Reg.LoadProgram(spec.New); err != nil {
+				t.Fatal(err)
+			}
+			for _, flat := range spec.OldFlatDefs {
+				if _, err := v.Reg.Load(flat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := v.Reg.Load(spec.Transformers); err != nil {
+				t.Fatal(err)
+			}
+			hold(app.Name+" "+ver.Name+" transformers", v, verifier.Relaxed, spec.Transformers.Name)
+			transformers++
+		}
+	}
+	if releases != 25 || transformers != 22 || methods == 0 {
+		t.Fatalf("held %d methods of %d releases and %d transformer classes, want 25 and 22", methods, releases, transformers)
+	}
+	t.Logf("%d methods", methods)
 }

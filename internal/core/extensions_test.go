@@ -463,4 +463,95 @@ func TestActiveUpdateUnitSynthetic(t *testing.T) {
 	if res.Stats.ActiveRewrites == 0 {
 		t.Fatal("no active rewrites recorded")
 	}
+
+	// The same rewrite onto a body that outgrows the frame it lands on: spin
+	// v1 has no locals and never holds more than two operands, and is parked
+	// with one (40) on its stack; v2 resumes at the mapped pc, moves that
+	// operand into a local the old frame did not have, and goes six deep.
+	f = newFixture(t, 1<<16)
+	v1 = f.load(reseatV1)
+	v2 = f.prog(reseatV2)
+	f.spawn("App")
+	f.vm.Step(2)
+	spin := f.vm.Threads[0].Top()
+	if spin.Method().Def.Name != "spin" || len(spin.Stack) == 0 {
+		t.Fatalf("spin not parked mid-expression: top %s, %d operands", spin.Method().FullName(), len(spin.Stack))
+	}
+	small := cap(spin.Stack)
+	spin.Barrier = true // header state the re-seat must carry along
+	if spec, err = upt.Prepare("1", v1, v2); err != nil {
+		t.Fatal(err)
+	}
+	spec.AddActiveUpdate(upt.MethodRef{Class: "Loop", Name: "spin", Sig: "()V"},
+		upt.ActivePCMap{PC: map[int]int{0: 0, 1: 1, 2: 2}})
+	f.engine.AfterUpdate = func(*core.Result) {
+		cm := spin.CM
+		if cm.MaxLocals != 1 || cm.MaxStack <= small {
+			t.Errorf("v2 spin needs %d locals, %d operands: no bigger than the v1 frame (0, %d)", cm.MaxLocals, cm.MaxStack, small)
+		}
+		if len(spin.Locals) != cm.MaxLocals || cap(spin.Stack) < cm.MaxStack {
+			t.Errorf("rewritten frame has %d locals, room for %d operands; v2 needs %d, %d",
+				len(spin.Locals), cap(spin.Stack), cm.MaxLocals, cm.MaxStack)
+		}
+		if len(spin.Stack) != 1 || spin.Stack[0].Int() != 40 || !spin.Barrier {
+			t.Errorf("rewritten frame lost its state: operands %v, barrier %v", spin.Stack, spin.Barrier)
+		}
+		spin.Barrier = false
+		small = cap(spin.Stack)
+	}
+	if res, err = f.engine.ApplyNow(spec, core.Options{MaxAttempts: 50}); err != nil || res.Outcome != core.Applied {
+		t.Fatalf("outcome = %v (%v, %v)", res.Outcome, res.Err, err)
+	}
+	f.vm.Step(2)
+	if got := hubOut(t, f); got != 55 || f.vm.Threads[0].Err != nil {
+		t.Fatalf("Hub.out = %d (thread error %v), want 55 = the parked 40 + 1+2+3+4+5", got, f.vm.Threads[0].Err)
+	}
+	if cap(spin.Stack) != small {
+		t.Fatalf("v2 spin regrew its stack after the re-seat: room for %d operands, now %d", small, cap(spin.Stack))
+	}
 }
+
+const reseatV1 = `
+class Hub {
+  static field out I
+}
+class Loop {
+  static method spin()V {
+    const 40
+  top:
+    const 1
+    ifne top
+    putstatic Hub.out I
+    return
+  }
+}
+class App {
+  static method main()V {
+    invokestatic Loop.spin()V
+    return
+  }
+}
+`
+
+var reseatV2 = strings.Replace(reseatV1, `    const 1
+    ifne top
+`, `    const 0
+    ifne top
+    store 0
+    load 0
+    const 1
+    const 2
+    const 3
+    const 4
+    const 5
+    add
+    add
+    add
+    add
+    add
+    putstatic Hub.out I
+  done:
+    const 1
+    ifne done
+    load 0
+`, 1)

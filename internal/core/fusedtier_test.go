@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"govolve/internal/core"
 	"govolve/internal/rt"
 )
 
@@ -16,10 +18,17 @@ import (
 // fusedOSRV1: App.main spins forever reading Loop.bias through a baked
 // field offset and publishing it to Hub.out. The loop is exactly the
 // shape trace promotion hunts for (loop-pinned thread, one backedge per
-// iteration), so after a few slices main runs on the fused tier.
+// iteration), so after a few slices main runs on the fused tier. The call
+// to Hub.tick sits between the read and the publish, so two of the loop's
+// three yield points (tick's entry and exit) find main mid-expression, the
+// value it read still on its operand stack.
 const fusedOSRV1 = `
 class Hub {
   static field out I
+  static method tick()I {
+    const 0
+    return
+  }
 }
 class Loop {
   field bias I
@@ -41,6 +50,8 @@ class App {
   spin:
     load 0
     getfield Loop.bias I
+    invokestatic Hub.tick()I
+    add
     putstatic Hub.out I
     goto spin
   }
@@ -96,9 +107,33 @@ func TestFusedFrameOSRUpdate(t *testing.T) {
 	f.spawn("App")
 	warmToFused(t, f)
 
+	// Park main mid-expression: the update lands between slices, exactly here.
+	main := f.vm.Threads[0].Frames[0]
+	for i := 0; i < 10 && len(main.Stack) == 0; i++ {
+		f.vm.Step(1)
+	}
+	if main.CM.Level != rt.Fused || len(main.Stack) == 0 {
+		t.Fatalf("main not parked mid-expression on the fused tier (%v, %d operands)", main.CM.Level, len(main.Stack))
+	}
+	parked := append([]rt.Value(nil), main.Stack...)
+
+	// The rewritten frame is the same record: base code has the bounds of the
+	// fused code it was fused from, so nothing moves and nothing is lost.
+	// Checked the instant the update lands, before the thread runs on.
+	landed := false
+	f.engine.AfterUpdate = func(*core.Result) {
+		landed = true
+		if main.CM.Level != rt.Base || !slices.Equal(main.Stack, parked) {
+			t.Errorf("after OSR main is %v with operands %v, want base with %v", main.CM.Level, main.Stack, parked)
+		}
+		if len(main.Locals) < main.CM.MaxLocals || cap(main.Stack) < main.CM.MaxStack {
+			t.Errorf("after OSR main has %d locals and room for %d operands, its code needs %d and %d",
+				len(main.Locals), cap(main.Stack), main.CM.MaxLocals, main.CM.MaxStack)
+		}
+	}
 	promoted := f.vm.Stats().TracePromotions
 	res := f.mustApply("1", v1, v2, "")
-	if res.Stats.OSRFrames == 0 {
+	if res.Stats.OSRFrames == 0 || !landed {
 		t.Fatal("no OSR frames: the fused main frame was not rewritten")
 	}
 	if res.Stats.OSRFusedFrames == 0 {

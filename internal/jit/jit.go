@@ -45,6 +45,10 @@ type Compiler struct {
 	BaseCompiles  int
 	OptCompiles   int
 	FusedCompiles int
+
+	// seen and work are the depth pass's scratch (depth.go).
+	seen []int32
+	work []int
 }
 
 // New builds a compiler with Jikes-flavoured defaults.
@@ -71,12 +75,13 @@ func (c *Compiler) Compile(m *rt.Method, level rt.OptLevel) (*rt.CompiledMethod,
 		cm = c.fusedTier(cm)
 		c.FusedCompiles++
 	}
-	// Final pass: bake each instruction's minimum stack need into the
+	// Final passes: bake each instruction's minimum stack need into the
 	// executable form, so the interpreter's underflow guard is a single
-	// precomputed compare instead of an opcode switch on the hot path.
-	// This must run after inlining and folding so spliced and rewritten
-	// instructions carry correct needs.
+	// precomputed compare instead of an opcode switch on the hot path, and
+	// bound the operand stack, so an activation is laid out once. Both must
+	// run after inlining, folding and fusion: they describe the code that runs.
 	rt.ResolveStackNeeds(cm.Code)
+	cm.MaxStack = c.maxStack(cm.Code)
 	return cm, nil
 }
 

@@ -139,6 +139,13 @@ type CompiledMethod struct {
 	// locals of inlined callees appended after them.
 	MaxLocals int
 
+	// MaxStack is the deepest operand stack any path through Code reaches,
+	// inlined bodies included: what the JIT's depth pass read off Effect. An
+	// activation is laid out with this much room; a bound that is too small
+	// (only unverified code whose depths never settle can have one) costs the
+	// interpreter a regrow, never correctness.
+	MaxStack int
+
 	// LayoutDeps are the classes whose field offsets, JTOC slots, or TIB
 	// slots are baked into Code. If any of them is updated, this code is
 	// stale — the method becomes one of the paper's category-(2)
@@ -179,57 +186,120 @@ func (cm *CompiledMethod) FlushICs() int {
 	return n
 }
 
+// StackEffect is what one resolved instruction does to the operand stack it
+// finds at depth d: it needs d ≥ Need, is d+Peak deep at its deepest, and
+// leaves d+Delta behind.
+type StackEffect struct{ Need, Delta, Peak int32 }
+
+// pops is the effect of popping pop operands and then pushing push results.
+func pops(pop, push int32) StackEffect {
+	return StackEffect{Need: pop, Delta: push - pop, Peak: max(0, push-pop)}
+}
+
+// then is the effect of a followed by b.
+func (a StackEffect) then(b StackEffect) StackEffect {
+	return StackEffect{
+		Need:  max(a.Need, b.Need-a.Delta),
+		Delta: a.Delta + b.Delta,
+		Peak:  max(a.Peak, a.Delta+b.Peak),
+	}
+}
+
+var (
+	fxNone  = pops(0, 0)
+	fxPush  = pops(0, 1) // const, load, new, getstatic
+	fxPop   = pops(1, 0) // store, pop, one-operand branches, putstatic
+	fxTop   = pops(1, 1) // rewrites the top: neg, getfield, arraylen, casts
+	fxArith = pops(2, 1) // binary arithmetic, aget
+	fxPop2  = pops(2, 0) // two-operand branches, putfield
+)
+
+// Effect is the per-opcode pop/push table of resolved code: the one place
+// that knows what an instruction does to the operand-stack depth. The
+// interpreter's underflow guard (StackNeed) and the compiler's operand-stack
+// bound (CompiledMethod.MaxStack) are both read off it. A superinstruction's
+// effect is that of its constituents run one after the other — the fused
+// handlers skip the intermediate pushes, so their Peak is an over-estimate,
+// chosen so that fused code gets exactly the bound of the base code it was
+// fused from and a frame can move between the two tiers in place.
+func Effect(ins *Ins) StackEffect {
+	switch ins.Op {
+	case bytecode.CONST, bytecode.CONST_R, bytecode.NULL, bytecode.LDC_R,
+		bytecode.LOAD, bytecode.NEW_R, bytecode.GETSTATIC_R:
+		return fxPush
+	case bytecode.STORE, bytecode.POP, bytecode.PUTSTATIC_R,
+		bytecode.IFEQ, bytecode.IFNE, bytecode.IFLT, bytecode.IFLE,
+		bytecode.IFGT, bytecode.IFGE, bytecode.IFNULL, bytecode.IFNONNULL,
+		bytecode.FSTOREGOTO:
+		return fxPop
+	case bytecode.NEG, bytecode.ARRAYLEN, bytecode.GETFIELD_R, bytecode.NEWARRAY_R,
+		bytecode.INSTOF_R, bytecode.CHECKCAST_R:
+		return fxTop
+	case bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.DIV, bytecode.REM,
+		bytecode.AND, bytecode.OR, bytecode.XOR, bytecode.SHL, bytecode.SHR,
+		bytecode.AGET:
+		return fxArith
+	case bytecode.IF_ICMPEQ, bytecode.IF_ICMPNE, bytecode.IF_ICMPLT,
+		bytecode.IF_ICMPLE, bytecode.IF_ICMPGT, bytecode.IF_ICMPGE,
+		bytecode.IF_ACMPEQ, bytecode.IF_ACMPNE, bytecode.PUTFIELD_R:
+		return fxPop2
+	case bytecode.DUP:
+		return pops(1, 2)
+	case bytecode.DUP_X1:
+		return pops(2, 3)
+	case bytecode.SWAP:
+		return pops(2, 2)
+	case bytecode.ASET:
+		return pops(3, 0)
+	case bytecode.RETURN:
+		if ins.RetVoid {
+			return fxNone
+		}
+		return fxPop
+	case bytecode.INVOKEVIRT_R, bytecode.INVOKESTAT_R, bytecode.INVOKESPEC_R,
+		bytecode.INVOKENAT_R:
+		return call(ins)
+	case bytecode.ENTERINL_R:
+		return pops(ins.B, 0)
+
+	case bytecode.FCONSTARITH:
+		return fxPush.then(fxArith)
+	case bytecode.FCONSTARITH2:
+		return fxPush.then(fxArith).then(fxPush).then(fxArith)
+	case bytecode.FLOADLOAD:
+		return fxPush.then(fxPush)
+	case bytecode.FLOADLOADARITH:
+		return fxPush.then(fxPush).then(fxArith)
+	case bytecode.FSTORELOAD:
+		return fxPop.then(fxPush)
+	case bytecode.FLOADCMPBR:
+		return fxPush.then(Effect(&Ins{Op: bytecode.Op(ins.B)}))
+	case bytecode.FCONSTCMPBR:
+		return fxPush.then(fxPop2)
+	case bytecode.FGETGET:
+		return fxTop.then(fxTop)
+	case bytecode.FLOADINVOKE:
+		return fxPush.then(call(ins))
+	default:
+		return fxNone
+	}
+}
+
+// call is the effect of a call site: B arguments (receiver included) off, the
+// result, if any, on.
+func call(ins *Ins) StackEffect {
+	if ins.RetVoid {
+		return pops(ins.B, 0)
+	}
+	return pops(ins.B, 1)
+}
+
 // StackNeed returns the minimum operand stack depth an instruction needs.
 // The JIT calls it once per instruction at resolve time and stores the
 // result in Ins.Need; verified code can never underflow, but compiled code
 // from a buggy pipeline must still fail safely, so the interpreter keeps a
 // cheap precomputed guard on every dispatch.
-func StackNeed(ins Ins) int32 {
-	switch ins.Op {
-	case bytecode.POP, bytecode.DUP, bytecode.STORE, bytecode.NEG,
-		bytecode.IFEQ, bytecode.IFNE, bytecode.IFLT, bytecode.IFLE,
-		bytecode.IFGT, bytecode.IFGE, bytecode.IFNULL, bytecode.IFNONNULL,
-		bytecode.ARRAYLEN, bytecode.GETFIELD_R, bytecode.NEWARRAY_R,
-		bytecode.INSTOF_R, bytecode.CHECKCAST_R, bytecode.PUTSTATIC_R:
-		return 1
-	case bytecode.DUP_X1, bytecode.SWAP,
-		bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.DIV, bytecode.REM,
-		bytecode.AND, bytecode.OR, bytecode.XOR, bytecode.SHL, bytecode.SHR,
-		bytecode.IF_ICMPEQ, bytecode.IF_ICMPNE, bytecode.IF_ICMPLT,
-		bytecode.IF_ICMPLE, bytecode.IF_ICMPGT, bytecode.IF_ICMPGE,
-		bytecode.IF_ACMPEQ, bytecode.IF_ACMPNE,
-		bytecode.AGET, bytecode.PUTFIELD_R:
-		return 2
-	case bytecode.ASET:
-		return 3
-	case bytecode.RETURN:
-		if ins.RetVoid {
-			return 0
-		}
-		return 1
-	case bytecode.INVOKEVIRT_R, bytecode.INVOKESTAT_R, bytecode.INVOKESPEC_R,
-		bytecode.INVOKENAT_R, bytecode.ENTERINL_R:
-		return ins.B
-	case bytecode.FCONSTARITH, bytecode.FSTORELOAD, bytecode.FSTOREGOTO,
-		bytecode.FCONSTCMPBR, bytecode.FGETGET, bytecode.FCONSTARITH2:
-		// FCONSTARITH2 also needs just the stack top: each of its chained
-		// const+arith pairs rewrites it in place. FLOADLOADARITH needs 0
-		// (both arith operands come from locals) — the default covers it.
-		return 1
-	case bytecode.FLOADCMPBR:
-		// One-operand conditions compare the fused load itself; two-operand
-		// forms additionally pop one pre-existing stack value.
-		if op := bytecode.Op(ins.B); op >= bytecode.IF_ICMPEQ && op <= bytecode.IF_ACMPNE {
-			return 1
-		}
-		return 0
-	case bytecode.FLOADINVOKE:
-		// The fused load supplies one of the B arguments.
-		return ins.B - 1
-	default:
-		return 0
-	}
-}
+func StackNeed(ins Ins) int32 { return Effect(&ins).Need }
 
 // ResolveStackNeeds fills in Ins.Need for a whole code array. The JIT runs
 // it as the final pass of every compile, after inlining and folding, so the

@@ -2,7 +2,6 @@ package storm
 
 import (
 	"io"
-	"math/rand"
 	"time"
 
 	"govolve/internal/classfile"
@@ -76,14 +75,9 @@ func NewDriver(cfg DriverConfig, v0 Version) (*Driver, error) {
 		GateSpecs:       cfg.GateSpecs,
 		GatePolicy:      cfg.GatePolicy,
 		Log:             cfg.Log,
-	}.withDefaults()
-	r := &runner{
-		cfg:   c,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		rep:   &Report{Seed: cfg.Seed},
-		model: v0.model,
-		prog:  v0.prog,
 	}
+	r := newRunner(c)
+	r.model, r.prog = v0.model, v0.prog
 	if err := r.bootVM(cfg.Metrics); err != nil {
 		return nil, err
 	}

@@ -202,15 +202,25 @@ type runner struct {
 // every invariant after each one. The returned error, if any, carries the
 // reproducing seed.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	r := &runner{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		rep: &Report{Seed: cfg.Seed},
-	}
+	r := newRunner(cfg)
 	if err := r.boot(); err != nil {
 		return r.rep, err
 	}
+	return r.drive()
+}
+
+func newRunner(cfg Config) *runner {
+	return &runner{
+		cfg: cfg.withDefaults(),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rep: &Report{Seed: cfg.Seed},
+	}
+}
+
+// drive runs eras and updates on a booted runner until the configured number
+// of updates has applied.
+func (r *runner) drive() (*Report, error) {
+	cfg := r.cfg
 	// Bounded total attempts: aborted/rejected updates don't count toward
 	// the target but must not loop forever.
 	for tries := 0; r.rep.Applied < cfg.Updates; tries++ {

@@ -8,6 +8,7 @@ import (
 	"govolve/internal/classfile"
 	"govolve/internal/obs"
 	"govolve/internal/vm"
+	"govolve/internal/vm/vmtest"
 )
 
 // TestStormShort is the bounded tier-1 configuration: three seeds, ~70
@@ -196,17 +197,44 @@ func TestStormRelocEagerEquivalent(t *testing.T) {
 // property of inlining, not a tier-honesty bug.)
 func TestStormTierEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		fused, err := Run(Config{Seed: seed, Updates: 20, FusedOnly: true})
+		fused, err := runWatched(Config{Seed: seed, Updates: 20, FusedOnly: true})
 		if err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}
-		base, err := Run(Config{Seed: seed, Updates: 20, BaseTierOnly: true})
+		base, err := runWatched(Config{Seed: seed, Updates: 20, BaseTierOnly: true})
 		if err != nil {
 			t.Fatalf("seed %d base-only: %v", seed, err)
 		}
 		if *fused != *base {
 			t.Fatalf("seed %d: interpreter tier changed the trajectory:\n  fused=%+v\n  base=%+v",
 				seed, *fused, *base)
+		}
+	}
+}
+
+// runWatched is Run with the operand stack of every frame held to its
+// compile-time bound (vmtest.WatchStacks), from the end of boot on.
+func runWatched(cfg Config) (*Report, error) {
+	r := newRunner(cfg)
+	if err := r.boot(); err != nil {
+		return r.rep, err
+	}
+	check := vmtest.WatchStacks(r.v)
+	rep, err := r.drive()
+	if err == nil {
+		err = check()
+	}
+	return rep, err
+}
+
+// TestStormStackBound runs the three seeds every CHANGES.md entry diffs
+// against its parent (`jvolve-bench -exp storm -updates 40`) on the default
+// tier ladder — base, fused and opt frames, OSR and transformer runs among
+// them — and no frame of any of them regrows its operand stack.
+func TestStormStackBound(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		if _, err := runWatched(Config{Seed: seed, Updates: 40}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -221,6 +221,9 @@ type scratch struct {
 	stack  []vtype
 	args   []classfile.Desc // arguments of the signature being walked
 
+	// deepest is the high-water mark of stack over the method.
+	deepest int
+
 	// refs memoises "L"+name+";" per class name.
 	refs map[string]classfile.Desc
 	// seen is the superclass chain checkHierarchy has walked.
@@ -294,7 +297,7 @@ func (v *Verifier) popRef() vtype {
 // per-instruction reference model in reference_test.go does — buys nothing.
 // DESIGN.md §16 has the argument.
 func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
-	v.c, v.m, v.pc, v.err = c, m, 0, nil
+	v.c, v.m, v.pc, v.err, v.deepest = c, m, 0, nil, 0
 	code := m.Code
 	if len(code) == 0 {
 		return v.fail("empty method body")
@@ -491,6 +494,7 @@ func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
 			if v.err != nil {
 				return v.err
 			}
+			v.deepest = max(v.deepest, len(v.stack))
 			if falls && pc+1 >= len(code) {
 				return v.fail("control falls off end of method")
 			}
@@ -516,6 +520,11 @@ func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
 	}
 	return nil
 }
+
+// MaxStack is the deepest operand stack the last VerifyMethod reached, over
+// the instructions it accepted: the bound the JIT's depth pass must arrive at
+// for the same method's base code.
+func (v *Verifier) MaxStack() int { return v.deepest }
 
 // flow joins the working state into leader n's in-state, in place, and puts
 // n on the worklist if that raised it (a first arrival always does). A failed

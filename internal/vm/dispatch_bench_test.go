@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"govolve/internal/asm"
 )
@@ -166,9 +165,11 @@ func TestFusedDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestFusedSpeedupRatio is the perf tripwire: the fused tier must execute
-// the arithmetic loop at least 1.5x as fast as the base interpreter. Skipped
-// under the race detector, whose instrumentation swamps dispatch cost.
-// Best-of-three on each side to shrug off scheduler noise.
+// the arithmetic loop at least fusedSpeedupFloor times as fast as the base
+// interpreter, by pairedDispatchRatio (the median of 101 interleaved
+// base/fused pairs; the sequential best-of-three it replaces read 1.26 once
+// in a slow host phase against 1.9–2.2 in its reruns). Skipped under the race
+// detector, whose instrumentation swamps dispatch cost.
 func TestFusedSpeedupRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("dispatch timing is meaningless under the race detector")
@@ -176,30 +177,16 @@ func TestFusedSpeedupRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	measure := func(v *VM) float64 {
-		best := 0.0
-		for round := 0; round < 3; round++ {
-			start := v.TotalSteps
-			t0 := time.Now()
-			v.Step(2000)
-			el := time.Since(t0)
-			if el <= 0 {
-				continue
-			}
-			if r := float64(v.TotalSteps-start) / el.Seconds(); r > best {
-				best = r
-			}
-		}
-		return best
-	}
-	base := measure(newDispatchVMOpts(t, Options{TraceThreshold: -1, OptThreshold: 1 << 30}))
-	fused := measure(newDispatchVMOpts(t, Options{}))
-	if base == 0 {
-		t.Fatal("base tier measured zero throughput")
-	}
-	ratio := fused / base
-	t.Logf("base %.0f ins/s, fused %.0f ins/s, ratio %.2fx", base, fused, ratio)
-	if ratio < 1.5 {
-		t.Fatalf("fused tier only %.2fx over base, want >= 1.5x", ratio)
+	ratio := pairedDispatchRatio(t, func() (*VM, *VM) {
+		return newDispatchVMOpts(t, Options{TraceThreshold: -1, OptThreshold: 1 << 30}), newDispatchVMOpts(t, Options{})
+	})
+	t.Logf("fused/base dispatch = %.2fx", ratio)
+	if ratio < fusedSpeedupFloor {
+		t.Fatalf("fused tier only %.2fx over base, want >= %.2fx", ratio, fusedSpeedupFloor)
 	}
 }
+
+// fusedSpeedupFloor is a tripwire for the tier falling off the arithmetic
+// loop (no promotion, no fusion: 1.0), not a measurement of it. 110 recorded
+// runs on the 2-vCPU host read 2.15–2.28 (median 2.21).
+const fusedSpeedupFloor = 1.8

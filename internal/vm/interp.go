@@ -880,7 +880,7 @@ func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *i
 		v.kill(t, err)
 		return true
 	}
-	nf := &Frame{CM: cm, Locals: make([]rt.Value, cm.MaxLocals)}
+	nf := v.newFrame(cm, cm.MaxLocals, cm.MaxStack)
 	copy(nf.Locals, f.Stack[len(f.Stack)-nargs:])
 	f.Stack = f.Stack[:len(f.Stack)-nargs]
 	t.push(nf)

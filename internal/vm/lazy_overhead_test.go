@@ -181,18 +181,54 @@ func TestLazyDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// armedDispatchRatio estimates armed/disabled throughput on the ref-load loop
-// the way the bench of record estimates a ratio of two configurations: the
-// median of the ratios of adjacent interleaved samples, alternating which
-// side runs first. Host drift and background load hit both halves of a pair,
-// and the median ignores the pairs a stall landed in — a best-of per side does
-// neither, which is how the old gates came to fail on an idle host. One pair
-// ratio scatters by about ±2% here, so 101 pairs put the median within ±0.3%
-// (30 runs: lazy 0.934–0.952, reloc 0.912–0.939): enough to tell the honest
-// tax from the floor below. Every ten pairs start on a fresh VM pair, because
+// pairedDispatchRatio estimates the dispatch throughput of one VM
+// configuration over another's the way the bench of record estimates a ratio
+// of two configurations: the median of the ratios of adjacent interleaved
+// samples, alternating which side runs first. Host drift and background load
+// hit both halves of a pair, and the median ignores the pairs a stall landed
+// in — a best-of per side does neither, which is how the old gates came to
+// fail on an idle host. One pair ratio scatters by about ±2% here, so 101
+// pairs put the median within ±0.3% (30 runs: lazy 0.934–0.952, reloc
+// 0.912–0.939): enough to tell an honest tax from the floor below it. Every
+// ten pairs start on a fresh VM pair from fresh (the baseline first), because
 // where one VM's memory happens to land biases every sample taken on it
-// (single runs on one pair read 0.864 and 1.001 around a 0.94 median). arm
-// puts the second VM of a pair into the armed state under test.
+// (single runs on one pair read 0.864 and 1.001 around a 0.94 median). Under
+// the race detector, where a sample costs thirty times as much and only the
+// recorder's gate runs, 21 pairs have to do.
+func pairedDispatchRatio(t *testing.T, fresh func() (base, other *VM)) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		perVM  = 10 // pairs per VM pair
+		slices = 400
+	)
+	pairs := 101
+	if raceEnabled {
+		pairs = 21
+	}
+	var base, other *VM
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		if i%perVM == 0 {
+			base, other = fresh()
+		}
+		var b, o float64
+		if i%2 == 0 {
+			b = dispatchRate(t, base, slices)
+			o = dispatchRate(t, other, slices)
+		} else {
+			o = dispatchRate(t, other, slices)
+			b = dispatchRate(t, base, slices)
+		}
+		ratios = append(ratios, o/b)
+	}
+	sort.Float64s(ratios)
+	return ratios[pairs/2]
+}
+
+// armedDispatchRatio is pairedDispatchRatio of an armed barrier over the
+// disabled state on the ref-load loop; arm puts the second VM of a pair into
+// the armed state under test.
 //
 // Skipped under -race like the repo's other throughput gates: tsan turns the
 // barrier's one extra load into a call, so the ratio measures the detector
@@ -203,31 +239,11 @@ func armedDispatchRatio(t *testing.T, arm func(testing.TB, *VM)) float64 {
 	if raceEnabled {
 		t.Skip("throughput gate is meaningless under the race detector")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const (
-		pairs  = 101
-		fresh  = 10 // pairs per VM pair
-		slices = 400
-	)
-	var disabled, armed *VM
-	ratios := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		if i%fresh == 0 {
-			disabled, armed = newLoadDispatchVM(t), newLoadDispatchVM(t)
-			arm(t, armed)
-		}
-		var d, a float64
-		if i%2 == 0 {
-			d = dispatchRate(t, disabled, slices)
-			a = dispatchRate(t, armed, slices)
-		} else {
-			a = dispatchRate(t, armed, slices)
-			d = dispatchRate(t, disabled, slices)
-		}
-		ratios = append(ratios, a/d)
-	}
-	sort.Float64s(ratios)
-	r := ratios[pairs/2]
+	r := pairedDispatchRatio(t, func() (*VM, *VM) {
+		disabled, armed := newLoadDispatchVM(t), newLoadDispatchVM(t)
+		arm(t, armed)
+		return disabled, armed
+	})
 	t.Logf("armed/disabled dispatch = %.3f", r)
 	return r
 }

@@ -77,43 +77,21 @@ func TestProfEnabledSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProfDisabledOverheadGate is the profiler's ≤2% dispatch gate. Skipped
-// under -race: tsan instruments every access with a function call, so a
-// relative throughput bound would measure the instrumentation, not the
-// dispatch loop (same policy as the heap barrier gates).
+// TestProfDisabledOverheadGate is the profiler's dispatch gate: same
+// estimator and floor as the recorder's (pairedDispatchRatio,
+// disabledOverheadFloor). Skipped under -race: tsan instruments every access
+// with a function call, so a relative throughput bound would measure the
+// instrumentation, not the dispatch loop (same policy as the heap barrier
+// gates).
 func TestProfDisabledOverheadGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("throughput gate is meaningless under the race detector")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	base := newDispatchVM(t)
-	inst := newProfDispatchVM(t)
-
-	const (
-		slices   = 400
-		rounds   = 5
-		attempts = 4
-		floor    = 0.98 // instrumented must hit ≥98% of baseline throughput
-	)
-	var lastRatio float64
-	for attempt := 0; attempt < attempts; attempt++ {
-		baseBest, instBest := 0.0, 0.0
-		for r := 0; r < rounds; r++ {
-			// Interleave so clock drift and background load hit both sides.
-			if b := dispatchRate(t, base, slices); b > baseBest {
-				baseBest = b
-			}
-			if i := dispatchRate(t, inst, slices); i > instBest {
-				instBest = i
-			}
-		}
-		lastRatio = instBest / baseBest
-		if lastRatio >= floor {
-			return
-		}
+	r := pairedDispatchRatio(t, func() (*VM, *VM) { return newDispatchVM(t), newProfDispatchVM(t) })
+	t.Logf("disabled-profiler/bare dispatch = %.3f", r)
+	if r < disabledOverheadFloor {
+		t.Fatalf("disabled-profiler dispatch at %.1f%% of bare, want ≥%.0f%%", r*100, disabledOverheadFloor*100)
 	}
-	t.Fatalf("disabled-profiler dispatch at %.1f%% of baseline after %d attempts, want ≥%.0f%%",
-		lastRatio*100, attempts, floor*100)
 }
 
 // TestProfilerSamplesInterpreterFrames: an enabled profiler attached to a

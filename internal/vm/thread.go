@@ -39,7 +39,10 @@ func (s ThreadState) String() string {
 }
 
 // Frame is one activation record: compiled code, pc, tagged locals and
-// operand stack. Tags make every frame an exact GC stack map.
+// operand stack. Tags make every frame an exact GC stack map. A frame is
+// self-referential — Locals and Stack are windows of the slot run newFrame
+// allocates behind the header, in the same Go block — so hold it by pointer
+// and never copy it by value: the copy would share the original's slots.
 type Frame struct {
 	CM     *rt.CompiledMethod
 	PC     int
@@ -53,6 +56,52 @@ type Frame struct {
 
 // Method returns the frame's method.
 func (f *Frame) Method() *rt.Method { return f.CM.Method }
+
+// record is a frame and its slot run as one Go type, so one allocation.
+type record[S any] struct {
+	Frame
+	slots S
+}
+
+// newFrame is the one place an activation record is built: header, nlocals
+// zeroed locals and room for nstack operands in one Go allocation, which is
+// ordinary garbage (no pool). Go allocates by static type, hence the fixed
+// shapes (DESIGN.md §7.2 has the slot counts that chose them); spare slots go
+// to the operand stack, and a frame beyond the last takes a second block.
+func (v *VM) newFrame(cm *rt.CompiledMethod, nlocals, nstack int) *Frame {
+	var f *Frame
+	var slots []rt.Value
+	switch n := nlocals + nstack; {
+	case n <= 4:
+		r := new(record[[4]rt.Value])
+		f, slots = &r.Frame, r.slots[:]
+	case n <= 8:
+		r := new(record[[8]rt.Value])
+		f, slots = &r.Frame, r.slots[:]
+	case n <= 16:
+		r := new(record[[16]rt.Value])
+		f, slots = &r.Frame, r.slots[:]
+	default:
+		f, slots = new(Frame), make([]rt.Value, n)
+	}
+	f.CM, f.Locals, f.Stack = cm, slots[:nlocals:nlocals], slots[nlocals:nlocals]
+	if v.OnFrame != nil {
+		v.OnFrame(f)
+	}
+	return f
+}
+
+// reseat gives f at least nlocals locals and room for nstack operands: if it
+// lacks either, locals and live operands move to a fresh record's slots. The
+// header stays (threads and the DSU engine hold it by pointer: pc and Barrier
+// need no copying), and the fresh record's own header goes unused.
+func (v *VM) reseat(f *Frame, nlocals, nstack int) {
+	if nlocals > len(f.Locals) || nstack > cap(f.Stack) {
+		nf := v.newFrame(f.CM, max(nlocals, len(f.Locals)), max(nstack, cap(f.Stack)))
+		copy(nf.Locals, f.Locals)
+		f.Locals, f.Stack = nf.Locals, append(nf.Stack, f.Stack...)
+	}
+}
 
 // Thread is a VM green thread. The scheduler runs threads one at a time,
 // switching only at yield points (method entry, method exit, loop

@@ -244,6 +244,10 @@ type VM struct {
 	// Threads. An idle one is not, so it is no root.
 	syncThreads []*syncThread
 	syncDepth   int
+
+	// OnFrame, if set, sees every record newFrame builds: the hook of the tests
+	// that hold the operand-stack bound to a run (vmtest.WatchStacks).
+	OnFrame func(*Frame)
 }
 
 // DSUResidue is the one hook the DSU engine installs on the VM (VM.Residue).
@@ -420,7 +424,10 @@ func (v *VM) RunSynchronous(name string, m *rt.Method, args []rt.Value) error {
 	if err != nil {
 		return err
 	}
-	*f = Frame{CM: cm, Locals: slices.Grow(f.Locals[:0], cm.MaxLocals)[:cm.MaxLocals], Stack: f.Stack[:0]}
+	f.Locals = f.Locals[:cap(f.Locals)] // the root only grows: methods taking turns on it settle on one record
+	v.reseat(f, cm.MaxLocals, cm.MaxStack)
+	f.CM, f.PC, f.Barrier = cm, 0, false
+	f.Locals, f.Stack = f.Locals[:cm.MaxLocals], f.Stack[:0]
 	clear(f.Locals)
 	copy(f.Locals, args)
 	t.Frames = append(frames, f)
@@ -499,7 +506,7 @@ func (v *VM) callOn(t *Thread, m *rt.Method, args []rt.Value) error {
 	if err != nil {
 		return err
 	}
-	f := &Frame{CM: cm, Locals: make([]rt.Value, cm.MaxLocals)}
+	f := v.newFrame(cm, cm.MaxLocals, cm.MaxStack)
 	copy(f.Locals, args)
 	t.push(f)
 	return nil
@@ -1021,11 +1028,7 @@ func (v *VM) OSRReplace(f *Frame, cm *rt.CompiledMethod) error {
 			return fmt.Errorf("vm: %s pc map out of range for %s", f.CM.Level, f.Method().FullName())
 		}
 	}
-	if cm.MaxLocals > len(f.Locals) {
-		grown := make([]rt.Value, cm.MaxLocals)
-		copy(grown, f.Locals)
-		f.Locals = grown
-	}
+	v.reseat(f, cm.MaxLocals, cm.MaxStack)
 	f.CM = cm
 	f.PC = newPC
 	return nil
@@ -1043,24 +1046,22 @@ func (v *VM) OSRRewrite(f *Frame, cm *rt.CompiledMethod, newPC int, locals map[i
 	if newPC < 0 || newPC >= len(cm.Code) {
 		return fmt.Errorf("vm: active-method rewrite pc %d out of range (len %d)", newPC, len(cm.Code))
 	}
-	size := cm.MaxLocals
-	if len(f.Locals) > size {
-		size = len(f.Locals)
+	size := max(cm.MaxLocals, len(f.Locals))
+	for oldSlot, newSlot := range locals {
+		if oldSlot < 0 || oldSlot >= len(f.Locals) || newSlot < 0 || newSlot >= size {
+			return fmt.Errorf("vm: active-method locals map %d->%d out of range", oldSlot, newSlot)
+		}
 	}
-	newLocals := make([]rt.Value, size)
-	if locals == nil {
-		copy(newLocals, f.Locals)
-	} else {
+	v.reseat(f, cm.MaxLocals, cm.MaxStack)
+	if locals != nil {
+		old := slices.Clone(f.Locals) // the map may permute slots
+		clear(f.Locals)
 		for oldSlot, newSlot := range locals {
-			if oldSlot < 0 || oldSlot >= len(f.Locals) || newSlot < 0 || newSlot >= size {
-				return fmt.Errorf("vm: active-method locals map %d->%d out of range", oldSlot, newSlot)
-			}
-			newLocals[newSlot] = f.Locals[oldSlot]
+			f.Locals[newSlot] = old[oldSlot]
 		}
 	}
 	f.CM = cm
 	f.PC = newPC
-	f.Locals = newLocals
 	return nil
 }
 

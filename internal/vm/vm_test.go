@@ -512,6 +512,112 @@ class T {
 	}
 }
 
+// TestOSRReseat drives both OSR entry points onto code that needs more than
+// the record the frame was laid out in, parked with an operand on the stack
+// and a return barrier set: the header stays put (callers hold it by pointer),
+// locals and live operands move, and there is room for the new code's bounds.
+// A target that fits leaves the record alone.
+func TestOSRReseat(t *testing.T) {
+	v, _ := newTestVM(t, 1<<16)
+	loadSrc(t, v, `
+class T {
+  static method m(IIIIII)I {
+    load 0
+    const 3
+    const 4
+    add
+    add
+    return
+  }
+  static method wide(IIIIII)I {
+    load 0
+    store 7
+    load 0
+    load 1
+    load 2
+    load 3
+    add
+    add
+    add
+    return
+  }
+}`)
+	m := v.Reg.LookupClass("T").Method("m", "(IIIIII)I")
+	opt, err := v.JIT.Compile(m, rt.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := v.JIT.Compile(m, rt.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Folding const 3, const 4, add makes the opt code one operand shallower
+	// than the bytecode, and 6 locals + 2 operands fill the 8-slot record.
+	if opt.MaxStack != 2 || base.MaxStack != 3 {
+		t.Fatalf("MaxStack opt %d, base %d; the test wants 2 and 3", opt.MaxStack, base.MaxStack)
+	}
+	park := func(cm *rt.CompiledMethod) *Frame {
+		f := v.newFrame(cm, cm.MaxLocals, cm.MaxStack)
+		for i := range f.Locals {
+			f.Locals[i] = rt.IntVal(int64(i + 1))
+		}
+		f.Stack = append(f.Stack, f.Locals[0]) // as if load 0 had run
+		f.PC, f.Barrier = 1, true
+		return f
+	}
+	check := func(f *Frame, cm *rt.CompiledMethod, locals ...int64) {
+		t.Helper()
+		if f.CM != cm || f.PC != 1 || !f.Barrier || len(f.Stack) != 1 || f.Stack[0].Int() != 1 {
+			t.Fatalf("frame state lost: pc %d, barrier %v, operands %v", f.PC, f.Barrier, f.Stack)
+		}
+		if len(f.Locals) < cm.MaxLocals || cap(f.Stack) < cm.MaxStack {
+			t.Fatalf("%d locals, room for %d operands; the code needs %d, %d", len(f.Locals), cap(f.Stack), cm.MaxLocals, cm.MaxStack)
+		}
+		for i, want := range locals {
+			if got := f.Locals[i].Int(); got != want {
+				t.Fatalf("local %d = %d, want %d (locals %v)", i, got, want, f.Locals)
+			}
+		}
+	}
+
+	f := park(opt)
+	if cap(f.Stack) >= base.MaxStack {
+		t.Fatalf("opt frame already has room for %d operands", cap(f.Stack))
+	}
+	if err := v.OSRReplace(f, base); err != nil {
+		t.Fatal(err)
+	}
+	check(f, base, 1, 2, 3, 4, 5, 6)
+	room := cap(f.Stack)
+	if err := v.OSRReplace(f, base); err != nil || cap(f.Stack) != room {
+		t.Fatalf("OSR onto code that fits moved the frame (err %v)", err)
+	}
+
+	// An active-method rewrite onto a body with two more locals and a deeper
+	// stack, through a map that swaps two slots and drops the rest.
+	wide, err := v.JIT.Compile(v.Reg.LookupClass("T").Method("wide", "(IIIIII)I"), rt.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = park(opt)
+	if wide.MaxLocals <= len(f.Locals) || wide.MaxStack <= cap(f.Stack) {
+		t.Fatalf("wide needs %d locals, %d operands: it fits", wide.MaxLocals, wide.MaxStack)
+	}
+	if err := v.OSRRewrite(f, wide, 1, map[int]int{0: 1, 1: 0, 5: 7}); err != nil {
+		t.Fatal(err)
+	}
+	check(f, wide, 2, 1, 0, 0, 0, 0, 0, 6)
+	room = cap(f.Stack)
+	if err := v.OSRRewrite(f, wide, 1, map[int]int{0: 1, 1: 0}); err != nil || cap(f.Stack) != room {
+		t.Fatalf("rewrite onto code that fits moved the frame (err %v)", err)
+	}
+	check(f, wide, 1, 2, 0, 0, 0, 0, 0, 0)
+	if err := v.OSRRewrite(f, wide, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(f, wide, 1, 2, 0, 0, 0, 0, 0, 0)
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	v, _ := newTestVM(t, 1<<16)
 	loadSrc(t, v, `
@@ -658,10 +764,23 @@ class S {
 	if len(v.syncThreads) != 1 || v.syncThreads[0].root.CM != nil || len(v.syncThreads[0].Frames) != 0 {
 		t.Fatalf("%d resident threads, idle one holding code or frames", len(v.syncThreads))
 	}
+	// Methods of different shapes take turns on the root, which settles on one
+	// record that holds them all.
+	root := &v.syncThreads[0].root
+	locals, room := cap(root.Locals), cap(root.Stack)
+	if err := run("spawner", "()V"); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("sum", "(II)V", rt.IntVal(40)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(root.Locals) != locals || cap(root.Stack) != room {
+		t.Fatalf("resident root re-seated in steady state: %d locals, %d operands → %d, %d", locals, room, cap(root.Locals), cap(root.Stack))
+	}
 	if err := v.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != "5\n40\n7\n" {
-		t.Fatalf("output = %q, want 5, 40, 7", out.String())
+	if out.String() != "5\n40\n40\n7\n7\n" {
+		t.Fatalf("output = %q, want 5, 40, 40 and the two children's 7s", out.String())
 	}
 }
