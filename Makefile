@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify build vet test bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
-verify: build vet test bench-smoke race race-gc obs-gate obs-verdict-gate satb-gate drain-gate stream-gate dispatch-gate
+verify: build vet test bench-smoke race race-gc gates
 
 build:
 	$(GO) build ./...
@@ -44,89 +44,14 @@ race:
 race-gc:
 	$(GO) test -race -count=4 ./internal/gc/ ./internal/heap/
 
-# Observability cost gate: a disabled flight recorder must add zero
-# allocations and hold its dispatch tripwire (median of interleaved
-# bare/attached pairs; floor and recorded runs in the test), including under
-# the race detector (also covered by `test`/`race`; this target pins it by
-# name and prints the benchmark so regressions are visible, not just pass/fail).
-obs-gate:
-	$(GO) test -race -run 'TestObsDisabled' -count=1 ./internal/vm/ ./internal/obs/
-	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabledOverhead|BenchmarkInterpDispatch' -benchtime 200ms ./internal/vm/
-
-# Verdict/profiler gate: the sampling profiler must add zero allocations
-# (disabled AND enabled steady state) and, off-race, hold the same dispatch
-# tripwire as the recorder (the throughput gate self-skips under -race, where
-# tsan would dominate);
-# the gate engine's comparator/window tables, the engine's verdict path
-# (all-green PASS, injected-regression FAIL, halt/force-drain policies),
-# and the stream/storm verdict determinism tests are pinned by name so the
-# judgment path can't rot out of the suite. Prints the disabled-profiler
-# benchmark so the cost stays visible.
-obs-verdict-gate:
-	$(GO) test -race -run 'TestProf' -count=1 ./internal/vm/ ./internal/obs/
-	$(GO) test -race -run 'TestGate|TestCompareAllComparators|TestHistSnapshotDelta|TestVerdictFingerprint|TestDefaultGateSpecs' -count=1 ./internal/obs/ ./internal/core/
-	$(GO) test -race -run 'TestStormEveryUpdateJudged|TestStormGateHalt|TestStreamVerdictDeterminism|TestStreamGate' -count=1 ./internal/storm/ ./internal/stream/
-	$(GO) test -run 'TestProfDisabled' -count=1 ./internal/vm/
-	$(GO) test -run '^$$' -bench 'BenchmarkProfDisabledOverhead|BenchmarkInterpDispatch' -benchtime 200ms ./internal/vm/
-
-# Write-barrier cost gate: the disarmed SATB barrier must add zero
-# allocations to a dispatch-shaped store loop and hold its tripwire ratio
-# against the bare store (median of 101 interleaved pairs, floor recorded in
-# the test), and the armed barrier must stay within its tripwire bound.
-# race-gc above already runs the mark/barrier packages (gc, heap) with -race
-# -count=4; this target pins the gates by name and prints the three store
-# benchmarks so the bare/disarmed/armed costs stay visible.
-satb-gate:
-	$(GO) test -run 'TestSATB' -count=1 ./internal/vm/ ./internal/heap/
-	$(GO) test -run '^$$' -bench 'BenchmarkSATBStore|BenchmarkSATBDisarmedDispatch|BenchmarkSATBArmedDispatch' -benchtime 200ms ./internal/heap/ ./internal/vm/
-
-# Post-pause residue cost gate. With no residue installed (the state every
-# instruction between updates runs in) the interpreter's access fast paths,
-# the scheduler and the heap's load paths pay one nil check each: zero
-# allocations, ≤2% on a dispatch-shaped load loop. Installed, two armed-but-
-# idle states must hold their tripwires: the on-touch read barrier with
-# nothing tagged (header-bit test per load), and the relocation load barrier
-# with from-space already drained (range test per load) — the tripwire for a
-# from-space hold that outlives its drain. The engine-side lifecycle (every
-# placement × every retire path ends in the same torn-down state) is pinned
-# next to them, and so is the transformer phase itself: its per-object path
-# makes no Go allocation (recorder off; ≤ 1 with it on), a force chain runs on
-# resident threads, a trap mid-walk leaves no pair word behind, and the
-# header's word-1 protocol is pinned beside word 0's. Prints the disabled/armed
-# load benchmarks so the costs stay visible. race-gc above already runs the relocation drain packages (gc,
-# heap) with -race -count=4.
-drain-gate:
-	$(GO) test -run 'TestLazy|TestReloc|TestResidue' -count=1 ./internal/vm/ ./internal/heap/ ./internal/gc/ ./internal/core/
-	$(GO) test -run 'TestHeaderBitLayout' -count=1 ./internal/heap/
-	$(GO) test -run '^$$' -bench 'BenchmarkLazyDisabledDispatch|BenchmarkLazyArmedDispatch|BenchmarkRelocDisabledDispatch|BenchmarkRelocArmedDrainedDispatch' -benchtime 200ms ./internal/vm/
-
-# Long-horizon stream gate: a short hostile version chain replayed in every
-# engine mode under the race detector, with the chain-wide oracle at each
-# step (also covered by `race`; pinned by name so the multi-release path
-# can't silently rot out of the suite).
-stream-gate:
-	$(GO) test -race -run 'TestStreamGate' -count=1 ./internal/stream/
-
-# Interpreter-tier gate: the fused fast path must stay allocation-free, a
-# guest call must cost exactly one Go allocation from base, fused and opt code
-# (the activation record; no frame's operand stack regrown), the
-# fused/base speedup ratio must hold (off-race; the ratio test self-skips
-# under -race), and the tier's DSU honesty is pinned by name — base-vs-fused
-# storm reports byte-identical, stale ICs flushed when the class behind a
-# hot monomorphic site is replaced, and updates that land on threads pinned
-# in fused loops deopting through the fused pc-map (core + hostile stream).
-# The native boundary rides here too: a native call, the read-only String
-# natives and concat/substring stay free of Go allocations, every String
-# native agrees with the Go reference (in place, under collection, with the
-# relocation barrier armed), and native bindings follow class updates.
-# Prints the dispatch and native-boundary benchmarks so regressions are visible.
-dispatch-gate:
-	$(GO) test -race -run 'TestFusedDispatchZeroAlloc|TestInterpFastPathZeroAlloc|TestCallAllocsPerCall|TestFusedSpeedupRatio|TestNativeCallZeroAlloc|TestStringNatives|TestStringWordsAreOpaqueInPlace|TestNativeBindingAcrossClassUpdate|TestUnboundNativeFailsAtCall' -count=1 ./internal/vm/
-	$(GO) test -race -run 'TestStormTierEquivalence|TestStormStaleICCoverage' -count=1 ./internal/storm/
-	$(GO) test -race -run 'TestFusedFrameOSRUpdate|TestStaleICFlushOnClassReplacement' -count=1 ./internal/core/
-	$(GO) test -race -run 'TestStreamFusedFrameOSR' -count=1 ./internal/stream/
-	$(GO) test -run 'TestFusedSpeedupRatio' -count=1 ./internal/vm/
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpDispatch|BenchmarkNativeCall|BenchmarkStringNatives' -benchtime 200ms ./internal/vm/
+# The per-feature gates: tests pinned by name so that none can rot out of the
+# suite, each run once (under the race detector where the row says so), and
+# the benchmarks whose costs should stay visible. The rows and the reason for
+# each live in scripts/gates.txt; scripts/gates.sh fails first if a pinned
+# name no longer matches anything — `go test -run TestNoSuchThing` prints
+# "no tests to run" and exits 0.
+gates:
+	GO=$(GO) bash scripts/gates.sh
 
 # Non-test line counts of the four packages the size budget is kept on
 # (ROADMAP aim 2; every CHANGES.md entry reports them before and after), and
@@ -167,8 +92,9 @@ bench-obs:
 bench-stream:
 	$(GO) run ./cmd/jvolve-bench -exp stream -stream-out BENCH_stream.json
 
-# Interpreter dispatch tiers (base / fused / fused+ic over the arith,
-# virtual-call and native/string mixes); writes BENCH_dispatch.json.
+# Interpreter dispatch over the tier ladder (plain reference / base / opt over
+# the arith, virtual-call, static-call and native/string mixes); writes
+# BENCH_dispatch.json.
 bench-dispatch:
 	$(GO) run ./cmd/jvolve-bench -exp dispatch -runs 9 -dispatch-out BENCH_dispatch.json
 

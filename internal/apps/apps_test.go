@@ -7,6 +7,7 @@ import (
 	"govolve/internal/asm"
 	"govolve/internal/classfile"
 	"govolve/internal/core"
+	"govolve/internal/rt"
 	"govolve/internal/storm"
 	"govolve/internal/verifier"
 	"govolve/internal/vm"
@@ -180,6 +181,78 @@ func versionByName(t *testing.T, app *App, name string) Version {
 	}
 	t.Fatalf("no version %s", name)
 	return Version{}
+}
+
+// TestHeldOptHandlerNeedsOSROpt pins what a handler loop reaching the opt tier
+// costs, and why the matrix runs with OSROpt (DESIGN.md §15.4). Once the
+// handler has served OptThreshold connections a held session parks in opt
+// code; webserver 5.1.0→5.1.1, an immediate safe point while the handler is
+// base code, then goes stale under it. The paper's engine waits for frames it
+// cannot replace, and these never return; with OSROpt they are mapped back
+// onto fresh base code, and the sessions they serve carry on.
+func TestHeldOptHandlerNeedsOSROpt(t *testing.T) {
+	s, err := Launch(Webserver(), LaunchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.VM.JIT.OptThreshold = 2
+	for b := 0; b < 3; b++ {
+		if _, err := s.DoBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := s.HoldConnections(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := 0
+	for _, th := range s.VM.Threads {
+		for _, f := range th.Frames {
+			if th.State == vm.Blocked && f.CM.Level == rt.Opt && f.CM.PCMap[f.PC] >= 0 {
+				parked++
+			}
+		}
+	}
+	if parked < len(held) {
+		t.Fatalf("%d blocked frames in opt code at a mappable pc, want one per held session (%d)", parked, len(held))
+	}
+
+	res, err := s.ApplyNext(core.Options{MaxAttempts: 60}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != core.Aborted {
+		t.Fatalf("without OSROpt: outcome %v, want aborted (stale opt frames block)", res.Outcome)
+	}
+	res, err = s.ApplyNext(core.Options{MaxAttempts: 60, OSROpt: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != core.Applied || res.Stats.OSRFrames < len(held) {
+		t.Fatalf("with OSROpt: outcome %v (%v), %d frames replaced, want applied and ≥ %d",
+			res.Outcome, res.Err, res.Stats.OSRFrames, len(held))
+	}
+	if err := storm.CheckVM(s.VM); err != nil {
+		t.Fatal(err)
+	}
+	// The replaced frames resume the read they were parked in.
+	for _, c := range held {
+		if err := s.VM.Net.ClientSend(c, s.App.ProbeRequest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		s.VM.Step(5)
+	}
+	for _, c := range held {
+		if line, ok := s.VM.Net.ClientRecv(c); !ok || !strings.Contains(line, s.Version().Name) {
+			t.Errorf("held session %d answered %q after the update, want a %s response", c, line, s.Version().Name)
+		}
+	}
+	s.ReleaseConnections(held)
+	if err := s.VerifyActive(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEmailFigure3Update checks the paper's running example end to end:

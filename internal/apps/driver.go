@@ -342,7 +342,16 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 			return nil, err
 		}
 
-		res, err := s.ApplyNext(core.Options{MaxAttempts: 60}, true)
+		// OSROpt: a held session parks its handler in run(), and a handler
+		// that has served OptThreshold connections is opt code, whose
+		// inlined callees' layouts go stale with most releases. Such a frame
+		// rests at a mappable pc (all three handlers call the blocking read
+		// from run() itself, outside any inlined body);
+		// the paper's engine would wait for the session to end instead, and
+		// the outcome would depend on how many connections this server has
+		// taken — under GCConcurrentMark as many as fit beside the traces —
+		// not on the release (TestHeldOptHandlerNeedsOSROpt).
+		res, err := s.ApplyNext(core.Options{MaxAttempts: 60, OSROpt: true}, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s update to %s: %w", app.Name, target.Name, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"govolve/internal/asm"
+	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
 	"govolve/internal/rt"
 	"govolve/internal/verifier"
@@ -132,12 +133,12 @@ func (e loadedEnv) LookupClass(name string) *classfile.Class { return e.reg.Look
 // the transformer class of each of the 22 updates loaded the way an update
 // installs it (new classes, flattened old versions, then the transformers).
 // Base code's MaxStack is the deepest stack the verifier's abstract
-// interpretation of the same bytecode reaches; fused code's equals base's, so
-// a frame moves between the two in place. Opt code is other code (bodies
-// inlined, constants folded) and has no static oracle: each release then
-// serves requests with every method recompiled at the opt level on its third
-// call, and no frame regrows its operand stack — the bound is at least the
-// depth really reached.
+// interpretation of the same bytecode reaches, and fusion has no part in it:
+// the plain spelling of the same method is bounded alike. Opt code is other
+// code (bodies inlined, constants folded) and has no static oracle: each
+// release then serves requests with every method recompiled at the opt level
+// on its third call, and no frame regrows its operand stack — the bound is at
+// least the depth really reached.
 func TestMaxStackMatchesVerifier(t *testing.T) {
 	methods := 0
 	hold := func(what string, v *vm.VM, mode verifier.Mode, only string) {
@@ -156,21 +157,22 @@ func TestMaxStackMatchesVerifier(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 				want := ver.MaxStack()
-				var tier [3]*rt.CompiledMethod
-				for _, level := range []rt.OptLevel{rt.Base, rt.Fused, rt.Opt} {
+				compile := func(level rt.OptLevel, plain bool) *rt.CompiledMethod {
+					v.JIT.Plain = plain
 					cm, err := v.JIT.Compile(cls.Method(m.Name, m.Sig), level)
+					v.JIT.Plain = false
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					tier[level] = cm
+					return cm
 				}
-				base, fused, opt := tier[rt.Base], tier[rt.Fused], tier[rt.Opt]
+				base, plain, opt := compile(rt.Base, false), compile(rt.Base, true), compile(rt.Opt, false)
 				if base.MaxStack != want {
 					t.Errorf("%s: %s.%s: base MaxStack %d, the verifier reaches %d", what, cls.Name, m.ID(), base.MaxStack, want)
 				}
-				if fused.MaxStack != base.MaxStack || fused.MaxLocals != base.MaxLocals {
-					t.Errorf("%s: %s.%s: fused code bounded at %d locals, %d operands; base at %d, %d",
-						what, cls.Name, m.ID(), fused.MaxLocals, fused.MaxStack, base.MaxLocals, base.MaxStack)
+				if plain.MaxStack != base.MaxStack || plain.MaxLocals != base.MaxLocals {
+					t.Errorf("%s: %s.%s: plain code bounded at %d locals, %d operands; base at %d, %d",
+						what, cls.Name, m.ID(), plain.MaxLocals, plain.MaxStack, base.MaxLocals, base.MaxStack)
 				}
 				if opt.MaxLocals < base.MaxLocals {
 					t.Errorf("%s: %s.%s: opt code has %d locals, base %d", what, cls.Name, m.ID(), opt.MaxLocals, base.MaxLocals)
@@ -245,4 +247,113 @@ func TestMaxStackMatchesVerifier(t *testing.T) {
 		t.Fatalf("held %d methods of %d releases and %d transformer classes, want 25 and 22", methods, releases, transformers)
 	}
 	t.Logf("%d methods", methods)
+}
+
+// TestNoRestingPCIsAPad holds the property identity OSR rests on, for every
+// method of all 25 releases at both levels: a frame only ever rests at pc 0, at
+// a branch target, or at the pc a call or a yield resumes at, and none of those
+// is the pad of a superinstruction. So the pc of a parked frame names an
+// instruction boundary of the bytecode, the same one in any other base compile
+// of it; and running code never reaches a pad, which the interpreter would
+// execute as a nop in place of the constituent fusion folded away. The same
+// must hold across the levels, since OSRReplace takes an opt frame to base code
+// that was fused on its own.
+func TestNoRestingPCIsAPad(t *testing.T) {
+	compiles, fused, mapped := 0, 0, 0
+	for _, app := range All() {
+		for i, ver := range app.Versions {
+			p, err := app.Program(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := vm.New(vm.Options{HeapWords: 1 << 12, Out: io.Discard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Reg.LoadProgram(p); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range v.Reg.Methods() {
+				if m.Def.Native {
+					continue
+				}
+				var base *rt.CompiledMethod
+				for _, level := range []rt.OptLevel{rt.Base, rt.Opt} {
+					cm, err := v.JIT.Compile(m, level)
+					if err != nil {
+						t.Fatalf("%s %s: %v", app.Name, ver.Name, err)
+					}
+					compiles++
+					if cm.HoldsSuperinstruction() {
+						fused++
+					}
+					for _, pc := range restingPCs(cm.Code) {
+						if pc < len(cm.Code) && cm.Code[pc].Op == bytecode.FPAD {
+							t.Errorf("%s %s: %s at %v: resting pc %d is a pad", app.Name, ver.Name, m.FullName(), level, pc)
+						}
+					}
+					if level == rt.Base {
+						base = cm
+						continue
+					}
+					// OSROpt takes an opt frame to base code through PCMap: outside
+					// inlined regions the two compiles must have paired the same
+					// instructions wherever a frame rests — a call site included,
+					// where a blocking native parks with its arguments stacked.
+					for _, pc := range restingPCs(cm.Code) {
+						if pc < len(cm.Code) && cm.PCMap[pc] >= 0 && base.Code[cm.PCMap[pc]].Op == bytecode.FPAD {
+							t.Errorf("%s %s: %s: opt resting pc %d maps to base pc %d, a pad", app.Name, ver.Name, m.FullName(), pc, cm.PCMap[pc])
+						}
+					}
+					for pc := range cm.Code {
+						if op := cm.Code[pc].Op; isCall(op) && cm.PCMap[pc] >= 0 {
+							mapped++
+							if at := base.Code[cm.PCMap[pc]].Op; at != op {
+								t.Errorf("%s %s: %s: opt call site %d (%v) maps to base pc %d (%v)", app.Name, ver.Name, m.FullName(), pc, op, cm.PCMap[pc], at)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fused*2 < compiles {
+		t.Fatalf("only %d of %d compiles hold a superinstruction: the property was barely tried", fused, compiles)
+	}
+	t.Logf("%d compiles, %d with superinstructions, %d opt call sites mapped to base", compiles, fused, mapped)
+}
+
+// isCall reports whether op invokes a method: where a blocking native parks.
+func isCall(op bytecode.Op) bool {
+	switch op {
+	case bytecode.INVOKEVIRT_R, bytecode.INVOKESTAT_R, bytecode.INVOKESPEC_R,
+		bytecode.INVOKENAT_R, bytecode.FLOADINVOKE:
+		return true
+	}
+	return false
+}
+
+// restingPCs lists where control can enter code other than by falling through:
+// the entry, every branch target (the fused branch forms keep theirs in another
+// operand), and where each call and yield resumes.
+func restingPCs(code []rt.Ins) []int {
+	pcs := []int{0}
+	for pc := range code {
+		switch ins := &code[pc]; ins.Op {
+		case bytecode.FSTOREGOTO, bytecode.FCONSTCMPBR:
+			pcs = append(pcs, int(ins.C))
+		case bytecode.FLOADCMPBR:
+			pcs = append(pcs, int(ins.A))
+		case bytecode.FLOADINVOKE:
+			pcs = append(pcs, pc+2)
+		case bytecode.INVOKEVIRT_R, bytecode.INVOKESTAT_R, bytecode.INVOKESPEC_R,
+			bytecode.INVOKENAT_R, bytecode.YIELD:
+			pcs = append(pcs, pc+1)
+		default:
+			if ins.Op.IsBranch() {
+				pcs = append(pcs, int(ins.A))
+			}
+		}
+	}
+	return pcs
 }

@@ -14,16 +14,17 @@ import (
 )
 
 // The dispatch experiment measures raw interpreter throughput across the
-// tier ladder: the base threaded interpreter, the fused superinstruction
-// tier with inline caches disabled, and the full fused+IC configuration.
-// Two opcode mixes pin down where each mechanism pays: a pure arithmetic
-// loop (fusion dominates; ICs are irrelevant) and a virtual-call loop
-// (fusion collapses the load+invoke pair and the monomorphic IC bypasses
-// the TIB walk). This is the evidence behind the PR's >=2x fused-dispatch
-// claim and the IC hit-rate numbers in EXPERIMENTS.md E17. A third mix, the
-// webserver's String natives on one request line, measures the native
-// boundary instead of dispatch: tiers barely move it, the native call path
-// and the string runtime do.
+// tier ladder that exists — base code and opt code — next to the plain
+// reference spelling of base code (1:1 resolution, no superinstructions, no
+// inline caches: jit.Compiler.Plain), which is what fusion has to beat to
+// stay in the base compiler. Four opcode mixes pin down where each mechanism
+// pays: a pure arithmetic loop (fusion dominates), a virtual-call loop
+// (fusion collapses the load+invoke pair and the monomorphic IC bypasses the
+// TIB walk; inlining cannot touch it), a static-call loop (the shape the opt
+// tier's inliner exists for), and the webserver's String natives on one
+// request line, which measures the native boundary instead of dispatch:
+// tiers barely move it, the native call path and the string runtime do.
+// EXPERIMENTS.md E17 reads the recorded grid.
 
 // dispatchArithSrc is the arithmetic mix: the same loop the
 // BenchmarkInterpDispatch family in internal/vm measures — no calls, no
@@ -95,6 +96,39 @@ class Hot {
 }
 `
 
+// dispatchStaticSrc is the static-call mix: the hot loop calls a five-
+// instruction static helper, which base code invokes (a frame per iteration)
+// and opt code inlines.
+const dispatchStaticSrc = `
+class Hot {
+  static method step(II)I {
+    load 0
+    load 1
+    add
+    const 1048575
+    and
+    return
+  }
+
+  static method main()V {
+    const 0
+    store 0
+    const 1
+    store 1
+  loop:
+    load 0
+    load 1
+    invokestatic Hot.step(II)I
+    store 0
+    load 1
+    const 1
+    add
+    store 1
+    goto loop
+  }
+}
+`
+
 // DispatchSweep configures the mix x tier grid.
 type DispatchSweep struct {
 	// Rounds is the best-of count per cell (default 3). Each round pumps
@@ -111,20 +145,19 @@ type DispatchRow struct {
 
 	// InsPerSec is the best-of-Rounds steady-state throughput.
 	InsPerSec float64 `json:"ins_per_sec"`
-	// SpeedupVsBase is InsPerSec over the same mix's base-tier row.
+	// SpeedupVsBase is InsPerSec over the same mix's base row: under 1 on
+	// the plain row (its inverse is what fusion and inline caches buy), and
+	// on the opt row what inlining and folding add.
 	SpeedupVsBase float64 `json:"speedup_vs_base"`
 
 	// AllocsPerSlice is heap allocations per scheduling slice at steady
 	// state (mallocs delta over 200 slices). The dispatch fast-path
-	// contract is 0 for the arith mix on every tier; the virtual mix pays
-	// per-call frame allocation, which dispatch tiers don't touch.
+	// contract is 0 for the arith mix on every tier; the call mixes pay one
+	// activation record per guest call, which only inlining removes.
 	AllocsPerSlice float64 `json:"allocs_per_slice"`
 
-	// TracePromotions confirms (or, for the base tier, denies) that the
-	// hot loop actually ran on the fused tier during measurement.
-	TracePromotions int64 `json:"trace_promotions"`
-	ICHits          int64 `json:"ic_hits"`
-	ICMisses        int64 `json:"ic_misses"`
+	ICHits   int64 `json:"ic_hits"`
+	ICMisses int64 `json:"ic_misses"`
 	// ICHitRate is hits/(hits+misses), 0 when the mix has no cached sites.
 	ICHitRate float64 `json:"ic_hit_rate"`
 }
@@ -138,17 +171,19 @@ type DispatchReport struct {
 	Rows       []DispatchRow `json:"rows"`
 }
 
-// dispatchTiers is the tier axis. Base pins the pre-fusion interpreter
-// (trace promotion off, opt recompilation out of reach); fused runs
-// superinstructions with inline caches disabled; fused+ic is the default
-// production configuration.
-var dispatchTiers = []struct {
-	Name string
-	Opts vm.Options
-}{
-	{"base", vm.Options{TraceThreshold: -1, OptThreshold: 1 << 30}},
-	{"fused", vm.Options{NoInlineCache: true}},
-	{"fused+ic", vm.Options{}},
+// dispatchTier is one point of the tier axis: plain and base keep opt
+// recompilation out of reach and differ in the compiler's Plain switch; opt
+// compiles every method at the opt level on its first invocation.
+type dispatchTier struct {
+	Name         string
+	OptThreshold int
+	Plain        bool
+}
+
+var dispatchTiers = []dispatchTier{
+	{"plain", 1 << 30, true},
+	{"base", 1 << 30, false},
+	{"opt", 1, false},
 }
 
 var dispatchMixes = []struct {
@@ -157,18 +192,21 @@ var dispatchMixes = []struct {
 }{
 	{"arith", dispatchArithSrc},
 	{"virtual", dispatchVirtualSrc},
+	{"static", dispatchStaticSrc},
 	{"native", vm.StringMixSrc},
 }
 
-// runDispatchCell builds, warms, and measures one VM configuration.
-func runDispatchCell(src string, opts vm.Options, rounds, minRoundMs int) (DispatchRow, error) {
+// runDispatchCell builds, warms, and measures one VM configuration, and
+// checks that the hot loop ran the code the tier's name says: no
+// superinstruction in a plain main, one in a base main, an opt compile on
+// the opt row — so a row can't silently measure the wrong interpreter.
+func runDispatchCell(src string, tier dispatchTier, rounds, minRoundMs int) (DispatchRow, error) {
 	var out bytes.Buffer
-	opts.HeapWords = 1 << 14
-	opts.Out = &out
-	v, err := vm.New(opts)
+	v, err := vm.New(vm.Options{HeapWords: 1 << 14, Out: &out, OptThreshold: tier.OptThreshold})
 	if err != nil {
 		return DispatchRow{}, err
 	}
+	v.JIT.Plain = tier.Plain
 	prog, err := asm.AssembleProgram("dispatch.jva", src)
 	if err != nil {
 		return DispatchRow{}, err
@@ -179,9 +217,16 @@ func runDispatchCell(src string, opts vm.Options, rounds, minRoundMs int) (Dispa
 	if _, err := v.SpawnMain("Hot"); err != nil {
 		return DispatchRow{}, err
 	}
-	// Warmup: past adaptive recompilation, trace promotion, and capacity
-	// growth in the frame and scheduler structures.
+	// Warmup: past adaptive recompilation and capacity growth in the frame
+	// and scheduler structures.
 	v.Step(500)
+	fused := v.Reg.LookupClass("Hot").Method("main", "()V").Compiled.HoldsSuperinstruction()
+	switch {
+	case fused == tier.Plain:
+		return DispatchRow{}, fmt.Errorf("bench: superinstruction in main: %v", fused)
+	case (v.JIT.OptCompiles > 0) != (tier.Name == "opt"):
+		return DispatchRow{}, fmt.Errorf("bench: %d opt compiles", v.JIT.OptCompiles)
+	}
 
 	best := 0.0
 	for r := 0; r < rounds; r++ {
@@ -214,11 +259,10 @@ func runDispatchCell(src string, opts vm.Options, rounds, minRoundMs int) (Dispa
 
 	st := v.Stats()
 	row := DispatchRow{
-		InsPerSec:       best,
-		AllocsPerSlice:  float64(after.Mallocs-before.Mallocs) / 200,
-		TracePromotions: st.TracePromotions,
-		ICHits:          st.ICHits,
-		ICMisses:        st.ICMisses,
+		InsPerSec:      best,
+		AllocsPerSlice: float64(after.Mallocs-before.Mallocs) / 200,
+		ICHits:         st.ICHits,
+		ICMisses:       st.ICMisses,
 	}
 	if total := st.ICHits + st.ICMisses; total > 0 {
 		row.ICHitRate = float64(st.ICHits) / float64(total)
@@ -227,10 +271,8 @@ func runDispatchCell(src string, opts vm.Options, rounds, minRoundMs int) (Dispa
 }
 
 // RunDispatch measures the full grid. A cell that fails to build or runs
-// zero instructions is a bench failure, not a data point. The base tier is
-// additionally required to have stayed off the fused tier and the other
-// tiers to have trace-promoted, so a row can't silently measure the wrong
-// interpreter.
+// zero instructions, or whose hot loop is not the code its tier names
+// (runDispatchCell), is a bench failure, not a data point.
 func RunDispatch(sw DispatchSweep, progress io.Writer) (*DispatchReport, error) {
 	if sw.Rounds <= 0 {
 		sw.Rounds = 3
@@ -243,40 +285,40 @@ func RunDispatch(sw DispatchSweep, progress io.Writer) (*DispatchReport, error) 
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Note: "ins_per_sec is best-of-" + fmt.Sprint(sw.Rounds) + " steady-state " +
-			"interpreter throughput after warmup; speedup_vs_base divides by the " +
-			"same mix's base-tier row. The arith mix isolates superinstruction " +
-			"fusion; the virtual mix adds a monomorphic call so inline caches " +
-			"matter; the native mix is the webserver's String natives on one " +
+			"interpreter throughput after warmup; speedup_vs_base is ins_per_sec " +
+			"over the same mix's base row. plain " +
+			"is base code without superinstructions or inline caches (the " +
+			"compiler's reference spelling), base is what every method starts " +
+			"as, opt compiles every method at the opt level on first call. The " +
+			"arith mix isolates superinstruction fusion; the virtual mix adds a " +
+			"monomorphic call so inline caches matter; the static mix calls a " +
+			"five-instruction static helper, which opt inlines (the inlined loop " +
+			"retires 16 instructions a turn against the call's 15, so ins/s " +
+			"flatters that one cell by 6.7 %); the native mix " +
+			"is the webserver's String natives on one " +
 			"request line (ten native calls per 40 instructions), where the " +
 			"native boundary, not the tier, sets the rate (before the string " +
 			"runtime worked in place and native calls were pre-bound, PR 13, " +
 			"this mix ran at 3.2-3.8M ins/s with 22 834 Go allocs/slice on the " +
-			"2-vCPU recording host). trace_promotions proves which tier " +
-			"actually executed.",
+			"2-vCPU recording host). Every cell checks that its hot loop " +
+			"holds the code its tier names before it is timed.",
 	}
 	for _, mix := range dispatchMixes {
-		var baseRate float64
+		first := len(rep.Rows)
 		for _, tier := range dispatchTiers {
-			row, err := runDispatchCell(mix.Src, tier.Opts, sw.Rounds, sw.MinRoundMillis)
+			row, err := runDispatchCell(mix.Src, tier, sw.Rounds, sw.MinRoundMillis)
 			if err != nil {
 				return nil, fmt.Errorf("bench: dispatch mix=%s tier=%s: %w", mix.Name, tier.Name, err)
 			}
 			row.Mix, row.Tier = mix.Name, tier.Name
-			if tier.Name == "base" {
-				if row.TracePromotions != 0 {
-					return nil, fmt.Errorf("bench: dispatch mix=%s: base tier trace-promoted", mix.Name)
-				}
-				baseRate = row.InsPerSec
-			} else if row.TracePromotions == 0 {
-				return nil, fmt.Errorf("bench: dispatch mix=%s tier=%s: hot loop never trace-promoted", mix.Name, tier.Name)
-			}
-			if baseRate > 0 {
-				row.SpeedupVsBase = row.InsPerSec / baseRate
-			}
 			rep.Rows = append(rep.Rows, row)
 			if progress != nil {
 				fmt.Fprintf(progress, ".")
 			}
+		}
+		base := rep.Rows[first+1].InsPerSec
+		for i := first; i < len(rep.Rows); i++ {
+			rep.Rows[i].SpeedupVsBase = rep.Rows[i].InsPerSec / base
 		}
 		if progress != nil {
 			fmt.Fprintln(progress)
@@ -298,12 +340,12 @@ func WriteDispatchJSON(path string, rep *DispatchReport) error {
 func PrintDispatch(w io.Writer, rep *DispatchReport) {
 	fmt.Fprintf(w, "Interpreter dispatch tiers (gomaxprocs=%d, cpus=%d)\n",
 		rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Fprintf(w, "%8s %9s %14s %9s %12s %12s %10s %10s %9s\n",
-		"mix", "tier", "ins/s", "speedup", "allocs/slice", "promotions", "ic-hits", "ic-misses", "hit-rate")
+	fmt.Fprintf(w, "%8s %6s %14s %9s %12s %10s %10s %9s\n",
+		"mix", "tier", "ins/s", "vs-base", "allocs/slice", "ic-hits", "ic-misses", "hit-rate")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%8s %9s %14.0f %8.2fx %12.2f %12d %10d %10d %9.3f\n",
+		fmt.Fprintf(w, "%8s %6s %14.0f %8.2fx %12.2f %10d %10d %9.3f\n",
 			r.Mix, r.Tier, r.InsPerSec, r.SpeedupVsBase, r.AllocsPerSlice,
-			r.TracePromotions, r.ICHits, r.ICMisses, r.ICHitRate)
+			r.ICHits, r.ICMisses, r.ICHitRate)
 	}
 	fmt.Fprintf(w, "note: %s\n", rep.Note)
 }

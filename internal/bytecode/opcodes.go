@@ -113,13 +113,14 @@ const (
 	LEAVEINL_R                     // inlined-callee epilogue marker
 
 	// Fused superinstructions, produced only by the JIT's peephole fusion
-	// pass (fused/opt tiers). Each replaces an adjacent pair [A, B] of
-	// resolved instructions in place: the fused opcode occupies the first
-	// slot and FPAD pads the second, so code length and branch targets are
-	// unchanged and the OSR pc-map stays valid — a fused pc deoptimizes to
-	// its first constituent's bytecode pc. The fusion pass never fuses a
-	// pair whose second instruction is a branch target, so FPAD is never
-	// jumped to (the interpreter still treats it as a nop defensively).
+	// pass, the last rewriting pass of every compile. Each replaces an
+	// adjacent pair [A, B] of resolved instructions in place: the fused
+	// opcode occupies the first slot and FPAD pads the second, so code
+	// length and branch targets are unchanged and base code stays index for
+	// index with its bytecode — a superinstruction sits at its first
+	// constituent's pc. The fusion pass never fuses a pair whose second
+	// instruction is a branch target, so FPAD is never jumped to (the
+	// interpreter still treats it as a nop defensively).
 	FPAD        // padding slot of a fused pair
 	FCONSTARITH // const A then arith C, in place on the stack top
 	FLOADLOAD   // load A; load C
@@ -142,8 +143,8 @@ const (
 )
 
 // FusedMin/FusedMax bound the fused-superinstruction opcode range, used by
-// the printer, the verifier, and the fuzz corpora to recognise the tier-2
-// opcode space without enumerating it.
+// the printer, the verifier, and the fuzz corpora to recognise the
+// superinstruction opcode space without enumerating it.
 const (
 	FusedMin = FPAD
 	FusedMax = FCONSTARITH2

@@ -321,7 +321,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	for _, job := range osrJobs {
 		f := job.frame
 		m := f.CM.Method
-		wasFused := f.CM.Level == rt.Fused
 		target := m
 		if m.Class.Renamed && m.Class.UpdatedTo != nil {
 			// The class was replaced; continue in the new version's
@@ -356,11 +355,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, 0, target.FullName())
 		}
 		p.res.Stats.OSRFrames++
-		if wasFused {
-			// The frame was resting in trace-promoted fused code; the
-			// identity pc-map let the rewrite land at the fused pc.
-			p.res.Stats.OSRFusedFrames++
-		}
 	}
 
 	// --- DSU garbage collection ---------------------------------------------

@@ -66,10 +66,6 @@ type Stats struct {
 	Attempts           int
 	BarriersInstalled  int
 	OSRFrames          int
-	// OSRFusedFrames is the subset of OSRFrames that were resting in
-	// trace-promoted fused code when the update landed — each one deopted
-	// through the fused tier's identity pc-map.
-	OSRFusedFrames int
 	ActiveRewrites     int  // UpStare-style rewrites of changed on-stack methods
 	Immediate          bool // safe point reached on the first attempt
 	InvalidatedMethods int
@@ -530,12 +526,6 @@ func classify(f *vm.Frame, cat1 map[*rt.Method]bool, updatedOld map[*rt.Class]bo
 	if cm.Level == rt.Base {
 		return frameOSR
 	}
-	if cm.Level == rt.Fused {
-		// Fused-tier code is index-aligned with base code (superinstructions
-		// replace pairs in place) and carries a total identity pc-map, so a
-		// fused frame deopts at any resting pc — no osrOpt gate needed.
-		return frameOSR
-	}
 	if osrOpt && vm.OSRMappable(f) {
 		return frameOSR
 	}
@@ -599,13 +589,9 @@ func (e *Engine) handle() bool {
 				// A changed method with a user-provided yield-point map
 				// can be rewritten on stack (the UpStare extension)
 				// instead of blocking — if the frame sits at a mapped pc.
-				// Fused frames qualify too: in-place fusion keeps pcs
-				// index-aligned with base code, so the user's yield-point
-				// map reads the fused pc unchanged (hot loops trace-promote
-				// to the fused tier, and an active update of a spinning
-				// method is exactly the hot-loop case).
-				if am, ok := active[f.CM.Method]; ok &&
-					(f.CM.Level == rt.Base || f.CM.Level == rt.Fused) {
+				// The map is keyed by bytecode pc, which is what a
+				// base-compiled frame's pc is: fusion is in place.
+				if am, ok := active[f.CM.Method]; ok && f.CM.Level == rt.Base {
 					if _, mapped := am.PC[f.PC]; mapped {
 						amCopy := am
 						osrJobs = append(osrJobs, osrJob{frame: f, active: &amCopy})

@@ -10,29 +10,36 @@ import (
 
 // TestMaxStackPerTier: the bound is taken from the code each tier runs.
 // Fusion never changes it (a superinstruction is charged its constituents'
-// depth), folding can lower it, and an inlined body counts on top of what the
-// caller holds at the call.
+// depth), so a base compile has the bound of its plain reference spelling;
+// folding can lower it, and an inlined body counts on top of what the caller
+// holds at the call.
 func TestMaxStackPerTier(t *testing.T) {
 	reg, c := setup(t)
 	for _, tc := range []struct {
-		cls, name         string
-		sig               classfile.Sig
-		base, fused, optd int
+		cls, name  string
+		sig        classfile.Sig
+		base, optd int
 	}{
-		{"Pair", "sum", "()I", 2, 2, 2},
-		{"Caller", "fold", "()I", 2, 2, 1},           // const 3, const 4, add, const 10, mul → const 70
-		{"Caller", "addTiny", "(LPair;)I", 1, 1, 2},  // tiny's getfield, const 1, add runs inside
-		{"Caller", "dispatch", "(LPair;)I", 1, 1, 1}, // load + invokevirtual → FLOADINVOKE
-		{"Caller", "useStatic", "()I", 1, 1, 1},
+		{"Pair", "sum", "()I", 2, 2},
+		{"Caller", "fold", "()I", 2, 1},           // const 3, const 4, add, const 10, mul → const 70
+		{"Caller", "addTiny", "(LPair;)I", 1, 2},  // tiny's getfield, const 1, add runs inside
+		{"Caller", "dispatch", "(LPair;)I", 1, 1}, // load + invokevirtual → FLOADINVOKE
+		{"Caller", "useStatic", "()I", 1, 1},
 	} {
 		m := method(t, reg, tc.cls, tc.name, tc.sig)
-		for level, want := range map[rt.OptLevel]int{rt.Base: tc.base, rt.Fused: tc.fused, rt.Opt: tc.optd} {
-			cm, err := c.Compile(m, level)
+		for _, row := range []struct {
+			plain bool
+			level rt.OptLevel
+			want  int
+		}{{true, rt.Base, tc.base}, {false, rt.Base, tc.base}, {false, rt.Opt, tc.optd}} {
+			c.Plain = row.plain
+			cm, err := c.Compile(m, row.level)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cm.MaxStack != want {
-				t.Errorf("%s.%s at %v: MaxStack = %d, want %d; code:\n%v", tc.cls, tc.name, level, cm.MaxStack, want, cm.Code)
+			if cm.MaxStack != row.want {
+				t.Errorf("%s.%s at %v (plain=%v): MaxStack = %d, want %d; code:\n%v",
+					tc.cls, tc.name, row.level, row.plain, cm.MaxStack, row.want, cm.Code)
 			}
 		}
 	}
@@ -62,5 +69,20 @@ func TestMaxStackForgedCode(t *testing.T) {
 		if got := new(Compiler).maxStack(tc.code); got != tc.want {
 			t.Errorf("%s: maxStack = %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestFuseForgedTargets: like the depth pass, fusion and folding may be handed
+// branches that point outside the code; they mark no target and fuse the rest.
+func TestFuseForgedTargets(t *testing.T) {
+	code := []rt.Ins{
+		{Op: bytecode.LOAD}, {Op: bytecode.LOAD, A: 1},
+		{Op: bytecode.IFEQ, A: 99}, {Op: bytecode.GOTO, A: -3},
+	}
+	c := new(Compiler)
+	c.foldConstants(code)
+	c.fuse(code)
+	if code[0].Op != bytecode.FLOADLOAD || code[1].Op != bytecode.FPAD {
+		t.Fatalf("pair before wild branches not fused: %v", code)
 	}
 }

@@ -5,20 +5,21 @@
 // methods real: when a class's layout changes, code that baked in its
 // offsets is stale and must be recompiled (or OSRed if on stack).
 //
-// Three tiers mirror Jikes RVM's adaptive system: the base compiler is a
-// strict 1:1 translation of bytecode (so the OSR pc-map is the identity);
-// the fused tier adds in-place superinstruction fusion and inline caches to
-// base code (trace promotion moves hot loops here without waiting for a
-// return); and the opt compiler additionally inlines small static/special
-// calls and folds constants, recording what it inlined so the DSU engine
-// can restrict inlining callers of updated methods. Fusion rewrites pairs
-// in place ([A,B] becomes [FUSED,FPAD]), so code length and branch targets
-// never change and the OSR pc-map stays valid: a fused pc deoptimizes to
-// its first constituent's bytecode pc.
+// Two tiers mirror Jikes RVM's adaptive system. The base compiler resolves
+// bytecode index for index — so the OSR pc-map between two base compiles of
+// a method is the identity — then fuses adjacent pairs into superinstructions
+// and installs an inline cache at every virtual call site. Fusion rewrites in
+// place ([A,B] becomes [FUSED,FPAD]): code length, branch targets and every pc
+// a frame can rest at survive it, which is why it is part of base compilation
+// and not a tier of its own. The opt compiler first inlines small
+// static/special calls and folds constants, recording what it inlined so the
+// DSU engine can restrict inlining callers of updated methods, and carries a
+// PCMap back to the bytecode it was resolved from.
 package jit
 
 import (
 	"fmt"
+	"slices"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
@@ -36,19 +37,21 @@ type Compiler struct {
 	// compiler inlines.
 	InlineMaxCode int
 
-	// NoIC disables inline-cache installation in fused/opt code. The
-	// dispatch benchmark uses it to isolate the fusion win from the IC win;
-	// everything else leaves it false.
-	NoIC bool
+	// Plain stops every compile after resolution (and, for opt, inlining and
+	// folding): no superinstructions, no inline caches. It is the reference
+	// spelling the tier-equivalence tests and the dispatch grid compare the
+	// default against, set by them and by nothing else.
+	Plain bool
 
 	// Counters for the benchmark harness and the obs metrics plane.
-	BaseCompiles  int
-	OptCompiles   int
-	FusedCompiles int
+	BaseCompiles int
+	OptCompiles  int
 
-	// seen and work are the depth pass's scratch (depth.go).
-	seen []int32
-	work []int
+	// seen and work are the depth pass's scratch (depth.go); targets is the
+	// branch-target marking fuse and foldConstants share.
+	seen    []int32
+	work    []int
+	targets []bool
 }
 
 // New builds a compiler with Jikes-flavoured defaults.
@@ -62,18 +65,23 @@ func (c *Compiler) Compile(m *rt.Method, level rt.OptLevel) (*rt.CompiledMethod,
 	if m.Def.Native {
 		return nil, fmt.Errorf("jit: cannot compile native method %s", m.FullName())
 	}
-	cm, err := c.baseCompile(m)
+	cm, err := c.resolve(m)
 	if err != nil {
 		return nil, err
 	}
 	c.BaseCompiles++
-	switch level {
-	case rt.Opt:
-		cm = c.optimize(cm)
+	if level == rt.Opt {
+		c.inline(cm)
+		c.foldConstants(cm.Code)
+		cm.Level = rt.Opt
 		c.OptCompiles++
-	case rt.Fused:
-		cm = c.fusedTier(cm)
-		c.FusedCompiles++
+	}
+	// Fusion runs last of the rewriting passes and in place, so base code
+	// stays index-for-index with the bytecode and opt code keeps the pc-map
+	// inlining built: a superinstruction sits at its first constituent's pc.
+	if !c.Plain {
+		c.fuse(cm.Code)
+		installICs(cm)
 	}
 	// Final passes: bake each instruction's minimum stack need into the
 	// executable form, so the interpreter's underflow guard is a single
@@ -85,8 +93,8 @@ func (c *Compiler) Compile(m *rt.Method, level rt.OptLevel) (*rt.CompiledMethod,
 	return cm, nil
 }
 
-// baseCompile is the 1:1 resolution pass.
-func (c *Compiler) baseCompile(m *rt.Method) (*rt.CompiledMethod, error) {
+// resolve is the 1:1 resolution pass.
+func (c *Compiler) resolve(m *rt.Method) (*rt.CompiledMethod, error) {
 	def := m.Def
 	cm := &rt.CompiledMethod{
 		Method:     m,
@@ -216,52 +224,47 @@ func (c *Compiler) baseCompile(m *rt.Method) (*rt.CompiledMethod, error) {
 	return cm, nil
 }
 
-// optimize applies inlining, constant folding, superinstruction fusion,
-// and inline caches to base code, producing opt-level code. The input is
-// consumed. Fusion runs last and in place, so the pc-map built by inlining
-// stays valid: a fused pc inherits the map entry of its first constituent.
-func (c *Compiler) optimize(cm *rt.CompiledMethod) *rt.CompiledMethod {
-	out := c.inline(cm)
-	out.Code = foldConstants(out.Code)
-	fuse(out.Code)
-	if !c.NoIC {
-		installICs(out)
-	}
-	out.Level = rt.Opt
-	return out
-}
-
-// fusedTier turns base code into the trace-promoted loop tier: in-place
-// superinstruction fusion plus inline caches, no inlining. Because fusion
-// preserves instruction indexes, the pc-map is the identity — materialized
-// explicitly so the OSR deopt contract (fused pc → first constituent's
-// bytecode pc) is a table lookup like the opt tier's, not a special case.
-func (c *Compiler) fusedTier(cm *rt.CompiledMethod) *rt.CompiledMethod {
-	fuse(cm.Code)
-	if !c.NoIC {
-		installICs(cm)
-	}
-	pcMap := make([]int, len(cm.Code))
-	for i := range pcMap {
-		pcMap[i] = i
-	}
-	cm.PCMap = pcMap
-	cm.Level = rt.Fused
-	return cm
-}
-
 // installICs embeds a fresh inline cache at every virtual call site and
 // records it in ICSites so the DSU install phase can flush them without
-// scanning instruction streams.
+// scanning instruction streams. A method's caches are one allocation, sized
+// by a counting pass.
 func installICs(cm *rt.CompiledMethod) {
+	virtual := func(op bytecode.Op) bool {
+		return op == bytecode.INVOKEVIRT_R || op == bytecode.FLOADINVOKE
+	}
+	n := 0
 	for i := range cm.Code {
-		switch cm.Code[i].Op {
-		case bytecode.INVOKEVIRT_R, bytecode.FLOADINVOKE:
-			ic := &rt.ICache{}
+		if virtual(cm.Code[i].Op) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]rt.ICache, n)
+	cm.ICSites = make([]*rt.ICache, 0, n)
+	for i := range cm.Code {
+		if virtual(cm.Code[i].Op) {
+			ic := &slab[len(cm.ICSites)]
 			cm.Code[i].IC = ic
 			cm.ICSites = append(cm.ICSites, ic)
 		}
 	}
+}
+
+// branchTargets marks the pcs the branches of code jump to, in a buffer kept
+// on the Compiler. Targets outside the code are ignored, as maxStack ignores
+// them: nothing can be fused or folded there.
+func (c *Compiler) branchTargets(code []rt.Ins) []bool {
+	targets := slices.Grow(c.targets[:0], len(code))[:len(code)]
+	clear(targets)
+	for i := range code {
+		if ins := &code[i]; ins.Op.IsBranch() && ins.A >= 0 && ins.A < int64(len(code)) {
+			targets[ins.A] = true
+		}
+	}
+	c.targets = targets
+	return targets
 }
 
 // fusable reports whether the adjacent pair (a, b) at index i matches the
@@ -270,7 +273,7 @@ func installICs(cm *rt.CompiledMethod) {
 // the degenerate self-target (b jumping to its own pc, i+1): the fused
 // backedge test compares against the pair's first pc, which would turn that
 // one case from a backedge into a forward edge and shift yield boundaries.
-func fusable(i int, a, b rt.Ins) (rt.Ins, bool) {
+func fusable(i int, a, b *rt.Ins) (rt.Ins, bool) {
 	isConst := func(op bytecode.Op) bool {
 		return op == bytecode.CONST || op == bytecode.CONST_R
 	}
@@ -319,20 +322,15 @@ func fusable(i int, a, b rt.Ins) (rt.Ins, bool) {
 // fuse rewrites adjacent instruction pairs from the fusion catalog into
 // single superinstructions, greedily left to right and strictly in place:
 // the pair [A, B] becomes [FUSED, FPAD], so code length, branch targets,
-// and the pc-map all survive untouched. A pair whose second instruction is
+// and an opt pc-map all survive untouched. A pair whose second instruction is
 // a branch target is never fused — control must be able to land on it.
-func fuse(code []rt.Ins) {
-	targets := make(map[int]bool)
-	for _, ins := range code {
-		if ins.Op.IsBranch() {
-			targets[int(ins.A)] = true
-		}
-	}
+func (c *Compiler) fuse(code []rt.Ins) {
+	targets := c.branchTargets(code)
 	for i := 0; i+1 < len(code); i++ {
 		if targets[i+1] {
 			continue
 		}
-		f, ok := fusable(i, code[i], code[i+1])
+		f, ok := fusable(i, &code[i], &code[i+1])
 		if !ok {
 			continue
 		}
@@ -400,7 +398,7 @@ func (c *Compiler) inlinable(caller *rt.Method, ins rt.Ins) bool {
 // above the caller's own locals; callee returns become jumps to the splice
 // end (a value-returning callee leaves its result on the operand stack,
 // which is exactly where the call would have put it).
-func (c *Compiler) inline(cm *rt.CompiledMethod) *rt.CompiledMethod {
+func (c *Compiler) inline(cm *rt.CompiledMethod) {
 	var newCode []rt.Ins
 	var pcMap []int                      // new pc -> original pc (-1 inside inlined regions)
 	remap := make([]int, len(cm.Code)+1) // old pc -> new pc
@@ -427,7 +425,7 @@ func (c *Compiler) inline(cm *rt.CompiledMethod) *rt.CompiledMethod {
 			continue
 		}
 		callee := ins.Ref
-		calleeCM, err := c.baseCompile(callee)
+		calleeCM, err := c.resolve(callee)
 		if err != nil {
 			// Unresolvable callee (e.g. refers to classes not yet
 			// loaded): leave the call site alone.
@@ -473,7 +471,6 @@ func (c *Compiler) inline(cm *rt.CompiledMethod) *rt.CompiledMethod {
 			cm.LayoutDeps[dep] = true
 		}
 		cm.Inlined = append(cm.Inlined, callee)
-		cm.Inlined = append(cm.Inlined, calleeCM.Inlined...)
 	}
 	remap[len(cm.Code)] = len(newCode)
 	for _, f := range fixups {
@@ -482,24 +479,18 @@ func (c *Compiler) inline(cm *rt.CompiledMethod) *rt.CompiledMethod {
 	cm.Code = newCode
 	cm.PCMap = pcMap
 	cm.MaxLocals = maxLocals
-	return cm
 }
 
 // foldConstants rewrites CONST/CONST/arith triples into single constants.
 // It only folds when neither constant is a branch target, to keep branch
 // indexes valid without remapping.
-func foldConstants(code []rt.Ins) []rt.Ins {
-	targets := make(map[int]bool)
-	for _, ins := range code {
-		if ins.Op.IsBranch() {
-			targets[int(ins.A)] = true
-		}
-	}
-	isConst := func(i rt.Ins) bool {
+func (c *Compiler) foldConstants(code []rt.Ins) {
+	targets := c.branchTargets(code)
+	isConst := func(i *rt.Ins) bool {
 		return i.Op == bytecode.CONST || i.Op == bytecode.CONST_R
 	}
 	for i := 0; i+2 < len(code); i++ {
-		a, b, op := code[i], code[i+1], code[i+2]
+		a, b, op := &code[i], &code[i+1], &code[i+2]
 		if !isConst(a) || !isConst(b) {
 			continue
 		}
@@ -528,5 +519,4 @@ func foldConstants(code []rt.Ins) []rt.Ins {
 		code[i+1] = rt.Ins{Op: bytecode.NOP}
 		code[i+2] = rt.Ins{Op: bytecode.CONST_R, A: v}
 	}
-	return code
 }

@@ -138,17 +138,40 @@ func TestStaticResolution(t *testing.T) {
 	}
 }
 
+// TestVirtualResolution: a virtual call resolves to its TIB slot, and the
+// load of its receiver fuses with it, in place, carrying the site's inline
+// cache. The plain spelling keeps the two instructions and installs no cache.
 func TestVirtualResolution(t *testing.T) {
 	reg, c := setup(t)
 	m := method(t, reg, "Caller", "dispatch", "(LPair;)I")
+	slot := reg.LookupClass("Pair").VSlot("sum", "()I")
+
 	cm, err := c.Compile(m, rt.Base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := cm.Code[1]
-	slot := reg.LookupClass("Pair").VSlot("sum", "()I")
+	ins := cm.Code[0]
+	if ins.Op != bytecode.FLOADINVOKE || int(ins.A) != slot || ins.B != 1 || ins.C != 0 {
+		t.Fatalf("load+invokevirtual fused wrong: %+v (want slot %d)", ins, slot)
+	}
+	if cm.Code[1].Op != bytecode.FPAD || len(cm.Code) != len(m.Def.Code) {
+		t.Fatalf("fusion not in place: %v", cm.Code)
+	}
+	if ins.IC == nil || len(cm.ICSites) != 1 || cm.ICSites[0] != ins.IC {
+		t.Fatalf("inline cache not installed at the site: %+v, sites %v", ins, cm.ICSites)
+	}
+
+	c.Plain = true
+	cm, err = c.Compile(m, rt.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins = cm.Code[1]
 	if ins.Op != bytecode.INVOKEVIRT_R || int(ins.A) != slot || ins.B != 1 {
 		t.Fatalf("invokevirtual resolved wrong: %+v (want slot %d)", ins, slot)
+	}
+	if ins.IC != nil || cm.ICSites != nil {
+		t.Fatal("plain code carries an inline cache")
 	}
 }
 

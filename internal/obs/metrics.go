@@ -436,16 +436,14 @@ const (
 	MGateViolations  = "govolve_gate_violations_total"
 	MGateLastPass    = "govolve_gate_last_pass"
 
-	// JIT/tier plane: per-tier compile activity, trace promotions into the
-	// fused tier, DSU code invalidations by reason (method-body swap,
-	// layout/TIB dependency, inlined-callee change), inline-cache dispatch
-	// outcomes and install-phase flushes, and the cumulative IC hit-rate
-	// gauge. The registry is flat-name-keyed, so what Prometheus would
-	// label {tier=...}/{reason=...} is realized as suffixed names.
+	// JIT/tier plane: per-tier compile activity, DSU code invalidations by
+	// reason (method-body swap, layout/TIB dependency, inlined-callee
+	// change), inline-cache dispatch outcomes and install-phase flushes, and
+	// the cumulative IC hit-rate gauge. The registry is flat-name-keyed, so
+	// what Prometheus would label {tier=...}/{reason=...} is realized as
+	// suffixed names.
 	MJITCompilesBase        = "govolve_jit_compiles_base_total"
 	MJITCompilesOpt         = "govolve_jit_compiles_opt_total"
-	MJITCompilesFused       = "govolve_jit_compiles_fused_total"
-	MJITTracePromotions     = "govolve_jit_trace_promotions_total"
 	MJITInvalidationsBody   = "govolve_jit_invalidations_body_total"
 	MJITInvalidationsLayout = "govolve_jit_invalidations_layout_total"
 	MJITInvalidationsInline = "govolve_jit_invalidations_inline_total"
@@ -515,10 +513,8 @@ var metricHelp = map[string]string{
 	MGateViolations:  "Individual gate violations across all verdicts.",
 	MGateLastPass:    "1 when the most recent verdict passed, else 0.",
 
-	MJITCompilesBase:        "Methods compiled at the base tier.",
+	MJITCompilesBase:        "Methods compiled at the base tier (resolve+fuse+IC).",
 	MJITCompilesOpt:         "Methods compiled at the opt tier (inline+fold+fuse+IC).",
-	MJITCompilesFused:       "Methods compiled at the fused tier (fuse+IC).",
-	MJITTracePromotions:     "Hot loop frames trace-promoted onto fused code.",
 	MJITInvalidationsBody:   "Compiled bodies invalidated by method-body updates.",
 	MJITInvalidationsLayout: "Compiled bodies invalidated by baked-in layout/TIB deps.",
 	MJITInvalidationsInline: "Compiled bodies invalidated for inlining updated callees.",

@@ -47,12 +47,6 @@ type Method struct {
 	Invocations int
 	// Pinned marks bootstrap methods the adaptive system leaves alone.
 	Pinned bool
-	// HotSlices counts consecutive scheduling slices this method's
-	// base-compiled code spent pinned on top of a thread's stack — the
-	// trace-promotion signal: a method that never returns (a hot loop)
-	// accumulates slices instead of invocations, and at the VM's trace
-	// threshold its frame is promoted in place to the fused tier.
-	HotSlices int
 	// Native caches the VM's binding of a native method (its implementation
 	// and return kind), resolved by name on the first call so that a call
 	// costs a pointer load instead of a key build and a map lookup. The vm

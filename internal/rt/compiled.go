@@ -11,30 +11,21 @@ type OptLevel int
 
 const (
 	// Base is the baseline compiler: a 1:1 resolution of bytecode with
-	// offsets and slots baked in. Because it is 1:1, the OSR pc-map from
-	// a base frame to a recompiled base frame is the identity — which is
-	// why, like JVOLVE, the DSU engine only OSRs base-compiled frames.
+	// offsets and slots baked in, adjacent pairs fused in place into
+	// superinstructions, and an inline cache at every virtual call site.
+	// Fusion keeps every instruction at its bytecode index, so the OSR
+	// pc-map from a base frame to a recompiled base frame is the identity —
+	// which is why, like JVOLVE, the DSU engine only OSRs onto base code.
 	Base OptLevel = iota
-	// Opt adds inlining of small static/special calls and constant
-	// folding, then superinstruction fusion and inline caches. Opt code
-	// records what it inlined so the DSU engine can restrict inlining
-	// callers of updated methods.
+	// Opt inlines small static/special calls and folds constants before
+	// fusing. Opt code records what it inlined so the DSU engine can
+	// restrict inlining callers of updated methods.
 	Opt
-	// Fused is the trace-promoted loop tier: base resolution plus in-place
-	// superinstruction fusion and inline caches, but no inlining. Because
-	// fusion rewrites pairs in place, fused code is index-for-index aligned
-	// with base code, so its OSR pc-map is the identity at every
-	// instruction start — fused frames deoptimize as cheaply as base
-	// frames, which is why the DSU engine OSRs them unconditionally.
-	Fused
 )
 
 func (l OptLevel) String() string {
-	switch l {
-	case Opt:
+	if l == Opt {
 		return "opt"
-	case Fused:
-		return "fused"
 	}
 	return "base"
 }
@@ -47,7 +38,7 @@ type ICEntry struct {
 }
 
 // ICache is a per-call-site inline cache for virtual dispatch, embedded in
-// the instruction stream of fused/opt code (base code carries none).
+// the instruction stream of compiled code at both levels.
 // Entries[0] is the monomorphic fast slot; a miss that finds room promotes
 // the site to a small polymorphic stub (linear scan of Entries[:N]); a full
 // cache leaves the site megamorphic and every dispatch falls back to the
@@ -102,8 +93,8 @@ type Ins struct {
 	Op      bytecode.Op
 	A       int64
 	B       int32
-	C       int32      // third operand of fused superinstructions
-	IC      *ICache    // inline cache; non-nil only on virtual sites in fused/opt code
+	C       int32   // third operand of fused superinstructions
+	IC      *ICache // inline cache of a virtual call site
 	Cls     *Class
 	Ref     *Method
 	Str     string // TRAP message
@@ -158,22 +149,33 @@ type CompiledMethod struct {
 	Inlined []*Method
 
 	// PCMap maps opt-code indexes back to the original bytecode index, or
-	// -1 inside inlined regions (opt level only; base code is 1:1 and
-	// needs no map). It exists for OSR of opt-compiled category-(2)
-	// frames: a frame parked at a mappable pc can be rewritten to freshly
-	// compiled base code of the new class version. Frames only rest at
-	// yield points and call boundaries, where the operand stack contents
-	// agree with base execution, so the mapping is sound there.
+	// -1 inside inlined regions. It is nil on base code, which is index for
+	// index with the bytecode — fusion included — and needs no map. It
+	// exists for OSR of opt-compiled category-(2) frames: a frame parked at
+	// a mappable pc can be rewritten to freshly compiled base code of the
+	// new class version. Frames only rest at yield points and call
+	// boundaries, where the operand stack contents agree with base
+	// execution, so the mapping is sound there.
 	PCMap []int
 
-	// ICSites lists every inline cache embedded in Code (fused/opt level
-	// only), so the DSU install phase can flush them all without scanning
-	// instruction streams.
+	// ICSites lists every inline cache embedded in Code, so the DSU install
+	// phase can flush them all without scanning instruction streams.
 	ICSites []*ICache
 
 	// Invalid marks code invalidated by the DSU engine; the interpreter
 	// never runs invalid code (invocation recompiles first).
 	Invalid bool
+}
+
+// HoldsSuperinstruction reports whether fusion rewrote any pair of Code: the
+// tests and the dispatch grid ask it to know which spelling of a method ran.
+func (cm *CompiledMethod) HoldsSuperinstruction() bool {
+	for i := range cm.Code {
+		if cm.Code[i].Op.IsFused() {
+			return true
+		}
+	}
+	return false
 }
 
 // FlushICs empties every inline cache in the method and returns the total
@@ -220,8 +222,8 @@ var (
 // bound (CompiledMethod.MaxStack) are both read off it. A superinstruction's
 // effect is that of its constituents run one after the other — the fused
 // handlers skip the intermediate pushes, so their Peak is an over-estimate,
-// chosen so that fused code gets exactly the bound of the base code it was
-// fused from and a frame can move between the two tiers in place.
+// chosen so that fused code gets exactly the bound of the 1:1 code it was
+// fused from: the bound of a base compile is the verifier's deepest stack.
 func Effect(ins *Ins) StackEffect {
 	switch ins.Op {
 	case bytecode.CONST, bytecode.CONST_R, bytecode.NULL, bytecode.LDC_R,

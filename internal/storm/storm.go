@@ -44,21 +44,17 @@ type Config struct {
 	// consumes extra rng or Steps, so a reloc run must produce a Report
 	// equal to the same seed's eager run.
 	ConcurrentReloc bool
-	// BaseTierOnly pins the VM to the base interpreter: no trace promotion,
-	// no opt recompilation, so no fused superinstructions and no inline
-	// caches ever run. Fused handlers replicate the base tier's step
-	// accounting and yield-point placement exactly, so a base-only run
-	// must produce a Report byte-identical to the same seed's FusedOnly
-	// run — the tier-equivalence check that proves superinstructions and
-	// ICs are observationally invisible under a live update storm.
-	BaseTierOnly bool
-	// FusedOnly keeps trace promotion, superinstruction fusion and inline
-	// caches (the PR's new tier) but pins opt recompilation out of reach.
-	// The opt tier's inlining removes method-entry yield points, which
-	// legitimately shifts slice boundaries and thus the rng trajectory —
-	// so the byte-identical tier-equivalence check compares BaseTierOnly
-	// against FusedOnly, the two tiers that share yield-point placement.
-	FusedOnly bool
+	// Plain runs the reference spelling of base code: the compiler
+	// stops after 1:1 resolution (jit.Compiler.Plain), so no superinstruction
+	// and no inline cache ever runs, and opt recompilation is out of reach.
+	// Fused handlers replicate unfused step accounting and yield-point
+	// placement exactly, so such a run must produce a Report byte-identical
+	// to the same seed's default-compiler run with OptThreshold out of reach
+	// too — the tier-equivalence check that proves superinstructions and ICs
+	// are observationally invisible under a live update storm. (Opt is held
+	// out on both sides: inlining removes method-entry yield points, which
+	// legitimately shifts slice boundaries and thus the rng trajectory.)
+	Plain bool
 	// OptThreshold overrides the VM's opt-recompilation invocation count
 	// (0 keeps the VM default of 50). The stale-IC storm config sets this
 	// low so the snap probe methods — each a hot monomorphic virtual call
@@ -286,18 +282,14 @@ func (r *runner) bootVM(metrics *obs.Registry) error {
 		OptThreshold:     r.cfg.OptThreshold,
 		Out:              io.Discard,
 	}
-	if r.cfg.BaseTierOnly {
-		opts.TraceThreshold = -1
-		opts.OptThreshold = 1 << 30
-		opts.NoInlineCache = true
-	}
-	if r.cfg.FusedOnly {
+	if r.cfg.Plain {
 		opts.OptThreshold = 1 << 30
 	}
 	v, err := vm.New(opts)
 	if err != nil {
 		return r.failf("vm: %v", err)
 	}
+	v.JIT.Plain = r.cfg.Plain
 	r.v = v
 	if r.cfg.EventTail > 0 {
 		r.rec = obs.NewRecorder(obs.DefaultCapacity)

@@ -182,32 +182,32 @@ func TestStormRelocEagerEquivalent(t *testing.T) {
 	}
 }
 
-// TestStormTierEquivalence runs the same seeds with the fused tier (trace
-// promotion onto superinstructions with inline caches) and with the VM
-// pinned to the base interpreter. The shadow oracle validates every field
+// TestStormTierEquivalence runs the same seeds on base code as the compiler
+// produces it (superinstructions, inline caches) and on its plain reference
+// spelling (1:1 resolution only). The shadow oracle validates every field
 // value, static, array and probe after each update; the probe pass runs
-// virtual dispatch through whatever tier the probe methods currently
-// occupy, so the fused run exercises inline caches across repeated updates
-// of the classes behind those call sites. Requiring the two Reports
-// byte-identical pins the whole trajectory: superinstruction fusion, ICs
-// and trace promotion must be observationally invisible — including across
-// every IC flush and fused-code invalidation the updates trigger. (The opt
-// tier is excluded on both sides: its inlining removes method-entry yield
-// points, which legitimately shifts slice boundaries — a pre-existing
+// virtual dispatch through the probe methods' current code, so the default
+// run exercises inline caches across repeated updates of the classes behind
+// those call sites. Requiring the two Reports byte-identical pins the whole
+// trajectory: superinstruction fusion and ICs must be observationally
+// invisible — including across every IC flush and code invalidation the
+// updates trigger — which is what lets fusion be part of base compilation.
+// (The opt tier is out of reach on both sides: its inlining removes
+// method-entry yield points, which legitimately shifts slice boundaries — a
 // property of inlining, not a tier-honesty bug.)
 func TestStormTierEquivalence(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		fused, err := runWatched(Config{Seed: seed, Updates: 20, FusedOnly: true})
+		fused, err := runWatched(Config{Seed: seed, Updates: 20, OptThreshold: 1 << 30})
 		if err != nil {
-			t.Fatalf("seed %d fused: %v", seed, err)
+			t.Fatalf("seed %d default: %v", seed, err)
 		}
-		base, err := runWatched(Config{Seed: seed, Updates: 20, BaseTierOnly: true})
+		plain, err := runWatched(Config{Seed: seed, Updates: 20, Plain: true})
 		if err != nil {
-			t.Fatalf("seed %d base-only: %v", seed, err)
+			t.Fatalf("seed %d plain: %v", seed, err)
 		}
-		if *fused != *base {
-			t.Fatalf("seed %d: interpreter tier changed the trajectory:\n  fused=%+v\n  base=%+v",
-				seed, *fused, *base)
+		if *fused != *plain {
+			t.Fatalf("seed %d: fusion and inline caches changed the trajectory:\n  default=%+v\n  plain=%+v",
+				seed, *fused, *plain)
 		}
 	}
 }
@@ -229,8 +229,8 @@ func runWatched(cfg Config) (*Report, error) {
 
 // TestStormStackBound runs the three seeds every CHANGES.md entry diffs
 // against its parent (`jvolve-bench -exp storm -updates 40`) on the default
-// tier ladder — base, fused and opt frames, OSR and transformer runs among
-// them — and no frame of any of them regrows its operand stack.
+// tier ladder — base and opt frames, OSR and transformer runs among them —
+// and no frame of any of them regrows its operand stack.
 func TestStormStackBound(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		if _, err := runWatched(Config{Seed: seed, Updates: 40}); err != nil {
@@ -243,9 +243,9 @@ func TestStormStackBound(t *testing.T) {
 // not vacuous: a default-tier run whose updates repeatedly replace the
 // classes behind the hot monomorphic snap/probe call sites must actually
 // drive inline-cache traffic (hits), flush IC entries at update installs,
-// and invalidate fused code — all while the shadow oracle and CheckVM stay
-// green. An IC left stale across any of those updates would dispatch to
-// the old method body and show up as a probe-oracle mismatch.
+// and invalidate the code that holds them — all while the shadow oracle and
+// CheckVM stay green. An IC left stale across any of those updates would
+// dispatch to the old method body and show up as a probe-oracle mismatch.
 func TestStormStaleICCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
 	rep, err := Run(Config{Seed: 11, Updates: 30, OptThreshold: 4, Metrics: reg})
@@ -261,9 +261,9 @@ func TestStormStaleICCoverage(t *testing.T) {
 	if flushes := reg.Counter(obs.MJITICFlushes).Value(); flushes == 0 {
 		t.Fatal("no IC flushes: updates installed without clearing inline caches")
 	}
-	t.Logf("ic hits=%d misses=%d flushes=%d promotions=%d",
+	t.Logf("ic hits=%d misses=%d flushes=%d",
 		reg.Counter(obs.MJITICHits).Value(), reg.Counter(obs.MJITICMisses).Value(),
-		reg.Counter(obs.MJITICFlushes).Value(), reg.Counter(obs.MJITTracePromotions).Value())
+		reg.Counter(obs.MJITICFlushes).Value())
 }
 
 // TestStormLazyEagerEquivalent runs the same seeds eagerly and lazily. The

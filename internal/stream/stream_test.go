@@ -7,7 +7,9 @@ import (
 
 	"govolve/internal/core"
 	"govolve/internal/obs"
+	"govolve/internal/rt"
 	"govolve/internal/storm"
+	"govolve/internal/vm"
 )
 
 // TestStreamMatrix is the long-horizon acceptance test: a seeded 50-update
@@ -425,19 +427,37 @@ func TestStreamGateQuiesceRetryCompletes(t *testing.T) {
 	}
 }
 
-// TestStreamFusedFrameOSR is the hostile-stream half of the interpreter
-// tier's DSU coverage: under the hostile schedule, updates land while
-// worker threads are pinned inside hot loops that trace promotion has
-// moved onto the fused tier — every such frame must deopt through the
-// fused pc-map at the update pause. The chain-wide oracle inside Replay
-// already proves the rewritten frames compute the right answers; here we
-// additionally require that the fused-frame OSR path actually fired, so
-// the coverage can't silently decay into base-tier-only OSR.
+// TestStreamFusedFrameOSR is the hostile-stream half of base compilation's
+// DSU coverage: under the hostile schedule, updates land while worker threads
+// are pinned inside hot loops whose code holds superinstructions — every such
+// frame must OSR, at the pc it rests at, onto fresh base code at the update
+// pause. The chain-wide oracle inside Replay already proves the rewritten
+// frames compute the right answers; here we additionally require that the
+// path actually fired on frames resting in fused code, so the coverage can't
+// silently decay into OSR of code fusion never touched. (Fusion is a function
+// of the bytecode, which an OSR keeps: the fresh code a rewritten frame rests
+// in holds a superinstruction exactly when the stale code did.)
 func TestStreamFusedFrameOSR(t *testing.T) {
 	mode, _ := ModeByName("serial")
-	reg := obs.NewRegistry()
+	osr, fused := 0, 0
 	rep, err := Replay(Config{
-		Seed: 9, Length: 25, Mode: mode, Hostile: true, ScratchWords: 1 << 14, Metrics: reg,
+		Seed: 9, Length: 25, Mode: mode, Hostile: true, ScratchWords: 1 << 14,
+		OnStep: func(step int, rec *StepRecord, res *core.Result, d *storm.Driver) error {
+			// The step's rewrites are the newest osr-recompile events; each
+			// names the method whose frame, still on its stack, it moved.
+			events := d.VM().Rec.Events()
+			for i, n := len(events)-1, res.Stats.OSRFrames; i >= 0 && n > 0; i-- {
+				if events[i].Kind != obs.KOSRRecompile {
+					continue
+				}
+				n--
+				osr++
+				if restsInFusedCode(d.VM(), events[i].Str) {
+					fused++
+				}
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,20 +465,24 @@ func TestStreamFusedFrameOSR(t *testing.T) {
 	if rep.Applied != 25 {
 		t.Fatalf("applied = %d, want 25", rep.Applied)
 	}
-	if promos := reg.Counter(obs.MJITTracePromotions).Value(); promos == 0 {
-		t.Fatal("workload never trace-promoted: the chain ran base-tier only")
-	}
-	osr, fused := 0, 0
-	for i := range rep.Records {
-		osr += rep.Records[i].OSRFrames
-		fused += rep.Records[i].OSRFused
-	}
 	if osr == 0 {
 		t.Fatal("no update caught a thread on-stack in an invalidated method")
 	}
 	if fused == 0 {
-		t.Fatalf("%d OSR frames but none on the fused tier: no update landed while a thread was pinned in a fused loop", osr)
+		t.Fatalf("%d OSR frames but none resting in code with a superinstruction", osr)
 	}
-	t.Logf("osr frames=%d fused=%d promotions=%d", osr, fused,
-		int64(reg.Counter(obs.MJITTracePromotions).Value()))
+	t.Logf("osr frames=%d in fused code=%d", osr, fused)
+}
+
+// restsInFusedCode reports whether a frame of the named method rests in base
+// code that holds a superinstruction.
+func restsInFusedCode(v *vm.VM, method string) bool {
+	for _, th := range v.Threads {
+		for _, f := range th.Frames {
+			if f.CM.Level == rt.Base && f.Method().FullName() == method && f.CM.HoldsSuperinstruction() {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -39,25 +39,23 @@ class Hot {
 `
 
 // newDispatchVM builds a VM running the arithmetic loop and warms it past
-// JIT recompilation and slice-ring growth so steady state is measured.
-// With default options the hot loop trace-promotes onto the fused tier
-// during warmup, so this measures the current production configuration.
+// slice-ring growth so steady state is measured. The loop is base code — the
+// production configuration: main is called once, so it never reaches opt.
 func newDispatchVM(tb testing.TB) *VM {
-	return newDispatchVMOpts(tb, Options{})
+	return newDispatchVMPlain(tb, false)
 }
 
-// newDispatchVMOpts is newDispatchVM with tier selection: pass
-// TraceThreshold -1 + a huge OptThreshold for the base-only interpreter,
-// or NoInlineCache to isolate the fusion win from the IC win.
-func newDispatchVMOpts(tb testing.TB, opts Options) *VM {
+// newDispatchVMPlain is newDispatchVM with the compiler's Plain switch: true
+// runs the loop as 1:1 resolved code, the reference base code is compared
+// against; false as the superinstructions every base compile produces.
+func newDispatchVMPlain(tb testing.TB, plain bool) *VM {
 	tb.Helper()
 	var out bytes.Buffer
-	opts.HeapWords = 1 << 14
-	opts.Out = &out
-	v, err := New(opts)
+	v, err := New(Options{HeapWords: 1 << 14, Out: &out})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	v.JIT.Plain = plain
 	prog, err := asm.AssembleProgram("dispatch.jva", dispatchLoopSrc)
 	if err != nil {
 		tb.Fatal(err)
@@ -68,9 +66,12 @@ func newDispatchVMOpts(tb testing.TB, opts Options) *VM {
 	if _, err := v.SpawnMain("Hot"); err != nil {
 		tb.Fatal(err)
 	}
-	// Warmup: enough slices for adaptive recompilation and for the frame's
-	// operand stack and scheduler structures to reach their final capacity.
+	// Warmup: enough slices for the scheduler structures to reach their
+	// final capacity.
 	v.Step(500)
+	if fused := v.Threads[0].Frames[0].CM.HoldsSuperinstruction(); fused == plain {
+		tb.Fatalf("plain=%v but the loop's code holds a superinstruction: %v", plain, fused)
+	}
 	return v
 }
 
@@ -100,30 +101,18 @@ func benchDispatch(b *testing.B, v *VM) {
 	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "instructions/s")
 }
 
-// BenchmarkInterpDispatchBase pins the pre-fusion interpreter: trace
-// promotion disabled, opt recompilation out of reach. This is the PR 1
-// number — the denominator of the fused-tier speedup claim.
-func BenchmarkInterpDispatchBase(b *testing.B) {
-	v := newDispatchVMOpts(b, Options{TraceThreshold: -1, OptThreshold: 1 << 30})
-	benchDispatch(b, v)
-}
-
-// BenchmarkInterpDispatchFused measures the fused tier explicitly (trace
-// promotion fires during warmup; the loop runs as superinstructions).
-func BenchmarkInterpDispatchFused(b *testing.B) {
-	v := newDispatchVMOpts(b, Options{})
-	if v.Stats().TracePromotions == 0 {
-		b.Fatal("warmup did not trace-promote the hot loop")
-	}
-	benchDispatch(b, v)
+// BenchmarkInterpDispatchPlain runs the loop unfused: the PR 1 number, and
+// the denominator of TestFusedSpeedupRatio.
+func BenchmarkInterpDispatchPlain(b *testing.B) {
+	benchDispatch(b, newDispatchVMPlain(b, true))
 }
 
 // TestInterpFastPathZeroAlloc is the guard: after warmup, interpreting the
 // arithmetic fast path performs zero heap allocations per instruction —
-// no closure churn, no boxing, no scheduler garbage. Runs the base tier
-// explicitly; TestFusedDispatchZeroAlloc covers the fused tier.
+// no closure churn, no boxing, no scheduler garbage. Runs the plain spelling,
+// one handler per bytecode; TestFusedDispatchZeroAlloc covers the fused one.
 func TestInterpFastPathZeroAlloc(t *testing.T) {
-	v := newDispatchVMOpts(t, Options{TraceThreshold: -1, OptThreshold: 1 << 30})
+	v := newDispatchVMPlain(t, true)
 	// One more warm round so every slice-local structure has grown.
 	v.Step(100)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -140,16 +129,13 @@ func TestInterpFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedDispatchZeroAlloc is the fused-tier guard: after trace promotion
-// the superinstruction fast path — fused dispatch plus inline-cache-carrying
-// code — must also run allocation-free. A single alloc per op here would
-// erase the tier's win under GC pressure.
+// TestFusedDispatchZeroAlloc is the guard on what base code actually runs:
+// the superinstruction fast path (newDispatchVMPlain has checked that the
+// loop's code holds one) must also run allocation-free. A single alloc per op
+// here would erase fusion's win under GC pressure.
 func TestFusedDispatchZeroAlloc(t *testing.T) {
-	v := newDispatchVMOpts(t, Options{})
+	v := newDispatchVM(t)
 	v.Step(100)
-	if v.Stats().TracePromotions == 0 {
-		t.Fatal("warmup did not trace-promote the hot loop")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	before := v.TotalSteps
 	allocs := testing.AllocsPerRun(50, func() {
@@ -164,12 +150,13 @@ func TestFusedDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedSpeedupRatio is the perf tripwire: the fused tier must execute
-// the arithmetic loop at least fusedSpeedupFloor times as fast as the base
-// interpreter, by pairedDispatchRatio (the median of 101 interleaved
-// base/fused pairs; the sequential best-of-three it replaces read 1.26 once
-// in a slow host phase against 1.9–2.2 in its reruns). Skipped under the race
-// detector, whose instrumentation swamps dispatch cost.
+// TestFusedSpeedupRatio is the perf tripwire that keeps justifying the fusion
+// pass: base code must execute the arithmetic loop at least
+// fusedSpeedupFloor times as fast as its plain spelling, by
+// pairedDispatchRatio (the median of 101 interleaved plain/default pairs; the
+// sequential best-of-three it replaces read 1.26 once in a slow host phase
+// against 1.9–2.2 in its reruns). Skipped under the race detector, whose
+// instrumentation swamps dispatch cost.
 func TestFusedSpeedupRatio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("dispatch timing is meaningless under the race detector")
@@ -178,15 +165,15 @@ func TestFusedSpeedupRatio(t *testing.T) {
 		t.Skip("timing test")
 	}
 	ratio := pairedDispatchRatio(t, func() (*VM, *VM) {
-		return newDispatchVMOpts(t, Options{TraceThreshold: -1, OptThreshold: 1 << 30}), newDispatchVMOpts(t, Options{})
+		return newDispatchVMPlain(t, true), newDispatchVMPlain(t, false)
 	})
-	t.Logf("fused/base dispatch = %.2fx", ratio)
+	t.Logf("default/plain dispatch = %.2fx", ratio)
 	if ratio < fusedSpeedupFloor {
-		t.Fatalf("fused tier only %.2fx over base, want >= %.2fx", ratio, fusedSpeedupFloor)
+		t.Fatalf("fused code only %.2fx over plain, want >= %.2fx", ratio, fusedSpeedupFloor)
 	}
 }
 
-// fusedSpeedupFloor is a tripwire for the tier falling off the arithmetic
-// loop (no promotion, no fusion: 1.0), not a measurement of it. 110 recorded
-// runs on the 2-vCPU host read 2.15–2.28 (median 2.21).
+// fusedSpeedupFloor is a tripwire for fusion falling off the arithmetic loop
+// (no superinstructions: 1.0), not a measurement of it. 110 recorded runs on
+// the 2-vCPU host read 2.15–2.28 (median 2.21).
 const fusedSpeedupFloor = 1.8

@@ -13,10 +13,10 @@ import (
 )
 
 // callMixSrc makes every kind of guest→guest call from two places: main's
-// loop, which trace promotion moves onto the fused tier (load 0 +
-// invokevirtual tick is a FLOADINVOKE there), and drive, which is itself
-// called every turn and so reaches the opt tier. big and priv are longer than
-// the opt compiler inlines, so at every tier each call site is a real call.
+// loop, which is called once and so stays base code (load 0 + invokevirtual
+// tick is a FLOADINVOKE there), and drive, which is itself called every turn
+// and so reaches the opt tier. big and priv are longer than the opt compiler
+// inlines, so at every tier each call site is a real call.
 const callMixSrc = `
 class Obj {
   method <init>()V {
@@ -119,34 +119,36 @@ class K {
 // TestCallAllocsPerCall is the call path's gate, a count and not a timing: a
 // guest→guest call costs exactly one Go allocation — the activation record —
 // whether it is static, special or virtual and whether the calling code is
-// base, fused or opt; and no frame of the run ends with an operand stack of a
-// different capacity than it was laid out with (the interpreter pushes with
-// append: a bound that is too small regrows, which is the other way a call
-// comes to cost more than one allocation). Recorder off, no guest allocation
-// in the loop. A native call costs none: TestNativeCallZeroAlloc.
+// base, its plain spelling or opt; and no frame of the run ends with an
+// operand stack of a different capacity than it was laid out with (the
+// interpreter pushes with append: a bound that is too small regrows, which is
+// the other way a call comes to cost more than one allocation). Recorder off,
+// no guest allocation in the loop. A native call costs none:
+// TestNativeCallZeroAlloc.
 func TestCallAllocsPerCall(t *testing.T) {
 	prog, err := asm.AssembleProgram("calls.jva", callMixSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tier := range []struct {
-		name string
-		opts vm.Options
+		name         string
+		plain        bool
+		optThreshold int
 		// caller is the method whose code, at level, makes the calls.
 		caller string
 		level  rt.OptLevel
 	}{
-		{"base", vm.Options{TraceThreshold: -1, OptThreshold: 1 << 30}, "main", rt.Base},
-		{"fused", vm.Options{OptThreshold: 1 << 30}, "main", rt.Fused},
-		{"opt", vm.Options{TraceThreshold: -1, OptThreshold: 5}, "drive", rt.Opt},
+		{"plain", true, 1 << 30, "main", rt.Base},
+		{"base", false, 1 << 30, "main", rt.Base},
+		{"opt", false, 5, "drive", rt.Opt},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
 			var out bytes.Buffer
-			tier.opts.HeapWords, tier.opts.Out = 1<<14, &out
-			v, err := vm.New(tier.opts)
+			v, err := vm.New(vm.Options{HeapWords: 1 << 14, Out: &out, OptThreshold: tier.optThreshold})
 			if err != nil {
 				t.Fatal(err)
 			}
+			v.JIT.Plain = tier.plain
 			if err := v.LoadProgram(prog); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +157,7 @@ func TestCallAllocsPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 			check := vmtest.WatchStacks(v)
-			v.Step(200) // past recompilation and promotion, every frame watched
+			v.Step(200) // past recompilation, every frame watched
 			if err := check(); err != nil {
 				t.Fatal(err)
 			}
@@ -174,9 +176,9 @@ func TestCallAllocsPerCall(t *testing.T) {
 					sites++
 				}
 			}
-			if caller.Level != tier.level || len(caller.Inlined) != 0 || sites < 3 {
-				t.Fatalf("%s is %v code with %d call sites, %d inlined; want %v making the calls itself",
-					tier.caller, caller.Level, sites, len(caller.Inlined), tier.level)
+			if caller.Level != tier.level || len(caller.Inlined) != 0 || sites < 3 || caller.HoldsSuperinstruction() == tier.plain {
+				t.Fatalf("%s is %v code (fused: %v) with %d call sites, %d inlined; want %v making the calls itself, plain=%v",
+					tier.caller, caller.Level, caller.HoldsSuperinstruction(), sites, len(caller.Inlined), tier.level, tier.plain)
 			}
 
 			calls := func() (n int64) {

@@ -405,13 +405,13 @@ func (v *VM) interpret(t *Thread, budget int) {
 					return
 				}
 			}
-			// Inline-cache fast path (fused/opt code only; base code carries
-			// no caches): a monomorphic hit is one class-id compare, the
-			// polymorphic stub a short linear scan, and only a miss pays the
-			// registry + TIB lookup. Entries key on the receiver's class id —
-			// ids are monotonic, so an updated class's instances (which carry
-			// fresh ids) can never hit a stale entry, and the DSU install
-			// phase flushes every cache anyway.
+			// Inline-cache fast path (only the compiler's plain reference
+			// spelling carries no caches): a monomorphic hit is one class-id
+			// compare, the polymorphic stub a short linear scan, and only a
+			// miss pays the registry + TIB lookup. Entries key on the
+			// receiver's class id — ids are monotonic, so an updated class's
+			// instances (which carry fresh ids) can never hit a stale entry,
+			// and the DSU install phase flushes every cache anyway.
 			target, ok := v.vdispatch(ins, recv.Ref())
 			if !ok {
 				v.kill(t, fmt.Errorf("vm: bad dispatch (class id %d, slot %d) in %s",
@@ -504,14 +504,14 @@ func (v *VM) interpret(t *Thread, budget int) {
 			}
 			continue
 
-		// --- fused superinstructions (fused/opt tiers only) --------------
+		// --- fused superinstructions ---------------------------------------
 		//
 		// Each executes both constituents of a fused pair in one dispatch
 		// and skips the FPAD slot (pc += 2). Logical instruction accounting
 		// stays identical to unfused execution: the loop top counted the
 		// first constituent; each handler counts the second exactly when it
-		// begins, so a kill mid-pair leaves the same step totals as base
-		// code — what keeps storm reports byte-identical across tiers.
+		// begins, so a kill mid-pair leaves the same step totals as plain
+		// code — what keeps storm reports byte-identical with it.
 		// Yield semantics are unchanged too: only backedges and calls touch
 		// the budget, and fused backedge tests compare against the second
 		// constituent's pc (f.PC+1), exactly where the branch used to live.
@@ -890,8 +890,8 @@ func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *i
 }
 
 // vdispatch resolves a virtual call site against the receiver's dynamic
-// class — through the site's inline cache when the code carries one
-// (fused/opt tiers), falling back to the registry + TIB lookup. A miss at
+// class — through the site's inline cache when the code carries one (all
+// but plain code does), falling back to the registry + TIB lookup. A miss at
 // a cached site installs the resolution: the first fills the monomorphic
 // slot, later ones grow the polymorphic stub until the cache is full
 // (megamorphic sites pay the TIB lookup every time). Hit/miss counters are

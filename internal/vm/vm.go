@@ -57,18 +57,6 @@ type Options struct {
 	Out io.Writer
 	// OptThreshold overrides the adaptive recompilation threshold.
 	OptThreshold int
-	// TraceThreshold is the number of consecutive scheduling slices a
-	// base-compiled method must spend on top of a thread's stack before
-	// trace promotion swaps its frame onto fused-tier code (in-place
-	// superinstruction fusion + inline caches). Loop-pinned methods never
-	// return, so invocation counting alone can't reach them — this is the
-	// backedge-flavored signal that does. 0 selects the default (3);
-	// negative disables trace promotion entirely (the base-tier-only
-	// configuration the storm equivalence tests run).
-	TraceThreshold int
-	// NoInlineCache disables inline caches in fused/opt code; the dispatch
-	// benchmark uses it to separate the fusion win from the IC win.
-	NoInlineCache bool
 	// LazyTransform defers object transformation out of the DSU pause: the
 	// pause copies objects and tags each updated-class instance, and a read
 	// barrier on the interpreter's access fast paths transforms an object
@@ -153,13 +141,9 @@ type VM struct {
 	// TotalSteps counts all executed instructions.
 	TotalSteps int64
 
-	// TraceThreshold is the trace-promotion slice count (see Options);
-	// <= 0 disables promotion.
-	TraceThreshold int
-
 	// icHits/icMisses count inline-cache dispatch outcomes at cached call
-	// sites (fused/opt code only). Plain fields on the interpreter's own
-	// goroutine; PublishMetrics exports them with the delta discipline.
+	// sites. Plain fields on the interpreter's own goroutine; PublishMetrics
+	// exports them with the delta discipline.
 	icHits   int64
 	icMisses int64
 
@@ -198,9 +182,8 @@ type VM struct {
 	publishedCopied int64
 	// publishedJIT* are the delta anchors for the compiler-activity and
 	// inline-cache counters, same discipline as published.
-	publishedJITBase  int64
-	publishedJITOpt   int64
-	publishedJITFused int64
+	publishedJITBase int64
+	publishedJITOpt  int64
 	// publishedEvDropped / publishedProf* are the delta anchors for the
 	// recorder-loss and profiler counters, same discipline as published.
 	publishedEvDropped   uint64
@@ -314,15 +297,6 @@ func New(opts Options) (*VM, error) {
 	if opts.OptThreshold > 0 {
 		v.JIT.OptThreshold = opts.OptThreshold
 	}
-	switch {
-	case opts.TraceThreshold > 0:
-		v.TraceThreshold = opts.TraceThreshold
-	case opts.TraceThreshold == 0:
-		v.TraceThreshold = 3
-	default:
-		v.TraceThreshold = 0 // disabled
-	}
-	v.JIT.NoIC = opts.NoInlineCache
 	if opts.Recorder != nil || opts.Metrics != nil {
 		v.AttachObs(opts.Recorder, opts.Metrics)
 	}
@@ -791,9 +765,6 @@ func (v *VM) runSlice(t *Thread) {
 		v.interpret(t, v.Quantum)
 		v.profileSlice(t, v.TotalSteps-before)
 	}
-	if v.TraceThreshold > 0 && t.State == Runnable {
-		v.maybePromote(t)
-	}
 	switch t.State {
 	case Runnable:
 		v.enqueue(t)
@@ -807,48 +778,6 @@ func (v *VM) runSlice(t *Thread) {
 	}
 	// UpdateWait threads sit in neither list; ReleaseUpdateWaiters
 	// re-enqueues them when the update resolves.
-}
-
-// maybePromote is the trace-promotion hook, run once per scheduling slice
-// on the just-run thread. A base-compiled method that stays on top of the
-// stack for TraceThreshold consecutive-ish slices is a hot loop the
-// invocation counter can never see (it never returns, so resolveCompiled
-// never runs for it); its frame is swapped in place onto fused-tier code.
-// The swap keeps the same pc: in-place fusion makes fused code
-// index-aligned with base code, and resting pcs are always resumption
-// points (branch targets, post-call pcs, post-yield pcs), which the fusion
-// pass never buries inside a pair — the FPAD check below is a pure
-// defensive backstop. Steady state (top frame already fused) costs one
-// level compare and allocates nothing.
-func (v *VM) maybePromote(t *Thread) {
-	if len(t.Frames) == 0 {
-		return
-	}
-	f := t.Frames[len(t.Frames)-1]
-	cm := f.CM
-	if cm.Level != rt.Base || cm.Invalid {
-		return
-	}
-	m := cm.Method
-	if m.Pinned || m.Compiled != cm {
-		return
-	}
-	m.HotSlices++
-	if m.HotSlices < v.TraceThreshold {
-		return
-	}
-	m.HotSlices = 0
-	fcm, err := v.JIT.Compile(m, rt.Fused)
-	if err != nil {
-		return // unresolvable now; the counter restarts
-	}
-	if f.PC < 0 || f.PC >= len(fcm.Code) || fcm.Code[f.PC].Op == bytecode.FPAD {
-		return // not a landing pc; retry next slice
-	}
-	v.stats.TracePromotions++
-	v.tracef("trace promotion: %s -> fused at pc %d (thread %d)", m.FullName(), f.PC, t.ID)
-	f.CM = fcm
-	m.Compiled = fcm
 }
 
 // --- GC integration -------------------------------------------------------
@@ -996,11 +925,13 @@ func (v *VM) PopHandle(n int) {
 // same method (same bytecode, possibly a new class version's metadata).
 //
 // For a base-compiled frame the pc map is the identity — the precise
-// analog of Jikes RVM OSR on base-compiled methods. For an opt-compiled
-// frame (extension; the paper leaves it as future work) the compiled
-// code's PCMap translates the pc, provided the frame is parked outside any
-// inlined region; frames only rest at yield points and call boundaries,
-// where opt and base operand stacks agree.
+// analog of Jikes RVM OSR on base-compiled methods: fusion is in place and
+// a pure function of the bytecode, so a resting pc (never a pad) names the
+// same instruction boundary in both compiles. For an opt-compiled frame
+// (extension; the paper leaves it as future work) the compiled code's PCMap
+// translates the pc, provided the frame is parked outside any inlined
+// region; frames only rest at yield points and call boundaries, where opt
+// and base operand stacks agree.
 func (v *VM) OSRReplace(f *Frame, cm *rt.CompiledMethod) error {
 	if cm.Level != rt.Base {
 		return fmt.Errorf("vm: OSR target must be base-compiled (%s)", f.Method().FullName())
@@ -1014,18 +945,17 @@ func (v *VM) OSRReplace(f *Frame, cm *rt.CompiledMethod) error {
 		if len(cm.Code) != len(f.CM.Code) {
 			return fmt.Errorf("vm: OSR pc map not identity for %s", f.Method().FullName())
 		}
-	case rt.Opt, rt.Fused:
-		// The fused tier's pc map is total (the identity — in-place fusion
-		// keeps indices aligned with base code), so unlike opt code a fused
-		// frame is always mappable; a fused pc deoptimizes to its first
-		// constituent's bytecode pc, which at a resting point has executed
-		// neither constituent.
+	case rt.Opt:
 		if !OSRMappable(f) {
-			return fmt.Errorf("vm: %s frame of %s not at a mappable pc (inlined region?)", f.CM.Level, f.Method().FullName())
+			return fmt.Errorf("vm: opt frame of %s not at a mappable pc (inlined region?)", f.Method().FullName())
 		}
 		newPC = f.CM.PCMap[f.PC]
 		if newPC >= len(cm.Code) {
-			return fmt.Errorf("vm: %s pc map out of range for %s", f.CM.Level, f.Method().FullName())
+			return fmt.Errorf("vm: opt pc map out of range for %s", f.Method().FullName())
+		}
+		// Base code is fused on its own: never resume on a pad (§15.4).
+		if cm.Code[newPC].Op == bytecode.FPAD {
+			return fmt.Errorf("vm: opt frame of %s maps to pc %d, inside a superinstruction", f.Method().FullName(), newPC)
 		}
 	}
 	v.reseat(f, cm.MaxLocals, cm.MaxStack)
@@ -1038,13 +968,18 @@ func (v *VM) OSRReplace(f *Frame, cm *rt.CompiledMethod) error {
 // with an optional locals remap (identity when nil). This implements the
 // UpStare-style active-method update of the paper's §3.5: the method's
 // bytecode *changed*, and the user-provided yield-point map asserts that
-// the old frame state is meaningful at newPC in the new body.
+// the old frame state is meaningful at newPC in the new body. A newPC the
+// compiler folded into the superinstruction before it is refused: resuming
+// on the pad would skip the constituent that used to live there.
 func (v *VM) OSRRewrite(f *Frame, cm *rt.CompiledMethod, newPC int, locals map[int]int) error {
 	if cm.Level != rt.Base {
 		return fmt.Errorf("vm: active-method rewrite target must be base-compiled")
 	}
 	if newPC < 0 || newPC >= len(cm.Code) {
 		return fmt.Errorf("vm: active-method rewrite pc %d out of range (len %d)", newPC, len(cm.Code))
+	}
+	if cm.Code[newPC].Op == bytecode.FPAD {
+		return fmt.Errorf("vm: active-method rewrite pc %d is inside a superinstruction, not an instruction boundary", newPC)
 	}
 	size := max(cm.MaxLocals, len(f.Locals))
 	for oldSlot, newSlot := range locals {
@@ -1065,14 +1000,11 @@ func (v *VM) OSRRewrite(f *Frame, cm *rt.CompiledMethod, newPC int, locals map[i
 	return nil
 }
 
-// OSRMappable reports whether an opt- or fused-compiled frame's pc can be
-// mapped back to bytecode. For opt code that means the pc is outside every
-// inlined region; fused code's map is total, so fused frames are always
-// mappable at any in-range pc.
+// OSRMappable reports whether an opt-compiled frame's pc can be mapped back
+// to bytecode: it is outside every inlined region.
 func OSRMappable(f *Frame) bool {
 	cm := f.CM
-	return (cm.Level == rt.Opt || cm.Level == rt.Fused) && cm.PCMap != nil &&
-		f.PC >= 0 && f.PC < len(cm.PCMap) && cm.PCMap[f.PC] >= 0
+	return cm.Level == rt.Opt && f.PC >= 0 && f.PC < len(cm.PCMap) && cm.PCMap[f.PC] >= 0
 }
 
 // statCounters are the raw steady-state counters, incremented on the cheap
@@ -1080,14 +1012,13 @@ func OSRMappable(f *Frame) bool {
 // per-instruction counter is TotalSteps, which the simulated clock already
 // pays for).
 type statCounters struct {
-	Slices          int64
-	SchedulerScans  int64
-	WakeChecks      int64
-	ThreadsSpawned  int64
-	ThreadsReaped   int64
-	AllocObjects    int64
-	AllocArrays     int64
-	TracePromotions int64
+	Slices         int64
+	SchedulerScans int64
+	WakeChecks     int64
+	ThreadsSpawned int64
+	ThreadsReaped  int64
+	AllocObjects   int64
+	AllocArrays    int64
 }
 
 // Stats is a snapshot of the VM's steady-state counters — the paper's
@@ -1109,9 +1040,11 @@ type Stats struct {
 	AllocArrays    int64
 	GCCollections  int64
 
-	// TracePromotions counts frames hot-swapped onto the fused tier;
-	// ICHits/ICMisses count inline-cache dispatch outcomes at cached
-	// virtual call sites (fused/opt code only).
+	// TracePromotions reads 0: base code is fused when it is compiled, so no
+	// frame is ever promoted. The field stays because the bench of record's
+	// pinned API surface (benchmark/README.md) names it; a [benchmark] PR
+	// drops it together with vm.trace_promotions. ICHits/ICMisses count
+	// inline-cache dispatch outcomes at virtual call sites.
 	TracePromotions int64
 	ICHits          int64
 	ICMisses        int64
@@ -1135,9 +1068,8 @@ func (v *VM) Stats() Stats {
 		AllocObjects:   v.stats.AllocObjects,
 		AllocArrays:    v.stats.AllocArrays,
 		GCCollections:  int64(v.GC.Collections),
-		TracePromotions: v.stats.TracePromotions,
-		ICHits:          v.icHits,
-		ICMisses:        v.icMisses,
+		ICHits:         v.icHits,
+		ICMisses:       v.icMisses,
 		RunnableQueue:  len(v.runq) - v.runqHead,
 		BlockedThreads: len(v.blocked),
 		LiveThreads:    v.liveThreads(),
@@ -1205,16 +1137,13 @@ func (v *VM) PublishMetrics() {
 	m.Counter(obs.MGCCollections).Add(d.GCCollections)
 	m.Counter(obs.MObjectsCopied).Add(int64(v.GC.CopiedObjects) - v.publishedCopied)
 	v.publishedCopied = int64(v.GC.CopiedObjects)
-	// JIT/IC activity (satellite of the fused tier): per-tier compile
-	// counters, trace promotions, IC hit/miss counters, and the hit-rate
-	// gauge — all delta-published, never written on the dispatch path.
+	// JIT/IC activity: per-tier compile counters, IC hit/miss counters, and
+	// the hit-rate gauge — all delta-published, never written on the dispatch
+	// path.
 	m.Counter(obs.MJITCompilesBase).Add(int64(v.JIT.BaseCompiles) - v.publishedJITBase)
 	m.Counter(obs.MJITCompilesOpt).Add(int64(v.JIT.OptCompiles) - v.publishedJITOpt)
-	m.Counter(obs.MJITCompilesFused).Add(int64(v.JIT.FusedCompiles) - v.publishedJITFused)
 	v.publishedJITBase = int64(v.JIT.BaseCompiles)
 	v.publishedJITOpt = int64(v.JIT.OptCompiles)
-	v.publishedJITFused = int64(v.JIT.FusedCompiles)
-	m.Counter(obs.MJITTracePromotions).Add(d.TracePromotions)
 	m.Counter(obs.MJITICHits).Add(d.ICHits)
 	m.Counter(obs.MJITICMisses).Add(d.ICMisses)
 	if total := v.icHits + v.icMisses; total > 0 {

@@ -481,6 +481,62 @@ class T {
 	}
 }
 
+// TestLoopingMethodStillReachesOpt: which methods reach the opt tier is a
+// function of invocation counts alone. spin stays on top of its thread's stack
+// for five slices per call — the shape trace promotion used to catch on its
+// third slice and move to a level resolveCompiled never promoted from — and is
+// opt-compiled by its OptThreshold-th invocation like any other method.
+func TestLoopingMethodStillReachesOpt(t *testing.T) {
+	var out bytes.Buffer
+	v, err := New(Options{HeapWords: 1 << 14, Out: &out, Quantum: 10, OptThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadSrc(t, v, `
+class T {
+  static method spin()V {
+    const 50
+    store 0
+  loop:
+    load 0
+    ifle done
+    load 0
+    const 1
+    sub
+    store 0
+    goto loop
+  done:
+    return
+  }
+  static method main()V {
+  again:
+    invokestatic T.spin()V
+    goto again
+  }
+}`)
+	if _, err := v.SpawnMain("T"); err != nil {
+		t.Fatal(err)
+	}
+	spin := v.Reg.LookupClass("T").Method("spin", "()V")
+	for calls, slices := 0, 0; spin.Invocations < v.JIT.OptThreshold; slices++ {
+		if spin.Invocations > calls {
+			if calls > 0 && slices < 3 {
+				t.Fatalf("call %d of spin took %d slices, want >= 3", calls, slices)
+			}
+			calls, slices = spin.Invocations, 0
+		}
+		if spin.Compiled != nil && spin.Compiled.Level != rt.Base {
+			t.Fatalf("spin is %v code after %d invocations", spin.Compiled.Level, spin.Invocations)
+		}
+		if v.Step(1) == 0 {
+			t.Fatal("main died")
+		}
+	}
+	if spin.Compiled.Level != rt.Opt {
+		t.Fatalf("spin is %v code at invocation %d, threshold %d", spin.Compiled.Level, spin.Invocations, v.JIT.OptThreshold)
+	}
+}
+
 func TestOSRReplaceChecks(t *testing.T) {
 	v, _ := newTestVM(t, 1<<16)
 	loadSrc(t, v, `
