@@ -36,11 +36,11 @@ bench-smoke:
 race:
 	$(GO) test -race ./...
 
-# Focused race pass with more iterations over what still runs beside the
-# mutator: the concurrent mark's tracer and the SATB barrier, the relocation
-# drain's relocator with its TLAB, claim/publish forwarding and slot healing
-# against the load barrier (also covered by `race`, but these packages
-# deserve the extra -count).
+# Focused race pass with more iterations over what runs beside the mutator in
+# a Concurrent update: before the pause the mark's tracer and the SATB barrier,
+# after it the relocation drain's relocator with its TLAB, claim/publish
+# forwarding and slot healing against the load barrier (also covered by
+# `race`, but these packages deserve the extra -count).
 race-gc:
 	$(GO) test -race -count=4 ./internal/gc/ ./internal/heap/
 
@@ -75,7 +75,8 @@ pairs:
 storm:
 	$(GO) run ./cmd/jvolve-bench -exp storm -updates 500
 
-# STW vs concurrent-mark DSU pause over sizes × updated fractions; writes
+# The DSU pause in every engine mode (vm.Modes: serial, lazy, concurrent,
+# concurrent+lazy) over sizes × updated fractions; writes
 # BENCH_pause.json. Every cell is measured with the generated default
 # transformer (moved by the collector) and with its hand-written equivalent
 # (pairs + interpreted calls: what the lazy pipelines place).

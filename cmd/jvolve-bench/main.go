@@ -12,7 +12,7 @@
 //	jvolve-bench -exp active    # §3.5: UpStare-style active-method updates
 //	jvolve-bench -exp storm     # randomized update-storm soak with invariant checking
 //	jvolve-bench -exp stream    # long-horizon version-chain replay (writes BENCH_stream.json)
-//	jvolve-bench -exp pausecmp  # STW vs concurrent-mark DSU pause (writes BENCH_pause.json)
+//	jvolve-bench -exp pausecmp  # the DSU pause in every engine mode (writes BENCH_pause.json)
 //	jvolve-bench -exp obs       # pause decomposition via obs histograms (writes BENCH_obs.json)
 //	jvolve-bench -exp dispatch  # interpreter tier throughput grid (writes BENCH_dispatch.json)
 //	jvolve-bench -exp all
@@ -53,6 +53,7 @@ import (
 	"govolve/internal/core"
 	"govolve/internal/obs"
 	"govolve/internal/storm"
+	"govolve/internal/vm"
 )
 
 func main() {
@@ -256,7 +257,7 @@ func main() {
 	})
 
 	run("pausecmp", func() error {
-		fmt.Println("=== Extension: concurrent mark / lazy transform / concurrent reloc (STW vs concurrent DSU pause) ===")
+		fmt.Println("=== Extension: lazy transform / concurrent mark + relocation (the DSU pause per engine mode) ===")
 		sizes := []int{240_000 / *scale, 960_000 / *scale}
 		if *scale <= 1 {
 			sizes = []int{240_000, 960_000}
@@ -297,13 +298,17 @@ func main() {
 
 	run("storm", func() error {
 		fmt.Println("=== Extension: randomized update-storm soak (whole-VM invariant checking) ===")
-		cfgs := []storm.Config{
-			{Seed: *seed, Updates: *updates},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, OSROpt: true},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, Lazy: true},
-			{Seed: *seed, Updates: *updates, ConcurrentReloc: true},
-			{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true},
+		// Every engine mode (the lazy ones with the §3.5 scratch region), and
+		// stop-the-world once more with scratch and opt-tier OSR.
+		var cfgs []storm.Config
+		for _, m := range vm.Modes() {
+			cfg := storm.Config{Seed: *seed, Updates: *updates, Lazy: m.Lazy, Concurrent: m.Concurrent}
+			if m.Lazy {
+				cfg.ScratchWords = 1 << 14
+			}
+			cfgs = append(cfgs, cfg)
 		}
+		cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, OSROpt: true})
 		if *pauseBudget >= 0 {
 			for i := range cfgs {
 				cfgs[i].GateSpecs = []obs.GateSpec{{
@@ -319,10 +324,9 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v lazy=%v cmark=%v reloc=%v: "+
+			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v lazy=%v concurrent=%v: "+
 				"applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
-				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Lazy,
-				cfg.ConcurrentMark, cfg.ConcurrentReloc,
+				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Lazy, cfg.Concurrent,
 				rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
 		}
 		fmt.Println()

@@ -28,9 +28,10 @@ type LaunchOptions struct {
 	HeapWords int
 	Version   int
 	Out       io.Writer
-	// GCConcurrentMark runs updated-instance discovery concurrently with
-	// the mutator (SATB) instead of inside the DSU pause.
-	GCConcurrentMark bool
+	// Concurrent is vm.Options.Concurrent: updated-instance discovery runs
+	// concurrently with the mutator (SATB) before the DSU pause, the bulk of
+	// the copy as a relocation drain after it.
+	Concurrent bool
 }
 
 // Launch boots a VM with the given application version and steps until all
@@ -43,9 +44,9 @@ func Launch(app *App, opts LaunchOptions) (*Server, error) {
 		opts.Out = io.Discard
 	}
 	machine, err := vm.New(vm.Options{
-		HeapWords:        opts.HeapWords,
-		Out:              opts.Out,
-		GCConcurrentMark: opts.GCConcurrentMark,
+		HeapWords:  opts.HeapWords,
+		Out:        opts.Out,
+		Concurrent: opts.Concurrent,
 	})
 	if err != nil {
 		return nil, err
@@ -349,7 +350,7 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 		// from run() itself, outside any inlined body);
 		// the paper's engine would wait for the session to end instead, and
 		// the outcome would depend on how many connections this server has
-		// taken — under GCConcurrentMark as many as fit beside the traces —
+		// taken — under Concurrent as many as fit beside the traces —
 		// not on the release (TestHeldOptHandlerNeedsOSROpt).
 		res, err := s.ApplyNext(core.Options{MaxAttempts: 60, OSROpt: true}, true)
 		if err != nil {

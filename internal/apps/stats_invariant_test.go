@@ -11,7 +11,7 @@ import (
 // phases are disjoint slices of the total pause, so
 //
 //	PauseTotal >= PauseInstall + PauseGC + PauseTransform
-//	PauseGC >= PauseGCMark + PauseGCRescan + PauseGCCopy
+//	PauseGC >= PauseGCRescan + PauseGCCopy
 //
 // and every updated instance was transformed exactly once, by a transformer
 // run over its pair or by the collector's move (the RunMatrix pipelines are
@@ -33,9 +33,9 @@ func checkPauseIdentity(t *testing.T, mode string, e MatrixEntry) {
 		t.Errorf("%s %s %s→%s: transformed %d != pairs logged %d + moved %d",
 			mode, e.App, e.From, e.To, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 	}
-	if s.PauseGC < s.PauseGCMark+s.PauseGCRescan+s.PauseGCCopy {
-		t.Errorf("%s %s %s→%s: PauseGC %v < mark %v + rescan %v + copy %v",
-			mode, e.App, e.From, e.To, s.PauseGC, s.PauseGCMark, s.PauseGCRescan, s.PauseGCCopy)
+	if s.PauseGC < s.PauseGCRescan+s.PauseGCCopy {
+		t.Errorf("%s %s %s→%s: PauseGC %v < rescan %v + copy %v",
+			mode, e.App, e.From, e.To, s.PauseGC, s.PauseGCRescan, s.PauseGCCopy)
 	}
 	if s.PauseTotal <= 0 {
 		t.Errorf("%s %s %s→%s: applied update with non-positive PauseTotal %v",
@@ -49,9 +49,8 @@ func checkPauseIdentity(t *testing.T, mode string, e MatrixEntry) {
 // TestPauseDecompositionInvariant drives every application's whole update
 // matrix under the default stop-the-world pipeline and checks the pause
 // identities plus the STW decomposition. The decomposition is uniform
-// across modes: PauseGCMark is in-pause *discovery* only, so the fused
-// trace+copy of the STW collectors is all PauseGCCopy and the
-// concurrent-only fields must be zero.
+// across modes: the fused trace+copy of the STW collector is all PauseGCCopy
+// and the concurrent-only fields must be zero.
 func TestPauseDecompositionInvariant(t *testing.T) {
 	applied := 0
 	for _, app := range All() {
@@ -67,14 +66,14 @@ func TestPauseDecompositionInvariant(t *testing.T) {
 			checkPauseIdentity(t, "stw", e)
 			s := e.Stats
 			if s.GCMarkConcurrent {
-				t.Errorf("stw %s %s→%s: GCMarkConcurrent set without GCConcurrentMark", e.App, e.From, e.To)
+				t.Errorf("stw %s %s→%s: GCMarkConcurrent set without Concurrent", e.App, e.From, e.To)
 			}
 			if s.PauseGCCopy <= 0 {
 				t.Errorf("stw %s %s→%s: fused collection reports no in-pause copy time", e.App, e.From, e.To)
 			}
-			if s.PauseGCMark != 0 || s.GCMarkOutside != 0 || s.PauseGCRescan != 0 || s.GCRescanMarked != 0 {
-				t.Errorf("stw %s %s→%s: concurrent-only fields nonzero: mark %v outside %v rescan %v rescanMarked %d",
-					e.App, e.From, e.To, s.PauseGCMark, s.GCMarkOutside, s.PauseGCRescan, s.GCRescanMarked)
+			if s.RelocConcurrent || s.GCMarkOutside != 0 || s.PauseGCRescan != 0 || s.GCRescanMarked != 0 {
+				t.Errorf("stw %s %s→%s: concurrent-only fields nonzero: reloc %v outside %v rescan %v rescanMarked %d",
+					e.App, e.From, e.To, s.RelocConcurrent, s.GCMarkOutside, s.PauseGCRescan, s.GCRescanMarked)
 			}
 		}
 	}
@@ -84,15 +83,16 @@ func TestPauseDecompositionInvariant(t *testing.T) {
 }
 
 // TestPauseDecompositionInvariantConcurrentMark re-runs the full matrix with
-// the concurrent SATB mark enabled. Updates that complete a concurrent trace
-// must report all mark time outside the pause; the bounded-restart fallback (GCMarkConcurrent=false despite the
-// option) must satisfy the fused decomposition instead.
+// Concurrent set. Updates that complete a concurrent trace must report its
+// time outside the pause and leave a relocation draining; the bounded-restart
+// fallback (GCMarkConcurrent=false despite the option) must satisfy the fused
+// decomposition instead.
 func TestPauseDecompositionInvariantConcurrentMark(t *testing.T) {
 	applied, concurrent := 0, 0
 	for _, app := range All() {
 		entries, err := RunMatrixOpts(app, LaunchOptions{
-			HeapWords:        1 << 20,
-			GCConcurrentMark: true,
+			HeapWords:  1 << 20,
+			Concurrent: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
@@ -102,25 +102,24 @@ func TestPauseDecompositionInvariantConcurrentMark(t *testing.T) {
 				continue
 			}
 			applied++
-			checkPauseIdentity(t, "cmark", e)
+			checkPauseIdentity(t, "concurrent", e)
 			s := e.Stats
 			if s.GCMarkConcurrent {
 				concurrent++
-				if s.PauseGCMark != 0 {
-					t.Errorf("cmark %s %s→%s: concurrent run reports in-pause mark %v",
-						e.App, e.From, e.To, s.PauseGCMark)
+				if !s.RelocConcurrent {
+					t.Errorf("concurrent %s %s→%s: consumed mark left no relocation", e.App, e.From, e.To)
 				}
 				if s.GCMarkOutside <= 0 {
-					t.Errorf("cmark %s %s→%s: concurrent run reports no outside-pause mark time",
+					t.Errorf("concurrent %s %s→%s: concurrent run reports no outside-pause mark time",
 						e.App, e.From, e.To)
 				}
 				if s.GCMarkedObjects <= 0 {
-					t.Errorf("cmark %s %s→%s: concurrent trace marked nothing", e.App, e.From, e.To)
+					t.Errorf("concurrent %s %s→%s: concurrent trace marked nothing", e.App, e.From, e.To)
 				}
 			} else {
 				// STW fallback after mark restarts exhausted: fused rules.
-				if s.PauseGCCopy <= 0 || s.PauseGCMark != 0 || s.GCMarkOutside != 0 {
-					t.Errorf("cmark %s %s→%s: fallback run has wrong decomposition: %+v",
+				if s.PauseGCCopy <= 0 || s.RelocConcurrent || s.GCMarkOutside != 0 {
+					t.Errorf("concurrent %s %s→%s: fallback run has wrong decomposition: %+v",
 						e.App, e.From, e.To, s)
 				}
 			}

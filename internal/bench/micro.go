@@ -78,10 +78,6 @@ type MicroConfig struct {
 	// ScratchWords reserves a scratch region so DSU old copies bypass
 	// to-space (the §3.5 alternative).
 	ScratchWords int
-	// ConcurrentMark discovers updated-class instances with the SATB
-	// concurrent mark before the pause; the stop-the-world window then
-	// runs only rescan + copy + transform.
-	ConcurrentMark bool
 	// Lazy defers per-object transformation past the pause: objects are
 	// tagged untransformed and drained on first touch through the read
 	// barrier. The measured pause then excludes transformer execution;
@@ -92,13 +88,15 @@ type MicroConfig struct {
 	// under the observe policy so every micro update is judged. The
 	// resulting verdict is reported on MicroResult.
 	Metrics *obs.Registry
-	// ConcurrentReloc moves the DSU copy itself out of the pause: the
-	// pause shrinks to flip preparation (discovery, flip, eager evacuation
-	// of updated-class instances only — or none at all with Lazy), and the
-	// remaining live set is evacuated afterwards by the background
+	// Concurrent moves discovery and the DSU copy itself out of the pause:
+	// the SATB concurrent mark finds the updated-class instances before it,
+	// the pause shrinks to flip preparation (rescan, flip, eager evacuation
+	// of those instances only — or none at all, and no mark, with Lazy), and
+	// the remaining live set is evacuated afterwards by the background
 	// relocator and the self-healing load barrier. The measured pause then
-	// excludes the bulk copy; the relocation drain is reported separately.
-	ConcurrentReloc bool
+	// excludes the trace and the bulk copy; the mark and the relocation drain
+	// are reported separately.
+	Concurrent bool
 }
 
 // MicroResult reports one run's pause decomposition — the three row groups
@@ -123,15 +121,14 @@ type MicroResult struct {
 	PairsLogged  int // pairs the collection scheduled for transformation
 	MovedObjects int // updated instances the collector wrote in their new layout
 
-	// Mark decomposition (pausecmp experiment). The decomposition is
-	// uniform across modes: PauseMark is in-pause discovery only (zero for
-	// STW, whose fused trace+copy is all PauseCopy), PauseRescan the SATB
-	// drain + root re-trace, PauseCopy the in-pause copy/fixup work.
+	// Mark decomposition (pausecmp experiment), uniform across modes:
+	// PauseRescan is the SATB drain + root re-trace (the only in-pause
+	// tracing a concurrent update has; STW's trace is fused into PauseCopy),
+	// PauseCopy the in-pause copy work.
 	GCMarkConcurrent bool          // the trace ran outside the pause
 	MarkOutside      time.Duration // concurrent trace wall-clock, outside the pause
-	PauseMark        time.Duration // in-pause mark/discovery time
 	PauseRescan      time.Duration // SATB drain + root re-trace, inside the pause
-	PauseCopy        time.Duration // in-pause copy + fixup (STW: the fused trace+copy)
+	PauseCopy        time.Duration // in-pause copy (STW: the fused trace+copy)
 	MarkedObjects    int           // objects the concurrent trace discovered
 	RescanMarked     int           // objects only the in-pause rescan found
 
@@ -158,10 +155,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	live := cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64
 	machine, err := vm.New(vm.Options{
 		HeapWords: 5 * live, ScratchWords: cfg.ScratchWords,
-		GCConcurrentMark: cfg.ConcurrentMark,
-		LazyTransform:    cfg.Lazy,
-		ConcurrentReloc:  cfg.ConcurrentReloc,
-		Out:              io.Discard,
+		LazyTransform: cfg.Lazy,
+		Concurrent:    cfg.Concurrent,
+		Out:           io.Discard,
 	})
 	if err != nil {
 		return nil, err
@@ -233,9 +229,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 		return nil, fmt.Errorf("bench: micro update %v: %v", res.Outcome, res.Err)
 	}
 	var drain time.Duration
-	if cfg.Lazy && !cfg.ConcurrentReloc {
+	if cfg.Lazy && !cfg.Concurrent {
 		// The pause tags instead of transforming; every updated instance
-		// must still be pending when it ends. (Composed with ConcurrentReloc
+		// must still be pending when it ends. (Composed with Concurrent
 		// the pause creates almost no pairs at all — discovery itself rides
 		// the drain — so the pending count at apply is near zero instead.)
 		want := 0 // a moved instance was never a pair: nothing to tag
@@ -246,9 +242,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 			return nil, fmt.Errorf("bench: lazy pause tagged %d, want %d", res.Stats.LazyPending, want)
 		}
 	}
-	if cfg.Lazy || cfg.ConcurrentReloc {
+	if cfg.Lazy || cfg.Concurrent {
 		// The driver forces the whole drain and times it — the work the
-		// pause no longer does. With ConcurrentReloc the relocation drains
+		// pause no longer does. With Concurrent the relocation drains
 		// first, then any lazy residue; the relocation's own flip-to-finalize
 		// wall clock is reported separately from the stats.
 		t0 := time.Now()
@@ -277,7 +273,6 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 
 		GCMarkConcurrent: res.Stats.GCMarkConcurrent,
 		MarkOutside:      res.Stats.GCMarkOutside,
-		PauseMark:        res.Stats.PauseGCMark,
 		PauseRescan:      res.Stats.PauseGCRescan,
 		PauseCopy:        res.Stats.PauseGCCopy,
 		MarkedObjects:    res.Stats.GCMarkedObjects,

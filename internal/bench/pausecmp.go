@@ -6,22 +6,23 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
+
+	"govolve/internal/vm"
 )
 
 // The pausecmp experiment is the headline measurement of the pause-
-// shrinking work: the Table 1 microbenchmark update run under the fused
-// stop-the-world pipeline and under each concurrent pipeline — SATB
-// concurrent mark, lazy transformation, concurrent relocation, and their
-// compositions — over a sizes × updated-fraction grid. For each cell it
-// reports the same uniform pause decomposition — mark-in-pause / rescan /
-// copy / transform — so every claim is checkable from the JSON itself:
-// cmark rows show mark_in_pause_ms = 0 with the trace's wall time in
-// mark_outside_ms; lazy rows show transform_ms ≈ 0 with the forced drain in
-// drain_ms; reloc rows show copy_ms collapsing to the eager evacuation of
-// updated instances only (near zero at small fractions) with the bulk copy's
-// wall time in reloc_drain_ms; cmark-reloc-lazy rows show all three at once,
-// the pause down to flip preparation.
+// shrinking work: the Table 1 microbenchmark update run in every engine mode
+// (vm.Modes) — the fused stop-the-world pipeline, lazy transformation,
+// concurrent (SATB mark before the pause, relocation drain after it) and the
+// two composed — over a sizes × updated-fraction grid. For each cell it
+// reports the same uniform pause decomposition — rescan / copy / transform —
+// so every claim is checkable from the JSON itself: lazy rows show
+// transform_ms ≈ 0 with the forced drain in drain_ms; concurrent rows show the
+// trace's wall time in mark_outside_ms, only the rescan of it inside the
+// pause, and copy_ms collapsing to the eager evacuation of updated instances
+// only (near zero at small fractions) with the bulk copy's wall time in
+// reloc_drain_ms; concurrent+lazy rows have no mark at all and the pause down
+// to flip preparation.
 //
 // Interpretation caveat: concurrent phases only overlap mutator work if the
 // host has a spare CPU. On GOMAXPROCS=1 they are
@@ -47,7 +48,7 @@ type PauseCmpRow struct {
 	Objects     int     `json:"objects"`
 	HeapWords   int     `json:"heap_words"`
 	FracUpdated float64 `json:"frac_updated"`
-	Mode        string  `json:"mode"` // "stw", "cmark", "lazy", "reloc", "cmark-reloc" or "cmark-reloc-lazy"
+	Mode        string  `json:"mode"` // a vm.Modes name
 	// Transformer is "moved" — the generated default, a pure field copy the
 	// collector performs while it copies the object — or "handwritten": the
 	// same copies plus an explicit store (MicroConfig.HandWritten), one pair
@@ -55,17 +56,16 @@ type PauseCmpRow struct {
 	// pipelines have to place.
 	Transformer string `json:"transformer"`
 
-	PauseTotalMillis  Summary `json:"pause_total_ms"`
-	GCMillis          Summary `json:"gc_ms"`
-	MarkInPauseMillis Summary `json:"mark_in_pause_ms"`
-	RescanMillis      Summary `json:"rescan_ms"`
-	CopyMillis        Summary `json:"copy_ms"`
-	TransformMillis   Summary `json:"transform_ms"`
+	PauseTotalMillis Summary `json:"pause_total_ms"`
+	GCMillis         Summary `json:"gc_ms"`
+	RescanMillis     Summary `json:"rescan_ms"`
+	CopyMillis       Summary `json:"copy_ms"`
+	TransformMillis  Summary `json:"transform_ms"`
 	// TransformNsPerObject is the median transformer time per transformed
 	// object (logged pairs + moved_objects, for which it is 0 by construction),
 	// wherever the transformers ran: inside the pause (transform_ms) or in
 	// the forced post-pause drain (drain_ms, lazy rows — an upper bound on
-	// reloc-lazy rows, whose drain also force-completes the relocation).
+	// concurrent+lazy rows, whose drain also force-completes the relocation).
 	TransformNsPerObject float64 `json:"transform_ns_per_object"`
 	MarkOutsideMillis    Summary `json:"mark_outside_ms"`
 
@@ -75,7 +75,7 @@ type PauseCmpRow struct {
 	DrainMillis Summary `json:"drain_ms"`
 	LazyPending int     `json:"lazy_pending,omitempty"`
 
-	// Reloc rows: the bulk copy leaves the pause — copy_ms keeps only the
+	// Concurrent rows: the bulk copy leaves the pause — copy_ms keeps only the
 	// eager evacuation of updated-class instances (none at all composed
 	// with lazy), reloc_objects are evacuated after the world resumes, and
 	// the flip-to-finalize drain wall time appears in reloc_drain_ms.
@@ -89,8 +89,8 @@ type PauseCmpRow struct {
 	// relocation drain) wrote directly in their new layout.
 	MovedObjects int `json:"moved_objects"`
 
-	// SpeedupPause is the stw row's median total pause divided by this
-	// row's, for the same size × fraction (1.0 on stw rows).
+	// SpeedupPause is the serial row's median total pause divided by this
+	// row's, for the same size × fraction (1.0 on serial rows).
 	SpeedupPause float64 `json:"speedup_pause"`
 }
 
@@ -103,8 +103,8 @@ type PauseCmpReport struct {
 	Rows       []PauseCmpRow `json:"rows"`
 }
 
-// RunPauseCmp measures the grid: for each size × fraction, the stw row
-// first (the baseline for speedup_pause), then the cmark row.
+// RunPauseCmp measures the grid: for each size × fraction × transformer, one
+// row per mode, the serial row first (the baseline for speedup_pause).
 func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) {
 	if len(sw.Sizes) == 0 {
 		sw.Sizes = []int{30_000, 120_000}
@@ -119,56 +119,45 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 		Experiment: "pausecmp",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Note: "speedup_pause is stw-median / row-median total pause for the same " +
+		Note: "speedup_pause is serial-median / row-median total pause for the same " +
 			"size, fraction and transformer. The decomposition is uniform across modes: " +
-			"mark_in_pause_ms is in-pause discovery only (stw's fused trace+copy is " +
-			"all copy_ms). cmark rows must show mark_in_pause_ms = 0 with the trace " +
-			"wall time in mark_outside_ms; lazy rows transform_ms = 0 with " +
+			"serial's fused trace+copy is all copy_ms; lazy rows show transform_ms = 0 with " +
 			"lazy_pending pairs drained post-pause in drain_ms (transformer = handwritten; " +
-			"moved objects are never pairs, so there lazy has nothing to defer); reloc rows keep only " +
+			"moved objects are never pairs, so there lazy has nothing to defer); concurrent rows " +
+			"show the trace wall time in mark_outside_ms with only rescan_ms of it in the pause, and keep only " +
 			"the eager evacuation of updated instances in copy_ms with the bulk copy " +
-			"in reloc_drain_ms (composed with lazy, copy_ms = 0). Pause shrinkage is " +
+			"in reloc_drain_ms (composed with lazy: no mark, copy_ms = 0). Pause shrinkage is " +
 			"a decomposition property and holds on any host; wall-clock overlap of " +
 			"concurrent phases with mutator work additionally requires gomaxprocs > 1.",
 	}
 	for _, objects := range sw.Sizes {
 		for _, frac := range sw.Fractions {
 			for _, transformer := range []string{"moved", "handwritten"} {
-				stwMedian := 0.0
-				for _, mode := range []string{"stw", "cmark", "lazy", "reloc", "cmark-reloc", "cmark-reloc-lazy"} {
-					cmark := strings.Contains(mode, "cmark")
-					lazy := strings.Contains(mode, "lazy")
-					reloc := strings.Contains(mode, "reloc")
-					var tots, gcs, marks, rescans, copies, trs, outs, drains, rdrains []float64
+				serialMedian := 0.0
+				for _, mode := range vm.Modes() {
+					var tots, gcs, rescans, copies, trs, outs, drains, rdrains []float64
 					var last *MicroResult
 					for r := 0; r < sw.Runs; r++ {
 						res, err := RunMicro(MicroConfig{
-							Objects:         objects,
-							FracUpdated:     frac,
-							HeapLabel:       fmt.Sprintf("%d objects", objects),
-							ConcurrentMark:  cmark,
-							Lazy:            lazy,
-							ConcurrentReloc: reloc,
-							HandWritten:     transformer == "handwritten",
+							Objects:     objects,
+							FracUpdated: frac,
+							HeapLabel:   fmt.Sprintf("%d objects", objects),
+							Lazy:        mode.Lazy,
+							Concurrent:  mode.Concurrent,
+							HandWritten: transformer == "handwritten",
 						})
 						if err != nil {
 							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s transformer=%s: %w",
-								objects, frac, mode, transformer, err)
+								objects, frac, mode.Name, transformer, err)
 						}
-						// cmark+reloc+lazy skips the pre-pause trace by design
-						// (discovery rides the drain), so the fallback check only
-						// applies where the mark actually runs.
-						if cmark && !(reloc && lazy) && !res.GCMarkConcurrent {
-							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent mark fell back to STW",
-								objects, frac)
-						}
-						if reloc && !res.RelocConcurrent {
-							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f: concurrent relocation fell back to STW",
-								objects, frac)
+						// No relocation: the engine gave up on the mark and this run
+						// was the stop-the-world collection.
+						if mode.Concurrent && !res.RelocConcurrent {
+							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s: fell back to STW",
+								objects, frac, mode.Name)
 						}
 						tots = append(tots, Millis(res.Total))
 						gcs = append(gcs, Millis(res.GC))
-						marks = append(marks, Millis(res.PauseMark))
 						rescans = append(rescans, Millis(res.PauseRescan))
 						copies = append(copies, Millis(res.PauseCopy))
 						trs = append(trs, Millis(res.Transform))
@@ -181,12 +170,11 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 						Objects:     objects,
 						HeapWords:   5 * (objects*8 + objects + 2*2 + 64),
 						FracUpdated: frac,
-						Mode:        mode,
+						Mode:        mode.Name,
 						Transformer: transformer,
 
 						PauseTotalMillis:  Summarize(tots),
 						GCMillis:          Summarize(gcs),
-						MarkInPauseMillis: Summarize(marks),
 						RescanMillis:      Summarize(rescans),
 						CopyMillis:        Summarize(copies),
 						TransformMillis:   Summarize(trs),
@@ -204,11 +192,11 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 					if last.Transformed > 0 {
 						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.Transformed)
 					}
-					if mode == "stw" {
-						stwMedian = row.PauseTotalMillis.Median
+					if !mode.Lazy && !mode.Concurrent {
+						serialMedian = row.PauseTotalMillis.Median
 					}
-					if stwMedian > 0 && row.PauseTotalMillis.Median > 0 {
-						row.SpeedupPause = stwMedian / row.PauseTotalMillis.Median
+					if serialMedian > 0 && row.PauseTotalMillis.Median > 0 {
+						row.SpeedupPause = serialMedian / row.PauseTotalMillis.Median
 					}
 					rep.Rows = append(rep.Rows, row)
 					if progress != nil {
@@ -235,14 +223,14 @@ func WritePauseCmpJSON(path string, rep *PauseCmpReport) error {
 
 // PrintPauseCmp renders the grid as text.
 func PrintPauseCmp(w io.Writer, rep *PauseCmpReport) {
-	fmt.Fprintf(w, "DSU pause: STW vs concurrent mark / lazy transform / concurrent reloc (gomaxprocs=%d, cpus=%d)\n",
+	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent / concurrent+lazy (gomaxprocs=%d, cpus=%d)\n",
 		rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Fprintf(w, "%9s %6s %11s %16s %10s %9s %9s %9s %11s %7s %10s %9s %10s %9s\n",
-		"objects", "frac", "transformer", "mode", "pause(ms)", "mark(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
+	fmt.Fprintf(w, "%9s %6s %11s %16s %10s %9s %9s %11s %7s %10s %9s %10s %9s\n",
+		"objects", "frac", "transformer", "mode", "pause(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%9d %5.0f%% %11s %16s %10.2f %9.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
+		fmt.Fprintf(w, "%9d %5.0f%% %11s %16s %10.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
 			r.Objects, r.FracUpdated*100, r.Transformer, r.Mode,
-			r.PauseTotalMillis.Median, r.MarkInPauseMillis.Median, r.RescanMillis.Median,
+			r.PauseTotalMillis.Median, r.RescanMillis.Median,
 			r.CopyMillis.Median, r.TransformMillis.Median, r.TransformNsPerObject, r.MarkOutsideMillis.Median,
 			r.DrainMillis.Median, r.RelocDrainMillis.Median, r.SpeedupPause)
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestPauseCmpAllModes runs one tiny cell through every pausecmp mode and
-// pins the uniform decomposition contract the JSON report advertises:
-// cmark rows carry no in-pause mark, lazy rows no in-pause transform, reloc
-// rows almost no in-pause copy (the bulk copy appears in reloc_drain_ms),
+// pins the uniform decomposition contract the JSON report advertises: lazy
+// rows carry no in-pause transform, concurrent rows their mark outside the
+// pause and almost no in-pause copy (the bulk copy appears in reloc_drain_ms),
 // and the full composition shrinks the pause to flip preparation. Each mode is
 // measured under both transformers: moved rows log no pair, tag nothing and
 // leave the transformer phase empty; handwritten rows pair every updated object.
@@ -21,7 +21,7 @@ func TestPauseCmpAllModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"stw", "cmark", "lazy", "reloc", "cmark-reloc", "cmark-reloc-lazy"}
+	want := []string{"serial", "lazy", "concurrent", "concurrent+lazy"}
 	if len(rep.Rows) != 2*len(want) {
 		t.Fatalf("got %d rows, want %d", len(rep.Rows), 2*len(want))
 	}
@@ -48,15 +48,15 @@ func TestPauseCmpAllModes(t *testing.T) {
 	if lazy := rows["lazy"]; lazy.LazyPending != 800 || lazy.DrainMillis.Median == 0 {
 		t.Fatalf("lazy/handwritten: %d tagged, drain %v", lazy.LazyPending, lazy.DrainMillis)
 	}
-	// STW: fused trace+copy is all copy_ms under the uniform decomposition.
-	if stw := rows["stw"]; stw.MarkInPauseMillis.Median != 0 || stw.CopyMillis.Median == 0 {
-		t.Fatalf("stw decomposition: mark=%v copy=%v", stw.MarkInPauseMillis, stw.CopyMillis)
+	// Serial: fused trace+copy is all copy_ms under the uniform decomposition.
+	if stw := rows["serial"]; stw.RescanMillis.Median != 0 || stw.MarkOutsideMillis.Median != 0 || stw.CopyMillis.Median == 0 {
+		t.Fatalf("serial decomposition: rescan=%v mark-outside=%v copy=%v", stw.RescanMillis, stw.MarkOutsideMillis, stw.CopyMillis)
 	}
-	if cm := rows["cmark"]; cm.MarkInPauseMillis.Median != 0 || cm.MarkOutsideMillis.Median == 0 {
-		t.Fatalf("cmark decomposition: mark-in-pause=%v mark-outside=%v",
-			cm.MarkInPauseMillis, cm.MarkOutsideMillis)
+	if c, cl := rows["concurrent"], rows["concurrent+lazy"]; c.MarkOutsideMillis.Median == 0 || cl.MarkOutsideMillis.Median != 0 {
+		t.Fatalf("mark outside the pause: concurrent %v, concurrent+lazy (no mark at all) %v",
+			c.MarkOutsideMillis, cl.MarkOutsideMillis)
 	}
-	for _, mode := range []string{"reloc", "cmark-reloc", "cmark-reloc-lazy"} {
+	for _, mode := range []string{"concurrent", "concurrent+lazy"} {
 		r := rows[mode]
 		if r.RelocObjects == 0 || r.RelocDrainMillis.Median == 0 {
 			t.Fatalf("%s: no concurrent relocation recorded: objs=%d drain=%v",
@@ -65,9 +65,9 @@ func TestPauseCmpAllModes(t *testing.T) {
 		// The in-pause copy keeps only the eager evacuation of updated
 		// instances (or nothing composed with lazy) — the bulk copy has
 		// left the pause.
-		if r.CopyMillis.Median >= rows["stw"].CopyMillis.Median {
-			t.Fatalf("%s: in-pause copy %.3fms did not shrink vs stw %.3fms",
-				mode, r.CopyMillis.Median, rows["stw"].CopyMillis.Median)
+		if r.CopyMillis.Median >= rows["serial"].CopyMillis.Median {
+			t.Fatalf("%s: in-pause copy %.3fms did not shrink vs serial %.3fms",
+				mode, r.CopyMillis.Median, rows["serial"].CopyMillis.Median)
 		}
 	}
 	PrintPauseCmp(io.Discard, rep)

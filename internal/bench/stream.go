@@ -28,7 +28,7 @@ type StreamSweep struct {
 	Seed int64
 	// Lengths is the chain-length axis (default 20 and 50 releases).
 	Lengths []int
-	// Modes is the engine-mode axis (default all five).
+	// Modes is the engine-mode axis, by name (default all of stream.Modes).
 	Modes []string
 	// Hostile schedules back-to-back updates and drain overlaps instead of
 	// the benign era cadence (default true — the operator's bad day).
@@ -183,10 +183,10 @@ func WriteStreamJSON(path string, rep *StreamReport) error {
 func PrintStream(w io.Writer, rep *StreamReport) {
 	fmt.Fprintf(w, "Long-horizon update streams (gomaxprocs=%d, cpus=%d)\n",
 		rep.GOMAXPROCS, rep.NumCPU)
-	fmt.Fprintf(w, "%12s %7s %8s %8s %9s %9s %12s %9s %9s %11s\n",
+	fmt.Fprintf(w, "%15s %7s %8s %8s %9s %9s %12s %9s %9s %11s\n",
 		"mode", "length", "applied", "aborted", "wall(ms)", "upd/min", "p50-pause", "p99-pause", "max-pause", "max-backlog")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%12s %7d %8d %8d %9.1f %9.0f %11.2fms %7.2fms %7.2fms %11d\n",
+		fmt.Fprintf(w, "%15s %7d %8d %8d %9.1f %9.0f %11.2fms %7.2fms %7.2fms %11d\n",
 			r.Mode, r.Length, r.Applied, r.Aborted, r.WallMillis, r.UpdatesPerMin,
 			r.PauseP50Millis, r.PauseP99Millis, r.PauseMaxMillis, r.MaxDrainBacklog)
 	}

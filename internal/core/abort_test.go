@@ -175,7 +175,7 @@ class JvolveTransformers {
 		{
 			name:     "follow-up update after a failed forced drain",
 			heapDead: true,
-			fixture:  func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false, false) },
+			fixture:  func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) },
 			drive: func(t *testing.T, f *fixture, v1 *fixtureProgs) {
 				// Update 1 triples Pair on a crowded heap: its pause fits, its
 				// relocation drain cannot. Update 2's handler force-completes

@@ -362,23 +362,18 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	tGC := time.Now()
 	var gcRes *gc.Result
 	var rl *gc.Relocation
-	switch {
-	case e.VM.GC.Opts.ConcurrentReloc:
-		// Concurrent relocation: the pause stops at flip preparation —
-		// discover updated-class instances (consuming a sealed concurrent
-		// mark when one is waiting), flip, eagerly evacuate only those
-		// instances (or, composed with LazyTransform, defer even the pairs
-		// to the drain), and remap roots. The world resumes with from-space
-		// still live behind the self-healing load barrier; rl is the drain
-		// the residue starts at the end of the pause and finishes once the
-		// background relocator runs it dry.
+	if e.VM.GC.Opts.Concurrent {
+		// The pause stops at flip preparation: consume the sealed concurrent
+		// mark (drain the SATB log, re-scan roots), flip, eagerly evacuate
+		// only the updated-class instances it found (or, composed with
+		// LazyTransform, defer even the pairs to the drain), and remap roots.
+		// The world resumes with from-space still live behind the
+		// self-healing load barrier; rl is the drain the residue starts at
+		// the end of the pause and finishes once the background relocator
+		// runs it dry — nil when the engine gave up on the mark and this is
+		// the stop-the-world collection after all.
 		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM, e.VM.LazyTransform)
-	case e.VM.GC.MarkReady():
-		// A sealed concurrent mark is waiting: the pause only drains the
-		// SATB log, re-scans roots, and copies the marked ∪ post-watermark
-		// set — discovery already happened outside the window.
-		gcRes, err = e.VM.GC.CollectWithMark(e.VM, true)
-	default:
+	} else {
 		gcRes, err = e.VM.GC.Collect(e.VM, true)
 	}
 	if err != nil {
@@ -401,7 +396,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	}
 	flipped = true
 	p.res.Stats.PauseGC = time.Since(tGC)
-	p.res.Stats.PauseGCMark = gcRes.PauseMark
 	p.res.Stats.PauseGCRescan = gcRes.PauseRescan
 	p.res.Stats.PauseGCCopy = gcRes.PauseCopy
 	p.res.Stats.GCMarkConcurrent = gcRes.MarkConcurrent

@@ -103,12 +103,15 @@ type Stats struct {
 	// otherwise). A concurrent relocation adds its drain's share when it ends.
 	MovedObjects int
 
-	// Concurrent-mark decomposition. GCMarkConcurrent records that instance
-	// discovery ran as a concurrent snapshot-at-the-beginning trace outside
-	// the pause: GCMarkOutside is the trace's wall-clock time overlapped
-	// with the mutator, GCMarkSetup the snapshot/arm/spawn mini-pause, and
-	// GCMarkRestarts how many snapshots were invalidated by allocation-
-	// triggered collections before one survived. GCMarkedObjects is the
+	// Concurrent-mark decomposition (vm.Options.Concurrent without
+	// LazyTransform). GCMarkConcurrent records that instance discovery ran as
+	// a concurrent snapshot-at-the-beginning trace outside the pause (false
+	// when the engine gave up on the mark, see maxMarkRestarts, and the update
+	// took the fused stop-the-world collection): GCMarkOutside is the trace's
+	// wall-clock time overlapped with the mutator, GCMarkSetup the
+	// snapshot/arm/spawn mini-pause, and GCMarkRestarts how many snapshots
+	// were invalidated by allocation-triggered collections before one
+	// survived (or the engine gave up). GCMarkedObjects is the
 	// concurrent trace's population, GCSATBDrained the deletion-log entries
 	// drained at the pause, and GCRescanMarked the objects the in-pause
 	// rescan added (the only in-pause tracing).
@@ -123,11 +126,10 @@ type Stats struct {
 	SafePointDelay time.Duration // request → DSU safe point
 	PauseInstall   time.Duration
 	PauseGC        time.Duration
-	// PauseGC's decomposition: in-pause discovery (the whole trace for the
-	// STW collectors, zero when marking ran concurrently), SATB/root rescan
-	// (concurrent path only), and the copy+fixup phase. The remainder of
-	// PauseGC is bookkeeping.
-	PauseGCMark    time.Duration
+	// PauseGC's decomposition: SATB/root rescan (concurrent path only — the
+	// one in-pause trace there is; the stop-the-world collector's is fused
+	// with its copy) and the copy phase. The remainder of PauseGC is
+	// bookkeeping.
 	PauseGCRescan  time.Duration
 	PauseGCCopy    time.Duration
 	PauseTransform time.Duration
@@ -144,9 +146,9 @@ type Stats struct {
 	LazyDrained int
 	LazyForced  int
 
-	// Concurrent-relocation decomposition (vm.Options.ConcurrentReloc).
+	// Concurrent-relocation decomposition (vm.Options.Concurrent).
 	// RelocConcurrent records that the DSU copy ran as a concurrent
-	// relocation: the pause stopped at flip preparation (discovery, flip,
+	// relocation: the pause stopped at flip preparation (rescan, flip,
 	// eager evacuation of updated-class instances only, root remap) and the
 	// remaining live set was evacuated after the world resumed — by the
 	// background relocator and by the mutator through the
@@ -237,8 +239,8 @@ type Pending struct {
 	done    bool
 	barrier map[*vm.Frame]bool
 
-	// mark is the in-flight (or sealed) concurrent marker when the collector
-	// runs with ConcurrentMark; markRestarts counts snapshots invalidated by
+	// mark is the in-flight (or sealed) concurrent marker of a Concurrent
+	// update; markRestarts counts snapshots invalidated by
 	// allocation-triggered collections before one survived to the pause.
 	mark         *gc.Marker
 	markRestarts int
@@ -557,10 +559,10 @@ func (e *Engine) handle() bool {
 		e.finish(p, Failed, fmt.Errorf("core: update refused: %w", err))
 		return true
 	}
-	if e.VM.GC.Opts.ConcurrentMark && !(e.VM.GC.Opts.ConcurrentReloc && e.VM.LazyTransform) {
-		// (With ConcurrentReloc ∧ LazyTransform the mark would be wasted
-		// work: discovery is deferred entirely — the drain builds pairs as
-		// it evacuates — so the pause consumes no instance set at all.)
+	if e.VM.GC.Opts.Concurrent && !e.VM.LazyTransform {
+		// (With LazyTransform the mark would be wasted work: discovery is
+		// deferred entirely — the drain builds pairs as it evacuates — so
+		// the pause consumes no instance set at all.)
 		// Run instance discovery outside the pause: start (or poll) the
 		// concurrent snapshot-at-the-beginning mark and keep the mutator
 		// running until the trace completes. Safe-point attempts — and the
@@ -659,16 +661,17 @@ func (e *Engine) handle() bool {
 
 // maxMarkRestarts bounds how many times a concurrent-mark snapshot may be
 // invalidated (by an allocation-triggered collection flipping the heap under
-// the tracer) before the engine gives up and falls back to fused
-// stop-the-world discovery. Each restart re-traces from scratch, so under
-// allocation pressure heavy enough to trigger back-to-back collections the
-// STW path is the faster choice anyway.
+// the tracer) before the engine gives up and this one update takes the fused
+// stop-the-world collection (gc.CollectReloc falls back to it when no sealed
+// mark is waiting). Each restart re-traces from scratch, so under allocation
+// pressure heavy enough to trigger back-to-back collections the STW path is
+// the faster choice anyway.
 const maxMarkRestarts = 3
 
 // stepMark advances the concurrent-mark pipeline by one poll. It returns
 // true when the safe-point attempt should proceed — either a sealed mark
-// result is waiting for the pause, or the engine has fallen back to
-// stop-the-world discovery — and false when the mutator should keep running
+// result is waiting for the pause, or the engine has fallen back to the
+// stop-the-world collection — and false when the mutator should keep running
 // while the tracer runs. It may finish p (timeout abort), which callers
 // detect via p.Done().
 func (e *Engine) stepMark(p *Pending) bool {
@@ -676,7 +679,7 @@ func (e *Engine) stepMark(p *Pending) bool {
 	p.res.Stats.GCMarkRestarts = p.markRestarts
 	if p.mark == nil {
 		if p.markRestarts > maxMarkRestarts {
-			return true // fall back to fused STW discovery
+			return true // fall back to the fused STW collection
 		}
 		p.mark = gcc.StartMark(e.VM, e.updatedClassIDs(p.Spec))
 		// Let threads run full slices while the tracer runs; the yield
@@ -710,7 +713,7 @@ func (e *Engine) stepMark(p *Pending) bool {
 	// invariant (objects hidden behind logged deletions are unmarked until
 	// the pause drains the log, and an unlogged severing during a blocked
 	// safe-point wait could hide their children from the rescan for good),
-	// so the mutator keeps paying the barrier tax until CollectWithMark
+	// so the mutator keeps paying the barrier tax until the collection
 	// disarms inside the pause. Idempotent across repeated attempts.
 	if !gcc.SealMark(p.mark) {
 		p.mark = nil
@@ -738,7 +741,7 @@ func (e *Engine) updatedClassIDs(spec *upt.Spec) map[int]bool {
 func (e *Engine) finish(p *Pending, outcome Outcome, err error) {
 	// Discard any snapshot the update did not consume (aborted or failed
 	// before the collection ran): the marker must not outlive its request.
-	// No-op when CollectWithMark already took it or no mark ever started.
+	// No-op when the collection already took it or no mark ever started.
 	e.VM.GC.AbortMark()
 	p.mark = nil
 	for f := range p.barrier {
@@ -823,7 +826,6 @@ func (e *Engine) observeUpdate(res *Result) {
 		m.Histogram(obs.MSafePointDelay, obs.DurationBuckets()).Observe(s.SafePointDelay.Seconds())
 		m.Histogram(obs.MPauseInstall, obs.DurationBuckets()).Observe(s.PauseInstall.Seconds())
 		m.Histogram(obs.MPauseGC, obs.DurationBuckets()).Observe(s.PauseGC.Seconds())
-		m.Histogram(obs.MPauseGCMark, obs.DurationBuckets()).Observe(s.PauseGCMark.Seconds())
 		m.Histogram(obs.MPauseGCRescan, obs.DurationBuckets()).Observe(s.PauseGCRescan.Seconds())
 		m.Histogram(obs.MPauseGCCopy, obs.DurationBuckets()).Observe(s.PauseGCCopy.Seconds())
 		if s.GCMarkConcurrent {

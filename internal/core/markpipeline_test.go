@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"govolve/internal/core"
@@ -9,20 +10,21 @@ import (
 	"govolve/internal/vm"
 )
 
-// End-to-end coverage of the concurrent-mark update pipeline: the engine
-// starts a snapshot-at-the-beginning trace on the update request, lets the
-// program keep mutating the heap while the tracer runs, and consumes the
+// End-to-end coverage of the concurrent-mark half of a Concurrent update: the
+// engine starts a snapshot-at-the-beginning trace on the update request, lets
+// the program keep mutating the heap while the tracer runs, and consumes the
 // sealed result at the safe point. The observable outcome (program output,
 // update success, transformed state) must be identical to the fused
-// stop-the-world pipeline's; only the pause decomposition differs.
+// stop-the-world pipeline's; only the pause decomposition differs. (The
+// relocation half is relocpipeline_test.go's.)
 
 func newMarkFixture(t *testing.T, heapWords int, concurrent bool) *fixture {
 	t.Helper()
 	var out bytes.Buffer
 	v, err := vm.New(vm.Options{
-		HeapWords:        heapWords,
-		Out:              &out,
-		GCConcurrentMark: concurrent,
+		HeapWords:  heapWords,
+		Out:        &out,
+		Concurrent: concurrent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,9 +197,9 @@ class App {
 }
 `
 
-// runRingUpdate drives the ring workload through one update on f and returns
-// (program output, update result).
-func runRingUpdate(f *fixture) (string, *core.Result) {
+// runRingUpdate drives the ring workload (ringV1 → ringV2, or an edit of the
+// pair) through one update on f and returns (program output, update result).
+func runRingUpdate(f *fixture, ringV1, ringV2 string) (string, *core.Result) {
 	f.t.Helper()
 	v1 := f.load(ringV1)
 	v2 := f.prog(ringV2)
@@ -209,10 +211,10 @@ func runRingUpdate(f *fixture) (string, *core.Result) {
 
 func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
 	stw := newMarkFixture(t, 1<<16, false)
-	outSTW, resSTW := runRingUpdate(stw)
+	outSTW, resSTW := runRingUpdate(stw, ringV1, ringV2)
 
 	cm := newMarkFixture(t, 1<<16, true)
-	outCM, resCM := runRingUpdate(cm)
+	outCM, resCM := runRingUpdate(cm, ringV1, ringV2)
 
 	if outSTW != outCM {
 		t.Fatalf("output diverged: STW %q, concurrent %q", outSTW, outCM)
@@ -225,17 +227,13 @@ func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
 	if s.GCMarkConcurrent {
 		t.Fatal("STW run flagged GCMarkConcurrent")
 	}
-	// Uniform decomposition: the STW collectors' fused trace+copy is
-	// reported as copy time, with the mark slice reserved for collections
-	// that run a distinct in-pause trace.
-	if s.PauseGCMark != 0 || s.PauseGCCopy == 0 || s.GCMarkOutside != 0 || s.GCRescanMarked != 0 {
+	// Uniform decomposition: the STW collector's fused trace+copy is
+	// reported as copy time.
+	if s.PauseGCCopy == 0 || s.PauseGCRescan != 0 || s.GCMarkOutside != 0 || s.GCRescanMarked != 0 {
 		t.Fatalf("STW decomposition wrong: %+v", s)
 	}
 	if !c.GCMarkConcurrent {
 		t.Fatal("concurrent run fell back to STW discovery")
-	}
-	if c.PauseGCMark != 0 {
-		t.Fatalf("concurrent run reports in-pause mark %v", c.PauseGCMark)
 	}
 	if c.GCMarkOutside == 0 {
 		t.Fatal("concurrent run reports no outside-pause mark time")
@@ -292,8 +290,45 @@ func TestConcurrentMarkAbortDisarms(t *testing.T) {
 	// The VM must remain updatable: the same update without the blacklist
 	// applies cleanly, concurrent mark and all.
 	f2 := newMarkFixture(t, 1<<16, true)
-	outSTW, res2 := runRingUpdate(f2)
+	outSTW, res2 := runRingUpdate(f2, ringV1, ringV2)
 	if res2.Outcome != core.Applied || outSTW == "" {
 		t.Fatalf("follow-up update failed: %v", res2.Err)
+	}
+}
+
+// TestConcurrentMarkGivesUp pins the bounded-restart path. Both loops of the
+// ring program are made to allocate more than a semispace of garbage per
+// scheduling slice, so a plain collection flips the heap between every two
+// polls and invalidates each snapshot the engine takes. After the fourth the
+// engine gives up on the mark, and that one update is the stop-the-world
+// collection: applied, nothing concurrent about it, no barrier left armed, and
+// the program ends as it does on a serial VM.
+func TestConcurrentMarkGivesUp(t *testing.T) {
+	const garbage = "    const 512\n    newarray I\n    pop\n"
+	churn := strings.NewReplacer("  build:\n", "  build:\n"+garbage, "  loop:\n", "  loop:\n"+garbage)
+	v1, v2 := churn.Replace(ringV1), churn.Replace(ringV2)
+
+	outSerial, resSerial := runRingUpdate(newMarkFixture(t, 1<<12, false), v1, v2)
+	f := newMarkFixture(t, 1<<12, true)
+	out, res := runRingUpdate(f, v1, v2)
+
+	if res.Outcome != core.Applied || resSerial.Outcome != core.Applied {
+		t.Fatalf("outcomes: concurrent %v (%v), serial %v (%v)", res.Outcome, res.Err, resSerial.Outcome, resSerial.Err)
+	}
+	s := res.Stats
+	if s.GCMarkRestarts != 4 {
+		t.Fatalf("GCMarkRestarts = %d, want 4: one more than the engine tolerates", s.GCMarkRestarts)
+	}
+	if s.GCMarkConcurrent || s.RelocConcurrent || s.GCMarkOutside != 0 || s.RelocObjects != 0 {
+		t.Fatalf("the give-up update still reports concurrent work: %+v", s)
+	}
+	if s.PairsLogged == 0 || s.TransformedObjects != s.PairsLogged {
+		t.Fatalf("%d pairs logged, %d transformed inside the pause", s.PairsLogged, s.TransformedObjects)
+	}
+	if f.vm.Heap.RelocArmed() || f.vm.Heap.SATBArmed() || f.vm.GC.MarkActive() || f.vm.DrainActive() {
+		t.Fatal("a barrier, a marker or a residue outlived the update")
+	}
+	if out == "" || out != outSerial {
+		t.Fatalf("output diverged: serial %q, concurrent after giving up %q", outSerial, out)
 	}
 }

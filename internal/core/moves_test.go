@@ -152,34 +152,24 @@ func (ev *evolution) populate(t *testing.T, v *vm.VM, rng *rand.Rand) {
 	}
 }
 
-// movesModes are the engine configurations the moved path must agree with the
-// interpreter under: every collector that can meet a moved class.
-var movesModes = []struct {
-	name string
-	opts vm.Options
-}{
-	{"stw", vm.Options{}},
-	{"scratch", vm.Options{ScratchWords: 1 << 12}},
-	{"cmark", vm.Options{GCConcurrentMark: true}},
-	{"lazy", vm.Options{LazyTransform: true, ScratchWords: 1 << 12}},
-	{"reloc", vm.Options{ConcurrentReloc: true}},
-	{"cmark-reloc-lazy", vm.Options{GCConcurrentMark: true, ConcurrentReloc: true, LazyTransform: true, ScratchWords: 1 << 12}},
-}
-
 // TestMovesMatchInterpreter is the differential test that the collector's
-// moves equal the bytecode they replace. For each seeded evolution the same
+// moves equal the bytecode they replace. For each seeded evolution and each
+// engine mode — every collector that can meet a moved class, old copies in
+// to-space on even seeds and in a scratch region on odd ones — the same
 // update is applied twice to identically populated VMs — once as generated
 // (every default is a move the collector performs), once with the same bodies
 // made hand-written (pairs, interpreted) — and every reachable object must
 // come out with the same class and the same field words, up to where it lives.
 func TestMovesMatchInterpreter(t *testing.T) {
-	for seed := int64(0); seed < 42; seed++ {
-		mode := movesModes[seed%int64(len(movesModes))]
+	modes := vm.Modes()
+	for i := 0; i < 42*len(modes); i++ {
+		seed, mode := int64(i/len(modes)), modes[i%len(modes)]
 		ev := newEvolution(rand.New(rand.NewSource(seed)))
 		run := func(handWritten bool) (*vm.VM, *core.Result) {
-			opts := mode.opts
-			opts.HeapWords, opts.Out = 1<<14, io.Discard
-			v, err := vm.New(opts)
+			v, err := vm.New(vm.Options{
+				HeapWords: 1 << 14, ScratchWords: int(seed%2) << 12, Out: io.Discard,
+				LazyTransform: mode.Lazy, Concurrent: mode.Concurrent,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,13 +197,13 @@ func TestMovesMatchInterpreter(t *testing.T) {
 			e := core.NewEngine(v)
 			res, err := e.ApplyNow(spec, core.Options{})
 			if err != nil || res.Outcome != core.Applied {
-				t.Fatalf("seed %d %s handWritten=%v: %v / %+v", seed, mode.name, handWritten, err, res)
+				t.Fatalf("seed %d %s handWritten=%v: %v / %+v", seed, mode.Name, handWritten, err, res)
 			}
 			if err := e.ForceDrain(); err != nil {
 				t.Fatal(err)
 			}
 			if err := storm.CheckVM(v); err != nil {
-				t.Fatalf("seed %d %s handWritten=%v: %v", seed, mode.name, handWritten, err)
+				t.Fatalf("seed %d %s handWritten=%v: %v", seed, mode.Name, handWritten, err)
 			}
 			return v, res
 		}
@@ -224,14 +214,14 @@ func TestMovesMatchInterpreter(t *testing.T) {
 		ms, is := mres.Stats, ires.Stats
 		if ms.MovedObjects != updated || ms.PairsLogged != 0 || ms.TransformedObjects != updated {
 			t.Fatalf("seed %d %s: moved run: %d moved, %d pairs, %d transformed; want %d, 0, %d",
-				seed, mode.name, ms.MovedObjects, ms.PairsLogged, ms.TransformedObjects, updated, updated)
+				seed, mode.Name, ms.MovedObjects, ms.PairsLogged, ms.TransformedObjects, updated, updated)
 		}
 		if is.MovedObjects != 0 || is.PairsLogged != updated || is.TransformedObjects != updated {
 			t.Fatalf("seed %d %s: hand-written run: %d moved, %d pairs, %d transformed; want 0, %d, %d",
-				seed, mode.name, is.MovedObjects, is.PairsLogged, is.TransformedObjects, updated, updated)
+				seed, mode.Name, is.MovedObjects, is.PairsLogged, is.TransformedObjects, updated, updated)
 		}
 		if err := sameHeaps(mv, iv); err != nil {
-			t.Fatalf("seed %d %s: moved vs interpreted: %v\nv2:\n%s", seed, mode.name, err, ev.source(2))
+			t.Fatalf("seed %d %s: moved vs interpreted: %v\nv2:\n%s", seed, mode.Name, err, ev.source(2))
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"govolve/internal/vm"
 )
 
-// End-to-end coverage of the concurrent-relocation update pipeline: the DSU
+// End-to-end coverage of the relocation half of a Concurrent update: the DSU
 // pause stops at flip preparation, the world resumes with from-space still
 // live behind the self-healing load barrier, and the remaining live set is
 // evacuated by the background relocator racing the mutator. The
@@ -16,22 +16,21 @@ import (
 // must be identical to the fused stop-the-world pipeline's; only the pause
 // decomposition and the drain-side stats differ.
 
-// newRelocFixture builds a fixture with concurrent relocation enabled,
-// optionally composed with concurrent marking and lazy transformation.
-func newRelocFixture(t *testing.T, heapWords int, cmark, lazy bool) *fixture {
+// newRelocFixture builds a Concurrent fixture, optionally composed with lazy
+// transformation (and a scratch region for the old copies).
+func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	t.Helper()
+	if !lazy {
+		return newMarkFixture(t, heapWords, true)
+	}
 	var out bytes.Buffer
-	opts := vm.Options{
-		HeapWords:        heapWords,
-		Out:              &out,
-		GCConcurrentMark: cmark,
-		ConcurrentReloc:  true,
-		LazyTransform:    lazy,
-	}
-	if lazy {
-		opts.ScratchWords = heapWords / 2
-	}
-	v, err := vm.New(opts)
+	v, err := vm.New(vm.Options{
+		HeapWords:     heapWords,
+		ScratchWords:  heapWords / 2,
+		Out:           &out,
+		Concurrent:    true,
+		LazyTransform: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,18 +295,17 @@ func runRelocUpdate(f *fixture) (string, *core.Result) {
 
 func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 	modes := []struct {
-		name        string
-		cmark, lazy bool
+		name string
+		lazy bool
 	}{
-		{"reloc", false, false},
-		{"cmark-reloc", true, false},
-		{"cmark-reloc-lazy", true, true},
+		{"concurrent", false},
+		{"concurrent+lazy", true},
 	}
 	for _, m := range modes {
 		stw := newMarkFixture(t, 1<<16, false)
 		outSTW, resSTW := runRelocUpdate(stw)
 
-		rf := newRelocFixture(t, 1<<16, m.cmark, m.lazy)
+		rf := newRelocFixture(t, 1<<16, m.lazy)
 		outRel, resRel := runRelocUpdate(rf)
 		// The program may finish before the background relocator runs the
 		// drain dry; force-complete so the stats below are final.
@@ -366,9 +364,9 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 					m.name, c.CopiedObjects, s.CopiedObjects)
 			}
 		}
-		if m.cmark && c.PauseGCMark != 0 {
-			t.Fatalf("%s: sealed-mark reloc pause reports in-pause discovery %v",
-				m.name, c.PauseGCMark)
+		if c.GCMarkConcurrent == m.lazy {
+			t.Fatalf("%s: GCMarkConcurrent = %v: discovery is the mark's, or with lazy the drain's",
+				m.name, c.GCMarkConcurrent)
 		}
 		assertRetired(t, rf, false)
 		// The VM must remain collectable and updatable after the drain.
@@ -397,7 +395,7 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 		return out
 	}
 	stw := newMarkFixture(t, 1<<16, false)
-	rel := newRelocFixture(t, 1<<16, false, false)
+	rel := newRelocFixture(t, 1<<16, false)
 	outSTW := run(stw)
 	outRel := run(rel)
 	if outSTW != outRel {
@@ -411,7 +409,7 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 // the drain and the read barrier, and every touched instance comes out
 // transformed.
 func TestRelocLazyDeferredPairs(t *testing.T) {
-	f := newRelocFixture(t, 1<<16, false, true)
+	f := newRelocFixture(t, 1<<16, true)
 	v1 := f.load(relocV1)
 	v2 := f.prog(relocV2)
 	f.spawn("App")

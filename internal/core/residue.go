@@ -27,7 +27,7 @@ type plan struct {
 
 // residue is everything one update leaves behind that must outlive its DSU
 // collection: the pair log (a pair's transformation status is its shell's pair
-// word, heap/bits.go), the in-flight relocation (vm.Options.ConcurrentReloc),
+// word, heap/bits.go), the in-flight relocation (vm.Options.Concurrent),
 // and what both still need from the install phase — the renamed old class
 // versions (old copies are sized and typed through their class ids), the
 // transformer class, and the scratch region holding old copies. The paper has
@@ -40,7 +40,7 @@ type plan struct {
 //     every pair instead, and the read barrier (vm.VM.Residue) transforms each
 //     on first touch — an error there is the object's data loss, since the
 //     program already resumed on the new version;
-//   - adopted (ConcurrentReloc ∧ LazyTransform): the pause made (almost) no
+//   - adopted (Concurrent ∧ LazyTransform): the pause made (almost) no
 //     pairs; the relocation creates and tags them as it evacuates, and the
 //     log adopts them on first touch or when the relocation finishes.
 //
@@ -74,7 +74,7 @@ type residue struct {
 	adopted int // how many of rl.Deferred() the log has taken over
 
 	onTouch   bool           // transformers run on first touch, not in the pause
-	rl        *gc.Relocation // nil without ConcurrentReloc
+	rl        *gc.Relocation // nil unless the collection left a relocation draining
 	relocDone bool           // rl finished: from-space released, pair log final
 
 	sealed   time.Time // transformer phase end; drain latency is measured from here

@@ -238,11 +238,11 @@ func TestResidueTeardownConservation(t *testing.T) {
 	}{
 		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false},
 		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16, 1<<12) }, true, false, false},
-		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false, false) }, false, true, false},
-		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true, true) }, true, true, false},
+		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) }, false, true, false},
+		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true) }, true, true, false},
 		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true},
-		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, false, false)) }, false, true, true},
-		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, true, true)) }, false, true, true},
+		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, false)) }, false, true, true},
+		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, true)) }, false, true, true},
 	}
 
 	// A class transformer that traps: the one in-pause transformer failure
@@ -284,6 +284,7 @@ class JvolveTransformers {
 	paths := []struct {
 		name      string
 		relocOnly bool // the path needs a relocation to fail
+		longSpin  bool // the path needs main still spinning after two updates
 		fatal     bool
 		drive     func(t *testing.T, r *run, lazy bool)
 	}{
@@ -323,11 +324,13 @@ class JvolveTransformers {
 				t.Fatal("collection ran without forcing the tagged pairs")
 			}
 		}},
-		{name: "forced by follow-up update", drive: func(t *testing.T, r *run, lazy bool) {
+		{name: "forced by follow-up update", longSpin: true, drive: func(t *testing.T, r *run, lazy bool) {
 			applied(t, r)
 			// The follow-up cannot reach a safe point (main never leaves the
-			// stack), so it aborts without leaving a residue of its own —
-			// after forcing the previous one.
+			// stack — the program runs on while a concurrent mark traces, so
+			// the spin has to outlast both updates' marks however late the
+			// tracer is scheduled), so it aborts without leaving a residue of
+			// its own — after forcing the previous one.
 			v3 := r.v2 + "\nclass Followup {\n  static method ok()I {\n    const 7\n    return\n  }\n}\n"
 			res, err := r.f.update("2", r.f.prog(r.v2), r.f.prog(v3), "", core.Options{MaxAttempts: 2},
 				upt.MethodRef{Class: "App", Name: "main", Sig: "()V"})
@@ -377,6 +380,10 @@ class JvolveTransformers {
 			pl, path := pl, path
 			t.Run(pl.name+"/"+path.name, func(t *testing.T) {
 				r := &run{f: pl.fixture(t), v1: consV1, v2: consV2(false)}
+				if path.longSpin {
+					long := strings.NewReplacer("const 60000", "const 600000")
+					r.v1, r.v2 = long.Replace(r.v1), long.Replace(r.v2)
+				}
 				r.f.load(r.v1)
 				r.f.spawn("App")
 				r.f.vm.Step(10)

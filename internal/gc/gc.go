@@ -35,8 +35,8 @@ var ErrToSpaceExhausted = errors.New("gc: copy space exhausted during collection
 
 // ErrPreFlip tags collection failures raised *before* the semispace flip:
 // nothing has been copied, no forwarding pointer installed, no root
-// rewritten — the heap is fully usable. CollectWithMark's rescan and
-// live-list walk can fail this way (structural errors such as an unknown
+// rewritten — the heap is fully usable. CollectReloc's rescan and
+// allocate-black walk can fail this way (structural errors such as an unknown
 // class ID). Callers detect it with errors.Is and fail the update cleanly
 // instead of declaring the heap dead; post-flip failures stay fatal.
 var ErrPreFlip = errors.New("heap intact, collection failed before flip")
@@ -83,18 +83,15 @@ type Result struct {
 	Moved    int
 	Duration time.Duration
 
-	// Pause decomposition — uniform across every mode so pausecmp rows
-	// compare like with like. The measured phases are disjoint slices of
-	// Duration: PauseMark is in-pause instance discovery (the concurrent-
-	// relocation pipeline's pre-flip trace; zero when discovery ran outside
-	// the pause), PauseRescan is the SATB deletion-log drain + root re-scan
-	// a concurrent-mark collection still does inside the pause, and
-	// PauseCopy is the in-pause copy work — the whole fused trace+copy for
-	// the STW collector (PauseCopy = Duration there), the sweep+fixup for
-	// CollectWithMark, and only the eager pair evacuation + root remap for
-	// CollectReloc (whose bulk copy runs in the concurrent drain, reported
-	// by RelocStats.Drain instead).
-	PauseMark   time.Duration
+	// Pause decomposition — uniform across both collector shapes so pausecmp
+	// rows compare like with like. The measured phases are disjoint slices of
+	// Duration: PauseRescan is the SATB deletion-log drain + root re-scan a
+	// collection that consumes a concurrent mark still does inside the pause
+	// (the only in-pause tracing it has), and PauseCopy is the in-pause copy
+	// work — the whole fused trace+copy for the STW collector (PauseCopy =
+	// Duration there), and only the eager evacuation of updated instances +
+	// root remap for CollectReloc (whose bulk copy runs in the concurrent
+	// drain, reported by RelocStats.Drain instead).
 	PauseRescan time.Duration
 	PauseCopy   time.Duration
 
@@ -121,20 +118,16 @@ type Result struct {
 }
 
 // Options selects what a DSU collection moves out of the pause. Every
-// collection runs on one collector thread; plain Collect calls are unaffected
-// by either field.
+// collection runs on one collector thread; plain Collect calls are unaffected.
 type Options struct {
-	// ConcurrentMark opts the DSU engine into the snapshot-at-the-beginning
-	// concurrent mark phase (mark.go): updated-instance discovery runs
-	// overlapped with the mutator and the update pause shrinks to
-	// rescan + copy + transform.
-	ConcurrentMark bool
-	// ConcurrentReloc opts the DSU engine into concurrent relocation
-	// (reloc.go): the pause shrinks to discovery + eager pair evacuation +
-	// root remap, the world resumes with from-space still live, and the
-	// remaining live set is evacuated by one background relocator plus the
-	// mutator's self-healing load barrier.
-	ConcurrentReloc bool
+	// Concurrent opts the DSU engine into concurrent discovery feeding a
+	// deferred evacuation: updated instances are found by the snapshot-at-the-
+	// beginning mark (mark.go) between the update request and the safe point,
+	// the pause (CollectReloc, reloc.go) shrinks to rescan + eager evacuation
+	// of those instances + root remap, and the world resumes with from-space
+	// still live — the remaining live set is evacuated by one background
+	// relocator plus the mutator's self-healing load barrier.
+	Concurrent bool
 }
 
 // Collector is the collection machinery bound to one heap and registry.

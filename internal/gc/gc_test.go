@@ -47,8 +47,8 @@ type world struct {
 // classes an update is pending for.
 func (w *world) updatedIDs() map[int]bool {
 	ids := map[int]bool{}
-	for _, cls := range []*rt.Class{w.cls, w.leaf} {
-		if cls != nil && cls.UpdatedTo != nil {
+	for _, cls := range w.reg.Classes() {
+		if cls.UpdatedTo != nil {
 			ids[cls.ID] = true
 		}
 	}

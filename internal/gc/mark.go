@@ -18,9 +18,10 @@ import (
 // between slices, allocation watermark recorded, heap.ArmSATB deletion
 // barrier armed) and one tracer goroutine traces the snapshot graph
 // concurrently with the mutator. At the DSU safe point the collector
-// consumes the mark result (CollectWithMark): it drains the SATB deletion
-// log and re-scans roots — the only tracing left inside the pause — then
-// copies exactly the marked ∪ post-watermark objects.
+// consumes the mark result (CollectReloc → relocConsumeMark): it drains the
+// SATB deletion log and re-scans roots — the only tracing left inside the
+// pause — and evacuates eagerly exactly the updated-class instances among the
+// marked ∪ post-watermark objects; the drain moves the rest.
 //
 // Correctness (the classic SATB theorem, specialized to this VM):
 //
@@ -38,20 +39,20 @@ import (
 //     object X exists the mutator can load X's child Z, store it into an
 //     already-marked (black) object, and sever the unmarked paths to Z. If
 //     the barrier were off, that severing would go unlogged, the pause
-//     rescan (which never revisits marked objects) would miss Z, and fixup
-//     would fail on a legal program. So SealMark leaves the barrier armed;
-//     only CollectWithMark (inside the pause, after the mutator stopped)
-//     and the abort paths disarm. The mutator pays the armed-barrier tax
-//     during a blocked safe-point wait — that is the price of soundness.
+//     rescan (which never revisits marked objects) would miss Z, and if Z is
+//     an updated-class instance the drain would meet it undiscovered and fail
+//     on a legal program. So SealMark leaves the barrier armed; only the
+//     consuming pause (after the mutator stopped) and the abort paths disarm.
+//     The mutator pays the armed-barrier tax during a blocked safe-point
+//     wait — that is the price of soundness.
 //
-// The marked set may include *floating garbage* — objects that died during
-// the mark. They are copied (and, for updated classes, paired and
-// transformed) once more than strictly necessary and become unreachable
-// again immediately; the next collection reclaims them. That is the
-// standard mostly-concurrent trade: a little extra copying for a pause
-// that excludes the whole discovery trace.
+// The discovered set may include *floating garbage* — updated-class instances
+// that died during the mark. They are paired (or moved) and transformed once
+// more than strictly necessary and become unreachable again immediately; the
+// next collection reclaims them. That is the standard mostly-concurrent trade:
+// a little extra copying for a pause that excludes the whole discovery trace.
 //
-// Lifecycle discipline: StartMark / SealMark / AbortMark / CollectWithMark
+// Lifecycle discipline: StartMark / SealMark / AbortMark / CollectReloc
 // all run on the mutator goroutine (the VM is a green-thread machine —
 // exactly one OS goroutine mutates the heap, and the DSU engine runs on
 // it). Only the tracer is concurrent, and it is joined (wg.Wait) before any
@@ -71,12 +72,6 @@ type Marker struct {
 	// pause afterwards.
 	bitmap []uint32
 	grey   []rt.Addr
-
-	// collectAddrs (set from Opts.ConcurrentReloc) makes the trace record
-	// the addresses of updated-class instances, not just their count — the
-	// CollectReloc pause evacuates exactly that set eagerly instead of
-	// sweeping the whole marked list.
-	collectAddrs bool
 
 	done  atomic.Bool
 	abort atomic.Bool
@@ -99,10 +94,11 @@ type Marker struct {
 	// captures included — the root loop greys through the same path);
 	// instances the *pause* discovers (SATB/rescan marks, allocate-black
 	// walk) are not attributed here. The authoritative copied set is
-	// Result.PairsLogged.
+	// Result.PairsLogged. updatedAddrs are the attributed instances' addresses:
+	// the set the CollectReloc pause evacuates eagerly.
 	markedObjects    int
 	updatedInstances int
-	updatedAddrs     []rt.Addr // their addresses (collectAddrs only)
+	updatedAddrs     []rt.Addr
 }
 
 // markBitmapFor returns a cleared bitmap covering the snapshot region
@@ -124,10 +120,9 @@ func (c *Collector) markBitmapFor(lo, watermark rt.Addr) []uint32 {
 // markPool holds the per-collection scratch the marker reuses across
 // updates: the mark bitmap, the SATB deletion-log buffer, and the grey stack.
 type markPool struct {
-	bitmap  []uint32
-	satb    []rt.Addr
-	grey    []rt.Addr
-	entries []sweepEntry // sweep-phase live list (CollectWithMark)
+	bitmap []uint32
+	satb   []rt.Addr
+	grey   []rt.Addr
 }
 
 // recycleMark returns a marker's scratch to the pool. Callers guarantee the
@@ -142,10 +137,9 @@ func (c *Collector) recycleMark(m *Marker) {
 }
 
 // setMarkSerial sets the mark bit for a, returning true if this call
-// transitioned it; isMarked is the query. The bitmap has one writer at a time
-// (the tracer, then the pause — which joins the tracer first), so neither is
-// atomic. Bit indexes are relative to the snapshot base; callers bounds-check
-// [lo, watermark) first.
+// transitioned it. The bitmap has one writer at a time (the tracer, then the
+// pause — which joins the tracer first), so it is not atomic. Bit indexes are
+// relative to the snapshot base; callers bounds-check [lo, watermark) first.
 func (m *Marker) setMarkSerial(a rt.Addr) bool {
 	a -= m.lo
 	w := &m.bitmap[a>>5]
@@ -155,11 +149,6 @@ func (m *Marker) setMarkSerial(a rt.Addr) bool {
 	}
 	*w |= bit
 	return true
-}
-
-func (m *Marker) isMarked(a rt.Addr) bool {
-	a -= m.lo
-	return m.bitmap[a>>5]&(uint32(1)<<(a&31)) != 0
 }
 
 // StartMark snapshots the heap and begins a concurrent mark: root values
@@ -176,12 +165,11 @@ func (c *Collector) StartMark(roots Roots, updatedIDs map[int]bool) *Marker {
 	start := time.Now()
 	h := c.Heap
 	m := &Marker{
-		c:            c,
-		lo:           h.ScanStart(),
-		updatedIDs:   updatedIDs,
-		grey:         c.pool.grey[:0],
-		start:        start,
-		collectAddrs: c.Opts.ConcurrentReloc,
+		c:          c,
+		lo:         h.ScanStart(),
+		updatedIDs: updatedIDs,
+		grey:       c.pool.grey[:0],
+		start:      start,
 	}
 	c.pool.grey = nil
 	m.watermark = h.ArmSATB(c.pool.satb)
@@ -241,7 +229,7 @@ func (m *Marker) fail(err error) {
 // mutator running between seal and pause could move its children behind
 // black objects and sever the unmarked paths — unlogged, if the barrier
 // were off, and invisible to the rescan, which never revisits marked
-// objects. CollectWithMark disarms inside the pause; AbortMark disarms on
+// objects. CollectReloc disarms inside the pause; AbortMark disarms on
 // the failure paths. Returns false if the mark aborted instead of
 // completing.
 func (c *Collector) SealMark(m *Marker) bool {
@@ -296,10 +284,6 @@ func (c *Collector) AbortMark() {
 
 // MarkActive reports whether a marker is attached to the collector.
 func (c *Collector) MarkActive() bool { return c.mark != nil }
-
-// MarkReady reports whether the active marker has been sealed and can feed
-// CollectWithMark.
-func (c *Collector) MarkReady() bool { return c.mark != nil && c.mark.sealed }
 
 // run is the tracer: pop, scan, until the grey stack is empty. Every popped
 // address has its mark bit already set (the bit is set at grey time), so each
@@ -366,9 +350,7 @@ func (m *Marker) markGrey(a rt.Addr) {
 	h := m.c.Heap
 	if m.updatedIDs != nil && !h.IsArray(a) && m.updatedIDs[h.ClassID(a)] {
 		m.updatedInstances++
-		if m.collectAddrs {
-			m.updatedAddrs = append(m.updatedAddrs, a)
-		}
+		m.updatedAddrs = append(m.updatedAddrs, a)
 	}
 	m.grey = append(m.grey, a)
 }

@@ -2,116 +2,37 @@ package gc
 
 import (
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"govolve/internal/rt"
 )
 
-// The concurrent-mark equivalence suite. CollectWithMark must produce a heap
-// observationally identical to the STW collector's — isomorphic reachable
-// graph, identical DSU pair treatment for every reachable object — for any
-// interleaving of mutator activity with the concurrent trace. With the
-// mutator quiescent during the mark the copy counts must match exactly; with
-// in-flight mutation the concurrent path may additionally copy floating
-// garbage (objects that died during the trace), which is invisible to the
-// reachable-graph walk and reclaimed by the next collection.
-
-// runMarkCycle drives a full concurrent-mark collection on w: snapshot +
-// trace (mutate, if given, runs while the barrier is armed), seal, pause.
-func runMarkCycle(t *testing.T, w *world, c *Collector, dsu bool, updatedIDs map[int]bool, mutate func()) *Result {
-	t.Helper()
-	m := c.StartMark(w, updatedIDs)
-	if mutate != nil {
-		mutate()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !m.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("concurrent mark did not terminate")
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	if !c.SealMark(m) {
-		t.Fatalf("mark aborted: %v", m.Err())
-	}
-	if !w.h.SATBArmed() {
-		t.Fatal("barrier disarmed at seal: mutations between seal and pause would go unlogged")
-	}
-	res, err := c.CollectWithMark(w, dsu)
-	if err != nil {
-		t.Fatalf("CollectWithMark: %v", err)
-	}
-	if w.h.SATBArmed() {
-		t.Fatal("barrier still armed after the pause")
-	}
-	if !res.MarkConcurrent {
-		t.Fatal("result not flagged MarkConcurrent")
-	}
-	return res
-}
-
-// runMarkEquivalence compares a quiescent concurrent-mark collection against
-// the serial Cheney collector on identical worlds. Quiescence means no
-// floating garbage, so even the copy counts must match.
-func runMarkEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
-	t.Helper()
-	const semi = 1 << 13
-	wa := buildWorld(t, seed, semi, scratch)
-	wb := buildWorld(t, seed, semi, scratch)
-	var updatedIDs map[int]bool
-	if dsu {
-		addUpdatedTo(t, wa)
-		addUpdatedTo(t, wb)
-		updatedIDs = wb.updatedIDs()
-	}
-
-	ra, err := New(wa.h, wa.reg).Collect(wa, dsu)
-	if err != nil {
-		t.Fatalf("serial collect: %v", err)
-	}
-	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentMark: true})
-	rb := runMarkCycle(t, wb, cb, dsu, updatedIDs, nil)
-
-	if ra.CopiedObjects != rb.CopiedObjects {
-		t.Fatalf("copied objects: STW %d, concurrent %d", ra.CopiedObjects, rb.CopiedObjects)
-	}
-	if ra.CopiedWords != rb.CopiedWords {
-		t.Fatalf("copied words: STW %d, concurrent %d", ra.CopiedWords, rb.CopiedWords)
-	}
-	if ra.PairsLogged != rb.PairsLogged {
-		t.Fatalf("pairs: STW %d, concurrent %d", ra.PairsLogged, rb.PairsLogged)
-	}
-	if ra.Moved != rb.Moved || (ra.Moved > 0) != dsu {
-		t.Fatalf("moved: STW %d, concurrent %d (dsu=%v)", ra.Moved, rb.Moved, dsu)
-	}
-	for i := 1; i < len(rb.Log); i++ {
-		if rb.Log[i-1].New >= rb.Log[i].New {
-			t.Fatal("concurrent log not sorted by new-shell address")
-		}
-	}
-	if rb.PauseMark != 0 {
-		t.Fatalf("concurrent collection reports in-pause mark %v", rb.PauseMark)
-	}
-	isoCheck(t, wa, wb, ra, rb, dsu)
-}
+// The concurrent-mark suite: the snapshot/barrier contract, driven through the
+// pause that consumes a sealed mark (CollectReloc) and the drain behind it. For
+// any interleaving of mutator activity with the concurrent trace the heap must
+// end observationally identical to the STW collector's — isomorphic reachable
+// graph, identical DSU pair treatment for every reachable object. With the
+// mutator quiescent the copy counts match exactly (runConcurrentEquivalence,
+// reloc_test.go); with in-flight mutation the mark may additionally discover
+// floating garbage (updated-class instances that died during the trace, paired
+// once more than necessary), which is invisible to the reachable-graph walk
+// and reclaimed by the next collection.
 
 func TestConcurrentMarkEquivalenceSerialSweep(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runMarkEquivalence(t, seed, false, 0)
+		runConcurrentEquivalence(t, seed, false, 0)
 	}
 }
 
 func TestConcurrentMarkDSUEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runMarkEquivalence(t, seed, true, 0)
+		runConcurrentEquivalence(t, seed, true, 0)
 	}
 }
 
 func TestConcurrentMarkDSUEquivalenceScratch(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 11, 12} {
-		runMarkEquivalence(t, seed, true, 1<<13)
+		runConcurrentEquivalence(t, seed, true, 1<<13)
 	}
 }
 
@@ -173,22 +94,19 @@ func mutationScript(t *testing.T, w *world) func() {
 // runMutationEquivalence runs the same deterministic mutation script on two
 // identical worlds — on A while the concurrent mark traces, on B before a
 // plain STW collection — and requires isomorphic post-collection graphs.
-// Copy counts are NOT compared: the concurrent path may copy floating
-// garbage the STW path never sees.
+// Copy counts are NOT compared: the concurrent path may pair floating
+// garbage the STW path never sees, and evacuate what it references.
 func runMutationEquivalence(t *testing.T, seed int64, dsu bool) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, 0)
 	wb := buildWorld(t, seed, semi, 0)
-	var updatedIDs map[int]bool
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
-		updatedIDs = wa.updatedIDs()
 	}
 
-	ca := NewWithOptions(wa.h, wa.reg, Options{ConcurrentMark: true})
-	ra := runMarkCycle(t, wa, ca, dsu, updatedIDs, mutationScript(t, wa))
+	ra, stats := runConcurrentCycle(t, wa, New(wa.h, wa.reg), mutationScript(t, wa), nil)
 
 	mutationScript(t, wb)()
 	rb, err := New(wb.h, wb.reg).Collect(wb, dsu)
@@ -197,9 +115,9 @@ func runMutationEquivalence(t *testing.T, seed int64, dsu bool) {
 	}
 
 	// The concurrent path can only ever copy MORE (floating garbage).
-	if ra.CopiedObjects < rb.CopiedObjects {
+	if got := ra.CopiedObjects + stats.Objects; got < rb.CopiedObjects {
 		t.Fatalf("concurrent copied %d < STW %d: live objects escaped the mark",
-			ra.CopiedObjects, rb.CopiedObjects)
+			got, rb.CopiedObjects)
 	}
 	if dsu && (ra.PairsLogged < rb.PairsLogged || ra.Moved < rb.Moved) {
 		t.Fatalf("concurrent paired %d and moved %d, STW %d and %d instances",
@@ -223,10 +141,10 @@ func TestConcurrentMarkInFlightMutationDSU(t *testing.T) {
 // TestCollectAbortsInFlightMark pins the safety interlock: an ordinary
 // collection (the allocation-pressure path) aborts an in-flight mark — the
 // flip would move memory under the tracer — and the collection itself
-// stays correct. CollectWithMark afterwards falls back to plain Collect.
+// stays correct. CollectReloc afterwards falls back to plain Collect.
 func TestCollectAbortsInFlightMark(t *testing.T) {
 	w := buildWorld(t, 42, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	c := New(w.h, w.reg)
 	m := c.StartMark(w, nil)
 	res, err := c.Collect(w, false)
 	if err != nil {
@@ -244,14 +162,14 @@ func TestCollectAbortsInFlightMark(t *testing.T) {
 	if res.MarkConcurrent {
 		t.Fatal("fallback collection flagged MarkConcurrent")
 	}
-	// The engine's fallback path: CollectWithMark with no usable marker must
-	// behave as plain Collect.
-	res2, err := c.CollectWithMark(w, false)
+	// The engine's give-up path: CollectReloc with no usable marker must
+	// behave as plain Collect and leave no relocation behind.
+	res2, rl, err := c.CollectReloc(w, false)
 	if err != nil {
-		t.Fatalf("fallback CollectWithMark: %v", err)
+		t.Fatalf("fallback CollectReloc: %v", err)
 	}
-	if res2.MarkConcurrent {
-		t.Fatal("fallback CollectWithMark flagged MarkConcurrent")
+	if res2.MarkConcurrent || res2.Relocated || rl != nil || w.h.RelocArmed() {
+		t.Fatalf("fallback CollectReloc did not take the stop-the-world path: %+v, relocation %v", res2, rl)
 	}
 	if res2.CopiedObjects != res.CopiedObjects {
 		t.Fatalf("fallback copied %d, first collection %d", res2.CopiedObjects, res.CopiedObjects)
@@ -271,19 +189,20 @@ func (r rootsView) ForEachRoot(fn func(*rt.Value)) {
 }
 
 // TestBarrierArmedBetweenSealAndPause pins the soundness hole a disarm-at-
-// seal would open. Snapshot graph: root b (traced, marked black) and root
-// x → z where x's subgraph is hidden from the trace (partial root view).
-// Between seal and pause — the blocked safe-point wait — the mutator:
+// seal would open. Snapshot graph, every object an instance of an updated
+// class: root b (traced, marked black) and root x → z where x's subgraph is
+// hidden from the trace (partial root view). Between seal and pause — the
+// blocked safe-point wait — the mutator:
 //
 //	b.left = z   // store z's only surviving ref into a black object
 //	x.left = nil // sever the unmarked path to z
 //
 // The rescan never revisits marked objects, so z is reachable from the
 // pause's perspective only through the deletion log. If SealMark had
-// disarmed the barrier, the severing would be unlogged, z never copied,
-// and fixup would fail with "SATB invariant violated" on a legal program.
-// With the barrier armed until the pause, the severed edge is logged and
-// z survives.
+// disarmed the barrier, the severing would be unlogged, z never discovered,
+// and the drain would fail on an "undiscovered updated-class instance" in a
+// legal program. With the barrier armed until the pause, the severed edge is
+// logged and z is paired with the rest.
 func TestBarrierArmedBetweenSealAndPause(t *testing.T) {
 	w := newWorld(t, 4096)
 	b := w.alloc(t, 1)
@@ -291,79 +210,57 @@ func TestBarrierArmedBetweenSealAndPause(t *testing.T) {
 	z := w.alloc(t, 3)
 	w.h.SetFieldValue(x, offLeft, rt.RefVal(z))
 	w.roots = []rt.Value{rt.RefVal(b), rt.RefVal(x)}
+	addUpdatedTo(t, w)
 
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
-	m := c.StartMark(rootsView{[]*rt.Value{&w.roots[0]}}, nil)
-	deadline := time.Now().Add(10 * time.Second)
-	for !m.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("concurrent mark did not terminate")
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	if !c.SealMark(m) {
-		t.Fatalf("mark aborted: %v", m.Err())
-	}
-	if !w.h.SATBArmed() {
-		t.Fatal("barrier disarmed at seal")
-	}
+	c := New(w.h, w.reg)
+	sealMark(t, rootsView{[]*rt.Value{&w.roots[0]}}, w, c, nil)
 
 	// The blocked-wait mutations: hide z behind black b, sever x → z.
 	w.h.SetFieldValue(b, offLeft, rt.RefVal(z))
 	w.h.SetFieldValue(x, offLeft, rt.NullVal)
 
-	res, err := c.CollectWithMark(w, false)
-	if err != nil {
-		t.Fatalf("hidden object lost: %v", err)
-	}
-	if w.h.SATBArmed() {
-		t.Fatal("barrier still armed after the pause")
-	}
+	res, _ := runRelocCycle(t, w, c, false, nil)
 	if res.SATBDrained == 0 {
 		t.Fatal("severed edge was not logged")
 	}
-	nb := w.roots[0].Ref()
-	nz := w.h.FieldValue(nb, offLeft, true).Ref()
-	if nz == 0 || w.h.FieldValue(nz, offVal, false).Int() != 3 {
+	if res.PairsLogged != 3 {
+		t.Fatalf("paired %d of b, x and z", res.PairsLogged)
+	}
+	// b's shell → its old copy → left, healed by the drain to z's shell.
+	oldB := rt.Addr(w.h.PairWord(w.roots[0].Ref()))
+	nz := w.h.FieldValue(oldB, offLeft, true).Ref()
+	if nz == 0 || w.h.FieldValue(rt.Addr(w.h.PairWord(nz)), offVal, false).Int() != 3 {
 		t.Fatal("z not preserved through b.left")
 	}
 }
 
 // TestPreFlipErrorLeavesHeapUsable pins the error contract the engine's
-// apply path relies on: a structural error raised by CollectWithMark
-// *before* the semispace flip (here: the live-list walk trips over an
+// apply path relies on: a structural error raised by CollectReloc
+// *before* the semispace flip (here: the allocate-black walk trips over an
 // unknown class ID) is tagged ErrPreFlip, nothing has been moved or
 // forwarded, and the heap remains fully collectable afterwards — the
 // update fails cleanly instead of killing the VM.
 func TestPreFlipErrorLeavesHeapUsable(t *testing.T) {
 	w := newWorld(t, 4096)
 	b := w.alloc(t, 1)
-	g := w.alloc(t, 99) // garbage: unreachable, but the linear sweep walk parses it
 	w.roots = []rt.Value{rt.RefVal(b)}
 
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
-	m := c.StartMark(w, nil)
-	deadline := time.Now().Add(10 * time.Second)
-	for !m.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("concurrent mark did not terminate")
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-	if !c.SealMark(m) {
-		t.Fatalf("mark aborted: %v", m.Err())
-	}
+	c := New(w.h, w.reg)
+	var g rt.Addr
+	sealMark(t, w, w, c, func() {
+		g = w.alloc(t, 99) // garbage above the watermark: unreachable, but the linear walk parses it
+	})
 	w.h.SetWord(g, 9999) // corrupt the header: unknown class id
 
-	_, err := c.CollectWithMark(w, false)
+	_, _, err := c.CollectReloc(w, false)
 	if err == nil {
-		t.Fatal("expected a structural error from the live-list walk")
+		t.Fatal("expected a structural error from the allocate-black walk")
 	}
 	if !errors.Is(err, ErrPreFlip) {
 		t.Fatalf("pre-flip structural error not tagged ErrPreFlip: %v", err)
 	}
-	if w.h.SATBArmed() {
-		t.Fatal("barrier left armed after failed pause")
+	if w.h.SATBArmed() || w.h.RelocArmed() || c.MarkActive() {
+		t.Fatal("a barrier or the marker outlived the failed pause")
 	}
 	// Nothing flipped or forwarded: the root still points at the original b
 	// with its field intact, and after repairing the header a plain
@@ -381,7 +278,7 @@ func TestPreFlipErrorLeavesHeapUsable(t *testing.T) {
 // update resolves without consuming its snapshot.
 func TestAbortMarkIdempotent(t *testing.T) {
 	w := buildWorld(t, 7, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	c := New(w.h, w.reg)
 	c.StartMark(w, nil)
 	c.AbortMark()
 	c.AbortMark() // second abort is a no-op
@@ -395,13 +292,29 @@ func TestAbortMarkIdempotent(t *testing.T) {
 // hundreds of updates against one VM and must not re-allocate per cycle.
 func TestMarkScratchPooled(t *testing.T) {
 	w := buildWorld(t, 3, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	c := New(w.h, w.reg)
+	// Drained on this goroutine before Start: no relocator, so no TLAB tails,
+	// to-space stays compact and the second snapshot region is no larger than
+	// the first.
+	cycle := func() {
+		sealMark(t, w, w, c, nil)
+		_, rl, err := c.CollectReloc(w, false)
+		if err != nil {
+			t.Fatalf("CollectReloc: %v", err)
+		}
+		if err := rl.ForceDrain(); err != nil {
+			t.Fatalf("ForceDrain: %v", err)
+		}
+		if _, err := rl.Finish(); err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+	}
 
-	runMarkCycle(t, w, c, false, nil, nil)
+	cycle()
 	bitmap0 := c.pool.bitmap[:1]
 	grey0 := c.pool.grey[:1]
 
-	runMarkCycle(t, w, c, false, nil, nil)
+	cycle()
 	if &c.pool.bitmap[:1][0] != &bitmap0[0] {
 		t.Fatal("mark bitmap re-allocated on second cycle")
 	}
@@ -413,24 +326,25 @@ func TestMarkScratchPooled(t *testing.T) {
 // TestMarkWithNoHeapRoots pins the one edge the single tracer has that the
 // worker pool did not: a snapshot whose roots hold no heap reference hands the
 // tracer an empty grey stack. It must still reach Done and seal, with nothing
-// marked, and the pause that consumes it copies exactly the allocate-black
-// region — the objects allocated (and rooted) after the snapshot.
+// marked, and the collection that consumes it copies exactly what is reachable
+// in the allocate-black region — the objects allocated (and rooted) after the
+// snapshot.
 func TestMarkWithNoHeapRoots(t *testing.T) {
 	w := newWorld(t, 4096)
 	w.alloc(t, 1) // garbage: allocated before the snapshot, never rooted
 	w.roots = []rt.Value{rt.NullVal, rt.IntVal(7)}
 
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
-	res := runMarkCycle(t, w, c, false, nil, func() {
+	res, stats := runConcurrentCycle(t, w, New(w.h, w.reg), func() {
 		black := w.alloc(t, 2)
 		w.h.SetFieldValue(black, offLeft, rt.RefVal(w.alloc(t, 3)))
 		w.roots[0] = rt.RefVal(black)
-	})
+	}, nil)
 	if res.MarkedObjects != 0 || res.RescanMarked != 0 {
 		t.Fatalf("marked %d + %d objects from roots that hold no reference", res.MarkedObjects, res.RescanMarked)
 	}
-	if res.CopiedObjects != 2 || res.CopiedWords != 2*w.cls.Size {
-		t.Fatalf("copied %d objects (%d words), want the 2 allocate-black ones", res.CopiedObjects, res.CopiedWords)
+	if res.CopiedObjects != 0 || stats.Objects != 2 || stats.Words != 2*w.cls.Size {
+		t.Fatalf("pause copied %d, drain %d objects (%d words), want the 2 allocate-black ones from the drain",
+			res.CopiedObjects, stats.Objects, stats.Words)
 	}
 	black := w.roots[0].Ref()
 	if w.h.FieldValue(black, offVal, false).Int() != 2 ||
@@ -439,25 +353,15 @@ func TestMarkWithNoHeapRoots(t *testing.T) {
 	}
 }
 
-// BenchmarkConcurrentMarkCycle measures a full mark+pause cycle, with
-// ReportAllocs asserting the pooled scratch keeps steady-state allocation
-// flat (the equivalent of the obs plane's zero-alloc gate, but for the
-// collector's own bookkeeping).
+// BenchmarkConcurrentMarkCycle measures a full mark + pause + drain cycle,
+// with ReportAllocs showing what the pooled scratch keeps out of steady-state
+// allocation.
 func BenchmarkConcurrentMarkCycle(b *testing.B) {
 	b.ReportAllocs()
 	w := buildWorld(b, 5, 1<<15, 0)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentMark: true})
+	c := New(w.h, w.reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := c.StartMark(w, nil)
-		for !m.Done() {
-			runtime.Gosched()
-		}
-		if !c.SealMark(m) {
-			b.Fatalf("mark aborted: %v", m.Err())
-		}
-		if _, err := c.CollectWithMark(w, false); err != nil {
-			b.Fatal(err)
-		}
+		runConcurrentCycle(b, w, c, nil, nil)
 	}
 }

@@ -13,19 +13,19 @@ import (
 	"govolve/internal/rt"
 )
 
-// Concurrent relocation (Options.ConcurrentReloc): the Shenandoah/ZGC-style
+// Concurrent relocation (Options.Concurrent): the Shenandoah/ZGC-style
 // answer to the last stop-the-world phase that still scaled with live-set
-// size. Where CollectWithMark moved *discovery* out of the DSU pause and the
-// lazy pipeline moved *transformation* out, CollectReloc moves the bulk
-// *copy* out:
+// size. Where the concurrent mark (mark.go) moves *discovery* out of the DSU
+// pause and the lazy pipeline moves *transformation* out, CollectReloc moves
+// the bulk *copy* out:
 //
-//	pause   — discover updated-class instances (consume a sealed concurrent
-//	          mark, or run a serial pre-flip trace), flip, eagerly evacuate
-//	          only those instances (shell + old copy, the pairs the
-//	          transformer pipeline needs immediately — or, in deferPairs
-//	          mode, nothing at all), and remap the root slots so every root
-//	          leaves the pause canonical. Arm the heap's self-healing load
-//	          barrier over the old semispace and resume the world with
+//	pause   — take the updated-class instances the sealed concurrent mark
+//	          discovered (rescan first), flip, eagerly evacuate only those
+//	          instances (shell + old copy, the pairs the transformer
+//	          pipeline needs immediately — or, in deferPairs mode, nothing
+//	          at all, and no mark either), and remap the root slots so every
+//	          root leaves the pause canonical. Arm the heap's self-healing
+//	          load barrier over the old semispace and resume the world with
 //	          from-space still live.
 //	drain   — one background relocator evacuates the remaining live set:
 //	          a CAS cursor parses to-space [flip base, drain start) — every
@@ -56,7 +56,7 @@ import (
 // ever hold canonical references (loads heal, roots were remapped) — and are
 // never scanned.
 //
-// deferPairs (vm.Options.LazyTransform ∧ ConcurrentReloc) is full deferral:
+// deferPairs (vm.Options.LazyTransform ∧ Concurrent) is full deferral:
 // the pause creates no pairs except those the root remap forces. The drain
 // discovers updated-class instances during evacuation, builds the
 // shell + old copy right there, tags the shell untransformed for the lazy
@@ -178,13 +178,22 @@ func (al *relocAllocator) allocScratch(size int) (rt.Addr, bool) {
 	return al.rl.h.AllocScratchBlock(size)
 }
 
-// CollectReloc is the pause half of a concurrent-relocation DSU collection.
-// It returns the pause Result (eager pairs only — the pause decomposition's
-// PauseCopy is pair evacuation + root remap) plus the live Relocation the
-// engine must Start and eventually Finish. deferPairs selects full deferral
-// for the lazy-transform pipeline. Post-flip errors leave the heap unusable
-// exactly as in the STW collectors; discovery errors are ErrPreFlip.
+// CollectReloc is the pause half of a concurrent DSU collection. It returns
+// the pause Result (eager pairs only — the pause decomposition's PauseCopy is
+// pair evacuation + root remap) plus the live Relocation the engine must Start
+// and eventually Finish. deferPairs selects full deferral for the
+// lazy-transform pipeline. Post-flip errors leave the heap unusable exactly as
+// in the STW collector; discovery errors are ErrPreFlip.
+//
+// Without deferPairs the pause needs the instance set of a sealed mark. If the
+// marker is missing, unsealed or aborted — the engine gave up on the mark
+// after too many restarts — it is the ordinary DSU Collect and there is no
+// Relocation: a longer pause, the same heap.
 func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Relocation, error) {
+	if m := c.mark; !deferPairs && (m == nil || !m.sealed || m.aborted) {
+		res, err := c.Collect(roots, true)
+		return res, nil, err
+	}
 	start := time.Now()
 	h := c.Heap
 	res := &Result{Relocated: true}
@@ -199,23 +208,12 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		if c.mark != nil {
 			c.AbortMark()
 		}
-	} else if m := c.mark; m != nil && m.sealed && !m.aborted {
+	} else {
 		var err error
-		addrs, err = c.relocConsumeMark(m, roots, res)
+		addrs, err = c.relocConsumeMark(c.mark, roots, res)
 		if err != nil {
 			return nil, nil, err
 		}
-	} else {
-		if c.mark != nil {
-			c.AbortMark()
-		}
-		tMark := time.Now()
-		var err error
-		addrs, err = c.relocDiscover(roots)
-		if err != nil {
-			return nil, nil, preFlipErr(err)
-		}
-		res.PauseMark = time.Since(tMark)
 	}
 	// Sorted evacuation order makes the pair log a pure function of the
 	// pre-flip heap layout.
@@ -313,71 +311,18 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	return res, rl, nil
 }
 
-// relocDiscover is the plain-reloc discovery trace: a serial pre-flip
-// reachability walk that records updated-class instances. It moves nothing,
-// so errors leave the heap intact (the caller wraps them ErrPreFlip). The
-// trace still scales with the live set — PauseMark reports it honestly; the
-// concurrent-mark mode exists to move it out of the pause too.
-func (c *Collector) relocDiscover(roots Roots) ([]rt.Addr, error) {
-	h := c.Heap
-	lo, hi := h.ScanStart(), h.AllocPointer()
-	bm := c.markBitmapFor(lo, hi)
-	var stack []rt.Addr
-	var addrs []rt.Addr
-	var walkErr error
-	push := func(a rt.Addr) {
-		if walkErr != nil || a == 0 || a < lo || a >= hi {
-			return
-		}
-		i := a - lo
-		w := &bm[i>>5]
-		bit := uint32(1) << (i & 31)
-		if *w&bit != 0 {
-			return
-		}
-		*w |= bit
-		stack = append(stack, a)
-		if !h.IsArray(a) {
-			cls := c.Reg.ClassByID(h.ClassID(a))
-			if cls == nil {
-				walkErr = fmt.Errorf("gc: reloc discovery: object @%d with unknown class id %d", a, h.ClassID(a))
-				return
-			}
-			if cls.UpdatedTo != nil {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	roots.ForEachRoot(func(v *rt.Value) {
-		if v.IsRef {
-			push(v.Ref())
-		}
-	})
-	for walkErr == nil && len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if h.IsArray(a) {
-			if h.ArrayElemIsRef(a) {
-				for i := 0; i < h.ArrayLen(a); i++ {
-					push(h.Elem(a, i).Ref())
-				}
-			}
-			continue
-		}
-		cls := c.Reg.ClassByID(h.ClassID(a)) // non-nil: checked at push time
-		for _, off := range cls.RefOffsets {
-			push(h.FieldValue(a, int(off), true).Ref())
-		}
-	}
-	return addrs, walkErr
-}
-
-// relocConsumeMark consumes a sealed concurrent mark for the reloc pause:
-// the same SATB-drain + root rescan CollectWithMark runs (stamped into
-// PauseRescan), but instead of building the full sweep list it only gathers
+// relocConsumeMark consumes a sealed concurrent mark for the reloc pause. The
+// barrier stayed armed through the blocked safe-point wait (see SealMark); the
+// mutator is stopped now, so it disarms and takes the full deletion log —
+// every snapshot-region edge severed since the snapshot is in it, which is
+// what makes the rescan sound. The rescan drains that log and re-scans the
+// root set, transitively marking any snapshot-region object the concurrent
+// trace has not seen (typically a handful: values the mutator moved around
+// while the trace ran; stamped into PauseRescan). What it gathers is only
 // updated-class instance addresses — the trace's recorded set, anything the
 // rescan additionally marks, and the allocate-black region [watermark,
-// alloc). Errors are ErrPreFlip: nothing has moved yet.
+// alloc), walked linearly past the dead gaps an earlier drain left (the heap's
+// hole list). Errors are ErrPreFlip: nothing has moved yet.
 func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.Addr, error) {
 	c.mark = nil
 	defer c.recycleMark(m)

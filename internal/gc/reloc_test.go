@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -11,23 +12,54 @@ import (
 	"govolve/internal/rt"
 )
 
-// The stw/reloc equivalence suite. A concurrent-relocation collection —
-// short pause (eager pairs + root remap), then a drain that evacuates the
-// rest of the live set with the background relocator and the self-healing load
-// barrier — must end in a heap observationally identical to the serial
-// Cheney collector's: isomorphic reachable graph, identical values,
-// identical DSU pair treatment. With the mutator quiescent during the drain
-// even the copy accounting must match exactly: serial CopiedObjects ==
-// reloc pause CopiedObjects + drain RelocStats.Objects (each live object is
-// evacuated exactly once on either path).
+// The stw/concurrent equivalence suite. A concurrent collection — a sealed
+// mark, a short pause (rescan, eager pairs + root remap), then a drain that
+// evacuates the rest of the live set with the background relocator and the
+// self-healing load barrier — must end in a heap observationally identical to
+// the serial Cheney collector's: isomorphic reachable graph, identical values,
+// identical DSU pair treatment. With the mutator quiescent throughout even the
+// copy accounting must match exactly: serial CopiedObjects == pause
+// CopiedObjects + drain RelocStats.Objects (each live object is evacuated
+// exactly once on either path).
 
-// runRelocCycle drives a full reloc collection on w: pause, Start, optional
-// mutation while the drain runs, force-complete, Finish.
+// sealMark runs a concurrent mark over roots to the point where the pause can
+// consume it: snapshot + trace (mutate, if given, runs while the barrier is
+// armed), seal.
+func sealMark(t testing.TB, roots Roots, w *world, c *Collector, mutate func()) {
+	t.Helper()
+	m := c.StartMark(roots, w.updatedIDs())
+	if mutate != nil {
+		mutate()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !m.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("concurrent mark did not terminate")
+		}
+		runtime.Gosched()
+	}
+	if !c.SealMark(m) {
+		t.Fatalf("mark aborted: %v", m.Err())
+	}
+	if !w.h.SATBArmed() {
+		t.Fatal("barrier disarmed at seal: mutations between seal and pause would go unlogged")
+	}
+}
+
+// runRelocCycle drives the pause and the drain of a concurrent collection on
+// w — after sealMark, or with deferPairs and no mark at all: pause, Start,
+// optional mutation while the drain runs, force-complete, Finish.
 func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate func()) (*Result, RelocStats) {
 	t.Helper()
 	res, rl, err := c.CollectReloc(w, deferPairs)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
+	}
+	if !res.Relocated || res.MarkConcurrent == deferPairs {
+		t.Fatalf("result flagged Relocated=%v MarkConcurrent=%v (deferPairs=%v)", res.Relocated, res.MarkConcurrent, deferPairs)
+	}
+	if w.h.SATBArmed() {
+		t.Fatal("SATB barrier still armed after the pause")
 	}
 	if !w.h.RelocArmed() {
 		t.Fatal("load barrier not armed after the reloc pause")
@@ -52,15 +84,20 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate
 	if w.h.RelocArmed() {
 		t.Fatal("load barrier still armed after Finish")
 	}
-	if !res.Relocated {
-		t.Fatal("result not flagged Relocated")
-	}
 	return res, stats
 }
 
-// runRelocEquivalence compares a quiescent reloc collection against the
-// serial collector on identical worlds, with exact copy accounting.
-func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
+// runConcurrentCycle is a whole concurrent collection of w: sealMark (with
+// duringMark), then runRelocCycle consuming it (with duringDrain).
+func runConcurrentCycle(t testing.TB, w *world, c *Collector, duringMark, duringDrain func()) (*Result, RelocStats) {
+	t.Helper()
+	sealMark(t, w, w, c, duringMark)
+	return runRelocCycle(t, w, c, false, duringDrain)
+}
+
+// runConcurrentEquivalence compares a quiescent concurrent collection against
+// the serial collector on identical worlds, with exact copy accounting.
+func runConcurrentEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi, scratch)
@@ -74,31 +111,30 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 	if err != nil {
 		t.Fatalf("serial collect: %v", err)
 	}
-	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentReloc: true})
-	rb, stats := runRelocCycle(t, wb, cb, false, nil)
+	rb, stats := runConcurrentCycle(t, wb, New(wb.h, wb.reg), nil, nil)
 
 	if got := rb.CopiedObjects + stats.Objects; got != ra.CopiedObjects {
-		t.Fatalf("copied objects: serial %d, reloc pause %d + drain %d = %d",
+		t.Fatalf("copied objects: serial %d, concurrent pause %d + drain %d = %d",
 			ra.CopiedObjects, rb.CopiedObjects, stats.Objects, got)
 	}
 	if got := rb.CopiedWords + stats.Words; got != ra.CopiedWords {
-		t.Fatalf("copied words: serial %d, reloc %d", ra.CopiedWords, got)
+		t.Fatalf("copied words: serial %d, concurrent %d", ra.CopiedWords, got)
 	}
 	if ra.PairsLogged != rb.PairsLogged || len(ra.Log) != len(rb.Log) {
-		t.Fatalf("pair counts: serial %d, reloc %d", len(ra.Log), len(rb.Log))
+		t.Fatalf("pair counts: serial %d, concurrent %d", len(ra.Log), len(rb.Log))
 	}
 	if ra.ScratchWords != rb.ScratchWords {
-		t.Fatalf("scratch words: serial %d, reloc %d", ra.ScratchWords, rb.ScratchWords)
+		t.Fatalf("scratch words: serial %d, concurrent %d", ra.ScratchWords, rb.ScratchWords)
 	}
 	if stats.DeferredPairs != 0 {
 		t.Fatalf("eager mode created %d deferred pairs", stats.DeferredPairs)
 	}
 	if ra.Moved != rb.Moved || stats.Moved != 0 || (ra.Moved > 0) != dsu {
-		t.Fatalf("moved: serial %d, reloc pause %d + drain %d (dsu=%v)", ra.Moved, rb.Moved, stats.Moved, dsu)
+		t.Fatalf("moved: serial %d, concurrent pause %d + drain %d (dsu=%v)", ra.Moved, rb.Moved, stats.Moved, dsu)
 	}
 	for i := 1; i < len(rb.Log); i++ {
 		if rb.Log[i-1].New >= rb.Log[i].New {
-			t.Fatal("reloc pair log not sorted by new-shell address")
+			t.Fatal("concurrent pair log not sorted by new-shell address")
 		}
 	}
 	checkPairWords(t, wb.h, rb.Log)
@@ -107,84 +143,26 @@ func runRelocEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 
 func TestRelocCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runRelocEquivalence(t, seed, false, 0)
+		runConcurrentEquivalence(t, seed, false, 0)
 	}
 }
 
 func TestRelocDSUCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runRelocEquivalence(t, seed, true, 0)
+		runConcurrentEquivalence(t, seed, true, 0)
 	}
 }
 
 func TestRelocDSUCollectEquivalenceScratch(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 11, 12} {
-		runRelocEquivalence(t, seed, true, 1<<13)
-	}
-}
-
-// runRelocMarkEquivalence layers the sealed concurrent mark under the reloc
-// pause (cmark-reloc mode): discovery comes from the consumed snapshot, so
-// the pause runs no trace at all — PauseMark must be zero — and the result
-// must still be exactly equivalent.
-func runRelocMarkEquivalence(t *testing.T, seed int64, dsu bool) {
-	t.Helper()
-	const semi = 1 << 13
-	wa := buildWorld(t, seed, semi, 0)
-	wb := buildWorld(t, seed, semi, 0)
-	var updatedIDs map[int]bool
-	if dsu {
-		addUpdatedTo(t, wa)
-		addUpdatedTo(t, wb)
-		updatedIDs = wb.updatedIDs()
-	}
-
-	ra, err := New(wa.h, wa.reg).Collect(wa, dsu)
-	if err != nil {
-		t.Fatalf("serial collect: %v", err)
-	}
-
-	cb := NewWithOptions(wb.h, wb.reg, Options{ConcurrentMark: true, ConcurrentReloc: true})
-	m := cb.StartMark(wb, updatedIDs)
-	waitMark(t, m)
-	if !cb.SealMark(m) {
-		t.Fatalf("mark aborted: %v", m.Err())
-	}
-	rb, stats := runRelocCycle(t, wb, cb, false, nil)
-	if !rb.MarkConcurrent {
-		t.Fatal("consumed mark not flagged MarkConcurrent")
-	}
-	if rb.PauseMark != 0 {
-		t.Fatalf("cmark-reloc pause reports in-pause discovery %v", rb.PauseMark)
-	}
-	if wb.h.SATBArmed() {
-		t.Fatal("SATB barrier left armed after the reloc pause")
-	}
-
-	if got := rb.CopiedObjects + stats.Objects; got != ra.CopiedObjects {
-		t.Fatalf("copied objects: serial %d, cmark-reloc %d", ra.CopiedObjects, got)
-	}
-	if ra.PairsLogged != rb.PairsLogged {
-		t.Fatalf("pairs: serial %d, cmark-reloc %d", ra.PairsLogged, rb.PairsLogged)
-	}
-	isoCheck(t, wa, wb, ra, rb, dsu)
-}
-
-func waitMark(t testing.TB, m *Marker) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !m.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("concurrent mark did not terminate")
-		}
-		time.Sleep(10 * time.Microsecond)
+		runConcurrentEquivalence(t, seed, true, 1<<13)
 	}
 }
 
 func TestRelocConsumesConcurrentMark(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runRelocMarkEquivalence(t, seed, false)
-		runRelocMarkEquivalence(t, seed, true)
+		runConcurrentEquivalence(t, seed, false, 0)
+		runConcurrentEquivalence(t, seed, true, 0)
 	}
 }
 
@@ -208,23 +186,11 @@ func TestRelocInFlightMutation(t *testing.T) {
 				addUpdatedTo(t, wb)
 			}
 
-			ca := NewWithOptions(wa.h, wa.reg, Options{ConcurrentReloc: true})
-			res, rl, err := ca.CollectReloc(wa, false)
-			if err != nil {
-				t.Fatalf("CollectReloc: %v", err)
-			}
-			rl.Start()
 			// Built AFTER the pause: the script captures the remapped
 			// (canonical) root addresses — in DSU mode those are the new
 			// shells, exactly as on the baseline below. Its logic depends
 			// only on root order and graph shape, so it lands identically.
-			mutationScript(t, wa)()
-			if err := rl.ForceDrain(); err != nil {
-				t.Fatalf("ForceDrain: %v", err)
-			}
-			if _, err := rl.Finish(); err != nil {
-				t.Fatalf("Finish: %v", err)
-			}
+			res, _ := runConcurrentCycle(t, wa, New(wa.h, wa.reg), nil, func() { mutationScript(t, wa)() })
 
 			rbs, err := New(wb.h, wb.reg).Collect(wb, dsu)
 			if err != nil {
@@ -259,7 +225,7 @@ func TestRelocDeferredPairs(t *testing.T) {
 		w.roots = []rt.Value{rt.RefVal(addrs[0])}
 		newCls := addUpdatedTo(t, w)
 
-		c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
+		c := New(w.h, w.reg)
 		res, rl, err := c.CollectReloc(w, true)
 		if err != nil {
 			t.Fatalf("CollectReloc: %v", err)
@@ -365,8 +331,7 @@ func TestRelocDeferredMoves(t *testing.T) {
 	newNode := addUpdatedTo(t, w)
 	newLeaf := w.leaf.UpdatedTo
 
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
-	res, stats := runRelocCycle(t, w, c, true, nil)
+	res, stats := runRelocCycle(t, w, New(w.h, w.reg), true, nil)
 	if len(res.Log) != 0 || res.Moved != 0 {
 		t.Fatalf("deferred pause logged %d pairs and moved %d before the root remap", len(res.Log), res.Moved)
 	}
@@ -436,7 +401,8 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 	}
 	special.UpdatedTo = newCls
 
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
+	c := New(w.h, w.reg)
+	sealMark(t, w, w, c, nil)
 	_, rl, err := c.CollectReloc(w, false)
 	if err != nil {
 		// Acceptable variant: the pause itself hits the wall (post-flip
@@ -465,7 +431,8 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 func TestRelocForceDrainBeforeStart(t *testing.T) {
 	w := buildWorld(t, 21, 1<<13, 0)
 	addUpdatedTo(t, w)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
+	c := New(w.h, w.reg)
+	sealMark(t, w, w, c, nil)
 	res, rl, err := c.CollectReloc(w, false)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
@@ -494,7 +461,8 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 // point into it.
 func TestRelocFlipGuard(t *testing.T) {
 	w := buildWorld(t, 5, 1<<13, 0)
-	c := NewWithOptions(w.h, w.reg, Options{ConcurrentReloc: true})
+	c := New(w.h, w.reg)
+	sealMark(t, w, w, c, nil)
 	_, rl, err := c.CollectReloc(w, false)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
@@ -523,6 +491,6 @@ func FuzzRelocDrain(f *testing.F) {
 	f.Add(int64(3), true)
 	f.Add(int64(17), false)
 	f.Fuzz(func(t *testing.T, seed int64, dsu bool) {
-		runRelocEquivalence(t, seed, dsu, 0)
+		runConcurrentEquivalence(t, seed, dsu, 0)
 	})
 }

@@ -59,9 +59,9 @@ type Heap struct {
 	// holes records the dead gaps a relocation drain leaves in each
 	// semispace (the relocator's TLAB block tails abandoned at
 	// refill/retire). A bump region is self-parsing only while it is
-	// gap-free; the concurrent-mark sweep walks from-space linearly and
-	// skips these. Indexed by semispace; Flip clears the list of the space
-	// it starts refilling.
+	// gap-free; the pause that consumes a concurrent mark walks the
+	// allocate-black end of from-space linearly and skips these. Indexed by
+	// semispace; Flip clears the list of the space it starts refilling.
 	holes [2][]Hole
 }
 

@@ -6,7 +6,7 @@ import (
 	"govolve/internal/rt"
 )
 
-// Concurrent relocation support (vm.Options.ConcurrentReloc): after a DSU
+// Concurrent relocation support (vm.Options.Concurrent): after a DSU
 // flip the world resumes with from-space still live, and the remaining live
 // set is evacuated concurrently — by one background relocator and by the
 // mutator through a self-healing load barrier on the reference read paths

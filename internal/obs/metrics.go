@@ -382,7 +382,6 @@ const (
 	MPauseGC          = "govolve_dsu_pause_gc_seconds"
 	MPauseTransform   = "govolve_dsu_pause_transform_seconds"
 	MPauseTotal       = "govolve_dsu_pause_total_seconds"
-	MPauseGCMark      = "govolve_dsu_pause_gc_mark_seconds"
 	MPauseGCRescan    = "govolve_dsu_pause_gc_rescan_seconds"
 	MPauseGCCopy      = "govolve_dsu_pause_gc_copy_seconds"
 	MMarkOutside      = "govolve_dsu_mark_outside_pause_seconds"
@@ -409,7 +408,7 @@ const (
 	MHeapAllocArrays  = "govolve_vm_alloc_arrays_total"
 	MGCCollections    = "govolve_gc_collections_total"
 
-	// Concurrent-relocation plane (vm.Options.ConcurrentReloc): objects the
+	// Concurrent-relocation plane (vm.Options.Concurrent): objects the
 	// drain evacuated outside the pause, slots healed back to canonical
 	// addresses (mutator barrier + drain fixup), the live drain backlog
 	// gauge, and the drain's wall-clock latency distribution.
@@ -471,7 +470,6 @@ var metricHelp = map[string]string{
 	MPauseGC:          "GC phase share of the DSU pause.",
 	MPauseTransform:   "Transform phase share of the DSU pause.",
 	MPauseTotal:       "Total stop-the-world DSU pause duration.",
-	MPauseGCMark:      "Mark sub-phase of the DSU pause's GC share.",
 	MPauseGCRescan:    "Rescan sub-phase of the DSU pause's GC share.",
 	MPauseGCCopy:      "Copy sub-phase of the DSU pause's GC share.",
 	MMarkOutside:      "Concurrent-mark work done outside the pause.",

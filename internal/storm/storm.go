@@ -30,20 +30,18 @@ type Config struct {
 	ScratchWords int // DSU scratch region words (default 0: old copies burn to-space)
 	MaxAttempts  int // safe-point attempts before abort (default 400)
 	OSROpt       bool
-	// ConcurrentMark moves updated-instance discovery out of each update's
-	// pause (the SATB concurrent mark). The storm's invariants are also
-	// discovery-strategy-blind: every applied update still runs the full
-	// whole-VM sweep through AfterUpdate.
-	ConcurrentMark bool
-	// ConcurrentReloc moves the DSU copy itself out of each update's pause:
-	// the world resumes with from-space still live behind the self-healing
-	// load barrier while the relocator drains it. AfterUpdate's CheckVM
-	// then runs with the drain in flight (the walk heals as it reads), the
-	// shadow oracle reads ride the same barrier, and the drain finishes on
-	// its own during the following era — no step of the drive sequence
-	// consumes extra rng or Steps, so a reloc run must produce a Report
+	// Concurrent moves updated-instance discovery (the SATB concurrent mark)
+	// and the DSU copy itself out of each update's pause: the mark races the
+	// mutator between request and safe point, and the world resumes with
+	// from-space still live behind the self-healing load barrier while the
+	// relocator drains it. AfterUpdate's CheckVM then runs with the drain in
+	// flight (the walk heals as it reads), the shadow oracle reads ride the
+	// same barrier, and the drain finishes on its own during the following
+	// era. The drain consumes no extra rng or Steps; the mark does (the
+	// mutator runs on while it traces, which moves the rng trajectory), so
+	// only composed with Lazy — no mark at all — must a run produce a Report
 	// equal to the same seed's eager run.
-	ConcurrentReloc bool
+	Concurrent bool
 	// Plain runs the reference spelling of base code: the compiler
 	// stops after 1:1 resolution (jit.Compiler.Plain), so no superinstruction
 	// and no inline cache ever runs, and opt recompilation is out of reach.
@@ -274,13 +272,12 @@ func (r *runner) boot() error {
 // also entered by the chain Driver with an externally generated Version.
 func (r *runner) bootVM(metrics *obs.Registry) error {
 	opts := vm.Options{
-		HeapWords:        r.cfg.HeapWords,
-		ScratchWords:     r.cfg.ScratchWords,
-		GCConcurrentMark: r.cfg.ConcurrentMark,
-		ConcurrentReloc:  r.cfg.ConcurrentReloc,
-		LazyTransform:    r.cfg.Lazy,
-		OptThreshold:     r.cfg.OptThreshold,
-		Out:              io.Discard,
+		HeapWords:     r.cfg.HeapWords,
+		ScratchWords:  r.cfg.ScratchWords,
+		Concurrent:    r.cfg.Concurrent,
+		LazyTransform: r.cfg.Lazy,
+		OptThreshold:  r.cfg.OptThreshold,
+		Out:           io.Discard,
 	}
 	if r.cfg.Plain {
 		opts.OptThreshold = 1 << 30

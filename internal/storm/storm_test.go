@@ -43,46 +43,41 @@ func TestStormShort(t *testing.T) {
 }
 
 // TestStormConfigs exercises the orthogonal engine options: a DSU scratch
-// region for old copies, the pause-shaping pipelines and opt-tier OSR. Each
+// region for old copies and opt-tier OSR, then every engine mode. Each
 // must satisfy the same invariants — over
 // releases that ship about half their transformers hand-written (pairs,
 // interpreted) and leave the rest to the collector (moves).
 func TestStormConfigs(t *testing.T) {
-	cfgs := []struct {
+	type namedConfig struct {
 		name string
 		cfg  Config
-	}{
+	}
+	cfgs := []namedConfig{
 		{"scratch", Config{Seed: 21, Updates: 25, ScratchWords: 1 << 14}},
 		{"defaults", Config{Seed: 22, Updates: 25}},
 		{"osropt", Config{Seed: 23, Updates: 25, OSROpt: true}},
 		{"all", Config{Seed: 24, Updates: 25, ScratchWords: 1 << 14, OSROpt: true}},
-		// Concurrent snapshot-at-the-beginning discovery. The mark races the
-		// mutator for real here (goroutine scheduling decides how many slices
-		// each trace overlaps), so these runs exercise the barrier, the
-		// SATB rescan, allocate-black sweeping, and the abort/restart
-		// fallback under the full invariant sweep after every update.
-		{"cmark", Config{Seed: 27, Updates: 25, ConcurrentMark: true}},
-		{"cmark-all", Config{Seed: 29, Updates: 25, ScratchWords: 1 << 14, OSROpt: true, ConcurrentMark: true}},
-		// Lazy per-object transformation: every update resolves with tagged
-		// objects behind the armed read barrier, AfterUpdate's CheckVM runs
-		// mid-drain, the probe pass drains specimens through real bytecode,
-		// and ForceDrain retires the residue before the raw oracle reads.
-		{"lazy", Config{Seed: 30, Updates: 25, ScratchWords: 1 << 14, Lazy: true}},
-		// Both orthogonal pause-shrinking paths composed: discovery runs
-		// concurrently before the pause, transformation drains lazily after
-		// it — the pause itself is down to rescan + copy + install.
-		{"cmark-lazy", Config{Seed: 32, Updates: 25, ScratchWords: 1 << 14, ConcurrentMark: true, Lazy: true}},
-		// Concurrent relocation: every update resolves with from-space still
-		// live behind the self-healing load barrier, AfterUpdate's CheckVM
-		// and the shadow oracle ride the barrier mid-drain, and the drain
-		// races real mutator traffic through the following era.
-		{"reloc", Config{Seed: 33, Updates: 25, ConcurrentReloc: true}},
-		{"cmark-reloc", Config{Seed: 35, Updates: 25, ConcurrentMark: true, ConcurrentReloc: true}},
-		// Everything out of the pause at once: discovery concurrent before
-		// it, relocation and transformation both draining after it — pair
-		// creation itself deferred behind the read barrier.
-		{"reloc-lazy", Config{Seed: 36, Updates: 25, ScratchWords: 1 << 14, ConcurrentReloc: true, Lazy: true}},
-		{"cmark-reloc-lazy", Config{Seed: 37, Updates: 25, ScratchWords: 1 << 14, ConcurrentMark: true, ConcurrentReloc: true, Lazy: true}},
+	}
+	// lazy: every update resolves with tagged objects behind the armed read
+	// barrier, AfterUpdate's CheckVM runs mid-drain, the probe pass drains
+	// specimens through real bytecode, and ForceDrain retires the residue
+	// before the raw oracle reads. concurrent: the mark races the mutator for
+	// real (goroutine scheduling decides how many slices each trace overlaps),
+	// so the run exercises the barrier, the SATB rescan, the allocate-black
+	// walk and abort/restart; every update resolves with from-space still
+	// live behind the self-healing load barrier, CheckVM and the shadow
+	// oracle ride the barrier mid-drain, and the drain races real mutator
+	// traffic through the following era. Composed, everything is out of the
+	// pause at once — pair creation itself deferred behind the read barrier.
+	seeds := map[string]int64{"lazy": 30, "concurrent": 35, "concurrent+lazy": 37}
+	for _, m := range vm.Modes() {
+		if seed, ok := seeds[m.Name]; ok { // serial is the four rows above
+			cfg := Config{Seed: seed, Updates: 25, Lazy: m.Lazy, Concurrent: m.Concurrent}
+			if m.Lazy {
+				cfg.ScratchWords = 1 << 14
+			}
+			cfgs = append(cfgs, namedConfig{m.Name, cfg})
+		}
 	}
 	for _, tc := range cfgs {
 		tc := tc
@@ -159,11 +154,13 @@ func TestStormDeterministic(t *testing.T) {
 }
 
 // TestStormRelocEagerEquivalent runs the same seeds with the stop-the-world
-// copy and with concurrent relocation. The shadow oracle validates every
-// field value, static, array and probe after each update — mid-drain, riding
-// the load barrier — so both passing proves the drained heap converges to
-// the same state object-by-object; the drive sequence consumes rng and
-// scheduler steps identically, so relocation timing must be observationally
+// copy and with concurrent relocation — composed with lazy, where no mark
+// runs: a mark lets the mutator run on while it traces, which legitimately
+// moves the rng trajectory. The shadow oracle validates every field value,
+// static, array and probe after each update — mid-drain, riding the load
+// barrier — so both passing proves the drained heap converges to the same
+// state object-by-object; the drive sequence consumes rng and scheduler steps
+// identically, so relocation and adoption timing must be observationally
 // invisible and the whole Report must come out equal.
 func TestStormRelocEagerEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
@@ -171,7 +168,7 @@ func TestStormRelocEagerEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d eager: %v", seed, err)
 		}
-		reloc, err := Run(Config{Seed: seed, Updates: 20, ConcurrentReloc: true})
+		reloc, err := Run(Config{Seed: seed, Updates: 20, Concurrent: true, Lazy: true})
 		if err != nil {
 			t.Fatalf("seed %d reloc: %v", seed, err)
 		}

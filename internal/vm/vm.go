@@ -35,24 +35,21 @@ type Options struct {
 	// Quantum is the number of instructions a thread runs before the
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
-	// GCConcurrentMark opts the DSU engine into concurrent snapshot-at-the-
-	// beginning marking: updated-instance discovery runs as a concurrent
-	// trace between the update request and the safe point, and the pause
-	// itself only re-scans the SATB deletion log and roots before copying.
-	// Ordinary allocation-triggered collections are unaffected. False
-	// preserves the fused stop-the-world discovery exactly.
-	GCConcurrentMark bool
-	// ConcurrentReloc opts the DSU engine into concurrent relocation: the
-	// pause stops at flip preparation (discovery, flip, eager evacuation of
-	// updated-class instances only, root remap) and the remaining live set
-	// is evacuated after the world resumes — by one background relocator
-	// and by the mutator through a self-healing load barrier on the
-	// heap's reference read paths. From-space stays live until the drain
-	// completes; collections and follow-up updates force-complete it first.
-	// Composes with GCConcurrentMark (discovery leaves the pause too) and
-	// with LazyTransform (pair creation defers into the drain as well). The
-	// disabled state costs one nil check on the heap access paths.
-	ConcurrentReloc bool
+	// Concurrent opts the DSU engine into concurrent discovery feeding a
+	// deferred evacuation. Updated-instance discovery runs as a snapshot-at-
+	// the-beginning trace between the update request and the safe point; the
+	// pause stops at flip preparation (re-scan of the SATB deletion log and
+	// roots, flip, eager evacuation of the updated-class instances only, root
+	// remap) and the remaining live set is evacuated after the world resumes
+	// — by one background relocator and by the mutator through a
+	// self-healing load barrier on the heap's reference read paths.
+	// From-space stays live until the drain completes; collections and
+	// follow-up updates force-complete it first. Composed with LazyTransform
+	// there is no mark at all: pair creation defers into the drain as well.
+	// Ordinary allocation-triggered collections are unaffected, and false
+	// preserves the fused stop-the-world collection exactly; the disabled
+	// state costs one nil check on the heap access paths.
+	Concurrent bool
 	// Out receives System.print output (default os.Stdout).
 	Out io.Writer
 	// OptThreshold overrides the adaptive recompilation threshold.
@@ -76,6 +73,40 @@ type Options struct {
 	// executed. Nil is the disabled state: one nil-check per slice.
 	Profiler *obs.Profiler
 }
+
+// Mode names one setting of the two options that shape the DSU pause.
+type Mode struct {
+	Name       string
+	Lazy       bool // Options.LazyTransform
+	Concurrent bool // Options.Concurrent
+}
+
+// Modes is every engine mode — the one table each harness that runs "all
+// modes" ranges over (stream.Modes, the storm configurations,
+// TestMovesMatchInterpreter, pausecmp, jvolve-bench): stop-the-world; lazy
+// (transformation out of the pause); concurrent (discovery before the pause,
+// the bulk copy after it); and both, the smallest possible DSU window — pair
+// creation itself rides the drain.
+func Modes() []Mode {
+	return []Mode{
+		{Name: "serial"},
+		{Name: "lazy", Lazy: true},
+		{Name: "concurrent", Concurrent: true},
+		{Name: "concurrent+lazy", Concurrent: true, Lazy: true},
+	}
+}
+
+// Deterministic reports whether a seeded run in this mode is a pure function
+// of its seed. Serial and lazy runs are (the lazy drain schedule is
+// driver-controlled). Concurrent ones are not: the SATB trace completes on
+// wall-clock/goroutine time, so the number of scheduler slices the mutator
+// runs before the safe point — and with it attempt counts and step totals —
+// varies run to run; and the relocator races the mutator for the remaining
+// live set, so how much each update's drain retires before the next step's
+// forced completion — and with it the pair adoption split composed with lazy
+// — is goroutine-schedule-dependent. The *oracle* invariants hold at every
+// step regardless.
+func (m Mode) Deterministic() bool { return !m.Concurrent }
 
 // VM is one virtual machine instance.
 type VM struct {
@@ -280,12 +311,9 @@ func New(opts Options) (*VM, error) {
 	reg := rt.NewRegistry()
 	h := heap.NewWithScratch(opts.HeapWords, opts.ScratchWords)
 	v := &VM{
-		Reg:  reg,
-		Heap: h,
-		GC: gc.NewWithOptions(h, reg, gc.Options{
-			ConcurrentMark:  opts.GCConcurrentMark,
-			ConcurrentReloc: opts.ConcurrentReloc,
-		}),
+		Reg:           reg,
+		Heap:          h,
+		GC:            gc.NewWithOptions(h, reg, gc.Options{Concurrent: opts.Concurrent}),
 		JIT:           jit.New(reg),
 		Net:           NewNetSim(),
 		Out:           opts.Out,
