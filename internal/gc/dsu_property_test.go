@@ -35,32 +35,24 @@ func (g *dsuGraph) ForEachRoot(fn func(*rt.Value)) {
 	}
 }
 
-// buildDSUGraph builds the graph for a seed, with old copies going to
-// to-space (the paper's layout) or to a scratch region (§3.5) — or with no old
-// copies at all: moved makes Up's transformer a move of its three fields.
-func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
-	rng := rand.New(rand.NewSource(seed))
+// newDSUGraph is the empty world of the DSU graphs: Up, updated to the wider
+// UpV2, and Stable, over a heap with or without a scratch region. moved makes
+// Up's transformer a move of its three fields.
+func newDSUGraph(scratch, moved bool) *dsuGraph {
 	g := &dsuGraph{reg: rt.NewRegistry()}
 	if scratch {
 		g.h = heap.NewWithScratch(1<<15, 1<<14)
 	} else {
 		g.h = heap.New(1 << 15)
 	}
-	load := func(b *classfile.ClassBuilder) *rt.Class {
-		cls, err := g.reg.Load(b.MustBuild())
-		if err != nil {
-			panic(err)
-		}
-		return cls
-	}
-	g.upCls = load(classfile.NewClass("Up", "").
+	g.upCls = g.load(classfile.NewClass("Up", "").
 		Field("val", "I").
 		Field("peer", "LUp;").
 		Field("other", "LStable;"))
-	g.stableCls = load(classfile.NewClass("Stable", "").
+	g.stableCls = g.load(classfile.NewClass("Stable", "").
 		Field("val", "I").
 		Field("peer", "LUp;"))
-	g.newCls = load(classfile.NewClass("UpV2", "").
+	g.newCls = g.load(classfile.NewClass("UpV2", "").
 		Field("added", "I").
 		Field("val", "I").
 		Field("peer", "LUpV2;").
@@ -69,6 +61,23 @@ func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
 	if moved {
 		g.upCls.Moves = []rt.Move{{From: dsuOffVal, To: dsuOffVal + 1, N: 3}}
 	}
+	return g
+}
+
+func (g *dsuGraph) load(b *classfile.ClassBuilder) *rt.Class {
+	cls, err := g.reg.Load(b.MustBuild())
+	if err != nil {
+		panic(err)
+	}
+	return cls
+}
+
+// buildDSUGraph builds the graph for a seed, with old copies going to
+// to-space (the paper's layout) or to a scratch region (§3.5) — or with no old
+// copies at all (moved).
+func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
+	rng := rand.New(rand.NewSource(seed))
+	g := newDSUGraph(scratch, moved)
 	h := g.h
 
 	n := rng.Intn(40) + 2

@@ -148,8 +148,10 @@ type Collector struct {
 	// copied-words summary. Nil disables emission entirely.
 	Rec *obs.Recorder
 
-	// lastPairs, the previous DSU collection's pair count, sizes the next one's log.
+	// lastPairs, the previous DSU collection's pair count, sizes the next one's
+	// log; runs is the kernel's clean-run table, kept for its capacity.
 	lastPairs int
+	runs      []run
 
 	// mark is the in-flight concurrent marker (nil when none — the common
 	// case; every STW entry point pays one nil check). pool keeps the mark
@@ -196,7 +198,7 @@ func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
 	res := &Result{}
 	k := c.newKernel(dsu)
 	err := k.cheney(roots)
-	k.commit(c.Heap, res)
+	k.commit(c, res)
 	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGC, int64(res.CopiedWords), "")
 	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGC, int64(res.CopiedWords), "gc copy/scan")
 	if err != nil {

@@ -16,8 +16,12 @@ import (
 // rt.Value is built and no barrier is consulted: the world is stopped and
 // both barriers are disarmed for as long as a Raw view may exist.
 //
-// collectSerial, sweepSerial and the relocation pause's eager evacuation each
-// drive a kernel.
+// The scan reads a to-space word only if it may still hold a from-space
+// reference: objects that cannot are clean — decided once, at the write, while
+// the words are in cache (settle) — and form runs that cheney's cursor jumps.
+//
+// collectSerial and the relocation pause's eager evacuation (no scan there,
+// so the runs are never read) each drive a kernel.
 
 // errUnknownClass is the structural error every tracer reports for a header
 // whose class id the registry cannot resolve.
@@ -27,6 +31,9 @@ func errUnknownClass(a rt.Addr, hw uint64) error {
 
 // errPairExhausted is ErrToSpaceExhausted met while making a DSU pair.
 var errPairExhausted = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
+
+// run is a stretch [lo, hi) of to-space holding only clean objects.
+type run struct{ lo, hi rt.Addr }
 
 // kernel is one serial collection's state. The bump pointers live in its Raw
 // copy for the whole collection; commit hands them back to the heap, with the
@@ -45,6 +52,12 @@ type kernel struct {
 	scratchWords   int // of those, old-copy words that went to scratch
 	moved          int // of objects, instances written in their new layout
 
+	// runs, the Collector's table on loan, are the clean runs in address order.
+	// cheney's cursor has jumped runs[:next]; settle never extends those.
+	runs  []run
+	next  int
+	scans int // objects scan was entered for
+
 	// err is the first failure. Once set, evacuate refuses further work and
 	// references are left as they were; the heap is unusable either way.
 	err error
@@ -52,7 +65,7 @@ type kernel struct {
 
 // newKernel opens the kernel over the just-flipped heap.
 func (c *Collector) newKernel(dsu bool) *kernel {
-	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu}
+	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: c.runs[:0]}
 	k.old = &k.To
 	if dsu {
 		k.log = make([]Pair, 0, c.lastPairs)
@@ -64,8 +77,9 @@ func (c *Collector) newKernel(dsu bool) *kernel {
 }
 
 // commit writes the bump pointers back to the heap and the counters into res.
-func (k *kernel) commit(h *heap.Heap, res *Result) {
-	h.CommitRaw(&k.Raw)
+func (k *kernel) commit(c *Collector, res *Result) {
+	c.Heap.CommitRaw(&k.Raw)
+	c.runs = k.runs
 	res.Log = k.log
 	res.CopiedObjects += k.objects
 	res.CopiedWords += k.words
@@ -100,7 +114,11 @@ func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 		return rt.Null
 	}
 	if hw&heap.ArrayBit != 0 {
-		return k.copy(a, rt.HeaderWords+rt.Addr(k.Words[a+1]))
+		size := rt.HeaderWords + rt.Addr(k.Words[a+1])
+		if hw&heap.ArrayRefBit != 0 {
+			return k.copy(a, size) // always scanned
+		}
+		return k.settle(k.copy(a, size), size, nil)
 	}
 	cls := k.reg.ClassByID(heap.HeaderClassID(hw))
 	if cls == nil {
@@ -111,9 +129,28 @@ func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 		if cls.Moves != nil {
 			return k.move(a, cls)
 		}
-		return k.pair(a, hw, rt.Addr(cls.Size), cls.UpdatedTo).New
+		return k.pair(a, hw, cls).New
 	}
-	return k.copy(a, rt.Addr(cls.Size))
+	return k.settle(k.copy(a, rt.Addr(cls.Size)), rt.Addr(cls.Size), cls.RefOffsets)
+}
+
+// settle records the object just written at [to, to+size) as clean if none of
+// its slots refs holds a reference, and returns to — null if the write failed.
+func (k *kernel) settle(to, size rt.Addr, refs []rt.Addr) rt.Addr {
+	if to == rt.Null {
+		return to
+	}
+	for _, off := range refs {
+		if k.Words[to+off] != 0 {
+			return to
+		}
+	}
+	if n := len(k.runs); n > k.next && k.runs[n-1].hi == to {
+		k.runs[n-1].hi = to + size
+	} else {
+		k.runs = append(k.runs, run{to, to + size})
+	}
+	return to
 }
 
 // copy block-copies size words to the bump pointer ("the GC uses memcopy,
@@ -158,7 +195,7 @@ func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
 	k.objects++
 	k.words += int(size)
 	k.moved++
-	return to
+	return k.settle(to, size, newCls.RefOffsets)
 }
 
 // pair evacuates an instance of an updated class whose transformer has to run
@@ -167,8 +204,10 @@ func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
 // forwarding pointer to the shell: the zeroed shell of newCls with the old
 // copy's address cached in its pair word (header word 1, heap/bits.go), and
 // the old version — header hw, body from a — at oldCopy. The zero Pair means
-// err is set.
-func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair {
+// err is set. The shell is clean by construction, the old copy under its own
+// class's test — in to-space: the scratch cursor knows no runs.
+func (k *kernel) pair(a rt.Addr, hw uint64, old *rt.Class) Pair {
+	size, newCls := rt.Addr(old.Size), old.UpdatedTo
 	shell := k.To.Alloc
 	k.To.Alloc += rt.Addr(newCls.Size)
 	oldCopy := k.old.Alloc
@@ -191,8 +230,11 @@ func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair
 	words[a] = heap.ForwardBit | uint64(shell)
 	k.objects += 2
 	k.words += int(size) + newCls.Size
+	k.settle(shell, rt.Addr(newCls.Size), nil)
 	if k.old == &k.Scratch {
 		k.scratchWords += int(size)
+	} else {
+		k.settle(oldCopy, size, old.RefOffsets)
 	}
 	return p
 }
@@ -200,8 +242,9 @@ func (k *kernel) pair(a rt.Addr, hw uint64, size rt.Addr, newCls *rt.Class) Pair
 // scan forwards every reference inside the copied object at a and returns its
 // size, 0 on a structural error. Old copies are scanned like any object —
 // that is what lets a transformer dereference an old object's fields and see
-// transformed referents; shells scan trivially (all fields are zero).
+// transformed referents.
 func (k *kernel) scan(a rt.Addr) rt.Addr {
+	k.scans++
 	words := k.Words
 	hw := words[a]
 	if hw&heap.ArrayBit != 0 {
@@ -242,6 +285,10 @@ func (k *kernel) cheney(roots Roots) error {
 	})
 	for k.err == nil && (scan < k.To.Alloc || oldScan < k.Scratch.Alloc) {
 		for scan < k.To.Alloc && k.err == nil {
+			if k.next < len(k.runs) && k.runs[k.next].lo == scan {
+				scan, k.next = k.runs[k.next].hi, k.next+1
+				continue
+			}
 			scan += k.scan(scan)
 		}
 		for oldScan < k.Scratch.Alloc && k.err == nil {

@@ -192,12 +192,157 @@ func sameCollection(t *testing.T, what string, h, rh *heap.Heap, res, rres *Resu
 	}
 }
 
+// checkRuns fails unless c's run table, as the collection that just ended left
+// it, covers exactly the clean objects of to-space — non-reference arrays, and
+// instances (shells and to-space old copies among them) whose reference fields
+// are all null, which the scan does not change — in address order, no run
+// empty or overlapping the one before.
+func checkRuns(t *testing.T, what string, c *Collector) {
+	t.Helper()
+	raw := c.Heap.Raw()
+	for i, r := range c.runs {
+		if r.lo >= r.hi || r.lo < raw.To.Lo || r.hi > raw.To.Alloc || (i > 0 && r.lo < c.runs[i-1].hi) {
+			t.Fatalf("%s: run %d of %v is empty, out of order or outside to-space %+v", what, i, c.runs, raw.To)
+		}
+	}
+	next := 0
+	for a := raw.To.Lo; a < raw.To.Alloc; {
+		var size rt.Addr
+		var clean bool
+		if hw := raw.Words[a]; hw&heap.ArrayBit != 0 {
+			size, clean = rt.HeaderWords+rt.Addr(raw.Words[a+1]), hw&heap.ArrayRefBit == 0
+		} else {
+			cls := c.Reg.ClassByID(heap.HeaderClassID(hw))
+			size, clean = rt.Addr(cls.Size), true
+			for _, off := range cls.RefOffsets {
+				clean = clean && raw.Words[a+off] == 0
+			}
+		}
+		for next < len(c.runs) && c.runs[next].hi <= a {
+			next++
+		}
+		skipped := next < len(c.runs) && c.runs[next].lo <= a
+		if skipped && a+size > c.runs[next].hi {
+			t.Fatalf("%s: run %+v ends inside the object @%d (%d words)", what, c.runs[next], a, size)
+		}
+		if skipped != clean {
+			t.Fatalf("%s: object @%d (%d words): clean=%v, in a run=%v; runs %v", what, a, size, clean, skipped, c.runs)
+		}
+		a += size
+	}
+}
+
+// buildRunGraph is the run table's own graph: one rooted reference array over
+// 84 objects that a collection copies in array order, clean and non-clean ones
+// alternating in stretches of period. The clean ones rotate through a Stable
+// and an Up with null references, a char array and an instance of a class
+// without reference fields; the others through a Stable, an Up and a reference
+// array that point at their neighbours — every third also at an object of its
+// own, reached only through it, which the scan (of to-space, or of a scratch
+// old copy once the to-space cursor has caught up) copies behind the rest.
+func buildRunGraph(period int, scratch, moved bool) *dsuGraph {
+	const n = 84
+	g := newDSUGraph(scratch, moved)
+	refFree := g.load(classfile.NewClass("RefFree", "").Field("a", "I").Field("b", "I"))
+	h := g.h
+	obj := func(cls *rt.Class, val int) rt.Addr {
+		a, ok := h.AllocObject(cls)
+		if !ok {
+			panic("alloc failed")
+		}
+		h.SetFieldValue(a, dsuOffVal, rt.IntVal(int64(val)))
+		return a
+	}
+	array := func(isRef bool, length int) rt.Addr {
+		a, ok := h.AllocArray(isRef, length)
+		if !ok {
+			panic("array alloc failed")
+		}
+		return a
+	}
+	root := array(true, n)
+	ups, stables := []rt.Addr{obj(g.upCls, -1)}, []rt.Addr{obj(g.stableCls, -2)}
+	var nClean, nOther int
+	for i := 0; i < n; i++ {
+		var a rt.Addr
+		if (i/period)%2 == 0 {
+			switch nClean++; nClean % 4 {
+			case 0:
+				a = obj(g.stableCls, i)
+				stables = append(stables, a)
+			case 1:
+				a = obj(g.upCls, i)
+				ups = append(ups, a)
+			case 2:
+				a = array(false, i%5)
+				for j := 0; j < i%5; j++ {
+					h.SetElem(a, j, rt.IntVal(int64('a'+j)))
+				}
+			case 3:
+				a = obj(refFree, i)
+			}
+		} else {
+			up, stable := ups[i%len(ups)], stables[i%len(stables)]
+			if i%3 == 0 {
+				up, stable = obj(g.upCls, 1000+i), obj(g.stableCls, 2000+i)
+				h.SetFieldValue(up, dsuOffOther, rt.RefVal(stable))
+			}
+			switch nOther++; nOther % 3 {
+			case 0:
+				a = obj(g.stableCls, i)
+				h.SetFieldValue(a, dsuOffPeer, rt.RefVal(up))
+				stables = append(stables, a)
+			case 1:
+				a = obj(g.upCls, i)
+				h.SetFieldValue(a, dsuOffPeer, rt.RefVal(up))
+				h.SetFieldValue(a, dsuOffOther, rt.RefVal(stable))
+				ups = append(ups, a)
+			case 2:
+				a = array(true, 3)
+				h.SetElem(a, 0, rt.RefVal(stable))
+				h.SetElem(a, 2, rt.RefVal(up))
+			}
+		}
+		h.SetElem(root, i, rt.RefVal(a))
+	}
+	g.roots = []rt.Value{rt.RefVal(root)}
+	return g
+}
+
 // TestKernelMatchesReferenceLoop: over the random graphs of the two property
-// tests the kernel and the closure loop it replaced leave the same heap.
+// tests, and over the run table's graphs, the kernel and the closure loop it
+// replaced leave the same heap — and the kernel a run table that covers the
+// clean objects and nothing else.
 func TestKernelMatchesReferenceLoop(t *testing.T) {
+	sameDSU := func(what string, d, rd *dsuGraph, dsu bool) *Result {
+		t.Helper()
+		c := New(d.h, d.reg)
+		res, err := c.Collect(d, dsu)
+		rres, rerr := refCollectSerial(New(rd.h, rd.reg), rd, dsu)
+		if err != nil || rerr != nil {
+			t.Fatalf("%s: kernel err %v, reference err %v", what, err, rerr)
+		}
+		sameCollection(t, what, d.h, rd.h, res, rres)
+		if !slices.Equal(d.roots, rd.roots) {
+			t.Fatalf("%s: roots differ", what)
+		}
+		checkRuns(t, what, c)
+		return res
+	}
+	for _, period := range []int{1, 2, 7} {
+		for _, scratch := range []bool{false, true} {
+			for _, dsu := range []bool{true, false} {
+				for _, moved := range []bool{false, true} {
+					what := fmt.Sprintf("period %d dsu=%v scratch=%v moved=%v", period, dsu, scratch, moved)
+					sameDSU(what, buildRunGraph(period, scratch, moved), buildRunGraph(period, scratch, moved), dsu)
+				}
+			}
+		}
+	}
 	for seed := int64(0); seed < 30; seed++ {
 		g, rg := buildRandomGraph(t, seed), buildRandomGraph(t, seed)
-		res, err := New(g.w.h, g.w.reg).Collect(g.w, false)
+		c := New(g.w.h, g.w.reg)
+		res, err := c.Collect(g.w, false)
 		rres, rerr := refCollectSerial(New(rg.w.h, rg.w.reg), rg.w, false)
 		if err != nil || rerr != nil {
 			t.Fatalf("seed %d: kernel err %v, reference err %v", seed, err, rerr)
@@ -206,21 +351,13 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 		if !slices.Equal(g.w.roots, rg.w.roots) {
 			t.Fatalf("seed %d: roots differ", seed)
 		}
+		checkRuns(t, fmt.Sprintf("plain seed %d", seed), c)
 
 		for _, scratch := range []bool{false, true} {
 			for _, dsu := range []bool{true, false} { // an update pending but a plain collection: no pairs
 				for _, moved := range []bool{false, true} { // Up's transformer runs, or is a move
-					d, rd := buildDSUGraph(seed, scratch, moved), buildDSUGraph(seed, scratch, moved)
-					res, err := New(d.h, d.reg).Collect(d, dsu)
-					rres, rerr := refCollectSerial(New(rd.h, rd.reg), rd, dsu)
-					if err != nil || rerr != nil {
-						t.Fatalf("seed %d: kernel err %v, reference err %v", seed, err, rerr)
-					}
 					what := fmt.Sprintf("seed %d dsu=%v scratch=%v moved=%v", seed, dsu, scratch, moved)
-					sameCollection(t, what, d.h, rd.h, res, rres)
-					if !slices.Equal(d.roots, rd.roots) {
-						t.Fatalf("%s: roots differ", what)
-					}
+					res := sameDSU(what, buildDSUGraph(seed, scratch, moved), buildDSUGraph(seed, scratch, moved), dsu)
 					if dsu && moved && (res.PairsLogged != 0 || res.ScratchWords != 0) {
 						t.Fatalf("%s: a moved class made %d pairs, %d scratch words", what, res.PairsLogged, res.ScratchWords)
 					}
@@ -229,6 +366,17 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 		}
 	}
 }
+
+// benchShape is what the references of a benchWorld's objects hold (shape).
+type benchShape int
+
+const (
+	nullRefs benchShape = iota
+	linked
+	chars
+)
+
+func (s benchShape) String() string { return [...]string{"clean", "linked", "chars"}[s] }
 
 // benchWorld is the update-pause shape: n 8-word objects (3 ints, 3 null
 // references) pinned by one reference array, every second one of a class that
@@ -293,6 +441,114 @@ func newBenchWorld(tb testing.TB, n, semi, scratch int, updated, moved bool) *be
 	return w
 }
 
+// shape gives the objects' first reference field something to hold. linked:
+// its successor (the last one's the array), so no object is clean and the scan
+// skips nothing. chars: a 6-char array of the object's own, the string-heavy
+// shape of the apps — half the live words are in non-reference arrays.
+func (w *benchWorld) shape(tb testing.TB, s benchShape) *benchWorld {
+	if s == nullRefs {
+		return w
+	}
+	const x = rt.HeaderWords + 3
+	arr := w.root.Ref()
+	for i, n := 0, w.h.ArrayLen(arr); i < n; i++ {
+		to := arr
+		if s == chars {
+			var ok bool
+			if to, ok = w.h.AllocArray(false, 6); !ok {
+				tb.Fatal("char array alloc failed")
+			}
+		} else if i+1 < n {
+			to = w.h.Elem(arr, i+1).Ref()
+		}
+		w.h.SetFieldValue(w.h.Elem(arr, i).Ref(), x, rt.RefVal(to))
+	}
+	return w
+}
+
+// driveKernel collects the way collectSerial does and keeps the kernel, for
+// the count of objects its scan was entered for.
+func driveKernel(tb testing.TB, c *Collector, roots Roots, dsu bool) (*kernel, *Result) {
+	tb.Helper()
+	c.Heap.Flip()
+	k := c.newKernel(dsu)
+	if err := k.cheney(roots); err != nil {
+		tb.Fatal(err)
+	}
+	res := &Result{}
+	k.commit(c, res)
+	return k, res
+}
+
+// scans collects w and returns how many objects the scan was entered for.
+func (w *benchWorld) scans(tb testing.TB, dsu bool) int {
+	k, _ := driveKernel(tb, New(w.h, w.reg), w, dsu)
+	return k.scans
+}
+
+// TestScanSkipsCleanObjects: the cursor really steps over clean objects — on
+// the update-pause shape the scan is entered for the root array and nothing
+// else (shells and to-space old copies included; an old copy in scratch is
+// scanned), on the linked one for every object, on the chars one for every
+// instance and no char array.
+func TestScanSkipsCleanObjects(t *testing.T) {
+	const n = 1000
+	for _, tc := range []struct {
+		name       string
+		shape      benchShape
+		dsu, moved bool
+		scratch    int
+		want       int
+	}{
+		{"plain", nullRefs, false, false, 0, 1},
+		{"plain-linked", linked, false, false, 0, 1 + n},
+		{"plain-chars", chars, false, false, 0, 1 + n},
+		{"dsu", nullRefs, true, false, 0, 1},
+		{"dsu-scratch", nullRefs, true, false, n / 2 * 8, 1 + n/2},
+		{"dsu-moved", nullRefs, true, true, 0, 1},
+		{"dsu-moved-linked", linked, true, true, 0, 1 + n},
+	} {
+		w := newBenchWorld(t, n, 4*n*8, tc.scratch, tc.dsu, tc.moved).shape(t, tc.shape)
+		if got := w.scans(t, tc.dsu); got != tc.want {
+			t.Errorf("%s: scan entered for %d objects, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPassedRunIsNotExtended: a clean object evacuated at the hi of a run the
+// cursor has already jumped opens a new run. A rooted Up whose old copy, in
+// scratch, points at a clean Stable: the cursor jumps the shell — the whole of
+// to-space — and stops at the bump pointer; the scratch loop then scans the
+// old copy and copies the Stable exactly there. It is copied once and reached
+// by the old copy's forwarded reference like in the reference loop, and it is
+// skipped, not scanned: the scan is entered for the old copy alone.
+func TestPassedRunIsNotExtended(t *testing.T) {
+	build := func() *dsuGraph {
+		g := newDSUGraph(true, false)
+		up, _ := g.h.AllocObject(g.upCls)
+		stable, _ := g.h.AllocObject(g.stableCls)
+		g.h.SetFieldValue(stable, dsuOffVal, rt.IntVal(7))
+		g.h.SetFieldValue(up, dsuOffOther, rt.RefVal(stable))
+		g.roots = []rt.Value{rt.RefVal(up)}
+		return g
+	}
+	g, rg := build(), build()
+	c := New(g.h, g.reg)
+	k, res := driveKernel(t, c, g, true)
+	rres, err := refCollectSerial(New(rg.h, rg.reg), rg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCollection(t, "passed run", g.h, rg.h, res, rres)
+	checkRuns(t, "passed run", c)
+	lo := g.h.ScanStart()
+	shell, stable := rt.Addr(g.newCls.Size), rt.Addr(g.stableCls.Size)
+	want := []run{{lo, lo + shell}, {lo + shell, lo + shell + stable}}
+	if res.CopiedObjects != 3 || k.scans != 1 || !slices.Equal(c.runs, want) {
+		t.Fatalf("copied %d objects, scanned %d, runs %v; want 3, 1 and %v", res.CopiedObjects, k.scans, c.runs, want)
+	}
+}
+
 // TestCollectExhaustion leaves the copy space one word short at each place a
 // serial collection allocates. Each must end in ErrToSpaceExhausted — never a
 // panic, never a write past the space — with the bump pointers inside it.
@@ -303,6 +559,12 @@ func newBenchWorld(tb testing.TB, n, semi, scratch int, updated, moved bool) *be
 // 6, 15, 23, 31, 40, 48, 56. When Change's transformer is a move it costs its
 // 9 new words and nothing else: 6, 15, 23, 32, 40 — and with a fifth object,
 // a Change, under a 7-word array: 7, 16, 24, 33, 41, 50.
+//
+// Every cell runs with the objects clean and (linked: each holds a reference,
+// which copies nothing more) not: a failed copy, move or pair records no run,
+// whatever the failing object would have been. The last cell fails on an object
+// that is clean whatever it holds: one Change (3, 12, 20) and its 8-word char
+// array.
 func TestCollectExhaustion(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -310,38 +572,50 @@ func TestCollectExhaustion(t *testing.T) {
 		moved             bool
 		semi, scratch     int
 		used, scratchUsed int // at the failure: nothing of the failed allocation is kept
+		chars             bool
 	}{
-		{"plain copy", 4, false, 55, 0, 48, 0},
-		{"shell", 4, false, 39, 0, 31, 0},
-		{"old copy in to-space", 4, false, 47, 0, 31, 0},
-		{"scratch full", 4, false, 64, 15, 6 + 9 + 8, 8},
-		{"moved copy", 5, true, 49, 0, 41, 0},
-		{"plain copy after a moved one", 4, true, 39, 0, 32, 0},
+		{"plain copy", 4, false, 55, 0, 48, 0, false},
+		{"shell", 4, false, 39, 0, 31, 0, false},
+		{"old copy in to-space", 4, false, 47, 0, 31, 0, false},
+		{"scratch full", 4, false, 64, 15, 6 + 9 + 8, 8, false},
+		{"moved copy", 5, true, 49, 0, 41, 0, false},
+		{"plain copy after a moved one", 4, true, 39, 0, 32, 0, false},
+		{"char array", 1, false, 27, 0, 20, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newBenchWorld(t, tc.n, tc.semi, tc.scratch, true, tc.moved)
-			_, err := New(w.h, w.reg).Collect(w, true)
-			if !errors.Is(err, ErrToSpaceExhausted) {
-				t.Fatalf("err = %v, want ErrToSpaceExhausted", err)
+			shapes := []benchShape{nullRefs, linked}
+			if tc.chars {
+				shapes = []benchShape{chars}
 			}
-			raw := w.h.Raw()
-			if raw.To.Alloc < raw.To.Lo || raw.To.Alloc > raw.To.Hi ||
-				raw.Scratch.Alloc < raw.Scratch.Lo || raw.Scratch.Alloc > raw.Scratch.Hi {
-				t.Fatalf("bump pointer left its space: to=%+v scratch=%+v", raw.To, raw.Scratch)
-			}
-			if w.h.UsedWords() != tc.used || w.h.ScratchUsed() != tc.scratchUsed {
-				t.Fatalf("used %d to-space / %d scratch words, want %d / %d",
-					w.h.UsedWords(), w.h.ScratchUsed(), tc.used, tc.scratchUsed)
-			}
-			// Nothing half-written: past the bump pointers both spaces are
-			// as the flip left them (never allocated in: zero).
-			for _, r := range []heap.Region{raw.To, raw.Scratch} {
-				for a := r.Alloc; a < r.Hi; a++ {
-					if raw.Words[a] != 0 {
-						t.Fatalf("word @%d past the bump pointer %d was written: %#x", a, r.Alloc, raw.Words[a])
+			for _, shape := range shapes {
+				t.Run(shape.String(), func(t *testing.T) {
+					w := newBenchWorld(t, tc.n, tc.semi, tc.scratch, true, tc.moved).shape(t, shape)
+					c := New(w.h, w.reg)
+					_, err := c.Collect(w, true)
+					if !errors.Is(err, ErrToSpaceExhausted) {
+						t.Fatalf("err = %v, want ErrToSpaceExhausted", err)
 					}
-				}
+					raw := w.h.Raw()
+					if raw.To.Alloc < raw.To.Lo || raw.To.Alloc > raw.To.Hi ||
+						raw.Scratch.Alloc < raw.Scratch.Lo || raw.Scratch.Alloc > raw.Scratch.Hi {
+						t.Fatalf("bump pointer left its space: to=%+v scratch=%+v", raw.To, raw.Scratch)
+					}
+					if w.h.UsedWords() != tc.used || w.h.ScratchUsed() != tc.scratchUsed {
+						t.Fatalf("used %d to-space / %d scratch words, want %d / %d",
+							w.h.UsedWords(), w.h.ScratchUsed(), tc.used, tc.scratchUsed)
+					}
+					// Nothing half-written: past the bump pointers both spaces are
+					// as the flip left them (never allocated in: zero).
+					for _, r := range []heap.Region{raw.To, raw.Scratch} {
+						for a := r.Alloc; a < r.Hi; a++ {
+							if raw.Words[a] != 0 {
+								t.Fatalf("word @%d past the bump pointer %d was written: %#x", a, r.Alloc, raw.Words[a])
+							}
+						}
+					}
+					checkRuns(t, "after the failure", c)
+				})
 			}
 		})
 	}
@@ -392,24 +666,34 @@ func TestCollectSerialAllocs(t *testing.T) {
 // BenchmarkCollectSerial is the collector's own benchmark of the update-pause
 // shape: 100 000 8-word objects under one reference array (900 002 live
 // words), collected plain, as a DSU collection with every second object
-// updated, and the same with old copies in a scratch region. words/s counts
+// updated, and the same with old copies in a scratch region. plain-linked is
+// the clean test's cost row — it fails on every object's first field and
+// nothing is skipped — and plain-chars the apps' shape. words/s counts
 // copied words (shells and old copies included) and ns/object is per live
-// object, both of the fastest iteration: on a shared host the floor is the
-// estimate that repeats (ns/op stays the mean).
+// instance, both of the fastest iteration: on a shared host the floor is the
+// estimate that repeats (ns/op stays the mean). scanned/object is how many
+// objects the scan was entered for, per instance.
 func BenchmarkCollectSerial(b *testing.B) {
 	const n = 100000
 	for _, bc := range []struct {
 		name       string
+		shape      benchShape
 		dsu, moved bool
 		scratch    int
 	}{
-		{"plain", false, false, 0},
-		{"dsu-f0.5", true, false, 0},
-		{"dsu-f0.5-scratch", true, false, n / 2 * 8},
-		{"dsu-moved-f0.5", true, true, 0},
+		{"plain", nullRefs, false, false, 0},
+		{"plain-linked", linked, false, false, 0},
+		{"plain-chars", chars, false, false, 0},
+		{"dsu-f0.5", nullRefs, true, false, 0},
+		{"dsu-f0.5-scratch", nullRefs, true, false, n / 2 * 8},
+		{"dsu-moved-f0.5", nullRefs, true, true, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			semi := 2 * n * 8
+			if bc.shape == chars {
+				semi += n * 8
+			}
 			var words int
 			floor := time.Duration(1<<63 - 1)
 			for i := 0; i < b.N; i++ {
@@ -417,7 +701,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 				// the new class), so every iteration gets a fresh world; two
 				// untimed plain collections fault both semispaces in first.
 				b.StopTimer()
-				w := newBenchWorld(b, n, 2*n*8, bc.scratch, false, false)
+				w := newBenchWorld(b, n, semi, bc.scratch, false, false).shape(b, bc.shape)
 				c := New(w.h, w.reg)
 				for range 2 {
 					if _, err := c.Collect(w, false); err != nil {
@@ -436,6 +720,9 @@ func BenchmarkCollectSerial(b *testing.B) {
 			}
 			b.ReportMetric(float64(words)/floor.Seconds(), "words/s")
 			b.ReportMetric(float64(floor.Nanoseconds())/n, "ns/object")
+			b.StopTimer()
+			w := newBenchWorld(b, n, semi, bc.scratch, bc.dsu, bc.moved).shape(b, bc.shape)
+			b.ReportMetric(float64(w.scans(b, bc.dsu))/n, "scanned/object")
 		})
 	}
 }

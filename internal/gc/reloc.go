@@ -252,7 +252,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 			}
 			continue
 		}
-		p := k.pair(a, k.Words[a], rt.Addr(cls.Size), cls.UpdatedTo)
+		p := k.pair(a, k.Words[a], cls)
 		if k.err != nil {
 			break
 		}
@@ -263,7 +263,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 			rl.dq.push(p.OldCopy)
 		}
 	}
-	k.commit(h, res)
+	k.commit(c, res)
 	if k.err != nil {
 		return nil, nil, k.err
 	}

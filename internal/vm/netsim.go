@@ -20,21 +20,39 @@ type NetSim struct {
 	nextConn  int64
 }
 
+// fifo is a queue popped by advancing a head index that rewinds when the queue
+// drains: q = q[1:] walks the capacity off the front, a growslice per push.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() (v T) {
+	v, q.items[q.head] = q.items[q.head], v // the popped slot is cleared
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
 // SimListener is a listening port with a backlog of unaccepted connections.
 // Open is cleared by unlisten; a closed listener stays in the map as a
 // tombstone until the port is rebound, so server code blocked in accept
 // observes the close instead of hanging forever.
 type SimListener struct {
 	Port    int64
-	Backlog []int64
+	Backlog fifo[int64]
 	Open    bool
 }
 
 // SimConn is one connection: two line queues.
 type SimConn struct {
 	ID       int64
-	ToServer []string
-	ToClient []string
+	ToServer fifo[string]
+	ToClient fifo[string]
 	Closed   bool
 
 	// ClientDone records that the client side has finished with the
@@ -57,7 +75,7 @@ func NewNetSim() *NetSim {
 // the id behaves exactly like an operation on a closed connection (nil
 // lookups take the closed path everywhere).
 func (n *NetSim) maybeReap(c *SimConn) {
-	if c.Closed && c.ClientDone && len(c.ToServer) == 0 && len(c.ToClient) == 0 {
+	if c.Closed && c.ClientDone && c.ToServer.len() == 0 && c.ToClient.len() == 0 {
 		delete(n.conns, c.ID)
 	}
 }
@@ -90,13 +108,13 @@ func (n *NetSim) unlisten(port int64) {
 		return
 	}
 	l.Open = false
-	for _, id := range l.Backlog {
+	for _, id := range l.Backlog.items[l.Backlog.head:] {
 		if c := n.conns[id]; c != nil {
 			c.Closed = true
 			n.maybeReap(c)
 		}
 	}
-	l.Backlog = nil
+	l.Backlog = fifo[int64]{}
 }
 
 // hasPending reports whether accept would complete without blocking: either
@@ -106,7 +124,7 @@ func (n *NetSim) unlisten(port int64) {
 // detects).
 func (n *NetSim) hasPending(port int64) bool {
 	l := n.listeners[port]
-	return l != nil && (len(l.Backlog) > 0 || !l.Open)
+	return l != nil && (l.Backlog.len() > 0 || !l.Open)
 }
 
 // accept dequeues the oldest backlog connection, in FIFO order.
@@ -121,36 +139,30 @@ func (n *NetSim) hasPending(port int64) bool {
 //	              the caller should block until hasPending
 func (n *NetSim) accept(port int64) (int64, bool) {
 	l := n.listeners[port]
-	if l == nil || len(l.Backlog) == 0 {
+	if l == nil || l.Backlog.len() == 0 {
 		return -1, l == nil || !l.Open
 	}
-	id := l.Backlog[0]
-	l.Backlog = l.Backlog[1:]
-	if len(l.Backlog) == 0 {
-		l.Backlog = nil
-	}
-	return id, true
+	return l.Backlog.pop(), true
 }
 
 func (n *NetSim) hasLine(id int64) bool {
 	c := n.conns[id]
-	return c == nil || c.Closed || len(c.ToServer) > 0
+	return c == nil || c.Closed || c.ToServer.len() > 0
 }
 
 func (n *NetSim) recvLine(id int64) (string, bool) {
 	c := n.conns[id]
-	if c == nil || len(c.ToServer) == 0 {
+	if c == nil || c.ToServer.len() == 0 {
 		return "", false
 	}
-	line := c.ToServer[0]
-	c.ToServer = c.ToServer[1:]
+	line := c.ToServer.pop()
 	n.maybeReap(c)
 	return line, true
 }
 
 func (n *NetSim) send(id int64, line string) {
 	if c := n.conns[id]; c != nil && !c.Closed {
-		c.ToClient = append(c.ToClient, line)
+		c.ToClient.push(line)
 	}
 }
 
@@ -172,7 +184,7 @@ func (n *NetSim) Connect(port int64) (int64, error) {
 	n.nextConn++
 	id := n.nextConn
 	n.conns[id] = &SimConn{ID: id}
-	l.Backlog = append(l.Backlog, id)
+	l.Backlog.push(id)
 	return id, nil
 }
 
@@ -182,18 +194,17 @@ func (n *NetSim) ClientSend(id int64, line string) error {
 	if c == nil || c.Closed {
 		return fmt.Errorf("net: conn %d closed", id)
 	}
-	c.ToServer = append(c.ToServer, line)
+	c.ToServer.push(line)
 	return nil
 }
 
 // ClientRecv dequeues one response line, reporting whether one was ready.
 func (n *NetSim) ClientRecv(id int64) (string, bool) {
 	c := n.conns[id]
-	if c == nil || len(c.ToClient) == 0 {
+	if c == nil || c.ToClient.len() == 0 {
 		return "", false
 	}
-	line := c.ToClient[0]
-	c.ToClient = c.ToClient[1:]
+	line := c.ToClient.pop()
 	n.maybeReap(c)
 	return line, true
 }
@@ -247,7 +258,7 @@ func (n *NetSim) CheckIntegrity() error {
 		if c.ID != id {
 			return fmt.Errorf("netsim: conn %d stored under key %d", c.ID, id)
 		}
-		if c.Closed && c.ClientDone && len(c.ToServer) == 0 && len(c.ToClient) == 0 {
+		if c.Closed && c.ClientDone && c.ToServer.len() == 0 && c.ToClient.len() == 0 {
 			return fmt.Errorf("netsim: conn %d is fully finished but was not reaped", id)
 		}
 	}
@@ -258,8 +269,8 @@ func (n *NetSim) CheckIntegrity() error {
 		if l.Port != port {
 			return fmt.Errorf("netsim: listener for port %d stored under key %d", l.Port, port)
 		}
-		if !l.Open && len(l.Backlog) != 0 {
-			return fmt.Errorf("netsim: closed listener on port %d still queues %d connections", port, len(l.Backlog))
+		if !l.Open && l.Backlog.len() != 0 {
+			return fmt.Errorf("netsim: closed listener on port %d still queues %d connections", port, l.Backlog.len())
 		}
 	}
 	return nil

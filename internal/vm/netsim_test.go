@@ -373,3 +373,79 @@ class T {
 		}
 	}
 }
+
+// TestNetSimQueuesReuseStorage: on a warm connection a request/response cycle
+// (and a second line queued behind the first) allocates nothing — popping
+// rewinds the queue instead of walking its capacity off the front — and a
+// warm listener takes a connection into its backlog without growing it. The
+// queues stay FIFO and drained queues keep no line alive.
+func TestNetSimQueuesReuseStorage(t *testing.T) {
+	n := NewNetSim()
+	if _, err := n.listen(80); err != nil {
+		t.Fatal(err)
+	}
+	id, err := n.Connect(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, done := n.accept(80); got != id || !done {
+		t.Fatalf("accept = %d, %v", got, done)
+	}
+	cycle := func() {
+		if n.ClientSend(id, "GET /a") != nil || n.ClientSend(id, "GET /b") != nil {
+			t.Fatal("send on an open connection failed")
+		}
+		if a, ok := n.recvLine(id); !ok || a != "GET /a" {
+			t.Fatalf("recvLine = %q, %v", a, ok)
+		}
+		n.send(id, "200 a")
+		if b, ok := n.recvLine(id); !ok || b != "GET /b" {
+			t.Fatalf("recvLine = %q, %v", b, ok)
+		}
+		n.send(id, "200 b")
+		if a, ok := n.ClientRecv(id); !ok || a != "200 a" {
+			t.Fatalf("ClientRecv = %q, %v", a, ok)
+		}
+		if b, ok := n.ClientRecv(id); !ok || b != "200 b" {
+			t.Fatalf("ClientRecv = %q, %v", b, ok)
+		}
+		if _, ok := n.recvLine(id); ok || n.hasLine(id) {
+			t.Fatal("a drained queue still has a line")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v Go allocations per request cycle on a warm connection, want 0", allocs)
+	}
+	c := n.conns[id]
+	for _, q := range []fifo[string]{c.ToServer, c.ToClient} {
+		if q.len() != 0 || q.head != 0 || cap(q.items) < 2 {
+			t.Fatalf("drained queue %+v: want rewound and its capacity kept", q)
+		}
+		for _, line := range q.items[:cap(q.items)] {
+			if line != "" {
+				t.Fatalf("drained queue still holds %q", line)
+			}
+		}
+	}
+
+	// The backlog: connect/accept pairs on a warm listener. A connection is a
+	// Go object and a map entry, so count the backlog's own growth instead.
+	l := n.listeners[80]
+	before := cap(l.Backlog.items)
+	for i := 0; i < 100; i++ {
+		cid, err := n.Connect(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, done := n.accept(80); got != cid || !done {
+			t.Fatalf("accept = %d, %v, want %d", got, done, cid)
+		}
+		n.ClientClose(cid)
+	}
+	if cap(l.Backlog.items) != before || l.Backlog.len() != 0 {
+		t.Fatalf("backlog capacity %d -> %d over 100 connect/accept pairs, %d queued", before, cap(l.Backlog.items), l.Backlog.len())
+	}
+	if err := n.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
