@@ -117,14 +117,15 @@ class K {
 `
 
 // TestCallAllocsPerCall is the call path's gate, a count and not a timing: a
-// guest→guest call costs exactly one Go allocation — the activation record —
-// whether it is static, special or virtual and whether the calling code is
-// base, its plain spelling or opt; and no frame of the run ends with an
-// operand stack of a different capacity than it was laid out with (the
-// interpreter pushes with append: a bound that is too small regrows, which is
-// the other way a call comes to cost more than one allocation). Recorder off,
-// no guest allocation in the loop. A native call costs none:
-// TestNativeCallZeroAlloc.
+// guest→guest call costs one activation record and nothing else, and records
+// come vm.FrameChunk to a Go allocation — so at most ⌈calls ÷ FrameChunk⌉
+// allocations plus one part-used chunk per record shape — whether the call is
+// static, special or virtual and whether the calling code is base, its plain
+// spelling or opt; and no frame of the run ends with an operand stack of a
+// different capacity than it was laid out with (the interpreter pushes with
+// append: a bound that is too small regrows, which is the other way a call
+// comes to cost an allocation of its own). Recorder off, no guest allocation
+// in the loop. A native call costs none: TestNativeCallZeroAlloc.
 func TestCallAllocsPerCall(t *testing.T) {
 	prog, err := asm.AssembleProgram("calls.jva", callMixSrc)
 	if err != nil {
@@ -197,8 +198,11 @@ func TestCallAllocsPerCall(t *testing.T) {
 			if th.Err != nil || made < 1000 {
 				t.Fatalf("the loop barely ran: %d calls, thread error %v", made, th.Err)
 			}
-			if int64(allocs) != made {
-				t.Fatalf("%d Go allocations for %d guest calls, want exactly one each", int64(allocs), made)
+			const shapes = 3
+			t.Logf("%d Go allocations for %d guest calls", int64(allocs), made)
+			if most := (made+vm.FrameChunk-1)/vm.FrameChunk + shapes; int64(allocs) > most || allocs == 0 {
+				t.Fatalf("%d Go allocations for %d guest calls, want 1..%d (a chunk of %d records each, one more per shape)",
+					int64(allocs), made, most, vm.FrameChunk)
 			}
 		})
 	}

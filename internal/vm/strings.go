@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -96,47 +95,24 @@ func (v *VM) NewString(s string) (rt.Addr, error) {
 	return v.wrapChars(arr)
 }
 
-// GoString reads a String object back into a Go string — one Go allocation.
-// It accepts null (returning "" and false). Words that are not Unicode scalar
+// GoString reads a String object back into a Go string — one Go allocation,
+// the string itself: the bytes are gathered in a scratch the VM owns. It
+// accepts null (returning "" and false). Words that are not Unicode scalar
 // values encode as U+FFFD.
 func (v *VM) GoString(a rt.Addr) (string, bool) {
 	w, err := v.strWords(a)
 	if err != nil {
 		return "", false
 	}
-	size := 0
+	b := v.strScratch[:0]
 	for _, c := range w {
-		size += wordUTF8Len(c)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	if size == len(w) { // ASCII
-		for _, c := range w {
-			b.WriteByte(byte(c))
+		if c > unicode.MaxRune {
+			c = utf8.RuneError
 		}
-	} else {
-		for _, c := range w {
-			if c > unicode.MaxRune {
-				c = utf8.RuneError
-			}
-			b.WriteRune(rune(c))
-		}
+		b = utf8.AppendRune(b, rune(c)) // one append for ASCII, inlined
 	}
-	return b.String(), true
-}
-
-// wordUTF8Len is the encoded size of one char word; anything that is not a
-// Unicode scalar value encodes as the three bytes of U+FFFD.
-func wordUTF8Len(c uint64) int {
-	if c < utf8.RuneSelf {
-		return 1
-	}
-	if c <= unicode.MaxRune {
-		if n := utf8.RuneLen(rune(c)); n > 0 {
-			return n
-		}
-	}
-	return 3
+	v.strScratch = b
+	return string(b), true
 }
 
 // MustGoString reads a String object, failing on null.

@@ -63,23 +63,39 @@ type record[S any] struct {
 	slots S
 }
 
+// frameChunk is how many records of one shape come out of one Go allocation.
+const frameChunk = 64
+
+// carve hands out the next record of a chunk, front to back, and starts a
+// fresh chunk when none is left. A record is never handed out twice.
+func carve[S any](chunk *[]record[S]) *record[S] {
+	if len(*chunk) == 0 {
+		*chunk = make([]record[S], frameChunk)
+	}
+	r := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return r
+}
+
 // newFrame is the one place an activation record is built: header, nlocals
-// zeroed locals and room for nstack operands in one Go allocation, which is
-// ordinary garbage (no pool). Go allocates by static type, hence the fixed
-// shapes (DESIGN.md §7.2 has the slot counts that chose them); spare slots go
-// to the operand stack, and a frame beyond the last takes a second block.
+// zeroed locals and room for nstack operands, contiguous, carved from a chunk
+// of frameChunk records that is ordinary garbage once no frame in it is
+// reachable (no pool, no reuse: DESIGN.md §7.2). Go allocates by static type,
+// hence the fixed shapes (§7.2 has the slot counts that chose them); spare
+// slots go to the operand stack, and a frame beyond the last takes two blocks
+// of its own.
 func (v *VM) newFrame(cm *rt.CompiledMethod, nlocals, nstack int) *Frame {
 	var f *Frame
 	var slots []rt.Value
 	switch n := nlocals + nstack; {
 	case n <= 4:
-		r := new(record[[4]rt.Value])
+		r := carve(&v.frames4)
 		f, slots = &r.Frame, r.slots[:]
 	case n <= 8:
-		r := new(record[[8]rt.Value])
+		r := carve(&v.frames8)
 		f, slots = &r.Frame, r.slots[:]
 	case n <= 16:
-		r := new(record[[16]rt.Value])
+		r := carve(&v.frames16)
 		f, slots = &r.Frame, r.slots[:]
 	default:
 		f, slots = new(Frame), make([]rt.Value, n)
@@ -111,6 +127,9 @@ type Thread struct {
 	Name   string
 	State  ThreadState
 	Frames []*Frame
+	// inline is where Frames starts: deep enough for every app handler, so a
+	// thread's stack costs no allocation of its own until it outgrows it.
+	inline [8]*Frame
 
 	// WakeWhen is the wake predicate for Blocked threads.
 	WakeWhen WakeFunc
@@ -138,10 +157,13 @@ func (t *Thread) Top() *Frame {
 // push adds a new activation.
 func (t *Thread) push(f *Frame) { t.Frames = append(t.Frames, f) }
 
-// pop removes the innermost activation.
+// pop removes the innermost activation and clears its slot: a stale pointer in
+// the backing array would pin the popped record's whole chunk.
 func (t *Thread) pop() *Frame {
-	f := t.Frames[len(t.Frames)-1]
-	t.Frames = t.Frames[:len(t.Frames)-1]
+	n := len(t.Frames) - 1
+	f := t.Frames[n]
+	t.Frames[n] = nil
+	t.Frames = t.Frames[:n]
 	return f
 }
 

@@ -252,12 +252,18 @@ type VM struct {
 	strCls      *rt.Class
 	strCharsOff int
 	objectCls   *rt.Class
+	strScratch  []byte // GoString's bytes, before the one conversion
 
 	// syncThreads are RunSynchronous's resident threads by nesting depth (a
 	// transformer forcing a neighbour); syncDepth of them are running, and in
 	// Threads. An idle one is not, so it is no root.
 	syncThreads []*syncThread
 	syncDepth   int
+
+	// frames4/8/16 are what is left of newFrame's current chunk of each shape.
+	frames4  []record[[4]rt.Value]
+	frames8  []record[[8]rt.Value]
+	frames16 []record[[16]rt.Value]
 
 	// OnFrame, if set, sees every record newFrame builds: the hook of the tests
 	// that hold the operand-stack bound to a run (vmtest.WatchStacks).
@@ -420,8 +426,8 @@ func (v *VM) RunSynchronous(name string, m *rt.Method, args []rt.Value) error {
 		v.syncThreads = append(v.syncThreads, new(syncThread))
 	}
 	st := v.syncThreads[v.syncDepth]
-	t, f, frames := &st.Thread, &st.root, st.Frames[:0]
-	*t = *v.newThread(name)
+	t, f := &st.Thread, &st.root
+	v.initThread(t, name)
 	cm, err := v.resolveCompiled(m)
 	if err != nil {
 		return err
@@ -432,7 +438,7 @@ func (v *VM) RunSynchronous(name string, m *rt.Method, args []rt.Value) error {
 	f.Locals, f.Stack = f.Locals[:cm.MaxLocals], f.Stack[:0]
 	clear(f.Locals)
 	copy(f.Locals, args)
-	t.Frames = append(frames, f)
+	t.push(f)
 
 	v.Threads = append(v.Threads, t)
 	v.syncDepth++
@@ -497,9 +503,22 @@ func (v *VM) SpawnMain(className string) (*Thread, error) {
 }
 
 func (v *VM) newThread(name string) *Thread {
+	t := new(Thread)
+	v.initThread(t, name)
+	return t
+}
+
+// initThread makes *t a fresh runnable thread in place, on the stack backing it
+// had — for a new thread its inline one. In place because Frames points into
+// the record: a Thread copied by value would share the original's stack.
+func (v *VM) initThread(t *Thread, name string) {
 	v.nextTID++
 	v.stats.ThreadsSpawned++
-	return &Thread{ID: v.nextTID, Name: name, State: Runnable}
+	frames := t.Frames[:0]
+	if frames == nil {
+		frames = t.inline[:0]
+	}
+	*t = Thread{ID: v.nextTID, Name: name, State: Runnable, Frames: frames}
 }
 
 // callOn pushes an initial activation of m with args onto t.
