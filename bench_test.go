@@ -27,9 +27,9 @@ func BenchmarkTable1UpdatePause(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				gcT += res.GC
-				trT += res.Transform
-				totT += res.Total
+				gcT += res.PauseGC
+				trT += res.PauseTransform
+				totT += res.PauseTotal
 			}
 			b.ReportMetric(bench.Millis(gcT)/float64(b.N), "gc-ms")
 			b.ReportMetric(bench.Millis(trT)/float64(b.N), "transform-ms")
@@ -49,7 +49,7 @@ func BenchmarkFig6PauseDecomposition(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tot += res.Total
+				tot += res.PauseTotal
 			}
 			b.ReportMetric(bench.Millis(tot)/float64(b.N), "pause-ms")
 		})

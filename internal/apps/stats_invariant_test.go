@@ -11,7 +11,7 @@ import (
 // phases are disjoint slices of the total pause, so
 //
 //	PauseTotal >= PauseInstall + PauseGC + PauseTransform
-//	PauseGC >= PauseGCRescan + PauseGCCopy
+//	PauseGC >= PauseRescan + PauseCopy
 //
 // and every updated instance was transformed exactly once, by a transformer
 // run over its pair or by the collector's move (the RunMatrix pipelines are
@@ -33,9 +33,9 @@ func checkPauseIdentity(t *testing.T, mode string, e MatrixEntry) {
 		t.Errorf("%s %s %s→%s: transformed %d != pairs logged %d + moved %d",
 			mode, e.App, e.From, e.To, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 	}
-	if s.PauseGC < s.PauseGCRescan+s.PauseGCCopy {
+	if s.PauseGC < s.PauseRescan+s.PauseCopy {
 		t.Errorf("%s %s %s→%s: PauseGC %v < rescan %v + copy %v",
-			mode, e.App, e.From, e.To, s.PauseGC, s.PauseGCRescan, s.PauseGCCopy)
+			mode, e.App, e.From, e.To, s.PauseGC, s.PauseRescan, s.PauseCopy)
 	}
 	if s.PauseTotal <= 0 {
 		t.Errorf("%s %s %s→%s: applied update with non-positive PauseTotal %v",
@@ -49,7 +49,7 @@ func checkPauseIdentity(t *testing.T, mode string, e MatrixEntry) {
 // TestPauseDecompositionInvariant drives every application's whole update
 // matrix under the default stop-the-world pipeline and checks the pause
 // identities plus the STW decomposition. The decomposition is uniform
-// across modes: the fused trace+copy of the STW collector is all PauseGCCopy
+// across modes: the fused trace+copy of the STW collector is all PauseCopy
 // and the concurrent-only fields must be zero.
 func TestPauseDecompositionInvariant(t *testing.T) {
 	applied := 0
@@ -65,15 +65,15 @@ func TestPauseDecompositionInvariant(t *testing.T) {
 			applied++
 			checkPauseIdentity(t, "stw", e)
 			s := e.Stats
-			if s.GCMarkConcurrent {
-				t.Errorf("stw %s %s→%s: GCMarkConcurrent set without Concurrent", e.App, e.From, e.To)
+			if s.MarkConcurrent {
+				t.Errorf("stw %s %s→%s: MarkConcurrent set without Concurrent", e.App, e.From, e.To)
 			}
-			if s.PauseGCCopy <= 0 {
+			if s.PauseCopy <= 0 {
 				t.Errorf("stw %s %s→%s: fused collection reports no in-pause copy time", e.App, e.From, e.To)
 			}
-			if s.RelocConcurrent || s.GCMarkOutside != 0 || s.PauseGCRescan != 0 || s.GCRescanMarked != 0 {
+			if s.Relocated || s.MarkOutside != 0 || s.PauseRescan != 0 || s.RescanMarked != 0 {
 				t.Errorf("stw %s %s→%s: concurrent-only fields nonzero: reloc %v outside %v rescan %v rescanMarked %d",
-					e.App, e.From, e.To, s.RelocConcurrent, s.GCMarkOutside, s.PauseGCRescan, s.GCRescanMarked)
+					e.App, e.From, e.To, s.Relocated, s.MarkOutside, s.PauseRescan, s.RescanMarked)
 			}
 		}
 	}
@@ -85,7 +85,7 @@ func TestPauseDecompositionInvariant(t *testing.T) {
 // TestPauseDecompositionInvariantConcurrentMark re-runs the full matrix with
 // Concurrent set. Updates that complete a concurrent trace must report its
 // time outside the pause and leave a relocation draining; the bounded-restart
-// fallback (GCMarkConcurrent=false despite the option) must satisfy the fused
+// fallback (MarkConcurrent=false despite the option) must satisfy the fused
 // decomposition instead.
 func TestPauseDecompositionInvariantConcurrentMark(t *testing.T) {
 	applied, concurrent := 0, 0
@@ -104,21 +104,21 @@ func TestPauseDecompositionInvariantConcurrentMark(t *testing.T) {
 			applied++
 			checkPauseIdentity(t, "concurrent", e)
 			s := e.Stats
-			if s.GCMarkConcurrent {
+			if s.MarkConcurrent {
 				concurrent++
-				if !s.RelocConcurrent {
+				if !s.Relocated {
 					t.Errorf("concurrent %s %s→%s: consumed mark left no relocation", e.App, e.From, e.To)
 				}
-				if s.GCMarkOutside <= 0 {
+				if s.MarkOutside <= 0 {
 					t.Errorf("concurrent %s %s→%s: concurrent run reports no outside-pause mark time",
 						e.App, e.From, e.To)
 				}
-				if s.GCMarkedObjects <= 0 {
+				if s.MarkedObjects <= 0 {
 					t.Errorf("concurrent %s %s→%s: concurrent trace marked nothing", e.App, e.From, e.To)
 				}
 			} else {
 				// STW fallback after mark restarts exhausted: fused rules.
-				if s.PauseGCCopy <= 0 || s.RelocConcurrent || s.GCMarkOutside != 0 {
+				if s.PauseCopy <= 0 || s.Relocated || s.MarkOutside != 0 {
 					t.Errorf("concurrent %s %s→%s: fallback run has wrong decomposition: %+v",
 						e.App, e.From, e.To, s)
 				}

@@ -35,15 +35,15 @@ func TestRunMicroCountsAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r0.Transformed != 0 {
-		t.Fatalf("fraction 0 transformed %d objects", r0.Transformed)
+	if r0.TransformedObjects != 0 {
+		t.Fatalf("fraction 0 transformed %d objects", r0.TransformedObjects)
 	}
 	r100, err := RunMicro(MicroConfig{Objects: 20000, FracUpdated: 1, HandWritten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r100.Transformed != 20000 || r100.PairsLogged != 20000 {
-		t.Fatalf("fraction 1 transformed %d objects over %d pairs", r100.Transformed, r100.PairsLogged)
+	if r100.TransformedObjects != 20000 || r100.PairsLogged != 20000 {
+		t.Fatalf("fraction 1 transformed %d objects over %d pairs", r100.TransformedObjects, r100.PairsLogged)
 	}
 	// The generated default instead: the same objects, transformed by the
 	// collector — no pair, nothing left for the transformer phase.
@@ -51,17 +51,17 @@ func TestRunMicroCountsAndShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m100.Transformed != 20000 || m100.MovedObjects != 20000 || m100.PairsLogged != 0 {
-		t.Fatalf("default transformer: %d transformed, %d moved, %d pairs", m100.Transformed, m100.MovedObjects, m100.PairsLogged)
+	if m100.TransformedObjects != 20000 || m100.MovedObjects != 20000 || m100.PairsLogged != 0 {
+		t.Fatalf("default transformer: %d transformed, %d moved, %d pairs", m100.TransformedObjects, m100.MovedObjects, m100.PairsLogged)
 	}
-	if m100.Transform > r100.Transform/4 {
-		t.Fatalf("moved update still spent %v in the transformer phase (hand-written: %v)", m100.Transform, r100.Transform)
+	if m100.PauseTransform > r100.PauseTransform/4 {
+		t.Fatalf("moved update still spent %v in the transformer phase (hand-written: %v)", m100.PauseTransform, r100.PauseTransform)
 	}
-	if r100.Transform <= r0.Transform {
-		t.Fatalf("transform time did not grow: %v vs %v", r0.Transform, r100.Transform)
+	if r100.PauseTransform <= r0.PauseTransform {
+		t.Fatalf("transform time did not grow: %v vs %v", r0.PauseTransform, r100.PauseTransform)
 	}
-	if r100.Total < r100.GC || r100.Total < r100.Transform {
-		t.Fatalf("total %v below components (%v gc, %v tr)", r100.Total, r100.GC, r100.Transform)
+	if r100.PauseTotal < r100.PauseGC || r100.PauseTotal < r100.PauseTransform {
+		t.Fatalf("total %v below components (%v gc, %v tr)", r100.PauseTotal, r100.PauseGC, r100.PauseTransform)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestRunMicroLazy(t *testing.T) {
 	if lazy.LazyPending != 20000 {
 		t.Fatalf("lazy pause tagged %d objects, want 20000", lazy.LazyPending)
 	}
-	if lazy.Transformed != 20000 {
-		t.Fatalf("drain transformed %d objects, want 20000", lazy.Transformed)
+	if lazy.TransformedObjects != 20000 {
+		t.Fatalf("drain transformed %d objects, want 20000", lazy.TransformedObjects)
 	}
 	if lazy.Drain <= 0 {
 		t.Fatalf("forced drain took %v, want > 0", lazy.Drain)
@@ -90,11 +90,11 @@ func TestRunMicroLazy(t *testing.T) {
 	// The lazy pause omits the transformer pass; with the whole heap
 	// updated that pass dominates, so the in-pause transform time must be
 	// a small fraction of the eager one (≈0; allow scheduler noise).
-	if eager.Transform <= 0 {
-		t.Fatalf("eager transform time %v, want > 0", eager.Transform)
+	if eager.PauseTransform <= 0 {
+		t.Fatalf("eager transform time %v, want > 0", eager.PauseTransform)
 	}
-	if lazy.Transform > eager.Transform/4 {
-		t.Fatalf("lazy in-pause transform %v not ≈0 (eager %v)", lazy.Transform, eager.Transform)
+	if lazy.PauseTransform > eager.PauseTransform/4 {
+		t.Fatalf("lazy in-pause transform %v not ≈0 (eager %v)", lazy.PauseTransform, eager.PauseTransform)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestRunSweepSmall(t *testing.T) {
 	cells, err := RunSweep(MicroSweep{
 		Sizes:     []MicroConfig{{Objects: 5000, HeapLabel: "tiny", HandWritten: true}},
 		Fractions: []float64{0, 0.5, 1},
-		Runs:      1,
+		Runs:      3, // the median: the process's first, cold run cannot decide alone
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

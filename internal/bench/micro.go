@@ -72,14 +72,14 @@ type MicroConfig struct {
 	// while it copies the object (upt.Spec.ObjectMoves); the hand-written
 	// one is not, so every instance gets a shell + old-copy pair and one
 	// interpreted jvolveObject call: the paper's configuration (§3.4,
-	// Table 1), and the one that exercises scratch, lazy tagging and the
+	// Table 1), and the one that exercises scratch, pending pairs and the
 	// transformer phase.
 	HandWritten bool
 	// ScratchWords reserves a scratch region so DSU old copies bypass
 	// to-space (the §3.5 alternative).
 	ScratchWords int
-	// Lazy defers per-object transformation past the pause: objects are
-	// tagged untransformed and drained on first touch through the read
+	// Lazy defers per-object transformation past the pause: objects stay
+	// pending and are drained on first touch through the read
 	// barrier. The measured pause then excludes transformer execution;
 	// the forced drain is timed separately.
 	Lazy bool
@@ -99,43 +99,17 @@ type MicroConfig struct {
 	Concurrent bool
 }
 
-// MicroResult reports one run's pause decomposition — the three row groups
-// of Table 1 — plus the space accounting behind the §3.5 scratch ablation.
+// MicroResult reports one run: the update's own Stats — the three row groups
+// of Table 1 are PauseGC, PauseTransform and PauseTotal, and CopiedWords
+// counts old copies diverted to scratch again in ScratchWords (§3.5 ablation)
+// — plus what only the driver knows.
 type MicroResult struct {
-	Config       MicroConfig
-	GC           time.Duration
-	Transform    time.Duration
-	Total        time.Duration
-	Transformed  int
-	CopiedWords  int // words the DSU collection placed in to-space
-	ScratchWords int // old-copy words diverted to the scratch region
-
-	// Lazy-transform decomposition (pausecmp experiment).
-	LazyPending int           // objects left tagged when the pause ended
-	Drain       time.Duration // forced post-pause drain wall-clock (outside the pause)
-
+	Config MicroConfig
+	core.Stats
+	Drain time.Duration // forced post-pause drain wall-clock (Lazy; outside the pause)
 	// Verdict is the gate judgment for this update (nil unless
 	// MicroConfig.Metrics armed the gate engine).
 	Verdict *obs.Verdict
-
-	PairsLogged  int // pairs the collection scheduled for transformation
-	MovedObjects int // updated instances the collector wrote in their new layout
-
-	// Mark decomposition (pausecmp experiment), uniform across modes:
-	// PauseRescan is the SATB drain + root re-trace (the only in-pause
-	// tracing a concurrent update has; STW's trace is fused into PauseCopy),
-	// PauseCopy the in-pause copy work.
-	GCMarkConcurrent bool          // the trace ran outside the pause
-	MarkOutside      time.Duration // concurrent trace wall-clock, outside the pause
-	PauseRescan      time.Duration // SATB drain + root re-trace, inside the pause
-	PauseCopy        time.Duration // in-pause copy (STW: the fused trace+copy)
-	MarkedObjects    int           // objects the concurrent trace discovered
-	RescanMarked     int           // objects only the in-pause rescan found
-
-	// Relocation decomposition (pausecmp experiment).
-	RelocConcurrent bool          // the copy ran as a concurrent drain
-	RelocObjects    int           // objects evacuated outside the pause
-	RelocDrain      time.Duration // flip-to-finalize drain wall clock, outside the pause
 }
 
 // RunMicro builds a heap with the requested population and applies the
@@ -230,16 +204,16 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	}
 	var drain time.Duration
 	if cfg.Lazy && !cfg.Concurrent {
-		// The pause tags instead of transforming; every updated instance
+		// The pause arms instead of transforming; every updated instance
 		// must still be pending when it ends. (Composed with Concurrent
 		// the pause creates almost no pairs at all — discovery itself rides
 		// the drain — so the pending count at apply is near zero instead.)
-		want := 0 // a moved instance was never a pair: nothing to tag
+		want := 0 // a moved instance was never a pair: nothing pending
 		if cfg.HandWritten {
 			want = nChange
 		}
 		if res.Stats.LazyPending != want {
-			return nil, fmt.Errorf("bench: lazy pause tagged %d, want %d", res.Stats.LazyPending, want)
+			return nil, fmt.Errorf("bench: lazy pause left %d pending, want %d", res.Stats.LazyPending, want)
 		}
 	}
 	if cfg.Lazy || cfg.Concurrent {
@@ -258,32 +232,7 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	if res.Stats.TransformedObjects != nChange {
 		return nil, fmt.Errorf("bench: transformed %d, want %d", res.Stats.TransformedObjects, nChange)
 	}
-	return &MicroResult{
-		Config:       cfg,
-		GC:           res.Stats.PauseGC,
-		Transform:    res.Stats.PauseTransform,
-		Total:        res.Stats.PauseTotal,
-		Transformed:  res.Stats.TransformedObjects,
-		CopiedWords:  res.Stats.CopiedWords - res.Stats.ScratchWords,
-		ScratchWords: res.Stats.ScratchWords,
-		LazyPending:  res.Stats.LazyPending,
-		Drain:        drain,
-		PairsLogged:  res.Stats.PairsLogged,
-		MovedObjects: res.Stats.MovedObjects,
-
-		GCMarkConcurrent: res.Stats.GCMarkConcurrent,
-		MarkOutside:      res.Stats.GCMarkOutside,
-		PauseRescan:      res.Stats.PauseGCRescan,
-		PauseCopy:        res.Stats.PauseGCCopy,
-		MarkedObjects:    res.Stats.GCMarkedObjects,
-		RescanMarked:     res.Stats.GCRescanMarked,
-
-		Verdict: res.Verdict,
-
-		RelocConcurrent: res.Stats.RelocConcurrent,
-		RelocObjects:    res.Stats.RelocObjects,
-		RelocDrain:      res.Stats.RelocDrain,
-	}, nil
+	return &MicroResult{Config: cfg, Stats: res.Stats, Drain: drain, Verdict: res.Verdict}, nil
 }
 
 // MicroSweep is the full Table 1 grid: for each size, pause times over the
@@ -353,9 +302,9 @@ func RunSweep(sw MicroSweep, progress io.Writer) ([]Cell, error) {
 				if err != nil {
 					return nil, err
 				}
-				gcs = append(gcs, Millis(res.GC))
-				trs = append(trs, Millis(res.Transform))
-				tots = append(tots, Millis(res.Total))
+				gcs = append(gcs, Millis(res.PauseGC))
+				trs = append(trs, Millis(res.PauseTransform))
+				tots = append(tots, Millis(res.PauseTotal))
 			}
 			cells = append(cells, Cell{
 				Size: size, Fraction: frac,

@@ -70,7 +70,7 @@ type PauseCmpRow struct {
 	MarkOutsideMillis    Summary `json:"mark_outside_ms"`
 
 	// Lazy rows: the transform work leaves the pause entirely —
-	// transform_ms ≈ 0, lazy_pending pairs stay tagged behind the read
+	// transform_ms ≈ 0, lazy_pending pairs stay pending behind the read
 	// barrier, and the forced drain's wall time appears in drain_ms.
 	DrainMillis Summary `json:"drain_ms"`
 	LazyPending int     `json:"lazy_pending,omitempty"`
@@ -152,18 +152,18 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 						}
 						// No relocation: the engine gave up on the mark and this run
 						// was the stop-the-world collection.
-						if mode.Concurrent && !res.RelocConcurrent {
+						if mode.Concurrent && !res.Relocated {
 							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s: fell back to STW",
 								objects, frac, mode.Name)
 						}
-						tots = append(tots, Millis(res.Total))
-						gcs = append(gcs, Millis(res.GC))
+						tots = append(tots, Millis(res.PauseTotal))
+						gcs = append(gcs, Millis(res.PauseGC))
 						rescans = append(rescans, Millis(res.PauseRescan))
 						copies = append(copies, Millis(res.PauseCopy))
-						trs = append(trs, Millis(res.Transform))
+						trs = append(trs, Millis(res.PauseTransform))
 						outs = append(outs, Millis(res.MarkOutside))
 						drains = append(drains, Millis(res.Drain))
-						rdrains = append(rdrains, Millis(res.RelocDrain))
+						rdrains = append(rdrains, Millis(res.Reloc.Drain))
 						last = res
 					}
 					row := PauseCmpRow{
@@ -182,15 +182,15 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 						DrainMillis:       Summarize(drains),
 						LazyPending:       last.LazyPending,
 						RelocDrainMillis:  Summarize(rdrains),
-						RelocObjects:      last.RelocObjects,
+						RelocObjects:      last.Reloc.Objects,
 
 						MarkedObjects: last.MarkedObjects,
 						RescanMarked:  last.RescanMarked,
 						PairsLogged:   last.PairsLogged,
 						MovedObjects:  last.MovedObjects,
 					}
-					if last.Transformed > 0 {
-						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.Transformed)
+					if last.TransformedObjects > 0 {
+						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.TransformedObjects)
 					}
 					if !mode.Lazy && !mode.Concurrent {
 						serialMedian = row.PauseTotalMillis.Median

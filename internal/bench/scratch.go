@@ -44,8 +44,8 @@ func RunScratchPressure(objects int, fractions []float64, progress io.Writer) ([
 		rows = append(rows, ScratchRow{
 			Fraction:       frac,
 			LiveWords:      live,
-			ToSpacePlain:   plain.CopiedWords + plain.ScratchWords,
-			ToSpaceScratch: scratch.CopiedWords,
+			ToSpacePlain:   plain.CopiedWords,
+			ToSpaceScratch: scratch.CopiedWords - scratch.ScratchWords,
 			ScratchWords:   scratch.ScratchWords,
 		})
 		if progress != nil {

@@ -45,9 +45,9 @@ func RunTransformerStrategy(objects, runs int, progress io.Writer) (*Transformer
 			if r < 0 {
 				continue
 			}
-			gc[i] = append(gc[i], Millis(res.GC))
-			tr[i] = append(tr[i], Millis(res.Transform))
-			tot[i] = append(tot[i], Millis(res.Total))
+			gc[i] = append(gc[i], Millis(res.PauseGC))
+			tr[i] = append(tr[i], Millis(res.PauseTransform))
+			tot[i] = append(tot[i], Millis(res.PauseTotal))
 			if progress != nil {
 				fmt.Fprintf(progress, ".")
 			}

@@ -28,8 +28,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	// below); fail retires it on every post-install failure path. Before
 	// that it is nil and fail only stamps the pause accounting.
 	var resid *residue
-	var curPhase string
-	var phaseStart time.Time
 
 	// Until the DSU collection flips the heap, a failed update means the
 	// program continues on the OLD version — so the install phase's method
@@ -57,27 +55,32 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	var invalidated []codeInval
 	flipped := false
 
-	fail := func(err error) error {
-		// A failed update stopped the world just like an applied one; the
-		// pause histograms must see its true cost, not zero. Fill in the
-		// in-progress phase duration (its normal stamp is unreachable on
-		// this path) and the total, preserving PauseTotal ≥ install+gc+
-		// transform for every outcome.
-		el := time.Since(phaseStart)
-		switch curPhase {
-		case "install":
-			if p.res.Stats.PauseInstall == 0 {
-				p.res.Stats.PauseInstall = el
-			}
-		case "gc":
-			if p.res.Stats.PauseGC == 0 {
-				p.res.Stats.PauseGC = el
-			}
-		case "transform":
-			if p.res.Stats.PauseTransform == 0 {
-				p.res.Stats.PauseTransform = el
-			}
+	// phase closes the open phase — its engine-lane span, and its wall time
+	// into the Stats field it names, if any — and opens the next. fail and
+	// the deferred close end the last one through the same closer, so a
+	// failed update's pause histograms see its true cost and PauseTotal ≥
+	// install+gc+transform holds for every outcome.
+	var endSpan func()
+	var stamp *time.Duration
+	var phaseStart time.Time
+	closePhase := func() {
+		if endSpan == nil {
+			return
 		}
+		if stamp != nil {
+			*stamp = time.Since(phaseStart)
+		}
+		endSpan()
+		endSpan = nil
+	}
+	phase := func(name string, d *time.Duration) {
+		closePhase()
+		endSpan, stamp, phaseStart = e.span(name), d, time.Now()
+	}
+
+	fail := func(err error) error {
+		// A failed update stopped the world just like an applied one.
+		closePhase()
 		p.res.Stats.PauseTotal = time.Since(totalStart)
 		if !flipped {
 			for _, bs := range bodySwaps {
@@ -123,27 +126,10 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	}
 	endTotal := e.span("update pause")
 	defer endTotal()
-
-	// phase opens a named engine-lane span, closing the previous one; the
-	// deferred close makes every fail() return path well-formed.
-	var endPhase func()
-	phase := func(name string) {
-		if endPhase != nil {
-			endPhase()
-		}
-		endPhase = e.span(name)
-		curPhase = name
-		phaseStart = time.Now()
-	}
-	defer func() {
-		if endPhase != nil {
-			endPhase()
-		}
-	}()
+	defer closePhase()
 
 	// --- Install -----------------------------------------------------------
-	tInstall := time.Now()
-	phase("install")
+	phase("install", &p.res.Stats.PauseInstall)
 
 	for _, name := range spec.DeletedClasses {
 		if cls := reg.LookupClass(name); cls != nil {
@@ -305,7 +291,6 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	if err != nil {
 		return fail(fmt.Errorf("core: loading transformers: %w", err))
 	}
-	p.res.Stats.PauseInstall = time.Since(tInstall)
 
 	// From here on the residue owns the teardown (see residue.retire): it
 	// runs on the success path AND on every post-install failure path (via
@@ -317,7 +302,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	resid.buildPlans()
 
 	// --- OSR ---------------------------------------------------------------
-	phase("osr")
+	phase("osr", nil)
 	for _, job := range osrJobs {
 		f := job.frame
 		m := f.CM.Method
@@ -358,8 +343,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	}
 
 	// --- DSU garbage collection ---------------------------------------------
-	phase("gc")
-	tGC := time.Now()
+	phase("gc", &p.res.Stats.PauseGC)
 	var gcRes *gc.Result
 	var rl *gc.Relocation
 	if e.VM.GC.Opts.Concurrent {
@@ -395,40 +379,24 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		return fail(fmt.Errorf("core: DSU collection: %w", err))
 	}
 	flipped = true
-	p.res.Stats.PauseGC = time.Since(tGC)
-	p.res.Stats.PauseGCRescan = gcRes.PauseRescan
-	p.res.Stats.PauseGCCopy = gcRes.PauseCopy
-	p.res.Stats.GCMarkConcurrent = gcRes.MarkConcurrent
-	p.res.Stats.GCMarkOutside = gcRes.MarkOutside
-	p.res.Stats.GCMarkSetup = gcRes.MarkSetup
-	p.res.Stats.GCMarkedObjects = gcRes.MarkedObjects
-	p.res.Stats.GCSATBDrained = gcRes.SATBDrained
-	p.res.Stats.GCRescanMarked = gcRes.RescanMarked
-	p.res.Stats.CopiedObjects = gcRes.CopiedObjects
-	p.res.Stats.CopiedWords = gcRes.CopiedWords
-	p.res.Stats.ScratchWords = gcRes.ScratchWords
-	p.res.Stats.PairsLogged = gcRes.PairsLogged
-	p.res.Stats.RelocConcurrent = gcRes.Relocated
-
+	p.res.Stats.Collection = gcRes.Collection
 	resid.attach(gcRes, rl)
 
 	// --- Transformers --------------------------------------------------------
-	phase("transform")
-	tTr := time.Now()
+	phase("transform", &p.res.Stats.PauseTransform)
 	if err := resid.runPause(); err != nil {
 		// Partially transformed objects keep default field values (data
 		// loss), but the metadata must come back consistent (fail retires
 		// the residue) so the VM stays serviceable.
 		return fail(err)
 	}
-	p.res.Stats.PauseTransform = time.Since(tTr)
 
 	// --- Class initializers of brand-new classes -----------------------------
 	// The residue hook is still installed here, deliberately: with on-touch
 	// transformation a clinit that touches updated-class instances transforms
 	// them on first use, keeping its observable behaviour identical to eager
 	// mode, and a clinit-triggered collection can force the residue.
-	phase("clinit")
+	phase("clinit", nil)
 	for _, name := range spec.AddedClasses {
 		if cls := reg.LookupClass(name); cls != nil {
 			if err := e.VM.RunClinit(cls); err != nil {
@@ -438,7 +406,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	}
 
 	// The old class versions and the transformer class have done their job
-	// unless something is still outstanding — tagged pairs (the drain
+	// unless something is still outstanding — pending pairs (the drain
 	// resolves old-copy class ids through the renamed versions and runs
 	// transformer methods) or an unfinished relocation (it sizes old copies
 	// by their old class ids) — in which case the residue outlives the pause.

@@ -84,16 +84,23 @@ type Stats struct {
 	// new class ids.
 	ICFlushed          int
 	TransformedObjects int
-	CopiedObjects      int
-	// CopiedWords counts words copied into to-space; ScratchWords counts
-	// old-copy words diverted to the scratch region (§3.5 alternative).
-	CopiedWords  int
-	ScratchWords int
 
-	// PairsLogged is the pairs the collection scheduled for transformation
-	// (it can exceed TransformedObjects - MovedObjects only if the update
-	// fails mid-phase).
-	PairsLogged int
+	// Collection is the DSU collection's own record, stored whole (gc.go):
+	// copied objects and words (old copies diverted to scratch, §3.5,
+	// included and counted again in ScratchWords), the pause split
+	// PauseRescan/PauseCopy, and the concurrent mark's numbers —
+	// MarkConcurrent is false when the engine gave up on the mark (see
+	// maxMarkRestarts) and the update took the fused stop-the-world
+	// collection. Relocated records that the DSU copy ran as a concurrent
+	// relocation, whose drain is Reloc. PairsLogged also counts the pairs the
+	// adopted placement takes over from the drain (residue.adopt); it can
+	// exceed TransformedObjects - MovedObjects only if the update fails
+	// mid-phase.
+	gc.Collection
+	// MarkRestarts is how many concurrent-mark snapshots were invalidated by
+	// allocation-triggered collections before one survived (or the engine
+	// gave up).
+	MarkRestarts int
 
 	// MovedObjects counts updated-class instances whose transformer is a
 	// move transformer (upt.Spec.ObjectMoves): the collector wrote them once,
@@ -103,40 +110,17 @@ type Stats struct {
 	// otherwise). A concurrent relocation adds its drain's share when it ends.
 	MovedObjects int
 
-	// Concurrent-mark decomposition (vm.Options.Concurrent without
-	// LazyTransform). GCMarkConcurrent records that instance discovery ran as
-	// a concurrent snapshot-at-the-beginning trace outside the pause (false
-	// when the engine gave up on the mark, see maxMarkRestarts, and the update
-	// took the fused stop-the-world collection): GCMarkOutside is the trace's
-	// wall-clock time overlapped with the mutator, GCMarkSetup the
-	// snapshot/arm/spawn mini-pause, and GCMarkRestarts how many snapshots
-	// were invalidated by allocation-triggered collections before one
-	// survived (or the engine gave up). GCMarkedObjects is the
-	// concurrent trace's population, GCSATBDrained the deletion-log entries
-	// drained at the pause, and GCRescanMarked the objects the in-pause
-	// rescan added (the only in-pause tracing).
-	GCMarkConcurrent bool
-	GCMarkOutside    time.Duration
-	GCMarkSetup      time.Duration
-	GCMarkRestarts   int
-	GCMarkedObjects  int
-	GCSATBDrained    int
-	GCRescanMarked   int
-
 	SafePointDelay time.Duration // request → DSU safe point
+	// Each pause phase's wall time. PauseGC includes the collection's
+	// Duration and so its PauseRescan/PauseCopy split; the remainder is
+	// bookkeeping.
 	PauseInstall   time.Duration
 	PauseGC        time.Duration
-	// PauseGC's decomposition: SATB/root rescan (concurrent path only — the
-	// one in-pause trace there is; the stop-the-world collector's is fused
-	// with its copy) and the copy phase. The remainder of PauseGC is
-	// bookkeeping.
-	PauseGCRescan  time.Duration
-	PauseGCCopy    time.Duration
 	PauseTransform time.Duration
 	PauseTotal     time.Duration
 
 	// Lazy-transform decomposition (vm.Options.LazyTransform). LazyPending
-	// is the pair count left tagged when the pause ended; LazyDrained were
+	// is the pair count left pending when the pause ended; LazyDrained were
 	// then transformed by the read barrier on first touch, LazyForced by a
 	// forced drain (collection, follow-up update, or ForceDrain).
 	// Drained+Forced converges to Pending, and TransformedObjects to the
@@ -146,27 +130,12 @@ type Stats struct {
 	LazyDrained int
 	LazyForced  int
 
-	// Concurrent-relocation decomposition (vm.Options.Concurrent).
-	// RelocConcurrent records that the DSU copy ran as a concurrent
-	// relocation: the pause stopped at flip preparation (rescan, flip,
-	// eager evacuation of updated-class instances only, root remap) and the
-	// remaining live set was evacuated after the world resumed — by the
-	// background relocator and by the mutator through the
-	// self-healing load barrier. RelocObjects/RelocWords count those
-	// post-pause evacuations (the in-pause share stays in CopiedObjects/
-	// CopiedWords); RelocHealedSlots counts stale slots rewritten to
-	// canonical addresses; RelocDeferredPairs counts shell/old-copy pairs
-	// the drain created for the lazy pipeline (deferred-pair mode);
-	// RelocDrain is the drain's wall clock — copy cost that no longer sits
-	// in the pause. Like the Lazy* block, these fields are stamped at drain
-	// finalize, after the Result is sealed.
-	RelocConcurrent    bool
-	RelocObjects       int
-	RelocWords         int
-	RelocScratchWords  int
-	RelocHealedSlots   uint64
-	RelocDeferredPairs int
-	RelocDrain         time.Duration
+	// Reloc is the concurrent relocation's drain (Relocated): the post-pause
+	// evacuations (the in-pause share stays in CopiedObjects/CopiedWords),
+	// healed slots, deferred pairs and the drain's wall clock — copy cost
+	// that no longer sits in the pause. Like the Lazy* block it is stamped
+	// at drain finalize, after the Result is sealed.
+	Reloc gc.RelocStats
 }
 
 // Result is the terminal state of an update request.
@@ -283,7 +252,7 @@ type Engine struct {
 
 	pending *Pending
 	// residue is what the most recent update's collection left outstanding
-	// (tagged pairs, an in-flight relocation), nil outside a drain window.
+	// (pending pairs, an in-flight relocation), nil outside a drain window.
 	residue *residue
 	// halt holds the FAIL verdict that tripped GateHalt; while set,
 	// RequestUpdate refuses new updates.
@@ -676,7 +645,7 @@ const maxMarkRestarts = 3
 // detect via p.Done().
 func (e *Engine) stepMark(p *Pending) bool {
 	gcc := e.VM.GC
-	p.res.Stats.GCMarkRestarts = p.markRestarts
+	p.res.Stats.MarkRestarts = p.markRestarts
 	if p.mark == nil {
 		if p.markRestarts > maxMarkRestarts {
 			return true // fall back to the fused STW collection
@@ -826,10 +795,10 @@ func (e *Engine) observeUpdate(res *Result) {
 		m.Histogram(obs.MSafePointDelay, obs.DurationBuckets()).Observe(s.SafePointDelay.Seconds())
 		m.Histogram(obs.MPauseInstall, obs.DurationBuckets()).Observe(s.PauseInstall.Seconds())
 		m.Histogram(obs.MPauseGC, obs.DurationBuckets()).Observe(s.PauseGC.Seconds())
-		m.Histogram(obs.MPauseGCRescan, obs.DurationBuckets()).Observe(s.PauseGCRescan.Seconds())
-		m.Histogram(obs.MPauseGCCopy, obs.DurationBuckets()).Observe(s.PauseGCCopy.Seconds())
-		if s.GCMarkConcurrent {
-			m.Histogram(obs.MMarkOutside, obs.DurationBuckets()).Observe(s.GCMarkOutside.Seconds())
+		m.Histogram(obs.MPauseGCRescan, obs.DurationBuckets()).Observe(s.PauseRescan.Seconds())
+		m.Histogram(obs.MPauseGCCopy, obs.DurationBuckets()).Observe(s.PauseCopy.Seconds())
+		if s.MarkConcurrent {
+			m.Histogram(obs.MMarkOutside, obs.DurationBuckets()).Observe(s.MarkOutside.Seconds())
 		}
 		m.Histogram(obs.MPauseTransform, obs.DurationBuckets()).Observe(s.PauseTransform.Seconds())
 		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())

@@ -23,7 +23,7 @@ func newLazyFixture(t *testing.T, heapWords, scratchWords int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// These suites are about pairs — pending, draining, pair evacuation — so
 	// every generated transformer is made hand-written; moved defaults under
 	// the same pipelines are TestMovesMatchInterpreter's.
 	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
@@ -97,7 +97,7 @@ func rawBoxV(t *testing.T, f *fixture, static string) int64 {
 }
 
 // TestLazyTransformDrainsOnTouch is the tentpole's end-to-end contract: the
-// pause ends with every pair tagged (TransformedObjects=0, transform share
+// pause ends with every pair pending (TransformedObjects=0, transform share
 // of the pause ≈ 0), the renamed old version and scratch region outlive the
 // pause under a drain-aware CheckVM, the read barrier transforms exactly
 // what the program touches, and ForceDrain retires the rest — converging on
@@ -163,31 +163,55 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 
 // TestLazyEagerSameOutput pins observational equivalence at the fixture
 // level (the storm test covers it at scale): the same program and update
-// produce identical output and identical final field values either way.
+// produce identical output and identical final field values either way. In
+// the second row a class transformer reads a field of a pending instance:
+// eager mode walks the object log only after the class transformers, so it
+// reads the shell's default, and lazy mode must too — which pins where the
+// read barrier is armed.
 func TestLazyEagerSameOutput(t *testing.T) {
-	run := func(lazy bool) (string, int64) {
-		var f *fixture
-		if lazy {
-			f = newLazyFixture(t, 1<<16, 1<<12)
-		} else {
-			f = newFixture(t, 1<<16)
+	const classReads = `
+class JvolveTransformers {
+  static method jvolveClass(LBox;)V {
+    getstatic App.a LBox;
+    getfield Box.v I
+    putstatic Box.seen I
+    return
+  }
+}
+`
+	for _, row := range []struct{ name, box, custom string }{
+		{"object transformers", "field pad LString;", ""},
+		{"class transformer reads a pending instance", "field pad LString;\n  static field seen I", classReads},
+	} {
+		run := func(lazy bool) (out string, b, seen int64) {
+			var f *fixture
+			if lazy {
+				f = newLazyFixture(t, 1<<16, 1<<12)
+			} else {
+				f = newFixture(t, 1<<16)
+				f.editSpec = handWrite // pairs in both placements
+			}
+			v1 := f.load(lazyV1)
+			v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
+				"class Box {\n  "+row.box+"\n  field v I", 1))
+			f.spawn("App")
+			f.vm.Step(1)
+			f.mustApply("1", v1, v2, row.custom)
+			out = strings.TrimSpace(f.finish())
+			if err := f.engine.ForceDrain(); err != nil {
+				t.Fatalf("ForceDrain: %v", err)
+			}
+			if sf := f.vm.Reg.LookupClass("Box").StaticField("seen"); sf != nil {
+				seen = f.vm.Reg.JTOC[sf.Slot].Int()
+			}
+			return out, rawBoxV(t, f, "b"), seen
 		}
-		v1 := f.load(lazyV1)
-		v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
-			"class Box {\n  field pad LString;\n  field v I", 1))
-		f.spawn("App")
-		f.vm.Step(1)
-		f.mustApply("1", v1, v2, "")
-		out := strings.TrimSpace(f.finish())
-		if err := f.engine.ForceDrain(); err != nil {
-			t.Fatalf("ForceDrain: %v", err)
+		eagerOut, eagerB, eagerSeen := run(false)
+		lazyOut, lazyB, lazySeen := run(true)
+		if eagerOut != lazyOut || eagerB != lazyB || eagerSeen != lazySeen {
+			t.Fatalf("%s: eager (out=%q b=%d seen=%d) != lazy (out=%q b=%d seen=%d)",
+				row.name, eagerOut, eagerB, eagerSeen, lazyOut, lazyB, lazySeen)
 		}
-		return out, rawBoxV(t, f, "b")
-	}
-	eagerOut, eagerB := run(false)
-	lazyOut, lazyB := run(true)
-	if eagerOut != lazyOut || eagerB != lazyB {
-		t.Fatalf("eager (out=%q b=%d) != lazy (out=%q b=%d)", eagerOut, eagerB, lazyOut, lazyB)
 	}
 }
 

@@ -29,7 +29,7 @@ func newMarkFixture(t *testing.T, heapWords int, concurrent bool) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// These suites are about pairs — pending, draining, pair evacuation — so
 	// every generated transformer is made hand-written; moved defaults under
 	// the same pipelines are TestMovesMatchInterpreter's.
 	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
@@ -224,21 +224,21 @@ func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
 	}
 
 	s, c := resSTW.Stats, resCM.Stats
-	if s.GCMarkConcurrent {
-		t.Fatal("STW run flagged GCMarkConcurrent")
+	if s.MarkConcurrent {
+		t.Fatal("STW run flagged MarkConcurrent")
 	}
 	// Uniform decomposition: the STW collector's fused trace+copy is
 	// reported as copy time.
-	if s.PauseGCCopy == 0 || s.PauseGCRescan != 0 || s.GCMarkOutside != 0 || s.GCRescanMarked != 0 {
+	if s.PauseCopy == 0 || s.PauseRescan != 0 || s.MarkOutside != 0 || s.RescanMarked != 0 {
 		t.Fatalf("STW decomposition wrong: %+v", s)
 	}
-	if !c.GCMarkConcurrent {
+	if !c.MarkConcurrent {
 		t.Fatal("concurrent run fell back to STW discovery")
 	}
-	if c.GCMarkOutside == 0 {
+	if c.MarkOutside == 0 {
 		t.Fatal("concurrent run reports no outside-pause mark time")
 	}
-	if c.GCMarkedObjects == 0 {
+	if c.MarkedObjects == 0 {
 		t.Fatal("concurrent mark discovered nothing")
 	}
 	if c.TransformedObjects == 0 || s.TransformedObjects == 0 {
@@ -251,7 +251,7 @@ func TestConcurrentMarkPipelineEquivalence(t *testing.T) {
 	if c.PairsLogged < 1 {
 		t.Fatal("concurrent run paired nothing")
 	}
-	if got := c.PauseGCRescan + c.PauseGCCopy; got > c.PauseGC {
+	if got := c.PauseRescan + c.PauseCopy; got > c.PauseGC {
 		t.Fatalf("rescan+copy %v exceeds PauseGC %v", got, c.PauseGC)
 	}
 	if cm.vm.Heap.SATBArmed() {
@@ -316,10 +316,10 @@ func TestConcurrentMarkGivesUp(t *testing.T) {
 		t.Fatalf("outcomes: concurrent %v (%v), serial %v (%v)", res.Outcome, res.Err, resSerial.Outcome, resSerial.Err)
 	}
 	s := res.Stats
-	if s.GCMarkRestarts != 4 {
-		t.Fatalf("GCMarkRestarts = %d, want 4: one more than the engine tolerates", s.GCMarkRestarts)
+	if s.MarkRestarts != 4 {
+		t.Fatalf("MarkRestarts = %d, want 4: one more than the engine tolerates", s.MarkRestarts)
 	}
-	if s.GCMarkConcurrent || s.RelocConcurrent || s.GCMarkOutside != 0 || s.RelocObjects != 0 {
+	if s.MarkConcurrent || s.Relocated || s.MarkOutside != 0 || s.Reloc.Objects != 0 {
 		t.Fatalf("the give-up update still reports concurrent work: %+v", s)
 	}
 	if s.PairsLogged == 0 || s.TransformedObjects != s.PairsLogged {

@@ -34,7 +34,7 @@ func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// These suites are about pairs — tagging, draining, pair evacuation — so
+	// These suites are about pairs — pending, draining, pair evacuation — so
 	// every generated transformer is made hand-written; moved defaults under
 	// the same pipelines are TestMovesMatchInterpreter's.
 	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
@@ -320,19 +320,19 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		}
 
 		s, c := resSTW.Stats, resRel.Stats
-		if s.RelocConcurrent {
-			t.Fatalf("%s: STW run flagged RelocConcurrent", m.name)
+		if s.Relocated {
+			t.Fatalf("%s: STW run flagged Relocated", m.name)
 		}
-		if !c.RelocConcurrent {
+		if !c.Relocated {
 			t.Fatalf("%s: reloc run fell back to STW copy", m.name)
 		}
 		// The Pad ballast is live but not updated: it must have moved in
 		// the concurrent drain, not in the pause.
-		if c.RelocObjects == 0 {
+		if c.Reloc.Objects == 0 {
 			t.Fatalf("%s: concurrent drain relocated nothing: %+v",
 				m.name, c)
 		}
-		if c.RelocDrain == 0 {
+		if c.Reloc.Drain == 0 {
 			t.Fatalf("%s: no drain time recorded", m.name)
 		}
 		if m.lazy {
@@ -342,12 +342,12 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 				t.Fatalf("%s: deferred-pair pause still copied eagerly: %+v",
 					m.name, c)
 			}
-			if c.RelocDeferredPairs == 0 {
+			if c.Reloc.DeferredPairs == 0 {
 				t.Fatalf("%s: drain registered no deferred pairs", m.name)
 			}
-			if c.PairsLogged != c.RelocDeferredPairs {
+			if c.PairsLogged != c.Reloc.DeferredPairs {
 				t.Fatalf("%s: adopted %d pairs for %d deferred",
-					m.name, c.PairsLogged, c.RelocDeferredPairs)
+					m.name, c.PairsLogged, c.Reloc.DeferredPairs)
 			}
 		} else {
 			// Eager pair evacuation: the pause copies exactly shell +
@@ -364,9 +364,9 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 					m.name, c.CopiedObjects, s.CopiedObjects)
 			}
 		}
-		if c.GCMarkConcurrent == m.lazy {
-			t.Fatalf("%s: GCMarkConcurrent = %v: discovery is the mark's, or with lazy the drain's",
-				m.name, c.GCMarkConcurrent)
+		if c.MarkConcurrent == m.lazy {
+			t.Fatalf("%s: MarkConcurrent = %v: discovery is the mark's, or with lazy the drain's",
+				m.name, c.MarkConcurrent)
 		}
 		assertRetired(t, rf, false)
 		// The VM must remain collectable and updatable after the drain.
@@ -427,7 +427,7 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 		t.Fatal("empty program output")
 	}
 	st := res.Stats
-	if st.RelocDeferredPairs == 0 {
+	if st.Reloc.DeferredPairs == 0 {
 		t.Fatalf("drain registered no deferred pairs: %+v", st)
 	}
 	if st.LazyDrained+st.LazyForced == 0 {

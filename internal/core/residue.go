@@ -36,13 +36,14 @@ type plan struct {
 //
 //   - eager (default): runPause walks the whole log inside the pause and the
 //     first transformer error fails the update;
-//   - on touch (LazyTransform, the §5 on-first-use hybrid): runPause tags
-//     every pair instead, and the read barrier (vm.VM.Residue) transforms each
-//     on first touch — an error there is the object's data loss, since the
-//     program already resumed on the new version;
+//   - on touch (LazyTransform, the §5 on-first-use hybrid): runPause arms the
+//     read barrier (vm.DSUResidue.OnTouch) instead, and the barrier transforms
+//     each pending pair on first touch — an error there is the object's data
+//     loss, since the program already resumed on the new version;
 //   - adopted (Concurrent ∧ LazyTransform): the pause made (almost) no
-//     pairs; the relocation creates and tags them as it evacuates, and the
-//     log adopts them on first touch or when the relocation finishes.
+//     pairs; attach arms the barrier, the relocation creates pending pairs as
+//     it evacuates, and the log adopts them on first touch or when the
+//     relocation finishes.
 //
 // Only transformers that have to run make pairs. One that is a pure field copy
 // (every generated default: upt.Spec.ObjectMoves) is resolved here, before the
@@ -53,7 +54,7 @@ type plan struct {
 // Lifecycle: apply builds it once the install phase has loaded the new code
 // and attaches it to the VM when the collection succeeds. It retires — one
 // teardown for every placement and every failure path — as soon as nothing is
-// outstanding: at the end of the pause (eager), when the last tagged pair
+// outstanding: at the end of the pause (eager), when the last pending pair
 // transforms, when the relocation's drain runs from-space dry (tick), or
 // when a collection, a follow-up update, a gate policy or the harness forces
 // it (force).
@@ -87,21 +88,23 @@ type residue struct {
 // attach hands the residue what the DSU collection produced and installs it
 // as the VM's residue hook — before the transformer phase, because a
 // transformer (Jvolve.forceTransform) or a clinit-triggered collection must
-// be able to reach it while the pause is still open.
+// be able to reach it while the pause is still open. The adopted placement
+// arms the read barrier here: its pairs are made by the relocation, pending
+// from the moment they exist.
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
 	r.moved(gcRes.Moved)
 	r.onTouch = r.e.VM.LazyTransform
 	r.adopt() // the pairs the pause itself forced (root-remap evacuations)
 	r.e.residue = r
-	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.onTouch, Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
+	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.adopts(), Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
 }
 
 // adopts reports the adopted placement: pairs come from the relocation.
 func (r *residue) adopts() bool { return r.onTouch && r.rl != nil }
 
-// adopt takes over, in shell-address order, the pairs the relocation created and
-// tagged since the last call (adopted placement only). PairsLogged counts pairs
+// adopt takes over, in shell-address order, the pairs the relocation created
+// since the last call (adopted placement only). PairsLogged counts pairs
 // where they join the log — here, not in the pause — so the chain-wide law
 // (TransformedObjects == PairsLogged + MovedObjects after the terminal drain)
 // stays mode-blind.
@@ -212,10 +215,10 @@ func (r *residue) planFor(newAddr, oldCopy rt.Addr) *plan {
 
 // runPause is the transformer phase inside the DSU pause. Class transformers
 // always run here (statics must be correct before the program resumes), then
-// the object log is walked (eager) or tagged (on touch). Transformers run on
-// synchronous VM threads with collection disabled — the log holds raw
-// addresses. An error fails the update; tagging happens after the only
-// fallible step, so a failed on-touch update leaves no tag of its own.
+// the object log is walked (eager) or the read barrier armed (on touch).
+// Transformers run on synchronous VM threads with collection disabled — the
+// log holds raw addresses. An error fails the update; arming happens after the
+// only fallible step, so a failed on-touch update never arms.
 func (r *residue) runPause() error {
 	v := r.e.VM
 	v.GCDisabled = true
@@ -233,13 +236,10 @@ func (r *residue) runPause() error {
 			}
 		}
 	case r.rl == nil:
-		// Tag what the class transformers did not already force. (In the
-		// adopted placement the relocation tags the shells it creates.)
-		for _, pair := range r.log {
-			if v.Heap.PairWord(pair.New) != 0 {
-				v.Heap.MarkUntransformed(pair.New)
-			}
-		}
+		// Arm only now, before clinit: armed during the class transformers,
+		// the barrier would transform on touch what eager mode leaves to the
+		// log walk. (attach armed the adopted placement.)
+		v.Residue.OnTouch = true
 		r.stats.LazyPending = r.pending
 	}
 	r.sealed = time.Now()
@@ -312,15 +312,15 @@ func (r *residue) transform(newAddr rt.Addr) error {
 	if w == heap.Transforming {
 		return fmt.Errorf("core: transformer cycle detected at object @%d; aborting update", newAddr)
 	}
-	r.adopt() // pairs the pause never saw join the log as if it had tagged them
+	// Only pairs retired with the barrier armed are drain work; a pair the
+	// pause walked, or a class transformer forced before arming, is
+	// accounted by runPause.
+	armed := r.e.VM.Residue.OnTouch
+	r.adopt() // pairs the pause never saw join the log as if it had made them
+	// Transforming is not pending: the transformer's own reads and writes of
+	// the half-built object do not re-fire the barrier (the cycle check
+	// above still catches true cycles via forceTransform).
 	h.SetPairWord(newAddr, heap.Transforming)
-	// Clear the tag before running the transformer: its own reads and
-	// writes of the half-built object must not re-fire the barrier (the
-	// cycle check above still catches true cycles via forceTransform).
-	tagged := h.Untransformed(newAddr)
-	if tagged {
-		h.ClearUntransformed(newAddr)
-	}
 	err := r.run(newAddr, rt.Addr(w))
 	h.SetPairWord(newAddr, 0)
 	r.pending--
@@ -328,10 +328,7 @@ func (r *residue) transform(newAddr rt.Addr) error {
 	if err != nil && r.firstErr == nil {
 		r.firstErr = err
 	}
-	if tagged {
-		// Only tagged pairs are drain work; a pair the pause walked, or a
-		// class transformer forced before tagging, went through here
-		// untagged and is accounted by runPause.
+	if armed {
 		r.completed()
 	}
 	return err
@@ -369,7 +366,7 @@ func (r *residue) run(newAddr, oldCopy rt.Addr) error {
 	return nil
 }
 
-// completed books one retired tagged pair and settles the residue.
+// completed books one pair retired behind the armed barrier and settles the residue.
 func (r *residue) completed() {
 	if r.forcing {
 		r.stats.LazyForced++
@@ -387,7 +384,7 @@ func (r *residue) completed() {
 	r.settle()
 }
 
-// settle retires the residue once nothing is outstanding: no tagged pair,
+// settle retires the residue once nothing is outstanding: no pending pair,
 // and no relocation that could still add pairs or hold from-space (pending
 // may transiently hit zero before the relocation's log is final). A failed
 // relocation settles at once — nothing more can drain on a dead heap.
@@ -430,13 +427,7 @@ func (r *residue) finishReloc() {
 	}
 	r.relocDone = true
 	st, err := r.rl.Finish()
-	s := r.stats
-	s.RelocObjects = st.Objects
-	s.RelocWords = st.Words
-	s.RelocScratchWords = st.ScratchWords
-	s.RelocHealedSlots = st.HealedSlots
-	s.RelocDeferredPairs = st.DeferredPairs
-	s.RelocDrain = st.Drain
+	r.stats.Reloc = st
 	r.moved(st.Moved)
 	if m := r.e.VM.Metrics; m != nil {
 		m.Counter(obs.MRelocObjects).Add(int64(st.Objects))
@@ -471,7 +462,7 @@ func (r *residue) force() error {
 				if r.retired {
 					break
 				}
-				if r.e.VM.Heap.Untransformed(pair.New) {
+				if r.e.VM.Heap.Pending(pair.New) {
 					_ = r.transform(pair.New) // recorded in firstErr; drain must finish
 				}
 			}
@@ -487,8 +478,8 @@ func (r *residue) force() error {
 
 // retire is the one teardown. It finishes the relocation if that is still in
 // flight (the world must never resume, and no collection may flip, with
-// from-space held), marks the heap unusable if the drain failed, clears the
-// tags of pairs an in-pause failure or a failed drain leaves untransformed,
+// from-space held), marks the heap unusable if the drain failed, zeroes the
+// pair words an in-pause failure or a failed drain leaves pending,
 // uninstalls the hook, unlinks the renamed old versions and the transformer
 // class so the next collection can reclaim them, and reclaims the scratch
 // region (§3.5: "reclaim it when the collection completes"). After this the
@@ -509,7 +500,6 @@ func (r *residue) retire() {
 	}
 	if r.pending > 0 {
 		for _, pair := range r.log {
-			v.Heap.ClearUntransformed(pair.New)
 			v.Heap.SetPairWord(pair.New, 0)
 		}
 	}
@@ -522,7 +512,7 @@ func (r *residue) retire() {
 	v.Heap.ResetScratch()
 }
 
-// LazyBacklog reports how many pairs are still tagged behind the read
+// LazyBacklog reports how many pairs are still pending behind the read
 // barrier — the drain backlog — or 0 outside a drain window. It is the
 // gauge the stream obs plane samples after every chain step.
 func (e *Engine) LazyBacklog() int {

@@ -171,7 +171,7 @@ func crowdHeap(f *fixture, cls *rt.Class) {
 // leave behind, whatever the placement and whichever path retired it: no
 // residue hook, no backlog, the load barrier disarmed, an empty scratch
 // region, no renamed old version, transformer class or UpdatedTo link
-// registered, no untransformed tag on a live object, and a clean whole-VM
+// registered, no live scalar pending, and a clean whole-VM
 // sweep. After a failed drain the heap is dead by contract, so the two heap
 // walks are replaced by the FatalHeap assertion.
 func assertRetired(t *testing.T, f *fixture, wantFatal bool) {
@@ -207,8 +207,8 @@ func assertRetired(t *testing.T, f *fixture, wantFatal bool) {
 		t.Fatalf("heap marked unusable: %v", v.FatalHeap)
 	}
 	err := gc.WalkReachable(v.Heap, v.Reg, v, func(a rt.Addr, _ *rt.Class) error {
-		if v.Heap.Untransformed(a) {
-			return fmt.Errorf("live object @%d still tagged untransformed", a)
+		if !v.Heap.IsArray(a) && v.Heap.PairWord(a) != 0 { // an array's word 1 is its length
+			return fmt.Errorf("live object @%d still carries pair word %#x", a, v.Heap.PairWord(a))
 		}
 		return nil
 	})
@@ -227,7 +227,7 @@ func TestResidueTeardownConservation(t *testing.T) {
 	// The placements are placements of pairs, so Box's generated transformer
 	// is made hand-written (the lazy and reloc fixtures do that themselves).
 	// The moved rows leave it a move: the collector, or the relocation drain,
-	// writes every Box in its new layout, nothing is ever tagged, and the
+	// writes every Box in its new layout, nothing is ever pending, and the
 	// same teardown must still hold along every path.
 	handWritten := func(f *fixture) *fixture { f.editSpec = handWrite; return f }
 	moved := func(f *fixture) *fixture { f.editSpec = nil; return f }
@@ -321,7 +321,7 @@ class JvolveTransformers {
 				t.Fatalf("collection mid-drain: %v", err)
 			}
 			if lazy && r.res.Stats.LazyForced == 0 {
-				t.Fatal("collection ran without forcing the tagged pairs")
+				t.Fatal("collection ran without forcing the pending pairs")
 			}
 		}},
 		{name: "forced by follow-up update", longSpin: true, drive: func(t *testing.T, r *run, lazy bool) {
@@ -398,9 +398,9 @@ class JvolveTransformers {
 						t.Fatalf("output = %q, want 190", got)
 					}
 					if pl.lazy && s.Stats.LazyPending == 0 {
-						t.Fatal("on-touch placement tagged nothing")
+						t.Fatal("on-touch placement left nothing pending")
 					}
-					if pl.reloc && (!s.Stats.RelocConcurrent || s.Stats.RelocObjects == 0) {
+					if pl.reloc && (!s.Stats.Relocated || s.Stats.Reloc.Objects == 0) {
 						t.Fatalf("relocation stats not stamped: %+v", s.Stats)
 					}
 					if n, m := s.Stats.PairsLogged, s.Stats.MovedObjects; n+m < 20 || (pl.moved && n != 0) || (!pl.moved && m != 0) {

@@ -237,7 +237,7 @@ class NoChange {
 // returns a function applying the update with the default transformer — which
 // the collector performs as a move while it copies, or, handWritten, the same
 // body as an interpreted transformer over pairs. In lazy mode the pause only
-// tags the pairs; the caller drains.
+// arms the read barrier; the caller drains.
 func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, handWritten bool) (*core.Engine, func() *core.Result) {
 	tb.Helper()
 	v, err := vm.New(vm.Options{HeapWords: 5 * 9 * n, LazyTransform: lazy, Out: io.Discard, Recorder: rec})

@@ -60,13 +60,18 @@ type Pair struct {
 	New     rt.Addr
 }
 
-// Result reports one collection.
+// Result reports one collection: its update log and its record.
 type Result struct {
 	// Log is the update log (empty for non-DSU collections), in
 	// first-encounter order. Each shell also caches its old copy's address
 	// in its pair word (heap/bits.go), as in the paper (§3.4).
 	Log []Pair
+	Collection
+}
 
+// Collection is one collection's counters and pause split. It has one home:
+// core.Stats embeds it, and the engine stores it there whole.
+type Collection struct {
 	CopiedObjects int
 	CopiedWords   int
 	// PairsLogged counts DSU pairs recorded in Log — objects the collection
@@ -104,11 +109,6 @@ type Result struct {
 	MarkedObjects  int // objects greyed by the concurrent trace (roots included)
 	RescanMarked   int // objects the pause rescan additionally marked
 	SATBDrained    int // deletion-log entries drained at the pause
-	// MarkUpdatedInstances counts updated-class instances attributed by the
-	// concurrent trace (root captures included). Instances the pause itself
-	// discovers — rescan marks and the allocate-black walk — are not
-	// attributed; PairsLogged is the authoritative copied-pair count.
-	MarkUpdatedInstances int
 
 	// Relocated marks a CollectReloc result: the world resumed with
 	// from-space still live and a concurrent relocation drain in flight.

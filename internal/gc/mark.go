@@ -89,16 +89,14 @@ type Marker struct {
 	aborted bool          // mutator goroutine: result must not be consumed
 	satb    []rt.Addr     // deletion log, stashed at pause/abort disarm time
 
-	// The trace's counters, under the same ownership as the bitmap.
-	// updatedInstances is the concurrent trace's instance attribution (root
-	// captures included — the root loop greys through the same path);
-	// instances the *pause* discovers (SATB/rescan marks, allocate-black
-	// walk) are not attributed here. The authoritative copied set is
-	// Result.PairsLogged. updatedAddrs are the attributed instances' addresses:
-	// the set the CollectReloc pause evacuates eagerly.
-	markedObjects    int
-	updatedInstances int
-	updatedAddrs     []rt.Addr
+	// The trace's results, under the same ownership as the bitmap.
+	// updatedAddrs are the updated-class instances the concurrent trace
+	// attributed (root captures included — the root loop greys through the
+	// same path): the set the CollectReloc pause evacuates eagerly. Instances
+	// the *pause* discovers (SATB/rescan marks, allocate-black walk) are not
+	// attributed here; the authoritative copied set is Result.PairsLogged.
+	markedObjects int
+	updatedAddrs  []rt.Addr
 }
 
 // markBitmapFor returns a cleared bitmap covering the snapshot region
@@ -349,7 +347,6 @@ func (m *Marker) markGrey(a rt.Addr) {
 	m.markedObjects++
 	h := m.c.Heap
 	if m.updatedIDs != nil && !h.IsArray(a) && m.updatedIDs[h.ClassID(a)] {
-		m.updatedInstances++
 		m.updatedAddrs = append(m.updatedAddrs, a)
 	}
 	m.grey = append(m.grey, a)

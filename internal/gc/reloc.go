@@ -59,9 +59,9 @@ import (
 // deferPairs (vm.Options.LazyTransform ∧ Concurrent) is full deferral:
 // the pause creates no pairs except those the root remap forces. The drain
 // discovers updated-class instances during evacuation, builds the
-// shell + old copy right there, tags the shell untransformed for the lazy
-// read barrier, and registers the pair for the lazy drain to adopt. Class
-// cleanup (unregistering the renamed old classes) is deferred to drain
+// shell + old copy right there — the shell's pair word makes it pending for
+// the lazy read barrier — and registers the pair for the lazy drain to adopt.
+// Class cleanup (unregistering the renamed old classes) is deferred to drain
 // finalize in every reloc mode, because the drain sizes old copies by their
 // old class ids.
 
@@ -196,7 +196,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	}
 	start := time.Now()
 	h := c.Heap
-	res := &Result{Relocated: true}
+	res := &Result{Collection: Collection{Relocated: true}}
 
 	// --- discovery ---------------------------------------------------------
 	var addrs []rt.Addr
@@ -333,7 +333,6 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 	res.MarkSetup = m.setup
 	res.MarkedObjects = m.markedObjects
 	res.SATBDrained = len(m.satb)
-	res.MarkUpdatedInstances = m.updatedInstances
 	addrs := m.updatedAddrs
 
 	tRescan := time.Now()
@@ -547,8 +546,8 @@ func (rl *Relocation) regionRemaining() bool {
 
 // nextRegion claims the next to-space region object via the CAS cursor. The
 // region is hole-free (pause allocation is bump-serial), so the header at
-// the cursor always parses; it is read atomically because the mutator's
-// lazy-tag read-modify-write may touch shell headers concurrently.
+// the cursor always parses; it is read with SlotLoad, like every header the
+// drain reads while the mutator runs.
 func (rl *Relocation) nextRegion() (rt.Addr, bool) {
 	for {
 		cur := rl.cursor.Load()
@@ -591,9 +590,9 @@ func (rl *Relocation) firstErr() error {
 }
 
 // scanObj heals every stale reference slot of one to-space (or scratch)
-// object, evacuating the targets. Headers are read atomically (the mutator
-// RMWs lazy tags; slot stores race with mutator writes by design — both
-// sides are atomic while the barrier is armed).
+// object, evacuating the targets. Headers and slots are read atomically (slot
+// stores race with mutator writes by design — both sides are atomic while the
+// barrier is armed).
 func (rl *Relocation) scanObj(a rt.Addr, al *relocAllocator) {
 	h := rl.h
 	hw := h.SlotLoad(a)
@@ -711,7 +710,7 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 // movedCopy is the plain evacuation above for an instance the drain met whose
 // transformer is a move (deferPairs mode): one zeroed object of the new size,
 // the new class id, the carried runs straight out of the claimed from-space
-// object — finished before PublishForward, never tagged, never a pair. It is
+// object — finished before PublishForward, never pending, never a pair. It is
 // pushed like any copy, so the scan heals its slots.
 func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (rt.Addr, bool) {
 	h, newCls := rl.h, old.UpdatedTo
@@ -733,10 +732,10 @@ func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (r
 }
 
 // deferredPair builds a shell + old copy for an updated-class instance the
-// drain discovered (deferPairs mode), tags the shell untransformed for the
-// lazy read barrier, and registers the pair for the lazy drain to adopt. The
-// shell, its tag and its pair word are written before PublishForward, so no
-// other goroutine ever sees a half-built pair.
+// drain discovered (deferPairs mode) and registers the pair for the lazy
+// drain to adopt. The shell and its pair word — what makes it pending for the
+// lazy read barrier — are written before PublishForward, so no other
+// goroutine ever sees a half-built pair.
 func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Class, al *relocAllocator) (rt.Addr, bool) {
 	h := rl.h
 	shell, ok1 := al.allocShell(newCls.Size)
@@ -755,7 +754,6 @@ func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Cl
 		return 0, false
 	}
 	h.SetWord(shell, uint64(newCls.ID))
-	h.MarkUntransformed(shell)
 	h.SetPairWord(shell, uint64(oldCopy))
 	if size > 1 {
 		h.CopyWords(oldCopy+1, a+1, size-1)

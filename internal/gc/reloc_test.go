@@ -208,7 +208,7 @@ func TestRelocInFlightMutation(t *testing.T) {
 
 // TestRelocDeferredPairs pins full deferral (reloc + lazy transform): the
 // pause creates pairs only where the root remap forces one; the drain
-// builds the rest — shells tagged untransformed, old copies registered for
+// builds the rest — pending shells, old copies registered for
 // adoption, every old-copy reference healed to a canonical (shell) address.
 func TestRelocDeferredPairs(t *testing.T) {
 	for _, scratch := range []int{0, 1 << 12} {
@@ -267,8 +267,8 @@ func TestRelocDeferredPairs(t *testing.T) {
 			if w.h.ClassID(p.New) != newCls.ID {
 				t.Fatalf("shell @%d has class %d, want %d", p.New, w.h.ClassID(p.New), newCls.ID)
 			}
-			if !w.h.Untransformed(p.New) {
-				t.Fatalf("shell @%d not tagged untransformed", p.New)
+			if !w.h.Pending(p.New) {
+				t.Fatalf("shell @%d not pending: pair word %#x", p.New, w.h.PairWord(p.New))
 			}
 			if w.h.ClassID(p.OldCopy) != w.cls.ID {
 				t.Fatalf("old copy @%d has class %d, want %d", p.OldCopy, w.h.ClassID(p.OldCopy), w.cls.ID)
@@ -307,8 +307,8 @@ func TestRelocDeferredPairs(t *testing.T) {
 // TestRelocDeferredMoves: under full deferral an updated-class instance whose
 // transformer is a move is no pair at all. Whoever evacuates it — the root
 // remap for the chain's head, the drain for the rest — writes the one finished
-// copy: new class, carried fields in their new places, never tagged, pair word
-// 0, and references healed like any evacuated object's.
+// copy: new class, carried fields in their new places, never pending (pair
+// word 0), and references healed like any evacuated object's.
 func TestRelocDeferredMoves(t *testing.T) {
 	w := &world{reg: rt.NewRegistry(), h: heap.New(1 << 12)}
 	w.cls = nodeClass(t, w.reg, "Node")
@@ -344,8 +344,8 @@ func TestRelocDeferredMoves(t *testing.T) {
 		if !w.h.InCurrentSpace(a) || w.h.ClassID(a) != newLeaf.ID {
 			t.Fatalf("leaf %d @%d: not a to-space LeafV2 (class %d)", i, a, w.h.ClassID(a))
 		}
-		if w.h.Untransformed(a) || w.h.PairWord(a) != 0 {
-			t.Fatalf("leaf %d @%d: tagged %v, pair word %d — a moved object is finished", i, a, w.h.Untransformed(a), w.h.PairWord(a))
+		if w.h.PairWord(a) != 0 {
+			t.Fatalf("leaf %d @%d: pair word %d — a moved object is finished", i, a, w.h.PairWord(a))
 		}
 		if got := w.h.FieldValue(a, tagOff, false).Int(); got != int64(100+i) {
 			t.Fatalf("leaf %d: tag %d, want %d", i, got, 100+i)
@@ -353,10 +353,10 @@ func TestRelocDeferredMoves(t *testing.T) {
 		if got := w.h.FieldValue(a, newLeaf.Field("pad").Offset, false).Int(); got != 0 {
 			t.Fatalf("leaf %d: new field pad = %d", i, got)
 		}
-		// Its node is a pair the drain deferred: a tagged NodeV2 shell.
+		// Its node is a pair the drain deferred: a pending NodeV2 shell.
 		node := w.h.FieldValue(a, nodeOff, true).Ref()
-		if !w.h.InCurrentSpace(node) || w.h.ClassID(node) != newNode.ID || !w.h.Untransformed(node) {
-			t.Fatalf("leaf %d: node @%d not healed to a tagged NodeV2 shell", i, node)
+		if !w.h.InCurrentSpace(node) || w.h.ClassID(node) != newNode.ID || !w.h.Pending(node) {
+			t.Fatalf("leaf %d: node @%d not healed to a pending NodeV2 shell", i, node)
 		}
 		if old := rt.Addr(w.h.PairWord(node)); w.h.FieldValue(old, offVal, false).Int() != int64(200+i) {
 			t.Fatalf("leaf %d: node's old copy lost its value", i)

@@ -17,29 +17,30 @@ func TestHeaderBitLayout(t *testing.T) {
 		mask uint64
 	}{
 		{"ClassIDMask", ClassIDMask},
-		{"untransformedBit", untransformedBit},
 		{"ArrayRefBit", ArrayRefBit},
 		{"ArrayBit", ArrayBit},
 		{"ForwardBit", ForwardBit},
 	}
+	var claimed uint64
 	for i := 0; i < len(live); i++ {
+		claimed |= live[i].mask
 		for j := i + 1; j < len(live); j++ {
 			if overlap := live[i].mask & live[j].mask; overlap != 0 {
 				t.Errorf("%s and %s overlap on bits %#x", live[i].name, live[j].name, overlap)
 			}
 		}
 	}
+	// Bits 32..60 are reserved: no protocol claims them.
+	if reserved := uint64(1)<<61 - 1<<32; claimed&reserved != 0 {
+		t.Errorf("reserved bits %#x are claimed by a protocol — update the bits.go layout doc", claimed&reserved)
+	}
 
 	// Forwarding repurposes bits 0..60 as the target address. The class id
-	// and the lazy tag lie inside that range (the documented temporal
-	// exception: forwarding only on from-space originals, tags only on
-	// to-space shells); the flags that must survive alongside the forward
-	// bit do not.
+	// lies inside that range (the documented temporal exception: forwarding
+	// only on from-space originals); the flags that must survive alongside
+	// the forward bit do not.
 	if ClassIDMask&^ForwardMask != 0 {
 		t.Errorf("class id bits %#x escape ForwardMask — forwarding addresses cannot be encoded", ClassIDMask&^ForwardMask)
-	}
-	if untransformedBit&ForwardMask == 0 {
-		t.Errorf("lazy tag moved outside ForwardMask — update the bits.go layout doc")
 	}
 	if ForwardMask&(ForwardBit|ArrayBit|ArrayRefBit) != 0 {
 		t.Errorf("ForwardMask %#x claims flag bits — a forwarding target would corrupt them", ForwardMask)
@@ -55,18 +56,10 @@ func TestHeaderBitLayout(t *testing.T) {
 		t.Errorf("HeaderForwarded(claimedWord) = (%d, %v, %v), want (0, false, true)", to, forwarded, claimed)
 	}
 
-	// A live header carrying every non-forwarding protocol at once still
-	// decodes each protocol independently.
+	// A live header decodes each protocol independently.
 	const classID = 42
-	w := uint64(classID) | untransformedBit
-	if HeaderClassID(w) != classID {
-		t.Errorf("lazy tag corrupts class id: got %d", HeaderClassID(w))
-	}
-	if HeaderIsArray(w) {
-		t.Errorf("lazy tag reads as array bit")
-	}
-	if _, forwarded, claimed := HeaderForwarded(w); forwarded || claimed {
-		t.Errorf("tagged live header reads as forwarded/claimed")
+	if _, forwarded, claimed := HeaderForwarded(classID); forwarded || claimed {
+		t.Errorf("plain live header reads as forwarded/claimed")
 	}
 	aw := ArrayBit | ArrayRefBit
 	if !HeaderIsArray(aw) || HeaderClassID(aw) != 0 {
@@ -81,12 +74,15 @@ func TestHeaderBitLayout(t *testing.T) {
 	}
 	h := New(64)
 	obj, _ := h.AllocObject(&rt.Class{ID: classID, Size: rt.HeaderWords + 1})
-	if h.PairWord(obj) != 0 {
+	if h.PairWord(obj) != 0 || h.Pending(obj) {
 		t.Errorf("fresh object carries pair word %#x", h.PairWord(obj))
 	}
 	h.SetPairWord(obj, uint64(^rt.Addr(0)))
-	if h.PairWord(obj) != uint64(^rt.Addr(0)) || h.ClassID(obj) != classID || h.IsArray(obj) {
+	if h.PairWord(obj) != uint64(^rt.Addr(0)) || h.ClassID(obj) != classID || h.IsArray(obj) || !h.Pending(obj) {
 		t.Errorf("pair word does not round-trip beside word 0")
+	}
+	if h.SetPairWord(obj, Transforming); h.Pending(obj) {
+		t.Errorf("a shell whose transformer is running reads as pending")
 	}
 	arr, _ := h.AllocArray(false, 3)
 	if h.PairWord(arr) != 3 {

@@ -14,8 +14,8 @@ import (
 )
 
 // The header word 0 bit layout lives in bits.go — the one documented map of
-// every protocol (class id, array flags, lazy tag, forwarding/claim) that
-// shares the word.
+// every protocol (class id, array flags, forwarding/claim) that shares the
+// word — and of word 1, an array's length or a scalar's DSU pair word.
 
 // Heap is a semi-space heap, optionally with a scratch region appended
 // after the two semispaces. The scratch region implements the paper's §3.5

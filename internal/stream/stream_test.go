@@ -48,9 +48,9 @@ func TestStreamMatrix(t *testing.T) {
 						return fmt.Errorf("step %d: transformed %d of %d pairs + %d moved",
 							step, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 					}
-					if s.PauseGC < s.PauseGCRescan+s.PauseGCCopy {
+					if s.PauseGC < s.PauseRescan+s.PauseCopy {
 						return fmt.Errorf("step %d: PauseGC %v < rescan %v + copy %v",
-							step, s.PauseGC, s.PauseGCRescan, s.PauseGCCopy)
+							step, s.PauseGC, s.PauseRescan, s.PauseCopy)
 					}
 					// Lazy accounting: drains never overshoot the tagged set,
 					// and non-lazy modes never tag at all.
@@ -69,9 +69,9 @@ func TestStreamMatrix(t *testing.T) {
 					// applied update (but one the engine gave up marking for,
 					// which is stop-the-world); the other modes never hold a
 					// drain or a backlog.
-					if want := mode.Concurrent && (mode.Lazy || s.GCMarkConcurrent); s.RelocConcurrent != want {
-						return fmt.Errorf("step %d: RelocConcurrent=%v GCMarkConcurrent=%v in mode %s",
-							step, s.RelocConcurrent, s.GCMarkConcurrent, mode.Name)
+					if want := mode.Concurrent && (mode.Lazy || s.MarkConcurrent); s.Relocated != want {
+						return fmt.Errorf("step %d: Relocated=%v MarkConcurrent=%v in mode %s",
+							step, s.Relocated, s.MarkConcurrent, mode.Name)
 					}
 					if !mode.Concurrent && (rec.RelocBacklog != 0 || d.VM().Heap.RelocArmed()) {
 						return fmt.Errorf("step %d: relocation residue in mode %s (backlog %d)",

@@ -10,7 +10,7 @@ import (
 // HandWrite makes every object transformer of spec a hand-written one (see
 // HandWriteMethod): the update then builds a shell + old-copy pair per instance
 // and interprets jvolveObject on each — the path a test about pairs, scratch,
-// lazy tags or the resident transformer thread means to exercise, now that a
+// pending pairs or the resident transformer thread means to exercise, now that a
 // generated default is performed by the collector.
 func HandWrite(spec *upt.Spec) {
 	for _, m := range spec.Transformers.Methods {

@@ -290,12 +290,6 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: index %d out of bounds (len %d) in %s", i, v.Heap.ArrayLen(a), f.Method().FullName()))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
-				if err := r.Transform(a); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (aget) @%d in %s: %w", a, f.Method().FullName(), err))
-					return
-				}
-			}
 			f.Stack[n-2] = v.Heap.Elem(a, int(i))
 			f.Stack = f.Stack[:n-1]
 		case bytecode.ASET:
@@ -312,12 +306,6 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: index %d out of bounds (len %d) in %s", i, v.Heap.ArrayLen(a), f.Method().FullName()))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
-				if err := r.Transform(a); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (aset) @%d in %s: %w", a, f.Method().FullName(), err))
-					return
-				}
-			}
 			v.Heap.SetElem(a, int(i), val)
 
 		case bytecode.GETFIELD_R:
@@ -327,7 +315,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
 				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
@@ -343,7 +331,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (putfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
 				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (putfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
@@ -399,7 +387,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 			// Dispatch itself would be correct without the barrier (the shell
 			// already carries the new class id), but the callee is about to
 			// read stale fields — transform the receiver before entry.
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(recv.Ref()) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) {
 				if err := r.Transform(recv.Ref()); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
 					return
@@ -741,7 +729,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(a) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
 				if err := r.Transform(a); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
 					return
@@ -756,7 +744,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(mid) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(mid) {
 				if err := r.Transform(mid); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", mid, f.Method().FullName(), err))
 					return
@@ -781,7 +769,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Untransformed(recv.Ref()) {
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) {
 				if err := r.Transform(recv.Ref()); err != nil {
 					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
 					return

@@ -2,17 +2,19 @@ package vm
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"sort"
 	"testing"
 
 	"govolve/internal/asm"
+	"govolve/internal/heap"
 	"govolve/internal/rt"
 )
 
 // loadLoopSrc is the ref-load-heavy analog of storeLoopSrc: every iteration
 // chases two reference fields, reads a scalar field, and loads a ref array
-// element (the lazy read barrier's getfield and aget fast paths), with one
+// element (getfield carries the lazy read barrier, aget never did), with one
 // taken backedge. Call-free so the slice allocates nothing; an infinite loop
 // lets the harness pump slices forever.
 const loadLoopSrc = `
@@ -105,7 +107,7 @@ func stubResidue(tb testing.TB, onTouch bool) *DSUResidue {
 	return &DSUResidue{
 		OnTouch: onTouch,
 		Transform: func(a rt.Addr) error {
-			tb.Fatalf("residue touch hook fired at @%d with no tagged objects", a)
+			tb.Fatalf("residue touch hook fired at @%d with nothing pending", a)
 			return nil
 		},
 		Tick:  func() {},
@@ -114,11 +116,114 @@ func stubResidue(tb testing.TB, onTouch bool) *DSUResidue {
 }
 
 // armLazyStub installs an on-touch residue hook that should never fire: no
-// object is tagged, so an armed-clean run pays only the per-load header-bit
+// object is pending, so an armed-clean run pays only the per-load pair-word
 // test.
 func armLazyStub(tb testing.TB, v *VM) {
 	tb.Helper()
 	v.Residue = stubResidue(tb, true)
+}
+
+// touchSrc gives TestArmedBarrierSites one shell (Touch.a) and a non-empty
+// array holding it to touch.
+const touchSrc = `
+class Node {
+  field val I
+  method <init>()V {
+    load 0
+    invokespecial Object.<init>()V
+    return
+  }
+}
+class Touch {
+  static field a LNode;
+  static field arr [LNode;
+  static method setup()V {
+    new Node
+    dup
+    invokespecial Node.<init>()V
+    putstatic Touch.a LNode;
+    const 2
+    newarray LNode;
+    putstatic Touch.arr [LNode;
+    getstatic Touch.arr [LNode;
+    const 0
+    getstatic Touch.a LNode;
+    aset
+    return
+  }
+  static method arrays()V {
+    getstatic Touch.arr [LNode;
+    const 1
+    getstatic Touch.arr [LNode;
+    const 0
+    aget
+    aset
+    return
+  }
+  static method read()V {
+    getstatic Touch.a LNode;
+    getfield Node.val I
+    pop
+    return
+  }
+}
+`
+
+// TestArmedBarrierSites pins where the armed read barrier fires: on a getfield
+// of a pending shell, exactly once, and never on a shell whose transformer is
+// running (pair word Transforming) or on aget/aset of a non-empty array, whose
+// word 1 is its length and not a pair word.
+func TestArmedBarrierSites(t *testing.T) {
+	v, err := New(Options{HeapWords: 1 << 12, Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.AssembleProgram("touch.jva", touchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	cls := v.Reg.LookupClass("Touch")
+	run := func(name string) {
+		t.Helper()
+		if err := v.RunSynchronous(name, cls.Method(name, "()V"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("setup")
+	node := v.Reg.JTOC[cls.StaticField("a").Slot].Ref()
+	arr := v.Reg.JTOC[cls.StaticField("arr").Slot].Ref()
+
+	calls := 0
+	v.Residue = &DSUResidue{
+		OnTouch: true,
+		Transform: func(a rt.Addr) error {
+			calls++
+			if a != node {
+				t.Errorf("transform @%d, want the shell @%d", a, node)
+			}
+			v.Heap.SetPairWord(a, 0) // done, as the engine's transform leaves it
+			return nil
+		},
+		Tick:  func() {},
+		Force: func() error { return nil },
+	}
+	defer func() { v.Residue = nil }()
+
+	v.Heap.SetPairWord(node, heap.Transforming)
+	run("arrays")
+	run("read")
+	if calls != 0 {
+		t.Fatalf("barrier fired %d times on arrays and a shell mid-transform", calls)
+	}
+	v.Heap.SetPairWord(node, uint64(arr)) // any old copy's address: pending
+	run("read")
+	run("read")
+	if calls != 1 {
+		t.Fatalf("barrier fired %d times on a pending shell read twice, want 1", calls)
+	}
 }
 
 // BenchmarkLazyDisabledDispatch measures the load-heavy dispatch loop with
@@ -142,7 +247,7 @@ func BenchmarkLazyDisabledDispatch(b *testing.B) {
 }
 
 // BenchmarkLazyArmedDispatch is the same loop with the barrier armed but no
-// objects tagged: every reference load additionally tests the header bit.
+// object pending: every field load additionally tests the pair word.
 // This is the steady-state tax the mutator pays while a drain is in flight,
 // excluding the transforms themselves.
 func BenchmarkLazyArmedDispatch(b *testing.B) {
@@ -262,8 +367,8 @@ const armedOverheadFloor = 0.90
 // enforced by the zero-alloc test above plus the printed benchmark pair,
 // since the check is compiled in unconditionally and has no in-binary
 // baseline to diff against. What this gate pins is the armed-but-clean tax:
-// with the hook installed and nothing tagged, every reference load adds one
-// header-word bit test.
+// with the hook installed and nothing pending, every field load adds one
+// pair-word test.
 func TestLazyDisabledOverheadGate(t *testing.T) {
 	if r := armedDispatchRatio(t, armLazyStub); r < armedOverheadFloor {
 		t.Fatalf("armed-clean dispatch at %.1f%% of disabled, want ≥%.0f%%", r*100, armedOverheadFloor*100)

@@ -150,7 +150,7 @@ func TestStringNativesUnderCollection(t *testing.T) {
 				t.Fatal(err)
 			}
 			v.Residue = &vm.DSUResidue{
-				Transform: func(rt.Addr) error { return fmt.Errorf("nothing is tagged") },
+				Transform: func(rt.Addr) error { return fmt.Errorf("nothing is pending") },
 				Tick:      func() {},
 				Force: func() error {
 					v.Heap.DisarmReloc() // squeeze re-arms

@@ -55,10 +55,11 @@ type Options struct {
 	// OptThreshold overrides the adaptive recompilation threshold.
 	OptThreshold int
 	// LazyTransform defers object transformation out of the DSU pause: the
-	// pause copies objects and tags each updated-class instance, and a read
-	// barrier on the interpreter's access fast paths transforms an object
-	// on first touch (the paper's §5 on-first-use hybrid, opt-in). The
-	// barrier's disabled state costs one nil-check, like the SATB barrier.
+	// pause copies objects and leaves each updated-class instance pending,
+	// and a read barrier on the interpreter's receiver and field fast paths
+	// transforms an object on first touch (the paper's §5 on-first-use
+	// hybrid, opt-in). The barrier's disabled state costs one nil-check, like
+	// the SATB barrier.
 	LazyTransform bool
 	// Recorder, if non-nil, is the flight recorder every VM layer emits
 	// typed events into (scheduler, DSU engine, collector). A nil
@@ -275,11 +276,13 @@ type VM struct {
 // from an update's post-collection residue are spelled as functions; the
 // engine sets them all.
 type DSUResidue struct {
-	// OnTouch arms the lazy read barrier: objects carrying the
-	// untransformed header tag may exist, so the interpreter's access fast
-	// paths test the tag and call Transform on a hit. False (eager
-	// transformation, possibly with a relocation still draining) keeps the
-	// fast paths at this one flag test.
+	// OnTouch arms the lazy read barrier: the program may run while shells
+	// are still pending (heap.Pending — the pair word holds an old copy), so
+	// the interpreter's receiver and field fast paths test the pair word and
+	// call Transform on a hit. The engine arms it only once transforming on
+	// touch is what it wants, never while its class transformers run. False
+	// (eager transformation, possibly with a relocation still draining) keeps
+	// the fast paths at this one flag test.
 	OnTouch bool
 	// Transform runs the object transformer of one updated-class instance if
 	// it has not run yet: the read barrier's slow path and the
@@ -865,7 +868,7 @@ func (v *VM) ForEachRoot(fn func(*rt.Value)) {
 
 // DrainActive reports whether a DSU residue is installed: the window between
 // an update's collection and the retirement of everything it left behind (a
-// lazy-transform drain with tagged objects outstanding, a concurrent
+// lazy-transform drain with pending objects outstanding, a concurrent
 // relocation holding from-space live behind the load barrier, or both).
 // During this window the renamed old class versions, UpdatedTo links,
 // transformer class and scratch region legitimately outlive the pause.
