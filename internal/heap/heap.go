@@ -234,6 +234,26 @@ func (h *Heap) AllocArray(elemIsRef bool, length int) (rt.Addr, bool) {
 	return a, true
 }
 
+// AllocChars allocates a non-reference array of the given length and writes
+// its header only: the elements hold whatever the space held before. The
+// caller must write every element before its next allocation (DESIGN.md
+// §7.1). While the relocation barrier is armed it is AllocArray: the
+// relocator carves TLABs off the same bump pointer.
+func (h *Heap) AllocChars(length int) (rt.Addr, bool) {
+	if h.reloc != nil {
+		return h.AllocArray(false, length)
+	}
+	size := rt.Addr(rt.HeaderWords + length)
+	if h.alloc+size > h.limit(h.cur) {
+		return 0, false
+	}
+	a := h.alloc
+	h.alloc += size
+	h.words[a] = ArrayBit
+	h.words[a+1] = uint64(length)
+	return a, true
+}
+
 // Word reads a raw word.
 func (h *Heap) Word(a rt.Addr) uint64 { return h.words[a] }
 

@@ -175,7 +175,7 @@ func CheckVM(v *vm.VM) error {
 	if err := v.Net.CheckIntegrity(); err != nil {
 		return err
 	}
-	return nil
+	return v.CheckScheduler()
 }
 
 // checkClassLayout validates one class's internal consistency: ref map

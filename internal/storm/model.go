@@ -23,12 +23,12 @@ import (
 // carries the probe-result static the snap methods write (excluded from
 // shadow tracking because guest code writes it).
 const (
-	hubClass   = "G0"
-	hubEntry   = "entry"
-	hubOut     = "out"
-	stormPort  = 7070
-	loopIters  = 6
-	listBound  = 24
+	hubClass  = "G0"
+	hubEntry  = "entry"
+	hubOut    = "out"
+	stormPort = 7070
+	loopIters = 6
+	listBound = 24
 )
 
 // fieldModel is one declared field of a generated class. Field names are
@@ -465,7 +465,7 @@ func (m *model) dynamicCost(memo map[string]int64, cls, name string) int64 {
 	if mm == nil {
 		return 0
 	}
-	memo[key] = -1 // visiting
+	memo[key] = -1     // visiting
 	var body int64 = 8 // prologue, filler arithmetic, return
 	for _, r := range mm.reads {
 		if f := m.fieldOf(r.class, r.field); f != nil && f.static && f.desc == "I" {

@@ -85,11 +85,11 @@ func buildFuzzProgram(data []byte) *classfile.Program {
 //   - DiffClass never panics on any pair of generated classes.
 func FuzzUPTDiff(f *testing.F) {
 	f.Add([]byte{}, []byte{})
-	f.Add([]byte{0}, []byte{0, 1})                   // one class vs class+field
-	f.Add([]byte{0, 1, 2}, []byte{0, 1, 2, 3})       // body tweak
-	f.Add([]byte{0, 2, 0, 2}, []byte{0, 2})          // class deletion
-	f.Add([]byte{0, 4, 0}, []byte{0, 0})             // hierarchy variation
-	f.Add([]byte{0, 1, 17, 2, 18}, []byte{0, 9, 2})  // static/desc variation
+	f.Add([]byte{0}, []byte{0, 1})                  // one class vs class+field
+	f.Add([]byte{0, 1, 2}, []byte{0, 1, 2, 3})      // body tweak
+	f.Add([]byte{0, 2, 0, 2}, []byte{0, 2})         // class deletion
+	f.Add([]byte{0, 4, 0}, []byte{0, 0})            // hierarchy variation
+	f.Add([]byte{0, 1, 17, 2, 18}, []byte{0, 9, 2}) // static/desc variation
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		old := buildFuzzProgram(a)

@@ -832,16 +832,17 @@ func (v *VM) branch(f *Frame, target int, budget *int) bool {
 // reports whether the interpreter should return to the scheduler (entry
 // yield point, block, or error).
 func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *int) bool {
-	if target.Def.Native {
-		// The binding is cached on the method (rt.Method.Native); only a
-		// method's first native call resolves it by name.
-		b, _ := target.Native.(*nativeBinding)
-		if b == nil {
-			if b = v.bindNative(target); b == nil {
-				v.kill(t, fmt.Errorf("vm: unbound native %s", target.FullName()))
-				return true
-			}
+	// The binding is cached on the method (rt.Method.Native), so a native call
+	// is told by one load; only a method's first native call, and every
+	// bytecode call, go on to read the declaration.
+	b, _ := target.Native.(*nativeBinding)
+	if b == nil && target.Def.Native {
+		if b = v.bindNative(target); b == nil {
+			v.kill(t, fmt.Errorf("vm: unbound native %s", target.FullName()))
+			return true
 		}
+	}
+	if b != nil {
 		ret, block, err := b.fn(v, t, f.Stack[len(f.Stack)-nargs:])
 		if err != nil {
 			v.kill(t, fmt.Errorf("vm: native %s: %w", target.FullName(), err))

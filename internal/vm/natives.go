@@ -183,7 +183,7 @@ func (v *VM) registerNatives() {
 		return retStr(v.NewString(line))
 	})
 	v.BindNative("Net", "send(ILString;)V", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
-		line, ok := v.GoString(args[1].Ref())
+		line, ok := v.goBytes(args[1].Ref())
 		if !ok {
 			return rt.Value{}, nil, fmt.Errorf("Net.send: null line")
 		}
@@ -247,7 +247,7 @@ func (v *VM) registerNatives() {
 			return rt.Value{}, nil, err
 		}
 		na, nb := len(a), len(b)
-		arr, err := v.allocArray(false, na+nb)
+		arr, err := v.allocChars(na + nb)
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
@@ -314,7 +314,7 @@ func (v *VM) registerNatives() {
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		arr, err := v.allocArray(false, len(s))
+		arr, err := v.allocChars(len(s))
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
@@ -362,7 +362,7 @@ func (v *VM) registerNatives() {
 	v.BindNative("String", "fromInt(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		var buf [20]byte // len("-9223372036854775808")
 		digits := strconv.AppendInt(buf[:0], args[0].Int(), 10)
-		arr, err := v.allocArray(false, len(digits))
+		arr, err := v.allocChars(len(digits))
 		if err != nil {
 			return rt.Value{}, nil, err
 		}

@@ -14,11 +14,30 @@ import "fmt"
 // listener entry is kept as a closed tombstone (so a blocked accept wakes
 // and observes the close) until the port is rebound. Sustained load with
 // well-behaved peers therefore keeps both maps bounded.
+//
+// A reaped connection's record is kept on a free list, its two queues' backing
+// arrays with it, and Connect takes from there first; ids stay monotonic and
+// are never reused, so an operation on a reaped id still finds no entry and
+// takes the closed path (DESIGN.md §7.3).
 type NetSim struct {
 	listeners map[int64]*SimListener
 	conns     map[int64]*SimConn
 	nextConn  int64
+	spare     []*SimConn
+
+	// sent interns the lines the server sends, so a response line the server
+	// has sent before costs no Go allocation. Reset when it reaches
+	// sentBound entries; SendHits/SendMisses count lookups.
+	sent       map[string]string
+	SendHits   int64
+	SendMisses int64
 }
+
+// sentBound is how many distinct sent lines the intern table holds before it
+// starts over: above the 114 distinct lines the three apps send over every
+// release of the bench's traffic, small enough that traffic whose lines never
+// repeat (a counter in every line) costs one bounded map.
+const sentBound = 256
 
 // fifo is a queue popped by advancing a head index that rewinds when the queue
 // drains: q = q[1:] walks the capacity off the front, a growslice per push.
@@ -67,6 +86,7 @@ func NewNetSim() *NetSim {
 	return &NetSim{
 		listeners: make(map[int64]*SimListener),
 		conns:     make(map[int64]*SimConn),
+		sent:      make(map[string]string),
 	}
 }
 
@@ -77,6 +97,7 @@ func NewNetSim() *NetSim {
 func (n *NetSim) maybeReap(c *SimConn) {
 	if c.Closed && c.ClientDone && c.ToServer.len() == 0 && c.ToClient.len() == 0 {
 		delete(n.conns, c.ID)
+		n.spare = append(n.spare, c)
 	}
 }
 
@@ -160,10 +181,26 @@ func (n *NetSim) recvLine(id int64) (string, bool) {
 	return line, true
 }
 
-func (n *NetSim) send(id int64, line string) {
-	if c := n.conns[id]; c != nil && !c.Closed {
-		c.ToClient.push(line)
+// send queues the line whose UTF-8 bytes are b; b is the caller's scratch.
+// The line is interned: a map lookup keyed by string(b) does not allocate, so
+// a line sent before reuses its Go string and only a new one is copied.
+func (n *NetSim) send(id int64, b []byte) {
+	c := n.conns[id]
+	if c == nil || c.Closed {
+		return
 	}
+	line, ok := n.sent[string(b)]
+	if ok {
+		n.SendHits++
+	} else {
+		n.SendMisses++
+		if len(n.sent) == sentBound {
+			clear(n.sent)
+		}
+		line = string(b)
+		n.sent[line] = line
+	}
+	c.ToClient.push(line)
 }
 
 func (n *NetSim) close(id int64) {
@@ -183,7 +220,15 @@ func (n *NetSim) Connect(port int64) (int64, error) {
 	}
 	n.nextConn++
 	id := n.nextConn
-	n.conns[id] = &SimConn{ID: id}
+	var c *SimConn
+	if k := len(n.spare); k > 0 {
+		c, n.spare = n.spare[k-1], n.spare[:k-1]
+		c.Closed, c.ClientDone = false, false // its queues drained before the reap
+	} else {
+		c = new(SimConn)
+	}
+	c.ID = id
+	n.conns[id] = c
 	l.Backlog.push(id)
 	return id, nil
 }
@@ -245,8 +290,10 @@ func (n *NetSim) Listening(port int64) bool {
 // CheckIntegrity audits the NetSim tables against their documented
 // lifecycle invariants — used by the storm harness's whole-VM checker.
 // It verifies that no connection that should have been reaped is still
-// resident, that listener tombstones carry no backlog (unlisten drops it),
-// and that map keys agree with the entries stored under them. A backlog id
+// resident, that a spare record is out of the table and drained, that the
+// sent-line table keeps its bound, that listener tombstones carry no backlog
+// (unlisten drops it), and that map keys agree with the entries stored under
+// them. A backlog id
 // whose connection was client-closed (and possibly already reaped) is a
 // legal state: accept hands it out and every operation takes the
 // closed-connection path.
@@ -261,6 +308,17 @@ func (n *NetSim) CheckIntegrity() error {
 		if c.Closed && c.ClientDone && c.ToServer.len() == 0 && c.ToClient.len() == 0 {
 			return fmt.Errorf("netsim: conn %d is fully finished but was not reaped", id)
 		}
+	}
+	for _, c := range n.spare {
+		if n.conns[c.ID] == c {
+			return fmt.Errorf("netsim: conn %d is live and spare at once", c.ID)
+		}
+		if c.ToServer.len() != 0 || c.ToClient.len() != 0 {
+			return fmt.Errorf("netsim: spare conn (was %d) still queues lines", c.ID)
+		}
+	}
+	if len(n.sent) > sentBound {
+		return fmt.Errorf("netsim: %d interned sent lines, bound %d", len(n.sent), sentBound)
 	}
 	for port, l := range n.listeners {
 		if l == nil {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -398,11 +399,11 @@ func TestNetSimQueuesReuseStorage(t *testing.T) {
 		if a, ok := n.recvLine(id); !ok || a != "GET /a" {
 			t.Fatalf("recvLine = %q, %v", a, ok)
 		}
-		n.send(id, "200 a")
+		n.send(id, []byte("200 a"))
 		if b, ok := n.recvLine(id); !ok || b != "GET /b" {
 			t.Fatalf("recvLine = %q, %v", b, ok)
 		}
-		n.send(id, "200 b")
+		n.send(id, []byte("200 b"))
 		if a, ok := n.ClientRecv(id); !ok || a != "200 a" {
 			t.Fatalf("ClientRecv = %q, %v", a, ok)
 		}
@@ -444,6 +445,125 @@ func TestNetSimQueuesReuseStorage(t *testing.T) {
 	}
 	if cap(l.Backlog.items) != before || l.Backlog.len() != 0 {
 		t.Fatalf("backlog capacity %d -> %d over 100 connect/accept pairs, %d queued", before, cap(l.Backlog.items), l.Backlog.len())
+	}
+	if err := n.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNetSimRecyclesConns: a reaped connection's record comes back from the
+// next Connect under a fresh id with empty queues and both close flags clear,
+// while every operation on the old id still takes the closed path; many
+// connect/close cycles leave the tables intact and the spare list short.
+func TestNetSimRecyclesConns(t *testing.T) {
+	n := NewNetSim()
+	if _, err := n.listen(80); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := n.Connect(80)
+	n.accept(80)
+	rec := n.conns[old]
+	if n.ClientSend(old, "GET /") != nil {
+		t.Fatal("send on a fresh connection failed")
+	}
+	n.recvLine(old)
+	n.send(old, []byte("200 OK"))
+	n.close(old)
+	n.ClientRecv(old)
+	if !n.ClientClosed(old) || n.conns[old] != nil {
+		t.Fatal("a closed, observed, drained connection was not reaped")
+	}
+
+	id, _ := n.Connect(80)
+	c := n.conns[id]
+	if c != rec || id <= old {
+		t.Fatalf("Connect gave record %p id %d, want the reaped record %p under an id above %d", c, id, rec, old)
+	}
+	if c.Closed || c.ClientDone || c.ToServer.len() != 0 || c.ToClient.len() != 0 {
+		t.Fatalf("recycled conn not fresh: %+v", c)
+	}
+	// The old id is a closed connection to every operation, and none of them
+	// reaches the record now serving id.
+	if n.ClientSend(old, "x") == nil || !n.hasLine(old) || !n.ClientClosed(old) {
+		t.Fatal("the reaped id does not read as closed")
+	}
+	if _, ok := n.recvLine(old); ok {
+		t.Fatal("recvLine on the reaped id returned a line")
+	}
+	if _, ok := n.ClientRecv(old); ok {
+		t.Fatal("ClientRecv on the reaped id returned a line")
+	}
+	n.send(old, []byte("stray"))
+	n.close(old)
+	n.ClientClose(old)
+	if c.Closed || c.ClientDone || c.ToClient.len() != 0 || n.conns[id] != c {
+		t.Fatalf("an operation on the reaped id reached its successor: %+v", c)
+	}
+
+	for i := 0; i < 500; i++ {
+		cid, err := n.Connect(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.accept(80)
+		n.ClientSend(cid, "GET /")
+		if i%3 != 0 { // a third leave the request unread, which keeps them unreaped
+			n.recvLine(cid)
+			n.send(cid, []byte("200 OK"))
+			n.ClientRecv(cid)
+		}
+		n.close(cid)
+		n.ClientClose(cid)
+		if err := n.CheckIntegrity(); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if live, spare := n.ConnCount(), len(n.spare); live+spare > 200 {
+		t.Fatalf("%d live and %d spare conns after 500 cycles of one connection each", live, spare)
+	}
+}
+
+// TestNetSimSendInterning: a line sent again reuses the interned string; more
+// distinct lines than the table's bound all arrive intact, in order, while
+// the table starts over instead of growing.
+func TestNetSimSendInterning(t *testing.T) {
+	n := NewNetSim()
+	if _, err := n.listen(80); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := n.Connect(80)
+	n.accept(80)
+	const lines = 3*sentBound + 7
+	for round := 0; round < 2; round++ {
+		for i := 0; i < lines; i++ {
+			n.send(id, fmt.Appendf(nil, "200 line %d", i))
+			if len(n.sent) > sentBound {
+				t.Fatalf("intern table holds %d lines, bound %d", len(n.sent), sentBound)
+			}
+		}
+		for i := 0; i < lines; i++ {
+			if got, ok := n.ClientRecv(id); !ok || got != fmt.Sprintf("200 line %d", i) {
+				t.Fatalf("round %d line %d: got %q, %v", round, i, got, ok)
+			}
+		}
+	}
+	if n.SendHits != 0 || n.SendMisses != 2*lines {
+		t.Fatalf("%d hits and %d misses for lines that never repeat within the bound", n.SendHits, n.SendMisses)
+	}
+	b := []byte("200 OK")
+	n.send(id, b)
+	b[0] = '5' // the caller's scratch is reused; the queued line must not change
+	n.send(id, []byte("200 OK"))
+	if n.SendHits != 1 {
+		t.Fatalf("a repeated line missed the table (%d hits)", n.SendHits)
+	}
+	for i := 0; i < 2; i++ {
+		if got, _ := n.ClientRecv(id); got != "200 OK" {
+			t.Fatalf("line %d = %q, want 200 OK", i, got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.send(id, b); n.ClientRecv(id) }); allocs != 0 {
+		t.Fatalf("%v Go allocations sending an interned line, want 0", allocs)
 	}
 	if err := n.CheckIntegrity(); err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // (natives.go) work on those words where they lie: readers take an
 // heap.ElemWords window, builders allocate the result array and copy heap to
 // heap with heap.CopyElems. A Go string is built or consumed only where text
-// crosses the VM boundary — NewString and GoString, used by ldc, Net.recvLine,
-// Net.send and System.print*. Words are opaque in place: nothing but
+// crosses the VM boundary — NewString and GoString, used by ldc, Net.recvLine
+// and System.print*, and Net.send's interned lines (NetSim.send). Words are opaque in place: nothing but
 // GoString cares whether one is a valid code point.
 //
 // The GC-safety rule. Every guest allocation may collect, a collection moves
@@ -30,6 +30,8 @@ import (
 // the sizes the text dictates. Heap layout, collection timing and therefore
 // every storm/stream report depend on that sequence; an implementation may
 // change how the words get there, never what is allocated or in which order.
+// A builder's char array comes from allocChars, unzeroed: it writes every
+// element before its next allocation.
 
 var errNullString = errors.New("null String receiver")
 
@@ -70,7 +72,7 @@ func (v *VM) wrapChars(arr rt.Addr) (rt.Addr, error) {
 // in the root slot src (bounds are the caller's business). src is re-read
 // after the array allocation, per the GC-safety rule.
 func (v *VM) substr(src *rt.Value, from, n int) (rt.Addr, error) {
-	arr, err := v.allocArray(false, n)
+	arr, err := v.allocChars(n)
 	if err != nil {
 		return 0, err
 	}
@@ -83,7 +85,7 @@ func (v *VM) substr(src *rt.Value, from, n int) (rt.Addr, error) {
 // byte, as a []rune conversion would.
 func (v *VM) NewString(s string) (rt.Addr, error) {
 	n := utf8.RuneCountInString(s)
-	arr, err := v.allocArray(false, n)
+	arr, err := v.allocChars(n)
 	if err != nil {
 		return 0, err
 	}
@@ -96,13 +98,18 @@ func (v *VM) NewString(s string) (rt.Addr, error) {
 }
 
 // GoString reads a String object back into a Go string — one Go allocation,
-// the string itself: the bytes are gathered in a scratch the VM owns. It
-// accepts null (returning "" and false). Words that are not Unicode scalar
-// values encode as U+FFFD.
+// the string itself. It accepts null (returning "" and false).
 func (v *VM) GoString(a rt.Addr) (string, bool) {
+	b, ok := v.goBytes(a)
+	return string(b), ok
+}
+
+// goBytes gathers a String's UTF-8 bytes in a scratch the VM owns, valid until
+// the next call. Words that are not Unicode scalar values encode as U+FFFD.
+func (v *VM) goBytes(a rt.Addr) ([]byte, bool) {
 	w, err := v.strWords(a)
 	if err != nil {
-		return "", false
+		return nil, false
 	}
 	b := v.strScratch[:0]
 	for _, c := range w {
@@ -112,7 +119,7 @@ func (v *VM) GoString(a rt.Addr) (string, bool) {
 		b = utf8.AppendRune(b, rune(c)) // one append for ASCII, inlined
 	}
 	v.strScratch = b
-	return string(b), true
+	return b, true
 }
 
 // MustGoString reads a String object, failing on null.

@@ -139,6 +139,10 @@ type VM struct {
 	// deadPending counts finished threads not yet reaped from Threads.
 	deadPending int
 
+	// spareThreads are reaped Thread records that newThread hands out again
+	// (DESIGN.md §7.3): in no scheduler list and in no table.
+	spareThreads []*Thread
+
 	// DeadErrors is a bounded log of threads that died with a runtime
 	// error and were reaped. Before reaping, an errored thread is still
 	// in Threads with its Err set (so drivers and tests can inspect it);
@@ -253,7 +257,7 @@ type VM struct {
 	strCls      *rt.Class
 	strCharsOff int
 	objectCls   *rt.Class
-	strScratch  []byte // GoString's bytes, before the one conversion
+	strScratch  []byte // goBytes' scratch: a String's UTF-8 bytes
 
 	// syncThreads are RunSynchronous's resident threads by nesting depth (a
 	// transformer forcing a neighbour); syncDepth of them are running, and in
@@ -505,8 +509,14 @@ func (v *VM) SpawnMain(className string) (*Thread, error) {
 	return v.Spawn("main", m, nil)
 }
 
+// newThread makes a runnable thread on a reaped record if there is one.
 func (v *VM) newThread(name string) *Thread {
-	t := new(Thread)
+	var t *Thread
+	if k := len(v.spareThreads); k > 0 {
+		t, v.spareThreads = v.spareThreads[k-1], v.spareThreads[:k-1]
+	} else {
+		t = new(Thread)
+	}
 	v.initThread(t, name)
 	return t
 }
@@ -690,7 +700,13 @@ func (v *VM) ReapDeadThreads() { v.reapDead() }
 // (a GC root set and the DSU engine's scan list) grows forever. Errored
 // threads are reaped too — their errors move to the bounded DeadErrors log
 // instead of pinning the whole thread (stack, frames, locals) permanently.
+//
+// A reaped record goes back to newThread unless a scheduler list still holds
+// it: a thread killed while queued or parked (System.exit) stays in the ring
+// or in blocked until the scheduler drops it, and a record reused before that
+// would be scheduled twice. Usually neither list holds a dead thread.
 func (v *VM) reapDead() {
+	filedDead := slices.ContainsFunc(v.runq[v.runqHead:], isDead) || slices.ContainsFunc(v.blocked, isDead)
 	live := v.Threads[:0]
 	for _, t := range v.Threads {
 		if t.State != Dead {
@@ -709,6 +725,10 @@ func (v *VM) reapDead() {
 			}
 		}
 		v.stats.ThreadsReaped++
+		if !filedDead || !slices.Contains(v.runq[v.runqHead:], t) && !slices.Contains(v.blocked, t) {
+			clear(t.Frames) // a killed thread's frames would pin their chunks
+			v.spareThreads = append(v.spareThreads, t)
+		}
 	}
 	// Clear the tail so reaped threads are collectable.
 	for i := len(live); i < len(v.Threads); i++ {
@@ -717,6 +737,8 @@ func (v *VM) reapDead() {
 	v.Threads = live
 	v.deadPending = 0
 }
+
+func isDead(t *Thread) bool { return t.State == Dead }
 
 // enqueue appends a thread to the runnable ring, compacting the ring in
 // place when the head cursor has drifted — steady-state scheduling of a
@@ -790,6 +812,43 @@ func (v *VM) pickThread() *Thread {
 		v.blocked = keep
 	}
 	return v.popRunnable()
+}
+
+// CheckScheduler audits the scheduler lists against the thread table and the
+// spare records — the invariants thread recycling rests on: a thread sits in
+// the runnable ring and in blocked at most once all told, one that is not dead
+// is in Threads (the root set), and a spare record is dead, held once, and in
+// neither list nor the table. Used by the storm harness's whole-VM checker.
+func (v *VM) CheckScheduler() error {
+	inTable := make(map[*Thread]bool, len(v.Threads))
+	for _, t := range v.Threads {
+		inTable[t] = true
+	}
+	filed := make(map[*Thread]string)
+	for _, l := range []struct {
+		name    string
+		threads []*Thread
+	}{{"the runnable ring", v.runq[v.runqHead:]}, {"blocked", v.blocked}} {
+		for _, t := range l.threads {
+			if prev, ok := filed[t]; ok {
+				return fmt.Errorf("vm: thread %d (%s) is filed in %s and in %s", t.ID, t.Name, prev, l.name)
+			}
+			filed[t] = l.name
+			if t.State != Dead && !inTable[t] {
+				return fmt.Errorf("vm: %s thread %d (%s) in %s is not in the thread table", t.State, t.ID, t.Name, l.name)
+			}
+		}
+	}
+	spare := make(map[*Thread]bool, len(v.spareThreads))
+	for _, t := range v.spareThreads {
+		_, isFiled := filed[t]
+		if t.State != Dead || inTable[t] || isFiled || spare[t] {
+			return fmt.Errorf("vm: spare thread record (was %d, %s) is %s, in the table %v, filed %v, spare twice %v",
+				t.ID, t.Name, t.State, inTable[t], isFiled, spare[t])
+		}
+		spare[t] = true
+	}
+	return nil
 }
 
 func (v *VM) liveThreads() int {
@@ -938,6 +997,22 @@ func (v *VM) allocArray(elemRef bool, n int) (rt.Addr, error) {
 		return 0, err
 	}
 	if a, ok := v.Heap.AllocArray(elemRef, n); ok {
+		return a, nil
+	}
+	return 0, fmt.Errorf("vm: out of memory allocating array of %d", n)
+}
+
+// allocChars is allocArray for a char array that its caller fills whole
+// before the next allocation: heap.AllocChars skips the clear.
+func (v *VM) allocChars(n int) (rt.Addr, error) {
+	v.stats.AllocArrays++
+	if a, ok := v.Heap.AllocChars(n); ok {
+		return a, nil
+	}
+	if err := v.gcForAlloc(); err != nil {
+		return 0, err
+	}
+	if a, ok := v.Heap.AllocChars(n); ok {
 		return a, nil
 	}
 	return 0, fmt.Errorf("vm: out of memory allocating array of %d", n)
