@@ -8,7 +8,7 @@
 //	jvolve-bench -exp matrix    # the §4 "20 of 22 updates" experience
 //	jvolve-bench -exp ablation  # eager vs lazy-indirection steady-state cost
 //	jvolve-bench -exp transformers # §4.1: hand-written (interpreted) vs generated (moved by the collector) transformers
-//	jvolve-bench -exp scratch   # §3.5: old-copy scratch region memory pressure
+//	jvolve-bench -exp scratch   # §3.5: to-space saved by old copies in from-space's tail
 //	jvolve-bench -exp active    # §3.5: UpStare-style active-method updates
 //	jvolve-bench -exp storm     # randomized update-storm soak with invariant checking
 //	jvolve-bench -exp stream    # long-horizon version-chain replay (writes BENCH_stream.json)
@@ -228,7 +228,7 @@ func main() {
 		return nil
 	})
 	run("scratch", func() error {
-		fmt.Println("=== Extension: scratch region for old copies (§3.5 memory pressure) ===")
+		fmt.Println("=== Extension: old copies in from-space's tail (§3.5 memory pressure) ===")
 		objects := 280_000 / *scale
 		if *scale <= 1 {
 			objects = 280_000
@@ -298,17 +298,12 @@ func main() {
 
 	run("storm", func() error {
 		fmt.Println("=== Extension: randomized update-storm soak (whole-VM invariant checking) ===")
-		// Every engine mode (the lazy ones with the §3.5 scratch region), and
-		// stop-the-world once more with scratch and opt-tier OSR.
+		// Every engine mode, and stop-the-world once more with opt-tier OSR.
 		var cfgs []storm.Config
 		for _, m := range vm.Modes() {
-			cfg := storm.Config{Seed: *seed, Updates: *updates, Lazy: m.Lazy, Concurrent: m.Concurrent}
-			if m.Lazy {
-				cfg.ScratchWords = 1 << 14
-			}
-			cfgs = append(cfgs, cfg)
+			cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, Lazy: m.Lazy, Concurrent: m.Concurrent})
 		}
-		cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, ScratchWords: 1 << 14, OSROpt: true})
+		cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, OSROpt: true})
 		if *pauseBudget >= 0 {
 			for i := range cfgs {
 				cfgs[i].GateSpecs = []obs.GateSpec{{
@@ -324,9 +319,9 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("seed=%d updates=%d scratch=%v osropt=%v lazy=%v concurrent=%v: "+
+			fmt.Printf("seed=%d updates=%d osropt=%v lazy=%v concurrent=%v: "+
 				"applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
-				rep.Seed, *updates, cfg.ScratchWords > 0, cfg.OSROpt, cfg.Lazy, cfg.Concurrent,
+				rep.Seed, *updates, cfg.OSROpt, cfg.Lazy, cfg.Concurrent,
 				rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
 		}
 		fmt.Println()

@@ -72,12 +72,9 @@ type MicroConfig struct {
 	// while it copies the object (upt.Spec.ObjectMoves); the hand-written
 	// one is not, so every instance gets a shell + old-copy pair and one
 	// interpreted jvolveObject call: the paper's configuration (§3.4,
-	// Table 1), and the one that exercises scratch, pending pairs and the
+	// Table 1), and the one that exercises old copies, pending pairs and the
 	// transformer phase.
 	HandWritten bool
-	// ScratchWords reserves a scratch region so DSU old copies bypass
-	// to-space (the §3.5 alternative).
-	ScratchWords int
 	// Lazy defers per-object transformation past the pause: objects stay
 	// pending and are drained on first touch through the read
 	// barrier. The measured pause then excludes transformer execution;
@@ -101,7 +98,7 @@ type MicroConfig struct {
 
 // MicroResult reports one run: the update's own Stats — the three row groups
 // of Table 1 are PauseGC, PauseTransform and PauseTotal, and CopiedWords
-// counts old copies diverted to scratch again in ScratchWords (§3.5 ablation)
+// counts the old copies placed in from-space's tail again in TailWords (§3.5)
 // — plus what only the driver knows.
 type MicroResult struct {
 	Config MicroConfig
@@ -128,7 +125,7 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	// DSU-triggered one, matching the paper's methodology.
 	live := cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64
 	machine, err := vm.New(vm.Options{
-		HeapWords: 5 * live, ScratchWords: cfg.ScratchWords,
+		HeapWords:     5 * live,
 		LazyTransform: cfg.Lazy,
 		Concurrent:    cfg.Concurrent,
 		Out:           io.Discard,

@@ -5,21 +5,22 @@ import (
 	"io"
 )
 
-// Scratch-region experiment (paper §3.5): "Our implementation of object
+// Old-copy memory experiment (paper §3.5): "Our implementation of object
 // transformers uses an extra copy of all updated objects and adds temporary
 // memory pressure. We could instead copy the old versions to a special
-// block of memory and reclaim it when the collection completes." This
-// measures that pressure: to-space words consumed by the DSU collection
-// with old copies kept in to-space (the paper's implementation) vs.
-// diverted to a scratch block, across update fractions. Only pairs have old
-// copies, so the rows run the hand-written transformer (MicroConfig.HandWritten);
-// under the generated default neither column holds an old copy at all.
+// block of memory and reclaim it when the collection completes." Every DSU
+// collection does that: the old copies go to the unallocated end of
+// from-space, which the next flip reclaims. One run per update fraction
+// reports what the collection wrote, what of it landed in to-space, and the
+// share the tail took off it. Only pairs have old copies, so the rows run the
+// hand-written transformer (MicroConfig.HandWritten); under the generated
+// default there is no old copy at all.
 type ScratchRow struct {
-	Fraction       float64
-	LiveWords      int // approximate live set (objects + array)
-	ToSpacePlain   int // to-space words, old copies in to-space
-	ToSpaceScratch int // to-space words with the scratch region
-	ScratchWords   int // size of the diverted old copies
+	Fraction  float64
+	LiveWords int // approximate live set (objects + array)
+	Copied    int // words the collection wrote, old copies included
+	ToSpace   int // of those, words in to-space
+	Tail      int // of those, old-copy words in from-space's tail
 }
 
 // RunScratchPressure measures the rows for one object count.
@@ -30,23 +31,16 @@ func RunScratchPressure(objects int, fractions []float64, progress io.Writer) ([
 	live := objects*8 + objects + 4
 	var rows []ScratchRow
 	for _, frac := range fractions {
-		plain, err := RunMicro(MicroConfig{Objects: objects, FracUpdated: frac, HandWritten: true})
-		if err != nil {
-			return nil, err
-		}
-		scratch, err := RunMicro(MicroConfig{
-			Objects: objects, FracUpdated: frac, HandWritten: true,
-			ScratchWords: objects*8 + 64,
-		})
+		r, err := RunMicro(MicroConfig{Objects: objects, FracUpdated: frac, HandWritten: true})
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ScratchRow{
-			Fraction:       frac,
-			LiveWords:      live,
-			ToSpacePlain:   plain.CopiedWords,
-			ToSpaceScratch: scratch.CopiedWords - scratch.ScratchWords,
-			ScratchWords:   scratch.ScratchWords,
+			Fraction:  frac,
+			LiveWords: live,
+			Copied:    r.CopiedWords,
+			ToSpace:   r.CopiedWords - r.TailWords,
+			Tail:      r.TailWords,
 		})
 		if progress != nil {
 			fmt.Fprintf(progress, ".")
@@ -58,19 +52,18 @@ func RunScratchPressure(objects int, fractions []float64, progress io.Writer) ([
 	return rows, nil
 }
 
-// PrintScratch renders the memory-pressure comparison.
+// PrintScratch renders the memory-pressure rows.
 func PrintScratch(w io.Writer, objects int, rows []ScratchRow) {
 	fmt.Fprintf(w, "DSU memory pressure, %d objects (words; live set ≈ %d)\n", objects, rows[0].LiveWords)
-	fmt.Fprintf(w, "%9s %14s %16s %14s %9s\n",
-		"fraction", "to-space", "to-space+scratch", "scratch", "saved")
+	fmt.Fprintf(w, "%9s %14s %14s %14s %9s\n", "fraction", "copied", "to-space", "tail", "saved")
 	for _, r := range rows {
 		saved := 0.0
-		if r.ToSpacePlain > 0 {
-			saved = 100 * (1 - float64(r.ToSpaceScratch)/float64(r.ToSpacePlain))
+		if r.Copied > 0 {
+			saved = 100 * float64(r.Tail) / float64(r.Copied)
 		}
-		fmt.Fprintf(w, "%8.0f%% %14d %16d %14d %8.1f%%\n",
-			r.Fraction*100, r.ToSpacePlain, r.ToSpaceScratch, r.ScratchWords, saved)
+		fmt.Fprintf(w, "%8.0f%% %14d %14d %14d %8.1f%%\n",
+			r.Fraction*100, r.Copied, r.ToSpace, r.Tail, saved)
 	}
-	fmt.Fprintln(w, "(to-space pressure at full update drops by the old copies' share; the scratch")
-	fmt.Fprintln(w, " block is reclaimed the moment the transformer phase ends)")
+	fmt.Fprintln(w, "(to-space pressure drops by the old copies' share: they sit in from-space's")
+	fmt.Fprintln(w, " unallocated tail, which the next flip reclaims)")
 }

@@ -119,11 +119,10 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 			}
 			start := time.Now()
 			r, err := stream.Replay(stream.Config{
-				Seed:         sw.Seed,
-				Length:       length,
-				Mode:         mode,
-				Hostile:      sw.Hostile,
-				ScratchWords: 1 << 14,
+				Seed:    sw.Seed,
+				Length:  length,
+				Mode:    mode,
+				Hostile: sw.Hostile,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench: stream length=%d mode=%s: %w", length, name, err)

@@ -86,8 +86,8 @@ type Stats struct {
 	TransformedObjects int
 
 	// Collection is the DSU collection's own record, stored whole (gc.go):
-	// copied objects and words (old copies diverted to scratch, §3.5,
-	// included and counted again in ScratchWords), the pause split
+	// copied objects and words (old copies in from-space's tail, §3.5,
+	// included and counted again in TailWords), the pause split
 	// PauseRescan/PauseCopy, and the concurrent mark's numbers —
 	// MarkConcurrent is false when the engine gave up on the mark (see
 	// maxMarkRestarts) and the update took the fused stop-the-world
@@ -513,7 +513,7 @@ func (e *Engine) handle() bool {
 	}
 	if e.residue != nil {
 		// A follow-up update arrived mid-drain: force-complete the previous
-		// update's residue first, so its pair log, scratch region, renamed
+		// update's residue first, so its pair log, old copies, renamed
 		// old versions and from-space hold retire before this update builds
 		// its own (this update's collection cannot flip a heap with an armed
 		// load barrier). Transformer errors during the forced drain are the

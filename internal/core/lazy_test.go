@@ -11,12 +11,11 @@ import (
 )
 
 // newLazyFixture is newFixture with lazy per-object transformation enabled.
-func newLazyFixture(t *testing.T, heapWords, scratchWords int) *fixture {
+func newLazyFixture(t *testing.T, heapWords int) *fixture {
 	t.Helper()
 	var out bytes.Buffer
 	v, err := vm.New(vm.Options{
 		HeapWords:     heapWords,
-		ScratchWords:  scratchWords,
 		LazyTransform: true,
 		Out:           &out,
 	})
@@ -98,12 +97,12 @@ func rawBoxV(t *testing.T, f *fixture, static string) int64 {
 
 // TestLazyTransformDrainsOnTouch is the tentpole's end-to-end contract: the
 // pause ends with every pair pending (TransformedObjects=0, transform share
-// of the pause ≈ 0), the renamed old version and scratch region outlive the
+// of the pause ≈ 0), the renamed old version and the old copies outlive the
 // pause under a drain-aware CheckVM, the read barrier transforms exactly
 // what the program touches, and ForceDrain retires the rest — converging on
 // the same final heap state and output as an eager run.
 func TestLazyTransformDrainsOnTouch(t *testing.T) {
-	f := newLazyFixture(t, 1<<16, 1<<12)
+	f := newLazyFixture(t, 1<<16)
 	v1 := f.load(lazyV1)
 	v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
 		"class Box {\n  field pad LString;\n  field v I", 1))
@@ -120,13 +119,15 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 	if !f.vm.DrainActive() {
 		t.Fatal("drain not active after lazy update")
 	}
-	// Mid-drain the renamed old version and the scratch region must
-	// survive (the drain needs them), and the drain-aware sweep must hold.
+	// Mid-drain the renamed old version and the old copies must survive
+	// (the drain needs them), and the drain-aware sweep must hold.
 	if f.vm.Reg.LookupClass("v1_Box") == nil {
 		t.Fatal("drain dropped the renamed old version it still needs")
 	}
-	if f.vm.Heap.ScratchUsed() == 0 {
-		t.Fatal("scratch region reclaimed while old copies are still needed")
+	for _, p := range f.vm.Residue.Pairs() {
+		if h := f.vm.Heap; !h.InTail(p.OldCopy) && !h.InCurrentSpace(p.OldCopy) {
+			t.Fatalf("pending pair's old copy @%d is neither in the tail nor in the current space", p.OldCopy)
+		}
 	}
 	if err := storm.CheckVM(f.vm); err != nil {
 		t.Fatalf("mid-drain invariant sweep: %v", err)
@@ -186,7 +187,7 @@ class JvolveTransformers {
 		run := func(lazy bool) (out string, b, seen int64) {
 			var f *fixture
 			if lazy {
-				f = newLazyFixture(t, 1<<16, 1<<12)
+				f = newLazyFixture(t, 1<<16)
 			} else {
 				f = newFixture(t, 1<<16)
 				f.editSpec = handWrite // pairs in both placements
@@ -272,7 +273,7 @@ class App {
 // update; lazily the update is already committed, so the failure is scoped
 // to data loss plus the toucher.
 func TestLazyBarrierCycleLeavesVMServiceable(t *testing.T) {
-	f := newLazyFixture(t, 1<<16, 0)
+	f := newLazyFixture(t, 1<<16)
 	v1 := f.load(lazyCycleV1)
 	v2 := f.prog(strings.Replace(lazyCycleV1, "field w I", "field w I\n  field extra I", 1))
 	custom := `
@@ -340,7 +341,7 @@ class JvolveTransformers {
 // must force-complete the previous residue before its own pause — and the
 // values must carry through both layout changes.
 func TestLazySecondUpdateForcesDrain(t *testing.T) {
-	f := newLazyFixture(t, 1<<16, 1<<12)
+	f := newLazyFixture(t, 1<<16)
 	v1 := f.load(lazyV1)
 	v2src := strings.Replace(lazyV1, "class Box {\n  field v I",
 		"class Box {\n  field pad LString;\n  field v I", 1)

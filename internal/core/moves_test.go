@@ -154,8 +154,7 @@ func (ev *evolution) populate(t *testing.T, v *vm.VM, rng *rand.Rand) {
 
 // TestMovesMatchInterpreter is the differential test that the collector's
 // moves equal the bytecode they replace. For each seeded evolution and each
-// engine mode — every collector that can meet a moved class, old copies in
-// to-space on even seeds and in a scratch region on odd ones — the same
+// engine mode — every collector that can meet a moved class — the same
 // update is applied twice to identically populated VMs — once as generated
 // (every default is a move the collector performs), once with the same bodies
 // made hand-written (pairs, interpreted) — and every reachable object must
@@ -167,7 +166,7 @@ func TestMovesMatchInterpreter(t *testing.T) {
 		ev := newEvolution(rand.New(rand.NewSource(seed)))
 		run := func(handWritten bool) (*vm.VM, *core.Result) {
 			v, err := vm.New(vm.Options{
-				HeapWords: 1 << 14, ScratchWords: int(seed%2) << 12, Out: io.Discard,
+				HeapWords: 1 << 14, Out: io.Discard,
 				LazyTransform: mode.Lazy, Concurrent: mode.Concurrent,
 			})
 			if err != nil {

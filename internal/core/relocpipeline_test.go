@@ -17,7 +17,7 @@ import (
 // decomposition and the drain-side stats differ.
 
 // newRelocFixture builds a Concurrent fixture, optionally composed with lazy
-// transformation (and a scratch region for the old copies).
+// transformation.
 func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	t.Helper()
 	if !lazy {
@@ -26,7 +26,6 @@ func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	var out bytes.Buffer
 	v, err := vm.New(vm.Options{
 		HeapWords:     heapWords,
-		ScratchWords:  heapWords / 2,
 		Out:           &out,
 		Concurrent:    true,
 		LazyTransform: true,

@@ -29,8 +29,10 @@ type plan struct {
 // collection: the pair log (a pair's transformation status is its shell's pair
 // word, heap/bits.go), the in-flight relocation (vm.Options.Concurrent),
 // and what both still need from the install phase — the renamed old class
-// versions (old copies are sized and typed through their class ids), the
-// transformer class, and the scratch region holding old copies. The paper has
+// versions (old copies are sized and typed through their class ids) and the
+// transformer class. The old copies themselves sit in the tail of the space
+// the collection left (heap/heap.go), which no one reclaims before the next
+// flip, and every flip forces the residue first. The paper has
 // one transformer phase and one teardown (§3.4–3.5); where the transformers
 // run is a placement, data on this object, not a separate code path:
 //
@@ -335,7 +337,7 @@ func (r *residue) transform(newAddr rt.Addr) error {
 }
 
 // run executes one pair's object transformer, interpreted jvolveObject. The log
-// and the scratch-resident old copies hold raw addresses, so collection is
+// and the old copies hold raw addresses, so collection is
 // disabled around every (possibly nested) transformer run; the flag nests
 // because a barrier-invoked transformer can force-transform its neighbors.
 func (r *residue) run(newAddr, oldCopy rt.Addr) error {
@@ -480,14 +482,15 @@ func (r *residue) force() error {
 // flight (the world must never resume, and no collection may flip, with
 // from-space held), marks the heap unusable if the drain failed, zeroes the
 // pair words an in-pause failure or a failed drain leaves pending,
-// uninstalls the hook, unlinks the renamed old versions and the transformer
-// class so the next collection can reclaim them, and reclaims the scratch
-// region (§3.5: "reclaim it when the collection completes"). After this the
-// VM is indistinguishable from one that updated eagerly. It runs on success
-// AND on every failure path once the new code is installed: the documented
-// failure mode for a transformer error is data loss — some objects keep
-// default field values — never dangling old-version classes, stale UpdatedTo
-// links, a live scratch region or a held from-space (§3.4). Idempotent.
+// uninstalls the hook, and unlinks the renamed old versions and the
+// transformer class so the next collection can reclaim them. The old copies
+// need no step: the next flip reclaims them with the space they sit in
+// (§3.5: "reclaim it when the collection completes"). After this the VM is
+// indistinguishable from one that updated eagerly. It runs on success AND on
+// every failure path once the new code is installed: the documented failure
+// mode for a transformer error is data loss — some objects keep default field
+// values — never dangling old-version classes, stale UpdatedTo links or a
+// held from-space (§3.4). Idempotent.
 func (r *residue) retire() {
 	if r.retired {
 		return
@@ -509,7 +512,6 @@ func (r *residue) retire() {
 		v.Reg.Unregister(old)
 	}
 	v.Reg.Unregister(r.transformers)
-	v.Heap.ResetScratch()
 }
 
 // LazyBacklog reports how many pairs are still pending behind the read

@@ -169,8 +169,8 @@ func crowdHeap(f *fixture, cls *rt.Class) {
 
 // assertRetired checks what every retirement of an update's residue must
 // leave behind, whatever the placement and whichever path retired it: no
-// residue hook, no backlog, the load barrier disarmed, an empty scratch
-// region, no renamed old version, transformer class or UpdatedTo link
+// residue hook, no backlog, the load barrier disarmed, no renamed old
+// version, transformer class or UpdatedTo link
 // registered, no live scalar pending, and a clean whole-VM
 // sweep. After a failed drain the heap is dead by contract, so the two heap
 // walks are replaced by the FatalHeap assertion.
@@ -185,9 +185,6 @@ func assertRetired(t *testing.T, f *fixture, wantFatal bool) {
 	}
 	if v.Heap.RelocArmed() {
 		t.Fatal("load barrier left armed")
-	}
-	if n := v.Heap.ScratchUsed(); n != 0 {
-		t.Fatalf("scratch region holds %d words", n)
 	}
 	for _, cls := range v.Reg.Classes() {
 		if cls.Renamed || cls.Name == upt.TransformersClassName {
@@ -237,7 +234,7 @@ func TestResidueTeardownConservation(t *testing.T) {
 		lazy, reloc, moved bool
 	}{
 		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false},
-		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16, 1<<12) }, true, false, false},
+		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16) }, true, false, false},
 		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) }, false, true, false},
 		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true) }, true, true, false},
 		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true},

@@ -36,15 +36,9 @@ func (g *dsuGraph) ForEachRoot(fn func(*rt.Value)) {
 }
 
 // newDSUGraph is the empty world of the DSU graphs: Up, updated to the wider
-// UpV2, and Stable, over a heap with or without a scratch region. moved makes
-// Up's transformer a move of its three fields.
-func newDSUGraph(scratch, moved bool) *dsuGraph {
-	g := &dsuGraph{reg: rt.NewRegistry()}
-	if scratch {
-		g.h = heap.NewWithScratch(1<<15, 1<<14)
-	} else {
-		g.h = heap.New(1 << 15)
-	}
+// UpV2, and Stable. moved makes Up's transformer a move of its three fields.
+func newDSUGraph(moved bool) *dsuGraph {
+	g := &dsuGraph{reg: rt.NewRegistry(), h: heap.New(1 << 15)}
 	g.upCls = g.load(classfile.NewClass("Up", "").
 		Field("val", "I").
 		Field("peer", "LUp;").
@@ -72,12 +66,31 @@ func (g *dsuGraph) load(b *classfile.ClassBuilder) *rt.Class {
 	return cls
 }
 
+// overflowTail is the tail the graphs leave when old copies are to overflow:
+// two of Up's 5-word old copies fit, the third goes to to-space.
+const overflowTail = 12
+
+// leaveTail fills h's current space with one dead int array so that exactly
+// words stay free: the tail the next flip leaves for DSU old copies.
+func leaveTail(h *heap.Heap, words int) {
+	n := h.FreeWords() - words
+	if n == 0 {
+		return
+	}
+	if n < rt.HeaderWords {
+		panic("leaveTail: the gap is smaller than an array")
+	}
+	if _, ok := h.AllocArray(false, n-rt.HeaderWords); !ok {
+		panic("leaveTail: alloc failed")
+	}
+}
+
 // buildDSUGraph builds the graph for a seed, with old copies going to
-// to-space (the paper's layout) or to a scratch region (§3.5) — or with no old
-// copies at all (moved).
-func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
+// from-space's tail (§3.5), overflowing into to-space once the tail is full
+// (overflow: it holds two), or with no old copies at all (moved).
+func buildDSUGraph(seed int64, overflow, moved bool) *dsuGraph {
 	rng := rand.New(rand.NewSource(seed))
-	g := newDSUGraph(scratch, moved)
+	g := newDSUGraph(moved)
 	h := g.h
 
 	n := rng.Intn(40) + 2
@@ -128,6 +141,9 @@ func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
 			g.rootIdx = append(g.rootIdx, i)
 		}
 	}
+	if overflow {
+		leaveTail(h, overflowTail)
+	}
 	return g
 }
 
@@ -146,8 +162,8 @@ func buildDSUGraph(seed int64, scratch, moved bool) *dsuGraph {
 // references carried and forwarded, and its pair word is 0.
 func TestDSUCollectRandomGraphsProperty(t *testing.T) {
 	f := func(seed int64, moved bool) bool {
-		// Alternate between the paper's old-copies-in-to-space layout and
-		// the §3.5 scratch-region variant; the invariants are identical.
+		// Alternate between a tail that holds every old copy and one that
+		// overflows into to-space; the invariants are identical.
 		g := buildDSUGraph(seed, seed%2 != 0, moved)
 		h, reg, upCls, stableCls, newCls := g.h, g.reg, g.upCls, g.stableCls, g.newCls
 		isUp, vals, peer, other, roots, rootIdx := g.isUp, g.vals, g.peer, g.other, g.roots, g.rootIdx

@@ -2,12 +2,12 @@
 // extension (JVOLVE paper §3.4). A normal collection copies reachable
 // objects to to-space and forwards references. In DSU mode, when the
 // collector first encounters an instance of an updated class it allocates
-// *two* objects in to-space — a copy of the old object (old layout, old
-// class ID) and an uninitialized shell of the new class — installs the
+// *two* objects — an uninitialized shell of the new class in to-space and a
+// copy of the old object (old layout, old class ID) in from-space's unused end
+// (§3.5's "special block"; behind the shell once that is full) — installs the
 // forwarding pointer to the shell, and records the pair in the update log.
 // After the collection the DSU engine runs object transformers over the log;
-// dropping the log then makes the old copies unreachable, so the next
-// collection reclaims them.
+// the next flip reclaims the old copies, and the engine retires the log first.
 //
 // When the class's transformer is a pure field copy (rt.Class.Moves) the
 // collector performs it instead: one object, written in the new layout as it
@@ -26,7 +26,7 @@ import (
 )
 
 // ErrToSpaceExhausted is the typed fatal-OOM cause: a collection ran out of
-// copy space (to-space, or the scratch region during a DSU copy) mid-flight.
+// copy space mid-flight.
 // The semispace flip has already happened and an unknown subset of roots has
 // been forwarded, so the heap is unusable afterwards — callers must treat it
 // as fatal (the VM marks the heap dead and surfaces the error in DeadErrors)
@@ -79,9 +79,9 @@ type Collection struct {
 	// conflated it with the engine-side count of objects whose transformer
 	// actually ran; that number lives in core.Stats.)
 	PairsLogged int
-	// ScratchWords counts old-copy words placed in the scratch region
-	// (zero when the heap has none and old copies burn to-space instead).
-	ScratchWords int
+	// TailWords counts old-copy words placed in from-space's tail (of
+	// CopiedWords; the rest of the old copies overflowed into to-space).
+	TailWords int
 	// Moved counts instances of updated classes the collection wrote directly
 	// in their new layout (rt.Class.Moves): transformed as they were copied,
 	// so they are in CopiedObjects once and in neither Log nor PairsLogged.
@@ -149,9 +149,11 @@ type Collector struct {
 	Rec *obs.Recorder
 
 	// lastPairs, the previous DSU collection's pair count, sizes the next one's
-	// log; runs is the kernel's clean-run table, kept for its capacity.
+	// log; runs is the kernel's clean-run table and dirty its list of tail old
+	// copies to scan, both kept for their capacity.
 	lastPairs int
 	runs      []run
+	dirty     []rt.Addr
 
 	// mark is the in-flight concurrent marker (nil when none — the common
 	// case; every STW entry point pays one nil check). pool keeps the mark

@@ -10,7 +10,7 @@ import (
 // The copy/scan kernel: the one word-level implementation of "evacuate this
 // object" and "forward every reference in that one" under every
 // stop-the-world collection (DESIGN.md §8.1). It works on heap.Raw — the
-// word array and the to-space/scratch regions — and on the per-class scan
+// word array, to-space and the tail the flip left — and on the per-class scan
 // descriptor rt.Class.RefOffsets, so a slot costs a load, a null test and,
 // only for a reference that still points into from-space, a call. No
 // rt.Value is built and no barrier is consulted: the world is stopped and
@@ -42,14 +42,14 @@ type kernel struct {
 	heap.Raw
 	reg *rt.Registry
 	dsu bool
-	// old is where DSU old copies go: the scratch region when the heap has
-	// one (the paper's §3.5 alternative — they are reclaimed right after the
-	// transformer phase), else to-space (they die at the next collection).
+	// old is where DSU old copies go: the tail (the paper's §3.5 block —
+	// to-space pays nothing for them, and the next flip reclaims them) until
+	// one does not fit, to-space behind its shell from then on.
 	old *heap.Region
 
 	log            []Pair
 	objects, words int // copied, shells included
-	scratchWords   int // of those, old-copy words that went to scratch
+	tailWords      int // of those, old-copy words that went to the tail
 	moved          int // of objects, instances written in their new layout
 
 	// runs, the Collector's table on loan, are the clean runs in address order.
@@ -57,6 +57,9 @@ type kernel struct {
 	runs  []run
 	next  int
 	scans int // objects scan was entered for
+	// dirty, also on loan, are the tail old copies holding a reference, in
+	// placement order: the only tail objects the scan has anything to do in.
+	dirty []rt.Addr
 
 	// err is the first failure. Once set, evacuate refuses further work and
 	// references are left as they were; the heap is unusable either way.
@@ -65,13 +68,10 @@ type kernel struct {
 
 // newKernel opens the kernel over the just-flipped heap.
 func (c *Collector) newKernel(dsu bool) *kernel {
-	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: c.runs[:0]}
-	k.old = &k.To
+	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: c.runs[:0], dirty: c.dirty[:0]}
+	k.old = &k.Tail
 	if dsu {
 		k.log = make([]Pair, 0, c.lastPairs)
-		if k.Scratch.Hi > k.Scratch.Lo {
-			k.old = &k.Scratch
-		}
 	}
 	return k
 }
@@ -79,12 +79,12 @@ func (c *Collector) newKernel(dsu bool) *kernel {
 // commit writes the bump pointers back to the heap and the counters into res.
 func (k *kernel) commit(c *Collector, res *Result) {
 	c.Heap.CommitRaw(&k.Raw)
-	c.runs = k.runs
+	c.runs, c.dirty = k.runs, k.dirty
 	res.Log = k.log
 	res.CopiedObjects += k.objects
 	res.CopiedWords += k.words
 	res.PairsLogged += len(k.log)
-	res.ScratchWords += k.scratchWords
+	res.TailWords += k.tailWords
 	res.Moved += k.moved
 }
 
@@ -93,7 +93,7 @@ func (k *kernel) commit(c *Collector, res *Result) {
 // evacuation leaves the reference as it was.
 func (k *kernel) forward(w uint64) uint64 {
 	a := rt.Addr(w)
-	if k.To.Contains(a) || k.Scratch.Contains(a) {
+	if k.To.Contains(a) || k.Tail.Contains(a) {
 		return w // already copied: a to-space object, a shell, or an old copy
 	}
 	hw := k.Words[a]
@@ -134,16 +134,21 @@ func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 	return k.settle(k.copy(a, rt.Addr(cls.Size)), rt.Addr(cls.Size), cls.RefOffsets)
 }
 
+// holdsRef reports whether any of the slots refs of the object at a is non-null.
+func (k *kernel) holdsRef(a rt.Addr, refs []rt.Addr) bool {
+	for _, off := range refs {
+		if k.Words[a+off] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // settle records the object just written at [to, to+size) as clean if none of
 // its slots refs holds a reference, and returns to — null if the write failed.
 func (k *kernel) settle(to, size rt.Addr, refs []rt.Addr) rt.Addr {
-	if to == rt.Null {
+	if to == rt.Null || k.holdsRef(to, refs) {
 		return to
-	}
-	for _, off := range refs {
-		if k.Words[to+off] != 0 {
-			return to
-		}
 	}
 	if n := len(k.runs); n > k.next && k.runs[n-1].hi == to {
 		k.runs[n-1].hi = to + size
@@ -200,16 +205,20 @@ func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
 
 // pair evacuates an instance of an updated class whose transformer has to run
 // (hand-written, or anything ObjectMoves cannot prove): shell first, then the old
-// copy (behind it in to-space, or in scratch), the log entry, and the
-// forwarding pointer to the shell: the zeroed shell of newCls with the old
-// copy's address cached in its pair word (header word 1, heap/bits.go), and
+// copy (in the tail, or behind the shell once the tail is full), the log entry,
+// and the forwarding pointer to the shell: the zeroed shell of newCls with the
+// old copy's address cached in its pair word (header word 1, heap/bits.go), and
 // the old version — header hw, body from a — at oldCopy. The zero Pair means
 // err is set. The shell is clean by construction, the old copy under its own
-// class's test — in to-space: the scratch cursor knows no runs.
+// class's test: in to-space it may join a run, in the tail it is listed in
+// dirty unless clean.
 func (k *kernel) pair(a rt.Addr, hw uint64, old *rt.Class) Pair {
 	size, newCls := rt.Addr(old.Size), old.UpdatedTo
 	shell := k.To.Alloc
 	k.To.Alloc += rt.Addr(newCls.Size)
+	if k.old == &k.Tail && k.Tail.Alloc+size > k.Tail.Hi {
+		k.old = &k.To
+	}
 	oldCopy := k.old.Alloc
 	k.old.Alloc += size
 	if k.To.Alloc > k.To.Hi || k.old.Alloc > k.old.Hi {
@@ -231,10 +240,13 @@ func (k *kernel) pair(a rt.Addr, hw uint64, old *rt.Class) Pair {
 	k.objects += 2
 	k.words += int(size) + newCls.Size
 	k.settle(shell, rt.Addr(newCls.Size), nil)
-	if k.old == &k.Scratch {
-		k.scratchWords += int(size)
-	} else {
+	if k.old == &k.To {
 		k.settle(oldCopy, size, old.RefOffsets)
+	} else {
+		k.tailWords += int(size)
+		if k.holdsRef(oldCopy, old.RefOffsets) {
+			k.dirty = append(k.dirty, oldCopy)
+		}
 	}
 	return p
 }
@@ -273,17 +285,17 @@ func (k *kernel) scan(a rt.Addr) rt.Addr {
 }
 
 // cheney is the collection proper: the roots in enumeration order, then a
-// Cheney scan of to-space interleaved with the scratch old copies until
+// Cheney scan of to-space interleaved with the dirty tail old copies until
 // neither grows. Copy order is an invariant — every to-space address, the
 // log order and the storm/stream fingerprints are functions of it.
 func (k *kernel) cheney(roots Roots) error {
-	scan, oldScan := k.To.Alloc, k.Scratch.Alloc
+	scan, oldScan := k.To.Alloc, 0
 	roots.ForEachRoot(func(v *rt.Value) {
 		if v.IsRef && v.Bits != 0 {
 			v.Bits = k.forward(v.Bits)
 		}
 	})
-	for k.err == nil && (scan < k.To.Alloc || oldScan < k.Scratch.Alloc) {
+	for k.err == nil && (scan < k.To.Alloc || oldScan < len(k.dirty)) {
 		for scan < k.To.Alloc && k.err == nil {
 			if k.next < len(k.runs) && k.runs[k.next].lo == scan {
 				scan, k.next = k.runs[k.next].hi, k.next+1
@@ -291,8 +303,9 @@ func (k *kernel) cheney(roots Roots) error {
 			}
 			scan += k.scan(scan)
 		}
-		for oldScan < k.Scratch.Alloc && k.err == nil {
-			oldScan += k.scan(oldScan)
+		for oldScan < len(k.dirty) && k.err == nil {
+			k.scan(k.dirty[oldScan])
+			oldScan++
 		}
 	}
 	return k.err

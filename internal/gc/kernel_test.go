@@ -17,8 +17,10 @@ import (
 // refCollectSerial is the closure-based serial Cheney loop the kernel
 // replaced, kept as the reference the kernel is held to word for word: every
 // slot boxed into an rt.Value and moved through the barrier-checked
-// accessors, the class resolved per use, RefMap walked entry by entry. Only
-// heap.Copy/ScratchCopy, which left the heap with the loop, are spelled out.
+// accessors, the class resolved per use, RefMap walked entry by entry, every
+// tail old copy scanned. Only heap.Copy, which left the heap with the loop, is
+// spelled out. Old copies go to the tail until one does not fit and to
+// to-space from then on, as the kernel's do.
 func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 	h := c.Heap
 	res := &Result{}
@@ -31,13 +33,6 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 		h.CopyWords(to, src, size)
 		return to, true
 	}
-	scratchCopy := func(src rt.Addr, size int) (rt.Addr, bool) {
-		to, ok := h.AllocScratchBlock(size)
-		if ok {
-			h.CopyWords(to, src, size)
-		}
-		return to, ok
-	}
 	objectSize := func(a rt.Addr) int {
 		if h.IsArray(a) {
 			return rt.HeaderWords + h.ArrayLen(a)
@@ -45,15 +40,15 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 		return c.Reg.ClassByID(h.ClassID(a)).Size
 	}
 
-	useScratch := dsu && h.HasScratch()
-	var scratchObjs []rt.Addr
+	useTail := dsu
+	var tailObjs []rt.Addr
 	var gcErr error
 	forward := func(v *rt.Value) {
 		if gcErr != nil || !v.IsRef || v.Bits == 0 {
 			return
 		}
 		a := v.Ref()
-		if h.InCurrentSpace(a) || h.InScratch(a) {
+		if h.InCurrentSpace(a) || h.InTail(a) {
 			return
 		}
 		if to, ok := h.Forwarded(a); ok {
@@ -88,13 +83,15 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 				shell, ok1 := h.AllocObject(newCls)
 				var oldCopy rt.Addr
 				var ok2 bool
-				if useScratch {
-					oldCopy, ok2 = scratchCopy(a, size)
-					if ok2 {
-						scratchObjs = append(scratchObjs, oldCopy)
-						res.ScratchWords += size
+				if useTail {
+					if oldCopy, ok2 = h.AllocTail(size); ok2 {
+						h.CopyWords(oldCopy, a, size)
+						tailObjs = append(tailObjs, oldCopy)
+						res.TailWords += size
 					}
-				} else {
+					useTail = ok2
+				}
+				if !useTail {
 					oldCopy, ok2 = copyTo(a, size)
 				}
 				if !ok1 || !ok2 {
@@ -143,7 +140,7 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 	}
 
 	scan := h.ScanStart()
-	scratchCursor := 0
+	tailCursor := 0
 	roots.ForEachRoot(forward)
 	for gcErr == nil {
 		progressed := false
@@ -153,9 +150,9 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 			scan += rt.Addr(size)
 			progressed = true
 		}
-		for scratchCursor < len(scratchObjs) && gcErr == nil {
-			scanObj(scratchObjs[scratchCursor])
-			scratchCursor++
+		for tailCursor < len(tailObjs) && gcErr == nil {
+			scanObj(tailObjs[tailCursor])
+			tailCursor++
 			progressed = true
 		}
 		if !progressed {
@@ -167,14 +164,14 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 
 // sameCollection fails unless the kernel's collection (h, res) and the
 // reference's (rh, rres) are indistinguishable: every heap word — to-space,
-// scratch, and the forwarding pointers left in from-space — the bump pointers,
-// and the Result with its log order.
+// the tail, and the forwarding pointers left in from-space — the bump
+// pointers, and the Result with its log order.
 func sameCollection(t *testing.T, what string, h, rh *heap.Heap, res, rres *Result) {
 	t.Helper()
 	raw, rraw := h.Raw(), rh.Raw()
-	if raw.To != rraw.To || raw.Scratch != rraw.Scratch {
-		t.Fatalf("%s: regions differ: kernel to=%+v scratch=%+v, reference to=%+v scratch=%+v",
-			what, raw.To, raw.Scratch, rraw.To, rraw.Scratch)
+	if raw.To != rraw.To || raw.Tail != rraw.Tail {
+		t.Fatalf("%s: regions differ: kernel to=%+v tail=%+v, reference to=%+v tail=%+v",
+			what, raw.To, raw.Tail, rraw.To, rraw.Tail)
 	}
 	if !slices.Equal(raw.Words, rraw.Words) {
 		for a := range raw.Words {
@@ -196,10 +193,25 @@ func sameCollection(t *testing.T, what string, h, rh *heap.Heap, res, rres *Resu
 // it, covers exactly the clean objects of to-space — non-reference arrays, and
 // instances (shells and to-space old copies among them) whose reference fields
 // are all null, which the scan does not change — in address order, no run
-// empty or overlapping the one before.
+// empty or overlapping the one before; and unless its dirty list is exactly the
+// tail old copies that are not clean, in address (placement) order.
 func checkRuns(t *testing.T, what string, c *Collector) {
 	t.Helper()
 	raw := c.Heap.Raw()
+	var dirty []rt.Addr
+	for a := raw.Tail.Lo; a < raw.Tail.Alloc; {
+		cls := c.Reg.ClassByID(heap.HeaderClassID(raw.Words[a]))
+		for _, off := range cls.RefOffsets {
+			if raw.Words[a+off] != 0 {
+				dirty = append(dirty, a)
+				break
+			}
+		}
+		a += rt.Addr(cls.Size)
+	}
+	if !slices.Equal(c.dirty, dirty) {
+		t.Fatalf("%s: dirty list %v, want the tail old copies holding a reference %v", what, c.dirty, dirty)
+	}
 	for i, r := range c.runs {
 		if r.lo >= r.hi || r.lo < raw.To.Lo || r.hi > raw.To.Alloc || (i > 0 && r.lo < c.runs[i-1].hi) {
 			t.Fatalf("%s: run %d of %v is empty, out of order or outside to-space %+v", what, i, c.runs, raw.To)
@@ -238,11 +250,13 @@ func checkRuns(t *testing.T, what string, c *Collector) {
 // and an Up with null references, a char array and an instance of a class
 // without reference fields; the others through a Stable, an Up and a reference
 // array that point at their neighbours — every third also at an object of its
-// own, reached only through it, which the scan (of to-space, or of a scratch
-// old copy once the to-space cursor has caught up) copies behind the rest.
-func buildRunGraph(period int, scratch, moved bool) *dsuGraph {
+// own, reached only through it, which the scan (of to-space, or of a tail old
+// copy once the to-space cursor has caught up) copies behind the rest. With
+// overflow, the tail holds the first two old copies and the rest go to
+// to-space.
+func buildRunGraph(period int, overflow, moved bool) *dsuGraph {
 	const n = 84
-	g := newDSUGraph(scratch, moved)
+	g := newDSUGraph(moved)
 	refFree := g.load(classfile.NewClass("RefFree", "").Field("a", "I").Field("b", "I"))
 	h := g.h
 	obj := func(cls *rt.Class, val int) rt.Addr {
@@ -306,13 +320,18 @@ func buildRunGraph(period int, scratch, moved bool) *dsuGraph {
 		h.SetElem(root, i, rt.RefVal(a))
 	}
 	g.roots = []rt.Value{rt.RefVal(root)}
+	if overflow {
+		leaveTail(h, overflowTail)
+	}
 	return g
 }
 
 // TestKernelMatchesReferenceLoop: over the random graphs of the two property
-// tests, and over the run table's graphs, the kernel and the closure loop it
-// replaced leave the same heap — and the kernel a run table that covers the
-// clean objects and nothing else.
+// tests, and over the run table's graphs, with a tail that holds every old
+// copy and one that overflows mid-collection, the kernel and the closure loop
+// it replaced leave the same heap — and the kernel a run table that covers the
+// clean objects and nothing else, and a dirty list of the tail old copies the
+// scan has work in.
 func TestKernelMatchesReferenceLoop(t *testing.T) {
 	sameDSU := func(what string, d, rd *dsuGraph, dsu bool) *Result {
 		t.Helper()
@@ -330,11 +349,19 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 		return res
 	}
 	for _, period := range []int{1, 2, 7} {
-		for _, scratch := range []bool{false, true} {
+		for _, overflow := range []bool{false, true} {
 			for _, dsu := range []bool{true, false} {
 				for _, moved := range []bool{false, true} {
-					what := fmt.Sprintf("period %d dsu=%v scratch=%v moved=%v", period, dsu, scratch, moved)
-					sameDSU(what, buildRunGraph(period, scratch, moved), buildRunGraph(period, scratch, moved), dsu)
+					what := fmt.Sprintf("period %d dsu=%v overflow=%v moved=%v", period, dsu, overflow, moved)
+					res := sameDSU(what, buildRunGraph(period, overflow, moved), buildRunGraph(period, overflow, moved), dsu)
+					// Up's old copies are 5 words: every one in the tail, or the first two.
+					want := 5 * res.PairsLogged
+					if overflow {
+						want = min(want, 10)
+					}
+					if res.TailWords != want {
+						t.Fatalf("%s: %d old-copy words in the tail, want %d", what, res.TailWords, want)
+					}
 				}
 			}
 		}
@@ -353,13 +380,13 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 		}
 		checkRuns(t, fmt.Sprintf("plain seed %d", seed), c)
 
-		for _, scratch := range []bool{false, true} {
+		for _, overflow := range []bool{false, true} {
 			for _, dsu := range []bool{true, false} { // an update pending but a plain collection: no pairs
 				for _, moved := range []bool{false, true} { // Up's transformer runs, or is a move
-					what := fmt.Sprintf("seed %d dsu=%v scratch=%v moved=%v", seed, dsu, scratch, moved)
-					res := sameDSU(what, buildDSUGraph(seed, scratch, moved), buildDSUGraph(seed, scratch, moved), dsu)
-					if dsu && moved && (res.PairsLogged != 0 || res.ScratchWords != 0) {
-						t.Fatalf("%s: a moved class made %d pairs, %d scratch words", what, res.PairsLogged, res.ScratchWords)
+					what := fmt.Sprintf("seed %d dsu=%v overflow=%v moved=%v", seed, dsu, overflow, moved)
+					res := sameDSU(what, buildDSUGraph(seed, overflow, moved), buildDSUGraph(seed, overflow, moved), dsu)
+					if dsu && moved && (res.PairsLogged != 0 || res.TailWords != 0) {
+						t.Fatalf("%s: a moved class made %d pairs, %d tail words", what, res.PairsLogged, res.TailWords)
 					}
 				}
 			}
@@ -413,9 +440,9 @@ func (w *benchWorld) load(tb testing.TB, name string, extra bool) *rt.Class {
 
 func (w *benchWorld) ForEachRoot(fn func(*rt.Value)) { fn(&w.root) }
 
-func newBenchWorld(tb testing.TB, n, semi, scratch int, updated, moved bool) *benchWorld {
+func newBenchWorld(tb testing.TB, n, semi int, updated, moved bool) *benchWorld {
 	tb.Helper()
-	w := &benchWorld{reg: rt.NewRegistry(), h: heap.NewWithScratch(semi, scratch)}
+	w := &benchWorld{reg: rt.NewRegistry(), h: heap.New(semi)}
 	var noChange *rt.Class
 	w.change, noChange = w.load(tb, "Change", false), w.load(tb, "NoChange", false)
 	if updated {
@@ -488,27 +515,32 @@ func (w *benchWorld) scans(tb testing.TB, dsu bool) int {
 
 // TestScanSkipsCleanObjects: the cursor really steps over clean objects — on
 // the update-pause shape the scan is entered for the root array and nothing
-// else (shells and to-space old copies included; an old copy in scratch is
-// scanned), on the linked one for every object, on the chars one for every
-// instance and no char array.
+// else (shells and old copies included, in the tail or, overflowed, in
+// to-space), on the linked one for every object (old copies in the tail
+// through the dirty list, shells never), on the chars one for every instance
+// and no char array.
 func TestScanSkipsCleanObjects(t *testing.T) {
 	const n = 1000
 	for _, tc := range []struct {
 		name       string
 		shape      benchShape
 		dsu, moved bool
-		scratch    int
+		overflow   bool // from-space is left full: every old copy goes to to-space
 		want       int
 	}{
-		{"plain", nullRefs, false, false, 0, 1},
-		{"plain-linked", linked, false, false, 0, 1 + n},
-		{"plain-chars", chars, false, false, 0, 1 + n},
-		{"dsu", nullRefs, true, false, 0, 1},
-		{"dsu-scratch", nullRefs, true, false, n / 2 * 8, 1 + n/2},
-		{"dsu-moved", nullRefs, true, true, 0, 1},
-		{"dsu-moved-linked", linked, true, true, 0, 1 + n},
+		{"plain", nullRefs, false, false, false, 1},
+		{"plain-linked", linked, false, false, false, 1 + n},
+		{"plain-chars", chars, false, false, false, 1 + n},
+		{"dsu", nullRefs, true, false, false, 1},
+		{"dsu-overflow", nullRefs, true, false, true, 1},
+		{"dsu-linked", linked, true, false, false, 1 + n},
+		{"dsu-moved", nullRefs, true, true, false, 1},
+		{"dsu-moved-linked", linked, true, true, false, 1 + n},
 	} {
-		w := newBenchWorld(t, n, 4*n*8, tc.scratch, tc.dsu, tc.moved).shape(t, tc.shape)
+		w := newBenchWorld(t, n, 4*n*8, tc.dsu, tc.moved).shape(t, tc.shape)
+		if tc.overflow {
+			leaveTail(w.h, 0)
+		}
 		if got := w.scans(t, tc.dsu); got != tc.want {
 			t.Errorf("%s: scan entered for %d objects, want %d", tc.name, got, tc.want)
 		}
@@ -517,14 +549,14 @@ func TestScanSkipsCleanObjects(t *testing.T) {
 
 // TestPassedRunIsNotExtended: a clean object evacuated at the hi of a run the
 // cursor has already jumped opens a new run. A rooted Up whose old copy, in
-// scratch, points at a clean Stable: the cursor jumps the shell — the whole of
-// to-space — and stops at the bump pointer; the scratch loop then scans the
+// the tail, points at a clean Stable: the cursor jumps the shell — the whole of
+// to-space — and stops at the bump pointer; the dirty loop then scans the
 // old copy and copies the Stable exactly there. It is copied once and reached
 // by the old copy's forwarded reference like in the reference loop, and it is
 // skipped, not scanned: the scan is entered for the old copy alone.
 func TestPassedRunIsNotExtended(t *testing.T) {
 	build := func() *dsuGraph {
-		g := newDSUGraph(true, false)
+		g := newDSUGraph(false)
 		up, _ := g.h.AllocObject(g.upCls)
 		stable, _ := g.h.AllocObject(g.stableCls)
 		g.h.SetFieldValue(stable, dsuOffVal, rt.IntVal(7))
@@ -549,38 +581,72 @@ func TestPassedRunIsNotExtended(t *testing.T) {
 	}
 }
 
+// TestTailOverflowIsSticky: once an old copy has not fit the tail, every later
+// one goes to to-space, even one that would fit. A 4-word tail, a rooted Up (a
+// 5-word old copy) and then an instance of a smaller updated class (3 words):
+// both old copies land behind their shells, as in the reference loop.
+func TestTailOverflowIsSticky(t *testing.T) {
+	build := func() *dsuGraph {
+		g := newDSUGraph(false)
+		small := g.load(classfile.NewClass("Small", "").Field("v", "I"))
+		small.UpdatedTo = g.load(classfile.NewClass("SmallV2", "").Field("v", "I").Field("w", "I"))
+		up, _ := g.h.AllocObject(g.upCls)
+		s, _ := g.h.AllocObject(small)
+		g.roots = []rt.Value{rt.RefVal(up), rt.RefVal(s)}
+		leaveTail(g.h, 4)
+		return g
+	}
+	g, rg := build(), build()
+	c := New(g.h, g.reg)
+	res, err := c.Collect(g, true)
+	rres, rerr := refCollectSerial(New(rg.h, rg.reg), rg, true)
+	if err != nil || rerr != nil {
+		t.Fatalf("kernel err %v, reference err %v", err, rerr)
+	}
+	sameCollection(t, "sticky overflow", g.h, rg.h, res, rres)
+	checkRuns(t, "sticky overflow", c)
+	if res.PairsLogged != 2 || res.TailWords != 0 {
+		t.Fatalf("%d pairs, %d old-copy words in the tail; want 2 and 0", res.PairsLogged, res.TailWords)
+	}
+}
+
 // TestCollectExhaustion leaves the copy space one word short at each place a
 // serial collection allocates. Each must end in ErrToSpaceExhausted — never a
-// panic, never a write past the space — with the bump pointers inside it.
+// panic, never a write past either space — with the bump pointers inside them.
 //
 // The graph is a 6-word array over Change, NoChange, Change, NoChange (8 words
 // each, 38 in from-space); a DSU collection copies it in that order and a
-// Change costs a 9-word shell plus its 8-word old copy, so to-space fills
-// 6, 15, 23, 31, 40, 48, 56. When Change's transformer is a move it costs its
-// 9 new words and nothing else: 6, 15, 23, 32, 40 — and with a fifth object,
-// a Change, under a 7-word array: 7, 16, 24, 33, 41, 50.
+// Change costs a 9-word shell in to-space plus its 8-word old copy, in the tail
+// from-space leaves (tail words, the rest of from-space a dead array) while it
+// has room and behind the shell from then on. With a 9-word tail the first old
+// copy fits and the second does not, so to-space fills 6, 15, 23, 32, 40, 48;
+// with a tail of 7 or less neither fits: 6, 15, 23, 31, 40, 48, 56. When
+// Change's transformer is a move it costs its 9 new words and nothing else: 6,
+// 15, 23, 32, 40 — and with a fifth object, a Change, under a 7-word array: 7,
+// 16, 24, 33, 41, 50. One row fits: a 10-word tail takes the first old copy,
+// the second overflows, and the 48 words of to-space just hold the rest.
 //
 // Every cell runs with the objects clean and (linked: each holds a reference,
 // which copies nothing more) not: a failed copy, move or pair records no run,
-// whatever the failing object would have been. The last cell fails on an object
-// that is clean whatever it holds: one Change (3, 12, 20) and its 8-word char
-// array.
+// whatever the failing object would have been. The char-array cell fails on an
+// object that is clean whatever it holds: one Change (3, 12, 20 with its old
+// copy overflowed) and its 8-word char array.
 func TestCollectExhaustion(t *testing.T) {
 	cases := []struct {
-		name              string
-		n                 int
-		moved             bool
-		semi, scratch     int
-		used, scratchUsed int // at the failure: nothing of the failed allocation is kept
-		chars             bool
+		name           string
+		n              int
+		moved          bool
+		semi, tail     int
+		used, tailUsed int // at the end: nothing of a failed allocation is kept
+		chars, fits    bool
 	}{
-		{"plain copy", 4, false, 55, 0, 48, 0, false},
-		{"shell", 4, false, 39, 0, 31, 0, false},
-		{"old copy in to-space", 4, false, 47, 0, 31, 0, false},
-		{"scratch full", 4, false, 64, 15, 6 + 9 + 8, 8, false},
-		{"moved copy", 5, true, 49, 0, 41, 0, false},
-		{"plain copy after a moved one", 4, true, 39, 0, 32, 0, false},
-		{"char array", 1, false, 27, 0, 20, 0, true},
+		{"plain copy", 4, false, 47, 9, 40, 8, false, false},
+		{"shell", 4, false, 39, 1, 31, 0, false, false},
+		{"old copy in to-space", 4, false, 47, 7, 31, 0, false, false}, // tail and to-space both full
+		{"tail overflows", 4, false, 48, 10, 48, 8, false, true},
+		{"moved copy", 5, true, 49, 2, 41, 0, false, false},
+		{"plain copy after a moved one", 4, true, 39, 1, 32, 0, false, false},
+		{"char array", 1, false, 27, 6, 20, 0, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -590,31 +656,33 @@ func TestCollectExhaustion(t *testing.T) {
 			}
 			for _, shape := range shapes {
 				t.Run(shape.String(), func(t *testing.T) {
-					w := newBenchWorld(t, tc.n, tc.semi, tc.scratch, true, tc.moved).shape(t, shape)
+					w := newBenchWorld(t, tc.n, tc.semi, true, tc.moved).shape(t, shape)
+					leaveTail(w.h, tc.tail)
 					c := New(w.h, w.reg)
 					_, err := c.Collect(w, true)
-					if !errors.Is(err, ErrToSpaceExhausted) {
+					if tc.fits && err != nil {
+						t.Fatalf("err = %v, want the collection to fit", err)
+					} else if !tc.fits && !errors.Is(err, ErrToSpaceExhausted) {
 						t.Fatalf("err = %v, want ErrToSpaceExhausted", err)
 					}
 					raw := w.h.Raw()
 					if raw.To.Alloc < raw.To.Lo || raw.To.Alloc > raw.To.Hi ||
-						raw.Scratch.Alloc < raw.Scratch.Lo || raw.Scratch.Alloc > raw.Scratch.Hi {
-						t.Fatalf("bump pointer left its space: to=%+v scratch=%+v", raw.To, raw.Scratch)
+						raw.Tail.Alloc < raw.Tail.Lo || raw.Tail.Alloc > raw.Tail.Hi {
+						t.Fatalf("bump pointer left its space: to=%+v tail=%+v", raw.To, raw.Tail)
 					}
-					if w.h.UsedWords() != tc.used || w.h.ScratchUsed() != tc.scratchUsed {
-						t.Fatalf("used %d to-space / %d scratch words, want %d / %d",
-							w.h.UsedWords(), w.h.ScratchUsed(), tc.used, tc.scratchUsed)
+					if used, tailUsed := w.h.UsedWords(), int(raw.Tail.Alloc-raw.Tail.Lo); used != tc.used || tailUsed != tc.tailUsed {
+						t.Fatalf("used %d to-space / %d tail words, want %d / %d", used, tailUsed, tc.used, tc.tailUsed)
 					}
-					// Nothing half-written: past the bump pointers both spaces are
+					// Nothing half-written: past the bump pointers both regions are
 					// as the flip left them (never allocated in: zero).
-					for _, r := range []heap.Region{raw.To, raw.Scratch} {
+					for _, r := range []heap.Region{raw.To, raw.Tail} {
 						for a := r.Alloc; a < r.Hi; a++ {
 							if raw.Words[a] != 0 {
 								t.Fatalf("word @%d past the bump pointer %d was written: %#x", a, r.Alloc, raw.Words[a])
 							}
 						}
 					}
-					checkRuns(t, "after the failure", c)
+					checkRuns(t, "after the collection", c)
 				})
 			}
 		})
@@ -649,7 +717,7 @@ func TestCollectUnknownClassIsAnError(t *testing.T) {
 // nothing is queued.
 func TestCollectSerialAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		w := newBenchWorld(t, n, 16*n, 0, false, false)
+		w := newBenchWorld(t, n, 16*n, false, false)
 		c := New(w.h, w.reg)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := c.Collect(w, false); err != nil {
@@ -665,8 +733,8 @@ func TestCollectSerialAllocs(t *testing.T) {
 
 // BenchmarkCollectSerial is the collector's own benchmark of the update-pause
 // shape: 100 000 8-word objects under one reference array (900 002 live
-// words), collected plain, as a DSU collection with every second object
-// updated, and the same with old copies in a scratch region. plain-linked is
+// words), collected plain, and as a DSU collection with every second object
+// updated (old copies in from-space's tail) or moved. plain-linked is
 // the clean test's cost row — it fails on every object's first field and
 // nothing is skipped — and plain-chars the apps' shape. words/s counts
 // copied words (shells and old copies included) and ns/object is per live
@@ -679,14 +747,12 @@ func BenchmarkCollectSerial(b *testing.B) {
 		name       string
 		shape      benchShape
 		dsu, moved bool
-		scratch    int
 	}{
-		{"plain", nullRefs, false, false, 0},
-		{"plain-linked", linked, false, false, 0},
-		{"plain-chars", chars, false, false, 0},
-		{"dsu-f0.5", nullRefs, true, false, 0},
-		{"dsu-f0.5-scratch", nullRefs, true, false, n / 2 * 8},
-		{"dsu-moved-f0.5", nullRefs, true, true, 0},
+		{"plain", nullRefs, false, false},
+		{"plain-linked", linked, false, false},
+		{"plain-chars", chars, false, false},
+		{"dsu-f0.5", nullRefs, true, false},
+		{"dsu-moved-f0.5", nullRefs, true, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -701,7 +767,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 				// the new class), so every iteration gets a fresh world; two
 				// untimed plain collections fault both semispaces in first.
 				b.StopTimer()
-				w := newBenchWorld(b, n, semi, bc.scratch, false, false).shape(b, bc.shape)
+				w := newBenchWorld(b, n, semi, false, false).shape(b, bc.shape)
 				c := New(w.h, w.reg)
 				for range 2 {
 					if _, err := c.Collect(w, false); err != nil {
@@ -721,7 +787,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 			b.ReportMetric(float64(words)/floor.Seconds(), "words/s")
 			b.ReportMetric(float64(floor.Nanoseconds())/n, "ns/object")
 			b.StopTimer()
-			w := newBenchWorld(b, n, semi, bc.scratch, bc.dsu, bc.moved).shape(b, bc.shape)
+			w := newBenchWorld(b, n, semi, bc.dsu, bc.moved).shape(b, bc.shape)
 			b.ReportMetric(float64(w.scans(b, bc.dsu))/n, "scanned/object")
 		})
 	}

@@ -336,7 +336,8 @@ func (m *Marker) scan(a rt.Addr) {
 // markGrey marks and pushes one snapshot-region address. References at or
 // above the watermark are allocate-black (never scanned — the pause walks
 // that region wholesale), and everything outside the current space (null,
-// or a scratch address, which cannot occur between updates) is ignored.
+// or an old copy in the last flip's tail, which cannot occur between
+// updates) is ignored.
 func (m *Marker) markGrey(a rt.Addr) {
 	if a == 0 || a < m.lo || a >= m.watermark {
 		return

@@ -20,19 +20,19 @@ import (
 
 func TestConcurrentMarkEquivalenceSerialSweep(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runConcurrentEquivalence(t, seed, false, 0)
+		runConcurrentEquivalence(t, seed, false, false)
 	}
 }
 
 func TestConcurrentMarkDSUEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runConcurrentEquivalence(t, seed, true, 0)
+		runConcurrentEquivalence(t, seed, true, false)
 	}
 }
 
-func TestConcurrentMarkDSUEquivalenceScratch(t *testing.T) {
+func TestConcurrentMarkDSUEquivalenceOverflow(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 11, 12} {
-		runConcurrentEquivalence(t, seed, true, 1<<13)
+		runConcurrentEquivalence(t, seed, true, true)
 	}
 }
 
@@ -99,8 +99,8 @@ func mutationScript(t *testing.T, w *world) func() {
 func runMutationEquivalence(t *testing.T, seed int64, dsu bool) {
 	t.Helper()
 	const semi = 1 << 13
-	wa := buildWorld(t, seed, semi, 0)
-	wb := buildWorld(t, seed, semi, 0)
+	wa := buildWorld(t, seed, semi)
+	wb := buildWorld(t, seed, semi)
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
@@ -143,7 +143,7 @@ func TestConcurrentMarkInFlightMutationDSU(t *testing.T) {
 // flip would move memory under the tracer — and the collection itself
 // stays correct. CollectReloc afterwards falls back to plain Collect.
 func TestCollectAbortsInFlightMark(t *testing.T) {
-	w := buildWorld(t, 42, 1<<13, 0)
+	w := buildWorld(t, 42, 1<<13)
 	c := New(w.h, w.reg)
 	m := c.StartMark(w, nil)
 	res, err := c.Collect(w, false)
@@ -277,7 +277,7 @@ func TestPreFlipErrorLeavesHeapUsable(t *testing.T) {
 // TestAbortMarkIdempotent pins the discard path the engine uses when an
 // update resolves without consuming its snapshot.
 func TestAbortMarkIdempotent(t *testing.T) {
-	w := buildWorld(t, 7, 1<<13, 0)
+	w := buildWorld(t, 7, 1<<13)
 	c := New(w.h, w.reg)
 	c.StartMark(w, nil)
 	c.AbortMark()
@@ -291,7 +291,7 @@ func TestAbortMarkIdempotent(t *testing.T) {
 // SATB buffer) is reused across collections — the storm harness applies
 // hundreds of updates against one VM and must not re-allocate per cycle.
 func TestMarkScratchPooled(t *testing.T) {
-	w := buildWorld(t, 3, 1<<13, 0)
+	w := buildWorld(t, 3, 1<<13)
 	c := New(w.h, w.reg)
 	// Drained on this goroutine before Start: no relocator, so no TLAB tails,
 	// to-space stays compact and the second snapshot region is no larger than
@@ -358,7 +358,7 @@ func TestMarkWithNoHeapRoots(t *testing.T) {
 // allocation.
 func BenchmarkConcurrentMarkCycle(b *testing.B) {
 	b.ReportAllocs()
-	w := buildWorld(b, 5, 1<<15, 0)
+	w := buildWorld(b, 5, 1<<15)
 	c := New(w.h, w.reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,8 +43,8 @@ import (
 //	retire  — when the drain terminates (relocator idle, region cursor
 //	          exhausted, no mutator mid-evacuation, queue empty),
 //	          from-space holds no live data. The engine finalizes on the
-//	          mutator goroutine: disarm the barrier, run the deferred class
-//	          cleanup, reclaim scratch. Collections, follow-up updates, and
+//	          mutator goroutine: disarm the barrier and run the deferred class
+//	          cleanup. Collections, follow-up updates, and
 //	          Engine.ForceDrain force-complete an unfinished drain first —
 //	          the same drain contract the lazy transformer pipeline uses.
 //
@@ -72,8 +72,9 @@ type RelocStats struct {
 	// pause's own root-remap evacuations (which flow through the same path).
 	Objects int
 	Words   int
-	// ScratchWords counts deferred-pair old-copy words placed in scratch.
-	ScratchWords int
+	// TailWords counts deferred-pair old-copy words placed in from-space's
+	// tail (Collection.TailWords' drain half).
+	TailWords int
 	// HealedSlots counts stale slots rewritten to canonical addresses —
 	// mutator barrier heals plus drain fixup heals.
 	HealedSlots uint64
@@ -99,7 +100,6 @@ type Relocation struct {
 	reg *rt.Registry
 
 	deferPairs bool
-	useScratch bool // deferred-pair old copies go to the scratch region
 
 	fromLo, fromHi rt.Addr // the held from-space interval
 
@@ -135,9 +135,9 @@ type Relocation struct {
 	mu       sync.Mutex
 	deferred []Pair // drain-created pairs (deferPairs mode), in creation order
 
-	objects, words, scratchWords atomic.Int64
-	moved                        atomic.Int64 // of objects, written in their new layout
-	healed                       atomic.Int64 // drain-side slot heals
+	objects, words, tailWords atomic.Int64
+	moved                     atomic.Int64 // of objects, written in their new layout
+	healed                    atomic.Int64 // drain-side slot heals
 
 	started   bool // beginDrain ran (mutator goroutine)
 	finished  bool // Finish ran (mutator goroutine)
@@ -152,9 +152,8 @@ type Relocation struct {
 // full-heap drain); the mutator (load barrier, root remap, forced drains)
 // allocates under the heap mutex.
 type relocAllocator struct {
-	rl    *Relocation
-	tlab  *heap.TLAB // nil → global locked allocation
-	stlab *heap.TLAB // scratch TLAB; nil → global scratch block
+	rl   *Relocation
+	tlab *heap.TLAB // nil → global locked allocation
 }
 
 func (al *relocAllocator) allocCopy(size int) (rt.Addr, bool) {
@@ -169,13 +168,6 @@ func (al *relocAllocator) allocShell(size int) (rt.Addr, bool) {
 		return al.tlab.AllocZeroed(size)
 	}
 	return al.rl.h.Alloc(size) // armed → locked and zeroed
-}
-
-func (al *relocAllocator) allocScratch(size int) (rt.Addr, bool) {
-	if al.stlab != nil {
-		return al.stlab.Alloc(size)
-	}
-	return al.rl.h.AllocScratchBlock(size)
 }
 
 // CollectReloc is the pause half of a concurrent DSU collection. It returns
@@ -226,7 +218,6 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 	rl := &Relocation{
 		c: c, h: h, reg: c.Reg,
 		deferPairs:  deferPairs,
-		useScratch:  deferPairs && h.HasScratch(),
 		fromLo:      fromLo,
 		fromHi:      fromHi,
 		regionStart: h.ScanStart(),
@@ -256,8 +247,8 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		if k.err != nil {
 			break
 		}
-		if k.Scratch.Contains(p.OldCopy) {
-			// Scratch lies outside the region scan: seed the old copy
+		if k.Tail.Contains(p.OldCopy) {
+			// The tail lies outside the region scan: seed the old copy
 			// explicitly so the drain heals its stale slots (to-space
 			// old copies are covered by the region cursor).
 			rl.dq.push(p.OldCopy)
@@ -501,10 +492,7 @@ func relocTLABWords(h *heap.Heap) int {
 func (rl *Relocation) run() {
 	defer rl.wg.Done()
 	h := rl.h
-	al := &relocAllocator{rl: rl, tlab: h.NewTLAB(relocTLABWords(h), false)}
-	if rl.useScratch {
-		al.stlab = h.NewTLAB(relocTLABWords(h), true)
-	}
+	al := &relocAllocator{rl: rl, tlab: h.NewTLAB(relocTLABWords(h))}
 loop:
 	for !rl.done.Load() && !rl.failed.Load() {
 		if a, ok := rl.dq.pop(); ok {
@@ -529,9 +517,6 @@ loop:
 		}
 	}
 	al.tlab.Retire()
-	if al.stlab != nil {
-		al.stlab.Retire()
-	}
 }
 
 // workQueued reports whether an unscanned copy or an unclaimed region object
@@ -589,7 +574,7 @@ func (rl *Relocation) firstErr() error {
 	return rl.err
 }
 
-// scanObj heals every stale reference slot of one to-space (or scratch)
+// scanObj heals every stale reference slot of one to-space (or tail)
 // object, evacuating the targets. Headers and slots are read atomically (slot
 // stores race with mutator writes by design — both sides are atomic while the
 // barrier is armed).
@@ -627,7 +612,7 @@ func (rl *Relocation) healWordSlot(idx rt.Addr, al *relocAllocator) {
 	w := h.SlotLoad(idx)
 	a := rt.Addr(w)
 	if a < rl.fromLo || a >= rl.fromHi {
-		return // null, to-space, or scratch: already canonical
+		return // null, to-space, or the tail: already canonical
 	}
 	to := rl.evac(a, al)
 	if to == 0 {
@@ -735,17 +720,14 @@ func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (r
 // drain discovered (deferPairs mode) and registers the pair for the lazy
 // drain to adopt. The shell and its pair word — what makes it pending for the
 // lazy read barrier — are written before PublishForward, so no other
-// goroutine ever sees a half-built pair.
+// goroutine ever sees a half-built pair. The old copy goes to from-space's
+// tail while it has room, else to to-space.
 func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Class, al *relocAllocator) (rt.Addr, bool) {
 	h := rl.h
 	shell, ok1 := al.allocShell(newCls.Size)
-	var oldCopy rt.Addr
-	var ok2 bool
-	if rl.useScratch {
-		oldCopy, ok2 = al.allocScratch(size)
-		if ok2 {
-			rl.scratchWords.Add(int64(size))
-		}
+	oldCopy, ok2 := h.AllocTail(size)
+	if ok2 {
+		rl.tailWords.Add(int64(size))
 	} else {
 		oldCopy, ok2 = al.allocCopy(size)
 	}
@@ -867,9 +849,10 @@ func (rl *Relocation) takeAny() (rt.Addr, bool) {
 
 // Finish joins the relocator, disarms the load barrier, and returns the drain
 // statistics. Mutator goroutine, once Done (it force-completes defensively
-// otherwise). From-space is dead after this — the next Flip may reuse it.
-// The engine still owns the mode-level finalization (class cleanup, scratch
-// reset, deferred-pair adoption).
+// otherwise). From-space holds nothing live after this but old copies in its
+// tail, which the engine's residue retires before the next Flip reuses it.
+// The engine still owns the mode-level finalization (class cleanup,
+// deferred-pair adoption).
 func (rl *Relocation) Finish() (RelocStats, error) {
 	if rl.finished {
 		return RelocStats{}, nil
@@ -883,7 +866,7 @@ func (rl *Relocation) Finish() (RelocStats, error) {
 	st := RelocStats{
 		Objects:       int(rl.objects.Load()),
 		Words:         int(rl.words.Load()),
-		ScratchWords:  int(rl.scratchWords.Load()),
+		TailWords:     int(rl.tailWords.Load()),
 		HealedSlots:   uint64(rl.healed.Load()) + mutHealed,
 		DeferredPairs: len(rl.deferred),
 		Moved:         int(rl.moved.Load()),

@@ -96,12 +96,18 @@ func runConcurrentCycle(t testing.TB, w *world, c *Collector, duringMark, during
 }
 
 // runConcurrentEquivalence compares a quiescent concurrent collection against
-// the serial collector on identical worlds, with exact copy accounting.
-func runConcurrentEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
+// the serial collector on identical worlds, with exact copy accounting. With
+// overflow, from-space is left with a tail for two old copies, and the rest
+// go to to-space.
+func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
 	t.Helper()
 	const semi = 1 << 13
-	wa := buildWorld(t, seed, semi, scratch)
-	wb := buildWorld(t, seed, semi, scratch)
+	wa := buildWorld(t, seed, semi)
+	wb := buildWorld(t, seed, semi)
+	if overflow {
+		leaveTail(wa.h, overflowTail)
+		leaveTail(wb.h, overflowTail)
+	}
 	if dsu {
 		addUpdatedTo(t, wa)
 		addUpdatedTo(t, wb)
@@ -123,8 +129,8 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 	if ra.PairsLogged != rb.PairsLogged || len(ra.Log) != len(rb.Log) {
 		t.Fatalf("pair counts: serial %d, concurrent %d", len(ra.Log), len(rb.Log))
 	}
-	if ra.ScratchWords != rb.ScratchWords {
-		t.Fatalf("scratch words: serial %d, concurrent %d", ra.ScratchWords, rb.ScratchWords)
+	if got := rb.TailWords + stats.TailWords; got != ra.TailWords {
+		t.Fatalf("tail words: serial %d, concurrent %d", ra.TailWords, got)
 	}
 	if stats.DeferredPairs != 0 {
 		t.Fatalf("eager mode created %d deferred pairs", stats.DeferredPairs)
@@ -143,26 +149,26 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu bool, scratch int) {
 
 func TestRelocCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runConcurrentEquivalence(t, seed, false, 0)
+		runConcurrentEquivalence(t, seed, false, false)
 	}
 }
 
 func TestRelocDSUCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runConcurrentEquivalence(t, seed, true, 0)
+		runConcurrentEquivalence(t, seed, true, false)
 	}
 }
 
-func TestRelocDSUCollectEquivalenceScratch(t *testing.T) {
+func TestRelocDSUCollectEquivalenceOverflow(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 11, 12} {
-		runConcurrentEquivalence(t, seed, true, 1<<13)
+		runConcurrentEquivalence(t, seed, true, true)
 	}
 }
 
 func TestRelocConsumesConcurrentMark(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runConcurrentEquivalence(t, seed, false, 0)
-		runConcurrentEquivalence(t, seed, true, 0)
+		runConcurrentEquivalence(t, seed, false, false)
+		runConcurrentEquivalence(t, seed, true, false)
 	}
 }
 
@@ -179,8 +185,8 @@ func TestRelocInFlightMutation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, dsu := range []bool{false, true} {
 			const semi = 1 << 13
-			wa := buildWorld(t, seed, semi, 0)
-			wb := buildWorld(t, seed, semi, 0)
+			wa := buildWorld(t, seed, semi)
+			wb := buildWorld(t, seed, semi)
 			if dsu {
 				addUpdatedTo(t, wa)
 				addUpdatedTo(t, wb)
@@ -210,9 +216,11 @@ func TestRelocInFlightMutation(t *testing.T) {
 // pause creates pairs only where the root remap forces one; the drain
 // builds the rest — pending shells, old copies registered for
 // adoption, every old-copy reference healed to a canonical (shell) address.
+// Old copies go to from-space's tail while it has room (overflow: two of them)
+// and to to-space after.
 func TestRelocDeferredPairs(t *testing.T) {
-	for _, scratch := range []int{0, 1 << 12} {
-		w := &world{reg: rt.NewRegistry(), h: heap.NewWithScratch(1<<12, scratch)}
+	for _, overflow := range []bool{false, true} {
+		w := &world{reg: rt.NewRegistry(), h: heap.New(1 << 12)}
 		w.cls = nodeClass(t, w.reg, "Node")
 		const n = 10
 		var addrs [n]rt.Addr
@@ -223,6 +231,9 @@ func TestRelocDeferredPairs(t *testing.T) {
 			}
 		}
 		w.roots = []rt.Value{rt.RefVal(addrs[0])}
+		if overflow {
+			leaveTail(w.h, overflowTail)
+		}
 		newCls := addUpdatedTo(t, w)
 
 		c := New(w.h, w.reg)
@@ -246,8 +257,12 @@ func TestRelocDeferredPairs(t *testing.T) {
 		if stats.DeferredPairs != n {
 			t.Fatalf("deferred pairs %d, want %d", stats.DeferredPairs, n)
 		}
-		if scratch > 0 && stats.ScratchWords == 0 {
-			t.Fatal("scratch configured but no old-copy words placed there")
+		wantTail := n * w.cls.Size
+		if overflow {
+			wantTail = 2 * w.cls.Size
+		}
+		if stats.TailWords != wantTail {
+			t.Fatalf("%d old-copy words in the tail, want %d", stats.TailWords, wantTail)
 		}
 
 		// Creation order, the root remap's pair first; each shell caches its
@@ -273,8 +288,8 @@ func TestRelocDeferredPairs(t *testing.T) {
 			if w.h.ClassID(p.OldCopy) != w.cls.ID {
 				t.Fatalf("old copy @%d has class %d, want %d", p.OldCopy, w.h.ClassID(p.OldCopy), w.cls.ID)
 			}
-			if scratch > 0 && !w.h.InScratch(p.OldCopy) && rl.useScratch {
-				t.Fatalf("old copy @%d not in scratch", p.OldCopy)
+			if !w.h.InTail(p.OldCopy) && !w.h.InCurrentSpace(p.OldCopy) {
+				t.Fatalf("old copy @%d neither in the tail nor in to-space", p.OldCopy)
 			}
 			oldFor[p.New] = p.OldCopy
 		}
@@ -429,7 +444,7 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 // between the pause and Start — ForceDrain must complete the whole drain on
 // the mutator with no relocator running.
 func TestRelocForceDrainBeforeStart(t *testing.T) {
-	w := buildWorld(t, 21, 1<<13, 0)
+	w := buildWorld(t, 21, 1<<13)
 	addUpdatedTo(t, w)
 	c := New(w.h, w.reg)
 	sealMark(t, w, w, c, nil)
@@ -460,7 +475,7 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 // armed would hand the held space to the allocator while stale slots still
 // point into it.
 func TestRelocFlipGuard(t *testing.T) {
-	w := buildWorld(t, 5, 1<<13, 0)
+	w := buildWorld(t, 5, 1<<13)
 	c := New(w.h, w.reg)
 	sealMark(t, w, w, c, nil)
 	_, rl, err := c.CollectReloc(w, false)
@@ -491,6 +506,6 @@ func FuzzRelocDrain(f *testing.F) {
 	f.Add(int64(3), true)
 	f.Add(int64(17), false)
 	f.Fuzz(func(t *testing.T, seed int64, dsu bool) {
-		runConcurrentEquivalence(t, seed, dsu, 0)
+		runConcurrentEquivalence(t, seed, dsu, false)
 	})
 }

@@ -17,7 +17,7 @@ import (
 // on the first violation:
 //
 //   - every reachable reference lands inside the current semi-space and
-//     below the allocation pointer (no stale from-space or scratch refs),
+//     below the allocation pointer (no stale from-space or old-copy refs),
 //   - no reachable object carries a forwarding pointer (forwarding state
 //     must not outlive a collection),
 //   - every non-array object's class id resolves via reg.ClassByID,
@@ -39,11 +39,7 @@ func WalkReachable(h *heap.Heap, reg *rt.Registry, roots Roots, visit func(a rt.
 			return
 		}
 		if !h.InCurrentSpace(a) {
-			if h.InScratch(a) {
-				walkErr = fmt.Errorf("heap walk: %s holds scratch-region ref @%d", where, a)
-			} else {
-				walkErr = fmt.Errorf("heap walk: %s holds from-space/out-of-heap ref @%d", where, a)
-			}
+			walkErr = fmt.Errorf("heap walk: %s holds from-space/out-of-heap ref @%d", where, a)
 			return
 		}
 		if a >= h.AllocPointer() {

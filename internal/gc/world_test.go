@@ -21,10 +21,10 @@ import (
 // produce word-for-word identical heaps, so one can be collected by the
 // stop-the-world collector and the other by the pipeline under test and the
 // results compared.
-func buildWorld(t testing.TB, seed int64, semi int, scratch int) *world {
+func buildWorld(t testing.TB, seed int64, semi int) *world {
 	rng := rand.New(rand.NewSource(seed))
 	reg := rt.NewRegistry()
-	w := &world{reg: reg, h: heap.NewWithScratch(semi, scratch), cls: nodeClass(t, reg, "Node")}
+	w := &world{reg: reg, h: heap.New(semi), cls: nodeClass(t, reg, "Node")}
 
 	n := 40 + rng.Intn(120)
 	addrs := make([]rt.Addr, n)

@@ -33,9 +33,12 @@ import "govolve/internal/rt"
 // drain leaves pending. The two uses never meet: updated-class instances are
 // never arrays, and the residue is forced before any flip, so the word is 0
 // whenever a collector may copy the object and no stale pointer is ever
-// carried along. The on-touch placement (vm.Options.LazyTransform, the §5
-// hybrid) leaves shells pending past the pause behind the interpreter's read
-// barrier (vm.DSUResidue.OnTouch), which tests Pending on receivers and field
+// carried along. The same rule bounds the life of the old copies themselves:
+// a DSU collection puts them in the tail of the space it left (heap.go), the
+// next flip refills that space, and by then no pair word points there. The
+// on-touch placement (vm.Options.LazyTransform, the §5 hybrid) leaves shells
+// pending past the pause behind the interpreter's read barrier
+// (vm.DSUResidue.OnTouch), which tests Pending on receivers and field
 // accesses — a pending shell already carries the new class id, so dispatch,
 // instanceof and checkcast need no barrier, and arrays never did.
 const (

@@ -17,31 +17,29 @@ import (
 // every protocol (class id, array flags, forwarding/claim) that shares the
 // word — and of word 1, an array's length or a scalar's DSU pair word.
 
-// Heap is a semi-space heap, optionally with a scratch region appended
-// after the two semispaces. The scratch region implements the paper's §3.5
-// alternative for DSU old copies: "copy the old versions to a special block
-// of memory and reclaim it when the collection completes" — old copies live
-// there only for the duration of the transformer phase, so they never
-// consume to-space. Mutator access is not synchronized; the VM scheduler
-// serializes it (the VM is a green-thread machine), and a stop-the-world
-// collection runs on that same goroutine. Two goroutines ever share the heap
-// with it: the concurrent marker's tracer (satb.go) and the relocation drain's
-// relocator (reloc.go); the entry points documented there, and only those,
-// are safe for concurrent use.
+// Heap is a semi-space heap. Mutator access is not synchronized; the VM
+// scheduler serializes it (the VM is a green-thread machine), and a
+// stop-the-world collection runs on that same goroutine. Two goroutines ever
+// share the heap with it: the concurrent marker's tracer (satb.go) and the
+// relocation drain's relocator (reloc.go); the entry points documented there,
+// and only those, are safe for concurrent use.
 type Heap struct {
 	words []uint64
 	semi  rt.Addr // words per semispace
 	cur   int     // current allocation space, 0 or 1
 	alloc rt.Addr // next free word (absolute)
 
-	// mu guards the bump pointers (alloc, scratchAlloc) and the hole list
+	// mu guards the bump pointers (alloc, tail.Alloc) and the hole list
 	// while a relocation drain is live: the relocator's TLAB refills and
-	// retires take it, and so does the mutator's allocation (allocLocked).
-	// Outside a drain nobody does.
+	// retires take it, and so do the mutator's allocation (allocLocked) and
+	// AllocTail. Outside a drain nobody does.
 	mu sync.Mutex
 
-	scratchSize  rt.Addr
-	scratchAlloc rt.Addr // next free scratch word (absolute), 0 when absent
+	// tail is [alloc, limit) of the space the last Flip left: the paper's
+	// §3.5 "special block of memory" the DSU old copies go to. They cost
+	// to-space nothing, and the next Flip reclaims them with that space; the
+	// engine retires an update's residue before any flip (bits.go).
+	tail Region
 
 	// satb, when non-nil, is the armed snapshot-at-the-beginning deletion
 	// barrier for an in-flight concurrent DSU mark (see satb.go). Disarmed
@@ -100,42 +98,18 @@ func (h *Heap) Holes() []Hole {
 // New creates a heap with the given number of words per semispace.
 // Word 0 is reserved so that address 0 means null.
 func New(semiWords int) *Heap {
-	return NewWithScratch(semiWords, 0)
-}
-
-// NewWithScratch additionally reserves a scratch region for DSU old copies.
-func NewWithScratch(semiWords, scratchWords int) *Heap {
 	if semiWords < 16 {
 		semiWords = 16
 	}
-	h := &Heap{
-		words:       make([]uint64, 1+2*semiWords+scratchWords),
-		semi:        rt.Addr(semiWords),
-		scratchSize: rt.Addr(scratchWords),
-	}
+	h := &Heap{words: make([]uint64, 1+2*semiWords), semi: rt.Addr(semiWords)}
 	h.alloc = h.base(0)
-	h.ResetScratch()
 	return h
 }
 
-// scratchBase returns the first scratch address.
-func (h *Heap) scratchBase() rt.Addr { return 1 + 2*h.semi }
-
-// HasScratch reports whether a scratch region exists.
-func (h *Heap) HasScratch() bool { return h.scratchSize > 0 }
-
-// ResetScratch discards the scratch region's contents (the DSU engine calls
-// it after the transformer phase — the paper's "reclaim it when the
-// collection completes").
-func (h *Heap) ResetScratch() { h.scratchAlloc = h.scratchBase() }
-
-// InScratch reports whether an address lies in the scratch region.
-func (h *Heap) InScratch(a rt.Addr) bool {
-	return h.scratchSize > 0 && a >= h.scratchBase() && a < h.scratchBase()+h.scratchSize
-}
-
-// ScratchUsed returns the words currently allocated in the scratch region.
-func (h *Heap) ScratchUsed() int { return int(h.scratchAlloc - h.scratchBase()) }
+// InTail reports whether an address lies in the tail the last Flip left. It
+// reads only the bounds, which no one but Flip writes, so it is safe beside a
+// relocator bumping the tail.
+func (h *Heap) InTail(a rt.Addr) bool { return a-h.tail.Lo < h.tail.Hi-h.tail.Lo }
 
 // base returns the first address of semispace s.
 func (h *Heap) base(s int) rt.Addr {
@@ -304,11 +278,13 @@ func (h *Heap) InCurrentSpace(a rt.Addr) bool {
 
 // Flip switches allocation to the other semispace. The collector calls it
 // at the start of a collection; everything subsequently allocated (the
-// copies) lands in to-space, and the old space becomes garbage wholesale.
+// copies) lands in to-space, and the old space becomes garbage wholesale —
+// its unallocated end the tail, for DSU old copies.
 func (h *Heap) Flip() {
 	if h.reloc != nil {
 		panic("heap: Flip with relocation barrier armed — force the drain first")
 	}
+	h.tail = Region{Lo: h.alloc, Alloc: h.alloc, Hi: h.limit(h.cur)}
 	h.cur ^= 1
 	h.alloc = h.base(h.cur)
 	// The space we are about to refill is empty again: its recorded holes

@@ -203,42 +203,41 @@ func (h *Heap) AllocBlock(size int) (rt.Addr, bool) {
 	return a, true
 }
 
-// AllocScratchBlock is AllocBlock against the scratch region (DSU old
-// copies under the §3.5 alternative).
-func (h *Heap) AllocScratchBlock(size int) (rt.Addr, bool) {
+// AllocTail carves a raw block of size words off the tail the last Flip left
+// (heap.go), under the heap mutex: the relocation drain's DSU old copies. Like
+// AllocBlock's, the block is not zeroed.
+func (h *Heap) AllocTail(size int) (rt.Addr, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.scratchSize == 0 || h.scratchAlloc+rt.Addr(size) > h.scratchBase()+h.scratchSize {
+	if h.tail.Alloc+rt.Addr(size) > h.tail.Hi {
 		return 0, false
 	}
-	a := h.scratchAlloc
-	h.scratchAlloc += rt.Addr(size)
+	a := h.tail.Alloc
+	h.tail.Alloc += rt.Addr(size)
 	return a, true
 }
 
 // TLAB is the relocator's bump allocator. All its allocations come from
 // blocks carved off the shared space under the heap mutex — the mutator
 // allocates from the same bump pointer while the drain runs — and individual
-// object allocations are lock-free bumps within the current block. Tails
+// object allocations are lock-free bumps within the current block. Block ends
 // abandoned at refill or retire time stay dead until the next collection
-// reclaims the space wholesale; in to-space they are recorded as holes
-// (heap.go), because a linear walk cannot parse them.
+// reclaims the space wholesale; they are recorded as holes (heap.go), because
+// a linear walk cannot parse them.
 type TLAB struct {
-	h       *Heap
-	scratch bool
-	block   int // preferred carve size in words
+	h     *Heap
+	block int // preferred carve size in words
 
 	cur, end rt.Addr
 }
 
 // NewTLAB creates an allocation buffer carving blockWords-sized
-// blocks from to-space (or the scratch region when scratch is set). No
-// space is reserved until the first allocation.
-func (h *Heap) NewTLAB(blockWords int, scratch bool) *TLAB {
+// blocks from to-space. No space is reserved until the first allocation.
+func (h *Heap) NewTLAB(blockWords int) *TLAB {
 	if blockWords < 16 {
 		blockWords = 16
 	}
-	return &TLAB{h: h, scratch: scratch, block: blockWords}
+	return &TLAB{h: h, block: blockWords}
 }
 
 // Alloc reserves size words from the buffer, refilling from the shared
@@ -276,21 +275,15 @@ func (t *TLAB) refill(need int) bool {
 	if need > n {
 		n = need
 	}
-	carve := func(sz int) (rt.Addr, bool) {
-		if t.scratch {
-			return t.h.AllocScratchBlock(sz)
-		}
-		return t.h.AllocBlock(sz)
-	}
-	a, ok := carve(n)
+	a, ok := t.h.AllocBlock(n)
 	if !ok && n > need {
-		a, ok = carve(need)
+		a, ok = t.h.AllocBlock(need)
 		n = need
 	}
 	if !ok {
 		return false
 	}
-	if tail := int(t.end - t.cur); tail > 0 && !t.scratch {
+	if tail := int(t.end - t.cur); tail > 0 {
 		t.h.RecordHole(t.cur, tail)
 	}
 	t.cur, t.end = a, a+rt.Addr(n)
@@ -305,12 +298,9 @@ func (t *TLAB) Retire() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if t.cur < t.end {
-		switch {
-		case t.scratch && h.scratchAlloc == t.end:
-			h.scratchAlloc = t.cur
-		case !t.scratch && h.alloc == t.end:
+		if h.alloc == t.end {
 			h.alloc = t.cur
-		case !t.scratch:
+		} else {
 			h.recordHoleLocked(t.cur, int(t.end-t.cur))
 		}
 	}

@@ -28,7 +28,8 @@ func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
 
 // Raw is the collector's view of the heap for the length of one
 // stop-the-world flip: the word array itself plus the two regions a
-// collection allocates in. It exists so the copy/scan kernel (internal/gc)
+// collection allocates in, to-space and the tail of the space it left (DSU
+// old copies; heap.go). It exists so the copy/scan kernel (internal/gc)
 // can test, copy and rewrite words without a call, a barrier check or a
 // tagged rt.Value per slot. Nothing else may use it, and it may not outlive
 // the collection that took it:
@@ -37,12 +38,12 @@ func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
 //     is stopped and neither barrier is armed (Raw panics otherwise), so the
 //     barrier-checked accessors would take their plain branch on every word
 //     anyway; Raw is that branch, hoisted.
-//   - To and Scratch are copies. The collection bumps them privately and
-//     hands the pointers back with CommitRaw on every exit path.
+//   - To and Tail are copies. The collection bumps them privately and hands
+//     the pointers back with CommitRaw on every exit path.
 type Raw struct {
-	Words   []uint64
-	To      Region // the allocation space (to-space after Flip)
-	Scratch Region // empty (Lo == Hi) when the heap has no scratch region
+	Words []uint64
+	To    Region // the allocation space (to-space after Flip)
+	Tail  Region // the unallocated end of the space Flip left
 }
 
 // Raw opens the collector's word-level view; see the type for the contract.
@@ -50,16 +51,15 @@ func (h *Heap) Raw() Raw {
 	if h.satb != nil || h.reloc != nil {
 		panic("heap: Raw with a barrier armed — the word-level view is stop-the-world only")
 	}
-	sb := h.scratchBase()
 	return Raw{
-		Words:   h.words,
-		To:      Region{Lo: h.base(h.cur), Alloc: h.alloc, Hi: h.limit(h.cur)},
-		Scratch: Region{Lo: sb, Alloc: h.scratchAlloc, Hi: sb + h.scratchSize},
+		Words: h.words,
+		To:    Region{Lo: h.base(h.cur), Alloc: h.alloc, Hi: h.limit(h.cur)},
+		Tail:  h.tail,
 	}
 }
 
 // CommitRaw hands back the bump pointers a collection advanced in its Raw
 // view.
 func (h *Heap) CommitRaw(r *Raw) {
-	h.alloc, h.scratchAlloc = r.To.Alloc, r.Scratch.Alloc
+	h.alloc, h.tail.Alloc = r.To.Alloc, r.Tail.Alloc
 }

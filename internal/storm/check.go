@@ -31,26 +31,26 @@ const maxDeadErrorsGauge = 128
 //     by a newer registration of the same name; the pair word (header word
 //     1 of a scalar, heap/bits.go) is 0 on every object when no residue is
 //     attached, and with one attached is set only on a shell of the pair
-//     log, to that pair's old copy — an instance, in scratch or the current
-//     space, of the shell class's renamed old version;
+//     log, to that pair's old copy — an instance, in the last flip's tail or
+//     the current space, of the shell class's renamed old version;
 //   - stacks: no frame executes invalidated compiled code, every pc is in
 //     range, no frame's compiled code bakes in offsets of a renamed or
 //     unregistered class, and no return barrier survives outside an update;
 //   - gauges: the dead-thread error log is bounded, thread states are
-//     well-formed, the DSU scratch region is empty between updates, and
-//     the NetSim connection/listener tables obey their reaping lifecycle.
+//     well-formed, and the NetSim connection/listener tables obey their
+//     reaping lifecycle.
 func CheckVM(v *vm.VM) error {
 	reg, h := v.Reg, v.Heap
 	pending := v.UpdatePending()
 	// While an update's residue is outstanding — tagged pairs awaiting
 	// their transformer, a relocation holding from-space — the renamed old
 	// class versions, their UpdatedTo links, the transformer class and the
-	// scratch region all legitimately outlive the pause: the drain needs
+	// old copies all legitimately outlive the pause: the drain needs
 	// them to resolve old-copy class ids and run transformer methods, and
 	// its single teardown owns the metadata cleanup. The affected gauges
 	// relax until it retires; the heap walk stays strict (no REACHABLE
-	// object may ever type as a renamed old version — old copies live only
-	// in the unreachable scratch region / pair log). The walk reads every
+	// object may ever type as a renamed old version — old copies are
+	// reached only through pair words). The walk reads every
 	// slot through the heap's accessors, so with the relocation load
 	// barrier armed each reference it sees is healed to its canonical
 	// to-space address before the InCurrentSpace / forwarding-pointer
@@ -99,8 +99,8 @@ func CheckVM(v *vm.VM) error {
 				return fmt.Errorf("heap: @%d of %s carries pair word %#x, but the pair log holds no such pair (drain active: %v)", a, cls.Name, w, drain)
 			}
 			oc := reg.ClassByID(h.ClassID(old))
-			if oc == nil || !oc.Renamed || oc.UpdatedTo != cls || !(h.InScratch(old) || h.InCurrentSpace(old)) {
-				return fmt.Errorf("heap: shell @%d of %s: pair word @%d is not an old-version instance in scratch or the current space", a, cls.Name, old)
+			if oc == nil || !oc.Renamed || oc.UpdatedTo != cls || !(h.InTail(old) || h.InCurrentSpace(old)) {
+				return fmt.Errorf("heap: shell @%d of %s: pair word @%d is not an old-version instance in the tail or the current space", a, cls.Name, old)
 			}
 		}
 		if cls.Renamed {
@@ -168,9 +168,6 @@ func CheckVM(v *vm.VM) error {
 	// --- gauges ------------------------------------------------------------
 	if n := len(v.DeadErrors); n > maxDeadErrorsGauge {
 		return fmt.Errorf("gauge: DeadErrors log grew to %d (> %d)", n, maxDeadErrorsGauge)
-	}
-	if h.HasScratch() && !pending && !drain && h.ScratchUsed() != 0 {
-		return fmt.Errorf("gauge: scratch region holds %d words outside an update", h.ScratchUsed())
 	}
 	if err := v.Net.CheckIntegrity(); err != nil {
 		return err

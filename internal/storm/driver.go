@@ -32,12 +32,11 @@ type DriverConfig struct {
 	Seed      int64
 	Specimens int // tracked live instances per generated class (default 3)
 
-	HeapWords    int // semi-space words (default 1<<16)
-	ScratchWords int // DSU scratch region words (default 0)
-	MaxAttempts  int // safe-point attempts before abort (default 400)
-	OSROpt       bool
-	Concurrent   bool // SATB concurrent discovery before the pause, self-healing relocation drain after it
-	Lazy         bool // lazy per-object transformation behind the read barrier
+	HeapWords   int // semi-space words (default 1<<16)
+	MaxAttempts int // safe-point attempts before abort (default 400)
+	OSROpt      bool
+	Concurrent  bool // SATB concurrent discovery before the pause, self-healing relocation drain after it
+	Lazy        bool // lazy per-object transformation behind the read barrier
 
 	// EventTail is the flight-recorder tail embedded in failures (default
 	// 40; negative disables the recorder).
@@ -61,18 +60,17 @@ type DriverConfig struct {
 // starts from a verified state.
 func NewDriver(cfg DriverConfig, v0 Version) (*Driver, error) {
 	c := Config{
-		Seed:         cfg.Seed,
-		Specimens:    cfg.Specimens,
-		HeapWords:    cfg.HeapWords,
-		ScratchWords: cfg.ScratchWords,
-		MaxAttempts:  cfg.MaxAttempts,
-		OSROpt:       cfg.OSROpt,
-		Concurrent:   cfg.Concurrent,
-		Lazy:         cfg.Lazy,
-		EventTail:    cfg.EventTail,
-		GateSpecs:    cfg.GateSpecs,
-		GatePolicy:   cfg.GatePolicy,
-		Log:          cfg.Log,
+		Seed:        cfg.Seed,
+		Specimens:   cfg.Specimens,
+		HeapWords:   cfg.HeapWords,
+		MaxAttempts: cfg.MaxAttempts,
+		OSROpt:      cfg.OSROpt,
+		Concurrent:  cfg.Concurrent,
+		Lazy:        cfg.Lazy,
+		EventTail:   cfg.EventTail,
+		GateSpecs:   cfg.GateSpecs,
+		GatePolicy:  cfg.GatePolicy,
+		Log:         cfg.Log,
 	}
 	r := newRunner(c)
 	r.model, r.prog = v0.model, v0.prog

@@ -117,7 +117,7 @@ func NextVersion(cur Version, rng *rand.Rand, maxMutations int, tag string) (*St
 // return, which upt's move proof rejects. A generated default is a pure field
 // copy the collector performs while it copies the object; left alone, a storm
 // would never build a shell + old-copy pair, tag one, put an old copy in
-// scratch or run jvolveObject at all. Which classes is a hash of tag and class
+// from-space's tail or run jvolveObject at all. Which classes is a hash of tag and class
 // name — no draw from the generator's rng, so trajectories do not depend on
 // it — and what the program computes is the same either way.
 func shipHandWritten(spec *upt.Spec) {

@@ -26,10 +26,9 @@ type Config struct {
 	Mutations int // max mutations composed per update (default 3)
 	Specimens int // tracked live instances per generated class (default 3)
 
-	HeapWords    int // semi-space words (default 1<<16)
-	ScratchWords int // DSU scratch region words (default 0: old copies burn to-space)
-	MaxAttempts  int // safe-point attempts before abort (default 400)
-	OSROpt       bool
+	HeapWords   int // semi-space words (default 1<<16)
+	MaxAttempts int // safe-point attempts before abort (default 400)
+	OSROpt      bool
 	// Concurrent moves updated-instance discovery (the SATB concurrent mark)
 	// and the DSU copy itself out of each update's pause: the mark races the
 	// mutator between request and safe point, and the world resumes with
@@ -273,7 +272,6 @@ func (r *runner) boot() error {
 func (r *runner) bootVM(metrics *obs.Registry) error {
 	opts := vm.Options{
 		HeapWords:     r.cfg.HeapWords,
-		ScratchWords:  r.cfg.ScratchWords,
 		Concurrent:    r.cfg.Concurrent,
 		LazyTransform: r.cfg.Lazy,
 		OptThreshold:  r.cfg.OptThreshold,

@@ -42,10 +42,9 @@ func TestStormShort(t *testing.T) {
 	}
 }
 
-// TestStormConfigs exercises the orthogonal engine options: a DSU scratch
-// region for old copies and opt-tier OSR, then every engine mode. Each
-// must satisfy the same invariants — over
-// releases that ship about half their transformers hand-written (pairs,
+// TestStormConfigs exercises the defaults and the orthogonal engine option,
+// opt-tier OSR, then every engine mode. Each must satisfy the same invariants —
+// over releases that ship about half their transformers hand-written (pairs,
 // interpreted) and leave the rest to the collector (moves).
 func TestStormConfigs(t *testing.T) {
 	type namedConfig struct {
@@ -53,10 +52,8 @@ func TestStormConfigs(t *testing.T) {
 		cfg  Config
 	}
 	cfgs := []namedConfig{
-		{"scratch", Config{Seed: 21, Updates: 25, ScratchWords: 1 << 14}},
 		{"defaults", Config{Seed: 22, Updates: 25}},
 		{"osropt", Config{Seed: 23, Updates: 25, OSROpt: true}},
-		{"all", Config{Seed: 24, Updates: 25, ScratchWords: 1 << 14, OSROpt: true}},
 	}
 	// lazy: every update resolves with tagged objects behind the armed read
 	// barrier, AfterUpdate's CheckVM runs mid-drain, the probe pass drains
@@ -71,12 +68,8 @@ func TestStormConfigs(t *testing.T) {
 	// pause at once — pair creation itself deferred behind the read barrier.
 	seeds := map[string]int64{"lazy": 30, "concurrent": 35, "concurrent+lazy": 37}
 	for _, m := range vm.Modes() {
-		if seed, ok := seeds[m.Name]; ok { // serial is the four rows above
-			cfg := Config{Seed: seed, Updates: 25, Lazy: m.Lazy, Concurrent: m.Concurrent}
-			if m.Lazy {
-				cfg.ScratchWords = 1 << 14
-			}
-			cfgs = append(cfgs, namedConfig{m.Name, cfg})
+		if seed, ok := seeds[m.Name]; ok { // serial is the two rows above
+			cfgs = append(cfgs, namedConfig{m.Name, Config{Seed: seed, Updates: 25, Lazy: m.Lazy, Concurrent: m.Concurrent}})
 		}
 	}
 	for _, tc := range cfgs {
@@ -272,11 +265,11 @@ func TestStormStaleICCoverage(t *testing.T) {
 // transformation timing must be observationally invisible.
 func TestStormLazyEagerEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
-		eager, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14})
+		eager, err := Run(Config{Seed: seed, Updates: 20})
 		if err != nil {
 			t.Fatalf("seed %d eager: %v", seed, err)
 		}
-		lazy, err := Run(Config{Seed: seed, Updates: 20, ScratchWords: 1 << 14, Lazy: true})
+		lazy, err := Run(Config{Seed: seed, Updates: 20, Lazy: true})
 		if err != nil {
 			t.Fatalf("seed %d lazy: %v", seed, err)
 		}

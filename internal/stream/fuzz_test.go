@@ -23,13 +23,12 @@ func FuzzStreamChain(f *testing.F) {
 		modes := Modes()
 		mode := modes[int(modeSel)%len(modes)]
 		rep, err := Replay(Config{
-			Seed:         seed,
-			Length:       5,
-			Classes:      5,
-			Mutations:    2,
-			Mode:         mode,
-			Hostile:      true,
-			ScratchWords: 1 << 13,
+			Seed:      seed,
+			Length:    5,
+			Classes:   5,
+			Mutations: 2,
+			Mode:      mode,
+			Hostile:   true,
 		})
 		if err != nil {
 			// Degenerate seeds can exhaust the mutation-batch retry bound

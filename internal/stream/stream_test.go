@@ -29,11 +29,10 @@ func TestStreamMatrix(t *testing.T) {
 			// tagged, drained, forced, relocated — next to objects the
 			// collector moved, and the laws below cover the mix.
 			rep, err := Replay(Config{
-				Seed:         7,
-				Length:       50,
-				Mode:         mode,
-				Hostile:      true,
-				ScratchWords: 1 << 14,
+				Seed:    7,
+				Length:  50,
+				Mode:    mode,
+				Hostile: true,
 				OnStep: func(step int, rec *StepRecord, res *core.Result, d *storm.Driver) error {
 					eng = d.Engine()
 					s := &res.Stats
@@ -124,7 +123,7 @@ func TestStreamGate(t *testing.T) {
 		t.Run(mode.Name, func(t *testing.T) {
 			t.Parallel()
 			rep, err := Replay(Config{
-				Seed: 1, Length: 12, Mode: mode, Hostile: true, ScratchWords: 1 << 14,
+				Seed: 1, Length: 12, Mode: mode, Hostile: true,
 			})
 			if err != nil {
 				t.Fatalf("mode %s: %v", mode.Name, err)
@@ -151,7 +150,7 @@ func TestStreamDeterministicReplay(t *testing.T) {
 		if !mode.Deterministic() {
 			continue
 		}
-		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true, ScratchWords: 1 << 14}
+		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true}
 		a, err := Replay(cfg)
 		if err != nil {
 			t.Fatalf("mode %s first replay: %v", mode.Name, err)
@@ -222,8 +221,7 @@ func TestStreamDeltaConservation(t *testing.T) {
 	mode, _ := ModeByName("lazy")
 	var eng *core.Engine
 	rep, err := Replay(Config{
-		Seed: 11, Length: 25, Mode: mode, Hostile: true,
-		ScratchWords: 1 << 14, Metrics: reg,
+		Seed: 11, Length: 25, Mode: mode, Hostile: true, Metrics: reg,
 		OnStep: func(step int, rec *StepRecord, res *core.Result, d *storm.Driver) error {
 			eng = d.Engine()
 			return nil
@@ -339,7 +337,7 @@ func TestStreamVerdictDeterminism(t *testing.T) {
 		if !mode.Deterministic() {
 			continue
 		}
-		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true, ScratchWords: 1 << 14}
+		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true}
 		a, err := Replay(cfg)
 		if err != nil {
 			t.Fatalf("mode %s first replay: %v", mode.Name, err)
@@ -443,7 +441,7 @@ func TestStreamFusedFrameOSR(t *testing.T) {
 	mode, _ := ModeByName("serial")
 	osr, fused := 0, 0
 	rep, err := Replay(Config{
-		Seed: 9, Length: 25, Mode: mode, Hostile: true, ScratchWords: 1 << 14,
+		Seed: 9, Length: 25, Mode: mode, Hostile: true,
 		OnStep: func(step int, rec *StepRecord, res *core.Result, d *storm.Driver) error {
 			// The step's rewrites are the newest osr-recompile events; each
 			// names the method whose frame, still on its stack, it moved.

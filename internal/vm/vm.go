@@ -27,11 +27,6 @@ import (
 type Options struct {
 	// HeapWords is the size of one semispace in words (default 1<<20).
 	HeapWords int
-	// ScratchWords, if positive, reserves a scratch region for DSU old
-	// copies, reclaimed right after each update's transformer phase — the
-	// paper's §3.5 alternative to keeping old copies in to-space until
-	// the next collection.
-	ScratchWords int
 	// Quantum is the number of instructions a thread runs before the
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
@@ -322,7 +317,7 @@ func New(opts Options) (*VM, error) {
 		opts.Out = os.Stdout
 	}
 	reg := rt.NewRegistry()
-	h := heap.NewWithScratch(opts.HeapWords, opts.ScratchWords)
+	h := heap.New(opts.HeapWords)
 	v := &VM{
 		Reg:           reg,
 		Heap:          h,
@@ -930,7 +925,8 @@ func (v *VM) ForEachRoot(fn func(*rt.Value)) {
 // lazy-transform drain with pending objects outstanding, a concurrent
 // relocation holding from-space live behind the load barrier, or both).
 // During this window the renamed old class versions, UpdatedTo links,
-// transformer class and scratch region legitimately outlive the pause.
+// transformer class and the old copies in from-space's tail legitimately
+// outlive the pause.
 func (v *VM) DrainActive() bool { return v.Residue != nil }
 
 // CollectGarbage runs a non-DSU collection. A collection error is fatal:
