@@ -1,5 +1,5 @@
-# Tier-1 verification for govolve. `make verify` is what CI runs: build,
-# vet, the full test suite, the same suite under the race detector, and a
+# Tier-1 verification for govolve. `make verify` is what CI runs: formatting,
+# build, vet, the full test suite, the same suite under the race detector, and a
 # focused race pass over the collector packages (gc, heap). Collections are
 # single-threaded; what is concurrent there — the marker's tracer against the
 # SATB store barrier, the relocator against the mutator's load barrier — is
@@ -8,9 +8,14 @@
 
 GO ?= go
 
-.PHONY: verify build vet test bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify fmt build vet test bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
-verify: build vet test bench-smoke race race-gc gates
+verify: fmt build vet test bench-smoke race race-gc gates
+
+# Every Go file in the tree, the bench of record's module included, is as
+# gofmt writes it: the target lists the ones that are not and fails.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

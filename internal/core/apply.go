@@ -344,13 +344,13 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 
 	// --- DSU garbage collection ---------------------------------------------
 	phase("gc", &p.res.Stats.PauseGC)
-	var gcRes *gc.Result
+	var gcRes gc.Result
 	var rl *gc.Relocation
-	if e.VM.GC.Opts.Concurrent {
+	if e.VM.Concurrent {
 		// The pause stops at flip preparation: consume the sealed concurrent
 		// mark (drain the SATB log, re-scan roots), flip, eagerly evacuate
 		// only the updated-class instances it found (or, composed with
-		// LazyTransform, defer even the pairs to the drain), and remap roots.
+		// LazyTransform, defer even the pairs to the drain), and forward roots.
 		// The world resumes with from-space still live behind the
 		// self-healing load barrier; rl is the drain the residue starts at
 		// the end of the pause and finishes once the background relocator
@@ -380,7 +380,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	}
 	flipped = true
 	p.res.Stats.Collection = gcRes.Collection
-	resid.attach(gcRes, rl)
+	resid.attach(&gcRes, rl)
 
 	// --- Transformers --------------------------------------------------------
 	phase("transform", &p.res.Stats.PauseTransform)

@@ -528,7 +528,7 @@ func (e *Engine) handle() bool {
 		e.finish(p, Failed, fmt.Errorf("core: update refused: %w", err))
 		return true
 	}
-	if e.VM.GC.Opts.Concurrent && !e.VM.LazyTransform {
+	if e.VM.Concurrent && !e.VM.LazyTransform {
 		// (With LazyTransform the mark would be wasted work: discovery is
 		// deferred entirely — the drain builds pairs as it evacuates — so
 		// the pause consumes no instance set at all.)

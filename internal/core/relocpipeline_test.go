@@ -334,34 +334,26 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		if c.Reloc.Drain == 0 {
 			t.Fatalf("%s: no drain time recorded", m.name)
 		}
+		// The pause copies shell + old copy per pair it makes and the objects
+		// the roots point at, never the whole live set.
+		pausePairs := c.PairsLogged - c.Reloc.DeferredPairs
 		if m.lazy {
-			// Full deferral: the pause copies nothing; pairs are created by
-			// the drain and adopted into the pair log one-for-one.
-			if c.CopiedObjects != 0 {
-				t.Fatalf("%s: deferred-pair pause still copied eagerly: %+v",
-					m.name, c)
-			}
+			// Full deferral: the pause pairs only the Nodes the statics point
+			// at; the rest are created by the drain and adopted into the pair
+			// log one-for-one.
 			if c.Reloc.DeferredPairs == 0 {
 				t.Fatalf("%s: drain registered no deferred pairs", m.name)
 			}
-			if c.PairsLogged != c.Reloc.DeferredPairs {
-				t.Fatalf("%s: adopted %d pairs for %d deferred",
-					m.name, c.PairsLogged, c.Reloc.DeferredPairs)
-			}
-		} else {
-			// Eager pair evacuation: the pause copies exactly shell +
-			// old copy per pair, never the whole live set.
-			if c.PairsLogged < 1 {
-				t.Fatalf("%s: eager pause paired nothing", m.name)
-			}
-			if c.CopiedObjects != 2*c.PairsLogged {
-				t.Fatalf("%s: pause copied %d objects for %d pairs",
-					m.name, c.CopiedObjects, c.PairsLogged)
-			}
-			if c.CopiedObjects >= s.CopiedObjects {
-				t.Fatalf("%s: reloc pause copied %d ≥ STW's %d — copy never left the pause",
-					m.name, c.CopiedObjects, s.CopiedObjects)
-			}
+		} else if c.Reloc.DeferredPairs != 0 {
+			t.Fatalf("%s: eager pause left %d pairs to the drain", m.name, c.Reloc.DeferredPairs)
+		}
+		if pausePairs < 1 || c.CopiedObjects < 2*pausePairs {
+			t.Fatalf("%s: pause copied %d objects for %d pairs",
+				m.name, c.CopiedObjects, pausePairs)
+		}
+		if c.CopiedObjects >= s.CopiedObjects {
+			t.Fatalf("%s: reloc pause copied %d ≥ STW's %d — copy never left the pause",
+				m.name, c.CopiedObjects, s.CopiedObjects)
 		}
 		if c.MarkConcurrent == m.lazy {
 			t.Fatalf("%s: MarkConcurrent = %v: discovery is the mark's, or with lazy the drain's",
@@ -413,12 +405,14 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 	v2 := f.prog(relocV2)
 	f.spawn("App")
 	f.vm.Step(10)
-	// The pause itself creates no pairs beyond those the root remap forced;
-	// everything else is discovered and paired by the drain afterwards.
-	// Sampled as the pause ends: the first touch after it adopts whatever the
-	// relocators have created by then.
-	applyPairs := -1
-	f.engine.AfterUpdate = func(res *core.Result) { applyPairs = res.Stats.PairsLogged }
+	// The pause itself pairs only the Nodes the roots point at, and books them
+	// pending behind the barrier it arms; everything else is discovered and
+	// paired by the drain afterwards. Sampled as the pause ends: the first
+	// touch after it adopts whatever the relocators have created by then.
+	applyPairs, applyPending := -1, -1
+	f.engine.AfterUpdate = func(res *core.Result) {
+		applyPairs, applyPending = res.Stats.PairsLogged, res.Stats.LazyPending
+	}
 	res := f.mustApply("1", v1, v2, "")
 	out := f.finish()
 	f.drain()
@@ -432,8 +426,15 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 	if st.LazyDrained+st.LazyForced == 0 {
 		t.Fatalf("no deferred instance was ever transformed: %+v", st)
 	}
+	if applyPairs < 1 || applyPending != applyPairs {
+		t.Fatalf("pause made %d pairs for the roots' Nodes and booked %d of them pending", applyPairs, applyPending)
+	}
 	if applyPairs >= st.PairsLogged {
 		t.Fatalf("drain created no pairs beyond the pause's %d (final %d)", applyPairs, st.PairsLogged)
+	}
+	if st.LazyDrained+st.LazyForced != st.LazyPending || st.LazyPending != st.PairsLogged {
+		t.Fatalf("drained %d + forced %d of %d pending, %d pairs logged",
+			st.LazyDrained, st.LazyForced, st.LazyPending, st.PairsLogged)
 	}
 	if st.TransformedObjects != st.PairsLogged {
 		t.Fatalf("conservation broken after terminal drain: transformed %d != pairs logged %d",

@@ -42,10 +42,10 @@ type plan struct {
 //     read barrier (vm.DSUResidue.OnTouch) instead, and the barrier transforms
 //     each pending pair on first touch — an error there is the object's data
 //     loss, since the program already resumed on the new version;
-//   - adopted (Concurrent ∧ LazyTransform): the pause made (almost) no
-//     pairs; attach arms the barrier, the relocation creates pending pairs as
-//     it evacuates, and the log adopts them on first touch or when the
-//     relocation finishes.
+//   - adopted (Concurrent ∧ LazyTransform): the pause paired only what the
+//     roots point at; attach arms the barrier, the relocation creates pending
+//     pairs as it evacuates, and the log adopts them on first touch or when
+//     the relocation finishes.
 //
 // Only transformers that have to run make pairs. One that is a pure field copy
 // (every generated default: upt.Spec.ObjectMoves) is resolved here, before the
@@ -92,12 +92,15 @@ type residue struct {
 // transformer (Jvolve.forceTransform) or a clinit-triggered collection must
 // be able to reach it while the pause is still open. The adopted placement
 // arms the read barrier here: its pairs are made by the relocation, pending
-// from the moment they exist.
+// from the moment they exist — and so are the few the pause made, for roots
+// that pointed at updated instances, which it books as pending itself.
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
 	r.moved(gcRes.Moved)
 	r.onTouch = r.e.VM.LazyTransform
-	r.adopt() // the pairs the pause itself forced (root-remap evacuations)
+	if r.adopts() {
+		r.stats.LazyPending = r.pending
+	}
 	r.e.residue = r
 	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.adopts(), Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
 }

@@ -94,9 +94,9 @@ type Collection struct {
 	// collection that consumes a concurrent mark still does inside the pause
 	// (the only in-pause tracing it has), and PauseCopy is the in-pause copy
 	// work — the whole fused trace+copy for the STW collector (PauseCopy =
-	// Duration there), and only the eager evacuation of updated instances +
-	// root remap for CollectReloc (whose bulk copy runs in the concurrent
-	// drain, reported by RelocStats.Drain instead).
+	// Duration there), and for CollectReloc the kernel's eager evacuation of
+	// updated instances plus the objects the roots point at (the bulk copy
+	// runs in the concurrent drain, reported by RelocStats.Drain instead).
 	PauseRescan time.Duration
 	PauseCopy   time.Duration
 
@@ -112,29 +112,18 @@ type Collection struct {
 
 	// Relocated marks a CollectReloc result: the world resumed with
 	// from-space still live and a concurrent relocation drain in flight.
-	// CopiedObjects/CopiedWords then cover only the pause's eager work; the
-	// drain's share arrives later in RelocStats.
+	// CopiedObjects/CopiedWords then cover only the pause's work — the eager
+	// instances and the objects the roots point at; the drain's share arrives
+	// later in RelocStats.
 	Relocated bool
 }
 
-// Options selects what a DSU collection moves out of the pause. Every
-// collection runs on one collector thread; plain Collect calls are unaffected.
-type Options struct {
-	// Concurrent opts the DSU engine into concurrent discovery feeding a
-	// deferred evacuation: updated instances are found by the snapshot-at-the-
-	// beginning mark (mark.go) between the update request and the safe point,
-	// the pause (CollectReloc, reloc.go) shrinks to rescan + eager evacuation
-	// of those instances + root remap, and the world resumes with from-space
-	// still live — the remaining live set is evacuated by one background
-	// relocator plus the mutator's self-healing load barrier.
-	Concurrent bool
-}
-
-// Collector is the collection machinery bound to one heap and registry.
+// Collector is the collection machinery bound to one heap and registry. Every
+// collection runs on one thread: the stop-the-world steps of both collector
+// shapes on the embedded kernel, which keeps its tables' capacity between them.
 type Collector struct {
 	Heap *heap.Heap
 	Reg  *rt.Registry
-	Opts Options
 
 	// Collections counts completed collections.
 	Collections int
@@ -149,11 +138,8 @@ type Collector struct {
 	Rec *obs.Recorder
 
 	// lastPairs, the previous DSU collection's pair count, sizes the next one's
-	// log; runs is the kernel's clean-run table and dirty its list of tail old
-	// copies to scan, both kept for their capacity.
+	// log.
 	lastPairs int
-	runs      []run
-	dirty     []rt.Addr
 
 	// mark is the in-flight concurrent marker (nil when none — the common
 	// case; every STW entry point pays one nil check). pool keeps the mark
@@ -161,16 +147,15 @@ type Collector struct {
 	// repeated updates allocate no per-cycle scratch.
 	mark *Marker
 	pool markPool
+
+	kernel
 }
 
-// New builds a collector with no phase moved out of the pause.
+// New builds a collector.
 func New(h *heap.Heap, reg *rt.Registry) *Collector {
-	return &Collector{Heap: h, Reg: reg}
-}
-
-// NewWithOptions builds a collector with explicit options.
-func NewWithOptions(h *heap.Heap, reg *rt.Registry, opts Options) *Collector {
-	return &Collector{Heap: h, Reg: reg, Opts: opts}
+	c := &Collector{Heap: h, Reg: reg}
+	c.root = c.forwardRoot
+	return c
 }
 
 // Collect runs a full collection. With dsu set, instances of classes whose
@@ -180,7 +165,7 @@ func NewWithOptions(h *heap.Heap, reg *rt.Registry, opts Options) *Collector {
 // and the VM treats it as fatal OOM (vm.MarkHeapUnusable).
 //
 // The collection is a Cheney scan driven by the copy/scan kernel (kernel.go).
-func (c *Collector) Collect(roots Roots, dsu bool) (*Result, error) {
+func (c *Collector) Collect(roots Roots, dsu bool) (Result, error) {
 	if c.mark != nil {
 		// A concurrent mark is in flight but a collection must run now
 		// (e.g. the mutator exhausted the heap mid-mark). The flip would
@@ -193,18 +178,18 @@ func (c *Collector) Collect(roots Roots, dsu bool) (*Result, error) {
 	return c.collectSerial(roots, dsu)
 }
 
-func (c *Collector) collectSerial(roots Roots, dsu bool) (*Result, error) {
+func (c *Collector) collectSerial(roots Roots, dsu bool) (Result, error) {
 	start := time.Now()
 	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGC, 0, "gc copy/scan")
 	c.Heap.Flip()
-	res := &Result{}
-	k := c.newKernel(dsu)
+	var res Result
+	k := c.open(dsu)
 	err := k.cheney(roots)
-	k.commit(c, res)
+	k.commit(c.Heap, &res)
 	c.Rec.Emit(obs.KGCWorkerCopy, obs.LaneGC, int64(res.CopiedWords), "")
 	c.Rec.Emit(obs.KPhaseEnd, obs.LaneGC, int64(res.CopiedWords), "gc copy/scan")
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if dsu {
 		c.lastPairs = res.PairsLogged

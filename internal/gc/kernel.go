@@ -20,8 +20,10 @@ import (
 // reference: objects that cannot are clean — decided once, at the write, while
 // the words are in cache (settle) — and form runs that cheney's cursor jumps.
 //
-// collectSerial and the relocation pause's eager evacuation (no scan there,
-// so the runs are never read) each drive a kernel.
+// Every copy made with the world stopped goes through the collector's one
+// kernel: collectSerial whole, and the relocation pause's eager evacuation
+// and root forwarding (no scan there: the drain heals what those copies hold,
+// so the runs are never read and the dirty list seeds the drain's stack).
 
 // errUnknownClass is the structural error every tracer reports for a header
 // whose class id the registry cannot resolve.
@@ -35,9 +37,9 @@ var errPairExhausted = fmt.Errorf("gc: DSU copy: %w", ErrToSpaceExhausted)
 // run is a stretch [lo, hi) of to-space holding only clean objects.
 type run struct{ lo, hi rt.Addr }
 
-// kernel is one serial collection's state. The bump pointers live in its Raw
-// copy for the whole collection; commit hands them back to the heap, with the
-// counters, on every exit path.
+// kernel is one serial collection's state, embedded in its Collector and reset
+// by open. The bump pointers live in its Raw copy for the whole collection;
+// commit hands them back to the heap, with the counters, on every exit path.
 type kernel struct {
 	heap.Raw
 	reg *rt.Registry
@@ -52,23 +54,28 @@ type kernel struct {
 	tailWords      int // of those, old-copy words that went to the tail
 	moved          int // of objects, instances written in their new layout
 
-	// runs, the Collector's table on loan, are the clean runs in address order.
+	// runs are the clean runs in address order, kept for their capacity.
 	// cheney's cursor has jumped runs[:next]; settle never extends those.
 	runs  []run
 	next  int
 	scans int // objects scan was entered for
-	// dirty, also on loan, are the tail old copies holding a reference, in
+	// dirty, also kept, are the tail old copies holding a reference, in
 	// placement order: the only tail objects the scan has anything to do in.
 	dirty []rt.Addr
+
+	// root is forwardRoot bound once per collector (New): the root visitor a
+	// collection hands ForEachRoot is no fresh closure.
+	root func(*rt.Value)
 
 	// err is the first failure. Once set, evacuate refuses further work and
 	// references are left as they were; the heap is unusable either way.
 	err error
 }
 
-// newKernel opens the kernel over the just-flipped heap.
-func (c *Collector) newKernel(dsu bool) *kernel {
-	k := &kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: c.runs[:0], dirty: c.dirty[:0]}
+// open resets the collector's kernel over the just-flipped heap.
+func (c *Collector) open(dsu bool) *kernel {
+	k := &c.kernel
+	*k = kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: k.runs[:0], dirty: k.dirty[:0], root: k.root}
 	k.old = &k.Tail
 	if dsu {
 		k.log = make([]Pair, 0, c.lastPairs)
@@ -77,9 +84,8 @@ func (c *Collector) newKernel(dsu bool) *kernel {
 }
 
 // commit writes the bump pointers back to the heap and the counters into res.
-func (k *kernel) commit(c *Collector, res *Result) {
-	c.Heap.CommitRaw(&k.Raw)
-	c.runs, c.dirty = k.runs, k.dirty
+func (k *kernel) commit(h *heap.Heap, res *Result) {
+	h.CommitRaw(&k.Raw)
 	res.Log = k.log
 	res.CopiedObjects += k.objects
 	res.CopiedWords += k.words
@@ -284,17 +290,20 @@ func (k *kernel) scan(a rt.Addr) rt.Addr {
 	return rt.Addr(cls.Size)
 }
 
+// forwardRoot forwards one root slot (the root visitor, bound as root).
+func (k *kernel) forwardRoot(v *rt.Value) {
+	if v.IsRef && v.Bits != 0 {
+		v.Bits = k.forward(v.Bits)
+	}
+}
+
 // cheney is the collection proper: the roots in enumeration order, then a
 // Cheney scan of to-space interleaved with the dirty tail old copies until
 // neither grows. Copy order is an invariant — every to-space address, the
 // log order and the storm/stream fingerprints are functions of it.
 func (k *kernel) cheney(roots Roots) error {
 	scan, oldScan := k.To.Alloc, 0
-	roots.ForEachRoot(func(v *rt.Value) {
-		if v.IsRef && v.Bits != 0 {
-			v.Bits = k.forward(v.Bits)
-		}
-	})
+	roots.ForEachRoot(k.root)
 	for k.err == nil && (scan < k.To.Alloc || oldScan < len(k.dirty)) {
 		for scan < k.To.Alloc && k.err == nil {
 			if k.next < len(k.runs) && k.runs[k.next].lo == scan {

@@ -21,9 +21,9 @@ import (
 // tail old copy scanned. Only heap.Copy, which left the heap with the loop, is
 // spelled out. Old copies go to the tail until one does not fit and to
 // to-space from then on, as the kernel's do.
-func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
+func refCollectSerial(c *Collector, roots Roots, dsu bool) (Result, error) {
 	h := c.Heap
-	res := &Result{}
+	var res Result
 	h.Flip()
 	copyTo := func(src rt.Addr, size int) (rt.Addr, bool) {
 		if size > h.FreeWords() {
@@ -166,7 +166,7 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (*Result, error) {
 // reference's (rh, rres) are indistinguishable: every heap word — to-space,
 // the tail, and the forwarding pointers left in from-space — the bump
 // pointers, and the Result with its log order.
-func sameCollection(t *testing.T, what string, h, rh *heap.Heap, res, rres *Result) {
+func sameCollection(t *testing.T, what string, h, rh *heap.Heap, res, rres Result) {
 	t.Helper()
 	raw, rraw := h.Raw(), rh.Raw()
 	if raw.To != rraw.To || raw.Tail != rraw.Tail {
@@ -333,7 +333,7 @@ func buildRunGraph(period int, overflow, moved bool) *dsuGraph {
 // clean objects and nothing else, and a dirty list of the tail old copies the
 // scan has work in.
 func TestKernelMatchesReferenceLoop(t *testing.T) {
-	sameDSU := func(what string, d, rd *dsuGraph, dsu bool) *Result {
+	sameDSU := func(what string, d, rd *dsuGraph, dsu bool) Result {
 		t.Helper()
 		c := New(d.h, d.reg)
 		res, err := c.Collect(d, dsu)
@@ -495,15 +495,15 @@ func (w *benchWorld) shape(tb testing.TB, s benchShape) *benchWorld {
 
 // driveKernel collects the way collectSerial does and keeps the kernel, for
 // the count of objects its scan was entered for.
-func driveKernel(tb testing.TB, c *Collector, roots Roots, dsu bool) (*kernel, *Result) {
+func driveKernel(tb testing.TB, c *Collector, roots Roots, dsu bool) (*kernel, Result) {
 	tb.Helper()
 	c.Heap.Flip()
-	k := c.newKernel(dsu)
+	k := c.open(dsu)
 	if err := k.cheney(roots); err != nil {
 		tb.Fatal(err)
 	}
-	res := &Result{}
-	k.commit(c, res)
+	var res Result
+	k.commit(c.Heap, &res)
 	return k, res
 }
 
@@ -711,9 +711,9 @@ func TestCollectUnknownClassIsAnError(t *testing.T) {
 	}
 }
 
-// TestCollectSerialAllocs: a plain collection makes a small constant number
-// of Go allocations — the Result, the kernel, its forward as a func value and
-// the root closure over it — whatever the heap holds: no slot is boxed and
+// TestCollectSerialAllocs: a plain collection makes no Go allocation,
+// whatever the heap holds: the Result is returned by value, the kernel is the
+// collector's own with its root visitor bound once, no slot is boxed and
 // nothing is queued.
 func TestCollectSerialAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
@@ -726,8 +726,8 @@ func TestCollectSerialAllocs(t *testing.T) {
 		})
 	}
 	small, large := allocs(100), allocs(20000)
-	if small != large || small > 4 {
-		t.Fatalf("Go allocations per plain collection: %v at 100 objects, %v at 20000; want equal and ≤ 4", small, large)
+	if small != 0 || large != 0 {
+		t.Fatalf("Go allocations per plain collection: %v at 100 objects, %v at 20000; want 0", small, large)
 	}
 }
 

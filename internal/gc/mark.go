@@ -175,15 +175,11 @@ func (c *Collector) StartMark(roots Roots, updatedIDs map[int]bool) *Marker {
 	m.bitmap = c.markBitmapFor(m.lo, m.watermark)
 
 	// Capture the root snapshot: every non-null snapshot-region root value
-	// is greyed. Greying goes through the tracer's grey() — not a bare bit
+	// is greyed. Greying goes through the tracer's markGrey — not a bare bit
 	// set — so root-referenced instances of updated classes get the same
 	// attribution as trace-discovered ones (the tracer has not spawned yet,
 	// so these calls are race-free).
-	roots.ForEachRoot(func(v *rt.Value) {
-		if v.IsRef {
-			m.markGrey(v.Ref())
-		}
-	})
+	roots.ForEachRoot(m.greyRoot)
 
 	c.Rec.Emit(obs.KPhaseBegin, obs.LaneMark, 0, "concurrent mark")
 	m.wg.Add(1)
@@ -283,19 +279,12 @@ func (c *Collector) AbortMark() {
 // MarkActive reports whether a marker is attached to the collector.
 func (c *Collector) MarkActive() bool { return c.mark != nil }
 
-// run is the tracer: pop, scan, until the grey stack is empty. Every popped
-// address has its mark bit already set (the bit is set at grey time), so each
-// object is scanned exactly once. Only the tracer pushes (the mutator's
-// deletions go to the SATB log, which the pause drains), so an empty stack is
-// the end of the trace.
+// run is the tracer: drain the grey stack. Only the tracer pushes (the
+// mutator's deletions go to the SATB log, which the pause drains), so an empty
+// stack is the end of the trace.
 func (m *Marker) run() {
 	defer m.wg.Done()
-	for len(m.grey) > 0 && !m.abort.Load() {
-		a := m.grey[len(m.grey)-1]
-		m.grey = m.grey[:len(m.grey)-1]
-		m.scan(a)
-	}
-	if m.abort.Load() {
+	if !m.drain() {
 		return // interrupted, or the last scan failed: the aborter closes the span
 	}
 	// The trace is complete. Record the wall-clock mark time and the end of
@@ -305,6 +294,20 @@ func (m *Marker) run() {
 	m.trace = time.Since(m.start)
 	m.c.Rec.Emit(obs.KPhaseEnd, obs.LaneMark, int64(m.markedObjects), "concurrent mark")
 	m.done.Store(true)
+}
+
+// drain pops and scans until the grey stack is empty, reporting false if the
+// mark was aborted or a scan failed first. Every popped address has its mark
+// bit already set (the bit is set at grey time), so each object is scanned
+// exactly once. It is the tracer's loop, and the pause's rescan finishes the
+// trace with it once the tracer is joined.
+func (m *Marker) drain() bool {
+	for len(m.grey) > 0 && !m.abort.Load() {
+		a := m.grey[len(m.grey)-1]
+		m.grey = m.grey[:len(m.grey)-1]
+		m.scan(a)
+	}
+	return !m.abort.Load()
 }
 
 // scan greys every snapshot-region object referenced by a. Headers and
@@ -351,4 +354,12 @@ func (m *Marker) markGrey(a rt.Addr) {
 		m.updatedAddrs = append(m.updatedAddrs, a)
 	}
 	m.grey = append(m.grey, a)
+}
+
+// greyRoot greys what one root slot references: the snapshot's root capture
+// and the pause's root rescan.
+func (m *Marker) greyRoot(v *rt.Value) {
+	if v.IsRef {
+		m.markGrey(v.Ref())
+	}
 }

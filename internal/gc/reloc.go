@@ -3,7 +3,7 @@ package gc
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,24 +13,27 @@ import (
 	"govolve/internal/rt"
 )
 
-// Concurrent relocation (Options.Concurrent): the Shenandoah/ZGC-style
+// Concurrent relocation (vm.VM.Concurrent): the Shenandoah/ZGC-style
 // answer to the last stop-the-world phase that still scaled with live-set
 // size. Where the concurrent mark (mark.go) moves *discovery* out of the DSU
 // pause and the lazy pipeline moves *transformation* out, CollectReloc moves
 // the bulk *copy* out:
 //
 //	pause   — take the updated-class instances the sealed concurrent mark
-//	          discovered (rescan first), flip, eagerly evacuate only those
-//	          instances (shell + old copy, the pairs the transformer
-//	          pipeline needs immediately — or, in deferPairs mode, nothing
-//	          at all, and no mark either), and remap the root slots so every
-//	          root leaves the pause canonical. Arm the heap's self-healing
-//	          load barrier over the old semispace and resume the world with
-//	          from-space still live.
+//	          discovered (the rescan is the marker's own trace, finished
+//	          here), flip, and run the serial collector's kernel without
+//	          its scan: it moves or pairs only those instances (shell + old
+//	          copy, the pairs the transformer pipeline needs immediately —
+//	          or, in deferPairs mode, nothing at all, and no mark either),
+//	          then forwards every root, so every root leaves the pause
+//	          canonical. Arm the heap's self-healing load barrier over the
+//	          old semispace and resume the world with from-space still live.
+//	          The claim protocol below starts only when the world does.
 //	drain   — one background relocator evacuates the remaining live set:
 //	          a CAS cursor parses to-space [flip base, drain start) — every
 //	          object the pause and the in-pause transformers created — and
-//	          each evacuated copy is pushed on the drain's queue for
+//	          each evacuated copy, like each tail old copy the pause left
+//	          holding a reference, is pushed on the drain's stack for
 //	          scanning. Scanning heals stale slots (SlotCAS) and evacuates
 //	          their targets through the TryForward/PublishForward claim
 //	          protocol (heap/reloc.go). The mutator helps: the heap's load
@@ -49,16 +52,17 @@ import (
 //	          the same drain contract the lazy transformer pipeline uses.
 //
 // Liveness needs no extra mark: the drain computes the reachability closure
-// of to-space. Every root was remapped in the pause, so anything live is
-// reachable from a to-space object (or is a to-space object already); the
-// region scan plus the pushed copies cover exactly that closure. Objects the
-// mutator allocates after the drain starts are born clean — they can only
-// ever hold canonical references (loads heal, roots were remapped) — and are
+// of to-space. Every root was forwarded in the pause, so anything live is
+// reachable from a to-space object or a tail old copy (or is one already);
+// the region scan plus the pushed copies cover exactly that closure. Objects
+// the mutator allocates after the drain starts are born clean — they can only
+// ever hold canonical references (loads heal, roots were forwarded) — and are
 // never scanned.
 //
 // deferPairs (vm.Options.LazyTransform ∧ Concurrent) is full deferral:
-// the pause creates no pairs except those the root remap forces. The drain
-// discovers updated-class instances during evacuation, builds the
+// the pause creates no pairs except where a root points at an updated-class
+// instance — the kernel pairs (or moves) it there, into the pause log. The
+// drain discovers the other updated-class instances during evacuation, builds the
 // shell + old copy right there — the shell's pair word makes it pending for
 // the lazy read barrier — and registers the pair for the lazy drain to adopt.
 // Class cleanup (unregistering the renamed old classes) is deferred to drain
@@ -67,9 +71,9 @@ import (
 
 // RelocStats summarizes a completed (or failed) relocation drain.
 type RelocStats struct {
-	// Objects/Words count evacuations performed after the eager pause work:
-	// the relocator, the mutator load barrier, forced drains, and the
-	// pause's own root-remap evacuations (which flow through the same path).
+	// Objects/Words count evacuations performed after the pause: the
+	// relocator, the mutator load barrier and forced drains. What the pause
+	// copied, the objects the roots point at included, is in its Result.
 	Objects int
 	Words   int
 	// TailWords counts deferred-pair old-copy words placed in from-space's
@@ -115,10 +119,9 @@ type Relocation struct {
 	spawned bool // the relocator goroutine is running (false until Start)
 	wg      sync.WaitGroup
 
-	// dq holds the evacuated copies awaiting their scan. Relocator and
-	// mutator both push; the relocator pops the newest, a forcing mutator
-	// steals the oldest.
-	dq deque
+	// work holds the copies awaiting their scan, seeded with the pause's
+	// dirty tail old copies. Relocator and mutator both push and pop.
+	work stack
 
 	idle atomic.Bool // the relocator found nothing to take
 	// mutatorBusy guards the window between a mutator-side evacuation and
@@ -132,8 +135,10 @@ type Relocation struct {
 	errMu sync.Mutex
 	err   error
 
+	// deferred are the drain-created pairs (deferPairs mode), in creation
+	// order; a root's pair is the pause's, in its Result.Log.
 	mu       sync.Mutex
-	deferred []Pair // drain-created pairs (deferPairs mode), in creation order
+	deferred []Pair
 
 	objects, words, tailWords atomic.Int64
 	moved                     atomic.Int64 // of objects, written in their new layout
@@ -149,8 +154,8 @@ type Relocation struct {
 
 // relocAllocator abstracts where an evacuation's memory comes from: the
 // relocator owns TLABs (a locked bump per object instead cost ≈15 % on a
-// full-heap drain); the mutator (load barrier, root remap, forced drains)
-// allocates under the heap mutex.
+// full-heap drain); the mutator (load barrier, forced drains) allocates under
+// the heap mutex.
 type relocAllocator struct {
 	rl   *Relocation
 	tlab *heap.TLAB // nil → global locked allocation
@@ -171,24 +176,25 @@ func (al *relocAllocator) allocShell(size int) (rt.Addr, bool) {
 }
 
 // CollectReloc is the pause half of a concurrent DSU collection. It returns
-// the pause Result (eager pairs only — the pause decomposition's PauseCopy is
-// pair evacuation + root remap) plus the live Relocation the engine must Start
-// and eventually Finish. deferPairs selects full deferral for the
-// lazy-transform pipeline. Post-flip errors leave the heap unusable exactly as
-// in the STW collector; discovery errors are ErrPreFlip.
+// the pause Result (the eager pairs and moves, and the copies of what the
+// roots point at — the pause decomposition's PauseCopy is that kernel work)
+// plus the live Relocation the engine must Start and eventually Finish.
+// deferPairs selects full deferral for the lazy-transform pipeline. Post-flip
+// errors leave the heap unusable exactly as in the STW collector; discovery
+// errors are ErrPreFlip.
 //
 // Without deferPairs the pause needs the instance set of a sealed mark. If the
 // marker is missing, unsealed or aborted — the engine gave up on the mark
 // after too many restarts — it is the ordinary DSU Collect and there is no
 // Relocation: a longer pause, the same heap.
-func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Relocation, error) {
+func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (Result, *Relocation, error) {
 	if m := c.mark; !deferPairs && (m == nil || !m.sealed || m.aborted) {
 		res, err := c.Collect(roots, true)
 		return res, nil, err
 	}
 	start := time.Now()
 	h := c.Heap
-	res := &Result{Collection: Collection{Relocated: true}}
+	res := Result{Collection: Collection{Relocated: true}}
 
 	// --- discovery ---------------------------------------------------------
 	var addrs []rt.Addr
@@ -202,93 +208,59 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 		}
 	} else {
 		var err error
-		addrs, err = c.relocConsumeMark(c.mark, roots, res)
+		addrs, err = c.relocConsumeMark(c.mark, roots, &res)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, nil, err
 		}
 	}
 	// Sorted evacuation order makes the pair log a pure function of the
-	// pre-flip heap layout.
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// pre-flip heap layout (and sorted by shell: shells are bump-allocated).
+	slices.Sort(addrs)
 
-	// --- flip preparation --------------------------------------------------
 	fromLo, fromHi := h.ScanStart(), h.AllocPointer()
 	h.Flip()
+	tCopy := time.Now()
+
+	// --- the kernel, without its scan ---------------------------------------
+	// The updated-class instances the transformer pipeline needs right now,
+	// then every root: a root's object is copied (in deferPairs mode, paired
+	// or moved if it is an updated instance), or already was. Everything else
+	// stays in from-space for the drain. Every copy lies in to-space below the
+	// region's end, where the cursor heals its slots, except old copies in
+	// the tail: the ones holding a reference seed the drain's stack.
+	k := c.open(true)
+	for _, a := range addrs {
+		hw := k.Words[a]
+		cls := c.Reg.ClassByID(heap.HeaderClassID(hw))
+		if cls == nil || cls.UpdatedTo == nil {
+			continue
+		}
+		if cls.Moves != nil {
+			k.move(a, cls)
+		} else {
+			k.pair(a, hw, cls)
+		}
+		if k.err != nil {
+			break
+		}
+	}
+	roots.ForEachRoot(k.root)
+	k.commit(h, &res)
+	if k.err != nil {
+		return Result{}, nil, k.err
+	}
+	res.PauseCopy = time.Since(tCopy)
 
 	rl := &Relocation{
 		c: c, h: h, reg: c.Reg,
 		deferPairs:  deferPairs,
 		fromLo:      fromLo,
 		fromHi:      fromHi,
-		regionStart: h.ScanStart(),
+		regionStart: k.To.Lo,
 	}
 	rl.mutAl = &relocAllocator{rl: rl}
-
-	tCopy := time.Now()
-
-	// --- eager pair evacuation ---------------------------------------------
-	// Only the updated-class instances the transformer pipeline needs right
-	// now; everything else stays in from-space for the drain.
-	k := c.newKernel(true)
-	for _, a := range addrs {
-		cls := c.Reg.ClassByID(h.ClassID(a))
-		if cls == nil || cls.UpdatedTo == nil {
-			continue
-		}
-		if cls.Moves != nil {
-			// Written in its new layout, in to-space: the region cursor
-			// heals its slots like any pause evacuation's.
-			if k.move(a, cls) == rt.Null {
-				break
-			}
-			continue
-		}
-		p := k.pair(a, k.Words[a], cls)
-		if k.err != nil {
-			break
-		}
-		if k.Tail.Contains(p.OldCopy) {
-			// The tail lies outside the region scan: seed the old copy
-			// explicitly so the drain heals its stale slots (to-space
-			// old copies are covered by the region cursor).
-			rl.dq.push(p.OldCopy)
-		}
-	}
-	k.commit(c, res)
-	if k.err != nil {
-		return nil, nil, k.err
-	}
-
-	// --- root remap --------------------------------------------------------
-	// Every root slot leaves the pause canonical: adopt pause pairs through
-	// their forwarding pointers, evacuate everything else on the spot (in
-	// deferPairs mode a root hitting an updated-class instance creates its
-	// pair right here).
-	var remapErr error
-	roots.ForEachRoot(func(v *rt.Value) {
-		if remapErr != nil || !v.IsRef || v.Bits == 0 {
-			return
-		}
-		a := v.Ref()
-		if a < fromLo || a >= fromHi {
-			return
-		}
-		to := rl.evac(a, rl.mutAl)
-		if to == 0 {
-			if remapErr = rl.firstErr(); remapErr == nil {
-				remapErr = ErrToSpaceExhausted
-			}
-			return
-		}
-		v.Bits = uint64(to)
-	})
-	if remapErr != nil {
-		return nil, nil, remapErr
-	}
-	res.PauseCopy = time.Since(tCopy)
-
-	sort.Slice(res.Log, func(i, j int) bool { return res.Log[i].New < res.Log[j].New })
-	res.PairsLogged = len(res.Log)
+	rl.work.buf = slices.Clone(k.dirty)
+	rl.work.size.Store(int32(len(k.dirty)))
 
 	// Arm the self-healing load barrier before the world (and the in-pause
 	// transformers, which run next) touches the heap again: every from-space
@@ -306,14 +278,15 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (*Result, *Reloca
 // barrier stayed armed through the blocked safe-point wait (see SealMark); the
 // mutator is stopped now, so it disarms and takes the full deletion log —
 // every snapshot-region edge severed since the snapshot is in it, which is
-// what makes the rescan sound. The rescan drains that log and re-scans the
-// root set, transitively marking any snapshot-region object the concurrent
-// trace has not seen (typically a handful: values the mutator moved around
-// while the trace ran; stamped into PauseRescan). What it gathers is only
-// updated-class instance addresses — the trace's recorded set, anything the
-// rescan additionally marks, and the allocate-black region [watermark,
-// alloc), walked linearly past the dead gaps an earlier drain left (the heap's
-// hole list). Errors are ErrPreFlip: nothing has moved yet.
+// what makes the rescan sound. The rescan is the marker's own trace, finished
+// on this goroutine (the tracer was joined at the seal): grey the log and the
+// root set, then pop and scan until the grey stack is empty, marking any
+// snapshot-region object the concurrent trace has not seen (typically a
+// handful: values the mutator moved around while the trace ran; stamped into
+// PauseRescan). What it gathers is only updated-class instance addresses —
+// those the trace and the rescan attributed, and the allocate-black region
+// [watermark, alloc), walked linearly past the dead gaps an earlier drain left
+// (the heap's hole list). Errors are ErrPreFlip: nothing has moved yet.
 func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.Addr, error) {
 	c.mark = nil
 	defer c.recycleMark(m)
@@ -324,52 +297,18 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 	res.MarkSetup = m.setup
 	res.MarkedObjects = m.markedObjects
 	res.SATBDrained = len(m.satb)
-	addrs := m.updatedAddrs
 
 	tRescan := time.Now()
-	var stack []rt.Addr
-	pushIf := func(w rt.Addr) {
-		if w == 0 || w < m.lo || w >= m.watermark {
-			return
-		}
-		if m.setMarkSerial(w) {
-			stack = append(stack, w)
-			res.RescanMarked++
-			if !h.IsArray(w) {
-				if cls := c.Reg.ClassByID(h.ClassID(w)); cls != nil && cls.UpdatedTo != nil {
-					addrs = append(addrs, w)
-				}
-			}
-		}
+	for _, a := range m.satb {
+		m.markGrey(a)
 	}
-	for _, w := range m.satb {
-		pushIf(w)
+	roots.ForEachRoot(m.greyRoot)
+	if !m.drain() {
+		return nil, preFlipErr(m.Err())
 	}
-	roots.ForEachRoot(func(v *rt.Value) {
-		if v.IsRef {
-			pushIf(v.Ref())
-		}
-	})
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if h.IsArray(a) {
-			if h.ArrayElemIsRef(a) {
-				for i := 0; i < h.ArrayLen(a); i++ {
-					pushIf(h.Elem(a, i).Ref())
-				}
-			}
-			continue
-		}
-		cls := c.Reg.ClassByID(h.ClassID(a))
-		if cls == nil {
-			return nil, preFlipErr(fmt.Errorf("gc: rescan: object @%d with unknown class id %d", a, h.ClassID(a)))
-		}
-		for _, off := range cls.RefOffsets {
-			pushIf(h.FieldValue(a, int(off), true).Ref())
-		}
-	}
+	res.RescanMarked = m.markedObjects - res.MarkedObjects
 	res.PauseRescan = time.Since(tRescan)
+	addrs := m.updatedAddrs
 
 	// Allocate-black walk: everything at or above the watermark is
 	// implicitly live; collect its updated-class instances.
@@ -403,56 +342,35 @@ func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.
 
 // --- the drain -------------------------------------------------------------
 
-// deque is the drain's queue of copies awaiting their scan. The relocator
-// pushes and pops at the tail (cache-hot); the mutator pushes at the tail and,
-// while forcing the drain, steals from the head. A mutex is plenty here:
-// pushes and pops are amortized over whole-object scans, and the size counter
-// lets the idle relocator poll emptiness without taking the lock.
-type deque struct {
+// stack is the drain's queue of copies awaiting their scan, one-ended: the
+// relocator and a forcing mutator both push and pop the newest (cache-hot). A
+// mutex is plenty here: pushes and pops are amortized over whole-object scans,
+// and the size counter lets the idle relocator poll emptiness without taking
+// the lock.
+type stack struct {
 	mu   sync.Mutex
 	buf  []rt.Addr
-	head int
 	size atomic.Int32
 }
 
-func (d *deque) push(a rt.Addr) {
-	d.mu.Lock()
-	d.buf = append(d.buf, a)
-	d.size.Store(int32(len(d.buf) - d.head))
-	d.mu.Unlock()
+func (s *stack) push(a rt.Addr) {
+	s.mu.Lock()
+	s.buf = append(s.buf, a)
+	s.size.Store(int32(len(s.buf)))
+	s.mu.Unlock()
 }
 
-// pop takes the newest entry (relocator side).
-func (d *deque) pop() (rt.Addr, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head == len(d.buf) {
-		d.buf = d.buf[:0]
-		d.head = 0
-		d.size.Store(0)
+// pop takes the newest entry.
+func (s *stack) pop() (rt.Addr, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.buf)
+	if n == 0 {
 		return 0, false
 	}
-	a := d.buf[len(d.buf)-1]
-	d.buf = d.buf[:len(d.buf)-1]
-	d.size.Store(int32(len(d.buf) - d.head))
-	return a, true
-}
-
-// steal takes the oldest entry (mutator side).
-func (d *deque) steal() (rt.Addr, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head == len(d.buf) {
-		return 0, false
-	}
-	a := d.buf[d.head]
-	d.head++
-	if d.head > 64 && d.head*2 >= len(d.buf) {
-		n := copy(d.buf, d.buf[d.head:])
-		d.buf = d.buf[:n]
-		d.head = 0
-	}
-	d.size.Store(int32(len(d.buf) - d.head))
+	a := s.buf[n-1]
+	s.buf = s.buf[:n-1]
+	s.size.Store(int32(n - 1))
 	return a, true
 }
 
@@ -484,7 +402,7 @@ func relocTLABWords(h *heap.Heap) int {
 	return max(64, min(4096, h.SemiWords()/8))
 }
 
-// run is the relocator's drain loop: its queue, the region cursor, then the
+// run is the relocator's drain loop: its stack, the region cursor, then the
 // idle-termination protocol. The termination condition checks mutatorBusy
 // BEFORE re-checking queue emptiness — a mutator mid-evacuation increments
 // busy before claiming, so either the relocator sees busy > 0 and stays, or
@@ -495,11 +413,7 @@ func (rl *Relocation) run() {
 	al := &relocAllocator{rl: rl, tlab: h.NewTLAB(relocTLABWords(h))}
 loop:
 	for !rl.done.Load() && !rl.failed.Load() {
-		if a, ok := rl.dq.pop(); ok {
-			rl.scanObj(a, al)
-			continue
-		}
-		if a, ok := rl.nextRegion(); ok {
+		if a, ok := rl.takeAny(); ok {
 			rl.scanObj(a, al)
 			continue
 		}
@@ -522,7 +436,7 @@ loop:
 // workQueued reports whether an unscanned copy or an unclaimed region object
 // is waiting.
 func (rl *Relocation) workQueued() bool {
-	return rl.dq.size.Load() > 0 || rl.regionRemaining()
+	return rl.work.size.Load() > 0 || rl.regionRemaining()
 }
 
 func (rl *Relocation) regionRemaining() bool {
@@ -688,7 +602,7 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 	h.PublishForward(a, to)
 	rl.objects.Add(1)
 	rl.words.Add(int64(size))
-	rl.dq.push(to)
+	rl.work.push(to)
 	return to, true
 }
 
@@ -712,7 +626,7 @@ func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (r
 	rl.objects.Add(1)
 	rl.words.Add(int64(newCls.Size))
 	rl.moved.Add(1)
-	rl.dq.push(to)
+	rl.work.push(to)
 	return to, true
 }
 
@@ -747,7 +661,7 @@ func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Cl
 	h.PublishForward(a, shell)
 	rl.objects.Add(2)
 	rl.words.Add(int64(size + newCls.Size))
-	rl.dq.push(oldCopy)
+	rl.work.push(oldCopy)
 	return shell, true
 }
 
@@ -795,7 +709,7 @@ func (rl *Relocation) Backlog() int {
 	if rl == nil || rl.Done() {
 		return 0
 	}
-	n := int(rl.dq.size.Load())
+	n := int(rl.work.size.Load())
 	if rl.started {
 		if rem := int64(rl.regionEnd) - rl.cursor.Load(); rem > 0 {
 			n += int(rem)
@@ -805,8 +719,9 @@ func (rl *Relocation) Backlog() int {
 }
 
 // ForceDrain completes the drain on the mutator goroutine: the mutator runs
-// the relocator's loop (bracketing each item with the busy counter) until
-// termination. Collections, follow-up updates, and Engine.ForceDrain
+// the relocator's loop, popping the newest entry as it does (bracketing each
+// item with the busy counter), until termination. Collections, follow-up
+// updates, and Engine.ForceDrain
 // use it through the engine's residue (core.residue.force). Safe
 // before Start (it begins the drain itself, with no relocator running).
 func (rl *Relocation) ForceDrain() error {
@@ -835,12 +750,12 @@ func (rl *Relocation) ForceDrain() error {
 	return nil
 }
 
-// takeAny claims work from the queue or the region cursor (mutator side).
-// The size test keeps a mutator that is only waiting for the relocator to go
-// idle off the queue's mutex.
+// takeAny claims work from the stack (its newest entry) or the region cursor,
+// for the relocator and a forcing mutator alike. The size test keeps a mutator
+// that is only waiting for the relocator to go idle off the stack's mutex.
 func (rl *Relocation) takeAny() (rt.Addr, bool) {
-	if rl.dq.size.Load() > 0 {
-		if a, ok := rl.dq.steal(); ok {
+	if rl.work.size.Load() > 0 {
+		if a, ok := rl.work.pop(); ok {
 			return a, true
 		}
 	}

@@ -3,6 +3,7 @@ package gc
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // The stw/concurrent equivalence suite. A concurrent collection — a sealed
-// mark, a short pause (rescan, eager pairs + root remap), then a drain that
+// mark, a short pause (rescan, eager pairs + root forwarding), then a drain that
 // evacuates the rest of the live set with the background relocator and the
 // self-healing load barrier — must end in a heap observationally identical to
 // the serial Cheney collector's: isomorphic reachable graph, identical values,
@@ -46,15 +47,50 @@ func sealMark(t testing.TB, roots Roots, w *world, c *Collector, mutate func()) 
 	}
 }
 
+// checkPause pins what a reloc pause leaves for the drain, before it starts.
+// The pause ran on the serial kernel, so no from-space header holds the claim
+// sentinel (the claim protocol starts with the world), every root is forwarded
+// out of from-space, and the drain's stack holds exactly the kernel's dirty
+// list: the tail old copies of the log holding a reference, in placement order.
+func checkPause(t testing.TB, w *world, c *Collector, res Result, rl *Relocation) {
+	t.Helper()
+	for a := rl.fromLo; a < rl.fromHi; a++ {
+		if _, _, claimed := heap.HeaderForwarded(w.h.Word(a)); claimed {
+			t.Fatalf("from-space word @%d holds the claim sentinel after the pause", a)
+		}
+	}
+	for i, r := range w.roots {
+		if a := r.Ref(); r.IsRef && a >= rl.fromLo && a < rl.fromHi {
+			t.Fatalf("root %d still points into from-space @%d after the pause", i, a)
+		}
+	}
+	var dirty []rt.Addr
+	for _, p := range res.Log {
+		if !w.h.InTail(p.OldCopy) {
+			continue
+		}
+		for _, off := range w.reg.ClassByID(w.h.ClassID(p.OldCopy)).RefOffsets {
+			if w.h.Word(p.OldCopy+off) != 0 {
+				dirty = append(dirty, p.OldCopy)
+				break
+			}
+		}
+	}
+	if !slices.Equal(c.dirty, dirty) || !slices.Equal(rl.work.buf, dirty) {
+		t.Fatalf("dirty list %v, drain stack %v; want the tail old copies holding a reference %v", c.dirty, rl.work.buf, dirty)
+	}
+}
+
 // runRelocCycle drives the pause and the drain of a concurrent collection on
 // w — after sealMark, or with deferPairs and no mark at all: pause, Start,
 // optional mutation while the drain runs, force-complete, Finish.
-func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate func()) (*Result, RelocStats) {
+func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate func()) (Result, RelocStats) {
 	t.Helper()
 	res, rl, err := c.CollectReloc(w, deferPairs)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
 	}
+	checkPause(t, w, c, res, rl)
 	if !res.Relocated || res.MarkConcurrent == deferPairs {
 		t.Fatalf("result flagged Relocated=%v MarkConcurrent=%v (deferPairs=%v)", res.Relocated, res.MarkConcurrent, deferPairs)
 	}
@@ -89,7 +125,7 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate
 
 // runConcurrentCycle is a whole concurrent collection of w: sealMark (with
 // duringMark), then runRelocCycle consuming it (with duringDrain).
-func runConcurrentCycle(t testing.TB, w *world, c *Collector, duringMark, duringDrain func()) (*Result, RelocStats) {
+func runConcurrentCycle(t testing.TB, w *world, c *Collector, duringMark, duringDrain func()) (Result, RelocStats) {
 	t.Helper()
 	sealMark(t, w, w, c, duringMark)
 	return runRelocCycle(t, w, c, false, duringDrain)
@@ -213,9 +249,10 @@ func TestRelocInFlightMutation(t *testing.T) {
 }
 
 // TestRelocDeferredPairs pins full deferral (reloc + lazy transform): the
-// pause creates pairs only where the root remap forces one; the drain
-// builds the rest — pending shells, old copies registered for
-// adoption, every old-copy reference healed to a canonical (shell) address.
+// pause creates a pair only where a root points at an updated instance, in its
+// own log; the drain builds the rest — pending shells, old copies registered
+// for adoption, every old-copy reference healed to a canonical (shell)
+// address, the pause's tail old copy's through the stack the pause seeded.
 // Old copies go to from-space's tail while it has room (overflow: two of them)
 // and to to-space after.
 func TestRelocDeferredPairs(t *testing.T) {
@@ -241,11 +278,12 @@ func TestRelocDeferredPairs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CollectReloc: %v", err)
 		}
-		// Full deferral: the eager log is empty; the root remap forced
-		// exactly one pair (the chain head the root points at).
-		if len(res.Log) != 0 {
-			t.Fatalf("deferred pause logged %d eager pairs", len(res.Log))
+		// Full deferral: the pause logged exactly one pair, the chain head
+		// the root points at, whose shell the root now holds.
+		if len(res.Log) != 1 || res.PairsLogged != 1 || res.Log[0].New != w.roots[0].Ref() {
+			t.Fatalf("deferred pause logged %v (%d), want the root's pair alone", res.Log, res.PairsLogged)
 		}
+		checkPause(t, w, c, res, rl)
 		rl.Start()
 		if err := rl.ForceDrain(); err != nil {
 			t.Fatalf("ForceDrain: %v", err)
@@ -254,24 +292,20 @@ func TestRelocDeferredPairs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
-		if stats.DeferredPairs != n {
-			t.Fatalf("deferred pairs %d, want %d", stats.DeferredPairs, n)
+		if stats.DeferredPairs != n-1 {
+			t.Fatalf("deferred pairs %d, want %d", stats.DeferredPairs, n-1)
 		}
 		wantTail := n * w.cls.Size
 		if overflow {
 			wantTail = 2 * w.cls.Size
 		}
-		if stats.TailWords != wantTail {
-			t.Fatalf("%d old-copy words in the tail, want %d", stats.TailWords, wantTail)
+		if res.TailWords != w.cls.Size || res.TailWords+stats.TailWords != wantTail {
+			t.Fatalf("%d + %d old-copy words in the tail, want %d + %d",
+				res.TailWords, stats.TailWords, w.cls.Size, wantTail-w.cls.Size)
 		}
 
-		// Creation order, the root remap's pair first; each shell caches its
-		// old copy.
-		pairs := append([]Pair(nil), rl.Deferred()...)
-		if len(pairs) != n || pairs[0].New != w.roots[0].Ref() {
-			t.Fatalf("Deferred returned %d pairs (want %d), first shell @%d (want the root's @%d)",
-				len(pairs), n, pairs[0].New, w.roots[0].Ref())
-		}
+		// The pause's pair and the drain's; each shell caches its old copy.
+		pairs := slices.Concat(res.Log, rl.Deferred())
 		checkPairWords(t, w.h, pairs)
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].New < pairs[j].New })
 		oldFor := make(map[rt.Addr]rt.Addr, n)
@@ -320,10 +354,11 @@ func TestRelocDeferredPairs(t *testing.T) {
 }
 
 // TestRelocDeferredMoves: under full deferral an updated-class instance whose
-// transformer is a move is no pair at all. Whoever evacuates it — the root
-// remap for the chain's head, the drain for the rest — writes the one finished
-// copy: new class, carried fields in their new places, never pending (pair
-// word 0), and references healed like any evacuated object's.
+// transformer is a move is no pair at all. Whoever evacuates it — the pause's
+// kernel for the chain's head the root points at, the drain for the rest —
+// writes the one finished copy: new class, carried fields in their new places,
+// never pending (pair word 0), and references healed like any evacuated
+// object's.
 func TestRelocDeferredMoves(t *testing.T) {
 	w := &world{reg: rt.NewRegistry(), h: heap.New(1 << 12)}
 	w.cls = nodeClass(t, w.reg, "Node")
@@ -347,11 +382,12 @@ func TestRelocDeferredMoves(t *testing.T) {
 	newLeaf := w.leaf.UpdatedTo
 
 	res, stats := runRelocCycle(t, w, New(w.h, w.reg), true, nil)
-	if len(res.Log) != 0 || res.Moved != 0 {
-		t.Fatalf("deferred pause logged %d pairs and moved %d before the root remap", len(res.Log), res.Moved)
+	if len(res.Log) != 0 || res.Moved != 1 || res.CopiedObjects != 1 {
+		t.Fatalf("deferred pause logged %d pairs, moved %d and copied %d; want the root's leaf moved alone",
+			len(res.Log), res.Moved, res.CopiedObjects)
 	}
-	if stats.Moved != n || stats.DeferredPairs != n {
-		t.Fatalf("drain moved %d leaves and paired %d nodes, want %d and %d", stats.Moved, stats.DeferredPairs, n, n)
+	if stats.Moved != n-1 || stats.DeferredPairs != n {
+		t.Fatalf("drain moved %d leaves and paired %d nodes, want %d and %d", stats.Moved, stats.DeferredPairs, n-1, n)
 	}
 	tagOff, nodeOff, twinOff := newLeaf.Field("tag").Offset, newLeaf.Field("node").Offset, newLeaf.Field("twin").Offset
 	a := w.roots[0].Ref()
@@ -463,8 +499,10 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if stats.Objects == 0 || res.PairsLogged == 0 {
-		t.Fatal("forced drain did no work")
+	// This world's roots reach every live object directly, so the pause copied
+	// them all; the forced drain's work is healing what those copies hold.
+	if stats.HealedSlots == 0 || res.PairsLogged == 0 {
+		t.Fatalf("forced drain did no work: %+v", stats)
 	}
 	if err := WalkReachable(w.h, w.reg, w, func(rt.Addr, *rt.Class) error { return nil }); err != nil {
 		t.Fatalf("post-drain heap audit: %v", err)

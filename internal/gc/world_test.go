@@ -165,7 +165,7 @@ func addUpdatedTo(t testing.TB, w *world) *rt.Class {
 // reachable new object's old copy through the pointer cached in the shell
 // (the pair word), which must agree with the side's update log: set on
 // exactly the logged shells, to exactly the logged old copy.
-func isoCheck(t *testing.T, wa, wb *world, ra, rb *Result, dsu bool) {
+func isoCheck(t *testing.T, wa, wb *world, ra, rb Result, dsu bool) {
 	t.Helper()
 	logA, logB := pairMap(ra.Log), pairMap(rb.Log)
 	aToB := make(map[rt.Addr]rt.Addr)

@@ -46,6 +46,19 @@ func (v *VM) kill(t *Thread, err error) {
 	v.tracef("thread %d killed: %v", t.ID, err)
 }
 
+// touch is the lazy read barrier's slow path, the one body of its six sites:
+// each tests the armed barrier inline (residue installed, OnTouch, the
+// object's pair word pending) and calls touch on a hit. It transforms the
+// object at a, or kills t naming the site ("getfield", "putfield",
+// "invokevirt <method>"), and reports whether t may go on.
+func (v *VM) touch(t *Thread, f *Frame, a rt.Addr, site string) bool {
+	if err := v.Residue.Transform(a); err != nil {
+		v.kill(t, fmt.Errorf("vm: lazy transform (%s) @%d in %s: %w", site, a, f.Method().FullName(), err))
+		return false
+	}
+	return true
+}
+
 // interpret executes instructions of thread t until the yield budget is
 // exhausted at a yield point, the thread blocks, dies, or parks on a return
 // barrier. Yield points are method entry, method exit, taken loop backedges,
@@ -315,11 +328,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
-				if err := r.Transform(a); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) && !v.touch(t, f, a, "getfield") {
+				return
 			}
 			f.Stack[n] = v.Heap.FieldValue(a, int(ins.A), ins.B == 1)
 		case bytecode.PUTFIELD_R:
@@ -331,11 +341,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (putfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
-				if err := r.Transform(a); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (putfield) @%d in %s: %w", a, f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) && !v.touch(t, f, a, "putfield") {
+				return
 			}
 			v.Heap.SetFieldValue(a, int(ins.A), val)
 		case bytecode.GETSTATIC_R:
@@ -387,11 +394,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 			// Dispatch itself would be correct without the barrier (the shell
 			// already carries the new class id), but the callee is about to
 			// read stale fields — transform the receiver before entry.
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) {
-				if err := r.Transform(recv.Ref()); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
+				return
 			}
 			// Inline-cache fast path (only the compiler's plain reference
 			// spelling carries no caches): a monomorphic hit is one class-id
@@ -729,11 +733,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) {
-				if err := r.Transform(a); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", a, f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(a) && !v.touch(t, f, a, "getfield") {
+				return
 			}
 			mid := v.Heap.FieldValue(a, int(ins.A), true).Ref()
 			// Second constituent begins here — counted only now so a kill
@@ -744,11 +745,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null dereference (getfield) in %s pc=%d", f.Method().FullName(), f.PC))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(mid) {
-				if err := r.Transform(mid); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (getfield) @%d in %s: %w", mid, f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(mid) && !v.touch(t, f, mid, "getfield") {
+				return
 			}
 			f.Stack[n] = v.Heap.FieldValue(mid, int(ins.C), ins.B == 1)
 			f.PC += 2
@@ -769,11 +767,8 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
 				return
 			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) {
-				if err := r.Transform(recv.Ref()); err != nil {
-					v.kill(t, fmt.Errorf("vm: lazy transform (invokevirt %s) @%d in %s: %w", ins.Ref.FullName(), recv.Ref(), f.Method().FullName(), err))
-					return
-				}
+			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
+				return
 			}
 			target, ok := v.vdispatch(ins, recv.Ref())
 			if !ok {

@@ -236,9 +236,11 @@ type VM struct {
 	// heap; threads die with it and the OOM is flagged in DeadErrors.
 	FatalHeap error
 
-	// LazyTransform is the lazy-mode switch (see Options); the DSU engine
-	// reads it to pick eager or lazy transformation at apply time.
+	// LazyTransform and Concurrent are the mode switches (see Options); the
+	// DSU engine reads them to pick eager or lazy transformation and the
+	// stop-the-world or the concurrent collection at apply time.
 	LazyTransform bool
+	Concurrent    bool
 
 	// Residue is installed by the DSU engine from the moment an update's
 	// collection succeeds until everything that collection left behind — the
@@ -321,13 +323,14 @@ func New(opts Options) (*VM, error) {
 	v := &VM{
 		Reg:           reg,
 		Heap:          h,
-		GC:            gc.NewWithOptions(h, reg, gc.Options{Concurrent: opts.Concurrent}),
+		GC:            gc.New(h, reg),
 		JIT:           jit.New(reg),
 		Net:           NewNetSim(),
 		Out:           opts.Out,
 		Quantum:       opts.Quantum,
 		natives:       make(map[string]*nativeBinding),
 		LazyTransform: opts.LazyTransform,
+		Concurrent:    opts.Concurrent,
 		created:       time.Now(),
 	}
 	if opts.OptThreshold > 0 {
@@ -932,9 +935,9 @@ func (v *VM) DrainActive() bool { return v.Residue != nil }
 // CollectGarbage runs a non-DSU collection. A collection error is fatal:
 // the heap is left unusable (see gc.ErrToSpaceExhausted) and the VM is
 // marked accordingly; an unusable heap is never collected again.
-func (v *VM) CollectGarbage() (*gc.Result, error) {
+func (v *VM) CollectGarbage() (gc.Result, error) {
 	if v.FatalHeap != nil {
-		return nil, v.FatalHeap
+		return gc.Result{}, v.FatalHeap
 	}
 	if v.Residue != nil {
 		// A flip cannot run with the relocation load barrier armed and
@@ -947,7 +950,7 @@ func (v *VM) CollectGarbage() (*gc.Result, error) {
 		// failed collection — the residue has marked the heap unusable.
 		_ = v.Residue.Force()
 		if v.FatalHeap != nil {
-			return nil, v.FatalHeap
+			return gc.Result{}, v.FatalHeap
 		}
 	}
 	res, err := v.GC.Collect(v, false)
