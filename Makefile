@@ -104,10 +104,11 @@ bench-stream:
 bench-dispatch:
 	$(GO) run ./cmd/jvolve-bench -exp dispatch -runs 9 -dispatch-out BENCH_dispatch.json
 
-# Demo: record one fig5 updated run and export the DSU timeline as a
-# Chrome trace — open trace.json in https://ui.perfetto.dev.
+# Demo: record the obs experiment's webserver update (5.1.5 warmed, then
+# updated to 5.1.6 under load) and export the DSU timeline as a Chrome
+# trace — open trace.json in https://ui.perfetto.dev.
 trace:
-	$(GO) run ./cmd/jvolve-bench -exp fig5 -runs 1 -duration 200ms -trace trace.json
+	$(GO) run ./cmd/jvolve-bench -exp obs -runs 1 -obs-out '' -trace trace.json
 
 # Explore beyond the checked-in seed corpora (30s per target).
 fuzz:

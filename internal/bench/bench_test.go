@@ -1,12 +1,17 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
-	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"govolve/internal/apps"
+	"govolve/internal/vm"
 )
 
 func TestSummarize(t *testing.T) {
@@ -107,29 +112,129 @@ func TestRunMicroValidation(t *testing.T) {
 	}
 }
 
-func TestRunSweepSmall(t *testing.T) {
-	cells, err := RunSweep(MicroSweep{
-		Sizes:     []MicroConfig{{Objects: 5000, HeapLabel: "tiny", HandWritten: true}},
-		Fractions: []float64{0, 0.5, 1},
-		Runs:      3, // the median: the process's first, cold run cannot decide alone
+// TestTable1ViewIsSerialMedians pins what -exp table1 prints: every cell of
+// Table 1's row groups, of E9's tail-share group and of Figure 6's series is
+// a serial row's median (or word counts) as the grid measured it, and E7's
+// speedup is computed from those medians alone.
+func TestTable1ViewIsSerialMedians(t *testing.T) {
+	fracs := []float64{0, 0.5, 1}
+	rep, err := RunPauseCmp(PauseCmpSweep{
+		Sizes: []int{2000, 5000}, Fractions: fracs,
+		Runs:  3, // the median: the process's first, cold run cannot decide alone
+		Modes: vm.Modes()[:1],
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 3 {
-		t.Fatalf("%d cells", len(cells))
+	row := func(objects int, frac float64, transformer string) *PauseCmpRow {
+		for i := range rep.Rows {
+			if r := &rep.Rows[i]; r.Objects == objects && r.FracUpdated == frac && r.Transformer == transformer {
+				return r
+			}
+		}
+		t.Fatalf("no row %d/%v/%s", objects, frac, transformer)
+		return nil
 	}
-	// Monotone-ish: the 100% cell must cost more than the 0% cell (by the
-	// paper's margin — a transformer run per object — so one cold run cannot
-	// invert it; under moved defaults the gap is a fraction of the collection).
-	if !(cells[2].Total.Median > cells[0].Total.Median) {
-		t.Fatalf("pause not increasing with fraction: %v vs %v",
-			cells[0].Total.Median, cells[2].Total.Median)
+	// A transformer run per object makes the 100 % pause cost more than the
+	// 0 % one by the paper's margin.
+	if hw0, hw1 := row(5000, 0, "handwritten"), row(5000, 1, "handwritten"); !(hw1.PauseTotalMillis.Median > hw0.PauseTotalMillis.Median) {
+		t.Fatalf("pause not increasing with fraction: %v vs %v", hw0.PauseTotalMillis.Median, hw1.PauseTotalMillis.Median)
 	}
-	PrintTable1(io.Discard, []MicroConfig{{Objects: 5000, HeapLabel: "tiny"}},
-		[]float64{0, 0.5, 1}, cells)
-	PrintFig6(io.Discard, []MicroConfig{{Objects: 5000, HeapLabel: "tiny"}},
-		[]float64{0, 0.5, 1}, cells)
+
+	gc := func(r *PauseCmpRow) float64 { return r.GCMillis.Median }
+	tr := func(r *PauseCmpRow) float64 { return r.TransformMillis.Median }
+	total := func(r *PauseCmpRow) float64 { return r.PauseTotalMillis.Median }
+	groups := map[string]func(*PauseCmpRow) float64{
+		"Garbage collection time (ms)":          gc,
+		"Running transformation functions (ms)": tr,
+		"Total DSU pause time (ms)":             total,
+		"E9: old copies in from-space's tail (% of copied words)": func(r *PauseCmpRow) float64 {
+			return 100 * float64(r.TailWords) / float64(r.CopiedWords)
+		},
+	}
+	same := func(got string, want float64) {
+		t.Helper()
+		if w := fmt.Sprintf("%.2f", want); got != w {
+			t.Errorf("printed %s, row median %s", got, w)
+		}
+	}
+	var b strings.Builder
+	PrintTable1(&b, rep.Rows)
+	var pick func(*PauseCmpRow) float64
+	var section, transformer string
+	cells := 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+			section, pick = "", nil
+		case strings.HasPrefix(line, "Figure 6"):
+			section = "fig6"
+		case strings.HasPrefix(line, "E7:"):
+			section = "e7"
+		case section == "" && strings.Contains(line, ", "):
+			title, tf, _ := strings.Cut(line, ", ")
+			section, pick, transformer = "group", groups[title], tf
+			if pick == nil {
+				t.Fatalf("unknown row group %q", title)
+			}
+		case section == "group" && f[0] != "#":
+			objects, _ := strconv.Atoi(f[0])
+			for i, tok := range f[2:] {
+				same(tok, pick(row(objects, fracs[i], transformer)))
+				cells++
+			}
+		case section == "fig6" && strings.HasSuffix(f[0], "%"):
+			pct, _ := strconv.ParseFloat(strings.TrimSuffix(f[0], "%"), 64)
+			for j, tf := range []string{"handwritten", "moved"} {
+				r := row(5000, pct/100, tf)
+				for k, p := range []func(*PauseCmpRow) float64{gc, tr, total} {
+					same(f[1+3*j+k], p(r))
+					cells++
+				}
+			}
+		case section == "e7":
+			objects, _ := strconv.Atoi(f[0])
+			hw, mv := row(objects, 1, "handwritten"), row(objects, 1, "moved")
+			if want := fmt.Sprintf("%.2fx", (gc(hw)+tr(hw))/(gc(mv)+tr(mv))); f[1] != want {
+				t.Errorf("E7 %d objects: printed %s, medians give %s", objects, f[1], want)
+			}
+			cells++
+		}
+	}
+	// 3 Table 1 groups × 2 transformers and E9's group over 2 sizes × 3
+	// fractions, Figure 6's 3 fractions × 6 series, and E7's 2 sizes.
+	if want := 7*2*3 + 3*6 + 2; cells != want {
+		t.Fatalf("checked %d printed cells, want %d:\n%s", cells, want, b.String())
+	}
+}
+
+// TestWriteReportHostStamp pins the one BENCH writer's overwrite rule: an
+// unstamped file or one this host stamped is replaced, a file another host
+// stamped is kept and both stamps are named.
+func TestWriteReportHostStamp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if err := os.WriteFile(path, []byte(`{"experiment": "old", "gomaxprocs": 2, "num_cpu": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report[int]{Experiment: "test", Host: ThisHost(), Rows: []int{1}}
+	if err := WriteReport(path, rep); err != nil {
+		t.Fatalf("unstamped file not overwritten: %v", err)
+	}
+	if err := WriteReport(path, rep); err != nil {
+		t.Fatalf("own stamp not overwritten: %v", err)
+	}
+	other := *rep
+	other.Host.NumCPU++
+	err := WriteReport(path, &other)
+	if err == nil || !strings.Contains(err.Error(), rep.Host.String()) || !strings.Contains(err.Error(), other.Host.String()) {
+		t.Fatalf("another host's file: %v", err)
+	}
+	data, _ := os.ReadFile(path)
+	var kept Report[int]
+	if err := json.Unmarshal(data, &kept); err != nil || kept.Host != rep.Host {
+		t.Fatalf("file after refusal: %s (%v)", data, err)
+	}
 }
 
 func TestSummarizeTables(t *testing.T) {
@@ -168,36 +273,4 @@ func TestSummarizeTables(t *testing.T) {
 	if r132.FieldsChg < 1 {
 		t.Fatalf("1.3.2 field type changes = %d, want ≥1 (forwardAddresses)", r132.FieldsChg)
 	}
-}
-
-func TestFig5Tiny(t *testing.T) {
-	app := apps.Webserver()
-	results, err := RunFig5(app, DefaultFig5Configs(app),
-		Fig5Options{Runs: 2, Duration: 40 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d configs", len(results))
-	}
-	for _, r := range results {
-		if r.Throughput.Median <= 0 {
-			t.Fatalf("%s: zero throughput", r.Config.Label)
-		}
-		if math.IsNaN(r.Latency.Median) || r.Latency.Median <= 0 {
-			t.Fatalf("%s: bad latency", r.Config.Label)
-		}
-	}
-	PrintFig5(io.Discard, results)
-}
-
-func TestAblationTiny(t *testing.T) {
-	res, err := RunAblation(apps.Webserver(), 2, 40*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Eager.Median <= 0 || res.Lazy.Median <= 0 {
-		t.Fatalf("ablation arm did not run: eager %v lazy %v", res.Eager.Median, res.Lazy.Median)
-	}
-	PrintAblation(io.Discard, res)
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -162,15 +160,6 @@ type DispatchRow struct {
 	ICHitRate float64 `json:"ic_hit_rate"`
 }
 
-// DispatchReport is the BENCH_dispatch.json document.
-type DispatchReport struct {
-	Experiment string        `json:"experiment"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Note       string        `json:"note"`
-	Rows       []DispatchRow `json:"rows"`
-}
-
 // dispatchTier is one point of the tier axis: plain and base keep opt
 // recompilation out of reach and differ in the compiler's Plain switch; opt
 // compiles every method at the opt level on its first invocation.
@@ -273,17 +262,16 @@ func runDispatchCell(src string, tier dispatchTier, rounds, minRoundMs int) (Dis
 // RunDispatch measures the full grid. A cell that fails to build or runs
 // zero instructions, or whose hot loop is not the code its tier names
 // (runDispatchCell), is a bench failure, not a data point.
-func RunDispatch(sw DispatchSweep, progress io.Writer) (*DispatchReport, error) {
+func RunDispatch(sw DispatchSweep, progress io.Writer) (*Report[DispatchRow], error) {
 	if sw.Rounds <= 0 {
 		sw.Rounds = 3
 	}
 	if sw.MinRoundMillis <= 0 {
 		sw.MinRoundMillis = 50
 	}
-	rep := &DispatchReport{
+	rep := &Report[DispatchRow]{
 		Experiment: "dispatch",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		Host:       ThisHost(),
 		Note: "ins_per_sec is best-of-" + fmt.Sprint(sw.Rounds) + " steady-state " +
 			"interpreter throughput after warmup; speedup_vs_base is ins_per_sec " +
 			"over the same mix's base row. plain " +
@@ -327,19 +315,9 @@ func RunDispatch(sw DispatchSweep, progress io.Writer) (*DispatchReport, error) 
 	return rep, nil
 }
 
-// WriteDispatchJSON writes the report as indented JSON (BENCH_dispatch.json).
-func WriteDispatchJSON(path string, rep *DispatchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintDispatch renders the grid as text.
-func PrintDispatch(w io.Writer, rep *DispatchReport) {
-	fmt.Fprintf(w, "Interpreter dispatch tiers (gomaxprocs=%d, cpus=%d)\n",
-		rep.GOMAXPROCS, rep.NumCPU)
+func PrintDispatch(w io.Writer, rep *Report[DispatchRow]) {
+	fmt.Fprintf(w, "Interpreter dispatch tiers (%s)\n", rep.Host)
 	fmt.Fprintf(w, "%8s %6s %14s %9s %12s %10s %10s %9s\n",
 		"mix", "tier", "ins/s", "vs-base", "allocs/slice", "ic-hits", "ic-misses", "hit-rate")
 	for _, r := range rep.Rows {

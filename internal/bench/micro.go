@@ -63,17 +63,12 @@ type MicroConfig struct {
 	Objects int
 	// FracUpdated is the fraction of objects of class Change (0..1).
 	FracUpdated float64
-	// HeapLabel annotates output rows (e.g. "160 MB").
-	HeapLabel string
-	// HandWritten replaces Change's generated default transformer with
-	// the transformer a programmer would write for this update — the same
-	// six field copies plus an explicit i4 = 0. The
-	// default is a pure field copy, which the collector performs itself
-	// while it copies the object (upt.Spec.ObjectMoves); the hand-written
-	// one is not, so every instance gets a shell + old-copy pair and one
-	// interpreted jvolveObject call: the paper's configuration (§3.4,
-	// Table 1), and the one that exercises old copies, pending pairs and the
-	// transformer phase.
+	// HandWritten replaces Change's generated default transformer — a pure
+	// field copy the collector performs while it copies the object
+	// (upt.Spec.ObjectMoves) — with what a programmer would write: the same
+	// copies plus an explicit i4 = 0. Every instance then gets a shell +
+	// old-copy pair and one interpreted jvolveObject call: the paper's
+	// configuration (§3.4, Table 1).
 	HandWritten bool
 	// Lazy defers per-object transformation past the pause: objects stay
 	// pending and are drained on first touch through the read
@@ -85,14 +80,10 @@ type MicroConfig struct {
 	// under the observe policy so every micro update is judged. The
 	// resulting verdict is reported on MicroResult.
 	Metrics *obs.Registry
-	// Concurrent moves discovery and the DSU copy itself out of the pause:
-	// the SATB concurrent mark finds the updated-class instances before it,
-	// the pause shrinks to flip preparation (rescan, flip, eager evacuation
-	// of those instances only — or none at all, and no mark, with Lazy), and
-	// the remaining live set is evacuated afterwards by the background
-	// relocator and the self-healing load barrier. The measured pause then
-	// excludes the trace and the bulk copy; the mark and the relocation drain
-	// are reported separately.
+	// Concurrent moves discovery and the bulk copy out of the pause: the SATB
+	// mark finds the updated instances before it, and the background
+	// relocator and the load barrier evacuate the rest after it. The mark and
+	// the relocation drain are reported separately from the pause.
 	Concurrent bool
 }
 
@@ -101,7 +92,8 @@ type MicroConfig struct {
 // counts the old copies placed in from-space's tail again in TailWords (§3.5)
 // — plus what only the driver knows.
 type MicroResult struct {
-	Config MicroConfig
+	Config    MicroConfig
+	HeapWords int // one semispace of the VM the update ran in
 	core.Stats
 	Drain time.Duration // forced post-pause drain wall-clock (Lazy; outside the pause)
 	// Verdict is the gate judgment for this update (nil unless
@@ -123,9 +115,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	// collection an updated object costs its copy plus a 9-word shell.
 	// A factor-5 heap over the live size keeps the only collection the
 	// DSU-triggered one, matching the paper's methodology.
-	live := cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64
+	heapWords := 5 * (cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64)
 	machine, err := vm.New(vm.Options{
-		HeapWords:     5 * live,
+		HeapWords:     heapWords,
 		LazyTransform: cfg.Lazy,
 		Concurrent:    cfg.Concurrent,
 		Out:           io.Discard,
@@ -229,15 +221,7 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	if res.Stats.TransformedObjects != nChange {
 		return nil, fmt.Errorf("bench: transformed %d, want %d", res.Stats.TransformedObjects, nChange)
 	}
-	return &MicroResult{Config: cfg, Stats: res.Stats, Drain: drain, Verdict: res.Verdict}, nil
-}
-
-// MicroSweep is the full Table 1 grid: for each size, pause times over the
-// fraction sweep 0%..100% in steps of 10%.
-type MicroSweep struct {
-	Sizes     []MicroConfig // FracUpdated ignored; one row group per size
-	Fractions []float64
-	Runs      int // runs per cell; the median is reported
+	return &MicroResult{Config: cfg, HeapWords: heapWords, Stats: res.Stats, Drain: drain, Verdict: res.Verdict}, nil
 }
 
 // DefaultFractions is the paper's 0..100% in steps of 10.
@@ -249,130 +233,8 @@ func DefaultFractions() []float64 {
 	return out
 }
 
-// PaperSizes returns the paper's four configurations. The heap labels keep
-// the paper's names; object counts are the paper's.
-func PaperSizes() []MicroConfig {
-	return []MicroConfig{
-		{Objects: 280_000, HeapLabel: "160 MB"},
-		{Objects: 770_000, HeapLabel: "320 MB"},
-		{Objects: 1_760_000, HeapLabel: "640 MB"},
-		{Objects: 3_670_000, HeapLabel: "1280 MB"},
-	}
-}
-
-// ScaledSizes returns the paper's configurations divided by the given
-// factor, for quick runs (go test -bench uses factor 10).
-func ScaledSizes(factor int) []MicroConfig {
-	sizes := PaperSizes()
-	for i := range sizes {
-		sizes[i].Objects /= factor
-		sizes[i].HeapLabel += fmt.Sprintf(" ÷%d", factor)
-	}
-	return sizes
-}
-
-// Cell is one measured grid cell.
-type Cell struct {
-	Size     MicroConfig
-	Fraction float64
-	GC       Summary
-	Tr       Summary
-	Total    Summary
-}
-
-// RunSweep measures the whole grid.
-func RunSweep(sw MicroSweep, progress io.Writer) ([]Cell, error) {
-	if sw.Runs <= 0 {
-		sw.Runs = 1
-	}
-	if len(sw.Fractions) == 0 {
-		sw.Fractions = DefaultFractions()
-	}
-	var cells []Cell
-	for _, size := range sw.Sizes {
-		for _, frac := range sw.Fractions {
-			var gcs, trs, tots []float64
-			for r := 0; r < sw.Runs; r++ {
-				cfg := size
-				cfg.FracUpdated = frac
-				res, err := RunMicro(cfg)
-				if err != nil {
-					return nil, err
-				}
-				gcs = append(gcs, Millis(res.PauseGC))
-				trs = append(trs, Millis(res.PauseTransform))
-				tots = append(tots, Millis(res.PauseTotal))
-			}
-			cells = append(cells, Cell{
-				Size: size, Fraction: frac,
-				GC: Summarize(gcs), Tr: Summarize(trs), Total: Summarize(tots),
-			})
-			if progress != nil {
-				fmt.Fprintf(progress, ".")
-			}
-		}
-		if progress != nil {
-			fmt.Fprintln(progress)
-		}
-	}
-	return cells, nil
-}
-
-// PrintTable1 renders the grid in the paper's three row groups.
-func PrintTable1(w io.Writer, sizes []MicroConfig, fractions []float64, cells []Cell) {
-	get := func(size MicroConfig, frac float64) *Cell {
-		for i := range cells {
-			if cells[i].Size.HeapLabel == size.HeapLabel && cells[i].Fraction == frac {
-				return &cells[i]
-			}
-		}
-		return nil
-	}
-	header := func() {
-		fmt.Fprintf(w, "%10s %12s", "# objects", "Heap size")
-		for _, f := range fractions {
-			fmt.Fprintf(w, " %7.0f%%", f*100)
-		}
-		fmt.Fprintln(w)
-	}
-	group := func(title string, pick func(*Cell) float64) {
-		fmt.Fprintf(w, "%s (ms)\n", title)
-		header()
-		for _, size := range sizes {
-			fmt.Fprintf(w, "%10d %12s", size.Objects, size.HeapLabel)
-			for _, f := range fractions {
-				c := get(size, f)
-				if c == nil {
-					fmt.Fprintf(w, " %8s", "-")
-					continue
-				}
-				fmt.Fprintf(w, " %8.1f", pick(c))
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintln(w)
-	}
-	group("Garbage collection time", func(c *Cell) float64 { return c.GC.Median })
-	group("Running transformation functions", func(c *Cell) float64 { return c.Tr.Median })
-	group("Total DSU pause time", func(c *Cell) float64 { return c.Total.Median })
-}
-
-// PrintFig6 renders the largest size's three series against the fraction
-// axis (the paper's Figure 6 plot, as data).
-func PrintFig6(w io.Writer, sizes []MicroConfig, fractions []float64, cells []Cell) {
-	if len(sizes) == 0 {
-		return
-	}
-	big := sizes[len(sizes)-1]
-	fmt.Fprintf(w, "Figure 6: pause decomposition, %d objects (%s)\n", big.Objects, big.HeapLabel)
-	fmt.Fprintf(w, "%9s %12s %14s %12s\n", "fraction", "GC (ms)", "transform (ms)", "total (ms)")
-	for _, f := range fractions {
-		for i := range cells {
-			c := &cells[i]
-			if c.Size.HeapLabel == big.HeapLabel && c.Fraction == f {
-				fmt.Fprintf(w, "%8.0f%% %12.1f %14.1f %12.1f\n",
-					f*100, c.GC.Median, c.Tr.Median, c.Total.Median)
-			}
-		}
-	}
+// PaperSizes returns the paper's four object counts (its heaps of 160, 320,
+// 640 and 1280 MB).
+func PaperSizes() []int {
+	return []int{280_000, 770_000, 1_760_000, 3_670_000}
 }

@@ -4,30 +4,24 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
-	"govolve/internal/apps"
 	"govolve/internal/obs"
 )
 
-// TestFig5TraceCapturesUpdateLifecycle pins the headline observability
-// acceptance criterion end-to-end: running the updated fig5 configuration
-// with a flight recorder attached yields a timeline containing the
+// TestObsTraceCapturesUpdateLifecycle pins the headline observability
+// acceptance criterion end-to-end: the obs experiment's webserver update, run
+// with a flight recorder attached, yields a timeline containing the
 // install/gc/transform phase spans and at least one safe-point-attempt
 // instant, and the exported Chrome trace is valid for Perfetto.
-func TestFig5TraceCapturesUpdateLifecycle(t *testing.T) {
-	app := apps.Webserver()
+func TestObsTraceCapturesUpdateLifecycle(t *testing.T) {
 	rec := obs.NewRecorder(obs.DefaultCapacity)
 	reg := obs.NewRegistry()
-	cfg := Fig5Config{Label: "updated", Engine: true, UpdateFrom: 5, MeasureVersion: 6}
-	opts := Fig5Options{
-		Runs:     1,
-		Duration: 30 * time.Millisecond,
-		Heap:     1 << 20,
-		Recorder: rec,
-		Metrics:  reg,
-	}
-	if _, err := RunFig5(app, []Fig5Config{cfg}, opts, io.Discard); err != nil {
+	if _, err := RunObsPause(ObsPauseOptions{
+		Runs:         1,
+		MicroObjects: 1000,
+		Recorder:     rec,
+		Metrics:      reg,
+	}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 
 	"govolve/internal/apps"
 	"govolve/internal/core"
@@ -19,17 +16,32 @@ import (
 // back out of those histograms. Two configurations, mirroring the repo's
 // experiment naming:
 //
-//	E1    — the webserver updated 5.1.5→5.1.6 under synthetic load (the
-//	        fig5 "updated" row). The full decomposition comes from the
-//	        engine's own instrumentation.
+//	E1    — the webserver launched at 5.1.5, warmed, and updated to 5.1.6
+//	        under synthetic load. The full decomposition comes from the
+//	        engine's own instrumentation; a caller's flight recorder,
+//	        registry, gate engine and profiler ride along (jvolve-bench
+//	        -trace, -metrics and -serve read them).
 //	micro — the Table 1 microbenchmark update, pauses observed into the
 //	        same histogram shapes.
 
-// ObsPauseOptions sizes the experiment.
+// ObsPauseOptions sizes the experiment and carries the observability plane
+// the E1 updates attach.
 type ObsPauseOptions struct {
 	Runs         int // updates sampled per configuration (default 5)
 	MicroObjects int // micro heap population (default 30_000)
 	Heap         int // E1 webserver heap words (default 1<<20)
+
+	// Recorder, when set, captures the E1 updates' DSU lifecycle
+	// (safe-point attempts, phase spans, transformer events) for a Chrome
+	// trace.
+	Recorder *obs.Recorder
+	// Metrics receives the E1 pause histograms (a fresh registry if nil);
+	// Gates, which must read Metrics, judges every E1 update under the
+	// observe policy (a default engine if nil); Profiler samples interpreter
+	// frames at slice boundaries (a fresh one if nil).
+	Metrics  *obs.Registry
+	Gates    *obs.GateEngine
+	Profiler *obs.Profiler
 }
 
 // ObsHist is one histogram's report form: sample count plus the bucket-
@@ -74,17 +86,9 @@ type ObsPauseRow struct {
 	ProfileTop     []string `json:"profile_top,omitempty"`
 }
 
-// ObsPauseReport is the BENCH_obs.json document.
-type ObsPauseReport struct {
-	Experiment string        `json:"experiment"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Note       string        `json:"note"`
-	Rows       []ObsPauseRow `json:"rows"`
-}
-
-// RunObsPause measures both configurations.
-func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, error) {
+// RunObsPause measures both configurations; the report is the
+// BENCH_obs.json document.
+func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*Report[ObsPauseRow], error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 5
 	}
@@ -94,27 +98,30 @@ func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, err
 	if opts.Heap <= 0 {
 		opts.Heap = 1 << 20
 	}
-	rep := &ObsPauseReport{
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
+	if opts.Gates == nil {
+		opts.Gates = obs.NewGateEngine(nil, 0, opts.Metrics)
+	}
+	if opts.Profiler == nil {
+		opts.Profiler = obs.NewProfiler(0)
+	}
+	rep := &Report[ObsPauseRow]{
 		Experiment: "obs",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		Host:       ThisHost(),
 		Note: "p50/p99 are bucket-interpolated from fixed-bucket histograms " +
 			"(obs.DurationBuckets), so they quantize to the bucket grid",
 	}
 
-	// --- E1: webserver update under load, engine-instrumented --------------
-	e1, err := runObsE1(opts, progress)
-	if err != nil {
-		return nil, err
+	// E1, the webserver update under load, then the Table 1 microbenchmark.
+	for _, run := range []func(ObsPauseOptions, io.Writer) (*ObsPauseRow, error){runObsE1, runObsMicro} {
+		row, err := run(opts, progress)
+		if err != nil {
+			return nil, err
+		}
+		rep.Rows = append(rep.Rows, *row)
 	}
-	rep.Rows = append(rep.Rows, *e1)
-
-	// --- micro: the Table 1 microbenchmark update ----------------------------
-	micro, err := runObsMicro(opts, progress)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, *micro)
 	if progress != nil {
 		fmt.Fprintln(progress)
 	}
@@ -122,9 +129,7 @@ func RunObsPause(opts ObsPauseOptions, progress io.Writer) (*ObsPauseReport, err
 }
 
 func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
-	reg := obs.NewRegistry()
-	ge := obs.NewGateEngine(nil, 0, reg)
-	prof := obs.NewProfiler(0)
+	reg, ge, prof := opts.Metrics, opts.Gates, opts.Profiler
 	app := apps.Webserver()
 	applied := 0
 	for r := 0; r < opts.Runs; r++ {
@@ -132,7 +137,7 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: obs E1 run %d: %w", r, err)
 		}
-		s.VM.AttachObs(nil, reg)
+		s.VM.AttachObs(opts.Recorder, reg)
 		s.VM.AttachProfiler(prof)
 		s.Engine.AttachGates(ge, core.GateObserve)
 		// Warm the server so the update lands on a live, steady VM.
@@ -180,9 +185,6 @@ func runObsE1(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 
 func runObsMicro(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error) {
 	reg := obs.NewRegistry()
-	gcH := reg.Histogram(obs.MPauseGC, obs.DurationBuckets())
-	trH := reg.Histogram(obs.MPauseTransform, obs.DurationBuckets())
-	totH := reg.Histogram(obs.MPauseTotal, obs.DurationBuckets())
 	row := &ObsPauseRow{
 		Config:  fmt.Sprintf("micro %d objects, 20%% updated", opts.MicroObjects),
 		Updates: opts.Runs,
@@ -194,7 +196,6 @@ func runObsMicro(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error)
 		res, err := RunMicro(MicroConfig{
 			Objects:     opts.MicroObjects,
 			FracUpdated: 0.2,
-			HeapLabel:   fmt.Sprintf("%d objects", opts.MicroObjects),
 			Metrics:     reg,
 		})
 		if err != nil {
@@ -212,25 +213,15 @@ func runObsMicro(opts ObsPauseOptions, progress io.Writer) (*ObsPauseRow, error)
 			fmt.Fprintf(progress, ".")
 		}
 	}
-	row.GCMs = obsHistMs(gcH)
-	row.TransformMs = obsHistMs(trH)
-	row.TotalMs = obsHistMs(totH)
+	row.GCMs = obsHistMs(reg.Histogram(obs.MPauseGC, obs.DurationBuckets()))
+	row.TransformMs = obsHistMs(reg.Histogram(obs.MPauseTransform, obs.DurationBuckets()))
+	row.TotalMs = obsHistMs(reg.Histogram(obs.MPauseTotal, obs.DurationBuckets()))
 	return row, nil
 }
 
-// WriteObsPauseJSON writes the report as indented JSON (BENCH_obs.json).
-func WriteObsPauseJSON(path string, rep *ObsPauseReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintObsPause renders the report as text.
-func PrintObsPause(w io.Writer, rep *ObsPauseReport) {
-	fmt.Fprintf(w, "DSU pause decomposition via obs histograms (gomaxprocs=%d, cpus=%d)\n",
-		rep.GOMAXPROCS, rep.NumCPU)
+func PrintObsPause(w io.Writer, rep *Report[ObsPauseRow]) {
+	fmt.Fprintf(w, "DSU pause decomposition via obs histograms (%s)\n", rep.Host)
 	fmt.Fprintf(w, "%-58s %8s %18s %18s %18s\n", "configuration", "updates",
 		"GC p50/p99 (ms)", "transform (ms)", "total (ms)")
 	for _, r := range rep.Rows {

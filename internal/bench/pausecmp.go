@@ -1,20 +1,20 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
+	"slices"
+	"time"
 
 	"govolve/internal/vm"
 )
 
-// The pausecmp experiment is the headline measurement of the pause-
-// shrinking work: the Table 1 microbenchmark update run in every engine mode
-// (vm.Modes) — the fused stop-the-world pipeline, lazy transformation,
-// concurrent (SATB mark before the pause, relocation drain after it) and the
-// two composed — over a sizes × updated-fraction grid. For each cell it
+// The pause grid is the one driver over the Table 1 microbenchmark. As
+// pausecmp it is the headline measurement of the pause-shrinking work: the
+// update run in every engine mode (vm.Modes) — the fused stop-the-world
+// pipeline, lazy transformation, concurrent (SATB mark before the pause,
+// relocation drain after it) and the two composed — over a sizes ×
+// updated-fraction grid. For each cell it
 // reports the same uniform pause decomposition — rescan / copy / transform —
 // so every claim is checkable from the JSON itself: lazy rows show
 // transform_ms ≈ 0 with the forced drain in drain_ms; concurrent rows show the
@@ -25,10 +25,13 @@ import (
 // to flip preparation.
 //
 // Interpretation caveat: concurrent phases only overlap mutator work if the
-// host has a spare CPU. On GOMAXPROCS=1 they are
-// time-sliced with everything else — the *pause* still excludes them (the
-// decomposition claim holds), but total wall-clock improves only with
-// hardware parallelism. The JSON records gomaxprocs/cpus.
+// host has a spare CPU. On GOMAXPROCS=1 they are time-sliced with everything
+// else — the *pause* still excludes them (the decomposition claim holds), but
+// total wall-clock improves only with hardware parallelism. The JSON's host
+// stamp records both.
+//
+// As table1 it is the same grid in the serial mode over the paper's sizes and
+// fractions, printed as the paper's Table 1 and Figure 6 (PrintTable1).
 
 // PauseCmpSweep configures the grid.
 type PauseCmpSweep struct {
@@ -41,6 +44,9 @@ type PauseCmpSweep struct {
 	Fractions []float64
 	// Runs per cell; the median is reported (default 3).
 	Runs int
+	// Modes to run each cell in (default vm.Modes()). speedup_pause needs
+	// the serial mode first.
+	Modes []vm.Mode
 }
 
 // PauseCmpRow is one measured cell in one mode.
@@ -82,6 +88,13 @@ type PauseCmpRow struct {
 	RelocDrainMillis Summary `json:"reloc_drain_ms"`
 	RelocObjects     int     `json:"reloc_objects,omitempty"`
 
+	// CopiedWords is every word the update's collection wrote, in the pause
+	// and in the relocation drain, and TailWords the old copies' share of it
+	// that went to from-space's tail (§3.5): copied − tail is what landed in
+	// to-space. Only pairs have old copies, so moved rows read tail_words = 0.
+	CopiedWords int `json:"copied_words"`
+	TailWords   int `json:"tail_words"`
+
 	MarkedObjects int `json:"marked_objects,omitempty"`
 	RescanMarked  int `json:"rescan_marked,omitempty"`
 	PairsLogged   int `json:"pairs_logged"`
@@ -94,18 +107,10 @@ type PauseCmpRow struct {
 	SpeedupPause float64 `json:"speedup_pause"`
 }
 
-// PauseCmpReport is the BENCH_pause.json document.
-type PauseCmpReport struct {
-	Experiment string        `json:"experiment"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Note       string        `json:"note"`
-	Rows       []PauseCmpRow `json:"rows"`
-}
-
 // RunPauseCmp measures the grid: for each size × fraction × transformer, one
-// row per mode, the serial row first (the baseline for speedup_pause).
-func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) {
+// row per mode, the serial row first (the baseline for speedup_pause). The
+// report is the BENCH_pause.json document.
+func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], error) {
 	if len(sw.Sizes) == 0 {
 		sw.Sizes = []int{30_000, 120_000}
 	}
@@ -115,10 +120,12 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 	if sw.Runs <= 0 {
 		sw.Runs = 3
 	}
-	rep := &PauseCmpReport{
+	if len(sw.Modes) == 0 {
+		sw.Modes = vm.Modes()
+	}
+	rep := &Report[PauseCmpRow]{
 		Experiment: "pausecmp",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		Host:       ThisHost(),
 		Note: "speedup_pause is serial-median / row-median total pause for the same " +
 			"size, fraction and transformer. The decomposition is uniform across modes: " +
 			"serial's fused trace+copy is all copy_ms; lazy rows show transform_ms = 0 with " +
@@ -134,14 +141,14 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 		for _, frac := range sw.Fractions {
 			for _, transformer := range []string{"moved", "handwritten"} {
 				serialMedian := 0.0
-				for _, mode := range vm.Modes() {
-					var tots, gcs, rescans, copies, trs, outs, drains, rdrains []float64
+				for _, mode := range sw.Modes {
+					// total, gc, rescan, copy, transform, mark outside, drain, reloc drain
+					var ms [8][]float64
 					var last *MicroResult
 					for r := 0; r < sw.Runs; r++ {
 						res, err := RunMicro(MicroConfig{
 							Objects:     objects,
 							FracUpdated: frac,
-							HeapLabel:   fmt.Sprintf("%d objects", objects),
 							Lazy:        mode.Lazy,
 							Concurrent:  mode.Concurrent,
 							HandWritten: transformer == "handwritten",
@@ -156,33 +163,31 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s: fell back to STW",
 								objects, frac, mode.Name)
 						}
-						tots = append(tots, Millis(res.PauseTotal))
-						gcs = append(gcs, Millis(res.PauseGC))
-						rescans = append(rescans, Millis(res.PauseRescan))
-						copies = append(copies, Millis(res.PauseCopy))
-						trs = append(trs, Millis(res.PauseTransform))
-						outs = append(outs, Millis(res.MarkOutside))
-						drains = append(drains, Millis(res.Drain))
-						rdrains = append(rdrains, Millis(res.Reloc.Drain))
+						for i, d := range [...]time.Duration{res.PauseTotal, res.PauseGC, res.PauseRescan, res.PauseCopy,
+							res.PauseTransform, res.MarkOutside, res.Drain, res.Reloc.Drain} {
+							ms[i] = append(ms[i], Millis(d))
+						}
 						last = res
 					}
 					row := PauseCmpRow{
 						Objects:     objects,
-						HeapWords:   5 * (objects*8 + objects + 2*2 + 64),
+						HeapWords:   last.HeapWords,
 						FracUpdated: frac,
 						Mode:        mode.Name,
 						Transformer: transformer,
 
-						PauseTotalMillis:  Summarize(tots),
-						GCMillis:          Summarize(gcs),
-						RescanMillis:      Summarize(rescans),
-						CopyMillis:        Summarize(copies),
-						TransformMillis:   Summarize(trs),
-						MarkOutsideMillis: Summarize(outs),
-						DrainMillis:       Summarize(drains),
+						PauseTotalMillis:  Summarize(ms[0]),
+						GCMillis:          Summarize(ms[1]),
+						RescanMillis:      Summarize(ms[2]),
+						CopyMillis:        Summarize(ms[3]),
+						TransformMillis:   Summarize(ms[4]),
+						MarkOutsideMillis: Summarize(ms[5]),
+						DrainMillis:       Summarize(ms[6]),
 						LazyPending:       last.LazyPending,
-						RelocDrainMillis:  Summarize(rdrains),
+						RelocDrainMillis:  Summarize(ms[7]),
 						RelocObjects:      last.Reloc.Objects,
+						CopiedWords:       last.CopiedWords + last.Reloc.Words,
+						TailWords:         last.TailWords + last.Reloc.TailWords,
 
 						MarkedObjects: last.MarkedObjects,
 						RescanMarked:  last.RescanMarked,
@@ -212,19 +217,9 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*PauseCmpReport, error) 
 	return rep, nil
 }
 
-// WritePauseCmpJSON writes the report as indented JSON (BENCH_pause.json).
-func WritePauseCmpJSON(path string, rep *PauseCmpReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintPauseCmp renders the grid as text.
-func PrintPauseCmp(w io.Writer, rep *PauseCmpReport) {
-	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent / concurrent+lazy (gomaxprocs=%d, cpus=%d)\n",
-		rep.GOMAXPROCS, rep.NumCPU)
+func PrintPauseCmp(w io.Writer, rep *Report[PauseCmpRow]) {
+	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent / concurrent+lazy (%s)\n", rep.Host)
 	fmt.Fprintf(w, "%9s %6s %11s %16s %10s %9s %9s %11s %7s %10s %9s %10s %9s\n",
 		"objects", "frac", "transformer", "mode", "pause(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {
@@ -235,4 +230,100 @@ func PrintPauseCmp(w io.Writer, rep *PauseCmpReport) {
 			r.DrainMillis.Median, r.RelocDrainMillis.Median, r.SpeedupPause)
 	}
 	fmt.Fprintf(w, "note: %s\n", rep.Note)
+}
+
+// PrintTable1 renders a grid's serial rows as the paper's evaluation of the
+// update pause (§4.1): Table 1's three row groups under each transformer —
+// the hand-written one is the paper's configuration, a transformer run per
+// updated object — Figure 6's series for the largest size, E7's speedup of
+// moving the default over interpreting its hand-written equivalent at 100 %,
+// and E9's share of the copied words that went to from-space's tail. Every
+// printed time is a serial row's median.
+func PrintTable1(w io.Writer, rows []PauseCmpRow) {
+	type cell struct {
+		objects     int
+		frac        float64
+		transformer string
+	}
+	cells := map[cell]*PauseCmpRow{}
+	heapWords := map[int]int{}
+	var sizes []int
+	var fracs []float64
+	for i := range rows {
+		r := &rows[i]
+		if r.Mode != "serial" {
+			continue
+		}
+		cells[cell{r.Objects, r.FracUpdated, r.Transformer}] = r
+		heapWords[r.Objects] = r.HeapWords
+		if !slices.Contains(sizes, r.Objects) {
+			sizes = append(sizes, r.Objects)
+		}
+		if !slices.Contains(fracs, r.FracUpdated) {
+			fracs = append(fracs, r.FracUpdated)
+		}
+	}
+	if len(sizes) == 0 {
+		return
+	}
+	transformers := []string{"handwritten", "moved"}
+	gc := func(r *PauseCmpRow) float64 { return r.GCMillis.Median }
+	tr := func(r *PauseCmpRow) float64 { return r.TransformMillis.Median }
+	total := func(r *PauseCmpRow) float64 { return r.PauseTotalMillis.Median }
+	group := func(title, transformer string, pick func(*PauseCmpRow) float64) {
+		fmt.Fprintf(w, "%s, %s\n%10s %12s", title, transformer, "# objects", "heap words")
+		for _, f := range fracs {
+			fmt.Fprintf(w, " %7.0f%%", f*100)
+		}
+		fmt.Fprintln(w)
+		for _, n := range sizes {
+			fmt.Fprintf(w, "%10d %12d", n, heapWords[n])
+			for _, f := range fracs {
+				if r := cells[cell{n, f, transformer}]; r != nil {
+					fmt.Fprintf(w, " %8.2f", pick(r))
+				} else {
+					fmt.Fprintf(w, " %8s", "-")
+				}
+			}
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w)
+	}
+	for _, t := range transformers {
+		group("Garbage collection time (ms)", t, gc)
+		group("Running transformation functions (ms)", t, tr)
+		group("Total DSU pause time (ms)", t, total)
+	}
+
+	big := slices.Max(sizes)
+	fmt.Fprintf(w, "Figure 6: pause decomposition, %d objects (ms; gc, transform, total per transformer)\n%8s", big, "fraction")
+	for _, t := range transformers {
+		fmt.Fprintf(w, " %26s", t)
+	}
+	fmt.Fprintln(w)
+	for _, f := range fracs {
+		fmt.Fprintf(w, "%7.0f%%", f*100)
+		for _, t := range transformers {
+			if r := cells[cell{big, f, t}]; r != nil {
+				fmt.Fprintf(w, " %8.2f %8.2f %8.2f", gc(r), tr(r), total(r))
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
+
+	fmt.Fprintln(w, "E7: collection + transformer at 100 %, handwritten ÷ moved")
+	for _, n := range sizes {
+		hw, mv := cells[cell{n, 1, "handwritten"}], cells[cell{n, 1, "moved"}]
+		if hw != nil && mv != nil && gc(mv)+tr(mv) > 0 {
+			fmt.Fprintf(w, "%10d %7.2fx\n", n, (gc(hw)+tr(hw))/(gc(mv)+tr(mv)))
+		}
+	}
+	fmt.Fprintln(w)
+	group("E9: old copies in from-space's tail (% of copied words)", "handwritten", func(r *PauseCmpRow) float64 {
+		if r.CopiedWords == 0 {
+			return 0
+		}
+		return 100 * float64(r.TailWords) / float64(r.CopiedWords)
+	})
 }

@@ -12,6 +12,9 @@ import (
 // and the full composition shrinks the pause to flip preparation. Each mode is
 // measured under both transformers: moved rows log no pair, tag nothing and
 // leave the transformer phase empty; handwritten rows pair every updated object.
+// The word columns carry E9's claims: every old copy (8 words) goes to
+// from-space's tail, moved rows have none, and what the collection wrote into
+// to-space — copied − tail — is the same under both transformers.
 func TestPauseCmpAllModes(t *testing.T) {
 	rep, err := RunPauseCmp(PauseCmpSweep{
 		// Three runs: the copy comparison below is between two medians of
@@ -33,6 +36,9 @@ func TestPauseCmpAllModes(t *testing.T) {
 		if r.MovedObjects != 800 || r.PairsLogged != 0 || r.LazyPending != 0 {
 			t.Fatalf("%s/moved: %d moved, %d pairs, %d tagged", r.Mode, r.MovedObjects, r.PairsLogged, r.LazyPending)
 		}
+		if r.TailWords != 0 || r.CopiedWords == 0 {
+			t.Fatalf("%s/moved: %d words copied, %d in the tail", r.Mode, r.CopiedWords, r.TailWords)
+		}
 	}
 	rows := map[string]*PauseCmpRow{}
 	for i := range rep.Rows[len(want):] {
@@ -42,6 +48,11 @@ func TestPauseCmpAllModes(t *testing.T) {
 		}
 		if r.MovedObjects != 0 || r.PairsLogged != 800 {
 			t.Fatalf("%s/handwritten: %d moved, %d pairs", r.Mode, r.MovedObjects, r.PairsLogged)
+		}
+		moved := &rep.Rows[i]
+		if r.TailWords != 8*r.PairsLogged || r.CopiedWords-r.TailWords != moved.CopiedWords {
+			t.Fatalf("%s/handwritten: %d words copied, %d in the tail; moved wrote %d into to-space",
+				r.Mode, r.CopiedWords, r.TailWords, moved.CopiedWords)
 		}
 		rows[r.Mode] = r
 	}

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"govolve/internal/stream"
@@ -60,35 +57,9 @@ type StreamRow struct {
 	FinalDrainBacklog int `json:"final_drain_backlog"`
 }
 
-// StreamReport is the BENCH_stream.json document.
-type StreamReport struct {
-	Experiment string      `json:"experiment"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	NumCPU     int         `json:"num_cpu"`
-	Note       string      `json:"note"`
-	Rows       []StreamRow `json:"rows"`
-}
-
-// pctl is the interpolated percentile of an unsorted sample.
-func pctl(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := p * float64(len(s)-1)
-	lo := int(pos)
-	hi := lo
-	if lo+1 < len(s) {
-		hi = lo + 1
-	}
-	frac := pos - float64(lo)
-	return s[lo] + (s[hi]-s[lo])*frac
-}
-
 // RunStream replays the grid. Every cell must complete its whole chain with
 // the oracle clean — a replay error is a bench failure, not a data point.
-func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
+func RunStream(sw StreamSweep, progress io.Writer) (*Report[StreamRow], error) {
 	if sw.Seed == 0 {
 		sw.Seed = 1905
 	}
@@ -100,10 +71,9 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 			sw.Modes = append(sw.Modes, m.Name)
 		}
 	}
-	rep := &StreamReport{
+	rep := &Report[StreamRow]{
 		Experiment: "stream",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
+		Host:       ThisHost(),
 		Note: "each row replays one seeded version chain end to end with the " +
 			"chain-wide oracle checked at every step; updates_per_min is applied " +
 			"updates over replay wall time (oracle sweeps included, so it is a " +
@@ -132,6 +102,7 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 			for i := range r.Records {
 				pauses = append(pauses, r.Records[i].PauseTotalMs)
 			}
+			slices.Sort(pauses)
 			finalBacklog := 0
 			if n := len(r.Records); n > 0 {
 				finalBacklog = r.Records[n-1].Backlog
@@ -147,9 +118,9 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 				Rejected: r.Rejected,
 
 				WallMillis:     Millis(wall),
-				PauseP50Millis: pctl(pauses, 0.50),
-				PauseP99Millis: pctl(pauses, 0.99),
-				PauseMaxMillis: pctl(pauses, 1.0),
+				PauseP50Millis: quantile(pauses, 0.50),
+				PauseP99Millis: quantile(pauses, 0.99),
+				PauseMaxMillis: quantile(pauses, 1.0),
 
 				MaxDrainBacklog:   r.MaxBacklog,
 				FinalDrainBacklog: finalBacklog,
@@ -169,19 +140,9 @@ func RunStream(sw StreamSweep, progress io.Writer) (*StreamReport, error) {
 	return rep, nil
 }
 
-// WriteStreamJSON writes the report as indented JSON (BENCH_stream.json).
-func WriteStreamJSON(path string, rep *StreamReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintStream renders the grid as text.
-func PrintStream(w io.Writer, rep *StreamReport) {
-	fmt.Fprintf(w, "Long-horizon update streams (gomaxprocs=%d, cpus=%d)\n",
-		rep.GOMAXPROCS, rep.NumCPU)
+func PrintStream(w io.Writer, rep *Report[StreamRow]) {
+	fmt.Fprintf(w, "Long-horizon update streams (%s)\n", rep.Host)
 	fmt.Fprintf(w, "%15s %7s %8s %8s %9s %9s %12s %9s %9s %11s\n",
 		"mode", "length", "applied", "aborted", "wall(ms)", "upd/min", "p50-pause", "p99-pause", "max-pause", "max-backlog")
 	for _, r := range rep.Rows {
