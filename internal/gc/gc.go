@@ -12,7 +12,7 @@
 // When the class's transformer is a pure field copy (rt.Class.Moves) the
 // collector performs it instead: one object, written in the new layout as it
 // is copied, forwarded to and scanned like any other — no pair, no log entry
-// (kernel.go: kernel.move).
+// (kernel.go: the collection's plan, kernel.place).
 package gc
 
 import (

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"slices"
 
 	"govolve/internal/heap"
 	"govolve/internal/rt"
@@ -43,7 +44,6 @@ type run struct{ lo, hi rt.Addr }
 type kernel struct {
 	heap.Raw
 	reg *rt.Registry
-	dsu bool
 	// old is where DSU old copies go: the tail (the paper's §3.5 block —
 	// to-space pays nothing for them, and the next flip reclaims them) until
 	// one does not fit, to-space behind its shell from then on.
@@ -63,6 +63,12 @@ type kernel struct {
 	// placement order: the only tail objects the scan has anything to do in.
 	dirty []rt.Addr
 
+	// plan, indexed by class id, is how a DSU collection evacuates each
+	// class's instances (buildPlan; empty in a plain one), fixes its fixup
+	// lists; both kept for their capacity.
+	plan  []evac
+	fixes []fixup
+
 	// root is forwardRoot bound once per collector (New): the root visitor a
 	// collection hands ForEachRoot is no fresh closure.
 	root func(*rt.Value)
@@ -75,12 +81,114 @@ type kernel struct {
 // open resets the collector's kernel over the just-flipped heap.
 func (c *Collector) open(dsu bool) *kernel {
 	k := &c.kernel
-	*k = kernel{Raw: c.Heap.Raw(), reg: c.Reg, dsu: dsu, runs: k.runs[:0], dirty: k.dirty[:0], root: k.root}
+	*k = kernel{Raw: c.Heap.Raw(), reg: c.Reg, runs: k.runs[:0], dirty: k.dirty[:0], plan: k.plan[:0], fixes: k.fixes[:0], root: k.root}
 	k.old = &k.Tail
 	if dsu {
 		k.log = make([]Pair, 0, c.lastPairs)
+		k.buildPlan()
 	}
 	return k
+}
+
+// evac is one class's plan entry: its instances take size words in to-space,
+// the first body of them block-copied from the old object, the header
+// rewritten to hw&keep | set, then the fixups; refs is the resulting class's
+// scan descriptor.
+type evac struct {
+	kind       uint8
+	size, body rt.Addr
+	keep, set  uint64
+	refs       []rt.Addr
+	fix        []fixup
+	cls        *rt.Class
+}
+
+// The kinds of evac. unchanged and moved are 0 and 1: place adds the kind to
+// the moved count.
+const (
+	unchanged uint8 = iota
+	moved           // an updated class whose transformer is a move (rt.Class.Moves)
+	paired          // an updated class whose transformer has to run
+)
+
+// fixup is one word a move writes differently from the block copy of the old
+// body: words[to+dst] = words[a+src] & keep — a shifted field (keep all ones),
+// or a new one zero-filled (keep 0).
+type fixup struct {
+	dst, src rt.Addr
+	keep     uint64
+}
+
+// noFixup rewrites word 1 with what the block copy put there: the padding.
+var noFixup = fixup{1, 1, ^uint64(0)}
+
+// A DSU collection places an unchanged instance from the plan, padded like a
+// moved one, only while more than 1/placeShare of the objects it has copied so
+// far were moved: below, the padding costs more than the mispredictions it
+// saves, and past maxPad fixups it always does, so no list is padded then
+// (DESIGN.md §8.1).
+const placeShare, maxPad = 4, 8
+
+// buildPlan fills the plan for every class id of the registry (ids are
+// dense). Every fixup list is padded with noFixup to the longest one's length
+// (up to maxPad) and an unchanged class's list is all padding, so that where
+// evacuate places unchanged instances too every instance runs the same
+// instruction stream whatever its class. The block copy carries word 1, the
+// pair word, as it is: 0 on every object a collection meets, what a move
+// writes there.
+func (k *kernel) buildPlan() {
+	nfix, total, nmoved := 0, 0, 0
+	for id := 0; id == 0 || k.reg.ClassByID(id) != nil; id++ {
+		e := evac{kind: paired, cls: k.reg.ClassByID(id)}
+		if cls := e.cls; cls != nil && cls.UpdatedTo == nil {
+			size := rt.Addr(cls.Size)
+			e = evac{size: size, body: size, keep: ^uint64(0), refs: cls.RefOffsets}
+		} else if cls != nil && cls.Moves != nil {
+			to := cls.UpdatedTo
+			e = evac{kind: moved, size: rt.Addr(to.Size), body: rt.Addr(min(cls.Size, to.Size)),
+				set: uint64(to.ID), refs: to.RefOffsets, cls: cls}
+			k.fixes = e.appendFixups(k.fixes[:0])
+			nfix, total, nmoved = max(nfix, len(k.fixes)), total+len(k.fixes), nmoved+1
+		}
+		k.plan = append(k.plan, e)
+	}
+	if nfix > maxPad {
+		nfix = 0
+	}
+	k.fixes = slices.Grow(k.fixes[:0], nfix+max(nmoved*nfix, total))
+	for range nfix {
+		k.fixes = append(k.fixes, noFixup)
+	}
+	pad := k.fixes[:nfix:nfix]
+	for i := range k.plan {
+		switch e := &k.plan[i]; e.kind {
+		case unchanged:
+			e.fix = pad
+		case moved:
+			lo := len(k.fixes)
+			k.fixes = e.appendFixups(k.fixes)
+			k.fixes = append(k.fixes, pad[:max(0, lo+nfix-len(k.fixes))]...)
+			e.fix = k.fixes[lo:]
+		}
+	}
+}
+
+// appendFixups appends the words of a moved instance that the block copy
+// leaves different from the move of e.cls (its runs over a zeroed object):
+// every field but one carried from its own offset, which is inside the body.
+func (e *evac) appendFixups(dst []fixup) []fixup {
+	for d := rt.Addr(rt.HeaderWords); d < e.size; d++ {
+		f := fixup{dst: d} // src 0: d is zero-filled
+		for _, m := range e.cls.Moves {
+			if m.To <= d && d < m.To+m.N {
+				f.src, f.keep = m.From+d-m.To, ^uint64(0)
+			}
+		}
+		if f.src != d {
+			dst = append(dst, f)
+		}
+	}
+	return dst
 }
 
 // commit writes the bump pointers back to the heap and the counters into res.
@@ -114,7 +222,9 @@ func (k *kernel) forward(w uint64) uint64 {
 
 // evacuate moves the from-space object at a (header hw, not forwarded) and
 // returns its new address — the shell's, for an instance of an updated class
-// — or null with err set.
+// — or null with err set. A DSU collection takes an instance's way from the
+// plan: a pair, or place — for an unchanged one only at the share of moved
+// instances placeShare asks for, a plain copy below it.
 func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 	if k.err != nil {
 		return rt.Null
@@ -126,16 +236,20 @@ func (k *kernel) evacuate(a rt.Addr, hw uint64) rt.Addr {
 		}
 		return k.settle(k.copy(a, size), size, nil)
 	}
-	cls := k.reg.ClassByID(heap.HeaderClassID(hw))
+	if id := heap.HeaderClassID(hw); 0 < id && id < len(k.plan) {
+		e := &k.plan[id]
+		switch {
+		case e.kind == paired:
+			return k.pair(a, hw, e.cls).New
+		case placeShare*k.moved <= k.objects && e.kind == unchanged: // the share first: the kind is the test that mispredicts
+			return k.settle(k.copy(a, e.size), e.size, e.refs)
+		}
+		return k.place(a, hw, e)
+	}
+	cls := k.reg.ClassByID(heap.HeaderClassID(hw)) // a plain collection, or no class
 	if cls == nil {
 		k.err = errUnknownClass(a, hw)
 		return rt.Null
-	}
-	if k.dsu && cls.UpdatedTo != nil {
-		if cls.Moves != nil {
-			return k.move(a, cls)
-		}
-		return k.pair(a, hw, cls).New
 	}
 	return k.settle(k.copy(a, rt.Addr(cls.Size)), rt.Addr(cls.Size), cls.RefOffsets)
 }
@@ -180,33 +294,28 @@ func (k *kernel) copy(a, size rt.Addr) rt.Addr {
 	return to
 }
 
-// move is copy for an instance of an updated class whose transformer is a move
-// transformer (rt.Class.Moves, DESIGN.md §8.4) — a copy with a layout
-// permutation: no shell, no old copy, no log entry — one object of the new
-// size, written once and in the new version's layout, and nothing is written
-// unless it fits. Fields no run carries keep their defaults and word 1, the
-// pair word, is 0 from the start: the object is finished, and the scan
-// forwards its references under the new class's RefOffsets like any copied
-// object's.
-func (k *kernel) move(a rt.Addr, old *rt.Class) rt.Addr {
-	newCls := old.UpdatedTo
-	to, size := k.To.Alloc, rt.Addr(newCls.Size)
-	if to+size > k.To.Hi {
+// place evacuates an instance by its plan entry: for a moved class a move
+// (DESIGN.md §8.4) — no shell, no old copy, no log entry: one object of the
+// new size written once in the new layout, finished, with its pair word 0 —
+// and for an unchanged one a copy. Nothing is written unless it fits.
+func (k *kernel) place(a rt.Addr, hw uint64, e *evac) rt.Addr {
+	to := k.To.Alloc
+	if to+e.size > k.To.Hi {
 		k.err = ErrToSpaceExhausted
 		return rt.Null
 	}
-	k.To.Alloc = to + size
+	k.To.Alloc = to + e.size
 	words := k.Words
-	clear(words[to : to+size])
-	words[to] = uint64(newCls.ID)
-	for _, m := range old.Moves {
-		copy(words[to+m.To:to+m.To+m.N], words[a+m.From:a+m.From+m.N])
+	copy(words[to:to+e.body], words[a:a+e.body])
+	words[to] = hw&e.keep | e.set
+	for _, f := range e.fix {
+		words[to+f.dst] = words[a+f.src] & f.keep
 	}
 	words[a] = heap.ForwardBit | uint64(to)
 	k.objects++
-	k.words += int(size)
-	k.moved++
-	return k.settle(to, size, newCls.RefOffsets)
+	k.words += int(e.size)
+	k.moved += int(e.kind)
+	return k.settle(to, e.size, e.refs)
 }
 
 // pair evacuates an instance of an updated class whose transformer has to run

@@ -3,6 +3,7 @@ package gc
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -326,12 +327,116 @@ func buildRunGraph(period int, overflow, moved bool) *dsuGraph {
 	return g
 }
 
+// buildMixGraph is the plan's own graph: 300 objects in seeded order, each
+// rooted or reached only through another's field. They are instances of two
+// unchanged classes (Stable, Keep), of a hand-written transformer's class
+// (Hand: a pair), char arrays, and of five moved classes whose new layouts
+// insert a field mid-object (Grow; Up at the front), delete one (Drop),
+// reorder two (Swap) and drop the last two (Trim: a shrink the block copy
+// finishes, no fixup); for an odd seed also of a sixth (Wide: a field
+// inserted in front of ten, more fixups than maxPad, so no list is padded).
+// Sparse, seven in eight moved instances drawn become Keep ones: the
+// collection's moved share stays below 1/placeShare, and its unchanged
+// instances are copied, not placed. To-space is full of stale words.
+func buildMixGraph(tb testing.TB, seed int64, sparse bool) *dsuGraph {
+	const n = 300
+	rng := rand.New(rand.NewSource(seed))
+	g := newDSUGraph(true)
+	class := func(name, fields string) *rt.Class {
+		b := classfile.NewClass(name, "")
+		for _, f := range strings.Fields(fields) {
+			if f == "p" {
+				b.Field(f, "LObject;")
+			} else {
+				b.Field(f, "I")
+			}
+		}
+		return g.load(b)
+	}
+	// update gives old a new version with fields; moved, a move transformer
+	// carrying every field the two share.
+	update := func(old *rt.Class, fields string, moved bool) *rt.Class {
+		old.UpdatedTo = class(old.Name+"V2", fields)
+		if moved {
+			var carried []string
+			for _, f := range strings.Fields(fields) {
+				if old.Field(f) != nil {
+					carried = append(carried, f)
+				}
+			}
+			old.Moves = fieldMoves(tb, old, old.UpdatedTo, carried...)
+		}
+		return old
+	}
+	classes := []*rt.Class{
+		g.stableCls, g.upCls,
+		class("Keep", "v p q"),
+		update(class("Grow", "v p q"), "v n p q", true),
+		update(class("Drop", "v x p q"), "v p q", true),
+		update(class("Swap", "v p q"), "q p v", true),
+		update(class("Trim", "v p q x y"), "v p q", true),
+		update(class("Hand", "v p q"), "v n p q", false),
+		nil, // a char array
+	}
+	if seed%2 == 1 {
+		classes = append(classes, update(class("Wide", "v p q a b c d e f g"), "n v p q a b c d e f g", true))
+	}
+	kinds := make([]int, n)
+	for i := range kinds {
+		kinds[i] = rng.Intn(len(classes))
+		if cls := classes[kinds[i]]; sparse && cls != nil && cls.Moves != nil && rng.Intn(8) > 0 {
+			kinds[i] = 2
+		}
+	}
+	// To-space holds what a real heap's does, stale words: a move must write
+	// every word of its object.
+	h := g.h
+	junk, _ := h.AllocArray(false, h.FreeWords()-rt.HeaderWords)
+	for i := range h.ArrayLen(junk) {
+		h.SetElem(junk, i, rt.IntVal(-1))
+	}
+	h.Flip()
+	addrs := make([]rt.Addr, n)
+	for i, kind := range kinds {
+		var a rt.Addr
+		var ok bool
+		if cls := classes[kind]; cls == nil {
+			a, ok = h.AllocArray(false, 1+i%7)
+		} else if a, ok = h.AllocObject(cls); ok {
+			for _, f := range cls.Fields {
+				if !f.Desc.IsRef() {
+					h.SetFieldValue(a, f.Offset, rt.IntVal(rng.Int63n(1<<20)+1))
+				}
+			}
+		}
+		if !ok {
+			tb.Fatal("alloc failed")
+		}
+		addrs[i] = a
+	}
+	for i, kind := range kinds {
+		if cls := classes[kind]; cls != nil && rng.Intn(3) > 0 {
+			if f := cls.Field("peer"); f != nil { // Up's and Stable's: an Up
+				if j := rng.Intn(n); kinds[j] == 1 {
+					h.SetFieldValue(addrs[i], f.Offset, rt.RefVal(addrs[j]))
+				}
+			} else {
+				h.SetFieldValue(addrs[i], cls.Field("p").Offset, rt.RefVal(addrs[rng.Intn(n)]))
+			}
+		}
+		if rng.Intn(3) > 0 {
+			g.roots = append(g.roots, rt.RefVal(addrs[i]))
+		}
+	}
+	return g
+}
+
 // TestKernelMatchesReferenceLoop: over the random graphs of the two property
 // tests, and over the run table's graphs, with a tail that holds every old
-// copy and one that overflows mid-collection, the kernel and the closure loop
-// it replaced leave the same heap — and the kernel a run table that covers the
-// clean objects and nothing else, and a dirty list of the tail old copies the
-// scan has work in.
+// copy and one that overflows mid-collection, and over the plan's graphs,
+// the kernel and the closure loop it replaced leave the same heap — and the
+// kernel a run table that covers the clean objects and nothing else, and a
+// dirty list of the tail old copies the scan has work in.
 func TestKernelMatchesReferenceLoop(t *testing.T) {
 	sameDSU := func(what string, d, rd *dsuGraph, dsu bool) Result {
 		t.Helper()
@@ -363,6 +468,15 @@ func TestKernelMatchesReferenceLoop(t *testing.T) {
 						t.Fatalf("%s: %d old-copy words in the tail, want %d", what, res.TailWords, want)
 					}
 				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		for _, sparse := range []bool{false, true} {
+			what := fmt.Sprintf("mix seed %d sparse=%v", seed, sparse)
+			res := sameDSU(what, buildMixGraph(t, seed, sparse), buildMixGraph(t, seed, sparse), true)
+			if res.Moved == 0 || res.PairsLogged == 0 || sparse != (placeShare*res.Moved <= res.CopiedObjects) {
+				t.Fatalf("%s: %d moves of %d objects and %d pairs", what, res.Moved, res.CopiedObjects, res.PairsLogged)
 			}
 		}
 	}
@@ -406,14 +520,26 @@ const (
 func (s benchShape) String() string { return [...]string{"clean", "linked", "chars"}[s] }
 
 // benchWorld is the update-pause shape: n 8-word objects (3 ints, 3 null
-// references) pinned by one reference array, every second one of a class that
-// an update grows by a word.
+// references) pinned by one reference array, those order picks of a class,
+// Change, that an update grows by a word.
 type benchWorld struct {
 	reg    *rt.Registry
 	h      *heap.Heap
 	change *rt.Class
 	root   rt.Value
+	order  benchOrder
 }
+
+// benchOrder is which of a benchWorld's objects are of class Change, in
+// allocation (and so copy) order. Past everySecond the update inserts its
+// word mid-object, so a move shifts the fields behind it.
+type benchOrder int
+
+const (
+	everySecond benchOrder = iota
+	shuffled               // a seeded half: the bench of record's order
+	sparse                 // a seeded twentieth: most of the heap is left alone
+)
 
 // update makes every Change instance an instance of an updated class — one
 // whose transformer is a move of all six fields, if moved.
@@ -425,10 +551,12 @@ func (w *benchWorld) update(tb testing.TB, moved bool) {
 }
 
 func (w *benchWorld) load(tb testing.TB, name string, extra bool) *rt.Class {
-	b := classfile.NewClass(name, "").
-		Field("a", "I").Field("b", "I").Field("c", "I").
-		Field("x", "LObject;").Field("y", "LObject;").Field("z", "LObject;")
-	if extra {
+	b := classfile.NewClass(name, "").Field("a", "I").Field("b", "I").Field("c", "I")
+	if extra && w.order != everySecond {
+		b.Field("d", "I")
+	}
+	b.Field("x", "LObject;").Field("y", "LObject;").Field("z", "LObject;")
+	if extra && w.order == everySecond {
 		b.Field("d", "I")
 	}
 	cls, err := w.reg.Load(b.MustBuild())
@@ -440,11 +568,11 @@ func (w *benchWorld) load(tb testing.TB, name string, extra bool) *rt.Class {
 
 func (w *benchWorld) ForEachRoot(fn func(*rt.Value)) { fn(&w.root) }
 
-func newBenchWorld(tb testing.TB, n, semi int, updated, moved bool) *benchWorld {
+func newBenchWorld(tb testing.TB, n, semi int, updated, moved bool, order benchOrder) *benchWorld {
 	tb.Helper()
-	w := &benchWorld{reg: rt.NewRegistry(), h: heap.New(semi)}
-	var noChange *rt.Class
-	w.change, noChange = w.load(tb, "Change", false), w.load(tb, "NoChange", false)
+	w := &benchWorld{reg: rt.NewRegistry(), h: heap.New(semi), order: order}
+	var unchanged *rt.Class
+	w.change, unchanged = w.load(tb, "Change", false), w.load(tb, "NoChange", false)
 	if updated {
 		w.update(tb, moved)
 	}
@@ -452,9 +580,16 @@ func newBenchWorld(tb testing.TB, n, semi int, updated, moved bool) *benchWorld 
 	if !ok {
 		tb.Fatal("array alloc failed")
 	}
+	isChange := make([]bool, n)
+	for i := range isChange {
+		isChange[i] = i%2 == 0 && order != sparse || i%20 == 0
+	}
+	if order != everySecond {
+		rand.New(rand.NewSource(401)).Shuffle(n, func(i, j int) { isChange[i], isChange[j] = isChange[j], isChange[i] })
+	}
 	for i := 0; i < n; i++ {
-		cls := noChange
-		if i%2 == 0 {
+		cls := unchanged
+		if isChange[i] {
 			cls = w.change
 		}
 		a, ok := w.h.AllocObject(cls)
@@ -537,7 +672,7 @@ func TestScanSkipsCleanObjects(t *testing.T) {
 		{"dsu-moved", nullRefs, true, true, false, 1},
 		{"dsu-moved-linked", linked, true, true, false, 1 + n},
 	} {
-		w := newBenchWorld(t, n, 4*n*8, tc.dsu, tc.moved).shape(t, tc.shape)
+		w := newBenchWorld(t, n, 4*n*8, tc.dsu, tc.moved, everySecond).shape(t, tc.shape)
 		if tc.overflow {
 			leaveTail(w.h, 0)
 		}
@@ -656,7 +791,7 @@ func TestCollectExhaustion(t *testing.T) {
 			}
 			for _, shape := range shapes {
 				t.Run(shape.String(), func(t *testing.T) {
-					w := newBenchWorld(t, tc.n, tc.semi, true, tc.moved).shape(t, shape)
+					w := newBenchWorld(t, tc.n, tc.semi, true, tc.moved, everySecond).shape(t, shape)
 					leaveTail(w.h, tc.tail)
 					c := New(w.h, w.reg)
 					_, err := c.Collect(w, true)
@@ -717,7 +852,7 @@ func TestCollectUnknownClassIsAnError(t *testing.T) {
 // nothing is queued.
 func TestCollectSerialAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
-		w := newBenchWorld(t, n, 16*n, false, false)
+		w := newBenchWorld(t, n, 16*n, false, false, everySecond)
 		c := New(w.h, w.reg)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := c.Collect(w, false); err != nil {
@@ -731,28 +866,68 @@ func TestCollectSerialAllocs(t *testing.T) {
 	}
 }
 
+// TestCollectDSUAllocs: a warm DSU collection makes no Go allocation but its
+// pair log — exactly one, sized from the previous DSU collection's, when its
+// updated instances pair, none when they move: the plan and its fixups keep
+// their capacity like the run table. Change and ChangeV2 are each other's
+// update, so every collection transforms every one of their instances again;
+// the heap is the bench of record's shape.
+func TestCollectDSUAllocs(t *testing.T) {
+	for _, moved := range []bool{false, true} {
+		w := newBenchWorld(t, 2000, 64*2000, true, moved, shuffled)
+		v2 := w.change.UpdatedTo
+		v2.UpdatedTo, v2.Moves = w.change, nil
+		if moved {
+			v2.Moves = fieldMoves(t, v2, w.change, "a", "b", "c", "x", "y", "z")
+		}
+		c := New(w.h, w.reg)
+		var res Result
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if res, err = c.Collect(w, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want, transformed := 1.0, res.PairsLogged
+		if moved {
+			want, transformed = 0, res.Moved
+		}
+		if allocs != want || transformed != 1000 {
+			t.Fatalf("moved=%v: %v Go allocations per warm DSU collection, %d instances transformed; want %v, 1000",
+				moved, allocs, transformed, want)
+		}
+	}
+}
+
 // BenchmarkCollectSerial is the collector's own benchmark of the update-pause
 // shape: 100 000 8-word objects under one reference array (900 002 live
 // words), collected plain, and as a DSU collection with every second object
-// updated (old copies in from-space's tail) or moved. plain-linked is
-// the clean test's cost row — it fails on every object's first field and
-// nothing is skipped — and plain-chars the apps' shape. words/s counts
-// copied words (shells and old copies included) and ns/object is per live
-// instance, both of the fastest iteration: on a shared host the floor is the
-// estimate that repeats (ns/op stays the mean). scanned/object is how many
-// objects the scan was entered for, per instance.
+// updated (old copies in from-space's tail) or moved, and moved on the bench
+// of record's shape (the new field inserted mid-object, Change and NoChange in
+// seeded order): shuffled, the row where the class of the next object is not
+// predictable, and sparse (f0.05), where it mostly is and the plan's padding
+// would only cost (placeShare). plain-linked is the clean test's cost row — it fails on
+// every object's first field and nothing is skipped — and plain-chars the
+// apps' shape. words/s counts copied words (shells and old copies included)
+// and ns/object is per live instance, both of the fastest iteration: on a
+// shared host the floor is the estimate that repeats (ns/op stays the mean).
+// scanned/object is how many objects the scan was entered for, per instance.
+// A dsu-moved row's allocations are a fresh collector's plan growing.
 func BenchmarkCollectSerial(b *testing.B) {
 	const n = 100000
 	for _, bc := range []struct {
 		name       string
 		shape      benchShape
 		dsu, moved bool
+		order      benchOrder
 	}{
-		{"plain", nullRefs, false, false},
-		{"plain-linked", linked, false, false},
-		{"plain-chars", chars, false, false},
-		{"dsu-f0.5", nullRefs, true, false},
-		{"dsu-moved-f0.5", nullRefs, true, true},
+		{"plain", nullRefs, false, false, everySecond},
+		{"plain-linked", linked, false, false, everySecond},
+		{"plain-chars", chars, false, false, everySecond},
+		{"dsu-f0.5", nullRefs, true, false, everySecond},
+		{"dsu-moved-f0.5", nullRefs, true, true, everySecond},
+		{"dsu-moved-f0.5-shuffled", nullRefs, true, true, shuffled},
+		{"dsu-moved-f0.05-shuffled", nullRefs, true, true, sparse},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -767,7 +942,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 				// the new class), so every iteration gets a fresh world; two
 				// untimed plain collections fault both semispaces in first.
 				b.StopTimer()
-				w := newBenchWorld(b, n, semi, false, false).shape(b, bc.shape)
+				w := newBenchWorld(b, n, semi, false, false, bc.order).shape(b, bc.shape)
 				c := New(w.h, w.reg)
 				for range 2 {
 					if _, err := c.Collect(w, false); err != nil {
@@ -787,7 +962,7 @@ func BenchmarkCollectSerial(b *testing.B) {
 			b.ReportMetric(float64(words)/floor.Seconds(), "words/s")
 			b.ReportMetric(float64(floor.Nanoseconds())/n, "ns/object")
 			b.StopTimer()
-			w := newBenchWorld(b, n, semi, bc.dsu, bc.moved).shape(b, bc.shape)
+			w := newBenchWorld(b, n, semi, bc.dsu, bc.moved, bc.order).shape(b, bc.shape)
 			b.ReportMetric(float64(w.scans(b, bc.dsu))/n, "scanned/object")
 		})
 	}

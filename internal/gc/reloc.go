@@ -230,19 +230,7 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (Result, *Relocat
 	// the tail: the ones holding a reference seed the drain's stack.
 	k := c.open(true)
 	for _, a := range addrs {
-		hw := k.Words[a]
-		cls := c.Reg.ClassByID(heap.HeaderClassID(hw))
-		if cls == nil || cls.UpdatedTo == nil {
-			continue
-		}
-		if cls.Moves != nil {
-			k.move(a, cls)
-		} else {
-			k.pair(a, hw, cls)
-		}
-		if k.err != nil {
-			break
-		}
+		k.evacuate(a, k.Words[a])
 	}
 	roots.ForEachRoot(k.root)
 	k.commit(h, &res)
