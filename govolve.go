@@ -72,9 +72,10 @@ func Assemble(file, src string) (*Program, error) {
 }
 
 // PrepareUpdate runs the Update Preparation Tool over two program versions,
-// producing the update specification with generated default transformers.
-// oldTag becomes the rename prefix of old class versions (tag "131" renames
-// User to v131_User).
+// producing the update specification with generated default transformers
+// and the verifier's verdict on the new version, which Engine.RequestUpdate
+// returns if it is a rejection. oldTag becomes the rename prefix of old
+// class versions (tag "131" renames User to v131_User).
 func PrepareUpdate(oldTag string, old, new_ *Program) (*Spec, error) {
 	return upt.Prepare(oldTag, old, new_)
 }

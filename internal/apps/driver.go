@@ -246,6 +246,13 @@ func (s *Server) ApplyNext(opts core.Options, underLoad bool) (*core.Result, err
 	if err != nil {
 		return nil, err
 	}
+	return s.ApplySpec(spec, opts, underLoad)
+}
+
+// ApplySpec is ApplyNext with the spec already prepared, so that a retry
+// (the quiesce path) requests the same spec again instead of preparing it
+// anew.
+func (s *Server) ApplySpec(spec *upt.Spec, opts core.Options, underLoad bool) (*core.Result, error) {
 	pending, err := s.Engine.RequestUpdate(spec, opts)
 	if err != nil {
 		return nil, err
@@ -352,7 +359,11 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 		// the outcome would depend on how many connections this server has
 		// taken — under Concurrent as many as fit beside the traces —
 		// not on the release (TestHeldOptHandlerNeedsOSROpt).
-		res, err := s.ApplyNext(core.Options{MaxAttempts: 60, OSROpt: true}, true)
+		spec, err := s.App.Spec(s.VersionIdx)
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.ApplySpec(spec, core.Options{MaxAttempts: 60, OSROpt: true}, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s update to %s: %w", app.Name, target.Name, err)
 		}
@@ -363,7 +374,7 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 			// The CrossFTP case: drain sessions and retry.
 			s.ReleaseConnections(held)
 			held = nil
-			res, err = s.ApplyNext(core.Options{MaxAttempts: 200}, false)
+			res, err = s.ApplySpec(spec, core.Options{MaxAttempts: 200}, false)
 			if err != nil {
 				return nil, err
 			}

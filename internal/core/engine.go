@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"govolve/internal/bytecode"
-	"govolve/internal/classfile"
 	"govolve/internal/gc"
 	"govolve/internal/obs"
 	"govolve/internal/rt"
@@ -214,6 +213,14 @@ type Pending struct {
 	mark         *gc.Marker
 	markRestarts int
 
+	// The restricted method sets and the resolved active-method maps,
+	// built at the request's first safe-point attempt and kept for the
+	// rest: the registry does not change between the attempts of one
+	// request.
+	cat1       map[*rt.Method]bool
+	updatedOld map[*rt.Class]bool
+	active     map[*rt.Method]upt.ActivePCMap
+
 	// Gate-window snapshots: the registry at request time and at the DSU
 	// safe point. The closing snapshot is taken at seal (finish).
 	gateBefore *obs.Snapshot
@@ -285,10 +292,11 @@ func (e *Engine) Halted() *obs.Verdict { return e.halt }
 // explicit "rollout may continue" acknowledgment.
 func (e *Engine) ClearHalt() { e.halt = nil }
 
-// RequestUpdate verifies the new code and transformers, then arms the VM:
-// the scheduler will attempt the update at the next safe point. It fails
-// fast (before stopping anything) if the updated program does not verify —
-// the type-safety gate the paper gets from bytecode verification.
+// RequestUpdate checks the new code and transformers, then arms the VM: the
+// scheduler will attempt the update at the next safe point. It fails fast
+// (before stopping anything) if the updated program did not verify when
+// upt.Prepare made the spec, or the transformers do not verify now — the
+// type-safety gate the paper gets from bytecode verification.
 func (e *Engine) RequestUpdate(spec *upt.Spec, opts Options) (*Pending, error) {
 	if e.pending != nil && !e.pending.Done() {
 		return nil, fmt.Errorf("core: an update is already in flight")
@@ -302,7 +310,7 @@ func (e *Engine) RequestUpdate(spec *upt.Spec, opts Options) (*Pending, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 15 * time.Second
 	}
-	if err := e.verifyUpdate(spec); err != nil {
+	if err := verifyUpdate(spec); err != nil {
 		return nil, err
 	}
 	p := &Pending{Spec: spec, Opts: opts, start: time.Now(), res: &Result{}, barrier: make(map[*vm.Frame]bool)}
@@ -340,51 +348,22 @@ func (e *Engine) ApplyNow(spec *upt.Spec, opts Options) (*Result, error) {
 	return p.Result(), nil
 }
 
-// updateEnv resolves classes for update-time verification: new program
-// classes shadow loaded ones, flattened old versions are visible for
-// transformer code, and deleted classes are gone.
-type updateEnv struct {
-	reg     *rt.Registry
-	spec    *upt.Spec
-	deleted map[string]bool // spec.DeletedClasses, resolved once
-}
-
-func (u updateEnv) LookupClass(name string) *classfile.Class {
-	if def, ok := u.spec.New.Classes[name]; ok {
-		return def
+// verifyUpdate reads the strict verdict upt.Prepare recorded on the new
+// version and type-checks the transformer class, relaxed (the JastAdd
+// special case), in the spec's environment: the transformers are the one
+// part of a spec a caller may still edit after Prepare.
+func verifyUpdate(spec *upt.Spec) error {
+	verdict, prepared := spec.Verdict()
+	if !prepared {
+		return fmt.Errorf("core: update refused: the spec was not made by upt.Prepare")
 	}
-	if def, ok := u.spec.OldFlatDefs[name]; ok {
-		return def
-	}
-	if u.deleted[name] {
-		return nil
-	}
-	if name == upt.TransformersClassName {
-		return u.spec.Transformers
-	}
-	return u.reg.LookupDef(name)
-}
-
-// verifyUpdate statically type-checks the whole new version and the
-// transformer class (the latter in relaxed mode — the JastAdd special case).
-func (e *Engine) verifyUpdate(spec *upt.Spec) error {
-	env := updateEnv{e.VM.Reg, spec, make(map[string]bool, len(spec.DeletedClasses))}
-	for _, name := range spec.DeletedClasses {
-		env.deleted[name] = true
-	}
-	strict := verifier.New(env, verifier.Strict)
-	for _, def := range spec.New.Sorted() {
-		if err := def.Validate(); err != nil {
-			return fmt.Errorf("core: update rejected: %w", err)
-		}
-		if err := strict.VerifyClass(def); err != nil {
-			return fmt.Errorf("core: update rejected: %w", err)
-		}
+	if verdict != nil {
+		return fmt.Errorf("core: update rejected: %w", verdict)
 	}
 	if err := spec.Transformers.Validate(); err != nil {
 		return fmt.Errorf("core: transformers rejected: %w", err)
 	}
-	if err := strict.WithMode(verifier.Relaxed).VerifyClass(spec.Transformers); err != nil {
+	if err := verifier.New(spec, verifier.Relaxed).VerifyClass(spec.Transformers); err != nil {
 		return fmt.Errorf("core: transformers rejected: %w", err)
 	}
 	return nil
@@ -543,8 +522,11 @@ func (e *Engine) handle() bool {
 	}
 	p.res.Stats.Attempts++
 
-	cat1, updatedOld := e.restrictedSets(p.Spec)
-	active := e.activeMaps(p.Spec)
+	if p.cat1 == nil {
+		p.cat1, p.updatedOld = e.restrictedSets(p.Spec)
+		p.active = e.activeMaps(p.Spec)
+	}
+	cat1, updatedOld, active := p.cat1, p.updatedOld, p.active
 	var osrJobs []osrJob
 	blocked := false
 	blockingMethod := "" // first restricted method that blocked this attempt

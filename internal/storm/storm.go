@@ -77,6 +77,9 @@ type Config struct {
 	// word (heap/bits.go) after every applied update, simulating a residue
 	// teardown that forgot a pair; CheckVM's heap walk must catch it.
 	InjectStalePairWord bool
+	// BeforeRequest (test-only) sees every spec the run prepares, with the
+	// VM still on the old version, just before the update is requested.
+	BeforeRequest func(*vm.VM, *upt.Spec)
 
 	// EventTail is how many flight-recorder events a failure report embeds
 	// alongside the reproducing seed (default 40; negative disables the
@@ -649,6 +652,9 @@ func (r *runner) update() error {
 
 	if r.cfg.InjectTransformerBug {
 		r.injectBug(spec)
+	}
+	if r.cfg.BeforeRequest != nil {
+		r.cfg.BeforeRequest(r.v, spec)
 	}
 
 	pending, err := r.eng.RequestUpdate(spec, core.Options{

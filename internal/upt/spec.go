@@ -5,7 +5,9 @@ import (
 	"sort"
 	"strings"
 
+	"govolve/internal/bootstrap"
 	"govolve/internal/classfile"
+	"govolve/internal/verifier"
 )
 
 // TransformersClassName is the class holding class and object transformer
@@ -65,6 +67,12 @@ type Spec struct {
 	// mapped pc. Correctness of the mapping is the user's assertion,
 	// exactly as in UpStare.
 	ActiveUpdates map[MethodRef]ActivePCMap
+
+	// verdict is the strict verification of New that Prepare ran, nil when
+	// every class passed; prepared marks a Spec that Prepare made, so that
+	// a Spec built any other way is never read as verified.
+	verdict  error
+	prepared bool
 }
 
 // ActivePCMap maps yield points of an old method body to equivalent points
@@ -174,7 +182,52 @@ func Prepare(oldTag string, old, new_ *classfile.Program) (*Spec, error) {
 		return nil, err
 	}
 	s.Transformers = tr
+	s.verdict, s.prepared = s.verifyNew(), true
 	return s, nil
+}
+
+// verifyNew statically type-checks every class of the new version, strictly
+// and in the spec's own environment. The verdict holds for any VM the spec
+// is applied to: a name resolves here either to a definition of the spec or
+// to the bootstrap definition every VM loads (bootstrap.Classes), and any
+// other name is an unknown class, as vm.LoadProgram would also find it.
+func (s *Spec) verifyNew() error {
+	strict := verifier.New(s, verifier.Strict)
+	for _, def := range s.New.Sorted() {
+		if err := def.Validate(); err != nil {
+			return err
+		}
+		if err := strict.VerifyClass(def); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Verdict returns the strict verification of New that Prepare ran: nil when
+// every new class is well-formed and verifies, else the first failure.
+// prepared is false for a Spec that Prepare did not make, which has no
+// verdict. New must not change after Prepare; the transformer class may (it
+// is the one part a caller edits), and is verified when the update is
+// requested.
+func (s *Spec) Verdict() (verdict error, prepared bool) { return s.verdict, s.prepared }
+
+// LookupClass resolves a class name in the update's environment (it makes
+// the Spec a verifier.Env): the new program, then the flattened old
+// versions, then the transformer class, then the bootstrap classes. Any
+// other name is unknown: a new program is self-contained over the
+// bootstrap.
+func (s *Spec) LookupClass(name string) *classfile.Class {
+	if def, ok := s.New.Classes[name]; ok {
+		return def
+	}
+	if def, ok := s.OldFlatDefs[name]; ok {
+		return def
+	}
+	if name == TransformersClassName {
+		return s.Transformers
+	}
+	return bootstrap.Lookup(name)
 }
 
 // AddBlacklist appends user-restricted methods (category 3).

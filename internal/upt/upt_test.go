@@ -1,10 +1,12 @@
 package upt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"govolve/internal/asm"
+	"govolve/internal/bootstrap"
 	"govolve/internal/classfile"
 )
 
@@ -430,5 +432,48 @@ func TestDiffSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPrepareCarriesVerdict: Prepare verifies the new program strictly in
+// the spec's own environment and records the verdict; a Spec it did not
+// make has none.
+func TestPrepareCarriesVerdict(t *testing.T) {
+	s, err := Prepare("1", prog(t, v1), prog(t, v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict, prepared := s.Verdict(); verdict != nil || !prepared {
+		t.Fatalf("Verdict() = %v, %v; want nil, true", verdict, prepared)
+	}
+	// Report.describe calls getName, which v2 makes private: the first
+	// failure, in Sorted order, is the verdict.
+	bad, err := Prepare("1", prog(t, v1), prog(t, strings.Replace(v2, "  method getName()", "  private method getName()", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "verifier: Report.describe(LUser;)LString; pc=1: invokevirtual: method User.getName is private to User"
+	if verdict, _ := bad.Verdict(); verdict == nil || verdict.Error() != want {
+		t.Fatalf("verdict = %v, want %q", verdict, want)
+	}
+	if _, prepared := (&Spec{New: s.New, Transformers: s.Transformers}).Verdict(); prepared {
+		t.Fatal("a Spec literal reads as prepared")
+	}
+
+	// The environment: the new program, the flattened old versions, the
+	// transformer class, the bootstrap definitions themselves, nothing else.
+	for name, want := range map[string]*classfile.Class{
+		"User":                s.New.Classes["User"],
+		s.RenamedName("User"): s.OldFlatDefs[s.RenamedName("User")],
+		TransformersClassName: s.Transformers,
+		"String":              bootstrap.Lookup("String"),
+		"Missing":             nil,
+	} {
+		if got := s.LookupClass(name); got != want {
+			t.Errorf("LookupClass(%q) = %p, want %p", name, got, want)
+		}
+	}
+	if bootstrap.Lookup("String") == nil {
+		t.Fatal("no bootstrap String")
 	}
 }

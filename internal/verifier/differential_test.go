@@ -6,13 +6,11 @@ import (
 	"govolve/internal/apps"
 	"govolve/internal/asm"
 	"govolve/internal/classfile"
-	"govolve/internal/upt"
 	"govolve/internal/verifier"
 	"govolve/internal/vm"
 )
 
-// layered resolves a class in the first layer that knows the name; a layer
-// may know a name as nil (deleted).
+// layered resolves a class in the first layer that knows the name.
 type layered []map[string]*classfile.Class
 
 func (l layered) LookupClass(name string) *classfile.Class {
@@ -39,13 +37,14 @@ func bootstrapDefs(t *testing.T) map[string]*classfile.Class {
 
 // TestVerifierMatchesReference holds the engine to the reference model
 // (reference_test.go) on the code the system really verifies: every release
-// of the three apps, strictly, as vm.LoadProgram sees it, and the transformer
-// class of every one of the 22 updates, relaxed, against what
-// core.verifyUpdate resolves names in (new classes over the flattened old
-// versions over what is loaded, deleted classes gone). Same verdict and, on
-// reject, the same error. The hand-written programs of verifier_test.go,
-// its single-fault tables included, are compared where they live: every one
-// of them goes through verifyBoth.
+// of the three apps, strictly, as vm.LoadProgram sees it, and for each of the
+// 22 updates the new program, strictly, and the transformer class, relaxed,
+// in the environment upt.Prepare and core.RequestUpdate verify them in — the
+// spec's own (upt.Spec.LookupClass: new classes, the flattened old versions,
+// the transformer class, the bootstrap classes). Same verdict and, on reject,
+// the same error. The hand-written programs of verifier_test.go, its
+// single-fault tables included, are compared where they live: every one of
+// them goes through verifyBoth.
 func TestVerifierMatchesReference(t *testing.T) {
 	boot := bootstrapDefs(t)
 	check := func(what string, env verifier.Env, mode verifier.Mode, c *classfile.Class) {
@@ -76,13 +75,10 @@ func TestVerifierMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gone := make(map[string]*classfile.Class)
-			for _, name := range spec.DeletedClasses {
-				gone[name] = nil
+			for _, c := range spec.New.Sorted() {
+				check(app.Name+" "+ver.Name+" update", spec, verifier.Strict, c)
 			}
-			env := layered{spec.New.Classes, spec.OldFlatDefs, gone,
-				{upt.TransformersClassName: spec.Transformers}, boot, p.Classes}
-			check(app.Name+" "+ver.Name+" transformers", env, verifier.Relaxed, spec.Transformers)
+			check(app.Name+" "+ver.Name+" transformers", spec, verifier.Relaxed, spec.Transformers)
 			transformers++
 		}
 	}

@@ -13,6 +13,7 @@ package verifier
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
@@ -132,13 +133,6 @@ func New(env Env, mode Mode) *Verifier {
 	}}
 }
 
-// WithMode returns a Verifier for the same environment, on the same scratch
-// storage, that checks in the given mode: an update verifies its classes
-// strictly and its transformers relaxed out of one set of buffers.
-func (v *Verifier) WithMode(mode Mode) *Verifier {
-	return &Verifier{env: v.env, mode: mode, scratch: v.scratch}
-}
-
 // VerifyProgram verifies every method of every class in the program against
 // itself as environment.
 func VerifyProgram(p *classfile.Program) error {
@@ -151,8 +145,20 @@ func VerifyProgram(p *classfile.Program) error {
 	return nil
 }
 
+// strictClasses counts, process-wide, the classes VerifyClass has checked
+// in Strict mode.
+var strictClasses atomic.Int64
+
+// StrictClasses reports how many classes this process has verified in
+// Strict mode: a test reads it before and after an operation to pin that
+// the operation verified nothing strictly.
+func StrictClasses() int64 { return strictClasses.Load() }
+
 // VerifyClass verifies every non-native method of the class.
 func (v *Verifier) VerifyClass(c *classfile.Class) error {
+	if v.mode == Strict {
+		strictClasses.Add(1)
+	}
 	if err := v.checkHierarchy(c); err != nil {
 		return err
 	}
