@@ -1,6 +1,7 @@
 # Tier-1 verification for govolve. `make verify` is what CI runs: formatting,
-# build, vet, the full test suite, the same suite under the race detector, and a
-# focused race pass over the collector packages (gc, heap). Collections are
+# build, vet, the full test suite, the same suite on poisoned guest heaps and
+# under the race detector, and a focused race pass over the collector
+# packages (gc, heap). Collections are
 # single-threaded; what is concurrent there — the marker's tracer against the
 # SATB store barrier, the relocator against the mutator's load barrier — is
 # the riskiest code in the tree.
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet test bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify fmt build vet test poison bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
-verify: fmt build vet test bench-smoke race race-gc gates
+verify: fmt build vet test poison bench-smoke race race-gc gates
 
 # Every Go file in the tree, the bench of record's module included, is as
 # gofmt writes it: the target lists the ones that are not and fails.
@@ -25,6 +26,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The suite again with every fresh guest heap filled with a nonzero pattern
+# instead of what Go's allocator left there (internal/heap/poison.go): the
+# heap never reads a word it has not written (DESIGN.md §8), and a bug that
+# does fails here on every run instead of on some.
+poison:
+	$(GO) test -tags heappoison ./...
 
 # The bench of record is a module of its own (benchmark/go.mod), so the
 # three targets above do not see it: vet it and run its smoke sizes here, so

@@ -38,7 +38,7 @@ func (g *dsuGraph) ForEachRoot(fn func(*rt.Value)) {
 // newDSUGraph is the empty world of the DSU graphs: Up, updated to the wider
 // UpV2, and Stable. moved makes Up's transformer a move of its three fields.
 func newDSUGraph(moved bool) *dsuGraph {
-	g := &dsuGraph{reg: rt.NewRegistry(), h: heap.New(1 << 15)}
+	g := &dsuGraph{reg: rt.NewRegistry(), h: staleHeap(1 << 15)}
 	g.upCls = g.load(classfile.NewClass("Up", "").
 		Field("val", "I").
 		Field("peer", "LUp;").

@@ -78,7 +78,7 @@ func fieldMoves(t testing.TB, old, new *rt.Class, names ...string) []rt.Move {
 
 func newWorld(t testing.TB, semi int) *world {
 	reg := rt.NewRegistry()
-	return &world{reg: reg, h: heap.New(semi), cls: nodeClass(t, reg, "Node")}
+	return &world{reg: reg, h: staleHeap(semi), cls: nodeClass(t, reg, "Node")}
 }
 
 func (w *world) ForEachRoot(fn func(*rt.Value)) {

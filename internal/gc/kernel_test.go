@@ -163,6 +163,27 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (Result, error) {
 	return res, gcErr
 }
 
+// staleHeap is heap.New with every word but null holding staleWord. A fresh
+// heap's words are whatever Go's allocator left until the heap writes them
+// (DESIGN.md §8), so two heaps built alike differ in the words nobody wrote;
+// filled, they agree everywhere, and sameCollection can compare every word.
+func staleHeap(semi int) *heap.Heap {
+	h := heap.New(semi)
+	fillStale(h, 1, rt.Addr(1+2*h.SemiWords()))
+	return h
+}
+
+// fillStale writes staleWord over [lo, hi).
+func fillStale(h *heap.Heap, lo, hi rt.Addr) {
+	for a := lo; a < hi; a++ {
+		h.SetWord(a, staleWord(a))
+	}
+}
+
+// staleWord is a never-written word's test content: nonzero and distinct per
+// address, so a stray write of any value, zero included, shows.
+func staleWord(a rt.Addr) uint64 { return 0x5EED_0000_0000_0000 | uint64(a) }
+
 // sameCollection fails unless the kernel's collection (h, res) and the
 // reference's (rh, rres) are indistinguishable: every heap word — to-space,
 // the tail, and the forwarding pointers left in from-space — the bump
@@ -793,6 +814,10 @@ func TestCollectExhaustion(t *testing.T) {
 				t.Run(shape.String(), func(t *testing.T) {
 					w := newBenchWorld(t, tc.n, tc.semi, true, tc.moved, everySecond).shape(t, shape)
 					leaveTail(w.h, tc.tail)
+					// Everything but from-space's objects: the tail to be and
+					// the whole of to-space.
+					fillStale(w.h, 1, w.h.ScanStart())
+					fillStale(w.h, w.h.AllocPointer(), rt.Addr(1+2*w.h.SemiWords()))
 					c := New(w.h, w.reg)
 					_, err := c.Collect(w, true)
 					if tc.fits && err != nil {
@@ -808,11 +833,11 @@ func TestCollectExhaustion(t *testing.T) {
 					if used, tailUsed := w.h.UsedWords(), int(raw.Tail.Alloc-raw.Tail.Lo); used != tc.used || tailUsed != tc.tailUsed {
 						t.Fatalf("used %d to-space / %d tail words, want %d / %d", used, tailUsed, tc.used, tc.tailUsed)
 					}
-					// Nothing half-written: past the bump pointers both regions are
-					// as the flip left them (never allocated in: zero).
+					// Nothing half-written: past the bump pointers both regions
+					// still hold what was filled in before the collection.
 					for _, r := range []heap.Region{raw.To, raw.Tail} {
 						for a := r.Alloc; a < r.Hi; a++ {
-							if raw.Words[a] != 0 {
+							if raw.Words[a] != staleWord(a) {
 								t.Fatalf("word @%d past the bump pointer %d was written: %#x", a, r.Alloc, raw.Words[a])
 							}
 						}

@@ -7,8 +7,10 @@ package heap
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"govolve/internal/rt"
 )
@@ -101,10 +103,40 @@ func New(semiWords int) *Heap {
 	if semiWords < 16 {
 		semiWords = 16
 	}
-	h := &Heap{words: make([]uint64, 1+2*semiWords), semi: rt.Addr(semiWords)}
+	h := &Heap{words: backing(1 + 2*semiWords), semi: rt.Addr(semiWords)}
 	h.alloc = h.base(0)
 	return h
 }
+
+// backing returns n words that Go has not cleared: the heap never reads a
+// word it has not written (DESIGN.md §8), so a launch pays only for the pages
+// its guest touches. strings.Builder.Grow allocates without clearing (Go
+// 1.21+); a toolchain that clears makes New slower, not wrong. The buffer is
+// pointer-free, as a []uint64 is. Word 0 is written here: it is null.
+func backing(n int) []uint64 {
+	var b strings.Builder
+	b.Grow(8 * n)
+	b.WriteByte(0)
+	w := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.StringData(b.String()))), n)
+	if poisonBacking {
+		poison(w)
+	}
+	w[0] = 0
+	return w
+}
+
+// poison fills w with staleWord. Under the heappoison build tag (poison.go)
+// every fresh backing gets it instead of what Go's allocator left there, so a
+// read of a never-written word fails the same way on every run.
+func poison(w []uint64) {
+	for a := range w {
+		w[a] = staleWord(rt.Addr(a))
+	}
+}
+
+// staleWord is what a poisoned backing holds at address a: nonzero, distinct
+// per address, and — read as a header — forwarded far outside any space.
+func staleWord(a rt.Addr) uint64 { return 0xA5A5_A5A5_0000_0000 | uint64(a) }
 
 // InTail reports whether an address lies in the tail the last Flip left. It
 // reads only the bounds, which no one but Flip writes, so it is safe beside a
