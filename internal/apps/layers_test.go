@@ -1,7 +1,11 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +124,49 @@ func BenchmarkAssembleAllReleases(b *testing.B) {
 	perLine := float64(b.N) * float64(lines)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
 	b.ReportMetric(testing.AllocsPerRun(1, func() { assembleAll(b, srcs) })/float64(lines), "allocs/line")
+}
+
+// TestCompileAllocsPerMethod is the tripwire for per-site and per-callee
+// allocations in the JIT. A base compile costs the CompiledMethod, its code,
+// its inline caches if it has any and its dependency list if it names more
+// than two classes: 2.51 per method (4.46 when member keys, the dependency
+// map and a pointer per cache were allocated). An opt compile adds its pc-map
+// and inlined list and nothing per inlined callee: 3.93 (18.9 when each
+// callee was resolved into a CompiledMethod of its own and the spliced code
+// grew by append).
+func TestCompileAllocsPerMethod(t *testing.T) {
+	vms, methods := releaseCompilers(t)
+	for _, lv := range []struct {
+		level rt.OptLevel
+		bound float64
+	}{{rt.Base, 3}, {rt.Opt, 5}} {
+		compileAll(t, vms, lv.level, nil) // warm the compilers' scratch
+		perMethod := testing.AllocsPerRun(5, func() { compileAll(t, vms, lv.level, nil) }) / float64(methods)
+		t.Logf("%v: %.2f allocations per method (%d methods)", lv.level, perMethod, methods)
+		if perMethod > lv.bound {
+			t.Errorf("%v compile makes %.2f allocations per method, want ≤ %v", lv.level, perMethod, lv.bound)
+		}
+	}
+}
+
+// BenchmarkCompileAllReleases compiles every method of all 25 releases, each
+// against its own release's registry, at one level per sub-benchmark.
+func BenchmarkCompileAllReleases(b *testing.B) {
+	vms, methods := releaseCompilers(b)
+	for _, level := range []rt.OptLevel{rt.Base, rt.Opt} {
+		b.Run(level.String(), func(b *testing.B) {
+			compileAll(b, vms, level, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				compileAll(b, vms, level, nil)
+			}
+			b.StopTimer()
+			perMethod := float64(b.N) * float64(methods)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perMethod, "ns/method")
+			b.ReportMetric(testing.AllocsPerRun(1, func() { compileAll(b, vms, level, nil) })/float64(methods), "allocs/method")
+		})
+	}
 }
 
 // loadedEnv resolves names among the classes a registry has loaded.
@@ -321,6 +368,137 @@ func TestNoRestingPCIsAPad(t *testing.T) {
 		t.Fatalf("only %d of %d compiles hold a superinstruction: the property was barely tried", fused, compiles)
 	}
 	t.Logf("%d compiles, %d with superinstructions, %d opt call sites mapped to base", compiles, fused, mapped)
+}
+
+// releaseCompilers loads each of the 25 releases over the bootstrap classes
+// into a VM of its own and returns the VMs with the number of methods the JIT
+// can compile in them (every non-native method of the registry).
+func releaseCompilers(tb testing.TB) (vms []*vm.VM, methods int) {
+	tb.Helper()
+	for _, app := range All() {
+		for i := range app.Versions {
+			p, err := app.Program(i)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			v, err := vm.New(vm.Options{HeapWords: 1 << 12, Out: io.Discard})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := v.Reg.LoadProgram(p); err != nil {
+				tb.Fatal(err)
+			}
+			for _, m := range v.Reg.Methods() {
+				if !m.Def.Native {
+					methods++
+				}
+			}
+			vms = append(vms, v)
+		}
+	}
+	return vms, methods
+}
+
+// compileAll compiles every non-native method of each VM's registry at level,
+// each compile with the VM's own compiler, and hands each result to use.
+func compileAll(tb testing.TB, vms []*vm.VM, level rt.OptLevel, use func(*rt.CompiledMethod)) {
+	for _, v := range vms {
+		for _, m := range v.Reg.Methods() {
+			if m.Def.Native {
+				continue
+			}
+			cm, err := v.JIT.Compile(m, level)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if use != nil {
+				use(cm)
+			}
+		}
+	}
+}
+
+// renderCompiled writes everything a compile produces that the interpreter,
+// the DSU engine or a count can see: per instruction every rt.Ins field (the
+// classes and methods it names by name, its inline cache as present or
+// absent), per method its bounds, level, pc-map, inlined callees and layout
+// dependencies (sorted by name).
+func renderCompiled(w io.Writer, cm *rt.CompiledMethod) {
+	deps := make([]string, 0, len(cm.LayoutDeps))
+	for _, dep := range cm.LayoutDeps {
+		deps = append(deps, dep.Name)
+	}
+	slices.Sort(deps)
+	inlined := make([]string, len(cm.Inlined))
+	for i, m := range cm.Inlined {
+		inlined[i] = m.FullName()
+	}
+	fmt.Fprintf(w, "%s %v stack=%d locals=%d pcmap=%v inlined=%v deps=%v ics=%d\n",
+		cm.Method.FullName(), cm.Level, cm.MaxStack, cm.MaxLocals, cm.PCMap, inlined, deps, len(cm.ICSites))
+	for pc := range cm.Code {
+		ins := &cm.Code[pc]
+		cls, ref := "-", "-"
+		if ins.Cls != nil {
+			cls = ins.Cls.Name
+		}
+		if ins.Ref != nil {
+			ref = ins.Ref.FullName()
+		}
+		fmt.Fprintf(w, "  %d %v A=%d B=%d C=%d ic=%t cls=%s ref=%s str=%q void=%t need=%d\n",
+			pc, ins.Op, ins.A, ins.B, ins.C, ins.IC != nil, cls, ref, ins.Str, ins.RetVoid, ins.Need)
+	}
+}
+
+// jitIdentityDigest is the SHA-256 of renderCompiled over every compile
+// TestCompiledCodeIdentity makes, recorded before the JIT's resolution,
+// inline-cache and inlining passes were restructured for speed.
+const jitIdentityDigest = "testdata/jit_identity.sha256"
+
+// TestCompiledCodeIdentity holds the JIT's output to a recorded digest: every
+// method of all 25 releases compiled at base and then at opt, rendered field by
+// field. A change to how the compiler works that changes what it emits — an
+// instruction, a bound, a pc-map entry, a dependency — fails here. Set
+// JIT_IDENTITY_DUMP to a file name to write the rendering there and compare.
+func TestCompiledCodeIdentity(t *testing.T) {
+	vms, methods := releaseCompilers(t)
+	sum := sha256.New()
+	var out io.Writer = sum
+	if name := os.Getenv("JIT_IDENTITY_DUMP"); name != "" {
+		f, err := os.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		out = io.MultiWriter(sum, f)
+	}
+	compiles := 0
+	for _, v := range vms {
+		for _, m := range v.Reg.Methods() {
+			if m.Def.Native {
+				continue
+			}
+			for _, level := range []rt.OptLevel{rt.Base, rt.Opt} {
+				cm, err := v.JIT.Compile(m, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				renderCompiled(out, cm)
+				compiles++
+			}
+		}
+	}
+	if compiles != 2*methods {
+		t.Fatalf("%d compiles of %d methods", compiles, methods)
+	}
+	got := fmt.Sprintf("%x", sum.Sum(nil))
+	want, err := os.ReadFile(jitIdentityDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Fatalf("compiled code of %d compiles renders to digest %s, recorded %s", compiles, got, w)
+	}
+	t.Logf("%d compiles of %d methods, digest %s", compiles, methods, got)
 }
 
 // isCall reports whether op invokes a method: where a blocking native parks.

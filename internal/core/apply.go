@@ -245,16 +245,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 			continue
 		}
 		inline := cm.InlinedAny(cat1)
-		stale := inline
-		if !stale {
-			for dep := range cm.LayoutDeps {
-				if updatedOldSet[dep] {
-					stale = true
-					break
-				}
-			}
-		}
-		if stale {
+		if inline || cm.DependsOnAny(updatedOldSet) {
 			invalidated = append(invalidated, codeInval{m: m, cm: cm})
 			cm.Invalid = true
 			m.Compiled = nil

@@ -463,14 +463,7 @@ func classify(f *vm.Frame, cat1 map[*rt.Method]bool, updatedOld map[*rt.Class]bo
 		// running after the update (paper: "we should also restrict n").
 		return frameBlocking
 	}
-	stale := false
-	for dep := range cm.LayoutDeps {
-		if updatedOld[dep] {
-			stale = true
-			break
-		}
-	}
-	if !stale {
+	if !cm.DependsOnAny(updatedOld) {
 		return frameFree
 	}
 	if cm.Level == rt.Base {
@@ -529,7 +522,7 @@ func (e *Engine) handle() bool {
 	cat1, updatedOld, active := p.cat1, p.updatedOld, p.active
 	var osrJobs []osrJob
 	blocked := false
-	blockingMethod := "" // first restricted method that blocked this attempt
+	var blockingFrame *vm.Frame // first restricted frame that blocked this attempt
 	for _, t := range e.VM.Threads {
 		if t.State == vm.Dead {
 			continue
@@ -560,15 +553,17 @@ func (e *Engine) handle() bool {
 		}
 		if topBlocking != nil {
 			blocked = true
-			if blockingMethod == "" {
-				blockingMethod = topBlocking.CM.Method.FullName()
+			if blockingFrame == nil {
+				blockingFrame = topBlocking
 			}
 			if !topBlocking.Barrier {
 				topBlocking.Barrier = true
 				p.barrier[topBlocking] = true
 				p.res.Stats.BarriersInstalled++
-				e.VM.Rec.Emit(obs.KBarrierInstalled, obs.LaneThread(t.ID),
-					int64(p.res.Stats.Attempts), topBlocking.CM.Method.FullName())
+				if e.VM.Rec.Enabled() {
+					e.VM.Rec.Emit(obs.KBarrierInstalled, obs.LaneThread(t.ID),
+						int64(p.res.Stats.Attempts), topBlocking.CM.Method.FullName())
+				}
 				e.VM.ReleaseUpdateWaiters() // let other threads run on
 			} else if t.State == vm.UpdateWait {
 				// The thread parked when an inner frame's barrier fired, but
@@ -581,7 +576,13 @@ func (e *Engine) handle() bool {
 			}
 		}
 	}
-	e.VM.Rec.Emit(obs.KSafePointAttempt, obs.LaneEngine, int64(p.res.Stats.Attempts), blockingMethod)
+	if e.VM.Rec.Enabled() { // names are built for a recorder only
+		blockingMethod := ""
+		if blockingFrame != nil {
+			blockingMethod = blockingFrame.CM.Method.FullName()
+		}
+		e.VM.Rec.Emit(obs.KSafePointAttempt, obs.LaneEngine, int64(p.res.Stats.Attempts), blockingMethod)
+	}
 
 	if blocked {
 		timedOut := time.Since(p.start) > p.Opts.Timeout ||

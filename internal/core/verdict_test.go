@@ -338,3 +338,41 @@ func TestRestrictedSetsBuiltOncePerRequest(t *testing.T) {
 		t.Fatalf("a later attempt allocates %v times with 2 changed methods and %v with 65: the restricted sets are rebuilt per attempt", one, many)
 	}
 }
+
+// TestBlockedAttemptAllocsNothing: with no flight recorder attached, a
+// safe-point attempt that finds a restricted method on the stack (its return
+// barrier already installed) makes no Go allocation — the names it would
+// report are built only for an enabled recorder.
+func TestBlockedAttemptAllocsNothing(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := f.load(foreverV1)
+	v2 := f.prog(strings.Replace(foreverV1, "const 1\n    ifne top", "const 2\n    ifne top", 1))
+	f.spawn("App")
+	f.vm.Step(2)
+	spec, err := upt.Prepare("1", v1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.engine.RequestUpdate(spec, core.Options{MaxAttempts: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.vm.Rec.Enabled() {
+		t.Fatal("the fixture attaches an enabled recorder")
+	}
+	f.vm.Step(1) // the first attempt: sets built, barrier installed
+	allocs := testing.AllocsPerRun(20, func() {
+		if f.vm.UpdateHandler() {
+			t.Fatal("the update resolved while Loop.spin is on the stack")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a blocked attempt with observability off makes %v Go allocations, want 0", allocs)
+	}
+	for !p.Done() {
+		f.vm.Step(1)
+	}
+	if res := p.Result(); res.Outcome != core.Aborted || res.Stats.BarriersInstalled != 1 {
+		t.Fatalf("%v with %d barriers installed, want aborted with 1", res.Outcome, res.Stats.BarriersInstalled)
+	}
+}

@@ -1,17 +1,19 @@
 package jit
 
 import (
-	"slices"
-
 	"govolve/internal/bytecode"
 	"govolve/internal/rt"
 )
 
-// maxStack is the depth pass: the deepest operand stack any path through
-// resolved code reaches, by one abstract walk that carries a depth through
-// straight-line code and across branches, reading each instruction's pops
-// and pushes off rt.Effect. It runs last in every compile, on the code the
-// interpreter will execute, so inlined bodies and superinstructions count.
+// stackPass is the last pass of every compile, run on the code the
+// interpreter will execute, so inlined bodies and superinstructions count. It
+// reads each instruction's pops and pushes off rt.Effect as it walks, bakes
+// the instruction's minimum stack need into Ins.Need — so the interpreter's
+// underflow guard is a single precomputed compare instead of an opcode switch
+// on the hot path; verified code never underflows, but code from a buggy
+// pipeline must still fail safely — and returns the deepest operand stack any
+// path reaches, by one abstract walk that carries a depth through
+// straight-line code and across branches.
 //
 // In verified code every pc has one depth and is evaluated once. Code that
 // reaches a pc at two depths (only hand-built, unverified code can) is
@@ -19,14 +21,13 @@ import (
 // all paths; depths are clamped at len(code) — more than any loop-free path
 // can push — so a loop that pushes on every turn still terminates the walk.
 // Its bound is then too small, which the interpreter survives: pushes append.
-// The walk's two buffers live on the Compiler and are reused across compiles.
-func (c *Compiler) maxStack(code []rt.Ins) int {
+// The pass's buffers live on the Compiler and are reused across compiles.
+func (c *Compiler) stackPass(code []rt.Ins) int {
 	if len(code) == 0 {
 		return 0
 	}
 	limit := int32(len(code))
-	seen := slices.Grow(c.seen[:0], len(code))[:len(code)] // 1 + deepest entry depth so far; 0 = unreached
-	clear(seen)
+	seen := scratch(c.seen, len(code)) // 1 + deepest entry depth so far; 0 = unreached
 	raise := func(pc int, d int32) bool {
 		if pc >= len(code) || seen[pc] > d {
 			return false
@@ -43,6 +44,7 @@ func (c *Compiler) maxStack(code []rt.Ins) int {
 		for d := seen[pc] - 1; ; pc++ {
 			ins := &code[pc]
 			fx := rt.Effect(ins)
+			ins.Need = fx.Need
 			deepest = max(deepest, d+fx.Peak)
 			d = min(max(d+fx.Delta, 0), limit)
 			target, falls := successors(ins)
@@ -52,6 +54,12 @@ func (c *Compiler) maxStack(code []rt.Ins) int {
 			if !falls || !raise(pc+1, d) {
 				break
 			}
+		}
+	}
+	// Code no path reaches still carries its need.
+	for pc := range code {
+		if seen[pc] == 0 {
+			code[pc].Need = rt.Effect(&code[pc]).Need
 		}
 	}
 	c.seen, c.work = seen, work

@@ -66,8 +66,8 @@ func TestMaxStackForgedCode(t *testing.T) {
 		{"pushing loop", []rt.Ins{push, {Op: bytecode.GOTO, A: 0}}, 3},
 		{"falls off the end", []rt.Ins{push, push}, 2},
 	} {
-		if got := new(Compiler).maxStack(tc.code); got != tc.want {
-			t.Errorf("%s: maxStack = %d, want %d", tc.name, got, tc.want)
+		if got := new(Compiler).stackPass(tc.code); got != tc.want {
+			t.Errorf("%s: stackPass = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -43,15 +43,24 @@ type Compiler struct {
 	// default against, set by them and by nothing else.
 	Plain bool
 
-	// Counters for the benchmark harness and the obs metrics plane.
+	// Counters for the benchmark harness and the obs metrics plane: methods
+	// compiled at each level.
 	BaseCompiles int
 	OptCompiles  int
 
-	// seen and work are the depth pass's scratch (depth.go); targets is the
-	// branch-target marking fuse and foldConstants share.
+	// Scratch reused across compiles. seen and work are the stack pass's
+	// (depth.go); targets is the branch-target marking fuse and
+	// foldConstants share; deps collects a compile's layout dependencies;
+	// caller and callee hold the resolved bodies inline splices from, and
+	// remap and fixups are its pc bookkeeping.
 	seen    []int32
 	work    []int
 	targets []bool
+	deps    []*rt.Class
+	caller  []rt.Ins
+	callee  []rt.Ins
+	remap   []int
+	fixups  []int
 }
 
 // New builds a compiler with Jikes-flavoured defaults.
@@ -65,17 +74,27 @@ func (c *Compiler) Compile(m *rt.Method, level rt.OptLevel) (*rt.CompiledMethod,
 	if m.Def.Native {
 		return nil, fmt.Errorf("jit: cannot compile native method %s", m.FullName())
 	}
-	cm, err := c.resolve(m)
-	if err != nil {
-		return nil, err
-	}
-	c.BaseCompiles++
+	cm := &rt.CompiledMethod{Method: m, Level: level, MaxLocals: m.Def.MaxLocals}
+	var deps []*rt.Class
+	var err error
 	if level == rt.Opt {
-		c.inline(cm)
+		// The caller is resolved into scratch: inlining emits the code kept.
+		c.caller = scratch(c.caller, len(m.Def.Code))
+		if deps, err = c.resolve(m, c.caller, c.deps[:0]); err != nil {
+			return nil, err
+		}
+		deps = c.inline(cm, c.caller, deps)
 		c.foldConstants(cm.Code)
-		cm.Level = rt.Opt
 		c.OptCompiles++
+	} else {
+		cm.Code = make([]rt.Ins, len(m.Def.Code))
+		if deps, err = c.resolve(m, cm.Code, c.deps[:0]); err != nil {
+			return nil, err
+		}
+		c.BaseCompiles++
 	}
+	cm.SetLayoutDeps(deps)
+	c.deps = deps
 	// Fusion runs last of the rewriting passes and in place, so base code
 	// stays index-for-index with the bytecode and opt code keeps the pc-map
 	// inlining built: a superinstruction sits at its first constituent's pc.
@@ -83,41 +102,61 @@ func (c *Compiler) Compile(m *rt.Method, level rt.OptLevel) (*rt.CompiledMethod,
 		c.fuse(cm.Code)
 		installICs(cm)
 	}
-	// Final passes: bake each instruction's minimum stack need into the
-	// executable form, so the interpreter's underflow guard is a single
-	// precomputed compare instead of an opcode switch on the hot path, and
-	// bound the operand stack, so an activation is laid out once. Both must
-	// run after inlining, folding and fusion: they describe the code that runs.
-	rt.ResolveStackNeeds(cm.Code)
-	cm.MaxStack = c.maxStack(cm.Code)
+	// Final pass: each instruction's stack need, and the operand-stack bound
+	// an activation is laid out with. It must run after inlining, folding and
+	// fusion: it describes the code that runs.
+	cm.MaxStack = c.stackPass(cm.Code)
 	return cm, nil
 }
 
-// resolve is the 1:1 resolution pass.
-func (c *Compiler) resolve(m *rt.Method) (*rt.CompiledMethod, error) {
-	def := m.Def
-	cm := &rt.CompiledMethod{
-		Method:     m,
-		Level:      rt.Base,
-		Code:       make([]rt.Ins, len(def.Code)),
-		MaxLocals:  def.MaxLocals,
-		LayoutDeps: make(map[*rt.Class]bool),
-	}
+// scratch returns buf resized to n and cleared, reallocated only when it is
+// too small.
+func scratch[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// resolve is the 1:1 resolution pass: it writes m's bytecode, resolved, into
+// code (one zeroed element per bytecode instruction, filled in place) and
+// appends the classes it bakes in to deps, each once. A site's signature
+// shape comes from its target, parsed at link; a class the compile has named
+// before, at the previous site or any other, is not looked up again.
+func (c *Compiler) resolve(m *rt.Method, code []rt.Ins, deps []*rt.Class) ([]*rt.Class, error) {
 	fail := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("jit: %s pc=%d: %s", m.FullName(), pc, fmt.Sprintf(format, args...))
 	}
-	for pc, ins := range def.Code {
-		out := rt.Ins{Op: ins.Op, A: ins.A, Str: ins.Str}
+	// class resolves a symbolic class and records it as a dependency: every
+	// class a site names is one whose layout or TIB the site bakes in. A class
+	// already named (a registered class's Name is its registry key) is found
+	// among the dependencies without hashing its name again.
+	class := func(name string) *rt.Class {
+		for i := len(deps) - 1; i >= 0; i-- {
+			if deps[i].Name == name {
+				return deps[i]
+			}
+		}
+		cls := c.Reg.LookupClass(name)
+		if cls != nil {
+			deps = append(deps, cls)
+		}
+		return cls
+	}
+	for pc := range m.Def.Code {
+		ins := &m.Def.Code[pc]
+		out := &code[pc]
+		out.Op, out.A, out.Str = ins.Op, ins.A, ins.Str
 		switch ins.Op {
 		case bytecode.LDC:
 			out.Op = bytecode.LDC_R
 			out.A = int64(c.Reg.InternIndex(ins.Str))
 		case bytecode.GETFIELD, bytecode.PUTFIELD:
-			named := c.Reg.LookupClass(ins.SymClass())
+			cname, member := bytecode.SplitSym(ins.Sym)
+			named := class(cname)
 			if named == nil {
-				return nil, fail(pc, "unknown class %s", ins.SymClass())
+				return nil, fail(pc, "unknown class %s", cname)
 			}
-			f := named.Field(ins.SymMember())
+			f := named.Field(member)
 			if f == nil {
 				return nil, fail(pc, "unknown field %s", ins.Sym)
 			}
@@ -130,13 +169,13 @@ func (c *Compiler) resolve(m *rt.Method) (*rt.CompiledMethod, error) {
 			if f.Desc.IsRef() {
 				out.B = 1
 			}
-			cm.LayoutDeps[named] = true
 		case bytecode.GETSTATIC, bytecode.PUTSTATIC:
-			named := c.Reg.LookupClass(ins.SymClass())
+			cname, member := bytecode.SplitSym(ins.Sym)
+			named := class(cname)
 			if named == nil {
-				return nil, fail(pc, "unknown class %s", ins.SymClass())
+				return nil, fail(pc, "unknown class %s", cname)
 			}
-			s := named.StaticField(ins.SymMember())
+			s := named.StaticField(member)
 			if s == nil {
 				return nil, fail(pc, "unknown static field %s", ins.Sym)
 			}
@@ -149,60 +188,53 @@ func (c *Compiler) resolve(m *rt.Method) (*rt.CompiledMethod, error) {
 			if s.Desc.IsRef() {
 				out.B = 1
 			}
-			cm.LayoutDeps[named] = true
-		case bytecode.NEW:
-			cls := c.Reg.LookupClass(ins.Sym)
+		case bytecode.NEW, bytecode.INSTANCEOF, bytecode.CHECKCAST:
+			cls := class(ins.Sym)
 			if cls == nil {
 				return nil, fail(pc, "unknown class %s", ins.Sym)
 			}
-			out.Op, out.Cls = bytecode.NEW_R, cls
-			cm.LayoutDeps[cls] = true
-		case bytecode.INSTANCEOF:
-			cls := c.Reg.LookupClass(ins.Sym)
-			if cls == nil {
-				return nil, fail(pc, "unknown class %s", ins.Sym)
+			out.Cls = cls
+			switch ins.Op {
+			case bytecode.NEW:
+				out.Op = bytecode.NEW_R
+			case bytecode.INSTANCEOF:
+				out.Op = bytecode.INSTOF_R
+			default:
+				out.Op = bytecode.CHECKCAST_R
 			}
-			out.Op, out.Cls = bytecode.INSTOF_R, cls
-			cm.LayoutDeps[cls] = true
-		case bytecode.CHECKCAST:
-			cls := c.Reg.LookupClass(ins.Sym)
-			if cls == nil {
-				return nil, fail(pc, "unknown class %s", ins.Sym)
-			}
-			out.Op, out.Cls = bytecode.CHECKCAST_R, cls
-			cm.LayoutDeps[cls] = true
 		case bytecode.NEWARRAY:
 			out.Op = bytecode.NEWARRAY_R
 			if classfile.Desc(ins.Desc).IsRef() {
 				out.B = 1
 			}
 		case bytecode.INVOKEVIRTUAL:
-			named := c.Reg.LookupClass(ins.SymClass())
+			cname, member := bytecode.SplitSym(ins.Sym)
+			named := class(cname)
 			if named == nil {
-				return nil, fail(pc, "unknown class %s", ins.SymClass())
+				return nil, fail(pc, "unknown class %s", cname)
 			}
 			sig := classfile.Sig(ins.Desc)
-			target := named.Method(ins.SymMember(), sig)
+			target := named.Method(member, sig)
 			if target == nil || !target.IsVirtual() {
-				return nil, fail(pc, "no virtual method %s%s in %s", ins.SymMember(), sig, named.Name)
+				return nil, fail(pc, "no virtual method %s%s in %s", member, sig, named.Name)
 			}
 			out.Op = bytecode.INVOKEVIRT_R
 			out.A = int64(target.TIBSlot)
-			out.B = int32(sig.NumArgs()) + 1
+			out.B = int32(target.NumArgs) + 1
 			out.Ref = target
-			out.RetVoid = sig.Ret() == "V"
-			cm.LayoutDeps[named] = true
+			out.RetVoid = target.RetVoid
 		case bytecode.INVOKESTATIC, bytecode.INVOKESPECIAL:
-			named := c.Reg.LookupClass(ins.SymClass())
+			cname, member := bytecode.SplitSym(ins.Sym)
+			named := class(cname)
 			if named == nil {
-				return nil, fail(pc, "unknown class %s", ins.SymClass())
+				return nil, fail(pc, "unknown class %s", cname)
 			}
 			sig := classfile.Sig(ins.Desc)
-			target := named.Method(ins.SymMember(), sig)
+			target := named.Method(member, sig)
 			if target == nil {
-				return nil, fail(pc, "no method %s%s in %s", ins.SymMember(), sig, named.Name)
+				return nil, fail(pc, "no method %s%s in %s", member, sig, named.Name)
 			}
-			nargs := int32(sig.NumArgs())
+			nargs := int32(target.NumArgs)
 			if ins.Op == bytecode.INVOKESPECIAL {
 				nargs++ // receiver
 				out.Op = bytecode.INVOKESPEC_R
@@ -214,20 +246,17 @@ func (c *Compiler) resolve(m *rt.Method) (*rt.CompiledMethod, error) {
 			}
 			out.B = nargs
 			out.Ref = target
-			out.RetVoid = sig.Ret() == "V"
-			cm.LayoutDeps[named] = true
+			out.RetVoid = target.RetVoid
 		case bytecode.RETURN:
-			out.RetVoid = m.Def.Sig.Ret() == "V"
+			out.RetVoid = m.RetVoid
 		}
-		cm.Code[pc] = out
 	}
-	return cm, nil
+	return deps, nil
 }
 
-// installICs embeds a fresh inline cache at every virtual call site and
-// records it in ICSites so the DSU install phase can flush them without
-// scanning instruction streams. A method's caches are one allocation, sized
-// by a counting pass.
+// installICs embeds a fresh inline cache at every virtual call site. The
+// caches are one allocation, sized by a counting pass, kept as ICSites so the
+// DSU install phase can flush them without scanning instruction streams.
 func installICs(cm *rt.CompiledMethod) {
 	virtual := func(op bytecode.Op) bool {
 		return op == bytecode.INVOKEVIRT_R || op == bytecode.FLOADINVOKE
@@ -241,19 +270,18 @@ func installICs(cm *rt.CompiledMethod) {
 	if n == 0 {
 		return
 	}
-	slab := make([]rt.ICache, n)
-	cm.ICSites = make([]*rt.ICache, 0, n)
+	cm.ICSites = make([]rt.ICache, n)
+	n = 0
 	for i := range cm.Code {
 		if virtual(cm.Code[i].Op) {
-			ic := &slab[len(cm.ICSites)]
-			cm.Code[i].IC = ic
-			cm.ICSites = append(cm.ICSites, ic)
+			cm.Code[i].IC = &cm.ICSites[n]
+			n++
 		}
 	}
 }
 
 // branchTargets marks the pcs the branches of code jump to, in a buffer kept
-// on the Compiler. Targets outside the code are ignored, as maxStack ignores
+// on the Compiler. Targets outside the code are ignored, as stackPass ignores
 // them: nothing can be fused or folded there.
 func (c *Compiler) branchTargets(code []rt.Ins) []bool {
 	targets := slices.Grow(c.targets[:0], len(code))[:len(code)]
@@ -267,13 +295,15 @@ func (c *Compiler) branchTargets(code []rt.Ins) []bool {
 	return targets
 }
 
-// fusable reports whether the adjacent pair (a, b) at index i matches the
-// fusion catalog, and returns the fused replacement. The caller has already
-// checked that i+1 is not a branch target. Branch-carrying fusions refuse
-// the degenerate self-target (b jumping to its own pc, i+1): the fused
-// backedge test compares against the pair's first pc, which would turn that
-// one case from a backedge into a forward edge and shift yield boundaries.
-func fusable(i int, a, b *rt.Ins) (rt.Ins, bool) {
+// fusePair rewrites the adjacent pair (a, b) at index i in place, into its
+// superinstruction and a pad, if it matches the fusion catalog, and reports
+// whether it did; a pair that does not match costs no instruction built. The
+// caller has already checked that i+1 is not a branch target. Branch-carrying
+// fusions refuse the degenerate self-target (b jumping to its own pc, i+1):
+// the fused backedge test compares against the pair's first pc, which would
+// turn that one case from a backedge into a forward edge and shift yield
+// boundaries.
+func fusePair(i int, a, b *rt.Ins) bool {
 	isConst := func(op bytecode.Op) bool {
 		return op == bytecode.CONST || op == bytecode.CONST_R
 	}
@@ -282,41 +312,48 @@ func fusable(i int, a, b *rt.Ins) (rt.Ins, bool) {
 		switch b.Op {
 		case bytecode.ADD, bytecode.SUB, bytecode.MUL, bytecode.AND,
 			bytecode.OR, bytecode.XOR, bytecode.SHL, bytecode.SHR:
-			return rt.Ins{Op: bytecode.FCONSTARITH, A: a.A, C: int32(b.Op)}, true
+			return put(a, b, rt.Ins{Op: bytecode.FCONSTARITH, A: a.A, C: int32(b.Op)})
 		case bytecode.DIV, bytecode.REM:
 			// A compile-time nonzero divisor needs no runtime zero trap.
 			if a.A != 0 {
-				return rt.Ins{Op: bytecode.FCONSTARITH, A: a.A, C: int32(b.Op)}, true
+				return put(a, b, rt.Ins{Op: bytecode.FCONSTARITH, A: a.A, C: int32(b.Op)})
 			}
 		case bytecode.IF_ICMPEQ, bytecode.IF_ICMPNE, bytecode.IF_ICMPLT,
 			bytecode.IF_ICMPLE, bytecode.IF_ICMPGT, bytecode.IF_ICMPGE:
 			if int(b.A) != i+1 {
-				return rt.Ins{Op: bytecode.FCONSTCMPBR, A: a.A, B: int32(b.Op), C: int32(b.A)}, true
+				return put(a, b, rt.Ins{Op: bytecode.FCONSTCMPBR, A: a.A, B: int32(b.Op), C: int32(b.A)})
 			}
 		}
 	case a.Op == bytecode.LOAD:
 		switch {
 		case b.Op == bytecode.LOAD:
-			return rt.Ins{Op: bytecode.FLOADLOAD, A: a.A, C: int32(b.A)}, true
+			return put(a, b, rt.Ins{Op: bytecode.FLOADLOAD, A: a.A, C: int32(b.A)})
 		case b.Op.IsConditional() && int(b.A) != i+1:
-			return rt.Ins{Op: bytecode.FLOADCMPBR, A: b.A, B: int32(b.Op), C: int32(a.A)}, true
+			return put(a, b, rt.Ins{Op: bytecode.FLOADCMPBR, A: b.A, B: int32(b.Op), C: int32(a.A)})
 		case b.Op == bytecode.INVOKEVIRT_R:
-			return rt.Ins{Op: bytecode.FLOADINVOKE, A: b.A, B: b.B,
-				C: int32(a.A), Ref: b.Ref, RetVoid: b.RetVoid}, true
+			return put(a, b, rt.Ins{Op: bytecode.FLOADINVOKE, A: b.A, B: b.B,
+				C: int32(a.A), Ref: b.Ref, RetVoid: b.RetVoid})
 		}
 	case a.Op == bytecode.STORE:
 		switch b.Op {
 		case bytecode.LOAD:
-			return rt.Ins{Op: bytecode.FSTORELOAD, A: a.A, C: int32(b.A)}, true
+			return put(a, b, rt.Ins{Op: bytecode.FSTORELOAD, A: a.A, C: int32(b.A)})
 		case bytecode.GOTO:
 			if int(b.A) != i+1 {
-				return rt.Ins{Op: bytecode.FSTOREGOTO, A: a.A, C: int32(b.A)}, true
+				return put(a, b, rt.Ins{Op: bytecode.FSTOREGOTO, A: a.A, C: int32(b.A)})
 			}
 		}
 	case a.Op == bytecode.GETFIELD_R && a.B == 1 && b.Op == bytecode.GETFIELD_R:
-		return rt.Ins{Op: bytecode.FGETGET, A: a.A, C: int32(b.A), B: b.B}, true
+		return put(a, b, rt.Ins{Op: bytecode.FGETGET, A: a.A, C: int32(b.A), B: b.B})
 	}
-	return rt.Ins{}, false
+	return false
+}
+
+// put writes the superinstruction f over a and a pad over b.
+func put(a, b *rt.Ins, f rt.Ins) bool {
+	*a = f
+	*b = rt.Ins{Op: bytecode.FPAD}
+	return true
 }
 
 // fuse rewrites adjacent instruction pairs from the fusion catalog into
@@ -326,17 +363,18 @@ func fusable(i int, a, b *rt.Ins) (rt.Ins, bool) {
 // a branch target is never fused — control must be able to land on it.
 func (c *Compiler) fuse(code []rt.Ins) {
 	targets := c.branchTargets(code)
+	heads := false // a pair the second sweep may chain from was fused
 	for i := 0; i+1 < len(code); i++ {
 		if targets[i+1] {
 			continue
 		}
-		f, ok := fusable(i, &code[i], &code[i+1])
-		if !ok {
-			continue
+		if fusePair(i, &code[i], &code[i+1]) {
+			heads = heads || code[i].Op == bytecode.FLOADLOAD || code[i].Op == bytecode.FCONSTARITH
+			i++ // the pad is consumed; never pair it as a first constituent
 		}
-		code[i] = f
-		code[i+1] = rt.Ins{Op: bytecode.FPAD}
-		i++ // the pad is consumed; never pair it as a first constituent
+	}
+	if !heads {
+		return
 	}
 
 	// Second sweep: chain a fused pair with the constituent (or pair) that
@@ -382,8 +420,9 @@ func (c *Compiler) fuse(code []rt.Ins) {
 }
 
 // inlinable reports whether a resolved call site can be inlined: direct
-// dispatch, small, non-native, non-recursive, and compilable.
-func (c *Compiler) inlinable(caller *rt.Method, ins rt.Ins) bool {
+// dispatch, small, non-native, non-recursive. (A callee that does not resolve
+// is left as a call too, which inline finds out as it resolves it.)
+func (c *Compiler) inlinable(caller *rt.Method, ins *rt.Ins) bool {
 	if ins.Op != bytecode.INVOKESTAT_R && ins.Op != bytecode.INVOKESPEC_R {
 		return false
 	}
@@ -394,91 +433,89 @@ func (c *Compiler) inlinable(caller *rt.Method, ins rt.Ins) bool {
 	return len(callee.Def.Code) <= c.InlineMaxCode
 }
 
-// inline splices small direct callees into the caller. Inlined locals live
-// above the caller's own locals; callee returns become jumps to the splice
-// end (a value-returning callee leaves its result on the operand stack,
-// which is exactly where the call would have put it).
-func (c *Compiler) inline(cm *rt.CompiledMethod) {
-	var newCode []rt.Ins
-	var pcMap []int                      // new pc -> original pc (-1 inside inlined regions)
-	remap := make([]int, len(cm.Code)+1) // old pc -> new pc
+// inline splices small direct callees into the caller's resolved code,
+// setting cm's Code, PCMap, MaxLocals and Inlined, and returns deps with the
+// callees' dependencies added. Inlined locals live above the caller's own
+// locals; callee returns become jumps to the splice end (a value-returning
+// callee leaves its result on the operand stack, which is exactly where the
+// call would have put it). Every buffer kept is sized before anything is
+// emitted: a splice replaces its call by an enter, the body and a leave.
+func (c *Compiler) inline(cm *rt.CompiledMethod, code []rt.Ins, deps []*rt.Class) []*rt.Class {
+	n, sites := len(code), 0
+	for i := range code {
+		if c.inlinable(cm.Method, &code[i]) {
+			n += len(code[i].Ref.Def.Code) + 1
+			sites++
+		}
+	}
+	newCode := make([]rt.Ins, 0, n)
+	pcMap := make([]int, 0, n) // new pc -> original pc (-1 inside inlined regions)
+	if sites > 0 {
+		cm.Inlined = make([]*rt.Method, 0, sites)
+	}
+	remap := scratch(c.remap, len(code)+1) // old pc -> new pc
+	fixups := c.fixups[:0]                 // new pcs of branches still aimed at old pcs
 	maxLocals := cm.MaxLocals
 
-	type pendingBranch struct {
-		newIdx  int
-		oldTarg int
-	}
-	var fixups []pendingBranch
-
-	emit := func(ins rt.Ins, origPC int) {
-		newCode = append(newCode, ins)
-		pcMap = append(pcMap, origPC)
-	}
-
-	for pc, ins := range cm.Code {
+	for pc := range code {
+		ins := &code[pc]
 		remap[pc] = len(newCode)
 		if !c.inlinable(cm.Method, ins) {
 			if ins.Op.IsBranch() {
-				fixups = append(fixups, pendingBranch{len(newCode), int(ins.A)})
+				fixups = append(fixups, len(newCode))
 			}
-			emit(ins, pc)
+			newCode = append(newCode, *ins)
+			pcMap = append(pcMap, pc)
 			continue
 		}
 		callee := ins.Ref
-		calleeCM, err := c.resolve(callee)
+		c.callee = scratch(c.callee, len(callee.Def.Code))
+		calleeDeps, err := c.resolve(callee, c.callee, deps)
 		if err != nil {
 			// Unresolvable callee (e.g. refers to classes not yet
 			// loaded): leave the call site alone.
-			if ins.Op.IsBranch() {
-				fixups = append(fixups, pendingBranch{len(newCode), int(ins.A)})
-			}
-			emit(ins, pc)
+			newCode = append(newCode, *ins)
+			pcMap = append(pcMap, pc)
 			continue
 		}
+		deps = calleeDeps
 		base := maxLocals
-		if base+calleeCM.MaxLocals > maxLocals {
-			maxLocals = base + calleeCM.MaxLocals
-		}
+		maxLocals = max(maxLocals, base+callee.Def.MaxLocals)
 		// Prologue: pop the B arguments into callee locals [base, base+B).
 		// At the prologue the operand stack holds exactly the call's
 		// arguments, matching base execution at the call site, so the
 		// prologue maps to the original call pc.
-		emit(rt.Ins{Op: bytecode.ENTERINL_R, A: int64(base), B: ins.B, Ref: callee}, pc)
+		newCode = append(newCode, rt.Ins{Op: bytecode.ENTERINL_R, A: int64(base), B: ins.B, Ref: callee})
+		pcMap = append(pcMap, pc)
 		spliceStart := len(newCode)
-		// Record where callee RETURNs must jump; patched after splicing.
-		var retJumps []int
-		for _, cins := range calleeCM.Code {
-			ci := cins
+		spliceEnd := spliceStart + len(c.callee)
+		for _, ci := range c.callee {
 			switch {
 			case ci.Op == bytecode.LOAD || ci.Op == bytecode.STORE:
 				ci.A += int64(base)
 			case ci.Op.IsBranch():
 				ci.A += int64(spliceStart) // callee-local target, shifted
 			case ci.Op == bytecode.RETURN:
-				retJumps = append(retJumps, len(newCode))
-				ci = rt.Ins{Op: bytecode.GOTO}
+				ci = rt.Ins{Op: bytecode.GOTO, A: int64(spliceEnd)}
 			}
-			emit(ci, -1)
-		}
-		spliceEnd := len(newCode)
-		for _, rj := range retJumps {
-			newCode[rj].A = int64(spliceEnd)
+			newCode = append(newCode, ci)
+			pcMap = append(pcMap, -1)
 		}
 		// At the epilogue the stack holds the return value (if any),
 		// matching base execution just past the call.
-		emit(rt.Ins{Op: bytecode.LEAVEINL_R, Ref: callee}, pc+1)
-		for dep := range calleeCM.LayoutDeps {
-			cm.LayoutDeps[dep] = true
-		}
+		newCode = append(newCode, rt.Ins{Op: bytecode.LEAVEINL_R, Ref: callee})
+		pcMap = append(pcMap, pc+1)
 		cm.Inlined = append(cm.Inlined, callee)
 	}
-	remap[len(cm.Code)] = len(newCode)
+	remap[len(code)] = len(newCode)
 	for _, f := range fixups {
-		newCode[f.newIdx].A = int64(remap[f.oldTarg])
+		newCode[f].A = int64(remap[newCode[f].A])
 	}
+	c.remap, c.fixups = remap, fixups
 	cm.Code = newCode
 	cm.PCMap = pcMap
 	cm.MaxLocals = maxLocals
+	return deps
 }
 
 // foldConstants rewrites CONST/CONST/arith triples into single constants.

@@ -99,6 +99,21 @@ func method(t *testing.T, reg *rt.Registry, cls, name string, sig classfile.Sig)
 	return m
 }
 
+// TestCompileCountsPerLevel: each compile counts at its own level only — an
+// opt compile resolves the method too, but it is not a base compile.
+func TestCompileCountsPerLevel(t *testing.T) {
+	reg, c := setup(t)
+	m := method(t, reg, "Caller", "addTiny", "(LPair;)I")
+	for _, level := range []rt.OptLevel{rt.Base, rt.Opt} {
+		if _, err := c.Compile(m, level); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.BaseCompiles != 1 || c.OptCompiles != 1 {
+		t.Fatalf("base then opt compile counted %d base, %d opt; want 1 and 1", c.BaseCompiles, c.OptCompiles)
+	}
+}
+
 func TestBaseCompileResolvesOffsets(t *testing.T) {
 	reg, c := setup(t)
 	pair := reg.LookupClass("Pair")
@@ -120,7 +135,7 @@ func TestBaseCompileResolvesOffsets(t *testing.T) {
 	if ins.Op != bytecode.GETFIELD_R || ins.B != 1 {
 		t.Fatalf("getfield b resolved wrong: %+v", ins)
 	}
-	if !cm.LayoutDeps[pair] {
+	if !cm.DependsOn(pair) {
 		t.Fatal("layout dependency on Pair not recorded")
 	}
 }
@@ -157,7 +172,7 @@ func TestVirtualResolution(t *testing.T) {
 	if cm.Code[1].Op != bytecode.FPAD || len(cm.Code) != len(m.Def.Code) {
 		t.Fatalf("fusion not in place: %v", cm.Code)
 	}
-	if ins.IC == nil || len(cm.ICSites) != 1 || cm.ICSites[0] != ins.IC {
+	if ins.IC == nil || len(cm.ICSites) != 1 || &cm.ICSites[0] != ins.IC {
 		t.Fatalf("inline cache not installed at the site: %+v, sites %v", ins, cm.ICSites)
 	}
 
@@ -186,6 +201,37 @@ func TestUnknownSymbolsFail(t *testing.T) {
 	}
 	if _, err := c.Compile(cls.Method("m", "()V"), rt.Base); err == nil {
 		t.Fatal("compile with unknown class succeeded")
+	}
+}
+
+// TestOptLeavesUnresolvableCalleeAlone: a small direct callee that names a
+// class not loaded is not inlined. The call stays, the code keeps the
+// caller's length, and the callee's dependencies resolved before the failure
+// (Pair here) are not the caller's.
+func TestOptLeavesUnresolvableCalleeAlone(t *testing.T) {
+	reg, c := setup(t)
+	bad := classfile.NewClass("Bad", "Object").
+		StaticMethod("broken", "()V").GetStatic("Pair", "shared", "I").Op(bytecode.POP).
+		New("Nowhere").Op(bytecode.POP).Ret().Done().
+		StaticMethod("caller", "()V").Static("Bad", "broken", "()V").Ret().Done().
+		MustBuild()
+	cls, err := reg.Load(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cls.Method("caller", "()V")
+	cm, err := c.Compile(m, rt.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Code[0].Op != bytecode.INVOKESTAT_R || len(cm.Inlined) != 0 {
+		t.Fatalf("unresolvable callee inlined: %v, inlined %v", cm.Code, cm.Inlined)
+	}
+	if len(cm.Code) != len(m.Def.Code) || len(cm.PCMap) != len(cm.Code) {
+		t.Fatalf("code %d, pc-map %d, bytecode %d instructions", len(cm.Code), len(cm.PCMap), len(m.Def.Code))
+	}
+	if len(cm.LayoutDeps) != 1 || !cm.DependsOn(cls) {
+		t.Fatalf("layout deps %v, want only Bad", cm.LayoutDeps)
 	}
 }
 
@@ -238,7 +284,7 @@ func TestOptInlinesSmallDirectCalls(t *testing.T) {
 		t.Fatal("Inlined list does not record tiny")
 	}
 	// The callee's layout deps are merged into the caller.
-	if !cm.LayoutDeps[reg.LookupClass("Pair")] {
+	if !cm.DependsOn(reg.LookupClass("Pair")) {
 		t.Fatal("inlined callee deps not merged")
 	}
 	// Locals grew for the inlined body.

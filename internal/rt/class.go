@@ -47,6 +47,11 @@ type Method struct {
 	Invocations int
 	// Pinned marks bootstrap methods the adaptive system leaves alone.
 	Pinned bool
+	// NumArgs (receiver excluded; -1 for a malformed signature) and RetVoid
+	// are the signature's shape, parsed once at link: every call site the
+	// JIT resolves to this method, and its own returns, read them here.
+	NumArgs int
+	RetVoid bool
 	// Native caches the VM's binding of a native method (its implementation
 	// and return kind), resolved by name on the first call so that a call
 	// costs a pointer load instead of a key build and a map lookup. The vm
@@ -54,6 +59,9 @@ type Method struct {
 	// whose cache starts nil and re-resolves by name: a binding is never
 	// inherited from the Method it replaced.
 	Native any
+
+	// overload is the next method its class declares under the same name.
+	overload *Method
 }
 
 // ID returns the method's name+signature identity.
@@ -103,8 +111,8 @@ type Class struct {
 
 	fieldByName  map[string]*FieldSlot
 	staticByName map[string]*StaticSlot
-	vslotByID    map[string]int
-	methods      map[string]*Method // declared methods by name+sig
+	vslots       map[memberKey]int
+	methods      map[string]*Method // declared methods by name, overloads chained
 
 	// Subclasses tracks direct subclasses, so UPT-computed transitive
 	// effects and instanceof checks are cheap.
@@ -149,16 +157,28 @@ func (c *Class) StaticField(name string) *StaticSlot {
 	return nil
 }
 
-// Method resolves a method by name+sig, searching up the hierarchy.
-func (c *Class) Method(name string, sig classfile.Sig) *Method {
-	return c.MethodByID(name + string(sig))
+// memberKey is a method's name+sig identity as a map key: the two strings
+// side by side, so a lookup builds no "name(sig)ret" string.
+type memberKey struct {
+	name string
+	sig  classfile.Sig
 }
 
-// MethodByID is Method for a caller that already holds the "name(sig)ret"
-// identity (classfile.Method.ID), sparing the concatenation.
-func (c *Class) MethodByID(id string) *Method {
+// Method resolves a method by name+sig, searching up the hierarchy. Only the
+// name is hashed: a class rarely declares two methods under one name.
+func (c *Class) Method(name string, sig classfile.Sig) *Method {
 	for k := c; k != nil; k = k.Super {
-		if m, ok := k.methods[id]; ok {
+		if m := k.declared(name, sig); m != nil {
+			return m
+		}
+	}
+	return nil
+}
+
+// declared returns the method the class itself declares by name+sig, or nil.
+func (c *Class) declared(name string, sig classfile.Sig) *Method {
+	for m := c.methods[name]; m != nil; m = m.overload {
+		if m.Def.Sig == sig {
 			return m
 		}
 	}
@@ -169,14 +189,14 @@ func (c *Class) MethodByID(id string) *Method {
 func (c *Class) DeclaredMethods() []*Method {
 	out := make([]*Method, 0, len(c.Def.Methods))
 	for _, dm := range c.Def.Methods {
-		out = append(out, c.methods[dm.ID()])
+		out = append(out, c.declared(dm.Name, dm.Sig))
 	}
 	return out
 }
 
 // VSlot returns the TIB slot for a method identity, or -1.
 func (c *Class) VSlot(name string, sig classfile.Sig) int {
-	if s, ok := c.vslotByID[name+string(sig)]; ok {
+	if s, ok := c.vslots[memberKey{name, sig}]; ok {
 		return s
 	}
 	return -1

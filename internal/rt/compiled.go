@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 
 	"govolve/internal/bytecode"
 )
@@ -101,7 +102,7 @@ type Ins struct {
 	RetVoid bool
 
 	// Need is the minimum operand stack depth this instruction requires,
-	// precomputed at JIT resolve time (see StackNeed) so the interpreter's
+	// read off Effect by the JIT's last pass so the interpreter's
 	// underflow guard is a single compare instead of a per-instruction
 	// opcode switch. The zero value (0) is correct for every opcode that
 	// consumes nothing.
@@ -131,17 +132,21 @@ type CompiledMethod struct {
 	MaxLocals int
 
 	// MaxStack is the deepest operand stack any path through Code reaches,
-	// inlined bodies included: what the JIT's depth pass read off Effect. An
+	// inlined bodies included: what the JIT's stack pass read off Effect. An
 	// activation is laid out with this much room; a bound that is too small
 	// (only unverified code whose depths never settle can have one) costs the
 	// interpreter a regrow, never correctness.
 	MaxStack int
 
 	// LayoutDeps are the classes whose field offsets, JTOC slots, or TIB
-	// slots are baked into Code. If any of them is updated, this code is
-	// stale — the method becomes one of the paper's category-(2)
-	// "indirect" methods.
-	LayoutDeps map[*Class]bool
+	// slots are baked into Code, each once, in the order the compile first
+	// named them. If any of them is updated, this code is stale — the method
+	// becomes one of the paper's category-(2) "indirect" methods. Its readers
+	// only ask membership (DependsOn, DependsOnAny).
+	LayoutDeps []*Class
+	// depsInline backs LayoutDeps when it names two classes or fewer, as it
+	// does for three methods in four, so those cost no allocation of their own.
+	depsInline [2]*Class
 
 	// Inlined lists methods whose bodies were inlined (opt level only).
 	// If any of them changes, this code must be restricted and
@@ -158,9 +163,10 @@ type CompiledMethod struct {
 	// execution, so the mapping is sound there.
 	PCMap []int
 
-	// ICSites lists every inline cache embedded in Code, so the DSU install
-	// phase can flush them all without scanning instruction streams.
-	ICSites []*ICache
+	// ICSites holds every inline cache embedded in Code — the instructions
+	// point into it — so the DSU install phase can flush them all without
+	// scanning instruction streams.
+	ICSites []ICache
 
 	// Invalid marks code invalidated by the DSU engine; the interpreter
 	// never runs invalid code (invocation recompiles first).
@@ -182,8 +188,8 @@ func (cm *CompiledMethod) HoldsSuperinstruction() bool {
 // number of entries dropped.
 func (cm *CompiledMethod) FlushICs() int {
 	n := 0
-	for _, ic := range cm.ICSites {
-		n += ic.Flush()
+	for i := range cm.ICSites {
+		n += cm.ICSites[i].Flush()
 	}
 	return n
 }
@@ -218,7 +224,7 @@ var (
 
 // Effect is the per-opcode pop/push table of resolved code: the one place
 // that knows what an instruction does to the operand-stack depth. The
-// interpreter's underflow guard (StackNeed) and the compiler's operand-stack
+// interpreter's underflow guard (Ins.Need) and the compiler's operand-stack
 // bound (CompiledMethod.MaxStack) are both read off it. A superinstruction's
 // effect is that of its constituents run one after the other — the fused
 // handlers skip the intermediate pushes, so their Peak is an over-estimate,
@@ -296,25 +302,30 @@ func call(ins *Ins) StackEffect {
 	return pops(ins.B, 1)
 }
 
-// StackNeed returns the minimum operand stack depth an instruction needs.
-// The JIT calls it once per instruction at resolve time and stores the
-// result in Ins.Need; verified code can never underflow, but compiled code
-// from a buggy pipeline must still fail safely, so the interpreter keeps a
-// cheap precomputed guard on every dispatch.
-func StackNeed(ins Ins) int32 { return Effect(&ins).Need }
-
-// ResolveStackNeeds fills in Ins.Need for a whole code array. The JIT runs
-// it as the final pass of every compile, after inlining and folding, so the
-// needs reflect the executable form of the code.
-func ResolveStackNeeds(code []Ins) {
-	for i := range code {
-		code[i].Need = StackNeed(code[i])
+// SetLayoutDeps sets LayoutDeps to a copy of deps, which the compiler built in
+// scratch of its own.
+func (cm *CompiledMethod) SetLayoutDeps(deps []*Class) {
+	if len(deps) <= len(cm.depsInline) {
+		cm.LayoutDeps = append(cm.depsInline[:0], deps...)
+		return
 	}
+	cm.LayoutDeps = slices.Clone(deps)
 }
 
 // DependsOn reports whether the compiled code bakes in the given class's
 // layout or dispatch table.
-func (cm *CompiledMethod) DependsOn(c *Class) bool { return cm.LayoutDeps[c] }
+func (cm *CompiledMethod) DependsOn(c *Class) bool { return slices.Contains(cm.LayoutDeps, c) }
+
+// DependsOnAny reports whether the compiled code bakes in the layout or
+// dispatch table of any class in the set.
+func (cm *CompiledMethod) DependsOnAny(set map[*Class]bool) bool {
+	for _, c := range cm.LayoutDeps {
+		if set[c] {
+			return true
+		}
+	}
+	return false
+}
 
 // InlinedAny reports whether any of the given methods is inlined here.
 func (cm *CompiledMethod) InlinedAny(set map[*Method]bool) bool {

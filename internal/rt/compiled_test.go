@@ -7,7 +7,7 @@ import (
 )
 
 // TestEffectTable pins what the interpreter's underflow guard reads off the
-// table (the values StackNeed's own switch had before it was derived) and the
+// table (the values the old per-opcode need switch had before it was derived) and the
 // rule for superinstructions: the effect of the constituents in sequence.
 func TestEffectTable(t *testing.T) {
 	for _, tc := range []struct {
@@ -56,9 +56,6 @@ func TestEffectTable(t *testing.T) {
 	} {
 		if got := Effect(&tc.ins); got != tc.want {
 			t.Errorf("Effect(%s) = %+v, want %+v", tc.ins.Op, got, tc.want)
-		}
-		if got := StackNeed(tc.ins); got != tc.want.Need {
-			t.Errorf("StackNeed(%s) = %d, want %d", tc.ins.Op, got, tc.want.Need)
 		}
 	}
 }

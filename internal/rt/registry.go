@@ -163,7 +163,7 @@ func (r *Registry) link(def *classfile.Class, super *Class) *Class {
 		Def:          def,
 		fieldByName:  make(map[string]*FieldSlot),
 		staticByName: make(map[string]*StaticSlot),
-		vslotByID:    make(map[string]int),
+		vslots:       make(map[memberKey]int),
 		methods:      make(map[string]*Method),
 	}
 	r.byID = append(r.byID, c)
@@ -206,21 +206,24 @@ func (r *Registry) link(def *classfile.Class, super *Class) *Class {
 	// slots, new virtual methods extend it.
 	if super != nil {
 		c.TIB = append(c.TIB, super.TIB...)
-		for id, slot := range super.vslotByID {
-			c.vslotByID[id] = slot
+		for key, slot := range super.vslots {
+			c.vslots[key] = slot
 		}
 	}
 	for _, dm := range def.Methods {
-		m := &Method{Class: c, Def: dm, GlobalID: len(r.methods), TIBSlot: -1}
+		m := &Method{Class: c, Def: dm, GlobalID: len(r.methods), TIBSlot: -1,
+			NumArgs: dm.Sig.NumArgs(), RetVoid: dm.Sig.Ret() == "V"}
 		r.methods = append(r.methods, m)
-		c.methods[dm.ID()] = m
+		m.overload = c.methods[dm.Name]
+		c.methods[dm.Name] = m
+		key := memberKey{dm.Name, dm.Sig}
 		if virtualDispatch(dm) {
-			if slot, overrides := c.vslotByID[dm.ID()]; overrides {
+			if slot, overrides := c.vslots[key]; overrides {
 				m.TIBSlot = slot
 				c.TIB[slot] = m
 			} else {
 				m.TIBSlot = len(c.TIB)
-				c.vslotByID[dm.ID()] = m.TIBSlot
+				c.vslots[key] = m.TIBSlot
 				c.TIB = append(c.TIB, m)
 			}
 		}

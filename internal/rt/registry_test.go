@@ -112,6 +112,38 @@ func TestMethodResolutionWalksChain(t *testing.T) {
 	}
 }
 
+// TestOverloadsResolveBySignature: methods declared under one name are told
+// apart by signature, through the hierarchy too, and carry the argument count
+// and void return their signature gives, parsed at link.
+func TestOverloadsResolveBySignature(t *testing.T) {
+	reg, _, animal, _ := buildHierarchy(t)
+	puppy := load(t, reg, classfile.NewClass("Puppy", "Animal").
+		Method("speak", "(I)I").Load(1).Ret().Done().
+		StaticMethod("speak", "(II)V").Ret().Done().
+		MustBuild())
+	for _, tc := range []struct {
+		sig     classfile.Sig
+		in      *Class
+		nargs   int
+		retVoid bool
+	}{{"()I", animal, 0, false}, {"(I)I", puppy, 1, false}, {"(II)V", puppy, 2, true}} {
+		m := puppy.Method("speak", tc.sig)
+		if m == nil || m.Class != tc.in || m.Def.Sig != tc.sig || m.NumArgs != tc.nargs || m.RetVoid != tc.retVoid {
+			t.Fatalf("speak%s resolved to %+v", tc.sig, m)
+		}
+	}
+	if puppy.Method("speak", "(J)I") != nil {
+		t.Fatal("an overload resolved under a signature nobody declares")
+	}
+	var sigs []classfile.Sig
+	for _, m := range puppy.DeclaredMethods() {
+		sigs = append(sigs, m.Def.Sig)
+	}
+	if !slices.Equal(sigs, []classfile.Sig{"(I)I", "(II)V"}) {
+		t.Fatalf("declared methods %v, want declaration order", sigs)
+	}
+}
+
 func TestStaticsGetJTOCSlots(t *testing.T) {
 	reg, _, animal, dog := buildHierarchy(t)
 	s := animal.StaticField("count")

@@ -154,7 +154,7 @@ func CheckVM(v *vm.VM) error {
 			if !pending && f.Barrier {
 				return fmt.Errorf("thread %s frame %d: return barrier survives outside an update (%s)", t.Name, i, cm.Method.FullName())
 			}
-			for dep := range cm.LayoutDeps {
+			for _, dep := range cm.LayoutDeps {
 				if dep.Renamed {
 					return fmt.Errorf("thread %s frame %d: %s bakes in offsets of renamed class %s", t.Name, i, cm.Method.FullName(), dep.Name)
 				}

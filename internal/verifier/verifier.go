@@ -528,7 +528,7 @@ func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
 }
 
 // MaxStack is the deepest operand stack the last VerifyMethod reached, over
-// the instructions it accepted: the bound the JIT's depth pass must arrive at
+// the instructions it accepted: the bound the JIT's stack pass must arrive at
 // for the same method's base code.
 func (v *Verifier) MaxStack() int { return v.deepest }
 

@@ -89,7 +89,7 @@ func (v *VM) interpret(t *Thread, budget int) {
 
 		// Underflow guard. Verified code cannot underflow, but compiled
 		// code could be produced by a buggy pipeline; fail safely. The
-		// need was precomputed by the JIT (rt.ResolveStackNeeds).
+		// need was precomputed by the JIT's stack pass.
 		if len(f.Stack) < int(ins.Need) {
 			v.kill(t, fmt.Errorf("vm: operand stack underflow at %s pc=%d", f.Method().FullName(), f.PC))
 			return

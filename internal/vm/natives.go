@@ -115,7 +115,7 @@ func (v *VM) registerNatives() {
 		if cls == nil {
 			return rt.Value{}, nil, fmt.Errorf("Thread.spawn: bad object")
 		}
-		run := cls.MethodByID("run()V")
+		run := cls.Method("run", "()V")
 		if run == nil {
 			return rt.Value{}, nil, fmt.Errorf("Thread.spawn: %s has no run()V", cls.Name)
 		}
