@@ -1,10 +1,9 @@
 # Tier-1 verification for govolve. `make verify` is what CI runs: formatting,
 # build, vet, the full test suite, the same suite on poisoned guest heaps and
 # under the race detector, and a focused race pass over the collector
-# packages (gc, heap). Collections are
-# single-threaded; what is concurrent there — the marker's tracer against the
-# SATB store barrier, the relocator against the mutator's load barrier — is
-# the riskiest code in the tree.
+# packages (gc, heap). Collections are single-threaded; what is concurrent
+# there — the relocator against the mutator's load barrier — is the riskiest
+# code in the tree.
 # The storm soak and the fuzzers run longer and are split out.
 
 GO ?= go
@@ -50,10 +49,9 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass with more iterations over what runs beside the mutator in
-# a Concurrent update: before the pause the mark's tracer and the SATB barrier,
-# after it the relocation drain's relocator with its TLAB, claim/publish
-# forwarding and slot healing against the load barrier (also covered by
-# `race`, but these packages deserve the extra -count).
+# a Concurrent update: after the pause the relocation drain's relocator with
+# its TLAB, claim/publish forwarding and slot healing against the load barrier
+# (also covered by `race`, but these packages deserve the extra -count).
 race-gc:
 	$(GO) test -race -count=4 ./internal/gc/ ./internal/heap/
 

@@ -73,7 +73,7 @@ var experiments = []struct {
 	{"tables234", "Tables 2-4: UPT release summaries", tables234},
 	{"matrix", "Update applicability (paper §4: 20 of 22)", matrix},
 	{"active", "Extension: active-method updates (UpStare-style, §3.5 future work)", active},
-	{"pausecmp", "Extension: lazy transform / concurrent mark + relocation (the DSU pause per engine mode)", pausecmp},
+	{"pausecmp", "Extension: lazy transform / concurrent relocation (the DSU pause per engine mode)", pausecmp},
 	{"obs", "Extension: DSU pause decomposition via the observability plane", obsPause},
 	{"storm", "Extension: randomized update-storm soak (whole-VM invariant checking)", stormSoak},
 	{"stream", "Extension: long-horizon update streams (multi-release chain replay)", streams},

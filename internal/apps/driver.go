@@ -28,10 +28,6 @@ type LaunchOptions struct {
 	HeapWords int
 	Version   int
 	Out       io.Writer
-	// Concurrent is vm.Options.Concurrent: updated-instance discovery runs
-	// concurrently with the mutator (SATB) before the DSU pause, the bulk of
-	// the copy as a relocation drain after it.
-	Concurrent bool
 }
 
 // Launch boots a VM with the given application version and steps until all
@@ -43,11 +39,7 @@ func Launch(app *App, opts LaunchOptions) (*Server, error) {
 	if opts.Out == nil {
 		opts.Out = io.Discard
 	}
-	machine, err := vm.New(vm.Options{
-		HeapWords:  opts.HeapWords,
-		Out:        opts.Out,
-		Concurrent: opts.Concurrent,
-	})
+	machine, err := vm.New(vm.Options{HeapWords: opts.HeapWords, Out: opts.Out})
 	if err != nil {
 		return nil, err
 	}
@@ -305,12 +297,7 @@ type MatrixEntry struct {
 // tests pass storm.CheckVM here so the whole-VM invariant sweep covers all
 // 22 real server transitions, not just generated storm programs.
 func RunMatrix(app *App, heapWords int, checks ...func(*vm.VM) error) ([]MatrixEntry, error) {
-	return RunMatrixOpts(app, LaunchOptions{HeapWords: heapWords}, checks...)
-}
-
-// RunMatrixOpts is RunMatrix with full control over the VM configuration —
-// the concurrent-mark matrix run uses it.
-func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) ([]MatrixEntry, error) {
+	opts := LaunchOptions{HeapWords: heapWords}
 	s, err := Launch(app, opts)
 	if err != nil {
 		return nil, err
@@ -357,8 +344,7 @@ func RunMatrixOpts(app *App, opts LaunchOptions, checks ...func(*vm.VM) error) (
 		// from run() itself, outside any inlined body);
 		// the paper's engine would wait for the session to end instead, and
 		// the outcome would depend on how many connections this server has
-		// taken — under Concurrent as many as fit beside the traces —
-		// not on the release (TestHeldOptHandlerNeedsOSROpt).
+		// taken, not on the release (TestHeldOptHandlerNeedsOSROpt).
 		spec, err := s.App.Spec(s.VersionIdx)
 		if err != nil {
 			return nil, err

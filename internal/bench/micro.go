@@ -80,10 +80,10 @@ type MicroConfig struct {
 	// under the observe policy so every micro update is judged. The
 	// resulting verdict is reported on MicroResult.
 	Metrics *obs.Registry
-	// Concurrent moves discovery and the bulk copy out of the pause: the SATB
-	// mark finds the updated instances before it, and the background
-	// relocator and the load barrier evacuate the rest after it. The mark and
-	// the relocation drain are reported separately from the pause.
+	// Concurrent moves the bulk copy and pair creation out of the pause, and
+	// implies Lazy (vm.Options.Concurrent): the background relocator and the
+	// load barrier evacuate what the roots do not point at after it. The
+	// relocation drain is reported separately from the pause.
 	Concurrent bool
 }
 
@@ -95,7 +95,7 @@ type MicroResult struct {
 	Config    MicroConfig
 	HeapWords int // one semispace of the VM the update ran in
 	core.Stats
-	Drain time.Duration // forced post-pause drain wall-clock (Lazy; outside the pause)
+	Drain time.Duration // forced post-pause drain wall-clock (Lazy, Concurrent; outside the pause)
 	// Verdict is the gate judgment for this update (nil unless
 	// MicroConfig.Metrics armed the gate engine).
 	Verdict *obs.Verdict
@@ -194,9 +194,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	var drain time.Duration
 	if cfg.Lazy && !cfg.Concurrent {
 		// The pause arms instead of transforming; every updated instance
-		// must still be pending when it ends. (Composed with Concurrent
-		// the pause creates almost no pairs at all — discovery itself rides
-		// the drain — so the pending count at apply is near zero instead.)
+		// must still be pending when it ends. (With Concurrent the pause
+		// creates almost no pairs at all — discovery itself rides the drain
+		// — so the pending count at apply is near zero instead.)
 		want := 0 // a moved instance was never a pair: nothing pending
 		if cfg.HandWritten {
 			want = nChange
@@ -214,9 +214,7 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 		if err := engine.ForceDrain(); err != nil {
 			return nil, fmt.Errorf("bench: forced drain: %w", err)
 		}
-		if cfg.Lazy {
-			drain = time.Since(t0)
-		}
+		drain = time.Since(t0)
 	}
 	if res.Stats.TransformedObjects != nChange {
 		return nil, fmt.Errorf("bench: transformed %d, want %d", res.Stats.TransformedObjects, nChange)

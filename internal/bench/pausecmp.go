@@ -12,17 +12,13 @@ import (
 // The pause grid is the one driver over the Table 1 microbenchmark. As
 // pausecmp it is the headline measurement of the pause-shrinking work: the
 // update run in every engine mode (vm.Modes) — the fused stop-the-world
-// pipeline, lazy transformation, concurrent (SATB mark before the pause,
-// relocation drain after it) and the two composed — over a sizes ×
-// updated-fraction grid. For each cell it
-// reports the same uniform pause decomposition — rescan / copy / transform —
-// so every claim is checkable from the JSON itself: lazy rows show
+// pipeline, lazy transformation, and concurrent (lazy transformation and a
+// relocation drain after the pause) — over a sizes × updated-fraction grid.
+// For each cell it reports the same uniform pause decomposition — copy /
+// transform — so every claim is checkable from the JSON itself: lazy rows show
 // transform_ms ≈ 0 with the forced drain in drain_ms; concurrent rows show the
-// trace's wall time in mark_outside_ms, only the rescan of it inside the
-// pause, and copy_ms collapsing to the eager evacuation of updated instances
-// only (near zero at small fractions) with the bulk copy's wall time in
-// reloc_drain_ms; concurrent+lazy rows have no mark at all and the pause down
-// to flip preparation.
+// pause down to flip preparation, copy_ms down to the objects the roots point
+// at, and the bulk copy's wall time in reloc_drain_ms.
 //
 // Interpretation caveat: concurrent phases only overlap mutator work if the
 // host has a spare CPU. On GOMAXPROCS=1 they are time-sliced with everything
@@ -64,16 +60,14 @@ type PauseCmpRow struct {
 
 	PauseTotalMillis Summary `json:"pause_total_ms"`
 	GCMillis         Summary `json:"gc_ms"`
-	RescanMillis     Summary `json:"rescan_ms"`
 	CopyMillis       Summary `json:"copy_ms"`
 	TransformMillis  Summary `json:"transform_ms"`
 	// TransformNsPerObject is the median transformer time per transformed
 	// object (logged pairs + moved_objects, for which it is 0 by construction),
 	// wherever the transformers ran: inside the pause (transform_ms) or in
 	// the forced post-pause drain (drain_ms, lazy rows — an upper bound on
-	// concurrent+lazy rows, whose drain also force-completes the relocation).
+	// concurrent rows, whose drain also force-completes the relocation).
 	TransformNsPerObject float64 `json:"transform_ns_per_object"`
-	MarkOutsideMillis    Summary `json:"mark_outside_ms"`
 
 	// Lazy rows: the transform work leaves the pause entirely —
 	// transform_ms ≈ 0, lazy_pending pairs stay pending behind the read
@@ -82,9 +76,9 @@ type PauseCmpRow struct {
 	LazyPending int     `json:"lazy_pending,omitempty"`
 
 	// Concurrent rows: the bulk copy leaves the pause — copy_ms keeps only the
-	// eager evacuation of updated-class instances (none at all composed
-	// with lazy), reloc_objects are evacuated after the world resumes, and
-	// the flip-to-finalize drain wall time appears in reloc_drain_ms.
+	// objects the roots point at, reloc_objects are evacuated after the world
+	// resumes, and the flip-to-finalize drain wall time appears in
+	// reloc_drain_ms.
 	RelocDrainMillis Summary `json:"reloc_drain_ms"`
 	RelocObjects     int     `json:"reloc_objects,omitempty"`
 
@@ -95,9 +89,7 @@ type PauseCmpRow struct {
 	CopiedWords int `json:"copied_words"`
 	TailWords   int `json:"tail_words"`
 
-	MarkedObjects int `json:"marked_objects,omitempty"`
-	RescanMarked  int `json:"rescan_marked,omitempty"`
-	PairsLogged   int `json:"pairs_logged"`
+	PairsLogged int `json:"pairs_logged"`
 	// MovedObjects is how many updated instances the collector (or the
 	// relocation drain) wrote directly in their new layout.
 	MovedObjects int `json:"moved_objects"`
@@ -131,9 +123,8 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 			"serial's fused trace+copy is all copy_ms; lazy rows show transform_ms = 0 with " +
 			"lazy_pending pairs drained post-pause in drain_ms (transformer = handwritten; " +
 			"moved objects are never pairs, so there lazy has nothing to defer); concurrent rows " +
-			"show the trace wall time in mark_outside_ms with only rescan_ms of it in the pause, and keep only " +
-			"the eager evacuation of updated instances in copy_ms with the bulk copy " +
-			"in reloc_drain_ms (composed with lazy: no mark, copy_ms = 0). Pause shrinkage is " +
+			"also keep only the objects the roots point at in copy_ms, with the bulk copy " +
+			"in reloc_drain_ms. Pause shrinkage is " +
 			"a decomposition property and holds on any host; wall-clock overlap of " +
 			"concurrent phases with mutator work additionally requires gomaxprocs > 1.",
 	}
@@ -142,8 +133,8 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 			for _, transformer := range []string{"moved", "handwritten"} {
 				serialMedian := 0.0
 				for _, mode := range sw.Modes {
-					// total, gc, rescan, copy, transform, mark outside, drain, reloc drain
-					var ms [8][]float64
+					// total, gc, copy, transform, drain, reloc drain
+					var ms [6][]float64
 					var last *MicroResult
 					for r := 0; r < sw.Runs; r++ {
 						res, err := RunMicro(MicroConfig{
@@ -157,14 +148,8 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s transformer=%s: %w",
 								objects, frac, mode.Name, transformer, err)
 						}
-						// No relocation: the engine gave up on the mark and this run
-						// was the stop-the-world collection.
-						if mode.Concurrent && !res.Relocated {
-							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s: fell back to STW",
-								objects, frac, mode.Name)
-						}
-						for i, d := range [...]time.Duration{res.PauseTotal, res.PauseGC, res.PauseRescan, res.PauseCopy,
-							res.PauseTransform, res.MarkOutside, res.Drain, res.Reloc.Drain} {
+						for i, d := range [...]time.Duration{res.PauseTotal, res.PauseGC, res.PauseCopy,
+							res.PauseTransform, res.Drain, res.Reloc.Drain} {
 							ms[i] = append(ms[i], Millis(d))
 						}
 						last = res
@@ -176,23 +161,18 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 						Mode:        mode.Name,
 						Transformer: transformer,
 
-						PauseTotalMillis:  Summarize(ms[0]),
-						GCMillis:          Summarize(ms[1]),
-						RescanMillis:      Summarize(ms[2]),
-						CopyMillis:        Summarize(ms[3]),
-						TransformMillis:   Summarize(ms[4]),
-						MarkOutsideMillis: Summarize(ms[5]),
-						DrainMillis:       Summarize(ms[6]),
-						LazyPending:       last.LazyPending,
-						RelocDrainMillis:  Summarize(ms[7]),
-						RelocObjects:      last.Reloc.Objects,
-						CopiedWords:       last.CopiedWords + last.Reloc.Words,
-						TailWords:         last.TailWords + last.Reloc.TailWords,
-
-						MarkedObjects: last.MarkedObjects,
-						RescanMarked:  last.RescanMarked,
-						PairsLogged:   last.PairsLogged,
-						MovedObjects:  last.MovedObjects,
+						PauseTotalMillis: Summarize(ms[0]),
+						GCMillis:         Summarize(ms[1]),
+						CopyMillis:       Summarize(ms[2]),
+						TransformMillis:  Summarize(ms[3]),
+						DrainMillis:      Summarize(ms[4]),
+						LazyPending:      last.LazyPending,
+						RelocDrainMillis: Summarize(ms[5]),
+						RelocObjects:     last.Reloc.Objects,
+						CopiedWords:      last.CopiedWords + last.Reloc.Words,
+						TailWords:        last.TailWords + last.Reloc.TailWords,
+						PairsLogged:      last.PairsLogged,
+						MovedObjects:     last.MovedObjects,
 					}
 					if last.TransformedObjects > 0 {
 						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.TransformedObjects)
@@ -219,14 +199,13 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 
 // PrintPauseCmp renders the grid as text.
 func PrintPauseCmp(w io.Writer, rep *Report[PauseCmpRow]) {
-	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent / concurrent+lazy (%s)\n", rep.Host)
-	fmt.Fprintf(w, "%9s %6s %11s %16s %10s %9s %9s %11s %7s %10s %9s %10s %9s\n",
-		"objects", "frac", "transformer", "mode", "pause(ms)", "rescan", "copy(ms)", "transf(ms)", "ns/obj", "mark-out", "drain(ms)", "reloc(ms)", "speedup")
+	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent (%s)\n", rep.Host)
+	fmt.Fprintf(w, "%9s %6s %11s %10s %10s %9s %11s %7s %9s %10s %9s\n",
+		"objects", "frac", "transformer", "mode", "pause(ms)", "copy(ms)", "transf(ms)", "ns/obj", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%9d %5.0f%% %11s %16s %10.2f %9.2f %9.2f %11.2f %7.0f %10.2f %9.2f %10.2f %8.2fx\n",
+		fmt.Fprintf(w, "%9d %5.0f%% %11s %10s %10.2f %9.2f %11.2f %7.0f %9.2f %10.2f %8.2fx\n",
 			r.Objects, r.FracUpdated*100, r.Transformer, r.Mode,
-			r.PauseTotalMillis.Median, r.RescanMillis.Median,
-			r.CopyMillis.Median, r.TransformMillis.Median, r.TransformNsPerObject, r.MarkOutsideMillis.Median,
+			r.PauseTotalMillis.Median, r.CopyMillis.Median, r.TransformMillis.Median, r.TransformNsPerObject,
 			r.DrainMillis.Median, r.RelocDrainMillis.Median, r.SpeedupPause)
 	}
 	fmt.Fprintf(w, "note: %s\n", rep.Note)

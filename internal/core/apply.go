@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -338,33 +337,23 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	var gcRes gc.Result
 	var rl *gc.Relocation
 	if e.VM.Concurrent {
-		// The pause stops at flip preparation: consume the sealed concurrent
-		// mark (drain the SATB log, re-scan roots), flip, eagerly evacuate
-		// only the updated-class instances it found (or, composed with
-		// LazyTransform, defer even the pairs to the drain), and forward roots.
-		// The world resumes with from-space still live behind the
-		// self-healing load barrier; rl is the drain the residue starts at
-		// the end of the pause and finishes once the background relocator
-		// runs it dry — nil when the engine gave up on the mark and this is
-		// the stop-the-world collection after all.
-		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM, e.VM.LazyTransform)
+		// The pause stops at flip preparation: flip, forward the roots
+		// (pairing or moving the updated-class instances they point at), and
+		// defer every other pair to the drain. The world resumes with
+		// from-space still live behind the self-healing load barrier; rl is
+		// the drain the residue starts at the end of the pause and finishes
+		// once the background relocator runs it dry.
+		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM)
 	} else {
 		gcRes, err = e.VM.GC.Collect(e.VM, true)
 	}
 	if err != nil {
-		if errors.Is(err, gc.ErrPreFlip) {
-			// The collection failed before the semispace flip: nothing was
-			// copied or forwarded and no root was rewritten, so the heap is
-			// fully usable. Fail the update cleanly — fail() restores
-			// metadata consistency and the VM runs on, on the old version.
-			return fail(fmt.Errorf("core: DSU collection: %w", err))
-		}
-		// A post-flip failure leaves the heap unusable — the semispace flip
-		// already happened and an unknown subset of roots is forwarded. Mark
-		// it fatal so allocations fail fast with the typed cause
-		// (gc.ErrToSpaceExhausted surfaces in vm.DeadErrors with OOM set);
-		// fail() still restores metadata consistency before reporting: even
-		// a dead-heap VM must not dangle renamed classes or UpdatedTo links.
+		// A failure leaves the heap unusable — the semispace flip already
+		// happened and an unknown subset of roots is forwarded. Mark it fatal
+		// so allocations fail fast with the typed cause (gc.ErrToSpaceExhausted
+		// surfaces in vm.DeadErrors with OOM set); fail() still restores
+		// metadata consistency before reporting: even a dead-heap VM must not
+		// dangle renamed classes or UpdatedTo links.
 		flipped = true
 		e.VM.MarkHeapUnusable(err)
 		return fail(fmt.Errorf("core: DSU collection: %w", err))

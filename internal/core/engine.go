@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"govolve/internal/bytecode"
@@ -86,20 +85,12 @@ type Stats struct {
 
 	// Collection is the DSU collection's own record, stored whole (gc.go):
 	// copied objects and words (old copies in from-space's tail, §3.5,
-	// included and counted again in TailWords), the pause split
-	// PauseRescan/PauseCopy, and the concurrent mark's numbers —
-	// MarkConcurrent is false when the engine gave up on the mark (see
-	// maxMarkRestarts) and the update took the fused stop-the-world
-	// collection. Relocated records that the DSU copy ran as a concurrent
-	// relocation, whose drain is Reloc. PairsLogged also counts the pairs the
-	// adopted placement takes over from the drain (residue.adopt); it can
-	// exceed TransformedObjects - MovedObjects only if the update fails
-	// mid-phase.
+	// included and counted again in TailWords) and the pause's copy time.
+	// Relocated records that the DSU copy ran as a concurrent relocation,
+	// whose drain is Reloc. PairsLogged also counts the pairs the adopted
+	// placement takes over from the drain (residue.adopt); it can exceed
+	// TransformedObjects - MovedObjects only if the update fails mid-phase.
 	gc.Collection
-	// MarkRestarts is how many concurrent-mark snapshots were invalidated by
-	// allocation-triggered collections before one survived (or the engine
-	// gave up).
-	MarkRestarts int
 
 	// MovedObjects counts updated-class instances whose transformer is a
 	// move transformer (upt.Spec.ObjectMoves): the collector wrote them once,
@@ -111,8 +102,7 @@ type Stats struct {
 
 	SafePointDelay time.Duration // request → DSU safe point
 	// Each pause phase's wall time. PauseGC includes the collection's
-	// Duration and so its PauseRescan/PauseCopy split; the remainder is
-	// bookkeeping.
+	// Duration and so its PauseCopy; the remainder is bookkeeping.
 	PauseInstall   time.Duration
 	PauseGC        time.Duration
 	PauseTransform time.Duration
@@ -206,12 +196,6 @@ type Pending struct {
 	res     *Result
 	done    bool
 	barrier map[*vm.Frame]bool
-
-	// mark is the in-flight (or sealed) concurrent marker of a Concurrent
-	// update; markRestarts counts snapshots invalidated by
-	// allocation-triggered collections before one survived to the pause.
-	mark         *gc.Marker
-	markRestarts int
 
 	// The restricted method sets and the resolved active-method maps,
 	// built at the request's first safe-point attempt and kept for the
@@ -500,19 +484,6 @@ func (e *Engine) handle() bool {
 		e.finish(p, Failed, fmt.Errorf("core: update refused: %w", err))
 		return true
 	}
-	if e.VM.Concurrent && !e.VM.LazyTransform {
-		// (With LazyTransform the mark would be wasted work: discovery is
-		// deferred entirely — the drain builds pairs as it evacuates — so
-		// the pause consumes no instance set at all.)
-		// Run instance discovery outside the pause: start (or poll) the
-		// concurrent snapshot-at-the-beginning mark and keep the mutator
-		// running until the trace completes. Safe-point attempts — and the
-		// stop-the-world they imply — only begin once a sealed mark result
-		// is waiting for the pause.
-		if !e.stepMark(p) {
-			return p.Done() // stepMark may abort the update on timeout
-		}
-	}
 	p.res.Stats.Attempts++
 
 	if p.cat1 == nil {
@@ -611,91 +582,8 @@ func (e *Engine) handle() bool {
 	return true
 }
 
-// maxMarkRestarts bounds how many times a concurrent-mark snapshot may be
-// invalidated (by an allocation-triggered collection flipping the heap under
-// the tracer) before the engine gives up and this one update takes the fused
-// stop-the-world collection (gc.CollectReloc falls back to it when no sealed
-// mark is waiting). Each restart re-traces from scratch, so under allocation
-// pressure heavy enough to trigger back-to-back collections the STW path is
-// the faster choice anyway.
-const maxMarkRestarts = 3
-
-// stepMark advances the concurrent-mark pipeline by one poll. It returns
-// true when the safe-point attempt should proceed — either a sealed mark
-// result is waiting for the pause, or the engine has fallen back to the
-// stop-the-world collection — and false when the mutator should keep running
-// while the tracer runs. It may finish p (timeout abort), which callers
-// detect via p.Done().
-func (e *Engine) stepMark(p *Pending) bool {
-	gcc := e.VM.GC
-	p.res.Stats.MarkRestarts = p.markRestarts
-	if p.mark == nil {
-		if p.markRestarts > maxMarkRestarts {
-			return true // fall back to the fused STW collection
-		}
-		p.mark = gcc.StartMark(e.VM, e.updatedClassIDs(p.Spec))
-		// Let threads run full slices while the tracer runs; the yield
-		// flag comes back on the moment the trace completes. The scheduler
-		// still calls the handler between slices (updatePending is set), so
-		// the poll cadence is unchanged.
-		e.VM.ClearStop()
-		return false
-	}
-	if p.mark.Aborted() {
-		// An allocation-triggered collection flipped the heap mid-trace (or
-		// a tracer hit a structural error); the snapshot is stale. Restart
-		// on the next poll.
-		p.mark = nil
-		p.markRestarts++
-		return false
-	}
-	if !p.mark.Done() {
-		if time.Since(p.start) > p.Opts.Timeout {
-			gcc.AbortMark()
-			p.mark = nil
-			e.finish(p, Aborted, fmt.Errorf("core: concurrent mark did not complete within %v", p.Opts.Timeout))
-			return false
-		}
-		runtime.Gosched() // cede the processor to the tracer
-		return false
-	}
-	// Trace complete. Seal immediately — sealing joins the tracer and
-	// takes over its statistics. The write barrier stays armed until the
-	// pause: trace completion alone does not re-establish the SATB
-	// invariant (objects hidden behind logged deletions are unmarked until
-	// the pause drains the log, and an unlogged severing during a blocked
-	// safe-point wait could hide their children from the rescan for good),
-	// so the mutator keeps paying the barrier tax until the collection
-	// disarms inside the pause. Idempotent across repeated attempts.
-	if !gcc.SealMark(p.mark) {
-		p.mark = nil
-		p.markRestarts++
-		return false
-	}
-	e.VM.RequestStop()
-	return true
-}
-
-// updatedClassIDs resolves the spec's updated classes to their class IDs so
-// the concurrent mark can attribute discovered instances per class (IDs
-// survive the install-phase rename, unlike names).
-func (e *Engine) updatedClassIDs(spec *upt.Spec) map[int]bool {
-	ids := make(map[int]bool, len(spec.ClassUpdates))
-	for _, name := range spec.ClassUpdates {
-		if cls := e.VM.Reg.LookupClass(name); cls != nil {
-			ids[cls.ID] = true
-		}
-	}
-	return ids
-}
-
 // finish seals the request, clears barriers, and releases parked threads.
 func (e *Engine) finish(p *Pending, outcome Outcome, err error) {
-	// Discard any snapshot the update did not consume (aborted or failed
-	// before the collection ran): the marker must not outlive its request.
-	// No-op when the collection already took it or no mark ever started.
-	e.VM.GC.AbortMark()
-	p.mark = nil
 	for f := range p.barrier {
 		f.Barrier = false
 	}
@@ -778,11 +666,7 @@ func (e *Engine) observeUpdate(res *Result) {
 		m.Histogram(obs.MSafePointDelay, obs.DurationBuckets()).Observe(s.SafePointDelay.Seconds())
 		m.Histogram(obs.MPauseInstall, obs.DurationBuckets()).Observe(s.PauseInstall.Seconds())
 		m.Histogram(obs.MPauseGC, obs.DurationBuckets()).Observe(s.PauseGC.Seconds())
-		m.Histogram(obs.MPauseGCRescan, obs.DurationBuckets()).Observe(s.PauseRescan.Seconds())
 		m.Histogram(obs.MPauseGCCopy, obs.DurationBuckets()).Observe(s.PauseCopy.Seconds())
-		if s.MarkConcurrent {
-			m.Histogram(obs.MMarkOutside, obs.DurationBuckets()).Observe(s.MarkOutside.Seconds())
-		}
 		m.Histogram(obs.MPauseTransform, obs.DurationBuckets()).Observe(s.PauseTransform.Seconds())
 		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())
 		m.Counter(obs.MPairsLogged).Add(int64(s.PairsLogged))

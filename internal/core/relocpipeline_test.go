@@ -8,27 +8,25 @@ import (
 	"govolve/internal/vm"
 )
 
-// End-to-end coverage of the relocation half of a Concurrent update: the DSU
-// pause stops at flip preparation, the world resumes with from-space still
-// live behind the self-healing load barrier, and the remaining live set is
-// evacuated by the background relocator racing the mutator. The
-// observable outcome (program output, update success, transformed state)
-// must be identical to the fused stop-the-world pipeline's; only the pause
+// End-to-end coverage of a Concurrent update: the DSU pause stops at flip
+// preparation, the world resumes with from-space still live behind the
+// self-healing load barrier, and the remaining live set is evacuated — its
+// updated-class instances paired — by the background relocator racing the
+// mutator, and transformed behind the lazy read barrier. The observable
+// outcome (program output, update success, transformed state) must be
+// identical to the fused stop-the-world pipeline's; only the pause
 // decomposition and the drain-side stats differ.
 
-// newRelocFixture builds a Concurrent fixture, optionally composed with lazy
-// transformation.
+// newRelocFixture builds a Concurrent fixture. lazy sets LazyTransform as
+// well, which Concurrent implies: both spellings must behave alike.
 func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	t.Helper()
-	if !lazy {
-		return newMarkFixture(t, heapWords, true)
-	}
 	var out bytes.Buffer
 	v, err := vm.New(vm.Options{
 		HeapWords:     heapWords,
 		Out:           &out,
 		Concurrent:    true,
-		LazyTransform: true,
+		LazyTransform: lazy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +35,14 @@ func newRelocFixture(t *testing.T, heapWords int, lazy bool) *fixture {
 	// every generated transformer is made hand-written; moved defaults under
 	// the same pipelines are TestMovesMatchInterpreter's.
 	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
+}
+
+// newSerialFixture is the stop-the-world reference, with the same
+// hand-written transformers.
+func newSerialFixture(t *testing.T) *fixture {
+	f := newFixture(t, 1<<16)
+	f.editSpec = handWrite
+	return f
 }
 
 // drain force-completes any in-flight relocation/lazy residue so the final
@@ -292,6 +298,10 @@ func runRelocUpdate(f *fixture) (string, *core.Result) {
 	return f.finish(), res
 }
 
+// TestConcurrentRelocPipelineEquivalence runs the update on a VM built with
+// Concurrent alone and on one with LazyTransform spelled out too: both defer
+// every pair the roots do not point at to the drain and run no object
+// transformer in the pause.
 func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 	modes := []struct {
 		name string
@@ -301,10 +311,11 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		{"concurrent+lazy", true},
 	}
 	for _, m := range modes {
-		stw := newMarkFixture(t, 1<<16, false)
-		outSTW, resSTW := runRelocUpdate(stw)
+		outSTW, resSTW := runRelocUpdate(newSerialFixture(t))
 
 		rf := newRelocFixture(t, 1<<16, m.lazy)
+		var atPause core.Stats
+		rf.engine.AfterUpdate = func(res *core.Result) { atPause = res.Stats }
 		outRel, resRel := runRelocUpdate(rf)
 		// The program may finish before the background relocator runs the
 		// drain dry; force-complete so the stats below are final.
@@ -334,19 +345,19 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		if c.Reloc.Drain == 0 {
 			t.Fatalf("%s: no drain time recorded", m.name)
 		}
+		// The pause pairs only the Nodes the statics point at and leaves
+		// them pending; the rest are created by the drain and adopted into
+		// the pair log one-for-one.
+		if c.Reloc.DeferredPairs == 0 {
+			t.Fatalf("%s: drain registered no deferred pairs", m.name)
+		}
+		if atPause.TransformedObjects != 0 || atPause.LazyPending == 0 || atPause.LazyPending != atPause.PairsLogged {
+			t.Fatalf("%s: pause transformed %d objects and left %d of its %d pairs pending",
+				m.name, atPause.TransformedObjects, atPause.LazyPending, atPause.PairsLogged)
+		}
 		// The pause copies shell + old copy per pair it makes and the objects
 		// the roots point at, never the whole live set.
 		pausePairs := c.PairsLogged - c.Reloc.DeferredPairs
-		if m.lazy {
-			// Full deferral: the pause pairs only the Nodes the statics point
-			// at; the rest are created by the drain and adopted into the pair
-			// log one-for-one.
-			if c.Reloc.DeferredPairs == 0 {
-				t.Fatalf("%s: drain registered no deferred pairs", m.name)
-			}
-		} else if c.Reloc.DeferredPairs != 0 {
-			t.Fatalf("%s: eager pause left %d pairs to the drain", m.name, c.Reloc.DeferredPairs)
-		}
 		if pausePairs < 1 || c.CopiedObjects < 2*pausePairs {
 			t.Fatalf("%s: pause copied %d objects for %d pairs",
 				m.name, c.CopiedObjects, pausePairs)
@@ -354,10 +365,6 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		if c.CopiedObjects >= s.CopiedObjects {
 			t.Fatalf("%s: reloc pause copied %d ≥ STW's %d — copy never left the pause",
 				m.name, c.CopiedObjects, s.CopiedObjects)
-		}
-		if c.MarkConcurrent == m.lazy {
-			t.Fatalf("%s: MarkConcurrent = %v: discovery is the mark's, or with lazy the drain's",
-				m.name, c.MarkConcurrent)
 		}
 		assertRetired(t, rf, false)
 		// The VM must remain collectable and updatable after the drain.
@@ -385,7 +392,7 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 		f.drain()
 		return out
 	}
-	stw := newMarkFixture(t, 1<<16, false)
+	stw := newSerialFixture(t)
 	rel := newRelocFixture(t, 1<<16, false)
 	outSTW := run(stw)
 	outRel := run(rel)
@@ -395,10 +402,9 @@ func TestRelocFollowUpUpdate(t *testing.T) {
 	assertRetired(t, rel, false)
 }
 
-// TestRelocLazyDeferredPairs pins full deferral end to end: composed with
-// lazy transformation, discovery, pair creation and transformation all ride
-// the drain and the read barrier, and every touched instance comes out
-// transformed.
+// TestRelocLazyDeferredPairs pins deferral end to end: discovery, pair
+// creation and transformation all ride the drain and the read barrier, and
+// every touched instance comes out transformed.
 func TestRelocLazyDeferredPairs(t *testing.T) {
 	f := newRelocFixture(t, 1<<16, true)
 	v1 := f.load(relocV1)

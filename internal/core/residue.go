@@ -42,8 +42,8 @@ type plan struct {
 //     read barrier (vm.DSUResidue.OnTouch) instead, and the barrier transforms
 //     each pending pair on first touch — an error there is the object's data
 //     loss, since the program already resumed on the new version;
-//   - adopted (Concurrent ∧ LazyTransform): the pause paired only what the
-//     roots point at; attach arms the barrier, the relocation creates pending
+//   - adopted (Concurrent, which implies LazyTransform): the pause paired
+//     only what the roots point at; attach arms the barrier, the relocation creates pending
 //     pairs as it evacuates, and the log adopts them on first touch or when
 //     the relocation finishes.
 //
@@ -97,7 +97,7 @@ type residue struct {
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
 	r.moved(gcRes.Moved)
-	r.onTouch = r.e.VM.LazyTransform
+	r.onTouch = r.e.VM.LazyTransform || rl != nil // a relocation defers its pairs
 	if r.adopts() {
 		r.stats.LazyPending = r.pending
 	}
@@ -106,7 +106,7 @@ func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 }
 
 // adopts reports the adopted placement: pairs come from the relocation.
-func (r *residue) adopts() bool { return r.onTouch && r.rl != nil }
+func (r *residue) adopts() bool { return r.rl != nil }
 
 // adopt takes over, in shell-address order, the pairs the relocation created
 // since the last call (adopted placement only). PairsLogged counts pairs

@@ -225,7 +225,10 @@ func TestResidueTeardownConservation(t *testing.T) {
 	// is made hand-written (the lazy and reloc fixtures do that themselves).
 	// The moved rows leave it a move: the collector, or the relocation drain,
 	// writes every Box in its new layout, nothing is ever pending, and the
-	// same teardown must still hold along every path.
+	// same teardown must still hold along every path. The reloc rows build
+	// their VM with Concurrent alone, the cmark+reloc+lazy rows with
+	// LazyTransform spelled out too: Concurrent implies the on-touch
+	// placement, so both are lazy.
 	handWritten := func(f *fixture) *fixture { f.editSpec = handWrite; return f }
 	moved := func(f *fixture) *fixture { f.editSpec = nil; return f }
 	placements := []struct {
@@ -235,7 +238,7 @@ func TestResidueTeardownConservation(t *testing.T) {
 	}{
 		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false},
 		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16) }, true, false, false},
-		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) }, false, true, false},
+		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) }, true, true, false},
 		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true) }, true, true, false},
 		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true},
 		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, false)) }, false, true, true},
@@ -324,10 +327,9 @@ class JvolveTransformers {
 		{name: "forced by follow-up update", longSpin: true, drive: func(t *testing.T, r *run, lazy bool) {
 			applied(t, r)
 			// The follow-up cannot reach a safe point (main never leaves the
-			// stack — the program runs on while a concurrent mark traces, so
-			// the spin has to outlast both updates' marks however late the
-			// tracer is scheduled), so it aborts without leaving a residue of
-			// its own — after forcing the previous one.
+			// stack, so the spin has to outlast both updates), so it aborts
+			// without leaving a residue of its own — after forcing the
+			// previous one.
 			v3 := r.v2 + "\nclass Followup {\n  static method ok()I {\n    const 7\n    return\n  }\n}\n"
 			res, err := r.f.update("2", r.f.prog(r.v2), r.f.prog(v3), "", core.Options{MaxAttempts: 2},
 				upt.MethodRef{Class: "App", Name: "main", Sig: "()V"})

@@ -17,7 +17,6 @@ package gc
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"govolve/internal/heap"
@@ -32,19 +31,6 @@ import (
 // as fatal (the VM marks the heap dead and surfaces the error in DeadErrors)
 // rather than retry.
 var ErrToSpaceExhausted = errors.New("gc: copy space exhausted during collection")
-
-// ErrPreFlip tags collection failures raised *before* the semispace flip:
-// nothing has been copied, no forwarding pointer installed, no root
-// rewritten — the heap is fully usable. CollectReloc's rescan and
-// allocate-black walk can fail this way (structural errors such as an unknown
-// class ID). Callers detect it with errors.Is and fail the update cleanly
-// instead of declaring the heap dead; post-flip failures stay fatal.
-var ErrPreFlip = errors.New("heap intact, collection failed before flip")
-
-// preFlipErr wraps err so errors.Is(err, ErrPreFlip) holds.
-func preFlipErr(err error) error {
-	return fmt.Errorf("%w: %w", ErrPreFlip, err)
-}
 
 // Roots enumerates the VM's root set: thread stacks, JTOC reference slots,
 // intern-table entries, and native handles. The callback may rewrite each
@@ -88,33 +74,18 @@ type Collection struct {
 	Moved    int
 	Duration time.Duration
 
-	// Pause decomposition — uniform across both collector shapes so pausecmp
-	// rows compare like with like. The measured phases are disjoint slices of
-	// Duration: PauseRescan is the SATB deletion-log drain + root re-scan a
-	// collection that consumes a concurrent mark still does inside the pause
-	// (the only in-pause tracing it has), and PauseCopy is the in-pause copy
-	// work — the whole fused trace+copy for the STW collector (PauseCopy =
-	// Duration there), and for CollectReloc the kernel's eager evacuation of
-	// updated instances plus the objects the roots point at (the bulk copy
-	// runs in the concurrent drain, reported by RelocStats.Drain instead).
-	PauseRescan time.Duration
-	PauseCopy   time.Duration
-
-	// Concurrent-mark bookkeeping (zero unless MarkConcurrent). MarkOutside
-	// is the concurrent trace's wall time — work moved *out* of
-	// the pause; MarkSetup is the snapshot capture + barrier arm mini-stop.
-	MarkConcurrent bool
-	MarkOutside    time.Duration
-	MarkSetup      time.Duration
-	MarkedObjects  int // objects greyed by the concurrent trace (roots included)
-	RescanMarked   int // objects the pause rescan additionally marked
-	SATBDrained    int // deletion-log entries drained at the pause
+	// PauseCopy is the in-pause copy work, uniform across both collector
+	// shapes so pausecmp rows compare like with like: the whole fused
+	// trace+copy for the STW collector (PauseCopy = Duration there), and for
+	// CollectReloc the kernel's copies of the objects the roots point at (the
+	// bulk copy runs in the concurrent drain, reported by RelocStats.Drain
+	// instead).
+	PauseCopy time.Duration
 
 	// Relocated marks a CollectReloc result: the world resumed with
 	// from-space still live and a concurrent relocation drain in flight.
-	// CopiedObjects/CopiedWords then cover only the pause's work — the eager
-	// instances and the objects the roots point at; the drain's share arrives
-	// later in RelocStats.
+	// CopiedObjects/CopiedWords then cover only the pause's work — the objects
+	// the roots point at; the drain's share arrives later in RelocStats.
 	Relocated bool
 }
 
@@ -133,20 +104,13 @@ type Collector struct {
 	CopiedObjects int
 
 	// Rec, when attached (vm.AttachObs), receives the collector's flight-
-	// recorder events: one phase span per copy/scan, mark and drain plus a
+	// recorder events: one phase span per copy/scan and drain plus a
 	// copied-words summary. Nil disables emission entirely.
 	Rec *obs.Recorder
 
 	// lastPairs, the previous DSU collection's pair count, sizes the next one's
 	// log.
 	lastPairs int
-
-	// mark is the in-flight concurrent marker (nil when none — the common
-	// case; every STW entry point pays one nil check). pool keeps the mark
-	// bitmap, SATB buffer, and grey stack alive across collections so
-	// repeated updates allocate no per-cycle scratch.
-	mark *Marker
-	pool markPool
 
 	kernel
 }
@@ -166,19 +130,6 @@ func New(h *heap.Heap, reg *rt.Registry) *Collector {
 //
 // The collection is a Cheney scan driven by the copy/scan kernel (kernel.go).
 func (c *Collector) Collect(roots Roots, dsu bool) (Result, error) {
-	if c.mark != nil {
-		// A concurrent mark is in flight but a collection must run now
-		// (e.g. the mutator exhausted the heap mid-mark). The flip would
-		// move memory under the tracer and invalidate every marked
-		// address, so the snapshot is stale: join the tracer and discard
-		// it before touching anything. The engine observes the abort and
-		// restarts the mark against the post-collection heap.
-		c.AbortMark()
-	}
-	return c.collectSerial(roots, dsu)
-}
-
-func (c *Collector) collectSerial(roots Roots, dsu bool) (Result, error) {
 	start := time.Now()
 	c.Rec.Emit(obs.KPhaseBegin, obs.LaneGC, 0, "gc copy/scan")
 	c.Heap.Flip()

@@ -43,18 +43,6 @@ type world struct {
 	roots []rt.Value
 }
 
-// updatedIDs is what the engine hands the concurrent marker: the ids of the
-// classes an update is pending for.
-func (w *world) updatedIDs() map[int]bool {
-	ids := map[int]bool{}
-	for _, cls := range w.reg.Classes() {
-		if cls.UpdatedTo != nil {
-			ids[cls.ID] = true
-		}
-	}
-	return ids
-}
-
 // fieldMoves is the move transformer that carries the named fields of old
 // into new's fields of the same names, in that order, adjacent runs coalesced
 // — what core resolves from a transformer body upt proved a pure field copy.

@@ -22,9 +22,9 @@ import (
 // the words are in cache (settle) — and form runs that cheney's cursor jumps.
 //
 // Every copy made with the world stopped goes through the collector's one
-// kernel: collectSerial whole, and the relocation pause's eager evacuation
-// and root forwarding (no scan there: the drain heals what those copies hold,
-// so the runs are never read and the dirty list seeds the drain's stack).
+// kernel: Collect whole, and the relocation pause's root forwarding (no scan
+// there: the drain heals what those copies hold, so the runs are never read
+// and the dirty list seeds the drain's stack).
 
 // errUnknownClass is the structural error every tracer reports for a header
 // whose class id the registry cannot resolve.

@@ -649,7 +649,7 @@ func (w *benchWorld) shape(tb testing.TB, s benchShape) *benchWorld {
 	return w
 }
 
-// driveKernel collects the way collectSerial does and keeps the kernel, for
+// driveKernel collects the way Collect does and keeps the kernel, for
 // the count of objects its scan was entered for.
 func driveKernel(tb testing.TB, c *Collector, roots Roots, dsu bool) (*kernel, Result) {
 	tb.Helper()

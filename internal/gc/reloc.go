@@ -15,20 +15,17 @@ import (
 
 // Concurrent relocation (vm.VM.Concurrent): the Shenandoah/ZGC-style
 // answer to the last stop-the-world phase that still scaled with live-set
-// size. Where the concurrent mark (mark.go) moves *discovery* out of the DSU
-// pause and the lazy pipeline moves *transformation* out, CollectReloc moves
-// the bulk *copy* out:
+// size. Where the lazy pipeline moves *transformation* out of the DSU pause,
+// CollectReloc moves the bulk *copy* out, and with it discovery of the
+// updated-class instances:
 //
-//	pause   — take the updated-class instances the sealed concurrent mark
-//	          discovered (the rescan is the marker's own trace, finished
-//	          here), flip, and run the serial collector's kernel without
-//	          its scan: it moves or pairs only those instances (shell + old
-//	          copy, the pairs the transformer pipeline needs immediately —
-//	          or, in deferPairs mode, nothing at all, and no mark either),
-//	          then forwards every root, so every root leaves the pause
-//	          canonical. Arm the heap's self-healing load barrier over the
-//	          old semispace and resume the world with from-space still live.
-//	          The claim protocol below starts only when the world does.
+//	pause   — flip, and run the serial collector's kernel without its scan
+//	          over the roots only: a root's object is copied, or paired
+//	          (shell + old copy) or moved if it is an updated-class
+//	          instance, so every root leaves the pause canonical. Arm the
+//	          heap's self-healing load barrier over the old semispace and
+//	          resume the world with from-space still live. The claim
+//	          protocol below starts only when the world does.
 //	drain   — one background relocator evacuates the remaining live set:
 //	          a CAS cursor parses to-space [flip base, drain start) — every
 //	          object the pause and the in-pause transformers created — and
@@ -59,15 +56,13 @@ import (
 // ever hold canonical references (loads heal, roots were forwarded) — and are
 // never scanned.
 //
-// deferPairs (vm.Options.LazyTransform ∧ Concurrent) is full deferral:
-// the pause creates no pairs except where a root points at an updated-class
-// instance — the kernel pairs (or moves) it there, into the pause log. The
-// drain discovers the other updated-class instances during evacuation, builds the
-// shell + old copy right there — the shell's pair word makes it pending for
-// the lazy read barrier — and registers the pair for the lazy drain to adopt.
-// Class cleanup (unregistering the renamed old classes) is deferred to drain
-// finalize in every reloc mode, because the drain sizes old copies by their
-// old class ids.
+// Pairs are deferred (vm.Options.Concurrent implies LazyTransform): the drain
+// discovers the updated-class instances the roots do not point at during
+// evacuation, builds the shell + old copy right there — the shell's pair word
+// makes it pending for the lazy read barrier — and registers the pair for the
+// lazy drain to adopt. Class cleanup (unregistering the renamed old classes)
+// waits for drain finalize, because the drain sizes old copies by their old
+// class ids.
 
 // RelocStats summarizes a completed (or failed) relocation drain.
 type RelocStats struct {
@@ -83,10 +78,10 @@ type RelocStats struct {
 	// mutator barrier heals plus drain fixup heals.
 	HealedSlots uint64
 	// DeferredPairs is the number of shell/old-copy pairs created by the
-	// drain (deferPairs mode) for the lazy pipeline to adopt.
+	// drain for the lazy pipeline to adopt.
 	DeferredPairs int
 	// Moved counts updated-class instances the drain wrote directly in their
-	// new layout (deferPairs mode; rt.Class.Moves) — Result.Moved's drain half.
+	// new layout (rt.Class.Moves) — Result.Moved's drain half.
 	Moved int
 	// Drain is the wall-clock time from Start (or the first forced work)
 	// to termination — the copy cost that no longer sits in the pause.
@@ -102,8 +97,6 @@ type Relocation struct {
 	c   *Collector
 	h   *heap.Heap
 	reg *rt.Registry
-
-	deferPairs bool
 
 	fromLo, fromHi rt.Addr // the held from-space interval
 
@@ -135,8 +128,8 @@ type Relocation struct {
 	errMu sync.Mutex
 	err   error
 
-	// deferred are the drain-created pairs (deferPairs mode), in creation
-	// order; a root's pair is the pause's, in its Result.Log.
+	// deferred are the drain-created pairs, in creation order; a root's pair
+	// is the pause's, in its Result.Log.
 	mu       sync.Mutex
 	deferred []Pair
 
@@ -176,62 +169,27 @@ func (al *relocAllocator) allocShell(size int) (rt.Addr, bool) {
 }
 
 // CollectReloc is the pause half of a concurrent DSU collection. It returns
-// the pause Result (the eager pairs and moves, and the copies of what the
-// roots point at — the pause decomposition's PauseCopy is that kernel work)
-// plus the live Relocation the engine must Start and eventually Finish.
-// deferPairs selects full deferral for the lazy-transform pipeline. Post-flip
-// errors leave the heap unusable exactly as in the STW collector; discovery
-// errors are ErrPreFlip.
-//
-// Without deferPairs the pause needs the instance set of a sealed mark. If the
-// marker is missing, unsealed or aborted — the engine gave up on the mark
-// after too many restarts — it is the ordinary DSU Collect and there is no
-// Relocation: a longer pause, the same heap.
-func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (Result, *Relocation, error) {
-	if m := c.mark; !deferPairs && (m == nil || !m.sealed || m.aborted) {
-		res, err := c.Collect(roots, true)
-		return res, nil, err
-	}
+// the pause Result (the pairs and moves of updated instances the roots point
+// at, and the copies of what the roots point at — the pause decomposition's
+// PauseCopy is that kernel work) plus the live Relocation the engine must
+// Start and eventually Finish. Errors leave the heap unusable exactly as in
+// the STW collector.
+func (c *Collector) CollectReloc(roots Roots) (Result, *Relocation, error) {
 	start := time.Now()
 	h := c.Heap
 	res := Result{Collection: Collection{Relocated: true}}
-
-	// --- discovery ---------------------------------------------------------
-	var addrs []rt.Addr
-	if deferPairs {
-		// Full deferral: the drain discovers updated instances itself, so no
-		// trace runs at all. A leftover marker's snapshot would go stale
-		// across the flip — drop it (the engine does not start one in this
-		// mode; this is the defensive path).
-		if c.mark != nil {
-			c.AbortMark()
-		}
-	} else {
-		var err error
-		addrs, err = c.relocConsumeMark(c.mark, roots, &res)
-		if err != nil {
-			return Result{}, nil, err
-		}
-	}
-	// Sorted evacuation order makes the pair log a pure function of the
-	// pre-flip heap layout (and sorted by shell: shells are bump-allocated).
-	slices.Sort(addrs)
 
 	fromLo, fromHi := h.ScanStart(), h.AllocPointer()
 	h.Flip()
 	tCopy := time.Now()
 
 	// --- the kernel, without its scan ---------------------------------------
-	// The updated-class instances the transformer pipeline needs right now,
-	// then every root: a root's object is copied (in deferPairs mode, paired
-	// or moved if it is an updated instance), or already was. Everything else
-	// stays in from-space for the drain. Every copy lies in to-space below the
-	// region's end, where the cursor heals its slots, except old copies in
-	// the tail: the ones holding a reference seed the drain's stack.
+	// Every root: a root's object is copied (paired or moved if it is an
+	// updated instance), or already was. Everything else stays in from-space
+	// for the drain. Every copy lies in to-space below the region's end, where
+	// the cursor heals its slots, except old copies in the tail: the ones
+	// holding a reference seed the drain's stack.
 	k := c.open(true)
-	for _, a := range addrs {
-		k.evacuate(a, k.Words[a])
-	}
 	roots.ForEachRoot(k.root)
 	k.commit(h, &res)
 	if k.err != nil {
@@ -241,7 +199,6 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (Result, *Relocat
 
 	rl := &Relocation{
 		c: c, h: h, reg: c.Reg,
-		deferPairs:  deferPairs,
 		fromLo:      fromLo,
 		fromHi:      fromHi,
 		regionStart: k.To.Lo,
@@ -260,72 +217,6 @@ func (c *Collector) CollectReloc(roots Roots, deferPairs bool) (Result, *Relocat
 	c.CopiedObjects += res.CopiedObjects
 	res.Duration = time.Since(start)
 	return res, rl, nil
-}
-
-// relocConsumeMark consumes a sealed concurrent mark for the reloc pause. The
-// barrier stayed armed through the blocked safe-point wait (see SealMark); the
-// mutator is stopped now, so it disarms and takes the full deletion log —
-// every snapshot-region edge severed since the snapshot is in it, which is
-// what makes the rescan sound. The rescan is the marker's own trace, finished
-// on this goroutine (the tracer was joined at the seal): grey the log and the
-// root set, then pop and scan until the grey stack is empty, marking any
-// snapshot-region object the concurrent trace has not seen (typically a
-// handful: values the mutator moved around while the trace ran; stamped into
-// PauseRescan). What it gathers is only updated-class instance addresses —
-// those the trace and the rescan attributed, and the allocate-black region
-// [watermark, alloc), walked linearly past the dead gaps an earlier drain left
-// (the heap's hole list). Errors are ErrPreFlip: nothing has moved yet.
-func (c *Collector) relocConsumeMark(m *Marker, roots Roots, res *Result) ([]rt.Addr, error) {
-	c.mark = nil
-	defer c.recycleMark(m)
-	h := c.Heap
-	m.satb = h.DisarmSATB()
-	res.MarkConcurrent = true
-	res.MarkOutside = m.trace
-	res.MarkSetup = m.setup
-	res.MarkedObjects = m.markedObjects
-	res.SATBDrained = len(m.satb)
-
-	tRescan := time.Now()
-	for _, a := range m.satb {
-		m.markGrey(a)
-	}
-	roots.ForEachRoot(m.greyRoot)
-	if !m.drain() {
-		return nil, preFlipErr(m.Err())
-	}
-	res.RescanMarked = m.markedObjects - res.MarkedObjects
-	res.PauseRescan = time.Since(tRescan)
-	addrs := m.updatedAddrs
-
-	// Allocate-black walk: everything at or above the watermark is
-	// implicitly live; collect its updated-class instances.
-	holes := h.Holes()
-	for len(holes) > 0 && holes[0].Addr < m.watermark {
-		holes = holes[1:]
-	}
-	for a := m.watermark; a < h.AllocPointer(); {
-		if len(holes) > 0 && holes[0].Addr == a {
-			a += rt.Addr(holes[0].Size)
-			holes = holes[1:]
-			continue
-		}
-		var size int
-		if h.IsArray(a) {
-			size = rt.HeaderWords + h.ArrayLen(a)
-		} else {
-			cls := c.Reg.ClassByID(h.ClassID(a))
-			if cls == nil {
-				return nil, preFlipErr(fmt.Errorf("gc: reloc sweep: object @%d with unknown class id %d", a, h.ClassID(a)))
-			}
-			if cls.UpdatedTo != nil {
-				addrs = append(addrs, a)
-			}
-			size = cls.Size
-		}
-		a += rt.Addr(size)
-	}
-	return addrs, nil
 }
 
 // --- the drain -------------------------------------------------------------
@@ -553,10 +444,9 @@ func (rl *Relocation) evac(a rt.Addr, al *relocAllocator) rt.Addr {
 	}
 }
 
-// copyClaimed evacuates an object this caller has claimed. Updated-class
-// instances must all have been paired in the pause unless deferPairs is on —
-// meeting one otherwise means discovery missed a live object, and the drain
-// fails loudly rather than preserving an old-layout instance past cleanup.
+// copyClaimed evacuates an object this caller has claimed: an updated-class
+// instance becomes a deferred pair or a moved copy, anything else a plain
+// copy.
 func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.Addr, bool) {
 	h, reg := rl.h, rl.reg
 	size := h.SizeFromHeader(a, hw, reg.ClassByID)
@@ -566,10 +456,6 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 	}
 	if !heap.HeaderIsArray(hw) {
 		if cls := reg.ClassByID(heap.HeaderClassID(hw)); cls != nil && cls.UpdatedTo != nil {
-			if !rl.deferPairs {
-				rl.fail(fmt.Errorf("gc: reloc drain: undiscovered updated-class instance @%d (%s)", a, cls.Name))
-				return 0, false
-			}
 			if cls.Moves == nil {
 				return rl.deferredPair(a, hw, size, cls.UpdatedTo, al)
 			}
@@ -595,7 +481,7 @@ func (rl *Relocation) copyClaimed(a rt.Addr, hw uint64, al *relocAllocator) (rt.
 }
 
 // movedCopy is the plain evacuation above for an instance the drain met whose
-// transformer is a move (deferPairs mode): one zeroed object of the new size,
+// transformer is a move: one zeroed object of the new size,
 // the new class id, the carried runs straight out of the claimed from-space
 // object — finished before PublishForward, never pending, never a pair. It is
 // pushed like any copy, so the scan heals its slots.
@@ -619,10 +505,10 @@ func (rl *Relocation) movedCopy(a rt.Addr, old *rt.Class, al *relocAllocator) (r
 }
 
 // deferredPair builds a shell + old copy for an updated-class instance the
-// drain discovered (deferPairs mode) and registers the pair for the lazy
-// drain to adopt. The shell and its pair word — what makes it pending for the
-// lazy read barrier — are written before PublishForward, so no other
-// goroutine ever sees a half-built pair. The old copy goes to from-space's
+// drain discovered and registers the pair for the lazy drain to adopt. The
+// shell and its pair word — what makes it pending for the lazy read barrier —
+// are written before PublishForward, so no other goroutine ever sees a
+// half-built pair. The old copy goes to from-space's
 // tail while it has room, else to to-space.
 func (rl *Relocation) deferredPair(a rt.Addr, hw uint64, size int, newCls *rt.Class, al *relocAllocator) (rt.Addr, bool) {
 	h := rl.h

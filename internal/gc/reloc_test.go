@@ -2,50 +2,26 @@ package gc
 
 import (
 	"errors"
-	"runtime"
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"govolve/internal/classfile"
 	"govolve/internal/heap"
 	"govolve/internal/rt"
 )
 
-// The stw/concurrent equivalence suite. A concurrent collection — a sealed
-// mark, a short pause (rescan, eager pairs + root forwarding), then a drain that
-// evacuates the rest of the live set with the background relocator and the
-// self-healing load barrier — must end in a heap observationally identical to
-// the serial Cheney collector's: isomorphic reachable graph, identical values,
-// identical DSU pair treatment. With the mutator quiescent throughout even the
-// copy accounting must match exactly: serial CopiedObjects == pause
+// The stw/concurrent equivalence suite. A concurrent collection — a short
+// pause (root forwarding, pairs and moves for what the roots point at), then a
+// drain that evacuates the rest of the live set, pairing the updated-class
+// instances it meets, with the background relocator and the self-healing load
+// barrier — must end in a heap observationally identical to the serial Cheney
+// collector's: isomorphic reachable graph, identical values, identical DSU pair
+// treatment. With the mutator quiescent throughout even the accounting must
+// match exactly as pause + drain sums: serial CopiedObjects == pause
 // CopiedObjects + drain RelocStats.Objects (each live object is evacuated
-// exactly once on either path).
-
-// sealMark runs a concurrent mark over roots to the point where the pause can
-// consume it: snapshot + trace (mutate, if given, runs while the barrier is
-// armed), seal.
-func sealMark(t testing.TB, roots Roots, w *world, c *Collector, mutate func()) {
-	t.Helper()
-	m := c.StartMark(roots, w.updatedIDs())
-	if mutate != nil {
-		mutate()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !m.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("concurrent mark did not terminate")
-		}
-		runtime.Gosched()
-	}
-	if !c.SealMark(m) {
-		t.Fatalf("mark aborted: %v", m.Err())
-	}
-	if !w.h.SATBArmed() {
-		t.Fatal("barrier disarmed at seal: mutations between seal and pause would go unlogged")
-	}
-}
+// exactly once on either path), and likewise for words, tail words, pairs and
+// moves.
 
 // checkPause pins what a reloc pause leaves for the drain, before it starts.
 // The pause ran on the serial kernel, so no from-space header holds the claim
@@ -82,20 +58,18 @@ func checkPause(t testing.TB, w *world, c *Collector, res Result, rl *Relocation
 }
 
 // runRelocCycle drives the pause and the drain of a concurrent collection on
-// w — after sealMark, or with deferPairs and no mark at all: pause, Start,
-// optional mutation while the drain runs, force-complete, Finish.
-func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate func()) (Result, RelocStats) {
+// w: pause, Start, optional mutation while the drain runs, force-complete,
+// Finish. It returns the pause's Result, the drain's stats and the whole pair
+// log: the pause's pairs, then the drain's.
+func runRelocCycle(t testing.TB, w *world, c *Collector, mutate func()) (Result, RelocStats, []Pair) {
 	t.Helper()
-	res, rl, err := c.CollectReloc(w, deferPairs)
+	res, rl, err := c.CollectReloc(w)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
 	}
 	checkPause(t, w, c, res, rl)
-	if !res.Relocated || res.MarkConcurrent == deferPairs {
-		t.Fatalf("result flagged Relocated=%v MarkConcurrent=%v (deferPairs=%v)", res.Relocated, res.MarkConcurrent, deferPairs)
-	}
-	if w.h.SATBArmed() {
-		t.Fatal("SATB barrier still armed after the pause")
+	if !res.Relocated {
+		t.Fatal("reloc pause result not flagged Relocated")
 	}
 	if !w.h.RelocArmed() {
 		t.Fatal("load barrier not armed after the reloc pause")
@@ -120,15 +94,7 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, deferPairs bool, mutate
 	if w.h.RelocArmed() {
 		t.Fatal("load barrier still armed after Finish")
 	}
-	return res, stats
-}
-
-// runConcurrentCycle is a whole concurrent collection of w: sealMark (with
-// duringMark), then runRelocCycle consuming it (with duringDrain).
-func runConcurrentCycle(t testing.TB, w *world, c *Collector, duringMark, duringDrain func()) (Result, RelocStats) {
-	t.Helper()
-	sealMark(t, w, w, c, duringMark)
-	return runRelocCycle(t, w, c, false, duringDrain)
+	return res, stats, slices.Concat(res.Log, rl.Deferred())
 }
 
 // runConcurrentEquivalence compares a quiescent concurrent collection against
@@ -153,7 +119,7 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
 	if err != nil {
 		t.Fatalf("serial collect: %v", err)
 	}
-	rb, stats := runConcurrentCycle(t, wb, New(wb.h, wb.reg), nil, nil)
+	rb, stats, log := runRelocCycle(t, wb, New(wb.h, wb.reg), nil)
 
 	if got := rb.CopiedObjects + stats.Objects; got != ra.CopiedObjects {
 		t.Fatalf("copied objects: serial %d, concurrent pause %d + drain %d = %d",
@@ -162,24 +128,22 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
 	if got := rb.CopiedWords + stats.Words; got != ra.CopiedWords {
 		t.Fatalf("copied words: serial %d, concurrent %d", ra.CopiedWords, got)
 	}
-	if ra.PairsLogged != rb.PairsLogged || len(ra.Log) != len(rb.Log) {
-		t.Fatalf("pair counts: serial %d, concurrent %d", len(ra.Log), len(rb.Log))
+	if got := rb.PairsLogged + stats.DeferredPairs; got != ra.PairsLogged || len(log) != len(ra.Log) {
+		t.Fatalf("pair counts: serial %d, concurrent pause %d + drain %d", len(ra.Log), rb.PairsLogged, stats.DeferredPairs)
 	}
 	if got := rb.TailWords + stats.TailWords; got != ra.TailWords {
 		t.Fatalf("tail words: serial %d, concurrent %d", ra.TailWords, got)
 	}
-	if stats.DeferredPairs != 0 {
-		t.Fatalf("eager mode created %d deferred pairs", stats.DeferredPairs)
-	}
-	if ra.Moved != rb.Moved || stats.Moved != 0 || (ra.Moved > 0) != dsu {
+	if got := rb.Moved + stats.Moved; got != ra.Moved || (ra.Moved > 0) != dsu {
 		t.Fatalf("moved: serial %d, concurrent pause %d + drain %d (dsu=%v)", ra.Moved, rb.Moved, stats.Moved, dsu)
 	}
 	for i := 1; i < len(rb.Log); i++ {
 		if rb.Log[i-1].New >= rb.Log[i].New {
-			t.Fatal("concurrent pair log not sorted by new-shell address")
+			t.Fatal("pause pair log not sorted by new-shell address")
 		}
 	}
-	checkPairWords(t, wb.h, rb.Log)
+	checkPairWords(t, wb.h, log)
+	rb.Log = log
 	isoCheck(t, wa, wb, ra, rb, dsu)
 }
 
@@ -201,13 +165,6 @@ func TestRelocDSUCollectEquivalenceOverflow(t *testing.T) {
 	}
 }
 
-func TestRelocConsumesConcurrentMark(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		runConcurrentEquivalence(t, seed, false, false)
-		runConcurrentEquivalence(t, seed, true, false)
-	}
-}
-
 // TestRelocInFlightMutation runs the shared deterministic mutation script
 // while the drain is live — stores land through the armed atomic path,
 // loads heal through the barrier, allocations are born clean above the
@@ -216,7 +173,9 @@ func TestRelocConsumesConcurrentMark(t *testing.T) {
 // baseline mutates after its own collection: both sides then see the same
 // logical program order (pause, then mutation). Copy counts are not
 // compared: the drain also evacuates objects the script kills mid-drain
-// (floating garbage, reclaimed by the next collection).
+// (floating garbage, reclaimed by the next collection), and never reaches
+// some the script kills first — so with DSU the drain pairs and moves at most
+// what the baseline did.
 func TestRelocInFlightMutation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, dsu := range []bool{false, true} {
@@ -232,24 +191,78 @@ func TestRelocInFlightMutation(t *testing.T) {
 			// (canonical) root addresses — in DSU mode those are the new
 			// shells, exactly as on the baseline below. Its logic depends
 			// only on root order and graph shape, so it lands identically.
-			res, _ := runConcurrentCycle(t, wa, New(wa.h, wa.reg), nil, func() { mutationScript(t, wa)() })
+			res, stats, log := runRelocCycle(t, wa, New(wa.h, wa.reg), func() { mutationScript(t, wa)() })
 
 			rbs, err := New(wb.h, wb.reg).Collect(wb, dsu)
 			if err != nil {
 				t.Fatalf("STW collect: %v", err)
 			}
 			mutationScript(t, wb)()
-			// Both sides paired the identical pre-mutation live set.
-			if dsu && res.PairsLogged != rbs.PairsLogged {
-				t.Fatalf("pairs: reloc %d, STW %d", res.PairsLogged, rbs.PairsLogged)
+			// The drain met only objects of the pre-mutation live set.
+			if dsu && (len(log) > rbs.PairsLogged || res.Moved+stats.Moved > rbs.Moved) {
+				t.Fatalf("reloc paired %d and moved %d, STW %d and %d",
+					len(log), res.Moved+stats.Moved, rbs.PairsLogged, rbs.Moved)
 			}
+			res.Log = log
 			isoCheck(t, wa, wb, res, rbs, dsu)
 		}
 	}
 }
 
-// TestRelocDeferredPairs pins full deferral (reloc + lazy transform): the
-// pause creates a pair only where a root points at an updated instance, in its
+// mutationScript applies a deterministic in-flight mutation to a buildWorld
+// heap while the drain runs: it rewires edges between rooted nodes, severs
+// edges (objects that die mid-drain), and allocates a fresh chain published
+// through a root (objects born clean above the drain's region). The script
+// depends only on root order and graph shape, so running it on an identical
+// world after a serial collection produces the identical final graph.
+func mutationScript(t *testing.T, w *world) func() {
+	t.Helper()
+	// The node addresses reachable as direct roots (stable across identical
+	// worlds: buildWorld is deterministic).
+	var nodes []rt.Addr
+	for _, r := range w.roots {
+		a := r.Ref()
+		if a != rt.Null && !w.h.IsArray(a) {
+			nodes = append(nodes, a)
+		}
+	}
+	return func() {
+		n := len(nodes)
+		if n < 4 {
+			t.Fatal("mutation script needs at least 4 rooted nodes")
+		}
+		// Rewire: every rooted node's left edge points at its successor.
+		for i, a := range nodes {
+			w.h.SetFieldValue(a, offLeft, rt.RefVal(nodes[(i+1)%n]))
+		}
+		// Sever: half the right edges go null. Anything only reachable
+		// through them dies mid-drain.
+		for i := 0; i < n; i += 2 {
+			w.h.SetFieldValue(nodes[i], offRight, rt.NullVal)
+		}
+		// A fresh chain, published via the first root.
+		var prev rt.Addr
+		for k := 0; k < 8; k++ {
+			a, ok := w.h.AllocObject(w.cls)
+			if !ok {
+				t.Fatal("alloc during drain")
+			}
+			w.h.SetFieldValue(a, offVal, rt.IntVal(int64(7000+k)))
+			w.h.SetFieldValue(a, offLeft, rt.RefVal(prev))
+			prev = a
+		}
+		w.h.SetFieldValue(nodes[0], offRight, rt.RefVal(prev))
+		// Churn the ref arrays too (SetElem path).
+		for _, r := range w.roots {
+			a := r.Ref()
+			if a != rt.Null && w.h.IsArray(a) && w.h.ArrayElemIsRef(a) {
+				w.h.SetElem(a, 0, rt.RefVal(nodes[n-1]))
+			}
+		}
+	}
+}
+
+// TestRelocDeferredPairs pins deferral: the pause creates a pair only where a root points at an updated instance, in its
 // own log; the drain builds the rest — pending shells, old copies registered
 // for adoption, every old-copy reference healed to a canonical (shell)
 // address, the pause's tail old copy's through the stack the pause seeded.
@@ -274,11 +287,11 @@ func TestRelocDeferredPairs(t *testing.T) {
 		newCls := addUpdatedTo(t, w)
 
 		c := New(w.h, w.reg)
-		res, rl, err := c.CollectReloc(w, true)
+		res, rl, err := c.CollectReloc(w)
 		if err != nil {
 			t.Fatalf("CollectReloc: %v", err)
 		}
-		// Full deferral: the pause logged exactly one pair, the chain head
+		// Deferral: the pause logged exactly one pair, the chain head
 		// the root points at, whose shell the root now holds.
 		if len(res.Log) != 1 || res.PairsLogged != 1 || res.Log[0].New != w.roots[0].Ref() {
 			t.Fatalf("deferred pause logged %v (%d), want the root's pair alone", res.Log, res.PairsLogged)
@@ -353,7 +366,7 @@ func TestRelocDeferredPairs(t *testing.T) {
 	}
 }
 
-// TestRelocDeferredMoves: under full deferral an updated-class instance whose
+// TestRelocDeferredMoves: under deferral an updated-class instance whose
 // transformer is a move is no pair at all. Whoever evacuates it — the pause's
 // kernel for the chain's head the root points at, the drain for the rest —
 // writes the one finished copy: new class, carried fields in their new places,
@@ -381,7 +394,7 @@ func TestRelocDeferredMoves(t *testing.T) {
 	newNode := addUpdatedTo(t, w)
 	newLeaf := w.leaf.UpdatedTo
 
-	res, stats := runRelocCycle(t, w, New(w.h, w.reg), true, nil)
+	res, stats, _ := runRelocCycle(t, w, New(w.h, w.reg), nil)
 	if len(res.Log) != 0 || res.Moved != 1 || res.CopiedObjects != 1 {
 		t.Fatalf("deferred pause logged %d pairs, moved %d and copied %d; want the root's leaf moved alone",
 			len(res.Log), res.Moved, res.CopiedObjects)
@@ -420,10 +433,11 @@ func TestRelocDeferredMoves(t *testing.T) {
 	}
 }
 
-// TestRelocDrainToSpaceExhaustion: the pause fits (one widening pair), but
-// from-space was packed so full that the drain's plain evacuations cannot —
-// the drain must fail with the typed error, surfaced by Finish, and the
-// relocation must report Failed (the engine marks the heap unusable).
+// TestRelocDrainToSpaceExhaustion: the pause fits (one root copy), but
+// from-space was packed so full that the drain's evacuations, and the one
+// widening pair among them, cannot — the drain must fail with the typed error,
+// surfaced by Finish, and the relocation must report Failed (the engine marks
+// the heap unusable).
 func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 	reg := rt.NewRegistry()
 	w := &world{reg: reg, h: heap.New(128), cls: nodeClass(t, reg, "Node")}
@@ -452,9 +466,7 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 	}
 	special.UpdatedTo = newCls
 
-	c := New(w.h, w.reg)
-	sealMark(t, w, w, c, nil)
-	_, rl, err := c.CollectReloc(w, false)
+	_, rl, err := New(w.h, w.reg).CollectReloc(w)
 	if err != nil {
 		// Acceptable variant: the pause itself hits the wall (post-flip
 		// fatal). Either way the typed error must surface.
@@ -482,9 +494,7 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 func TestRelocForceDrainBeforeStart(t *testing.T) {
 	w := buildWorld(t, 21, 1<<13)
 	addUpdatedTo(t, w)
-	c := New(w.h, w.reg)
-	sealMark(t, w, w, c, nil)
-	res, rl, err := c.CollectReloc(w, false)
+	res, rl, err := New(w.h, w.reg).CollectReloc(w)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
 	}
@@ -499,8 +509,8 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	// This world's roots reach every live object directly, so the pause copied
-	// them all; the forced drain's work is healing what those copies hold.
+	// The pause paired the rooted Nodes; the forced drain's work includes
+	// healing what those copies hold.
 	if stats.HealedSlots == 0 || res.PairsLogged == 0 {
 		t.Fatalf("forced drain did no work: %+v", stats)
 	}
@@ -514,9 +524,7 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 // point into it.
 func TestRelocFlipGuard(t *testing.T) {
 	w := buildWorld(t, 5, 1<<13)
-	c := New(w.h, w.reg)
-	sealMark(t, w, w, c, nil)
-	_, rl, err := c.CollectReloc(w, false)
+	_, rl, err := New(w.h, w.reg).CollectReloc(w)
 	if err != nil {
 		t.Fatalf("CollectReloc: %v", err)
 	}

@@ -9,8 +9,8 @@ import (
 	"govolve/internal/rt"
 )
 
-// The worlds the equivalence suites (mark_test.go, reloc_test.go) collect two
-// ways and compare: a seeded random object graph, its DSU variant, and the
+// The worlds the equivalence suite (reloc_test.go) collects two ways and
+// compares: a seeded random object graph, its DSU variant, and the
 // lockstep isomorphism check.
 
 // buildWorld deterministically builds a random object graph from seed:

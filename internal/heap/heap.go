@@ -6,7 +6,6 @@
 package heap
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,20 +20,19 @@ import (
 
 // Heap is a semi-space heap. Mutator access is not synchronized; the VM
 // scheduler serializes it (the VM is a green-thread machine), and a
-// stop-the-world collection runs on that same goroutine. Two goroutines ever
-// share the heap with it: the concurrent marker's tracer (satb.go) and the
-// relocation drain's relocator (reloc.go); the entry points documented there,
-// and only those, are safe for concurrent use.
+// stop-the-world collection runs on that same goroutine. One goroutine ever
+// shares the heap with it: the relocation drain's relocator (reloc.go); the
+// entry points documented there, and only those, are safe for concurrent use.
 type Heap struct {
 	words []uint64
 	semi  rt.Addr // words per semispace
 	cur   int     // current allocation space, 0 or 1
 	alloc rt.Addr // next free word (absolute)
 
-	// mu guards the bump pointers (alloc, tail.Alloc) and the hole list
-	// while a relocation drain is live: the relocator's TLAB refills and
-	// retires take it, and so do the mutator's allocation (allocLocked) and
-	// AllocTail. Outside a drain nobody does.
+	// mu guards the bump pointers (alloc, tail.Alloc) while a relocation
+	// drain is live: the relocator's TLAB refills and retires take it, and so
+	// do the mutator's allocation (allocLocked) and AllocTail. Outside a drain
+	// nobody does.
 	mu sync.Mutex
 
 	// tail is [alloc, limit) of the space the last Flip left: the paper's
@@ -43,58 +41,12 @@ type Heap struct {
 	// engine retires an update's residue before any flip (bits.go).
 	tail Region
 
-	// satb, when non-nil, is the armed snapshot-at-the-beginning deletion
-	// barrier for an in-flight concurrent DSU mark (see satb.go). Disarmed
-	// it costs the store paths one nil check — the same discipline as the
-	// disabled flight recorder.
-	satb *satbState
-
 	// reloc, when non-nil, is the armed self-healing load barrier for an
 	// in-flight concurrent relocation drain (see reloc.go): loads of
 	// from-space references evacuate-or-adopt and heal the slot; stores go
 	// atomic because the relocator CAS-heals the same slots. Disarmed it
 	// costs the access paths one nil check.
 	reloc *relocState
-
-	// holes records the dead gaps a relocation drain leaves in each
-	// semispace (the relocator's TLAB block tails abandoned at
-	// refill/retire). A bump region is self-parsing only while it is
-	// gap-free; the pause that consumes a concurrent mark walks the
-	// allocate-black end of from-space linearly and skips these. Indexed by
-	// semispace; Flip clears the list of the space it starts refilling.
-	holes [2][]Hole
-}
-
-// Hole is one unparseable gap inside a semispace: a TLAB block tail
-// abandoned during a relocation drain. The words are dead (never
-// referenced) but contain stale bits, so linear heap walks must skip them.
-type Hole struct {
-	Addr rt.Addr
-	Size int
-}
-
-// recordHoleLocked notes a dead gap in the current space. Callers hold h.mu.
-func (h *Heap) recordHoleLocked(a rt.Addr, size int) {
-	if size <= 0 {
-		return
-	}
-	h.holes[h.cur] = append(h.holes[h.cur], Hole{Addr: a, Size: size})
-}
-
-// RecordHole notes a dead gap in the current space (TLAB refill path, which
-// does not hold the heap mutex).
-func (h *Heap) RecordHole(a rt.Addr, size int) {
-	h.mu.Lock()
-	h.recordHoleLocked(a, size)
-	h.mu.Unlock()
-}
-
-// Holes returns the current space's dead gaps sorted by address — the
-// skip-list a linear from-space walk needs. Called only inside a pause.
-func (h *Heap) Holes() []Hole {
-	hs := h.holes[h.cur]
-	sort.Slice(hs, func(i, j int) bool { return hs[i].Addr < hs[j].Addr })
-	return hs
 }
 
 // New creates a heap with the given number of words per semispace.
@@ -319,9 +271,6 @@ func (h *Heap) Flip() {
 	h.tail = Region{Lo: h.alloc, Alloc: h.alloc, Hi: h.limit(h.cur)}
 	h.cur ^= 1
 	h.alloc = h.base(h.cur)
-	// The space we are about to refill is empty again: its recorded holes
-	// (from the relocation drain two flips ago) died with its contents.
-	h.holes[h.cur] = h.holes[h.cur][:0]
 }
 
 // FieldValue reads a tagged field value given the offset and ref-ness that
@@ -341,17 +290,11 @@ func (h *Heap) FieldValue(a rt.Addr, offset int, isRef bool) rt.Value {
 	return rt.Value{Bits: h.words[idx], IsRef: isRef}
 }
 
-// SetFieldValue writes a field word. With the SATB barrier armed (concurrent
-// DSU mark in flight) a reference store additionally logs the overwritten
-// value and goes atomic; with the relocation barrier armed the store goes
-// atomic because the relocator CAS-heals the same slots. The disarmed path is
-// the plain store plus the nil checks.
+// SetFieldValue writes a field word. With the relocation barrier armed the
+// store goes atomic because the relocator CAS-heals the same slots. The
+// disarmed path is the plain store plus the nil check.
 func (h *Heap) SetFieldValue(a rt.Addr, offset int, v rt.Value) {
 	idx := a + rt.Addr(offset)
-	if s := h.satb; s != nil && v.IsRef {
-		h.satbStore(s, idx, v.Bits)
-		return
-	}
 	if h.reloc != nil {
 		atomic.StoreUint64(&h.words[idx], v.Bits)
 		return
@@ -375,14 +318,10 @@ func (h *Heap) Elem(a rt.Addr, i int) rt.Value {
 	return rt.Value{Bits: h.words[idx], IsRef: h.ArrayElemIsRef(a)}
 }
 
-// SetElem writes array element i, paying the SATB barrier (log + atomic) or
-// the relocation barrier (atomic) when either is armed.
+// SetElem writes array element i, paying the relocation barrier (atomic)
+// when it is armed.
 func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
 	idx := a + rt.HeaderWords + rt.Addr(i)
-	if s := h.satb; s != nil && h.words[a]&ArrayRefBit != 0 {
-		h.satbStore(s, idx, v.Bits)
-		return
-	}
 	if h.reloc != nil {
 		atomic.StoreUint64(&h.words[idx], v.Bits)
 		return
@@ -392,11 +331,10 @@ func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
 
 // ElemWords returns the element words of a NON-reference array as a window
 // onto the heap: no copy, no allocation. It is legal only on arrays whose
-// elements are not references, which is why it may skip both barriers even
-// while one is armed: the SATB barrier logs overwritten references and the
-// tracer reads reference slots only, and the relocator neither reads nor
-// writes the elements of a to-space array once its copy is published (the
-// mutator never holds a from-space address — its loads heal). The window is
+// elements are not references, which is why it may skip the relocation
+// barrier even while it is armed: the relocator neither reads nor writes the
+// elements of a to-space array once its copy is published (the mutator never
+// holds a from-space address — its loads heal). The window is
 // dead after the next guest allocation: a collection moves the array.
 func (h *Heap) ElemWords(a rt.Addr) []uint64 {
 	lo := a + rt.HeaderWords
@@ -406,15 +344,14 @@ func (h *Heap) ElemWords(a rt.Addr) []uint64 {
 
 // CopyElems copies n elements of array src, from index si, into array dst
 // from index di — heap to heap, legal on arrays of either kind as long as
-// both are the same kind. With neither barrier armed it is one block copy;
-// with the SATB or the relocation barrier armed it takes the per-element
-// Elem/SetElem path, which logs, heals and goes atomic exactly as a guest
-// aget/aset loop would.
+// both are the same kind. With the relocation barrier disarmed it is one
+// block copy; armed, it takes the per-element Elem/SetElem path, which heals
+// and goes atomic exactly as a guest aget/aset loop would.
 func (h *Heap) CopyElems(dst rt.Addr, di int, src rt.Addr, si, n int) {
 	if n <= 0 {
 		return
 	}
-	if h.satb == nil && h.reloc == nil {
+	if h.reloc == nil {
 		d := dst + rt.HeaderWords + rt.Addr(di)
 		s := src + rt.HeaderWords + rt.Addr(si)
 		copy(h.words[d:d+rt.Addr(n)], h.words[s:s+rt.Addr(n)])

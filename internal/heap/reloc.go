@@ -34,9 +34,9 @@ import (
 //   - Flip is forbidden (panic): from-space is held until the drain
 //     completes; collections force-complete it first.
 //
-// Arm/disarm discipline mirrors satb.go: one nil check on every disabled
-// path, the gc layer arms inside the pause and disarms at drain finalize on
-// the mutator goroutine.
+// Arm/disarm discipline: one nil check on every disabled path, the gc layer
+// arms inside the pause and disarms at drain finalize on the mutator
+// goroutine.
 
 // relocState is the armed barrier: the from-space interval being drained and
 // the gc-layer callback that evacuates-or-adopts one from-space object,
@@ -222,8 +222,8 @@ func (h *Heap) AllocTail(size int) (rt.Addr, bool) {
 // allocates from the same bump pointer while the drain runs — and individual
 // object allocations are lock-free bumps within the current block. Block ends
 // abandoned at refill or retire time stay dead until the next collection
-// reclaims the space wholesale; they are recorded as holes (heap.go), because
-// a linear walk cannot parse them.
+// reclaims the space wholesale; nothing walks the space linearly, so nothing
+// needs to know where they are.
 type TLAB struct {
 	h     *Heap
 	block int // preferred carve size in words
@@ -283,26 +283,19 @@ func (t *TLAB) refill(need int) bool {
 	if !ok {
 		return false
 	}
-	if tail := int(t.end - t.cur); tail > 0 {
-		t.h.RecordHole(t.cur, tail)
-	}
 	t.cur, t.end = a, a+rt.Addr(n)
 	return true
 }
 
 // Retire returns the buffer's unused tail to the shared space when it is
-// still the topmost allocation, records it as a hole otherwise, and
-// deactivates the TLAB.
+// still the topmost allocation, abandons it otherwise, and deactivates the
+// TLAB.
 func (t *TLAB) Retire() {
 	h := t.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if t.cur < t.end {
-		if h.alloc == t.end {
-			h.alloc = t.cur
-		} else {
-			h.recordHoleLocked(t.cur, int(t.end-t.cur))
-		}
+	if t.cur < t.end && h.alloc == t.end {
+		h.alloc = t.cur
 	}
 	t.cur, t.end = 0, 0
 }

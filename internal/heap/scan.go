@@ -35,9 +35,9 @@ func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
 // the collection that took it:
 //
 //   - It is legal only between Flip and the end of the same pause. The world
-//     is stopped and neither barrier is armed (Raw panics otherwise), so the
-//     barrier-checked accessors would take their plain branch on every word
-//     anyway; Raw is that branch, hoisted.
+//     is stopped and the relocation barrier is disarmed (Raw panics
+//     otherwise), so the barrier-checked accessors would take their plain
+//     branch on every word anyway; Raw is that branch, hoisted.
 //   - To and Tail are copies. The collection bumps them privately and hands
 //     the pointers back with CommitRaw on every exit path.
 type Raw struct {
@@ -48,8 +48,8 @@ type Raw struct {
 
 // Raw opens the collector's word-level view; see the type for the contract.
 func (h *Heap) Raw() Raw {
-	if h.satb != nil || h.reloc != nil {
-		panic("heap: Raw with a barrier armed — the word-level view is stop-the-world only")
+	if h.reloc != nil {
+		panic("heap: Raw with the relocation barrier armed — the word-level view is stop-the-world only")
 	}
 	return Raw{
 		Words: h.words,

@@ -382,9 +382,7 @@ const (
 	MPauseGC          = "govolve_dsu_pause_gc_seconds"
 	MPauseTransform   = "govolve_dsu_pause_transform_seconds"
 	MPauseTotal       = "govolve_dsu_pause_total_seconds"
-	MPauseGCRescan    = "govolve_dsu_pause_gc_rescan_seconds"
 	MPauseGCCopy      = "govolve_dsu_pause_gc_copy_seconds"
-	MMarkOutside      = "govolve_dsu_mark_outside_pause_seconds"
 	MAttempts         = "govolve_dsu_attempts_to_safe_point"
 	MUpdatesApplied   = "govolve_dsu_updates_applied_total"
 	MUpdatesAborted   = "govolve_dsu_updates_aborted_total"
@@ -470,9 +468,7 @@ var metricHelp = map[string]string{
 	MPauseGC:          "GC phase share of the DSU pause.",
 	MPauseTransform:   "Transform phase share of the DSU pause.",
 	MPauseTotal:       "Total stop-the-world DSU pause duration.",
-	MPauseGCRescan:    "Rescan sub-phase of the DSU pause's GC share.",
 	MPauseGCCopy:      "Copy sub-phase of the DSU pause's GC share.",
-	MMarkOutside:      "Concurrent-mark work done outside the pause.",
 	MAttempts:         "Safe-point attempts needed per update.",
 	MUpdatesApplied:   "Updates applied successfully.",
 	MUpdatesAborted:   "Updates aborted before the safe point.",

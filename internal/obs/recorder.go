@@ -95,13 +95,11 @@ func (k Kind) String() string {
 
 // Lane conventions: the timeline draws one track per lane. Lane 0 is the
 // DSU engine/scheduler; 1 is the collector's in-pause work; 998 is the
-// concurrent relocation drain; 999 is the concurrent DSU marker; 1000+ are
-// VM threads.
+// concurrent relocation drain; 1000+ are VM threads.
 const (
 	LaneEngine     int32 = 0
 	LaneGC         int32 = 1
 	LaneReloc      int32 = 998
-	LaneMark       int32 = 999
 	laneThreadBase int32 = 1000
 )
 
@@ -115,8 +113,6 @@ func LaneName(lane int32) string {
 		return "DSU engine"
 	case lane == LaneGC:
 		return "GC"
-	case lane == LaneMark:
-		return "DSU marker"
 	case lane == LaneReloc:
 		return "DSU relocator"
 	case lane >= laneThreadBase:
@@ -148,10 +144,9 @@ func (e Event) String() string {
 }
 
 // Recorder is the flight recorder: a fixed-capacity ring of events. All
-// methods are safe for concurrent use (the tracer and the relocator emit from
-// their goroutines),
-// and every method is safe on a nil receiver — a nil *Recorder is the
-// canonical "recording disabled" value.
+// methods are safe for concurrent use (the relocator emits from its
+// goroutine), and every method is safe on a nil receiver — a nil *Recorder
+// is the canonical "recording disabled" value.
 type Recorder struct {
 	on    atomic.Bool
 	start time.Time

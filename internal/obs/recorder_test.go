@@ -130,7 +130,6 @@ func TestLaneNames(t *testing.T) {
 	cases := map[int32]string{
 		LaneEngine:     "DSU engine",
 		LaneGC:         "GC",
-		LaneMark:       "DSU marker",
 		LaneReloc:      "DSU relocator",
 		LaneThread(1):  "VM thread 1",
 		LaneThread(42): "VM thread 42",

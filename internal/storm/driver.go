@@ -35,7 +35,7 @@ type DriverConfig struct {
 	HeapWords   int // semi-space words (default 1<<16)
 	MaxAttempts int // safe-point attempts before abort (default 400)
 	OSROpt      bool
-	Concurrent  bool // SATB concurrent discovery before the pause, self-healing relocation drain after it
+	Concurrent  bool // self-healing relocation drain after the pause; implies Lazy
 	Lazy        bool // lazy per-object transformation behind the read barrier
 
 	// EventTail is the flight-recorder tail embedded in failures (default

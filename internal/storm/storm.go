@@ -29,17 +29,14 @@ type Config struct {
 	HeapWords   int // semi-space words (default 1<<16)
 	MaxAttempts int // safe-point attempts before abort (default 400)
 	OSROpt      bool
-	// Concurrent moves updated-instance discovery (the SATB concurrent mark)
-	// and the DSU copy itself out of each update's pause: the mark races the
-	// mutator between request and safe point, and the world resumes with
+	// Concurrent moves the DSU copy and pair creation out of each update's
+	// pause, and implies Lazy (vm.Options.Concurrent): the world resumes with
 	// from-space still live behind the self-healing load barrier while the
 	// relocator drains it. AfterUpdate's CheckVM then runs with the drain in
 	// flight (the walk heals as it reads), the shadow oracle reads ride the
 	// same barrier, and the drain finishes on its own during the following
-	// era. The drain consumes no extra rng or Steps; the mark does (the
-	// mutator runs on while it traces, which moves the rng trajectory), so
-	// only composed with Lazy — no mark at all — must a run produce a Report
-	// equal to the same seed's eager run.
+	// era. The drain consumes no extra rng or Steps, so a run must produce a
+	// Report equal to the same seed's eager run.
 	Concurrent bool
 	// Plain runs the reference spelling of base code: the compiler
 	// stops after 1:1 resolution (jit.Compiler.Plain), so no superinstruction
@@ -127,6 +124,7 @@ func (c Config) withDefaults() Config {
 	if c.EventTail == 0 {
 		c.EventTail = 40
 	}
+	c.Lazy = c.Lazy || c.Concurrent // as vm.New has it
 	return c
 }
 

@@ -3,8 +3,8 @@
 // generated by composing the storm mutator, each step diffed into a
 // minimal spec by the UPT pipeline, and the whole chain driven through
 // upt→core→gc against a live workload VM in every engine mode (vm.Modes):
-// serial, lazy per-object transform, concurrent (SATB mark before the pause,
-// relocation drain after it), and the two composed.
+// serial, lazy per-object transform, and concurrent (lazy, with a relocation
+// drain after the pause).
 //
 // The paper validates single old→new pairs; a production VM survives
 // *years* of releases. The replayer therefore schedules the interleavings
@@ -14,10 +14,6 @@
 //     few objects are touched (partial drain through the real read
 //     barrier) and the next update is requested mid-drain, forcing the
 //     engine's force-drain-then-update path;
-//   - update-while-concurrent-mark-in-flight: in the concurrent mode the
-//     workload keeps allocating while the SATB trace runs, so
-//     allocation-triggered collections abort snapshots mid-chain and the mark
-//     restarts;
 //   - back-to-back updates: zero workload era between one update
 //     resolving and the next request.
 //
@@ -48,7 +44,7 @@ import (
 type Mode = vm.Mode
 
 // Modes returns the full replay matrix: every engine mode. In the concurrent
-// modes the hostile schedule's back-to-back steps become updates arriving
+// mode the hostile schedule's back-to-back steps become updates arriving
 // mid-relocation-drain: the previous step's from-space is still live behind
 // the load barrier when the next request lands, forcing the engine's
 // drain-then-update path.
@@ -231,8 +227,7 @@ type StepRecord struct {
 	// goroutine-schedule-sensitive.
 	RelocBacklog int `json:"reloc_backlog,omitempty"`
 
-	// Wall-clock (excluded from the fingerprint; scheduling-sensitive in
-	// concurrent-mark modes).
+	// Wall-clock (excluded from the fingerprint).
 	Attempts         int     `json:"attempts"`
 	PauseTotalMs     float64 `json:"pause_total_ms"`
 	PauseGCMs        float64 `json:"pause_gc_ms"`
@@ -251,7 +246,7 @@ type Report struct {
 	Rejected int   `json:"rejected"`
 	Checks   int   `json:"checks"`
 	Probes   int   `json:"probes"`
-	Steps    int64 `json:"steps"` // scheduler slices driven (wall-clock-free but schedule-sensitive under the concurrent mark)
+	Steps    int64 `json:"steps"` // scheduler slices driven (wall-clock-free)
 
 	MaxBacklog   int `json:"max_backlog"`
 	InjectedStep int `json:"injected_step,omitempty"` // test-only: where the broken transformer landed
@@ -261,7 +256,7 @@ type Report struct {
 
 // Fingerprint renders the deterministic skeleton of the report: everything
 // except wall-clock durations and (see Mode.Deterministic) fields that are
-// scheduling-sensitive only in concurrent-mark modes. Two replays of the
+// scheduling-sensitive only in the concurrent mode. Two replays of the
 // same Config in a Deterministic mode must produce byte-identical
 // fingerprints — the chain-wide analogue of PR 2's trace-determinism test.
 func (r *Report) Fingerprint() string {

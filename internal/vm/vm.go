@@ -30,20 +30,18 @@ type Options struct {
 	// Quantum is the number of instructions a thread runs before the
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
-	// Concurrent opts the DSU engine into concurrent discovery feeding a
-	// deferred evacuation. Updated-instance discovery runs as a snapshot-at-
-	// the-beginning trace between the update request and the safe point; the
-	// pause stops at flip preparation (re-scan of the SATB deletion log and
-	// roots, flip, eager evacuation of the updated-class instances only, root
-	// remap) and the remaining live set is evacuated after the world resumes
-	// — by one background relocator and by the mutator through a
-	// self-healing load barrier on the heap's reference read paths.
-	// From-space stays live until the drain completes; collections and
-	// follow-up updates force-complete it first. Composed with LazyTransform
-	// there is no mark at all: pair creation defers into the drain as well.
-	// Ordinary allocation-triggered collections are unaffected, and false
-	// preserves the fused stop-the-world collection exactly; the disabled
-	// state costs one nil check on the heap access paths.
+	// Concurrent moves the bulk of the DSU copy out of the pause, and implies
+	// LazyTransform (New sets it). The pause flips, forwards the roots —
+	// pairing or moving the updated-class instances they point at — and arms
+	// a self-healing load barrier on the heap's reference read paths; the
+	// remaining live set is evacuated after the world resumes, by one
+	// background relocator and by the mutator through that barrier, and the
+	// updated-class instances it meets become pairs the on-touch read barrier
+	// transforms. From-space stays live until the drain completes;
+	// collections and follow-up updates force-complete it first. Ordinary
+	// allocation-triggered collections are unaffected, and false preserves
+	// the fused stop-the-world collection exactly; the disabled state costs
+	// one nil check on the heap access paths.
 	Concurrent bool
 	// Out receives System.print output (default os.Stdout).
 	Out io.Writer
@@ -54,7 +52,7 @@ type Options struct {
 	// and a read barrier on the interpreter's receiver and field fast paths
 	// transforms an object on first touch (the paper's §5 on-first-use
 	// hybrid, opt-in). The barrier's disabled state costs one nil-check, like
-	// the SATB barrier.
+	// the relocation barrier.
 	LazyTransform bool
 	// Recorder, if non-nil, is the flight recorder every VM layer emits
 	// typed events into (scheduler, DSU engine, collector). A nil
@@ -80,28 +78,24 @@ type Mode struct {
 // Modes is every engine mode — the one table each harness that runs "all
 // modes" ranges over (stream.Modes, the storm configurations,
 // TestMovesMatchInterpreter, pausecmp, jvolve-bench): stop-the-world; lazy
-// (transformation out of the pause); concurrent (discovery before the pause,
-// the bulk copy after it); and both, the smallest possible DSU window — pair
-// creation itself rides the drain.
+// (transformation out of the pause); and concurrent, the smallest possible
+// DSU window — the bulk copy and pair creation ride the relocation drain, and
+// transformation the read barrier.
 func Modes() []Mode {
 	return []Mode{
 		{Name: "serial"},
 		{Name: "lazy", Lazy: true},
-		{Name: "concurrent", Concurrent: true},
-		{Name: "concurrent+lazy", Concurrent: true, Lazy: true},
+		{Name: "concurrent", Concurrent: true, Lazy: true},
 	}
 }
 
 // Deterministic reports whether a seeded run in this mode is a pure function
 // of its seed. Serial and lazy runs are (the lazy drain schedule is
-// driver-controlled). Concurrent ones are not: the SATB trace completes on
-// wall-clock/goroutine time, so the number of scheduler slices the mutator
-// runs before the safe point — and with it attempt counts and step totals —
-// varies run to run; and the relocator races the mutator for the remaining
-// live set, so how much each update's drain retires before the next step's
-// forced completion — and with it the pair adoption split composed with lazy
-// — is goroutine-schedule-dependent. The *oracle* invariants hold at every
-// step regardless.
+// driver-controlled). Concurrent ones are not: the relocator races the
+// mutator for the remaining live set, so how much each update's drain retires
+// before the next step's forced completion — and with it the pair adoption
+// split — is goroutine-schedule-dependent. The *oracle* invariants hold at
+// every step regardless.
 func (m Mode) Deterministic() bool { return !m.Concurrent }
 
 // VM is one virtual machine instance.
@@ -329,7 +323,7 @@ func New(opts Options) (*VM, error) {
 		Out:           opts.Out,
 		Quantum:       opts.Quantum,
 		natives:       make(map[string]*nativeBinding),
-		LazyTransform: opts.LazyTransform,
+		LazyTransform: opts.LazyTransform || opts.Concurrent,
 		Concurrent:    opts.Concurrent,
 		created:       time.Now(),
 	}
@@ -349,9 +343,9 @@ func New(opts Options) (*VM, error) {
 }
 
 // AttachObs attaches a flight recorder and/or metrics registry to the VM
-// and propagates the recorder to the collector (whose tracer and relocator
-// emit from their own goroutines). Either argument may be nil; attaching nil
-// detaches that plane.
+// and propagates the recorder to the collector (whose relocator emits from
+// its own goroutine). Either argument may be nil; attaching nil detaches
+// that plane.
 func (v *VM) AttachObs(rec *obs.Recorder, metrics *obs.Registry) {
 	v.Rec = rec
 	v.Metrics = metrics

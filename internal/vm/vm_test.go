@@ -46,6 +46,29 @@ func runMain(t *testing.T, v *VM, class string) {
 	}
 }
 
+// TestModesAreThree pins the engine's mode table and the one implication
+// between its switches: Concurrent implies LazyTransform, so there is no
+// concurrent mode that transforms inside the pause.
+func TestModesAreThree(t *testing.T) {
+	var names []string
+	for _, m := range Modes() {
+		names = append(names, m.Name)
+		if m.Concurrent && !m.Lazy {
+			t.Errorf("mode %s is concurrent but not lazy", m.Name)
+		}
+	}
+	if got := strings.Join(names, " "); got != "serial lazy concurrent" {
+		t.Fatalf("Modes() = %s, want serial lazy concurrent", got)
+	}
+	v, err := New(Options{Concurrent: true, HeapWords: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Concurrent || !v.LazyTransform {
+		t.Fatalf("New(Concurrent) built Concurrent=%v LazyTransform=%v", v.Concurrent, v.LazyTransform)
+	}
+}
+
 func TestArithmeticAndControlFlow(t *testing.T) {
 	v, out := newTestVM(t, 1<<16)
 	loadSrc(t, v, `
