@@ -37,7 +37,8 @@ poison:
 # three targets above do not see it: vet it and run its smoke sizes here, so
 # a refactor that breaks its pinned API surface (benchmark/README.md) fails
 # tier-1 instead of the bench run. The control plane's own benchmarks (the
-# verifier and the assembler over all 25 app releases: ns/ins, ns/line,
+# verifier, the assembler and the compiler over all 25 app releases and the
+# UPT over their 22 updates: ns/ins, ns/line, ns/method, ns/spec,
 # allocations per unit) run once each here so they cannot rot; their gates
 # are the allocation counts in internal/apps/layers_test.go, under `test`.
 bench-smoke:
@@ -66,13 +67,19 @@ gates:
 
 # Non-test line counts of the four packages the size budget is kept on
 # (ROADMAP aim 2; every CHANGES.md entry reports them before and after), and
-# the gc+heap subtotal ROADMAP's collector item states its bar in.
+# the gc+heap subtotal ROADMAP's collector item states its bar in. The
+# control plane (the layers that turn source into a prepared, compiled
+# update) is counted on a line of its own, outside that total.
 loc:
 	@total=0; sub=0; for d in gc core heap vm; do \
 		n=$$(cat $$(ls internal/$$d/*.go | grep -v _test.go) | wc -l); \
 		echo "$$d $$n"; total=$$((total + n)); \
 		case $$d in gc|heap) sub=$$((sub + n));; esac; \
-	done; echo "gc+heap $$sub"; echo "total $$total"
+	done; echo "gc+heap $$sub"; echo "total $$total"; \
+	line="control-plane"; cp=0; for d in asm classfile upt verifier jit rt; do \
+		n=$$(cat $$(ls internal/$$d/*.go | grep -v _test.go) | wc -l); \
+		line="$$line $$d $$n"; cp=$$((cp + n)); \
+	done; echo "$$line total $$cp"
 
 # N alternating pairs of one bench-of-record workload, BASE against the
 # working tree, on consecutive seeds from SEED0: per-pair values, per-side

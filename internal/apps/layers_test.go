@@ -13,6 +13,7 @@ import (
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
 	"govolve/internal/rt"
+	"govolve/internal/upt"
 	"govolve/internal/verifier"
 	"govolve/internal/vm"
 	"govolve/internal/vm/vmtest"
@@ -89,16 +90,23 @@ func TestVerifyAllocsPerMethod(t *testing.T) {
 	}
 }
 
-// TestAssembleAllocsPerLine is the tripwire for a per-line field slice or an
-// append-grown code array in the assembler (together ≈2.5 per line).
+// TestAssembleAllocsPerLine is the tripwire for per-line and per-member
+// allocations in the assembler: a field slice per line or an append-grown
+// code array (together ≈2.5 per line), a code array and a Method per method,
+// and per-class member maps in Validate (together ≈0.3). A line costs ≈0.16:
+// each class its Class, its fields, its methods and its code, one array each.
 func TestAssembleAllocsPerLine(t *testing.T) {
 	srcs, lines := releaseSources()
 	perLine := testing.AllocsPerRun(5, func() { assembleAll(t, srcs) }) / float64(lines)
 	t.Logf("%.2f allocations per source line (%d lines)", perLine, lines)
-	if perLine > 1.0 {
-		t.Fatalf("assembler makes %.2f allocations per source line, want ≤ 1.0", perLine)
+	if perLine > 0.25 {
+		t.Fatalf("assembler makes %.2f allocations per source line, want ≤ 0.25", perLine)
 	}
 }
+
+// prepareAllocBound is TestPrepareAllocsPerSpec's bound: a spec costs ≈63
+// allocations.
+const prepareAllocBound = 80
 
 func BenchmarkVerifyAllReleases(b *testing.B) {
 	progs, _, ins := releasePrograms(b)
@@ -124,6 +132,212 @@ func BenchmarkAssembleAllReleases(b *testing.B) {
 	perLine := float64(b.N) * float64(lines)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
 	b.ReportMetric(testing.AllocsPerRun(1, func() { assembleAll(b, srcs) })/float64(lines), "allocs/line")
+}
+
+// releaseSpecs assembles, once, the two programs of each of the 22 updates
+// and the target's custom transformer class, so that prepareAll times upt.Prepare
+// alone the way apps.App.Spec runs it.
+type releaseSpec struct {
+	tag      string
+	old, new *classfile.Program
+	custom   *classfile.Class
+}
+
+func releaseSpecs(tb testing.TB) (specs []releaseSpec) {
+	tb.Helper()
+	for _, app := range All() {
+		for i := 0; i < app.UpdateCount(); i++ {
+			old, err := app.Program(i)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			next, err := app.Program(i + 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			rs := releaseSpec{tag: app.Versions[i].Tag, old: old, new: next}
+			if src := app.Versions[i+1].Transformers; src != "" {
+				classes, err := asm.Assemble("transformers.jva", src)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				rs.custom = classes[0]
+			}
+			specs = append(specs, rs)
+		}
+	}
+	return specs
+}
+
+func prepareAll(tb testing.TB, specs []releaseSpec) {
+	for _, rs := range specs {
+		s, err := upt.Prepare(rs.tag, rs.old, rs.new)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rs.custom != nil {
+			for _, m := range rs.custom.Methods {
+				s.OverrideTransformer(m)
+			}
+		}
+	}
+}
+
+// TestPrepareAllocsPerSpec is the tripwire for per-member keys and per-class
+// maps in the UPT: one fmt.Sprintf per compared field, name+signature maps
+// per diffed class, a referenced-class set per scanned method and a sort on
+// every Program.Names call cost ≈264 allocations per spec.
+func TestPrepareAllocsPerSpec(t *testing.T) {
+	specs := releaseSpecs(t)
+	perSpec := testing.AllocsPerRun(5, func() { prepareAll(t, specs) }) / float64(len(specs))
+	t.Logf("%.1f allocations per spec (%d specs)", perSpec, len(specs))
+	if perSpec > prepareAllocBound {
+		t.Fatalf("upt.Prepare makes %.1f allocations per spec, want ≤ %d", perSpec, prepareAllocBound)
+	}
+}
+
+// BenchmarkPrepareAllReleases prepares all 22 updates of the three apps from
+// programs assembled beforehand, custom transformers applied.
+func BenchmarkPrepareAllReleases(b *testing.B) {
+	specs := releaseSpecs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prepareAll(b, specs)
+	}
+	b.StopTimer()
+	perSpec := float64(b.N) * float64(len(specs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perSpec, "ns/spec")
+	b.ReportMetric(testing.AllocsPerRun(1, func() { prepareAll(b, specs) })/float64(len(specs)), "allocs/spec")
+}
+
+// printClasses renders classes as asm.Print does and adds what Print leaves
+// out: each method's MaxLocals.
+func printClasses(w io.Writer, classes ...*classfile.Class) {
+	io.WriteString(w, asm.Print(classes))
+	for _, c := range classes {
+		for _, m := range c.Methods {
+			fmt.Fprintf(w, "maxlocals %s.%s %d\n", c.Name, m.ID(), m.MaxLocals)
+		}
+	}
+}
+
+// checkDigest compares the SHA-256 of what render wrote against the one
+// recorded in file.
+func checkDigest(t *testing.T, file, what string, render func(io.Writer)) {
+	t.Helper()
+	sum := sha256.New()
+	render(sum)
+	got := fmt.Sprintf("%x", sum.Sum(nil))
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Fatalf("%s renders to digest %s, recorded %s", what, got, w)
+	}
+	t.Logf("%s: digest %s", what, got)
+}
+
+// TestAssembledProgramIdentity holds the assembler's output to a digest
+// recorded before it was restructured for speed: the bootstrap source, every
+// release of the three apps and every custom transformer source, each
+// assembled and printed back with its methods' local bounds.
+func TestAssembledProgramIdentity(t *testing.T) {
+	files := 0
+	checkDigest(t, "testdata/asm_identity.sha256", "assembled programs", func(w io.Writer) {
+		assemble := func(file, src string) {
+			classes, err := asm.Assemble(file, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(w, "== %s\n", file)
+			printClasses(w, classes...)
+			files++
+		}
+		assemble("bootstrap.jva", vm.BootstrapSource)
+		for _, app := range All() {
+			for _, ver := range app.Versions {
+				assemble(app.Name+"-"+ver.Name+".jva", ver.Source)
+				if ver.Transformers != "" {
+					assemble(app.Name+"-"+ver.Name+"-transformers.jva", ver.Transformers)
+				}
+			}
+		}
+	})
+	if files < 26 {
+		t.Fatalf("assembled %d files, want the bootstrap, 25 releases and their transformers", files)
+	}
+}
+
+// TestSpecIdentity holds the UPT's output to a digest recorded before it was
+// restructured for speed: each of the 22 specs as apps.App.Spec prepares it,
+// rendered field by field — per-class diffs, the class, body and indirect
+// sets, added and deleted classes, the flattened old definitions, the
+// transformer class, each class update's moves, the verdict, and the
+// yield-point maps InferActiveUpdates derives from it.
+func TestSpecIdentity(t *testing.T) {
+	specs := 0
+	checkDigest(t, "testdata/spec_identity.sha256", "update specs", func(w io.Writer) {
+		for _, app := range All() {
+			for i := 0; i < app.UpdateCount(); i++ {
+				s, err := app.Spec(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				renderSpec(w, s)
+				specs++
+			}
+		}
+	})
+	if specs != 22 {
+		t.Fatalf("rendered %d specs, want 22", specs)
+	}
+}
+
+func renderSpec(w io.Writer, s *upt.Spec) {
+	fmt.Fprintf(w, "== spec %s\n", s.OldTag)
+	diffs := make([]string, 0, len(s.Diffs))
+	for name := range s.Diffs {
+		diffs = append(diffs, name)
+	}
+	slices.Sort(diffs)
+	for _, name := range diffs {
+		d := s.Diffs[name]
+		fmt.Fprintf(w, "diff %s class=%t fields+%q -%q ~%q methods+%v -%v ~%v body=%v super=%t\n",
+			d.Name, d.IsClassUpdate(), d.FieldsAdded, d.FieldsDeleted, d.FieldsChanged,
+			d.MethodsAdded, d.MethodsDeleted, d.MethodsSigChanged, d.MethodsBodyChanged, d.SuperChanged)
+	}
+	fmt.Fprintf(w, "added %q\ndeleted %q\ndirect %q\nclass %q\nbody %v\nindirect %v\nblacklist %v\n",
+		s.AddedClasses, s.DeletedClasses, s.DirectClassUpdates, s.ClassUpdates,
+		s.MethodBodyUpdates, s.IndirectMethods, s.Blacklist)
+	flat := make([]string, 0, len(s.OldFlatDefs))
+	for name := range s.OldFlatDefs {
+		flat = append(flat, name)
+	}
+	slices.Sort(flat)
+	for _, name := range flat {
+		printClasses(w, s.OldFlatDefs[name])
+	}
+	printClasses(w, s.Transformers)
+	for _, name := range s.ClassUpdates {
+		om, ook := s.ObjectMoves(name)
+		cm, cok := s.ClassMoves(name)
+		fmt.Fprintf(w, "moves %s object=%t%v class=%t%v\n", name, ook, om, cok, cm)
+	}
+	verdict, prepared := s.Verdict()
+	fmt.Fprintf(w, "verdict %v prepared=%t\n", verdict, prepared)
+	unmapped := s.InferActiveUpdates()
+	active := make([]upt.MethodRef, 0, len(s.ActiveUpdates))
+	for ref := range s.ActiveUpdates {
+		active = append(active, ref)
+	}
+	slices.SortFunc(active, func(a, b upt.MethodRef) int { return strings.Compare(a.String(), b.String()) })
+	for _, ref := range active {
+		m := s.ActiveUpdates[ref]
+		fmt.Fprintf(w, "active %v pc=%v locals=%v\n", ref, m.PC, m.Locals)
+	}
+	fmt.Fprintf(w, "unmapped %v\n", unmapped)
 }
 
 // TestCompileAllocsPerMethod is the tripwire for per-site and per-callee

@@ -28,8 +28,10 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
@@ -49,7 +51,9 @@ func (e *Error) Error() string {
 // Assemble parses source text into a set of classes. The file name is used
 // only for error messages.
 func Assemble(file, src string) ([]*classfile.Class, error) {
-	p := &parser{file: file, lines: strings.Split(src, "\n"), labels: make(map[string]int)}
+	p := parsers.Get().(*parser)
+	defer parsers.Put(p)
+	*p = parser{file: file, src: src, scratch: p.scratch}
 	var classes []*classfile.Class
 	for {
 		if fields, err := p.next(); err != nil {
@@ -78,20 +82,47 @@ func AssembleProgram(file, src string) (*classfile.Program, error) {
 	return classfile.NewProgram(classes...)
 }
 
+// parser reads the source once, line by line, and each line once: next
+// splits the line at off into fields in place, and advance moves past it.
 type parser struct {
-	file  string
-	lines []string
-	pos   int // current line index
+	file string
+	src  string
+	off  int // offset of the current line; past len(src) at end of file
+	end  int // offset of the current line's newline, or len(src)
+	pos  int // index of the current line
 
-	// fields is the current line split once, into storage every line
-	// reuses: what next returns is good until the next advance. split
-	// says the current line has been.
+	// split says the current line has been split into fields.
+	split bool
+	scratch
+}
+
+// scratch is the storage a parser reuses from line to line, class to class
+// and, through parsers, from one Assemble to the next.
+type scratch struct {
+	// fields is the current line split once: what next returns is good
+	// until the next advance.
 	fields []string
-	split  bool
 
-	// Per-body tables, emptied and reused from method to method.
-	labels map[string]int
-	fixups []fixup
+	// A class's fields, methods and code are copied out once it is
+	// complete, each into one array of exactly its size; ends[i] is where
+	// method i's code ends in code.
+	members []classfile.Field
+	methods []classfile.Method
+	code    []bytecode.Ins
+	ends    []int
+	labels  []label
+	fixups  []fixup
+}
+
+// parsers recycles parsers and their scratch. A parser at rest still points
+// into the last source it read; the pool lets go of it at a garbage
+// collection.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// label is a label declared in the body being parsed.
+type label struct {
+	name string
+	pc   int
 }
 
 // fixup is a branch waiting for its label.
@@ -101,8 +132,6 @@ type fixup struct {
 	line   int
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.lines) }
-
 func (p *parser) errf(format string, args ...any) error {
 	return &Error{File: p.file, Line: p.pos + 1, Msg: fmt.Sprintf(format, args...)}
 }
@@ -111,13 +140,13 @@ func (p *parser) errf(format string, args ...any) error {
 // stripped, quoted strings kept as single fields), or nil at end of file. It
 // does not move past the line: the caller advances once it has used it.
 func (p *parser) next() ([]string, error) {
-	for !p.eof() {
+	for p.off <= len(p.src) {
 		if !p.split {
-			fields, err := splitFields(p.fields[:0], p.lines[p.pos])
+			fields, end, err := lex(p.fields[:0], p.src, p.off)
 			if err != nil {
 				return nil, p.errf("%v", err)
 			}
-			p.fields, p.split = fields, true
+			p.fields, p.end, p.split = fields, end, true
 		}
 		if len(p.fields) > 0 {
 			return p.fields, nil
@@ -127,27 +156,52 @@ func (p *parser) next() ([]string, error) {
 	return nil, nil
 }
 
-func (p *parser) advance() { p.pos, p.split = p.pos+1, false }
+func (p *parser) advance() { p.off, p.pos, p.split = p.end+1, p.pos+1, false }
 
-// codeLines counts the lines between the current one and the body's closing
-// brace that are not blank, a comment or a label: the instructions. It sizes
-// m.Code once; a miscount costs an append, nothing else.
-func (p *parser) codeLines() int {
-	n := 0
-	for _, line := range p.lines[p.pos:] {
-		i := 0
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+// stops marks the bytes a token ends before: whitespace, the newline, and a
+// slash, which ends it only when a second one follows.
+var stops = [256]bool{' ': true, '\t': true, '\r': true, '\n': true, '/': true}
+
+// lex splits the line of src starting at i on whitespace, keeping
+// double-quoted strings (with Go escape syntax) as single fields and
+// stripping '//' comments. The fields are appended to the slice it is given;
+// end is the offset of the line's newline, or len(src) on the last line.
+func lex(fields []string, src string, i int) (_ []string, end int, err error) {
+	for i < len(src) {
+		switch c := src[i]; {
+		case c == ' ' || c == '\t' || c == '\r':
 			i++
-		}
-		switch {
-		case i == len(line) || line[i] == '/' || line[len(line)-1] == ':':
-		case line[i] == '}':
-			return n
+		case c == '\n':
+			return fields, i, nil
+		case c == '/' && i+1 < len(src) && src[i+1] == '/':
+			if n := strings.IndexByte(src[i:], '\n'); n >= 0 {
+				i += n
+			} else {
+				i = len(src)
+			}
+		case c == '"':
+			j := i + 1
+			for j < len(src) && src[j] != '"' && src[j] != '\n' {
+				if src[j] == '\\' && j+1 < len(src) && src[j+1] != '\n' {
+					j++
+				}
+				j++
+			}
+			if j >= len(src) || src[j] != '"' {
+				return nil, 0, fmt.Errorf("unterminated string literal")
+			}
+			fields = append(fields, src[i:j+1])
+			i = j + 1
 		default:
-			n++
+			j := i + 1
+			for j < len(src) && (!stops[src[j]] || src[j] == '/' && (j+1 == len(src) || src[j+1] != '/')) {
+				j++
+			}
+			fields = append(fields, src[i:j])
+			i = j
 		}
 	}
-	return n
+	return fields, len(src), nil
 }
 
 func (p *parser) parseClass() (*classfile.Class, error) {
@@ -175,6 +229,7 @@ func (p *parser) parseClass() (*classfile.Class, error) {
 		return nil, p.errf("class %s: expected '{' at end of declaration", c.Name)
 	}
 	p.advance()
+	p.members, p.methods, p.code, p.ends = p.members[:0], p.methods[:0], p.code[:0], p.ends[:0]
 	for {
 		fields, err := p.next()
 		if err != nil {
@@ -189,6 +244,22 @@ func (p *parser) parseClass() (*classfile.Class, error) {
 		}
 		if err := p.parseMember(c, fields); err != nil {
 			return nil, err
+		}
+	}
+	if len(p.members) > 0 {
+		c.Fields = slices.Clone(p.members)
+	}
+	if len(p.methods) > 0 {
+		methods := slices.Clone(p.methods)
+		code := slices.Clone(p.code)
+		c.Methods = make([]*classfile.Method, len(methods))
+		start := 0
+		for i, end := range p.ends {
+			if end > start {
+				methods[i].Code = code[start:end:end]
+			}
+			c.Methods[i] = &methods[i]
+			start = end
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -232,7 +303,7 @@ modifiers:
 		if len(rest) != 2 {
 			return p.errf("class %s: field wants 'field NAME DESC'", c.Name)
 		}
-		c.Fields = append(c.Fields, classfile.Field{
+		p.members = append(p.members, classfile.Field{
 			Name: rest[0], Desc: classfile.Desc(rest[1]),
 			Access: access, Static: static, Final: final,
 		})
@@ -243,11 +314,11 @@ modifiers:
 		if len(rest) == 0 {
 			return p.errf("class %s: method missing name+signature", c.Name)
 		}
-		name, sig, err := splitNameSig(rest[0])
+		name, sig, nargs, err := splitNameSig(rest[0])
 		if err != nil {
 			return p.errf("class %s: %v", c.Name, err)
 		}
-		m := &classfile.Method{
+		m := classfile.Method{
 			Name: name, Sig: sig,
 			Access: access, Static: static, Final: final, Native: native,
 		}
@@ -257,34 +328,28 @@ modifiers:
 				return p.errf("class %s: native method %s takes no body", c.Name, name)
 			}
 			p.advance()
-			c.Methods = append(c.Methods, m)
+			p.methods, p.ends = append(p.methods, m), append(p.ends, len(p.code))
 			return nil
 		}
 		if len(rest) != 1 || rest[0] != "{" {
 			return p.errf("class %s: method %s: expected '{'", c.Name, name)
 		}
 		p.advance()
-		if err := p.parseBody(c.Name, m); err != nil {
+		if err := p.parseBody(c.Name, &m, nargs); err != nil {
 			return err
 		}
-		c.Methods = append(c.Methods, m)
+		p.methods, p.ends = append(p.methods, m), append(p.ends, len(p.code))
 		return nil
 	default:
 		return p.errf("class %s: expected 'field' or 'method', got %q", c.Name, fields[i])
 	}
 }
 
-func (p *parser) parseBody(className string, m *classfile.Method) error {
-	clear(p.labels)
-	p.fixups = p.fixups[:0]
-	if n := p.codeLines(); n > 0 {
-		m.Code = make([]bytecode.Ins, 0, n)
-	}
-
-	nargs := m.Sig.NumArgs()
-	if nargs < 0 {
-		return p.errf("method %s.%s: bad signature %q", className, m.Name, m.Sig)
-	}
+// parseBody reads the body of m, whose signature declares nargs arguments,
+// onto the end of the class's code.
+func (p *parser) parseBody(className string, m *classfile.Method, nargs int) error {
+	start := len(p.code)
+	p.labels, p.fixups = p.labels[:0], p.fixups[:0]
 	maxLocal := nargs - 1
 	if !m.Static {
 		maxLocal = nargs
@@ -303,16 +368,16 @@ func (p *parser) parseBody(className string, m *classfile.Method) error {
 			break
 		}
 		// Label line: "name:".
-		if len(fields) == 1 && strings.HasSuffix(fields[0], ":") {
-			label := strings.TrimSuffix(fields[0], ":")
-			if _, dup := p.labels[label]; dup {
-				return p.errf("method %s.%s: duplicate label %q", className, m.Name, label)
+		if f := fields[0]; len(fields) == 1 && f[len(f)-1] == ':' {
+			name := f[:len(f)-1]
+			if p.labelPC(name) >= 0 {
+				return p.errf("method %s.%s: duplicate label %q", className, m.Name, name)
 			}
-			p.labels[label] = len(m.Code)
+			p.labels = append(p.labels, label{name, len(p.code) - start})
 			p.advance()
 			continue
 		}
-		op, ok := bytecode.OpByName[fields[0]]
+		op, ok := bytecode.OpNamed(fields[0])
 		if !ok {
 			return p.errf("method %s.%s: unknown opcode %q", className, m.Name, fields[0])
 		}
@@ -369,78 +434,48 @@ func (p *parser) parseBody(className string, m *classfile.Method) error {
 				if len(args) != 1 {
 					return p.errf("%s wants a label", op)
 				}
-				p.fixups = append(p.fixups, fixup{len(m.Code), args[0], p.pos + 1})
+				p.fixups = append(p.fixups, fixup{len(p.code), args[0], p.pos + 1})
 			} else if len(args) != 0 {
 				return p.errf("%s takes no operands", op)
 			}
 		}
-		m.Code = append(m.Code, ins)
+		p.code = append(p.code, ins)
 		p.advance()
 	}
 	for _, f := range p.fixups {
-		target, ok := p.labels[f.label]
-		if !ok {
+		target := p.labelPC(f.label)
+		if target < 0 {
 			return &Error{File: p.file, Line: f.line,
 				Msg: fmt.Sprintf("method %s.%s: undefined label %q", className, m.Name, f.label)}
 		}
-		m.Code[f.insIdx].A = int64(target)
+		p.code[f.insIdx].A = int64(target)
 	}
 	m.MaxLocals = maxLocal + 1
 	return nil
 }
 
-// splitNameSig splits "getName()LString;" into name and signature.
-func splitNameSig(s string) (string, classfile.Sig, error) {
-	paren := strings.IndexByte(s, '(')
-	if paren <= 0 {
-		return "", "", fmt.Errorf("malformed method name+signature %q", s)
-	}
-	name, sig := s[:paren], classfile.Sig(s[paren:])
-	if !sig.Valid() {
-		return "", "", fmt.Errorf("malformed signature %q", sig)
-	}
-	return name, sig, nil
-}
-
-// splitFields splits a line on whitespace, keeping double-quoted strings
-// (with Go escape syntax) as single fields and stripping '//' comments. The
-// fields are appended to the slice it is given.
-func splitFields(fields []string, line string) ([]string, error) {
-	i := 0
-	for i < len(line) {
-		switch {
-		case line[i] == ' ' || line[i] == '\t' || line[i] == '\r':
-			i++
-		case line[i] == '/' && i+1 < len(line) && line[i+1] == '/':
-			return fields, nil
-		case line[i] == '"':
-			j := i + 1
-			for j < len(line) {
-				if line[j] == '\\' {
-					j += 2
-					continue
-				}
-				if line[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(line) {
-				return nil, fmt.Errorf("unterminated string literal")
-			}
-			fields = append(fields, line[i:j+1])
-			i = j + 1
-		default:
-			j := i
-			for j < len(line) && line[j] != ' ' && line[j] != '\t' && line[j] != '\r' {
-				if line[j] == '/' && j+1 < len(line) && line[j+1] == '/' {
-					break
-				}
-				j++
-			}
-			fields = append(fields, line[i:j])
-			i = j
+// labelPC returns the instruction index the body's label name marks, or -1.
+// A body declares a handful of labels, so a scan beats a map.
+func (p *parser) labelPC(name string) int {
+	for _, l := range p.labels {
+		if l.name == name {
+			return l.pc
 		}
 	}
-	return fields, nil
+	return -1
+}
+
+// splitNameSig splits "getName()LString;" into name and signature, scanning
+// the signature once for its validity and its argument count.
+func splitNameSig(s string) (string, classfile.Sig, int, error) {
+	paren := strings.IndexByte(s, '(')
+	if paren <= 0 {
+		return "", "", 0, fmt.Errorf("malformed method name+signature %q", s)
+	}
+	name, sig := s[:paren], classfile.Sig(s[paren:])
+	nargs := sig.NumArgs()
+	if nargs < 0 {
+		return "", "", 0, fmt.Errorf("malformed signature %q", sig)
+	}
+	return name, sig, nargs, nil
 }

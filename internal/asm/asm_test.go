@@ -1,7 +1,6 @@
 package asm
 
 import (
-	"strings"
 	"testing"
 
 	"govolve/internal/bytecode"
@@ -147,21 +146,33 @@ class S {
 	}
 }
 
+// TestErrors pins the whole "file:line: msg" text of every rejection: where
+// a line number comes from (the offending line, the line after a class's
+// closing brace for what Validate finds, one past the last line at end of
+// file) is part of the assembler's contract.
 func TestErrors(t *testing.T) {
 	cases := []struct {
-		name, src, wantSub string
+		name, src, want string
 	}{
-		{"unknown op", "class A {\n method m()V {\n frob\n }\n}", "unknown opcode"},
-		{"undefined label", "class A {\n method m()V {\n goto nowhere\n return\n }\n}", "undefined label"},
-		{"duplicate label", "class A {\n method m()V {\n x:\n x:\n return\n }\n}", "duplicate label"},
-		{"bad signature", "class A {\n method m(Q)V {\n return\n }\n}", "malformed"},
-		{"missing brace", "class A {\n method m()V\n return\n }\n}", "expected '{'"},
-		{"native with body", "class A {\n native method m()V {\n }\n}", "takes no body"},
-		{"field arity", "class A {\n field x\n}", "field wants"},
-		{"eof in class", "class A {\n field x I\n", "unexpected end"},
-		{"bad int", "class A {\n method m()V {\n const zz\n return\n }\n}", "bad integer"},
-		{"unterminated string", "class A {\n method m()V {\n ldc \"abc\n return\n }\n}", "unterminated"},
-		{"empty file", "   \n\t\n", "no classes"},
+		{"unknown op", "class A {\n method m()V {\n frob\n }\n}", `e.jva:3: method A.m: unknown opcode "frob"`},
+		{"undefined label", "class A {\n method m()V {\n goto nowhere\n return\n }\n}", `e.jva:3: method A.m: undefined label "nowhere"`},
+		{"duplicate label", "class A {\n method m()V {\n x:\n x:\n return\n }\n}", `e.jva:4: method A.m: duplicate label "x"`},
+		{"bad signature", "class A {\n method m(Q)V {\n return\n }\n}", `e.jva:2: class A: malformed signature "(Q)V"`},
+		{"missing brace", "class A {\n method m()V\n return\n }\n}", `e.jva:2: class A: method m: expected '{'`},
+		{"native with body", "class A {\n native method m()V {\n }\n}", `e.jva:2: class A: native method m takes no body`},
+		{"field arity", "class A {\n field x\n}", `e.jva:2: class A: field wants 'field NAME DESC'`},
+		{"eof in class", "class A {\n field x I\n", `e.jva:4: class A: unexpected end of file`},
+		{"bad int", "class A {\n method m()V {\n const zz\n return\n }\n}", `e.jva:3: const: bad integer "zz"`},
+		{"unterminated string", "class A {\n method m()V {\n ldc \"abc\n return\n }\n}", `e.jva:3: unterminated string literal`},
+		{"empty file", "   \n\t\n", `e.jva:1: no classes in source`},
+		{"bad field descriptor", "class A {\n field y Q\n}", `e.jva:4: classfile: A.y: bad descriptor "Q"`},
+		{"duplicate field", "class A {\n field x I\n static field x LObject;\n}\n", `e.jva:5: classfile: A: duplicate field x`},
+		{"duplicate method", "class A {\n method m()V {\n return\n }\n method m()V {\n return\n }\n}\n", `e.jva:9: classfile: A: duplicate method m()V`},
+		{"crlf", "class A {\r\n field x I\r\n method m()V {\r\n x:\r\n load 0\r\n ifeq x\r\n frob\r\n }\r\n}\r\n", `e.jva:7: method A.m: unknown opcode "frob"`},
+		{"crlf branch past end", "class A {\r\n method m()V {\r\n goto x\r\n return\r\n x:\r\n }\r\n}\r\n", `e.jva:8: classfile: A.m: branch at 0 targets 2 (code length 2)`},
+		{"eof on last line", "class A {\n method m()V {\n return\n }\n}\nclass B {", `e.jva:7: class B: unexpected end of file`},
+		{"eof after last member", "class A {\n method m()V {\n return\n }\n}\nclass B { \n field y Q", `e.jva:8: class B: unexpected end of file`},
+		{"junk on last line", "class A {\n method m()V {\n return\n }\n}\nfoo", `e.jva:6: expected 'class', got "foo"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -169,8 +180,8 @@ func TestErrors(t *testing.T) {
 			if err == nil {
 				t.Fatalf("no error for %q", c.src)
 			}
-			if !strings.Contains(err.Error(), c.wantSub) {
-				t.Fatalf("error %q does not contain %q", err, c.wantSub)
+			if err.Error() != c.want {
+				t.Fatalf("error %q, want %q", err, c.want)
 			}
 		})
 	}

@@ -64,7 +64,7 @@ class S {
 	f.Add("class A {\n  method m()V {\n  end:\n    goto end\n  }\n}\n")
 	f.Add("not a class at all")
 	f.Add("class X {")
-	// Fused-superinstruction mnemonics are JIT-internal: OpByName excludes
+	// Fused-superinstruction mnemonics are JIT-internal: OpNamed rejects
 	// the whole resolved range, so these must be rejected as unknown ops,
 	// never assembled.
 	f.Add("class F {\n  method m()V {\n    fconstarith\n    return\n  }\n}\n")

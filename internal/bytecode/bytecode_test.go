@@ -1,18 +1,42 @@
 package bytecode
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestOpNamesRoundTrip(t *testing.T) {
-	for name, op := range OpByName {
-		if op.String() != name {
-			t.Errorf("op %q round trips to %q", name, op.String())
-		}
-		if op.IsResolved() {
+	symbolic := 0
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		name := op.String()
+		got, ok := OpNamed(name)
+		switch {
+		case op.IsResolved() && ok:
 			t.Errorf("resolved op %q exposed to the assembler", name)
+		case op.IsResolved() || name == fmt.Sprintf("op(%d)", i):
+		case !ok || got != op:
+			t.Errorf("op %q resolves to %v, %t", name, got, ok)
+		default:
+			symbolic++
 		}
 	}
-	if _, ok := OpByName["getfield_r"]; ok {
-		t.Error("resolved opcode reachable by name")
+	if symbolic != int(YIELD)+1 {
+		t.Errorf("%d mnemonics resolve, want %d", symbolic, int(YIELD)+1)
+	}
+	for op := NOP; op <= YIELD; op++ {
+		probes := 1
+		for h := mnemonicHash(op.String()); mnemonics[h] != uint8(op)+1; h = (h + 1) % uint(len(mnemonics)) {
+			probes++
+		}
+		if probes > 2 {
+			t.Errorf("%v takes %d probes, want ≤ 2", op, probes)
+		}
+	}
+	for _, name := range []string{"getfield_r", "", "x", "fpad", "Add", "addd", "op(1)"} {
+		if op, ok := OpNamed(name); ok {
+			t.Errorf("%q resolves to %v", name, op)
+		}
 	}
 }
 
@@ -59,14 +83,13 @@ func TestReferencedClasses(t *testing.T) {
 		{Op: CONST, A: 1},
 		{Op: GETSTATIC, Sym: "D.s"},
 		{Op: INSTANCEOF, Sym: "E"},
+		{Op: LDC, Str: "F.g"},
 	}
-	refs := ReferencedClasses(code)
-	for _, want := range []string{"A", "B", "C", "D", "E"} {
-		if !refs[want] {
-			t.Errorf("missing ref %s", want)
-		}
+	var got []string
+	for i := range code {
+		got = append(got, code[i].ClassRef())
 	}
-	if len(refs) != 5 {
-		t.Errorf("refs = %v", refs)
+	if want := "[A B C  D E ]"; fmt.Sprint(got) != want {
+		t.Errorf("class refs = %v, want %s", got, want)
 	}
 }

@@ -95,20 +95,18 @@ func Disassemble(code []Ins) string {
 	return b.String()
 }
 
-// ReferencedClasses returns the set of class names whose layout or method
-// table the code depends on: field accesses, virtual/special/static calls,
-// allocation, and type tests. UPT uses this to compute the paper's
-// category-(2) "indirect" methods — methods whose bytecode is unchanged but
-// whose compiled representation bakes in offsets of an updated class.
-func ReferencedClasses(code []Ins) map[string]bool {
-	refs := make(map[string]bool)
-	for _, ins := range code {
-		switch ins.Op {
-		case NEW, INSTANCEOF, CHECKCAST,
-			GETFIELD, PUTFIELD, GETSTATIC, PUTSTATIC,
-			INVOKEVIRTUAL, INVOKESTATIC, INVOKESPECIAL:
-			refs[ins.SymClass()] = true
-		}
+// ClassRef returns the name of the class whose layout or method table the
+// instruction depends on — a field access, a virtual, special or static
+// call, an allocation or a type test — and "" for any other instruction. UPT
+// uses it to compute the paper's category-(2) "indirect" methods: methods
+// whose bytecode is unchanged but whose compiled representation bakes in
+// offsets of an updated class.
+func (i *Ins) ClassRef() string {
+	switch i.Op {
+	case NEW, INSTANCEOF, CHECKCAST,
+		GETFIELD, PUTFIELD, GETSTATIC, PUTSTATIC,
+		INVOKEVIRTUAL, INVOKESTATIC, INVOKESPECIAL:
+		return i.SymClass()
 	}
-	return refs
+	return ""
 }

@@ -153,7 +153,7 @@ const (
 // IsFused reports whether the opcode is a fused superinstruction.
 func (op Op) IsFused() bool { return op >= FusedMin && op <= FusedMax }
 
-var names = map[Op]string{
+var names = [...]string{
 	NOP: "nop", CONST: "const", NULL: "null", LDC: "ldc",
 	LOAD: "load", STORE: "store",
 	POP: "pop", DUP: "dup", DUP_X1: "dup_x1", SWAP: "swap",
@@ -190,23 +190,52 @@ var names = map[Op]string{
 
 // String returns the assembler mnemonic for the opcode.
 func (op Op) String() string {
-	if s, ok := names[op]; ok {
-		return s
+	if int(op) < len(names) && names[op] != "" {
+		return names[op]
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// OpByName maps assembler mnemonics back to symbolic opcodes. Resolved
-// opcodes are deliberately absent: they cannot appear in source.
-var OpByName = func() map[string]Op {
-	m := make(map[string]Op, len(names))
-	for op, s := range names {
-		if op < rbase {
-			m[s] = op
+// OpNamed resolves an assembler mnemonic to its symbolic opcode. Resolved
+// opcodes are deliberately absent: they cannot appear in source. The lookup
+// hashes two bytes and the length into mnemonics and compares at most a few
+// names; no string is hashed whole.
+func OpNamed(name string) (Op, bool) {
+	if len(name) < 2 {
+		return 0, false
+	}
+	for h := mnemonicHash(name); ; h = (h + 1) % uint(len(mnemonics)) {
+		e := mnemonics[h]
+		if e == 0 {
+			return 0, false
+		}
+		if op := Op(e - 1); names[op] == name {
+			return op, true
 		}
 	}
-	return m
+}
+
+// mnemonics is an open-addressed table of the symbolic opcodes by
+// mnemonicHash, linearly probed; an entry holds op+1, and 0 is empty.
+var mnemonics = func() (t [128]uint8) {
+	for op := Op(0); op < rbase; op++ {
+		if names[op] == "" {
+			continue
+		}
+		h := mnemonicHash(names[op])
+		for t[h] != 0 {
+			h = (h + 1) % uint(len(t))
+		}
+		t[h] = uint8(op) + 1
+	}
+	return t
 }()
+
+// mnemonicHash mixes the first byte, the last two and the length; the
+// coefficients are chosen so that no mnemonic probes more than twice.
+func mnemonicHash(s string) uint {
+	return (uint(s[0])*14 + uint(s[len(s)-1])*21 + uint(s[len(s)-2]) + uint(len(s))*19) % 128
+}
 
 // IsBranch reports whether the symbolic opcode takes a label operand.
 func (op Op) IsBranch() bool {

@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,16 +38,6 @@ type Field struct {
 	Access Access
 	Static bool
 	Final  bool
-}
-
-// Key returns the identity UPT uses when matching fields across versions:
-// a field "changed" if the name matches but the key differs. Access
-// modifiers and final are part of the key — the paper lists changing "the
-// types or access modifiers of existing members" among class signature
-// changes, and class metadata must be replaced for them to take effect.
-func (f Field) Key() string {
-	return fmt.Sprintf("%s %s static=%t access=%d final=%t",
-		f.Name, f.Desc, f.Static, f.Access, f.Final)
 }
 
 // Method is a declared method with symbolic bytecode.
@@ -139,40 +130,43 @@ func (c *Class) StaticFields() []Field {
 }
 
 // Validate performs structural checks that do not need the class hierarchy:
-// descriptor syntax, duplicate members, branch targets in range.
+// descriptor syntax, duplicate members, branch targets in range. It allocates
+// nothing on a valid class: duplicates are found by comparing each member
+// with those declared before it, classes being small.
 func (c *Class) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("classfile: class with empty name")
 	}
-	seenF := make(map[string]bool)
-	for _, f := range c.Fields {
+	for i := range c.Fields {
+		f := &c.Fields[i]
 		if !f.Desc.Valid() {
 			return fmt.Errorf("classfile: %s.%s: bad descriptor %q", c.Name, f.Name, f.Desc)
 		}
-		if seenF[f.Name] {
-			return fmt.Errorf("classfile: %s: duplicate field %s", c.Name, f.Name)
+		for j := range i {
+			if c.Fields[j].Name == f.Name {
+				return fmt.Errorf("classfile: %s: duplicate field %s", c.Name, f.Name)
+			}
 		}
-		seenF[f.Name] = true
 	}
-	seenM := make(map[string]bool)
-	for _, m := range c.Methods {
+	for i, m := range c.Methods {
 		if !m.Sig.Valid() {
 			return fmt.Errorf("classfile: %s.%s: bad signature %q", c.Name, m.Name, m.Sig)
 		}
-		if seenM[m.ID()] {
-			return fmt.Errorf("classfile: %s: duplicate method %s", c.Name, m.ID())
+		for _, o := range c.Methods[:i] {
+			if o.Name == m.Name && o.Sig == m.Sig {
+				return fmt.Errorf("classfile: %s: duplicate method %s", c.Name, m.ID())
+			}
 		}
-		seenM[m.ID()] = true
 		if m.Native {
 			if len(m.Code) != 0 {
 				return fmt.Errorf("classfile: %s.%s: native method with code", c.Name, m.Name)
 			}
 			continue
 		}
-		for pc, ins := range m.Code {
-			if ins.Op.IsBranch() && (ins.A < 0 || ins.A >= int64(len(m.Code))) {
+		for pc := range m.Code {
+			if a := m.Code[pc].A; m.Code[pc].Op.IsBranch() && (a < 0 || a >= int64(len(m.Code))) {
 				return fmt.Errorf("classfile: %s.%s: branch at %d targets %d (code length %d)",
-					c.Name, m.Name, pc, ins.A, len(m.Code))
+					c.Name, m.Name, pc, a, len(m.Code))
 			}
 		}
 	}
@@ -258,13 +252,25 @@ func (c *Class) String() string {
 }
 
 // Program is a set of classes forming one version of an application.
+// Classes is read freely but changed only through Add, which keeps the
+// classes in name order as well.
 type Program struct {
 	Classes map[string]*Class
+
+	// sorted holds Classes in name order, names their names; a Program
+	// whose Classes was filled some other way has them out of step, and
+	// Names and Sorted then sort afresh.
+	sorted []*Class
+	names  []string
 }
 
 // NewProgram builds a program from classes, rejecting duplicates.
 func NewProgram(classes ...*Class) (*Program, error) {
-	p := &Program{Classes: make(map[string]*Class, len(classes))}
+	p := &Program{
+		Classes: make(map[string]*Class, len(classes)),
+		sorted:  make([]*Class, 0, len(classes)),
+		names:   make([]string, 0, len(classes)),
+	}
 	for _, c := range classes {
 		if err := p.Add(c); err != nil {
 			return nil, err
@@ -279,11 +285,20 @@ func (p *Program) Add(c *Class) error {
 		return fmt.Errorf("classfile: duplicate class %s", c.Name)
 	}
 	p.Classes[c.Name] = c
+	if len(p.names) == len(p.Classes)-1 {
+		i, _ := slices.BinarySearch(p.names, c.Name)
+		p.names = slices.Insert(p.names, i, c.Name)
+		p.sorted = slices.Insert(p.sorted, i, c)
+	}
 	return nil
 }
 
-// Names returns the class names in sorted order.
+// Names returns the class names in sorted order. The slice is the
+// program's own: callers must not modify it.
 func (p *Program) Names() []string {
+	if len(p.names) == len(p.Classes) {
+		return p.names
+	}
 	out := make([]string, 0, len(p.Classes))
 	for name := range p.Classes {
 		out = append(out, name)
@@ -293,7 +308,11 @@ func (p *Program) Names() []string {
 }
 
 // Sorted returns the classes ordered by name, for deterministic iteration.
+// The slice is the program's own: callers must not modify it.
 func (p *Program) Sorted() []*Class {
+	if len(p.sorted) == len(p.Classes) {
+		return p.sorted
+	}
 	out := make([]*Class, 0, len(p.Classes))
 	for _, name := range p.Names() {
 		out = append(out, p.Classes[name])

@@ -131,7 +131,7 @@ func (m *model) descendantOf(sub, anc string) bool {
 // flatInstanceFields returns the flattened instance layout of class: the
 // non-static fields of its whole super chain, root-first, in declaration
 // order — the model-side equivalent of the registry's flattened layout and
-// of UPT's instanceLayout, so shadow-model indices line up with rt.Class
+// of UPT's appendLayout, so shadow-model indices line up with rt.Class
 // field slots one-for-one.
 func (m *model) flatInstanceFields(class string) []fieldModel {
 	var chain []*classModel

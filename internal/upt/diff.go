@@ -7,8 +7,10 @@
 package upt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
@@ -25,6 +27,29 @@ func (m MethodRef) String() string { return m.Class + "." + m.Name + string(m.Si
 
 // ID returns the method's name+sig identity within its class.
 func (m MethodRef) ID() string { return m.Name + string(m.Sig) }
+
+// compareRefs orders two refs as their String forms order, building neither.
+func compareRefs(a, b MethodRef) int {
+	x := [...]string{a.Class, ".", a.Name, string(a.Sig)}
+	y := [...]string{b.Class, ".", b.Name, string(b.Sig)}
+	i, j := 0, 0
+	for {
+		for i < len(x) && x[i] == "" {
+			i++
+		}
+		for j < len(y) && y[j] == "" {
+			j++
+		}
+		if i == len(x) || j == len(y) {
+			return cmp.Compare(len(x)-i, len(y)-j)
+		}
+		n := min(len(x[i]), len(y[j]))
+		if c := strings.Compare(x[i][:n], y[j][:n]); c != 0 {
+			return c
+		}
+		x[i], y[j] = x[i][n:], y[j][n:]
+	}
+}
 
 // ClassDiff describes how one class changed between versions.
 type ClassDiff struct {
@@ -61,41 +86,34 @@ func (d *ClassDiff) IsEmpty() bool {
 	return !d.IsClassUpdate() && len(d.MethodsBodyChanged) == 0
 }
 
-// DiffClass compares two versions of one class.
+// DiffClass compares two versions of one class. Members are matched by name
+// (fields) and by name and signature (methods) and compared by value.
 func DiffClass(old, new_ *classfile.Class) *ClassDiff {
 	d := &ClassDiff{Name: new_.Name, SuperChanged: old.Super != new_.Super}
 
-	oldFields := make(map[string]classfile.Field)
-	for _, f := range old.Fields {
-		oldFields[f.Name] = f
-	}
-	newFields := make(map[string]classfile.Field)
-	for _, f := range new_.Fields {
-		newFields[f.Name] = f
-		of, ok := oldFields[f.Name]
-		switch {
-		case !ok:
+	for i := range new_.Fields {
+		// Every attribute is part of a field's identity: the paper lists
+		// changing "the types or access modifiers of existing members"
+		// among class signature changes, and class metadata must be
+		// replaced for them to take effect.
+		f := &new_.Fields[i]
+		switch of := old.Field(f.Name); {
+		case of == nil:
 			d.FieldsAdded = append(d.FieldsAdded, f.Name)
-		case of.Key() != f.Key():
+		case *of != *f:
 			d.FieldsChanged = append(d.FieldsChanged, f.Name)
 		}
 	}
-	for _, f := range old.Fields {
-		if _, ok := newFields[f.Name]; !ok {
-			d.FieldsDeleted = append(d.FieldsDeleted, f.Name)
+	for i := range old.Fields {
+		if new_.Field(old.Fields[i].Name) == nil {
+			d.FieldsDeleted = append(d.FieldsDeleted, old.Fields[i].Name)
 		}
 	}
 
-	oldMethods := make(map[string]*classfile.Method)
-	for _, m := range old.Methods {
-		oldMethods[m.ID()] = m
-	}
-	newMethods := make(map[string]*classfile.Method)
 	var added, deleted []MethodRef
 	for _, m := range new_.Methods {
-		newMethods[m.ID()] = m
-		om, ok := oldMethods[m.ID()]
-		if !ok {
+		om := old.Method(m.Name, m.Sig)
+		if om == nil {
 			added = append(added, MethodRef{new_.Name, m.Name, m.Sig})
 			continue
 		}
@@ -114,58 +132,68 @@ func DiffClass(old, new_ *classfile.Class) *ClassDiff {
 		}
 	}
 	for _, m := range old.Methods {
-		if _, ok := newMethods[m.ID()]; !ok {
+		if new_.Method(m.Name, m.Sig) == nil {
 			deleted = append(deleted, MethodRef{new_.Name, m.Name, m.Sig})
 		}
 	}
 
 	// Pair deleted/added methods with the same name as signature changes —
-	// the paper's "y methods changed their type signature as well".
-	usedAdd := make([]bool, len(added))
+	// the paper's "y methods changed their type signature as well". A
+	// deleted method takes the first added one of its name still unpaired.
+deletions:
 	for _, del := range deleted {
-		paired := false
 		for i, add := range added {
-			if !usedAdd[i] && add.Name == del.Name {
+			if add.Name == del.Name {
 				d.MethodsSigChanged = append(d.MethodsSigChanged, [2]MethodRef{del, add})
-				usedAdd[i] = true
-				paired = true
-				break
+				added = slices.Delete(added, i, i+1)
+				continue deletions
 			}
 		}
-		if !paired {
-			d.MethodsDeleted = append(d.MethodsDeleted, del)
-		}
+		d.MethodsDeleted = append(d.MethodsDeleted, del)
 	}
-	for i, add := range added {
-		if !usedAdd[i] {
-			d.MethodsAdded = append(d.MethodsAdded, add)
-		}
+	if len(added) > 0 {
+		d.MethodsAdded = added
 	}
 	return d
 }
 
 // Diff compares two program versions, returning per-class diffs plus the
-// lists of added and deleted classes.
+// lists of added and deleted classes, each in name order.
 func Diff(old, new_ *classfile.Program) (diffs map[string]*ClassDiff, addedClasses, deletedClasses []string) {
 	diffs = make(map[string]*ClassDiff)
-	for _, name := range new_.Names() {
-		if oc, ok := old.Classes[name]; ok {
-			d := DiffClass(oc, new_.Classes[name])
-			if !d.IsEmpty() {
-				diffs[name] = d
+	pairClasses(old, new_, func(oc, nc *classfile.Class) {
+		switch {
+		case oc == nil:
+			addedClasses = append(addedClasses, nc.Name)
+		case nc == nil:
+			deletedClasses = append(deletedClasses, oc.Name)
+		default:
+			if d := DiffClass(oc, nc); !d.IsEmpty() {
+				diffs[nc.Name] = d
 			}
-		} else {
-			addedClasses = append(addedClasses, name)
 		}
-	}
-	for _, name := range old.Names() {
-		if _, ok := new_.Classes[name]; !ok {
-			deletedClasses = append(deletedClasses, name)
-		}
-	}
-	sort.Strings(addedClasses)
-	sort.Strings(deletedClasses)
+	})
 	return diffs, addedClasses, deletedClasses
+}
+
+// pairClasses merges the classes of two programs by name, in name order: f
+// sees each name once, with its class in each program, nil where one does
+// not define it.
+func pairClasses(old, new_ *classfile.Program, f func(oc, nc *classfile.Class)) {
+	os, ns := old.Sorted(), new_.Sorted()
+	for len(os) > 0 || len(ns) > 0 {
+		switch {
+		case len(ns) == 0 || len(os) > 0 && os[0].Name < ns[0].Name:
+			f(os[0], nil)
+			os = os[1:]
+		case len(os) == 0 || ns[0].Name < os[0].Name:
+			f(nil, ns[0])
+			ns = ns[1:]
+		default:
+			f(os[0], ns[0])
+			os, ns = os[1:], ns[1:]
+		}
+	}
 }
 
 // transitiveClassUpdates expands the set of directly-updated classes with
@@ -178,33 +206,18 @@ func transitiveClassUpdates(new_ *classfile.Program, direct map[string]bool) map
 	for k := range direct {
 		all[k] = true
 	}
-	var affected func(name string) bool
-	memo := make(map[string]bool)
-	var seen map[string]bool
-	affected = func(name string) bool {
-		if v, ok := memo[name]; ok {
-			return v
-		}
-		if all[name] {
-			memo[name] = true
-			return true
-		}
-		if seen[name] {
-			return false // hierarchy cycle; validation rejects it elsewhere
-		}
-		seen[name] = true
-		def, ok := new_.Classes[name]
-		res := false
-		if ok && def.Super != "" {
-			res = affected(def.Super)
-		}
-		memo[name] = res
-		return res
-	}
-	for _, name := range new_.Names() {
-		seen = make(map[string]bool)
-		if affected(name) {
-			all[name] = true
+	for _, c := range new_.Sorted() {
+		// Walk c's superclass chain up to a direct update; a chain longer
+		// than the program is a cycle, which validation rejects elsewhere.
+		for s, n := c, 0; s != nil && n < len(new_.Classes); n++ {
+			if direct[s.Name] {
+				all[c.Name] = true
+				break
+			}
+			if s.Super == "" {
+				break
+			}
+			s = new_.Classes[s.Super]
 		}
 	}
 	return all
@@ -215,79 +228,85 @@ func transitiveClassUpdates(new_ *classfile.Program, direct map[string]bool) map
 // (2): their compiled representation bakes in offsets that the update
 // changes. The DSU engine re-derives the on-stack subset dynamically from
 // compiled-code dependencies; this static list feeds the update spec and
-// the experience tables.
+// the experience tables. A class without a diff has every method unchanged,
+// so only the methods of changed classes are compared again.
 func indirectMethods(old, new_ *classfile.Program, classUpdates map[string]bool, diffs map[string]*ClassDiff) []MethodRef {
-	changedBody := make(map[string]bool)
-	for _, d := range diffs {
-		for _, m := range d.MethodsBodyChanged {
-			changedBody[m.String()] = true
-		}
-	}
 	var out []MethodRef
-	for _, name := range new_.Names() {
-		nc := new_.Classes[name]
-		oc := old.Classes[name]
-		if oc == nil {
-			continue // brand new class: nothing on stack yet
+	pairClasses(old, new_, func(oc, nc *classfile.Class) {
+		if oc == nil || nc == nil {
+			return // brand new class: nothing on stack yet
 		}
+		_, changed := diffs[nc.Name]
 		for _, m := range nc.Methods {
 			if m.Native {
 				continue
 			}
-			om := oc.Method(m.Name, m.Sig)
-			if om == nil || !bytecode.CodeEqual(om.Code, m.Code) {
-				continue // changed or added: category (1), not (2)
-			}
-			refs := bytecode.ReferencedClasses(m.Code)
-			for r := range refs {
-				if classUpdates[r] {
-					out = append(out, MethodRef{name, m.Name, m.Sig})
-					break
+			if changed {
+				if om := oc.Method(m.Name, m.Sig); om == nil || !bytecode.CodeEqual(om.Code, m.Code) {
+					continue // changed or added: category (1), not (2)
 				}
 			}
+			if refersTo(m.Code, classUpdates) {
+				out = append(out, MethodRef{nc.Name, m.Name, m.Sig})
+			}
+		}
+	})
+	slices.SortFunc(out, compareRefs)
+	return out
+}
+
+// refersTo reports whether code depends on the layout or method table of a
+// class in updated. Runs of instructions naming one class ask once.
+func refersTo(code []bytecode.Ins, updated map[string]bool) bool {
+	last := ""
+	for i := range code {
+		if r := code[i].ClassRef(); r != "" && r != last {
+			if updated[r] {
+				return true
+			}
+			last = r
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return false
 }
 
 // ValidateHierarchy rejects super-class permutations between versions, which
 // JVOLVE does not support (paper §2.2): a class may not swap its position
 // with a former subclass.
 func ValidateHierarchy(old, new_ *classfile.Program) error {
-	superChain := func(p *classfile.Program, name string) map[string]bool {
-		chain := make(map[string]bool)
-		for cur := name; ; {
-			def, ok := p.Classes[cur]
+	for _, name := range old.Names() {
+		if _, ok := new_.Classes[name]; !ok {
+			continue
+		}
+		// Walk name's new superclasses; a chain longer than the program is a
+		// cycle, which validation rejects elsewhere.
+		for anc, n := name, 0; n < len(new_.Classes); n++ {
+			def, ok := new_.Classes[anc]
 			if !ok || def.Super == "" {
 				break
 			}
-			if chain[def.Super] {
-				break
-			}
-			chain[def.Super] = true
-			cur = def.Super
-		}
-		return chain
-	}
-	for name, odef := range old.Classes {
-		ndef, ok := new_.Classes[name]
-		if !ok {
-			continue
-		}
-		_ = odef
-		oldChain := superChain(old, name)
-		newChain := superChain(new_, name)
-		for anc := range newChain {
+			anc = def.Super
 			// If anc was a descendant of name before and is an ancestor
 			// now, the hierarchy was permuted.
-			if _, existed := old.Classes[anc]; existed && !oldChain[anc] {
-				if superChain(old, anc)[name] {
-					return fmt.Errorf("upt: unsupported class hierarchy permutation between %s and %s", name, anc)
-				}
+			if _, existed := old.Classes[anc]; existed && !isAncestor(old, anc, name) && isAncestor(old, name, anc) {
+				return fmt.Errorf("upt: unsupported class hierarchy permutation between %s and %s", name, anc)
 			}
 		}
-		_ = ndef
 	}
 	return nil
+}
+
+// isAncestor reports whether anc is a superclass of name in p.
+func isAncestor(p *classfile.Program, anc, name string) bool {
+	for n := 0; n < len(p.Classes); n++ {
+		def, ok := p.Classes[name]
+		if !ok || def.Super == "" {
+			return false
+		}
+		if def.Super == anc {
+			return true
+		}
+		name = def.Super
+	}
+	return false
 }

@@ -41,7 +41,7 @@ func generateTransformers(s *Spec) (*classfile.Class, error) {
 		// once, as a whole).
 		ob := b.StaticMethod("jvolveObject",
 			classfile.Sig("(L"+name+";L"+renamed+";)V"))
-		newLayout := instanceLayout(s.New, ndef)
+		newLayout := appendLayout(nil, s.New, ndef)
 		for _, nf := range newLayout {
 			of := flat.Field(nf.Name)
 			if of == nil || of.Static || of.Desc != nf.Desc {
@@ -57,20 +57,16 @@ func generateTransformers(s *Spec) (*classfile.Class, error) {
 	return b.Build()
 }
 
-// instanceLayout returns a class's full instance field list, inherited
-// fields first, matching runtime layout order.
-func instanceLayout(p *classfile.Program, def *classfile.Class) []classfile.Field {
-	var chain []*classfile.Class
-	for c := def; c != nil; {
-		chain = append([]*classfile.Class{c}, chain...)
-		if c.Super == "" {
-			break
+// appendLayout appends a class's full instance field list, inherited fields
+// first, matching runtime layout order.
+func appendLayout(dst []classfile.Field, p *classfile.Program, def *classfile.Class) []classfile.Field {
+	if sup := p.Classes[def.Super]; sup != nil {
+		dst = appendLayout(dst, p, sup)
+	}
+	for _, f := range def.Fields {
+		if !f.Static {
+			dst = append(dst, f)
 		}
-		c = p.Classes[c.Super]
 	}
-	var out []classfile.Field
-	for _, c := range chain {
-		out = append(out, c.InstanceFields()...)
-	}
-	return out
+	return dst
 }

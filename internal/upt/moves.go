@@ -33,7 +33,7 @@ func (s *Spec) ObjectMoves(class string) ([]FieldMove, bool) {
 	if m == nil || flat == nil || ndef == nil {
 		return nil, false
 	}
-	layout := instanceLayout(s.New, ndef)
+	layout := appendLayout(nil, s.New, ndef)
 	return pureCopy(m.Code, 2, bytecode.GETFIELD, bytecode.PUTFIELD, renamed, class,
 		func(mv FieldMove, d classfile.Desc) bool {
 			of := flat.Field(mv.From)

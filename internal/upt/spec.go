@@ -2,6 +2,7 @@ package upt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,9 +156,7 @@ func Prepare(oldTag string, old, new_ *classfile.Program) (*Spec, error) {
 		}
 		s.MethodBodyUpdates = append(s.MethodBodyUpdates, d.MethodsBodyChanged...)
 	}
-	sort.Slice(s.MethodBodyUpdates, func(i, j int) bool {
-		return s.MethodBodyUpdates[i].String() < s.MethodBodyUpdates[j].String()
-	})
+	slices.SortFunc(s.MethodBodyUpdates, compareRefs)
 
 	s.IndirectMethods = indirectMethods(old, new_, all, diffs)
 
@@ -170,7 +169,7 @@ func Prepare(oldTag string, old, new_ *classfile.Program) (*Spec, error) {
 		if odef == nil {
 			return nil, fmt.Errorf("upt: class update %s has no old version", name)
 		}
-		flat, err := flattenOldClass(old, odef, s.RenamedName(name), deletedSet, all, s)
+		flat, err := flattenOldClass(old, odef, s.RenamedName(name), deletedSet)
 		if err != nil {
 			return nil, err
 		}
@@ -254,27 +253,16 @@ func (s *Spec) OverrideTransformer(m *classfile.Method) {
 // updated classes are kept — after GC those fields point at transformed
 // objects of the new version, which is exactly the paper's transformer
 // interface.
-func flattenOldClass(old *classfile.Program, def *classfile.Class, newName string, deleted map[string]bool, updated map[string]bool, s *Spec) (*classfile.Class, error) {
+func flattenOldClass(old *classfile.Program, def *classfile.Class, newName string, deleted map[string]bool) (*classfile.Class, error) {
 	flat := &classfile.Class{Name: newName, Super: "Object"}
-	var chain []*classfile.Class
-	for c := def; c != nil; {
-		chain = append([]*classfile.Class{c}, chain...)
-		if c.Super == "" {
-			break
-		}
-		c = old.Classes[c.Super]
-	}
-	for _, c := range chain {
-		for _, f := range c.InstanceFields() {
-			ff := f
-			ff.Desc = rewriteDeletedDesc(f.Desc, deleted)
-			flat.Fields = append(flat.Fields, ff)
+	flat.Fields = appendLayout(nil, old, def)
+	for _, f := range def.Fields {
+		if f.Static {
+			flat.Fields = append(flat.Fields, f)
 		}
 	}
-	for _, f := range def.StaticFields() {
-		ff := f
-		ff.Desc = rewriteDeletedDesc(f.Desc, deleted)
-		flat.Fields = append(flat.Fields, ff)
+	for i := range flat.Fields {
+		flat.Fields[i].Desc = rewriteDeletedDesc(flat.Fields[i].Desc, deleted)
 	}
 	if err := flat.Validate(); err != nil {
 		return nil, fmt.Errorf("upt: flattening %s: %w", def.Name, err)
@@ -290,7 +278,9 @@ func rewriteDeletedDesc(d classfile.Desc, deleted map[string]bool) classfile.Des
 			return classfile.RefOf("Object")
 		}
 	case classfile.KArray:
-		return classfile.ArrayOf(rewriteDeletedDesc(d.Elem(), deleted))
+		if elem, r := d.Elem(), rewriteDeletedDesc(d.Elem(), deleted); r != elem {
+			return classfile.ArrayOf(r)
+		}
 	}
 	return d
 }
