@@ -1,16 +1,14 @@
 # Tier-1 verification for govolve. `make verify` is what CI runs: formatting,
 # build, vet, the full test suite, the same suite on poisoned guest heaps and
-# under the race detector, and a focused race pass over the collector
-# packages (gc, heap). Collections are single-threaded; what is concurrent
-# there — the relocator against the mutator's load barrier — is the riskiest
-# code in the tree.
-# The storm soak and the fuzzers run longer and are split out.
+# under the race detector, the bench of record's smoke sizes and the
+# per-feature gates. The storm soak and the fuzzers run longer and are split
+# out.
 
 GO ?= go
 
-.PHONY: verify fmt build vet test poison bench-smoke race race-gc gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify fmt build vet test poison bench-smoke race gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
-verify: fmt build vet test poison bench-smoke race race-gc gates
+verify: fmt build vet test poison bench-smoke race gates
 
 # Every Go file in the tree, the bench of record's module included, is as
 # gofmt writes it: the target lists the ones that are not and fails.
@@ -48,13 +46,6 @@ bench-smoke:
 
 race:
 	$(GO) test -race ./...
-
-# Focused race pass with more iterations over what runs beside the mutator in
-# a Concurrent update: after the pause the relocation drain's relocator with
-# its TLAB, claim/publish forwarding and slot healing against the load barrier
-# (also covered by `race`, but these packages deserve the extra -count).
-race-gc:
-	$(GO) test -race -count=4 ./internal/gc/ ./internal/heap/
 
 # The per-feature gates: tests pinned by name so that none can rot out of the
 # suite, each run once (under the race detector where the row says so), and

@@ -81,8 +81,8 @@ type MicroConfig struct {
 	// resulting verdict is reported on MicroResult.
 	Metrics *obs.Registry
 	// Concurrent moves the bulk copy and pair creation out of the pause, and
-	// implies Lazy (vm.Options.Concurrent): the background relocator and the
-	// load barrier evacuate what the roots do not point at after it. The
+	// implies Lazy (vm.Options.Concurrent): the drain's quanta and the load
+	// barrier evacuate what the roots do not point at after it. The
 	// relocation drain is reported separately from the pause.
 	Concurrent bool
 }

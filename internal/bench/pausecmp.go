@@ -20,12 +20,6 @@ import (
 // pause down to flip preparation, copy_ms down to the objects the roots point
 // at, and the bulk copy's wall time in reloc_drain_ms.
 //
-// Interpretation caveat: concurrent phases only overlap mutator work if the
-// host has a spare CPU. On GOMAXPROCS=1 they are time-sliced with everything
-// else — the *pause* still excludes them (the decomposition claim holds), but
-// total wall-clock improves only with hardware parallelism. The JSON's host
-// stamp records both.
-//
 // As table1 it is the same grid in the serial mode over the paper's sizes and
 // fractions, printed as the paper's Table 1 and Figure 6 (PrintTable1).
 
@@ -125,8 +119,7 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 			"moved objects are never pairs, so there lazy has nothing to defer); concurrent rows " +
 			"also keep only the objects the roots point at in copy_ms, with the bulk copy " +
 			"in reloc_drain_ms. Pause shrinkage is " +
-			"a decomposition property and holds on any host; wall-clock overlap of " +
-			"concurrent phases with mutator work additionally requires gomaxprocs > 1.",
+			"a decomposition property and holds on any host.",
 	}
 	for _, objects := range sw.Sizes {
 		for _, frac := range sw.Fractions {

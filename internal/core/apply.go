@@ -341,8 +341,8 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		// (pairing or moving the updated-class instances they point at), and
 		// defer every other pair to the drain. The world resumes with
 		// from-space still live behind the self-healing load barrier; rl is
-		// the drain the residue starts at the end of the pause and finishes
-		// once the background relocator runs it dry.
+		// the drain the residue starts at the end of the pause, runs a
+		// quantum of between scheduler slices, and finishes once it runs dry.
 		gcRes, rl, err = e.VM.GC.CollectReloc(e.VM)
 	} else {
 		gcRes, err = e.VM.GC.Collect(e.VM, true)

@@ -86,8 +86,8 @@ type Stats struct {
 	// Collection is the DSU collection's own record, stored whole (gc.go):
 	// copied objects and words (old copies in from-space's tail, §3.5,
 	// included and counted again in TailWords) and the pause's copy time.
-	// Relocated records that the DSU copy ran as a concurrent relocation,
-	// whose drain is Reloc. PairsLogged also counts the pairs the adopted
+	// Relocated records that the DSU copy ran as a relocation, whose drain
+	// is Reloc. PairsLogged also counts the pairs the adopted
 	// placement takes over from the drain (residue.adopt); it can exceed
 	// TransformedObjects - MovedObjects only if the update fails mid-phase.
 	gc.Collection
@@ -97,7 +97,7 @@ type Stats struct {
 	// in their new layout, as it copied them — no pair, no transformer run.
 	// TransformedObjects == PairsLogged + MovedObjects once every pair has
 	// been transformed (at the end of the pause, eager; after the drain
-	// otherwise). A concurrent relocation adds its drain's share when it ends.
+	// otherwise). A relocation adds its drain's share when it ends.
 	MovedObjects int
 
 	SafePointDelay time.Duration // request → DSU safe point
@@ -119,7 +119,7 @@ type Stats struct {
 	LazyDrained int
 	LazyForced  int
 
-	// Reloc is the concurrent relocation's drain (Relocated): the post-pause
+	// Reloc is the relocation's drain (Relocated): the post-pause
 	// evacuations (the in-pause share stays in CopiedObjects/CopiedWords),
 	// healed slots, deferred pairs and the drain's wall clock — copy cost
 	// that no longer sits in the pause. Like the Lazy* block it is stamped

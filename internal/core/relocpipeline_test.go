@@ -11,8 +11,8 @@ import (
 // End-to-end coverage of a Concurrent update: the DSU pause stops at flip
 // preparation, the world resumes with from-space still live behind the
 // self-healing load barrier, and the remaining live set is evacuated — its
-// updated-class instances paired — by the background relocator racing the
-// mutator, and transformed behind the lazy read barrier. The observable
+// updated-class instances paired — in quanta between scheduler slices and by
+// the mutator's loads, and transformed behind the lazy read barrier. The observable
 // outcome (program output, update success, transformed state) must be
 // identical to the fused stop-the-world pipeline's; only the pause
 // decomposition and the drain-side stats differ.
@@ -58,7 +58,7 @@ func (f *fixture) drain() {
 // NOT touch) are linked into a static list before the Node ring is built.
 // At the update's safe point the live set is therefore a mix — the pause
 // eagerly evacuates only the Nodes, and the Pads are exactly the population
-// the concurrent drain (relocator + load barrier) must move afterwards.
+// the drain (quanta + load barrier) must move afterwards.
 const relocV1 = `
 class Pad {
   field a I
@@ -317,8 +317,8 @@ func TestConcurrentRelocPipelineEquivalence(t *testing.T) {
 		var atPause core.Stats
 		rf.engine.AfterUpdate = func(res *core.Result) { atPause = res.Stats }
 		outRel, resRel := runRelocUpdate(rf)
-		// The program may finish before the background relocator runs the
-		// drain dry; force-complete so the stats below are final.
+		// The program may finish before its slices' quanta run the drain
+		// dry; force-complete so the stats below are final.
 		rf.drain()
 
 		if outSTW != outRel {
@@ -414,7 +414,7 @@ func TestRelocLazyDeferredPairs(t *testing.T) {
 	// The pause itself pairs only the Nodes the roots point at, and books them
 	// pending behind the barrier it arms; everything else is discovered and
 	// paired by the drain afterwards. Sampled as the pause ends: the first
-	// touch after it adopts whatever the relocators have created by then.
+	// touch after it adopts whatever the drain has created by then.
 	applyPairs, applyPending := -1, -1
 	f.engine.AfterUpdate = func(res *core.Result) {
 		applyPairs, applyPending = res.Stats.PairsLogged, res.Stats.LazyPending

@@ -61,8 +61,8 @@ type plan struct {
 // when a collection, a follow-up update, a gate policy or the harness forces
 // it (force).
 //
-// Everything here runs on the mutator goroutine — barrier hits, forced
-// drains and collections all happen inside VM.Step — so no locking.
+// Everything here runs on the mutator goroutine — barrier hits, drain quanta,
+// forced drains and collections all happen inside VM.Step — so no locking.
 type residue struct {
 	e            *Engine
 	spec         *upt.Spec
@@ -401,9 +401,9 @@ func (r *residue) settle() {
 
 // leavePause ends the in-pause phase on the success path: retire on the spot
 // when the pause left nothing outstanding (always, for the plain eager
-// placement), otherwise start the relocation's background relocator — last,
-// so the transformer and clinit phases' allocations land below its region
-// snapshot. From the first post-pause slice the scheduler polls tick.
+// placement), otherwise start the relocation's drain — last, so the
+// transformer and clinit phases' allocations land in its first span. From the
+// first post-pause slice the scheduler polls tick.
 func (r *residue) leavePause() {
 	r.settle()
 	if !r.retired && r.rl != nil && !r.relocDone {
@@ -411,21 +411,20 @@ func (r *residue) leavePause() {
 	}
 }
 
-// tick is the scheduler's between-slices poll. While the relocation runs it
-// costs two atomic loads; termination (or failure) finishes it on the
-// mutator goroutine.
+// tick is the scheduler's between-slices poll: one quantum of the
+// relocation's drain, and its finish once the drain has run from-space dry
+// (or failed).
 func (r *residue) tick() {
-	if r.rl != nil && !r.relocDone && r.rl.Done() {
+	if r.rl != nil && !r.relocDone && r.rl.Step() {
 		r.finishReloc()
 		r.settle()
 	}
 }
 
-// finishReloc joins the relocation's relocator (force-completing the drain on
-// this goroutine if it has not run from-space dry), disarms the load
-// barrier, and stamps the drain statistics. From-space is dead afterwards.
-// With the relocation done the pair log is final: the adopted placement
-// takes over whatever the mutator never touched.
+// finishReloc force-completes the relocation's drain if it has not run
+// from-space dry, disarms the load barrier, and stamps the drain statistics.
+// From-space is dead afterwards. With the relocation done the pair log is
+// final: the adopted placement takes over whatever the mutator never touched.
 func (r *residue) finishReloc() {
 	if r.rl == nil || r.relocDone {
 		return
@@ -438,7 +437,9 @@ func (r *residue) finishReloc() {
 		m.Counter(obs.MRelocObjects).Add(int64(st.Objects))
 		m.Counter(obs.MRelocHealedSlots).Add(int64(st.HealedSlots))
 		m.Gauge(obs.MRelocBacklog).Set(0)
-		m.Histogram(obs.MRelocDrainLatency, obs.DurationBuckets()).Observe(st.Drain.Seconds())
+		if err == nil { // a failed drain has no latency to record
+			m.Histogram(obs.MRelocDrainLatency, obs.DurationBuckets()).Observe(st.Drain.Seconds())
+		}
 	}
 	// The drain failing post-flip (to-space exhausted mid-evacuation) means
 	// from-space was never fully evacuated: some slots still hold from-space
@@ -527,8 +528,8 @@ func (e *Engine) LazyBacklog() int {
 	return e.residue.pending
 }
 
-// RelocBacklog reports how many words of live data the in-flight relocation
-// drain still has to evacuate or scan — 0 outside a drain window. The stream
+// RelocBacklog reports how many words the in-flight relocation drain still has
+// to scan (gc.Relocation.Backlog) — 0 outside a drain window. The stream
 // obs plane samples it after every chain step, next to LazyBacklog.
 func (e *Engine) RelocBacklog() int {
 	if e.residue == nil {

@@ -3,20 +3,19 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"govolve/internal/core"
 	"govolve/internal/gc"
+	"govolve/internal/obs"
 	"govolve/internal/rt"
 	"govolve/internal/storm"
 	"govolve/internal/upt"
 )
 
 // consV1: 40 Pad objects (ballast the update does not touch — what a
-// concurrent relocation must move after the pause) and 20 Box objects with
+// relocation must move after the pause) and 20 Box objects with
 // v = 0..19, both as static-rooted lists; a long spin (the update window);
 // then a walk that sums every Box.v — the touch of every updated instance,
 // so an on-touch drain runs dry by itself.
@@ -298,13 +297,13 @@ class JvolveTransformers {
 		{name: "drain ran dry", drive: func(t *testing.T, r *run, lazy bool) {
 			applied(t, r)
 			// The program's closing walk touches every Box; the scheduler's
-			// poll retires a relocation once its drain is done.
+			// poll runs the relocation's quanta and retires it once its
+			// drain is done.
 			r.f.finish()
-			for deadline := time.Now().Add(10 * time.Second); r.f.vm.DrainActive(); {
-				if time.Now().After(deadline) {
+			for i := 0; r.f.vm.DrainActive(); i++ {
+				if i > 1<<16 {
 					t.Fatal("residue never ran dry")
 				}
-				runtime.Gosched()
 				r.f.vm.Step(1)
 			}
 			if lazy && r.res.Stats.LazyForced != 0 {
@@ -314,8 +313,8 @@ class JvolveTransformers {
 		{name: "forced by CollectGarbage", drive: func(t *testing.T, r *run, lazy bool) {
 			// A flip would invalidate the pair log's raw addresses, reclaim
 			// the old copies, and cannot run with from-space held. Collecting
-			// at once exercises the forced drain for real: on 1 vCPU the
-			// relocator has likely not even been scheduled yet.
+			// at once exercises the forced drain for real: no quantum has run
+			// yet.
 			applied(t, r)
 			if _, err := r.f.vm.CollectGarbage(); err != nil {
 				t.Fatalf("collection mid-drain: %v", err)
@@ -415,6 +414,40 @@ class JvolveTransformers {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRelocDrainToSpaceExhaustionMetrics is the failed drain of
+// TestResidueTeardownConservation with a metrics registry attached: the
+// latency histogram holds completed drains only, so a drain that ran to-space
+// dry records no sample — next to the one sample of the same update drained
+// on an uncrowded heap — and the backlog gauge ends at 0 either way.
+func TestRelocDrainToSpaceExhaustionMetrics(t *testing.T) {
+	for _, crowd := range []bool{false, true} {
+		f := newRelocFixture(t, 1<<16, false)
+		m := obs.NewRegistry()
+		f.vm.AttachObs(nil, m)
+		f.load(consV1)
+		f.spawn("App")
+		f.vm.Step(10)
+		if crowd {
+			crowdHeap(f, f.vm.Reg.LookupClass("Box"))
+		}
+		f.mustApply("1", f.prog(consV1), f.prog(consV2(crowd)), "")
+		err := f.engine.ForceDrain()
+		if crowd != errors.Is(err, gc.ErrToSpaceExhausted) {
+			t.Fatalf("crowded=%v: ForceDrain = %v", crowd, err)
+		}
+		want := int64(1)
+		if crowd {
+			want = 0
+		}
+		if n := m.Histogram(obs.MRelocDrainLatency, obs.DurationBuckets()).Count(); n != want {
+			t.Fatalf("crowded=%v: %d drain latency samples, want %d", crowd, n, want)
+		}
+		if g := m.Gauge(obs.MRelocBacklog).Value(); g != 0 {
+			t.Fatalf("crowded=%v: backlog gauge %v after the drain", crowd, g)
 		}
 	}
 }

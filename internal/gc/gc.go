@@ -78,12 +78,12 @@ type Collection struct {
 	// shapes so pausecmp rows compare like with like: the whole fused
 	// trace+copy for the STW collector (PauseCopy = Duration there), and for
 	// CollectReloc the kernel's copies of the objects the roots point at (the
-	// bulk copy runs in the concurrent drain, reported by RelocStats.Drain
-	// instead).
+	// bulk copy runs in the drain after the pause, reported by
+	// RelocStats.Drain instead).
 	PauseCopy time.Duration
 
 	// Relocated marks a CollectReloc result: the world resumed with
-	// from-space still live and a concurrent relocation drain in flight.
+	// from-space still live and a relocation drain in flight.
 	// CopiedObjects/CopiedWords then cover only the pause's work — the objects
 	// the roots point at; the drain's share arrives later in RelocStats.
 	Relocated bool

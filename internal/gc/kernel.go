@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"govolve/internal/heap"
@@ -14,17 +15,17 @@ import (
 // word array, to-space and the tail the flip left — and on the per-class scan
 // descriptor rt.Class.RefOffsets, so a slot costs a load, a null test and,
 // only for a reference that still points into from-space, a call. No
-// rt.Value is built and no barrier is consulted: the world is stopped and
-// both barriers are disarmed for as long as a Raw view may exist.
+// rt.Value is built and no barrier is consulted: no guest instruction runs
+// while a Raw view is open.
 //
 // The scan reads a to-space word only if it may still hold a from-space
 // reference: objects that cannot are clean — decided once, at the write, while
-// the words are in cache (settle) — and form runs that cheney's cursor jumps.
+// the words are in cache (settle) — and form runs that the scan cursor jumps.
 //
-// Every copy made with the world stopped goes through the collector's one
-// kernel: Collect whole, and the relocation pause's root forwarding (no scan
-// there: the drain heals what those copies hold, so the runs are never read
-// and the dirty list seeds the drain's stack).
+// Every copy goes through the collector's one kernel: Collect whole, and a
+// relocation (reloc.go) in steps — the pause's root forwarding, then the rest
+// of the same Cheney scan in bounded quanta, and the load barrier's
+// evacuations one object at a time.
 
 // errUnknownClass is the structural error every tracer reports for a header
 // whose class id the registry cannot resolve.
@@ -53,9 +54,10 @@ type kernel struct {
 	objects, words int // copied, shells included
 	tailWords      int // of those, old-copy words that went to the tail
 	moved          int // of objects, instances written in their new layout
+	hits           int // references forwarded to an object already evacuated
 
 	// runs are the clean runs in address order, kept for their capacity.
-	// cheney's cursor has jumped runs[:next]; settle never extends those.
+	// The scan cursor has jumped runs[:next]; settle never extends those.
 	runs  []run
 	next  int
 	scans int // objects scan was entered for
@@ -212,6 +214,7 @@ func (k *kernel) forward(w uint64) uint64 {
 	}
 	hw := k.Words[a]
 	if hw&heap.ForwardBit != 0 {
+		k.hits++
 		return hw & heap.ForwardMask
 	}
 	if to := k.evacuate(a, hw); to != rt.Null {
@@ -414,17 +417,37 @@ func (k *kernel) cheney(roots Roots) error {
 	scan, oldScan := k.To.Alloc, 0
 	roots.ForEachRoot(k.root)
 	for k.err == nil && (scan < k.To.Alloc || oldScan < len(k.dirty)) {
-		for scan < k.To.Alloc && k.err == nil {
-			if k.next < len(k.runs) && k.runs[k.next].lo == scan {
-				scan, k.next = k.runs[k.next].hi, k.next+1
-				continue
-			}
-			scan += k.scan(scan)
-		}
-		for oldScan < len(k.dirty) && k.err == nil {
-			k.scan(k.dirty[oldScan])
-			oldScan++
-		}
+		scan, _ = k.scanTo(scan, ^rt.Addr(0), math.MaxInt)
+		oldScan, _ = k.scanDirty(oldScan, math.MaxInt)
 	}
 	return k.err
+}
+
+// scanTo advances a Cheney scan cursor from scan over the to-space objects
+// below hi and the allocation pointer — which the scan's own copies push on —
+// jumping clean runs, until it gets there, an error stops it, or it has
+// scanned budget words. It returns the cursor and the words scanned.
+func (k *kernel) scanTo(scan, hi rt.Addr, budget int) (rt.Addr, int) {
+	left := budget
+	for k.err == nil && left > 0 && scan < min(hi, k.To.Alloc) {
+		if k.next < len(k.runs) && k.runs[k.next].lo == scan {
+			scan, k.next = k.runs[k.next].hi, k.next+1
+			continue
+		}
+		size := k.scan(scan)
+		scan += size
+		left -= int(size)
+	}
+	return scan, budget - left
+}
+
+// scanDirty scans the dirty tail old copies from index i until none is left,
+// an error stops it, or it has scanned budget words. It returns the next
+// index and the words scanned.
+func (k *kernel) scanDirty(i, budget int) (int, int) {
+	n := 0
+	for ; i < len(k.dirty) && n < budget && k.err == nil; i++ {
+		n += int(k.scan(k.dirty[i]))
+	}
+	return i, n
 }

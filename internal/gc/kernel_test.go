@@ -19,20 +19,36 @@ import (
 // replaced, kept as the reference the kernel is held to word for word: every
 // slot boxed into an rt.Value and moved through the barrier-checked
 // accessors, the class resolved per use, RefMap walked entry by entry, every
-// tail old copy scanned. Only heap.Copy, which left the heap with the loop, is
-// spelled out. Old copies go to the tail until one does not fit and to
-// to-space from then on, as the kernel's do.
+// tail old copy scanned. Only heap.Copy, which left the heap with the loop,
+// and the tail's bump, which left it with the relocator, are spelled out. Old
+// copies go to the tail until one does not fit and to to-space from then on,
+// as the kernel's do.
 func refCollectSerial(c *Collector, roots Roots, dsu bool) (Result, error) {
 	h := c.Heap
 	var res Result
 	h.Flip()
+	copyWords := func(to, src rt.Addr, size int) {
+		for i := rt.Addr(0); i < rt.Addr(size); i++ {
+			h.SetWord(to+i, h.Word(src+i))
+		}
+	}
 	copyTo := func(src rt.Addr, size int) (rt.Addr, bool) {
 		if size > h.FreeWords() {
 			return 0, false
 		}
 		to, _ := h.Alloc(size)
-		h.CopyWords(to, src, size)
+		copyWords(to, src, size)
 		return to, true
+	}
+	allocTail := func(size int) (rt.Addr, bool) {
+		raw := h.Raw()
+		a := raw.Tail.Alloc
+		if a+rt.Addr(size) > raw.Tail.Hi {
+			return 0, false
+		}
+		raw.Tail.Alloc += rt.Addr(size)
+		h.CommitRaw(&raw)
+		return a, true
 	}
 	objectSize := func(a rt.Addr) int {
 		if h.IsArray(a) {
@@ -85,8 +101,8 @@ func refCollectSerial(c *Collector, roots Roots, dsu bool) (Result, error) {
 				var oldCopy rt.Addr
 				var ok2 bool
 				if useTail {
-					if oldCopy, ok2 = h.AllocTail(size); ok2 {
-						h.CopyWords(oldCopy, a, size)
+					if oldCopy, ok2 = allocTail(size); ok2 {
+						copyWords(oldCopy, a, size)
 						tailObjs = append(tailObjs, oldCopy)
 						res.TailWords += size
 					}

@@ -2,6 +2,8 @@ package gc
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -11,35 +13,38 @@ import (
 	"govolve/internal/rt"
 )
 
-// The stw/concurrent equivalence suite. A concurrent collection — a short
+// The stw/incremental equivalence suite. A relocating collection — a short
 // pause (root forwarding, pairs and moves for what the roots point at), then a
 // drain that evacuates the rest of the live set, pairing the updated-class
-// instances it meets, with the background relocator and the self-healing load
-// barrier — must end in a heap observationally identical to the serial Cheney
-// collector's: isomorphic reachable graph, identical values, identical DSU pair
-// treatment. With the mutator quiescent throughout even the accounting must
-// match exactly as pause + drain sums: serial CopiedObjects == pause
-// CopiedObjects + drain RelocStats.Objects (each live object is evacuated
-// exactly once on either path), and likewise for words, tail words, pairs and
-// moves.
+// instances it meets, in quanta of the kernel and through the self-healing
+// load barrier — must end in a heap observationally identical to the serial
+// Cheney collector's: isomorphic reachable graph, identical values, identical
+// DSU pair treatment, whatever the quantum schedule. With the mutator
+// quiescent throughout even the accounting must match exactly as pause +
+// drain sums: serial CopiedObjects == pause CopiedObjects + drain
+// RelocStats.Objects (each live object is evacuated exactly once on either
+// path), and likewise for words, tail words, pairs and moves.
 
-// checkPause pins what a reloc pause leaves for the drain, before it starts.
-// The pause ran on the serial kernel, so no from-space header holds the claim
-// sentinel (the claim protocol starts with the world), every root is forwarded
-// out of from-space, and the drain's stack holds exactly the kernel's dirty
-// list: the tail old copies of the log holding a reference, in placement order.
+// checkPause pins what a reloc pause leaves for the drain, before it starts:
+// every root is forwarded out of from-space, and the drain's old-copy work is
+// exactly the kernel's dirty list — the tail old copies of the log holding a
+// reference, in placement order — none of it scanned yet.
 func checkPause(t testing.TB, w *world, c *Collector, res Result, rl *Relocation) {
 	t.Helper()
-	for a := rl.fromLo; a < rl.fromHi; a++ {
-		if _, _, claimed := heap.HeaderForwarded(w.h.Word(a)); claimed {
-			t.Fatalf("from-space word @%d holds the claim sentinel after the pause", a)
-		}
-	}
 	for i, r := range w.roots {
-		if a := r.Ref(); r.IsRef && a >= rl.fromLo && a < rl.fromHi {
-			t.Fatalf("root %d still points into from-space @%d after the pause", i, a)
+		if a := r.Ref(); r.IsRef && a != rt.Null && !w.h.InCurrentSpace(a) {
+			t.Fatalf("root %d still points out of to-space @%d after the pause", i, a)
 		}
 	}
+	dirty := pauseDirty(w, res)
+	if !slices.Equal(c.dirty, dirty) || rl.oldScan != 0 || len(rl.spans) != 0 {
+		t.Fatalf("dirty list %v (%d scanned, %d spans); want the tail old copies holding a reference %v, none scanned",
+			c.dirty, rl.oldScan, len(rl.spans), dirty)
+	}
+}
+
+// pauseDirty lists the pause's tail old copies holding a reference, in log order.
+func pauseDirty(w *world, res Result) []rt.Addr {
 	var dirty []rt.Addr
 	for _, p := range res.Log {
 		if !w.h.InTail(p.OldCopy) {
@@ -52,16 +57,54 @@ func checkPause(t testing.TB, w *world, c *Collector, res Result, rl *Relocation
 			}
 		}
 	}
-	if !slices.Equal(c.dirty, dirty) || !slices.Equal(rl.work.buf, dirty) {
-		t.Fatalf("dirty list %v, drain stack %v; want the tail old copies holding a reference %v", c.dirty, rl.work.buf, dirty)
-	}
+	return dirty
 }
 
-// runRelocCycle drives the pause and the drain of a concurrent collection on
-// w: pause, Start, optional mutation while the drain runs, force-complete,
-// Finish. It returns the pause's Result, the drain's stats and the whole pair
-// log: the pause's pairs, then the drain's.
-func runRelocCycle(t testing.TB, w *world, c *Collector, mutate func()) (Result, RelocStats, []Pair) {
+// seededQuanta draws a drain's quantum schedule from seed: budgets in scanned
+// words, taken in turn and cycling, 0 a whole-drain quantum. It always holds
+// a one-word quantum (first) and a whole-drain one, somewhere after it; the
+// rest are small, so the test worlds take many quanta.
+func seededQuanta(seed int64) []int {
+	rng := rand.New(rand.NewSource(seed))
+	q := []int{1}
+	for range 6 {
+		q = append(q, 1+rng.Intn(64))
+	}
+	return slices.Insert(q, 1+rng.Intn(len(q)), 0)
+}
+
+// fuzzQuanta reads a fuzzed quantum schedule: one budget per byte, 0 a
+// whole-drain quantum; empty is one whole-drain quantum.
+func fuzzQuanta(b []byte) []int {
+	if len(b) == 0 {
+		return []int{0}
+	}
+	q := make([]int, len(b))
+	for i, x := range b {
+		q[i] = int(x)
+	}
+	return q
+}
+
+// runQuantum runs the i-th quantum of schedule q (cycling) and reports whether
+// the drain is done.
+func runQuantum(rl *Relocation, q []int, i int) bool {
+	budget := q[i%len(q)]
+	if budget == 0 {
+		budget = math.MaxInt
+	}
+	if !rl.Done() {
+		rl.scan(budget)
+	}
+	return rl.Done()
+}
+
+// runRelocCycle drives the pause and the drain of a relocating collection on
+// w: pause, Start, then before each step of the mutation script (built once
+// the pause has forwarded the roots; nil for none) one quantum of schedule q,
+// quanta until the drain is done, Finish. It returns the pause's Result, the
+// drain's stats and the whole pair log: the pause's pairs, then the drain's.
+func runRelocCycle(t testing.TB, w *world, c *Collector, q []int, script func() []func()) (Result, RelocStats, []Pair) {
 	t.Helper()
 	res, rl, err := c.CollectReloc(w)
 	if err != nil {
@@ -75,14 +118,25 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, mutate func()) (Result,
 		t.Fatal("load barrier not armed after the reloc pause")
 	}
 	rl.Start()
-	if mutate != nil {
-		mutate()
+	var steps []func()
+	if script != nil {
+		steps = script()
+	}
+	i := 0
+	for _, step := range steps {
+		runQuantum(rl, q, i)
+		i++
+		step()
+	}
+	// Every quantum scans at least one object, and the drain only ever scans
+	// what the pause left or its own copies: a bound on the quanta left.
+	for limit := i + w.h.SemiWords(); !runQuantum(rl, q, i); i++ {
+		if i > limit {
+			t.Fatalf("drain not done after %d quanta of %v", i, q)
+		}
 	}
 	if err := rl.ForceDrain(); err != nil {
 		t.Fatalf("ForceDrain: %v", err)
-	}
-	if !rl.Done() {
-		t.Fatal("drain not done after ForceDrain")
 	}
 	if rl.Backlog() != 0 {
 		t.Fatalf("done drain reports backlog %d", rl.Backlog())
@@ -94,14 +148,33 @@ func runRelocCycle(t testing.TB, w *world, c *Collector, mutate func()) (Result,
 	if w.h.RelocArmed() {
 		t.Fatal("load barrier still armed after Finish")
 	}
-	return res, stats, slices.Concat(res.Log, rl.Deferred())
+	log := slices.Concat(res.Log, rl.Deferred())
+	checkDrained(t, w, log)
+	return res, stats, log
 }
 
-// runConcurrentEquivalence compares a quiescent concurrent collection against
-// the serial collector on identical worlds, with exact copy accounting. With
-// overflow, from-space is left with a tail for two old copies, and the rest
-// go to to-space.
-func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
+// checkDrained requires a drained heap to hold no reference out of to-space:
+// none on a path from the roots, and none in an old copy, which the lazy
+// pipeline's transformers read after the barrier is gone.
+func checkDrained(t testing.TB, w *world, log []Pair) {
+	t.Helper()
+	if err := WalkReachable(w.h, w.reg, w, func(rt.Addr, *rt.Class) error { return nil }); err != nil {
+		t.Fatalf("drained heap: %v", err)
+	}
+	for _, p := range log {
+		for _, off := range w.reg.ClassByID(w.h.ClassID(p.OldCopy)).RefOffsets {
+			if a := rt.Addr(w.h.Word(p.OldCopy + off)); a != rt.Null && !w.h.InCurrentSpace(a) {
+				t.Fatalf("old copy @%d slot %d holds @%d, out of to-space", p.OldCopy, off, a)
+			}
+		}
+	}
+}
+
+// runConcurrentEquivalence compares a quiescent relocating collection, drained
+// in quanta of schedule q, against the serial collector on identical worlds,
+// with exact copy accounting. With overflow, from-space is left with a tail
+// for two old copies, and the rest go to to-space.
+func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool, q []int) {
 	t.Helper()
 	const semi = 1 << 13
 	wa := buildWorld(t, seed, semi)
@@ -119,7 +192,7 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
 	if err != nil {
 		t.Fatalf("serial collect: %v", err)
 	}
-	rb, stats, log := runRelocCycle(t, wb, New(wb.h, wb.reg), nil)
+	rb, stats, log := runRelocCycle(t, wb, New(wb.h, wb.reg), q, nil)
 
 	if got := rb.CopiedObjects + stats.Objects; got != ra.CopiedObjects {
 		t.Fatalf("copied objects: serial %d, concurrent pause %d + drain %d = %d",
@@ -149,33 +222,36 @@ func runConcurrentEquivalence(t *testing.T, seed int64, dsu, overflow bool) {
 
 func TestRelocCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runConcurrentEquivalence(t, seed, false, false)
+		runConcurrentEquivalence(t, seed, false, false, seededQuanta(seed))
 	}
 }
 
 func TestRelocDSUCollectEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runConcurrentEquivalence(t, seed, true, false)
+		runConcurrentEquivalence(t, seed, true, false, seededQuanta(seed))
 	}
 }
 
 func TestRelocDSUCollectEquivalenceOverflow(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 11, 12} {
-		runConcurrentEquivalence(t, seed, true, true)
+		runConcurrentEquivalence(t, seed, true, true, seededQuanta(seed))
 	}
 }
 
 // TestRelocInFlightMutation runs the shared deterministic mutation script
-// while the drain is live — stores land through the armed atomic path,
-// loads heal through the barrier, allocations are born clean above the
-// region snapshot — and requires the final graph isomorphic to the STW
-// baseline. Because the reloc pause happens BEFORE the mutation, the
-// baseline mutates after its own collection: both sides then see the same
-// logical program order (pause, then mutation). Copy counts are not
-// compared: the drain also evacuates objects the script kills mid-drain
-// (floating garbage, reclaimed by the next collection), and never reaches
-// some the script kills first — so with DSU the drain pairs and moves at most
-// what the baseline did.
+// while the drain is live, one seeded quantum before each of its steps —
+// allocations are born clean between the drain's spans, loads heal through
+// the barrier, stores land plainly in scanned and unscanned objects alike —
+// and
+// requires the final graph isomorphic to the STW baseline. Every schedule holds
+// a one-word quantum and a whole-drain one, so some steps run with the scan
+// barely started and some after it ended. Because the reloc pause happens
+// BEFORE the mutation, the baseline mutates after its own collection: both
+// sides then see the same logical program order (pause, then mutation). Copy
+// counts are not compared: the drain also evacuates objects the script kills
+// mid-drain (floating garbage, reclaimed by the next collection), and never
+// reaches some the script kills first — so with DSU the drain pairs and moves
+// at most what the baseline did.
 func TestRelocInFlightMutation(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, dsu := range []bool{false, true} {
@@ -191,13 +267,16 @@ func TestRelocInFlightMutation(t *testing.T) {
 			// (canonical) root addresses — in DSU mode those are the new
 			// shells, exactly as on the baseline below. Its logic depends
 			// only on root order and graph shape, so it lands identically.
-			res, stats, log := runRelocCycle(t, wa, New(wa.h, wa.reg), func() { mutationScript(t, wa)() })
+			res, stats, log := runRelocCycle(t, wa, New(wa.h, wa.reg), seededQuanta(seed),
+				func() []func() { return mutationScript(t, wa) })
 
 			rbs, err := New(wb.h, wb.reg).Collect(wb, dsu)
 			if err != nil {
 				t.Fatalf("STW collect: %v", err)
 			}
-			mutationScript(t, wb)()
+			for _, step := range mutationScript(t, wb) {
+				step()
+			}
 			// The drain met only objects of the pre-mutation live set.
 			if dsu && (len(log) > rbs.PairsLogged || res.Moved+stats.Moved > rbs.Moved) {
 				t.Fatalf("reloc paired %d and moved %d, STW %d and %d",
@@ -209,13 +288,16 @@ func TestRelocInFlightMutation(t *testing.T) {
 	}
 }
 
-// mutationScript applies a deterministic in-flight mutation to a buildWorld
-// heap while the drain runs: it rewires edges between rooted nodes, severs
-// edges (objects that die mid-drain), and allocates a fresh chain published
-// through a root (objects born clean above the drain's region). The script
-// depends only on root order and graph shape, so running it on an identical
-// world after a serial collection produces the identical final graph.
-func mutationScript(t *testing.T, w *world) func() {
+// mutationScript is a deterministic in-flight mutation of a buildWorld heap
+// while the drain runs, in six steps: it allocates a fresh chain (objects born
+// clean between the drain's spans), loads every rooted node's edges (heals
+// mid-drain, each evacuation in a span of its own),
+// rewires edges between rooted nodes, severs edges (objects that die
+// mid-drain), publishes the chain through a root, and churns the ref arrays.
+// The script depends only on root order and graph shape, so running it on an
+// identical world after a serial collection produces the identical final
+// graph.
+func mutationScript(t *testing.T, w *world) []func() {
 	t.Helper()
 	// The node addresses reachable as direct roots (stable across identical
 	// worlds: buildWorld is deterministic).
@@ -226,39 +308,60 @@ func mutationScript(t *testing.T, w *world) func() {
 			nodes = append(nodes, a)
 		}
 	}
-	return func() {
-		n := len(nodes)
-		if n < 4 {
-			t.Fatal("mutation script needs at least 4 rooted nodes")
-		}
+	n := len(nodes)
+	if n < 4 {
+		t.Fatal("mutation script needs at least 4 rooted nodes")
+	}
+	var chain rt.Addr
+	return []func(){
+		// A fresh chain, published later.
+		func() {
+			for k := 0; k < 8; k++ {
+				a, ok := w.h.AllocObject(w.cls)
+				if !ok {
+					t.Fatal("alloc during drain")
+				}
+				w.h.SetFieldValue(a, offVal, rt.IntVal(int64(7000+k)))
+				w.h.SetFieldValue(a, offLeft, rt.RefVal(chain))
+				chain = a
+			}
+		},
+		// Load: every rooted node's edges, through the barrier, each pair
+		// of loads after an allocation (garbage), so every evacuation starts
+		// a span.
+		func() {
+			for _, a := range nodes {
+				if _, ok := w.h.AllocArray(false, 1); !ok {
+					t.Fatal("alloc during drain")
+				}
+				w.h.FieldValue(a, offLeft, true)
+				w.h.FieldValue(a, offRight, true)
+			}
+		},
 		// Rewire: every rooted node's left edge points at its successor.
-		for i, a := range nodes {
-			w.h.SetFieldValue(a, offLeft, rt.RefVal(nodes[(i+1)%n]))
-		}
+		func() {
+			for i, a := range nodes {
+				w.h.SetFieldValue(a, offLeft, rt.RefVal(nodes[(i+1)%n]))
+			}
+		},
 		// Sever: half the right edges go null. Anything only reachable
 		// through them dies mid-drain.
-		for i := 0; i < n; i += 2 {
-			w.h.SetFieldValue(nodes[i], offRight, rt.NullVal)
-		}
-		// A fresh chain, published via the first root.
-		var prev rt.Addr
-		for k := 0; k < 8; k++ {
-			a, ok := w.h.AllocObject(w.cls)
-			if !ok {
-				t.Fatal("alloc during drain")
+		func() {
+			for i := 0; i < n; i += 2 {
+				w.h.SetFieldValue(nodes[i], offRight, rt.NullVal)
 			}
-			w.h.SetFieldValue(a, offVal, rt.IntVal(int64(7000+k)))
-			w.h.SetFieldValue(a, offLeft, rt.RefVal(prev))
-			prev = a
-		}
-		w.h.SetFieldValue(nodes[0], offRight, rt.RefVal(prev))
+		},
+		// Publish the chain via the first root.
+		func() { w.h.SetFieldValue(nodes[0], offRight, rt.RefVal(chain)) },
 		// Churn the ref arrays too (SetElem path).
-		for _, r := range w.roots {
-			a := r.Ref()
-			if a != rt.Null && w.h.IsArray(a) && w.h.ArrayElemIsRef(a) {
-				w.h.SetElem(a, 0, rt.RefVal(nodes[n-1]))
+		func() {
+			for _, r := range w.roots {
+				a := r.Ref()
+				if a != rt.Null && w.h.IsArray(a) && w.h.ArrayElemIsRef(a) {
+					w.h.SetElem(a, 0, rt.RefVal(nodes[n-1]))
+				}
 			}
-		}
+		},
 	}
 }
 
@@ -394,7 +497,7 @@ func TestRelocDeferredMoves(t *testing.T) {
 	newNode := addUpdatedTo(t, w)
 	newLeaf := w.leaf.UpdatedTo
 
-	res, stats, _ := runRelocCycle(t, w, New(w.h, w.reg), nil)
+	res, stats, _ := runRelocCycle(t, w, New(w.h, w.reg), []int{1}, nil)
 	if len(res.Log) != 0 || res.Moved != 1 || res.CopiedObjects != 1 {
 		t.Fatalf("deferred pause logged %d pairs, moved %d and copied %d; want the root's leaf moved alone",
 			len(res.Log), res.Moved, res.CopiedObjects)
@@ -490,7 +593,7 @@ func TestRelocDrainToSpaceExhaustion(t *testing.T) {
 
 // TestRelocForceDrainBeforeStart: a collection or follow-up update can land
 // between the pause and Start — ForceDrain must complete the whole drain on
-// the mutator with no relocator running.
+// the mutator with no quantum run.
 func TestRelocForceDrainBeforeStart(t *testing.T) {
 	w := buildWorld(t, 21, 1<<13)
 	addUpdatedTo(t, w)
@@ -516,6 +619,78 @@ func TestRelocForceDrainBeforeStart(t *testing.T) {
 	}
 	if err := WalkReachable(w.h, w.reg, w, func(rt.Addr, *rt.Class) error { return nil }); err != nil {
 		t.Fatalf("post-drain heap audit: %v", err)
+	}
+}
+
+// TestRelocNeverScansNewObjects: what the mutator allocates after the pause is
+// born clean and lies between the drain's spans, never in one, so the drain's
+// work is bounded by the live set at the pause. The same drain, in one-word
+// quanta, scans exactly as many objects with an allocation before every
+// quantum as with none.
+func TestRelocNeverScansNewObjects(t *testing.T) {
+	scans := func(allocate bool) int {
+		w := buildWorld(t, 6, 1<<13)
+		addUpdatedTo(t, w)
+		c := New(w.h, w.reg)
+		_, rl, err := c.CollectReloc(w)
+		if err != nil {
+			t.Fatalf("CollectReloc: %v", err)
+		}
+		rl.Start()
+		for i := 0; !runQuantum(rl, []int{1}, i); i++ {
+			if !allocate {
+				continue
+			}
+			_, ok1 := w.h.AllocObject(w.cls)
+			_, ok2 := w.h.AllocArray(true, 3)
+			if !ok1 || !ok2 {
+				t.Fatalf("to-space full after %d quanta: the drain is not catching up", i)
+			}
+		}
+		if _, err := rl.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return c.scans
+	}
+	if quiet, busy := scans(false), scans(true); quiet != busy || quiet == 0 {
+		t.Fatalf("the drain scanned %d objects alone and %d beside an allocating mutator", quiet, busy)
+	}
+}
+
+// TestRelocBacklogIsWords: the backlog is one unit, words. Right after Start
+// it is exactly span 0 — to-space from the flip to the start — plus the
+// pause's dirty tail old copies, word for word; it stays positive while the
+// drain runs in one-word quanta, and is 0 once it is done.
+func TestRelocBacklogIsWords(t *testing.T) {
+	w := buildWorld(t, 4, 1<<13)
+	addUpdatedTo(t, w)
+	c := New(w.h, w.reg)
+	res, rl, err := c.CollectReloc(w)
+	if err != nil {
+		t.Fatalf("CollectReloc: %v", err)
+	}
+	rl.Start()
+	want := int(w.h.AllocPointer() - w.h.ScanStart())
+	dirty := pauseDirty(w, res)
+	for _, a := range dirty {
+		want += w.reg.ClassByID(w.h.ClassID(a)).Size
+	}
+	if len(dirty) == 0 {
+		t.Fatal("the pause left no dirty tail old copy: the test needs one")
+	}
+	if got := rl.Backlog(); got != want {
+		t.Fatalf("backlog at start %d, want %d words", got, want)
+	}
+	for i := 0; !runQuantum(rl, []int{1}, i); i++ {
+		if rl.Backlog() <= 0 {
+			t.Fatalf("quantum %d: drain not done with backlog %d", i, rl.Backlog())
+		}
+	}
+	if got := rl.Backlog(); got != 0 {
+		t.Fatalf("done drain reports backlog %d", got)
+	}
+	if _, err := rl.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -545,13 +720,13 @@ func TestRelocFlipGuard(t *testing.T) {
 }
 
 // FuzzRelocDrain fuzzes the quiescent equivalence property over world
-// seeds and DSU-ness.
+// seeds, DSU-ness and the drain's quantum schedule (fuzzQuanta).
 func FuzzRelocDrain(f *testing.F) {
-	f.Add(int64(1), false)
-	f.Add(int64(2), true)
-	f.Add(int64(3), true)
-	f.Add(int64(17), false)
-	f.Fuzz(func(t *testing.T, seed int64, dsu bool) {
-		runConcurrentEquivalence(t, seed, dsu, false)
+	f.Add(int64(1), false, []byte(nil))
+	f.Add(int64(2), true, []byte{1})
+	f.Add(int64(3), true, []byte{1, 0})
+	f.Add(int64(17), false, []byte{3, 200, 17})
+	f.Fuzz(func(t *testing.T, seed int64, dsu bool, sched []byte) {
+		runConcurrentEquivalence(t, seed, dsu, false, fuzzQuanta(sched))
 	})
 }

@@ -7,33 +7,25 @@ package heap
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"govolve/internal/rt"
 )
 
 // The header word 0 bit layout lives in bits.go — the one documented map of
-// every protocol (class id, array flags, forwarding/claim) that shares the
-// word — and of word 1, an array's length or a scalar's DSU pair word.
+// every protocol (class id, array flags, forwarding) that shares the word —
+// and of word 1, an array's length or a scalar's DSU pair word.
 
-// Heap is a semi-space heap. Mutator access is not synchronized; the VM
-// scheduler serializes it (the VM is a green-thread machine), and a
-// stop-the-world collection runs on that same goroutine. One goroutine ever
-// shares the heap with it: the relocation drain's relocator (reloc.go); the
-// entry points documented there, and only those, are safe for concurrent use.
+// Heap is a semi-space heap. Access is not synchronized: the VM scheduler
+// serializes it (the VM is a green-thread machine), and every collection —
+// a stop-the-world one, and each quantum or barrier evacuation of a
+// relocation drain (reloc.go) — runs on that same goroutine. No other
+// goroutine ever touches the heap.
 type Heap struct {
 	words []uint64
 	semi  rt.Addr // words per semispace
 	cur   int     // current allocation space, 0 or 1
 	alloc rt.Addr // next free word (absolute)
-
-	// mu guards the bump pointers (alloc, tail.Alloc) while a relocation
-	// drain is live: the relocator's TLAB refills and retires take it, and so
-	// do the mutator's allocation (allocLocked) and AllocTail. Outside a drain
-	// nobody does.
-	mu sync.Mutex
 
 	// tail is [alloc, limit) of the space the last Flip left: the paper's
 	// §3.5 "special block of memory" the DSU old copies go to. They cost
@@ -42,11 +34,12 @@ type Heap struct {
 	tail Region
 
 	// reloc, when non-nil, is the armed self-healing load barrier for an
-	// in-flight concurrent relocation drain (see reloc.go): loads of
-	// from-space references evacuate-or-adopt and heal the slot; stores go
-	// atomic because the relocator CAS-heals the same slots. Disarmed it
-	// costs the access paths one nil check.
+	// in-flight relocation drain (see reloc.go): loads of from-space
+	// references evacuate-or-adopt and heal the slot. Disarmed it costs the
+	// load paths one nil check; stores and allocation never test it.
 	reloc *relocState
+
+	rawAt [2]rt.Addr // the bump pointers when the last Raw view was opened
 }
 
 // New creates a heap with the given number of words per semispace.
@@ -90,9 +83,7 @@ func poison(w []uint64) {
 // per address, and — read as a header — forwarded far outside any space.
 func staleWord(a rt.Addr) uint64 { return 0xA5A5_A5A5_0000_0000 | uint64(a) }
 
-// InTail reports whether an address lies in the tail the last Flip left. It
-// reads only the bounds, which no one but Flip writes, so it is safe beside a
-// relocator bumping the tail.
+// InTail reports whether an address lies in the tail the last Flip left.
 func (h *Heap) InTail(a rt.Addr) bool { return a-h.tail.Lo < h.tail.Hi-h.tail.Lo }
 
 // base returns the first address of semispace s.
@@ -109,26 +100,11 @@ func (h *Heap) limit(s int) rt.Addr { return h.base(s) + h.semi }
 // SemiWords returns the size of one semispace in words.
 func (h *Heap) SemiWords() int { return int(h.semi) }
 
-// UsedWords returns the words allocated in the current space. Like
-// AllocPointer it takes the heap mutex while a relocation drain is live
-// (the relocator bumps the same pointer); disabled, it is a plain load.
-func (h *Heap) UsedWords() int {
-	if h.reloc != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return int(h.alloc - h.base(h.cur))
-}
+// UsedWords returns the words allocated in the current space.
+func (h *Heap) UsedWords() int { return int(h.alloc - h.base(h.cur)) }
 
-// FreeWords returns the words remaining in the current space; see UsedWords
-// for the locking discipline.
-func (h *Heap) FreeWords() int {
-	if h.reloc != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return int(h.limit(h.cur) - h.alloc)
-}
+// FreeWords returns the words remaining in the current space.
+func (h *Heap) FreeWords() int { return int(h.limit(h.cur) - h.alloc) }
 
 // Alloc reserves size words, zeroed, returning the base address, or
 // (0, false) if the current space is full — the caller (VM) then triggers a
@@ -137,32 +113,14 @@ func (h *Heap) Alloc(size int) (rt.Addr, bool) {
 	if size < rt.HeaderWords {
 		size = rt.HeaderWords
 	}
-	if h.reloc != nil {
-		return h.allocLocked(size)
-	}
 	if h.alloc+rt.Addr(size) > h.limit(h.cur) {
 		return 0, false
 	}
 	a := h.alloc
 	h.alloc += rt.Addr(size)
-	// clear compiles to a memclr, unlike the equivalent index loop. Copy
-	// paths (the collector's kernel, TLAB allocation) skip zeroing
-	// entirely — they overwrite every word immediately.
-	clear(h.words[a:h.alloc])
-	return a, true
-}
-
-// allocLocked is Alloc under the heap mutex — the mutator's allocation path
-// while a concurrent relocation drain is live, when the relocator carves
-// TLAB blocks off the same bump pointer.
-func (h *Heap) allocLocked(size int) (rt.Addr, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.alloc+rt.Addr(size) > h.limit(h.cur) {
-		return 0, false
-	}
-	a := h.alloc
-	h.alloc += rt.Addr(size)
+	// clear compiles to a memclr, unlike the equivalent index loop. The
+	// collector's kernel skips zeroing entirely: it overwrites every word
+	// it copies immediately.
 	clear(h.words[a:h.alloc])
 	return a, true
 }
@@ -195,12 +153,8 @@ func (h *Heap) AllocArray(elemIsRef bool, length int) (rt.Addr, bool) {
 // AllocChars allocates a non-reference array of the given length and writes
 // its header only: the elements hold whatever the space held before. The
 // caller must write every element before its next allocation (DESIGN.md
-// §7.1). While the relocation barrier is armed it is AllocArray: the
-// relocator carves TLABs off the same bump pointer.
+// §7.1).
 func (h *Heap) AllocChars(length int) (rt.Addr, bool) {
-	if h.reloc != nil {
-		return h.AllocArray(false, length)
-	}
 	size := rt.Addr(rt.HeaderWords + length)
 	if h.alloc+size > h.limit(h.cur) {
 		return 0, false
@@ -280,26 +234,18 @@ func (h *Heap) Flip() {
 // Shenandoah-style barrier; each slot pays it at most once.
 func (h *Heap) FieldValue(a rt.Addr, offset int, isRef bool) rt.Value {
 	idx := a + rt.Addr(offset)
-	if r := h.reloc; r != nil {
-		w := atomic.LoadUint64(&h.words[idx])
-		if isRef && r.inFrom(rt.Addr(w)) {
-			w = h.healSlot(r, idx, w)
-		}
-		return rt.Value{Bits: w, IsRef: isRef}
+	w := h.words[idx]
+	if r := h.reloc; r != nil && isRef && r.inFrom(rt.Addr(w)) {
+		w = h.healSlot(r, idx, w)
 	}
-	return rt.Value{Bits: h.words[idx], IsRef: isRef}
+	return rt.Value{Bits: w, IsRef: isRef}
 }
 
-// SetFieldValue writes a field word. With the relocation barrier armed the
-// store goes atomic because the relocator CAS-heals the same slots. The
-// disarmed path is the plain store plus the nil check.
+// SetFieldValue writes a field word. Stores need no barrier: the mutator
+// only ever holds canonical references (its loads heal, its roots were
+// forwarded in the pause).
 func (h *Heap) SetFieldValue(a rt.Addr, offset int, v rt.Value) {
-	idx := a + rt.Addr(offset)
-	if h.reloc != nil {
-		atomic.StoreUint64(&h.words[idx], v.Bits)
-		return
-	}
-	h.words[idx] = v.Bits
+	h.words[a+rt.Addr(offset)] = v.Bits
 }
 
 // Elem reads array element i, paying the relocation load barrier when armed
@@ -307,35 +253,24 @@ func (h *Heap) SetFieldValue(a rt.Addr, offset int, v rt.Value) {
 // readers are covered).
 func (h *Heap) Elem(a rt.Addr, i int) rt.Value {
 	idx := a + rt.HeaderWords + rt.Addr(i)
-	if r := h.reloc; r != nil {
-		isRef := h.words[a]&ArrayRefBit != 0
-		w := atomic.LoadUint64(&h.words[idx])
-		if isRef && r.inFrom(rt.Addr(w)) {
-			w = h.healSlot(r, idx, w)
-		}
-		return rt.Value{Bits: w, IsRef: isRef}
+	w, isRef := h.words[idx], h.words[a]&ArrayRefBit != 0
+	if r := h.reloc; r != nil && isRef && r.inFrom(rt.Addr(w)) {
+		w = h.healSlot(r, idx, w)
 	}
-	return rt.Value{Bits: h.words[idx], IsRef: h.ArrayElemIsRef(a)}
+	return rt.Value{Bits: w, IsRef: isRef}
 }
 
-// SetElem writes array element i, paying the relocation barrier (atomic)
-// when it is armed.
+// SetElem writes array element i; like SetFieldValue it needs no barrier.
 func (h *Heap) SetElem(a rt.Addr, i int, v rt.Value) {
-	idx := a + rt.HeaderWords + rt.Addr(i)
-	if h.reloc != nil {
-		atomic.StoreUint64(&h.words[idx], v.Bits)
-		return
-	}
-	h.words[idx] = v.Bits
+	h.words[a+rt.HeaderWords+rt.Addr(i)] = v.Bits
 }
 
 // ElemWords returns the element words of a NON-reference array as a window
 // onto the heap: no copy, no allocation. It is legal only on arrays whose
 // elements are not references, which is why it may skip the relocation
-// barrier even while it is armed: the relocator neither reads nor writes the
-// elements of a to-space array once its copy is published (the mutator never
-// holds a from-space address — its loads heal). The window is
-// dead after the next guest allocation: a collection moves the array.
+// barrier even while it is armed: no element is ever a from-space reference.
+// The window is dead after the next guest allocation: a collection moves the
+// array.
 func (h *Heap) ElemWords(a rt.Addr) []uint64 {
 	lo := a + rt.HeaderWords
 	hi := lo + rt.Addr(h.words[a+1])
@@ -346,7 +281,7 @@ func (h *Heap) ElemWords(a rt.Addr) []uint64 {
 // from index di — heap to heap, legal on arrays of either kind as long as
 // both are the same kind. With the relocation barrier disarmed it is one
 // block copy; armed, it takes the per-element Elem/SetElem path, which heals
-// and goes atomic exactly as a guest aget/aset loop would.
+// exactly as a guest aget/aset loop would.
 func (h *Heap) CopyElems(dst rt.Addr, di int, src rt.Addr, si, n int) {
 	if n <= 0 {
 		return

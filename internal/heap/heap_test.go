@@ -140,3 +140,27 @@ func TestSetClassID(t *testing.T) {
 		t.Fatal("SetClassID did not stick")
 	}
 }
+
+// TestCommitRawRefusesAllocation pins Raw's contract: no guest instruction
+// runs while a view is open. An allocation inside a view would be lost when
+// the view's bump pointers are written back, so CommitRaw panics on it; a
+// view the heap did not move under commits.
+func TestCommitRawRefusesAllocation(t *testing.T) {
+	h := New(64)
+	raw := h.Raw()
+	raw.To.Alloc += 4
+	h.CommitRaw(&raw)
+	if h.UsedWords() != 4 {
+		t.Fatalf("committed view left %d words used, want 4", h.UsedWords())
+	}
+	raw = h.Raw()
+	if _, ok := h.Alloc(2); !ok {
+		t.Fatal("alloc")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CommitRaw accepted a view the heap allocated under")
+		}
+	}()
+	h.CommitRaw(&raw)
+}

@@ -7,16 +7,8 @@ import "govolve/internal/rt"
 func (h *Heap) ScanStart() rt.Addr { return h.base(h.cur) }
 
 // AllocPointer returns the bump pointer: one past the last allocated word
-// in the current space. While a relocation drain is live the relocator carves
-// TLAB blocks off the same pointer under the heap mutex, so the read takes
-// it too (whole-VM audits run mid-drain); disabled, it is a plain load.
-func (h *Heap) AllocPointer() rt.Addr {
-	if h.reloc != nil {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.alloc
-}
+// in the current space.
+func (h *Heap) AllocPointer() rt.Addr { return h.alloc }
 
 // Region is one bump-allocated address range: [Lo, Hi) with Alloc the next
 // free word.
@@ -26,20 +18,21 @@ type Region struct{ Lo, Alloc, Hi rt.Addr }
 // for every address when the region is empty.
 func (r Region) Contains(a rt.Addr) bool { return a-r.Lo < r.Hi-r.Lo }
 
-// Raw is the collector's view of the heap for the length of one
-// stop-the-world flip: the word array itself plus the two regions a
-// collection allocates in, to-space and the tail of the space it left (DSU
-// old copies; heap.go). It exists so the copy/scan kernel (internal/gc)
-// can test, copy and rewrite words without a call, a barrier check or a
-// tagged rt.Value per slot. Nothing else may use it, and it may not outlive
-// the collection that took it:
+// Raw is the collector's word-level view of the heap: the word array itself
+// plus the two regions a collection allocates in, to-space and the tail of the
+// space the last Flip left (DSU old copies; heap.go). It exists so the
+// copy/scan kernel (internal/gc) can test, copy and rewrite words without a
+// call, a barrier check or a tagged rt.Value per slot. Nothing else may use
+// it, and no guest instruction runs while a view is open:
 //
-//   - It is legal only between Flip and the end of the same pause. The world
-//     is stopped and the relocation barrier is disarmed (Raw panics
-//     otherwise), so the barrier-checked accessors would take their plain
-//     branch on every word anyway; Raw is that branch, hoisted.
-//   - To and Tail are copies. The collection bumps them privately and hands
-//     the pointers back with CommitRaw on every exit path.
+//   - A view lasts one stop-the-world step: a collection's pause, or one
+//     quantum or one barrier evacuation of a relocation drain. The
+//     barrier-checked accessors would take their plain branch on every word
+//     the kernel touches anyway; Raw is that branch, hoisted.
+//   - To and Tail are copies. The kernel bumps them privately and hands the
+//     pointers back with CommitRaw on every exit path. CommitRaw panics if
+//     the heap allocated while the view was open: the bump pointers it would
+//     write back no longer describe the heap.
 type Raw struct {
 	Words []uint64
 	To    Region // the allocation space (to-space after Flip)
@@ -48,9 +41,7 @@ type Raw struct {
 
 // Raw opens the collector's word-level view; see the type for the contract.
 func (h *Heap) Raw() Raw {
-	if h.reloc != nil {
-		panic("heap: Raw with the relocation barrier armed — the word-level view is stop-the-world only")
-	}
+	h.rawAt = [2]rt.Addr{h.alloc, h.tail.Alloc}
 	return Raw{
 		Words: h.words,
 		To:    Region{Lo: h.base(h.cur), Alloc: h.alloc, Hi: h.limit(h.cur)},
@@ -58,8 +49,10 @@ func (h *Heap) Raw() Raw {
 	}
 }
 
-// CommitRaw hands back the bump pointers a collection advanced in its Raw
-// view.
+// CommitRaw hands back the bump pointers the kernel advanced in its Raw view.
 func (h *Heap) CommitRaw(r *Raw) {
+	if h.rawAt != [2]rt.Addr{h.alloc, h.tail.Alloc} {
+		panic("heap: the heap allocated while a Raw view was open — no guest instruction may run inside a collector step")
+	}
 	h.alloc, h.tail.Alloc = r.To.Alloc, r.Tail.Alloc
 }

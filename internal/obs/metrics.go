@@ -406,10 +406,10 @@ const (
 	MHeapAllocArrays  = "govolve_vm_alloc_arrays_total"
 	MGCCollections    = "govolve_gc_collections_total"
 
-	// Concurrent-relocation plane (vm.Options.Concurrent): objects the
-	// drain evacuated outside the pause, slots healed back to canonical
-	// addresses (mutator barrier + drain fixup), the live drain backlog
-	// gauge, and the drain's wall-clock latency distribution.
+	// Relocation plane (vm.Options.Concurrent): objects the drain evacuated
+	// outside the pause, slots healed back to canonical addresses (load
+	// barrier + drain scan), the live drain backlog gauge in words, and the
+	// latency distribution of the drains that completed.
 	MRelocObjects      = "govolve_dsu_reloc_objects_total"
 	MRelocHealedSlots  = "govolve_dsu_reloc_healed_slots_total"
 	MRelocBacklog      = "govolve_dsu_reloc_backlog"
@@ -492,10 +492,10 @@ var metricHelp = map[string]string{
 	MHeapAllocArrays:  "Arrays allocated on the VM heap.",
 	MGCCollections:    "Heap collections performed.",
 
-	MRelocObjects:      "Objects evacuated by the concurrent relocation drain.",
+	MRelocObjects:      "Objects evacuated by the relocation drain after the pause.",
 	MRelocHealedSlots:  "Reference slots healed to canonical addresses.",
-	MRelocBacklog:      "Objects still awaiting concurrent relocation.",
-	MRelocDrainLatency: "Wall-clock latency of relocation drains.",
+	MRelocBacklog:      "Words the relocation drain has still to scan.",
+	MRelocDrainLatency: "Wall-clock latency of completed relocation drains.",
 
 	MStreamUpdates:  "Updates sustained across long-horizon version chains.",
 	MStreamRejected: "Generator batches the UPT verifier legally refused.",

@@ -95,7 +95,7 @@ func (k Kind) String() string {
 
 // Lane conventions: the timeline draws one track per lane. Lane 0 is the
 // DSU engine/scheduler; 1 is the collector's in-pause work; 998 is the
-// concurrent relocation drain; 1000+ are VM threads.
+// relocation drain after the pause; 1000+ are VM threads.
 const (
 	LaneEngine     int32 = 0
 	LaneGC         int32 = 1
@@ -144,8 +144,8 @@ func (e Event) String() string {
 }
 
 // Recorder is the flight recorder: a fixed-capacity ring of events. All
-// methods are safe for concurrent use (the relocator emits from its
-// goroutine), and every method is safe on a nil receiver — a nil *Recorder
+// methods are safe for concurrent use (a live /timeline server reads while
+// the VM emits), and every method is safe on a nil receiver — a nil *Recorder
 // is the canonical "recording disabled" value.
 type Recorder struct {
 	on    atomic.Bool

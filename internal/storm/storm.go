@@ -31,12 +31,13 @@ type Config struct {
 	OSROpt      bool
 	// Concurrent moves the DSU copy and pair creation out of each update's
 	// pause, and implies Lazy (vm.Options.Concurrent): the world resumes with
-	// from-space still live behind the self-healing load barrier while the
-	// relocator drains it. AfterUpdate's CheckVM then runs with the drain in
-	// flight (the walk heals as it reads), the shadow oracle reads ride the
-	// same barrier, and the drain finishes on its own during the following
-	// era. The drain consumes no extra rng or Steps, so a run must produce a
-	// Report equal to the same seed's eager run.
+	// from-space still live behind the self-healing load barrier, and the
+	// scheduler drains it a quantum between slices. AfterUpdate's CheckVM
+	// then runs with the drain in flight (the walk heals as it reads), the
+	// shadow oracle reads ride the same barrier, and the drain finishes on
+	// its own during the following era. The drain consumes no extra rng or
+	// Steps, so a run must produce a Report equal to the same seed's eager
+	// run.
 	Concurrent bool
 	// Plain runs the reference spelling of base code: the compiler
 	// stops after 1:1 resolution (jit.Compiler.Plain), so no superinstruction

@@ -129,21 +129,23 @@ func TestStormCatchesStalePairWord(t *testing.T) {
 	}
 }
 
-// TestStormDeterministic re-runs the same seed and requires identical
-// reports — the reproducibility contract behind printing the seed on
-// failure.
+// TestStormDeterministic re-runs the same seed in every engine mode and
+// requires identical reports — the reproducibility contract behind printing
+// the seed on failure.
 func TestStormDeterministic(t *testing.T) {
-	cfg := Config{Seed: 7, Updates: 20}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a != *b {
-		t.Fatalf("same seed, different runs:\n  a=%+v\n  b=%+v", *a, *b)
+	for _, m := range vm.Modes() {
+		cfg := Config{Seed: 7, Updates: 20, Lazy: m.Lazy, Concurrent: m.Concurrent}
+		a, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *a != *b {
+			t.Fatalf("mode %s: same seed, different runs:\n  a=%+v\n  b=%+v", m.Name, *a, *b)
+		}
 	}
 }
 

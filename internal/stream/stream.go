@@ -60,8 +60,8 @@ func ModeByName(name string) (Mode, bool) {
 	return Mode{}, false
 }
 
-// Config tunes one chain replay. Everything observable (in a
-// Deterministic mode) is a function of Seed.
+// Config tunes one chain replay. Everything observable but wall-clock time is
+// a function of Seed, in every mode.
 type Config struct {
 	Seed      int64
 	Length    int // chain length in versions past v0 (default 50)
@@ -205,9 +205,7 @@ type StepRecord struct {
 	LazyPending int `json:"lazy_pending"` // pairs left tagged when the pause ended
 	Backlog     int `json:"backlog"`      // drain backlog after this step's schedule ran
 
-	// OSRFrames counts stack frames the update rewrote in place. Excluded
-	// from the fingerprint: where the pause catches a thread is
-	// schedule-sensitive in concurrent modes.
+	// OSRFrames counts stack frames the update rewrote in place.
 	OSRFrames int `json:"osr_frames,omitempty"`
 
 	// Verdict is the final attempt's health-gate judgment ("PASS"/"FAIL"),
@@ -221,10 +219,8 @@ type StepRecord struct {
 	// omitted from the JSON report to keep BENCH_stream.json readable.
 	VerdictFP string `json:"-"`
 
-	// RelocBacklog is the live-set words the relocation drain still has to
-	// evacuate or scan after this step's checks ran. Excluded from the
-	// fingerprint: the relocator races the mutator, so the sample is
-	// goroutine-schedule-sensitive.
+	// RelocBacklog is the words the relocation drain still has to scan
+	// after this step's checks ran.
 	RelocBacklog int `json:"reloc_backlog,omitempty"`
 
 	// Wall-clock (excluded from the fingerprint).
@@ -255,18 +251,17 @@ type Report struct {
 }
 
 // Fingerprint renders the deterministic skeleton of the report: everything
-// except wall-clock durations and (see Mode.Deterministic) fields that are
-// scheduling-sensitive only in the concurrent mode. Two replays of the
-// same Config in a Deterministic mode must produce byte-identical
-// fingerprints — the chain-wide analogue of PR 2's trace-determinism test.
+// except wall-clock durations. Two replays of the same Config must produce
+// byte-identical fingerprints in every mode — the chain-wide analogue of the
+// trace-determinism test.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stream seed=%d mode=%s length=%d hostile=%v\n", r.Seed, r.Mode, r.Length, r.Hostile)
 	for i := range r.Records {
 		rec := &r.Records[i]
-		fmt.Fprintf(&b, "step=%d tag=%s outcome=%s interleave=%s retries=%d rejected=%d pairs=%d pending=%d backlog=%d check=%s verdict=%s gate=%s mutations=%v\n",
+		fmt.Fprintf(&b, "step=%d tag=%s outcome=%s interleave=%s retries=%d rejected=%d pairs=%d pending=%d backlog=%d reloc=%d osr=%d check=%s verdict=%s gate=%s mutations=%v\n",
 			rec.Step, rec.Tag, rec.Outcome, rec.Interleave, rec.Retries, rec.Rejected,
-			rec.PairsLogged, rec.LazyPending, rec.Backlog, rec.Check, rec.Verdict, rec.VerdictGate, rec.Mutations)
+			rec.PairsLogged, rec.LazyPending, rec.Backlog, rec.RelocBacklog, rec.OSRFrames, rec.Check, rec.Verdict, rec.VerdictGate, rec.Mutations)
 	}
 	fmt.Fprintf(&b, "applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d maxbacklog=%d injected=%d\n",
 		r.Applied, r.Aborted, r.Rejected, r.Checks, r.Probes, r.Steps, r.MaxBacklog, r.InjectedStep)
@@ -275,9 +270,9 @@ func (r *Report) Fingerprint() string {
 
 // VerdictFingerprint renders the chain's per-step verdict sequence at full
 // gate resolution (every gate's pass bit, counts and non-wall-clock
-// observations, via obs.Verdict.Fingerprint). In a Deterministic mode two
-// replays of the same Config must produce byte-identical verdict
-// fingerprints — the health-gate analogue of Fingerprint.
+// observations, via obs.Verdict.Fingerprint). Two replays of the same Config
+// must produce byte-identical verdict fingerprints in every mode — the
+// health-gate analogue of Fingerprint.
 func (r *Report) VerdictFingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "verdicts seed=%d mode=%s length=%d hostile=%v\n", r.Seed, r.Mode, r.Length, r.Hostile)

@@ -20,8 +20,8 @@ type matrixRow struct {
 
 // matrixRows is every engine mode at seed, plus concurrent+lazy: the name the
 // concurrent mode had before Concurrent implied Lazy, spelled with both flags
-// and replaying a second chain (seed+1) in the one mode whose relocator races
-// the mutator.
+// and replaying a second chain (seed+1) in the one mode whose drain
+// interleaves with the mutator.
 func matrixRows(seed int64) []matrixRow {
 	var rows []matrixRow
 	for _, m := range Modes() {
@@ -155,16 +155,12 @@ func TestStreamGate(t *testing.T) {
 // cross-run half of the determinism contract.
 var goldenFingerprints = map[string]string{}
 
-// TestStreamDeterministicReplay replays the same chain twice per
-// deterministic mode and requires byte-identical fingerprints, in-process
-// and across go test -count=2. The concurrent mode is excluded by the
-// Mode.Deterministic contract: the relocator races the mutator, so
-// schedule-sensitive tallies legitimately vary.
+// TestStreamDeterministicReplay replays the same chain twice per mode and
+// requires byte-identical fingerprints, in-process and across
+// go test -count=2 — the concurrent mode's included: its drain runs in quanta
+// of counted words on the scheduler's goroutine.
 func TestStreamDeterministicReplay(t *testing.T) {
 	for _, mode := range Modes() {
-		if !mode.Deterministic() {
-			continue
-		}
 		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true}
 		a, err := Replay(cfg)
 		if err != nil {
@@ -343,15 +339,12 @@ func TestStreamReportTimestampFree(t *testing.T) {
 // across -count=N reruns so a second count compares against the first.
 var goldenVerdictFPs = map[string]string{}
 
-// TestStreamVerdictDeterminism: every step of a seeded deterministic chain
-// carries a verdict, an all-green chain passes every one, and the full
-// verdict sequence (per-gate pass bits, counts, non-wall-clock observations)
-// is byte-identical in-process and across go test -count=2.
+// TestStreamVerdictDeterminism: every step of a seeded chain carries a
+// verdict, an all-green chain passes every one, and the full verdict sequence
+// (per-gate pass bits, counts, non-wall-clock observations) is byte-identical
+// in-process and across go test -count=2, in every mode.
 func TestStreamVerdictDeterminism(t *testing.T) {
 	for _, mode := range Modes() {
-		if !mode.Deterministic() {
-			continue
-		}
 		cfg := Config{Seed: 42, Length: 20, Mode: mode, Hostile: true}
 		a, err := Replay(cfg)
 		if err != nil {

@@ -31,17 +31,19 @@ type Options struct {
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
 	// Concurrent moves the bulk of the DSU copy out of the pause, and implies
-	// LazyTransform (New sets it). The pause flips, forwards the roots —
+	// LazyTransform (New sets it). The name is historical: the copy is
+	// incremental, not concurrent. The pause flips, forwards the roots —
 	// pairing or moving the updated-class instances they point at — and arms
 	// a self-healing load barrier on the heap's reference read paths; the
-	// remaining live set is evacuated after the world resumes, by one
-	// background relocator and by the mutator through that barrier, and the
+	// remaining live set is evacuated after the world resumes, in bounded
+	// quanta of the collector's kernel between scheduler slices and by the
+	// mutator through that barrier, all on the scheduler's goroutine, and the
 	// updated-class instances it meets become pairs the on-touch read barrier
 	// transforms. From-space stays live until the drain completes;
 	// collections and follow-up updates force-complete it first. Ordinary
 	// allocation-triggered collections are unaffected, and false preserves
 	// the fused stop-the-world collection exactly; the disabled state costs
-	// one nil check on the heap access paths.
+	// one nil check on the heap's load paths.
 	Concurrent bool
 	// Out receives System.print output (default os.Stdout).
 	Out io.Writer
@@ -79,8 +81,10 @@ type Mode struct {
 // modes" ranges over (stream.Modes, the storm configurations,
 // TestMovesMatchInterpreter, pausecmp, jvolve-bench): stop-the-world; lazy
 // (transformation out of the pause); and concurrent, the smallest possible
-// DSU window — the bulk copy and pair creation ride the relocation drain, and
-// transformation the read barrier.
+// DSU window — the bulk copy and pair creation ride the incremental
+// relocation drain, and transformation the read barrier. In every mode a
+// seeded run is a pure function of its seed: nothing runs beside the
+// scheduler, and the drain's quanta count words, not time.
 func Modes() []Mode {
 	return []Mode{
 		{Name: "serial"},
@@ -88,15 +92,6 @@ func Modes() []Mode {
 		{Name: "concurrent", Concurrent: true, Lazy: true},
 	}
 }
-
-// Deterministic reports whether a seeded run in this mode is a pure function
-// of its seed. Serial and lazy runs are (the lazy drain schedule is
-// driver-controlled). Concurrent ones are not: the relocator races the
-// mutator for the remaining live set, so how much each update's drain retires
-// before the next step's forced completion — and with it the pair adoption
-// split — is goroutine-schedule-dependent. The *oracle* invariants hold at
-// every step regardless.
-func (m Mode) Deterministic() bool { return !m.Concurrent }
 
 // VM is one virtual machine instance.
 type VM struct {
@@ -283,8 +278,9 @@ type DSUResidue struct {
 	// it has not run yet: the read barrier's slow path and the
 	// Jvolve.forceTransform native. An error kills the calling thread.
 	Transform func(rt.Addr) error
-	// Tick is the scheduler's between-slices poll; the engine retires a
-	// concurrent relocation here the moment its drain runs from-space dry.
+	// Tick is the scheduler's between-slices poll: the engine runs one
+	// quantum of a relocation's drain here, and retires the relocation the
+	// moment the drain runs from-space dry.
 	Tick func()
 	// Force completes and retires the whole residue on the mutator
 	// goroutine. It returns the first error recorded; the caller reads
@@ -343,9 +339,8 @@ func New(opts Options) (*VM, error) {
 }
 
 // AttachObs attaches a flight recorder and/or metrics registry to the VM
-// and propagates the recorder to the collector (whose relocator emits from
-// its own goroutine). Either argument may be nil; attaching nil detaches
-// that plane.
+// and propagates the recorder to the collector. Either argument may be nil;
+// attaching nil detaches that plane.
 func (v *VM) AttachObs(rec *obs.Recorder, metrics *obs.Registry) {
 	v.Rec = rec
 	v.Metrics = metrics
