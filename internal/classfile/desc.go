@@ -183,6 +183,16 @@ func nextDesc(s string) (Desc, int, error) {
 	}
 }
 
+// Shape returns NumArgs and whether the return descriptor is V, from one
+// walk of the signature: -1 and false for a malformed one.
+func (s Sig) Shape() (nargs int, void bool) {
+	n, ret, err := s.scan(nil)
+	if err != nil {
+		return -1, false
+	}
+	return n, ret == "V"
+}
+
 // NumArgs returns the number of declared arguments (receiver excluded).
 func (s Sig) NumArgs() int {
 	n, _, err := s.scan(nil)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -329,6 +330,58 @@ class JvolveTransformers {
 				t.Fatalf("invariant sweep after follow-up update: %v", err)
 			}
 		})
+	}
+}
+
+// TestFailedUpdateRestoresRelinkedCode: an update that fails before its
+// collection puts back the code its install relinked away. A bogus
+// active-method update of the pinned spin loop fails in the OSR phase, beside
+// a field appended to Pair: by then the install has relinked App.main (the
+// frame below spin, which names Pair) and Pair.<init>'s code onto the new
+// Pair. The fail path must reinstate the code it replaced, valid, and drop
+// the relinked copies.
+func TestFailedUpdateRestoresRelinkedCode(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := &fixtureProgs{prog: f.load(abortV1)}
+	f.spawn("App")
+	f.vm.Step(8)
+
+	mainM := f.vm.Reg.LookupClass("App").Method("main", "()V")
+	initM := f.vm.Reg.LookupClass("Pair").Method("<init>", "()V")
+	mainCode, initCode := mainM.Compiled, initM.Compiled
+	if mainCode == nil || initCode == nil {
+		t.Fatal("App.main and Pair.<init> not compiled before the update")
+	}
+	mainWas := slices.Clone(mainCode.Code) // relinking rewrites retired code in place
+	src := strings.Replace(abortV1, "field w I", "field w I\n  field extra I", 1)
+	v2 := f.prog(strings.Replace(src, "const 1\n    ifne top", "const 1\n    nop\n    ifne top", 1))
+	spec, err := f.updateSpec("1", v1.prog, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.AddActiveUpdate(upt.MethodRef{Class: "Loop", Name: "spin", Sig: "()V"},
+		upt.ActivePCMap{
+			PC:     map[int]int{0: 0, 1: 1, 2: 2, 3: 3},
+			Locals: map[int]int{99: 0},
+		})
+	relinks := f.vm.JIT.Relinks
+	res, err := f.engine.ApplyNow(spec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != core.Failed {
+		t.Fatalf("outcome = %v err = %v, want OSR rewrite failure", res.Outcome, res.Err)
+	}
+	if f.vm.JIT.Relinks-relinks != 2 {
+		t.Fatalf("%d relinks before the failure, want 2 (App.main, Pair.<init>)", f.vm.JIT.Relinks-relinks)
+	}
+	if mainM.Compiled != mainCode || mainCode.Invalid || initM.Compiled != initCode || initCode.Invalid ||
+		!slices.Equal(mainCode.Code, mainWas) {
+		t.Fatal("a failed update left relinked code where the old code was")
+	}
+	if newInit := f.vm.Reg.LookupClass("Pair").Method("<init>", "()V"); newInit == initM ||
+		newInit.Compiled != nil || newInit.Relinked != nil || mainM.Relinked != nil {
+		t.Fatal("a failed update left relinked code for a method's next call")
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 
 	"govolve/internal/classfile"
 	"govolve/internal/gc"
+	"govolve/internal/jit"
 	"govolve/internal/obs"
 	"govolve/internal/rt"
-	"govolve/internal/upt"
 	"govolve/internal/vm"
 )
 
@@ -45,6 +45,9 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		cls *rt.Class
 		def *classfile.Class
 	}
+	// codeInval restores a method's code: the code the install invalidated,
+	// or none for a new version's method the install relinked code for; in
+	// both cases without relinked code.
 	type codeInval struct {
 		m  *rt.Method
 		cm *rt.CompiledMethod
@@ -52,6 +55,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	var bodySwaps []bodySwap
 	var defSwaps []defSwap
 	var invalidated []codeInval
+	var patches []jit.Patch // the retired code relinking rewrote in place
 	flipped := false
 
 	// phase closes the open phase — its engine-lane span, and its wall time
@@ -93,9 +97,14 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 			for _, ds := range defSwaps {
 				ds.cls.Def = ds.def
 			}
+			for _, p := range patches {
+				*p.At = p.Was
+			}
 			for _, ci := range invalidated {
-				ci.cm.Invalid = false
-				ci.m.Compiled = ci.cm
+				if ci.cm != nil {
+					ci.cm.Invalid = false
+				}
+				ci.m.Compiled, ci.m.Relinked = ci.cm, nil
 			}
 		}
 		if resid != nil {
@@ -158,27 +167,8 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		renames = append(renames, renamed{old, name})
 	}
 
-	toLoad, err := classfile.NewProgram()
-	if err != nil {
-		return fail(err)
-	}
-	for _, name := range spec.ClassUpdates {
-		if def, ok := spec.New.Classes[name]; ok {
-			if err := toLoad.Add(def); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, name := range spec.AddedClasses {
-		if err := toLoad.Add(spec.New.Classes[name]); err != nil {
-			return fail(err)
-		}
-	}
-	order, err := rt.SuperFirst(toLoad)
-	if err != nil {
-		return fail(fmt.Errorf("core: install: %w", err))
-	}
-	for _, def := range order {
+	loaded := len(reg.Methods()) // the methods that can hold code
+	for _, def := range spec.LoadOrder() {
 		if _, err := reg.Load(def); err != nil {
 			return fail(fmt.Errorf("core: install %s: %w", def.Name, err))
 		}
@@ -231,20 +221,35 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		}
 	}
 
-	// Invalidate every compiled method whose code bakes in an updated
-	// class's layout or inlines an updated method — they recompile against
-	// the new metadata on next call (category (2), the "indirect" set).
-	updatedOldSet := make(map[*rt.Class]bool, len(renames))
-	for _, r := range renames {
-		updatedOldSet[r.old] = true
-	}
-	for _, m := range reg.Methods() {
+	// One walk over the compiled code of every method loaded before this
+	// update. Code whose baked-in layout names a replaced class, or that
+	// inlined a changed method, is invalidated (category (2), the "indirect"
+	// set). Where its bytecode is unchanged and its next call would compile
+	// it at its level, it is relinked instead (jit.Compiler.Relink, which
+	// refuses code using a fact the new versions do not keep): the relinked
+	// code is left for that call to install instead of a compile
+	// (rt.Method.Relinked), on the method itself or, for an old version's
+	// method, on the new version's. Relinked code an earlier update left and
+	// no call took is dropped: it names classes this one may replace. Code
+	// that survives has its inline
+	// caches flushed: monotonic class ids already make a stale hit impossible
+	// — the renamed old version keeps its id and the new version gets a fresh
+	// one, so post-update receivers self-miss — but leaving dead (old-id →
+	// old-method) entries in the fast slots would force every surviving site
+	// through its slow path until the entry happened to be evicted. Wiping
+	// the caches re-warms them against new class ids on first dispatch; it
+	// is always safe (an empty cache is just a TIB lookup), so no rollback
+	// entry is recorded for it.
+	hidden := hiddenMembers(spec, reg)
+	for _, m := range reg.Methods()[:loaded] {
+		m.Relinked = nil
 		cm := m.Compiled
 		if cm == nil || cm.Invalid {
 			continue
 		}
 		inline := cm.InlinedAny(cat1)
-		if inline || cm.DependsOnAny(updatedOldSet) {
+		stale := inline || cm.DependsOnReplaced()
+		if stale {
 			invalidated = append(invalidated, codeInval{m: m, cm: cm})
 			cm.Invalid = true
 			m.Compiled = nil
@@ -254,45 +259,40 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 			} else {
 				p.res.Stats.InvalidatedLayout++
 			}
-		}
-	}
-
-	// Flush every inline cache in the compiled code that survives the
-	// update. Monotonic class ids already make a stale hit impossible — the
-	// renamed old version keeps its id and the new version gets a fresh one,
-	// so post-update receivers self-miss — but leaving dead (old-id →
-	// old-method) entries in the fast slots would force every surviving
-	// site through its slow path until the entry happened to be evicted.
-	// Wiping the caches here re-warms them against new class ids on first
-	// dispatch. Always safe (an empty cache is just a TIB lookup), so no
-	// rollback entry is recorded.
-	for _, m := range reg.Methods() {
-		if cm := m.Compiled; cm != nil {
+		} else {
 			p.res.Stats.ICFlushed += cm.FlushICs()
 		}
-	}
-
-	// Load the transformer class (replacing any leftover from a previous
-	// update; the VM may delete it after transformation).
-	if old := reg.LookupClass(upt.TransformersClassName); old != nil {
-		reg.Unregister(old)
-	}
-	transformers, err := reg.Load(spec.Transformers)
-	if err != nil {
-		return fail(fmt.Errorf("core: loading transformers: %w", err))
+		target := m
+		if m.Class.UpdatedTo != nil {
+			target = m.Counterpart()
+		} else if !stale {
+			continue
+		}
+		if inline || cat1[m] || target == nil || cm.Level != e.VM.NextLevel(target) {
+			continue
+		}
+		if rc := e.VM.JIT.Relink(cm, target, hidden, &patches); rc != nil {
+			if target != m {
+				invalidated = append(invalidated, codeInval{m: target})
+			}
+			target.Relinked = rc
+		}
 	}
 
 	// From here on the residue owns the teardown (see residue.retire): it
 	// runs on the success path AND on every post-install failure path (via
 	// fail), so a failed update still leaves the VM with consistent metadata.
-	resid = &residue{e: e, spec: spec, transformers: transformers, stats: &p.res.Stats}
+	resid = &residue{e: e, spec: spec, stats: &p.res.Stats}
 	for _, r := range renames {
 		resid.renamed = append(resid.renamed, r.old)
 	}
-	resid.buildPlans()
+	if err := resid.buildPlans(); err != nil {
+		return fail(err)
+	}
 
 	// --- OSR ---------------------------------------------------------------
 	phase("osr", nil)
+	var err error
 	for _, job := range osrJobs {
 		f := job.frame
 		m := f.CM.Method
@@ -306,12 +306,16 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 				return fail(fmt.Errorf("core: OSR: %s has no counterpart in new version", m.FullName()))
 			}
 		}
-		cm, err := e.VM.JIT.Compile(target, rt.Base)
-		if err != nil {
-			return fail(fmt.Errorf("core: OSR compile %s: %w", target.FullName(), err))
+		// The first frame OSRed into a method with no code installs base code
+		// for it: the relinked code, if the walk left base code, else a compile.
+		cm := target.Relinked
+		if cm == nil || cm.Level != rt.Base || target.Compiled != nil {
+			if cm, err = e.VM.JIT.Compile(target, rt.Base); err != nil {
+				return fail(fmt.Errorf("core: OSR compile %s: %w", target.FullName(), err))
+			}
 		}
 		if target.Compiled == nil {
-			target.Compiled = cm
+			target.Compiled, target.Relinked = cm, nil
 		}
 		if job.active != nil {
 			newPC, ok := job.active.PC[f.PC]
@@ -322,12 +326,15 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 				return fail(fmt.Errorf("core: active-method update: %w", err))
 			}
 			p.res.Stats.ActiveRewrites++
-			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, 1, target.FullName())
-		} else {
-			if err := e.VM.OSRReplace(f, cm); err != nil {
-				return fail(fmt.Errorf("core: OSR: %w", err))
+		} else if err := e.VM.OSRReplace(f, cm); err != nil {
+			return fail(fmt.Errorf("core: OSR: %w", err))
+		}
+		if e.VM.Rec.Enabled() { // names are built for a recorder only
+			active := int64(0)
+			if job.active != nil {
+				active = 1
 			}
-			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, 0, target.FullName())
+			e.VM.Rec.Emit(obs.KOSRRecompile, obs.LaneEngine, active, target.FullName())
 		}
 		p.res.Stats.OSRFrames++
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"govolve/internal/bytecode"
 	"govolve/internal/gc"
 	"govolve/internal/obs"
 	"govolve/internal/rt"
@@ -374,13 +373,8 @@ func (e *Engine) restrictedSets(spec *upt.Spec) (cat1 map[*rt.Method]bool, updat
 			continue // never loaded: nothing on stack, nothing in heap
 		}
 		updatedOld[cls] = true
-		ndef := spec.New.Classes[name]
-		for _, m := range cls.DeclaredMethods() {
-			nm := ndef.Method(m.Def.Name, m.Def.Sig)
-			unchanged := nm != nil && nm.Static == m.Def.Static &&
-				nm.Native == m.Def.Native &&
-				bytecode.CodeEqual(nm.Code, m.Def.Code)
-			if !unchanged {
+		for _, ref := range spec.ChangedMethods(name) {
+			if m := cls.Method(ref.Name, ref.Sig); m != nil && m.Class == cls {
 				cat1[m] = true
 			}
 		}
@@ -569,8 +563,10 @@ func (e *Engine) handle() bool {
 	// DSU safe point reached.
 	p.res.Stats.Immediate = p.res.Stats.Attempts == 1 && p.res.Stats.BarriersInstalled == 0
 	p.res.Stats.SafePointDelay = time.Since(p.start)
-	e.VM.Rec.Emit(obs.KSafePointReached, obs.LaneEngine, int64(p.res.Stats.Attempts),
-		p.res.Stats.SafePointDelay.String())
+	if e.VM.Rec.Enabled() {
+		e.VM.Rec.Emit(obs.KSafePointReached, obs.LaneEngine, int64(p.res.Stats.Attempts),
+			p.res.Stats.SafePointDelay.String())
+	}
 	if e.Gate != nil {
 		p.gateDuring = e.VM.Metrics.TakeSnapshot()
 	}
@@ -633,6 +629,9 @@ func (e *Engine) judge(p *Pending, res *Result) {
 
 // emitTerminal records the request's terminal flight-recorder event.
 func (e *Engine) emitTerminal(res *Result) {
+	if !e.VM.Rec.Enabled() {
+		return
+	}
 	var k obs.Kind
 	switch res.Outcome {
 	case Applied:

@@ -186,25 +186,52 @@ func resolveMoves(spec *upt.Spec, newCls, old *rt.Class) []rt.Move {
 
 // buildPlans resolves every renamed old version's transformer: to word runs
 // the collector performs itself when it is a move, to the jvolveObject method
-// the pair walk interprets otherwise. Class ids follow load order and the
-// transformer class is loaded last, so the table is short.
-func (r *residue) buildPlans() {
-	lo := r.transformers.ID
-	for _, old := range r.renamed {
-		lo = min(lo, old.UpdatedTo.ID)
+// the pair walk interprets otherwise. The new versions' class ids are
+// consecutive in load order, so the table is short.
+func (r *residue) buildPlans() error {
+	lo, hi := 0, 0
+	for i, old := range r.renamed {
+		if id := old.UpdatedTo.ID; i == 0 || id < lo {
+			lo = id
+		}
+		hi = max(hi, old.UpdatedTo.ID+1)
 	}
-	r.planBase, r.plans = lo, make([]plan, r.transformers.ID-lo)
+	r.planBase, r.plans = lo, make([]plan, hi-lo)
 	for _, old := range r.renamed {
 		newCls := old.UpdatedTo
 		if old.Moves = resolveMoves(r.spec, newCls, old); old.Moves != nil {
 			continue
 		}
+		transformers, err := r.transformerClass()
+		if err != nil {
+			return err
+		}
 		sig := classfile.Sig("(L" + newCls.Name + ";L" + old.Name + ";)V")
 		r.plans[newCls.ID-lo] = plan{
 			newCls: newCls, oldCls: old,
-			tm: r.transformers.Method("jvolveObject", sig), label: "jvolveObject:" + newCls.Name,
+			tm: transformers.Method("jvolveObject", sig), label: "jvolveObject:" + newCls.Name,
 		}
 	}
+	return nil
+}
+
+// transformerClass loads the update's transformer class the first time a
+// transformer has to run as bytecode, in place of any an earlier update
+// left. An update whose object and class transformers are all moves (every
+// generated default is one) never loads it.
+func (r *residue) transformerClass() (*rt.Class, error) {
+	if r.transformers == nil {
+		reg := r.e.VM.Reg
+		if old := reg.LookupClass(upt.TransformersClassName); old != nil {
+			reg.Unregister(old)
+		}
+		cls, err := reg.Load(r.spec.Transformers)
+		if err != nil {
+			return nil, fmt.Errorf("core: loading transformers: %w", err)
+		}
+		r.transformers = cls
+	}
+	return r.transformers, nil
 }
 
 // planFor returns a pair's plan; nil unless it is an updated class's shell and old-version copy.
@@ -267,8 +294,12 @@ func (r *residue) runClassTransformers() error {
 			}
 			continue
 		}
+		transformers, err := r.transformerClass()
+		if err != nil {
+			return err
+		}
 		sig := classfile.Sig("(L" + name + ";)V")
-		tm := r.transformers.Method("jvolveClass", sig)
+		tm := transformers.Method("jvolveClass", sig)
 		if tm == nil {
 			continue // class never loaded old-side or no statics to carry
 		}
@@ -515,7 +546,9 @@ func (r *residue) retire() {
 		old.UpdatedTo, old.Moves = nil, nil
 		v.Reg.Unregister(old)
 	}
-	v.Reg.Unregister(r.transformers)
+	if r.transformers != nil {
+		v.Reg.Unregister(r.transformers)
+	}
 }
 
 // LazyBacklog reports how many pairs are still pending behind the read

@@ -3,10 +3,13 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"govolve/internal/apps"
+	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
 	"govolve/internal/core"
 	"govolve/internal/rt"
@@ -374,5 +377,97 @@ func TestBlockedAttemptAllocsNothing(t *testing.T) {
 	}
 	if res := p.Result(); res.Outcome != core.Aborted || res.Stats.BarriersInstalled != 1 {
 		t.Fatalf("%v with %d barriers installed, want aborted with 1", res.Outcome, res.Stats.BarriersInstalled)
+	}
+}
+
+// TestRequestUpdateAllocs bounds what a request costs before anything stops:
+// RequestUpdate on a prepared spec (its transformer class verified, the
+// request armed) makes at most 3 Go allocations — the Pending, its Result
+// and its barrier set — because the transformer check reuses the scratch an
+// earlier verification gave back instead of building buffers and maps of its
+// own (16 allocations a request did). Each request is resolved between
+// measurements: Loop.spin never leaves the stack, so it aborts at its first
+// attempt.
+func TestRequestUpdateAllocs(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := f.load(foreverV1)
+	v2 := f.prog(strings.Replace(foreverV1, "const 1\n    ifne top", "const 2\n    ifne top", 1))
+	f.spawn("App")
+	f.vm.Step(2)
+	spec, err := upt.Prepare("1", v1, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var mallocs uint64
+	var ms runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		p, err := f.engine.RequestUpdate(spec, core.Options{MaxAttempts: 1})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 { // the first request warms the verifier
+			mallocs += ms.Mallocs - before
+		}
+		for !p.Done() {
+			f.vm.Step(1)
+		}
+		if res := p.Result(); res.Outcome != core.Aborted {
+			t.Fatalf("outcome %v, want aborted", res.Outcome)
+		}
+	}
+	if per := float64(mallocs) / runs; per > 3 {
+		t.Fatalf("RequestUpdate makes %v Go allocations per request, want at most 3", per)
+	}
+}
+
+// TestChangedMethodsMatchRegistry: the changed methods upt.Prepare records
+// per class update (upt.Spec.ChangedMethods, the request's category-(1)
+// methods of replaced classes) are the ones the request used to find by
+// comparing each live method with its new definition — on the 22 updates of
+// the three apps' histories and on every spec of three 40-update storms.
+func TestChangedMethodsMatchRegistry(t *testing.T) {
+	check := func(what string, reg *rt.Registry, spec *upt.Spec) {
+		t.Helper()
+		for _, name := range spec.ClassUpdates {
+			cls := reg.LookupClass(name)
+			if cls == nil {
+				continue
+			}
+			var want []upt.MethodRef
+			ndef := spec.New.Classes[name]
+			for _, m := range cls.DeclaredMethods() {
+				nm := ndef.Method(m.Def.Name, m.Def.Sig)
+				if nm == nil || nm.Static != m.Def.Static || nm.Native != m.Def.Native || !bytecode.CodeEqual(nm.Code, m.Def.Code) {
+					want = append(want, upt.MethodRef{Class: name, Name: m.Def.Name, Sig: m.Def.Sig})
+				}
+			}
+			if got := spec.ChangedMethods(name); !slices.Equal(got, want) {
+				t.Errorf("%s: class %s: prepared changed methods %v, the registry's %v", what, name, got, want)
+			}
+		}
+	}
+	for _, app := range apps.All() {
+		for i := 0; i < app.UpdateCount(); i++ {
+			s, err := apps.Launch(app, apps.LaunchOptions{Version: i})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := app.Spec(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s %s→%s", app.Name, app.Versions[i].Name, app.Versions[i+1].Name), s.VM.Reg, spec)
+		}
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		if _, err := storm.Run(storm.Config{Seed: seed, Updates: 40, BeforeRequest: func(v *vm.VM, spec *upt.Spec) {
+			check(fmt.Sprintf("storm seed %d update %s", seed, spec.OldTag), v.Reg, spec)
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -44,9 +44,10 @@ type Compiler struct {
 	Plain bool
 
 	// Counters for the benchmark harness and the obs metrics plane: methods
-	// compiled at each level.
+	// compiled at each level, and compiled methods relinked instead.
 	BaseCompiles int
 	OptCompiles  int
+	Relinks      int
 
 	// Scratch reused across compiles. seen and work are the stack pass's
 	// (depth.go); targets is the branch-target marking fuse and

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"slices"
 	"testing"
 
 	"govolve/internal/asm"
@@ -373,5 +374,82 @@ func TestBranchTargetsRemappedAfterInline(t *testing.T) {
 				t.Fatalf("branch at %d targets %d outside code (len %d)", pc, ins.A, len(cm.Code))
 			}
 		}
+	}
+}
+
+// TestRelinkMovesCodeOntoNewVersions: relinking moves retired code onto a
+// replaced class's new version in place — its call sites name the new
+// version's methods, its static accesses the new version's slots, its inline
+// caches are empty — records every rewrite so that it can be put back, and
+// counts as a relink, not a compile. It refuses live code that would need
+// rewriting, code that reads a field the new version moved, and a call to a
+// method the new version hides, and leaves such code as it was.
+func TestRelinkMovesCodeOntoNewVersions(t *testing.T) {
+	reg, c := setup(t)
+	dispatch := method(t, reg, "Caller", "dispatch", "(LPair;)I")
+	useStatic := method(t, reg, "Caller", "useStatic", "()I")
+	sum := method(t, reg, "Pair", "sum", "()I")
+	old := reg.LookupClass("Pair")
+	compile := func(m *rt.Method) *rt.CompiledMethod {
+		cm, err := c.Compile(m, rt.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cm
+	}
+	cm, static, reads := compile(dispatch), compile(useStatic), compile(sum)
+	cm.ICSites[0].Entries[0], cm.ICSites[0].N = rt.ICEntry{ClassID: old.ID, Target: sum}, 1
+	before := slices.Clone(cm.Code)
+
+	// Stand in for an update: Pair renamed, a new version linked beside it
+	// with a field inserted before b.
+	def := old.Def.Clone()
+	def.Fields = append([]classfile.Field{{Name: "z", Desc: "I"}}, def.Fields...)
+	if err := reg.RenameClass(old, "v1_Pair", nil); err != nil {
+		t.Fatal(err)
+	}
+	nw, err := reg.Load(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.UpdatedTo = nw
+
+	var patches []Patch
+	if c.Relink(cm, dispatch, Hidden{}, &patches) != nil || len(patches) != 0 || !slices.Equal(cm.Code, before) {
+		t.Fatal("relinked live code by rewriting it")
+	}
+	cm.Invalid, static.Invalid, reads.Invalid = true, true, true
+	if c.Relink(cm, dispatch, Hidden{Methods: map[*rt.Method]bool{nw.Method("sum", "()I"): true}}, &patches) != nil ||
+		len(patches) != 0 || !slices.Equal(cm.Code, before) {
+		t.Fatal("relinked a call to a method the new versions hide")
+	}
+	out := c.Relink(cm, dispatch, Hidden{}, &patches)
+	if out == nil || out == cm || &out.Code[0] != &cm.Code[0] || out.MaxStack != cm.MaxStack || out.MaxLocals != cm.MaxLocals {
+		t.Fatalf("relink did not move the code with its bounds")
+	}
+	if ref := out.Code[0].Ref; ref != nw.Method("sum", "()I") {
+		t.Fatalf("call site names %s; want the new version's method", ref.FullName())
+	}
+	if len(out.LayoutDeps) != 1 || out.LayoutDeps[0] != nw || cm.LayoutDeps[0] != old {
+		t.Fatalf("layout dependencies %v; want the new version", out.LayoutDeps)
+	}
+	if out.Code[0].IC != &out.ICSites[0] || out.ICSites[0].N != 0 {
+		t.Fatal("the call site's inline cache is not empty")
+	}
+	if got := c.Relink(static, useStatic, Hidden{}, &patches).Code[0].A; got != int64(nw.Statics[0].Slot) {
+		t.Fatalf("getstatic reads slot %d; want the new version's %d", got, nw.Statics[0].Slot)
+	}
+	if c.Relinks != 2 || c.BaseCompiles != 3 {
+		t.Fatalf("%d relinks and %d base compiles counted; want 2 and 3", c.Relinks, c.BaseCompiles)
+	}
+	n := len(patches)
+	if c.Relink(reads, nw.Method("sum", "()I"), Hidden{}, &patches) != nil || len(patches) != n {
+		t.Fatal("relinked code that reads fields the new version moved")
+	}
+	for _, p := range patches {
+		*p.At = p.Was
+	}
+	if !slices.Equal(cm.Code, before) {
+		t.Fatal("putting the patches back does not restore the code")
 	}
 }

@@ -441,6 +441,7 @@ const (
 	// suffixed names.
 	MJITCompilesBase        = "govolve_jit_compiles_base_total"
 	MJITCompilesOpt         = "govolve_jit_compiles_opt_total"
+	MJITRelinks             = "govolve_jit_relinks_total"
 	MJITInvalidationsBody   = "govolve_jit_invalidations_body_total"
 	MJITInvalidationsLayout = "govolve_jit_invalidations_layout_total"
 	MJITInvalidationsInline = "govolve_jit_invalidations_inline_total"
@@ -509,6 +510,7 @@ var metricHelp = map[string]string{
 
 	MJITCompilesBase:        "Methods compiled at the base tier (resolve+fuse+IC).",
 	MJITCompilesOpt:         "Methods compiled at the opt tier (inline+fold+fuse+IC).",
+	MJITRelinks:             "Compiled bodies an update relinked onto new class versions instead of recompiling.",
 	MJITInvalidationsBody:   "Compiled bodies invalidated by method-body updates.",
 	MJITInvalidationsLayout: "Compiled bodies invalidated by baked-in layout/TIB deps.",
 	MJITInvalidationsInline: "Compiled bodies invalidated for inlining updated callees.",

@@ -62,6 +62,11 @@ type Method struct {
 
 	// overload is the next method its class declares under the same name.
 	overload *Method
+
+	// Relinked is code a class update relinked for the method instead of
+	// leaving it to be compiled again: its next call installs it if that call
+	// compiles at its level. The next update drops code no call took.
+	Relinked *CompiledMethod
 }
 
 // ID returns the method's name+signature identity.
@@ -74,6 +79,16 @@ func (m *Method) FullName() string {
 
 // IsVirtual reports whether the method dispatches through the TIB.
 func (m *Method) IsVirtual() bool { return m.TIBSlot >= 0 }
+
+// Counterpart is the method that stands for m while an update is installed:
+// the method of the same name and signature in the new version of m's class
+// if that class is being replaced (nil if the new version has none), else m.
+func (m *Method) Counterpart() *Method {
+	if k := m.Class.UpdatedTo; k != nil {
+		return k.Method(m.Def.Name, m.Def.Sig)
+	}
+	return m
+}
 
 // Move is one run of a move transformer: N words from offset From of the old
 // instance land at offset To of the new one (offsets from the object's base).
@@ -200,6 +215,15 @@ func (c *Class) VSlot(name string, sig classfile.Sig) int {
 		return s
 	}
 	return -1
+}
+
+// Current is the class that stands for c while an update is installed: its
+// new version if c is being replaced, else c.
+func (c *Class) Current() *Class {
+	if c.UpdatedTo != nil {
+		return c.UpdatedTo
+	}
+	return c
 }
 
 // IsSubclassOf reports whether c is k or a descendant of k.

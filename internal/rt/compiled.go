@@ -90,15 +90,11 @@ func (ic *ICache) Flush() int {
 //	FLOADLOADARITH  A = first slot, C = second slot, B = arith opcode (3 slots)
 //	FCONSTARITH2    A = first constant, C = second constant, B = lo byte first
 //	                arith opcode, hi byte second (4 slots)
+//
+// The fields are ordered so that an instruction packs into 64 bytes, one
+// cache line: a compile allocates and zeroes every method's code.
 type Ins struct {
 	Op      bytecode.Op
-	A       int64
-	B       int32
-	C       int32   // third operand of fused superinstructions
-	IC      *ICache // inline cache of a virtual call site
-	Cls     *Class
-	Ref     *Method
-	Str     string // TRAP message
 	RetVoid bool
 
 	// Need is the minimum operand stack depth this instruction requires,
@@ -107,6 +103,14 @@ type Ins struct {
 	// opcode switch. The zero value (0) is correct for every opcode that
 	// consumes nothing.
 	Need int32
+
+	A   int64
+	B   int32
+	C   int32   // third operand of fused superinstructions
+	IC  *ICache // inline cache of a virtual call site
+	Cls *Class
+	Ref *Method
+	Str string // TRAP message
 }
 
 func (i Ins) String() string {
@@ -142,7 +146,7 @@ type CompiledMethod struct {
 	// slots are baked into Code, each once, in the order the compile first
 	// named them. If any of them is updated, this code is stale — the method
 	// becomes one of the paper's category-(2) "indirect" methods. Its readers
-	// only ask membership (DependsOn, DependsOnAny).
+	// only ask membership (DependsOn, DependsOnAny, DependsOnReplaced).
 	LayoutDeps []*Class
 	// depsInline backs LayoutDeps when it names two classes or fewer, as it
 	// does for three methods in four, so those cost no allocation of their own.
@@ -321,6 +325,18 @@ func (cm *CompiledMethod) DependsOn(c *Class) bool { return slices.Contains(cm.L
 func (cm *CompiledMethod) DependsOnAny(set map[*Class]bool) bool {
 	for _, c := range cm.LayoutDeps {
 		if set[c] {
+			return true
+		}
+	}
+	return false
+}
+
+// DependsOnReplaced reports whether the compiled code bakes in the layout or
+// dispatch table of a class an update is replacing: one whose UpdatedTo is
+// set.
+func (cm *CompiledMethod) DependsOnReplaced() bool {
+	for _, c := range cm.LayoutDeps {
+		if c.UpdatedTo != nil {
 			return true
 		}
 	}

@@ -156,15 +156,19 @@ func SuperFirst(p *classfile.Program) ([]*classfile.Class, error) {
 // link computes the runtime representation of a class: instance layout,
 // static slots, TIB, and method identities.
 func (r *Registry) link(def *classfile.Class, super *Class) *Class {
+	inherited, vslots := 0, 0
+	if super != nil {
+		inherited, vslots = len(super.Fields), len(super.vslots)
+	}
 	c := &Class{
 		ID:           len(r.byID),
 		Name:         def.Name,
 		Super:        super,
 		Def:          def,
-		fieldByName:  make(map[string]*FieldSlot),
+		fieldByName:  make(map[string]*FieldSlot, inherited+len(def.Fields)),
 		staticByName: make(map[string]*StaticSlot),
-		vslots:       make(map[memberKey]int),
-		methods:      make(map[string]*Method),
+		vslots:       make(map[memberKey]int, vslots+len(def.Methods)),
+		methods:      make(map[string]*Method, len(def.Methods)),
 	}
 	r.byID = append(r.byID, c)
 
@@ -211,8 +215,8 @@ func (r *Registry) link(def *classfile.Class, super *Class) *Class {
 		}
 	}
 	for _, dm := range def.Methods {
-		m := &Method{Class: c, Def: dm, GlobalID: len(r.methods), TIBSlot: -1,
-			NumArgs: dm.Sig.NumArgs(), RetVoid: dm.Sig.Ret() == "V"}
+		m := &Method{Class: c, Def: dm, GlobalID: len(r.methods), TIBSlot: -1}
+		m.NumArgs, m.RetVoid = dm.Sig.Shape()
 		r.methods = append(r.methods, m)
 		m.overload = c.methods[dm.Name]
 		c.methods[dm.Name] = m

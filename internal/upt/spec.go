@@ -7,7 +7,9 @@ import (
 	"strings"
 
 	"govolve/internal/bootstrap"
+	"govolve/internal/bytecode"
 	"govolve/internal/classfile"
+	"govolve/internal/rt"
 	"govolve/internal/verifier"
 )
 
@@ -68,6 +70,12 @@ type Spec struct {
 	// mapped pc. Correctness of the mapping is the user's assertion,
 	// exactly as in UpStare.
 	ActiveUpdates map[MethodRef]ActivePCMap
+
+	// changed holds, for each class update, the methods of its old version
+	// its new version does not keep as they are (ChangedMethods); loadOrder
+	// is LoadOrder.
+	changed   map[string][]MethodRef
+	loadOrder []*classfile.Class
 
 	// verdict is the strict verification of New that Prepare ran, nil when
 	// every class passed; prepared marks a Spec that Prepare made, so that
@@ -159,6 +167,12 @@ func Prepare(oldTag string, old, new_ *classfile.Program) (*Spec, error) {
 	slices.SortFunc(s.MethodBodyUpdates, compareRefs)
 
 	s.IndirectMethods = indirectMethods(old, new_, all, diffs)
+	s.changed = changedMethods(old, new_, s.ClassUpdates)
+	order, err := loadOrder(new_, s.ClassUpdates, added)
+	if err != nil {
+		return nil, err
+	}
+	s.loadOrder = order
 
 	deletedSet := make(map[string]bool, len(deleted))
 	for _, name := range deleted {
@@ -202,6 +216,56 @@ func (s *Spec) verifyNew() error {
 	}
 	return nil
 }
+
+// changedMethods lists, for each class update, the methods of the old
+// version the new version does not declare with the same static-ness,
+// native-ness and bytecode.
+func changedMethods(old, new_ *classfile.Program, updates []string) map[string][]MethodRef {
+	changed := make(map[string][]MethodRef, len(updates))
+	for _, name := range updates {
+		odef, ndef := old.Classes[name], new_.Classes[name]
+		if odef == nil || ndef == nil {
+			continue
+		}
+		for _, m := range odef.Methods {
+			nm := ndef.Method(m.Name, m.Sig)
+			if nm == nil || nm.Static != m.Static || nm.Native != m.Native || !bytecode.CodeEqual(nm.Code, m.Code) {
+				changed[name] = append(changed[name], MethodRef{name, m.Name, m.Sig})
+			}
+		}
+	}
+	return changed
+}
+
+// loadOrder orders the new definitions an update loads, those of its class
+// updates and of its added classes, as the registry's linker needs them:
+// every superclass before its subclasses (rt.SuperFirst).
+func loadOrder(new_ *classfile.Program, updates, added []string) ([]*classfile.Class, error) {
+	p, err := classfile.NewProgram()
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range append(slices.Clip(updates), added...) {
+		if def, ok := new_.Classes[name]; ok {
+			if err := p.Add(def); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rt.SuperFirst(p)
+}
+
+// LoadOrder returns the new definitions the update loads — its class
+// updates' and its added classes' — superclass first, the order the install
+// links them in. Prepare computes it once.
+func (s *Spec) LoadOrder() []*classfile.Class { return s.loadOrder }
+
+// ChangedMethods returns the methods of class's old version that the update
+// changes: those its new version does not declare with the same static-ness,
+// native-ness and bytecode. Every other method of a class update keeps its
+// bytecode. Prepare computes them once; a class that is not a class update
+// has none.
+func (s *Spec) ChangedMethods(class string) []MethodRef { return s.changed[class] }
 
 // Verdict returns the strict verification of New that Prepare ran: nil when
 // every new class is well-formed and verifies, else the first failure.

@@ -18,6 +18,9 @@ import (
 
 // refVerifyClass is VerifyClass over refVerifyMethod.
 func (v *Verifier) refVerifyClass(c *classfile.Class) error {
+	if v.hold() {
+		defer v.release()
+	}
 	if err := v.checkHierarchy(c); err != nil {
 		return err
 	}

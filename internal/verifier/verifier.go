@@ -106,22 +106,64 @@ func typeForDesc(d classfile.Desc) vtype {
 	return intT
 }
 
-// Verifier checks methods of a class against an environment. It owns the
-// scratch storage the dataflow runs in, reused from method to method, so it
-// is not safe for concurrent use.
+// Verifier checks methods of a class against an environment. It is not safe
+// for concurrent use.
 type Verifier struct {
 	env  Env
 	mode Mode
+	// deepest is the high-water mark of the operand stack over the last
+	// method verified (MaxStack).
+	deepest int
+	// scratch is the storage the dataflow runs in, held only while a
+	// VerifyClass or VerifyMethod call runs and given back to spare after.
 	*scratch
 }
 
-// New builds a Verifier. Its scratch starts out sized for the methods real
-// programs mostly have (of the three apps' 537, nine in ten are under 30
-// instructions; the largest is 101, with 6 locals), so that a Verifier used
-// for one small program neither spends its life growing slices nor pays for
-// room it will not use; anything larger grows them.
+// spare is the scratch the last verification gave back, reused by the next
+// one, so that verifying a class builds no buffer and no map: a request
+// verifies its transformer class, a Prepare and a program load theirs, each
+// with a Verifier of its own. A verification that finds it taken (another
+// goroutine's) builds its own, and the last one given back is kept.
+var spare atomic.Pointer[scratch]
+
+// maxRefs bounds the class names a spare scratch remembers, so a long-lived
+// process that verifies many programs does not grow it without end.
+const maxRefs = 1024
+
+// New builds a Verifier.
 func New(env Env, mode Mode) *Verifier {
-	return &Verifier{env: env, mode: mode, scratch: &scratch{
+	return &Verifier{env: env, mode: mode}
+}
+
+// hold gives the Verifier scratch for one call unless it already has some
+// (VerifyClass holds it across its methods), and reports whether it took it.
+func (v *Verifier) hold() bool {
+	if v.scratch != nil {
+		return false
+	}
+	if v.scratch = spare.Swap(nil); v.scratch == nil {
+		v.scratch = newScratch()
+	}
+	return true
+}
+
+// release gives the scratch back, keeping only its capacity and the class
+// names it has met.
+func (v *Verifier) release() {
+	s := v.scratch
+	v.scratch = nil
+	s.c, s.m, s.err = nil, nil, nil
+	if len(s.refs) > maxRefs {
+		clear(s.refs)
+	}
+	spare.Store(s)
+}
+
+// newScratch sizes a scratch for the methods real programs mostly have (of
+// the three apps' 537, nine in ten are under 30 instructions; the largest is
+// 101, with 6 locals); anything larger grows it.
+func newScratch() *scratch {
+	return &scratch{
 		points: make([]point, 0, 32),
 		slab:   make([]vtype, 0, 64),
 		work:   make([]int32, 0, 8),
@@ -130,7 +172,7 @@ func New(env Env, mode Mode) *Verifier {
 		args:   make([]classfile.Desc, 0, 4),
 		refs:   make(map[string]classfile.Desc, 32),
 		seen:   make(map[string]bool, 8),
-	}}
+	}
 }
 
 // VerifyProgram verifies every method of every class in the program against
@@ -156,6 +198,9 @@ func StrictClasses() int64 { return strictClasses.Load() }
 
 // VerifyClass verifies every non-native method of the class.
 func (v *Verifier) VerifyClass(c *classfile.Class) error {
+	if v.hold() {
+		defer v.release()
+	}
 	if v.mode == Strict {
 		strictClasses.Add(1)
 	}
@@ -226,9 +271,6 @@ type scratch struct {
 	locals []vtype // the working state, carried through straight-line code
 	stack  []vtype
 	args   []classfile.Desc // arguments of the signature being walked
-
-	// deepest is the high-water mark of stack over the method.
-	deepest int
 
 	// refs memoises "L"+name+";" per class name.
 	refs map[string]classfile.Desc
@@ -303,6 +345,9 @@ func (v *Verifier) popRef() vtype {
 // per-instruction reference model in reference_test.go does — buys nothing.
 // DESIGN.md §16 has the argument.
 func (v *Verifier) VerifyMethod(c *classfile.Class, m *classfile.Method) error {
+	if v.hold() {
+		defer v.release()
+	}
 	v.c, v.m, v.pc, v.err, v.deepest = c, m, 0, nil, 0
 	code := m.Code
 	if len(code) == 0 {

@@ -425,3 +425,46 @@ func TestStackDisciplineProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVerifyClassAllocs: verification builds no scratch of its own once one
+// has been given back. A warm Verifier verifies a class with no Go
+// allocation, and so does a fresh one, as a request's transformer check
+// builds, once an earlier verification has given its scratch back.
+func TestVerifyClassAllocs(t *testing.T) {
+	p := mustEnv(t, `
+class T {
+  field next LT;
+  static method walk(LT;I)I {
+    load 0
+    ifnull done
+    load 0
+    getfield T.next LT;
+    load 1
+    const 1
+    add
+    invokestatic T.walk(LT;I)I
+    return
+  done:
+    load 1
+    return
+  }
+}`)
+	c := p.Classes["T"]
+	v := New(ProgramEnv{p}, Strict)
+	if err := v.VerifyClass(c); err != nil {
+		t.Fatal(err)
+	}
+	warm := testing.AllocsPerRun(50, func() {
+		if err := v.VerifyClass(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(50, func() {
+		if err := New(ProgramEnv{p}, Relaxed).VerifyClass(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm != 0 || fresh != 0 {
+		t.Fatalf("VerifyClass makes %v Go allocations warm and %v on a fresh Verifier; want 0", warm, fresh)
+	}
+}

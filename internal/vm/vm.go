@@ -202,8 +202,9 @@ type VM struct {
 	publishedCopied int64
 	// publishedJIT* are the delta anchors for the compiler-activity and
 	// inline-cache counters, same discipline as published.
-	publishedJITBase int64
-	publishedJITOpt  int64
+	publishedJITBase    int64
+	publishedJITOpt     int64
+	publishedJITRelinks int64
 	// publishedEvDropped / publishedProf* are the delta anchors for the
 	// recorder-loss and profiler counters, same discipline as published.
 	publishedEvDropped   uint64
@@ -534,7 +535,8 @@ func (v *VM) callOn(t *Thread, m *rt.Method, args []rt.Value) error {
 }
 
 // resolveCompiled returns current valid code for m, compiling or
-// recompiling as the adaptive system dictates.
+// recompiling as the adaptive system dictates, or installing the code an
+// update relinked for it when that is at the level it would compile.
 func (v *VM) resolveCompiled(m *rt.Method) (*rt.CompiledMethod, error) {
 	m.Invocations++
 	needs := m.Compiled == nil || m.Compiled.Invalid
@@ -545,16 +547,29 @@ func (v *VM) resolveCompiled(m *rt.Method) (*rt.CompiledMethod, error) {
 	if !needs {
 		return m.Compiled, nil
 	}
-	level := rt.Base
+	level := rt.Base // NextLevel before this call
 	if wantOpt {
 		level = rt.Opt
 	}
-	cm, err := v.JIT.Compile(m, level)
-	if err != nil {
-		return nil, err
+	cm := m.Relinked
+	if cm == nil || cm.Level != level {
+		var err error
+		if cm, err = v.JIT.Compile(m, level); err != nil {
+			return nil, err
+		}
 	}
-	m.Compiled = cm
+	m.Compiled, m.Relinked = cm, nil
 	return cm, nil
+}
+
+// NextLevel is the level m's next call compiles it at if it has no valid
+// code then (resolveCompiled): opt once that call reaches the opt threshold,
+// unless m is pinned. The DSU engine relinks code only at this level.
+func (v *VM) NextLevel(m *rt.Method) rt.OptLevel {
+	if !m.Pinned && m.Invocations+1 >= v.JIT.OptThreshold {
+		return rt.Opt
+	}
+	return rt.Base
 }
 
 // RequestStop sets the yield flag so all threads stop at their next yield
@@ -1250,13 +1265,15 @@ func (v *VM) PublishMetrics() {
 	m.Counter(obs.MGCCollections).Add(d.GCCollections)
 	m.Counter(obs.MObjectsCopied).Add(int64(v.GC.CopiedObjects) - v.publishedCopied)
 	v.publishedCopied = int64(v.GC.CopiedObjects)
-	// JIT/IC activity: per-tier compile counters, IC hit/miss counters, and
-	// the hit-rate gauge — all delta-published, never written on the dispatch
-	// path.
+	// JIT/IC activity: per-tier compile and relink counters, IC hit/miss
+	// counters, and the hit-rate gauge — all delta-published, never written
+	// on the dispatch path.
 	m.Counter(obs.MJITCompilesBase).Add(int64(v.JIT.BaseCompiles) - v.publishedJITBase)
 	m.Counter(obs.MJITCompilesOpt).Add(int64(v.JIT.OptCompiles) - v.publishedJITOpt)
+	m.Counter(obs.MJITRelinks).Add(int64(v.JIT.Relinks) - v.publishedJITRelinks)
 	v.publishedJITBase = int64(v.JIT.BaseCompiles)
 	v.publishedJITOpt = int64(v.JIT.OptCompiles)
+	v.publishedJITRelinks = int64(v.JIT.Relinks)
 	m.Counter(obs.MJITICHits).Add(d.ICHits)
 	m.Counter(obs.MJITICMisses).Add(d.ICMisses)
 	if total := v.icHits + v.icMisses; total > 0 {
