@@ -284,7 +284,8 @@ func RunDispatch(sw DispatchSweep, progress io.Writer) (*Report[DispatchRow], er
 			"retires 16 instructions a turn against the call's 15, so ins/s " +
 			"flatters that one cell by 6.7 %); the native mix " +
 			"is the webserver's String natives on one " +
-			"request line (ten native calls per 40 instructions), where the " +
+			"request line (ten native calls and eleven guest allocations — ten " +
+			"Strings and split's array — per 40 instructions), where the " +
 			"native boundary, not the tier, sets the rate (before the string " +
 			"runtime worked in place and native calls were pre-bound, PR 13, " +
 			"this mix ran at 3.2-3.8M ins/s with 22 834 Go allocs/slice on the " +

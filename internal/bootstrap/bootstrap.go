@@ -24,8 +24,6 @@ class Object {
 }
 
 class String {
-  private field chars [C
-
   native method length()I
   native method charAt(I)C
   native method equals(LString;)Z

@@ -10,6 +10,7 @@ import (
 	"govolve/internal/classfile"
 	"govolve/internal/core"
 	"govolve/internal/gc"
+	"govolve/internal/rt"
 	"govolve/internal/storm"
 	"govolve/internal/upt"
 	"govolve/internal/vm"
@@ -338,8 +339,9 @@ class JvolveTransformers {
 // active-method update of the pinned spin loop fails in the OSR phase, beside
 // a field appended to Pair: by then the install has relinked App.main (the
 // frame below spin, which names Pair) and Pair.<init>'s code onto the new
-// Pair. The fail path must reinstate the code it replaced, valid, and drop
-// the relinked copies.
+// Pair. The fail path must reinstate the code it replaced, valid, drop the
+// relinked copies and give the registry back to the old version, so that the
+// same change applies afterwards.
 func TestFailedUpdateRestoresRelinkedCode(t *testing.T) {
 	f := newFixture(t, 1<<16)
 	v1 := &fixtureProgs{prog: f.load(abortV1)}
@@ -379,11 +381,117 @@ func TestFailedUpdateRestoresRelinkedCode(t *testing.T) {
 		!slices.Equal(mainCode.Code, mainWas) {
 		t.Fatal("a failed update left relinked code where the old code was")
 	}
-	if newInit := f.vm.Reg.LookupClass("Pair").Method("<init>", "()V"); newInit == initM ||
-		newInit.Compiled != nil || newInit.Relinked != nil || mainM.Relinked != nil {
+	var newInit *rt.Method // the new Pair's, out of the registry now
+	for _, m := range f.vm.Reg.Methods() {
+		if m.Class.Name == "Pair" && m.Def.Name == "<init>" && m != initM {
+			newInit = m
+		}
+	}
+	if newInit == nil || newInit.Compiled != nil || newInit.Relinked != nil || mainM.Relinked != nil {
 		t.Fatal("a failed update left relinked code for a method's next call")
 	}
+
+	// The registry is the old version's again: Pair and Loop are the classes
+	// the live instances and frames use, under their own names, and the sweep
+	// finds no renamed, unregistered or shadowed class on the heap or stacks.
+	if pair := f.vm.Reg.LookupClass("Pair"); pair != initM.Class || pair.Renamed || pair.UpdatedTo != nil ||
+		pair.Method("<init>", "()V") != initM {
+		t.Fatalf("Pair after the failure: %v (renamed %v), want the old version whole", pair, pair.Renamed)
+	}
+	if f.vm.Reg.LookupClass("v1_Pair") != nil || f.vm.Reg.LookupClass("v1_Loop") != nil {
+		t.Fatal("a failed update left renamed old versions registered")
+	}
+	if err := storm.CheckVM(f.vm); err != nil {
+		t.Fatalf("invariant sweep after the failed update: %v", err)
+	}
+
+	// A valid update of Pair applies on top, and the program runs on.
+	f.vm.Step(8)
+	f.mustApply("2", v1.prog, f.prog(src), "")
+	f.vm.Step(8)
+	if err := storm.CheckVM(f.vm); err != nil {
+		t.Fatalf("invariant sweep after the follow-up update: %v", err)
+	}
 }
+
+// TestFailedUpdateRestoresMovedFrames: the OSR phase moves frames one job at
+// a time, top frame first, so a job that fails can follow one that moved a
+// frame. Here spin's frame, which reads Pair.w, moves onto code for a Pair
+// with a field inserted before w; then main's active-method rewrite below it
+// fails. The fail path must put spin's frame back on the code it ran, or it
+// would read w at the new offset of an old instance.
+func TestFailedUpdateRestoresMovedFrames(t *testing.T) {
+	f := newFixture(t, 1<<16)
+	v1 := f.load(osrOrderV1)
+	f.spawn("App")
+	f.vm.Step(50)
+	th := f.vm.Threads[0]
+	if len(th.Frames) != 2 {
+		t.Fatalf("%d frames, want main below spin", len(th.Frames))
+	}
+	mainF, spinF := th.Frames[0], th.Frames[1]
+	spinCode, spinPC := spinF.CM, spinF.PC
+
+	src := strings.Replace(osrOrderV1, "  field w I", "  field extra I\n  field w I", 1)
+	src = strings.Replace(src, "Loop.spin(LPair;)V\n    return", "Loop.spin(LPair;)V\n    nop\n    return", 1)
+	spec, err := f.updateSpec("1", v1, f.prog(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.AddActiveUpdate(upt.MethodRef{Class: "App", Name: "main", Sig: "()V"},
+		upt.ActivePCMap{PC: map[int]int{mainF.PC: mainF.PC}, Locals: map[int]int{99: 0}})
+	res, err := f.engine.ApplyNow(spec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != core.Failed || res.Stats.OSRFrames != 1 {
+		t.Fatalf("outcome = %v err = %v after %d OSR frames, want main's rewrite to fail after spin moved", res.Outcome, res.Err, res.Stats.OSRFrames)
+	}
+	if spinF.CM != spinCode || spinF.PC != spinPC || spinCode.Invalid {
+		t.Fatal("a failed update left spin's frame on the new version's code")
+	}
+	if err := storm.CheckVM(f.vm); err != nil {
+		t.Fatalf("invariant sweep after the failed update: %v", err)
+	}
+	f.vm.Step(50)
+	f.mustApply("2", v1, f.prog(strings.Replace(osrOrderV1, "  field w I", "  field extra I\n  field w I", 1)), "")
+	f.vm.Step(50)
+	if err := storm.CheckVM(f.vm); err != nil {
+		t.Fatalf("invariant sweep after the follow-up update: %v", err)
+	}
+}
+
+// osrOrderV1 parks main below spin, and spin in a loop that reads Pair.w.
+const osrOrderV1 = `
+class Pair {
+  field w I
+  method <init>()V {
+    load 0
+    invokespecial Object.<init>()V
+    return
+  }
+}
+class Loop {
+  static method spin(LPair;)V {
+  top:
+    load 0
+    getfield Pair.w I
+    pop
+    const 1
+    ifne top
+    return
+  }
+}
+class App {
+  static method main()V {
+    new Pair
+    dup
+    invokespecial Pair.<init>()V
+    invokestatic Loop.spin(LPair;)V
+    return
+  }
+}
+`
 
 // TestFailedUpdatePauseTotalRecorded pins the failure-path accounting fix:
 // a transformer-phase failure reaches the pause's deepest phase, and the

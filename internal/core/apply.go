@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"govolve/internal/classfile"
@@ -29,12 +30,16 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 	var resid *residue
 
 	// Until the DSU collection flips the heap, a failed update means the
-	// program continues on the OLD version — so the install phase's method
-	// body swaps and compiled-code invalidations must come back: a frame
-	// parked in a swapped method (e.g. when an OSR rewrite fails) would
-	// otherwise keep executing invalidated code with the registry already
-	// carrying the new bytecode. After the flip the heap IS the new
-	// version and the swaps must stay. fail() rolls back iff !flipped.
+	// program continues on the OLD version — so everything the install phase
+	// did must come back: the registry (the new versions out, the renamed
+	// old versions back under their names, the deleted classes back), the
+	// method body swaps, the compiled-code invalidations and the frames the
+	// OSR phase moved. A frame parked
+	// in a swapped method (e.g. when an OSR rewrite fails) would otherwise
+	// keep executing invalidated code with the registry already carrying the
+	// new bytecode, and the old version's live instances would belong to no
+	// registered class. After the flip the heap IS the new version and the
+	// install must stay. fail() rolls back iff !flipped.
 	type bodySwap struct {
 		m     *rt.Method
 		def   *classfile.Method
@@ -52,6 +57,25 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		m  *rt.Method
 		cm *rt.CompiledMethod
 	}
+	// frameMove is a frame the OSR phase moved onto new code, as it was: its
+	// code, its pc and, when an active-method rewrite remapped them, its
+	// locals.
+	type frameMove struct {
+		f      *vm.Frame
+		cm     *rt.CompiledMethod
+		pc     int
+		locals []rt.Value
+	}
+	var moves []frameMove
+	var installed []*rt.Method // methods the OSR phase gave their first code
+	// renamed is an old version the install renamed, and how to undo that.
+	type renamed struct {
+		old  *rt.Class
+		name string
+		undo rt.Renaming
+	}
+	var deleted, loads []*rt.Class
+	var renames []renamed
 	var bodySwaps []bodySwap
 	var defSwaps []defSwap
 	var invalidated []codeInval
@@ -86,12 +110,31 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		closePhase()
 		p.res.Stats.PauseTotal = time.Since(totalStart)
 		if !flipped {
+			for _, mv := range moves {
+				mv.f.CM, mv.f.PC = mv.cm, mv.pc
+				copy(mv.f.Locals, mv.locals)
+			}
+			for _, m := range installed {
+				m.Compiled = nil
+			}
+			for _, c := range loads {
+				reg.DetachSubclass(c)
+				reg.Unregister(c)
+			}
+			for _, r := range renames {
+				r.old.UpdatedTo, r.old.Moves = nil, nil
+				reg.UndoRename(r.undo)
+			}
+			for _, c := range deleted {
+				reg.Reinstate(c)
+			}
+			if resid != nil {
+				resid.renamed = nil // back in service: retire must not unregister them
+			}
 			for _, bs := range bodySwaps {
-				bs.m.Def = bs.def
-				bs.m.Invocations = bs.invoc
+				bs.m.Def, bs.m.Invocations, bs.m.Compiled = bs.def, bs.invoc, bs.cm
 				if bs.cm != nil {
 					bs.cm.Invalid = false
-					bs.m.Compiled = bs.cm
 				}
 			}
 			for _, ds := range defSwaps {
@@ -143,17 +186,13 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		if cls := reg.LookupClass(name); cls != nil {
 			reg.DetachSubclass(cls)
 			reg.Unregister(cls)
+			deleted = append(deleted, cls)
 		}
 	}
 
 	// Rename all old versions first so their names are free, then load the
 	// new versions superclass-first; RVMClass metadata, TIBs and fresh
 	// JTOC slots are built by the registry's linker.
-	type renamed struct {
-		old  *rt.Class
-		name string
-	}
-	var renames []renamed
 	for _, name := range spec.ClassUpdates {
 		old := reg.LookupClass(name)
 		if old == nil {
@@ -161,17 +200,21 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		}
 		rn := spec.RenamedName(name)
 		reg.DetachSubclass(old)
-		if err := reg.RenameClass(old, rn, spec.OldFlatDefs[rn]); err != nil {
+		undo, err := reg.RenameClass(old, rn, spec.OldFlatDefs[rn])
+		if err != nil {
+			reg.Reinstate(old)
 			return fail(fmt.Errorf("core: install: %w", err))
 		}
-		renames = append(renames, renamed{old, name})
+		renames = append(renames, renamed{old, name, undo})
 	}
 
 	loaded := len(reg.Methods()) // the methods that can hold code
 	for _, def := range spec.LoadOrder() {
-		if _, err := reg.Load(def); err != nil {
+		c, err := reg.Load(def)
+		if err != nil {
 			return fail(fmt.Errorf("core: install %s: %w", def.Name, err))
 		}
+		loads = append(loads, c)
 	}
 	for _, r := range renames {
 		newCls := reg.LookupClass(r.name)
@@ -316,11 +359,18 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		}
 		if target.Compiled == nil {
 			target.Compiled, target.Relinked = cm, nil
+			installed = append(installed, target)
 		}
+		// A move that fails leaves its frame as it was; one that succeeds is
+		// recorded, because a later job can still fail the update.
+		mv := frameMove{f: f, cm: f.CM, pc: f.PC}
 		if job.active != nil {
 			newPC, ok := job.active.PC[f.PC]
 			if !ok {
 				return fail(fmt.Errorf("core: active-method update: pc %d of %s not in yield-point map", f.PC, m.FullName()))
+			}
+			if job.active.Locals != nil {
+				mv.locals = slices.Clone(f.Locals)
 			}
 			if err := e.VM.OSRRewrite(f, cm, newPC, job.active.Locals); err != nil {
 				return fail(fmt.Errorf("core: active-method update: %w", err))
@@ -329,6 +379,7 @@ func (e *Engine) apply(p *Pending, osrJobs []osrJob, cat1 map[*rt.Method]bool) e
 		} else if err := e.VM.OSRReplace(f, cm); err != nil {
 			return fail(fmt.Errorf("core: OSR: %w", err))
 		}
+		moves = append(moves, mv)
 		if e.VM.Rec.Enabled() { // names are built for a recorder only
 			active := int64(0)
 			if job.active != nil {

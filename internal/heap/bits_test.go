@@ -78,7 +78,14 @@ func TestHeaderBitLayout(t *testing.T) {
 		t.Errorf("a shell whose transformer is running reads as pending")
 	}
 	arr, _ := h.AllocArray(false, 3)
-	if h.PairWord(arr) != 3 {
-		t.Errorf("array word 1 = %d, want its length 3", h.PairWord(arr))
+	if h.PairWord(arr) != 3 || h.ClassID(arr) != 0 {
+		t.Errorf("array word 1 = %d, class id %d, want its length 3 and no class", h.PairWord(arr), h.ClassID(arr))
+	}
+
+	// The one array that carries a class id: a String's header holds it beside
+	// the array bit, without the reference bit, and its word 1 is its length.
+	str, _ := h.AllocChars(&rt.Class{ID: classID}, 4)
+	if !h.IsArray(str) || h.ArrayElemIsRef(str) || h.ClassID(str) != classID || h.ArrayLen(str) != 4 {
+		t.Errorf("String header %#x, word 1 %d: want array bit and class id %d, length 4", h.Word(str), h.Word(str+1), classID)
 	}
 }

@@ -150,18 +150,18 @@ func (h *Heap) AllocArray(elemIsRef bool, length int) (rt.Addr, bool) {
 	return a, true
 }
 
-// AllocChars allocates a non-reference array of the given length and writes
-// its header only: the elements hold whatever the space held before. The
-// caller must write every element before its next allocation (DESIGN.md
-// §7.1).
-func (h *Heap) AllocChars(length int) (rt.Addr, bool) {
+// AllocChars allocates a String of class c holding length code points: a
+// non-reference array whose header carries c's id (bits.go). It writes the
+// header only: the elements hold whatever the space held before. The caller
+// must write every element before its next allocation (DESIGN.md §7.1).
+func (h *Heap) AllocChars(c *rt.Class, length int) (rt.Addr, bool) {
 	size := rt.Addr(rt.HeaderWords + length)
 	if h.alloc+size > h.limit(h.cur) {
 		return 0, false
 	}
 	a := h.alloc
 	h.alloc += size
-	h.words[a] = ArrayBit
+	h.words[a] = ArrayBit | uint64(c.ID)
 	h.words[a+1] = uint64(length)
 	return a, true
 }
@@ -172,7 +172,7 @@ func (h *Heap) Word(a rt.Addr) uint64 { return h.words[a] }
 // SetWord writes a raw word.
 func (h *Heap) SetWord(a rt.Addr, v uint64) { h.words[a] = v }
 
-// ClassID returns the object's class ID (0 for arrays).
+// ClassID returns the object's class ID (0 for an array, except a String's).
 func (h *Heap) ClassID(a rt.Addr) int {
 	return int(h.words[a] & ClassIDMask)
 }
@@ -190,7 +190,7 @@ func (h *Heap) IsArray(a rt.Addr) bool { return h.words[a]&ArrayBit != 0 }
 // ArrayElemIsRef reports whether the array's elements are references.
 func (h *Heap) ArrayElemIsRef(a rt.Addr) bool { return h.words[a]&ArrayRefBit != 0 }
 
-// ArrayLen returns the array length.
+// ArrayLen returns the array length (a String's, too).
 func (h *Heap) ArrayLen(a rt.Addr) int { return int(h.words[a+1]) }
 
 // Forwarded returns the forwarding target if the object has been moved by

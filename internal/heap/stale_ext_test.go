@@ -45,7 +45,7 @@ func TestCollectionLeavesUnallocatedWords(t *testing.T) {
 			}
 			prev = a
 		}
-		s, _ := h.AllocChars(3)
+		s, _ := h.AllocChars(load(classfile.NewClass("String", "")), 3)
 		for i := 0; i < 3; i++ {
 			h.SetElem(s, i, rt.IntVal(int64('a'+i)))
 		}

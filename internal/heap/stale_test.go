@@ -53,13 +53,13 @@ func TestAllocClearsStaleWords(t *testing.T) {
 }
 
 // TestAllocCharsWritesOnlyItsHeader: AllocChars writes its two header words
-// and leaves every element as it found it — its callers write them (DESIGN.md
-// §7.1).
+// — the array bit beside the String class id, and the length — and leaves
+// every element as it found it: its callers write them (DESIGN.md §7.1).
 func TestAllocCharsWritesOnlyItsHeader(t *testing.T) {
 	h := Poisoned(256)
-	a, _ := h.AllocChars(6)
-	if h.words[a] != ArrayBit || h.words[a+1] != 6 {
-		t.Fatalf("header %#x %#x, want %#x 6", h.words[a], h.words[a+1], ArrayBit)
+	a, _ := h.AllocChars(&rt.Class{ID: 7}, 6)
+	if h.words[a] != ArrayBit|7 || h.words[a+1] != 6 {
+		t.Fatalf("header %#x %#x, want %#x 6", h.words[a], h.words[a+1], ArrayBit|7)
 	}
 	for e := a + rt.HeaderWords; e <= a+rt.HeaderWords+6; e++ {
 		if h.words[e] != staleWord(e) {

@@ -405,7 +405,7 @@ func TestRelinkMovesCodeOntoNewVersions(t *testing.T) {
 	// with a field inserted before b.
 	def := old.Def.Clone()
 	def.Fields = append([]classfile.Field{{Name: "z", Desc: "I"}}, def.Fields...)
-	if err := reg.RenameClass(old, "v1_Pair", nil); err != nil {
+	if _, err := reg.RenameClass(old, "v1_Pair", nil); err != nil {
 		t.Fatal(err)
 	}
 	nw, err := reg.Load(def)

@@ -85,6 +85,11 @@ func (r *Registry) Load(def *classfile.Class) (*Class, error) {
 	if _, dup := r.classes[def.Name]; dup {
 		return nil, fmt.Errorf("rt: class %s already loaded", def.Name)
 	}
+	if def.Super == "String" {
+		// A String's instances are arrays (heap/bits.go); a subclass's could
+		// not be.
+		return nil, fmt.Errorf("rt: class %s: String cannot be extended", def.Name)
+	}
 	var super *Class
 	if def.Super != "" {
 		super = r.classes[def.Super]
@@ -258,12 +263,14 @@ func (r *Registry) InternIndex(lit string) int {
 // its fields and may not call methods on it. The caller supplies the
 // fields-only definition (UPT's flattened old-version class) that types
 // transformer code.
-func (r *Registry) RenameClass(c *Class, newName string, flatDef *classfile.Class) error {
+//
+// It returns what it changed, for UndoRename.
+func (r *Registry) RenameClass(c *Class, newName string, flatDef *classfile.Class) (Renaming, error) {
 	if _, clash := r.classes[newName]; clash {
-		return fmt.Errorf("rt: rename %s: name %s already in use", c.Name, newName)
+		return Renaming{}, fmt.Errorf("rt: rename %s: name %s already in use", c.Name, newName)
 	}
 	if r.classes[c.Name] != c {
-		return fmt.Errorf("rt: rename %s: class not registered under that name", c.Name)
+		return Renaming{}, fmt.Errorf("rt: rename %s: class not registered under that name", c.Name)
 	}
 	if flatDef == nil {
 		flatDef = c.Def.Clone()
@@ -271,13 +278,41 @@ func (r *Registry) RenameClass(c *Class, newName string, flatDef *classfile.Clas
 	}
 	flatDef = flatDef.Clone()
 	flatDef.Name = newName
+	u := Renaming{c: c, name: c.Name, def: c.Def, methods: c.methods}
 	delete(r.classes, c.Name)
 	c.Def = flatDef
 	c.Name = newName
 	c.Renamed = true
 	c.methods = make(map[string]*Method)
 	r.classes[newName] = c
-	return nil
+	return u, nil
+}
+
+// Renaming is what RenameClass changed in a class.
+type Renaming struct {
+	c       *Class
+	name    string
+	def     *classfile.Class
+	methods map[string]*Method
+}
+
+// UndoRename gives a renamed class back its name, definition and methods and
+// reinstates it under that name, which must be free again: an update that
+// fails before its instances move leaves the old version as it found it.
+func (r *Registry) UndoRename(u Renaming) {
+	c := u.c
+	r.Unregister(c)
+	c.Name, c.Def, c.methods, c.Renamed = u.name, u.def, u.methods, false
+	r.Reinstate(c)
+}
+
+// Reinstate registers a class under its name again and puts it back among its
+// superclass's subclasses: it undoes Unregister and DetachSubclass.
+func (r *Registry) Reinstate(c *Class) {
+	r.classes[c.Name] = c
+	if c.Super != nil {
+		c.Super.Subclasses = append(c.Super.Subclasses, c)
+	}
 }
 
 // Unregister removes a class from the name table (used to delete the

@@ -35,6 +35,18 @@ func buildHierarchy(t *testing.T) (*Registry, *Class, *Class, *Class) {
 	return reg, obj, animal, dog
 }
 
+// TestStringCannotBeExtended: a String is an array with a class id, so no
+// class may extend String — its instances would be scalars the String
+// natives read as arrays.
+func TestStringCannotBeExtended(t *testing.T) {
+	reg := NewRegistry()
+	load(t, reg, classfile.NewClass("Object", "").MustBuild())
+	load(t, reg, classfile.NewClass("String", "Object").MustBuild())
+	if _, err := reg.Load(classfile.NewClass("Name", "String").Field("n", "I").MustBuild()); err == nil {
+		t.Fatal("a subclass of String loaded")
+	}
+}
+
 func TestFieldLayoutInheritance(t *testing.T) {
 	_, _, animal, dog := buildHierarchy(t)
 	if animal.Size != HeaderWords+1 {
@@ -174,9 +186,12 @@ func TestSubclassTracking(t *testing.T) {
 }
 
 func TestRenameClass(t *testing.T) {
-	reg, _, animal, _ := buildHierarchy(t)
+	reg, obj, animal, _ := buildHierarchy(t)
 	flat := classfile.NewClass("ignored", "Object").Field("legs", "I").MustBuild()
-	if err := reg.RenameClass(animal, "v1_Animal", flat); err != nil {
+	def := animal.Def
+	reg.DetachSubclass(animal)
+	undo, err := reg.RenameClass(animal, "v1_Animal", flat)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if reg.LookupClass("Animal") != nil {
@@ -203,8 +218,20 @@ func TestRenameClass(t *testing.T) {
 		t.Fatal("new version got recycled ID")
 	}
 	// Rename onto a taken name fails.
-	if err := reg.RenameClass(newAnimal, "v1_Animal", nil); err == nil {
+	if _, err := reg.RenameClass(newAnimal, "v1_Animal", nil); err == nil {
 		t.Fatal("rename clash accepted")
+	}
+
+	// Undone — the new version out, the old one back: the old class is whole
+	// again under its name.
+	reg.DetachSubclass(newAnimal)
+	reg.Unregister(newAnimal)
+	reg.UndoRename(undo)
+	if reg.LookupClass("Animal") != animal || reg.LookupClass("v1_Animal") != nil || animal.Renamed || animal.Def != def {
+		t.Fatal("undo did not give the old version its name and definition back")
+	}
+	if animal.Method("speak", "()I") == nil || !slices.Equal(obj.Subclasses, []*Class{animal}) {
+		t.Fatalf("undo left methods %v, Object's subclasses %v", animal.Method("speak", "()I"), obj.Subclasses)
 	}
 }
 

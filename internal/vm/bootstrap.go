@@ -29,11 +29,6 @@ func (v *VM) bootstrap() error {
 			v.objectCls = cls
 		case "String":
 			v.strCls = cls
-			f := cls.Field("chars")
-			if f == nil {
-				return fmt.Errorf("vm: bootstrap String has no chars field")
-			}
-			v.strCharsOff = f.Offset
 		}
 	}
 	v.registerNatives()

@@ -356,28 +356,12 @@ func (v *VM) interpret(t *Thread, budget int) {
 		case bytecode.INSTOF_R:
 			n := len(f.Stack) - 1
 			a := f.Stack[n].Ref()
-			res := false
-			if a != rt.Null && !v.Heap.IsArray(a) {
-				cls := v.Reg.ClassByID(v.Heap.ClassID(a))
-				res = cls != nil && cls.IsSubclassOf(ins.Cls)
-			} else if a != rt.Null && v.Heap.IsArray(a) {
-				res = ins.Cls.Name == "Object"
-			}
-			f.Stack[n] = rt.BoolVal(res)
+			f.Stack[n] = rt.BoolVal(a != rt.Null && v.instanceOf(a, ins.Cls))
 		case bytecode.CHECKCAST_R:
 			a := f.Stack[len(f.Stack)-1].Ref()
-			if a != rt.Null {
-				ok := false
-				if v.Heap.IsArray(a) {
-					ok = ins.Cls.Name == "Object"
-				} else {
-					cls := v.Reg.ClassByID(v.Heap.ClassID(a))
-					ok = cls != nil && cls.IsSubclassOf(ins.Cls)
-				}
-				if !ok {
-					v.kill(t, fmt.Errorf("vm: checkcast to %s failed in %s", ins.Cls.Name, f.Method().FullName()))
-					return
-				}
+			if a != rt.Null && !v.instanceOf(a, ins.Cls) {
+				v.kill(t, fmt.Errorf("vm: checkcast to %s failed in %s", ins.Cls.Name, f.Method().FullName()))
+				return
 			}
 
 		case bytecode.INVOKEVIRT_R:
@@ -387,14 +371,16 @@ func (v *VM) interpret(t *Thread, budget int) {
 				v.kill(t, fmt.Errorf("vm: null receiver calling %s in %s", ins.Ref.FullName(), f.Method().FullName()))
 				return
 			}
-			if v.Heap.IsArray(recv.Ref()) {
-				v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
-				return
-			}
 			// Dispatch itself would be correct without the barrier (the shell
 			// already carries the new class id), but the callee is about to
-			// read stale fields — transform the receiver before entry.
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
+			// read stale fields — transform the receiver before entry. No
+			// array is ever pending: a String's word 1 is its length.
+			if v.Heap.IsArray(recv.Ref()) {
+				if v.Heap.ClassID(recv.Ref()) == 0 {
+					v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
+					return
+				}
+			} else if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
 				return
 			}
 			// Inline-cache fast path (only the compiler's plain reference
@@ -764,10 +750,11 @@ func (v *VM) interpret(t *Thread, budget int) {
 				return
 			}
 			if v.Heap.IsArray(recv.Ref()) {
-				v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
-				return
-			}
-			if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
+				if v.Heap.ClassID(recv.Ref()) == 0 {
+					v.kill(t, fmt.Errorf("vm: virtual call on array in %s", f.Method().FullName()))
+					return
+				}
+			} else if r := v.Residue; r != nil && r.OnTouch && v.Heap.Pending(recv.Ref()) && !v.touch(t, f, recv.Ref(), "invokevirt "+ins.Ref.FullName()) {
 				return
 			}
 			target, ok := v.vdispatch(ins, recv.Ref())
@@ -871,6 +858,17 @@ func (v *VM) invoke(t *Thread, f *Frame, target *rt.Method, nargs int, budget *i
 	// Method-entry yield point.
 	*budget--
 	return *budget <= 0 || v.yieldFlag
+}
+
+// instanceOf reports whether the non-null object at a is an instance of cls.
+// An array that carries a class id — a String (heap/bits.go) — is an instance
+// of that class; any other array is an instance of Object only.
+func (v *VM) instanceOf(a rt.Addr, cls *rt.Class) bool {
+	if id := v.Heap.ClassID(a); id != 0 {
+		c := v.Reg.ClassByID(id)
+		return c != nil && c.IsSubclassOf(cls)
+	}
+	return v.Heap.IsArray(a) && cls.Name == "Object"
 }
 
 // vdispatch resolves a virtual call site against the receiver's dynamic

@@ -55,7 +55,7 @@ func (v *VM) bindNative(m *rt.Method) *nativeBinding {
 	return b
 }
 
-// retStr is the tail of every String-returning native.
+// retStr is the tail of a native that returns what NewString or substr built.
 func retStr(a rt.Addr, err error) (rt.Value, WakeFunc, error) {
 	if err != nil {
 		return rt.Value{}, nil, err
@@ -209,8 +209,8 @@ func (v *VM) registerNatives() {
 	// --- String ----------------------------------------------------------
 	//
 	// In place on the guest heap (strings.go): the readers below make no Go
-	// allocation and no guest one; the builders allocate the char array, then
-	// the String object, and re-read their operands from args in between.
+	// allocation and no guest one; the builders allocate the String and then
+	// re-read their operands from args.
 	v.BindNative("String", "length()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, err := v.strWords(args[0].Ref())
 		if err != nil {
@@ -247,13 +247,13 @@ func (v *VM) registerNatives() {
 			return rt.Value{}, nil, err
 		}
 		na, nb := len(a), len(b)
-		arr, err := v.allocChars(na + nb)
+		str, err := v.allocChars(na + nb)
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		v.Heap.CopyElems(arr, 0, v.strChars(args[0].Ref()), 0, na)
-		v.Heap.CopyElems(arr, na, v.strChars(args[1].Ref()), 0, nb)
-		return retStr(v.wrapChars(arr))
+		v.Heap.CopyElems(str, 0, args[0].Ref(), 0, na)
+		v.Heap.CopyElems(str, na, args[1].Ref(), 0, nb)
+		return rt.RefVal(str), nil, nil
 	})
 	v.BindNative("String", "substring(II)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, err := v.strWords(args[0].Ref())
@@ -314,16 +314,16 @@ func (v *VM) registerNatives() {
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		arr, err := v.allocChars(len(s))
+		str, err := v.allocChars(len(s))
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
 		s, _ = v.strWords(args[0].Ref())
-		dst := v.Heap.ElemWords(arr)
+		dst := v.Heap.ElemWords(str)
 		for i, c := range s {
 			dst[i] = lowerWord(c)
 		}
-		return retStr(v.wrapChars(arr))
+		return rt.RefVal(str), nil, nil
 	})
 	v.BindNative("String", "hashCode()I", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, err := v.strWords(args[0].Ref())
@@ -362,15 +362,15 @@ func (v *VM) registerNatives() {
 	v.BindNative("String", "fromInt(I)LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		var buf [20]byte // len("-9223372036854775808")
 		digits := strconv.AppendInt(buf[:0], args[0].Int(), 10)
-		arr, err := v.allocChars(len(digits))
+		str, err := v.allocChars(len(digits))
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		w := v.Heap.ElemWords(arr)
+		w := v.Heap.ElemWords(str)
 		for i, d := range digits {
 			w[i] = uint64(d)
 		}
-		return retStr(v.wrapChars(arr))
+		return rt.RefVal(str), nil, nil
 	})
 	v.BindNative("String", "split(C)[LString;", func(v *VM, t *Thread, args []rt.Value) (rt.Value, WakeFunc, error) {
 		s, err := v.strWords(args[0].Ref())
@@ -388,8 +388,8 @@ func (v *VM) registerNatives() {
 		if err != nil {
 			return rt.Value{}, nil, err
 		}
-		// The handle is read through its index: PushHandle's pointer dies if
-		// substr's own handle grows the table.
+		// The handle is read through its index, which outlives any growth of
+		// the handle table.
 		slot := len(v.Handles)
 		v.PushHandle(arr)
 		defer v.PopHandle(1)

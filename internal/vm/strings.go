@@ -9,37 +9,34 @@ import (
 	"govolve/internal/rt"
 )
 
-// The string runtime. A String is one object whose only field, chars, holds
-// a non-reference array with one code point per word. The String natives
-// (natives.go) work on those words where they lie: readers take an
-// heap.ElemWords window, builders allocate the result array and copy heap to
-// heap with heap.CopyElems. A Go string is built or consumed only where text
-// crosses the VM boundary — NewString and GoString, used by ldc, Net.recvLine
-// and System.print*, and Net.send's interned lines (NetSim.send). Words are opaque in place: nothing but
-// GoString cares whether one is a valid code point.
+// The string runtime. A String is one object: a non-reference array whose
+// header also carries String's class id (heap/bits.go), one code point per
+// element word. The String natives (natives.go) work on those words where
+// they lie: readers take an heap.ElemWords window, builders allocate the
+// result and copy heap to heap with heap.CopyElems. A Go string is built or
+// consumed only where text crosses the VM boundary — NewString and GoString,
+// used by ldc, Net.recvLine and System.print*, and Net.send's interned lines
+// (NetSim.send). Words are opaque in place: nothing but GoString cares
+// whether one is a valid code point. A guest `new String` is a plain
+// two-word object; its word 1, the length of any String, is 0, so it reads
+// as "" everywhere.
 //
 // The GC-safety rule. Every guest allocation may collect, a collection moves
 // objects, and the collector rewrites root slots only (frame locals and
 // operand stacks, handles, JTOC, interns). So no rt.Addr and no ElemWords
 // window survives an allocation: a native re-reads its operands from args —
 // a slice of the caller's operand stack, hence root slots — after every
-// allocObject/allocArray, and pins what it allocated itself with a handle.
+// allocation. A String builder allocates once and last, so only split,
+// whose parts follow the array that holds them, pins anything with a handle.
 //
-// The allocation-order invariant. Every String the runtime builds is two
-// guest allocations, the char array first and the String object second, of
-// the sizes the text dictates. Heap layout, collection timing and therefore
-// every storm/stream report depend on that sequence; an implementation may
-// change how the words get there, never what is allocated or in which order.
-// A builder's char array comes from allocChars, unzeroed: it writes every
-// element before its next allocation.
+// The allocation-order invariant. Every String the runtime builds is one
+// guest allocation of the size its text dictates. Heap layout, collection
+// timing and therefore every storm/stream report depend on that sequence; an
+// implementation may change how the words get there, never what is allocated
+// or in which order. A builder's String comes from allocChars, unzeroed: it
+// writes every element before its next allocation.
 
 var errNullString = errors.New("null String receiver")
-
-// strChars returns the char array of a non-null String (rt.Null for a String
-// whose chars field was never set, which reads as "").
-func (v *VM) strChars(s rt.Addr) rt.Addr {
-	return v.Heap.FieldValue(s, v.strCharsOff, true).Ref()
-}
 
 // strWords returns the code-point words of a String in place, or
 // errNullString for null. The window dies at the next guest allocation.
@@ -47,54 +44,35 @@ func (v *VM) strWords(s rt.Addr) ([]uint64, error) {
 	if s == rt.Null {
 		return nil, errNullString
 	}
-	arr := v.strChars(s)
-	if arr == rt.Null {
-		return nil, nil
-	}
-	return v.Heap.ElemWords(arr), nil
-}
-
-// wrapChars allocates the String object around a freshly built char array.
-func (v *VM) wrapChars(arr rt.Addr) (rt.Addr, error) {
-	slot := len(v.Handles)
-	v.PushHandle(arr)
-	obj, err := v.allocObject(v.strCls)
-	arr = v.Handles[slot].Ref() // the allocation may have moved it
-	v.PopHandle(1)
-	if err != nil {
-		return 0, err
-	}
-	v.Heap.SetFieldValue(obj, v.strCharsOff, rt.RefVal(arr))
-	return obj, nil
+	return v.Heap.ElemWords(s), nil
 }
 
 // substr allocates a String holding n words, from index from, of the String
 // in the root slot src (bounds are the caller's business). src is re-read
-// after the array allocation, per the GC-safety rule.
+// after the allocation, per the GC-safety rule.
 func (v *VM) substr(src *rt.Value, from, n int) (rt.Addr, error) {
-	arr, err := v.allocChars(n)
+	s, err := v.allocChars(n)
 	if err != nil {
 		return 0, err
 	}
-	v.Heap.CopyElems(arr, 0, v.strChars(src.Ref()), from, n)
-	return v.wrapChars(arr)
+	v.Heap.CopyElems(s, 0, src.Ref(), from, n)
+	return s, nil
 }
 
-// NewString allocates a String object holding the given Go string, one code
-// point per word, with no Go allocation. Invalid UTF-8 decodes to U+FFFD per
-// byte, as a []rune conversion would.
+// NewString allocates a String holding the given Go string, one code point
+// per word, with no Go allocation. Invalid UTF-8 decodes to U+FFFD per byte,
+// as a []rune conversion would.
 func (v *VM) NewString(s string) (rt.Addr, error) {
-	n := utf8.RuneCountInString(s)
-	arr, err := v.allocChars(n)
+	a, err := v.allocChars(utf8.RuneCountInString(s))
 	if err != nil {
 		return 0, err
 	}
-	w, i := v.Heap.ElemWords(arr), 0
+	w, i := v.Heap.ElemWords(a), 0
 	for _, r := range s {
 		w[i] = uint64(r)
 		i++
 	}
-	return v.wrapChars(arr)
+	return a, nil
 }
 
 // GoString reads a String object back into a Go string — one Go allocation,
@@ -166,8 +144,9 @@ func trimBounds(w []uint64) (lo, hi int) {
 // StringMixSrc is the string runtime's layer-benchmark guest program: what the
 // webserver does to one request line of 40 characters — split it, find and
 // cut the path, compare the method, test the extension, and build the response
-// head with five concats. Ten String natives and ten guest allocations per 40
-// instructions, no frames, an infinite loop. BenchmarkStringNatives here and
+// head with five concats. Ten String natives and eleven guest allocations —
+// ten Strings and split's array — per 40 instructions, no frames, an infinite
+// loop. BenchmarkStringNatives here and
 // the native row of `jvolve-bench -exp dispatch` both run this one copy.
 const StringMixSrc = `
 class Hot {

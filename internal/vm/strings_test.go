@@ -249,7 +249,7 @@ func TestStringNativesNull(t *testing.T) {
 			t.Errorf(`"abc".%s with null error = %q, want %q`, nameSig, errText, "null String receiver")
 		}
 	}
-	// A String whose chars field was never set (guest `new String`) reads as "".
+	// A guest `new String` — a plain two-word object — reads as "".
 	blank, err := s.v.allocObject(s.v.strCls)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestStringNativesNull(t *testing.T) {
 func TestStringWordsAreOpaqueInPlace(t *testing.T) {
 	s := newStrVM(t)
 	odd := s.str("AxyB")
-	w := s.v.Heap.ElemWords(s.v.strChars(odd.Ref()))
+	w := s.v.Heap.ElemWords(odd.Ref())
 	w[1], w[2] = 0xD800, 0x110000
 
 	if got := s.goStr(odd); got != "A\uFFFD\uFFFDB" {
@@ -292,7 +292,7 @@ func TestStringWordsAreOpaqueInPlace(t *testing.T) {
 		t.Errorf("hashCode = %d: not computed over the words", got.Int())
 	}
 	lower, _ := s.call("toLowerCase()LString;", odd)
-	lw := s.v.Heap.ElemWords(s.v.strChars(lower.Ref()))
+	lw := s.v.Heap.ElemWords(lower.Ref())
 	if len(lw) != 4 || lw[0] != 'a' || lw[1] != 0xD800 || lw[2] != 0x110000 || lw[3] != 'b' {
 		t.Errorf("toLowerCase words = %#x", lw)
 	}

@@ -241,10 +241,9 @@ type VM struct {
 	Residue *DSUResidue
 
 	// Bootstrap class caches.
-	strCls      *rt.Class
-	strCharsOff int
-	objectCls   *rt.Class
-	strScratch  []byte // goBytes' scratch: a String's UTF-8 bytes
+	strCls     *rt.Class
+	objectCls  *rt.Class
+	strScratch []byte // goBytes' scratch: a String's UTF-8 bytes
 
 	// syncThreads are RunSynchronous's resident threads by nesting depth (a
 	// transformer forcing a neighbour); syncDepth of them are running, and in
@@ -1005,20 +1004,21 @@ func (v *VM) allocArray(elemRef bool, n int) (rt.Addr, error) {
 	return 0, fmt.Errorf("vm: out of memory allocating array of %d", n)
 }
 
-// allocChars is allocArray for a char array that its caller fills whole
-// before the next allocation: heap.AllocChars skips the clear.
+// allocChars allocates a String of n code points, which its caller writes
+// whole before the next allocation: heap.AllocChars skips the clear. A String
+// is an array (heap/bits.go), and counts as one.
 func (v *VM) allocChars(n int) (rt.Addr, error) {
 	v.stats.AllocArrays++
-	if a, ok := v.Heap.AllocChars(n); ok {
+	if a, ok := v.Heap.AllocChars(v.strCls, n); ok {
 		return a, nil
 	}
 	if err := v.gcForAlloc(); err != nil {
 		return 0, err
 	}
-	if a, ok := v.Heap.AllocChars(n); ok {
+	if a, ok := v.Heap.AllocChars(v.strCls, n); ok {
 		return a, nil
 	}
-	return 0, fmt.Errorf("vm: out of memory allocating array of %d", n)
+	return 0, fmt.Errorf("vm: out of memory allocating String of %d", n)
 }
 
 // gcForAlloc collects to satisfy an allocation. While the DSU engine's
