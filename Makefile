@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet test poison bench-smoke race gates loc pairs storm bench-obs bench-pause bench-stream bench-dispatch trace fuzz
+.PHONY: verify fmt build vet test poison bench-smoke race gates loc pairs storm bench-bin bench-obs bench-pause bench-stream bench-dispatch trace fuzz
 
 verify: fmt build vet test poison bench-smoke race gates
 
@@ -84,29 +84,37 @@ pairs:
 storm:
 	$(GO) run ./cmd/jvolve-bench -exp storm -updates 500
 
-# The DSU pause in every engine mode (vm.Modes: serial, lazy, concurrent,
-# concurrent+lazy) over sizes × updated fractions; writes
-# BENCH_pause.json. Every cell is measured with the generated default
-# transformer (moved by the collector) and with its hand-written equivalent
-# (pairs + interpreted calls: what the lazy pipelines place).
-bench-pause:
-	$(GO) run ./cmd/jvolve-bench -exp pausecmp -runs 7 -pause-out BENCH_pause.json
+# The bench-* targets build the binary and then run it, instead of go run: go
+# build stamps the checkout's commit (vcs.revision, vcs.modified) into it, and
+# bench.ThisHost writes that stamp into every BENCH file beside the host's.
+BENCH_BIN = bin/jvolve-bench
+
+bench-bin:
+	$(GO) build -o $(BENCH_BIN) ./cmd/jvolve-bench
+
+# The DSU pause in both engine modes (vm.Modes: serial, concurrent) over
+# sizes × updated fractions; writes BENCH_pause.json. Every cell is measured
+# with the generated default transformer (moved by the collector) and with
+# its hand-written equivalent (pairs + interpreted calls: what the concurrent
+# mode leaves to the on-touch barrier).
+bench-pause: bench-bin
+	$(BENCH_BIN) -exp pausecmp -runs 7 -pause-out BENCH_pause.json
 
 # DSU pause-decomposition histograms (E1 webserver, Table 1 micro); writes
 # BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/jvolve-bench -exp obs -obs-out BENCH_obs.json
+bench-obs: bench-bin
+	$(BENCH_BIN) -exp obs -obs-out BENCH_obs.json
 
 # Long-horizon update-stream sweep (chain lengths × engine modes); writes
 # BENCH_stream.json.
-bench-stream:
-	$(GO) run ./cmd/jvolve-bench -exp stream -stream-out BENCH_stream.json
+bench-stream: bench-bin
+	$(BENCH_BIN) -exp stream -stream-out BENCH_stream.json
 
 # Interpreter dispatch over the tier ladder (plain reference / base / opt over
 # the arith, virtual-call, static-call and native/string mixes); writes
 # BENCH_dispatch.json.
-bench-dispatch:
-	$(GO) run ./cmd/jvolve-bench -exp dispatch -runs 9 -dispatch-out BENCH_dispatch.json
+bench-dispatch: bench-bin
+	$(BENCH_BIN) -exp dispatch -runs 9 -dispatch-out BENCH_dispatch.json
 
 # Demo: record the obs experiment's webserver update (5.1.5 warmed, then
 # updated to 5.1.6 under load) and export the DSU timeline as a Chrome

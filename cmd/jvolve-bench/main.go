@@ -73,7 +73,7 @@ var experiments = []struct {
 	{"tables234", "Tables 2-4: UPT release summaries", tables234},
 	{"matrix", "Update applicability (paper §4: 20 of 22)", matrix},
 	{"active", "Extension: active-method updates (UpStare-style, §3.5 future work)", active},
-	{"pausecmp", "Extension: lazy transform / concurrent relocation (the DSU pause per engine mode)", pausecmp},
+	{"pausecmp", "Extension: concurrent relocation and on-touch transformation (the DSU pause per engine mode)", pausecmp},
 	{"obs", "Extension: DSU pause decomposition via the observability plane", obsPause},
 	{"storm", "Extension: randomized update-storm soak (whole-VM invariant checking)", stormSoak},
 	{"stream", "Extension: long-horizon update streams (multi-release chain replay)", streams},
@@ -181,7 +181,7 @@ func stormSoak() error {
 	// Every engine mode, and stop-the-world once more with opt-tier OSR.
 	var cfgs []storm.Config
 	for _, m := range vm.Modes() {
-		cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, Lazy: m.Lazy, Concurrent: m.Concurrent})
+		cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, Concurrent: m.Concurrent})
 	}
 	cfgs = append(cfgs, storm.Config{Seed: *seed, Updates: *updates, OSROpt: true})
 	if *pauseBudget >= 0 {
@@ -199,10 +199,8 @@ func stormSoak() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("seed=%d updates=%d osropt=%v lazy=%v concurrent=%v: "+
-			"applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
-			rep.Seed, *updates, cfg.OSROpt, cfg.Lazy, cfg.Concurrent,
-			rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
+		fmt.Printf("seed=%d updates=%d osropt=%v concurrent=%v: applied=%d aborted=%d rejected=%d checks=%d probes=%d steps=%d\n",
+			rep.Seed, *updates, cfg.OSROpt, cfg.Concurrent, rep.Applied, rep.Aborted, rep.Rejected, rep.Checks, rep.Probes, rep.Steps)
 	}
 	fmt.Println()
 	return nil

@@ -70,17 +70,19 @@ func TestRunMicroCountsAndShape(t *testing.T) {
 	}
 }
 
-// TestRunMicroLazy pins the lazy-transform decomposition: the measured
-// pause excludes transformer execution entirely (the pause only tags), the
-// whole population drains post-pause, and the final count matches eager. Only
-// pairs are tagged, so the rows run the hand-written transformer.
+// TestRunMicroLazy pins the on-touch half of the concurrent decomposition:
+// the measured pause excludes transformer execution entirely (the pause
+// leaves every pair to the relocation and the read barrier), the whole
+// population drains post-pause, and the final count matches the serial
+// mode's. Only pairs are pending, so the rows run the hand-written
+// transformer.
 func TestRunMicroLazy(t *testing.T) {
-	lazy, err := RunMicro(MicroConfig{Objects: 20000, FracUpdated: 1, Lazy: true, HandWritten: true})
+	lazy, err := RunMicro(MicroConfig{Objects: 20000, FracUpdated: 1, Concurrent: true, HandWritten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.LazyPending != 20000 {
-		t.Fatalf("lazy pause tagged %d objects, want 20000", lazy.LazyPending)
+	if lazy.LazyPending != 20000 || lazy.LazyForced != 20000 {
+		t.Fatalf("forced %d of %d pending objects, want 20000", lazy.LazyForced, lazy.LazyPending)
 	}
 	if lazy.TransformedObjects != 20000 {
 		t.Fatalf("drain transformed %d objects, want 20000", lazy.TransformedObjects)
@@ -92,14 +94,14 @@ func TestRunMicroLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The lazy pause omits the transformer pass; with the whole heap
+	// The concurrent pause omits the transformer pass; with the whole heap
 	// updated that pass dominates, so the in-pause transform time must be
-	// a small fraction of the eager one (≈0; allow scheduler noise).
+	// a small fraction of the serial one (≈0; allow scheduler noise).
 	if eager.PauseTransform <= 0 {
-		t.Fatalf("eager transform time %v, want > 0", eager.PauseTransform)
+		t.Fatalf("serial transform time %v, want > 0", eager.PauseTransform)
 	}
 	if lazy.PauseTransform > eager.PauseTransform/4 {
-		t.Fatalf("lazy in-pause transform %v not ≈0 (eager %v)", lazy.PauseTransform, eager.PauseTransform)
+		t.Fatalf("concurrent in-pause transform %v not ≈0 (serial %v)", lazy.PauseTransform, eager.PauseTransform)
 	}
 }
 
@@ -234,6 +236,26 @@ func TestWriteReportHostStamp(t *testing.T) {
 	var kept Report[int]
 	if err := json.Unmarshal(data, &kept); err != nil || kept.Host != rep.Host {
 		t.Fatalf("file after refusal: %s (%v)", data, err)
+	}
+	// The build stamp: go test stamps no commit, a binary from go build
+	// does. Another commit on this machine re-records the file, and the file
+	// then names that commit and whether its tree was modified.
+	if rep.Host.Commit != "" || rep.Host.Modified {
+		t.Fatalf("a test binary stamped commit %q modified %v", rep.Host.Commit, rep.Host.Modified)
+	}
+	built := *rep
+	built.Host.Commit, built.Host.Modified = "b3b61de3dd0e890b37fec30379a2ce33722bc381", true
+	if err := WriteReport(path, &built); err != nil {
+		t.Fatalf("another commit's file not overwritten: %v", err)
+	}
+	data, _ = os.ReadFile(path)
+	if err := json.Unmarshal(data, &kept); err != nil || kept.Host != built.Host ||
+		!strings.Contains(string(data), `"commit": "b3b61de3dd0e890b37fec30379a2ce33722bc381"`) ||
+		!strings.Contains(string(data), `"modified": true`) {
+		t.Fatalf("file after a stamped build: %s (%v)", data, err)
+	}
+	if s := built.Host.String(); !strings.HasSuffix(s, ", commit b3b61de3dd0e890b37fec30379a2ce33722bc381 (modified)") {
+		t.Fatalf("stamp prints as %q", s)
 	}
 }
 

@@ -70,20 +70,14 @@ type MicroConfig struct {
 	// old-copy pair and one interpreted jvolveObject call: the paper's
 	// configuration (§3.4, Table 1).
 	HandWritten bool
-	// Lazy defers per-object transformation past the pause: objects stay
-	// pending and are drained on first touch through the read
-	// barrier. The measured pause then excludes transformer execution;
-	// the forced drain is timed separately.
-	Lazy bool
 	// Metrics, when non-nil, attaches the registry to the VM so the engine
 	// publishes its pause/update series, and arms a default gate engine
 	// under the observe policy so every micro update is judged. The
 	// resulting verdict is reported on MicroResult.
 	Metrics *obs.Registry
-	// Concurrent moves the bulk copy and pair creation out of the pause, and
-	// implies Lazy (vm.Options.Concurrent): the drain's quanta and the load
-	// barrier evacuate what the roots do not point at after it. The
-	// relocation drain is reported separately from the pause.
+	// Concurrent moves the bulk copy, pair creation and the object
+	// transformers out of the pause (vm.Options.Concurrent); the forced drain
+	// that completes them is timed separately.
 	Concurrent bool
 }
 
@@ -95,7 +89,7 @@ type MicroResult struct {
 	Config    MicroConfig
 	HeapWords int // one semispace of the VM the update ran in
 	core.Stats
-	Drain time.Duration // forced post-pause drain wall-clock (Lazy, Concurrent; outside the pause)
+	Drain time.Duration // forced post-pause drain wall-clock (Concurrent; outside the pause)
 	// Verdict is the gate judgment for this update (nil unless
 	// MicroConfig.Metrics armed the gate engine).
 	Verdict *obs.Verdict
@@ -117,10 +111,9 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	// DSU-triggered one, matching the paper's methodology.
 	heapWords := 5 * (cfg.Objects*8 + cfg.Objects + 2*rt.HeaderWords + 64)
 	machine, err := vm.New(vm.Options{
-		HeapWords:     heapWords,
-		LazyTransform: cfg.Lazy,
-		Concurrent:    cfg.Concurrent,
-		Out:           io.Discard,
+		HeapWords:  heapWords,
+		Concurrent: cfg.Concurrent,
+		Out:        io.Discard,
 	})
 	if err != nil {
 		return nil, err
@@ -192,24 +185,11 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 		return nil, fmt.Errorf("bench: micro update %v: %v", res.Outcome, res.Err)
 	}
 	var drain time.Duration
-	if cfg.Lazy && !cfg.Concurrent {
-		// The pause arms instead of transforming; every updated instance
-		// must still be pending when it ends. (With Concurrent the pause
-		// creates almost no pairs at all — discovery itself rides the drain
-		// — so the pending count at apply is near zero instead.)
-		want := 0 // a moved instance was never a pair: nothing pending
-		if cfg.HandWritten {
-			want = nChange
-		}
-		if res.Stats.LazyPending != want {
-			return nil, fmt.Errorf("bench: lazy pause left %d pending, want %d", res.Stats.LazyPending, want)
-		}
-	}
-	if cfg.Lazy || cfg.Concurrent {
+	if cfg.Concurrent {
 		// The driver forces the whole drain and times it — the work the
-		// pause no longer does. With Concurrent the relocation drains
-		// first, then any lazy residue; the relocation's own flip-to-finalize
-		// wall clock is reported separately from the stats.
+		// pause no longer does: the relocation drains first, then the pending
+		// pairs; the relocation's own flip-to-finalize wall clock is
+		// reported separately from the stats.
 		t0 := time.Now()
 		if err := engine.ForceDrain(); err != nil {
 			return nil, fmt.Errorf("bench: forced drain: %w", err)

@@ -12,13 +12,13 @@ import (
 // The pause grid is the one driver over the Table 1 microbenchmark. As
 // pausecmp it is the headline measurement of the pause-shrinking work: the
 // update run in every engine mode (vm.Modes) — the fused stop-the-world
-// pipeline, lazy transformation, and concurrent (lazy transformation and a
-// relocation drain after the pause) — over a sizes × updated-fraction grid.
-// For each cell it reports the same uniform pause decomposition — copy /
-// transform — so every claim is checkable from the JSON itself: lazy rows show
-// transform_ms ≈ 0 with the forced drain in drain_ms; concurrent rows show the
-// pause down to flip preparation, copy_ms down to the objects the roots point
-// at, and the bulk copy's wall time in reloc_drain_ms.
+// pipeline, and concurrent (a relocation drain and on-touch transformation
+// after the pause) — over a sizes × updated-fraction grid. For each cell it
+// reports the same uniform pause decomposition — copy / transform — so every
+// claim is checkable from the JSON itself: concurrent rows show transform_ms
+// ≈ 0 with the forced drain in drain_ms, the pause down to flip preparation,
+// copy_ms down to the objects the roots point at, and the bulk copy's wall
+// time in reloc_drain_ms.
 //
 // As table1 it is the same grid in the serial mode over the paper's sizes and
 // fractions, printed as the paper's Table 1 and Figure 6 (PrintTable1).
@@ -48,8 +48,8 @@ type PauseCmpRow struct {
 	// Transformer is "moved" — the generated default, a pure field copy the
 	// collector performs while it copies the object — or "handwritten": the
 	// same copies plus an explicit store (MicroConfig.HandWritten), one pair
-	// and one interpreted call per updated object, which is what the lazy
-	// pipelines have to place.
+	// and one interpreted call per updated object, which is what the
+	// concurrent mode has to place.
 	Transformer string `json:"transformer"`
 
 	PauseTotalMillis Summary `json:"pause_total_ms"`
@@ -59,20 +59,17 @@ type PauseCmpRow struct {
 	// TransformNsPerObject is the median transformer time per transformed
 	// object (logged pairs + moved_objects, for which it is 0 by construction),
 	// wherever the transformers ran: inside the pause (transform_ms) or in
-	// the forced post-pause drain (drain_ms, lazy rows — an upper bound on
-	// concurrent rows, whose drain also force-completes the relocation).
+	// the forced post-pause drain (drain_ms, concurrent rows — an upper
+	// bound, since that drain also force-completes the relocation).
 	TransformNsPerObject float64 `json:"transform_ns_per_object"`
 
-	// Lazy rows: the transform work leaves the pause entirely —
-	// transform_ms ≈ 0, lazy_pending pairs stay pending behind the read
-	// barrier, and the forced drain's wall time appears in drain_ms.
-	DrainMillis Summary `json:"drain_ms"`
-	LazyPending int     `json:"lazy_pending,omitempty"`
-
-	// Concurrent rows: the bulk copy leaves the pause — copy_ms keeps only the
+	// Concurrent rows: the transform work and the bulk copy leave the pause —
+	// transform_ms ≈ 0, lazy_pending pairs wait behind the read barrier, the
+	// forced drain's wall time appears in drain_ms, copy_ms keeps only the
 	// objects the roots point at, reloc_objects are evacuated after the world
-	// resumes, and the flip-to-finalize drain wall time appears in
-	// reloc_drain_ms.
+	// resumes, and the flip-to-finalize drain wall time is reloc_drain_ms.
+	DrainMillis      Summary `json:"drain_ms"`
+	LazyPending      int     `json:"lazy_pending,omitempty"`
 	RelocDrainMillis Summary `json:"reloc_drain_ms"`
 	RelocObjects     int     `json:"reloc_objects,omitempty"`
 
@@ -112,14 +109,12 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 	rep := &Report[PauseCmpRow]{
 		Experiment: "pausecmp",
 		Host:       ThisHost(),
-		Note: "speedup_pause is serial-median / row-median total pause for the same " +
-			"size, fraction and transformer. The decomposition is uniform across modes: " +
-			"serial's fused trace+copy is all copy_ms; lazy rows show transform_ms = 0 with " +
-			"lazy_pending pairs drained post-pause in drain_ms (transformer = handwritten; " +
-			"moved objects are never pairs, so there lazy has nothing to defer); concurrent rows " +
-			"also keep only the objects the roots point at in copy_ms, with the bulk copy " +
-			"in reloc_drain_ms. Pause shrinkage is " +
-			"a decomposition property and holds on any host.",
+		Note: "speedup_pause is serial-median / row-median total pause for the same size, fraction " +
+			"and transformer. The decomposition is uniform across modes: serial's fused trace+copy " +
+			"is all copy_ms; concurrent rows show transform_ms = 0 with lazy_pending pairs drained " +
+			"post-pause in drain_ms (transformer = handwritten; moved objects are never pairs) and " +
+			"keep only the objects the roots point at in copy_ms, with the bulk copy in " +
+			"reloc_drain_ms. Pause shrinkage is a decomposition property and holds on any host.",
 	}
 	for _, objects := range sw.Sizes {
 		for _, frac := range sw.Fractions {
@@ -130,13 +125,8 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 					var ms [6][]float64
 					var last *MicroResult
 					for r := 0; r < sw.Runs; r++ {
-						res, err := RunMicro(MicroConfig{
-							Objects:     objects,
-							FracUpdated: frac,
-							Lazy:        mode.Lazy,
-							Concurrent:  mode.Concurrent,
-							HandWritten: transformer == "handwritten",
-						})
+						res, err := RunMicro(MicroConfig{Objects: objects, FracUpdated: frac,
+							Concurrent: mode.Concurrent, HandWritten: transformer == "handwritten"})
 						if err != nil {
 							return nil, fmt.Errorf("bench: pausecmp objects=%d frac=%.2f mode=%s transformer=%s: %w",
 								objects, frac, mode.Name, transformer, err)
@@ -170,7 +160,7 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 					if last.TransformedObjects > 0 {
 						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.TransformedObjects)
 					}
-					if !mode.Lazy && !mode.Concurrent {
+					if !mode.Concurrent {
 						serialMedian = row.PauseTotalMillis.Median
 					}
 					if serialMedian > 0 && row.PauseTotalMillis.Median > 0 {
@@ -192,7 +182,7 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 
 // PrintPauseCmp renders the grid as text.
 func PrintPauseCmp(w io.Writer, rep *Report[PauseCmpRow]) {
-	fmt.Fprintf(w, "DSU pause: serial vs lazy / concurrent (%s)\n", rep.Host)
+	fmt.Fprintf(w, "DSU pause: serial vs concurrent (%s)\n", rep.Host)
 	fmt.Fprintf(w, "%9s %6s %11s %10s %10s %9s %11s %7s %9s %10s %9s\n",
 		"objects", "frac", "transformer", "mode", "pause(ms)", "copy(ms)", "transf(ms)", "ns/obj", "drain(ms)", "reloc(ms)", "speedup")
 	for _, r := range rep.Rows {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
@@ -61,7 +62,8 @@ func (s Summary) String() string {
 // Millis converts a duration to float milliseconds.
 func Millis(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// Host is the stamp of the machine a report was measured on.
+// Host is the stamp of the machine a report was measured on, and of the
+// commit its binary was built from.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -69,6 +71,10 @@ type Host struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	CPUModel   string `json:"cpu_model,omitempty"` // where the OS reports one
+	// Commit and Modified are the build's vcs.revision and vcs.modified, which
+	// go build stamps and go run and go test do not: "" is no stamp.
+	Commit   string `json:"commit"`
+	Modified bool   `json:"modified"`
 }
 
 // ThisHost stamps the running process.
@@ -79,6 +85,16 @@ func ThisHost() Host {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				h.Commit = kv.Value
+			case "vcs.modified":
+				h.Modified = kv.Value == "true"
+			}
+		}
 	}
 	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		for _, line := range strings.Split(string(info), "\n") {
@@ -96,7 +112,19 @@ func (h Host) String() string {
 	if h.CPUModel != "" {
 		s += ", " + h.CPUModel
 	}
+	if h.Commit != "" {
+		s += ", commit " + h.Commit
+	}
+	if h.Modified {
+		s += " (modified)"
+	}
 	return s
+}
+
+// machine is the stamp without the build's commit.
+func (h Host) machine() Host {
+	h.Commit, h.Modified = "", false
+	return h
 }
 
 // Report is the document of every BENCH_*.json file: one experiment's rows
@@ -109,14 +137,14 @@ type Report[Row any] struct {
 }
 
 // WriteReport writes the report as indented JSON. It refuses to overwrite a
-// file stamped by another host, and names both stamps; an unstamped file is
-// overwritten.
+// file stamped by another machine, and names both stamps; an unstamped file,
+// or one another commit recorded on this machine, is overwritten.
 func WriteReport[Row any](path string, rep *Report[Row]) error {
 	if old, err := os.ReadFile(path); err == nil {
 		var prev struct {
 			Host Host `json:"host"`
 		}
-		if json.Unmarshal(old, &prev) == nil && prev.Host != (Host{}) && prev.Host != rep.Host {
+		if json.Unmarshal(old, &prev) == nil && prev.Host != (Host{}) && prev.Host.machine() != rep.Host.machine() {
 			return fmt.Errorf("bench: %s was recorded on %s, not on this host (%s); remove it to re-record here",
 				path, prev.Host, rep.Host)
 		}

@@ -15,7 +15,7 @@ import (
 // measures one update's pause decomposition, stream measures what operators
 // of a dynamically-updated service actually live with — how many updates per
 // minute the engine sustains over a whole release history, the p50/p99 pause
-// across that history, and (lazy modes) how large the post-pause drain
+// across that history, and (concurrent mode) how large the post-pause drain
 // backlog grows under hostile back-to-back schedules.
 
 // StreamSweep configures the chain-length × mode grid.
@@ -50,7 +50,7 @@ type StreamRow struct {
 	PauseP99Millis float64 `json:"pause_p99_ms"`
 	PauseMaxMillis float64 `json:"pause_max_ms"`
 
-	// Lazy modes: the largest drain backlog any step left behind, and what
+	// Concurrent mode: the largest drain backlog any step left behind, and what
 	// remained when the chain ended (always 0 — the terminal drain is part
 	// of the replay contract; recorded so the JSON proves it).
 	MaxDrainBacklog   int `json:"max_drain_backlog"`
@@ -78,7 +78,7 @@ func RunStream(sw StreamSweep, progress io.Writer) (*Report[StreamRow], error) {
 			"chain-wide oracle checked at every step; updates_per_min is applied " +
 			"updates over replay wall time (oracle sweeps included, so it is a " +
 			"sustained-operation figure, not a pause reciprocal). Pause percentiles " +
-			"are over the chain's per-update total pauses. Lazy rows must end with " +
+			"are over the chain's per-update total pauses. Concurrent rows must end with " +
 			"final_drain_backlog = 0.",
 	}
 	for _, length := range sw.Lengths {

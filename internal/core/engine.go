@@ -107,10 +107,12 @@ type Stats struct {
 	PauseTransform time.Duration
 	PauseTotal     time.Duration
 
-	// Lazy-transform decomposition (vm.Options.LazyTransform). LazyPending
-	// is the pair count left pending when the pause ended; LazyDrained were
-	// then transformed by the read barrier on first touch, LazyForced by a
-	// forced drain (collection, follow-up update, or ForceDrain).
+	// On-touch transformation's decomposition (vm.Options.Concurrent; the
+	// names are the §5 lazy hybrid's). LazyPending is the pair count left
+	// pending when the pause ended, plus the pairs the relocation's drain
+	// made since; LazyDrained were then transformed by the read barrier on
+	// first touch, LazyForced by a forced drain (collection, follow-up
+	// update, or ForceDrain).
 	// Drained+Forced converges to Pending, and TransformedObjects to the
 	// eager count, as the drain completes; these fields keep updating after
 	// the Result is sealed, until the drain finishes.
@@ -151,7 +153,7 @@ const (
 	// (internal/stream escalates a failed-gate retry to a quiesced one);
 	// the engine itself only records the verdict.
 	GateQuiesceRetry
-	// GateForceDrain force-completes outstanding lazy/relocation drains
+	// GateForceDrain force-completes outstanding on-touch/relocation drains
 	// after a FAIL verdict, trading throughput for a fully settled heap.
 	GateForceDrain
 )
@@ -621,7 +623,7 @@ func (e *Engine) judge(p *Pending, res *Result) {
 		e.halt = v
 	case GateForceDrain:
 		// Settle the heap before anyone acts on the failure: outstanding
-		// lazy/relocation residue is force-completed now. The drain's own
+		// on-touch/relocation residue is force-completed now. The drain's own
 		// errors are its objects' problem, not this verdict's.
 		_ = e.ForceDrain()
 	}

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -10,27 +9,15 @@ import (
 	"govolve/internal/vm"
 )
 
-// newLazyFixture is newFixture with lazy per-object transformation enabled.
-func newLazyFixture(t *testing.T, heapWords int) *fixture {
-	t.Helper()
-	var out bytes.Buffer
-	v, err := vm.New(vm.Options{
-		HeapWords:     heapWords,
-		LazyTransform: true,
-		Out:           &out,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// These suites are about pairs — pending, draining, pair evacuation — so
-	// every generated transformer is made hand-written; moved defaults under
-	// the same pipelines are TestMovesMatchInterpreter's.
-	return &fixture{t: t, vm: v, out: &out, engine: core.NewEngine(v), editSpec: handWrite}
-}
+// The on-touch half of the concurrent mode (the paper's §5 on-first-use
+// hybrid, named lazy here as in the Lazy* statistics): updated instances
+// leave the pause pending and transform on first touch behind the read
+// barrier, or when the drain is forced. Both Boxes below are static roots, so
+// the pause pairs them itself; the relocation only moves the rest.
 
 // lazyV1: two Box instances pinned in statics, set to 7 and 9, a long spin
 // loop (the update window), then a read of a.v — the touch that fires the
-// read barrier in lazy mode.
+// read barrier.
 const lazyV1 = `
 class Box {
   field v I
@@ -102,7 +89,7 @@ func rawBoxV(t *testing.T, f *fixture, static string) int64 {
 // what the program touches, and ForceDrain retires the rest — converging on
 // the same final heap state and output as an eager run.
 func TestLazyTransformDrainsOnTouch(t *testing.T) {
-	f := newLazyFixture(t, 1<<16)
+	f := newRelocFixture(t, 1<<16)
 	v1 := f.load(lazyV1)
 	v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
 		"class Box {\n  field pad LString;\n  field v I", 1))
@@ -114,10 +101,10 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 		t.Fatalf("LazyPending = %d, want 2", res.Stats.LazyPending)
 	}
 	if res.Stats.TransformedObjects != 0 {
-		t.Fatalf("pause transformed %d objects in lazy mode, want 0", res.Stats.TransformedObjects)
+		t.Fatalf("pause transformed %d objects in the concurrent mode, want 0", res.Stats.TransformedObjects)
 	}
 	if !f.vm.DrainActive() {
-		t.Fatal("drain not active after lazy update")
+		t.Fatal("drain not active after a concurrent update")
 	}
 	// Mid-drain the renamed old version and the old copies must survive
 	// (the drain needs them), and the drain-aware sweep must hold.
@@ -135,7 +122,7 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 
 	// The program touches a (prints its v) but never b.
 	if got := strings.TrimSpace(f.finish()); got != "7" {
-		t.Fatalf("output = %q, want 7 (field carried through lazy transform)", got)
+		t.Fatalf("output = %q, want 7 (field carried through on-touch transform)", got)
 	}
 	if res.Stats.LazyDrained != 1 {
 		t.Fatalf("LazyDrained = %d, want 1 (only a was touched)", res.Stats.LazyDrained)
@@ -164,11 +151,12 @@ func TestLazyTransformDrainsOnTouch(t *testing.T) {
 
 // TestLazyEagerSameOutput pins observational equivalence at the fixture
 // level (the storm test covers it at scale): the same program and update
-// produce identical output and identical final field values either way. In
-// the second row a class transformer reads a field of a pending instance:
-// eager mode walks the object log only after the class transformers, so it
-// reads the shell's default, and lazy mode must too — which pins where the
-// read barrier is armed.
+// produce identical output and identical final field values in the serial
+// and the concurrent mode. In the second row a class transformer reads a
+// field of a pending instance: the serial mode walks the object log only
+// after the class transformers, so it reads the shell's default, and the
+// concurrent mode must too — which pins where the read barrier is armed:
+// after the class transformers, not when the residue is attached.
 func TestLazyEagerSameOutput(t *testing.T) {
 	const classReads = `
 class JvolveTransformers {
@@ -184,13 +172,10 @@ class JvolveTransformers {
 		{"object transformers", "field pad LString;", ""},
 		{"class transformer reads a pending instance", "field pad LString;\n  static field seen I", classReads},
 	} {
-		run := func(lazy bool) (out string, b, seen int64) {
-			var f *fixture
-			if lazy {
-				f = newLazyFixture(t, 1<<16)
-			} else {
-				f = newFixture(t, 1<<16)
-				f.editSpec = handWrite // pairs in both placements
+		run := func(concurrent bool) (out string, b, seen int64) {
+			f := newSerialFixture(t) // pairs in both placements
+			if concurrent {
+				f = newRelocFixture(t, 1<<16)
 			}
 			v1 := f.load(lazyV1)
 			v2 := f.prog(strings.Replace(lazyV1, "class Box {\n  field v I",
@@ -210,15 +195,15 @@ class JvolveTransformers {
 		eagerOut, eagerB, eagerSeen := run(false)
 		lazyOut, lazyB, lazySeen := run(true)
 		if eagerOut != lazyOut || eagerB != lazyB || eagerSeen != lazySeen {
-			t.Fatalf("%s: eager (out=%q b=%d seen=%d) != lazy (out=%q b=%d seen=%d)",
+			t.Fatalf("%s: serial (out=%q b=%d seen=%d) != concurrent (out=%q b=%d seen=%d)",
 				row.name, eagerOut, eagerB, eagerSeen, lazyOut, lazyB, lazySeen)
 		}
 	}
 }
 
 // lazyCycleV1 builds two mutually linked Pair objects, spins, then touches
-// one — in lazy mode the touch runs the (pathological) transformer from
-// barrier context.
+// one — in the concurrent mode the touch runs the (pathological) transformer
+// from barrier context.
 const lazyCycleV1 = `
 class Pair {
   field peer LPair;
@@ -270,10 +255,10 @@ class App {
 // from read-barrier context (post-pause!) kills only the touching thread;
 // the drain completes done-with-defaults, the VM stays serviceable, and a
 // follow-up update still applies. The eager analogue fails the whole
-// update; lazily the update is already committed, so the failure is scoped
+// update; on touch the update is already committed, so the failure is scoped
 // to data loss plus the toucher.
 func TestLazyBarrierCycleLeavesVMServiceable(t *testing.T) {
-	f := newLazyFixture(t, 1<<16)
+	f := newRelocFixture(t, 1<<16)
 	v1 := f.load(lazyCycleV1)
 	v2 := f.prog(strings.Replace(lazyCycleV1, "field w I", "field w I\n  field extra I", 1))
 	custom := `
@@ -297,8 +282,9 @@ class JvolveTransformers {
 	f.spawn("App")
 	f.vm.Step(1)
 	res := f.mustApply("1", v1, v2, custom)
-	if res.Stats.LazyPending != 2 {
-		t.Fatalf("LazyPending = %d, want 2", res.Stats.LazyPending)
+	// The pause pairs the static's Pair; the relocation pairs its peer.
+	if res.Stats.LazyPending != 1 {
+		t.Fatalf("LazyPending = %d at the pause's end, want 1", res.Stats.LazyPending)
 	}
 
 	// Resume: main's getfield fires the barrier, the transformer chain
@@ -319,6 +305,9 @@ class JvolveTransformers {
 	// The cycle unwound done-with-defaults: both chain members retired, so
 	// the drain completed and the VM is clean.
 	assertRetired(t, f, false)
+	if s := res.Stats; s.LazyPending != 2 || s.LazyDrained+s.LazyForced != 2 {
+		t.Fatalf("pending %d, drained %d + forced %d, want 2 = 2", s.LazyPending, s.LazyDrained, s.LazyForced)
+	}
 	// The error was already delivered to the touching thread; the retired
 	// drain makes ForceDrain a no-op.
 	if err := f.engine.ForceDrain(); err != nil {
@@ -341,7 +330,7 @@ class JvolveTransformers {
 // must force-complete the previous residue before its own pause — and the
 // values must carry through both layout changes.
 func TestLazySecondUpdateForcesDrain(t *testing.T) {
-	f := newLazyFixture(t, 1<<16)
+	f := newRelocFixture(t, 1<<16)
 	v1 := f.load(lazyV1)
 	v2src := strings.Replace(lazyV1, "class Box {\n  field v I",
 		"class Box {\n  field pad LString;\n  field v I", 1)
@@ -367,10 +356,10 @@ func TestLazySecondUpdateForcesDrain(t *testing.T) {
 		t.Fatalf("ForceDrain: %v", err)
 	}
 	if got := rawBoxV(t, f, "a"); got != 7 {
-		t.Fatalf("a.v = %d after two lazy updates, want 7", got)
+		t.Fatalf("a.v = %d after two concurrent updates, want 7", got)
 	}
 	if got := rawBoxV(t, f, "b"); got != 9 {
-		t.Fatalf("b.v = %d after two lazy updates, want 9", got)
+		t.Fatalf("b.v = %d after two concurrent updates, want 9", got)
 	}
 	assertRetired(t, f, false)
 	if got := strings.TrimSpace(f.finish()); got != "7" {

@@ -166,8 +166,7 @@ func TestMovesMatchInterpreter(t *testing.T) {
 		ev := newEvolution(rand.New(rand.NewSource(seed)))
 		run := func(handWritten bool) (*vm.VM, *core.Result) {
 			v, err := vm.New(vm.Options{
-				HeapWords: 1 << 14, Out: io.Discard,
-				LazyTransform: mode.Lazy, Concurrent: mode.Concurrent,
+				HeapWords: 1 << 14, Out: io.Discard, Concurrent: mode.Concurrent,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -36,16 +35,16 @@ type plan struct {
 // one transformer phase and one teardown (§3.4–3.5); where the transformers
 // run is a placement, data on this object, not a separate code path:
 //
-//   - eager (default): runPause walks the whole log inside the pause and the
-//     first transformer error fails the update;
-//   - on touch (LazyTransform, the §5 on-first-use hybrid): runPause arms the
-//     read barrier (vm.DSUResidue.OnTouch) instead, and the barrier transforms
-//     each pending pair on first touch — an error there is the object's data
-//     loss, since the program already resumed on the new version;
-//   - adopted (Concurrent, which implies LazyTransform): the pause paired
-//     only what the roots point at; attach arms the barrier, the relocation creates pending
-//     pairs as it evacuates, and the log adopts them on first touch or when
-//     the relocation finishes.
+//   - eager (serial mode): runPause walks the whole log inside the pause and
+//     the first transformer error fails the update;
+//   - adopted (vm.Options.Concurrent, with the §5 on-first-use hybrid's
+//     on-touch transformation): the pause paired only what the roots point
+//     at, and the relocation creates pending pairs as it evacuates. runPause
+//     arms the read barrier (vm.DSUResidue.OnTouch) after the class
+//     transformers, the barrier transforms each pending pair on first touch,
+//     and the log adopts the relocation's pairs on first touch or when the
+//     relocation finishes. An error after the pause is the object's data
+//     loss, since the program already resumed on the new version.
 //
 // Only transformers that have to run make pairs. One that is a pure field copy
 // (every generated default: upt.Spec.ObjectMoves) is resolved here, before the
@@ -55,11 +54,11 @@ type plan struct {
 //
 // Lifecycle: apply builds it once the install phase has loaded the new code
 // and attaches it to the VM when the collection succeeds. It retires — one
-// teardown for every placement and every failure path — as soon as nothing is
-// outstanding: at the end of the pause (eager), when the last pending pair
-// transforms, when the relocation's drain runs from-space dry (tick), or
-// when a collection, a follow-up update, a gate policy or the harness forces
-// it (force).
+// teardown for both placements and every failure path — as soon as nothing
+// is outstanding: at the end of the pause (eager), once the relocation's
+// drain has run from-space dry (tick) and the last pending pair transformed,
+// or when a collection, a follow-up update, a gate policy or the harness
+// forces it (force).
 //
 // Everything here runs on the mutator goroutine — barrier hits, drain quanta,
 // forced drains and collections all happen inside VM.Step — so no locking.
@@ -76,7 +75,6 @@ type residue struct {
 	pending int // pairs whose pair word is still set: transformer not finished
 	adopted int // how many of rl.Deferred() the log has taken over
 
-	onTouch   bool           // transformers run on first touch, not in the pause
 	rl        *gc.Relocation // nil unless the collection left a relocation draining
 	relocDone bool           // rl finished: from-space released, pair log final
 
@@ -88,31 +86,24 @@ type residue struct {
 }
 
 // attach hands the residue what the DSU collection produced and installs it
-// as the VM's residue hook — before the transformer phase, because a
+// as the VM's residue hook, unarmed — before the transformer phase, because a
 // transformer (Jvolve.forceTransform) or a clinit-triggered collection must
-// be able to reach it while the pause is still open. The adopted placement
-// arms the read barrier here: its pairs are made by the relocation, pending
-// from the moment they exist — and so are the few the pause made, for roots
-// that pointed at updated instances, which it books as pending itself.
+// be able to reach it while the pause is still open. runPause arms it.
 func (r *residue) attach(gcRes *gc.Result, rl *gc.Relocation) {
 	r.log, r.pending, r.rl = gcRes.Log, len(gcRes.Log), rl
 	r.moved(gcRes.Moved)
-	r.onTouch = r.e.VM.LazyTransform || rl != nil // a relocation defers its pairs
-	if r.adopts() {
-		r.stats.LazyPending = r.pending
-	}
 	r.e.residue = r
-	r.e.VM.Residue = &vm.DSUResidue{OnTouch: r.adopts(), Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
+	r.e.VM.Residue = &vm.DSUResidue{Transform: r.transform, Tick: r.tick, Force: r.force, Pairs: r.pairs}
 }
 
 // adopts reports the adopted placement: pairs come from the relocation.
 func (r *residue) adopts() bool { return r.rl != nil }
 
-// adopt takes over, in shell-address order, the pairs the relocation created
-// since the last call (adopted placement only). PairsLogged counts pairs
-// where they join the log — here, not in the pause — so the chain-wide law
-// (TransformedObjects == PairsLogged + MovedObjects after the terminal drain)
-// stays mode-blind.
+// adopt takes over the pairs the relocation created since the last call
+// (adopted placement only), already in shell-address order (gc.Relocation.
+// Deferred). PairsLogged counts pairs where they join the log — here, not in
+// the pause — so the chain-wide law (TransformedObjects == PairsLogged +
+// MovedObjects after the terminal drain) stays mode-blind.
 func (r *residue) adopt() {
 	if !r.adopts() {
 		return
@@ -121,9 +112,7 @@ func (r *residue) adopt() {
 	if len(fresh) == 0 {
 		return
 	}
-	n := len(r.log)
 	r.log = append(r.log, fresh...)
-	sort.Slice(r.log[n:], func(i, j int) bool { return r.log[n+i].New < r.log[n+j].New })
 	r.adopted += len(fresh)
 	r.pending += len(fresh)
 	r.stats.PairsLogged += len(fresh)
@@ -247,10 +236,10 @@ func (r *residue) planFor(newAddr, oldCopy rt.Addr) *plan {
 
 // runPause is the transformer phase inside the DSU pause. Class transformers
 // always run here (statics must be correct before the program resumes), then
-// the object log is walked (eager) or the read barrier armed (on touch).
+// the object log is walked (eager) or the read barrier armed (adopted).
 // Transformers run on synchronous VM threads with collection disabled — the
 // log holds raw addresses. An error fails the update; arming happens after the
-// only fallible step, so a failed on-touch update never arms.
+// only fallible step, so a failed adopted update never arms.
 func (r *residue) runPause() error {
 	v := r.e.VM
 	v.GCDisabled = true
@@ -260,19 +249,19 @@ func (r *residue) runPause() error {
 	if err := r.runClassTransformers(); err != nil {
 		return err
 	}
-	switch {
-	case !r.onTouch:
+	if r.adopts() {
+		// Arm only now, before clinit: armed during the class transformers,
+		// the barrier would transform on touch what the serial mode leaves to
+		// the log walk, and a class transformer reading an updated instance
+		// would see its new state instead of the shell's defaults.
+		v.Residue.OnTouch = true
+		r.stats.LazyPending = r.pending
+	} else {
 		for _, pair := range r.log {
 			if err := r.transform(pair.New); err != nil {
 				return err
 			}
 		}
-	case r.rl == nil:
-		// Arm only now, before clinit: armed during the class transformers,
-		// the barrier would transform on touch what eager mode leaves to the
-		// log walk. (attach armed the adopted placement.)
-		v.Residue.OnTouch = true
-		r.stats.LazyPending = r.pending
 	}
 	r.sealed = time.Now()
 	return nil
@@ -380,17 +369,18 @@ func (r *residue) run(newAddr, oldCopy rt.Addr) error {
 	v.GCDisabled = true
 	defer func() { v.GCDisabled = wasDisabled }()
 
-	if r.adopts() {
+	if r.adopts() && !r.relocDone {
 		// Heal the old copy's slots to canonical addresses before the
 		// transformer reads them: a stale from-space reference stored into an
 		// already-scanned shell would never be healed again. (Pairs the pause
 		// itself evacuated need no heal: their shells are still ahead of the
 		// relocation's region cursor, so the scan heals whatever is written now.)
+		// A finished relocation has scanned every old copy already.
 		r.rl.HealObject(oldCopy)
 	}
 	p := r.planFor(newAddr, oldCopy)
 	if p == nil {
-		return fmt.Errorf("core: transformer: unknown class for pair @%d/@%d", newAddr, oldCopy)
+		return fmt.Errorf("core: transformer: the pair word of @%d names @%d, no old copy of an updated class", newAddr, oldCopy)
 	}
 	if p.tm == nil {
 		return fmt.Errorf("core: no object transformer jvolveObject(L%s;L%s;)V", p.newCls.Name, p.oldCls.Name)

@@ -221,27 +221,46 @@ func assertRetired(t *testing.T, f *fixture, wantFatal bool) {
 // retire it, must end in the same state (assertRetired).
 func TestResidueTeardownConservation(t *testing.T) {
 	// The placements are placements of pairs, so Box's generated transformer
-	// is made hand-written (the lazy and reloc fixtures do that themselves).
-	// The moved rows leave it a move: the collector, or the relocation drain,
-	// writes every Box in its new layout, nothing is ever pending, and the
-	// same teardown must still hold along every path. The reloc rows build
-	// their VM with Concurrent alone, the cmark+reloc+lazy rows with
-	// LazyTransform spelled out too: Concurrent implies the on-touch
-	// placement, so both are lazy.
+	// is made hand-written (the reloc fixture does that itself). The moved
+	// rows leave it a move: the collector, or the relocation drain, writes
+	// every Box in its new layout, nothing is ever pending, and the same
+	// teardown must still hold along every path. The reloc rows start the
+	// path at the pause's end. The lazy row starts it once the relocation has
+	// run dry with every pair still pending behind the read barrier: what is
+	// left is on-touch transformation alone. The cmark+reloc+lazy rows (named
+	// for modes that have since folded into the concurrent one) ship a class
+	// transformer that reads the first Box and forces its transformer before
+	// the barrier is armed: that pair is the pause's, and the on-touch split
+	// must still add up without it.
 	handWritten := func(f *fixture) *fixture { f.editSpec = handWrite; return f }
 	moved := func(f *fixture) *fixture { f.editSpec = nil; return f }
+	reloc := func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16) }
+	const forceFirstBox = `
+class JvolveTransformers {
+  static method jvolveClass(LBox;)V {
+    getstatic App.boxes LBox;
+    getfield Box.v I
+    pop
+    getstatic App.boxes LBox;
+    invokestatic Jvolve.forceTransform(LObject;)V
+    return
+  }
+}
+`
 	placements := []struct {
 		name               string
 		fixture            func(t *testing.T) *fixture
 		lazy, reloc, moved bool
+		relocDry           bool
+		custom             string
 	}{
-		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false},
-		{"lazy", func(t *testing.T) *fixture { return newLazyFixture(t, 1<<16) }, true, false, false},
-		{"reloc", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, false) }, true, true, false},
-		{"cmark+reloc+lazy", func(t *testing.T) *fixture { return newRelocFixture(t, 1<<16, true) }, true, true, false},
-		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true},
-		{"reloc, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, false)) }, false, true, true},
-		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(newRelocFixture(t, 1<<16, true)) }, false, true, true},
+		{"eager", func(t *testing.T) *fixture { return handWritten(newFixture(t, 1<<16)) }, false, false, false, false, ""},
+		{"lazy", reloc, true, true, false, true, ""},
+		{"reloc", reloc, true, true, false, false, ""},
+		{"cmark+reloc+lazy", reloc, true, true, false, false, forceFirstBox},
+		{"eager, moved", func(t *testing.T) *fixture { return newFixture(t, 1<<16) }, false, false, true, false, ""},
+		{"reloc, moved", func(t *testing.T) *fixture { return moved(reloc(t)) }, false, true, true, false, ""},
+		{"cmark+reloc+lazy, moved", func(t *testing.T) *fixture { return moved(reloc(t)) }, false, true, true, false, forceFirstBox},
 	}
 
 	// A class transformer that traps: the one in-pause transformer failure
@@ -260,17 +279,37 @@ class JvolveTransformers {
 	const trapClinit = "\nclass Extra {\n  static field x I\n  static method <clinit>()V {\n    const 1\n    const 0\n    div\n    putstatic Extra.x I\n    return\n  }\n}\n"
 
 	type run struct {
-		f      *fixture
-		v1, v2 string
-		res    *core.Result // the update whose residue the path retires
+		f        *fixture
+		v1, v2   string
+		custom   string // the placement's transformers
+		relocDry bool
+		res      *core.Result // the update whose residue the path retires
 	}
-	// applied runs the program into its spin window and applies v1→v2.
+	// applied runs the program into its spin window and applies v1→v2; a
+	// relocDry placement then steps the scheduler until the relocation has
+	// run dry. The spin outlasts it: no Box is touched before the path's own
+	// steps.
 	applied := func(t *testing.T, r *run) {
 		t.Helper()
-		r.res = r.f.mustApply("1", r.f.prog(r.v1), r.f.prog(r.v2), "")
+		r.res = r.f.mustApply("1", r.f.prog(r.v1), r.f.prog(r.v2), r.custom)
+		if !r.relocDry || !r.f.vm.DrainActive() { // a gate policy may have forced it
+			return
+		}
+		for i := 0; r.f.vm.Heap.RelocArmed(); i++ {
+			if i > 1<<16 {
+				t.Fatal("relocation never ran dry")
+			}
+			r.f.vm.Step(1)
+		}
+		if n := r.f.engine.LazyBacklog(); n != 20 {
+			t.Fatalf("%d pairs pending once the relocation ran dry, want 20", n)
+		}
 	}
 	failed := func(t *testing.T, r *run, custom, want string) {
 		t.Helper()
+		if custom == "" {
+			custom = r.custom
+		}
 		res, err := r.f.update("1", r.f.prog(r.v1), r.f.prog(r.v2), custom, core.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -372,12 +411,14 @@ class JvolveTransformers {
 
 	for _, pl := range placements {
 		for _, path := range paths {
-			if path.relocOnly && (!pl.reloc || pl.moved) { // a moved Box costs one copy: the crowded drain fits
+			// A moved Box costs one copy: the crowded drain fits. A relocation
+			// stepped dry has already failed, or not, before the path runs.
+			if path.relocOnly && (!pl.reloc || pl.moved || pl.relocDry) {
 				continue
 			}
 			pl, path := pl, path
 			t.Run(pl.name+"/"+path.name, func(t *testing.T) {
-				r := &run{f: pl.fixture(t), v1: consV1, v2: consV2(false)}
+				r := &run{f: pl.fixture(t), v1: consV1, v2: consV2(false), custom: pl.custom, relocDry: pl.relocDry}
 				if path.longSpin {
 					long := strings.NewReplacer("const 60000", "const 600000")
 					r.v1, r.v2 = long.Replace(r.v1), long.Replace(r.v2)
@@ -408,6 +449,10 @@ class JvolveTransformers {
 						t.Fatalf("transformed %d != pairs logged %d + moved %d",
 							s.Stats.TransformedObjects, s.Stats.PairsLogged, s.Stats.MovedObjects)
 					}
+					if pl.custom != "" && !pl.moved && s.Stats.LazyPending != s.Stats.PairsLogged-1 {
+						t.Fatalf("%d of %d pairs booked pending; the one forced before arming is the pause's",
+							s.Stats.LazyPending, s.Stats.PairsLogged)
+					}
 					if s.Stats.LazyDrained+s.Stats.LazyForced != s.Stats.LazyPending {
 						t.Fatalf("drained %d + forced %d != pending %d",
 							s.Stats.LazyDrained, s.Stats.LazyForced, s.Stats.LazyPending)
@@ -425,7 +470,7 @@ class JvolveTransformers {
 // on an uncrowded heap — and the backlog gauge ends at 0 either way.
 func TestRelocDrainToSpaceExhaustionMetrics(t *testing.T) {
 	for _, crowd := range []bool{false, true} {
-		f := newRelocFixture(t, 1<<16, false)
+		f := newRelocFixture(t, 1<<16)
 		m := obs.NewRegistry()
 		f.vm.AttachObs(nil, m)
 		f.load(consV1)

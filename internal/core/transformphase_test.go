@@ -236,11 +236,12 @@ class NoChange {
 // microUpdate pins n objects, half of them Change, behind one array and
 // returns a function applying the update with the default transformer — which
 // the collector performs as a move while it copies, or, handWritten, the same
-// body as an interpreted transformer over pairs. In lazy mode the pause only
-// arms the read barrier; the caller drains.
-func microUpdate(tb testing.TB, n int, lazy bool, rec *obs.Recorder, handWritten bool) (*core.Engine, func() *core.Result) {
+// body as an interpreted transformer over pairs. In the concurrent mode the
+// pause leaves the pairs to the relocation and arms the read barrier; the
+// caller drains.
+func microUpdate(tb testing.TB, n int, concurrent bool, rec *obs.Recorder, handWritten bool) (*core.Engine, func() *core.Result) {
 	tb.Helper()
-	v, err := vm.New(vm.Options{HeapWords: 5 * 9 * n, LazyTransform: lazy, Out: io.Discard, Recorder: rec})
+	v, err := vm.New(vm.Options{HeapWords: 5 * 9 * n, Concurrent: concurrent, Out: io.Discard, Recorder: rec})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -287,11 +288,11 @@ func mallocs() uint64 {
 }
 
 // TestResidueTransformZeroAlloc: the per-object path of the transformer phase
-// makes no Go allocation. The drain of an on-touch update is that path and
-// nothing else (plus one teardown), so its allocations over 10 000 objects
-// must not grow with the object count: 0 per object with the recorder off —
-// including the recorder label, which was built per object before the
-// nil-receiver check — and at most 1 with it on.
+// makes no Go allocation. Once a concurrent update's relocation has run dry,
+// its forced drain is that path and nothing else (plus one teardown), so its
+// allocations over 10 000 objects must not grow with the object count: 0 per
+// object with the recorder off — including the recorder label, which was
+// built per object before the nil-receiver check — and at most 1 with it on.
 func TestResidueTransformZeroAlloc(t *testing.T) {
 	const n = 20000
 	for _, tc := range []struct {
@@ -304,8 +305,14 @@ func TestResidueTransformZeroAlloc(t *testing.T) {
 	} {
 		e, apply := microUpdate(t, n, true, tc.rec, true)
 		res := apply()
-		if res.Stats.LazyPending != n/2 {
-			t.Fatalf("%s: pause left %d pending, want %d", tc.name, res.Stats.LazyPending, n/2)
+		// The scheduler's poll, without a thread to run: quanta until the
+		// relocation finishes and the log adopts every pair it made.
+		for e.VM.Heap.RelocArmed() {
+			e.VM.Residue.Tick()
+		}
+		if res.Stats.LazyPending != n/2 || res.Stats.LazyForced != 0 {
+			t.Fatalf("%s: relocation left %d pending (%d forced), want %d", tc.name,
+				res.Stats.LazyPending, res.Stats.LazyForced, n/2)
 		}
 		m0 := mallocs()
 		if err := e.ForceDrain(); err != nil {

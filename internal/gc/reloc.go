@@ -10,9 +10,10 @@ import (
 )
 
 // Incremental relocation (vm.VM.Concurrent): the answer to the last
-// stop-the-world phase that still scaled with live-set size. Where the lazy
-// pipeline moves *transformation* out of the DSU pause, CollectReloc moves the
-// bulk *copy* out, and with it discovery of the updated-class instances —
+// stop-the-world phase that still scaled with live-set size. Where on-touch
+// transformation moves the *transformers* out of the DSU pause, CollectReloc
+// moves the bulk *copy* out, and with it discovery of the updated-class
+// instances —
 // Baker's incremental copying (CACM 1978) on the collector's own kernel:
 //
 //	pause   — flip, and run the kernel without its scan over the roots only:
@@ -32,8 +33,7 @@ import (
 //	          slot healed — each slot pays the barrier at most once.
 //	retire  — when the scan has nothing left, from-space holds no live data.
 //	          The engine finalizes: disarm the barrier and run the deferred
-//	          class cleanup — the same drain contract the lazy transformer
-//	          pipeline uses.
+//	          class cleanup, once the on-touch transformers are done too.
 //
 // Liveness needs no extra mark: the drain computes the reachability closure
 // of to-space. Every root was forwarded in the pause, so anything live is
@@ -49,11 +49,11 @@ import (
 // scan: an object clean when it was copied can since have been given only
 // canonical references.
 //
-// Pairs are deferred (vm.Options.Concurrent implies LazyTransform): the drain
+// Pairs are deferred (vm.Options.Concurrent transforms on touch): the drain
 // discovers the updated-class instances the roots do not point at during
 // evacuation, builds the shell + old copy right there — the shell's pair word
-// makes it pending for the lazy read barrier — and the kernel's pair log
-// lists the pair for the lazy drain to adopt. Class cleanup (unregistering
+// makes it pending for the on-touch read barrier — and the kernel's pair log
+// lists the pair for the engine's residue to adopt. Class cleanup (unregistering
 // the renamed old classes) waits for drain finalize, because the kernel sizes
 // old copies by their old class ids.
 //
@@ -83,7 +83,7 @@ type RelocStats struct {
 	// the barrier and by the drain's scan.
 	HealedSlots uint64
 	// DeferredPairs is the number of shell/old-copy pairs created by the
-	// drain for the lazy pipeline to adopt.
+	// drain for the engine's residue to adopt.
 	DeferredPairs int
 	// Moved counts updated-class instances the drain wrote directly in their
 	// new layout (rt.Class.Moves) — Result.Moved's drain half.
@@ -250,7 +250,7 @@ func (rl *Relocation) heal(a rt.Addr) rt.Addr {
 }
 
 // HealObject canonicalizes every reference slot of one object immediately —
-// the lazy-transform pipeline calls it on an old copy before running its
+// the engine's residue calls it on an old copy before running its
 // transformer, so bulk field copies read canonical addresses. Safe mid-drain
 // (a later scan of the same object finds nothing to do) and in-pause (before
 // Start).
@@ -336,10 +336,11 @@ func (rl *Relocation) Finish() (RelocStats, error) {
 	return st, rl.err
 }
 
-// Deferred returns the drain-created pairs so far, in creation order: the
-// kernel's pair log past the pause's pairs, valid until the next collection
-// reuses the kernel. The list only grows, so the lazy drain adopts by
-// position: everything past what it took last time.
+// Deferred returns the drain-created pairs so far, in creation order — which
+// is shell-address order, since kernel.pair bump-allocates every shell at the
+// to-space cursor: the kernel's pair log past the pause's pairs, valid until
+// the next collection reuses the kernel. The list only grows, so the engine's
+// residue adopts by position: everything past what it took last time.
 func (rl *Relocation) Deferred() []Pair {
 	log := rl.c.log
 	return log[rl.paused:len(log):len(log)]

@@ -39,8 +39,8 @@ import "govolve/internal/rt"
 // collector may copy the object and no stale pointer is ever carried along. The same rule bounds the life of the old copies themselves:
 // a DSU collection puts them in the tail of the space it left (heap.go), the
 // next flip refills that space, and by then no pair word points there. The
-// on-touch placement (vm.Options.LazyTransform, the §5 hybrid) leaves shells
-// pending past the pause behind the interpreter's read barrier
+// concurrent mode (vm.Options.Concurrent, with the §5 hybrid's on-touch
+// transformation) leaves shells pending past the pause behind the interpreter's read barrier
 // (vm.DSUResidue.OnTouch), which tests Pending on receivers and field
 // accesses — a pending shell already carries the new class id, so dispatch,
 // instanceof and checkcast need no barrier, and arrays never did. The barrier

@@ -35,8 +35,7 @@ type DriverConfig struct {
 	HeapWords   int // semi-space words (default 1<<16)
 	MaxAttempts int // safe-point attempts before abort (default 400)
 	OSROpt      bool
-	Concurrent  bool // self-healing relocation drain after the pause; implies Lazy
-	Lazy        bool // lazy per-object transformation behind the read barrier
+	Concurrent  bool // relocation drain and on-touch transformation after the pause
 
 	// EventTail is the flight-recorder tail embedded in failures (default
 	// 40; negative disables the recorder).
@@ -66,7 +65,6 @@ func NewDriver(cfg DriverConfig, v0 Version) (*Driver, error) {
 		MaxAttempts: cfg.MaxAttempts,
 		OSROpt:      cfg.OSROpt,
 		Concurrent:  cfg.Concurrent,
-		Lazy:        cfg.Lazy,
 		EventTail:   cfg.EventTail,
 		GateSpecs:   cfg.GateSpecs,
 		GatePolicy:  cfg.GatePolicy,
@@ -104,7 +102,7 @@ func (d *Driver) Era() error { return d.r.era() }
 // the resolving safe point; its verdict is returned here. Callers choose
 // the post-step oracle depth themselves (CheckFull or CheckLight) — unlike
 // storm.Run, no full sweep is implied, so a replayer can deliberately
-// leave a lazy drain half-finished before the next step.
+// leave a drain half-finished before the next step.
 //
 // ApplyOpts tunes one ApplyStep call.
 type ApplyOpts struct {
@@ -183,14 +181,14 @@ func (d *Driver) ApplyStep(st *StepSpec, opts ApplyOpts) (*core.Result, error) {
 
 // CheckFull runs the complete oracle sweep: whole-VM invariants plus the
 // shadow-model comparison over every specimen, static and array, and the
-// bytecode probe cross-check. In lazy mode it probes first (firing the
+// bytecode probe cross-check. In the concurrent mode it probes first (firing the
 // read barrier through real dispatch), force-drains the residue, and only
 // then does the raw-heap oracle reads — so a full check always ends with
 // an empty drain backlog.
 func (d *Driver) CheckFull() error { return d.r.checkAll() }
 
 // CheckLight runs only the whole-VM invariant sweep (storm.CheckVM). It is
-// drain-aware, so it is the correct per-step check while a lazy drain is
+// drain-aware, so it is the correct per-step check while a drain is
 // deliberately left in flight.
 func (d *Driver) CheckLight() error {
 	if err := CheckVM(d.r.v); err != nil {
@@ -200,16 +198,16 @@ func (d *Driver) CheckLight() error {
 	return nil
 }
 
-// ForceDrain force-completes any in-flight lazy drain (no-op otherwise)
+// ForceDrain force-completes any in-flight drain (no-op otherwise)
 // and surfaces the first transformer error the drain recorded.
 func (d *Driver) ForceDrain() error {
 	if err := d.r.eng.ForceDrain(); err != nil {
-		return d.r.failf("lazy drain: %v", err)
+		return d.r.failf("drain: %v", err)
 	}
 	return nil
 }
 
-// TouchSpecimens fires the lazy read barrier on up to n live specimens by
+// TouchSpecimens fires the on-touch read barrier on up to n live specimens by
 // running their snap probes through real bytecode — a partial drain that
 // leaves the rest of the backlog tagged. It is the hostile-interleaving
 // primitive: touch a few objects, then request the next update while the

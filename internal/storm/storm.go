@@ -29,15 +29,17 @@ type Config struct {
 	HeapWords   int // semi-space words (default 1<<16)
 	MaxAttempts int // safe-point attempts before abort (default 400)
 	OSROpt      bool
-	// Concurrent moves the DSU copy and pair creation out of each update's
-	// pause, and implies Lazy (vm.Options.Concurrent): the world resumes with
-	// from-space still live behind the self-healing load barrier, and the
-	// scheduler drains it a quantum between slices. AfterUpdate's CheckVM
-	// then runs with the drain in flight (the walk heals as it reads), the
-	// shadow oracle reads ride the same barrier, and the drain finishes on
-	// its own during the following era. The drain consumes no extra rng or
-	// Steps, so a run must produce a Report equal to the same seed's eager
-	// run.
+	// Concurrent moves the DSU copy, pair creation and the object
+	// transformers out of each update's pause (vm.Options.Concurrent): the
+	// world resumes with from-space still live behind the self-healing load
+	// barrier, and the scheduler drains it a quantum between slices, while
+	// updated objects stay pending and transform on first touch behind the
+	// read barrier. AfterUpdate's CheckVM then runs mid-drain (the walk heals
+	// as it reads, and the drain-aware gauges are exercised), the probe pass
+	// fires the read barrier through real bytecode, and the harness
+	// force-drains the residue before the raw-heap oracle reads. The drain
+	// consumes no extra rng or Steps, so a run must produce a Report equal to
+	// the same seed's eager run — the on-touch/eager equivalence check.
 	Concurrent bool
 	// Plain runs the reference spelling of base code: the compiler
 	// stops after 1:1 resolution (jit.Compiler.Plain), so no superinstruction
@@ -57,15 +59,6 @@ type Config struct {
 	// opt tier within a couple of checks, putting inline caches directly
 	// in the oracle's line of fire.
 	OptThreshold int
-	// Lazy runs every update with lazy per-object transformation: objects
-	// leave the pause tagged and transform on first touch behind the read
-	// barrier. AfterUpdate's CheckVM then runs mid-drain (exercising the
-	// drain-aware gauges), the probe pass fires the barrier through real
-	// bytecode, and the harness force-drains the residue before the raw-heap
-	// oracle reads. The drive sequence consumes rng and Steps identically to
-	// eager mode, so a lazy run must produce a Report equal to the same
-	// seed's eager run — the lazy/eager equivalence check.
-	Lazy bool
 
 	// InjectTransformerBug (test-only) overrides the first default object
 	// transformer of every update with an empty body, simulating a broken
@@ -125,7 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.EventTail == 0 {
 		c.EventTail = 40
 	}
-	c.Lazy = c.Lazy || c.Concurrent // as vm.New has it
 	return c
 }
 
@@ -273,11 +265,10 @@ func (r *runner) boot() error {
 // also entered by the chain Driver with an externally generated Version.
 func (r *runner) bootVM(metrics *obs.Registry) error {
 	opts := vm.Options{
-		HeapWords:     r.cfg.HeapWords,
-		Concurrent:    r.cfg.Concurrent,
-		LazyTransform: r.cfg.Lazy,
-		OptThreshold:  r.cfg.OptThreshold,
-		Out:           io.Discard,
+		HeapWords:    r.cfg.HeapWords,
+		Concurrent:   r.cfg.Concurrent,
+		OptThreshold: r.cfg.OptThreshold,
+		Out:          io.Discard,
 	}
 	if r.cfg.Plain {
 		opts.OptThreshold = 1 << 30
@@ -822,8 +813,8 @@ func (r *runner) shadowApply(spec *upt.Spec, next *model) {
 // freshly compiled code and comparing with the shadow sum).
 func (r *runner) checkAll() error {
 	r.rep.Checks++
-	if r.cfg.Lazy {
-		// Lazy mode reorders the sweep so both halves of the machinery get
+	if r.cfg.Concurrent {
+		// The concurrent mode reorders the sweep so both halves of the machinery get
 		// exercised every update: the probe pass first — its snap() bytecode
 		// dereferences every specimen through real dispatch, firing the read
 		// barrier per object — then a forced drain of whatever the probes
@@ -835,7 +826,7 @@ func (r *runner) checkAll() error {
 			return err
 		}
 		if err := r.eng.ForceDrain(); err != nil {
-			return r.failf("lazy drain: %v", err)
+			return r.failf("drain: %v", err)
 		}
 		if err := CheckVM(r.v); err != nil {
 			return r.failf("invariant: %v", err)

@@ -55,21 +55,20 @@ func TestStormConfigs(t *testing.T) {
 		{"defaults", Config{Seed: 22, Updates: 25}},
 		{"osropt", Config{Seed: 23, Updates: 25, OSROpt: true}},
 	}
-	// lazy: every update resolves with tagged objects behind the armed read
-	// barrier, AfterUpdate's CheckVM runs mid-drain, the probe pass drains
-	// specimens through real bytecode, and ForceDrain retires the residue
-	// before the raw oracle reads. concurrent: lazy, and every update
-	// resolves with from-space still live behind the self-healing load
-	// barrier, CheckVM and the shadow oracle ride the barrier mid-drain, and
-	// the drain races real mutator traffic through the following era —
+	// concurrent: every update resolves with tagged objects behind the armed
+	// read barrier and from-space still live behind the self-healing load
+	// barrier; AfterUpdate's CheckVM and the shadow oracle ride the barriers
+	// mid-drain, the probe pass transforms specimens through real bytecode,
+	// ForceDrain retires the residue before the raw oracle reads, and the
+	// drain races real mutator traffic through the following era —
 	// everything is out of the pause at once, pair creation itself deferred
 	// behind the read barrier. concurrent+lazy, the name that composition
-	// had before Concurrent implied Lazy, sets only Concurrent: a second seed
-	// of the same mode, reached through the implication.
-	seeds := map[string]int64{"lazy": 30, "concurrent": 35}
+	// had while on-touch transformation was a mode of its own, is a second
+	// seed of the concurrent mode.
+	seeds := map[string]int64{"concurrent": 35}
 	for _, m := range vm.Modes() {
 		if seed, ok := seeds[m.Name]; ok { // serial is the two rows above
-			cfgs = append(cfgs, namedConfig{m.Name, Config{Seed: seed, Updates: 25, Lazy: m.Lazy, Concurrent: m.Concurrent}})
+			cfgs = append(cfgs, namedConfig{m.Name, Config{Seed: seed, Updates: 25, Concurrent: m.Concurrent}})
 		}
 	}
 	cfgs = append(cfgs, namedConfig{"concurrent+lazy", Config{Seed: 37, Updates: 25, Concurrent: true}})
@@ -114,17 +113,17 @@ func TestStormCatchesInjectedTransformerBug(t *testing.T) {
 }
 
 // TestStormCatchesStalePairWord gives the word-1 invariant the same teeth: a
-// pair word left behind after the residue retired (eager) or on an object the
-// pair log does not hold (mid-drain, lazy) fails the heap walk at the next
-// check, with the reproducing seed.
+// pair word left behind after the residue retired (serial) or on an object the
+// pair log does not hold (mid-drain, concurrent) fails the heap walk at the
+// next check, with the reproducing seed.
 func TestStormCatchesStalePairWord(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		rep, err := Run(Config{Seed: 3, Updates: 10, Lazy: lazy, InjectStalePairWord: true})
+	for _, concurrent := range []bool{false, true} {
+		rep, err := Run(Config{Seed: 3, Updates: 10, Concurrent: concurrent, InjectStalePairWord: true})
 		if err == nil {
-			t.Fatalf("lazy=%v: stale pair word escaped the checker (report %+v)", lazy, rep)
+			t.Fatalf("concurrent=%v: stale pair word escaped the checker (report %+v)", concurrent, rep)
 		}
 		if !strings.Contains(err.Error(), "seed=3") || !strings.Contains(err.Error(), "pair word") {
-			t.Fatalf("lazy=%v: failure lacks the reproducing seed or the violated invariant: %v", lazy, err)
+			t.Fatalf("concurrent=%v: failure lacks the reproducing seed or the violated invariant: %v", concurrent, err)
 		}
 	}
 }
@@ -134,7 +133,7 @@ func TestStormCatchesStalePairWord(t *testing.T) {
 // the seed on failure.
 func TestStormDeterministic(t *testing.T) {
 	for _, m := range vm.Modes() {
-		cfg := Config{Seed: 7, Updates: 20, Lazy: m.Lazy, Concurrent: m.Concurrent}
+		cfg := Config{Seed: 7, Updates: 20, Concurrent: m.Concurrent}
 		a, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -149,13 +148,15 @@ func TestStormDeterministic(t *testing.T) {
 	}
 }
 
-// TestStormRelocEagerEquivalent runs the same seeds with the stop-the-world
-// copy and with concurrent relocation. The shadow oracle validates every
-// field value, static, array and probe after each update — mid-drain, riding
-// the load barrier — so both passing proves the drained heap converges to the
-// same state object-by-object; the drive sequence consumes rng and scheduler
-// steps identically, so relocation and adoption timing must be
-// observationally invisible and the whole Report must come out equal.
+// TestStormRelocEagerEquivalent runs the same seeds in the serial and the
+// concurrent mode. The shadow oracle validates every field value, static,
+// array and probe after each update — mid-drain, riding the load barrier,
+// after the probes transformed what they touched and a forced drain the rest
+// — so both passing proves the drained heap converges to the same state
+// object-by-object; the drive sequence consumes rng and scheduler steps
+// identically (probes and forced drains run on synchronous threads), so
+// relocation, adoption and transformation timing must be observationally
+// invisible and the whole Report must come out equal.
 func TestStormRelocEagerEquivalent(t *testing.T) {
 	for _, seed := range []int64{5, 6} {
 		eager, err := Run(Config{Seed: seed, Updates: 20})
@@ -255,30 +256,6 @@ func TestStormStaleICCoverage(t *testing.T) {
 	t.Logf("ic hits=%d misses=%d flushes=%d",
 		reg.Counter(obs.MJITICHits).Value(), reg.Counter(obs.MJITICMisses).Value(),
 		reg.Counter(obs.MJITICFlushes).Value())
-}
-
-// TestStormLazyEagerEquivalent runs the same seeds eagerly and lazily. The
-// shadow oracle validates every post-drain field value, static, array and
-// probe after each update, so both passing proves the lazy drain reaches
-// the same final heap state object-by-object; the lazy drive sequence
-// consumes rng and scheduler steps identically (probes and forced drains
-// run on synchronous threads), so the whole Report must come out equal —
-// transformation timing must be observationally invisible.
-func TestStormLazyEagerEquivalent(t *testing.T) {
-	for _, seed := range []int64{5, 6} {
-		eager, err := Run(Config{Seed: seed, Updates: 20})
-		if err != nil {
-			t.Fatalf("seed %d eager: %v", seed, err)
-		}
-		lazy, err := Run(Config{Seed: seed, Updates: 20, Lazy: true})
-		if err != nil {
-			t.Fatalf("seed %d lazy: %v", seed, err)
-		}
-		if *eager != *lazy {
-			t.Fatalf("seed %d: transformation timing changed the trajectory:\n  eager=%+v\n  lazy=%+v",
-				seed, *eager, *lazy)
-		}
-	}
 }
 
 // TestBootstrapDefsSharedUnchanged pins what lets vm.New assemble the

@@ -3,14 +3,14 @@
 // generated by composing the storm mutator, each step diffed into a
 // minimal spec by the UPT pipeline, and the whole chain driven through
 // upt→core→gc against a live workload VM in every engine mode (vm.Modes):
-// serial, lazy per-object transform, and concurrent (lazy, with a relocation
-// drain after the pause).
+// serial, and concurrent (a relocation drain and on-touch transformation
+// after the pause).
 //
 // The paper validates single old→new pairs; a production VM survives
 // *years* of releases. The replayer therefore schedules the interleavings
 // where long-horizon DSU bugs hide, deliberately:
 //
-//   - update-while-lazy-drain-active: after a lazy update applies, only a
+//   - update-while-drain-active: after a concurrent update applies, only a
 //     few objects are touched (partial drain through the real read
 //     barrier) and the next update is requested mid-drain, forcing the
 //     engine's force-drain-then-update path;
@@ -74,7 +74,7 @@ type Config struct {
 	Mode        Mode
 
 	// Hostile schedules the adversarial interleavings (back-to-back steps,
-	// partial-drain overlap in lazy modes) instead of a plain
+	// partial-drain overlap in the concurrent mode) instead of a plain
 	// era-update-check cadence. The schedule is a pure function of the
 	// step index, so hostile replays stay deterministic.
 	Hostile bool
@@ -186,7 +186,7 @@ func Generate(seed int64, length, classes, mutations int) (*Chain, error) {
 const (
 	IEra          = "era"           // workload era before the update (the benign cadence)
 	IBackToBack   = "back-to-back"  // zero era between resolve and next request
-	IDrainOverlap = "drain-overlap" // previous step left a partial lazy drain in flight
+	IDrainOverlap = "drain-overlap" // previous step left a partial drain in flight
 )
 
 // StepRecord is one chain step's outcome. Fields marked wall-clock are
@@ -301,7 +301,7 @@ func (rp *replayer) failf(step int, err error) error {
 // scheduleFor returns the interleaving for a step — a pure function of the
 // step index so hostile replays stay deterministic. The cycle covers every
 // hostile pattern each 4 steps: a benign era step, a back-to-back step, a
-// partial-drain step (lazy modes; the NEXT step then arrives mid-drain),
+// partial-drain step (concurrent mode; the NEXT step then arrives mid-drain),
 // and the overlap step itself.
 func (rp *replayer) scheduleFor(step int) string {
 	if !rp.cfg.Hostile {
@@ -311,7 +311,7 @@ func (rp *replayer) scheduleFor(step int) string {
 	case 2:
 		return IBackToBack
 	case 0:
-		if rp.cfg.Mode.Lazy {
+		if rp.cfg.Mode.Concurrent {
 			return IDrainOverlap // step 4k follows a partial-drain step 4k-1
 		}
 		return IBackToBack
@@ -324,7 +324,7 @@ func (rp *replayer) scheduleFor(step int) string {
 // touch instead of a full check, leaving the drain active for the next
 // step's IDrainOverlap arrival.
 func (rp *replayer) partialDrainStep(step int) bool {
-	return rp.cfg.Hostile && rp.cfg.Mode.Lazy && step%4 == 3 && step < len(rp.chain.Steps)
+	return rp.cfg.Hostile && rp.cfg.Mode.Concurrent && step%4 == 3 && step < len(rp.chain.Steps)
 }
 
 // Replay generates the chain for cfg.Seed and drives it end to end. The
@@ -344,7 +344,6 @@ func Replay(cfg Config) (*Report, error) {
 		MaxAttempts: cfg.MaxAttempts,
 		OSROpt:      false,
 		Concurrent:  cfg.Mode.Concurrent,
-		Lazy:        cfg.Mode.Lazy,
 		EventTail:   cfg.EventTail,
 		Metrics:     cfg.Metrics,
 		GateSpecs:   cfg.GateSpecs,
@@ -458,7 +457,7 @@ func (rp *replayer) run() error {
 		// next step's mid-drain arrival; raw-heap oracle reads are invalid
 		// on untransformed shells, so those steps run the drain-aware
 		// whole-VM sweep only. Every other step runs the full sweep, which
-		// in lazy mode ends with an empty backlog.
+		// in the concurrent mode ends with an empty backlog.
 		if rp.partialDrainStep(step) {
 			if _, err := drv.TouchSpecimens(2); err != nil {
 				return rp.failf(step, err)

@@ -18,22 +18,22 @@ type matrixRow struct {
 	seed int64
 }
 
-// matrixRows is every engine mode at seed, plus concurrent+lazy: the name the
-// concurrent mode had before Concurrent implied Lazy, spelled with both flags
-// and replaying a second chain (seed+1) in the one mode whose drain
-// interleaves with the mutator.
+// matrixRows is every engine mode at seed, plus a second concurrent row,
+// concurrent+lazy (the name the mode had while on-touch transformation was a
+// mode of its own), replaying a second chain (seed+1) in the one mode whose
+// drain interleaves with the mutator.
 func matrixRows(seed int64) []matrixRow {
 	var rows []matrixRow
 	for _, m := range Modes() {
 		rows = append(rows, matrixRow{m, seed})
 	}
-	return append(rows, matrixRow{Mode{Name: "concurrent+lazy", Concurrent: true, Lazy: true}, seed + 1})
+	return append(rows, matrixRow{Mode{Name: "concurrent+lazy", Concurrent: true}, seed + 1})
 }
 
 // TestStreamMatrix is the long-horizon acceptance test: a seeded 50-update
 // chain replayed to completion in every engine mode under the hostile
 // schedule, with the whole-VM oracle at every step (inside Replay) plus the
-// stats-decomposition invariants asserted per step here, and the lazy
+// stats-decomposition invariants asserted per step here, and the on-touch
 // conservation laws asserted chain-wide after the terminal drain.
 func TestStreamMatrix(t *testing.T) {
 	for _, row := range matrixRows(7) {
@@ -59,30 +59,30 @@ func TestStreamMatrix(t *testing.T) {
 						return fmt.Errorf("step %d: PauseTotal %v < install %v + gc %v + transform %v",
 							step, s.PauseTotal, s.PauseInstall, s.PauseGC, s.PauseTransform)
 					}
-					// Every updated instance is a pair or was moved; eager modes
-					// have transformed them all when the pause ends.
-					if n := s.PairsLogged + s.MovedObjects; s.TransformedObjects > n || (!mode.Lazy && s.TransformedObjects != n) {
+					// Every updated instance is a pair or was moved; the serial
+					// mode has transformed them all when the pause ends.
+					if n := s.PairsLogged + s.MovedObjects; s.TransformedObjects > n || (!mode.Concurrent && s.TransformedObjects != n) {
 						return fmt.Errorf("step %d: transformed %d of %d pairs + %d moved",
 							step, s.TransformedObjects, s.PairsLogged, s.MovedObjects)
 					}
 					if s.PauseGC < s.PauseCopy {
 						return fmt.Errorf("step %d: PauseGC %v < copy %v", step, s.PauseGC, s.PauseCopy)
 					}
-					// Lazy accounting: drains never overshoot the tagged set,
-					// and non-lazy modes never tag at all.
+					// On-touch accounting: drains never overshoot the tagged
+					// set, and the serial mode never tags at all.
 					if s.LazyDrained+s.LazyForced > s.LazyPending {
 						return fmt.Errorf("step %d: drained %d + forced %d > pending %d",
 							step, s.LazyDrained, s.LazyForced, s.LazyPending)
 					}
-					if !mode.Lazy && (s.LazyPending != 0 || rec.Backlog != 0) {
-						return fmt.Errorf("step %d: lazy counters in eager mode (pending %d backlog %d)",
+					if !mode.Concurrent && (s.LazyPending != 0 || rec.Backlog != 0) {
+						return fmt.Errorf("step %d: on-touch counters in the serial mode (pending %d backlog %d)",
 							step, s.LazyPending, rec.Backlog)
 					}
 					if rec.Backlog > s.LazyPending {
 						return fmt.Errorf("step %d: backlog %d > pending %d", step, rec.Backlog, s.LazyPending)
 					}
 					// Relocation accounting: the concurrent mode relocates
-					// every applied update; the other modes never hold a drain
+					// every applied update; the serial mode never holds a drain
 					// or a backlog.
 					if s.Relocated != mode.Concurrent {
 						return fmt.Errorf("step %d: Relocated=%v in mode %s", step, s.Relocated, mode.Name)
@@ -106,8 +106,8 @@ func TestStreamMatrix(t *testing.T) {
 			if rep.Applied != 50 || len(rep.Records) != 50 {
 				t.Fatalf("mode %s: applied=%d records=%d, want 50", mode.Name, rep.Applied, len(rep.Records))
 			}
-			if mode.Lazy && rep.MaxBacklog == 0 {
-				t.Errorf("mode %s: hostile lazy chain never built a drain backlog", mode.Name)
+			if mode.Concurrent && rep.MaxBacklog == 0 {
+				t.Errorf("mode %s: hostile chain never built a drain backlog", mode.Name)
 			}
 			// Conservation after the terminal forced drain: every applied
 			// update's drain retired exactly its tagged set, and transformed
@@ -223,13 +223,13 @@ func TestStreamInjectedBug(t *testing.T) {
 	}
 }
 
-// TestStreamDeltaConservation replays a lazy chain with a metrics registry
+// TestStreamDeltaConservation replays a concurrent chain with a metrics registry
 // attached and checks that the sums of per-step deltas equal the cumulative
 // counters: the registry totals, the stream plane's own counters, and the
 // engine's sealed per-update stats must all tell the same story.
 func TestStreamDeltaConservation(t *testing.T) {
 	reg := obs.NewRegistry()
-	mode, _ := ModeByName("lazy")
+	mode, _ := ModeByName("concurrent")
 	var eng *core.Engine
 	rep, err := Replay(Config{
 		Seed: 11, Length: 25, Mode: mode, Hostile: true, Metrics: reg,

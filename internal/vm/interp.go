@@ -46,7 +46,7 @@ func (v *VM) kill(t *Thread, err error) {
 	v.tracef("thread %d killed: %v", t.ID, err)
 }
 
-// touch is the lazy read barrier's slow path, the one body of its six sites:
+// touch is the on-touch read barrier's slow path, the one body of its six sites:
 // each tests the armed barrier inline (residue installed, OnTouch, the
 // object's pair word pending) and calls touch on a hit. It transforms the
 // object at a, or kills t naming the site ("getfield", "putfield",

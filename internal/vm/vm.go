@@ -30,32 +30,29 @@ type Options struct {
 	// Quantum is the number of instructions a thread runs before the
 	// scheduler switches at the next yield point (default 400).
 	Quantum int
-	// Concurrent moves the bulk of the DSU copy out of the pause, and implies
-	// LazyTransform (New sets it). The name is historical: the copy is
-	// incremental, not concurrent. The pause flips, forwards the roots —
-	// pairing or moving the updated-class instances they point at — and arms
-	// a self-healing load barrier on the heap's reference read paths; the
-	// remaining live set is evacuated after the world resumes, in bounded
-	// quanta of the collector's kernel between scheduler slices and by the
-	// mutator through that barrier, all on the scheduler's goroutine, and the
-	// updated-class instances it meets become pairs the on-touch read barrier
-	// transforms. From-space stays live until the drain completes;
-	// collections and follow-up updates force-complete it first. Ordinary
+	// Concurrent moves the bulk of the DSU copy and the object transformers
+	// out of the pause. The name is historical: the copy is incremental, not
+	// concurrent. The pause flips, forwards the roots — pairing or moving the
+	// updated-class instances they point at — arms a self-healing load
+	// barrier on the heap's reference read paths, runs the class
+	// transformers, and only then arms the on-touch read barrier on the
+	// interpreter's receiver and field fast paths. The remaining live set is
+	// evacuated after the world resumes, in bounded quanta of the collector's
+	// kernel between scheduler slices and by the mutator through the load
+	// barrier, all on the scheduler's goroutine; the updated-class instances
+	// it meets become pairs that the read barrier transforms on first touch
+	// (the paper's §5 on-first-use hybrid) and the drain's end forces.
+	// From-space stays live until the drain completes; collections and
+	// follow-up updates force-complete it first. Ordinary
 	// allocation-triggered collections are unaffected, and false preserves
-	// the fused stop-the-world collection exactly; the disabled state costs
-	// one nil check on the heap's load paths.
+	// the paper's stop-the-world collection and transformer phase exactly;
+	// the disabled state costs one nil check on the heap's load paths and
+	// the interpreter's fast paths.
 	Concurrent bool
 	// Out receives System.print output (default os.Stdout).
 	Out io.Writer
 	// OptThreshold overrides the adaptive recompilation threshold.
 	OptThreshold int
-	// LazyTransform defers object transformation out of the DSU pause: the
-	// pause copies objects and leaves each updated-class instance pending,
-	// and a read barrier on the interpreter's receiver and field fast paths
-	// transforms an object on first touch (the paper's §5 on-first-use
-	// hybrid, opt-in). The barrier's disabled state costs one nil-check, like
-	// the relocation barrier.
-	LazyTransform bool
 	// Recorder, if non-nil, is the flight recorder every VM layer emits
 	// typed events into (scheduler, DSU engine, collector). A nil
 	// recorder is fully disabled: emission sites pay one nil check.
@@ -70,26 +67,24 @@ type Options struct {
 	Profiler *obs.Profiler
 }
 
-// Mode names one setting of the two options that shape the DSU pause.
+// Mode names one setting of the option that shapes the DSU pause.
 type Mode struct {
 	Name       string
-	Lazy       bool // Options.LazyTransform
 	Concurrent bool // Options.Concurrent
 }
 
 // Modes is every engine mode — the one table each harness that runs "all
 // modes" ranges over (stream.Modes, the storm configurations,
-// TestMovesMatchInterpreter, pausecmp, jvolve-bench): stop-the-world; lazy
-// (transformation out of the pause); and concurrent, the smallest possible
-// DSU window — the bulk copy and pair creation ride the incremental
-// relocation drain, and transformation the read barrier. In every mode a
-// seeded run is a pure function of its seed: nothing runs beside the
-// scheduler, and the drain's quanta count words, not time.
+// TestMovesMatchInterpreter, pausecmp, jvolve-bench): stop-the-world, the
+// paper's order; and concurrent, the smallest possible DSU window — the bulk
+// copy and pair creation ride the incremental relocation drain, and
+// transformation the read barrier. In both a seeded run is a pure function
+// of its seed: nothing runs beside the scheduler, and the drain's quanta
+// count words, not time.
 func Modes() []Mode {
 	return []Mode{
 		{Name: "serial"},
-		{Name: "lazy", Lazy: true},
-		{Name: "concurrent", Concurrent: true, Lazy: true},
+		{Name: "concurrent", Concurrent: true},
 	}
 }
 
@@ -226,11 +221,10 @@ type VM struct {
 	// heap; threads die with it and the OOM is flagged in DeadErrors.
 	FatalHeap error
 
-	// LazyTransform and Concurrent are the mode switches (see Options); the
-	// DSU engine reads them to pick eager or lazy transformation and the
-	// stop-the-world or the concurrent collection at apply time.
-	LazyTransform bool
-	Concurrent    bool
+	// Concurrent is the mode switch (see Options); the DSU engine reads it
+	// at apply time to pick the stop-the-world collection and transformer
+	// phase or the relocation and on-touch transformation.
+	Concurrent bool
 
 	// Residue is installed by the DSU engine from the moment an update's
 	// collection succeeds until everything that collection left behind — the
@@ -266,13 +260,13 @@ type VM struct {
 // from an update's post-collection residue are spelled as functions; the
 // engine sets them all.
 type DSUResidue struct {
-	// OnTouch arms the lazy read barrier: the program may run while shells
-	// are still pending (heap.Pending — the pair word holds an old copy), so
-	// the interpreter's receiver and field fast paths test the pair word and
-	// call Transform on a hit. The engine arms it only once transforming on
-	// touch is what it wants, never while its class transformers run. False
-	// (eager transformation, possibly with a relocation still draining) keeps
-	// the fast paths at this one flag test.
+	// OnTouch arms the on-touch read barrier: the program may run while
+	// shells are still pending (heap.Pending — the pair word holds an old
+	// copy), so the interpreter's receiver and field fast paths test the pair
+	// word and call Transform on a hit. The engine arms it in the concurrent
+	// mode once its class transformers have run, never while they run. False
+	// (the serial mode's eager transformation, or a concurrent pause before
+	// arming) keeps the fast paths at this one flag test.
 	OnTouch bool
 	// Transform runs the object transformer of one updated-class instance if
 	// it has not run yet: the read barrier's slow path and the
@@ -311,17 +305,16 @@ func New(opts Options) (*VM, error) {
 	reg := rt.NewRegistry()
 	h := heap.New(opts.HeapWords)
 	v := &VM{
-		Reg:           reg,
-		Heap:          h,
-		GC:            gc.New(h, reg),
-		JIT:           jit.New(reg),
-		Net:           NewNetSim(),
-		Out:           opts.Out,
-		Quantum:       opts.Quantum,
-		natives:       make(map[string]*nativeBinding),
-		LazyTransform: opts.LazyTransform || opts.Concurrent,
-		Concurrent:    opts.Concurrent,
-		created:       time.Now(),
+		Reg:        reg,
+		Heap:       h,
+		GC:         gc.New(h, reg),
+		JIT:        jit.New(reg),
+		Net:        NewNetSim(),
+		Out:        opts.Out,
+		Quantum:    opts.Quantum,
+		natives:    make(map[string]*nativeBinding),
+		Concurrent: opts.Concurrent,
+		created:    time.Now(),
 	}
 	if opts.OptThreshold > 0 {
 		v.JIT.OptThreshold = opts.OptThreshold
@@ -927,8 +920,8 @@ func (v *VM) ForEachRoot(fn func(*rt.Value)) {
 }
 
 // DrainActive reports whether a DSU residue is installed: the window between
-// an update's collection and the retirement of everything it left behind (a
-// lazy-transform drain with pending objects outstanding, a concurrent
+// an update's collection and the retirement of everything it left behind (in
+// the concurrent mode: pending pairs behind the on-touch read barrier, the
 // relocation holding from-space live behind the load barrier, or both).
 // During this window the renamed old class versions, UpdatedTo links,
 // transformer class and the old copies in from-space's tail legitimately
@@ -948,7 +941,7 @@ func (v *VM) CollectGarbage() (gc.Result, error) {
 		// addresses and reclaim the old copies: force-complete the residue
 		// first. Individual transformer failures during the forced drain are
 		// data loss on the affected objects (they keep default field values,
-		// the documented lazy failure mode) and the collection proceeds on
+		// the documented on-touch failure mode) and the collection proceeds on
 		// the consistent, fully drained heap; a failed relocation drain is a
 		// failed collection — the residue has marked the heap unusable.
 		_ = v.Residue.Force()

@@ -46,26 +46,19 @@ func runMain(t *testing.T, v *VM, class string) {
 	}
 }
 
-// TestModesAreThree pins the engine's mode table and the one implication
-// between its switches: Concurrent implies LazyTransform, so there is no
-// concurrent mode that transforms inside the pause.
-func TestModesAreThree(t *testing.T) {
+// TestModesAreTwo pins the engine's mode table: stop-the-world, and the
+// concurrent mode, which transforms on touch — there is no mode switch
+// besides Options.Concurrent.
+func TestModesAreTwo(t *testing.T) {
 	var names []string
 	for _, m := range Modes() {
 		names = append(names, m.Name)
-		if m.Concurrent && !m.Lazy {
-			t.Errorf("mode %s is concurrent but not lazy", m.Name)
+		if m.Concurrent != (m.Name == "concurrent") {
+			t.Errorf("mode %s has Concurrent=%v", m.Name, m.Concurrent)
 		}
 	}
-	if got := strings.Join(names, " "); got != "serial lazy concurrent" {
-		t.Fatalf("Modes() = %s, want serial lazy concurrent", got)
-	}
-	v, err := New(Options{Concurrent: true, HeapWords: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Concurrent || !v.LazyTransform {
-		t.Fatalf("New(Concurrent) built Concurrent=%v LazyTransform=%v", v.Concurrent, v.LazyTransform)
+	if got := strings.Join(names, " "); got != "serial concurrent" {
+		t.Fatalf("Modes() = %s, want serial concurrent", got)
 	}
 }
 
