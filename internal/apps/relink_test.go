@@ -221,10 +221,10 @@ func TestUpdateWindowCompiles(t *testing.T) {
 	var published, relinks int64
 	for _, s := range servers {
 		s.VM.PublishMetrics()
-		published += s.VM.Metrics.Counter(obs.MJITRelinks).Value()
+		published += s.VM.Metrics.Counter("govolve_jit_relinks_total").Value()
 		relinks += int64(s.VM.JIT.Relinks)
 	}
 	if published != relinks || relinks < int64(sum.relinks) {
-		t.Errorf("%s = %d, want every relink (%d)", obs.MJITRelinks, published, relinks)
+		t.Errorf("%s = %d, want every relink (%d)", "govolve_jit_relinks_total", published, relinks)
 	}
 }

@@ -52,7 +52,7 @@ func TestObsTraceCapturesUpdateLifecycle(t *testing.T) {
 	if n := reg.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Count(); n == 0 {
 		t.Error("MPauseTotal histogram is empty after an applied update")
 	}
-	if n := reg.Counter(obs.MUpdatesApplied).Value(); n != 1 {
+	if n := reg.Counter("govolve_dsu_updates_applied_total").Value(); n != 1 {
 		t.Errorf("MUpdatesApplied = %d, want 1", n)
 	}
 

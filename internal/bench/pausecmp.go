@@ -59,8 +59,8 @@ type PauseCmpRow struct {
 	// TransformNsPerObject is the median transformer time per transformed
 	// object (logged pairs + moved_objects, for which it is 0 by construction),
 	// wherever the transformers ran: inside the pause (transform_ms) or in
-	// the forced post-pause drain (drain_ms, concurrent rows — an upper
-	// bound, since that drain also force-completes the relocation).
+	// the forced post-pause drain (concurrent rows: drain_ms less
+	// reloc_drain_ms, the relocation's copy that drain also completes).
 	TransformNsPerObject float64 `json:"transform_ns_per_object"`
 
 	// Concurrent rows: the transform work and the bulk copy leave the pause —
@@ -158,7 +158,8 @@ func RunPauseCmp(sw PauseCmpSweep, progress io.Writer) (*Report[PauseCmpRow], er
 						MovedObjects:     last.MovedObjects,
 					}
 					if last.TransformedObjects > 0 {
-						row.TransformNsPerObject = (row.TransformMillis.Median + row.DrainMillis.Median) * 1e6 / float64(last.TransformedObjects)
+						drained := max(row.DrainMillis.Median-row.RelocDrainMillis.Median, 0)
+						row.TransformNsPerObject = (row.TransformMillis.Median + drained) * 1e6 / float64(last.TransformedObjects)
 					}
 					if !mode.Concurrent {
 						serialMedian = row.PauseTotalMillis.Median

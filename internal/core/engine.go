@@ -58,29 +58,32 @@ func (o Outcome) String() string {
 }
 
 // Stats reports the measurable behaviour of one update — the quantities
-// behind the paper's Table 1 and the §4 experience narrative.
+// behind the paper's Table 1 and the §4 experience narrative. It is the
+// update's record on /metrics too: each field's tag names the series it
+// feeds (obs.Registry.Publish), and the engine publishes it at the seal and
+// again when a residue that outlived the pause retires.
 type Stats struct {
-	Attempts           int
-	BarriersInstalled  int
-	OSRFrames          int
-	ActiveRewrites     int  // UpStare-style rewrites of changed on-stack methods
-	Immediate          bool // safe point reached on the first attempt
-	InvalidatedMethods int
+	Attempts           int  `metric:"govolve_dsu_attempts_to_safe_point,histogram"`
+	BarriersInstalled  int  `metric:"govolve_dsu_barriers_installed_total,counter"`
+	OSRFrames          int  `metric:"govolve_dsu_osr_frames_total,counter"`
+	ActiveRewrites     int  `metric:"govolve_dsu_active_rewrites_total,counter"`   // UpStare-style rewrites of changed on-stack methods
+	Immediate          bool `metric:"govolve_dsu_updates_immediate_total,counter"` // safe point reached on the first attempt
+	InvalidatedMethods int  `metric:"-,the sum of the three reasons below, each its own series"`
 	// InvalidatedMethods decomposed by reason: Body counts direct bytecode
 	// swaps (category (1) identities kept alive via MethodBodyUpdates),
 	// Inline counts compiled methods that had inlined an updated method,
 	// Layout counts code whose baked field offsets or TIB slots referenced a
 	// renamed class. Body+Inline+Layout == InvalidatedMethods.
-	InvalidatedBody   int
-	InvalidatedInline int
-	InvalidatedLayout int
+	InvalidatedBody   int `metric:"govolve_jit_invalidations_body_total,counter"`
+	InvalidatedInline int `metric:"govolve_jit_invalidations_inline_total,counter"`
+	InvalidatedLayout int `metric:"govolve_jit_invalidations_layout_total,counter"`
 	// ICFlushed counts inline-cache entries cleared from surviving compiled
 	// code at install: every cached (class id → target) pair keyed by an
 	// old-version class is stale the moment the rename commits, so the
 	// install phase wipes them all and lets the sites re-warm against the
 	// new class ids.
-	ICFlushed          int
-	TransformedObjects int
+	ICFlushed          int `metric:"govolve_jit_ic_flushes_total,counter"`
+	TransformedObjects int `metric:"govolve_dsu_transformed_objects_total,counter"`
 
 	// Collection is the DSU collection's own record, stored whole (gc.go):
 	// copied objects and words (old copies in from-space's tail, §3.5,
@@ -97,15 +100,15 @@ type Stats struct {
 	// TransformedObjects == PairsLogged + MovedObjects once every pair has
 	// been transformed (at the end of the pause, eager; after the drain
 	// otherwise). A relocation adds its drain's share when it ends.
-	MovedObjects int
+	MovedObjects int `metric:"govolve_gc_dsu_moved_objects_total,counter"`
 
-	SafePointDelay time.Duration // request → DSU safe point
+	SafePointDelay time.Duration `metric:"govolve_dsu_safe_point_delay_seconds,histogram"` // request → DSU safe point
 	// Each pause phase's wall time. PauseGC includes the collection's
 	// Duration and so its PauseCopy; the remainder is bookkeeping.
-	PauseInstall   time.Duration
-	PauseGC        time.Duration
-	PauseTransform time.Duration
-	PauseTotal     time.Duration
+	PauseInstall   time.Duration `metric:"govolve_dsu_pause_install_seconds,histogram"`
+	PauseGC        time.Duration `metric:"govolve_dsu_pause_gc_seconds,histogram"`
+	PauseTransform time.Duration `metric:"govolve_dsu_pause_transform_seconds,histogram"`
+	PauseTotal     time.Duration `metric:"govolve_dsu_pause_total_seconds,histogram"`
 
 	// On-touch transformation's decomposition (vm.Options.Concurrent; the
 	// names are the §5 lazy hybrid's). LazyPending is the pair count left
@@ -116,9 +119,15 @@ type Stats struct {
 	// Drained+Forced converges to Pending, and TransformedObjects to the
 	// eager count, as the drain completes; these fields keep updating after
 	// the Result is sealed, until the drain finishes.
-	LazyPending int
-	LazyDrained int
-	LazyForced  int
+	LazyPending int `metric:"govolve_dsu_lazy_pending_total,counter"`
+	LazyDrained int `metric:"govolve_dsu_lazy_drained_total,counter"`
+	LazyForced  int `metric:"govolve_dsu_lazy_forced_total,counter"`
+
+	// RelocBacklog is always 0: retire publishes it, so the gauge reads 0
+	// once the drain has finished. The seal sets no gauge, because between
+	// updates the gauge holds stream's sample of the live backlog
+	// (Engine.RelocBacklog), which the reloc-backlog gate reads.
+	RelocBacklog int `metric:"govolve_dsu_reloc_backlog,gauge"`
 
 	// Reloc is the relocation's drain (Relocated): the post-pause
 	// evacuations (the in-pause share stays in CopiedObjects/CopiedWords),
@@ -130,13 +139,13 @@ type Stats struct {
 
 // Result is the terminal state of an update request.
 type Result struct {
-	Outcome Outcome
-	Err     error
+	Outcome Outcome `metric:"govolve_dsu_updates_%s_total,enum"`
+	Err     error   `metric:"-,its text is the flight recorder's terminal event"`
 	Stats   Stats
 	// Verdict is the health-gate judgment of this update, evaluated over
 	// metric snapshots taken at request, safe point and seal. Nil when no
 	// gate engine is attached.
-	Verdict *obs.Verdict
+	Verdict *obs.Verdict `metric:"-,the gate engine publishes its own govolve_gate_* series"`
 }
 
 // GatePolicy selects how the engine reacts to a FAIL verdict — the
@@ -149,26 +158,13 @@ const (
 	// GateHalt refuses further updates after a FAIL verdict until
 	// ClearHalt — the "stop the rollout" reaction.
 	GateHalt
-	// GateQuiesceRetry leaves the reaction to the caller's retry loop
-	// (internal/stream escalates a failed-gate retry to a quiesced one);
-	// the engine itself only records the verdict.
-	GateQuiesceRetry
-	// GateForceDrain force-completes outstanding on-touch/relocation drains
-	// after a FAIL verdict, trading throughput for a fully settled heap.
-	GateForceDrain
 )
 
 func (p GatePolicy) String() string {
-	switch p {
-	case GateHalt:
+	if p == GateHalt {
 		return "halt"
-	case GateQuiesceRetry:
-		return "quiesce-retry"
-	case GateForceDrain:
-		return "force-drain"
-	default:
-		return "observe"
 	}
+	return "observe"
 }
 
 // Options tunes one update request.
@@ -590,7 +586,13 @@ func (e *Engine) finish(p *Pending, outcome Outcome, err error) {
 	p.done = true
 	e.Updates = append(e.Updates, res)
 	e.emitTerminal(res)
-	e.observeUpdate(res)
+	// The seal publishes the pause and the outcome; a residue that outlives
+	// the pause publishes what moved since when it retires.
+	e.VM.Metrics.Publish(res, nil)
+	if r := e.residue; r != nil && e.VM.Metrics != nil { // this update's: handle forced any earlier one
+		sealed := res.Stats
+		r.sealed = &sealed
+	}
 	e.judge(p, res)
 	e.VM.ReleaseUpdateWaiters()
 	e.VM.SetUpdatePending(false)
@@ -601,8 +603,8 @@ func (e *Engine) finish(p *Pending, outcome Outcome, err error) {
 
 // judge closes the gate window and evaluates the health gates over it,
 // stamping the verdict on the result and applying the engine's FAIL
-// policy. Runs after observeUpdate so the closing snapshot contains this
-// update's own pause/outcome series.
+// policy. Runs after the seal's publish so the closing snapshot contains
+// this update's own pause/outcome series.
 func (e *Engine) judge(p *Pending, res *Result) {
 	if e.Gate == nil {
 		return
@@ -615,17 +617,8 @@ func (e *Engine) judge(p *Pending, res *Result) {
 	}
 	v := e.Gate.Evaluate(tag, res.Outcome.String(), p.gateBefore, p.gateDuring, after)
 	res.Verdict = v
-	if v == nil || v.Pass {
-		return
-	}
-	switch e.GatePolicy {
-	case GateHalt:
+	if v != nil && !v.Pass && e.GatePolicy == GateHalt {
 		e.halt = v
-	case GateForceDrain:
-		// Settle the heap before anyone acts on the failure: outstanding
-		// on-touch/relocation residue is force-completed now. The drain's own
-		// errors are its objects' problem, not this verdict's.
-		_ = e.ForceDrain()
 	}
 }
 
@@ -648,41 +641,4 @@ func (e *Engine) emitTerminal(res *Result) {
 		msg = res.Err.Error()
 	}
 	e.VM.Rec.Emit(k, obs.LaneEngine, int64(res.Stats.Attempts), msg)
-}
-
-// observeUpdate publishes one finished update into the metrics registry
-// (nil-registry safe: every instrument constructor returns a no-op nil).
-func (e *Engine) observeUpdate(res *Result) {
-	m := e.VM.Metrics
-	if m == nil {
-		return
-	}
-	s := &res.Stats
-	m.Histogram(obs.MAttempts, obs.CountBuckets()).Observe(float64(s.Attempts))
-	m.Counter(obs.MBarriers).Add(int64(s.BarriersInstalled))
-	m.Counter(obs.MOSRFrames).Add(int64(s.OSRFrames))
-	switch res.Outcome {
-	case Applied:
-		m.Counter(obs.MUpdatesApplied).Add(1)
-		m.Histogram(obs.MSafePointDelay, obs.DurationBuckets()).Observe(s.SafePointDelay.Seconds())
-		m.Histogram(obs.MPauseInstall, obs.DurationBuckets()).Observe(s.PauseInstall.Seconds())
-		m.Histogram(obs.MPauseGC, obs.DurationBuckets()).Observe(s.PauseGC.Seconds())
-		m.Histogram(obs.MPauseGCCopy, obs.DurationBuckets()).Observe(s.PauseCopy.Seconds())
-		m.Histogram(obs.MPauseTransform, obs.DurationBuckets()).Observe(s.PauseTransform.Seconds())
-		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())
-		m.Counter(obs.MPairsLogged).Add(int64(s.PairsLogged))
-		m.Counter(obs.MLazyPending).Add(int64(s.LazyPending))
-		m.Counter(obs.MJITInvalidationsBody).Add(int64(s.InvalidatedBody))
-		m.Counter(obs.MJITInvalidationsInline).Add(int64(s.InvalidatedInline))
-		m.Counter(obs.MJITInvalidationsLayout).Add(int64(s.InvalidatedLayout))
-		m.Counter(obs.MJITICFlushes).Add(int64(s.ICFlushed))
-	case Aborted:
-		m.Counter(obs.MUpdatesAborted).Add(1)
-	default:
-		m.Counter(obs.MUpdatesFailed).Add(1)
-		// Failed pauses stop the world too; a failed update publishing
-		// PauseTotal=0 would skew the pause percentiles, so the honest
-		// total (stamped by apply's fail path) goes in as well.
-		m.Histogram(obs.MPauseTotal, obs.DurationBuckets()).Observe(s.PauseTotal.Seconds())
-	}
 }

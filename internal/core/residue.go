@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"govolve/internal/classfile"
 	"govolve/internal/gc"
@@ -57,8 +56,7 @@ type plan struct {
 // teardown for both placements and every failure path — as soon as nothing
 // is outstanding: at the end of the pause (eager), once the relocation's
 // drain has run from-space dry (tick) and the last pending pair transformed,
-// or when a collection, a follow-up update, a gate policy or the harness
-// forces it (force).
+// or when a collection, a follow-up update or the harness forces it (force).
 //
 // Everything here runs on the mutator goroutine — barrier hits, drain quanta,
 // forced drains and collections all happen inside VM.Step — so no locking.
@@ -78,8 +76,8 @@ type residue struct {
 	rl        *gc.Relocation // nil unless the collection left a relocation draining
 	relocDone bool           // rl finished: from-space released, pair log final
 
-	sealed   time.Time // transformer phase end; drain latency is measured from here
-	forcing  bool      // inside force: classify completions as LazyForced
+	sealed   *Stats // the record as the seal published it; nil before, or with no registry
+	forcing  bool   // inside force: classify completions as LazyForced
 	retired  bool
 	firstErr error // first transformer error outside the pause (data loss)
 	fatal    error // the relocation drain failed: the heap is unusable
@@ -136,7 +134,6 @@ func (r *residue) moved(n int) {
 	r.stats.MovedObjects += n
 	r.stats.TransformedObjects += n
 	v := r.e.VM
-	v.Metrics.Counter(obs.MMovedObjects).Add(int64(n))
 	if v.Rec.Enabled() {
 		var names []string
 		for _, old := range r.renamed {
@@ -263,7 +260,6 @@ func (r *residue) runPause() error {
 			}
 		}
 	}
-	r.sealed = time.Now()
 	return nil
 }
 
@@ -399,14 +395,6 @@ func (r *residue) completed() {
 	} else {
 		r.stats.LazyDrained++
 	}
-	if m := r.e.VM.Metrics; m != nil {
-		if r.forcing {
-			m.Counter(obs.MLazyForced).Add(1)
-		} else {
-			m.Counter(obs.MLazyDrained).Add(1)
-		}
-		m.Histogram(obs.MLazyDrainLatency, obs.DurationBuckets()).Observe(time.Since(r.sealed).Seconds())
-	}
 	r.settle()
 }
 
@@ -454,14 +442,6 @@ func (r *residue) finishReloc() {
 	st, err := r.rl.Finish()
 	r.stats.Reloc = st
 	r.moved(st.Moved)
-	if m := r.e.VM.Metrics; m != nil {
-		m.Counter(obs.MRelocObjects).Add(int64(st.Objects))
-		m.Counter(obs.MRelocHealedSlots).Add(int64(st.HealedSlots))
-		m.Gauge(obs.MRelocBacklog).Set(0)
-		if err == nil { // a failed drain has no latency to record
-			m.Histogram(obs.MRelocDrainLatency, obs.DurationBuckets()).Observe(st.Drain.Seconds())
-		}
-	}
 	// The drain failing post-flip (to-space exhausted mid-evacuation) means
 	// from-space was never fully evacuated: some slots still hold from-space
 	// addresses and the barrier that made them readable is now gone.
@@ -538,6 +518,9 @@ func (r *residue) retire() {
 	}
 	if r.transformers != nil {
 		v.Reg.Unregister(r.transformers)
+	}
+	if r.sealed != nil {
+		v.Metrics.Publish(r.stats, r.sealed) // what moved since the seal
 	}
 }
 

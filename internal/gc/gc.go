@@ -56,23 +56,25 @@ type Result struct {
 }
 
 // Collection is one collection's counters and pause split. It has one home:
-// core.Stats embeds it, and the engine stores it there whole.
+// core.Stats embeds it, and the engine stores it there whole. Its metric tags
+// (obs.Registry.Publish) name the series of the DSU collection, the only one
+// an update's record publishes.
 type Collection struct {
-	CopiedObjects int
-	CopiedWords   int
+	CopiedObjects int `metric:"govolve_dsu_copied_objects_total,counter"`
+	CopiedWords   int `metric:"govolve_dsu_copied_words_total,counter"`
 	// PairsLogged counts DSU pairs recorded in Log — objects the collection
 	// *scheduled* for transformation. (It was once called Transformed, which
 	// conflated it with the engine-side count of objects whose transformer
 	// actually ran; that number lives in core.Stats.)
-	PairsLogged int
+	PairsLogged int `metric:"govolve_gc_dsu_pairs_logged_total,counter"`
 	// TailWords counts old-copy words placed in from-space's tail (of
 	// CopiedWords; the rest of the old copies overflowed into to-space).
-	TailWords int
+	TailWords int `metric:"govolve_dsu_tail_words_total,counter"`
 	// Moved counts instances of updated classes the collection wrote directly
 	// in their new layout (rt.Class.Moves): transformed as they were copied,
 	// so they are in CopiedObjects once and in neither Log nor PairsLogged.
-	Moved    int
-	Duration time.Duration
+	Moved    int           `metric:"-,the pause's share of core.Stats.MovedObjects"`
+	Duration time.Duration `metric:"govolve_dsu_collection_seconds,histogram"`
 
 	// PauseCopy is the in-pause copy work, uniform across both collector
 	// shapes so pausecmp rows compare like with like: the whole fused
@@ -80,13 +82,13 @@ type Collection struct {
 	// CollectReloc the kernel's copies of the objects the roots point at (the
 	// bulk copy runs in the drain after the pause, reported by
 	// RelocStats.Drain instead).
-	PauseCopy time.Duration
+	PauseCopy time.Duration `metric:"govolve_dsu_pause_gc_copy_seconds,histogram"`
 
 	// Relocated marks a CollectReloc result: the world resumed with
 	// from-space still live and a relocation drain in flight.
 	// CopiedObjects/CopiedWords then cover only the pause's work — the objects
 	// the roots point at; the drain's share arrives later in RelocStats.
-	Relocated bool
+	Relocated bool `metric:"govolve_dsu_relocations_total,counter"`
 }
 
 // Collector is the collection machinery bound to one heap and registry. Every

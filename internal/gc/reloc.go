@@ -74,23 +74,23 @@ type RelocStats struct {
 	// Objects/Words count evacuations performed after the pause: quanta, the
 	// mutator's load barrier and forced drains. What the pause copied, the
 	// objects the roots point at included, is in its Result.
-	Objects int
-	Words   int
+	Objects int `metric:"govolve_dsu_reloc_objects_total,counter"`
+	Words   int `metric:"govolve_dsu_reloc_words_total,counter"`
 	// TailWords counts deferred-pair old-copy words placed in from-space's
 	// tail (Collection.TailWords' drain half).
-	TailWords int
+	TailWords int `metric:"govolve_dsu_reloc_tail_words_total,counter"`
 	// HealedSlots counts stale slots rewritten to canonical addresses — by
 	// the barrier and by the drain's scan.
-	HealedSlots uint64
+	HealedSlots uint64 `metric:"govolve_dsu_reloc_healed_slots_total,counter"`
 	// DeferredPairs is the number of shell/old-copy pairs created by the
 	// drain for the engine's residue to adopt.
-	DeferredPairs int
+	DeferredPairs int `metric:"govolve_dsu_reloc_deferred_pairs_total,counter"`
 	// Moved counts updated-class instances the drain wrote directly in their
 	// new layout (rt.Class.Moves) — Result.Moved's drain half.
-	Moved int
+	Moved int `metric:"-,the drain's share of core.Stats.MovedObjects"`
 	// Drain is the wall-clock time from Start to the scan's end — the copy
 	// cost that no longer sits in the pause. Zero for a failed drain.
-	Drain time.Duration
+	Drain time.Duration `metric:"govolve_dsu_reloc_drain_latency_seconds,histogram"`
 }
 
 // Relocation is one in-flight relocation drain. CollectReloc creates it inside

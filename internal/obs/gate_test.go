@@ -248,7 +248,7 @@ func TestDefaultGateSpecsAllGreen(t *testing.T) {
 	// A quiet registry (no failures, no backlog, no latency samples) passes
 	// every stock gate — vacuously where there is no evidence.
 	reg := NewRegistry()
-	reg.Counter(MUpdatesApplied).Add(1)
+	reg.Counter("govolve_dsu_updates_applied_total").Add(1)
 	s := reg.TakeSnapshot()
 	ge := NewGateEngine(nil, 0, reg)
 	v := ge.Evaluate("v1", "applied", s, s, s)

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // The metrics registry: named counters (monotonic), gauges (point-in-time),
@@ -134,46 +136,9 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the p-quantile (0..1) from the buckets by linear
-// interpolation inside the containing bucket. It returns 0 with no
-// observations; samples beyond the last bound report the last bound.
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := p * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
+// Quantile estimates the p-quantile (0..1) from the buckets, as
+// HistSnapshot.Quantile does.
+func (h *Histogram) Quantile(p float64) float64 { return h.Snapshot().Quantile(p) }
 
 // HistSnapshot is one histogram's JSON form.
 type HistSnapshot struct {
@@ -191,16 +156,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		return HistSnapshot{}
 	}
 	s := HistSnapshot{
-		Count:  h.Count(),
-		Sum:    h.Sum(),
-		Bounds: append([]float64(nil), h.bounds...),
-		P50:    h.Quantile(0.5),
-		P99:    h.Quantile(0.99),
+		Count:   h.Count(),
+		Sum:     h.Sum(),
+		Bounds:  append([]float64(nil), h.bounds...),
+		Buckets: make([]int64, len(h.counts)),
 	}
-	s.Buckets = make([]int64, len(h.counts))
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
 	}
+	s.P50, s.P99 = s.Quantile(0.5), s.Quantile(0.99)
 	return s
 }
 
@@ -285,31 +249,9 @@ func sortedKeys[V any](m map[string]V) []string {
 // WriteJSON writes the whole registry as one indented JSON document:
 // {"counters": {...}, "gauges": {...}, "histograms": {...}}.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Counters   map[string]int64        `json:"counters"`
-		Gauges     map[string]float64      `json:"gauges"`
-		Histograms map[string]HistSnapshot `json:"histograms"`
-	}{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	if r != nil {
-		r.mu.Lock()
-		for n, c := range r.counters {
-			doc.Counters[n] = c.Value()
-		}
-		for n, g := range r.gauges {
-			doc.Gauges[n] = g.Value()
-		}
-		for n, h := range r.hists {
-			doc.Histograms[n] = h.Snapshot()
-		}
-		r.mu.Unlock()
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(r.TakeSnapshot())
 }
 
 // formatFloat renders a float the Prometheus exposition way.
@@ -330,35 +272,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	counters := make(map[string]int64, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c.Value()
-	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g.Value()
-	}
-	hists := make(map[string]HistSnapshot, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h.Snapshot()
-	}
-	r.mu.Unlock()
-
+	snap := r.TakeSnapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s{go=%q,module=\"govolve\"} 1\n",
 		MBuildInfo, MetricHelp(MBuildInfo), MBuildInfo, MBuildInfo, runtime.Version())
-	for _, n := range sortedKeys(counters) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", n, MetricHelp(n), n, n, counters[n])
+	for _, n := range sortedKeys(snap.Counters) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", n, MetricHelp(n), n, n, snap.Counters[n])
 	}
-	for _, n := range sortedKeys(gauges) {
+	for _, n := range sortedKeys(snap.Gauges) {
 		if n == MBuildInfo {
 			continue // synthesized above with labels
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", n, MetricHelp(n), n, n, formatFloat(gauges[n]))
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", n, MetricHelp(n), n, n, formatFloat(snap.Gauges[n]))
 	}
-	for _, n := range sortedKeys(hists) {
-		s := hists[n]
+	for _, n := range sortedKeys(snap.Hists) {
+		s := snap.Hists[n]
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", n, MetricHelp(n), n)
 		cum := int64(0)
 		for i, bound := range s.Bounds {
@@ -374,129 +302,104 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Canonical metric names used across the VM and the DSU engine. They live
-// here so emitters and dashboards agree on spelling.
+// Names of the series code writes or reads by name: the gate specs, the
+// stream plane and the pause views. A record's series are named by its
+// fields' metric tags (Publish).
 const (
-	MSafePointDelay   = "govolve_dsu_safe_point_delay_seconds"
-	MPauseInstall     = "govolve_dsu_pause_install_seconds"
-	MPauseGC          = "govolve_dsu_pause_gc_seconds"
-	MPauseTransform   = "govolve_dsu_pause_transform_seconds"
-	MPauseTotal       = "govolve_dsu_pause_total_seconds"
-	MPauseGCCopy      = "govolve_dsu_pause_gc_copy_seconds"
-	MAttempts         = "govolve_dsu_attempts_to_safe_point"
-	MUpdatesApplied   = "govolve_dsu_updates_applied_total"
-	MUpdatesAborted   = "govolve_dsu_updates_aborted_total"
-	MUpdatesFailed    = "govolve_dsu_updates_failed_total"
-	MBarriers         = "govolve_dsu_barriers_installed_total"
-	MOSRFrames        = "govolve_dsu_osr_frames_total"
-	MLazyPending      = "govolve_dsu_lazy_pending_total"
-	MLazyDrained      = "govolve_dsu_lazy_drained_total"
-	MLazyForced       = "govolve_dsu_lazy_forced_total"
-	MLazyDrainLatency = "govolve_dsu_lazy_drain_latency_seconds"
-	MObjectsCopied    = "govolve_gc_copied_objects_total"
-	MPairsLogged      = "govolve_gc_dsu_pairs_logged_total"
-	MMovedObjects     = "govolve_gc_dsu_moved_objects_total"
-	MRequestLatency   = "govolve_request_latency_seconds"
-	MInstructions     = "govolve_vm_instructions_total"
-	MSlices           = "govolve_vm_slices_total"
-	MThreadsLive      = "govolve_vm_threads_live"
-	MThreadsBlocked   = "govolve_vm_threads_blocked"
-	MRunnableQueue    = "govolve_vm_runnable_queue"
-	MHeapAllocObjects = "govolve_vm_alloc_objects_total"
-	MHeapAllocArrays  = "govolve_vm_alloc_arrays_total"
-	MGCCollections    = "govolve_gc_collections_total"
+	MSafePointDelay = "govolve_dsu_safe_point_delay_seconds"
+	MPauseInstall   = "govolve_dsu_pause_install_seconds"
+	MPauseGC        = "govolve_dsu_pause_gc_seconds"
+	MPauseTransform = "govolve_dsu_pause_transform_seconds"
+	MPauseTotal     = "govolve_dsu_pause_total_seconds"
+	MUpdatesAborted = "govolve_dsu_updates_aborted_total"
+	MUpdatesFailed  = "govolve_dsu_updates_failed_total"
+	MRelocBacklog   = "govolve_dsu_reloc_backlog"
 
-	// Relocation plane (vm.Options.Concurrent): objects the drain evacuated
-	// outside the pause, slots healed back to canonical addresses (load
-	// barrier + drain scan), the live drain backlog gauge in words, and the
-	// latency distribution of the drains that completed.
-	MRelocObjects      = "govolve_dsu_reloc_objects_total"
-	MRelocHealedSlots  = "govolve_dsu_reloc_healed_slots_total"
-	MRelocBacklog      = "govolve_dsu_reloc_backlog"
-	MRelocDrainLatency = "govolve_dsu_reloc_drain_latency_seconds"
-
-	// Stream (long-horizon version-chain) plane: updates sustained over the
-	// chain, generator batches UPT legally refused, and the lazy drain
-	// backlog sampled after every chain step. Per-step pause distributions
-	// ride the existing MPause* histograms, which the engine feeds whenever
-	// a registry is attached.
+	// The stream plane (long-horizon version chains).
 	MStreamUpdates  = "govolve_stream_updates_sustained_total"
 	MStreamRejected = "govolve_stream_batches_rejected_total"
 	MStreamBacklog  = "govolve_stream_drain_backlog"
 
-	// Gate/verdict plane (gate.go, verdict.go): per-update health-gate
-	// evaluations and their outcomes, plus a last-verdict gauge a scrape
-	// alert can key on directly.
+	// The gate/verdict plane (gate.go, verdict.go).
 	MGateEvaluations = "govolve_gate_evaluations_total"
 	MGatePass        = "govolve_gate_pass_total"
 	MGateFail        = "govolve_gate_fail_total"
 	MGateViolations  = "govolve_gate_violations_total"
 	MGateLastPass    = "govolve_gate_last_pass"
 
-	// JIT/tier plane: per-tier compile activity, DSU code invalidations by
-	// reason (method-body swap, layout/TIB dependency, inlined-callee
-	// change), inline-cache dispatch outcomes and install-phase flushes, and
-	// the cumulative IC hit-rate gauge. The registry is flat-name-keyed, so
-	// what Prometheus would label {tier=...}/{reason=...} is realized as
-	// suffixed names.
-	MJITCompilesBase        = "govolve_jit_compiles_base_total"
-	MJITCompilesOpt         = "govolve_jit_compiles_opt_total"
-	MJITRelinks             = "govolve_jit_relinks_total"
-	MJITInvalidationsBody   = "govolve_jit_invalidations_body_total"
-	MJITInvalidationsLayout = "govolve_jit_invalidations_layout_total"
-	MJITInvalidationsInline = "govolve_jit_invalidations_inline_total"
-	MJITICHits              = "govolve_jit_ic_hits_total"
-	MJITICMisses            = "govolve_jit_ic_misses_total"
-	MJITICFlushes           = "govolve_jit_ic_flushes_total"
-	MJITICHitRate           = "govolve_jit_ic_hit_rate"
-
-	// Sampling-profiler plane (profile.go).
-	MProfSamples        = "govolve_profile_samples_total"
-	MProfSamplesDropped = "govolve_profile_samples_dropped_total"
-
-	// VM identity and liveness, plus flight-recorder ring overwrite loss.
-	MObsEventsDropped = "govolve_obs_events_dropped_total"
-	MBuildInfo        = "govolve_build_info"
-	MVMUptime         = "govolve_vm_uptime_seconds"
+	MBuildInfo = "govolve_build_info"
 )
 
-// metricHelp curates the HELP line of every canonical metric. The
-// exposition audit test walks CanonicalMetricNames and fails on a name
-// missing here, so a new M* constant cannot ship without documentation.
+// metricHelp curates the HELP line of every series govolve exposes. The
+// exposition audit fails on a series missing here, so neither a new metric
+// tag nor a new constant can ship without documentation. The registry is
+// flat-name-keyed, so what Prometheus would label {tier=...}/{reason=...} is
+// realized as suffixed names.
 var metricHelp = map[string]string{
-	MSafePointDelay:   "Delay from update request to the DSU safe point.",
-	MPauseInstall:     "Install phase share of the DSU pause.",
-	MPauseGC:          "GC phase share of the DSU pause.",
-	MPauseTransform:   "Transform phase share of the DSU pause.",
-	MPauseTotal:       "Total stop-the-world DSU pause duration.",
-	MPauseGCCopy:      "Copy sub-phase of the DSU pause's GC share.",
-	MAttempts:         "Safe-point attempts needed per update.",
-	MUpdatesApplied:   "Updates applied successfully.",
-	MUpdatesAborted:   "Updates aborted before the safe point.",
-	MUpdatesFailed:    "Updates that failed during installation.",
-	MBarriers:         "Return barriers installed on restricted frames.",
-	MOSRFrames:        "Frames migrated by on-stack replacement.",
-	MLazyPending:      "Objects tagged for lazy transformation.",
-	MLazyDrained:      "Objects lazily transformed (barrier or drain).",
-	MLazyForced:       "Forced lazy-transform drains.",
-	MLazyDrainLatency: "Wall-clock latency of lazy-transform drains.",
-	MObjectsCopied:    "Objects copied by collections.",
-	MPairsLogged:      "Old/new object pairs logged for DSU transforms.",
-	MMovedObjects:     "Updated objects the collector wrote directly in their new layout.",
-	MRequestLatency:   "End-to-end request latency of the served app.",
-	MInstructions:     "Bytecode instructions interpreted.",
-	MSlices:           "Scheduler slices executed.",
-	MThreadsLive:      "Live VM threads.",
-	MThreadsBlocked:   "VM threads blocked on I/O or sync.",
-	MRunnableQueue:    "VM threads waiting in the runnable queue.",
-	MHeapAllocObjects: "Objects allocated on the VM heap.",
-	MHeapAllocArrays:  "Arrays allocated on the VM heap.",
-	MGCCollections:    "Heap collections performed.",
+	// An update's record (core.Result, core.Stats).
+	MSafePointDelay:                           "Delay from update request to the DSU safe point.",
+	MPauseInstall:                             "Install phase share of the DSU pause.",
+	MPauseGC:                                  "GC phase share of the DSU pause.",
+	MPauseTransform:                           "Transform phase share of the DSU pause.",
+	MPauseTotal:                               "Total stop-the-world DSU pause duration.",
+	"govolve_dsu_pause_gc_copy_seconds":       "Copy sub-phase of the DSU pause's GC share.",
+	"govolve_dsu_collection_seconds":          "Wall time of the DSU collection inside the pause's GC share.",
+	"govolve_dsu_attempts_to_safe_point":      "Safe-point attempts needed per update.",
+	"govolve_dsu_updates_applied_total":       "Updates applied successfully.",
+	MUpdatesAborted:                           "Updates aborted before the safe point.",
+	MUpdatesFailed:                            "Updates that failed during installation.",
+	"govolve_dsu_updates_immediate_total":     "Updates whose first safe-point attempt succeeded with no barrier.",
+	"govolve_dsu_barriers_installed_total":    "Return barriers installed on restricted frames.",
+	"govolve_dsu_osr_frames_total":            "Frames migrated by on-stack replacement.",
+	"govolve_dsu_active_rewrites_total":       "Changed on-stack methods rewritten through a yield-point map.",
+	"govolve_dsu_lazy_pending_total":          "Objects tagged for lazy transformation.",
+	"govolve_dsu_lazy_drained_total":          "Objects lazily transformed on first touch.",
+	"govolve_dsu_lazy_forced_total":           "Objects lazily transformed by a forced drain.",
+	"govolve_dsu_transformed_objects_total":   "Updated objects whose transformer ran, moves included.",
+	"govolve_dsu_copied_objects_total":        "Objects the DSU collections copied inside the pause.",
+	"govolve_dsu_copied_words_total":          "Words the DSU collections copied inside the pause.",
+	"govolve_dsu_tail_words_total":            "Old-copy words the DSU collections placed in from-space's tail.",
+	"govolve_dsu_relocations_total":           "DSU collections that left a relocation draining after the pause.",
+	"govolve_gc_dsu_pairs_logged_total":       "Old/new object pairs logged for DSU transforms.",
+	"govolve_gc_dsu_moved_objects_total":      "Updated objects the collector wrote directly in their new layout.",
+	"govolve_dsu_reloc_objects_total":         "Objects evacuated by the relocation drain after the pause.",
+	"govolve_dsu_reloc_words_total":           "Words evacuated by the relocation drain after the pause.",
+	"govolve_dsu_reloc_tail_words_total":      "Old-copy words the relocation drain placed in from-space's tail.",
+	"govolve_dsu_reloc_healed_slots_total":    "Reference slots healed to canonical addresses.",
+	"govolve_dsu_reloc_deferred_pairs_total":  "Pairs the relocation drain created after the pause.",
+	MRelocBacklog:                             "Words the relocation drain has still to scan.",
+	"govolve_dsu_reloc_drain_latency_seconds": "Wall-clock latency of completed relocation drains.",
+	"govolve_jit_invalidations_body_total":    "Compiled bodies invalidated by method-body updates.",
+	"govolve_jit_invalidations_layout_total":  "Compiled bodies invalidated by baked-in layout/TIB deps.",
+	"govolve_jit_invalidations_inline_total":  "Compiled bodies invalidated for inlining updated callees.",
+	"govolve_jit_ic_flushes_total":            "Inline-cache entries flushed by DSU install phases.",
 
-	MRelocObjects:      "Objects evacuated by the relocation drain after the pause.",
-	MRelocHealedSlots:  "Reference slots healed to canonical addresses.",
-	MRelocBacklog:      "Words the relocation drain has still to scan.",
-	MRelocDrainLatency: "Wall-clock latency of completed relocation drains.",
+	// The VM's steady-state counters (vm.Stats).
+	"govolve_vm_instructions_total":         "Bytecode instructions interpreted.",
+	"govolve_vm_slices_total":               "Scheduler slices executed.",
+	"govolve_vm_scheduler_scans_total":      "Scheduler scans for a runnable thread.",
+	"govolve_vm_wake_checks_total":          "Wake-predicate evaluations of blocked threads.",
+	"govolve_vm_threads_spawned_total":      "VM threads spawned.",
+	"govolve_vm_threads_reaped_total":       "Dead VM threads reaped from the thread table.",
+	"govolve_vm_alloc_objects_total":        "Objects allocated on the VM heap.",
+	"govolve_vm_alloc_arrays_total":         "Arrays allocated on the VM heap.",
+	"govolve_gc_collections_total":          "Heap collections performed.",
+	"govolve_gc_copied_objects_total":       "Objects copied by collections.",
+	"govolve_jit_ic_hits_total":             "Inline-cache hits at cached virtual call sites.",
+	"govolve_jit_ic_misses_total":           "Inline-cache misses falling back to the TIB lookup.",
+	"govolve_jit_ic_hit_rate":               "Cumulative inline-cache hit rate (hits / lookups).",
+	"govolve_jit_compiles_base_total":       "Methods compiled at the base tier (resolve+fuse+IC).",
+	"govolve_jit_compiles_opt_total":        "Methods compiled at the opt tier (inline+fold+fuse+IC).",
+	"govolve_jit_relinks_total":             "Compiled bodies an update relinked onto new class versions instead of recompiling.",
+	"govolve_obs_events_dropped_total":      "Flight-recorder events lost to ring overwrite.",
+	"govolve_profile_samples_total":         "Stack samples accepted by the sampling profiler.",
+	"govolve_profile_samples_dropped_total": "Profiler samples shed on contention or overwritten.",
+	"govolve_vm_runnable_queue":             "VM threads waiting in the runnable queue.",
+	"govolve_vm_threads_blocked":            "VM threads blocked on I/O or sync.",
+	"govolve_vm_threads_live":               "Live VM threads.",
+	"govolve_vm_threads_table":              "Entries in the VM's thread table, dead threads not yet reaped included.",
+	"govolve_vm_dead_thread_errors":         "Threads that died of an uncaught error.",
+	"govolve_vm_uptime_seconds":             "Seconds since the VM was constructed.",
 
 	MStreamUpdates:  "Updates sustained across long-horizon version chains.",
 	MStreamRejected: "Generator batches the UPT verifier legally refused.",
@@ -508,29 +411,7 @@ var metricHelp = map[string]string{
 	MGateViolations:  "Individual gate violations across all verdicts.",
 	MGateLastPass:    "1 when the most recent verdict passed, else 0.",
 
-	MJITCompilesBase:        "Methods compiled at the base tier (resolve+fuse+IC).",
-	MJITCompilesOpt:         "Methods compiled at the opt tier (inline+fold+fuse+IC).",
-	MJITRelinks:             "Compiled bodies an update relinked onto new class versions instead of recompiling.",
-	MJITInvalidationsBody:   "Compiled bodies invalidated by method-body updates.",
-	MJITInvalidationsLayout: "Compiled bodies invalidated by baked-in layout/TIB deps.",
-	MJITInvalidationsInline: "Compiled bodies invalidated for inlining updated callees.",
-	MJITICHits:              "Inline-cache hits at cached virtual call sites.",
-	MJITICMisses:            "Inline-cache misses falling back to the TIB lookup.",
-	MJITICFlushes:           "Inline-cache entries flushed by DSU install phases.",
-	MJITICHitRate:           "Cumulative inline-cache hit rate (hits / lookups).",
-
-	MProfSamples:        "Stack samples accepted by the sampling profiler.",
-	MProfSamplesDropped: "Profiler samples shed on contention or overwritten.",
-
-	MObsEventsDropped: "Flight-recorder events lost to ring overwrite.",
-	MBuildInfo:        "Constant 1; labels carry the build identity.",
-	MVMUptime:         "Seconds since the VM was constructed.",
-}
-
-// CanonicalMetricNames lists every canonical metric name, sorted — the
-// domain of the exposition audit.
-func CanonicalMetricNames() []string {
-	return sortedKeys(metricHelp)
+	MBuildInfo: "Constant 1; labels carry the build identity.",
 }
 
 // MetricHelp returns the curated HELP text for a metric, falling back to a
@@ -540,4 +421,124 @@ func MetricHelp(name string) string {
 		return h
 	}
 	return "govolve metric " + name + "."
+}
+
+// Publish writes a record into the registry (no-op on nil): cur points at
+// the record, prev at its value as last published, or is nil before its
+// first publish. A record is a struct whose fields name their series in a
+// `metric:"name,kind"` tag; a struct-typed field without a tag is walked
+// into, and `metric:"-,reason"` keeps a field off /metrics and says why.
+// By kind:
+//
+//   - counter: adds what the field grew by, nothing when it went backwards
+//     (its source was reset);
+//   - gauge: set to the field by every publish but the record's first (an
+//     update's first publish is its seal, which must not overwrite a gauge
+//     sampled between updates; see core.Stats.RelocBacklog);
+//   - histogram: observes the field when it changed, a time.Duration in
+//     seconds into DurationBuckets, a count into CountBuckets;
+//   - enum: counts the record once, at its first publish, under the series
+//     its value (a fmt.Stringer) names through the tag's %s.
+//
+// A bool reads as 0 or 1, a time.Duration in seconds.
+func (r *Registry) Publish(cur, prev any) {
+	if r == nil {
+		return
+	}
+	c := reflect.ValueOf(cur).Elem()
+	first := prev == nil || reflect.ValueOf(prev).IsNil()
+	p := reflect.Zero(c.Type())
+	if !first {
+		p = reflect.ValueOf(prev).Elem()
+	}
+	for _, f := range planOf(c.Type()) {
+		v, was := c.FieldByIndex(f.index), p.FieldByIndex(f.index)
+		switch f.kind {
+		case "counter":
+			r.Counter(f.name).Add(max(int64(number(v)-number(was)), 0))
+		case "gauge":
+			if !first {
+				r.Gauge(f.name).Set(number(v))
+			}
+		case "histogram":
+			if !v.Equal(was) {
+				bounds := CountBuckets()
+				if v.Type() == durationType {
+					bounds = DurationBuckets()
+				}
+				r.Histogram(f.name, bounds).Observe(number(v))
+			}
+		case "enum":
+			if first {
+				r.Counter(fmt.Sprintf(f.name, v.Interface())).Inc()
+			}
+		}
+	}
+}
+
+// Subtract turns the record cur points at into its growth since prev: every
+// counter field (an integer) less its value in prev, every other field as
+// it is in cur.
+func Subtract(cur, prev any) {
+	c, p := reflect.ValueOf(cur).Elem(), reflect.ValueOf(prev).Elem()
+	for _, f := range planOf(c.Type()) {
+		if f.kind == "counter" {
+			v := c.FieldByIndex(f.index)
+			v.SetInt(v.Int() - p.FieldByIndex(f.index).Int())
+		}
+	}
+}
+
+// recordField is one leaf of a record's plan.
+type recordField struct {
+	index []int
+	name  string // series; "-" for none, "" when untagged
+	kind  string // for "-", the reason
+}
+
+var plans sync.Map // reflect.Type → []recordField, built on the type's first use
+
+func planOf(t reflect.Type) []recordField {
+	if p, ok := plans.Load(t); ok {
+		return p.([]recordField)
+	}
+	var fields []recordField
+	var walk func(t reflect.Type, index []int)
+	walk = func(t reflect.Type, index []int) {
+		for i := 0; i < t.NumField(); i++ {
+			sf, idx := t.Field(i), append(index[:len(index):len(index)], i)
+			tag, tagged := sf.Tag.Lookup("metric")
+			switch {
+			case !sf.IsExported():
+			case !tagged && sf.Type.Kind() == reflect.Struct:
+				walk(sf.Type, idx)
+			default:
+				name, kind, _ := strings.Cut(tag, ",")
+				fields = append(fields, recordField{index: idx, name: name, kind: kind})
+			}
+		}
+	}
+	walk(t, nil)
+	p, _ := plans.LoadOrStore(t, fields)
+	return p.([]recordField)
+}
+
+var durationType = reflect.TypeOf(time.Duration(0))
+
+// number reads a leaf as the value its series records.
+func number(v reflect.Value) float64 {
+	switch {
+	case v.Type() == durationType:
+		return time.Duration(v.Int()).Seconds()
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanUint():
+		return float64(v.Uint())
+	}
+	return v.Float()
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -98,8 +99,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistryWriteJSON(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(MUpdatesApplied).Add(3)
-	reg.Gauge(MThreadsLive).Set(2)
+	reg.Counter("govolve_dsu_updates_applied_total").Add(3)
+	reg.Gauge("govolve_vm_threads_live").Set(2)
 	reg.Histogram(MPauseTotal, DurationBuckets()).Observe(0.004)
 
 	var b strings.Builder
@@ -114,10 +115,10 @@ func TestRegistryWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
 		t.Fatalf("WriteJSON emitted invalid JSON: %v\n%s", err, b.String())
 	}
-	if doc.Counters[MUpdatesApplied] != 3 {
+	if doc.Counters["govolve_dsu_updates_applied_total"] != 3 {
 		t.Fatalf("counters %+v", doc.Counters)
 	}
-	if doc.Gauges[MThreadsLive] != 2 {
+	if doc.Gauges["govolve_vm_threads_live"] != 2 {
 		t.Fatalf("gauges %+v", doc.Gauges)
 	}
 	h := doc.Histograms[MPauseTotal]
@@ -202,9 +203,9 @@ func parsePrometheus(t *testing.T, text string) (types, helps map[string]string,
 
 func TestWritePrometheusParses(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter(MUpdatesApplied).Add(2)
-	reg.Counter(MBarriers).Add(7)
-	reg.Gauge(MRunnableQueue).Set(4)
+	reg.Counter("govolve_dsu_updates_applied_total").Add(2)
+	reg.Counter("govolve_dsu_barriers_installed_total").Add(7)
+	reg.Gauge("govolve_vm_runnable_queue").Set(4)
 	h := reg.Histogram(MPauseGC, []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.005)
@@ -216,7 +217,7 @@ func TestWritePrometheusParses(t *testing.T) {
 	}
 	types, _, samples := parsePrometheus(t, b.String())
 
-	if types[MUpdatesApplied] != "counter" || types[MRunnableQueue] != "gauge" || types[MPauseGC] != "histogram" {
+	if types["govolve_dsu_updates_applied_total"] != "counter" || types["govolve_vm_runnable_queue"] != "gauge" || types[MPauseGC] != "histogram" {
 		t.Fatalf("types = %v", types)
 	}
 	find := func(name string, labels map[string]string) *promSample {
@@ -237,10 +238,10 @@ func TestWritePrometheusParses(t *testing.T) {
 		}
 		return nil
 	}
-	if s := find(MUpdatesApplied, nil); s == nil || s.value != 2 {
-		t.Fatalf("missing/ wrong %s: %+v", MUpdatesApplied, s)
+	if s := find("govolve_dsu_updates_applied_total", nil); s == nil || s.value != 2 {
+		t.Fatalf("missing/ wrong %s: %+v", "govolve_dsu_updates_applied_total", s)
 	}
-	if s := find(MRunnableQueue, nil); s == nil || s.value != 4 {
+	if s := find("govolve_vm_runnable_queue", nil); s == nil || s.value != 4 {
 		t.Fatalf("gauge sample %+v", s)
 	}
 	// Histogram: cumulative buckets, +Inf == _count, _sum present.
@@ -270,74 +271,65 @@ func TestWritePrometheusParses(t *testing.T) {
 	}
 }
 
-// TestExpositionAudit registers every canonical metric (histograms where the
-// name says seconds/attempts, counters for _total, gauges otherwise), writes
-// the exposition, and requires a HELP and TYPE comment for every emitted
-// series — with the curated text, never the generic fallback, for canonical
-// names. This is the contract that a new M* constant cannot ship without a
-// metricHelp entry.
-func TestExpositionAudit(t *testing.T) {
+// outcome is an enum for TestPublish's record.
+type outcome int
+
+func (o outcome) String() string { return [...]string{"applied", "failed"}[o] }
+
+// TestPublish pins the walk's rule per kind on a record with one field of
+// each, a nested struct and an untracked field: counters add growth and
+// ignore a reset, gauges wait for the record's second publish, histograms
+// observe a field once it changed, an enum counts once under its value's name;
+// Subtract leaves a window's counter growth.
+func TestPublish(t *testing.T) {
+	type inner struct {
+		Words uint64 `metric:"t_words_total,counter"`
+	}
+	type record struct {
+		Outcome   outcome       `metric:"t_%s_total,enum"`
+		Pairs     int           `metric:"t_pairs_total,counter"`
+		Relocated bool          `metric:"t_relocated_total,counter"`
+		Backlog   int           `metric:"t_backlog,gauge"`
+		Pause     time.Duration `metric:"t_pause_seconds,histogram"`
+		Attempts  int           `metric:"t_attempts,histogram"`
+		Skipped   int           `metric:"-,a test of the reason"`
+		In        inner
+	}
 	reg := NewRegistry()
-	for _, n := range CanonicalMetricNames() {
-		switch {
-		case n == MBuildInfo:
-			// Synthesized by WritePrometheus itself.
-		case strings.HasSuffix(n, "_seconds") && !strings.Contains(n, "uptime"):
-			reg.Histogram(n, DurationBuckets()).Observe(0.001)
-		case n == MAttempts:
-			reg.Histogram(n, CountBuckets()).Observe(2)
-		case strings.HasSuffix(n, "_total"):
-			reg.Counter(n).Inc()
-		default:
-			reg.Gauge(n).Set(1)
-		}
-	}
-	reg.Counter("adhoc_series_total").Inc() // uncurated: generic HELP fallback
+	cur := record{Outcome: 1, Pairs: 3, Relocated: true, Backlog: 7, Pause: 2 * time.Millisecond, Attempts: 2, Skipped: 9, In: inner{Words: 5}}
+	reg.Publish(&cur, nil)
+	sealed := cur
+	cur.Pairs, cur.Backlog, cur.In.Words = 20, 0, 40
+	reg.Publish(&cur, &sealed)
+	reg.Publish(&record{}, &cur) // a reset source adds nothing
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	types, helps, samples := parsePrometheus(t, b.String())
-
-	base := func(name string) string {
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if bn := strings.TrimSuffix(name, suf); bn != name && types[bn] == "histogram" {
-				return bn
-			}
-		}
-		return name
-	}
-	for _, s := range samples {
-		bn := base(s.name)
-		if types[bn] == "" {
-			t.Errorf("series %s has no TYPE comment", s.name)
-		}
-		if helps[bn] == "" {
-			t.Errorf("series %s has no HELP comment", s.name)
+	s := reg.TakeSnapshot()
+	for name, want := range map[string]int64{"t_failed_total": 1, "t_pairs_total": 20, "t_relocated_total": 1, "t_words_total": 40} {
+		if got := s.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	for _, n := range CanonicalMetricNames() {
-		if h := helps[n]; h != MetricHelp(n) || strings.HasPrefix(h, "govolve metric ") {
-			t.Errorf("canonical metric %s: HELP %q is missing or uncurated", n, h)
-		}
+	if _, ok := s.Counters["t_applied_total"]; ok || len(s.Counters) != 4 {
+		t.Errorf("counters %v: the enum names one series, the untracked field none", s.Counters)
 	}
-	if !strings.HasPrefix(helps["adhoc_series_total"], "govolve metric ") {
-		t.Errorf("fallback HELP = %q", helps["adhoc_series_total"])
+	if g, ok := s.Gauges["t_backlog"]; !ok || g != 0 {
+		t.Errorf("gauge t_backlog = %v (present %v), want the last publish's 0", g, ok)
+	}
+	if h := s.Hists["t_pause_seconds"]; h.Count != 2 || math.Abs(h.Sum-0.002) > 1e-12 {
+		t.Errorf("pause histogram %d samples summing %g: want the seal's 2ms and the reset's 0", h.Count, h.Sum)
+	}
+	if h := s.Hists["t_attempts"]; h.Count != 2 || h.Bounds[0] != CountBuckets()[0] {
+		t.Errorf("attempts histogram %+v: want count buckets and two samples", h)
 	}
 
-	// Build identity and uptime ride every exposition.
-	var build *promSample
-	for i := range samples {
-		if samples[i].name == MBuildInfo {
-			build = &samples[i]
-		}
+	type window struct {
+		Steps int64 `metric:"t_steps_total,counter"`
+		Live  int   `metric:"t_live,gauge"`
 	}
-	if build == nil || build.value != 1 || build.labels["module"] != "govolve" || build.labels["go"] == "" {
-		t.Fatalf("build_info sample %+v", build)
-	}
-	if types[MBuildInfo] != "gauge" || types[MVMUptime] != "gauge" {
-		t.Fatalf("identity types %v %v", types[MBuildInfo], types[MVMUptime])
+	d := window{Steps: 10, Live: 3}
+	Subtract(&d, &window{Steps: 4, Live: 9})
+	if d != (window{Steps: 6, Live: 3}) {
+		t.Errorf("Subtract = %+v: counters less prev, the rest as in cur", d)
 	}
 }
 

@@ -247,15 +247,15 @@ func TestStormStaleICCoverage(t *testing.T) {
 	if rep.Applied < 30 {
 		t.Fatalf("applied only %d/30 updates", rep.Applied)
 	}
-	if hits := reg.Counter(obs.MJITICHits).Value(); hits == 0 {
+	if hits := reg.Counter("govolve_jit_ic_hits_total").Value(); hits == 0 {
 		t.Fatal("no inline-cache hits: the storm never exercised cached dispatch")
 	}
-	if flushes := reg.Counter(obs.MJITICFlushes).Value(); flushes == 0 {
+	if flushes := reg.Counter("govolve_jit_ic_flushes_total").Value(); flushes == 0 {
 		t.Fatal("no IC flushes: updates installed without clearing inline caches")
 	}
 	t.Logf("ic hits=%d misses=%d flushes=%d",
-		reg.Counter(obs.MJITICHits).Value(), reg.Counter(obs.MJITICMisses).Value(),
-		reg.Counter(obs.MJITICFlushes).Value())
+		reg.Counter("govolve_jit_ic_hits_total").Value(), reg.Counter("govolve_jit_ic_misses_total").Value(),
+		reg.Counter("govolve_jit_ic_flushes_total").Value())
 }
 
 // TestBootstrapDefsSharedUnchanged pins what lets vm.New assemble the

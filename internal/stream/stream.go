@@ -102,11 +102,8 @@ type Config struct {
 	// GateSpecs overrides the per-update health gates (nil means
 	// obs.DefaultGateSpecs); every step's final attempt records its verdict
 	// in the StepRecord. GatePolicy picks the FAIL reaction:
-	// core.GateObserve records only; core.GateQuiesceRetry escalates a
-	// failed-gate aborted attempt straight to a quiesced retry (instead of
-	// waiting for the second retry); core.GateHalt stops the chain with an
-	// error naming the violated gate; core.GateForceDrain settles drains
-	// engine-side.
+	// core.GateObserve records only; core.GateHalt stops the chain with an
+	// error naming the violated gate.
 	GateSpecs  []obs.GateSpec
 	GatePolicy core.GatePolicy
 
@@ -401,7 +398,6 @@ func (rp *replayer) run() error {
 		m.Counter(obs.MStreamRejected).Add(int64(st.Rejected))
 
 		var res *core.Result
-		gateEscalate := false
 		for {
 			// A chain cannot abandon a hard step for a fresh mutation batch
 			// the way storm.Run does, so chronic near-livelock steps (two
@@ -410,13 +406,11 @@ func (rp *replayer) run() error {
 			// and from the second retry on a quiesced request — client
 			// traffic drained so the acceptor parks in accept and only the
 			// spinner still visits the changed method, which the return
-			// barrier then catches. Under GateQuiesceRetry a FAIL verdict on
-			// an aborted attempt short-circuits that ladder: the very next
-			// retry is already quiesced.
+			// barrier then catches.
 			var err error
 			res, err = drv.ApplyStep(st, storm.ApplyOpts{
 				MaxAttempts: cfg.MaxAttempts << rec.Retries,
-				Quiesce:     gateEscalate || rec.Retries >= 2,
+				Quiesce:     rec.Retries >= 2,
 			})
 			if err != nil {
 				return rp.failf(step, err)
@@ -428,9 +422,6 @@ func (rp *replayer) run() error {
 			}
 			if res.Outcome == core.Applied {
 				break
-			}
-			if v := res.Verdict; v != nil && !v.Pass && cfg.GatePolicy == core.GateQuiesceRetry {
-				gateEscalate = true
 			}
 			// Aborted: the chain did not advance; era and retry this step.
 			if rec.Retries >= cfg.AbortRetries {

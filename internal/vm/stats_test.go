@@ -84,17 +84,17 @@ func TestPublishMetricsDeltaAdd(t *testing.T) {
 
 	v.TotalSteps = 100
 	v.PublishMetrics()
-	if got := reg.Counter(obs.MInstructions).Value(); got != 100 {
+	if got := reg.Counter("govolve_vm_instructions_total").Value(); got != 100 {
 		t.Fatalf("after first publish: instructions counter = %d, want 100", got)
 	}
 	v.TotalSteps = 160
 	v.PublishMetrics()
-	if got := reg.Counter(obs.MInstructions).Value(); got != 160 {
+	if got := reg.Counter("govolve_vm_instructions_total").Value(); got != 160 {
 		t.Fatalf("after second publish: instructions counter = %d, want 160 (delta-add, not 260)", got)
 	}
 	// Idempotent when nothing moved.
 	v.PublishMetrics()
-	if got := reg.Counter(obs.MInstructions).Value(); got != 160 {
+	if got := reg.Counter("govolve_vm_instructions_total").Value(); got != 160 {
 		t.Fatalf("idle publish moved the counter to %d", got)
 	}
 }

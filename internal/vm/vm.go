@@ -157,8 +157,8 @@ type VM struct {
 	TotalSteps int64
 
 	// icHits/icMisses count inline-cache dispatch outcomes at cached call
-	// sites. Plain fields on the interpreter's own goroutine; PublishMetrics
-	// exports them with the delta discipline.
+	// sites. Plain fields on the interpreter's own goroutine; Stats reads
+	// them.
 	icHits   int64
 	icMisses int64
 
@@ -177,7 +177,7 @@ type VM struct {
 
 	// Metrics is the attached metrics registry (nil = disabled). The VM
 	// itself only writes it from PublishMetrics — never on the hot path;
-	// the DSU engine records its pause histograms here.
+	// the DSU engine publishes its update records here.
 	Metrics *obs.Registry
 
 	// Prof is the attached sampling profiler (nil = sampling disabled; the
@@ -191,20 +191,8 @@ type VM struct {
 	// created anchors the govolve_vm_uptime_seconds gauge.
 	created time.Time
 
-	// published remembers the last snapshot PublishMetrics exported, so
-	// monotonic VM counters map onto monotonic registry counters.
-	published       Stats
-	publishedCopied int64
-	// publishedJIT* are the delta anchors for the compiler-activity and
-	// inline-cache counters, same discipline as published.
-	publishedJITBase    int64
-	publishedJITOpt     int64
-	publishedJITRelinks int64
-	// publishedEvDropped / publishedProf* are the delta anchors for the
-	// recorder-loss and profiler counters, same discipline as published.
-	publishedEvDropped   uint64
-	publishedProfTotal   int64
-	publishedProfDropped int64
+	// lastStats is the record PublishMetrics last published.
+	lastStats Stats
 
 	// Exited is set by System.exit; ExitCode carries its argument.
 	Exited   bool
@@ -1144,41 +1132,62 @@ type statCounters struct {
 
 // Stats is a snapshot of the VM's steady-state counters — the paper's
 // Figure 5 claim ("stock ≈ DSU-capable ≈ updated") as numbers rather than
-// an assertion. Instructions is total executed instructions; Slices is
-// scheduling slices run; SchedulerScans is pickThread invocations;
-// WakeChecks is blocked-thread wake-predicate evaluations; AllocObjects/
-// AllocArrays count heap allocations triggered by executed code;
+// an assertion — and the VM's record on /metrics: each field's tag names the
+// series it feeds (obs.Registry.Publish). Instructions is total executed
+// instructions; Slices is scheduling slices run; SchedulerScans is
+// pickThread invocations; WakeChecks is blocked-thread wake-predicate
+// evaluations; AllocObjects/AllocArrays count heap allocations triggered by
+// executed code; CopiedObjects counts objects every collection copied;
 // RunnableQueue/BlockedThreads/LiveThreads/TableThreads describe the
 // scheduler lists at snapshot time.
 type Stats struct {
-	Instructions   int64
-	Slices         int64
-	SchedulerScans int64
-	WakeChecks     int64
-	ThreadsSpawned int64
-	ThreadsReaped  int64
-	AllocObjects   int64
-	AllocArrays    int64
-	GCCollections  int64
+	Instructions   int64 `metric:"govolve_vm_instructions_total,counter"`
+	Slices         int64 `metric:"govolve_vm_slices_total,counter"`
+	SchedulerScans int64 `metric:"govolve_vm_scheduler_scans_total,counter"`
+	WakeChecks     int64 `metric:"govolve_vm_wake_checks_total,counter"`
+	ThreadsSpawned int64 `metric:"govolve_vm_threads_spawned_total,counter"`
+	ThreadsReaped  int64 `metric:"govolve_vm_threads_reaped_total,counter"`
+	AllocObjects   int64 `metric:"govolve_vm_alloc_objects_total,counter"`
+	AllocArrays    int64 `metric:"govolve_vm_alloc_arrays_total,counter"`
+	GCCollections  int64 `metric:"govolve_gc_collections_total,counter"`
+	CopiedObjects  int64 `metric:"govolve_gc_copied_objects_total,counter"`
 
 	// TracePromotions reads 0: base code is fused when it is compiled, so no
 	// frame is ever promoted. The field stays because the bench of record's
 	// pinned API surface (benchmark/README.md) names it; a [benchmark] PR
 	// drops it together with vm.trace_promotions. ICHits/ICMisses count
 	// inline-cache dispatch outcomes at virtual call sites.
-	TracePromotions int64
-	ICHits          int64
-	ICMisses        int64
+	TracePromotions int64   `metric:"-,reads 0: base code is fused when it is compiled"`
+	ICHits          int64   `metric:"govolve_jit_ic_hits_total,counter"`
+	ICMisses        int64   `metric:"govolve_jit_ic_misses_total,counter"`
+	ICHitRate       float64 `metric:"govolve_jit_ic_hit_rate,gauge"` // hits / lookups, 0 before the first
 
-	RunnableQueue  int
-	BlockedThreads int
-	LiveThreads    int
-	TableThreads   int
-	DeadErrorCount int
+	// Compiler activity per tier, and the compiled bodies updates relinked.
+	BaseCompiles int64 `metric:"govolve_jit_compiles_base_total,counter"`
+	OptCompiles  int64 `metric:"govolve_jit_compiles_opt_total,counter"`
+	Relinks      int64 `metric:"govolve_jit_relinks_total,counter"`
+
+	// What the attached flight recorder lost to ring overwrite, and the
+	// samples the attached profiler took and shed. A reset recorder rewinds
+	// EventsDropped; Delta and the registry's counter then resync.
+	EventsDropped int64 `metric:"govolve_obs_events_dropped_total,counter"`
+	ProfSamples   int64 `metric:"govolve_profile_samples_total,counter"`
+	ProfDropped   int64 `metric:"govolve_profile_samples_dropped_total,counter"`
+
+	RunnableQueue  int           `metric:"govolve_vm_runnable_queue,gauge"`
+	BlockedThreads int           `metric:"govolve_vm_threads_blocked,gauge"`
+	LiveThreads    int           `metric:"govolve_vm_threads_live,gauge"`
+	TableThreads   int           `metric:"govolve_vm_threads_table,gauge"`
+	DeadErrorCount int           `metric:"govolve_vm_dead_thread_errors,gauge"`
+	Uptime         time.Duration `metric:"govolve_vm_uptime_seconds,gauge"` // since the VM was constructed
 }
 
 // Stats snapshots the steady-state counter block.
 func (v *VM) Stats() Stats {
+	hitRate := 0.0
+	if lookups := v.icHits + v.icMisses; lookups > 0 {
+		hitRate = float64(v.icHits) / float64(lookups)
+	}
 	return Stats{
 		Instructions:   v.TotalSteps,
 		Slices:         v.stats.Slices,
@@ -1189,34 +1198,31 @@ func (v *VM) Stats() Stats {
 		AllocObjects:   v.stats.AllocObjects,
 		AllocArrays:    v.stats.AllocArrays,
 		GCCollections:  int64(v.GC.Collections),
+		CopiedObjects:  int64(v.GC.CopiedObjects),
 		ICHits:         v.icHits,
 		ICMisses:       v.icMisses,
+		ICHitRate:      hitRate,
+		BaseCompiles:   int64(v.JIT.BaseCompiles),
+		OptCompiles:    int64(v.JIT.OptCompiles),
+		Relinks:        int64(v.JIT.Relinks),
+		EventsDropped:  int64(v.Rec.Dropped()),
+		ProfSamples:    v.Prof.TotalSamples(),
+		ProfDropped:    v.Prof.DroppedSamples(),
 		RunnableQueue:  len(v.runq) - v.runqHead,
 		BlockedThreads: len(v.blocked),
 		LiveThreads:    v.liveThreads(),
 		TableThreads:   len(v.Threads),
 		DeadErrorCount: len(v.DeadErrors),
+		Uptime:         time.Since(v.created),
 	}
 }
 
-// Delta subtracts a previous snapshot's monotonic counters from s, leaving
-// the point-in-time gauges (queue depths, live threads) as observed in s.
-// Use it to isolate the work done inside a measurement window.
+// Delta subtracts a previous snapshot's counters (the fields tagged counter)
+// from s, leaving the point-in-time gauges (queue depths, live threads) as
+// observed in s. Use it to isolate the work done inside a measurement window.
 func (s Stats) Delta(prev Stats) Stats {
-	d := s
-	d.Instructions -= prev.Instructions
-	d.Slices -= prev.Slices
-	d.SchedulerScans -= prev.SchedulerScans
-	d.WakeChecks -= prev.WakeChecks
-	d.ThreadsSpawned -= prev.ThreadsSpawned
-	d.ThreadsReaped -= prev.ThreadsReaped
-	d.AllocObjects -= prev.AllocObjects
-	d.AllocArrays -= prev.AllocArrays
-	d.GCCollections -= prev.GCCollections
-	d.TracePromotions -= prev.TracePromotions
-	d.ICHits -= prev.ICHits
-	d.ICMisses -= prev.ICMisses
-	return d
+	obs.Subtract(&s, &prev)
+	return s
 }
 
 // tracef emits one scheduler/DSU diagnostic line. The line goes to the
@@ -1238,61 +1244,15 @@ func (v *VM) tracef(format string, args ...any) {
 	}
 }
 
-// PublishMetrics exports the VM's steady-state counters and gauges into
-// the attached metrics registry: monotonic VM counters become monotonic
-// registry counters (only the delta since the previous publish is added),
-// scheduler-list depths become gauges. It is snapshot-based — nothing on
-// the interpreter or scheduler hot path ever touches the registry.
+// PublishMetrics publishes the VM's Stats into the attached metrics
+// registry against the last Stats it published (obs.Registry.Publish). It
+// is snapshot-based — nothing on the interpreter or scheduler hot path ever
+// touches the registry.
 func (v *VM) PublishMetrics() {
 	if v.Metrics == nil {
 		return
 	}
 	s := v.Stats()
-	d := s.Delta(v.published)
-	v.published = s
-	m := v.Metrics
-	m.Counter(obs.MInstructions).Add(d.Instructions)
-	m.Counter(obs.MSlices).Add(d.Slices)
-	m.Counter(obs.MHeapAllocObjects).Add(d.AllocObjects)
-	m.Counter(obs.MHeapAllocArrays).Add(d.AllocArrays)
-	m.Counter(obs.MGCCollections).Add(d.GCCollections)
-	m.Counter(obs.MObjectsCopied).Add(int64(v.GC.CopiedObjects) - v.publishedCopied)
-	v.publishedCopied = int64(v.GC.CopiedObjects)
-	// JIT/IC activity: per-tier compile and relink counters, IC hit/miss
-	// counters, and the hit-rate gauge — all delta-published, never written
-	// on the dispatch path.
-	m.Counter(obs.MJITCompilesBase).Add(int64(v.JIT.BaseCompiles) - v.publishedJITBase)
-	m.Counter(obs.MJITCompilesOpt).Add(int64(v.JIT.OptCompiles) - v.publishedJITOpt)
-	m.Counter(obs.MJITRelinks).Add(int64(v.JIT.Relinks) - v.publishedJITRelinks)
-	v.publishedJITBase = int64(v.JIT.BaseCompiles)
-	v.publishedJITOpt = int64(v.JIT.OptCompiles)
-	v.publishedJITRelinks = int64(v.JIT.Relinks)
-	m.Counter(obs.MJITICHits).Add(d.ICHits)
-	m.Counter(obs.MJITICMisses).Add(d.ICMisses)
-	if total := v.icHits + v.icMisses; total > 0 {
-		m.Gauge(obs.MJITICHitRate).Set(float64(v.icHits) / float64(total))
-	}
-	m.Gauge(obs.MThreadsLive).Set(float64(s.LiveThreads))
-	m.Gauge(obs.MThreadsBlocked).Set(float64(s.BlockedThreads))
-	m.Gauge(obs.MRunnableQueue).Set(float64(s.RunnableQueue))
-	m.Gauge(obs.MVMUptime).Set(time.Since(v.created).Seconds())
-	if v.Rec != nil {
-		// Flight-recorder ring overwrite loss, delta-published. A Reset()
-		// rewinds the recorder's totals; resync instead of going negative.
-		dropped := v.Rec.Dropped()
-		if dropped >= v.publishedEvDropped {
-			m.Counter(obs.MObsEventsDropped).Add(int64(dropped - v.publishedEvDropped))
-		}
-		v.publishedEvDropped = dropped
-	}
-	if v.Prof != nil {
-		tot, drop := v.Prof.TotalSamples(), v.Prof.DroppedSamples()
-		if tot >= v.publishedProfTotal {
-			m.Counter(obs.MProfSamples).Add(tot - v.publishedProfTotal)
-		}
-		if drop >= v.publishedProfDropped {
-			m.Counter(obs.MProfSamplesDropped).Add(drop - v.publishedProfDropped)
-		}
-		v.publishedProfTotal, v.publishedProfDropped = tot, drop
-	}
+	v.Metrics.Publish(&s, &v.lastStats)
+	v.lastStats = s
 }
